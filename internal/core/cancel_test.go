@@ -156,8 +156,6 @@ func TestRunTasksPanicContained(t *testing.T) {
 // TestParallelRowsPanicContained covers the banded pools used inside node
 // evaluation and the DP: the re-panic carries the exact row index.
 func TestParallelRowsPanicContained(t *testing.T) {
-	o := optimizerFor(t, 4, 4)
-	o.Opts.Parallelism = 4
 	defer func() {
 		tp, ok := recover().(*TaskPanic)
 		if !ok {
@@ -167,7 +165,7 @@ func TestParallelRowsPanicContained(t *testing.T) {
 			t.Errorf("TaskPanic.Task = %d, want 33", tp.Task)
 		}
 	}()
-	o.parallelRows(64, func(i int) {
+	parallelRows(4, 64, func(i int) {
 		if i == 33 {
 			panic("row")
 		}
@@ -176,14 +174,12 @@ func TestParallelRowsPanicContained(t *testing.T) {
 }
 
 func TestParallelChunksPanicContained(t *testing.T) {
-	o := optimizerFor(t, 4, 4)
-	o.Opts.Parallelism = 4
 	defer func() {
 		if _, ok := recover().(*TaskPanic); !ok {
 			t.Fatal("want *TaskPanic from parallelChunks")
 		}
 	}()
-	o.parallelChunks(64, func(lo, hi int) {
+	parallelChunks(4, 64, func(lo, hi int) {
 		panic("band")
 	})
 	t.Fatal("parallelChunks returned instead of re-panicking")

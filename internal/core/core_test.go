@@ -440,9 +440,9 @@ func TestGroupedEdgeMatrixMatchesDense(t *testing.T) {
 	}
 	for _, e := range []int{0, 2, 6, 9} { // a mix of edge shapes
 		edge := g.Edges[e]
-		src := o.evalNode(g.Nodes[edge.Src])
-		dst := o.evalNode(g.Nodes[edge.Dst])
-		em := o.buildEdgeMat(g, edge, src, dst, nil)
+		src := o.evalNode(g.Nodes[edge.Src], 1)
+		dst := o.evalNode(g.Nodes[edge.Dst], 1)
+		em := o.buildEdgeMat(g, edge, src, dst, nil, 1)
 		plan := o.Cost.PlanEdge(g, edge)
 		// Spot-check a grid of pairs.
 		for i := 0; i < len(src.seqs); i += 37 {
@@ -473,10 +473,10 @@ func TestSumEdgeMatsRefinement(t *testing.T) {
 	if len(edges) != 2 {
 		t.Fatalf("want 2 qkv→qkt edges, got %d", len(edges))
 	}
-	src := o.evalNode(g.Nodes[model.NodeQKV])
-	dst := o.evalNode(g.Nodes[model.NodeQKT])
-	m1 := o.buildEdgeMat(g, edges[0], src, dst, nil)
-	m2 := o.buildEdgeMat(g, edges[1], src, dst, nil)
+	src := o.evalNode(g.Nodes[model.NodeQKV], 1)
+	dst := o.evalNode(g.Nodes[model.NodeQKT], 1)
+	m1 := o.buildEdgeMat(g, edges[0], src, dst, nil, 1)
+	m2 := o.buildEdgeMat(g, edges[1], src, dst, nil, 1)
 	sum := sumEdgeMats([]*edgeMat{m1, m2})
 	for i := 0; i < len(src.seqs); i += 11 {
 		for j := 0; j < len(dst.seqs); j += 13 {

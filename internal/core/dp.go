@@ -96,8 +96,9 @@ type Strategy struct {
 	Stats SearchStats
 }
 
-// evalNode enumerates and evaluates the candidate space of node i.
-func (o *Optimizer) evalNode(op *graph.Op) *nodeCands {
+// evalNode enumerates and evaluates the candidate space of node i on up to
+// w workers.
+func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeCands {
 	seqs := Candidates(op, o.Cost.Cluster.Bits(), o.Opts)
 	nc := &nodeCands{
 		seqs:  seqs,
@@ -108,7 +109,7 @@ func (o *Optimizer) evalNode(op *graph.Op) *nodeCands {
 		out:   make([]*cost.Iface, len(seqs)),
 		in:    make([]*cost.Iface, len(seqs)),
 	}
-	o.parallelRows(len(seqs), func(i int) {
+	parallelRows(w, len(seqs), func(i int) {
 		nc.intra[i] = o.Cost.IntraCost(op, seqs[i])
 		nc.total[i] = nc.intra[i].Total(o.Cost.Alpha)
 		nc.lat[i] = nc.intra[i].Latency()
@@ -166,8 +167,8 @@ type table struct {
 // per candidate.
 // Cancellation is checked once per Bellman step — coarse enough that the
 // uncancelled fast path is untouched, fine enough that a cancelled search
-// stops within one step.
-func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats) (*table, error) {
+// stops within one step. Class loops run on up to w workers.
+func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats, w int) (*table, error) {
 	sumEdges := func(j int, from int) *edgeMat {
 		var ms []*edgeMat
 		for _, e := range g.InEdges(j) {
@@ -209,7 +210,7 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			cur[r] = row
 		}
 	} else {
-		o.parallelChunks(t.nCls, func(lo, hi int) {
+		parallelChunks(w, t.nCls, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				arow := adj.row(int(adj.rows[reps[r]]))
 				row := make([]float64, nb)
@@ -339,7 +340,7 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 
 		next := make([][]float64, t.nCls)
 		args := make([][]int32, t.nCls)
-		o.parallelChunks(t.nCls, func(lo, hi int) {
+		parallelChunks(w, t.nCls, func(lo, hi int) {
 			var scanned, skippedT int64
 			var m, mval, msuf []float64
 			var argm, morder, minv, bestU []int32
@@ -470,8 +471,8 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 // never moves the argmin, so refined classes share argmid rows.
 // Cancellation is checked once at entry — one merge is a single bounded
 // scan pass, so per-merge granularity keeps cancelled stacking loops prompt
-// without touching the scan kernels.
-func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []float64, cross *edgeMat, st *SearchStats) (*table, error) {
+// without touching the scan kernels. Class loops run on up to w workers.
+func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []float64, cross *edgeMat, st *SearchStats, w int) (*table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -497,7 +498,7 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 	base := make([][]float64, nL)
 	argPM := make([][]int32, nL)
 	prune := !o.Opts.DisableBoundPrune
-	o.parallelChunks(nL, func(lo, hi int) {
+	parallelChunks(w, nL, func(lo, hi int) {
 		var scanned, skippedT int64
 		W := make([]float64, nR)
 		argW := make([]int32, nR)
@@ -551,7 +552,7 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 	t.nCls = len(reps)
 	t.cost = make([][]float64, t.nCls)
 	t.argmid = make([][]int32, t.nCls)
-	o.parallelChunks(t.nCls, func(lo, hi int) {
+	parallelChunks(w, t.nCls, func(lo, hi int) {
 		for ro := lo; ro < hi; ro++ {
 			rep := reps[ro]
 			rL := left.rowCls[rep]
@@ -644,9 +645,10 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 			}
 		}
 	}
+	nodeW := innerWorkers(stats.Workers, len(evalSlots))
 	if err := runTasks(ctx, stats.Workers, len(evalSlots), func(i int) {
 		s := evalSlots[i]
-		slotCands[s] = o.evalNode(g.Nodes[slotNode[s]])
+		slotCands[s] = o.evalNode(g.Nodes[slotNode[s]], nodeW)
 	}); err != nil {
 		return nil, err
 	}
@@ -766,9 +768,10 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 			}
 		}
 	}
+	edgeW := innerWorkers(stats.Workers, len(buildSlots))
 	if err := runTasks(ctx, stats.Workers, len(buildSlots), func(i int) {
 		e := uniqEdges[buildSlots[i]]
-		mats[buildSlots[i]] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], &stats)
+		mats[buildSlots[i]] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], &stats, edgeW)
 	}); err != nil {
 		return nil, err
 	}
@@ -816,7 +819,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		}
 		if seg == nil {
 			var err error
-			seg, err = o.segmentTable(ctx, g, cands, edgeMats, cuts[s], cuts[s+1], &stats)
+			seg, err = o.segmentTable(ctx, g, cands, edgeMats, cuts[s], cuts[s+1], &stats, stats.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -834,7 +837,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		}
 		cross := o.crossEdges(g, edgeMats, acc.a, seg.b)
 		var err error
-		acc, err = o.merge(ctx, acc, seg, cands[seg.a].total, cross, &stats)
+		acc, err = o.merge(ctx, acc, seg, cands[seg.a].total, cross, &stats, stats.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -878,14 +881,14 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	for remaining > 0 {
 		var err error
 		if remaining&1 == 1 {
-			full, err = o.merge(ctx, full, doubled, zeroMid, nil, &stats)
+			full, err = o.merge(ctx, full, doubled, zeroMid, nil, &stats, stats.Workers)
 			if err != nil {
 				return nil, err
 			}
 		}
 		remaining >>= 1
 		if remaining > 0 {
-			doubled, err = o.merge(ctx, doubled, doubled, zeroMid, nil, &stats)
+			doubled, err = o.merge(ctx, doubled, doubled, zeroMid, nil, &stats, stats.Workers)
 			if err != nil {
 				return nil, err
 			}

@@ -39,3 +39,35 @@ func BenchmarkSegmentDPCold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEdgeMatStage builds every edge matrix of an OPT-6.7B block on a
+// 2-device stage sub-cluster, the shape of the dozens of short stage
+// searches one Plan3D call runs. Each build runs inline (w = 1), as it does
+// inside a search with two or more edges to build, on a fresh overlap tier.
+// The matrices hold a few dozen cells, so the per-matrix set-up dominates:
+// memo tables sized for big matrices show up here as ns/op and B/op long
+// before they move a 32-device search.
+func BenchmarkEdgeMatStage(b *testing.B) {
+	g, err := model.BuildBlock(model.OPT6B7())
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := NewOptimizer(cost.NewModel(device.MustCluster(2, 2, device.V100Profile())))
+	o.Opts.AllowBatchSplit = false
+	cands := make([]*nodeCands, len(g.Nodes))
+	for i, op := range g.Nodes {
+		cands[i] = o.evalNode(op, 1)
+	}
+	cells := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Cache = NewSearchCache()
+		cells = 0
+		for _, e := range g.Edges {
+			m := o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], nil, 1)
+			cells += m.nr * m.nc
+		}
+	}
+	b.ReportMetric(float64(cells), "cells/op")
+}

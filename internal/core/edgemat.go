@@ -82,8 +82,8 @@ func ifaceGroups(ifaces []*cost.Iface, axes []int) (ids []int32, reps []int32) {
 // reference mode (Options.DisableCache) or if the tables would be too large.
 // The calc build consults the cross-scale overlap tier (crosscache.go) when
 // one is attached; st (nil in direct test invocations) accumulates the cells
-// it served.
-func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, st *SearchStats) *edgeMat {
+// it served. Rows are filled on up to w workers.
+func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, st *SearchStats, w int) *edgeMat {
 	plan := o.Cost.PlanEdge(g, e)
 	rows, rowReps := ifaceGroups(src.out, plan.SrcRelevantAxes())
 	cols, colReps := ifaceGroups(dst.in, plan.DstRelevantAxes())
@@ -115,8 +115,9 @@ func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCa
 		// One BlockEval per worker band: rows stream through a specialized
 		// fill loop (hoisted slices, fused volume math) straight into the
 		// flat storage, and the band-private cell/combo memos amortize
-		// across all its rows — with one worker, across the whole matrix.
-		o.parallelChunks(len(rowReps), func(lo, hi int) {
+		// across all its rows — with one worker (every build of a
+		// multi-edge search), across the whole matrix.
+		parallelChunks(w, len(rowReps), func(lo, hi int) {
 			be := calc.Block()
 			for r := lo; r < hi; r++ {
 				be.MeasureRowInto(o.Cost, r, m.row(r))
@@ -124,7 +125,7 @@ func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCa
 		})
 		return m
 	}
-	o.parallelRows(len(rowReps), func(r int) {
+	parallelRows(w, len(rowReps), func(r int) {
 		row := m.row(r)
 		srcIface := src.out[rowReps[r]]
 		for c, cj := range colReps {

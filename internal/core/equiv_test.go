@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"runtime"
@@ -91,35 +92,72 @@ func TestSearchEquivalenceSerialUncached(t *testing.T) {
 	}
 }
 
+// searchCounters strips from s what legitimately varies with the worker
+// count: wall times, the recorded pool width, and EdgeCellsReused (whether a
+// concurrent edge build finds a block in the overlap tier depends on which
+// build publishes it first; the block's values do not).
+func searchCounters(s SearchStats) SearchStats {
+	s.Workers = 0
+	s.EdgeCellsReused = 0
+	s.NodeEvalTime, s.EdgeMatTime, s.DPTime, s.StackTime, s.TotalTime = 0, 0, 0, 0, 0
+	return s
+}
+
+// twinLinears is two structurally identical linears joined by one edge: one
+// node-evaluation slot and one edge build, so both outer pool loops have a
+// single task and pass every worker on to the inner row and band loops.
+func twinLinears() *graph.Graph {
+	g := &graph.Graph{Name: "twin-linears"}
+	g.AddNode(model.NewLinear("lin", 8, 64, 64, 64))
+	g.AddNode(model.NewLinear("lin", 8, 64, 64, 64))
+	g.Connect(0, 1, 0, []int{model.LinB, model.LinM, model.LinK})
+	return g
+}
+
 // TestSearchDeterminismAcrossWorkers pins scheduling-independence: one
 // worker vs many must produce identical strategies, costs and work counts
-// (all parallel writes land in disjoint slots).
+// (all parallel writes land in disjoint slots). It covers both fan-out
+// branches of the pool: a block search, whose node and edge loops have many
+// tasks that each run inline, and a graph whose outer loops have one task
+// each, so the inner loops fan out instead.
 func TestSearchDeterminismAcrossWorkers(t *testing.T) {
-	g, err := model.BuildBlock(model.OPT175B())
+	block, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
-	serial := NewOptimizer(m)
-	serial.Cache = NewSearchCache() // isolate: warm cross-call entries would zero the work counts
-	serial.Opts.Parallelism = 1
-	a, err := serial.Optimize(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		par := NewOptimizer(m)
-		par.Cache = NewSearchCache()
-		par.Opts.Parallelism = workers
-		b, err := par.Optimize(g, 3)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		oneTask bool
+	}{
+		{"many-outer-tasks", block, false},
+		{"one-outer-task", twinLinears(), true},
+	} {
+		plan := func(workers int) *Strategy {
+			o := NewOptimizer(m)
+			o.Cache = NewSearchCache() // isolate: warm cross-call entries would zero the work counts
+			o.Opts.Parallelism = workers
+			s, err := o.Plan(context.Background(), PlanRequest{Graph: tc.g, Layers: 3})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			return s
 		}
-		sameStrategy(t, "workers", a, b)
-		if a.Stats.NodeEvals != b.Stats.NodeEvals ||
-			a.Stats.EdgeMatsBuilt != b.Stats.EdgeMatsBuilt ||
-			a.Stats.EdgeCellsEvaluated != b.Stats.EdgeCellsEvaluated {
-			t.Fatalf("workers=%d: work counts differ: %+v vs %+v", workers, a.Stats, b.Stats)
+		a := plan(1)
+		if single := a.Stats.NodeEvals == 1 && a.Stats.EdgeMatsBuilt == 1; single != tc.oneTask {
+			t.Fatalf("%s: %d node evals, %d edge builds; one-task branch = %v, want %v",
+				tc.name, a.Stats.NodeEvals, a.Stats.EdgeMatsBuilt, single, tc.oneTask)
+		}
+		for _, workers := range []int{2, 4, 7} {
+			b := plan(workers)
+			sameStrategy(t, tc.name, a, b)
+			if searchCounters(a.Stats) != searchCounters(b.Stats) {
+				t.Fatalf("%s workers=%d: work counts differ:\n%+v\n%+v", tc.name, workers, a.Stats, b.Stats)
+			}
+			if b.Stats.Workers != workers {
+				t.Fatalf("%s: Stats.Workers = %d, want %d", tc.name, b.Stats.Workers, workers)
+			}
 		}
 	}
 }

@@ -19,10 +19,11 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	w := o.workers()
 	cands := make([]*nodeCands, len(g.Nodes))
 	total := 1.0
 	for i, op := range g.Nodes {
-		cands[i] = o.evalNode(op)
+		cands[i] = o.evalNode(op, w)
 		total *= float64(len(cands[i].seqs))
 		if total > 5e7 {
 			return nil, fmt.Errorf("core: exhaustive space too large (>5e7 assignments)")
@@ -30,7 +31,7 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat)
 	for _, e := range g.Edges {
-		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], nil)
+		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], nil, w)
 	}
 
 	assign := make([]int, len(g.Nodes))

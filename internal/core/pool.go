@@ -1,7 +1,16 @@
-// Worker-pool plumbing for the optimizer's three parallel axes: candidate
-// evaluation across nodes, edge-matrix builds across edges, and row fills
-// inside one matrix. All task functions write to disjoint slots, so results
-// are deterministic regardless of worker count or schedule.
+// Worker-pool plumbing for the optimizer's parallel axes: candidate
+// evaluation across nodes, edge-matrix builds across edges, and the inner
+// loops inside one node, one matrix or one DP step. All task functions write
+// to disjoint slots, so results are deterministic regardless of worker count
+// or schedule.
+//
+// The worker count is resolved once per search (Optimizer.workers, recorded
+// as SearchStats.Workers) and passed down, so one search never mixes counts.
+// Fan-out is one level deep: the outer loops over nodes and edges hand their
+// tasks innerWorkers(w, tasks), which is 1 whenever the outer loop has two or
+// more tasks. Nesting would start w² goroutines on w cores and split every
+// matrix into per-band memos; short stage searches pay for that in set-up and
+// hand-off instead of gaining parallelism (DESIGN.md §5.11).
 //
 // Two long-lived-service concerns live here too. Cancellation: runTasks
 // polls its context once per task pull (a lock-free channel read), so an
@@ -28,9 +37,9 @@ import (
 // unset, so benchmarks and CI can pin parallelism without code changes.
 const WorkersEnv = "PRIMEPAR_WORKERS"
 
-// workersEnvWarned dedups the invalid-PRIMEPAR_WORKERS warning: workers() is
-// on the search hot path and a misconfigured environment should be reported
-// once per process, not once per parallel loop.
+// workersEnvWarned dedups the invalid-PRIMEPAR_WORKERS warning: workers()
+// runs once per search and a misconfigured environment should be reported
+// once per process, not once per search.
 var workersEnvWarned atomic.Bool
 
 // parseWorkersEnv validates a PRIMEPAR_WORKERS value. It returns the worker
@@ -177,14 +186,25 @@ func runTasks(ctx context.Context, w, n int, f func(i int)) error {
 	return nil
 }
 
-// parallelChunks splits [0, n) into one contiguous band per worker and runs
-// f(lo, hi) on each. Use it when the per-band closure carries expensive
-// private state (memo tables, scratch buffers) that should be built once per
-// goroutine rather than once per item; with one worker the whole range shares
-// a single state instance. A panicking band re-panics from the caller as a
-// *TaskPanic carrying the band's start index.
-func (o *Optimizer) parallelChunks(n int, f func(lo, hi int)) {
-	w := o.workers()
+// innerWorkers is the worker count a task of an n-task outer loop may use
+// for its own inner loops. The pool fans out one level only: an outer loop
+// with two or more tasks already keeps w workers busy, so its tasks run
+// their inner loops inline — one band, whose private memo then spans the
+// task's whole range. Only a lone outer task passes the pool on.
+func innerWorkers(w, n int) int {
+	if n > 1 {
+		return 1
+	}
+	return w
+}
+
+// parallelChunks splits [0, n) into one contiguous band per worker (up to w)
+// and runs f(lo, hi) on each. Use it when the per-band closure carries
+// expensive private state (memo tables, scratch buffers) that should be
+// built once per goroutine rather than once per item; with one worker the
+// whole range shares a single state instance. A panicking band re-panics
+// from the caller as a *TaskPanic carrying the band's start index.
+func parallelChunks(w, n int, f func(lo, hi int)) {
 	if w > n {
 		w = n
 	}
@@ -217,11 +237,9 @@ func (o *Optimizer) parallelChunks(n int, f func(lo, hi int)) {
 	fp.rethrow()
 }
 
-// parallelRows runs f(i) for i in [0, n) across the worker pool. A
-// panicking row re-panics from the caller as a *TaskPanic carrying the
-// exact row index.
-func (o *Optimizer) parallelRows(n int, f func(i int)) {
-	w := o.workers()
+// parallelRows runs f(i) for i in [0, n) on up to w workers. A panicking row
+// re-panics from the caller as a *TaskPanic carrying the exact row index.
+func parallelRows(w, n int, f func(i int)) {
 	if w > n {
 		w = n
 	}

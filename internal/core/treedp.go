@@ -40,34 +40,34 @@ type segPlan struct {
 // segmentTable computes the DP table of segment [a, b]: the left-to-right
 // Bellman chain for short segments (or under Options.DisableTreeDP), a
 // planned tree of binary merges otherwise.
-func (o *Optimizer) segmentTable(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats) (*table, error) {
+func (o *Optimizer) segmentTable(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats, w int) (*table, error) {
 	if o.Opts.DisableTreeDP || b-a <= 2 {
-		return o.segmentDP(ctx, g, cands, edgeMats, a, b, st)
+		return o.segmentDP(ctx, g, cands, edgeMats, a, b, st, w)
 	}
 	d := newSegDims(g, cands, edgeMats, a, b)
 	e := d.plan(a, b, make(map[[2]int]planEntry))
-	return o.execSegPlan(ctx, e.plan, g, cands, edgeMats, st)
+	return o.execSegPlan(ctx, e.plan, g, cands, edgeMats, st, w)
 }
 
 // execSegPlan materializes a planned shape: chain leaves via segmentDP,
 // split nodes via merge with the segment head's extended edges to exactly
 // p.b as the cross matrix.
-func (o *Optimizer) execSegPlan(ctx context.Context, p *segPlan, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, st *SearchStats) (*table, error) {
+func (o *Optimizer) execSegPlan(ctx context.Context, p *segPlan, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, st *SearchStats, w int) (*table, error) {
 	if p.m < 0 {
-		return o.segmentDP(ctx, g, cands, edgeMats, p.a, p.b, st)
+		return o.segmentDP(ctx, g, cands, edgeMats, p.a, p.b, st, w)
 	}
-	left, err := o.execSegPlan(ctx, p.left, g, cands, edgeMats, st)
+	left, err := o.execSegPlan(ctx, p.left, g, cands, edgeMats, st, w)
 	if err != nil {
 		return nil, err
 	}
-	right, err := o.execSegPlan(ctx, p.right, g, cands, edgeMats, st)
+	right, err := o.execSegPlan(ctx, p.right, g, cands, edgeMats, st, w)
 	if err != nil {
 		return nil, err
 	}
 	if st != nil {
 		st.DPTreeMerges++
 	}
-	return o.merge(ctx, left, right, cands[p.m].total, o.crossEdges(g, edgeMats, p.a, p.b), st)
+	return o.merge(ctx, left, right, cands[p.m].total, o.crossEdges(g, edgeMats, p.a, p.b), st, w)
 }
 
 // segDims caches the dimensions the split planner's work estimate reads:

@@ -509,21 +509,44 @@ type dirStream struct {
 // Block returns a fresh per-goroutine streaming row evaluator.
 func (c *EdgeCalc) Block() *BlockEval {
 	be := &BlockEval{c: c}
-	be.fwd.init(&c.fwd, len(c.fwdVol))
-	be.bwd.init(&c.bwd, len(c.fwdVol))
+	nRows, nCols := len(c.bwdVol), len(c.fwdVol)
+	be.fwd.init(&c.fwd, nRows, nCols)
+	be.bwd.init(&c.bwd, nRows, nCols)
 	return be
 }
 
-func (s *dirStream) init(d *dirCalc, nCols int) {
+// Memo start sizes, in slots. A matrix realizes at most one cell key per
+// cell and one combo key per (cell, node), and a table of twice its key
+// count never grows (cellTab.put keeps the load at or below one half).
+const (
+	// cellMemoCap caps the cell memo's start: 64k slots skip the early
+	// grow/rehash rounds of big matrices. Sizing it from the full cell count
+	// of a big matrix was measured SLOWER: realized keys run ~10% of cells,
+	// and a near-empty giant table costs a cache miss per probe where the
+	// compact grown table stays hot.
+	cellMemoCap = 1 << 16
+	// comboMemoCap caps the combo memo's start; it grows on demand.
+	comboMemoCap = 1 << 12
+)
+
+// memoSlots is the start size of a table that may receive up to keys keys:
+// room for all of them without a grow, but never more than limit slots.
+func memoSlots(keys, limit int) int {
+	if keys > limit/2 {
+		return limit
+	}
+	return 2 * keys
+}
+
+func (s *dirStream) init(d *dirCalc, nRows, nCols int) {
 	s.de = dirEval{d: d,
 		buf: make([]float64, d.perNode*d.perNode), vids: make([]int32, len(d.pairs))}
-	// The cell memo serves every cell of the matrix; starting at 64k slots
-	// skips the early grow/rehash rounds a 4k start pays on big matrices.
-	// Sizing it from the full cell count was measured SLOWER: realized keys
-	// run ~10% of cells, and a near-empty giant table costs a cache miss per
-	// probe where the compact grown table stays hot.
-	s.de.cells.initSize(1 << 16)
-	s.de.combo.init()
+	// Both memos serve every cell of the matrix, so the matrix bounds their
+	// key counts: a stage-sized matrix of a few dozen cells allocates a few
+	// dozen slots, and a big one starts at the cap.
+	cells := nRows * nCols
+	s.de.cells.initSize(memoSlots(cells, cellMemoCap))
+	s.de.combo.initSize(memoSlots(cells*d.nodes, comboMemoCap))
 	s.row = make([]frac, nCols) // stays all-zero for an unmapped direction
 	s.rowSl = make([][]int32, len(d.pairs))
 	if len(d.pairs) == 2 && d.cellMemo {
@@ -702,11 +725,12 @@ type cellSlot struct {
 
 func (t *cellTab) init() { t.initSize(1 << 12) }
 
-// initSize starts the table with a power-of-two slot count ≥ size, letting
-// callers that expect many entries skip the early grow/rehash rounds.
+// initSize starts the table with a power-of-two slot count ≥ size (at least
+// two), letting callers that expect many entries skip the early grow/rehash
+// rounds and callers that expect few skip zeroing slots they never use.
 // Capacity never affects lookup results, only allocation churn.
 func (t *cellTab) initSize(size int) {
-	logSize := uint8(12)
+	logSize := uint8(1)
 	for 1<<logSize < size {
 		logSize++
 	}

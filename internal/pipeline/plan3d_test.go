@@ -451,6 +451,52 @@ func TestPlan3DRaceSharedCache(t *testing.T) {
 	}
 }
 
+// planCounters strips from s what legitimately varies with the worker count:
+// wall times, the recorded pool width, and EdgeCellsReused (whether a
+// concurrent edge build finds a block in the overlap tier depends on which
+// build publishes it first; the block's values do not).
+func planCounters(s Plan3DStats) Plan3DStats {
+	s.Elapsed = 0
+	s.Search.Workers = 0
+	s.Search.EdgeCellsReused = 0
+	s.Search.NodeEvalTime, s.Search.EdgeMatTime, s.Search.DPTime, s.Search.StackTime, s.Search.TotalTime = 0, 0, 0, 0, 0
+	return s
+}
+
+// TestPlan3DDeterminismAcrossWorkers pins the joint planner's independence
+// from the worker pool: its many short stage searches run their node and
+// edge loops one level wide, and the plan and every work counter must not
+// depend on how wide that level is. The count comes from PRIMEPAR_WORKERS,
+// the way deployments set it.
+func TestPlan3DDeterminismAcrossWorkers(t *testing.T) {
+	full := device.MustCluster(16, 4, device.V100Profile())
+	for _, cfg := range []model.Config{model.OPT6B7(), model.Llama2_70B()} {
+		var ref *Plan3D
+		for _, workers := range []string{"1", "2", "4"} {
+			t.Setenv(core.WorkersEnv, workers)
+			o := NewOptimizer(full)
+			o.Cache = core.NewSearchCache()
+			p3, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: PrimePar, GlobalBatch: 64, Microbatch: 2})
+			if err != nil {
+				t.Fatalf("%s workers=%s: %v", cfg.Name, workers, err)
+			}
+			if got := fmt.Sprint(p3.Stats.Search.Workers); got != workers {
+				t.Fatalf("%s: stage searches ran %s workers, want %s", cfg.Name, got, workers)
+			}
+			if ref == nil {
+				ref = p3
+				continue
+			}
+			if p3.Digest() != ref.Digest() {
+				t.Errorf("%s workers=%s: digest %s, workers=1 gave %s", cfg.Name, workers, p3.Digest(), ref.Digest())
+			}
+			if planCounters(p3.Stats) != planCounters(ref.Stats) {
+				t.Errorf("%s workers=%s: counters differ:\n%+v\n%+v", cfg.Name, workers, p3.Stats, ref.Stats)
+			}
+		}
+	}
+}
+
 func BenchmarkPlan3DCold(b *testing.B) {
 	cfg := model.OPT6B7()
 	full := device.MustCluster(8, 4, device.V100Profile())
