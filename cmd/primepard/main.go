@@ -41,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -75,13 +76,20 @@ func main() {
 
 	cache := core.DefaultSearchCache
 	if *cacheDir != "" {
+		start := time.Now()
 		if err := cache.Load(*cacheDir); err != nil {
 			if !os.IsNotExist(err) {
 				fmt.Fprintf(os.Stderr, "primepard: cache load failed (%v), starting cold\n", err)
 			}
 		} else {
+			took := time.Since(start)
 			n, e := cache.Sizes()
-			fmt.Printf("primepard: loaded search cache from %s (%d node entries, %d edge matrices)\n", *cacheDir, n, e)
+			var mb float64
+			if fi, err := os.Stat(filepath.Join(*cacheDir, core.CacheFileName)); err == nil {
+				mb = float64(fi.Size()) / 1e6
+			}
+			fmt.Printf("primepard: loaded search cache from %s (%d node entries, %d edge matrices, %.1f MB in %v)\n",
+				*cacheDir, n, e, mb, took.Round(time.Millisecond))
 		}
 	}
 

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -13,9 +17,9 @@ import (
 
 // warmCache runs a small real search into a fresh SearchCache so the disk
 // round-trip exercises every record shape the encoder handles: multi-token
-// sequences, in/out interfaces (including absent ones) and grouped edge
-// matrices.
-func warmCache(t *testing.T) (*SearchCache, *Strategy) {
+// sequences, shared and distinct in/out interfaces, grouped edge matrices
+// and overlap blocks. The search is OPT-175B's block on 16 devices.
+func warmCache(t testing.TB) (*SearchCache, *Strategy) {
 	t.Helper()
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
@@ -32,11 +36,86 @@ func warmCache(t *testing.T) (*SearchCache, *Strategy) {
 	return o.Cache, s
 }
 
+// ppscFile frames payload the way Save does, under the given version.
+func ppscFile(version uint64, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	b := append([]byte(diskCacheMagic), binary.AppendUvarint(nil, version)...)
+	b = append(b, sum[:]...)
+	return append(b, payload...)
+}
+
+func sameFloatBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameIface(a, b *cost.Iface) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.NumAxes == b.NumAxes && sameFloatBits(a.Fwd, b.Fwd) &&
+		sameFloatBits(a.Bwd, b.Bwd) && sameFloatBits(a.Width, b.Width)
+}
+
+func intraBits(ic cost.Intra) []float64 {
+	return []float64{ic.Compute, ic.RingTotal, ic.StepSum, ic.AllReduce, ic.MemoryBytes}
+}
+
+// sameCacheContents fails unless got holds exactly want's node entries, edge
+// matrices and overlap blocks, every float compared bit for bit.
+func sameCacheContents(t *testing.T, got, want *SearchCache) {
+	t.Helper()
+	if len(got.nodes) != len(want.nodes) || len(got.edges) != len(want.edges) {
+		t.Fatalf("got %d nodes, %d edges; want %d, %d", len(got.nodes), len(got.edges), len(want.nodes), len(want.edges))
+	}
+	for k, w := range want.nodes {
+		g := got.nodes[k]
+		if g == nil || len(g.seqs) != len(w.seqs) || len(g.intra) != len(w.intra) ||
+			len(g.out) != len(w.out) || len(g.in) != len(w.in) {
+			t.Fatalf("node %.16x: missing or reshaped", k)
+		}
+		for i := range w.seqs {
+			if !slices.Equal(g.seqs[i].Tokens, w.seqs[i].Tokens) {
+				t.Fatalf("node %.16x: seq %d = %v, want %v", k, i, g.seqs[i], w.seqs[i])
+			}
+			if !sameFloatBits(intraBits(g.intra[i]), intraBits(w.intra[i])) {
+				t.Fatalf("node %.16x: intra %d = %+v, want %+v", k, i, g.intra[i], w.intra[i])
+			}
+			if !sameIface(g.out[i], w.out[i]) || !sameIface(g.in[i], w.in[i]) {
+				t.Fatalf("node %.16x: candidate %d interfaces differ", k, i)
+			}
+		}
+	}
+	for k, w := range want.edges {
+		g := got.edges[k]
+		if g == nil || g.nr != w.nr || g.nc != w.nc || !slices.Equal(g.rows, w.rows) ||
+			!slices.Equal(g.cols, w.cols) || !sameFloatBits(g.vals, w.vals) {
+			t.Fatalf("edge %.16x: matrix differs", k)
+		}
+	}
+	gotOv, wantOv := got.overlaps.SnapshotOverlaps(), want.overlaps.SnapshotOverlaps()
+	if len(gotOv) != len(wantOv) {
+		t.Fatalf("got %d overlap blocks, want %d", len(gotOv), len(wantOv))
+	}
+	for k, w := range wantOv {
+		if !sameFloatBits(gotOv[k], w) {
+			t.Fatalf("overlap block %.16x differs", k)
+		}
+	}
+}
+
 func TestDiskCacheRoundTrip(t *testing.T) {
 	c, want := warmCache(t)
 	nodes, edges := c.Sizes()
-	if nodes == 0 || edges == 0 {
-		t.Fatalf("warm cache is empty: %d nodes, %d edges", nodes, edges)
+	if nodes == 0 || edges == 0 || c.overlaps.Entries() == 0 {
+		t.Fatalf("warm cache is empty: %d nodes, %d edges, %d overlap blocks", nodes, edges, c.overlaps.Entries())
 	}
 	dir := t.TempDir()
 	if err := c.Save(dir); err != nil {
@@ -47,10 +126,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err := loaded.Load(dir); err != nil {
 		t.Fatal(err)
 	}
-	ln, le := loaded.Sizes()
-	if ln != nodes || le != edges {
-		t.Fatalf("loaded %d nodes, %d edges; saved %d, %d", ln, le, nodes, edges)
-	}
+	sameCacheContents(t, loaded, c)
 
 	// A search against the loaded cache must be fully warm — zero node
 	// evaluations and edge builds — and reproduce the strategy bit-for-bit.
@@ -105,6 +181,38 @@ func TestDiskCacheReproducibleBytes(t *testing.T) {
 	}
 }
 
+// TestDiskCacheLoadSharesInterfaces: the file stores each distinct interface
+// once, and Load hands every entry that names it the same pointer.
+func TestDiskCacheLoadSharesInterfaces(t *testing.T) {
+	c, _ := warmCache(t)
+	dir := t.TempDir()
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewSearchCache()
+	if err := loaded.Load(dir); err != nil {
+		t.Fatal(err)
+	}
+	byContent := make(map[string]*cost.Iface)
+	refs := 0
+	for _, e := range loaded.nodes {
+		for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
+			for _, ifc := range ifs {
+				refs++
+				k := string(appendIface(nil, ifc))
+				if p, ok := byContent[k]; !ok {
+					byContent[k] = ifc
+				} else if p != ifc {
+					t.Fatalf("two loaded interfaces with equal contents are distinct pointers")
+				}
+			}
+		}
+	}
+	if len(byContent) >= refs {
+		t.Fatalf("%d interface references, %d distinct: the search shares none, so this test checks nothing", refs, len(byContent))
+	}
+}
+
 // TestDiskCacheRejectsDamage covers the cold-fallback contract: corrupt,
 // truncated, wrong-magic and wrong-version files must all surface an error
 // from Load and leave the target cache untouched.
@@ -139,6 +247,11 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 			return out
 		},
 		"trailing garbage": func(b []byte) []byte { return append(bytes.Clone(b), 0xAB) },
+		// An intact v4-era header: the digest still matches the payload,
+		// so only the version check can refuse it.
+		"wrong version": func(b []byte) []byte {
+			return ppscFile(4, b[len(diskCacheMagic)+1+sha256.Size:])
+		},
 	}
 	for name, f := range damage {
 		if err := os.WriteFile(path, f(good), 0o644); err != nil {
@@ -257,5 +370,27 @@ func TestLoadRespectsEdgeCellCap(t *testing.T) {
 	}
 	if _, e := full.Sizes(); e != savedEdges {
 		t.Fatalf("default-cap Load kept %d of %d edge matrices", e, savedEdges)
+	}
+}
+
+// BenchmarkSearchCacheLoad times Load of the file a 16-device OPT-175B block
+// search saves: read, digest check, decode and merge into an empty cache.
+func BenchmarkSearchCacheLoad(b *testing.B) {
+	c, _ := warmCache(b)
+	dir := b.TempDir()
+	if err := c.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, CacheFileName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := NewSearchCache().Load(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
