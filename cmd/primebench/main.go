@@ -217,19 +217,13 @@ func main() {
 		}
 		check(err)
 		fmt.Println(table)
-		var candsTotal, candsPruned int
-		var scanned, boundSkipped, cellsReused int64
+		var scanned, cellsReused int64
 		for _, r := range rows {
-			candsTotal += r.Stats.CandsTotal
-			candsPruned += r.Stats.CandsPruned
 			scanned += r.Stats.EntriesScanned
-			boundSkipped += r.Stats.EntriesBoundSkipped
 			cellsReused += r.Stats.EdgeCellsReused
 		}
-		fmt.Printf("dominance pre-filter: pruned %d of %d enumerated candidates\n",
-			candsPruned, candsTotal)
-		fmt.Printf("min-plus folds: scanned %d entries, bound-skipped %d, edge cells reused %d\n\n",
-			scanned, boundSkipped, cellsReused)
+		fmt.Printf("min-plus folds: scanned %d entries, edge cells reused %d\n\n",
+			scanned, cellsReused)
 		if *reqWarm {
 			check(requireWarm(rows))
 			fmt.Println("warm-restart check passed: every search served from the cross-call cache")

@@ -38,17 +38,15 @@ type sweepPointResult struct {
 }
 
 type sweepTotals struct {
-	NodeEvals           int64 `json:"node_evals"`
-	EdgeMatsBuilt       int64 `json:"edge_mats_built"`
-	SegTablesBuilt      int64 `json:"seg_tables_built"`
-	CrossCallNodeHits   int64 `json:"cross_call_node_hits"`
-	CrossCallEdgeHits   int64 `json:"cross_call_edge_hits"`
-	CrossCallTableHits  int64 `json:"cross_call_table_hits"`
-	EntriesScanned      int64 `json:"entries_scanned"`
-	EntriesBoundSkipped int64 `json:"entries_bound_skipped"`
-	EdgeCellsReused     int64 `json:"edge_cells_reused"`
-	CandsTotal          int64 `json:"cands_total"`
-	CandsPruned         int64 `json:"cands_pruned"`
+	NodeEvals          int64 `json:"node_evals"`
+	EdgeMatsBuilt      int64 `json:"edge_mats_built"`
+	SegTablesBuilt     int64 `json:"seg_tables_built"`
+	CrossCallNodeHits  int64 `json:"cross_call_node_hits"`
+	CrossCallEdgeHits  int64 `json:"cross_call_edge_hits"`
+	CrossCallTableHits int64 `json:"cross_call_table_hits"`
+	EntriesScanned     int64 `json:"entries_scanned"`
+	EdgeCellsReused    int64 `json:"edge_cells_reused"`
+	CandsTotal         int64 `json:"cands_total"`
 }
 
 type sweepResponse struct {
@@ -173,8 +171,8 @@ func runSweep(addr, modelName, spec string) error {
 	fmt.Printf("  totals: individual work %d (evals+edges+tables), sweep work %d, sweep cache hits %d\n",
 		coldWork, sweepWork,
 		sw.Totals.CrossCallNodeHits+sw.Totals.CrossCallEdgeHits+sw.Totals.CrossCallTableHits)
-	fmt.Printf("  scans:  individual entries_scanned %d, sweep entries_scanned %d, bound-skipped %d, edge cells reused %d\n",
-		coldScanned, sw.Totals.EntriesScanned, sw.Totals.EntriesBoundSkipped, sw.Totals.EdgeCellsReused)
+	fmt.Printf("  scans:  individual entries_scanned %d, sweep entries_scanned %d, edge cells reused %d\n",
+		coldScanned, sw.Totals.EntriesScanned, sw.Totals.EdgeCellsReused)
 	if coldWork > 0 {
 		if sweepWork >= coldWork {
 			violations = append(violations, fmt.Sprintf(

@@ -258,19 +258,15 @@ type server struct {
 	// crossTableHits counts segment DP tables served whole from the cache
 	// (the delta re-planner's skipped frontier).
 	crossTableHits atomic.Int64
-	// candsTotal/candsPruned mirror SearchStats' dominance pre-filter
-	// counters: how many candidates the searches enumerated and how many the
-	// Pareto filter removed before edge matrices were built.
-	candsTotal  atomic.Int64
-	candsPruned atomic.Int64
-	// entriesScanned/entriesBoundSkipped/edgeCellsReused mirror the min-plus
-	// scan and cross-scale reuse counters: entries the Bellman folds actually
-	// visited, entries the incumbent bound proved unable to win, and edge
-	// cells served from the overlap tier instead of being recomputed.
-	entriesScanned      atomic.Int64
-	entriesBoundSkipped atomic.Int64
-	edgeCellsReused     atomic.Int64
-	warmServed          atomic.Int64
+	// candsTotal mirrors SearchStats.CandsTotal: the candidates the
+	// searches' DPs ran over, after beam pruning.
+	candsTotal atomic.Int64
+	// entriesScanned/edgeCellsReused mirror the min-plus scan and
+	// cross-scale reuse counters: entries the Bellman folds actually visited,
+	// and edge cells served from the overlap tier instead of being recomputed.
+	entriesScanned  atomic.Int64
+	edgeCellsReused atomic.Int64
+	warmServed      atomic.Int64
 	// Sweep counters are separate from plansServed: one sweep serves many
 	// points, and /v1/plan's counters must keep their one-request meaning.
 	sweeps             atomic.Int64
@@ -364,9 +360,7 @@ type statsResponse struct {
 	CrossCallEdgeHits  int64          `json:"cross_call_edge_hits"`
 	CrossCallTableHits int64          `json:"cross_call_table_hits"`
 	CandsTotal         int64          `json:"cands_total"`
-	CandsPruned        int64          `json:"cands_pruned"`
 	EntriesScanned     int64          `json:"entries_scanned"`
-	EntriesBoundSkip   int64          `json:"entries_bound_skipped"`
 	EdgeCellsReused    int64          `json:"edge_cells_reused"`
 	CacheNodes         int            `json:"cache_nodes"`
 	CacheEdges         int            `json:"cache_edges"`
@@ -395,9 +389,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CrossCallEdgeHits:  s.crossEdgeHits.Load(),
 		CrossCallTableHits: s.crossTableHits.Load(),
 		CandsTotal:         s.candsTotal.Load(),
-		CandsPruned:        s.candsPruned.Load(),
 		EntriesScanned:     s.entriesScanned.Load(),
-		EntriesBoundSkip:   s.entriesBoundSkipped.Load(),
 		EdgeCellsReused:    s.edgeCellsReused.Load(),
 		CacheNodes:         nodes,
 		CacheEdges:         edges,
@@ -461,9 +453,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.crossEdgeHits.Add(int64(resp.Stats.CrossCallEdgeHits))
 	s.crossTableHits.Add(int64(resp.Stats.CrossCallTableHits))
 	s.candsTotal.Add(int64(resp.Stats.CandsTotal))
-	s.candsPruned.Add(int64(resp.Stats.CandsPruned))
 	s.entriesScanned.Add(resp.Stats.EntriesScanned)
-	s.entriesBoundSkipped.Add(resp.Stats.EntriesBoundSkipped)
 	s.edgeCellsReused.Add(resp.Stats.EdgeCellsReused)
 	writeJSON(w, http.StatusOK, resp)
 }

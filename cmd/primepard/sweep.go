@@ -78,11 +78,9 @@ type SweepTotals struct {
 	CrossCallEdgeHits  int64 `json:"cross_call_edge_hits"`
 	CrossCallTableHits int64 `json:"cross_call_table_hits"`
 	// EntriesScanned was min_plus_scanned before the bound-pruning rename.
-	EntriesScanned      int64 `json:"entries_scanned"`
-	EntriesBoundSkipped int64 `json:"entries_bound_skipped"`
-	EdgeCellsReused     int64 `json:"edge_cells_reused"`
-	CandsTotal          int64 `json:"cands_total"`
-	CandsPruned         int64 `json:"cands_pruned"`
+	EntriesScanned  int64 `json:"entries_scanned"`
+	EdgeCellsReused int64 `json:"edge_cells_reused"`
+	CandsTotal      int64 `json:"cands_total"`
 }
 
 func (t *SweepTotals) add(s core.SearchStats) {
@@ -93,10 +91,8 @@ func (t *SweepTotals) add(s core.SearchStats) {
 	t.CrossCallEdgeHits += int64(s.CrossCallEdgeHits)
 	t.CrossCallTableHits += int64(s.CrossCallTableHits)
 	t.EntriesScanned += s.EntriesScanned
-	t.EntriesBoundSkipped += s.EntriesBoundSkipped
 	t.EdgeCellsReused += s.EdgeCellsReused
 	t.CandsTotal += int64(s.CandsTotal)
-	t.CandsPruned += int64(s.CandsPruned)
 }
 
 // SweepResponse is the /v1/plan/sweep output.
@@ -203,9 +199,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.crossEdgeHits.Add(resp.Totals.CrossCallEdgeHits)
 	s.crossTableHits.Add(resp.Totals.CrossCallTableHits)
 	s.candsTotal.Add(resp.Totals.CandsTotal)
-	s.candsPruned.Add(resp.Totals.CandsPruned)
 	s.entriesScanned.Add(resp.Totals.EntriesScanned)
-	s.entriesBoundSkipped.Add(resp.Totals.EntriesBoundSkipped)
 	s.edgeCellsReused.Add(resp.Totals.EdgeCellsReused)
 	writeJSON(w, http.StatusOK, resp)
 }

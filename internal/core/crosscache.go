@@ -51,14 +51,10 @@ type nodeEntry struct {
 // bit-identical to a fresh evaluation.
 func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 	total := make([]float64, len(e.intra))
-	lat := make([]float64, len(e.intra))
-	mem := make([]float64, len(e.intra))
 	for i := range e.intra {
 		total[i] = e.intra[i].Total(alpha)
-		lat[i] = e.intra[i].Latency()
-		mem[i] = e.intra[i].MemoryBytes
 	}
-	return &nodeCands{seqs: e.seqs, intra: e.intra, total: total, lat: lat, mem: mem, out: e.out, in: e.in}
+	return &nodeCands{seqs: e.seqs, intra: e.intra, total: total, out: e.out, in: e.in}
 }
 
 // SearchCache carries node evaluations, edge matrices and segment DP tables
@@ -250,13 +246,8 @@ func appendNodeCrossKey(b []byte, op *graph.Op) []byte {
 // output axes, destination tensor axes, axis map) plus the endpoint
 // candidate-space signatures — and, under beam pruning, the beam width, α
 // and the full endpoint signatures, because the kept candidate subsets are
-// chosen by α-weighted totals over the full structure. The dominance
-// pre-filter likewise makes the built matrix depend on the endpoints' full
-// structure (the surviving subsets are chosen by intra-cost components), so
-// its flag byte, per-endpoint interior-position flags (head and tail are
-// never filtered) and — when on — the full signatures are folded too; α is
-// deliberately NOT folded for dominance, whose rule is α-independent, so an
-// α-shifted delta re-plan still hits the edge tier.
+// chosen by α-weighted totals over the full structure. Two edges therefore
+// share a cross key exactly when they share an edgeKeyOf key.
 func (o *Optimizer) appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) []byte {
 	src, dst := g.Nodes[e.Src], g.Nodes[e.Dst]
 	b = append(b, 'E')
@@ -271,24 +262,9 @@ func (o *Optimizer) appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) 
 	appendAxes(e.AxisMap)
 	b = appendSpaceSig(b, src)
 	b = appendSpaceSig(b, dst)
-	// Fixed-position flag byte: keys with and without dominance can never
-	// alias regardless of what the conditional sections below append.
-	b = append(b, boolByte(o.dominanceEnabled()))
-	if o.dominanceEnabled() {
-		// The filter skips the graph head and tail (dominance.go), so an
-		// endpoint's surviving set depends on whether it sits at an interior
-		// position — an edge leaving the unfiltered head must not alias a
-		// structurally identical edge between filtered interior nodes.
-		last := len(g.Nodes) - 1
-		b = append(b, boolByte(e.Src != 0 && e.Src != last),
-			boolByte(e.Dst != 0 && e.Dst != last))
-	}
 	if o.Opts.Beam > 0 {
 		b = binary.AppendUvarint(b, uint64(o.Opts.Beam))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
-		b = appendOpSig(b, src)
-		b = appendOpSig(b, dst)
-	} else if o.dominanceEnabled() {
 		b = appendOpSig(b, src)
 		b = appendOpSig(b, dst)
 	}
@@ -298,7 +274,7 @@ func (o *Optimizer) appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) 
 // RequestKey identifies a whole plan request for in-flight deduplication:
 // the environment signature the cross-call cache keys share, plus the inputs
 // that signature deliberately leaves out (α, beam, search budget, reference
-// modes), plus a caller tag naming the graph (model name, layer count). Two
+// mode), plus a caller tag naming the graph (model name, layer count). Two
 // requests with equal keys run bit-identical searches, so a singleflight
 // leader's answer serves every concurrent duplicate.
 func (o *Optimizer) RequestKey(tag string) string {
@@ -306,12 +282,7 @@ func (o *Optimizer) RequestKey(tag string) string {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
 	b = binary.AppendVarint(b, int64(o.Opts.Beam))
 	b = binary.AppendVarint(b, int64(o.Opts.SearchBudget))
-	b = append(b, boolByte(o.Opts.DisableTreeDP), boolByte(o.Opts.DisableCache),
-		boolByte(o.Opts.DisableDominance))
-	// Plans are bit-identical across these two flags, but the reported
-	// SearchStats are not (scan counts, reuse counters) — and a singleflight
-	// leader's response, stats included, serves every duplicate.
-	b = append(b, boolByte(o.Opts.DisableBoundPrune), boolByte(o.Opts.DisableCellReuse))
+	b = append(b, boolByte(o.Opts.DisableCache))
 	b = append(b, tag...)
 	return string(b)
 }

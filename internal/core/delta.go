@@ -16,8 +16,8 @@
 // candidate enumeration, the cost model and the factored DP are all
 // deterministic and worker-independent, and the key folds every input a
 // segment table reads — the environment prefix, α, the beam width, the
-// tree/chain association flag, the full structural signature of every
-// in-segment op and edge, and (under beam pruning) the graph tail's
+// full structural signature of every in-segment op and edge, and (under
+// beam pruning) the graph tail's
 // signature, because pruneBeam mirrors the tail's kept set onto zero-cost
 // anchors. Tables are published only after the whole segment loop completes,
 // so a cancelled search never leaves partial DP state behind; they live in
@@ -99,26 +99,16 @@ func (c *SearchCache) TableEntries() int {
 // environment, a segment table depends on: α (candidate totals are
 // α-weighted), the beam width and — because pruneBeam mirrors the graph
 // TAIL's kept set onto zero-cost anchors — the tail op's full signature
-// whenever pruning is on, the tree/chain association flag, the segment's
-// ABSOLUTE offset (reconstruction and back-pointers are indexed by node id,
-// so a structurally identical segment at a different offset must not hit),
-// the full signature of every node in the segment, and every edge both of
-// whose endpoints lie inside it (relative positions, destination tensor,
-// axis map; the endpoint ops' signatures already cover the tensor shapes).
+// whenever pruning is on, the segment's ABSOLUTE offset (reconstruction and
+// back-pointers are indexed by node id, so a structurally identical segment
+// at a different offset must not hit), the full signature of every node in
+// the segment, and every edge both of whose endpoints lie inside it
+// (relative positions, destination tensor, axis map; the endpoint ops'
+// signatures already cover the tensor shapes).
 func (o *Optimizer) appendTableCrossKey(b []byte, g *graph.Graph, a, bEnd int) []byte {
 	b = append(b, 'T')
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
 	b = binary.AppendVarint(b, int64(o.Opts.Beam))
-	b = append(b, boolByte(o.Opts.DisableTreeDP))
-	// The dominance pre-filter skips the graph head and tail (dominance.go),
-	// so a segment's candidate sets depend on whether it CONTAINS the tail —
-	// a structurally identical segment at the same offset of a longer graph
-	// must not hit. (Head containment is already identified by the offset
-	// below.) The flag byte itself separates filtered from unfiltered runs.
-	b = append(b, boolByte(o.dominanceEnabled()))
-	if o.dominanceEnabled() {
-		b = append(b, boolByte(bEnd == len(g.Nodes)-1))
-	}
 	if o.Opts.Beam > 0 {
 		b = appendOpSig(b, g.Nodes[len(g.Nodes)-1])
 	}

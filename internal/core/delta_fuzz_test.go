@@ -21,7 +21,7 @@ import (
 )
 
 // newFuzzAnchor builds the splittable identity anchor the fuzz chains hang
-// off — the same op chainFromBytes constructs inline.
+// off.
 func newFuzzAnchor(b, m, k int) *graph.Op {
 	return &graph.Op{
 		Name: "anchor",
@@ -44,8 +44,8 @@ func newFuzzAnchor(b, m, k int) *graph.Op {
 // any two different indices exercise the α frontier.
 var deltaAlphas = []float64{1e-12, 1e-10, 0}
 
-// deltaParams is a decoded plan request: chainFromBytes's shape material
-// lifted into a struct so the base and perturbed requests can share it.
+// deltaParams is a decoded plan request, held in a struct so the base and
+// perturbed requests can share it.
 type deltaParams struct {
 	b, m, k  int
 	length   int
@@ -96,9 +96,10 @@ func deltaParamsFromBytes(r *byteReader) (base, pert deltaParams, dim int) {
 	return base, pert, dim
 }
 
-// deltaGraph materializes the chain a deltaParams describes — the same shape
-// family as chainFromBytes, built from the struct so base and perturbed
-// graphs differ by exactly the perturbed field.
+// deltaGraph materializes the chain a deltaParams describes: an identity
+// anchor, length linears, an optional extended edge anchor→ext and a tail
+// identity in the anchor's space (so the chain stacks). Built from the
+// struct, base and perturbed graphs differ by exactly the perturbed field.
 func deltaGraph(t *testing.T, p deltaParams) *graph.Graph {
 	t.Helper()
 	g := &graph.Graph{Name: "delta-fuzz"}

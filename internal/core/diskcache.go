@@ -75,8 +75,11 @@ const diskCacheMagic = "PPSC"
 // a tiered cluster's key. v5: distinct interfaces are stored once in a table
 // that node entries reference, and matrix and overlap cells are
 // dictionary-coded; the benchmark daemon's restart file shrank from 389 MB
-// to 45 MB.
-const diskCacheVersion = 5
+// to 45 MB. v6: edge cross keys lost the dominance section (flag byte,
+// interior-position flags and full endpoint signatures) when the dominance
+// pre-filter was deleted; a v5 edge key parsed under the v6 layout could
+// name a different edge.
+const diskCacheVersion = 6
 
 // CacheFileName is the file Save writes inside a cache directory.
 const CacheFileName = "searchcache.ppsc"

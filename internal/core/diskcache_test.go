@@ -247,10 +247,10 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 			return out
 		},
 		"trailing garbage": func(b []byte) []byte { return append(bytes.Clone(b), 0xAB) },
-		// An intact v4-era header: the digest still matches the payload,
+		// An intact v5-era header: the digest still matches the payload,
 		// so only the version check can refuse it.
 		"wrong version": func(b []byte) []byte {
-			return ppscFile(4, b[len(diskCacheMagic)+1+sha256.Size:])
+			return ppscFile(5, b[len(diskCacheMagic)+1+sha256.Size:])
 		},
 	}
 	for name, f := range damage {

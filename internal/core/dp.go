@@ -25,14 +25,6 @@ func addScanned(st *SearchStats, n int64) {
 	}
 }
 
-// addBoundSkipped accumulates the entries the two-level exit proved
-// unnecessary (minplus.go); same conventions as addScanned.
-func addBoundSkipped(st *SearchStats, n int64) {
-	if st != nil && n != 0 {
-		atomic.AddInt64(&st.EntriesBoundSkipped, n)
-	}
-}
-
 // Optimizer searches the partition space of a computation graph.
 type Optimizer struct {
 	Cost *cost.Model
@@ -48,22 +40,19 @@ func NewOptimizer(m *cost.Model) *Optimizer {
 	return &Optimizer{Cost: m, Opts: DefaultOptions(), Cache: DefaultSearchCache}
 }
 
-// nodeCands caches per-candidate evaluations for one graph node. The
-// per-candidate cost components live in flat structure-of-arrays slices
-// (total/lat/mem) so the DP folds and the dominance pre-filter walk
-// contiguous memory; the Intra breakdowns stay around only for Strategy
-// reporting and the cross-call cache.
+// nodeCands caches per-candidate evaluations for one graph node. The DP node
+// cost lives in its own flat slice (total) so the DP folds walk contiguous
+// memory; the Intra breakdowns stay around only for Strategy reporting and
+// the cross-call cache.
 type nodeCands struct {
 	seqs  []partition.Seq
 	intra []cost.Intra
 	total []float64 // Intra.Total(alpha), the DP node cost
-	lat   []float64 // Intra.Latency(), α-independent (dominance component)
-	mem   []float64 // Intra.MemoryBytes, α-independent (dominance component)
 	out   []*cost.Iface
 	in    []*cost.Iface
-	// orig maps the (beam- and/or dominance-filtered) candidate index back
-	// to the node's original enumeration index; nil means identity. Kept so
-	// filtered searches still report original candidate identities.
+	// orig maps the beam-pruned candidate index back to the node's original
+	// enumeration index; nil means identity. Kept so pruned searches still
+	// report original candidate identities.
 	orig []int32
 }
 
@@ -104,16 +93,12 @@ func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeCands {
 		seqs:  seqs,
 		intra: make([]cost.Intra, len(seqs)),
 		total: make([]float64, len(seqs)),
-		lat:   make([]float64, len(seqs)),
-		mem:   make([]float64, len(seqs)),
 		out:   make([]*cost.Iface, len(seqs)),
 		in:    make([]*cost.Iface, len(seqs)),
 	}
 	parallelRows(w, len(seqs), func(i int) {
 		nc.intra[i] = o.Cost.IntraCost(op, seqs[i])
 		nc.total[i] = nc.intra[i].Total(o.Cost.Alpha)
-		nc.lat[i] = nc.intra[i].Latency()
-		nc.mem[i] = nc.intra[i].MemoryBytes
 		nc.out[i] = o.Cost.OutputIface(op, seqs[i])
 		nc.in[i] = o.Cost.InputIface(op, seqs[i])
 	})
@@ -241,11 +226,8 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 		// (read-only) across classes and worker bands. foldM reduces a
 		// class's DP row over the edge's row groups.
 		var scols *sortedCols
-		var valsT []float64
-		var colMin, colMin2 []float64
-		var colArg []int32
+		var valsT, colMin []float64
 		uR, uC := 0, 0
-		prune := !o.Opts.DisableBoundPrune
 		// Probe results reusable for class 0 of this step (nil when not).
 		var probeBestVal []float64
 		var probeBestU, probeArgm []int32
@@ -273,28 +255,19 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			uC = em.numColGroups()
 			valsT = make([]float64, uC*uR)
 			colMin = make([]float64, uC)
-			colMin2 = make([]float64, uC)
-			colArg = make([]int32, uC)
 			for c := range colMin {
 				colMin[c] = math.Inf(1)
-				colMin2[c] = math.Inf(1)
-				colArg[c] = -1
 			}
 			// One linear pass over the flat row-major core fills the
-			// column-major transpose and the per-column (min, first argmin,
-			// second min) together; the latter two arm the two-level exit of
-			// the row-scan kernel.
+			// column-major transpose and the per-column minima the row-scan
+			// kernel exits on.
 			for r := 0; r < uR; r++ {
 				erow := em.row(r)
 				for c := 0; c < uC; c++ {
 					v := erow[c]
 					valsT[c*uR+r] = v
 					if v < colMin[c] {
-						colMin2[c] = colMin[c]
 						colMin[c] = v
-						colArg[c] = int32(r)
-					} else if v < colMin2[c] {
-						colMin2[c] = v
 					}
 				}
 			}
@@ -302,11 +275,7 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			// long (≥ uR/8 per column) is the per-column sort worth
 			// building to compare against. The counts depend only on
 			// values, so the choice (and with it the scan-order
-			// tie-breaking of witnesses) is deterministic. The probe runs
-			// WITHOUT the two-level exit on purpose: pruning shortens the
-			// two kernels by different amounts, and the kernel choice (with
-			// its scan-order tie-breaking of witnesses) must not move when
-			// Options.DisableBoundPrune flips.
+			// tie-breaking of witnesses) is deterministic.
 			m := make([]float64, uR)
 			argm := make([]int32, uR)
 			morder := make([]int32, uR)
@@ -317,13 +286,13 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			var ss sortScratch
 			mMin := foldM(cur[0], m, argm)
 			sortAsc(m, morder, mval, msuf, &ss)
-			nRows, _ := scanMinPlusRows(m, morder, mval, msuf, nil, valsT, colMin, nil, nil, bestVal, bestU)
+			nRows := scanMinPlusRows(m, morder, mval, msuf, valsT, colMin, bestVal, bestU)
 			addScanned(st, int64(nRows))
 			scanRows = true
 			colProbe := 8*nRows >= uR*uC
 			if colProbe {
 				scols = sortCols(valsT, uR, uC)
-				nCols, _ := scanMinPlus(m, mMin, 0, -1, valsT, scols, bestVal, bestU)
+				nCols := scanMinPlus(m, mMin, valsT, scols, bestVal, bestU)
 				addScanned(st, int64(nCols))
 				scanRows = nRows <= nCols
 			}
@@ -331,9 +300,7 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			// in the main loop instead of re-scanning, but only when
 			// bestVal/bestU were last written by the CHOSEN kernel (the two
 			// kernels agree on values but may pick different tie witnesses).
-			// Gated with the bound pruning so DisableBoundPrune reproduces
-			// the historical scan counts exactly.
-			if prune && (!colProbe || !scanRows) {
+			if !colProbe || !scanRows {
 				probeBestVal, probeBestU, probeArgm = bestVal, bestU, argm
 			}
 		}
@@ -341,9 +308,9 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 		next := make([][]float64, t.nCls)
 		args := make([][]int32, t.nCls)
 		parallelChunks(w, t.nCls, func(lo, hi int) {
-			var scanned, skippedT int64
+			var scanned int64
 			var m, mval, msuf []float64
-			var argm, morder, minv, bestU []int32
+			var argm, morder, bestU []int32
 			var bestVal []float64
 			var ss *sortScratch
 			if em != nil {
@@ -355,7 +322,6 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 					morder = make([]int32, uR)
 					mval = make([]float64, uR)
 					msuf = make([]float64, uR)
-					minv = make([]int32, uR)
 					ss = &sortScratch{}
 				}
 			}
@@ -412,23 +378,9 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 				mMin := foldM(prevRow, m, argm)
 				if scanRows {
 					sortAsc(m, morder, mval, msuf, ss)
-					ca := colArg
-					if prune {
-						invertOrder(morder, minv)
-					} else {
-						ca = nil
-					}
-					ns, sk := scanMinPlusRows(m, morder, mval, msuf, minv, valsT, colMin, colMin2, ca, bestVal, bestU)
-					scanned += int64(ns)
-					skippedT += int64(sk)
+					scanned += int64(scanMinPlusRows(m, morder, mval, msuf, valsT, colMin, bestVal, bestU))
 				} else {
-					uMin, mMin2 := int32(-1), math.Inf(1)
-					if prune {
-						_, uMin, mMin2 = minTwo(m)
-					}
-					ns, sk := scanMinPlus(m, mMin, mMin2, uMin, valsT, scols, bestVal, bestU)
-					scanned += int64(ns)
-					skippedT += int64(sk)
+					scanned += int64(scanMinPlus(m, mMin, valsT, scols, bestVal, bestU))
 				}
 				for ij := 0; ij < nj; ij++ {
 					cg := em.cols[ij]
@@ -443,7 +395,6 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 				args[r] = arow
 			}
 			addScanned(st, scanned)
-			addBoundSkipped(st, skippedT)
 		})
 		cur = next
 		t.chainArgs = append(t.chainArgs, args)
@@ -497,9 +448,8 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 	nL := left.nCls
 	base := make([][]float64, nL)
 	argPM := make([][]int32, nL)
-	prune := !o.Opts.DisableBoundPrune
 	parallelChunks(w, nL, func(lo, hi int) {
-		var scanned, skippedT int64
+		var scanned int64
 		W := make([]float64, nR)
 		argW := make([]int32, nR)
 		bestRM := make([]int32, nb)
@@ -520,14 +470,8 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 					}
 				}
 			}
-			uW, wMin2 := int32(-1), math.Inf(1)
-			if prune {
-				_, uW, wMin2 = minTwo(W)
-			}
 			row := make([]float64, nb)
-			ns, sk := scanMinPlus(W, wMin, wMin2, uW, rightT, scols, row, bestRM)
-			scanned += int64(ns)
-			skippedT += int64(sk)
+			scanned += int64(scanMinPlus(W, wMin, rightT, scols, row, bestRM))
 			arow := make([]int32, nb)
 			for pb := range arow {
 				arow[pb] = argW[bestRM[pb]]
@@ -536,7 +480,6 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 			argPM[rL] = arow
 		}
 		addScanned(st, scanned)
-		addBoundSkipped(st, skippedT)
 	})
 
 	t := &table{a: left.a, b: right.b, left: left, right: right, headBase: left.headBase}
@@ -678,19 +621,13 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		// equal pruned sets (identical totals give identical cheapestK).
 		o.pruneBeam(g, cands)
 	}
-	// SpaceSizes reports the space the DP is exact over: post-beam but
-	// PRE-dominance — dominance removes only provably-redundant candidates,
-	// and budget mode's uncut() reads these sizes to decide when the beam
-	// covers a node's whole space.
+	// SpaceSizes reports the space the DP is exact over (post-beam); budget
+	// mode's uncut() reads these sizes to decide when the beam covers a
+	// node's whole space.
 	spaceSizes := make([]int, len(g.Nodes))
 	for i := range cands {
 		spaceSizes[i] = len(cands[i].seqs)
-	}
-	if o.dominanceEnabled() {
-		// Dominance runs strictly AFTER beam pruning (dominance.go): the
-		// beam selects over the unfiltered space, then the filter drops
-		// candidates the DP provably cannot choose.
-		o.pruneDominated(g, cands, &stats)
+		stats.CandsTotal += spaceSizes[i]
 	}
 
 	// Edge cost matrices (grouped; cached by exact structural key and
@@ -706,17 +643,8 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		}
 	} else {
 		byKey := make(map[edgeMatKey]int)
-		domOn := o.dominanceEnabled()
 		for i, e := range g.Edges {
 			k := edgeKeyOf(in, g, e, o.Opts.Beam > 0)
-			if domOn {
-				// Under dominance the built matrix depends on which
-				// candidates survived, so fold the keep-list CONTENT of both
-				// endpoints. Nodes that dropped nothing intern the identity
-				// keep, preserving all pre-filter sharing (sig.go keepID).
-				k.srcKeep = in.keepID(cands[e.Src])
-				k.dstKeep = in.keepID(cands[e.Dst])
-			}
 			s, ok := byKey[k]
 			if !ok {
 				s = len(uniqEdges)
@@ -728,42 +656,22 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	}
 	mats := make([]*edgeMat, len(uniqEdges))
 	buildSlots := make([]int, 0, len(uniqEdges))
-	var edgeKeys [][]string
+	var edgeKeys []string
 	if ccache == nil {
 		for s := range uniqEdges {
 			buildSlots = append(buildSlots, s)
 		}
 	} else {
-		// The within-call dedup can group edges whose CROSS-call keys differ
-		// (under dominance the cross key folds full signatures the within-call
-		// keep-content key deliberately does not), so each slot carries every
-		// distinct member key: a hit on any serves the group, and a built
-		// matrix is published under all of them — keeping the estimator's
-		// per-key probes (estimate.go) in lockstep with what the search stores.
-		edgeKeys = make([][]string, len(uniqEdges))
-		for i, e := range g.Edges {
-			s := matIdx[i]
-			key := string(o.appendEdgeCrossKey(envSig, g, e))
-			dup := false
-			for _, k := range edgeKeys[s] {
-				if k == key {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				edgeKeys[s] = append(edgeKeys[s], key)
-			}
-		}
-		for s := range uniqEdges {
-			for _, k := range edgeKeys[s] {
-				if m := ccache.getEdge(k); m != nil {
-					mats[s] = m
-					stats.CrossCallEdgeHits++
-					break
-				}
-			}
-			if mats[s] == nil {
+		// The cross-call key folds exactly what the within-call key does
+		// (plus the environment), so each slot has one cross key — the one
+		// the estimator (estimate.go) probes.
+		edgeKeys = make([]string, len(uniqEdges))
+		for s, e := range uniqEdges {
+			edgeKeys[s] = string(o.appendEdgeCrossKey(envSig, g, e))
+			if m := ccache.getEdge(edgeKeys[s]); m != nil {
+				mats[s] = m
+				stats.CrossCallEdgeHits++
+			} else {
 				buildSlots = append(buildSlots, s)
 			}
 		}
@@ -777,9 +685,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	}
 	if ccache != nil {
 		for _, s := range buildSlots {
-			for _, k := range edgeKeys[s] {
-				ccache.putEdge(k, mats[s])
-			}
+			ccache.putEdge(edgeKeys[s], mats[s])
 		}
 	}
 	for i, e := range g.Edges {
@@ -985,8 +891,6 @@ func selectCands(nc *nodeCands, keep []int32) *nodeCands {
 		out.seqs = append(out.seqs, nc.seqs[i])
 		out.intra = append(out.intra, nc.intra[i])
 		out.total = append(out.total, nc.total[i])
-		out.lat = append(out.lat, nc.lat[i])
-		out.mem = append(out.mem, nc.mem[i])
 		out.out = append(out.out, nc.out[i])
 		out.in = append(out.in, nc.in[i])
 		out.orig = append(out.orig, nc.origIdx(i))

@@ -1,7 +1,7 @@
 // End-to-end cold-search benchmark for the perf guard: where the kernel
 // benchmarks (minplus_bench_test.go) pin the inner scan loops in isolation,
 // this one pins the whole segment DP pipeline — candidate enumeration, edge
-// matrix fill, Bellman folds with bound pruning and the final merge — on a
+// matrix fill, Bellman folds and the final merge — on a
 // fixed small model, so a regression that lives between the kernels (probe
 // logic, transpose passes, cache plumbing) still turns the guard red.
 package core

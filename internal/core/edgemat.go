@@ -100,12 +100,8 @@ func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCa
 		for c, ci := range colReps {
 			dstIfs[c] = dst.in[ci]
 		}
-		var tier *cost.OverlapCache
-		if !o.Opts.DisableCellReuse {
-			tier = o.crossCache().Overlaps()
-		}
 		var reused int64
-		calc, reused = plan.NewCalcCached(srcIfs, dstIfs, tier)
+		calc, reused = plan.NewCalcCached(srcIfs, dstIfs, o.crossCache().Overlaps())
 		if reused != 0 && st != nil {
 			atomic.AddInt64(&st.EdgeCellsReused, reused)
 		}

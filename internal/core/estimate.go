@@ -15,14 +15,12 @@
 // cache flush between estimate and search only makes the search slower than
 // promised, never the estimate stale-warm forever.
 //
-// The cross-scale overlap tier (cost/overlap.go) and the bound-guided scan
-// pruning (minplus.go) stay in lockstep with this model without any probe of
-// their own: cell reuse changes only the constant cost of filling a cell that
-// is built either way — which matrices are built, their shapes and their
-// values are unchanged — and bound pruning only shortens scans over tables
-// the estimate already prices at their unpruned size. Both are therefore
-// conservative for the admission gate: the search can finish earlier than
-// predicted, never later, and the Warm definition is untouched.
+// The cross-scale overlap tier (cost/overlap.go) stays in lockstep with this
+// model without a probe of its own: cell reuse changes only the constant cost
+// of filling a cell that is built either way — which matrices are built,
+// their shapes and their values are unchanged — so it can make the search
+// finish earlier than predicted, never later, and the Warm definition is
+// untouched.
 package core
 
 import (
@@ -154,27 +152,15 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		return n
 	}
 
-	// Edge pass: an edgeKeyOf dedup, then a cache probe per unique edge. An
-	// uncached matrix costs n_src × n_dst cells. Under dominance the search
-	// dedups by keep-list content, which the estimator cannot compute without
-	// evaluating nodes; it approximates with full signatures plus the
-	// interior-position flags — exactly the cross-call key's granularity, so
-	// a merged pair always shares one probe result (never stale-warm), and
-	// any finer-than-search split only overcounts builds (conservative).
-	type estEdgeKey struct {
-		k              edgeMatKey
-		srcInt, dstInt bool
-	}
-	domOn := o.dominanceEnabled()
-	last := len(g.Nodes) - 1
-	seen := make(map[estEdgeKey]bool)
+	// Edge pass: the same edgeKeyOf dedup as searchOnce, then a cache probe
+	// per unique edge with the one cross key the search uses for that slot.
+	// Both the dedup and the keys are the search's own, so against an
+	// unchanged cache EdgeBuilds is exactly the search's EdgeMatsBuilt. An
+	// uncached matrix costs n_src × n_dst cells.
+	seen := make(map[edgeMatKey]bool)
 	for _, e := range g.Edges {
 		if !o.Opts.DisableCache {
-			k := estEdgeKey{k: edgeKeyOf(in, g, e, o.Opts.Beam > 0 || domOn)}
-			if domOn {
-				k.srcInt = e.Src != 0 && e.Src != last
-				k.dstInt = e.Dst != 0 && e.Dst != last
-			}
+			k := edgeKeyOf(in, g, e, o.Opts.Beam > 0)
 			if seen[k] {
 				continue
 			}

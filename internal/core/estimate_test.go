@@ -20,15 +20,35 @@ func estimateOptimizer(t *testing.T, cache *SearchCache) *Optimizer {
 }
 
 // TestEstimatePlanColdThenWarm pins the estimator's contract: a cold cache
-// predicts node and edge work; after one real Plan call the SAME request must
-// estimate Warm — and a Warm promise must be sound (the search re-run does
-// zero node evaluations and zero edge builds).
+// predicts node and edge work — exactly the node evaluations and edge
+// builds the search then performs, with and without beam pruning; after one
+// real Plan call the SAME request must estimate Warm — and a Warm promise
+// must be sound (the search re-run does zero node evaluations and zero edge
+// builds).
 func TestEstimatePlanColdThenWarm(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, beam := range []int{0, 8} {
+		o := estimateOptimizer(t, NewSearchCache())
+		o.Opts.Beam = beam
+		req := PlanRequest{Graph: g, Layers: cfg.Layers}
+		est, err := o.EstimatePlan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strat, err := o.Plan(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.EdgeBuilds != strat.Stats.EdgeMatsBuilt || est.NodeEvals != strat.Stats.NodeEvals {
+			t.Errorf("beam %d: cold estimate %d edge builds / %d node evals, search did %d / %d",
+				beam, est.EdgeBuilds, est.NodeEvals, strat.Stats.EdgeMatsBuilt, strat.Stats.NodeEvals)
+		}
+	}
+
 	cache := NewSearchCache()
 	o := estimateOptimizer(t, cache)
 	req := PlanRequest{Graph: g, Layers: cfg.Layers}

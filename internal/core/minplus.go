@@ -24,18 +24,6 @@
 // strictly improve. The ordering itself only needs to be APPROXIMATELY
 // sorted to make the exit early — correctness never depends on it, and
 // results are independent of worker count.
-//
-// Bound-guided pruning (two-level exit, gated by Options.DisableBoundPrune):
-// each scan visits every row index exactly once, so once the single
-// designated argmin index of the OTHER side (the first index attaining
-// mMin, resp. colMin[c]) has been visited, every remaining pair is ≥
-// suf[i] + secondMin — a strictly tighter exit bound whenever the minimum
-// is unique. Skipped entries are provably ≥ the incumbent, and ties never
-// update the incumbent (strict <), so witnesses and results are
-// bit-identical to the single-level scan; only the exit position moves
-// earlier. The entries the single-level exit would still have visited are
-// counted exactly (the incumbent is frozen past the two-level exit, so the
-// old exit position is a binary search over the suffix minima).
 package core
 
 import (
@@ -178,10 +166,6 @@ type sortedCols struct {
 	order []int32
 	val   []float64
 	suf   []float64
-	// inv is the inverse permutation of order per column: row u sits at
-	// position inv[c*n+u] of column c's ascending order. The two-level exit
-	// uses it to locate the other side's argmin without per-entry compares.
-	inv []int32
 }
 
 // sortCols orders each column of the flat column-major matrix colsT
@@ -193,76 +177,21 @@ func sortCols(colsT []float64, n, nCols int) *sortedCols {
 		order: make([]int32, n*nCols),
 		val:   make([]float64, n*nCols),
 		suf:   make([]float64, n*nCols),
-		inv:   make([]int32, n*nCols),
 	}
 	var ss sortScratch
 	for c := 0; c < nCols; c++ {
 		o := c * n
 		sortAsc(colsT[o:o+n], sc.order[o:o+n], sc.val[o:o+n], sc.suf[o:o+n], &ss)
-		invertOrder(sc.order[o:o+n], sc.inv[o:o+n])
 	}
 	return sc
-}
-
-// invertOrder fills inv with the inverse permutation of order:
-// inv[order[i]] = i.
-func invertOrder(order, inv []int32) {
-	for i, u := range order {
-		inv[u] = int32(i)
-	}
-}
-
-// minTwo returns the minimum of m, the FIRST index attaining it, and the
-// minimum over the remaining indices (+Inf when len(m) == 1). The first-
-// index choice matters: arg1 is the single position the two-level exit may
-// treat as "the minimum's home"; every other index provably holds ≥ m2.
-func minTwo(m []float64) (m1 float64, arg1 int32, m2 float64) {
-	m1, arg1, m2 = math.Inf(1), -1, math.Inf(1)
-	for u, v := range m {
-		if v < m1 {
-			m2 = m1
-			m1 = v
-			arg1 = int32(u)
-		} else if v < m2 {
-			m2 = v
-		}
-	}
-	return m1, arg1, m2
-}
-
-// boundSkipped counts the entries of one column scan that the single-level
-// exit (suf[j]+mMin ≥ b at multiple-of-8 check positions) would still have
-// visited past the two-level exit position i. Valid only when the incumbent
-// b is frozen past i — which the two-level exit guarantees: every remaining
-// pair is ≥ b, so no strict improvement can move it.
-func boundSkipped(suf []float64, i int, mMin, b float64) int {
-	n := len(suf)
-	lo, hi := i, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if suf[mid]+mMin >= b {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	j := (lo + 7) &^ 7 // old exits happen on the multiple-of-8 check grid
-	if j > n {
-		j = n
-	}
-	return j - i
 }
 
 // scanMinPlus fills best[c] = min_u m[u] + column c and argU[c] with a
 // witness row index, scanning each column in its shared ascending order.
 // colsT is flat column-major with stride sc.n; the column count is
-// len(best). mMin must be the exact minimum of m. With uMin ≥ 0 the
-// two-level exit is armed: uMin must be the FIRST index attaining mMin and
-// mMin2 the minimum over the other indices (minTwo); uMin < 0 keeps the
-// single-level scan (mMin2 ignored). Returns the entries scanned
-// (value-determined, used to pick the scan side) and the entries the
-// single-level exit would additionally have visited.
-func scanMinPlus(m []float64, mMin, mMin2 float64, uMin int32, colsT []float64, sc *sortedCols, best []float64, argU []int32) (scanned, skipped int) {
+// len(best). mMin must be the exact minimum of m. Returns the entries
+// scanned (value-determined, used to pick the scan side).
+func scanMinPlus(m []float64, mMin float64, colsT []float64, sc *sortedCols, best []float64, argU []int32) (scanned int) {
 	pu := int32(-1)
 	n := sc.n
 	for c := range best {
@@ -279,12 +208,6 @@ func scanMinPlus(m []float64, mMin, mMin2 float64, uMin int32, colsT []float64, 
 			b = m[pu] + colsT[o+int(pu)]
 			bu = pu
 		}
-		// pos is where this column's order visits uMin; past it, every
-		// remaining m[u] is ≥ mMin2 and the exit bound tightens.
-		pos := n
-		if uMin >= 0 {
-			pos = int(sc.inv[o+int(uMin)])
-		}
 		// Exit checks run once per block of 8: the bound only decides how
 		// early the scan stops, so overshooting at most 7 entries keeps the
 		// result exact. (A branchless 8-wide block reduction with
@@ -294,14 +217,7 @@ func scanMinPlus(m []float64, mMin, mMin2 float64, uMin int32, colsT []float64, 
 		// blocks are rare; see DESIGN.md §5.7. The serial loop stays.)
 		i := 0
 		for i < n {
-			bound := mMin
-			if i > pos {
-				bound = mMin2
-			}
-			if suf[i]+bound >= b {
-				if i > pos && suf[i]+mMin < b {
-					skipped += boundSkipped(suf, i, mMin, b)
-				}
+			if suf[i]+mMin >= b {
 				break
 			}
 			e := i + 8
@@ -321,19 +237,14 @@ func scanMinPlus(m []float64, mMin, mMin2 float64, uMin int32, colsT []float64, 
 		argU[c] = bu
 		pu = bu
 	}
-	return scanned, skipped
+	return scanned
 }
 
 // scanMinPlusRows fills best[c] = min_u m[u] + column c, scanning the
 // SORTED m (order/val/suf from sortAsc) against each raw column of the flat
 // column-major colsT (stride n = len(m), column count len(best)); colMin[c]
-// must be the exact minimum of column c. With colArg non-nil the two-level
-// exit is armed: colArg[c] must be the FIRST row index attaining colMin[c],
-// colMin2[c] the minimum over the other rows, and inv the inverse
-// permutation of order (invertOrder); colArg == nil keeps the single-level
-// scan. Returns the entries scanned and the entries the single-level exit
-// would additionally have visited.
-func scanMinPlusRows(m []float64, order []int32, val, suf []float64, inv []int32, colsT []float64, colMin, colMin2 []float64, colArg []int32, best []float64, argU []int32) (scanned, skipped int) {
+// must be the exact minimum of column c. Returns the entries scanned.
+func scanMinPlusRows(m []float64, order []int32, val, suf []float64, colsT []float64, colMin []float64, best []float64, argU []int32) (scanned int) {
 	pu := int32(-1)
 	n := len(m)
 	for c := range best {
@@ -347,27 +258,12 @@ func scanMinPlusRows(m []float64, order []int32, val, suf []float64, inv []int32
 			b = m[pu] + col[pu]
 			bu = pu
 		}
-		// pos is where the sorted m visits this column's argmin row; past
-		// it, every remaining col[u] is ≥ colMin2[c].
-		pos := n
-		cm2 := math.Inf(1)
-		if colArg != nil {
-			pos = int(inv[colArg[c]])
-			cm2 = colMin2[c]
-		}
 		// Blocked exit checks, see scanMinPlus.
 		i := 0
 		val := val[:n]
 		suf := suf[:n]
 		for i < n {
-			bound := cm
-			if i > pos {
-				bound = cm2
-			}
-			if suf[i]+bound >= b {
-				if i > pos && suf[i]+cm < b {
-					skipped += boundSkipped(suf, i, cm, b)
-				}
+			if suf[i]+cm >= b {
 				break
 			}
 			e := i + 8
@@ -387,7 +283,7 @@ func scanMinPlusRows(m []float64, order []int32, val, suf []float64, inv []int32
 		argU[c] = bu
 		pu = bu
 	}
-	return scanned, skipped
+	return scanned
 }
 
 // refineClasses folds per-candidate id vectors into joint equivalence

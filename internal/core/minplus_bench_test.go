@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -39,14 +40,13 @@ func BenchmarkScanMinPlus(b *testing.B) {
 	const n, nCols = 512, 512
 	m, colsT := benchMinPlusInput(n, nCols)
 	sc := sortCols(colsT, n, nCols)
-	mMin, uMin, mMin2 := minTwo(m)
+	mMin := minOf(m)
 	best := make([]float64, nCols)
 	argU := make([]int32, nCols)
 	b.ResetTimer()
 	scanned := 0
 	for i := 0; i < b.N; i++ {
-		ns, _ := scanMinPlus(m, mMin, mMin2, uMin, colsT, sc, best, argU)
-		scanned += ns
+		scanned += scanMinPlus(m, mMin, colsT, sc, best, argU)
 	}
 	b.ReportMetric(float64(scanned)/float64(b.N), "entries/op")
 }
@@ -60,23 +60,29 @@ func BenchmarkScanMinPlusRows(b *testing.B) {
 	order := make([]int32, n)
 	val := make([]float64, n)
 	suf := make([]float64, n)
-	inv := make([]int32, n)
 	var ss sortScratch
 	sortAsc(m, order, val, suf, &ss)
-	invertOrder(order, inv)
 	colMin := make([]float64, nCols)
-	colMin2 := make([]float64, nCols)
-	colArg := make([]int32, nCols)
 	for c := 0; c < nCols; c++ {
-		colMin[c], colArg[c], colMin2[c] = minTwo(colsT[c*n : (c+1)*n])
+		colMin[c] = minOf(colsT[c*n : (c+1)*n])
 	}
 	best := make([]float64, nCols)
 	argU := make([]int32, nCols)
 	b.ResetTimer()
 	scanned := 0
 	for i := 0; i < b.N; i++ {
-		ns, _ := scanMinPlusRows(m, order, val, suf, inv, colsT, colMin, colMin2, colArg, best, argU)
-		scanned += ns
+		scanned += scanMinPlusRows(m, order, val, suf, colsT, colMin, best, argU)
 	}
 	b.ReportMetric(float64(scanned)/float64(b.N), "entries/op")
+}
+
+// minOf returns the minimum of v (+Inf when empty).
+func minOf(v []float64) float64 {
+	lo := math.Inf(1)
+	for _, x := range v {
+		if x < lo {
+			lo = x
+		}
+	}
+	return lo
 }

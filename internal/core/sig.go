@@ -125,22 +125,6 @@ func (in *sigInterner) spaceID(op *graph.Op) int32 {
 	return in.intern(in.buf)
 }
 
-// keepID returns the dense identity of a node's applied keep-list — the
-// exact original-index content of its surviving candidate set (nil orig, the
-// unfiltered identity, interns as the empty list and therefore shares one id
-// across all unfiltered nodes). Together with the space signature this
-// determines the candidate list an edge matrix is built over, so it is the
-// EXACT within-call sharing criterion under dominance filtering: two edges
-// whose endpoints enumerate the same spaces and kept the same subsets share
-// one matrix, even when their full op structures differ (norm vs residual).
-func (in *sigInterner) keepID(nc *nodeCands) int32 {
-	in.buf = append(in.buf[:0], 'k')
-	for _, v := range nc.orig {
-		in.buf = binary.AppendUvarint(in.buf, uint64(v))
-	}
-	return in.intern(in.buf)
-}
-
 // edgeMatKey identifies structurally identical edges so their (P1×P2) cost
 // matrices are computed once (the two QKV→QKᵀ edges, the residual
 // hand-offs, ...). Comparison is componentwise-exact.
@@ -149,12 +133,6 @@ type edgeMatKey struct {
 	// srcPrune/dstPrune are the full endpoint signatures when beam pruning
 	// is active (the kept subsets depend on them), -1 otherwise.
 	srcPrune, dstPrune int32
-	// srcKeep/dstKeep are the interned keep-list contents of the endpoints
-	// when dominance filtering is active (searchOnce fills them after
-	// edgeKeyOf), -1 otherwise. Keying on the applied keep CONTENT rather
-	// than the full signatures that produced it preserves maximal sharing:
-	// endpoints that dropped nothing keep their pre-filter aliasing.
-	srcKeep, dstKeep int32
 	// sel encodes the source output-tensor axes, the destination tensor's
 	// axes, and the edge's axis map — everything PlanEdge reads beyond the
 	// space shapes.
@@ -180,8 +158,6 @@ func edgeKeyOf(in *sigInterner, g *graph.Graph, e *graph.Edge, pruned bool) edge
 		dstSpace: in.spaceID(dst),
 		srcPrune: -1,
 		dstPrune: -1,
-		srcKeep:  -1,
-		dstKeep:  -1,
 		sel:      string(buf),
 	}
 	if pruned {

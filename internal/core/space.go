@@ -54,47 +54,6 @@ type Options struct {
 	// cached search (the equivalence tests assert exactly that); the mode
 	// exists as the oracle those tests compare against.
 	DisableCache bool
-
-	// DisableDominance switches off the Pareto pre-filter that drops
-	// interior candidates whose (latency, memory) component vector is
-	// dominated by an earlier candidate with an identical full interface
-	// (dominance.go). The filter is provably plan-preserving — the DP's
-	// first-strict-minimum tie-breaking can never choose a dominated
-	// candidate — so this escape hatch exists for debugging and for the
-	// equivalence fuzzers that pin filtered and unfiltered searches
-	// bit-identical, not for accuracy.
-	DisableDominance bool
-
-	// DisableBoundPrune switches off the bound-guided min-plus pruning:
-	// the two-level fold bounds that let scanMinPlus/scanMinPlusRows
-	// terminate a column scan once the designated argmin row has been
-	// visited and no remaining entry can strictly beat the incumbent, and
-	// the reuse of the kernel-probe results for row class 0 of every
-	// Bellman step. Both are provably plan-preserving — only entries ≥ the
-	// running minimum are skipped and the first-strict-minimum witnesses
-	// are untouched — so this escape hatch exists for debugging and for
-	// FuzzBoundPruneEquivalence, which pins pruned and unpruned searches
-	// bit-identical, not for accuracy.
-	DisableBoundPrune bool
-
-	// DisableCellReuse switches off the cross-scale overlap-cell tier that
-	// lets an edge-matrix fill copy device blocks whose (perNode, provider
-	// pattern, consumer pattern) bytes were already evaluated by an earlier
-	// fill — including a 2^k-device sub-grid of the current 2^(k+1)-device
-	// request. Reused blocks are byte-identical to recomputation (the cells
-	// are a pure function of the key), so this flag only changes timings
-	// and the EdgeCellsReused counter, never the plan. Kept for debugging
-	// and the EXPERIMENTS.md ablation.
-	DisableCellReuse bool
-
-	// DisableTreeDP forces the left-to-right Bellman chain inside every
-	// segment instead of the balanced binary merges of segmentTable. The
-	// two evaluate the segment recurrence under different parenthesizations
-	// of the IEEE sums along a path, so costs may differ in the last ulps
-	// (strategies agree in practice; the fuzz harness bounds the drift).
-	// The chain is retained as the reference the tree-DP tests compare
-	// against; production searches leave this false.
-	DisableTreeDP bool
 }
 
 // SerialUncached returns the options with caching disabled and parallelism

@@ -29,12 +29,14 @@ type SearchStats struct {
 	// the number of Measure/RedistributeDetail evaluations.
 	EdgeCellsEvaluated int64 `json:"edge_cells_evaluated"`
 
-	// CandsTotal counts the candidates entering the DP after beam pruning;
-	// CandsPruned counts how many of them the dominance pre-filter
-	// (dominance.go) removed before edge-matrix construction — the
-	// scanned-entry reduction at its source. Both are zero under
-	// Options.DisableDominance.
-	CandsTotal  int `json:"cands_total"`
+	// CandsTotal sums |P| over the graph's nodes after beam pruning: the
+	// candidates the DP runs over.
+	CandsTotal int `json:"cands_total"`
+
+	// CandsPruned always reads zero. It counted the candidates removed by a
+	// dominance pre-filter that pruned none on any paper model and was
+	// deleted (DESIGN.md §5.7); the field stays because the repository
+	// benchmark reads it by name.
 	CandsPruned int `json:"cands_pruned"`
 
 	// DPRowClasses sums the head-interface row classes over segment tables:
@@ -43,8 +45,7 @@ type SearchStats struct {
 	DPRowClasses int64 `json:"dp_row_classes"`
 
 	// DPTreeMerges counts the in-segment binary merges performed by the
-	// tree DP (zero under Options.DisableTreeDP, which keeps the pure
-	// left-to-right chain).
+	// tree DP (zero when every segment's planned shape is a single chain).
 	DPTreeMerges int `json:"dp_tree_merges"`
 
 	// SegTablesBuilt counts segment DP tables actually computed this call;
@@ -57,20 +58,20 @@ type SearchStats struct {
 	// EntriesScanned sums the entries visited by the sorted-scan min-plus
 	// kernels across segment chains, in-segment merges and layer stacking —
 	// the measured DP floor (DESIGN.md §5.2/§5.3) the binary-split tree
-	// and the bound-guided pruning attack. Tracked by
-	// BenchmarkScanMinPlus*/primebench. (Formerly min_plus_scanned.)
+	// attacks. Tracked by BenchmarkScanMinPlus*/primebench. (Formerly
+	// min_plus_scanned.)
 	EntriesScanned int64 `json:"entries_scanned"`
 
-	// EntriesBoundSkipped counts the entries the single-level exit test
-	// would still have visited but the two-level fold bound proved ≥ the
-	// incumbent (minplus.go) — the exact saving attributable to
-	// bound-guided pruning. Zero under Options.DisableBoundPrune.
+	// EntriesBoundSkipped always reads zero. It counted the entries skipped
+	// by a two-level scan exit that saved 0.17% of them and was deleted
+	// (DESIGN.md §5.8); the field stays because the repository benchmark
+	// reads it by name.
 	EntriesBoundSkipped int64 `json:"entries_bound_skipped"`
 
 	// EdgeCellsReused counts edge-matrix cells copied from the cross-scale
 	// overlap tier instead of being recomputed by overlapFrac — full-block
 	// hits plus half-grid prefixes a smaller device count already filled.
-	// Zero under Options.DisableCellReuse.
+	// Zero when the search bypasses the cross-call cache.
 	EdgeCellsReused int64 `json:"edge_cells_reused"`
 
 	// CrossCallNodeHits / CrossCallEdgeHits count node evaluations and edge

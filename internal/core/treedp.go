@@ -18,9 +18,9 @@
 //
 // The tree evaluates the recurrence under a different parenthesization of
 // the IEEE path sums than the chain, so the two can differ in the last ulps;
-// the tree is the canonical production association (DESIGN.md §5.3), the
-// chain is kept behind Options.DisableTreeDP as the reference the fuzz
-// harness compares against.
+// the tree is the canonical production association (DESIGN.md §5.3). The
+// tests compare it against segmentDP over whole segments
+// (FuzzTreeChainEquivalence).
 package core
 
 import (
@@ -38,10 +38,10 @@ type segPlan struct {
 }
 
 // segmentTable computes the DP table of segment [a, b]: the left-to-right
-// Bellman chain for short segments (or under Options.DisableTreeDP), a
-// planned tree of binary merges otherwise.
+// Bellman chain for short segments, a planned tree of binary merges
+// otherwise.
 func (o *Optimizer) segmentTable(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats, w int) (*table, error) {
-	if o.Opts.DisableTreeDP || b-a <= 2 {
+	if b-a <= 2 {
 		return o.segmentDP(ctx, g, cands, edgeMats, a, b, st, w)
 	}
 	d := newSegDims(g, cands, edgeMats, a, b)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,119 +9,121 @@ import (
 	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/partition"
 )
 
-// chainFromBytes decodes a fuzz input into a linear chain the segmented DP
-// can split: an identity anchor followed by 1–8 structurally varied linear
-// ops, optionally with an extended residual edge anchor→j that constrains
-// where the tree planner may cut. Dimension sizes stay small powers of two so
-// each case searches in milliseconds at 4 devices.
-func chainFromBytes(r *byteReader) (*graph.Graph, int) {
-	b := 2 << r.intn(2) // batch: 2 or 4
-	m := 4 << r.intn(2) // sequence: 4, 8 or 16
-	k := 4 << r.intn(2) // hidden: 4, 8 or 16
-	length := 1 + r.intn(8)
-
-	g := &graph.Graph{Name: "fuzz-chain"}
-	anchor := &graph.Op{
-		Name: "anchor",
-		Kind: graph.OpIdentity,
-		Axes: []graph.Axis{
-			{Name: "B", Size: b, Splittable: true},
-			{Name: "M", Size: m, Splittable: true},
-			{Name: "K", Size: k, Splittable: true},
-		},
-		Tensors:      []graph.Tensor{{Name: "O", Kind: graph.Output, Axes: []int{0, 1, 2}}},
-		Reductions:   map[partition.Phase][]graph.Reduction{},
-		PrimeM:       -1,
-		PrimeN:       -1,
-		PrimeK:       -1,
-		OutputTensor: 0,
-	}
-	g.AddNode(anchor)
-	for i := 0; i < length; i++ {
-		// n == k keeps the chain dimensionally consistent: each linear's N
-		// input axis is fed by the predecessor's K output axis.
-		g.AddNode(model.NewLinear("lin", b, m, k, k))
-	}
-	g.Connect(0, 1, 0, []int{0, 1, 2})
-	for i := 1; i < length; i++ {
-		g.Connect(i, i+1, 0, []int{model.LinB, model.LinM, model.LinK})
-	}
-	if length >= 2 && r.next()&1 == 0 {
-		j := 2 + r.intn(length-1) // extended edge target in [2, length]
-		g.Connect(0, j, 0, []int{0, 1, 2})
-	}
-	// Tail identity in the anchor's space so head/tail candidate sets line
-	// up and the chain stacks across layers.
-	tail := *anchor
-	tail.Name = "tail"
-	g.AddNode(&tail)
-	g.Connect(length, length+1, 0, []int{model.LinB, model.LinM, model.LinK})
-	layers := 1 + r.intn(2)
-	return g, layers
-}
-
-// closeCosts compares two strategies across the tree/chain association
-// boundary. The tree evaluates the Bellman sums under a different IEEE
-// parenthesization than the chain (treedp.go header), so costs may differ in
-// the last ulps — but never more, and both must replay to what they report.
-func closeCosts(t *testing.T, label string, a, b *Strategy) {
+// treeMatchesChain is the tree-vs-chain reference. It builds every node's
+// candidates and every edge matrix the way Exhaustive does (oracle.go),
+// beam-prunes them like searchOnce, and then compares segmentTable (the
+// production tree) with segmentDP (the plain Bellman chain) over each
+// segment of g, cell by cell on the expanded (head × tail) matrix. The tree
+// evaluates the path sums under a different IEEE parenthesization (treedp.go
+// header), so cells may differ in the last ulps but never by more than 1e-12
+// relative. Returns the in-segment merges the tree executed.
+func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) int {
 	t.Helper()
-	if diff := math.Abs(a.TotalCost - b.TotalCost); diff > 1e-12*math.Abs(a.TotalCost) {
-		t.Fatalf("%s: totals differ beyond ulp noise: %v vs %v", label, a.TotalCost, b.TotalCost)
+	w := o.workers()
+	cands := make([]*nodeCands, len(g.Nodes))
+	for i, op := range g.Nodes {
+		cands[i] = o.evalNode(op, w)
 	}
-	if diff := math.Abs(a.LayerCost - b.LayerCost); diff > 1e-12*math.Abs(a.LayerCost) {
-		t.Fatalf("%s: layer costs differ beyond ulp noise: %v vs %v", label, a.LayerCost, b.LayerCost)
+	if o.Opts.Beam > 0 {
+		o.pruneBeam(g, cands)
 	}
+	edgeMats := make(map[*graph.Edge]*edgeMat)
+	for _, e := range g.Edges {
+		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], nil, w)
+	}
+	ctx := context.Background()
+	var st SearchStats
+	cuts := g.SegmentCuts()
+	for s := 0; s+1 < len(cuts); s++ {
+		a, b := cuts[s], cuts[s+1]
+		tree, err := o.segmentTable(ctx, g, cands, edgeMats, a, b, &st, w)
+		if err != nil {
+			t.Fatalf("%s: tree [%d,%d]: %v", label, a, b, err)
+		}
+		chain, err := o.segmentDP(ctx, g, cands, edgeMats, a, b, nil, w)
+		if err != nil {
+			t.Fatalf("%s: chain [%d,%d]: %v", label, a, b, err)
+		}
+		for ia := range cands[a].seqs {
+			for ib := range cands[b].seqs {
+				x := tree.headBase[ia] + tree.cost[tree.rowCls[ia]][ib]
+				y := chain.headBase[ia] + chain.cost[chain.rowCls[ia]][ib]
+				if diff := math.Abs(x - y); diff > 1e-12*math.Abs(y) {
+					t.Fatalf("%s: segment [%d,%d] cell (%d,%d): tree %v vs chain %v",
+						label, a, b, ia, ib, x, y)
+				}
+			}
+		}
+	}
+	return st.DPTreeMerges
 }
 
-// FuzzTreeChainEquivalence pins the tree DP against the Bellman chain on
-// random segment shapes (odd and even lengths including 1 and 2, with and
-// without extended edges): the production tree must BIT-IDENTICALLY match the
-// SerialUncached reference (which plans the same tree), the chain mode must
-// bit-identically match the serial chain, and tree vs chain totals must agree
-// to ulp precision — the binary association may only shuffle rounding, never
-// change which strategy wins by more than that.
+// FuzzTreeChainEquivalence decodes a chain (deltaGraph's shape family: odd
+// and even lengths including 1 and 2, with and without an extended edge), a
+// layer count, α from deltaAlphas, a device count and a beam width. The
+// production search must BIT-IDENTICALLY match the SerialUncached reference,
+// which plans the same trees; that covers the α = 0 ties, the beamed spaces
+// and the class-0 probe reuse of the Bellman steps. Every segment's tree table
+// must match the Bellman chain to ulp precision (treeMatchesChain).
 func FuzzTreeChainEquivalence(f *testing.F) {
-	f.Add([]byte{})
+	// Layout: b, m, k, length-1, layers-1, α, devices, then (length ≥ 2) an
+	// ext flag (even = ext edge) and its target, then the beam — each byte
+	// taken modulo its range, missing bytes read as zero.
+	f.Add([]byte{})                                // minimal chain
 	f.Add([]byte{0, 1, 2, 0})                      // length 1
-	f.Add([]byte{1, 2, 0, 1, 3})                   // length 2
-	f.Add([]byte{0, 0, 1, 4, 1, 2, 3, 0, 1})       // length 5, ext edge
-	f.Add([]byte{2, 1, 2, 7, 3, 2, 1, 0, 255, 6})  // length 8
+	f.Add([]byte{1, 2, 0, 1, 3})                   // length 2, ext edge
+	f.Add([]byte{0, 0, 1, 4, 1, 2, 3, 0, 1})       // length 5, ext edge, α = 0, 2 layers
+	f.Add([]byte{2, 1, 2, 7, 3, 2, 1, 0, 255, 6})  // length 8, ext edge, α = 0, 8 devices
 	f.Add([]byte{1, 1, 0, 6, 0, 0, 0, 0, 0, 0, 1}) // length 7, ext edge at 2
+	f.Add([]byte{})                                // minimal chain
+	f.Add([]byte{1, 1, 1, 3, 0, 0, 0, 1})          // length 4
+	f.Add([]byte{0, 0, 0, 2, 1, 2, 0, 0})          // α = 0 ties, ext edge, 2 layers
+	f.Add([]byte{2, 1, 0, 5, 1, 1, 1, 1, 2})       // length 6, 2 layers, 8 devices, beam 16
+	f.Add([]byte{0, 2, 1, 1, 0, 1, 2, 1})          // 2 devices
+	f.Add([]byte{})                                // minimal chain
+	f.Add([]byte{1, 1, 1, 3, 0, 0, 0, 1, 0})       // length 4
+	f.Add([]byte{0, 0, 0, 2, 1, 2, 0, 0, 1})       // α = 0 ties, ext edge at 3, 2 layers
+	f.Add([]byte{2, 1, 0, 5, 1, 1, 1, 1, 2, 2})    // length 6, 2 layers, 8 devices, beam 16
+	f.Add([]byte{0, 2, 1, 1, 0, 1, 2, 1, 0})       // 2 devices
+	f.Add([]byte{0, 0, 0, 4, 2, 0, 1, 0, 1})       // length 5, 3 layers, 8 devices, ext edge
+	f.Add([]byte{0, 0, 0, 4, 1, 2, 0, 1, 1})       // α = 0 ties, beam 8
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &byteReader{data: data}
-		g, layers := chainFromBytes(r)
-		if err := g.Validate(); err != nil {
-			t.Fatalf("generated graph invalid: %v", err)
+		p := deltaParams{
+			b:        2 << r.intn(2),
+			m:        4 << r.intn(2),
+			k:        4 << r.intn(2),
+			length:   1 + r.intn(8),
+			layers:   1 + r.intn(3),
+			alphaIdx: r.intn(len(deltaAlphas)),
+			devices:  []int{4, 8, 2}[r.intn(3)],
 		}
-		mdl := cost.NewModel(device.MustCluster(4, 4, device.V100Profile()))
-		mdl.Alpha = 1e-12
+		if p.length >= 2 && r.next()&1 == 0 {
+			p.ext = 2 + r.intn(p.length-1)
+		}
+		beam := []int{0, 8, 16}[r.intn(3)]
+		g := deltaGraph(t, p)
+		per := 4
+		if p.devices < per {
+			per = p.devices
+		}
+		mdl := cost.NewModel(device.MustCluster(p.devices, per, device.V100Profile()))
+		mdl.Alpha = deltaAlphas[p.alphaIdx]
 
 		tree := NewOptimizer(mdl)
 		tree.Cache = NewSearchCache()
-		got, err := tree.Optimize(g, layers)
+		tree.Opts.Beam = beam
+		got, err := tree.Optimize(g, p.layers)
 		if err != nil {
-			t.Fatalf("tree: %v", err)
+			t.Fatalf("production: %v", err)
 		}
-
-		chain := NewOptimizer(mdl)
-		chain.Cache = NewSearchCache()
-		chain.Opts.DisableTreeDP = true
-		want, err := chain.Optimize(g, layers)
-		if err != nil {
-			t.Fatalf("chain: %v", err)
-		}
-		if want.Stats.DPTreeMerges != 0 {
-			t.Fatalf("chain mode executed %d tree merges", want.Stats.DPTreeMerges)
-		}
-		closeCosts(t, "tree-vs-chain", got, want)
 
 		ref := NewOptimizer(mdl)
 		ref.Opts = ref.Opts.SerialUncached()
-		slow, err := ref.Optimize(g, layers)
+		ref.Opts.Beam = beam
+		slow, err := ref.Optimize(g, p.layers)
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
@@ -130,21 +133,15 @@ func FuzzTreeChainEquivalence(f *testing.F) {
 				got.Stats.DPTreeMerges, slow.Stats.DPTreeMerges)
 		}
 
-		serialChain := NewOptimizer(mdl)
-		serialChain.Opts = serialChain.Opts.SerialUncached()
-		serialChain.Opts.DisableTreeDP = true
-		slowChain, err := serialChain.Optimize(g, layers)
-		if err != nil {
-			t.Fatalf("serial chain: %v", err)
-		}
-		sameStrategy(t, "chain-vs-serial-chain", want, slowChain)
+		treeMatchesChain(t, "tree-vs-chain", tree, g)
 	})
 }
 
 // TestTreeDPActivatesOnModelBlock pins that the planner actually chooses
 // merges on a real transformer block — the work estimate must favor splits
-// on every paper model even at small scales — and that the executed tree is
-// still bit-identical to the Bellman chain (the fuzz above covers random
+// on every paper model even at small scales — that production and the
+// SerialUncached reference agree bit for bit, and that every segment's tree
+// table still matches the Bellman chain (the fuzz above covers random
 // synthetic shapes where the planner may legitimately keep the chain).
 func TestTreeDPActivatesOnModelBlock(t *testing.T) {
 	g, err := model.BuildBlock(model.OPT175B())
@@ -164,18 +161,6 @@ func TestTreeDPActivatesOnModelBlock(t *testing.T) {
 		t.Fatal("planner kept the chain on a full OPT-175B block; expected at least one merge")
 	}
 
-	chain := NewOptimizer(mdl)
-	chain.Cache = NewSearchCache()
-	chain.Opts.DisableTreeDP = true
-	want, err := chain.Optimize(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Stats.DPTreeMerges != 0 {
-		t.Fatalf("chain mode executed %d tree merges", want.Stats.DPTreeMerges)
-	}
-	closeCosts(t, "opt175b-block", got, want)
-
 	ref := NewOptimizer(mdl)
 	ref.Opts = ref.Opts.SerialUncached()
 	slow, err := ref.Optimize(g, 2)
@@ -185,5 +170,9 @@ func TestTreeDPActivatesOnModelBlock(t *testing.T) {
 	sameStrategy(t, "opt175b-block-reference", got, slow)
 	if slow.Stats.DPTreeMerges != got.Stats.DPTreeMerges {
 		t.Fatalf("reference planned %d merges, production %d", slow.Stats.DPTreeMerges, got.Stats.DPTreeMerges)
+	}
+
+	if merges := treeMatchesChain(t, "opt175b-block", tree, g); merges != got.Stats.DPTreeMerges {
+		t.Fatalf("reference build executed %d merges, the search %d", merges, got.Stats.DPTreeMerges)
 	}
 }

@@ -695,13 +695,11 @@ func addSearchStats(dst *core.SearchStats, s core.SearchStats) {
 	dst.EdgeCacheHits += s.EdgeCacheHits
 	dst.EdgeCellsEvaluated += s.EdgeCellsEvaluated
 	dst.CandsTotal += s.CandsTotal
-	dst.CandsPruned += s.CandsPruned
 	dst.DPRowClasses += s.DPRowClasses
 	dst.DPTreeMerges += s.DPTreeMerges
 	dst.SegTablesBuilt += s.SegTablesBuilt
 	dst.CrossCallTableHits += s.CrossCallTableHits
 	dst.EntriesScanned += s.EntriesScanned
-	dst.EntriesBoundSkipped += s.EntriesBoundSkipped
 	dst.EdgeCellsReused += s.EdgeCellsReused
 	dst.CrossCallNodeHits += s.CrossCallNodeHits
 	dst.CrossCallEdgeHits += s.CrossCallEdgeHits
