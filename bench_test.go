@@ -12,6 +12,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -295,7 +296,7 @@ func benchmarkSearch(b *testing.B, devices int) {
 	}
 	for i := 0; i < b.N; i++ {
 		o := core.NewOptimizer(cost.NewModel(device.MustCluster(devices, 4, device.V100Profile())))
-		if _, err := o.Optimize(g, 96); err != nil {
+		if _, err := o.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: 96}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +317,7 @@ func BenchmarkSearch16Uncached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := core.NewOptimizer(cost.NewModel(device.MustCluster(16, 4, device.V100Profile())))
 		o.Opts = o.Opts.SerialUncached()
-		if _, err := o.Optimize(g, 96); err != nil {
+		if _, err := o.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: 96}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,7 +392,7 @@ func BenchmarkBeamSearch64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := core.NewOptimizer(cost.NewModel(device.MustCluster(64, 4, device.V100Profile())))
 		o.Opts.Beam = 128
-		if _, err := o.Optimize(g, 96); err != nil {
+		if _, err := o.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: 96}); err != nil {
 			b.Fatal(err)
 		}
 	}

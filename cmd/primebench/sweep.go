@@ -45,7 +45,6 @@ type sweepTotals struct {
 	CrossCallEdgeHits  int64 `json:"cross_call_edge_hits"`
 	CrossCallTableHits int64 `json:"cross_call_table_hits"`
 	EntriesScanned     int64 `json:"entries_scanned"`
-	EdgeCellsReused    int64 `json:"edge_cells_reused"`
 	CandsTotal         int64 `json:"cands_total"`
 }
 
@@ -171,8 +170,8 @@ func runSweep(addr, modelName, spec string) error {
 	fmt.Printf("  totals: individual work %d (evals+edges+tables), sweep work %d, sweep cache hits %d\n",
 		coldWork, sweepWork,
 		sw.Totals.CrossCallNodeHits+sw.Totals.CrossCallEdgeHits+sw.Totals.CrossCallTableHits)
-	fmt.Printf("  scans:  individual entries_scanned %d, sweep entries_scanned %d, edge cells reused %d\n",
-		coldScanned, sw.Totals.EntriesScanned, sw.Totals.EdgeCellsReused)
+	fmt.Printf("  scans:  individual entries_scanned %d, sweep entries_scanned %d\n",
+		coldScanned, sw.Totals.EntriesScanned)
 	if coldWork > 0 {
 		if sweepWork >= coldWork {
 			violations = append(violations, fmt.Sprintf(

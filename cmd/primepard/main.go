@@ -12,11 +12,12 @@
 //	curl -s localhost:7133/v1/plan -d '{"model":"OPT-6.7B","devices":8}'
 //	curl -s localhost:7133/v1/stats
 //
-// Endpoints (see server.go; the unversioned paths are deprecated aliases):
+// Endpoints (see server.go):
 //
-//	POST /v1/plan     — search (or serve from cache); see PlanRequest/PlanResponse
-//	GET  /v1/healthz  — liveness
-//	GET  /v1/stats    — cumulative counters + cache sizes + admission state
+//	POST /v1/plan        — search (or serve from cache); see PlanRequest/PlanResponse
+//	POST /v1/plan/sweep  — portfolio planning over a scale curve (sweep.go)
+//	GET  /v1/healthz     — liveness
+//	GET  /v1/stats       — cumulative counters + cache sizes + admission state
 //
 // Each request runs under a deadline (its own deadline_ms, clamped to
 // -max-timeout, defaulting to -request-timeout) and is cancelled when the

@@ -11,10 +11,8 @@
 //	GET  /v1/healthz     — liveness
 //	GET  /v1/stats       — cumulative counters, cache sizes, admission state
 //
-// The unversioned paths survive as deprecated aliases answering identically
-// plus a Deprecation header. Every non-200 answer carries one uniform
-// envelope — {code, message, retryable, retry_after_ms} — with the legacy
-// top-level "error" string kept for pre-v1 clients.
+// Every non-200 answer carries one uniform envelope — {code, message,
+// retryable, retry_after_ms}.
 package main
 
 import (
@@ -22,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -67,10 +66,11 @@ type PlanRequest struct {
 	// Batch overrides the model's micro-batch (0 = model default).
 	Batch int `json:"batch,omitempty"`
 	// BudgetMS, when positive, runs the anytime beam-autotuned search under
-	// this wall-clock budget; zero is the exact search.
+	// this wall-clock budget; zero is the exact search. Negative values are
+	// rejected.
 	BudgetMS int `json:"budget_ms,omitempty"`
 	// Beam, when positive, fixes an approximate beam width for the plain
-	// search (ignored when BudgetMS is set).
+	// search (ignored when BudgetMS is set). Negative values are rejected.
 	Beam int `json:"beam,omitempty"`
 	// Priority orders the admission queue: higher drains first among
 	// waiting requests (default 0). It never preempts a running search.
@@ -80,9 +80,6 @@ type PlanRequest struct {
 	// it is shed immediately with 503 deadline_unmeetable. Clamped to the
 	// server's -max-timeout.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// TimeoutMS is the pre-v1 name for DeadlineMS and is honored when
-	// DeadlineMS is unset.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Pipeline, when present, runs the joint spatial-temporal 3D planner
 	// instead of the plain tensor-parallel search: stage boundaries and
 	// per-stage strategies are chosen together and the response grows a
@@ -105,6 +102,9 @@ type LinkSpec struct {
 	// Latency per message in seconds.
 	Latency float64 `json:"latency"`
 }
+
+// maxBudgetMS is the largest budget_ms a time.Duration can hold.
+const maxBudgetMS = int64(math.MaxInt64 / time.Millisecond)
 
 // maxLinkTiers bounds a request's custom hierarchy; device-ID spaces are
 // log2(devices) ≤ ~20 bits deep, so more tiers than that is malformed.
@@ -173,13 +173,13 @@ type PlanResponse struct {
 	// Profile and Topology echo the machine the plan was computed for
 	// (profile name plus "+custom-links" when the request supplied its
 	// own hierarchy).
-	Profile   string           `json:"profile"`
-	Topology  string           `json:"topology"`
-	Alpha     float64          `json:"alpha"`
-	LayerCost float64          `json:"layer_cost"`
-	TotalCost float64          `json:"total_cost"`
-	Digest    string           `json:"digest"`
-	Nodes []PlanNode `json:"nodes,omitempty"`
+	Profile   string     `json:"profile"`
+	Topology  string     `json:"topology"`
+	Alpha     float64    `json:"alpha"`
+	LayerCost float64    `json:"layer_cost"`
+	TotalCost float64    `json:"total_cost"`
+	Digest    string     `json:"digest"`
+	Nodes     []PlanNode `json:"nodes,omitempty"`
 	// Pipeline carries the joint 3D plan when the request asked for one; the
 	// flat Nodes/LayerCost/TotalCost fields stay zero in that case (the
 	// per-stage strategies live inside the section) and Digest fingerprints
@@ -204,14 +204,12 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.message }
 
-// errorEnvelope is the JSON body of every non-200 answer. Error mirrors
-// Message for pre-v1 clients that parse {"error": ...}.
+// errorEnvelope is the JSON body of every non-200 answer.
 type errorEnvelope struct {
 	Code         string `json:"code"`
 	Message      string `json:"message"`
 	Retryable    bool   `json:"retryable"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	Error        string `json:"error"`
 }
 
 // writeError renders err as the uniform envelope (plus a Retry-After header
@@ -221,13 +219,7 @@ func writeError(w http.ResponseWriter, err *apiError) {
 		secs := int64((err.retryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, err.status, errorEnvelope{
-		Code:         err.code,
-		Message:      err.message,
-		Retryable:    err.retryable,
-		RetryAfterMS: err.retryAfter.Milliseconds(),
-		Error:        err.message,
-	})
+	writeJSON(w, err.status, envelopeOf(err))
 }
 
 func badRequest(format string, args ...any) *apiError {
@@ -261,12 +253,10 @@ type server struct {
 	// candsTotal mirrors SearchStats.CandsTotal: the candidates the
 	// searches' DPs ran over, after beam pruning.
 	candsTotal atomic.Int64
-	// entriesScanned/edgeCellsReused mirror the min-plus scan and
-	// cross-scale reuse counters: entries the Bellman folds actually visited,
-	// and edge cells served from the overlap tier instead of being recomputed.
-	entriesScanned  atomic.Int64
-	edgeCellsReused atomic.Int64
-	warmServed      atomic.Int64
+	// entriesScanned mirrors the min-plus scan counter: entries the Bellman
+	// folds actually visited.
+	entriesScanned atomic.Int64
+	warmServed     atomic.Int64
 	// Sweep counters are separate from plansServed: one sweep serves many
 	// points, and /v1/plan's counters must keep their one-request meaning.
 	sweeps             atomic.Int64
@@ -297,10 +287,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/v1/plan/sweep", s.handleSweep)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	// Unversioned paths: deprecated aliases of their /v1 successors.
-	mux.HandleFunc("/plan", deprecated("/v1/plan", s.handlePlan))
-	mux.HandleFunc("/healthz", deprecated("/v1/healthz", s.handleHealthz))
-	mux.HandleFunc("/stats", deprecated("/v1/stats", s.handleStats))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -311,16 +297,6 @@ func (s *server) handler() http.Handler {
 		}()
 		mux.ServeHTTP(w, r)
 	})
-}
-
-// deprecated wraps a legacy route: same behavior, plus RFC 8594-style
-// deprecation headers pointing at the v1 successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -361,7 +337,6 @@ type statsResponse struct {
 	CrossCallTableHits int64          `json:"cross_call_table_hits"`
 	CandsTotal         int64          `json:"cands_total"`
 	EntriesScanned     int64          `json:"entries_scanned"`
-	EdgeCellsReused    int64          `json:"edge_cells_reused"`
 	CacheNodes         int            `json:"cache_nodes"`
 	CacheEdges         int            `json:"cache_edges"`
 	CacheTables        int            `json:"cache_tables"`
@@ -390,7 +365,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CrossCallTableHits: s.crossTableHits.Load(),
 		CandsTotal:         s.candsTotal.Load(),
 		EntriesScanned:     s.entriesScanned.Load(),
-		EdgeCellsReused:    s.edgeCellsReused.Load(),
 		CacheNodes:         nodes,
 		CacheEdges:         edges,
 		CacheTables:        s.cache.TableEntries(),
@@ -429,16 +403,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := s.defaultTimeout
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	} else if req.TimeoutMS > 0 {
-		deadline = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if deadline > s.maxTimeout {
-		deadline = s.maxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMS))
 	defer cancel()
 	ctx = context.WithValue(ctx, priorityCtxKey{}, req.Priority)
 
@@ -454,8 +419,17 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.crossTableHits.Add(int64(resp.Stats.CrossCallTableHits))
 	s.candsTotal.Add(int64(resp.Stats.CandsTotal))
 	s.entriesScanned.Add(resp.Stats.EntriesScanned)
-	s.edgeCellsReused.Add(resp.Stats.EdgeCellsReused)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// deadline resolves a request's deadline_ms: the server default when unset,
+// clamped to -max-timeout.
+func (s *server) deadline(ms int) time.Duration {
+	d := s.defaultTimeout
+	if ms > 0 {
+		d = time.Duration(ms) * time.Millisecond
+	}
+	return min(d, s.maxTimeout)
 }
 
 // asAPIError maps any failure from the plan pipeline onto the uniform
@@ -544,6 +518,12 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 	if layers < 1 {
 		return nil, badRequest("layers must be ≥ 1, got %d", layers)
 	}
+	if req.Beam < 0 {
+		return nil, badRequest("beam must be ≥ 0, got %d", req.Beam)
+	}
+	if req.BudgetMS < 0 || int64(req.BudgetMS) > maxBudgetMS {
+		return nil, badRequest("budget_ms must be in [0, %d], got %d", maxBudgetMS, req.BudgetMS)
+	}
 
 	// A fresh optimizer per request (budget search and estimation mutate
 	// options); the shared cache is what makes repeats and warm restarts
@@ -552,16 +532,14 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 	m.Alpha = alpha
 	o := core.NewOptimizer(m)
 	o.Cache = s.cache
-	o.Opts.SearchBudget = time.Duration(req.BudgetMS) * time.Millisecond
-	if req.Beam > 0 {
-		o.Opts.Beam = req.Beam
-	}
+	o.Opts.Beam = req.Beam
 
 	g, err := model.BuildBlock(cfg)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	planReq := core.PlanRequest{Graph: g, Layers: layers, Budget: o.Opts.SearchBudget}
+	planReq := core.PlanRequest{Graph: g, Layers: layers,
+		Budget: time.Duration(req.BudgetMS) * time.Millisecond}
 
 	var (
 		est  core.SearchEstimate
@@ -617,7 +595,7 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 		opt:  o,
 		core: planReq,
 		est:  est,
-		key:  o.RequestKey(tag),
+		key:  o.RequestKey(tag, planReq.Budget),
 		popt: popt,
 		pipe: pipe,
 	}, nil

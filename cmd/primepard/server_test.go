@@ -37,13 +37,13 @@ type planOutcome struct {
 	header http.Header
 }
 
-func doPlan(t *testing.T, ts *httptest.Server, path string, req PlanRequest) planOutcome {
+func postPlan(t *testing.T, ts *httptest.Server, req PlanRequest) planOutcome {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpResp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	httpResp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,6 @@ func doPlan(t *testing.T, ts *httptest.Server, path string, req PlanRequest) pla
 		t.Fatal(err)
 	}
 	return out
-}
-
-func postPlan(t *testing.T, ts *httptest.Server, req PlanRequest) planOutcome {
-	t.Helper()
-	return doPlan(t, ts, "/v1/plan", req)
 }
 
 // TestPlanColdThenWarm is the service's core contract: the first request
@@ -122,9 +117,6 @@ func TestPlanColdThenWarm(t *testing.T) {
 	if h.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", h.StatusCode)
 	}
-	if h.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1/healthz must not carry a Deprecation header")
-	}
 }
 
 func getStats(t *testing.T, ts *httptest.Server) statsResponse {
@@ -141,43 +133,6 @@ func getStats(t *testing.T, ts *httptest.Server) statsResponse {
 	return st
 }
 
-// TestLegacyAliasesDeprecated: the unversioned endpoints answer identically
-// to their /v1 successors but advertise their deprecation (RFC 8594 style).
-func TestLegacyAliasesDeprecated(t *testing.T) {
-	s := newTestServer(t, "", noAdmission)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	legacy := doPlan(t, ts, "/plan", PlanRequest{Model: "OPT-6.7B", Devices: 4})
-	if legacy.resp == nil {
-		t.Fatalf("legacy /plan failed: %d %s", legacy.status, legacy.env.Message)
-	}
-	if legacy.header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy /plan Deprecation header = %q, want true", legacy.header.Get("Deprecation"))
-	}
-	if link := legacy.header.Get("Link"); !strings.Contains(link, "/v1/plan") ||
-		!strings.Contains(link, "successor-version") {
-		t.Fatalf("legacy /plan Link header = %q", link)
-	}
-	for _, path := range []string{"/healthz", "/stats"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("%s: status=%d Deprecation=%q", path, resp.StatusCode, resp.Header.Get("Deprecation"))
-		}
-	}
-	v1 := postPlan(t, ts, PlanRequest{Model: "OPT-6.7B", Devices: 4})
-	if v1.resp == nil || v1.header.Get("Deprecation") != "" {
-		t.Fatalf("/v1/plan: resp=%v Deprecation=%q", v1.resp, v1.header.Get("Deprecation"))
-	}
-	if v1.resp.Digest != legacy.resp.Digest {
-		t.Fatalf("alias diverged from successor: %s vs %s", legacy.resp.Digest, v1.resp.Digest)
-	}
-}
-
 // TestPlanTimeoutThenRecover pins the acceptance criterion: a request with a
 // deliberately generous search budget but a tiny deadline is cancelled
 // promptly (504 once the search overruns it), and the shared cache stays
@@ -190,7 +145,7 @@ func TestPlanTimeoutThenRecover(t *testing.T) {
 
 	start := time.Now()
 	out := postPlan(t, ts, PlanRequest{
-		Model: "OPT-175B", Devices: 8, BudgetMS: 600_000, TimeoutMS: 1,
+		Model: "OPT-175B", Devices: 8, BudgetMS: 600_000, DeadlineMS: 1,
 	})
 	elapsed := time.Since(start)
 	if out.resp != nil {
@@ -201,9 +156,6 @@ func TestPlanTimeoutThenRecover(t *testing.T) {
 	}
 	if out.env.Code != "deadline_exceeded" || !out.env.Retryable {
 		t.Fatalf("envelope = %+v, want retryable deadline_exceeded", out.env)
-	}
-	if out.env.Error == "" {
-		t.Fatal("legacy error field empty")
 	}
 	if elapsed > 30*time.Second {
 		t.Fatalf("cancelled request took %s, not prompt", elapsed)
@@ -240,7 +192,8 @@ func TestPlanCancelledContext(t *testing.T) {
 	}
 }
 
-// TestPlanValidation covers the 4xx paths and the error envelope shape.
+// TestPlanValidation covers the 4xx paths and the error envelope shape:
+// exactly code, message and retryable, with no other key.
 func TestPlanValidation(t *testing.T) {
 	s := newTestServer(t, "", noAdmission)
 	ts := httptest.NewServer(s.handler())
@@ -258,6 +211,10 @@ func TestPlanValidation(t *testing.T) {
 		{"unknown model", http.MethodPost, `{"model":"GPT-9","devices":4}`, http.StatusBadRequest},
 		{"bad devices", http.MethodPost, `{"model":"OPT-6.7B","devices":3}`, http.StatusBadRequest},
 		{"bad layers", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"layers":-2}`, http.StatusBadRequest},
+		{"negative beam", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"beam":-1}`, http.StatusBadRequest},
+		{"negative budget", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"budget_ms":-1}`, http.StatusBadRequest},
+		{"budget overflows Duration", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"budget_ms":9223372036854775}`, http.StatusBadRequest},
+		{"timeout_ms is unknown", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"timeout_ms":1000}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+"/v1/plan", strings.NewReader(c.body))
@@ -268,14 +225,27 @@ func TestPlanValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env errorEnvelope
+		var env map[string]any
 		json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status = %d, want %d", c.name, resp.StatusCode, c.want)
 		}
-		if env.Code == "" || env.Message == "" || env.Error != env.Message {
-			t.Errorf("%s: malformed envelope %+v", c.name, env)
+		code, _ := env["code"].(string)
+		msg, _ := env["message"].(string)
+		if _, ok := env["retryable"]; code == "" || msg == "" || !ok || len(env) != 3 {
+			t.Errorf("%s: malformed envelope %v", c.name, env)
+		}
+	}
+	// The unversioned pre-v1 paths are gone.
+	for _, path := range []string{"/plan", "/healthz", "/stats"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status = %d, want 404", path, resp.StatusCode)
 		}
 	}
 }

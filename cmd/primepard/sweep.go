@@ -78,9 +78,8 @@ type SweepTotals struct {
 	CrossCallEdgeHits  int64 `json:"cross_call_edge_hits"`
 	CrossCallTableHits int64 `json:"cross_call_table_hits"`
 	// EntriesScanned was min_plus_scanned before the bound-pruning rename.
-	EntriesScanned  int64 `json:"entries_scanned"`
-	EdgeCellsReused int64 `json:"edge_cells_reused"`
-	CandsTotal      int64 `json:"cands_total"`
+	EntriesScanned int64 `json:"entries_scanned"`
+	CandsTotal     int64 `json:"cands_total"`
 }
 
 func (t *SweepTotals) add(s core.SearchStats) {
@@ -91,7 +90,6 @@ func (t *SweepTotals) add(s core.SearchStats) {
 	t.CrossCallEdgeHits += int64(s.CrossCallEdgeHits)
 	t.CrossCallTableHits += int64(s.CrossCallTableHits)
 	t.EntriesScanned += s.EntriesScanned
-	t.EdgeCellsReused += s.EdgeCellsReused
 	t.CandsTotal += int64(s.CandsTotal)
 }
 
@@ -113,7 +111,6 @@ func envelopeOf(e *apiError) *errorEnvelope {
 		Message:      e.message,
 		Retryable:    e.retryable,
 		RetryAfterMS: e.retryAfter.Milliseconds(),
-		Error:        e.message,
 	}
 }
 
@@ -173,16 +170,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := s.defaultTimeout
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	} else if req.TimeoutMS > 0 {
-		deadline = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if deadline > s.maxTimeout {
-		deadline = s.maxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMS))
 	defer cancel()
 	ctx = context.WithValue(ctx, priorityCtxKey{}, req.Priority)
 
@@ -200,7 +188,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.crossTableHits.Add(resp.Totals.CrossCallTableHits)
 	s.candsTotal.Add(resp.Totals.CandsTotal)
 	s.entriesScanned.Add(resp.Totals.EntriesScanned)
-	s.edgeCellsReused.Add(resp.Totals.EdgeCellsReused)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -2,8 +2,8 @@
 // the search hot loops, panic containment in the worker pools, and
 // concurrent use of one SearchCache by many optimizers (primepard's serving
 // pattern). The cancellation checks are value-independent, so every other
-// test in the package doubles as the proof that an uncancelled OptimizeCtx
-// stays bit-identical to Optimize.
+// test in the package doubles as the proof that an uncancelled Plan stays
+// bit-identical to an uncancellable one.
 package core
 
 import (
@@ -18,10 +18,10 @@ import (
 	"repro/internal/model"
 )
 
-// TestOptimizeCtxCancelledPromptly pins the acceptance contract: an
-// immediately-cancelled context returns context.Canceled fast — even with a
-// deliberately generous search budget — and publishes nothing to the shared
-// cache, which stays fully usable.
+// TestOptimizeCtxCancelledPromptly pins the acceptance contract: a Plan under
+// an immediately-cancelled context returns context.Canceled fast — even with
+// a deliberately generous search budget — and publishes nothing to the
+// shared cache, which stays fully usable.
 func TestOptimizeCtxCancelledPromptly(t *testing.T) {
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
@@ -29,12 +29,12 @@ func TestOptimizeCtxCancelledPromptly(t *testing.T) {
 	}
 	o := optimizerFor(t, 8, 4)
 	o.Cache = NewSearchCache()
-	o.Opts.SearchBudget = 10 * time.Minute // generous: cancellation must win
+	req := PlanRequest{Graph: g, Layers: 3, Budget: 10 * time.Minute} // generous: cancellation must win
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := o.OptimizeBudgetCtx(ctx, g, 3); !errors.Is(err, context.Canceled) {
+	if _, err := o.Plan(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -46,31 +46,30 @@ func TestOptimizeCtxCancelledPromptly(t *testing.T) {
 
 	// The same optimizer and cache serve an uncancelled search that matches
 	// a reference on a private cache bit-for-bit.
-	got, err := o.OptimizeBudgetCtx(context.Background(), g, 3)
+	got, err := o.Plan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := optimizerFor(t, 8, 4)
 	ref.Cache = NewSearchCache()
-	ref.Opts.SearchBudget = 10 * time.Minute
-	want, err := ref.OptimizeBudget(g, 3)
+	want, err := ref.Plan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameStrategy(t, "after-cancel", got, want)
 }
 
-// TestOptimizeCtxNilContext: a nil context must behave exactly like
-// Optimize, not panic.
+// TestOptimizeCtxNilContext: Plan under a nil context must behave exactly
+// like Plan under context.Background, not panic.
 func TestOptimizeCtxNilContext(t *testing.T) {
 	g := repeatedLinearChain()
 	o := optimizerFor(t, 4, 4)
 	o.Cache = NewSearchCache()
-	a, err := o.OptimizeCtx(nil, g, 1)
+	a, err := o.Plan(nil, PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := o.Optimize(g, 1)
+	b, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestSearchCacheConcurrentUse(t *testing.T) {
 	}
 	ref := optimizerFor(t, 8, 4)
 	ref.Cache = NewSearchCache()
-	want, err := ref.Optimize(g, 3)
+	want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +211,7 @@ func TestSearchCacheConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			o := optimizerFor(t, 8, 4)
 			o.Cache = shared
-			results[w], errs[w] = o.Optimize(g, 3)
+			results[w], errs[w] = o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 3})
 		}(w)
 	}
 	wg.Wait()
@@ -228,7 +227,7 @@ func TestSearchCacheConcurrentUse(t *testing.T) {
 	// another's published entries; and a follow-up search is fully warm.
 	o := optimizerFor(t, 8, 4)
 	o.Cache = shared
-	warm, err := o.Optimize(g, 3)
+	warm, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -126,7 +127,7 @@ func TestDPMatchesExhaustiveOnMLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := o.Optimize(g, 1)
+	dp, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestDPMatchesExhaustiveWithMemoryWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := o.Optimize(g, 1)
+	dp, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestDPMatchesExhaustiveOnFullBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := o.Optimize(g, 1)
+	dp, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestLayerStacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := o.Optimize(g, 1)
+	one, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestLayerStacking(t *testing.T) {
 		t.Fatalf("1-layer total %v != layer cost %v", one.TotalCost, one.LayerCost)
 	}
 	for _, layers := range []int{2, 3, 8, 31} {
-		s, err := o.Optimize(g, layers)
+		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
 		if err != nil {
 			t.Fatalf("layers=%d: %v", layers, err)
 		}
@@ -229,13 +230,13 @@ func TestPrimeSpaceDominatesSpatialOnly(t *testing.T) {
 	}
 	for _, devs := range []struct{ n, per int }{{4, 4}, {8, 4}} {
 		o := optimizerFor(t, devs.n, devs.per)
-		withPrime, err := o.Optimize(g, 1)
+		withPrime, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		o2 := optimizerFor(t, devs.n, devs.per)
 		o2.Opts.AllowPrime = false
-		spatial, err := o2.Optimize(g, 1)
+		spatial, err := o2.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func TestOptimalStrategyUsesPrimeOnBigLinears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := o.Optimize(g, 1)
+	s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestOptimizeRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Optimize(g, 0); err == nil {
+	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 0}); err == nil {
 		t.Fatal("layers=0 accepted")
 	}
 }
@@ -292,7 +293,7 @@ func TestOptimizeDegenerateOpReplicates(t *testing.T) {
 	g.AddNode(op)
 	g.AddNode(model.NewLinear("ok", 8, 64, 64, 64))
 	g.Connect(0, 1, 0, []int{0, 1, 2})
-	s, err := o.Optimize(g, 1)
+	s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestStrategyConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := o.Optimize(g, 4)
+	s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +350,11 @@ func TestOptimizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := o.Optimize(g, 1)
+	a, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := o.Optimize(g, 1)
+	b, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,13 +378,13 @@ func TestBeamSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := optimizerFor(t, 8, 4)
-	full, err := exact.Optimize(g, 8)
+	full, err := exact.Plan(context.Background(), PlanRequest{Graph: g, Layers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx := optimizerFor(t, 8, 4)
 	approx.Opts.Beam = 24
-	pruned, err := approx.Optimize(g, 8)
+	pruned, err := approx.Plan(context.Background(), PlanRequest{Graph: g, Layers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestBeamScalesTo64Devices(t *testing.T) {
 	}
 	o := optimizerFor(t, 64, 4)
 	o.Opts.Beam = 128
-	s, err := o.Optimize(g, 96)
+	s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func TestGroupedEdgeMatrixMatchesDense(t *testing.T) {
 		edge := g.Edges[e]
 		src := o.evalNode(g.Nodes[edge.Src], 1)
 		dst := o.evalNode(g.Nodes[edge.Dst], 1)
-		em := o.buildEdgeMat(g, edge, src, dst, nil, 1)
+		em := o.buildEdgeMat(g, edge, src, dst, 1)
 		plan := o.Cost.PlanEdge(g, edge)
 		// Spot-check a grid of pairs.
 		for i := 0; i < len(src.seqs); i += 37 {
@@ -475,8 +476,8 @@ func TestSumEdgeMatsRefinement(t *testing.T) {
 	}
 	src := o.evalNode(g.Nodes[model.NodeQKV], 1)
 	dst := o.evalNode(g.Nodes[model.NodeQKT], 1)
-	m1 := o.buildEdgeMat(g, edges[0], src, dst, nil, 1)
-	m2 := o.buildEdgeMat(g, edges[1], src, dst, nil, 1)
+	m1 := o.buildEdgeMat(g, edges[0], src, dst, 1)
+	m2 := o.buildEdgeMat(g, edges[1], src, dst, 1)
 	sum := sumEdgeMats([]*edgeMat{m1, m2})
 	for i := 0; i < len(src.seqs); i += 11 {
 		for j := 0; j < len(dst.seqs); j += 13 {
@@ -496,7 +497,7 @@ func TestCalibratedBookSearchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	analytic := optimizerFor(t, 8, 4)
-	a, err := analytic.Optimize(g, 1)
+	a, err := analytic.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +507,7 @@ func TestCalibratedBookSearchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	calibrated.Cost.Book = book
-	c, err := calibrated.Optimize(g, 1)
+	c, err := calibrated.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

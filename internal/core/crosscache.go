@@ -1,5 +1,5 @@
 // Cross-call search cache: node evaluations, edge matrices and (delta.go)
-// whole segment DP tables persist ACROSS Optimize calls, so a sweep that
+// whole segment DP tables persist ACROSS Plan calls, so a sweep that
 // revisits the same model structure — other experiments, other α values,
 // repeated scales — pays the quadratic stages once and re-runs the DP only
 // over its changed frontier. The within-call signature memo (dp.go) dedups
@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -58,7 +59,7 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 }
 
 // SearchCache carries node evaluations, edge matrices and segment DP tables
-// across Optimize calls. Safe for concurrent use; all cached values are
+// across Plan calls. Safe for concurrent use; all cached values are
 // read-only.
 type SearchCache struct {
 	mu        sync.Mutex
@@ -77,13 +78,6 @@ type SearchCache struct {
 	tableCells int64
 	// tableCellCap mirrors edgeCellCap for the table tier.
 	tableCellCap int64
-	// overlaps is the fourth tier (cost/overlap.go): per-(pattern pair)
-	// overlap blocks keyed independently of device count, so an edge fill
-	// at 2^(k+1) devices copies the cells its 2^k sub-grid computed. Its
-	// keys embed the full pattern bytes — no environment prefix needed —
-	// and reuse is bit-identical by construction, so it needs none of the
-	// option flags the other tiers fold in.
-	overlaps *cost.OverlapCache
 }
 
 // NewSearchCache returns an empty cross-call cache.
@@ -94,17 +88,19 @@ func NewSearchCache() *SearchCache {
 		edgeCellCap:  maxCachedEdgeCells,
 		tables:       make(map[string]*table),
 		tableCellCap: maxCachedTableCells,
-		overlaps:     cost.NewOverlapCache(),
 	}
 }
 
-// Overlaps exposes the overlap tier (persistence and diagnostics).
-func (c *SearchCache) Overlaps() *cost.OverlapCache {
-	if c == nil {
-		return nil
-	}
-	return c.overlaps
-}
+// noOverlaps is the always-empty stand-in Overlaps returns.
+type noOverlaps struct{}
+
+// Entries always returns zero.
+func (noOverlaps) Entries() int { return 0 }
+
+// Overlaps always reports an empty tier. It exposed a cross-scale overlap
+// tier that made warm sweeps no faster and was deleted (DESIGN.md §5.8);
+// the method stays because the repository benchmark calls it by name.
+func (c *SearchCache) Overlaps() noOverlaps { return noOverlaps{} }
 
 // DefaultSearchCache backs every NewOptimizer-built optimizer, so the
 // experiment drivers (sweep, fig9, fig10, ablations, table2) share work with
@@ -121,7 +117,6 @@ func (c *SearchCache) Reset() {
 	c.edgeCells = 0
 	c.tables = make(map[string]*table)
 	c.tableCells = 0
-	c.overlaps.Reset()
 }
 
 func (c *SearchCache) getNode(key string) *nodeEntry {
@@ -273,15 +268,15 @@ func (o *Optimizer) appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) 
 
 // RequestKey identifies a whole plan request for in-flight deduplication:
 // the environment signature the cross-call cache keys share, plus the inputs
-// that signature deliberately leaves out (α, beam, search budget, reference
-// mode), plus a caller tag naming the graph (model name, layer count). Two
-// requests with equal keys run bit-identical searches, so a singleflight
-// leader's answer serves every concurrent duplicate.
-func (o *Optimizer) RequestKey(tag string) string {
+// that signature deliberately leaves out (α, beam, the request's search
+// budget, reference mode), plus a caller tag naming the graph (model name,
+// layer count). Two requests with equal keys run bit-identical searches, so
+// a singleflight leader's answer serves every concurrent duplicate.
+func (o *Optimizer) RequestKey(tag string, budget time.Duration) string {
 	b := o.appendEnvSig(nil)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
 	b = binary.AppendVarint(b, int64(o.Opts.Beam))
-	b = binary.AppendVarint(b, int64(o.Opts.SearchBudget))
+	b = binary.AppendVarint(b, int64(budget))
 	b = append(b, boolByte(o.Opts.DisableCache))
 	b = append(b, tag...)
 	return string(b)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func TestCrossCallCacheHitsAcrossScales(t *testing.T) {
 			m.Alpha = 1e-12
 			o := NewOptimizer(m)
 			o.Cache = shared
-			strat, err := o.Optimize(g, cfg.Layers)
+			strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				t.Fatalf("pass %d scale %d: %v", pass, scale, err)
 			}
@@ -68,7 +69,7 @@ func TestCrossCallCacheAlphaIndependence(t *testing.T) {
 		m.Alpha = alpha
 		o := NewOptimizer(m)
 		o.Cache = cache
-		strat, err := o.Optimize(g, cfg.Layers)
+		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestCrossCallCacheBeamKeys(t *testing.T) {
 		o := NewOptimizer(m)
 		o.Cache = cache
 		o.Opts.Beam = beam
-		strat, err := o.Optimize(g, cfg.Layers)
+		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,19 +132,18 @@ func TestOptimizeBudgetExactOnGenerousBudget(t *testing.T) {
 	}
 	m := cost.NewModel(device.MustCluster(4, 4, device.V100Profile()))
 	m.Alpha = 1e-12
-	exact, err := NewOptimizer(m).Optimize(g, cfg.Layers)
+	exact, err := NewOptimizer(m).Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := NewOptimizer(m)
-	o.Opts.SearchBudget = time.Minute
-	got, err := o.OptimizeBudget(g, cfg.Layers)
+	got, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers, Budget: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameStrategy(t, "budget", got, exact)
 	if o.Opts.Beam != 0 {
-		t.Errorf("OptimizeBudget left Opts.Beam = %d, want restored 0", o.Opts.Beam)
+		t.Errorf("budgeted Plan left Opts.Beam = %d, want restored 0", o.Opts.Beam)
 	}
 }
 
@@ -157,8 +157,7 @@ func TestOptimizeBudgetTinyBudget(t *testing.T) {
 	}
 	m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
 	o := NewOptimizer(m)
-	o.Opts.SearchBudget = time.Nanosecond
-	got, err := o.OptimizeBudget(g, cfg.Layers)
+	got, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers, Budget: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +165,6 @@ func TestOptimizeBudgetTinyBudget(t *testing.T) {
 		t.Fatalf("budget search returned %d assignments for %d nodes", len(got.Seqs), len(g.Nodes))
 	}
 	if o.Opts.Beam != 0 {
-		t.Errorf("OptimizeBudget left Opts.Beam = %d, want restored 0", o.Opts.Beam)
+		t.Errorf("budgeted Plan left Opts.Beam = %d, want restored 0", o.Opts.Beam)
 	}
 }

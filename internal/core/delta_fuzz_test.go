@@ -11,6 +11,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cost"
@@ -141,7 +142,7 @@ func deltaPlan(t *testing.T, p deltaParams, cache *SearchCache) *Strategy {
 	} else {
 		o.Cache = cache
 	}
-	strat, err := o.Optimize(deltaGraph(t, p), p.layers)
+	strat, err := o.Plan(context.Background(), PlanRequest{Graph: deltaGraph(t, p), Layers: p.layers})
 	if err != nil {
 		t.Fatalf("plan %+v: %v", p, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cost"
@@ -52,7 +53,7 @@ func planWith(t *testing.T, g *graph.Graph, layers, devices int, alpha float64, 
 	m.Alpha = alpha
 	o := NewOptimizer(m)
 	o.Cache = cache
-	strat, err := o.Optimize(g, layers)
+	strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,18 +14,17 @@
 // to recomputing: the same seqs, Intra breakdowns, interfaces and matrix
 // cells flow into the same downstream arithmetic.
 //
-// File layout (v5):
+// File layout (v7):
 //
 //	"PPSC" · uvarint version · sha256(payload) · payload
 //
-//	payload    = ifaces · nodes · edges · overlaps
+//	payload    = ifaces · nodes · edges
 //	ifaces     = uvarint n · n × (uvarint NumAxes · floats Fwd · floats Bwd · floats Width)
 //	nodes      = uvarint n · n × (bytes key · uvarint k · k × seq · k × Intra ·
 //	             k × uvarint out ref · k × uvarint in ref)
 //	edges      = uvarint n · n × (bytes key · uvarint nr · uvarint nc ·
 //	             uvarint len · len × uvarint row group · uvarint len · len × uvarint col group ·
 //	             cells(nr·nc))
-//	overlaps   = uvarint n · n × (bytes key · uvarint len · cells(len))
 //	cells(m)   = uvarint d · d × float64 · m × uvarint index into those d values
 //	seq        = uvarint t · t × (kind byte · varint Dim · uvarint K · varint MDim ·
 //	             varint NDim · varint KDim)
@@ -36,8 +35,8 @@
 // distinct cost.Iface contents in first-use order over the sorted node keys;
 // an interface reference is 0 for nil and i+1 for table row i, and every
 // entry that names a row shares one *cost.Iface after Load (interfaces are
-// never written after cost.(*Model).iface builds them). Matrix and overlap
-// cells are dictionary-coded: a matrix holds at most a few hundred distinct
+// never written after cost.(*Model).iface builds them). Matrix cells are
+// dictionary-coded: a matrix holds at most a few hundred distinct
 // costs across up to millions of cells (DESIGN §5.12). Floats are
 // little-endian IEEE-754 bit patterns, so decoding is bit-exact.
 //
@@ -68,7 +67,7 @@ const diskCacheMagic = "PPSC"
 // load and the run proceeds cold. v2: edge cross keys grew a dominance flag
 // byte (crosscache.go), so v1 keys would never hit and could in principle
 // alias. v3: a third payload section persists the cross-scale overlap tier
-// (cost/overlap.go), so a restarted sweep re-derives no pattern-pair cells
+// (gone since v7), so a restarted sweep re-derives no pattern-pair cells
 // even at device counts it never ran before. v4: the environment prefix of
 // every key grew link-tier and compute-class sections (heterogeneous
 // profiles), so a v3 key written before those sections existed could alias
@@ -78,8 +77,10 @@ const diskCacheMagic = "PPSC"
 // to 45 MB. v6: edge cross keys lost the dominance section (flag byte,
 // interior-position flags and full endpoint signatures) when the dominance
 // pre-filter was deleted; a v5 edge key parsed under the v6 layout could
-// name a different edge.
-const diskCacheVersion = 6
+// name a different edge. v7: the overlaps section is gone with the
+// cross-scale overlap tier; a v6 file's overlaps would read as trailing
+// bytes.
+const diskCacheVersion = 7
 
 // CacheFileName is the file Save writes inside a cache directory.
 const CacheFileName = "searchcache.ppsc"
@@ -98,9 +99,8 @@ func (c *SearchCache) Save(dir string) error {
 		edges[k] = v
 	}
 	c.mu.Unlock()
-	overlaps := c.overlaps.SnapshotOverlaps()
 
-	payload := encodeCachePayload(nodes, edges, overlaps)
+	payload := encodeCachePayload(nodes, edges)
 	sum := sha256.Sum256(payload)
 	header := append([]byte(diskCacheMagic), binary.AppendUvarint(nil, diskCacheVersion)...)
 	header = append(header, sum[:]...)
@@ -162,12 +162,10 @@ func (c *SearchCache) Load(dir string) error {
 	if sum := sha256.Sum256(payload); string(sum[:]) != string(want) {
 		return errors.New("diskcache: digest mismatch")
 	}
-	nodes, edges, overlaps, err := decodeCachePayload(payload)
+	nodes, edges, err := decodeCachePayload(payload)
 	if err != nil {
 		return err
 	}
-	// The overlap tier has its own lock and cap policy; merge outside c.mu.
-	c.overlaps.MergeOverlaps(overlaps)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, v := range nodes {
@@ -204,7 +202,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // encodeCachePayload serializes the maps in sorted key order, so equal
 // caches produce byte-equal files.
-func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat, overlaps map[string][]float64) []byte {
+func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat) []byte {
 	nodeKeys := sortedKeys(nodes)
 
 	// The interface table: one row per distinct content, in first-use
@@ -249,23 +247,15 @@ func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat, 
 		b = appendBytes(b, []byte(k))
 		b = appendEdgeMat(b, edges[k], &cc)
 	}
-	ovKeys := sortedKeys(overlaps)
-	b = binary.AppendUvarint(b, uint64(len(ovKeys)))
-	for _, k := range ovKeys {
-		b = appendBytes(b, []byte(k))
-		b = binary.AppendUvarint(b, uint64(len(overlaps[k])))
-		b = cc.append(b, overlaps[k])
-	}
 	return b
 }
 
-func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeMat, map[string][]float64, error) {
+func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeMat, error) {
 	r := &cacheReader{b: b}
 	table := r.ifaceTable()
 	// Each count is bounded by the smallest record it can declare: a node
 	// is at least a key length and a candidate count, an edge at least two
-	// group-map lengths, nr, nc and a dictionary length after its key, an
-	// overlap block at least a length and a dictionary length after its key.
+	// group-map lengths, nr, nc and a dictionary length after its key.
 	nNodes := r.count(2)
 	nodes := make(map[string]*nodeEntry)
 	for i := 0; i < nNodes && r.err == nil; i++ {
@@ -278,21 +268,13 @@ func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeMat, m
 		key := string(r.bytes())
 		edges[key] = r.edgeMat()
 	}
-	nOv := r.count(3)
-	overlaps := make(map[string][]float64)
-	for i := 0; i < nOv && r.err == nil; i++ {
-		key := string(r.bytes())
-		blk := make([]float64, r.count(1))
-		r.cells(blk)
-		overlaps[key] = blk
-	}
 	if r.err != nil {
-		return nil, nil, nil, r.err
+		return nil, nil, r.err
 	}
 	if len(r.b) != 0 {
-		return nil, nil, nil, errors.New("diskcache: trailing bytes")
+		return nil, nil, errors.New("diskcache: trailing bytes")
 	}
-	return nodes, edges, overlaps, nil
+	return nodes, edges, nil
 }
 
 func appendBytes(b, s []byte) []byte {

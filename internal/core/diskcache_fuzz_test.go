@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -43,8 +44,8 @@ func FuzzDiskCacheLoad(f *testing.F) {
 		if err == nil {
 			return
 		}
-		if n, e := c.Sizes(); n != 0 || e != 0 || c.overlaps.Entries() != 0 {
-			t.Fatalf("failed Load (%v) left %d nodes, %d edges, %d overlap blocks", err, n, e, c.overlaps.Entries())
+		if n, e := c.Sizes(); n != 0 || e != 0 {
+			t.Fatalf("failed Load (%v) left %d nodes, %d edges", err, n, e)
 		}
 	})
 }
@@ -58,9 +59,9 @@ func smallCachePayload(t testing.TB) []byte {
 	}
 	o := NewOptimizer(cost.NewModel(device.MustCluster(2, 2, device.V100Profile())))
 	o.Cache = NewSearchCache()
-	if _, err := o.Optimize(g, 1); err != nil {
+	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	c := o.Cache
-	return encodeCachePayload(c.nodes, c.edges, c.overlaps.SnapshotOverlaps())
+	return encodeCachePayload(c.nodes, c.edges)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
@@ -17,8 +18,8 @@ import (
 
 // warmCache runs a small real search into a fresh SearchCache so the disk
 // round-trip exercises every record shape the encoder handles: multi-token
-// sequences, shared and distinct in/out interfaces, grouped edge matrices
-// and overlap blocks. The search is OPT-175B's block on 16 devices.
+// sequences, shared and distinct in/out interfaces and grouped edge
+// matrices. The search is OPT-175B's block on 4 devices.
 func warmCache(t testing.TB) (*SearchCache, *Strategy) {
 	t.Helper()
 	g, err := model.BuildBlock(model.OPT175B())
@@ -29,7 +30,7 @@ func warmCache(t testing.TB) (*SearchCache, *Strategy) {
 	m.Alpha = 1e-12
 	o := NewOptimizer(m)
 	o.Cache = NewSearchCache()
-	s, err := o.Optimize(g, 2)
+	s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +69,8 @@ func intraBits(ic cost.Intra) []float64 {
 	return []float64{ic.Compute, ic.RingTotal, ic.StepSum, ic.AllReduce, ic.MemoryBytes}
 }
 
-// sameCacheContents fails unless got holds exactly want's node entries, edge
-// matrices and overlap blocks, every float compared bit for bit.
+// sameCacheContents fails unless got holds exactly want's node entries and
+// edge matrices, every float compared bit for bit.
 func sameCacheContents(t *testing.T, got, want *SearchCache) {
 	t.Helper()
 	if len(got.nodes) != len(want.nodes) || len(got.edges) != len(want.edges) {
@@ -100,22 +101,13 @@ func sameCacheContents(t *testing.T, got, want *SearchCache) {
 			t.Fatalf("edge %.16x: matrix differs", k)
 		}
 	}
-	gotOv, wantOv := got.overlaps.SnapshotOverlaps(), want.overlaps.SnapshotOverlaps()
-	if len(gotOv) != len(wantOv) {
-		t.Fatalf("got %d overlap blocks, want %d", len(gotOv), len(wantOv))
-	}
-	for k, w := range wantOv {
-		if !sameFloatBits(gotOv[k], w) {
-			t.Fatalf("overlap block %.16x differs", k)
-		}
-	}
 }
 
 func TestDiskCacheRoundTrip(t *testing.T) {
 	c, want := warmCache(t)
 	nodes, edges := c.Sizes()
-	if nodes == 0 || edges == 0 || c.overlaps.Entries() == 0 {
-		t.Fatalf("warm cache is empty: %d nodes, %d edges, %d overlap blocks", nodes, edges, c.overlaps.Entries())
+	if nodes == 0 || edges == 0 {
+		t.Fatalf("warm cache is empty: %d nodes, %d edges", nodes, edges)
 	}
 	dir := t.TempDir()
 	if err := c.Save(dir); err != nil {
@@ -138,7 +130,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	m.Alpha = 1e-12
 	o := NewOptimizer(m)
 	o.Cache = loaded
-	got, err := o.Optimize(g, 2)
+	got, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +239,10 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 			return out
 		},
 		"trailing garbage": func(b []byte) []byte { return append(bytes.Clone(b), 0xAB) },
-		// An intact v5-era header: the digest still matches the payload,
+		// An intact v6-era header: the digest still matches the payload,
 		// so only the version check can refuse it.
 		"wrong version": func(b []byte) []byte {
-			return ppscFile(5, b[len(diskCacheMagic)+1+sha256.Size:])
+			return ppscFile(6, b[len(diskCacheMagic)+1+sha256.Size:])
 		},
 	}
 	for name, f := range damage {

@@ -29,7 +29,7 @@ func addScanned(st *SearchStats, n int64) {
 type Optimizer struct {
 	Cost *cost.Model
 	Opts Options
-	// Cache persists node evaluations and edge matrices ACROSS Optimize
+	// Cache persists node evaluations and edge matrices ACROSS Plan
 	// calls (see crosscache.go). NewOptimizer attaches the process-wide
 	// DefaultSearchCache; set a private NewSearchCache (or nil) to isolate.
 	Cache *SearchCache
@@ -562,7 +562,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		}
 	}
 	// Cross-call cache: slots whose (environment, op signature) key was seen
-	// by an earlier Optimize call reuse the stored α-independent evaluation;
+	// by an earlier Plan call reuse the stored α-independent evaluation;
 	// only the misses are evaluated (and then published for later calls).
 	ccache := o.crossCache()
 	var envSig []byte
@@ -679,7 +679,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	edgeW := innerWorkers(stats.Workers, len(buildSlots))
 	if err := runTasks(ctx, stats.Workers, len(buildSlots), func(i int) {
 		e := uniqEdges[buildSlots[i]]
-		mats[buildSlots[i]] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], &stats, edgeW)
+		mats[buildSlots[i]] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], edgeW)
 	}); err != nil {
 		return nil, err
 	}

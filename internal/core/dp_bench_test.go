@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cost"
@@ -30,7 +31,7 @@ func BenchmarkSegmentDPCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := NewOptimizer(mdl)
 		o.Cache = NewSearchCache()
-		strat, err := o.Optimize(g, cfg.Layers)
+		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func BenchmarkSegmentDPCold(b *testing.B) {
 // BenchmarkEdgeMatStage builds every edge matrix of an OPT-6.7B block on a
 // 2-device stage sub-cluster, the shape of the dozens of short stage
 // searches one Plan3D call runs. Each build runs inline (w = 1), as it does
-// inside a search with two or more edges to build, on a fresh overlap tier.
+// inside a search with two or more edges to build.
 // The matrices hold a few dozen cells, so the per-matrix set-up dominates:
 // memo tables sized for big matrices show up here as ns/op and B/op long
 // before they move a 32-device search.
@@ -62,10 +63,9 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Cache = NewSearchCache()
 		cells = 0
 		for _, e := range g.Edges {
-			m := o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], nil, 1)
+			m := o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], 1)
 			cells += m.nr * m.nc
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -80,10 +79,8 @@ func ifaceGroups(ifaces []*cost.Iface, axes []int) (ids []int32, reps []int32) {
 // cell a handful of table-row products instead of a full device sweep, with
 // bit-identical results — and falls back to direct EdgePlan.Measure calls in
 // reference mode (Options.DisableCache) or if the tables would be too large.
-// The calc build consults the cross-scale overlap tier (crosscache.go) when
-// one is attached; st (nil in direct test invocations) accumulates the cells
-// it served. Rows are filled on up to w workers.
-func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, st *SearchStats, w int) *edgeMat {
+// Rows are filled on up to w workers.
+func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, w int) *edgeMat {
 	plan := o.Cost.PlanEdge(g, e)
 	rows, rowReps := ifaceGroups(src.out, plan.SrcRelevantAxes())
 	cols, colReps := ifaceGroups(dst.in, plan.DstRelevantAxes())
@@ -100,11 +97,7 @@ func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCa
 		for c, ci := range colReps {
 			dstIfs[c] = dst.in[ci]
 		}
-		var reused int64
-		calc, reused = plan.NewCalcCached(srcIfs, dstIfs, o.crossCache().Overlaps())
-		if reused != 0 && st != nil {
-			atomic.AddInt64(&st.EdgeCellsReused, reused)
-		}
+		calc = plan.NewCalc(srcIfs, dstIfs)
 	}
 
 	if calc != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/device"
@@ -95,12 +97,15 @@ func TestSharedCacheCrossProfileNoAliasing(t *testing.T) {
 	keys := make(map[string]string, len(profiles))
 	for _, p := range profiles {
 		o := newOpt(p, NewSearchCache())
-		strat, err := o.Optimize(g, cfg.Layers)
+		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 		if err != nil {
 			t.Fatalf("%s cold: %v", p.Name, err)
 		}
 		cold[p.Name] = strat
-		keys[p.Name] = o.RequestKey(cfg.Name)
+		keys[p.Name] = o.RequestKey(cfg.Name, 0)
+		if o.RequestKey(cfg.Name, time.Second) == keys[p.Name] {
+			t.Errorf("%s: a budgeted request shares the exact request's key", p.Name)
+		}
 	}
 	for i, a := range profiles {
 		for _, b := range profiles[i+1:] {
@@ -115,7 +120,7 @@ func TestSharedCacheCrossProfileNoAliasing(t *testing.T) {
 	// profile's isolated result bit-for-bit.
 	for pass := 0; pass < 2; pass++ {
 		for _, p := range profiles {
-			strat, err := newOpt(p, shared).Optimize(g, cfg.Layers)
+			strat, err := newOpt(p, shared).Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", p.Name, pass, err)
 			}

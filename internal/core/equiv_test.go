@@ -64,13 +64,13 @@ func TestSearchEquivalenceSerialUncached(t *testing.T) {
 			m.Alpha = 1e-12
 			fast := NewOptimizer(m)
 			fast.Opts.Parallelism = 4
-			got, err := fast.Optimize(g, cfg.Layers)
+			got, err := fast.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				t.Fatalf("%s@%d fast: %v", cfg.Name, scale, err)
 			}
 			ref := NewOptimizer(m)
 			ref.Opts = ref.Opts.SerialUncached()
-			want, err := ref.Optimize(g, cfg.Layers)
+			want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				t.Fatalf("%s@%d reference: %v", cfg.Name, scale, err)
 			}
@@ -93,12 +93,9 @@ func TestSearchEquivalenceSerialUncached(t *testing.T) {
 }
 
 // searchCounters strips from s what legitimately varies with the worker
-// count: wall times, the recorded pool width, and EdgeCellsReused (whether a
-// concurrent edge build finds a block in the overlap tier depends on which
-// build publishes it first; the block's values do not).
+// count: wall times and the recorded pool width.
 func searchCounters(s SearchStats) SearchStats {
 	s.Workers = 0
-	s.EdgeCellsReused = 0
 	s.NodeEvalTime, s.EdgeMatTime, s.DPTime, s.StackTime, s.TotalTime = 0, 0, 0, 0, 0
 	return s
 }
@@ -256,7 +253,7 @@ func TestDPMatchesExhaustiveRepeatedNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := optimizerFor(t, 4, 4)
-	dp, err := o.Optimize(g, 1)
+	dp, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +275,7 @@ func TestDPMatchesExhaustiveRepeatedNodes(t *testing.T) {
 	}
 	ref := optimizerFor(t, 4, 4)
 	ref.Opts = ref.Opts.SerialUncached()
-	want, err := ref.Optimize(g, 1)
+	want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +297,13 @@ func TestDPMatchesExhaustiveRepeatedNodesStacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := optimizerFor(t, 4, 4)
-	dp, err := o.Optimize(g, 5)
+	dp, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := optimizerFor(t, 4, 4)
 	ref.Opts = ref.Opts.SerialUncached()
-	want, err := ref.Optimize(g, 5)
+	want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

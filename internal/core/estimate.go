@@ -14,13 +14,6 @@
 // matrix when it actually runs. The reverse is conservative by design: a
 // cache flush between estimate and search only makes the search slower than
 // promised, never the estimate stale-warm forever.
-//
-// The cross-scale overlap tier (cost/overlap.go) stays in lockstep with this
-// model without a probe of its own: cell reuse changes only the constant cost
-// of filling a cell that is built either way — which matrices are built,
-// their shapes and their values are unchanged — so it can make the search
-// finish earlier than predicted, never later, and the Warm definition is
-// untouched.
 package core
 
 import (

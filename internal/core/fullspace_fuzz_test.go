@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cost"
@@ -50,14 +51,14 @@ func fullSpacePlans(t *testing.T, p deltaParams, beam int) (prod, ref *Strategy)
 	o := NewOptimizer(mdl)
 	o.Cache = NewSearchCache()
 	o.Opts.Beam = beam
-	prod, err := o.Optimize(g, p.layers)
+	prod, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
 	if err != nil {
 		t.Fatalf("plan %+v (beam=%d): %v", p, beam, err)
 	}
 	r := NewOptimizer(mdl)
 	r.Opts = r.Opts.SerialUncached()
 	r.Opts.Beam = beam
-	ref, err = r.Optimize(g, p.layers)
+	ref, err = r.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
 	if err != nil {
 		t.Fatalf("reference %+v (beam=%d): %v", p, beam, err)
 	}

@@ -31,7 +31,7 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat)
 	for _, e := range g.Edges {
-		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], nil, w)
+		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], w)
 	}
 
 	assign := make([]int, len(g.Nodes))

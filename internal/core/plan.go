@@ -1,9 +1,7 @@
 // Plan is the single search entrypoint: every mode the optimizer supports —
 // plain exact search, fixed-beam approximation, anytime beam-autotuned search
 // under a wall-clock budget — runs through one ctx-first call taking one
-// request value. The pre-v1 quartet (Optimize / OptimizeCtx / OptimizeBudget /
-// OptimizeBudgetCtx) survives as one-line deprecated wrappers so existing
-// callers keep compiling; new code should construct a PlanRequest.
+// request value.
 package core
 
 import (
@@ -46,33 +44,4 @@ func (o *Optimizer) Plan(ctx context.Context, req PlanRequest) (*Strategy, error
 		return o.searchOnce(ctx, req.Graph, req.Layers)
 	}
 	return o.searchBudget(ctx, req.Graph, req.Layers, req.Budget)
-}
-
-// Optimize searches the layer graph g and stacks `layers` identical layers.
-//
-// Deprecated: use Plan.
-func (o *Optimizer) Optimize(g *graph.Graph, layers int) (*Strategy, error) {
-	return o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
-}
-
-// OptimizeCtx is Optimize under a cancellation context.
-//
-// Deprecated: use Plan.
-func (o *Optimizer) OptimizeCtx(ctx context.Context, g *graph.Graph, layers int) (*Strategy, error) {
-	return o.Plan(ctx, PlanRequest{Graph: g, Layers: layers})
-}
-
-// OptimizeBudget runs the search under Opts.SearchBudget (a zero budget is
-// exactly Optimize).
-//
-// Deprecated: use Plan with PlanRequest.Budget.
-func (o *Optimizer) OptimizeBudget(g *graph.Graph, layers int) (*Strategy, error) {
-	return o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers, Budget: o.Opts.SearchBudget})
-}
-
-// OptimizeBudgetCtx is OptimizeBudget under a cancellation context.
-//
-// Deprecated: use Plan with PlanRequest.Budget.
-func (o *Optimizer) OptimizeBudgetCtx(ctx context.Context, g *graph.Graph, layers int) (*Strategy, error) {
-	return o.Plan(ctx, PlanRequest{Graph: g, Layers: layers, Budget: o.Opts.SearchBudget})
 }

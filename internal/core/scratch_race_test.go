@@ -19,6 +19,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestTreeDPSharedCacheRace(t *testing.T) {
 	ref.Cost.Alpha = 1e-12
 	ref.Opts.Parallelism = 1
 	ref.Opts.DisableCache = true
-	want, err := ref.Optimize(g, cfg.Layers)
+	want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestTreeDPSharedCacheRace(t *testing.T) {
 			o := NewOptimizer(cost.NewModel(cluster))
 			o.Cost.Alpha = 1e-12
 			o.Cache = shared
-			got[i], errs[i] = o.Optimize(g, cfg.Layers)
+			got[i], errs[i] = o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 		}(i)
 	}
 	wg.Wait()

@@ -6,8 +6,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
@@ -38,14 +36,6 @@ type Options struct {
 	// keep their full space, and the layer head/tail keep IDENTICAL
 	// candidate sets so layer stacking stays sound.
 	Beam int
-
-	// SearchBudget, when positive, makes a Plan request with
-	// PlanRequest.Budget set autotune Beam: it runs the search at
-	// geometrically growing beam widths until the chosen strategy
-	// stabilizes, the beam covers every candidate space (exact), or the
-	// wall-clock budget is spent — replacing hand-picked beam widths. A
-	// Plan with a zero Budget ignores it.
-	SearchBudget time.Duration
 
 	// DisableCache switches the search to its reference mode: the
 	// op-signature memo, the edge-matrix cache and the table-driven edge

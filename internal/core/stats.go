@@ -1,4 +1,4 @@
-// Search instrumentation: every Optimize call reports what the memo caches
+// Search instrumentation: every Plan call reports what the memo caches
 // and the worker pool actually did, so benchmarks (cmd/primebench -exp
 // table2, BENCH_table2.json) can track the search-performance trajectory
 // across changes.
@@ -6,7 +6,7 @@ package core
 
 import "time"
 
-// SearchStats describes one Optimize call: cache effectiveness, work volume,
+// SearchStats describes one Plan call: cache effectiveness, work volume,
 // and wall time per DP stage.
 type SearchStats struct {
 	// Workers is the resolved worker-pool width.
@@ -68,15 +68,15 @@ type SearchStats struct {
 	// reads it by name.
 	EntriesBoundSkipped int64 `json:"entries_bound_skipped"`
 
-	// EdgeCellsReused counts edge-matrix cells copied from the cross-scale
-	// overlap tier instead of being recomputed by overlapFrac — full-block
-	// hits plus half-grid prefixes a smaller device count already filled.
-	// Zero when the search bypasses the cross-call cache.
+	// EdgeCellsReused always reads zero. It counted the edge-matrix cells
+	// copied from a cross-scale overlap tier that made warm sweeps no faster
+	// and was deleted (DESIGN.md §5.8); the field stays because the
+	// repository benchmark reads it by name.
 	EdgeCellsReused int64 `json:"edge_cells_reused"`
 
 	// CrossCallNodeHits / CrossCallEdgeHits count node evaluations and edge
 	// matrices served by the Optimizer-level cache that persists ACROSS
-	// Optimize calls (sweeps over scales/α reuse earlier work). The
+	// Plan calls (sweeps over scales/α reuse earlier work). The
 	// per-call NodeCacheHits/EdgeCacheHits count within-call signature
 	// sharing only.
 	CrossCallNodeHits int `json:"cross_call_node_hits"`

@@ -31,7 +31,7 @@ func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) 
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat)
 	for _, e := range g.Edges {
-		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], nil, w)
+		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], w)
 	}
 	ctx := context.Background()
 	var st SearchStats
@@ -105,7 +105,7 @@ func FuzzTreeChainEquivalence(f *testing.F) {
 		tree := NewOptimizer(mdl)
 		tree.Cache = NewSearchCache()
 		tree.Opts.Beam = beam
-		got, err := tree.Optimize(g, p.layers)
+		got, err := tree.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
 		if err != nil {
 			t.Fatalf("production: %v", err)
 		}
@@ -113,7 +113,7 @@ func FuzzTreeChainEquivalence(f *testing.F) {
 		ref := NewOptimizer(mdl)
 		ref.Opts = ref.Opts.SerialUncached()
 		ref.Opts.Beam = beam
-		slow, err := ref.Optimize(g, p.layers)
+		slow, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
@@ -143,7 +143,7 @@ func TestTreeDPActivatesOnModelBlock(t *testing.T) {
 
 	tree := NewOptimizer(mdl)
 	tree.Cache = NewSearchCache()
-	got, err := tree.Optimize(g, 2)
+	got, err := tree.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTreeDPActivatesOnModelBlock(t *testing.T) {
 
 	ref := NewOptimizer(mdl)
 	ref.Opts = ref.Opts.SerialUncached()
-	slow, err := ref.Optimize(g, 2)
+	slow, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,18 +108,6 @@ type EdgeCalc struct {
 // the pattern tables would exceed calcTableLimit; callers must then fall
 // back to Measure.
 func (p *EdgePlan) NewCalc(srcReps, dstReps []*Iface) *EdgeCalc {
-	c, _ := p.NewCalcCached(srcReps, dstReps, nil)
-	return c
-}
-
-// NewCalcCached is NewCalc with an optional cross-scale overlap tier
-// (overlap.go): pattern-pair blocks whose keys the tier already holds —
-// from another axis pair, another edge, another call, or the 2^k-device
-// sub-grid of this fill — are copied instead of recomputed. Copies are
-// bit-identical to recomputation, so the evaluator (and everything
-// downstream of it) is indistinguishable from the tier-less build. The
-// second result counts the cells served from the tier.
-func (p *EdgePlan) NewCalcCached(srcReps, dstReps []*Iface, oc *OverlapCache) (*EdgeCalc, int64) {
 	c := &EdgeCalc{p: p}
 	var fp, bp []axisPair
 	for i, dax := range p.fwdDst {
@@ -132,12 +120,11 @@ func (p *EdgePlan) NewCalcCached(srcReps, dstReps []*Iface, oc *OverlapCache) (*
 			bp = append(bp, axisPair{sa, dax})
 		}
 	}
-	var reused int64
-	if !c.fwd.build(p, fp, srcReps, dstReps, true, oc, &reused) {
-		return nil, 0
+	if !c.fwd.build(p, fp, srcReps, dstReps, true) {
+		return nil
 	}
-	if !c.bwd.build(p, bp, srcReps, dstReps, false, oc, &reused) {
-		return nil, 0
+	if !c.bwd.build(p, bp, srcReps, dstReps, false) {
+		return nil
 	}
 	c.fwdVol = make([]float64, len(dstReps))
 	for ci, d := range dstReps {
@@ -157,7 +144,7 @@ func (p *EdgePlan) NewCalcCached(srcReps, dstReps []*Iface, oc *OverlapCache) (*
 	}
 	c.fwd.checkKeySpaces()
 	c.bwd.checkKeySpaces()
-	return c, reused
+	return c
 }
 
 // checkKeySpaces decides which memo levels fit calcKeyLimit.
@@ -221,16 +208,14 @@ func patternIDs(ifaces []*Iface, ax int, fwd bool) ([]int32, []axisPattern) {
 }
 
 // build fills one direction's pattern ids, overlap tables and node-factoring
-// indexes. Reports false when a table would exceed calcTableLimit. With a
-// non-nil overlap tier, pattern-pair blocks are served from / published to
-// it (buildOverlapBlock) and *reused accumulates the copied cell count.
-func (d *dirCalc) build(p *EdgePlan, pairs []axisPair, srcReps, dstReps []*Iface, fwdPass bool, oc *OverlapCache, reused *int64) bool {
+// indexes. Reports false when a table would exceed calcTableLimit.
+func (d *dirCalc) build(p *EdgePlan, pairs []axisPair, srcReps, dstReps []*Iface, fwdPass bool) bool {
 	d.pairs = pairs
 	d.perNode = p.perNode
 	d.nodes = p.devices / p.perNode
 	n := p.devices * p.perNode
 	blkLen := p.perNode * p.perNode
-	var keyBuf, okeyBuf []byte
+	var keyBuf []byte
 	for _, pr := range pairs {
 		srcIDs, srcPats := patternIDs(srcReps, pr.sa, fwdPass)
 		dstIDs, dstPats := patternIDs(dstReps, pr.dax, fwdPass)
@@ -248,15 +233,23 @@ func (d *dirCalc) build(p *EdgePlan, pairs []axisPair, srcReps, dstReps []*Iface
 		for rp := range srcPats {
 			for cp := range dstPats {
 				blk := tab.block(int32(rp), int32(cp))
-				// Both directions are the same canonical provider-covers-need
-				// fill: forward the producer (src) provides for the consumer
-				// (dst), backward the consumer provides for the producer —
-				// which is why one tier serves both.
+				// Both directions are the same provider-covers-need fill:
+				// forward the producer (src) provides for the consumer
+				// (dst), backward the consumer provides for the producer.
+				// blk[dev*perNode+j] is the overlap of provider cell
+				// nodeOf(dev)+j with need cell dev.
 				prov, need := &srcPats[rp], &dstPats[cp]
 				if !fwdPass {
 					prov, need = need, prov
 				}
-				*reused += buildOverlapBlock(oc, &okeyBuf, blk, prov, need, p.devices, p.perNode)
+				for dev := 0; dev < p.devices; dev++ {
+					nodeStart := dev / p.perNode * p.perNode
+					for j := 0; j < p.perNode; j++ {
+						blk[dev*p.perNode+j] = overlapFrac(
+							prov.starts[nodeStart+j], prov.width,
+							need.starts[dev], need.width, need.width)
+					}
+				}
 				// Deduplicate this (rp, cp)'s per-node blocks and the node
 				// vector they form. Node g's block occupies the contiguous
 				// slice [g*blkLen, (g+1)*blkLen).

@@ -35,8 +35,8 @@ type Setup struct {
 	// evaluation uses the paper's six models on 4–32 GPUs).
 	Models []model.Config
 	Scales []int
-	// SearchBudget, when positive, runs the optimization-time experiments
-	// through core.OptimizeBudget beam autotuning: the beam width grows
+	// SearchBudget, when positive, runs Table2's searches with
+	// core.PlanRequest.Budget beam autotuning: the beam width grows
 	// until the strategy stabilizes or the budget is spent, instead of a
 	// hand-picked width. Zero keeps the exact search.
 	SearchBudget time.Duration
@@ -296,7 +296,5 @@ func (d *ThroughputData) Fig8Table() string {
 func (s Setup) optimizer(cl *device.Cluster) *core.Optimizer {
 	m := cost.NewModel(cl)
 	m.Alpha = s.Alpha
-	o := core.NewOptimizer(m)
-	o.Opts.SearchBudget = s.SearchBudget
-	return o
+	return core.NewOptimizer(m)
 }

@@ -42,7 +42,7 @@ func Table2(s Setup) ([]Table2Row, string, error) {
 			o := s.optimizer(s.cluster(scale))
 			start := time.Now()
 			strat, err := o.Plan(context.Background(), core.PlanRequest{
-				Graph: g, Layers: cfg.Layers, Budget: o.Opts.SearchBudget})
+				Graph: g, Layers: cfg.Layers, Budget: s.SearchBudget})
 			if err != nil {
 				return nil, "", err
 			}

@@ -19,14 +19,12 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/graph"
-	"repro/internal/model"
 	"repro/internal/partition"
 )
 
@@ -97,16 +95,10 @@ func (c Config3D) Validate(devices, layers int) error {
 func (c Config3D) String() string { return fmt.Sprintf("(%d,%d,%d)", c.P, c.D, c.M) }
 
 // AllConfigs enumerates every (p,d,m) with p·d·m = devices and p > 1 (the
-// paper's Fig. 10 sweep), ordered by p then d.
-//
-// Deprecated: the enumeration is part of (*Optimizer).Plan3D, which searches
-// these configurations (and, unlike the grid, uneven stage cuts within each)
-// in one call. Kept for callers that drive the grid themselves.
+// paper's Fig. 10 sweep), ordered by p then d. (*Optimizer).Plan3D searches
+// these configurations itself; callers that drive the grid one
+// configuration at a time enumerate it here.
 func AllConfigs(devices, layers, globalBatch, microbatch int) []Config3D {
-	return allConfigs(devices, layers, globalBatch, microbatch)
-}
-
-func allConfigs(devices, layers, globalBatch, microbatch int) []Config3D {
 	var out []Config3D
 	for p := 2; p <= devices; p *= 2 {
 		if p > layers {
@@ -152,25 +144,6 @@ func stageCluster(full *device.Cluster, m int) *device.Cluster {
 	return device.MustCluster(m, per, full.Profile)
 }
 
-// Evaluate simulates one (p,d,m) configuration of cfg on the full cluster
-// under the given system's tensor-parallel strategy.
-//
-// Deprecated: use (*Optimizer).Plan3D with Plan3DRequest.Config — the same
-// code path with cancellation and an explicit SearchCache threaded through.
-// This wrapper is bit-identical to Plan3D's fixed-configuration mode (pinned
-// by TestPlan3DFixedMatchesLegacyGoldens).
-func Evaluate(cfg model.Config, full *device.Cluster, c3 Config3D, system System) (*Result, error) {
-	p3, err := NewOptimizer(full).Plan3D(context.Background(), Plan3DRequest{
-		Model:  cfg,
-		System: system,
-		Config: &c3,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p3.Result(), nil
-}
-
 func stashOf(g *graph.Graph, seqs []partition.Seq, layers int, eb float64) float64 {
 	total := 0.0
 	for i, op := range g.Nodes {
@@ -179,36 +152,4 @@ func stashOf(g *graph.Graph, seqs []partition.Seq, layers int, eb float64) float
 		}
 	}
 	return total * float64(layers)
-}
-
-// Best evaluates every configuration and returns the per-system optimum —
-// the numbers the paper reports as "highest throughput".
-//
-// Deprecated: use (*Optimizer).Plan3D, which searches the same grid plus
-// uneven stage cuts inside each configuration and is never worse (pinned by
-// TestJointNeverWorseThanGrid). Kept as the grid-only reference baseline.
-func Best(cfg model.Config, full *device.Cluster, globalBatch, microbatch int, system System) (*Result, []*Result, error) {
-	o := NewOptimizer(full)
-	configs := allConfigs(full.NumDevices, cfg.Layers, globalBatch, microbatch)
-	if len(configs) == 0 {
-		return nil, nil, fmt.Errorf("pipeline: no feasible (p,d,m) configuration")
-	}
-	var best *Result
-	var all []*Result
-	for _, c3 := range configs {
-		c3 := c3
-		p3, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: system, Config: &c3})
-		if err != nil {
-			continue
-		}
-		r := p3.Result()
-		all = append(all, r)
-		if best == nil || r.Throughput > best.Throughput {
-			best = r
-		}
-	}
-	if best == nil {
-		return nil, nil, fmt.Errorf("pipeline: all configurations failed")
-	}
-	return best, all, nil
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/device"
@@ -70,22 +71,22 @@ func TestAllConfigsSweep(t *testing.T) {
 func TestEvaluateMegatronAndPrimePar(t *testing.T) {
 	cfg := model.OPT6B7()
 	c3 := Config3D{P: 2, D: 2, M: 2, Microbatch: 2, GlobalBatch: 32}
-	full := device.MustCluster(8, 4, device.V100Profile())
+	o := NewOptimizer(device.MustCluster(8, 4, device.V100Profile()))
 
-	mega, err := Evaluate(cfg, full, c3, Megatron)
+	mega, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: Megatron, Config: &c3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prime, err := Evaluate(cfg, full, c3, PrimePar)
+	prime, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: PrimePar, Config: &c3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*Result{mega, prime} {
+	for _, r := range []*Plan3D{mega, prime} {
 		if r.IterationTime <= 0 || r.Throughput <= 0 || r.PeakMemoryBytes <= 0 {
 			t.Fatalf("%v: degenerate result %+v", r.System, r)
 		}
-		if r.BubbleFraction <= 0 || r.BubbleFraction >= 1 {
-			t.Fatalf("%v: bubble fraction %v out of (0,1)", r.System, r.BubbleFraction)
+		if bf := r.Breakdown.BubbleFraction; bf <= 0 || bf >= 1 {
+			t.Fatalf("%v: bubble fraction %v out of (0,1)", r.System, bf)
 		}
 	}
 	// Identical (p,d,m): PrimePar's searched strategy must not lose.
@@ -94,7 +95,7 @@ func TestEvaluateMegatronAndPrimePar(t *testing.T) {
 			prime.Throughput, mega.Throughput)
 	}
 	// PrimePar must not partition the batch axis (d controlled externally).
-	for i, s := range prime.Seqs {
+	for i, s := range prime.Stages[0].Seqs {
 		for ax, a := range cfgAxes(prime, i) {
 			if a == "B" && s.NumSlices(ax) > 1 {
 				t.Fatalf("PrimePar split batch axis at node %d", i)
@@ -105,7 +106,7 @@ func TestEvaluateMegatronAndPrimePar(t *testing.T) {
 
 // cfgAxes returns node i's axis names from the evaluated strategy's graph
 // shape (rebuild the block; names are stable).
-func cfgAxes(r *Result, node int) []string {
+func cfgAxes(r *Plan3D, node int) []string {
 	g, err := model.BuildBlock(model.OPT6B7().WithBatch(r.Config.Microbatch))
 	if err != nil {
 		panic(err)
@@ -118,12 +119,12 @@ func cfgAxes(r *Result, node int) []string {
 func TestEvaluateM1(t *testing.T) {
 	cfg := model.OPT6B7()
 	c3 := Config3D{P: 4, D: 2, M: 1, Microbatch: 2, GlobalBatch: 64}
-	full := device.MustCluster(8, 4, device.V100Profile())
-	mega, err := Evaluate(cfg, full, c3, Megatron)
+	o := NewOptimizer(device.MustCluster(8, 4, device.V100Profile()))
+	mega, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: Megatron, Config: &c3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prime, err := Evaluate(cfg, full, c3, PrimePar)
+	prime, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: PrimePar, Config: &c3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,38 +136,47 @@ func TestEvaluateM1(t *testing.T) {
 // More microbatches shrink the bubble (GPipe/1F1B arithmetic).
 func TestBubbleShrinksWithMicrobatches(t *testing.T) {
 	cfg := model.OPT6B7()
-	full := device.MustCluster(8, 4, device.V100Profile())
+	o := NewOptimizer(device.MustCluster(8, 4, device.V100Profile()))
 	small := Config3D{P: 4, D: 1, M: 2, Microbatch: 2, GlobalBatch: 16}
 	big := Config3D{P: 4, D: 1, M: 2, Microbatch: 2, GlobalBatch: 128}
-	a, err := Evaluate(cfg, full, small, Megatron)
+	a, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: Megatron, Config: &small})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(cfg, full, big, Megatron)
+	b, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: Megatron, Config: &big})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.BubbleFraction >= a.BubbleFraction {
-		t.Fatalf("bubble did not shrink: %v → %v", a.BubbleFraction, b.BubbleFraction)
+	if b.Breakdown.BubbleFraction >= a.Breakdown.BubbleFraction {
+		t.Fatalf("bubble did not shrink: %v → %v", a.Breakdown.BubbleFraction, b.Breakdown.BubbleFraction)
 	}
 	if b.Throughput <= a.Throughput {
 		t.Fatalf("throughput did not improve with more microbatches")
 	}
 }
 
+// An unpinned Plan3D scans every grid configuration: none of them may beat
+// its answer.
 func TestBestScansConfigs(t *testing.T) {
 	cfg := model.OPT6B7()
-	full := device.MustCluster(8, 4, device.V100Profile())
-	best, all, err := Best(cfg, full, 64, 2, Megatron)
+	o := NewOptimizer(device.MustCluster(8, 4, device.V100Profile()))
+	best, err := o.Plan3D(context.Background(), Plan3DRequest{
+		Model: cfg, System: Megatron, GlobalBatch: 64, Microbatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) < 2 {
-		t.Fatalf("expected several configs, got %d", len(all))
+	configs := AllConfigs(8, cfg.Layers, 64, 2)
+	if len(configs) < 2 {
+		t.Fatalf("expected several configs, got %d", len(configs))
 	}
-	for _, r := range all {
+	for _, c3 := range configs {
+		c3 := c3
+		r, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: Megatron, Config: &c3})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r.Throughput > best.Throughput {
-			t.Fatalf("Best missed config %v (%v > %v)", r.Config, r.Throughput, best.Throughput)
+			t.Fatalf("Plan3D missed config %v (%v > %v)", c3, r.Throughput, best.Throughput)
 		}
 	}
 }

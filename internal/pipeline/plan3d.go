@@ -91,10 +91,10 @@ type Plan3DRequest struct {
 	Stages int
 	// DataParallel pins d (0 searches).
 	DataParallel int
-	// Config, when non-nil, evaluates exactly this legacy (p,d,m) point
-	// with p uniform ⌈L/p⌉-layer stages — bit-identical to the deprecated
-	// Evaluate. GlobalBatch/Microbatch/Stages/DataParallel are taken from
-	// it and the joint cut search is skipped.
+	// Config, when non-nil, evaluates exactly this (p,d,m) grid point with
+	// p uniform ⌈L/p⌉-layer stages, the paper's Fig. 10 protocol.
+	// GlobalBatch/Microbatch/Stages/DataParallel are taken from it and the
+	// joint cut search is skipped.
 	Config *Config3D
 }
 
@@ -105,8 +105,8 @@ type StagePlan struct {
 	// (Plan3DRequest.Config) every stage nominally holds ⌈L/p⌉ layers, so
 	// the boundaries can overrun the model when p ∤ L — joint cuts always
 	// sum exactly to the model's layer count.
-	StartLayer int     `json:"start_layer"`
-	Layers     int     `json:"layers"`
+	StartLayer int             `json:"start_layer"`
+	Layers     int             `json:"layers"`
 	Seqs       []partition.Seq `json:"-"`
 	// StageTime is one micro-batch through this stage (fwd+bwd+grad),
 	// inter-stage hand-off excluded.
@@ -184,8 +184,8 @@ func (p *Plan3D) StageLayers() []int {
 	return out
 }
 
-// Result renders the legacy Evaluate view of the plan: stage 0's strategy
-// and per-micro-batch time stand in for the (historically uniform) stage.
+// Result renders the plan as one grid-point summary: stage 0's strategy and
+// per-micro-batch time stand in for the (historically uniform) stage.
 func (p *Plan3D) Result() *Result {
 	return &Result{
 		System:          p.System,
@@ -363,9 +363,9 @@ func dpARTime(full *device.Cluster, d, m int, wBytes float64) float64 {
 	return stageAll.AllReduceTime(dpInd, wBytes)
 }
 
-// planFixed is the legacy evaluation protocol behind Plan3DRequest.Config:
-// p uniform ⌈L/p⌉-layer stages, arithmetic bit-identical to the historical
-// Evaluate (pinned by TestPlan3DFixedMatchesLegacyGoldens).
+// planFixed is the grid evaluation protocol behind Plan3DRequest.Config:
+// p uniform ⌈L/p⌉-layer stages, arithmetic bit-identical to the
+// pre-joint-search evaluator (pinned by TestPlan3DFixedMatchesLegacyGoldens).
 func (o *Optimizer) planFixed(ctx context.Context, req Plan3DRequest, start time.Time) (*Plan3D, error) {
 	cfg := req.Model
 	full := o.Cluster
@@ -502,7 +502,7 @@ func (o *Optimizer) planAuto(ctx context.Context, req Plan3DRequest, start time.
 	if req.Stages == 1 {
 		return nil, fmt.Errorf("pipeline: stages must be ≥ 2 (pure data/tensor parallelism has no pipeline)")
 	}
-	configs := allConfigs(full.NumDevices, cfg.Layers, req.GlobalBatch, req.Microbatch)
+	configs := AllConfigs(full.NumDevices, cfg.Layers, req.GlobalBatch, req.Microbatch)
 	if req.Stages > 0 || req.DataParallel > 0 {
 		kept := configs[:0]
 		for _, c := range configs {
@@ -583,7 +583,7 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 	}
 	maxPer := ceilL + o.CutWindow
 	if maxPer > L-(p-1)*minPer {
-		maxPer = L - (p - 1) * minPer
+		maxPer = L - (p-1)*minPer
 	}
 	if o.CutWindow < 0 || minPer > maxPer {
 		minPer, maxPer = ceilL, ceilL // grid parity: only the legacy uniform stage
@@ -603,8 +603,8 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 	p2p := p2pTime(cfg, full, c3)
 	evalOf := func(l int) *stageEval { return memo[stageKey{m: c3.M, layers: l}] }
 
-	// Candidate cuts: the legacy uniform ⌈L/p⌉ protocol first (bit-identical
-	// to Evaluate — the never-worse-than-grid anchor), then both
+	// Candidate cuts: the uniform ⌈L/p⌉ grid protocol first (bit-identical
+	// to planFixed — the never-worse-than-grid anchor), then both
 	// orientations of the Pareto frontier over true compositions.
 	legacy := make([]int, p)
 	for s := range legacy {
@@ -700,7 +700,6 @@ func addSearchStats(dst *core.SearchStats, s core.SearchStats) {
 	dst.SegTablesBuilt += s.SegTablesBuilt
 	dst.CrossCallTableHits += s.CrossCallTableHits
 	dst.EntriesScanned += s.EntriesScanned
-	dst.EdgeCellsReused += s.EdgeCellsReused
 	dst.CrossCallNodeHits += s.CrossCallNodeHits
 	dst.CrossCallEdgeHits += s.CrossCallEdgeHits
 	dst.NodeEvalTime += s.NodeEvalTime
@@ -726,7 +725,7 @@ func (o *Optimizer) EstimatePlan3D(req Plan3DRequest) (core.SearchEstimate, erro
 		}
 		configs = []Config3D{*req.Config}
 	} else {
-		configs = allConfigs(full.NumDevices, cfg.Layers, req.GlobalBatch, req.Microbatch)
+		configs = AllConfigs(full.NumDevices, cfg.Layers, req.GlobalBatch, req.Microbatch)
 		kept := configs[:0]
 		for _, c := range configs {
 			if (req.Stages == 0 || c.P == req.Stages) && (req.DataParallel == 0 || c.D == req.DataParallel) {

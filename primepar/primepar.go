@@ -431,38 +431,11 @@ const (
 type Plan3DResult = pipeline.Plan3D
 
 // Plan3D jointly chooses pipeline-stage boundaries and per-stage PrimePar
-// tensor partitions — never worse than the (p,d,m) grid that Best3D scans,
+// tensor partitions — never worse than the best uniform (p,d,m) grid point,
 // usually better when the pipeline depth does not divide the layer count.
-// Set req.Config to evaluate one legacy configuration, req.Stages /
+// Set req.Config to evaluate one grid configuration, req.Stages /
 // req.DataParallel to pin dimensions, or neither to search everything.
 func Plan3D(ctx context.Context, cfg Config, cluster *Cluster, req Plan3DRequest) (*Plan3DResult, error) {
 	req.Model = cfg
 	return pipeline.NewOptimizer(cluster).Plan3D(ctx, req)
-}
-
-// Evaluate3D simulates a 3D-parallel deployment of cfg with PrimePar tensor
-// parallelism inside each stage.
-//
-// Deprecated: use Plan3D with Plan3DRequest.Config (ctx-first, shares the
-// process-wide search cache, returns per-stage detail). Bit-identical.
-func Evaluate3D(cfg Config, cluster *Cluster, c3 Config3D) (*pipeline.Result, error) {
-	return pipeline.Evaluate(cfg, cluster, c3, pipeline.PrimePar)
-}
-
-// Evaluate3DMegatron simulates the same deployment with Megatron tensor
-// parallelism (for comparison).
-//
-// Deprecated: use Plan3D with Plan3DRequest{Config: &c3, System:
-// pipeline.Megatron}. Bit-identical.
-func Evaluate3DMegatron(cfg Config, cluster *Cluster, c3 Config3D) (*pipeline.Result, error) {
-	return pipeline.Evaluate(cfg, cluster, c3, pipeline.Megatron)
-}
-
-// Best3D sweeps all (p,d,m) configurations and returns the fastest.
-//
-// Deprecated: use Plan3D, which searches the same grid plus uneven stage
-// cuts within each configuration.
-func Best3D(cfg Config, cluster *Cluster, globalBatch, microbatch int) (*pipeline.Result, error) {
-	best, _, err := pipeline.Best(cfg, cluster, globalBatch, microbatch, pipeline.PrimePar)
-	return best, err
 }

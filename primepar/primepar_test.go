@@ -1,6 +1,7 @@
 package primepar
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -125,24 +126,25 @@ func TestEvaluate3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	c3 := Config3D{P: 2, D: 2, M: 2, Microbatch: 2, GlobalBatch: 32}
-	prime, err := Evaluate3D(OPT6B7(), cluster, c3)
+	prime, err := Plan3D(ctx, OPT6B7(), cluster, Plan3DRequest{System: SystemPrimePar, Config: &c3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mega, err := Evaluate3DMegatron(OPT6B7(), cluster, c3)
+	mega, err := Plan3D(ctx, OPT6B7(), cluster, Plan3DRequest{System: SystemMegatron, Config: &c3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prime.Throughput < mega.Throughput*0.999 {
 		t.Fatalf("PrimePar 3D (%v) below Megatron (%v)", prime.Throughput, mega.Throughput)
 	}
-	best, err := Best3D(OPT6B7(), cluster, 64, 2)
+	best, err := Plan3D(ctx, OPT6B7(), cluster, Plan3DRequest{System: SystemPrimePar, GlobalBatch: 64, Microbatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.Throughput < prime.Throughput*0.999 {
-		t.Fatal("Best3D returned a sub-optimal configuration")
+		t.Fatal("Plan3D returned a sub-optimal configuration")
 	}
 }
 
