@@ -44,6 +44,7 @@ type sweepTotals struct {
 	CrossCallNodeHits  int64 `json:"cross_call_node_hits"`
 	CrossCallEdgeHits  int64 `json:"cross_call_edge_hits"`
 	CrossCallTableHits int64 `json:"cross_call_table_hits"`
+	CrossCallPlanHits  int64 `json:"cross_call_plan_hits"`
 	EntriesScanned     int64 `json:"entries_scanned"`
 	CandsTotal         int64 `json:"cands_total"`
 }
@@ -169,7 +170,7 @@ func runSweep(addr, modelName, spec string) error {
 	sweepWork := sw.Totals.NodeEvals + sw.Totals.EdgeMatsBuilt + sw.Totals.SegTablesBuilt
 	fmt.Printf("  totals: individual work %d (evals+edges+tables), sweep work %d, sweep cache hits %d\n",
 		coldWork, sweepWork,
-		sw.Totals.CrossCallNodeHits+sw.Totals.CrossCallEdgeHits+sw.Totals.CrossCallTableHits)
+		sw.Totals.CrossCallNodeHits+sw.Totals.CrossCallEdgeHits+sw.Totals.CrossCallTableHits+sw.Totals.CrossCallPlanHits)
 	fmt.Printf("  scans:  individual entries_scanned %d, sweep entries_scanned %d\n",
 		coldScanned, sw.Totals.EntriesScanned)
 	if coldWork > 0 {

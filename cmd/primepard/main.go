@@ -89,8 +89,8 @@ func main() {
 			if fi, err := os.Stat(filepath.Join(*cacheDir, core.CacheFileName)); err == nil {
 				mb = float64(fi.Size()) / 1e6
 			}
-			fmt.Printf("primepard: loaded search cache from %s (%d node entries, %d edge matrices, %.1f MB in %v)\n",
-				*cacheDir, n, e, mb, took.Round(time.Millisecond))
+			fmt.Printf("primepard: loaded search cache from %s (%d node entries, %d edge matrices, %d plans, %.1f MB in %v)\n",
+				*cacheDir, n, e, cache.PlanEntries(), mb, took.Round(time.Millisecond))
 		}
 	}
 
@@ -148,6 +148,7 @@ func main() {
 			os.Exit(1)
 		}
 		n, e := cache.Sizes()
-		fmt.Printf("primepard: saved search cache to %s (%d node entries, %d edge matrices)\n", *cacheDir, n, e)
+		fmt.Printf("primepard: saved search cache to %s (%d node entries, %d edge matrices, %d plans)\n",
+			*cacheDir, n, e, cache.PlanEntries())
 	}
 }

@@ -250,6 +250,8 @@ type server struct {
 	// crossTableHits counts segment DP tables served whole from the cache
 	// (the delta re-planner's skipped frontier).
 	crossTableHits atomic.Int64
+	// crossPlanHits counts searches answered whole from the plan tier.
+	crossPlanHits atomic.Int64
 	// candsTotal mirrors SearchStats.CandsTotal: the candidates the
 	// searches' DPs ran over, after beam pruning.
 	candsTotal atomic.Int64
@@ -335,11 +337,13 @@ type statsResponse struct {
 	CrossCallNodeHits  int64          `json:"cross_call_node_hits"`
 	CrossCallEdgeHits  int64          `json:"cross_call_edge_hits"`
 	CrossCallTableHits int64          `json:"cross_call_table_hits"`
+	CrossCallPlanHits  int64          `json:"cross_call_plan_hits"`
 	CandsTotal         int64          `json:"cands_total"`
 	EntriesScanned     int64          `json:"entries_scanned"`
 	CacheNodes         int            `json:"cache_nodes"`
 	CacheEdges         int            `json:"cache_edges"`
 	CacheTables        int            `json:"cache_tables"`
+	CachePlans         int            `json:"cache_plans"`
 	CacheSaves         int64          `json:"cache_saves"`
 	CacheSaveErrors    int64          `json:"cache_save_errors"`
 	LastSaveUnix       int64          `json:"last_save_unix,omitempty"`
@@ -363,11 +367,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CrossCallNodeHits:  s.crossNodeHits.Load(),
 		CrossCallEdgeHits:  s.crossEdgeHits.Load(),
 		CrossCallTableHits: s.crossTableHits.Load(),
+		CrossCallPlanHits:  s.crossPlanHits.Load(),
 		CandsTotal:         s.candsTotal.Load(),
 		EntriesScanned:     s.entriesScanned.Load(),
 		CacheNodes:         nodes,
 		CacheEdges:         edges,
 		CacheTables:        s.cache.TableEntries(),
+		CachePlans:         s.cache.PlanEntries(),
 		CacheSaves:         s.saves.Load(),
 		CacheSaveErrors:    s.saveErrors.Load(),
 		LastSaveUnix:       s.lastSaveUnix.Load(),
@@ -417,6 +423,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.crossNodeHits.Add(int64(resp.Stats.CrossCallNodeHits))
 	s.crossEdgeHits.Add(int64(resp.Stats.CrossCallEdgeHits))
 	s.crossTableHits.Add(int64(resp.Stats.CrossCallTableHits))
+	s.crossPlanHits.Add(int64(resp.Stats.CrossCallPlanHits))
 	s.candsTotal.Add(int64(resp.Stats.CandsTotal))
 	s.entriesScanned.Add(resp.Stats.EntriesScanned)
 	writeJSON(w, http.StatusOK, resp)

@@ -64,7 +64,7 @@ func postPlan(t *testing.T, ts *httptest.Server, req PlanRequest) planOutcome {
 
 // TestPlanColdThenWarm is the service's core contract: the first request
 // searches, an identical repeat is served entirely from the shared cache
-// (zero node/edge work, nonzero cross-call hits) with an identical digest.
+// (zero node/edge/DP work, node and plan hits) with an identical digest.
 func TestPlanColdThenWarm(t *testing.T) {
 	s := newTestServer(t, "", noAdmission)
 	ts := httptest.NewServer(s.handler())
@@ -91,8 +91,9 @@ func TestPlanColdThenWarm(t *testing.T) {
 		t.Fatalf("warm plan recomputed: %d node evals, %d edge builds",
 			warm.resp.Stats.NodeEvals, warm.resp.Stats.EdgeMatsBuilt)
 	}
-	if warm.resp.Stats.CrossCallNodeHits == 0 || warm.resp.Stats.CrossCallEdgeHits == 0 {
-		t.Fatalf("warm plan reports no cross-call hits: %+v", warm.resp.Stats)
+	if warm.resp.Stats.CrossCallNodeHits == 0 || warm.resp.Stats.CrossCallPlanHits != 1 ||
+		warm.resp.Stats.EntriesScanned != 0 {
+		t.Fatalf("warm plan not served from the node and plan tiers: %+v", warm.resp.Stats)
 	}
 	if warm.resp.Digest != cold.resp.Digest || warm.resp.TotalCost != cold.resp.TotalCost {
 		t.Fatalf("warm plan diverged: digest %s vs %s, total %v vs %v",
@@ -101,7 +102,8 @@ func TestPlanColdThenWarm(t *testing.T) {
 
 	// /v1/stats reflects both requests and the warm hits.
 	st := getStats(t, ts)
-	if st.PlansServed != 2 || st.CrossCallNodeHits == 0 || st.CacheNodes == 0 || st.CacheEdges == 0 {
+	if st.PlansServed != 2 || st.CrossCallNodeHits == 0 || st.CacheNodes == 0 || st.CacheEdges == 0 ||
+		st.CachePlans != 1 || st.CrossCallPlanHits != 1 {
 		t.Fatalf("stats inconsistent after cold+warm: %+v", st)
 	}
 	if st.WarmServed != 1 {
@@ -182,8 +184,8 @@ func TestPlanCancelledContext(t *testing.T) {
 	if aerr == nil || aerr.status != 499 || aerr.code != "client_closed" {
 		t.Fatalf("aerr = %+v, want 499 client_closed", aerr)
 	}
-	if n, e := s.cache.Sizes(); n != 0 || e != 0 {
-		t.Fatalf("cancelled plan published %d nodes, %d edges", n, e)
+	if n, e := s.cache.Sizes(); n != 0 || e != 0 || s.cache.PlanEntries() != 0 {
+		t.Fatalf("cancelled plan published %d nodes, %d edges, %d plans", n, e, s.cache.PlanEntries())
 	}
 	// And the cache is usable afterwards.
 	resp, aerr := s.plan(context.Background(), &PlanRequest{Model: "OPT-6.7B", Devices: 4})

@@ -77,6 +77,7 @@ type SweepTotals struct {
 	CrossCallNodeHits  int64 `json:"cross_call_node_hits"`
 	CrossCallEdgeHits  int64 `json:"cross_call_edge_hits"`
 	CrossCallTableHits int64 `json:"cross_call_table_hits"`
+	CrossCallPlanHits  int64 `json:"cross_call_plan_hits"`
 	// EntriesScanned was min_plus_scanned before the bound-pruning rename.
 	EntriesScanned int64 `json:"entries_scanned"`
 	CandsTotal     int64 `json:"cands_total"`
@@ -89,6 +90,7 @@ func (t *SweepTotals) add(s core.SearchStats) {
 	t.CrossCallNodeHits += int64(s.CrossCallNodeHits)
 	t.CrossCallEdgeHits += int64(s.CrossCallEdgeHits)
 	t.CrossCallTableHits += int64(s.CrossCallTableHits)
+	t.CrossCallPlanHits += int64(s.CrossCallPlanHits)
 	t.EntriesScanned += s.EntriesScanned
 	t.CandsTotal += int64(s.CandsTotal)
 }
@@ -186,6 +188,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.crossNodeHits.Add(resp.Totals.CrossCallNodeHits)
 	s.crossEdgeHits.Add(resp.Totals.CrossCallEdgeHits)
 	s.crossTableHits.Add(resp.Totals.CrossCallTableHits)
+	s.crossPlanHits.Add(resp.Totals.CrossCallPlanHits)
 	s.candsTotal.Add(resp.Totals.CandsTotal)
 	s.entriesScanned.Add(resp.Totals.EntriesScanned)
 	writeJSON(w, http.StatusOK, resp)

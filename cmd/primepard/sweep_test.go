@@ -180,8 +180,8 @@ func TestSweepSharesAcrossPoints(t *testing.T) {
 	if tot.NodeEvals != 0 || tot.EdgeMatsBuilt != 0 || tot.SegTablesBuilt != 0 {
 		t.Errorf("repeat sweep did work: %+v", tot)
 	}
-	if tot.CrossCallTableHits == 0 {
-		t.Errorf("repeat sweep missed the table tier: %+v", tot)
+	if tot.CrossCallPlanHits != 3 || tot.EntriesScanned != 0 {
+		t.Errorf("repeat sweep missed the plan tier: %+v", tot)
 	}
 	for i := range again.resp.Results {
 		if again.resp.Results[i].Plan.Digest != r[i].Plan.Digest {
@@ -302,6 +302,9 @@ func TestSweepCancellation(t *testing.T) {
 	_, aerr = s.sweep(dctx, &req)
 	if aerr == nil || aerr.status != http.StatusGatewayTimeout || aerr.code != "deadline_exceeded" {
 		t.Fatalf("expired sweep: %+v, want 504 deadline_exceeded", aerr)
+	}
+	if n := s.cache.PlanEntries(); n != 0 {
+		t.Fatalf("cancelled sweeps published %d plans", n)
 	}
 
 	// The server still serves a normal sweep afterwards.

@@ -1,8 +1,9 @@
-// Cross-call search cache: node evaluations, edge matrices and (delta.go)
-// whole segment DP tables persist ACROSS Plan calls, so a sweep that
-// revisits the same model structure — other experiments, other α values,
-// repeated scales — pays the quadratic stages once and re-runs the DP only
-// over its changed frontier. The within-call signature memo (dp.go) dedups
+// Cross-call search cache: node evaluations, edge matrices, whole segment DP
+// tables (delta.go) and finished answers (plancache.go) persist ACROSS Plan
+// calls, so a sweep that revisits the same model structure — other
+// experiments, other α values, repeated scales — pays the quadratic stages
+// once and re-runs the DP only over its changed frontier, and an identical
+// repeat runs no DP at all. The within-call signature memo (dp.go) dedups
 // work inside one search; this cache dedups work between searches.
 //
 // Keys are exact byte encodings, like sig.go's: an environment prefix (every
@@ -58,9 +59,9 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 	return &nodeCands{seqs: e.seqs, intra: e.intra, total: total, out: e.out, in: e.in}
 }
 
-// SearchCache carries node evaluations, edge matrices and segment DP tables
-// across Plan calls. Safe for concurrent use; all cached values are
-// read-only.
+// SearchCache carries node evaluations, edge matrices, segment DP tables and
+// finished plans across Plan calls. Safe for concurrent use; all cached
+// values are read-only.
 type SearchCache struct {
 	mu        sync.Mutex
 	nodes     map[string]*nodeEntry
@@ -72,12 +73,17 @@ type SearchCache struct {
 	edgeCellCap int64
 	// tables is the third tier (delta.go): whole segment DP tables, keyed
 	// by environment + α + beam + segment structure. In-memory only — the
-	// disk cache (diskcache.go) persists nodes and edges; tables rebuild
-	// from them in one DP pass.
+	// disk cache (diskcache.go) persists nodes, edges and plans; tables
+	// rebuild from them in one DP pass.
 	tables     map[string]*table
 	tableCells int64
 	// tableCellCap mirrors edgeCellCap for the table tier.
 	tableCellCap int64
+	// plans is the fourth tier (plancache.go): finished answers, keyed by
+	// environment + whole graph + layer count; planCells counts their
+	// candidate indices against maxCachedPlanCells.
+	plans     map[string]*cachedPlan
+	planCells int64
 }
 
 // NewSearchCache returns an empty cross-call cache.
@@ -88,6 +94,7 @@ func NewSearchCache() *SearchCache {
 		edgeCellCap:  maxCachedEdgeCells,
 		tables:       make(map[string]*table),
 		tableCellCap: maxCachedTableCells,
+		plans:        make(map[string]*cachedPlan),
 	}
 }
 
@@ -117,6 +124,8 @@ func (c *SearchCache) Reset() {
 	c.edgeCells = 0
 	c.tables = make(map[string]*table)
 	c.tableCells = 0
+	c.plans = make(map[string]*cachedPlan)
+	c.planCells = 0
 }
 
 func (c *SearchCache) getNode(key string) *nodeEntry {

@@ -2,11 +2,12 @@
 // segment DP tables, so a request differing from a cached one by a single
 // dimension re-runs the DP only over its changed frontier:
 //
-//   - identical repeat          → every segment table hits; only the
-//     cross-segment merges, layer stacking and reconstruction re-run;
+//   - identical repeat          → a plan hit (plancache.go): the answer is
+//     served after the node pass, and no table is even looked up;
 //   - α shift                   → node/edge entries hit (α-factored), but
 //     table keys fold α, so tables rebuild from cached inputs;
-//   - layer-count change        → all tables hit; only stacking re-runs;
+//   - layer-count change        → all tables hit; the cross-segment merges
+//     and stacking re-run;
 //   - one graph edit            → only segments containing the edited op
 //     (or edge) miss; untouched segments are served whole;
 //   - device count / profile    → the environment prefix changes, so every
@@ -21,8 +22,8 @@
 // signature, because pruneBeam mirrors the tail's kept set onto zero-cost
 // anchors. Tables are published only after the whole segment loop completes,
 // so a cancelled search never leaves partial DP state behind; they live in
-// memory only (the disk cache persists nodes and edges; tables rebuild from
-// them in one DP pass).
+// memory only (the disk cache persists nodes, edges and plans; tables
+// rebuild from nodes and edges in one DP pass).
 package core
 
 import (
@@ -107,6 +108,12 @@ func (c *SearchCache) TableEntries() int {
 // signatures already cover the tensor shapes).
 func (o *Optimizer) appendTableCrossKey(b []byte, g *graph.Graph, a, bEnd int) []byte {
 	b = append(b, 'T')
+	return o.appendSegmentSig(b, g, a, bEnd)
+}
+
+// appendSegmentSig appends what appendTableCrossKey folds after its tag; the
+// plan tier (plancache.go) reuses it over the whole graph.
+func (o *Optimizer) appendSegmentSig(b []byte, g *graph.Graph, a, bEnd int) []byte {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
 	b = binary.AppendVarint(b, int64(o.Opts.Beam))
 	if o.Opts.Beam > 0 {

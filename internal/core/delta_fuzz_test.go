@@ -7,7 +7,8 @@
 // SerialUncached cold plan of the perturbed request. Per-dimension reuse
 // assertions pin the frontier matrix: an α shift must not re-evaluate nodes,
 // a layer change must not rebuild tables, an appended op must hit the
-// signature memo.
+// signature memo. The perturbed request is then replayed once more: the
+// identical repeat must be a plan hit, still bit-identical to the reference.
 package core
 
 import (
@@ -167,6 +168,13 @@ func FuzzDeltaPlanEquivalence(f *testing.F) {
 		cold := deltaPlan(t, pert, nil)
 		sameStrategy(t, "delta-vs-cold", delta, cold)
 
+		again := deltaPlan(t, pert, shared)
+		sameStrategy(t, "plan-hit-vs-cold", again, cold)
+		if s := again.Stats; s.CrossCallPlanHits != 1 || s.SegTablesBuilt != 0 || s.EntriesScanned != 0 ||
+			s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 {
+			t.Errorf("identical repeat missed the plan tier: %+v", s)
+		}
+
 		s := delta.Stats
 		switch dim {
 		case deltaDimAlpha:
@@ -182,7 +190,8 @@ func FuzzDeltaPlanEquivalence(f *testing.F) {
 				t.Errorf("α shift must rebuild every table: %+v", s)
 			}
 		case deltaDimLayers:
-			// A layer change reuses every tier; only stacking re-runs.
+			// A layer change misses only the plan tier: every segment
+			// table hits; the cross-segment merges and stacking re-run.
 			if s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 {
 				t.Errorf("layer change re-ran quadratic stages: %+v", s)
 			}

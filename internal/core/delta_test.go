@@ -61,9 +61,9 @@ func planWith(t *testing.T, g *graph.Graph, layers, devices int, alpha float64, 
 }
 
 // TestDeltaRePlanColdThenWarm pins the table tier end to end on a real
-// transformer block: a repeat request must rebuild NO segment tables, serve
-// every segment from the cross-call cache, do strictly less min-plus work,
-// and return a bit-identical strategy.
+// transformer block: a repeat request (with the plan tier above it dropped)
+// must rebuild NO segment tables, serve every segment from the cross-call
+// cache, do strictly less min-plus work, and return a bit-identical strategy.
 func TestDeltaRePlanColdThenWarm(t *testing.T) {
 	shared := NewSearchCache()
 	cfg := model.OPT6B7()
@@ -78,6 +78,7 @@ func TestDeltaRePlanColdThenWarm(t *testing.T) {
 	if cold.Stats.CrossCallTableHits != 0 {
 		t.Fatalf("cold run reported table hits: %+v", cold.Stats)
 	}
+	shared.dropPlans()
 	warm := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
 	sameStrategy(t, "table-warm", warm, cold)
 	if warm.Stats.SegTablesBuilt != 0 {
@@ -167,7 +168,8 @@ func TestDeltaRePlanGraphEditFrontier(t *testing.T) {
 
 // TestTableCacheCapFlush exercises the table tier's epoch flush: with a
 // one-cell cap every insert flushes its predecessors, so a warm re-plan
-// rebuilds at least one segment — and still returns the identical strategy.
+// (with the plan tier dropped) rebuilds at least one segment — and still
+// returns the identical strategy.
 func TestTableCacheCapFlush(t *testing.T) {
 	cache := NewSearchCache()
 	cache.tableCellCap = 1
@@ -176,6 +178,7 @@ func TestTableCacheCapFlush(t *testing.T) {
 	if n := cache.TableEntries(); n > 1 {
 		t.Errorf("cap 1 retained %d tables", n)
 	}
+	cache.dropPlans()
 	warm := planWith(t, g, 2, 8, 1e-12, cache)
 	if warm.Stats.SegTablesBuilt == 0 {
 		t.Errorf("flushed cache served every table: %+v", warm.Stats)

@@ -1,6 +1,7 @@
-// Disk persistence for SearchCache: a sweep's node evaluations and edge
-// matrices survive process restarts, so a warm rerun of table2 (or any other
-// experiment) skips both quadratic stages entirely. The format is a single
+// Disk persistence for SearchCache: a sweep's node evaluations, edge
+// matrices and finished plans survive process restarts, so a warm rerun of
+// table2 (or any other experiment) skips both quadratic stages entirely, and
+// its identical repeats skip the DP too. The format is a single
 // versioned binary file ("PPSC") whose payload is covered by a SHA-256
 // digest; any mismatch — truncation, corruption, a format bump — makes Load
 // return an error and the caller falls back to a cold cache. Writes go
@@ -11,20 +12,22 @@
 // already encode every input a cached value depends on — cluster, cost
 // model, options, structural signatures. A persisted entry therefore hits
 // only under the configuration that produced it, and a hit is bit-identical
-// to recomputing: the same seqs, Intra breakdowns, interfaces and matrix
-// cells flow into the same downstream arithmetic.
+// to recomputing: the same seqs, Intra breakdowns, interfaces, matrix cells
+// and plan choices flow into the same downstream arithmetic.
 //
-// File layout (v7):
+// File layout (v8):
 //
 //	"PPSC" · uvarint version · sha256(payload) · payload
 //
-//	payload    = ifaces · nodes · edges
+//	payload    = ifaces · nodes · edges · plans
 //	ifaces     = uvarint n · n × (uvarint NumAxes · floats Fwd · floats Bwd · floats Width)
 //	nodes      = uvarint n · n × (bytes key · uvarint k · k × seq · k × Intra ·
 //	             k × uvarint out ref · k × uvarint in ref)
 //	edges      = uvarint n · n × (bytes key · uvarint nr · uvarint nc ·
 //	             uvarint len · len × uvarint row group · uvarint len · len × uvarint col group ·
 //	             cells(nr·nc))
+//	plans      = uvarint n · n × (bytes key · uvarint k · k × uvarint candidate index ·
+//	             float64 LayerCost · float64 TotalCost)
 //	cells(m)   = uvarint d · d × float64 · m × uvarint index into those d values
 //	seq        = uvarint t · t × (kind byte · varint Dim · uvarint K · varint MDim ·
 //	             varint NDim · varint KDim)
@@ -43,7 +46,9 @@
 // Every declared length is checked against the unread payload before
 // anything is allocated for it, and every reference and index against the
 // table it points into, so a file that passes the digest but was not written
-// by Save still yields an error rather than a panic.
+// by Save still yields an error rather than a panic. Plan candidate indices
+// point into candidate spaces the file does not hold; the search
+// bounds-checks them on every use (plancache.go).
 package core
 
 import (
@@ -79,8 +84,10 @@ const diskCacheMagic = "PPSC"
 // pre-filter was deleted; a v5 edge key parsed under the v6 layout could
 // name a different edge. v7: the overlaps section is gone with the
 // cross-scale overlap tier; a v6 file's overlaps would read as trailing
-// bytes.
-const diskCacheVersion = 7
+// bytes. v8: a plans section persists the plan tier, so a restarted daemon
+// answers each cell's first identical repeat without rebuilding its segment
+// tables.
+const diskCacheVersion = 8
 
 // CacheFileName is the file Save writes inside a cache directory.
 const CacheFileName = "searchcache.ppsc"
@@ -98,9 +105,13 @@ func (c *SearchCache) Save(dir string) error {
 	for k, v := range c.edges {
 		edges[k] = v
 	}
+	plans := make(map[string]*cachedPlan, len(c.plans))
+	for k, v := range c.plans {
+		plans[k] = v
+	}
 	c.mu.Unlock()
 
-	payload := encodeCachePayload(nodes, edges)
+	payload := encodeCachePayload(nodes, edges, plans)
 	sum := sha256.Sum256(payload)
 	header := append([]byte(diskCacheMagic), binary.AppendUvarint(nil, diskCacheVersion)...)
 	header = append(header, sum[:]...)
@@ -162,7 +173,7 @@ func (c *SearchCache) Load(dir string) error {
 	if sum := sha256.Sum256(payload); string(sum[:]) != string(want) {
 		return errors.New("diskcache: digest mismatch")
 	}
-	nodes, edges, err := decodeCachePayload(payload)
+	nodes, edges, plans, err := decodeCachePayload(payload)
 	if err != nil {
 		return err
 	}
@@ -180,6 +191,9 @@ func (c *SearchCache) Load(dir string) error {
 	// which entries survive a flush deterministic.
 	for _, k := range sortedKeys(edges) {
 		c.insertEdgeLocked(k, edges[k])
+	}
+	for _, k := range sortedKeys(plans) {
+		c.insertPlanLocked(k, plans[k])
 	}
 	return nil
 }
@@ -202,7 +216,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // encodeCachePayload serializes the maps in sorted key order, so equal
 // caches produce byte-equal files.
-func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat) []byte {
+func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat, plans map[string]*cachedPlan) []byte {
 	nodeKeys := sortedKeys(nodes)
 
 	// The interface table: one row per distinct content, in first-use
@@ -247,10 +261,16 @@ func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat) 
 		b = appendBytes(b, []byte(k))
 		b = appendEdgeMat(b, edges[k], &cc)
 	}
+	planKeys := sortedKeys(plans)
+	b = binary.AppendUvarint(b, uint64(len(planKeys)))
+	for _, k := range planKeys {
+		b = appendBytes(b, []byte(k))
+		b = appendPlan(b, plans[k])
+	}
 	return b
 }
 
-func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeMat, error) {
+func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeMat, map[string]*cachedPlan, error) {
 	r := &cacheReader{b: b}
 	table := r.ifaceTable()
 	// Each count is bounded by the smallest record it can declare: a node
@@ -268,13 +288,20 @@ func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeMat, e
 		key := string(r.bytes())
 		edges[key] = r.edgeMat()
 	}
+	// A plan is at least a key length, an index count and two floats.
+	nPlans := r.count(2 + 2*8)
+	plans := make(map[string]*cachedPlan)
+	for i := 0; i < nPlans && r.err == nil; i++ {
+		key := string(r.bytes())
+		plans[key] = r.plan()
+	}
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, nil, nil, r.err
 	}
 	if len(r.b) != 0 {
-		return nil, nil, errors.New("diskcache: trailing bytes")
+		return nil, nil, nil, errors.New("diskcache: trailing bytes")
 	}
-	return nodes, edges, nil
+	return nodes, edges, plans, nil
 }
 
 func appendBytes(b, s []byte) []byte {
@@ -335,6 +362,15 @@ func appendEdgeMat(b []byte, m *edgeMat, cc *cellCoder) []byte {
 		}
 	}
 	return cc.append(b, m.vals)
+}
+
+func appendPlan(b []byte, p *cachedPlan) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p.idx)))
+	for _, ix := range p.idx {
+		b = binary.AppendUvarint(b, uint64(ix))
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.layerCost))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.totalCost))
 }
 
 // cellCoder dictionary-codes float64 cells, keeping its scratch across
@@ -601,6 +637,25 @@ func (r *cacheReader) edgeMat() *edgeMat {
 		return nil
 	}
 	return m
+}
+
+// plan reads one plan entry. Its indices must fit an int32; whether they fit
+// a candidate space is checked where the plan is used.
+func (r *cacheReader) plan() *cachedPlan {
+	p := &cachedPlan{idx: make([]int32, r.count(1))}
+	for i := range p.idx {
+		ix := r.uvarint()
+		if ix > math.MaxInt32 {
+			r.fail("plan index out of range")
+			return nil
+		}
+		p.idx[i] = int32(ix)
+	}
+	p.layerCost, p.totalCost = r.float(), r.float()
+	if r.err != nil {
+		return nil
+	}
+	return p
 }
 
 // groupIDs reads a candidate → group map whose ids must index one of the

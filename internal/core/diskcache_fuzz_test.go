@@ -22,8 +22,9 @@ const maxLoadAllocPerByte = 128
 // version and SHA-256, the bytes a file can carry past every header check.
 // Load must return without panicking, allocate at most a fixed multiple of
 // the file's size, and leave the cache empty whenever it reports an error.
-// The checked-in corpus holds payloads that declare lengths of 2^61–2^62,
-// out-of-range cell indices and interface references, and a real payload.
+// The checked-in corpus holds payloads that declare lengths of 2^61–2^62
+// (plans and plan indices included), out-of-range cell indices, interface
+// references and plan indices, and a real payload.
 func FuzzDiskCacheLoad(f *testing.F) {
 	f.Add(smallCachePayload(f))
 	dir := f.TempDir()
@@ -44,8 +45,8 @@ func FuzzDiskCacheLoad(f *testing.F) {
 		if err == nil {
 			return
 		}
-		if n, e := c.Sizes(); n != 0 || e != 0 {
-			t.Fatalf("failed Load (%v) left %d nodes, %d edges", err, n, e)
+		if n, e := c.Sizes(); n != 0 || e != 0 || c.PlanEntries() != 0 {
+			t.Fatalf("failed Load (%v) left %d nodes, %d edges, %d plans", err, n, e, c.PlanEntries())
 		}
 	})
 }
@@ -63,5 +64,5 @@ func smallCachePayload(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	c := o.Cache
-	return encodeCachePayload(c.nodes, c.edges)
+	return encodeCachePayload(c.nodes, c.edges, c.plans)
 }

@@ -69,12 +69,20 @@ func intraBits(ic cost.Intra) []float64 {
 	return []float64{ic.Compute, ic.RingTotal, ic.StepSum, ic.AllReduce, ic.MemoryBytes}
 }
 
-// sameCacheContents fails unless got holds exactly want's node entries and
-// edge matrices, every float compared bit for bit.
+// sameCacheContents fails unless got holds exactly want's node entries, edge
+// matrices and plans, every float compared bit for bit.
 func sameCacheContents(t *testing.T, got, want *SearchCache) {
 	t.Helper()
-	if len(got.nodes) != len(want.nodes) || len(got.edges) != len(want.edges) {
-		t.Fatalf("got %d nodes, %d edges; want %d, %d", len(got.nodes), len(got.edges), len(want.nodes), len(want.edges))
+	if len(got.nodes) != len(want.nodes) || len(got.edges) != len(want.edges) || len(got.plans) != len(want.plans) {
+		t.Fatalf("got %d nodes, %d edges, %d plans; want %d, %d, %d", len(got.nodes), len(got.edges), len(got.plans),
+			len(want.nodes), len(want.edges), len(want.plans))
+	}
+	for k, w := range want.plans {
+		g := got.plans[k]
+		if g == nil || !slices.Equal(g.idx, w.idx) ||
+			!sameFloatBits([]float64{g.layerCost, g.totalCost}, []float64{w.layerCost, w.totalCost}) {
+			t.Fatalf("plan %.16x: entry differs", k)
+		}
 	}
 	for k, w := range want.nodes {
 		g := got.nodes[k]
@@ -106,8 +114,8 @@ func sameCacheContents(t *testing.T, got, want *SearchCache) {
 func TestDiskCacheRoundTrip(t *testing.T) {
 	c, want := warmCache(t)
 	nodes, edges := c.Sizes()
-	if nodes == 0 || edges == 0 {
-		t.Fatalf("warm cache is empty: %d nodes, %d edges", nodes, edges)
+	if nodes == 0 || edges == 0 || c.PlanEntries() != 1 {
+		t.Fatalf("warm cache is empty: %d nodes, %d edges, %d plans", nodes, edges, c.PlanEntries())
 	}
 	dir := t.TempDir()
 	if err := c.Save(dir); err != nil {
@@ -120,8 +128,10 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 	sameCacheContents(t, loaded, c)
 
-	// A search against the loaded cache must be fully warm — zero node
-	// evaluations and edge builds — and reproduce the strategy bit-for-bit.
+	// A search against the loaded cache must be a plan hit — zero node
+	// evaluations, edge builds and DP work — and reproduce the strategy
+	// bit-for-bit. With the plan tier dropped, the loaded node and edge
+	// tiers must serve the same search.
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +144,17 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s := got.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.SegTablesBuilt != 0 ||
+		s.CrossCallNodeHits == 0 || s.CrossCallPlanHits != 1 {
+		t.Fatalf("loaded cache did not serve a plan hit: %+v", s)
+	}
+	sameStrategy(t, "disk-round-trip", got, want)
+
+	loaded.dropPlans()
+	got, err = o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Stats.NodeEvals != 0 || got.Stats.EdgeMatsBuilt != 0 {
 		t.Fatalf("loaded cache was not warm: %d node evals, %d edge builds",
 			got.Stats.NodeEvals, got.Stats.EdgeMatsBuilt)
@@ -141,7 +162,58 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if got.Stats.CrossCallNodeHits == 0 || got.Stats.CrossCallEdgeHits == 0 {
 		t.Fatalf("no cross-call hits against the loaded cache: %+v", got.Stats)
 	}
-	sameStrategy(t, "disk-round-trip", got, want)
+	sameStrategy(t, "disk-round-trip-no-plans", got, want)
+}
+
+// TestDiskCachePlanIndexOutOfRange: Load cannot check plan indices against
+// candidate spaces, so a digest-valid file whose plan names a candidate past
+// its node's space, or the wrong number of nodes, loads fine — and the
+// search must treat the entry as a miss and return the cold answer, never
+// panic.
+func TestDiskCachePlanIndexOutOfRange(t *testing.T) {
+	for name, damage := range map[string]func(p *cachedPlan){
+		"index past space": func(p *cachedPlan) { p.idx[len(p.idx)-1] = math.MaxInt32 },
+		"too few indices":  func(p *cachedPlan) { p.idx = p.idx[:len(p.idx)-1] },
+		"too many indices": func(p *cachedPlan) { p.idx = append(p.idx, 0) },
+	} {
+		c, want := warmCache(t)
+		for k, p := range c.plans {
+			bad := &cachedPlan{idx: slices.Clone(p.idx), layerCost: -1, totalCost: -1}
+			damage(bad)
+			c.plans[k] = bad
+		}
+		dir := t.TempDir()
+		if err := c.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded := NewSearchCache()
+		if err := loaded.Load(dir); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		g, err := model.BuildBlock(model.OPT175B())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := cost.NewModel(device.MustCluster(4, 4, device.V100Profile()))
+		m.Alpha = 1e-12
+		o := NewOptimizer(m)
+		o.Cache = loaded
+		est, err := o.EstimatePlan(PlanRequest{Graph: g, Layers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.PlanHit {
+			t.Errorf("%s: estimator promised a plan hit on an entry that does not fit", name)
+		}
+		got, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Stats.CrossCallPlanHits != 0 || got.Stats.CrossCallTableHits != 0 || got.Stats.SegTablesBuilt == 0 {
+			t.Errorf("%s: out-of-range plan was served: %+v", name, got.Stats)
+		}
+		sameStrategy(t, name, got, want)
+	}
 }
 
 // TestDiskCacheReproducibleBytes pins the sorted-key encoding: saving the
@@ -239,10 +311,10 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 			return out
 		},
 		"trailing garbage": func(b []byte) []byte { return append(bytes.Clone(b), 0xAB) },
-		// An intact v6-era header: the digest still matches the payload,
+		// An intact v7-era header: the digest still matches the payload,
 		// so only the version check can refuse it.
 		"wrong version": func(b []byte) []byte {
-			return ppscFile(6, b[len(diskCacheMagic)+1+sha256.Size:])
+			return ppscFile(7, b[len(diskCacheMagic)+1+sha256.Size:])
 		},
 	}
 	for name, f := range damage {
@@ -253,8 +325,8 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 		if err := fresh.Load(dir); err == nil {
 			t.Errorf("%s: Load accepted a damaged file", name)
 		}
-		if n, e := fresh.Sizes(); n != 0 || e != 0 {
-			t.Errorf("%s: damaged load left %d nodes, %d edges in the cache", name, n, e)
+		if n, e := fresh.Sizes(); n != 0 || e != 0 || fresh.PlanEntries() != 0 {
+			t.Errorf("%s: damaged load left %d nodes, %d edges, %d plans in the cache", name, n, e, fresh.PlanEntries())
 		}
 	}
 

@@ -71,3 +71,32 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 	}
 	b.ReportMetric(float64(cells), "cells/op")
 }
+
+// BenchmarkPlanWarmRepeat repeats one OPT-175B block search at 16 devices
+// on a warm cache: every iteration is an identical repeat, answered by the
+// plan tier after the node pass, so ns/op pins the cost of a warm /v1/plan
+// search — node lookups, beam bookkeeping and the plan probe.
+func BenchmarkPlanWarmRepeat(b *testing.B) {
+	cfg := model.OPT175B()
+	g, err := model.BuildBlock(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := NewOptimizer(cost.NewModel(device.MustCluster(16, 4, device.V100Profile())))
+	o.Cache = NewSearchCache()
+	req := PlanRequest{Graph: g, Layers: cfg.Layers}
+	if _, err := o.Plan(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		strat, err := o.Plan(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if strat.Stats.CrossCallPlanHits != 1 {
+			b.Fatalf("iteration was not a plan hit: %+v", strat.Stats)
+		}
+	}
+}

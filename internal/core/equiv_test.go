@@ -64,6 +64,7 @@ func TestSearchEquivalenceSerialUncached(t *testing.T) {
 			m.Alpha = 1e-12
 			fast := NewOptimizer(m)
 			fast.Opts.Parallelism = 4
+			fast.Cache = NewSearchCache() // a cold search, whatever ran before
 			got, err := fast.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				t.Fatalf("%s@%d fast: %v", cfg.Name, scale, err)

@@ -7,13 +7,14 @@
 //
 // Soundness rests on key fidelity: the estimator probes the cache with the
 // SAME byte keys the search computes — appendEnvSig + appendNodeCrossKey for
-// node slots, appendEnvSig + appendEdgeCrossKey for edge matrices, and
-// appendEnvSig + appendTableCrossKey for whole segment DP tables, after the
-// same within-call signature dedup (sigInterner / edgeKeyOf). A request the
-// estimator calls Warm therefore hits on every node evaluation and edge
-// matrix when it actually runs. The reverse is conservative by design: a
-// cache flush between estimate and search only makes the search slower than
-// promised, never the estimate stale-warm forever.
+// node slots, appendEnvSig + appendPlanCrossKey for the finished answer,
+// appendEnvSig + appendEdgeCrossKey for edge matrices, and appendEnvSig +
+// appendTableCrossKey for whole segment DP tables, after the same within-call
+// signature dedup (sigInterner / edgeKeyOf). A request the estimator calls
+// Warm therefore hits on every node evaluation and edge matrix when it
+// actually runs, and a PlanHit is a plan hit. The reverse is conservative by
+// design: a cache flush between estimate and search only makes the search
+// slower than promised, never the estimate stale-warm forever.
 package core
 
 import (
@@ -31,13 +32,20 @@ const estCandidateUnit = 64.0
 type SearchEstimate struct {
 	// Work is the predicted search work in abstract units (candidate
 	// evaluations, edge cells and DP scans on a common scale). It is never
-	// zero: even a fully warm request runs the DP over cached tables.
+	// zero: a plan hit still looks up every node, and a table-warm request
+	// still runs the cross-segment merges and stacking.
 	Work float64
 	// Warm reports that every unique node evaluation and edge matrix the
 	// search will ask for is already in the cross-call cache, so the
-	// quadratic stages cost nothing. Always false when the configuration
-	// bypasses the cache (DisableCache, calibration Book, nil Cache).
+	// quadratic stages cost nothing. A plan hit asks for no edge matrix, so
+	// it is Warm whenever its nodes are cached. Always false when the
+	// configuration bypasses the cache (DisableCache, calibration Book, nil
+	// Cache).
 	Warm bool
+	// PlanHit reports that the finished answer is in the plan tier
+	// (plancache.go): the search will run the node pass only, and the edge
+	// and DP counts below stay zero.
+	PlanHit bool
 	// NodeEvals / CandidatesEvaluated count the uncached unique node slots
 	// and the candidate evaluations they imply.
 	NodeEvals           int
@@ -144,6 +152,25 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		}
 		return n
 	}
+	cuts := g.SegmentCuts()
+	est.SegTables = len(cuts) - 1
+
+	// Plan tier: the same key and bounds check as searchOnce, so a PlanHit
+	// promise holds against an unchanged cache. Work drops to one unit per
+	// node lookup on top of any node evaluations.
+	if ccache != nil {
+		if e := ccache.getPlan(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
+			sizes := make([]int, len(g.Nodes))
+			for i := range sizes {
+				sizes[i] = eff(i)
+			}
+			if e.fits(sizes) {
+				est.PlanHit = true
+				est.Work = estCandidateUnit*float64(est.CandidatesEvaluated) + float64(len(g.Nodes))
+				return est, nil
+			}
+		}
+	}
 
 	// Edge pass: the same edgeKeyOf dedup as searchOnce, then a cache probe
 	// per unique edge with the one cross key the search uses for that slot.
@@ -177,9 +204,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// argmin scan and the logarithmic stacking merges — those run cached or
 	// not, so even a fully table-warm request has nonzero Work.
 	dp := 0.0
-	cuts := g.SegmentCuts()
 	for s := 0; s+1 < len(cuts); s++ {
-		est.SegTables++
 		if ccache != nil {
 			key := string(o.appendTableCrossKey(envSig, g, cuts[s], cuts[s+1]))
 			if ccache.getTable(key) != nil {

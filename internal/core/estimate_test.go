@@ -22,9 +22,10 @@ func estimateOptimizer(t *testing.T, cache *SearchCache) *Optimizer {
 // TestEstimatePlanColdThenWarm pins the estimator's contract: a cold cache
 // predicts node and edge work — exactly the node evaluations and edge
 // builds the search then performs, with and without beam pruning; after one
-// real Plan call the SAME request must estimate Warm — and a Warm promise
-// must be sound (the search re-run does zero node evaluations and zero edge
-// builds).
+// real Plan call the SAME request must estimate a Warm plan hit — and the
+// promise must be sound (the search re-run does zero node evaluations, zero
+// edge builds and no DP). A plan hit stays Warm after the edge tier is
+// flushed, since it asks for no edge matrix.
 func TestEstimatePlanColdThenWarm(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
@@ -78,26 +79,58 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Warm {
-		t.Fatalf("repeat request not estimated Warm: %+v", warm)
+	if !warm.Warm || !warm.PlanHit {
+		t.Fatalf("repeat request not estimated a Warm plan hit: %+v", warm)
 	}
 	if warm.NodeEvals != 0 || warm.EdgeBuilds != 0 {
 		t.Fatalf("warm estimate still predicts cache misses: %+v", warm)
 	}
 	if warm.Work <= 0 {
-		t.Fatal("warm Work must stay positive (the DP still runs)")
+		t.Fatal("warm Work must stay positive (the node lookups still run)")
 	}
-	if warm.Work >= cold.Work {
-		t.Fatalf("warm Work %v not below cold Work %v", warm.Work, cold.Work)
+	if warm.Work != float64(len(g.Nodes)) {
+		t.Fatalf("plan-hit Work = %v, want the %d-node lookup floor", warm.Work, len(g.Nodes))
 	}
 
-	// Soundness: the promised-warm search really does no quadratic work.
-	strat, err := o.Plan(context.Background(), req)
+	// Soundness: the promised plan hit really does no quadratic or DP work.
+	checkHit := func(label string) {
+		t.Helper()
+		strat, err := o.Plan(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := strat.Stats
+		if s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.EntriesScanned != 0 || s.CrossCallPlanHits != 1 {
+			t.Fatalf("%s: plan-hit estimate was unsound: search did work %+v", label, s)
+		}
+	}
+	checkHit("warm")
+
+	// An edge-tier flush leaves the plan hit, and with it Warm, intact.
+	cache.mu.Lock()
+	cache.edges, cache.edgeCells = make(map[string]*edgeMat), 0
+	cache.mu.Unlock()
+	flushed, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat.Stats.NodeEvals != 0 || strat.Stats.EdgeMatsBuilt != 0 {
-		t.Fatalf("Warm estimate was unsound: search did work %+v", strat.Stats)
+	if !flushed.Warm || !flushed.PlanHit || flushed.Work != warm.Work {
+		t.Fatalf("plan hit after an edge flush not estimated Warm at the floor: %+v", flushed)
+	}
+	checkHit("edge-flushed")
+
+	// Without the plan tier the same request is table-warm but not Warm:
+	// the flushed edge matrices must be rebuilt.
+	cache.dropPlans()
+	tables, err := o.EstimatePlan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tables.Warm || tables.PlanHit || tables.EdgeBuilds == 0 {
+		t.Fatalf("edge-flushed request without its plan estimated warm: %+v", tables)
+	}
+	if tables.Work <= warm.Work || tables.Work >= cold.Work {
+		t.Fatalf("table-warm Work %v not between plan-hit %v and cold %v", tables.Work, warm.Work, cold.Work)
 	}
 }
 
@@ -178,8 +211,9 @@ func TestEstimatePlanBudgetProbesFirstBeam(t *testing.T) {
 // TestEstimateWarmAfterSweep pins the sweep→estimate contract the portfolio
 // endpoint relies on: after planning a scale curve (device counts, α values,
 // layer counts) against ONE shared cache, EVERY point must subsequently
-// estimate Warm with all segment tables hit — proving the estimator probes
-// with byte-identical keys to the ones the sweep's searches inserted — and a
+// estimate a Warm plan hit, and with the plan tier dropped, a Warm request
+// with all segment tables hit — proving the estimator probes with
+// byte-identical keys to the ones the sweep's searches inserted — and a
 // re-plan of any point must do zero node, edge or table work.
 func TestEstimateWarmAfterSweep(t *testing.T) {
 	cfg := model.OPT6B7()
@@ -215,7 +249,7 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The property: every swept point is now warm at every tier.
+	// Every swept point is now a plan hit.
 	for i, p := range points {
 		o := optFor(p)
 		req := PlanRequest{Graph: g, Layers: p.layers}
@@ -223,7 +257,27 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !est.Warm {
+		if !est.Warm || !est.PlanHit {
+			t.Errorf("point %d (%+v) not a Warm plan hit after sweep: %+v", i, p, est)
+		}
+		strat, err := o.Plan(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := strat.Stats; s.NodeEvals != 0 || s.CrossCallPlanHits != 1 || s.EntriesScanned != 0 {
+			t.Errorf("point %d re-plan missed the plan tier: %+v", i, s)
+		}
+	}
+	// Beneath the plan tier, every swept point is warm at every tier.
+	shared.dropPlans()
+	for i, p := range points {
+		o := optFor(p)
+		req := PlanRequest{Graph: g, Layers: p.layers}
+		est, err := o.EstimatePlan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !est.Warm || est.PlanHit {
 			t.Errorf("point %d (%+v) not Warm after sweep: %+v", i, p, est)
 		}
 		if est.NodeEvals != 0 || est.EdgeBuilds != 0 {

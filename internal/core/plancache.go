@@ -1,0 +1,94 @@
+// The plan tier: the fourth tier of the cross-call cache stores each
+// finished searchOnce answer, so an identical repeat runs no min-plus work at
+// all. A search is a pure function of the environment prefix, α, the beam
+// width, the whole layer graph and the layer count; the plan key folds
+// exactly those — the bytes appendTableCrossKey folds over the whole graph
+// [0, n-1], under its own tag, plus the layer count.
+//
+// An entry is the chosen post-beam candidate index per node plus the
+// LayerCost/TotalCost float bits. On a hit searchOnce still runs the node
+// pass and pruneBeam (both served by the node tier), which rebuilds the very
+// candidate lists the indices point into, then skips edge matrices, segment
+// tables, the cross-segment merges and stacking. The answer is bit-identical
+// because every reported value is either a stored bit pattern or read from
+// the same candidate lists the cold search reconstructed from.
+//
+// Entries are published only after a search completes, so a cancelled
+// search publishes nothing. Load cannot check indices against candidate
+// spaces, so every use bounds-checks them; an entry that does not fit the
+// graph it is looked up for counts as a miss.
+package core
+
+import (
+	"encoding/binary"
+
+	"repro/internal/graph"
+)
+
+// maxCachedPlanCells bounds the candidate indices retained by the plan tier
+// (~4 MB). Like the edge and table tiers, exceeding it flushes the map
+// wholesale.
+const maxCachedPlanCells = 1 << 20
+
+// cachedPlan is one finished search answer.
+type cachedPlan struct {
+	idx                  []int32 // post-beam candidate index per node
+	layerCost, totalCost float64
+}
+
+// fits reports whether e names one in-range candidate for every node, given
+// the post-beam space size of each.
+func (e *cachedPlan) fits(sizes []int) bool {
+	if len(e.idx) != len(sizes) {
+		return false
+	}
+	for i, ix := range e.idx {
+		if ix < 0 || int(ix) >= sizes[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func (c *SearchCache) getPlan(key string) *cachedPlan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans[key]
+}
+
+func (c *SearchCache) putPlan(key string, e *cachedPlan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insertPlanLocked(key, e)
+}
+
+// insertPlanLocked adds one plan under the cell cap's epoch-flush policy.
+// Shared by in-process inserts and disk-cache merges. Caller holds c.mu.
+func (c *SearchCache) insertPlanLocked(key string, e *cachedPlan) {
+	if _, ok := c.plans[key]; ok {
+		return
+	}
+	cells := int64(len(e.idx))
+	if c.planCells+cells > maxCachedPlanCells {
+		c.plans = make(map[string]*cachedPlan)
+		c.planCells = 0
+	}
+	c.plans[key] = e
+	c.planCells += cells
+}
+
+// PlanEntries reports the cached plan count (for /v1/stats).
+func (c *SearchCache) PlanEntries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.plans)
+}
+
+// appendPlanCrossKey appends the cross-call identity of a whole search onto
+// the environment prefix: the whole-graph segment identity (appendSegmentSig
+// over [0, n-1]) and the stacked layer count.
+func (o *Optimizer) appendPlanCrossKey(b []byte, g *graph.Graph, layers int) []byte {
+	b = append(b, 'P')
+	b = binary.AppendUvarint(b, uint64(layers))
+	return o.appendSegmentSig(b, g, 0, len(g.Nodes)-1)
+}

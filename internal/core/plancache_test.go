@@ -1,0 +1,106 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/cost"
+	"repro/internal/device"
+	"repro/internal/model"
+)
+
+// TestPlanTierRepeatBitIdentical pins the plan tier on the quick Table-2
+// cells (OPT-6.7B and Llama2-70B at 4 and 8 devices), exact, at beam 8 and
+// in budget mode: an identical repeat must return the same Strategy in
+// everything but Stats, and do so from the plan tier — no segment table
+// built and no min-plus entry scanned.
+func TestPlanTierRepeatBitIdentical(t *testing.T) {
+	modes := []struct {
+		name   string
+		beam   int
+		budget time.Duration
+	}{
+		{"exact", 0, 0},
+		{"beam8", 8, 0},
+		// Generous enough that the beam stops growing on stability or an
+		// uncut space, never on the clock, so both calls stop alike.
+		{"budget", 0, time.Minute},
+	}
+	for _, cfg := range []model.Config{model.OPT6B7(), model.Llama2_70B()} {
+		g, err := model.BuildBlock(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []int{4, 8} {
+			for _, mode := range modes {
+				m := cost.NewModel(device.MustCluster(scale, 4, device.V100Profile()))
+				m.Alpha = 1e-12
+				o := NewOptimizer(m)
+				o.Cache = NewSearchCache()
+				o.Opts.Beam = mode.beam
+				req := PlanRequest{Graph: g, Layers: cfg.Layers, Budget: mode.budget}
+				first, err := o.Plan(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				second, err := o.Plan(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s@%d/%s", cfg.Name, scale, mode.name)
+				if s := second.Stats; s.SegTablesBuilt != 0 || s.EntriesScanned != 0 || s.CrossCallPlanHits != 1 ||
+					s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 {
+					t.Errorf("%s: repeat not served from the plan tier: %+v", label, s)
+				}
+				if first.Stats.CrossCallPlanHits != 0 {
+					t.Errorf("%s: cold search reported a plan hit", label)
+				}
+				a, b := *first, *second
+				a.Stats, b.Stats = SearchStats{}, SearchStats{}
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("%s: plan-tier repeat differs from the search that published it", label)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanTierBypass: the reference mode publishes nothing and never hits,
+// like every other tier.
+func TestPlanTierBypass(t *testing.T) {
+	g := repeatedLinearChain()
+	o := optimizerFor(t, 4, 4)
+	o.Cache = NewSearchCache()
+	o.Opts.DisableCache = true
+	for i := 0; i < 2; i++ {
+		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats.CrossCallPlanHits != 0 {
+			t.Fatalf("DisableCache repeat hit the plan tier: %+v", s.Stats)
+		}
+	}
+	if n := o.Cache.PlanEntries(); n != 0 {
+		t.Fatalf("DisableCache published %d plans", n)
+	}
+}
+
+// TestPlanTierEpochFlush: an insert that would take the tier past
+// maxCachedPlanCells flushes it wholesale first.
+func TestPlanTierEpochFlush(t *testing.T) {
+	c := NewSearchCache()
+	half := &cachedPlan{idx: make([]int32, maxCachedPlanCells/2)}
+	c.putPlan("a", half)
+	c.putPlan("b", half)
+	if n := c.PlanEntries(); n != 2 {
+		t.Fatalf("%d plans before the cap, want 2", n)
+	}
+	c.putPlan("c", &cachedPlan{idx: make([]int32, 1)})
+	if n := c.PlanEntries(); n != 1 || c.getPlan("c") == nil {
+		t.Fatalf("insert past the cap left %d plans, want only the new one", n)
+	}
+}

@@ -82,6 +82,11 @@ type SearchStats struct {
 	CrossCallNodeHits int `json:"cross_call_node_hits"`
 	CrossCallEdgeHits int `json:"cross_call_edge_hits"`
 
+	// CrossCallPlanHits is 1 when the whole answer was served from the
+	// cross-call plan tier (plancache.go): an identical repeat that built no
+	// edge matrix and ran no segment table, merge or stacking step.
+	CrossCallPlanHits int `json:"cross_call_plan_hits"`
+
 	// Wall time per stage: candidate evaluation, edge-matrix building,
 	// per-segment DP + merging, layer stacking, and the whole call.
 	NodeEvalTime time.Duration `json:"node_eval_ns"`

@@ -699,6 +699,7 @@ func addSearchStats(dst *core.SearchStats, s core.SearchStats) {
 	dst.DPTreeMerges += s.DPTreeMerges
 	dst.SegTablesBuilt += s.SegTablesBuilt
 	dst.CrossCallTableHits += s.CrossCallTableHits
+	dst.CrossCallPlanHits += s.CrossCallPlanHits
 	dst.EntriesScanned += s.EntriesScanned
 	dst.CrossCallNodeHits += s.CrossCallNodeHits
 	dst.CrossCallEdgeHits += s.CrossCallEdgeHits
