@@ -247,8 +247,8 @@ type server struct {
 	cancellations atomic.Int64
 	crossNodeHits atomic.Int64
 	crossEdgeHits atomic.Int64
-	// crossTableHits counts segment DP tables served whole from the cache
-	// (the delta re-planner's skipped frontier).
+	// crossTableHits counts searches whose merged layer table was served
+	// whole from the cache, so only stacking ran.
 	crossTableHits atomic.Int64
 	// crossPlanHits counts searches answered whole from the plan tier.
 	crossPlanHits atomic.Int64

@@ -184,8 +184,9 @@ func TestPlanCancelledContext(t *testing.T) {
 	if aerr == nil || aerr.status != 499 || aerr.code != "client_closed" {
 		t.Fatalf("aerr = %+v, want 499 client_closed", aerr)
 	}
-	if n, e := s.cache.Sizes(); n != 0 || e != 0 || s.cache.PlanEntries() != 0 {
-		t.Fatalf("cancelled plan published %d nodes, %d edges, %d plans", n, e, s.cache.PlanEntries())
+	if n, e := s.cache.Sizes(); n != 0 || e != 0 || s.cache.TableEntries() != 0 || s.cache.PlanEntries() != 0 {
+		t.Fatalf("cancelled plan published %d nodes, %d edges, %d layer tables, %d plans",
+			n, e, s.cache.TableEntries(), s.cache.PlanEntries())
 	}
 	// And the cache is usable afterwards.
 	resp, aerr := s.plan(context.Background(), &PlanRequest{Model: "OPT-6.7B", Devices: 4})

@@ -2,11 +2,13 @@
 // curve (device counts, α values, layer counts, batch sizes) in ONE request
 // holding ONE admission slot, sharing search intermediates through the
 // server's SearchCache: later points reuse the node evaluations, edge
-// matrices and segment DP tables earlier points (or earlier requests)
-// inserted, so a 4-point curve costs far less than 4 independent cold plans
-// — while every point's strategy and digest stays byte-identical to what an
-// individual /v1/plan of that point returns (pinned by the delta-equivalence
-// fuzz in internal/core and by the CI smoke's digest diff).
+// matrices, layer DP tables and finished plans earlier points (or earlier
+// requests) inserted. A layer-count point runs stacking only and an
+// identical one no DP at all, so a 4-point curve costs far less than 4
+// independent cold plans — while every point's strategy and digest stays
+// byte-identical to what an individual /v1/plan of that point returns
+// (pinned by the delta-equivalence fuzz in internal/core and by the CI
+// smoke's digest diff).
 //
 // Failure semantics: an invalid point (bad devices, unknown field values)
 // sheds THAT point — its slot in results carries the uniform error envelope
@@ -69,7 +71,8 @@ type SweepPointResult struct {
 
 // SweepTotals aggregates search work across the planned points — the
 // headline numbers for "how much did sharing save": compare NodeEvals and
-// SegTablesBuilt against what the same points cost individually cold.
+// SegTablesBuilt (segments whose DP ran) against what the same points cost
+// individually cold.
 type SweepTotals struct {
 	NodeEvals          int64 `json:"node_evals"`
 	EdgeMatsBuilt      int64 `json:"edge_mats_built"`

@@ -96,7 +96,8 @@ func TestSweepValidation(t *testing.T) {
 // TestSweepSharesAcrossPoints is the portfolio contract end to end: a sweep
 // over (base, α shift, layer change) plans every point, reports the delta
 // dimensions, provably shares work between points (the α point re-evaluates
-// no nodes; the layer point rebuilds no tables), and every point's digest is
+// no nodes; the layer point is served from the layer table by stacking
+// alone), and every point's digest is
 // byte-identical to an individually cold-planned /v1/plan of the same
 // request on a fresh server.
 func TestSweepSharesAcrossPoints(t *testing.T) {
@@ -131,13 +132,13 @@ func TestSweepSharesAcrossPoints(t *testing.T) {
 		t.Fatalf("base point did no node work: %+v", r[0].Plan.Stats)
 	}
 	// The α point reuses every node and edge entry; only the DP re-runs.
-	if st := r[1].Plan.Stats; st.NodeEvals != 0 || st.CrossCallNodeHits == 0 ||
+	if st := r[1].Plan.Stats; st.NodeEvals != 0 || st.CrossCallNodeHits == 0 || st.EdgeMatsBuilt != 0 ||
 		st.CrossCallTableHits != 0 || st.SegTablesBuilt == 0 {
 		t.Errorf("α point frontier wrong: %+v", st)
 	}
-	// The layer point reuses every tier including whole segment tables.
+	// The layer point is served from the layer table: stacking only.
 	if st := r[2].Plan.Stats; st.NodeEvals != 0 || st.SegTablesBuilt != 0 ||
-		st.CrossCallTableHits == 0 {
+		st.CrossCallTableHits != 1 || st.EdgeMatsBuilt != 0 || st.CrossCallEdgeHits != 0 {
 		t.Errorf("layer point frontier wrong: %+v", st)
 	}
 	if out.resp.Totals.NodeEvals != int64(r[0].Plan.Stats.NodeEvals) {
@@ -303,8 +304,8 @@ func TestSweepCancellation(t *testing.T) {
 	if aerr == nil || aerr.status != http.StatusGatewayTimeout || aerr.code != "deadline_exceeded" {
 		t.Fatalf("expired sweep: %+v, want 504 deadline_exceeded", aerr)
 	}
-	if n := s.cache.PlanEntries(); n != 0 {
-		t.Fatalf("cancelled sweeps published %d plans", n)
+	if n, tb := s.cache.PlanEntries(), s.cache.TableEntries(); n != 0 || tb != 0 {
+		t.Fatalf("cancelled sweeps published %d plans, %d layer tables", n, tb)
 	}
 
 	// The server still serves a normal sweep afterwards.

@@ -40,8 +40,9 @@ func TestOptimizeCtxCancelledPromptly(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled search took %s, not prompt", elapsed)
 	}
-	if n, e := o.Cache.Sizes(); n != 0 || e != 0 || o.Cache.PlanEntries() != 0 {
-		t.Fatalf("cancelled search published %d node entries, %d edge matrices, %d plans", n, e, o.Cache.PlanEntries())
+	if n, e := o.Cache.Sizes(); n != 0 || e != 0 || o.Cache.TableEntries() != 0 || o.Cache.PlanEntries() != 0 {
+		t.Fatalf("cancelled search published %d node entries, %d edge matrices, %d layer tables, %d plans",
+			n, e, o.Cache.TableEntries(), o.Cache.PlanEntries())
 	}
 
 	// The same optimizer and cache serve an uncancelled search that matches

@@ -1,9 +1,9 @@
-// Cross-call search cache: node evaluations, edge matrices, whole segment DP
+// Cross-call search cache: node evaluations, edge matrices, merged layer DP
 // tables (delta.go) and finished answers (plancache.go) persist ACROSS Plan
 // calls, so a sweep that revisits the same model structure — other
 // experiments, other α values, repeated scales — pays the quadratic stages
-// once and re-runs the DP only over its changed frontier, and an identical
-// repeat runs no DP at all. The within-call signature memo (dp.go) dedups
+// once, a layer-count change runs stacking only, and an identical repeat
+// runs no DP at all. The within-call signature memo (dp.go) dedups
 // work inside one search; this cache dedups work between searches.
 //
 // Keys are exact byte encodings, like sig.go's: an environment prefix (every
@@ -59,7 +59,7 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 	return &nodeCands{seqs: e.seqs, intra: e.intra, total: total, out: e.out, in: e.in}
 }
 
-// SearchCache carries node evaluations, edge matrices, segment DP tables and
+// SearchCache carries node evaluations, edge matrices, layer DP tables and
 // finished plans across Plan calls. Safe for concurrent use; all cached
 // values are read-only.
 type SearchCache struct {
@@ -71,10 +71,10 @@ type SearchCache struct {
 	// flush. Defaults to maxCachedEdgeCells; tests shrink it to exercise
 	// the flush without half-gigabyte payloads.
 	edgeCellCap int64
-	// tables is the third tier (delta.go): whole segment DP tables, keyed
-	// by environment + α + beam + segment structure. In-memory only — the
-	// disk cache (diskcache.go) persists nodes, edges and plans; tables
-	// rebuild from them in one DP pass.
+	// tables is the third tier (delta.go): one merged layer DP table per
+	// search identity, keyed by environment + α + beam + whole graph (no
+	// layer count). In-memory only — the disk cache (diskcache.go) persists
+	// nodes, edges and plans; a table rebuilds from them in one DP pass.
 	tables     map[string]*table
 	tableCells int64
 	// tableCellCap mirrors edgeCellCap for the table tier.

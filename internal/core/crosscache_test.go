@@ -10,8 +10,8 @@ import (
 	"repro/internal/model"
 )
 
-// dropPlans empties the plan tier, so an identical repeat exercises the
-// node, edge and table tiers beneath it.
+// dropPlans empties the plan tier, so an identical repeat is served by the
+// layer table beneath it.
 func (c *SearchCache) dropPlans() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -19,12 +19,23 @@ func (c *SearchCache) dropPlans() {
 	c.planCells = 0
 }
 
+// dropPlansAndTables empties the plan and table tiers, so an identical
+// repeat rebuilds its layer table from the node and edge tiers.
+func (c *SearchCache) dropPlansAndTables() {
+	c.dropPlans()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tables = make(map[string]*table)
+	c.tableCells = 0
+}
+
 // TestCrossCallCacheHitsAcrossScales replays the sweep path: the same model
 // structures searched repeatedly across scales must (a) hit the cross-call
 // cache on every repeat and (b) return bit-identical strategies to the cold
 // run — the cache must be invisible in everything but the stats. The plan
-// tier is dropped before each repeat so the node and edge tiers serve it
-// (TestPlanTierRepeatBitIdentical covers the plan tier).
+// and table tiers are dropped before each repeat so the node and edge tiers
+// serve it (TestPlanTierRepeatBitIdentical covers the plan tier,
+// TestDeltaRePlanColdThenWarm the table tier).
 func TestCrossCallCacheHitsAcrossScales(t *testing.T) {
 	shared := NewSearchCache()
 	cfg := model.OPT6B7()
@@ -40,7 +51,7 @@ func TestCrossCallCacheHitsAcrossScales(t *testing.T) {
 			m.Alpha = 1e-12
 			o := NewOptimizer(m)
 			o.Cache = shared
-			shared.dropPlans()
+			shared.dropPlansAndTables()
 			strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				t.Fatalf("pass %d scale %d: %v", pass, scale, err)

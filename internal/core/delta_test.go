@@ -47,12 +47,18 @@ func deltaChain(t *testing.T, length, extSrc, editFlop int) *graph.Graph {
 	return g
 }
 
+// planWith plans g at the given scale and α. A nil cache selects the
+// SerialUncached reference; otherwise the cross-call cache is attached.
 func planWith(t *testing.T, g *graph.Graph, layers, devices int, alpha float64, cache *SearchCache) *Strategy {
 	t.Helper()
 	m := cost.NewModel(device.MustCluster(devices, 4, device.V100Profile()))
 	m.Alpha = alpha
 	o := NewOptimizer(m)
-	o.Cache = cache
+	if cache == nil {
+		o.Opts = o.Opts.SerialUncached()
+	} else {
+		o.Cache = cache
+	}
 	strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +67,11 @@ func planWith(t *testing.T, g *graph.Graph, layers, devices int, alpha float64, 
 }
 
 // TestDeltaRePlanColdThenWarm pins the table tier end to end on a real
-// transformer block: a repeat request (with the plan tier above it dropped)
-// must rebuild NO segment tables, serve every segment from the cross-call
-// cache, do strictly less min-plus work, and return a bit-identical strategy.
+// transformer block. A cold search publishes one layer table. With the plan
+// and table tiers dropped, a repeat rebuilds every segment from the cached
+// node and edge tiers and republishes the table; with only the plan tier
+// dropped, a repeat is served from that table: no edge matrix, segment DP or
+// merge, strictly less min-plus work, and a bit-identical strategy.
 func TestDeltaRePlanColdThenWarm(t *testing.T) {
 	shared := NewSearchCache()
 	cfg := model.OPT6B7()
@@ -72,37 +80,40 @@ func TestDeltaRePlanColdThenWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
-	if cold.Stats.SegTablesBuilt == 0 {
-		t.Fatalf("cold run built no segment tables: %+v", cold.Stats)
+	if cold.Stats.SegTablesBuilt == 0 || cold.Stats.CrossCallTableHits != 0 {
+		t.Fatalf("cold run did not build its segments: %+v", cold.Stats)
 	}
-	if cold.Stats.CrossCallTableHits != 0 {
-		t.Fatalf("cold run reported table hits: %+v", cold.Stats)
+	if n := shared.TableEntries(); n != 1 {
+		t.Fatalf("cold run published %d layer tables, want 1", n)
 	}
+
+	shared.dropPlansAndTables()
+	rebuilt := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
+	sameStrategy(t, "table-rebuilt", rebuilt, cold)
+	if s := rebuilt.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallTableHits != 0 ||
+		s.SegTablesBuilt != cold.Stats.SegTablesBuilt {
+		t.Errorf("rebuild did not run every segment from cached nodes and edges: %+v", s)
+	}
+	if n := shared.TableEntries(); n != 1 {
+		t.Errorf("rebuild published %d layer tables, want 1", n)
+	}
+
 	shared.dropPlans()
 	warm := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
 	sameStrategy(t, "table-warm", warm, cold)
-	if warm.Stats.SegTablesBuilt != 0 {
-		t.Errorf("warm run rebuilt %d segment tables", warm.Stats.SegTablesBuilt)
-	}
-	if warm.Stats.CrossCallTableHits != cold.Stats.SegTablesBuilt {
-		t.Errorf("warm run hit %d tables, cold built %d",
-			warm.Stats.CrossCallTableHits, cold.Stats.SegTablesBuilt)
-	}
-	if warm.Stats.DPTreeMerges != 0 {
-		t.Errorf("warm run re-ran %d in-segment tree merges", warm.Stats.DPTreeMerges)
+	if s := warm.Stats; s.CrossCallTableHits != 1 || s.SegTablesBuilt != 0 || s.DPTreeMerges != 0 ||
+		s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits != 0 {
+		t.Errorf("warm run was not served from the layer table: %+v", s)
 	}
 	if warm.Stats.EntriesScanned >= cold.Stats.EntriesScanned {
-		t.Errorf("warm run scanned %d min-plus entries, cold %d — tables saved nothing",
+		t.Errorf("warm run scanned %d min-plus entries, cold %d — the table saved nothing",
 			warm.Stats.EntriesScanned, cold.Stats.EntriesScanned)
-	}
-	if n := shared.TableEntries(); n == 0 {
-		t.Error("cache holds no table entries after a cold run")
 	}
 }
 
 // TestDeltaRePlanAlphaFrontier: an α shift keeps every node and edge entry
-// (α-factored tiers) but must rebuild every segment table (α-keyed tier) —
-// and the rebuilt result must equal a cold search at the new α.
+// (α-factored tiers) but must rebuild the layer table (α-keyed tier) — and
+// the rebuilt result must equal a cold search at the new α.
 func TestDeltaRePlanAlphaFrontier(t *testing.T) {
 	shared := NewSearchCache()
 	cfg := model.OPT6B7()
@@ -116,72 +127,69 @@ func TestDeltaRePlanAlphaFrontier(t *testing.T) {
 		t.Errorf("α shift re-evaluated nodes: %+v", delta.Stats)
 	}
 	if delta.Stats.CrossCallTableHits != 0 {
-		t.Errorf("α shift reused α-keyed tables: %+v", delta.Stats)
+		t.Errorf("α shift reused the α-keyed layer table: %+v", delta.Stats)
 	}
 	if delta.Stats.SegTablesBuilt == 0 {
-		t.Errorf("α shift built no tables: %+v", delta.Stats)
+		t.Errorf("α shift built no segments: %+v", delta.Stats)
 	}
 	cold := planWith(t, g, 2, 8, 1e-10, NewSearchCache())
 	sameStrategy(t, "alpha-frontier", delta, cold)
 }
 
-// TestDeltaRePlanLayersFrontier: a layer-count change reuses EVERY tier —
-// only the stacking merges re-run.
+// TestDeltaRePlanLayersFrontier: a layer-count change is served from the
+// layer table — only the stacking merges re-run, and no edge matrix is even
+// looked up.
 func TestDeltaRePlanLayersFrontier(t *testing.T) {
 	shared := NewSearchCache()
 	g := deltaChain(t, 5, 2, -1)
 	planWith(t, g, 2, 8, 1e-12, shared)
 	delta := planWith(t, g, 4, 8, 1e-12, shared)
-	if delta.Stats.SegTablesBuilt != 0 || delta.Stats.CrossCallTableHits == 0 {
-		t.Errorf("layer change rebuilt segment tables: %+v", delta.Stats)
+	if s := delta.Stats; s.CrossCallTableHits != 1 || s.SegTablesBuilt != 0 {
+		t.Errorf("layer change missed the layer table: %+v", s)
 	}
-	if delta.Stats.NodeEvals != 0 || delta.Stats.EdgeMatsBuilt != 0 {
-		t.Errorf("layer change re-ran quadratic stages: %+v", delta.Stats)
+	if s := delta.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits != 0 {
+		t.Errorf("layer change ran more than stacking: %+v", s)
 	}
-	cold := planWith(t, g, 4, 8, 1e-12, NewSearchCache())
-	sameStrategy(t, "layers-frontier", delta, cold)
+	sameStrategy(t, "layers-frontier", delta, planWith(t, g, 4, 8, 1e-12, nil))
 }
 
-// TestDeltaRePlanGraphEditFrontier: editing ONE op (doubling a FlopFactor in
-// the second segment) must invalidate only the touched segment; the first
-// segment's table and every untouched node evaluation are served from cache,
-// and the result equals a cold search of the edited graph.
+// TestDeltaRePlanGraphEditFrontier: editing ONE op (doubling a FlopFactor)
+// re-evaluates only that op, but the layer table folds the whole graph, so
+// it misses and every segment's DP re-runs from cached edge matrices — and
+// the result equals a cold search of the edited graph.
 func TestDeltaRePlanGraphEditFrontier(t *testing.T) {
 	shared := NewSearchCache()
 	base := deltaChain(t, 5, 2, -1)
-	planWith(t, base, 2, 8, 1e-12, shared)
+	first := planWith(t, base, 2, 8, 1e-12, shared)
 
 	edited := deltaChain(t, 5, 2, 4) // node 4 lives in segment [2, 6]
 	delta := planWith(t, edited, 2, 8, 1e-12, shared)
 	if delta.Stats.NodeEvals != 1 {
 		t.Errorf("graph edit re-evaluated %d nodes, want exactly the edited one", delta.Stats.NodeEvals)
 	}
-	if delta.Stats.CrossCallTableHits == 0 {
-		t.Errorf("graph edit invalidated the untouched segment: %+v", delta.Stats)
+	if s := delta.Stats; s.CrossCallTableHits != 0 || s.SegTablesBuilt != first.Stats.SegTablesBuilt {
+		t.Errorf("graph edit built %d of %d segments, %d table hits",
+			s.SegTablesBuilt, first.Stats.SegTablesBuilt, s.CrossCallTableHits)
 	}
-	if delta.Stats.SegTablesBuilt == 0 {
-		t.Errorf("graph edit rebuilt no segment: %+v", delta.Stats)
-	}
-	cold := planWith(t, edited, 2, 8, 1e-12, NewSearchCache())
-	sameStrategy(t, "graph-edit-frontier", delta, cold)
+	sameStrategy(t, "graph-edit-frontier", delta, planWith(t, edited, 2, 8, 1e-12, nil))
 }
 
 // TestTableCacheCapFlush exercises the table tier's epoch flush: with a
-// one-cell cap every insert flushes its predecessors, so a warm re-plan
-// (with the plan tier dropped) rebuilds at least one segment — and still
-// returns the identical strategy.
+// one-cell cap every insert flushes its predecessors, so an α-shifted second
+// search evicts the first one's layer table, and a layer change at the first
+// α (a plan miss) rebuilds it — and still returns the cold strategy.
 func TestTableCacheCapFlush(t *testing.T) {
 	cache := NewSearchCache()
 	cache.tableCellCap = 1
 	g := deltaChain(t, 5, 2, -1)
-	cold := planWith(t, g, 2, 8, 1e-12, cache)
-	if n := cache.TableEntries(); n > 1 {
-		t.Errorf("cap 1 retained %d tables", n)
+	planWith(t, g, 2, 8, 1e-12, cache)
+	planWith(t, g, 2, 8, 1e-10, cache)
+	if n := cache.TableEntries(); n != 1 {
+		t.Errorf("cap 1 retained %d tables, want 1", n)
 	}
-	cache.dropPlans()
-	warm := planWith(t, g, 2, 8, 1e-12, cache)
-	if warm.Stats.SegTablesBuilt == 0 {
-		t.Errorf("flushed cache served every table: %+v", warm.Stats)
+	again := planWith(t, g, 3, 8, 1e-12, cache)
+	if s := again.Stats; s.CrossCallTableHits != 0 || s.SegTablesBuilt == 0 {
+		t.Errorf("flushed layer table was served: %+v", s)
 	}
-	sameStrategy(t, "cap-flush", warm, cold)
+	sameStrategy(t, "cap-flush", again, planWith(t, g, 3, 8, 1e-12, nil))
 }

@@ -513,8 +513,10 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 }
 
 // searchOnce runs one full search of the layer graph at the currently
-// configured options (the Plan entrypoint's non-budget mode); an identical
-// repeat is answered from the plan tier (plancache.go) after the node pass.
+// configured options (the Plan entrypoint's non-budget mode): node pass,
+// beam pruning, the stacking check, the plan-tier probe (plancache.go), the
+// layer-table probe or build (delta.go), stacking, reconstruction, and
+// publishing the answer.
 // Cancellation is checked at coarse, value-independent points — between pool
 // task pulls, per Bellman step, per merge, between stages — so an
 // uncancelled search executes bit-identically to an uncancellable one, while
@@ -630,8 +632,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		spaceSizes[i] = len(cands[i].seqs)
 		stats.CandsTotal += spaceSizes[i]
 	}
-	cuts := g.SegmentCuts()
-	if len(cuts) < 2 {
+	if len(g.Nodes) < 2 {
 		return nil, fmt.Errorf("core: graph needs at least two nodes")
 	}
 	// Stacking: the layer boundary appears as the zero-cost anchor in the
@@ -657,7 +658,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 
 	// Plan tier (plancache.go): an identical repeat is served from the
 	// stored answer over the candidate lists just rebuilt; no edge matrix,
-	// segment table, merge or stacking step runs.
+	// layer table or stacking step runs.
 	var planKey string
 	if ccache != nil {
 		planKey = string(o.appendPlanCrossKey(envSig, g, layers))
@@ -670,10 +671,83 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		}
 	}
 
-	// Edge cost matrices (grouped; cached by exact structural key and
-	// built across the worker pool).
+	// Layer table (delta.go): one cross-call probe per search. A hit skips
+	// the edge matrices, the segment DPs and the cross-segment merges; only
+	// stacking re-runs. A miss builds the table and publishes it once it is
+	// complete, so a cancelled search publishes nothing.
+	var tableKey string
+	var layerTable *table
+	if ccache != nil {
+		tableKey = string(o.appendTableCrossKey(envSig, g))
+		layerTable = ccache.getTable(tableKey)
+	}
+	if layerTable != nil {
+		stats.CrossCallTableHits = 1
+	} else {
+		var err error
+		layerTable, err = o.buildLayerTable(ctx, g, in, cands, ccache, envSig, &stats)
+		if err != nil {
+			return nil, err
+		}
+		if ccache != nil {
+			ccache.putTable(tableKey, layerTable)
+		}
+	}
+	layerCost := layerTable.minTotal()
+
+	// Stack layers: binary decomposition with Eq. 14 merging (the head/tail
+	// spaces were checked index-identical above).
+	tStack := time.Now()
+	zeroMid := make([]float64, len(cands[0].seqs)) // anchor costs nothing
+	full := layerTable
+	remaining := layers - 1
+	doubled := layerTable
+	for remaining > 0 {
+		var err error
+		if remaining&1 == 1 {
+			full, err = o.merge(ctx, full, doubled, zeroMid, nil, &stats, stats.Workers)
+			if err != nil {
+				return nil, err
+			}
+		}
+		remaining >>= 1
+		if remaining > 0 {
+			doubled, err = o.merge(ctx, doubled, doubled, zeroMid, nil, &stats, stats.Workers)
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	totalCost := full.minTotal()
+	stats.StackTime = time.Since(tStack)
+
+	// Reconstruct the representative (leftmost) layer's assignment.
+	ia, ib := full.argMin()
+	assign := make([]int32, len(g.Nodes))
+	for i := range assign {
+		assign[i] = -1
+	}
+	reconstruct(full, ia, ib, assign)
+	for i, ix := range assign {
+		if ix < 0 {
+			return nil, fmt.Errorf("core: reconstruction left node %d unassigned", i)
+		}
+	}
+	strat := strategyOf(cands, assign, layerCost, totalCost, layers, spaceSizes)
+	if ccache != nil {
+		ccache.putPlan(planKey, &cachedPlan{idx: assign, layerCost: layerCost, totalCost: totalCost})
+	}
+	stats.TotalTime = time.Since(start)
+	strat.Stats = stats
+	return strat, nil
+}
+
+// buildLayerTable builds the merged DP table of one layer: the edge cost
+// matrices (grouped; cached by exact structural key and built across the
+// worker pool), the per-segment DPs, then left-to-right merging with cross
+// edges (Eqs. 13–14).
+func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sigInterner, cands []*nodeCands, ccache *SearchCache, envSig []byte, stats *SearchStats) (*table, error) {
 	tEdges := time.Now()
-	edgeMats := make(map[*graph.Edge]*edgeMat)
 	var uniqEdges []*graph.Edge
 	matIdx := make([]int, len(g.Edges))
 	if o.Opts.DisableCache {
@@ -728,6 +802,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 			ccache.putEdge(edgeKeys[s], mats[s])
 		}
 	}
+	edgeMats := make(map[*graph.Edge]*edgeMat, len(g.Edges))
 	for i, e := range g.Edges {
 		edgeMats[e] = mats[matIdx[i]]
 	}
@@ -739,106 +814,28 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	}
 	stats.EdgeMatTime = time.Since(tEdges)
 
-	// Per-segment DP, then left-to-right merging with cross edges.
 	tDP := time.Now()
-	// Delta re-planning (delta.go): segments whose table key was published
-	// by an earlier call are served whole; only the changed frontier runs
-	// segmentTable. Built tables are published after the loop completes, so
-	// a cancellation mid-DP leaves no partial state in the shared cache.
+	cuts := g.SegmentCuts()
 	var acc *table
-	var builtTables []int // indices into tableKeys/segTables of fresh builds
-	var tableKeys []string
-	var segTables []*table
 	for s := 0; s+1 < len(cuts); s++ {
-		var seg *table
-		var key string
-		if ccache != nil {
-			key = string(o.appendTableCrossKey(envSig, g, cuts[s], cuts[s+1]))
-			if t := ccache.getTable(key); t != nil {
-				seg = t
-				stats.CrossCallTableHits++
-			}
+		seg, err := o.segmentTable(ctx, g, cands, edgeMats, cuts[s], cuts[s+1], stats, stats.Workers)
+		if err != nil {
+			return nil, err
 		}
-		if seg == nil {
-			var err error
-			seg, err = o.segmentTable(ctx, g, cands, edgeMats, cuts[s], cuts[s+1], &stats, stats.Workers)
-			if err != nil {
-				return nil, err
-			}
-			stats.SegTablesBuilt++
-			if ccache != nil {
-				builtTables = append(builtTables, len(tableKeys))
-			}
-		}
-		tableKeys = append(tableKeys, key)
-		segTables = append(segTables, seg)
+		stats.SegTablesBuilt++
 		stats.DPRowClasses += int64(seg.nCls)
 		if acc == nil {
 			acc = seg
 			continue
 		}
 		cross := o.crossEdges(g, edgeMats, acc.a, seg.b)
-		var err error
-		acc, err = o.merge(ctx, acc, seg, cands[seg.a].total, cross, &stats, stats.Workers)
+		acc, err = o.merge(ctx, acc, seg, cands[seg.a].total, cross, stats, stats.Workers)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if ccache != nil {
-		for _, i := range builtTables {
-			ccache.putTable(tableKeys[i], segTables[i])
-		}
-	}
-
-	layerTable := acc
-	layerCost := layerTable.minTotal()
 	stats.DPTime = time.Since(tDP)
-
-	// Stack layers: binary decomposition with Eq. 14 merging (the head/tail
-	// spaces were checked index-identical above).
-	tStack := time.Now()
-	zeroMid := make([]float64, len(cands[0].seqs)) // anchor costs nothing
-	full := layerTable
-	remaining := layers - 1
-	doubled := layerTable
-	for remaining > 0 {
-		var err error
-		if remaining&1 == 1 {
-			full, err = o.merge(ctx, full, doubled, zeroMid, nil, &stats, stats.Workers)
-			if err != nil {
-				return nil, err
-			}
-		}
-		remaining >>= 1
-		if remaining > 0 {
-			doubled, err = o.merge(ctx, doubled, doubled, zeroMid, nil, &stats, stats.Workers)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	totalCost := full.minTotal()
-	stats.StackTime = time.Since(tStack)
-
-	// Reconstruct the representative (leftmost) layer's assignment.
-	ia, ib := full.argMin()
-	assign := make([]int32, len(g.Nodes))
-	for i := range assign {
-		assign[i] = -1
-	}
-	reconstruct(full, ia, ib, assign)
-	for i, ix := range assign {
-		if ix < 0 {
-			return nil, fmt.Errorf("core: reconstruction left node %d unassigned", i)
-		}
-	}
-	strat := strategyOf(cands, assign, layerCost, totalCost, layers, spaceSizes)
-	if ccache != nil {
-		ccache.putPlan(planKey, &cachedPlan{idx: assign, layerCost: layerCost, totalCost: totalCost})
-	}
-	stats.TotalTime = time.Since(start)
-	strat.Stats = stats
-	return strat, nil
+	return acc, nil
 }
 
 // strategyOf assembles the answer from one post-beam candidate index per

@@ -100,3 +100,36 @@ func BenchmarkPlanWarmRepeat(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanLayerChange alternates one OPT-175B block search at 16
+// devices between two layer counts on a warm cache, with the plan tier
+// emptied before each iteration: every iteration misses the plan tier and is
+// served from the layer table, so ns/op pins the cost of a layer-count
+// change — node lookups, the table probe, stacking and reconstruction.
+func BenchmarkPlanLayerChange(b *testing.B) {
+	cfg := model.OPT175B()
+	g, err := model.BuildBlock(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := NewOptimizer(cost.NewModel(device.MustCluster(16, 4, device.V100Profile())))
+	o.Cache = NewSearchCache()
+	layers := [2]int{cfg.Layers, cfg.Layers / 2}
+	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers[1]}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		o.Cache.dropPlans()
+		b.StartTimer()
+		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers[i%2]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s := strat.Stats; s.CrossCallPlanHits != 0 || s.CrossCallTableHits != 1 {
+			b.Fatalf("iteration was not a layer-table hit: %+v", s)
+		}
+	}
+}

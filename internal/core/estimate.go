@@ -8,13 +8,14 @@
 // Soundness rests on key fidelity: the estimator probes the cache with the
 // SAME byte keys the search computes — appendEnvSig + appendNodeCrossKey for
 // node slots, appendEnvSig + appendPlanCrossKey for the finished answer,
-// appendEnvSig + appendEdgeCrossKey for edge matrices, and appendEnvSig +
-// appendTableCrossKey for whole segment DP tables, after the same within-call
-// signature dedup (sigInterner / edgeKeyOf). A request the estimator calls
-// Warm therefore hits on every node evaluation and edge matrix when it
-// actually runs, and a PlanHit is a plan hit. The reverse is conservative by
-// design: a cache flush between estimate and search only makes the search
-// slower than promised, never the estimate stale-warm forever.
+// appendEnvSig + appendTableCrossKey for the layer table, and appendEnvSig +
+// appendEdgeCrossKey for edge matrices, after the same within-call signature
+// dedup (sigInterner / edgeKeyOf). A request the estimator calls Warm
+// therefore hits on every node evaluation and on every edge matrix it will
+// ask for when it actually runs, a PlanHit is a plan hit and a TableHit is a
+// table hit. The reverse is conservative by design: a cache flush between
+// estimate and search only makes the search slower than promised, never the
+// estimate stale-warm forever.
 package core
 
 import (
@@ -32,20 +33,23 @@ const estCandidateUnit = 64.0
 type SearchEstimate struct {
 	// Work is the predicted search work in abstract units (candidate
 	// evaluations, edge cells and DP scans on a common scale). It is never
-	// zero: a plan hit still looks up every node, and a table-warm request
-	// still runs the cross-segment merges and stacking.
+	// zero: a plan or table hit still looks up every node.
 	Work float64
 	// Warm reports that every unique node evaluation and edge matrix the
 	// search will ask for is already in the cross-call cache, so the
-	// quadratic stages cost nothing. A plan hit asks for no edge matrix, so
-	// it is Warm whenever its nodes are cached. Always false when the
-	// configuration bypasses the cache (DisableCache, calibration Book, nil
-	// Cache).
+	// quadratic stages cost nothing. A plan or table hit asks for no edge
+	// matrix, so it is Warm whenever its nodes are cached. Always false
+	// when the configuration bypasses the cache (DisableCache, calibration
+	// Book, nil Cache).
 	Warm bool
 	// PlanHit reports that the finished answer is in the plan tier
 	// (plancache.go): the search will run the node pass only, and the edge
 	// and DP counts below stay zero.
 	PlanHit bool
+	// TableHit reports that the layer table is in the table tier
+	// (delta.go): the search will run the node pass and stacking only, and
+	// the edge counts below stay zero.
+	TableHit bool
 	// NodeEvals / CandidatesEvaluated count the uncached unique node slots
 	// and the candidate evaluations they imply.
 	NodeEvals           int
@@ -54,13 +58,6 @@ type SearchEstimate struct {
 	// the matrix cells they imply.
 	EdgeBuilds int
 	EdgeCells  int64
-	// SegTables counts the graph's DP segments; SegTableHits counts those
-	// whose whole segment table is already cached (delta.go), so the DP
-	// will skip them. Table hits reduce Work but do not define Warm: Warm
-	// keeps its node+edge meaning so the admission gate's warm-bypass
-	// semantics are unchanged by the table tier.
-	SegTables    int
-	SegTableHits int
 	// ProbeBeam is the beam width the cache was probed at: budgetStartBeam
 	// for budget-mode requests, Opts.Beam otherwise.
 	ProbeBeam int
@@ -152,8 +149,14 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		}
 		return n
 	}
-	cuts := g.SegmentCuts()
-	est.SegTables = len(cuts) - 1
+	// Logarithmic stacking merges: they run on a table hit and a miss alike.
+	stack := 0.0
+	if req.Layers > 1 {
+		nb := float64(eff(len(g.Nodes) - 1))
+		merges := float64(2 * bits.Len(uint(req.Layers-1)))
+		stack = merges * estScan * nb
+	}
+	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
 
 	// Plan tier: the same key and bounds check as searchOnce, so a PlanHit
 	// promise holds against an unchanged cache. Work drops to one unit per
@@ -166,9 +169,16 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 			}
 			if e.fits(sizes) {
 				est.PlanHit = true
-				est.Work = estCandidateUnit*float64(est.CandidatesEvaluated) + float64(len(g.Nodes))
+				est.Work = nodeWork + float64(len(g.Nodes))
 				return est, nil
 			}
+		}
+		// Layer table: the same key searchOnce probes next. A hit asks for
+		// no edge matrix and runs no segment DP or merge.
+		if ccache.getTable(string(o.appendTableCrossKey(envSig, g))) != nil {
+			est.TableHit = true
+			est.Work = nodeWork + float64(len(g.Nodes)) + stack
+			return est, nil
 		}
 	}
 
@@ -198,32 +208,18 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		}
 	}
 
-	// DP term: Bellman scans over the effective spaces of every segment
-	// whose table is NOT already cached (probed with the same byte keys the
-	// search uses, delta.go), plus the cross-segment merges, the final
-	// argmin scan and the logarithmic stacking merges — those run cached or
-	// not, so even a fully table-warm request has nonzero Work.
+	// DP term: Bellman scans over the effective spaces of every segment,
+	// plus the cross-segment merges, the final argmin scan and stacking.
+	cuts := g.SegmentCuts()
 	dp := 0.0
 	for s := 0; s+1 < len(cuts); s++ {
-		if ccache != nil {
-			key := string(o.appendTableCrossKey(envSig, g, cuts[s], cuts[s+1]))
-			if ccache.getTable(key) != nil {
-				est.SegTableHits++
-				continue
-			}
-		}
 		for i := cuts[s]; i <= cuts[s+1]; i++ {
 			dp += estScan * float64(eff(i))
 		}
 	}
 	dp += float64(len(cuts)-1) * estScan * float64(eff(len(g.Nodes)-1))
-	if req.Layers > 1 {
-		nb := float64(eff(len(g.Nodes) - 1))
-		merges := float64(2 * bits.Len(uint(req.Layers-1)))
-		dp += merges * estScan * nb
-	}
+	dp += stack
 
-	est.Work = estCandidateUnit*float64(est.CandidatesEvaluated) +
-		float64(est.EdgeCells) + dp
+	est.Work = nodeWork + float64(est.EdgeCells) + dp
 	return est, nil
 }

@@ -24,8 +24,8 @@ func estimateOptimizer(t *testing.T, cache *SearchCache) *Optimizer {
 // builds the search then performs, with and without beam pruning; after one
 // real Plan call the SAME request must estimate a Warm plan hit — and the
 // promise must be sound (the search re-run does zero node evaluations, zero
-// edge builds and no DP). A plan hit stays Warm after the edge tier is
-// flushed, since it asks for no edge matrix.
+// edge builds and no DP). A plan hit and a layer-table hit stay Warm after
+// the edge tier is flushed, since neither asks for an edge matrix.
 func TestEstimatePlanColdThenWarm(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
@@ -119,18 +119,41 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 	}
 	checkHit("edge-flushed")
 
-	// Without the plan tier the same request is table-warm but not Warm:
-	// the flushed edge matrices must be rebuilt.
+	// Without the plan tier the same request is a layer-table hit. It asks
+	// for no edge matrix either, so the edge flush leaves it Warm, and the
+	// search runs stacking only.
 	cache.dropPlans()
-	tables, err := o.EstimatePlan(req)
+	table, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tables.Warm || tables.PlanHit || tables.EdgeBuilds == 0 {
-		t.Fatalf("edge-flushed request without its plan estimated warm: %+v", tables)
+	if !table.Warm || table.PlanHit || !table.TableHit || table.EdgeBuilds != 0 {
+		t.Fatalf("edge-flushed table hit not estimated Warm: %+v", table)
 	}
-	if tables.Work <= warm.Work || tables.Work >= cold.Work {
-		t.Fatalf("table-warm Work %v not between plan-hit %v and cold %v", tables.Work, warm.Work, cold.Work)
+	if table.Work <= warm.Work || table.Work >= cold.Work {
+		t.Fatalf("table-hit Work %v not between plan-hit %v and cold %v", table.Work, warm.Work, cold.Work)
+	}
+	strat, err := o.Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := strat.Stats; s.CrossCallTableHits != 1 || s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 ||
+		s.CrossCallEdgeHits != 0 || s.SegTablesBuilt != 0 {
+		t.Fatalf("table-hit estimate was unsound: search did %+v", s)
+	}
+
+	// Without the table tier as well, the flushed edge matrices must be
+	// rebuilt: not Warm, and dearer than the table hit.
+	cache.dropPlansAndTables()
+	rebuild, err := o.EstimatePlan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuild.Warm || rebuild.PlanHit || rebuild.TableHit || rebuild.EdgeBuilds == 0 {
+		t.Fatalf("edge-flushed request without its plan and table estimated warm: %+v", rebuild)
+	}
+	if rebuild.Work <= table.Work || rebuild.Work >= cold.Work {
+		t.Fatalf("rebuild Work %v not between table-hit %v and cold %v", rebuild.Work, table.Work, cold.Work)
 	}
 }
 
@@ -211,8 +234,8 @@ func TestEstimatePlanBudgetProbesFirstBeam(t *testing.T) {
 // TestEstimateWarmAfterSweep pins the sweep→estimate contract the portfolio
 // endpoint relies on: after planning a scale curve (device counts, α values,
 // layer counts) against ONE shared cache, EVERY point must subsequently
-// estimate a Warm plan hit, and with the plan tier dropped, a Warm request
-// with all segment tables hit — proving the estimator probes with
+// estimate a Warm plan hit, and with the plan tier dropped, a Warm
+// layer-table hit — proving the estimator probes with
 // byte-identical keys to the ones the sweep's searches inserted — and a
 // re-plan of any point must do zero node, edge or table work.
 func TestEstimateWarmAfterSweep(t *testing.T) {
@@ -283,8 +306,8 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 		if est.NodeEvals != 0 || est.EdgeBuilds != 0 {
 			t.Errorf("point %d predicts quadratic work after sweep: %+v", i, est)
 		}
-		if est.SegTables == 0 || est.SegTableHits != est.SegTables {
-			t.Errorf("point %d tables not all hit: %d/%d", i, est.SegTableHits, est.SegTables)
+		if !est.TableHit {
+			t.Errorf("point %d missed the layer table: %+v", i, est)
 		}
 		strat, err := o.Plan(context.Background(), req)
 		if err != nil {
@@ -294,7 +317,7 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 		if s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.SegTablesBuilt != 0 {
 			t.Errorf("point %d re-plan did work after sweep: %+v", i, s)
 		}
-		if s.CrossCallTableHits == 0 {
+		if s.CrossCallTableHits != 1 {
 			t.Errorf("point %d re-plan missed the table tier: %+v", i, s)
 		}
 	}

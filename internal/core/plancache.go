@@ -2,16 +2,16 @@
 // finished searchOnce answer, so an identical repeat runs no min-plus work at
 // all. A search is a pure function of the environment prefix, α, the beam
 // width, the whole layer graph and the layer count; the plan key folds
-// exactly those — the bytes appendTableCrossKey folds over the whole graph
-// [0, n-1], under its own tag, plus the layer count.
+// exactly those — the bytes appendTableCrossKey folds (appendGraphSig), under
+// its own tag, plus the layer count.
 //
 // An entry is the chosen post-beam candidate index per node plus the
 // LayerCost/TotalCost float bits. On a hit searchOnce still runs the node
 // pass and pruneBeam (both served by the node tier), which rebuilds the very
-// candidate lists the indices point into, then skips edge matrices, segment
-// tables, the cross-segment merges and stacking. The answer is bit-identical
-// because every reported value is either a stored bit pattern or read from
-// the same candidate lists the cold search reconstructed from.
+// candidate lists the indices point into, then skips edge matrices, the
+// layer table and stacking. The answer is bit-identical because every
+// reported value is either a stored bit pattern or read from the same
+// candidate lists the cold search reconstructed from.
 //
 // Entries are published only after a search completes, so a cancelled
 // search publishes nothing. Load cannot check indices against candidate
@@ -85,10 +85,10 @@ func (c *SearchCache) PlanEntries() int {
 }
 
 // appendPlanCrossKey appends the cross-call identity of a whole search onto
-// the environment prefix: the whole-graph segment identity (appendSegmentSig
-// over [0, n-1]) and the stacked layer count.
+// the environment prefix: the stacked layer count and the whole-graph
+// signature (appendGraphSig).
 func (o *Optimizer) appendPlanCrossKey(b []byte, g *graph.Graph, layers int) []byte {
 	b = append(b, 'P')
 	b = binary.AppendUvarint(b, uint64(layers))
-	return o.appendSegmentSig(b, g, 0, len(g.Nodes)-1)
+	return o.appendGraphSig(b, g)
 }

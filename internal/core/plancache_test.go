@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"testing"
@@ -102,5 +103,29 @@ func TestPlanTierEpochFlush(t *testing.T) {
 	c.putPlan("c", &cachedPlan{idx: make([]int32, 1)})
 	if n := c.PlanEntries(); n != 1 || c.getPlan("c") == nil {
 		t.Fatalf("insert past the cap left %d plans, want only the new one", n)
+	}
+}
+
+// TestPlanKeyBytesStable pins the plan key's bytes on an OPT-6.7B block, with
+// and without a beam: PPSC v8 files store plans under these keys, so a
+// change to the whole-graph signature would silently turn every persisted
+// plan into a miss without a format bump.
+func TestPlanKeyBytesStable(t *testing.T) {
+	g, err := model.BuildBlock(model.OPT6B7())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for beam, want := range map[int]string{
+		0: "5180e8a06555d858505524b28fbe4bb1cf1ceaf4dc0bcd3837a5f964874bba4f",
+		8: "1165d4ed0f7927600d355717ed274703521d8e094dff849069101bca25f246e8",
+	} {
+		m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
+		m.Alpha = 1e-12
+		o := NewOptimizer(m)
+		o.Opts.Beam = beam
+		key := o.appendPlanCrossKey(o.appendEnvSig(nil), g, 32)
+		if got := fmt.Sprintf("%x", sha256.Sum256(key)); got != want {
+			t.Errorf("beam %d: plan key sha256 %s, want %s", beam, got, want)
+		}
 	}
 }

@@ -39,19 +39,19 @@ type SearchStats struct {
 	// benchmark reads it by name.
 	CandsPruned int `json:"cands_pruned"`
 
-	// DPRowClasses sums the head-interface row classes over segment tables:
-	// the row dimension the factored DP actually iterates, versus the full
-	// |P| of each segment head in CandidatesEvaluated.
+	// DPRowClasses sums the head-interface row classes over the segments
+	// whose DP ran: the row dimension the factored DP actually iterates,
+	// versus the full |P| of each segment head in CandidatesEvaluated.
 	DPRowClasses int64 `json:"dp_row_classes"`
 
 	// DPTreeMerges counts the in-segment binary merges performed by the
 	// tree DP (zero when every segment's planned shape is a single chain).
 	DPTreeMerges int `json:"dp_tree_merges"`
 
-	// SegTablesBuilt counts segment DP tables actually computed this call;
-	// CrossCallTableHits counts segments served whole from the cross-call
-	// table cache (delta.go) — the "changed frontier" of a delta re-plan is
-	// exactly the SegTablesBuilt segments.
+	// SegTablesBuilt counts the segments whose DP ran this call: every
+	// segment of the graph, or 0 when the layer table was served whole.
+	// CrossCallTableHits is 0 or 1: whether the merged layer table came from
+	// the cross-call table tier (delta.go), leaving only stacking to run.
 	SegTablesBuilt     int `json:"seg_tables_built"`
 	CrossCallTableHits int `json:"cross_call_table_hits"`
 

@@ -775,8 +775,6 @@ func (o *Optimizer) EstimatePlan3D(req Plan3DRequest) (core.SearchEstimate, erro
 		total.CandidatesEvaluated += est.CandidatesEvaluated
 		total.EdgeBuilds += est.EdgeBuilds
 		total.EdgeCells += est.EdgeCells
-		total.SegTables += est.SegTables
-		total.SegTableHits += est.SegTableHits
 		if est.ProbeBeam > total.ProbeBeam {
 			total.ProbeBeam = est.ProbeBeam
 		}
