@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/calibrate"
@@ -218,6 +220,75 @@ func TestLayerStacking(t *testing.T) {
 		if s.TotalCost > float64(layers)*one.TotalCost*3 {
 			t.Fatalf("layers=%d: total %v implausibly high", layers, s.TotalCost)
 		}
+	}
+}
+
+// TestLayerStackingCheck drives the head/tail check that guards stacking: a
+// two-node graph stacks only when its head and tail candidate spaces are
+// index-identical. A tail whose batch axis cannot split has a shorter space;
+// a tail with its Prime M and N dims swapped has a space of the same length
+// that differs at the one Prime candidate 4 devices allow. Both must be
+// refused, naming the lengths or the index.
+func TestLayerStackingCheck(t *testing.T) {
+	cases := []struct {
+		name    string
+		edit    func(tail *graph.Op)
+		wantErr string
+	}{
+		{"stacks", nil, ""},
+		{"lengths differ", func(tail *graph.Op) { tail.Axes[model.LinB].Splittable = false }, "spaces differ"},
+		{"sequence differs", func(tail *graph.Op) { tail.PrimeM, tail.PrimeN = tail.PrimeN, tail.PrimeM }, "disagree at candidate"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &graph.Graph{Name: "stack-check"}
+			head := model.NewLinear("head", 2, 8, 8, 8)
+			tail := model.NewLinear("tail", 2, 8, 8, 8)
+			if tc.edit != nil {
+				tc.edit(tail)
+			}
+			g.AddNode(head)
+			g.AddNode(tail)
+			g.Connect(0, 1, 0, []int{model.LinB, model.LinM, model.LinK})
+			o := optimizerFor(t, 4, 4)
+			o.Cache = NewSearchCache()
+			nbits := o.Cost.Cluster.Bits()
+			hs, ts := Candidates(head, nbits, o.Opts), Candidates(tail, nbits, o.Opts)
+
+			strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
+			switch {
+			case tc.wantErr == "":
+				if err != nil {
+					t.Fatalf("index-identical spaces refused: %v", err)
+				}
+				if strat.Layers != 2 {
+					t.Fatalf("stacked %d layers, want 2", strat.Layers)
+				}
+				return
+			case err == nil:
+				t.Fatalf("stacked head and tail spaces that are not index-identical")
+			case !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
+			}
+			if len(hs) != len(ts) {
+				if want := fmt.Sprintf("(%d vs %d)", len(hs), len(ts)); !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name the lengths %s", err, want)
+				}
+				return
+			}
+			var diff []int
+			for i := range hs {
+				if hs[i].Key() != ts[i].Key() {
+					diff = append(diff, i)
+				}
+			}
+			if len(diff) != 1 {
+				t.Fatalf("spaces differ at %v, want exactly one index", diff)
+			}
+			if want := fmt.Sprintf("candidate %d ", diff[0]); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
+		})
 	}
 }
 

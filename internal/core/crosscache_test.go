@@ -29,6 +29,14 @@ func (c *SearchCache) dropPlansAndTables() {
 	c.tableCells = 0
 }
 
+// dropEdges empties the edge tier, as an epoch flush does.
+func (c *SearchCache) dropEdges() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.edges = make(map[string]*edgeMat)
+	c.edgeCells = 0
+}
+
 // TestCrossCallCacheHitsAcrossScales replays the sweep path: the same model
 // structures searched repeatedly across scales must (a) hit the cross-call
 // cache on every repeat and (b) return bit-identical strategies to the cold

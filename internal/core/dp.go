@@ -4,6 +4,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -638,18 +639,21 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	// Stacking: the layer boundary appears as the zero-cost anchor in the
 	// next layer, so no subtraction is needed — but the boundary STATE must
 	// be shared, which requires the anchor's candidate space to be
-	// INDEX-IDENTICAL to the tail node's. Interned sequence identities make
-	// the check exact rather than length-only (a same-size space with
-	// different or reordered sequences would silently stack wrong costs).
+	// INDEX-IDENTICAL to the tail node's. Comparing exact binary sequence
+	// keys pairwise makes the check exact rather than length-only (a
+	// same-size space with different or reordered sequences would silently
+	// stack wrong costs).
 	if layers > 1 {
 		head, tail := cands[0], cands[len(g.Nodes)-1]
 		if len(head.seqs) != len(tail.seqs) {
 			return nil, fmt.Errorf("core: layer head and tail spaces differ (%d vs %d); cannot stack",
 				len(head.seqs), len(tail.seqs))
 		}
-		var seqIDs partition.Interner
+		var hk, tk []byte
 		for i := range head.seqs {
-			if seqIDs.ID(head.seqs[i]) != seqIDs.ID(tail.seqs[i]) {
+			hk = head.seqs[i].AppendBinaryKey(hk[:0])
+			tk = tail.seqs[i].AppendBinaryKey(tk[:0])
+			if !bytes.Equal(hk, tk) {
 				return nil, fmt.Errorf("core: layer head and tail spaces disagree at candidate %d (%v vs %v); cannot stack",
 					i, head.seqs[i], tail.seqs[i])
 			}

@@ -133,3 +133,33 @@ func BenchmarkPlanLayerChange(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEstimatePlanWarm estimates one OPT-175B block request at 32
+// devices against a warm cache: every iteration is the admission estimate
+// of an identical repeat, answered as a plan hit, so ns/op pins the cost the
+// daemon pays before a warm search — slot dedup, node probes that also
+// supply the space sizes, and the plan probe.
+func BenchmarkEstimatePlanWarm(b *testing.B) {
+	cfg := model.OPT175B()
+	g, err := model.BuildBlock(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := NewOptimizer(cost.NewModel(device.MustCluster(32, 4, device.V100Profile())))
+	o.Cache = NewSearchCache()
+	req := PlanRequest{Graph: g, Layers: cfg.Layers}
+	if _, err := o.Plan(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est, err := o.EstimatePlan(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !est.PlanHit {
+			b.Fatalf("iteration was not a plan hit: %+v", est)
+		}
+	}
+}

@@ -16,6 +16,10 @@
 // table hit. The reverse is conservative by design: a cache flush between
 // estimate and search only makes the search slower than promised, never the
 // estimate stale-warm forever.
+//
+// Space sizes come from the same probes: a node hit's stored candidate list
+// is exactly what SpaceSize would enumerate, so a warm estimate enumerates
+// no candidate space, and only uncached slots run SpaceSize.
 package core
 
 import (
@@ -101,7 +105,11 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	nbits := o.Cost.Cluster.Bits()
 
 	// Node pass: the same slot dedup as searchOnce, then a cache probe per
-	// unique slot. Space sizes come from enumeration only (no cost model).
+	// unique slot. A cached slot's space size is the length of its stored
+	// list, which evalNode filled with the unfiltered Candidates under the
+	// same environment key (the prefix folds every enumeration option);
+	// only an uncached slot, which the search is about to evaluate anyway,
+	// is enumerated.
 	in := &sigInterner{}
 	slotOf := make([]int, len(g.Nodes))
 	var slotNode []int
@@ -127,17 +135,16 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	slotSize := make([]int, len(slotNode))
 	for s, ni := range slotNode {
 		op := g.Nodes[ni]
-		slotSize[s] = SpaceSize(op, nbits, o.Opts)
-		cached := false
 		if ccache != nil {
-			key := string(appendNodeCrossKey(envSig, op))
-			cached = ccache.getNode(key) != nil
+			if e := ccache.getNode(string(appendNodeCrossKey(envSig, op))); e != nil {
+				slotSize[s] = len(e.seqs)
+				continue
+			}
 		}
-		if !cached {
-			est.Warm = false
-			est.NodeEvals++
-			est.CandidatesEvaluated += slotSize[s]
-		}
+		slotSize[s] = SpaceSize(op, nbits, o.Opts)
+		est.Warm = false
+		est.NodeEvals++
+		est.CandidatesEvaluated += slotSize[s]
 	}
 
 	// Effective (post-pruning) space per node: beam pruning caps every

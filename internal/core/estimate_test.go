@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -107,9 +109,7 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 	checkHit("warm")
 
 	// An edge-tier flush leaves the plan hit, and with it Warm, intact.
-	cache.mu.Lock()
-	cache.edges, cache.edgeCells = make(map[string]*edgeMat), 0
-	cache.mu.Unlock()
+	cache.dropEdges()
 	flushed, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
@@ -336,4 +336,187 @@ func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 	if _, err := o.EstimatePlan(PlanRequest{Graph: g, Layers: 0}); err == nil {
 		t.Fatal("zero layers accepted")
 	}
+}
+
+// referenceEstimate is EstimatePlan with every slot's space size enumerated
+// by SpaceSize, whether or not the node tier holds it: the estimator before
+// it took cached slots' sizes from their stored candidate lists. Everything
+// else — slot dedup, probes, the plan and table tiers, edge and DP terms — is
+// the production estimator's arithmetic, so any field that differs from
+// EstimatePlan's betrays a cached list whose length is not SpaceSize.
+func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
+	g := req.Graph
+	saved := o.Opts.Beam
+	defer func() { o.Opts.Beam = saved }()
+	if req.Budget > 0 {
+		o.Opts.Beam = budgetStartBeam
+	}
+	ccache := o.crossCache()
+	var envSig []byte
+	if ccache != nil {
+		envSig = o.appendEnvSig(nil)
+	}
+	in := &sigInterner{}
+	slotOf := make([]int, len(g.Nodes))
+	var slotNode []int
+	bySig := make(map[int32]int)
+	for i, op := range g.Nodes {
+		id := in.fullID(op)
+		s, ok := bySig[id]
+		if !ok {
+			s = len(slotNode)
+			bySig[id] = s
+			slotNode = append(slotNode, i)
+		}
+		slotOf[i] = s
+	}
+	est := SearchEstimate{Warm: ccache != nil, ProbeBeam: o.Opts.Beam}
+	slotSize := make([]int, len(slotNode))
+	for s, ni := range slotNode {
+		op := g.Nodes[ni]
+		slotSize[s] = SpaceSize(op, o.Cost.Cluster.Bits(), o.Opts)
+		if ccache == nil || ccache.getNode(string(appendNodeCrossKey(envSig, op))) == nil {
+			est.Warm = false
+			est.NodeEvals++
+			est.CandidatesEvaluated += slotSize[s]
+		}
+	}
+	eff := func(i int) int {
+		n := slotSize[slotOf[i]]
+		if b := o.Opts.Beam; b > 0 && n > b {
+			return b
+		}
+		return n
+	}
+	stack := 0.0
+	if req.Layers > 1 {
+		stack = float64(2*bits.Len(uint(req.Layers-1))) * estScan * float64(eff(len(g.Nodes)-1))
+	}
+	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
+	if ccache != nil {
+		if e := ccache.getPlan(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
+			sizes := make([]int, len(g.Nodes))
+			for i := range sizes {
+				sizes[i] = eff(i)
+			}
+			if e.fits(sizes) {
+				est.PlanHit = true
+				est.Work = nodeWork + float64(len(g.Nodes))
+				return est
+			}
+		}
+		if ccache.getTable(string(o.appendTableCrossKey(envSig, g))) != nil {
+			est.TableHit = true
+			est.Work = nodeWork + float64(len(g.Nodes)) + stack
+			return est
+		}
+	}
+	seen := make(map[edgeMatKey]bool)
+	for _, e := range g.Edges {
+		k := edgeKeyOf(in, g, e, o.Opts.Beam > 0)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if ccache == nil || ccache.getEdge(string(o.appendEdgeCrossKey(envSig, g, e))) == nil {
+			est.Warm = false
+			est.EdgeBuilds++
+			est.EdgeCells += int64(eff(e.Src)) * int64(eff(e.Dst))
+		}
+	}
+	cuts := g.SegmentCuts()
+	dp := 0.0
+	for s := 0; s+1 < len(cuts); s++ {
+		for i := cuts[s]; i <= cuts[s+1]; i++ {
+			dp += estScan * float64(eff(i))
+		}
+	}
+	dp += float64(len(cuts)-1)*estScan*float64(eff(len(g.Nodes)-1)) + stack
+	est.Work = nodeWork + float64(est.EdgeCells) + dp
+	return est
+}
+
+// TestEstimateSpaceSizesFromNodeCache pins the invariant the estimator's
+// node pass relies on: after a Plan, every cached node entry holds exactly
+// SpaceSize(op, bits, opts) sequences, for the six paper models at 4–32
+// devices under every option that shapes enumeration (the environment key
+// folds AllowPrime, AllowBatchSplit and MaxPrimeK). And in every cache state
+// a request can meet — cold, nodes warm with edges flushed, a table hit, a
+// plan hit — an exact and a budget-mode request estimate field for field
+// what referenceEstimate computes with SpaceSize.
+func TestEstimateSpaceSizesFromNodeCache(t *testing.T) {
+	optionSets := []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"no-prime", func(o *Options) { o.AllowPrime = false }},
+		{"no-batch-split", func(o *Options) { o.AllowBatchSplit = false }},
+		{"max-prime-k-1", func(o *Options) { o.MaxPrimeK = 1 }},
+	}
+	for _, devices := range []int{4, 8, 16, 32} {
+		for _, cfg := range model.All() {
+			for _, set := range optionSets {
+				name := fmt.Sprintf("%s@%d/%s", cfg.Name, devices, set.name)
+				t.Run(name, func(t *testing.T) {
+					if devices == 32 && testing.Short() {
+						t.Skip("32-device cells skipped under -short")
+					}
+					checkEstimateSpaceSizes(t, cfg, devices, set.edit)
+				})
+			}
+		}
+	}
+}
+
+func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit func(*Options)) {
+	g, err := model.BuildBlock(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewSearchCache()
+	o := NewOptimizer(cost.NewModel(device.MustCluster(devices, 4, device.V100Profile())))
+	o.Cache = cache
+	edit(&o.Opts)
+	exact := PlanRequest{Graph: g, Layers: cfg.Layers}
+	budget := PlanRequest{Graph: g, Layers: cfg.Layers, Budget: time.Minute}
+	compare := func(state string) {
+		t.Helper()
+		for _, req := range []PlanRequest{exact, budget} {
+			got, err := o.EstimatePlan(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceEstimate(o, req); got != want {
+				t.Errorf("%s, budget %v: estimate %+v, SpaceSize reference %+v", state, req.Budget, got, want)
+			}
+		}
+	}
+
+	compare("cold")
+	if _, err := o.Plan(context.Background(), exact); err != nil {
+		t.Fatal(err)
+	}
+	envSig := o.appendEnvSig(nil)
+	keys := make(map[string]bool)
+	for i, op := range g.Nodes {
+		key := string(appendNodeCrossKey(envSig, op))
+		keys[key] = true
+		e := cache.getNode(key)
+		if e == nil {
+			t.Fatalf("node %d (%s) not cached after Plan", i, op.Name)
+		}
+		if want := SpaceSize(op, o.Cost.Cluster.Bits(), o.Opts); len(e.seqs) != want {
+			t.Errorf("node %d (%s): cached %d sequences, SpaceSize %d", i, op.Name, len(e.seqs), want)
+		}
+	}
+	if n := len(cache.nodes); n != len(keys) {
+		t.Fatalf("cache holds %d node entries, the graph has %d unique nodes", n, len(keys))
+	}
+	compare("plan hit")
+	cache.dropPlans()
+	compare("table hit")
+	cache.dropPlansAndTables()
+	cache.dropEdges()
+	compare("nodes warm, edges flushed")
 }

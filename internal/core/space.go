@@ -117,8 +117,9 @@ func Candidates(op *graph.Op, nbits int, opts Options) []partition.Seq {
 	return out
 }
 
-// SpaceSize returns |Candidates(op, nbits, opts)| without materialising the
-// sequences (used for reporting the paper's P).
+// SpaceSize returns |Candidates(op, nbits, opts)|, the paper's |P|. It
+// materialises the sequences to count them; its one production caller is
+// EstimatePlan, for node slots the cross-call cache does not hold.
 func SpaceSize(op *graph.Op, nbits int, opts Options) int {
 	return len(Candidates(op, nbits, opts))
 }

@@ -1,9 +1,12 @@
 package partition
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // TestBinaryKeyMatchesKey pins the binary key to the reference Key: two
-// sequences agree on BinaryKey iff they agree on Key.
+// sequences agree on AppendBinaryKey iff they agree on Key.
 func TestBinaryKeyMatchesKey(t *testing.T) {
 	seqs := []Seq{
 		NewSeq(),
@@ -18,12 +21,14 @@ func TestBinaryKeyMatchesKey(t *testing.T) {
 		NewSeq(NewPrime(1, 0, 1, 2), Split(0)),
 		NewSeq(Split(2), Split(2), Split(2)),
 	}
+	var ka, kb []byte
 	for i, a := range seqs {
 		for j, b := range seqs {
+			ka, kb = a.AppendBinaryKey(ka[:0]), b.AppendBinaryKey(kb[:0])
 			sameRef := a.Key() == b.Key()
-			sameBin := a.BinaryKey() == b.BinaryKey()
+			sameBin := bytes.Equal(ka, kb)
 			if sameRef != sameBin {
-				t.Errorf("seq %d vs %d: Key equal=%v but BinaryKey equal=%v", i, j, sameRef, sameBin)
+				t.Errorf("seq %d vs %d: Key equal=%v but binary key equal=%v", i, j, sameRef, sameBin)
 			}
 		}
 	}
@@ -35,27 +40,7 @@ func TestBinaryKeyMatchesKey(t *testing.T) {
 func TestBinaryKeyDistinguishesTokenBoundaries(t *testing.T) {
 	a := NewSeq(Split(12))
 	b := NewSeq(Split(1), Split(2))
-	if a.BinaryKey() == b.BinaryKey() {
+	if bytes.Equal(a.AppendBinaryKey(nil), b.AppendBinaryKey(nil)) {
 		t.Fatalf("Split(12) and Split(1),Split(2) share a binary key")
-	}
-}
-
-func TestInterner(t *testing.T) {
-	var in Interner
-	a := NewSeq(Split(0), NewPrime(1, 0, 1, 2))
-	b := NewSeq(Split(0))
-	idA := in.ID(a)
-	idB := in.ID(b)
-	if idA == idB {
-		t.Fatalf("distinct sequences interned to the same id %d", idA)
-	}
-	if got := in.ID(NewSeq(Split(0), NewPrime(1, 0, 1, 2))); got != idA {
-		t.Fatalf("re-interning an equal sequence gave id %d, want %d", got, idA)
-	}
-	if in.Len() != 2 {
-		t.Fatalf("interner holds %d sequences, want 2", in.Len())
-	}
-	if in.Seq(idA).Key() != a.Key() || in.Seq(idB).Key() != b.Key() {
-		t.Fatalf("canonical sequences do not round-trip")
 	}
 }
