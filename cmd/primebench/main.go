@@ -145,6 +145,7 @@ func main() {
 		rows, table, err := experiments.Plan3DCurve(setup, scales, 64, 2)
 		check(err)
 		fmt.Println(table)
+		fmt.Println(experiments.Plan3DPhaseTable(rows))
 		if *goldenOut != "" {
 			check(experiments.WriteGoldenPlan3D(*goldenOut, rows))
 			fmt.Printf("wrote %s (golden joint-plan digests)\n\n", *goldenOut)

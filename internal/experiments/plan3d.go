@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/report"
@@ -97,6 +98,21 @@ func Plan3DCurve(s Setup, scales []int, globalBatch, microbatch int) ([]Plan3DRo
 		}
 	}
 	return rows, t.String(), nil
+}
+
+// Plan3DPhaseTable renders where each joint call's wall time went: the
+// per-stage tensor-parallel searches, the per-stage simulations, the cut
+// enumeration and the 1F1B scoring of the candidate cuts (Plan3DStats).
+func Plan3DPhaseTable(rows []Plan3DRow) string {
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d)/1e6) }
+	t := report.NewTable("Joint Plan3D phase times (ms)",
+		"model", "devices", "elapsed", "stage search", "stage sim", "cut enum", "1F1B schedule")
+	for _, r := range rows {
+		st := r.Stats
+		t.AddRow(r.Model, fmt.Sprintf("%d", r.Devices), ms(st.Elapsed),
+			ms(st.StageSearchTime), ms(st.StageSimTime), ms(st.CutEnumTime), ms(st.ScheduleTime))
+	}
+	return t.String()
 }
 
 func plan3dDigestMap(rows []Plan3DRow) map[string]string {

@@ -144,12 +144,13 @@ func stageCluster(full *device.Cluster, m int) *device.Cluster {
 	return device.MustCluster(m, per, full.Profile)
 }
 
-func stashOf(g *graph.Graph, seqs []partition.Seq, layers int, eb float64) float64 {
+// stashOf is one layer's activation stash bytes under seqs.
+func stashOf(g *graph.Graph, seqs []partition.Seq, eb float64) float64 {
 	total := 0.0
 	for i, op := range g.Nodes {
 		for _, ti := range op.Stash {
 			total += cost.BlockElems(op, seqs[i], ti) * eb
 		}
 	}
-	return total * float64(layers)
+	return total
 }

@@ -14,6 +14,8 @@
 //     cut. Each distinct (m, ℓ) stage is ONE tensor-parallel sub-search,
 //     memoized in-call and served warm across calls by the α-keyed
 //     cross-call table tier (a layer-count change re-runs only stacking).
+//     Its simulation replays a sim.Prepared kept per stage width for the
+//     call, so a strategy shared by several layer counts is prepared once.
 //  3. Surviving cuts are scored exactly by the event-driven 1F1B simulator
 //     (Simulate1F1BStages) in both orientations; a second lower bound
 //     (max(Σ t_s, nMB·max t_s) + allreduce) skips cuts the incumbent
@@ -29,6 +31,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -154,8 +157,16 @@ type Plan3DStats struct {
 	StagePlans int `json:"stage_plans"`
 	// Search aggregates the core search stats over all sub-searches.
 	Search core.SearchStats `json:"search"`
-	// Elapsed is the whole Plan3D wall time.
-	Elapsed time.Duration `json:"elapsed_ns"`
+	// Elapsed is the whole Plan3D wall time. The four phase times below
+	// are disjoint parts of it: the per-stage tensor-parallel searches,
+	// the per-stage simulations, the stage-cut enumeration, and scoring
+	// the candidate cuts (lower bound, 1F1B simulation, assembly). The
+	// configuration grid and graph construction make up the rest.
+	Elapsed         time.Duration `json:"elapsed_ns"`
+	StageSearchTime time.Duration `json:"stage_search_ns"`
+	StageSimTime    time.Duration `json:"stage_sim_ns"`
+	CutEnumTime     time.Duration `json:"cut_enum_ns"`
+	ScheduleTime    time.Duration `json:"schedule_ns"`
 }
 
 // Plan3D is the result of a joint 3D planning call.
@@ -290,24 +301,35 @@ type stageEval struct {
 
 type stageKey struct{ m, layers int }
 
-// evalStage runs (or recalls) the tensor-parallel sub-search and simulation
-// for an ℓ-layer stage on an m-device group.
-func (o *Optimizer) evalStage(ctx context.Context, g *graph.Graph, m, layers int, system System, memo map[stageKey]*stageEval, stats *Plan3DStats) (*stageEval, error) {
-	key := stageKey{m: m, layers: layers}
-	if ev, ok := memo[key]; ok {
-		return ev, nil
+// stagePrep is the simulation set-up of the strategy last evaluated on one
+// stage width within a Plan3D call: the prepared simulator and the
+// strategy's per-layer weight and stash bytes. Stage sub-searches of
+// neighbouring layer counts mostly return the same strategy, so one
+// preparation serves all their simulations.
+type stagePrep struct {
+	key    []byte // Seq.AppendBinaryKey of every node's strategy
+	sim    *sim.Prepared
+	wBytes float64
+	stash  float64
+}
+
+// prepareStage returns the per-width set-up for seqs on the sub-cluster
+// sub, reusing preps[m] only when its strategy is byte-identical to seqs
+// and preparing (and keeping) a new one otherwise.
+func prepareStage(preps map[int]*stagePrep, g *graph.Graph, sub *device.Cluster, seqs []partition.Seq) (*stagePrep, error) {
+	var key []byte
+	for _, seq := range seqs {
+		key = seq.AppendBinaryKey(key)
 	}
-	full := o.Cluster
-	sub := stageCluster(full, m)
-	seqs, sstats, err := o.stageSeqs(ctx, g, sub, layers, system)
+	m := sub.NumDevices
+	if sp := preps[m]; sp != nil && bytes.Equal(sp.key, key) {
+		return sp, nil
+	}
+	prep, err := sim.New(sub).Prepare(g, seqs)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sim.New(sub).Run(g, seqs, layers)
-	if err != nil {
-		return nil, err
-	}
-	eb := full.Profile.ElementBytes
+	eb := sub.Profile.ElementBytes
 	wBytes := 0.0
 	for i, op := range g.Nodes {
 		for ti, t := range op.Tensors {
@@ -316,12 +338,41 @@ func (o *Optimizer) evalStage(ctx context.Context, g *graph.Graph, m, layers int
 			}
 		}
 	}
+	sp := &stagePrep{key: key, sim: prep, wBytes: wBytes, stash: stashOf(g, seqs, eb)}
+	preps[m] = sp
+	return sp, nil
+}
+
+// evalStage runs (or recalls) the tensor-parallel sub-search and simulation
+// for an ℓ-layer stage on an m-device group.
+func (o *Optimizer) evalStage(ctx context.Context, g *graph.Graph, m, layers int, system System, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats) (*stageEval, error) {
+	key := stageKey{m: m, layers: layers}
+	if ev, ok := memo[key]; ok {
+		return ev, nil
+	}
+	sub := stageCluster(o.Cluster, m)
+	t0 := time.Now()
+	seqs, sstats, err := o.stageSeqs(ctx, g, sub, layers, system)
+	t1 := time.Now()
+	stats.StageSearchTime += t1.Sub(t0)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := prepareStage(preps, g, sub, seqs)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := sp.sim.Run(layers)
+	stats.StageSimTime += time.Since(t1)
+	if err != nil {
+		return nil, err
+	}
 	ev := &stageEval{
 		seqs:   seqs,
 		time:   rep.IterationTime,
 		mem:    rep.PeakMemoryBytes,
-		stash:  stashOf(g, seqs, layers, eb),
-		wBytes: wBytes * float64(layers),
+		stash:  sp.stash * float64(layers),
+		wBytes: sp.wBytes * float64(layers),
 	}
 	memo[key] = ev
 	stats.StagePlans++
@@ -382,11 +433,13 @@ func (o *Optimizer) planFixed(ctx context.Context, req Plan3DRequest, start time
 	var stats Plan3DStats
 	stats.ConfigsConsidered = 1
 	memo := make(map[stageKey]*stageEval, 1)
-	ev, err := o.evalStage(ctx, g, c3.M, layersPerStage, req.System, memo, &stats)
+	preps := make(map[int]*stagePrep, 1)
+	ev, err := o.evalStage(ctx, g, c3.M, layersPerStage, req.System, memo, preps, &stats)
 	if err != nil {
 		return nil, err
 	}
 
+	t0 := time.Now()
 	nMB := c3.Microbatches()
 	p2p := p2pTime(cfg, full, c3)
 	dpAR := dpARTime(full, c3.D, c3.M, ev.wBytes)
@@ -406,6 +459,7 @@ func (o *Optimizer) planFixed(ctx context.Context, req Plan3DRequest, start time
 		cut[s] = layersPerStage
 	}
 	p3 := o.assemble(cfg, c3, req.System, cut, memo, sched, p2p, dpAR)
+	stats.ScheduleTime = time.Since(t0)
 	stats.Elapsed = time.Since(start)
 	p3.Stats = stats
 	return p3, nil
@@ -523,6 +577,7 @@ func (o *Optimizer) planAuto(ctx context.Context, req Plan3DRequest, start time.
 
 	stats := &Plan3DStats{}
 	memo := make(map[stageKey]*stageEval)
+	preps := make(map[int]*stagePrep)
 	lbPerM := make(map[int]float64)
 	var best *Plan3D
 	incumbent := math.Inf(1)
@@ -543,7 +598,7 @@ func (o *Optimizer) planAuto(ctx context.Context, req Plan3DRequest, start time.
 			stats.ConfigsPruned++
 			continue
 		}
-		cand, err := o.planConfig(ctx, req, g, c3, memo, stats, incumbent)
+		cand, err := o.planConfig(ctx, req, g, c3, memo, preps, stats, incumbent)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -569,7 +624,7 @@ func (o *Optimizer) planAuto(ctx context.Context, req Plan3DRequest, start time.
 
 // planConfig searches the stage cuts of one (p,d,m) configuration and
 // returns its best plan (nil if every cut lost to the incumbent bound).
-func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.Graph, c3 Config3D, memo map[stageKey]*stageEval, stats *Plan3DStats, incumbent float64) (*Plan3D, error) {
+func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.Graph, c3 Config3D, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats, incumbent float64) (*Plan3D, error) {
 	cfg := req.Model
 	full := o.Cluster
 	L := cfg.Layers
@@ -596,7 +651,7 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 	// repeats free and the cross-call table tier makes layer-count
 	// neighbours warm (only stacking re-runs).
 	for l := minPer; l <= maxPer; l++ {
-		if _, err := o.evalStage(ctx, g, c3.M, l, req.System, memo, stats); err != nil {
+		if _, err := o.evalStage(ctx, g, c3.M, l, req.System, memo, preps, stats); err != nil {
 			return nil, err
 		}
 	}
@@ -606,6 +661,7 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 	// Candidate cuts: the uniform ⌈L/p⌉ grid protocol first (bit-identical
 	// to planFixed — the never-worse-than-grid anchor), then both
 	// orientations of the Pareto frontier over true compositions.
+	t0 := time.Now()
 	legacy := make([]int, p)
 	for s := range legacy {
 		legacy[s] = ceilL
@@ -639,6 +695,9 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 		// Enumeration can fail only on an infeasible window (e.g. p > L
 		// already filtered); the legacy candidate still stands.
 	}
+	t1 := time.Now()
+	stats.CutEnumTime += t1.Sub(t0)
+	defer func() { stats.ScheduleTime += time.Since(t1) }()
 
 	var best *Plan3D
 	bestTotal := incumbent

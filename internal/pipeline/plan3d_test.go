@@ -9,11 +9,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/model"
+	"repro/internal/partition"
+	"repro/internal/sim"
 )
 
 // legacyEvalRow is one pre-redesign Evaluate output captured in
@@ -454,7 +457,7 @@ func TestPlan3DRaceSharedCache(t *testing.T) {
 // planCounters strips from s what legitimately varies with the worker count:
 // wall times and the recorded pool width.
 func planCounters(s Plan3DStats) Plan3DStats {
-	s.Elapsed = 0
+	s.Elapsed, s.StageSearchTime, s.StageSimTime, s.CutEnumTime, s.ScheduleTime = 0, 0, 0, 0, 0
 	s.Search.Workers = 0
 	s.Search.NodeEvalTime, s.Search.EdgeMatTime, s.Search.DPTime, s.Search.StackTime, s.Search.TotalTime = 0, 0, 0, 0, 0
 	return s
@@ -503,6 +506,138 @@ func BenchmarkPlan3DCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := NewOptimizer(full)
 		o.Cache = core.NewSearchCache() // cold every iteration
+		if _, err := o.Plan3D(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPrepareStageNeverSharesAcrossStrategies pins the per-width simulation
+// reuse of one Plan3D call: a byte-identical strategy reuses the width's
+// Prepared, a different strategy at the same width gets its own, and every
+// Prepared answers exactly like a fresh sim.Run.
+func TestPrepareStageNeverSharesAcrossStrategies(t *testing.T) {
+	full := device.MustCluster(16, 4, device.V100Profile())
+	g, err := model.BuildBlock(model.OPT6B7().WithBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := stageCluster(full, 4)
+	o := NewOptimizer(full)
+	o.Cache = core.NewSearchCache()
+	prime, _, err := o.stageSeqs(context.Background(), g, sub, 8, PrimePar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mega, _, err := o.stageSeqs(context.Background(), g, sub, 8, Megatron)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	preps := map[int]*stagePrep{}
+	prep := func(seqs []partition.Seq) *stagePrep {
+		t.Helper()
+		sp, err := prepareStage(preps, g, sub, seqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	a := prep(prime)
+	if again := prep(append([]partition.Seq(nil), prime...)); again != a {
+		t.Fatal("an identical strategy at the same width was prepared again")
+	}
+	b := prep(mega)
+	if b == a || b.sim == a.sim {
+		t.Fatal("PrimePar and Megatron strategies at one width share a Prepared")
+	}
+	c := prep(prime)
+	if c == b || c.sim == b.sim {
+		t.Fatal("switching back to PrimePar reused the Megatron Prepared")
+	}
+
+	eb := full.Profile.ElementBytes
+	for _, tc := range []struct {
+		name string
+		sp   *stagePrep
+		seqs []partition.Seq
+	}{{"primepar", a, prime}, {"megatron", b, mega}, {"primepar again", c, prime}} {
+		if got, want := tc.sp.stash, stashOf(g, tc.seqs, eb); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: stash %v, want %v", tc.name, got, want)
+		}
+		for _, layers := range []int{1, 5, 8} {
+			got, err := tc.sp.sim.Run(layers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sim.New(sub).Run(g, tc.seqs, layers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.IterationTime) != math.Float64bits(want.IterationTime) ||
+				math.Float64bits(got.PeakMemoryBytes) != math.Float64bits(want.PeakMemoryBytes) {
+				t.Errorf("%s, %d layers: prepared (%v, %v), fresh Run (%v, %v)", tc.name, layers,
+					got.IterationTime, got.PeakMemoryBytes, want.IterationTime, want.PeakMemoryBytes)
+			}
+		}
+	}
+}
+
+// TestPlan3DPhaseTimings checks the per-phase split of a joint call: every
+// phase takes time, the phases are disjoint parts of Elapsed, and they
+// reach JSON under their keys.
+func TestPlan3DPhaseTimings(t *testing.T) {
+	o := NewOptimizer(device.MustCluster(8, 4, device.V100Profile()))
+	o.Cache = core.NewSearchCache()
+	p3, err := o.Plan3D(context.Background(), Plan3DRequest{Model: model.OPT6B7(), System: PrimePar, GlobalBatch: 64, Microbatch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p3.Stats
+	phases := map[string]time.Duration{
+		"stage_search_ns": st.StageSearchTime,
+		"stage_sim_ns":    st.StageSimTime,
+		"cut_enum_ns":     st.CutEnumTime,
+		"schedule_ns":     st.ScheduleTime,
+	}
+	var sum time.Duration
+	for name, d := range phases {
+		if d <= 0 {
+			t.Errorf("%s = %v, want > 0", name, d)
+		}
+		sum += d
+	}
+	if sum > st.Elapsed {
+		t.Errorf("phases sum to %v, more than Elapsed %v", sum, st.Elapsed)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for name := range phases {
+		if _, ok := keys[name]; !ok {
+			t.Errorf("Plan3DStats JSON lacks %q", name)
+		}
+	}
+}
+
+// BenchmarkPlan3DWarm measures the daemon's pipeline cell served warm:
+// OPT-6.7B on 8 devices, global batch 64, micro-batch 2, every stage
+// sub-search a cross-call cache hit; one Plan3D per op.
+func BenchmarkPlan3DWarm(b *testing.B) {
+	o := NewOptimizer(device.MustCluster(8, 4, device.V100Profile()))
+	o.Cache = core.NewSearchCache()
+	req := Plan3DRequest{Model: model.OPT6B7(), System: PrimePar, GlobalBatch: 64, Microbatch: 2}
+	if _, err := o.Plan3D(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := o.Plan3D(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
