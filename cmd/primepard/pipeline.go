@@ -177,11 +177,7 @@ func pipelinePlanOf(spec PipelineSpec, p3 *pipeline.Plan3D, g *graph.Graph) *Pip
 		if len(st.Seqs) == len(g.Nodes) {
 			ws.Seqs = make([]string, len(st.Seqs))
 			for j, seq := range st.Seqs {
-				names := make([]string, len(g.Nodes[j].Axes))
-				for k, ax := range g.Nodes[j].Axes {
-					names[k] = ax.Name
-				}
-				ws.Seqs[j] = seq.Format(names)
+				ws.Seqs[j] = seq.Format(g.Nodes[j].AxisNames())
 			}
 		}
 		stages[i] = ws

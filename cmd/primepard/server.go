@@ -420,13 +420,19 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.plansServed.Add(1)
-	s.crossNodeHits.Add(int64(resp.Stats.CrossCallNodeHits))
-	s.crossEdgeHits.Add(int64(resp.Stats.CrossCallEdgeHits))
-	s.crossTableHits.Add(int64(resp.Stats.CrossCallTableHits))
-	s.crossPlanHits.Add(int64(resp.Stats.CrossCallPlanHits))
-	s.candsTotal.Add(int64(resp.Stats.CandsTotal))
-	s.entriesScanned.Add(resp.Stats.EntriesScanned)
+	s.countSearch(resp.Stats)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// countSearch adds a served plan's search stats (or a sweep's summed ones)
+// to the /v1/stats cache-tier and work counters.
+func (s *server) countSearch(st core.SearchStats) {
+	s.crossNodeHits.Add(int64(st.CrossCallNodeHits))
+	s.crossEdgeHits.Add(int64(st.CrossCallEdgeHits))
+	s.crossTableHits.Add(int64(st.CrossCallTableHits))
+	s.crossPlanHits.Add(int64(st.CrossCallPlanHits))
+	s.candsTotal.Add(int64(st.CandsTotal))
+	s.entriesScanned.Add(st.EntriesScanned)
 }
 
 // deadline resolves a request's deadline_ms: the server default when unset,
@@ -693,13 +699,9 @@ func (s *server) search(ctx context.Context, job *planJob, est core.SearchEstima
 	g := planReq.Graph
 	nodes := make([]PlanNode, len(g.Nodes))
 	for i, op := range g.Nodes {
-		names := make([]string, len(op.Axes))
-		for j, ax := range op.Axes {
-			names[j] = ax.Name
-		}
 		nodes[i] = PlanNode{
 			Name:        op.Name,
-			Seq:         strat.Seqs[i].Format(names),
+			Seq:         strat.Seqs[i].Format(op.AxisNames()),
 			Compute:     strat.Intra[i].Compute,
 			RingTotal:   strat.Intra[i].RingTotal,
 			AllReduce:   strat.Intra[i].AllReduce,

@@ -69,43 +69,18 @@ type SweepPointResult struct {
 	Error     *errorEnvelope `json:"error,omitempty"`
 }
 
-// SweepTotals aggregates search work across the planned points — the
-// headline numbers for "how much did sharing save": compare NodeEvals and
-// SegTablesBuilt (segments whose DP ran) against what the same points cost
-// individually cold.
-type SweepTotals struct {
-	NodeEvals          int64 `json:"node_evals"`
-	EdgeMatsBuilt      int64 `json:"edge_mats_built"`
-	SegTablesBuilt     int64 `json:"seg_tables_built"`
-	CrossCallNodeHits  int64 `json:"cross_call_node_hits"`
-	CrossCallEdgeHits  int64 `json:"cross_call_edge_hits"`
-	CrossCallTableHits int64 `json:"cross_call_table_hits"`
-	CrossCallPlanHits  int64 `json:"cross_call_plan_hits"`
-	// EntriesScanned was min_plus_scanned before the bound-pruning rename.
-	EntriesScanned int64 `json:"entries_scanned"`
-	CandsTotal     int64 `json:"cands_total"`
-}
-
-func (t *SweepTotals) add(s core.SearchStats) {
-	t.NodeEvals += int64(s.NodeEvals)
-	t.EdgeMatsBuilt += int64(s.EdgeMatsBuilt)
-	t.SegTablesBuilt += int64(s.SegTablesBuilt)
-	t.CrossCallNodeHits += int64(s.CrossCallNodeHits)
-	t.CrossCallEdgeHits += int64(s.CrossCallEdgeHits)
-	t.CrossCallTableHits += int64(s.CrossCallTableHits)
-	t.CrossCallPlanHits += int64(s.CrossCallPlanHits)
-	t.EntriesScanned += s.EntriesScanned
-	t.CandsTotal += int64(s.CandsTotal)
-}
-
 // SweepResponse is the /v1/plan/sweep output.
 type SweepResponse struct {
-	Model     string             `json:"model"`
-	Results   []SweepPointResult `json:"results"`
-	Planned   int                `json:"planned"`
-	Failed    int                `json:"failed"`
-	Totals    SweepTotals        `json:"totals"`
-	ElapsedMS float64            `json:"elapsed_ms"`
+	Model   string             `json:"model"`
+	Results []SweepPointResult `json:"results"`
+	Planned int                `json:"planned"`
+	Failed  int                `json:"failed"`
+	// Totals sums the planned points' search stats (core.SearchStats.Add)
+	// — the headline numbers for "how much did sharing save": compare
+	// node_evals and seg_tables_built against what the same points cost
+	// individually cold.
+	Totals    core.SearchStats `json:"totals"`
+	ElapsedMS float64          `json:"elapsed_ms"`
 }
 
 // envelopeOf renders an apiError as the uniform JSON envelope (the same
@@ -188,12 +163,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweeps.Add(1)
 	s.sweepPointsPlanned.Add(int64(resp.Planned))
 	s.sweepPointsFailed.Add(int64(resp.Failed))
-	s.crossNodeHits.Add(resp.Totals.CrossCallNodeHits)
-	s.crossEdgeHits.Add(resp.Totals.CrossCallEdgeHits)
-	s.crossTableHits.Add(resp.Totals.CrossCallTableHits)
-	s.crossPlanHits.Add(resp.Totals.CrossCallPlanHits)
-	s.candsTotal.Add(resp.Totals.CandsTotal)
-	s.entriesScanned.Add(resp.Totals.EntriesScanned)
+	s.countSearch(resp.Totals)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -296,7 +266,7 @@ func (s *server) sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, 
 		}
 		resp.Results[i].Plan = plan
 		resp.Planned++
-		resp.Totals.add(plan.Stats)
+		resp.Totals.Add(plan.Stats)
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	return resp, nil

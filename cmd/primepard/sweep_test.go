@@ -141,7 +141,7 @@ func TestSweepSharesAcrossPoints(t *testing.T) {
 		st.CrossCallTableHits != 1 || st.EdgeMatsBuilt != 0 || st.CrossCallEdgeHits != 0 {
 		t.Errorf("layer point frontier wrong: %+v", st)
 	}
-	if out.resp.Totals.NodeEvals != int64(r[0].Plan.Stats.NodeEvals) {
+	if out.resp.Totals.NodeEvals != r[0].Plan.Stats.NodeEvals {
 		t.Errorf("totals node_evals = %d, want only the base point's %d",
 			out.resp.Totals.NodeEvals, r[0].Plan.Stats.NodeEvals)
 	}

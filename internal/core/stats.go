@@ -95,3 +95,33 @@ type SearchStats struct {
 	StackTime    time.Duration `json:"stack_ns"`
 	TotalTime    time.Duration `json:"total_ns"`
 }
+
+// Add accumulates s into st, as when one plan is assembled from several
+// searches: Workers keeps the maximum, every other counter and duration is
+// summed.
+func (st *SearchStats) Add(s SearchStats) {
+	st.Workers = max(st.Workers, s.Workers)
+	st.NodeEvals += s.NodeEvals
+	st.NodeCacheHits += s.NodeCacheHits
+	st.CandidatesEvaluated += s.CandidatesEvaluated
+	st.EdgeMatsBuilt += s.EdgeMatsBuilt
+	st.EdgeCacheHits += s.EdgeCacheHits
+	st.EdgeCellsEvaluated += s.EdgeCellsEvaluated
+	st.CandsTotal += s.CandsTotal
+	st.CandsPruned += s.CandsPruned
+	st.DPRowClasses += s.DPRowClasses
+	st.DPTreeMerges += s.DPTreeMerges
+	st.SegTablesBuilt += s.SegTablesBuilt
+	st.CrossCallTableHits += s.CrossCallTableHits
+	st.EntriesScanned += s.EntriesScanned
+	st.EntriesBoundSkipped += s.EntriesBoundSkipped
+	st.EdgeCellsReused += s.EdgeCellsReused
+	st.CrossCallNodeHits += s.CrossCallNodeHits
+	st.CrossCallEdgeHits += s.CrossCallEdgeHits
+	st.CrossCallPlanHits += s.CrossCallPlanHits
+	st.NodeEvalTime += s.NodeEvalTime
+	st.EdgeMatTime += s.EdgeMatTime
+	st.DPTime += s.DPTime
+	st.StackTime += s.StackTime
+	st.TotalTime += s.TotalTime
+}

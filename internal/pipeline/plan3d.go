@@ -10,21 +10,24 @@
 //     max(L, nMB·⌈L/p⌉)·lb(m) ≥ iteration time; configurations whose bound
 //     already loses to the incumbent are skipped without any search.
 //  2. Per configuration, core.EnumerateStageCuts runs a dominated-cut
-//     Pareto DP over stage compositions within a window around the balanced
-//     cut. Each distinct (m, ℓ) stage is ONE tensor-parallel sub-search,
-//     memoized in-call and served warm across calls by the α-keyed
-//     cross-call table tier (a layer-count change re-runs only stacking).
-//     Its simulation replays a sim.Prepared kept per stage width for the
-//     call, so a strategy shared by several layer counts is prepared once.
+//     Pareto DP over stage compositions within cutWindow layers of the
+//     balanced cut. Each distinct (m, ℓ) stage is ONE tensor-parallel
+//     sub-search, memoized in-call and served warm across calls by the
+//     α-keyed cross-call table tier (a layer-count change re-runs only
+//     stacking). Its simulation replays a sim.Prepared kept per stage width
+//     for the call, so a strategy shared by several layer counts is
+//     prepared once.
 //  3. Surviving cuts are scored exactly by the event-driven 1F1B simulator
 //     (Simulate1F1BStages) in both orientations; a second lower bound
 //     (max(Σ t_s, nMB·max t_s) + allreduce) skips cuts the incumbent
 //     already beats.
 //
 // The legacy uniform-⌈L/p⌉ schedule of every configuration is always among
-// the candidates and is evaluated with bit-identical arithmetic, so the
-// joint answer is never worse than the (p,d,m) grid over per-stage-optimal
-// plans (TestJointNeverWorseThanGrid). The (sum, max) dominance is exact
+// the candidates, so the joint answer is never worse than the (p,d,m) grid
+// over per-stage-optimal plans (TestJointNeverWorseThanGrid). A fixed
+// Plan3DRequest.Config is the same loop over a one-configuration grid whose
+// only candidate is that uniform schedule; testdata/legacy_eval.json pins it
+// bit for bit to the pre-joint evaluator. The (sum, max) dominance is exact
 // for the lower bound but heuristic for the simulated makespan — a
 // dominated cut's schedule is not provably worse, it is just bound below by
 // a kept cut's bound; DESIGN.md §5.10 quantifies the honest effect.
@@ -60,12 +63,6 @@ type Optimizer struct {
 	// NewOptimizer attaches core.DefaultSearchCache; set a private
 	// core.NewSearchCache (or nil) to isolate.
 	Cache *core.SearchCache
-	// CutWindow widens the joint planner's per-stage layer range to
-	// ⌊L/p⌋−CutWindow .. ⌈L/p⌉+CutWindow (clamped to ≥ 1 layer). Each extra
-	// distinct count is one more memoized sub-search; the default 1 already
-	// covers every near-balanced composition. Negative disables uneven cuts
-	// (grid parity mode).
-	CutWindow int
 	// Alpha overrides the Eq. 7 latency↔memory weight of every per-stage
 	// tensor-parallel sub-search; nil keeps the cost model's default. The
 	// cross-call cache keys on α, so two optimizers with different weights
@@ -73,9 +70,15 @@ type Optimizer struct {
 	Alpha *float64
 }
 
+// cutWindow widens the joint planner's per-stage layer range to
+// ⌊L/p⌋−cutWindow .. ⌈L/p⌉+cutWindow (clamped to ≥ 1 layer). Each extra
+// distinct count is one more memoized sub-search; 1 already covers every
+// near-balanced composition.
+const cutWindow = 1
+
 // NewOptimizer returns a 3D planner over the full cluster with defaults.
 func NewOptimizer(cluster *device.Cluster) *Optimizer {
-	return &Optimizer{Cluster: cluster, Cache: core.DefaultSearchCache, CutWindow: 1}
+	return &Optimizer{Cluster: cluster, Cache: core.DefaultSearchCache}
 }
 
 // Plan3DRequest describes one joint planning call.
@@ -95,9 +98,10 @@ type Plan3DRequest struct {
 	// DataParallel pins d (0 searches).
 	DataParallel int
 	// Config, when non-nil, evaluates exactly this (p,d,m) grid point with
-	// p uniform ⌈L/p⌉-layer stages, the paper's Fig. 10 protocol.
-	// GlobalBatch/Microbatch/Stages/DataParallel are taken from it and the
-	// joint cut search is skipped.
+	// p uniform ⌈L/p⌉-layer stages, the paper's Fig. 10 protocol: the joint
+	// loop runs over this one configuration with the uniform cut as its only
+	// candidate. GlobalBatch/Microbatch/Stages/DataParallel are taken from
+	// it.
 	Config *Config3D
 }
 
@@ -239,10 +243,10 @@ func (p *Plan3D) Digest() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// Plan3D runs the joint search (or, with req.Config set, the legacy
-// fixed-configuration evaluation) on the optimizer's cluster. Cancellation
-// is honored between configurations and inside every per-stage tensor
-// search; results are deterministic and independent of cache state.
+// Plan3D runs the joint search — over one configuration's uniform cut when
+// req.Config is set — on the optimizer's cluster. Cancellation is honored
+// between configurations and inside every per-stage tensor search; results
+// are deterministic and independent of cache state.
 func (o *Optimizer) Plan3D(ctx context.Context, req Plan3DRequest) (*Plan3D, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -251,10 +255,99 @@ func (o *Optimizer) Plan3D(ctx context.Context, req Plan3DRequest) (*Plan3D, err
 		return nil, fmt.Errorf("pipeline: Optimizer.Cluster is nil")
 	}
 	start := time.Now()
-	if req.Config != nil {
-		return o.planFixed(ctx, req, start)
+	configs, mb, err := o.resolve(req)
+	if err != nil {
+		return nil, err
 	}
-	return o.planAuto(ctx, req, start)
+	g, err := model.BuildBlock(req.Model.WithBatch(mb))
+	if err != nil {
+		return nil, err
+	}
+
+	stats := &Plan3DStats{}
+	memo := make(map[stageKey]*stageEval)
+	preps := make(map[int]*stagePrep)
+	lbPerM := make(map[int]float64)
+	var best *Plan3D
+	incumbent := math.Inf(1)
+	var lastErr error
+	for _, c3 := range configs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		stats.ConfigsConsidered++
+		lb1, ok := lbPerM[c3.M]
+		if !ok {
+			lb1 = compLowerBound(g, o.Cluster, c3.M)
+			lbPerM[c3.M] = lb1
+		}
+		ceilL := (req.Model.Layers + c3.P - 1) / c3.P
+		if lb := math.Max(float64(req.Model.Layers), float64(c3.Microbatches())*float64(ceilL)) * lb1; lb >= incumbent {
+			stats.ConfigsPruned++
+			continue
+		}
+		cand, err := o.planConfig(ctx, req, g, c3, memo, preps, stats, incumbent)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			lastErr = err // an infeasible configuration sheds itself, like the legacy grid
+			continue
+		}
+		if cand != nil && cand.IterationTime < incumbent {
+			incumbent = cand.IterationTime
+			best = cand
+		}
+	}
+	if best == nil {
+		if lastErr != nil {
+			return nil, fmt.Errorf("pipeline: all configurations failed: %w", lastErr)
+		}
+		return nil, fmt.Errorf("pipeline: all configurations pruned without an incumbent")
+	}
+	stats.Elapsed = time.Since(start)
+	best.Stats = *stats
+	return best, nil
+}
+
+// resolve turns a request into the (p,d,m) configurations Plan3D evaluates,
+// in order, and the micro-batch their stage graphs are built at: the one
+// validated req.Config, or the Fig. 10 grid filtered by Stages and
+// DataParallel. Plan3D and EstimatePlan3D share it, so both reject a
+// request with the same error.
+func (o *Optimizer) resolve(req Plan3DRequest) ([]Config3D, int, error) {
+	full := o.Cluster
+	L := req.Model.Layers
+	if c := req.Config; c != nil {
+		if err := c.Validate(full.NumDevices, L); err != nil {
+			return nil, 0, err
+		}
+		return []Config3D{*c}, c.Microbatch, nil
+	}
+	if req.GlobalBatch < 1 || req.Microbatch < 1 {
+		return nil, 0, fmt.Errorf("pipeline: Plan3D needs GlobalBatch ≥ 1 and Microbatch ≥ 1, got %d/%d", req.GlobalBatch, req.Microbatch)
+	}
+	if v := req.Stages; v != 0 && (v < 1 || v&(v-1) != 0) {
+		return nil, 0, fmt.Errorf("pipeline: stages must be a power of two, got %d", v)
+	}
+	if v := req.DataParallel; v != 0 && (v < 1 || v&(v-1) != 0) {
+		return nil, 0, fmt.Errorf("pipeline: data_parallel must be a power of two, got %d", v)
+	}
+	if req.Stages == 1 {
+		return nil, 0, fmt.Errorf("pipeline: stages must be ≥ 2 (pure data/tensor parallelism has no pipeline)")
+	}
+	configs := AllConfigs(full.NumDevices, L, req.GlobalBatch, req.Microbatch)
+	kept := configs[:0]
+	for _, c := range configs {
+		if (req.Stages == 0 || c.P == req.Stages) && (req.DataParallel == 0 || c.D == req.DataParallel) {
+			kept = append(kept, c)
+		}
+	}
+	if len(kept) == 0 {
+		return nil, 0, fmt.Errorf("pipeline: no feasible (p,d,m) configuration for %d devices, %d layers, global batch %d, microbatch %d (stages=%d, data_parallel=%d)",
+			full.NumDevices, L, req.GlobalBatch, req.Microbatch, req.Stages, req.DataParallel)
+	}
+	return kept, req.Microbatch, nil
 }
 
 // coreOptimizer builds the per-stage tensor-parallel searcher on a stage
@@ -376,7 +469,7 @@ func (o *Optimizer) evalStage(ctx context.Context, g *graph.Graph, m, layers int
 	}
 	memo[key] = ev
 	stats.StagePlans++
-	addSearchStats(&stats.Search, sstats)
+	stats.Search.Add(sstats)
 	return ev, nil
 }
 
@@ -412,57 +505,6 @@ func dpARTime(full *device.Cluster, d, m int, wBytes float64) float64 {
 		dpInd = append(dpInd, bit)
 	}
 	return stageAll.AllReduceTime(dpInd, wBytes)
-}
-
-// planFixed is the grid evaluation protocol behind Plan3DRequest.Config:
-// p uniform ⌈L/p⌉-layer stages, arithmetic bit-identical to the
-// pre-joint-search evaluator (pinned by TestPlan3DFixedMatchesLegacyGoldens).
-func (o *Optimizer) planFixed(ctx context.Context, req Plan3DRequest, start time.Time) (*Plan3D, error) {
-	cfg := req.Model
-	full := o.Cluster
-	c3 := *req.Config
-	if err := c3.Validate(full.NumDevices, cfg.Layers); err != nil {
-		return nil, err
-	}
-	g, err := model.BuildBlock(cfg.WithBatch(c3.Microbatch))
-	if err != nil {
-		return nil, err
-	}
-	layersPerStage := (cfg.Layers + c3.P - 1) / c3.P
-
-	var stats Plan3DStats
-	stats.ConfigsConsidered = 1
-	memo := make(map[stageKey]*stageEval, 1)
-	preps := make(map[int]*stagePrep, 1)
-	ev, err := o.evalStage(ctx, g, c3.M, layersPerStage, req.System, memo, preps, &stats)
-	if err != nil {
-		return nil, err
-	}
-
-	t0 := time.Now()
-	nMB := c3.Microbatches()
-	p2p := p2pTime(cfg, full, c3)
-	dpAR := dpARTime(full, c3.D, c3.M, ev.wBytes)
-
-	// Event-driven 1F1B schedule: split the simulated stage time into its
-	// forward and backward+gradient parts (1:2 by FLOPs) and lay out the
-	// exact per-stage timeline with inter-stage hand-off latency.
-	fwd := ev.time / 3
-	bwd := ev.time - fwd
-	sched, err := Simulate1F1B(c3.P, nMB, fwd+p2p/2, bwd+p2p/2, 0)
-	if err != nil {
-		return nil, err
-	}
-	stats.SchedulesSimulated = 1
-	cut := make([]int, c3.P)
-	for s := range cut {
-		cut[s] = layersPerStage
-	}
-	p3 := o.assemble(cfg, c3, req.System, cut, memo, sched, p2p, dpAR)
-	stats.ScheduleTime = time.Since(t0)
-	stats.Elapsed = time.Since(start)
-	p3.Stats = stats
-	return p3, nil
 }
 
 // assemble builds the Plan3D result for a chosen cut and simulated schedule.
@@ -540,88 +582,6 @@ func compLowerBound(g *graph.Graph, full *device.Cluster, m int) float64 {
 	return fl / (float64(m) * peak)
 }
 
-// planAuto is the joint search over configurations and stage cuts.
-func (o *Optimizer) planAuto(ctx context.Context, req Plan3DRequest, start time.Time) (*Plan3D, error) {
-	cfg := req.Model
-	full := o.Cluster
-	if req.GlobalBatch < 1 || req.Microbatch < 1 {
-		return nil, fmt.Errorf("pipeline: Plan3D needs GlobalBatch ≥ 1 and Microbatch ≥ 1, got %d/%d", req.GlobalBatch, req.Microbatch)
-	}
-	if v := req.Stages; v != 0 && (v < 1 || v&(v-1) != 0) {
-		return nil, fmt.Errorf("pipeline: stages must be a power of two, got %d", v)
-	}
-	if v := req.DataParallel; v != 0 && (v < 1 || v&(v-1) != 0) {
-		return nil, fmt.Errorf("pipeline: data_parallel must be a power of two, got %d", v)
-	}
-	if req.Stages == 1 {
-		return nil, fmt.Errorf("pipeline: stages must be ≥ 2 (pure data/tensor parallelism has no pipeline)")
-	}
-	configs := AllConfigs(full.NumDevices, cfg.Layers, req.GlobalBatch, req.Microbatch)
-	if req.Stages > 0 || req.DataParallel > 0 {
-		kept := configs[:0]
-		for _, c := range configs {
-			if (req.Stages == 0 || c.P == req.Stages) && (req.DataParallel == 0 || c.D == req.DataParallel) {
-				kept = append(kept, c)
-			}
-		}
-		configs = kept
-	}
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("pipeline: no feasible (p,d,m) configuration for %d devices, %d layers, global batch %d, microbatch %d (stages=%d, data_parallel=%d)",
-			full.NumDevices, cfg.Layers, req.GlobalBatch, req.Microbatch, req.Stages, req.DataParallel)
-	}
-	g, err := model.BuildBlock(cfg.WithBatch(req.Microbatch))
-	if err != nil {
-		return nil, err
-	}
-
-	stats := &Plan3DStats{}
-	memo := make(map[stageKey]*stageEval)
-	preps := make(map[int]*stagePrep)
-	lbPerM := make(map[int]float64)
-	var best *Plan3D
-	incumbent := math.Inf(1)
-	var lastErr error
-	for _, c3 := range configs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		stats.ConfigsConsidered++
-		lb1, ok := lbPerM[c3.M]
-		if !ok {
-			lb1 = compLowerBound(g, full, c3.M)
-			lbPerM[c3.M] = lb1
-		}
-		nMB := c3.Microbatches()
-		ceilL := (cfg.Layers + c3.P - 1) / c3.P
-		if lb := math.Max(float64(cfg.Layers), float64(nMB)*float64(ceilL)) * lb1; lb >= incumbent {
-			stats.ConfigsPruned++
-			continue
-		}
-		cand, err := o.planConfig(ctx, req, g, c3, memo, preps, stats, incumbent)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			lastErr = err // an infeasible configuration sheds itself, like the legacy grid
-			continue
-		}
-		if cand != nil && cand.IterationTime < incumbent {
-			incumbent = cand.IterationTime
-			best = cand
-		}
-	}
-	if best == nil {
-		if lastErr != nil {
-			return nil, fmt.Errorf("pipeline: all configurations failed: %w", lastErr)
-		}
-		return nil, fmt.Errorf("pipeline: all configurations pruned without an incumbent")
-	}
-	stats.Elapsed = time.Since(start)
-	best.Stats = *stats
-	return best, nil
-}
-
 // planConfig searches the stage cuts of one (p,d,m) configuration and
 // returns its best plan (nil if every cut lost to the incumbent bound).
 func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.Graph, c3 Config3D, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats, incumbent float64) (*Plan3D, error) {
@@ -632,19 +592,18 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 	nMB := c3.Microbatches()
 	ceilL := (L + p - 1) / p
 
-	minPer := L/p - o.CutWindow
-	if minPer < 1 {
-		minPer = 1
-	}
-	maxPer := ceilL + o.CutWindow
-	if maxPer > L-(p-1)*minPer {
-		maxPer = L - (p-1)*minPer
-	}
-	if o.CutWindow < 0 || minPer > maxPer {
-		minPer, maxPer = ceilL, ceilL // grid parity: only the legacy uniform stage
-	}
-	if maxPer < ceilL {
-		maxPer = ceilL // the legacy uniform stage is always evaluable
+	// A fixed configuration evaluates only the legacy uniform stage; the
+	// joint search adds every stage size within cutWindow of the balanced
+	// cut.
+	joint := req.Config == nil
+	minPer, maxPer := ceilL, ceilL
+	if joint {
+		minPer = max(L/p-cutWindow, 1)
+		maxPer = min(ceilL+cutWindow, L-(p-1)*minPer)
+		if minPer > maxPer {
+			minPer, maxPer = ceilL, ceilL
+		}
+		maxPer = max(maxPer, ceilL) // the legacy uniform stage is always evaluable
 	}
 
 	// Pre-run every sub-plan the window can ask for; the memo makes
@@ -658,16 +617,17 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 	p2p := p2pTime(cfg, full, c3)
 	evalOf := func(l int) *stageEval { return memo[stageKey{m: c3.M, layers: l}] }
 
-	// Candidate cuts: the uniform ⌈L/p⌉ grid protocol first (bit-identical
-	// to planFixed — the never-worse-than-grid anchor), then both
-	// orientations of the Pareto frontier over true compositions.
+	// Candidate cuts: the uniform ⌈L/p⌉ grid protocol first (the whole of a
+	// fixed-configuration run, and the joint search's never-worse-than-grid
+	// anchor), then both orientations of the Pareto frontier over true
+	// compositions.
 	t0 := time.Now()
 	legacy := make([]int, p)
 	for s := range legacy {
 		legacy[s] = ceilL
 	}
 	candidates := [][]int{legacy}
-	if o.CutWindow >= 0 && p <= L {
+	if joint && p <= L {
 		cuts, cstats, err := core.EnumerateStageCuts(L, p, minPer, maxPer, func(l int) float64 {
 			return evalOf(l).time + p2p
 		})
@@ -741,34 +701,6 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 	return best, nil
 }
 
-// addSearchStats accumulates one sub-search's core stats into the call
-// aggregate (counters summed; Workers keeps the max).
-func addSearchStats(dst *core.SearchStats, s core.SearchStats) {
-	if s.Workers > dst.Workers {
-		dst.Workers = s.Workers
-	}
-	dst.NodeEvals += s.NodeEvals
-	dst.NodeCacheHits += s.NodeCacheHits
-	dst.CandidatesEvaluated += s.CandidatesEvaluated
-	dst.EdgeMatsBuilt += s.EdgeMatsBuilt
-	dst.EdgeCacheHits += s.EdgeCacheHits
-	dst.EdgeCellsEvaluated += s.EdgeCellsEvaluated
-	dst.CandsTotal += s.CandsTotal
-	dst.DPRowClasses += s.DPRowClasses
-	dst.DPTreeMerges += s.DPTreeMerges
-	dst.SegTablesBuilt += s.SegTablesBuilt
-	dst.CrossCallTableHits += s.CrossCallTableHits
-	dst.CrossCallPlanHits += s.CrossCallPlanHits
-	dst.EntriesScanned += s.EntriesScanned
-	dst.CrossCallNodeHits += s.CrossCallNodeHits
-	dst.CrossCallEdgeHits += s.CrossCallEdgeHits
-	dst.NodeEvalTime += s.NodeEvalTime
-	dst.EdgeMatTime += s.EdgeMatTime
-	dst.DPTime += s.DPTime
-	dst.StackTime += s.StackTime
-	dst.TotalTime += s.TotalTime
-}
-
 // EstimatePlan3D predicts the search work of Plan3D(req) against the
 // current cache state, for admission control: one core.EstimatePlan per
 // distinct tensor-parallel sub-cluster the grid will touch (at its largest
@@ -778,28 +710,9 @@ func addSearchStats(dst *core.SearchStats, s core.SearchStats) {
 func (o *Optimizer) EstimatePlan3D(req Plan3DRequest) (core.SearchEstimate, error) {
 	cfg := req.Model
 	full := o.Cluster
-	var configs []Config3D
-	if req.Config != nil {
-		if err := req.Config.Validate(full.NumDevices, cfg.Layers); err != nil {
-			return core.SearchEstimate{}, err
-		}
-		configs = []Config3D{*req.Config}
-	} else {
-		configs = AllConfigs(full.NumDevices, cfg.Layers, req.GlobalBatch, req.Microbatch)
-		kept := configs[:0]
-		for _, c := range configs {
-			if (req.Stages == 0 || c.P == req.Stages) && (req.DataParallel == 0 || c.D == req.DataParallel) {
-				kept = append(kept, c)
-			}
-		}
-		configs = kept
-	}
-	if len(configs) == 0 {
-		return core.SearchEstimate{}, fmt.Errorf("pipeline: no feasible (p,d,m) configuration")
-	}
-	mb := req.Microbatch
-	if req.Config != nil {
-		mb = req.Config.Microbatch
+	configs, mb, err := o.resolve(req)
+	if err != nil {
+		return core.SearchEstimate{}, err
 	}
 	g, err := model.BuildBlock(cfg.WithBatch(mb))
 	if err != nil {

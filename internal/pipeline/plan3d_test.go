@@ -93,6 +93,11 @@ func TestPlan3DFixedMatchesLegacyGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		// A fixed configuration is a one-candidate run of the joint loop.
+		if st := p3.Stats; st.ConfigsConsidered != 1 || st.StagePlans != 1 || st.SchedulesSimulated != 1 || st.CutsEnumerated != 0 {
+			t.Errorf("%s: fixed call is not a one-candidate run: configs %d, stage plans %d, schedules %d, cuts %d",
+				name, st.ConfigsConsidered, st.StagePlans, st.SchedulesSimulated, st.CutsEnumerated)
+		}
 		r := p3.Result()
 		checks := []struct {
 			field string
@@ -287,10 +292,15 @@ func TestPlan3DValidation(t *testing.T) {
 		_, err := o.Plan3D(ctx, tc.req)
 		if err == nil {
 			t.Errorf("%s: no error", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
+		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		// Admission rejects the request with the same reason.
+		_, err = o.EstimatePlan3D(tc.req)
+		if err == nil {
+			t.Errorf("%s: EstimatePlan3D: no error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: EstimatePlan3D error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 
