@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -123,6 +126,50 @@ func TestPlanCustomLinks(t *testing.T) {
 	})
 	if bad.status != http.StatusBadRequest || bad.env.Code != "bad_request" {
 		t.Fatalf("width-3 tier returned %d %q, want 400 bad_request", bad.status, bad.env.Code)
+	}
+}
+
+// Non-finite link parameters are rejected with bad_request. JSON cannot
+// spell NaN or ±Inf, and an overflowing literal fails the decode; a request
+// built in Go still reaches the cluster constructor, which rejects them.
+func TestPlanNonFiniteLinksRejected(t *testing.T) {
+	s := newTestServer(t, "", noAdmission)
+	for _, tc := range []struct {
+		name    string
+		bw, lat float64
+	}{
+		{"NaN bandwidth", math.NaN(), 15e-6},
+		{"+Inf bandwidth", math.Inf(1), 15e-6},
+		{"NaN latency", 25e9, math.NaN()},
+		{"+Inf latency", 25e9, math.Inf(1)},
+		{"-Inf latency", 25e9, math.Inf(-1)},
+	} {
+		_, aerr := s.preparePlan(&PlanRequest{
+			Model: "OPT-6.7B", Devices: 8,
+			Links: []LinkSpec{
+				{Name: "nvlink", Devices: 4, Bandwidth: 300e9, Latency: 5e-6},
+				{Name: "fabric", Devices: -1, Bandwidth: tc.bw, Latency: tc.lat},
+			},
+		})
+		if aerr == nil || aerr.code != "bad_request" {
+			t.Errorf("%s: got %v, want bad_request", tc.name, aerr)
+		}
+	}
+
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	body := `{"model":"OPT-6.7B","devices":8,"links":[{"name":"fabric","devices":-1,"bandwidth":1e999,"latency":0}]}`
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Code != "bad_request" {
+		t.Fatalf("overflowing bandwidth returned %d %q, want 400 bad_request", resp.StatusCode, env.Code)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestRunTasksCancelMidway(t *testing.T) {
 	defer cancel()
 	const n = 10_000
 	var ran atomic.Int64
-	err := runTasks(ctx, 4, n, func(i int) {
+	err := RunTasks(ctx, 4, n, func(i int) {
 		if ran.Add(1) == 16 {
 			cancel()
 		}
@@ -103,7 +103,7 @@ func TestRunTasksSerialCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran int
-	err := runTasks(ctx, 1, 100, func(i int) {
+	err := RunTasks(ctx, 1, 100, func(i int) {
 		ran++
 		if ran == 7 {
 			cancel()
@@ -145,12 +145,12 @@ func TestRunTasksPanicContained(t *testing.T) {
 	}()
 	// Workers pull tasks in index order from the shared counter, so with a
 	// single panicking index the first recorded panic is deterministic.
-	runTasks(context.Background(), 4, 64, func(i int) {
+	RunTasks(context.Background(), 4, 64, func(i int) {
 		if i == 7 {
 			panic("boom")
 		}
 	})
-	t.Fatal("runTasks returned instead of re-panicking")
+	t.Fatal("RunTasks returned instead of re-panicking")
 }
 
 // TestParallelRowsPanicContained covers the banded pools used inside node

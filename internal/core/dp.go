@@ -537,7 +537,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		return nil, err
 	}
 	start := time.Now()
-	stats := SearchStats{Workers: o.workers()}
+	stats := SearchStats{Workers: o.Workers()}
 
 	// Evaluate candidate spaces, memoized by full op signature: nodes with
 	// identical structure (repeated linears, mirrored norms/residuals)
@@ -593,7 +593,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		}
 	}
 	nodeW := innerWorkers(stats.Workers, len(evalSlots))
-	if err := runTasks(ctx, stats.Workers, len(evalSlots), func(i int) {
+	if err := RunTasks(ctx, stats.Workers, len(evalSlots), func(i int) {
 		s := evalSlots[i]
 		slotCands[s] = o.evalNode(g.Nodes[slotNode[s]], nodeW)
 	}); err != nil {
@@ -795,7 +795,7 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 		}
 	}
 	edgeW := innerWorkers(stats.Workers, len(buildSlots))
-	if err := runTasks(ctx, stats.Workers, len(buildSlots), func(i int) {
+	if err := RunTasks(ctx, stats.Workers, len(buildSlots), func(i int) {
 		e := uniqEdges[buildSlots[i]]
 		mats[buildSlots[i]] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], edgeW)
 	}); err != nil {

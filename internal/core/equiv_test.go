@@ -167,12 +167,12 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 func TestWorkersEnvOverride(t *testing.T) {
 	o := optimizerFor(t, 4, 4)
 	t.Setenv(WorkersEnv, "3")
-	if got := o.workers(); got != 3 {
-		t.Fatalf("workers() = %d with %s=3, want 3", got, WorkersEnv)
+	if got := o.Workers(); got != 3 {
+		t.Fatalf("Workers() = %d with %s=3, want 3", got, WorkersEnv)
 	}
 	o.Opts.Parallelism = 2
-	if got := o.workers(); got != 2 {
-		t.Fatalf("workers() = %d, Opts.Parallelism must take precedence", got)
+	if got := o.Workers(); got != 2 {
+		t.Fatalf("Workers() = %d, Opts.Parallelism must take precedence", got)
 	}
 
 	def := runtime.GOMAXPROCS(0)
@@ -180,8 +180,8 @@ func TestWorkersEnvOverride(t *testing.T) {
 		o.Opts.Parallelism = 0
 		workersEnvWarned.Store(false)
 		t.Setenv(WorkersEnv, bad)
-		if got := o.workers(); got != def {
-			t.Fatalf("workers() = %d with %s=%q, want GOMAXPROCS fallback %d", got, WorkersEnv, bad, def)
+		if got := o.Workers(); got != def {
+			t.Fatalf("Workers() = %d with %s=%q, want GOMAXPROCS fallback %d", got, WorkersEnv, bad, def)
 		}
 		if bad == "" {
 			// Unset is not a misconfiguration; no warning.
@@ -195,8 +195,8 @@ func TestWorkersEnvOverride(t *testing.T) {
 		}
 		// Opts.Parallelism still wins over a broken environment.
 		o.Opts.Parallelism = 5
-		if got := o.workers(); got != 5 {
-			t.Fatalf("workers() = %d with %s=%q and Parallelism=5", got, WorkersEnv, bad)
+		if got := o.Workers(); got != 5 {
+			t.Fatalf("Workers() = %d with %s=%q and Parallelism=5", got, WorkersEnv, bad)
 		}
 	}
 }

@@ -19,7 +19,7 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	w := o.workers()
+	w := o.Workers()
 	cands := make([]*nodeCands, len(g.Nodes))
 	total := 1.0
 	for i, op := range g.Nodes {

@@ -4,15 +4,17 @@
 // to disjoint slots, so results are deterministic regardless of worker count
 // or schedule.
 //
-// The worker count is resolved once per search (Optimizer.workers, recorded
+// The worker count is resolved once per search (Optimizer.Workers, recorded
 // as SearchStats.Workers) and passed down, so one search never mixes counts.
-// Fan-out is one level deep: the outer loops over nodes and edges hand their
-// tasks innerWorkers(w, tasks), which is 1 whenever the outer loop has two or
-// more tasks. Nesting would start w² goroutines on w cores and split every
-// matrix into per-band memos; short stage searches pay for that in set-up and
-// hand-off instead of gaining parallelism (DESIGN.md §5.11).
+// Within a search, fan-out is one level deep: the outer loops over nodes and
+// edges hand their tasks innerWorkers(w, tasks), which is 1 whenever the
+// outer loop has two or more tasks. Nesting would start w² goroutines on w
+// cores and split every matrix into per-band memos; short stage searches pay
+// for that in set-up and hand-off instead of gaining parallelism (DESIGN.md
+// §5.11). Whole searches may still run as RunTasks tasks of a caller's own
+// pass, as the pipeline planner's stage searches do (DESIGN.md §5.19).
 //
-// Two long-lived-service concerns live here too. Cancellation: runTasks
+// Two long-lived-service concerns live here too. Cancellation: RunTasks
 // polls its context once per task pull (a lock-free channel read), so an
 // aborted search stops issuing work promptly while an uncancelled run
 // executes exactly the schedule it always did. Panic containment: a panic
@@ -37,7 +39,7 @@ import (
 // unset, so benchmarks and CI can pin parallelism without code changes.
 const WorkersEnv = "PRIMEPAR_WORKERS"
 
-// workersEnvWarned dedups the invalid-PRIMEPAR_WORKERS warning: workers()
+// workersEnvWarned dedups the invalid-PRIMEPAR_WORKERS warning: Workers()
 // runs once per search and a misconfigured environment should be reported
 // once per process, not once per search.
 var workersEnvWarned atomic.Bool
@@ -56,11 +58,13 @@ func parseWorkersEnv(s string) (int, string) {
 	return n, ""
 }
 
-// workers resolves the worker count: Opts.Parallelism when positive, then
+// Workers resolves the worker count: Opts.Parallelism when positive, then
 // the PRIMEPAR_WORKERS environment override, then GOMAXPROCS. An invalid
 // override is reported once on stderr instead of being silently ignored. A
 // count of 1 degrades every parallel loop to inline serial execution.
-func (o *Optimizer) workers() int {
+// Callers that fan independent searches out themselves (the pipeline
+// planner's stage pass) size their pool with the same rule.
+func (o *Optimizer) Workers() int {
 	if o.Opts.Parallelism > 0 {
 		return o.Opts.Parallelism
 	}
@@ -80,7 +84,7 @@ func (o *Optimizer) workers() int {
 // on the caller's goroutine with the task identity and the ORIGINAL stack
 // attached (the re-panic's own stack points at the pool, which is useless).
 type TaskPanic struct {
-	// Task is the index of the panicking task: the item index in runTasks
+	// Task is the index of the panicking task: the item index in RunTasks
 	// and parallelRows, the band start in parallelChunks.
 	Task int
 	// Value is the original panic value.
@@ -120,15 +124,16 @@ func (f *firstPanic) rethrow() {
 	}
 }
 
-// runTasks runs f(i) for i in [0, n) on up to w workers pulling from a
+// RunTasks runs f(i) for i in [0, n) on up to w workers pulling from a
 // shared atomic counter (better load balance than static chunking when task
 // sizes vary, e.g. edge matrices of very different dimensions). w ≤ 1 runs
-// inline.
+// inline. It is exported for callers that run whole searches as tasks; a
+// panic in any task re-panics on the caller as a *TaskPanic.
 //
 // Cancellation is coarse — checked once per task pull, never inside f — so
 // an in-flight task always completes and an uncancelled run is untouched.
 // Returns ctx.Err() when the context was cancelled; a nil ctx never cancels.
-func runTasks(ctx context.Context, w, n int, f func(i int)) error {
+func RunTasks(ctx context.Context, w, n int, f func(i int)) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()

@@ -21,7 +21,7 @@ import (
 // relative. Returns the in-segment merges the tree executed.
 func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) int {
 	t.Helper()
-	w := o.workers()
+	w := o.Workers()
 	cands := make([]*nodeCands, len(g.Nodes))
 	for i, op := range g.Nodes {
 		cands[i] = o.evalNode(op, w)

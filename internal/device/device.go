@@ -21,6 +21,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -245,11 +246,8 @@ func resolveLinks(n, nodeBits int, p Profile) ([]LinkTier, error) {
 	tiers := make([]LinkTier, 0, len(p.Links))
 	remaining := n
 	for i, t := range p.Links {
-		if t.Bandwidth <= 0 {
-			return nil, fmt.Errorf("device: link tier %q needs positive bandwidth", t.Name)
-		}
-		if t.Latency < 0 {
-			return nil, fmt.Errorf("device: link tier %q has negative latency", t.Name)
+		if err := checkLink(t.Name, t.Bandwidth, t.Latency); err != nil {
+			return nil, err
 		}
 		b := t.Bits
 		if b == -1 {
@@ -271,6 +269,19 @@ func resolveLinks(n, nodeBits int, p Profile) ([]LinkTier, error) {
 		tiers[len(tiers)-1].Bits += remaining
 	}
 	return tiers, nil
+}
+
+// checkLink rejects a link tier whose bandwidth is not finite and positive or
+// whose latency is not finite and non-negative. Every comparison with NaN is
+// false, so the conditions state what is accepted.
+func checkLink(name string, bandwidth, latency float64) error {
+	if !(bandwidth > 0 && bandwidth <= math.MaxFloat64) {
+		return fmt.Errorf("device: link tier %q needs a finite positive bandwidth, got %v", name, bandwidth)
+	}
+	if !(latency >= 0 && latency <= math.MaxFloat64) {
+		return fmt.Errorf("device: link tier %q needs a finite non-negative latency, got %v", name, latency)
+	}
+	return nil
 }
 
 // MustCluster is NewCluster that panics on error, for tests and examples.
@@ -649,11 +660,8 @@ func ParseLinksSpec(spec string) ([]LinkTier, error) {
 		if err != nil {
 			return nil, fmt.Errorf("device: link tier %q: bad latency: %v", name, err)
 		}
-		if bw <= 0 {
-			return nil, fmt.Errorf("device: link tier %q needs positive bandwidth", name)
-		}
-		if lat < 0 {
-			return nil, fmt.Errorf("device: link tier %q has negative latency", name)
+		if err := checkLink(name, bw, lat); err != nil {
+			return nil, err
 		}
 		t, err := LinkTierFromWidth(name, width, bw, lat)
 		if err != nil {

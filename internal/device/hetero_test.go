@@ -289,6 +289,26 @@ func TestNewClusterValidatesLinksAndClasses(t *testing.T) {
 			p.Links = []LinkTier{{Name: "a", Bits: 2, Bandwidth: 1e9, Latency: -1e-6}}
 			return p
 		}},
+		{"NaN bandwidth tier", func() Profile {
+			p := V100Profile()
+			p.Links = []LinkTier{{Name: "a", Bits: 2, Bandwidth: math.NaN()}}
+			return p
+		}},
+		{"infinite bandwidth tier", func() Profile {
+			p := V100Profile()
+			p.Links = []LinkTier{{Name: "a", Bits: -1, Bandwidth: math.Inf(1)}}
+			return p
+		}},
+		{"NaN latency tier", func() Profile {
+			p := V100Profile()
+			p.Links = []LinkTier{{Name: "a", Bits: 2, Bandwidth: 1e9, Latency: math.NaN()}}
+			return p
+		}},
+		{"infinite latency tier", func() Profile {
+			p := V100Profile()
+			p.Links = []LinkTier{{Name: "a", Bits: -1, Bandwidth: 1e9, Latency: math.Inf(1)}}
+			return p
+		}},
 		{"negative bit count", func() Profile {
 			p := V100Profile()
 			p.Links = []LinkTier{{Name: "a", Bits: -2, Bandwidth: 1e9}}
@@ -346,6 +366,13 @@ func TestParseLinksSpec(t *testing.T) {
 		"nvlink:4:300e9:-5e-6",      // negative latency
 		"nvlink:4:300e9:oops",       // bad latency
 		"a:4:1e9:0,b:4:1e9:0:extra", // malformed second tier
+
+		// Non-finite values parse as floats; NaN fails every comparison.
+		"a:4:NaN:5e-6,b:rest:25e9:15e-6",
+		"a:4:300e9:5e-6,b:rest:+Inf:15e-6",
+		"a:4:300e9:5e-6,b:rest:25e9:Inf",
+		"a:4:300e9:NaN",
+		"a:4:-Inf:5e-6",
 	} {
 		if _, err := ParseLinksSpec(bad); err == nil {
 			t.Errorf("ParseLinksSpec(%q) accepted a bad spec", bad)

@@ -9,14 +9,18 @@
 //     every layer must run its FLOPs on an m-device SPMD group, so
 //     max(L, nMB·⌈L/p⌉)·lb(m) ≥ iteration time; configurations whose bound
 //     already loses to the incumbent are skipped without any search.
-//  2. Per configuration, core.EnumerateStageCuts runs a dominated-cut
-//     Pareto DP over stage compositions within cutWindow layers of the
-//     balanced cut. Each distinct (m, ℓ) stage is ONE tensor-parallel
-//     sub-search, memoized in-call and served warm across calls by the
-//     α-keyed cross-call table tier (a layer-count change re-runs only
-//     stacking). Its simulation replays a sim.Prepared kept per stage width
-//     for the call, so a strategy shared by several layer counts is
-//     prepared once.
+//  2. A stage pass first runs every distinct (m, ℓ) stage that any
+//     configuration's window (cutWindow layers around the balanced cut)
+//     asks for as ONE tensor-parallel sub-search, served warm across calls
+//     by the α-keyed cross-call table tier. Stage widths share no cache
+//     keys, so each width is one chain of searches in first-ask layer order
+//     (its cold search first, the rest layer-table hits: only stacking
+//     re-runs), and the chains run concurrently on the core worker pool.
+//     The scoring pass then walks the configurations: per configuration,
+//     core.EnumerateStageCuts runs a dominated-cut Pareto DP over stage
+//     compositions within the window, and each stage's simulation replays a
+//     sim.Prepared kept per stage width for the call, so a strategy shared
+//     by several layer counts is prepared once.
 //  3. Surviving cuts are scored exactly by the event-driven 1F1B simulator
 //     (Simulate1F1BStages) in both orientations; a second lower bound
 //     (max(Σ t_s, nMB·max t_s) + allreduce) skips cuts the incumbent
@@ -156,16 +160,19 @@ type Plan3DStats struct {
 	// SchedulesSimulated counts 1F1B event simulations run.
 	SchedulesSimulated int `json:"schedules_simulated"`
 	// StagePlans counts distinct (m, layers) tensor-parallel sub-searches
-	// actually performed (the memo key space; cross-call cache hits inside
-	// each are reported in Search).
+	// the stage pass performed (cross-call cache hits inside each are
+	// reported in Search). The pass runs before the compute bound prunes,
+	// so it also counts the windows of configurations the bound later
+	// skips.
 	StagePlans int `json:"stage_plans"`
 	// Search aggregates the core search stats over all sub-searches.
 	Search core.SearchStats `json:"search"`
 	// Elapsed is the whole Plan3D wall time. The four phase times below
-	// are disjoint parts of it: the per-stage tensor-parallel searches,
-	// the per-stage simulations, the stage-cut enumeration, and scoring
-	// the candidate cuts (lower bound, 1F1B simulation, assembly). The
-	// configuration grid and graph construction make up the rest.
+	// are disjoint parts of it: the stage pass's wall time (its chains of
+	// tensor-parallel searches run concurrently), the per-stage
+	// simulations, the stage-cut enumeration, and scoring the candidate
+	// cuts (lower bound, 1F1B simulation, assembly). The configuration grid
+	// and graph construction make up the rest.
 	Elapsed         time.Duration `json:"elapsed_ns"`
 	StageSearchTime time.Duration `json:"stage_search_ns"`
 	StageSimTime    time.Duration `json:"stage_sim_ns"`
@@ -245,8 +252,8 @@ func (p *Plan3D) Digest() string {
 
 // Plan3D runs the joint search — over one configuration's uniform cut when
 // req.Config is set — on the optimizer's cluster. Cancellation is honored
-// between configurations and inside every per-stage tensor search; results
-// are deterministic and independent of cache state.
+// inside every per-stage tensor search and between configurations; results
+// are deterministic and independent of cache state and worker count.
 func (o *Optimizer) Plan3D(ctx context.Context, req Plan3DRequest) (*Plan3D, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -265,7 +272,10 @@ func (o *Optimizer) Plan3D(ctx context.Context, req Plan3DRequest) (*Plan3D, err
 	}
 
 	stats := &Plan3DStats{}
-	memo := make(map[stageKey]*stageEval)
+	memo, err := o.searchStages(ctx, req, g, configs, stats)
+	if err != nil {
+		return nil, err
+	}
 	preps := make(map[int]*stagePrep)
 	lbPerM := make(map[int]float64)
 	var best *Plan3D
@@ -286,11 +296,8 @@ func (o *Optimizer) Plan3D(ctx context.Context, req Plan3DRequest) (*Plan3D, err
 			stats.ConfigsPruned++
 			continue
 		}
-		cand, err := o.planConfig(ctx, req, g, c3, memo, preps, stats, incumbent)
+		cand, err := o.planConfig(req, g, c3, memo, preps, stats, incumbent)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
 			lastErr = err // an infeasible configuration sheds itself, like the legacy grid
 			continue
 		}
@@ -381,18 +388,102 @@ func (o *Optimizer) stageSeqs(ctx context.Context, g *graph.Graph, sub *device.C
 	}
 }
 
-// stageEval is one memoized (m, layers) stage sub-plan: strategy, simulated
+// stageEval is one (m, layers) stage sub-plan of a Plan3D call. The stage
+// pass records its search: the strategy and stats, or the error. The scoring
+// pass simulates it the first time a configuration asks, recording the
 // per-micro-batch time, memory and the stage's weight bytes (for the
 // data-parallel all-reduce).
 type stageEval struct {
-	seqs   []partition.Seq
-	time   float64
-	mem    float64
-	stash  float64
-	wBytes float64
+	seqs      []partition.Seq
+	search    core.SearchStats
+	err       error
+	simulated bool
+	time      float64
+	mem       float64
+	stash     float64
+	wBytes    float64
 }
 
 type stageKey struct{ m, layers int }
+
+// stageWindow is the per-stage layer range [lo, hi] configuration c3 asks
+// for on an L-layer model: the legacy uniform ⌈L/p⌉ alone for a fixed
+// configuration, every size within cutWindow of the balanced cut for the
+// joint search.
+func stageWindow(L int, c3 Config3D, joint bool) (lo, hi int) {
+	p := c3.P
+	ceilL := (L + p - 1) / p
+	if !joint {
+		return ceilL, ceilL
+	}
+	lo = max(L/p-cutWindow, 1)
+	hi = min(ceilL+cutWindow, L-(p-1)*lo)
+	if lo > hi {
+		return ceilL, ceilL
+	}
+	return lo, max(hi, ceilL) // the legacy uniform stage is always evaluable
+}
+
+// searchStages is the stage pass: it runs every (m, ℓ) tensor-parallel
+// sub-search that any configuration's window asks for, before the compute
+// bound prunes a single configuration. Stage widths share no cache keys, so
+// each width is one chain of searches in first-ask layer order — its cold
+// search first, the rest layer-table hits — and the chains run concurrently
+// on the core worker pool, widest (slowest) first, each core.Plan keeping
+// its own fan-out. One worker or one width (a fixed Config) runs the pass
+// inline. A failed search is recorded for the configurations that ask for
+// it; only cancellation ends the pass early.
+func (o *Optimizer) searchStages(ctx context.Context, req Plan3DRequest, g *graph.Graph, configs []Config3D, stats *Plan3DStats) (map[stageKey]*stageEval, error) {
+	type chain struct {
+		m      int
+		layers []int
+	}
+	memo := make(map[stageKey]*stageEval)
+	byM := make(map[int]*chain)
+	var chains []*chain
+	for _, c3 := range configs {
+		ch := byM[c3.M]
+		if ch == nil {
+			ch = &chain{m: c3.M}
+			byM[c3.M] = ch
+			chains = append(chains, ch)
+		}
+		lo, hi := stageWindow(req.Model.Layers, c3, req.Config == nil)
+		for l := lo; l <= hi; l++ {
+			if key := (stageKey{m: c3.M, layers: l}); memo[key] == nil {
+				memo[key] = &stageEval{}
+				ch.layers = append(ch.layers, l)
+			}
+		}
+	}
+	sort.Slice(chains, func(i, j int) bool { return chains[i].m > chains[j].m })
+
+	t0 := time.Now()
+	err := core.RunTasks(ctx, o.coreOptimizer(o.Cluster).Workers(), len(chains), func(i int) {
+		ch := chains[i]
+		sub := stageCluster(o.Cluster, ch.m)
+		for _, l := range ch.layers {
+			ev := memo[stageKey{m: ch.m, layers: l}]
+			ev.seqs, ev.search, ev.err = o.stageSeqs(ctx, g, sub, l, req.System)
+		}
+	})
+	stats.StageSearchTime = time.Since(t0)
+	if err == nil {
+		err = ctx.Err() // an inline pass does not poll after its last task
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, ch := range chains {
+		for _, l := range ch.layers {
+			if ev := memo[stageKey{m: ch.m, layers: l}]; ev.err == nil {
+				stats.StagePlans++
+				stats.Search.Add(ev.search)
+			}
+		}
+	}
+	return memo, nil
+}
 
 // stagePrep is the simulation set-up of the strategy last evaluated on one
 // stage width within a Plan3D call: the prepared simulator and the
@@ -436,41 +527,28 @@ func prepareStage(preps map[int]*stagePrep, g *graph.Graph, sub *device.Cluster,
 	return sp, nil
 }
 
-// evalStage runs (or recalls) the tensor-parallel sub-search and simulation
-// for an ℓ-layer stage on an m-device group.
-func (o *Optimizer) evalStage(ctx context.Context, g *graph.Graph, m, layers int, system System, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats) (*stageEval, error) {
-	key := stageKey{m: m, layers: layers}
-	if ev, ok := memo[key]; ok {
-		return ev, nil
+// evalStage simulates the searched ℓ-layer stage on an m-device group the
+// first time a configuration asks for it; a stage whose search failed
+// returns that error instead.
+func (o *Optimizer) evalStage(g *graph.Graph, m, layers int, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats) error {
+	ev := memo[stageKey{m: m, layers: layers}]
+	if ev.err != nil || ev.simulated {
+		return ev.err
 	}
-	sub := stageCluster(o.Cluster, m)
 	t0 := time.Now()
-	seqs, sstats, err := o.stageSeqs(ctx, g, sub, layers, system)
-	t1 := time.Now()
-	stats.StageSearchTime += t1.Sub(t0)
+	defer func() { stats.StageSimTime += time.Since(t0) }()
+	sp, err := prepareStage(preps, g, stageCluster(o.Cluster, m), ev.seqs)
 	if err != nil {
-		return nil, err
-	}
-	sp, err := prepareStage(preps, g, sub, seqs)
-	if err != nil {
-		return nil, err
+		return err
 	}
 	rep, err := sp.sim.Run(layers)
-	stats.StageSimTime += time.Since(t1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ev := &stageEval{
-		seqs:   seqs,
-		time:   rep.IterationTime,
-		mem:    rep.PeakMemoryBytes,
-		stash:  sp.stash * float64(layers),
-		wBytes: sp.wBytes * float64(layers),
-	}
-	memo[key] = ev
-	stats.StagePlans++
-	stats.Search.Add(sstats)
-	return ev, nil
+	ev.time, ev.mem = rep.IterationTime, rep.PeakMemoryBytes
+	ev.stash, ev.wBytes = sp.stash*float64(layers), sp.wBytes*float64(layers)
+	ev.simulated = true
+	return nil
 }
 
 // p2pTime is the per-micro-batch inter-stage activation hand-off (both
@@ -584,7 +662,7 @@ func compLowerBound(g *graph.Graph, full *device.Cluster, m int) float64 {
 
 // planConfig searches the stage cuts of one (p,d,m) configuration and
 // returns its best plan (nil if every cut lost to the incumbent bound).
-func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.Graph, c3 Config3D, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats, incumbent float64) (*Plan3D, error) {
+func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats, incumbent float64) (*Plan3D, error) {
 	cfg := req.Model
 	full := o.Cluster
 	L := cfg.Layers
@@ -592,25 +670,12 @@ func (o *Optimizer) planConfig(ctx context.Context, req Plan3DRequest, g *graph.
 	nMB := c3.Microbatches()
 	ceilL := (L + p - 1) / p
 
-	// A fixed configuration evaluates only the legacy uniform stage; the
-	// joint search adds every stage size within cutWindow of the balanced
-	// cut.
+	// Simulate every stage the window can ask for, in layer order; the
+	// stage pass already searched them all.
 	joint := req.Config == nil
-	minPer, maxPer := ceilL, ceilL
-	if joint {
-		minPer = max(L/p-cutWindow, 1)
-		maxPer = min(ceilL+cutWindow, L-(p-1)*minPer)
-		if minPer > maxPer {
-			minPer, maxPer = ceilL, ceilL
-		}
-		maxPer = max(maxPer, ceilL) // the legacy uniform stage is always evaluable
-	}
-
-	// Pre-run every sub-plan the window can ask for; the memo makes
-	// repeats free and the cross-call table tier makes layer-count
-	// neighbours warm (only stacking re-runs).
+	minPer, maxPer := stageWindow(L, c3, joint)
 	for l := minPer; l <= maxPer; l++ {
-		if _, err := o.evalStage(ctx, g, c3.M, l, req.System, memo, preps, stats); err != nil {
+		if err := o.evalStage(g, c3.M, l, memo, preps, stats); err != nil {
 			return nil, err
 		}
 	}

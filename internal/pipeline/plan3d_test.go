@@ -3,11 +3,14 @@ package pipeline
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -474,35 +477,103 @@ func planCounters(s Plan3DStats) Plan3DStats {
 }
 
 // TestPlan3DDeterminismAcrossWorkers pins the joint planner's independence
-// from the worker pool: its many short stage searches run their node and
-// edge loops one level wide, and the plan and every work counter must not
-// depend on how wide that level is. The count comes from PRIMEPAR_WORKERS,
-// the way deployments set it.
+// from the worker pool: the stage pass runs one chain of searches per stage
+// width concurrently, each search fans its node and edge loops out again,
+// and the plan and every work counter must not depend on how wide either
+// level is. The count comes from PRIMEPAR_WORKERS, the way deployments set
+// it. Every case spans several stage widths; the 32-device BLOOM-176B cell
+// is the one where the compute bound prunes a configuration whose windows
+// the stage pass has already searched.
 func TestPlan3DDeterminismAcrossWorkers(t *testing.T) {
-	full := device.MustCluster(16, 4, device.V100Profile())
-	for _, cfg := range []model.Config{model.OPT6B7(), model.Llama2_70B()} {
+	type tc struct {
+		cfg     model.Config
+		devices int
+		stages  int
+		pruned  int
+	}
+	for _, c := range []tc{
+		{model.OPT6B7(), 16, 0, 0},
+		{model.Llama2_70B(), 16, 0, 0},
+		{model.Llama2_70B(), 16, 4, 0},
+		{model.BLOOM176B(), 32, 0, 1},
+	} {
+		name := fmt.Sprintf("%s@%d/stages=%d", c.cfg.Name, c.devices, c.stages)
+		full := device.MustCluster(c.devices, 4, device.V100Profile())
 		var ref *Plan3D
 		for _, workers := range []string{"1", "2", "4"} {
 			t.Setenv(core.WorkersEnv, workers)
 			o := NewOptimizer(full)
 			o.Cache = core.NewSearchCache()
-			p3, err := o.Plan3D(context.Background(), Plan3DRequest{Model: cfg, System: PrimePar, GlobalBatch: 64, Microbatch: 2})
+			p3, err := o.Plan3D(context.Background(), Plan3DRequest{Model: c.cfg, System: PrimePar, GlobalBatch: 64, Microbatch: 2, Stages: c.stages})
 			if err != nil {
-				t.Fatalf("%s workers=%s: %v", cfg.Name, workers, err)
+				t.Fatalf("%s workers=%s: %v", name, workers, err)
 			}
 			if got := fmt.Sprint(p3.Stats.Search.Workers); got != workers {
-				t.Fatalf("%s: stage searches ran %s workers, want %s", cfg.Name, got, workers)
+				t.Fatalf("%s: stage searches ran %s workers, want %s", name, got, workers)
+			}
+			if c.stages != 0 && p3.Config.P != c.stages {
+				t.Fatalf("%s: pinned depth not honored: %v", name, p3.Config)
+			}
+			if p3.Stats.ConfigsPruned != c.pruned {
+				t.Fatalf("%s: %d configurations pruned, want %d", name, p3.Stats.ConfigsPruned, c.pruned)
 			}
 			if ref == nil {
 				ref = p3
 				continue
 			}
 			if p3.Digest() != ref.Digest() {
-				t.Errorf("%s workers=%s: digest %s, workers=1 gave %s", cfg.Name, workers, p3.Digest(), ref.Digest())
+				t.Errorf("%s workers=%s: digest %s, workers=1 gave %s", name, workers, p3.Digest(), ref.Digest())
 			}
 			if planCounters(p3.Stats) != planCounters(ref.Stats) {
-				t.Errorf("%s workers=%s: counters differ:\n%+v\n%+v", cfg.Name, workers, p3.Stats, ref.Stats)
+				t.Errorf("%s workers=%s: counters differ:\n%+v\n%+v", name, workers, p3.Stats, ref.Stats)
 			}
+		}
+	}
+}
+
+// cancelAfterCtx cancels itself on the n-th Done call. Plan3D polls nothing
+// through Done before its stage pass, and the scoring pass runs no search,
+// so every Done call — the stage pass's pool and each sub-search's own
+// pools — comes from the stage pass, and the cancellation lands inside it.
+type cancelAfterCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	n      atomic.Int32
+}
+
+func (c *cancelAfterCtx) Done() <-chan struct{} {
+	if c.n.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// A context cancelled while the stage pass runs makes Plan3D return
+// ctx.Err(), and no chain goroutine outlives the call.
+func TestPlan3DCancelDuringStagePass(t *testing.T) {
+	t.Setenv(core.WorkersEnv, "2")
+	full := device.MustCluster(16, 4, device.V100Profile())
+	for _, after := range []int32{1, 2, 5} {
+		before := runtime.NumGoroutine()
+		parent, cancel := context.WithCancel(context.Background())
+		ctx := &cancelAfterCtx{Context: parent, cancel: cancel}
+		ctx.n.Store(after)
+		o := NewOptimizer(full)
+		o.Cache = core.NewSearchCache()
+		_, err := o.Plan3D(ctx, Plan3DRequest{Model: model.Llama2_70B(), System: PrimePar, GlobalBatch: 64, Microbatch: 2})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled on Done call %d: Plan3D returned %v, want context.Canceled", after, err)
+		}
+		if ctx.n.Load() > 0 {
+			t.Fatalf("Plan3D returned before Done call %d", after)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("cancelled on Done call %d: %d goroutines after the call, %d before", after, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }
