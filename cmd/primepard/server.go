@@ -41,7 +41,9 @@ type PlanRequest struct {
 	// Model is a paper model name (OPT-6.7B, Llama2-70B, ...; see
 	// `primepar -list`).
 	Model string `json:"model"`
-	// Devices is the cluster size (a power of two).
+	// Devices is the cluster size: a power of two, at most
+	// device.MaxDevices (1024). Larger sizes answer bad_request before any
+	// estimate runs.
 	Devices int `json:"devices"`
 	// DevicesPerNode defaults to 4, the paper's testbed shape.
 	DevicesPerNode int `json:"devices_per_node,omitempty"`

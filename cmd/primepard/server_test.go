@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/device"
 )
 
 // noAdmission disables the gate: the pre-admission request lifecycle
@@ -250,6 +251,51 @@ func TestPlanValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s: status = %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestPlanTooManyDevicesRejected: a device count above device.MaxDevices
+// answers bad_request before any estimate runs, on plain, pipeline and
+// sweep requests (base and point). At 2048 devices the estimate alone used
+// to exhaust memory, so each answer must come back quickly.
+func TestPlanTooManyDevicesRejected(t *testing.T) {
+	s := newTestServer(t, "", noAdmission)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	tooMany := 2 * device.MaxDevices
+	pipe := &PipelineSpec{MicroBatch: 2, GlobalBatch: 64}
+	start := time.Now()
+	for _, req := range []PlanRequest{
+		{Model: "OPT-6.7B", Devices: tooMany},
+		{Model: "OPT-6.7B", Devices: tooMany, Pipeline: pipe},
+	} {
+		out := postPlan(t, ts, req)
+		if out.status != http.StatusBadRequest || out.env.Code != "bad_request" {
+			t.Errorf("pipeline=%v: got %d %q, want 400 bad_request", req.Pipeline != nil, out.status, out.env.Code)
+		}
+	}
+	base := postSweep(t, ts, SweepRequest{
+		PlanRequest: PlanRequest{Model: "OPT-6.7B", Devices: tooMany},
+		Points:      []SweepPoint{{}},
+	})
+	if base.status != http.StatusBadRequest || base.env.Code != "bad_request" {
+		t.Errorf("sweep base: got %d %q, want 400 bad_request", base.status, base.env.Code)
+	}
+	point := postSweep(t, ts, SweepRequest{
+		PlanRequest: PlanRequest{Model: "OPT-6.7B", Devices: 4, Layers: 1},
+		Points:      []SweepPoint{{Devices: tooMany}, {Devices: tooMany, Pipeline: pipe}},
+	})
+	if point.resp == nil || point.resp.Failed != 2 {
+		t.Fatalf("sweep points: got %d %+v, want both points failed", point.status, point.resp)
+	}
+	for i, r := range point.resp.Results {
+		if r.Error == nil || r.Error.Code != "bad_request" {
+			t.Errorf("sweep point %d: %+v, want bad_request", i, r)
+		}
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("rejecting %d devices took %v", tooMany, d)
 	}
 }
 

@@ -510,11 +510,13 @@ func TestGroupedEdgeMatrixMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One registry for all four edges, as a search shares it.
+	ot := o.newOverlapTables()
 	for _, e := range []int{0, 2, 6, 9} { // a mix of edge shapes
 		edge := g.Edges[e]
 		src := o.evalNode(g.Nodes[edge.Src], 1)
 		dst := o.evalNode(g.Nodes[edge.Dst], 1)
-		em := o.buildEdgeMat(g, edge, src, dst, 1)
+		em := o.buildEdgeMat(g, edge, src, dst, ot, 1)
 		plan := o.Cost.PlanEdge(g, edge)
 		// Spot-check a grid of pairs.
 		for i := 0; i < len(src.seqs); i += 37 {
@@ -547,8 +549,9 @@ func TestSumEdgeMatsRefinement(t *testing.T) {
 	}
 	src := o.evalNode(g.Nodes[model.NodeQKV], 1)
 	dst := o.evalNode(g.Nodes[model.NodeQKT], 1)
-	m1 := o.buildEdgeMat(g, edges[0], src, dst, 1)
-	m2 := o.buildEdgeMat(g, edges[1], src, dst, 1)
+	ot := o.newOverlapTables()
+	m1 := o.buildEdgeMat(g, edges[0], src, dst, ot, 1)
+	m2 := o.buildEdgeMat(g, edges[1], src, dst, ot, 1)
 	sum := sumEdgeMats([]*edgeMat{m1, m2})
 	for i := 0; i < len(src.seqs); i += 11 {
 		for j := 0; j < len(dst.seqs); j += 13 {

@@ -795,9 +795,10 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 		}
 	}
 	edgeW := innerWorkers(stats.Workers, len(buildSlots))
+	ot := o.newOverlapTables()
 	if err := RunTasks(ctx, stats.Workers, len(buildSlots), func(i int) {
 		e := uniqEdges[buildSlots[i]]
-		mats[buildSlots[i]] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], edgeW)
+		mats[buildSlots[i]] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], ot, edgeW)
 	}); err != nil {
 		return nil, err
 	}

@@ -64,8 +64,9 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cells = 0
+		ot := o.newOverlapTables() // one per search, as buildLayerTable makes
 		for _, e := range g.Edges {
-			m := o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], 1)
+			m := o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], ot, 1)
 			cells += m.nr * m.nc
 		}
 	}

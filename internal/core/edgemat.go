@@ -74,13 +74,21 @@ func ifaceGroups(ifaces []*cost.Iface, axes []int) (ids []int32, reps []int32) {
 	return ids, reps
 }
 
+// newOverlapTables returns an empty overlap-vector registry for the
+// optimizer's cluster. A search makes one and shares it across its edge
+// builds; it never outlives the search, so cold calls stay cold.
+func (o *Optimizer) newOverlapTables() *cost.OverlapTables {
+	return cost.NewOverlapTables(o.Cost.Cluster.NumDevices, o.Cost.Cluster.DevicesPerNode)
+}
+
 // buildEdgeMat computes the grouped cost matrix for edge e. The cell loop
 // normally runs through a cost.EdgeCalc — per-axis overlap tables make each
 // cell a handful of table-row products instead of a full device sweep, with
 // bit-identical results — and falls back to direct EdgePlan.Measure calls in
 // reference mode (Options.DisableCache) or if the tables would be too large.
-// Rows are filled on up to w workers.
-func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, w int) *edgeMat {
+// The calc takes its overlap vectors from ot, the search's registry, which
+// the edges of one search share. Rows are filled on up to w workers.
+func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, ot *cost.OverlapTables, w int) *edgeMat {
 	plan := o.Cost.PlanEdge(g, e)
 	rows, rowReps := ifaceGroups(src.out, plan.SrcRelevantAxes())
 	cols, colReps := ifaceGroups(dst.in, plan.DstRelevantAxes())
@@ -97,7 +105,7 @@ func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCa
 		for c, ci := range colReps {
 			dstIfs[c] = dst.in[ci]
 		}
-		calc = plan.NewCalc(srcIfs, dstIfs)
+		calc = plan.NewCalc(ot, srcIfs, dstIfs)
 	}
 
 	if calc != nil {
@@ -105,12 +113,14 @@ func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCa
 		// fill loop (hoisted slices, fused volume math) straight into the
 		// flat storage, and the band-private cell/combo memos amortize
 		// across all its rows — with one worker (every build of a
-		// multi-edge search), across the whole matrix.
+		// multi-edge search), across the whole matrix. Released memos go
+		// back to the search's registry for its later matrices.
 		parallelChunks(w, len(rowReps), func(lo, hi int) {
 			be := calc.Block()
 			for r := lo; r < hi; r++ {
 				be.MeasureRowInto(o.Cost, r, m.row(r))
 			}
+			be.Release()
 		})
 		return m
 	}

@@ -90,7 +90,7 @@ func FuzzIfaceClassEquivalence(f *testing.F) {
 		// Full Traffic matrix through the table evaluator (every candidate
 		// its own representative), cross-checked against direct Measure.
 		cells := make([][]cost.Traffic, len(srcIfs))
-		calc := plan.NewCalc(srcIfs, dstIfs)
+		calc := plan.NewCalc(cost.NewOverlapTables(m.Cluster.NumDevices, m.Cluster.DevicesPerNode), srcIfs, dstIfs)
 		var ev *cost.CellEval
 		if calc != nil {
 			ev = calc.Eval()

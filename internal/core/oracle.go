@@ -30,8 +30,9 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 		}
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat)
+	ot := o.newOverlapTables()
 	for _, e := range g.Edges {
-		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], w)
+		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], ot, w)
 	}
 
 	assign := make([]int, len(g.Nodes))

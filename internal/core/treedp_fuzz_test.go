@@ -30,8 +30,9 @@ func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) 
 		o.pruneBeam(g, cands)
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat)
+	ot := o.newOverlapTables()
 	for _, e := range g.Edges {
-		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], w)
+		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], ot, w)
 	}
 	ctx := context.Background()
 	var st SearchStats

@@ -8,12 +8,16 @@
 // space an axis takes only a few dozen distinct distributions (patterns).
 // EdgeCalc exploits that structure at three levels:
 //
-//  1. Per (source axis, destination axis) pairing it precomputes the
-//     per-device-pair overlap vector of every (source pattern, destination
-//     pattern) combination, then deduplicates those vectors per NODE: the
-//     perNode×perNode block a node sees takes only ~10²–10³ distinct values
-//     ("node blocks"), and the per-(pattern pair) sequence of node blocks
-//     across the machine collapses to a small set of "node vectors".
+//  1. The per-device-pair overlap vector of a (provider pattern, need
+//     pattern) combination depends on nothing but the two patterns and the
+//     cluster shape, so one OverlapTables registry per search computes each
+//     combination once for every edge and axis pairing that meets it, and
+//     deduplicates it per NODE: the perNode×perNode block a node sees takes
+//     only ~10²–10³ distinct values ("node blocks"), and the per-(pattern
+//     pair) sequence of node blocks across the machine collapses to a small
+//     set of "node vectors". Each (source axis, destination axis) pairing of
+//     an edge maps its local patterns to the registry's and numbers the node
+//     vectors and blocks it meets locally, in first-seen order.
 //  2. A direction's coverage-fraction pair is a pure function of the cell's
 //     node-vector tuple — Measure keeps the moved volume out of its
 //     accumulation tree precisely so this holds — so each distinct tuple is
@@ -34,12 +38,17 @@ package cost
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 )
 
 // calcTableLimit caps the per-direction table size (in float64s) so a
 // pathological pattern explosion falls back to direct Measure calls instead
-// of exhausting memory.
+// of exhausting memory. The size is the dense (source pattern × destination
+// pattern × device pair) extent of one axis pairing, whether or not the
+// registry already holds some of its vectors.
 const calcTableLimit = 16 << 20
 
 // calcKeyLimit caps the packed key spaces (cell keys and node-combo keys) so
@@ -51,29 +60,156 @@ const calcKeyLimit = 1 << 62
 // direction's coverage product.
 type axisPair struct{ sa, dax int }
 
-// dirTable holds the per-device-pair overlap vectors of one axis pair:
-// block(rp, cp)[k] is the overlap of source pattern rp and destination
-// pattern cp at device-pair index k (k = dev*perNode + peer).
-type dirTable struct {
-	nColPat int
-	n       int // device-pair vector length
-	flat    []float64
+// OverlapTables is the registry of per-axis overlap vectors for one cluster
+// shape (device count and devices per node), shared by every edge calc of a
+// search. It interns axis patterns by exact byte equality and maps each
+// (provider pattern, need pattern) pair to a node vector: the pair's
+// per-device-pair overlap vector, split into deduplicated node blocks. Each
+// pair's vector is computed once, however many edges and axis pairings meet
+// it. It also recycles the memo tables of released BlockEvals, so a search's
+// matrices reuse each other's memos instead of allocating fresh ones. Safe
+// for concurrent use: edge matrices build concurrently.
+type OverlapTables struct {
+	devices, perNode int
+
+	mu      sync.Mutex
+	patIDs  map[string]int32 // pattern key (see patternIDs) -> pattern id
+	pats    []axisPattern
+	pairVec map[[2]int32]int32 // (provider, need) pattern ids -> node-vector id
+	blkIDs  map[string]int32
+	blks    []float64 // [bid*perNode² ...] deduped node blocks
+	vecIDs  map[string]int32
+	vecs    []int32   // vid*nodes+g -> node-block id
+	ov      []float64 // scratch: one pair's device-pair overlap vector
+	vecKey  []int32   // scratch: one pair's node-block ids
+	keyBuf  []byte
+	free    [][]cellSlot // slot arrays of released memos
 }
 
-func (t *dirTable) block(rp, cp int32) []float64 {
-	off := (int(rp)*t.nColPat + int(cp)) * t.n
-	return t.flat[off : off+t.n]
+// NewOverlapTables returns an empty registry for a cluster of the given
+// device count and node width.
+func NewOverlapTables(devices, perNode int) *OverlapTables {
+	return &OverlapTables{
+		devices: devices, perNode: perNode,
+		patIDs:  make(map[string]int32),
+		pairVec: make(map[[2]int32]int32),
+		blkIDs:  make(map[string]int32),
+		vecIDs:  make(map[string]int32),
+		ov:      make([]float64, devices*perNode),
+		vecKey:  make([]int32, devices/perNode),
+	}
+}
+
+// pattern returns the id of the pattern with the given key, interning it on
+// first sight. The caller holds t.mu.
+func (t *OverlapTables) pattern(key string) int32 {
+	id, ok := t.patIDs[key]
+	if !ok {
+		id = int32(len(t.pats))
+		t.patIDs[key] = id
+		pat := axisPattern{width: keyFloat(key, 0), starts: make([]float64, len(key)/8-1)}
+		for dev := range pat.starts {
+			pat.starts[dev] = keyFloat(key, 1+dev)
+		}
+		t.pats = append(t.pats, pat)
+	}
+	return id
+}
+
+// keyFloat decodes the i-th little-endian float64 of a pattern key.
+func keyFloat(key string, i int) float64 {
+	var u uint64
+	for b := 7; b >= 0; b-- {
+		u = u<<8 | uint64(key[8*i+b])
+	}
+	return math.Float64frombits(u)
+}
+
+// vector returns the node-vector id of provider pattern prov covering need
+// pattern need, computing and deduplicating it on first sight. The caller
+// holds t.mu.
+func (t *OverlapTables) vector(prov, need int32) int32 {
+	k := [2]int32{prov, need}
+	if vid, ok := t.pairVec[k]; ok {
+		return vid
+	}
+	// ov[dev*perNode+j] is the overlap of provider cell nodeOf(dev)+j with
+	// need cell dev; node g's block is the contiguous slice
+	// [g*blkLen, (g+1)*blkLen).
+	pv, nd := &t.pats[prov], &t.pats[need]
+	pn := t.perNode
+	for dev := 0; dev < t.devices; dev++ {
+		nodeStart := dev / pn * pn
+		for j := 0; j < pn; j++ {
+			t.ov[dev*pn+j] = overlapFrac(
+				pv.starts[nodeStart+j], pv.width,
+				nd.starts[dev], nd.width, nd.width)
+		}
+	}
+	blkLen := pn * pn
+	for g := range t.vecKey {
+		nb := t.ov[g*blkLen : (g+1)*blkLen]
+		t.keyBuf = t.keyBuf[:0]
+		for _, v := range nb {
+			t.keyBuf = binary.LittleEndian.AppendUint64(t.keyBuf, math.Float64bits(v))
+		}
+		bid, ok := t.blkIDs[string(t.keyBuf)]
+		if !ok {
+			bid = int32(len(t.blkIDs))
+			t.blkIDs[string(t.keyBuf)] = bid
+			t.blks = append(t.blks, nb...)
+		}
+		t.vecKey[g] = bid
+	}
+	t.keyBuf = t.keyBuf[:0]
+	for _, bid := range t.vecKey {
+		t.keyBuf = binary.LittleEndian.AppendUint32(t.keyBuf, uint32(bid))
+	}
+	vid, ok := t.vecIDs[string(t.keyBuf)]
+	if !ok {
+		vid = int32(len(t.vecIDs))
+		t.vecIDs[string(t.keyBuf)] = vid
+		t.vecs = append(t.vecs, t.vecKey...)
+	}
+	t.pairVec[k] = vid
+	return vid
+}
+
+// memo starts tab empty with memoLen(size) slots, reusing a released slot
+// array of exactly that length when there is one. Capacity never changes a
+// lookup result.
+func (t *OverlapTables) memo(tab *cellTab, size int) {
+	want := memoLen(size)
+	var slots []cellSlot
+	t.mu.Lock()
+	for i, f := range t.free {
+		if len(f) == want {
+			slots = f
+			last := len(t.free) - 1
+			t.free[i] = t.free[last]
+			t.free = t.free[:last]
+			break
+		}
+	}
+	t.mu.Unlock()
+	if slots == nil {
+		slots = make([]cellSlot, want)
+	} else {
+		clear(slots)
+	}
+	tab.use(slots)
 }
 
 // dirCalc is the table set of one traffic direction (forward or backward).
 type dirCalc struct {
-	pairs  []axisPair
-	rowPat [][]int32 // [pair][row rep] -> source-side pattern id
-	colPat [][]int32 // [pair][col rep] -> destination-side pattern id
-	tabs   []dirTable
+	pairs   []axisPair
+	rowPat  [][]int32 // [pair][row rep] -> source-side pattern id
+	colPat  [][]int32 // [pair][col rep] -> destination-side pattern id
+	nColPat []int     // [pair] distinct destination-side pattern count
 
-	// Node factoring (see package comment). All ids are assigned by exact
-	// byte equality, so equal ids imply bit-equal operands.
+	// Node factoring (see package comment), numbered per edge in first-seen
+	// order. All ids trace back to exact byte equality, so equal ids imply
+	// bit-equal operands.
 	nodes   int
 	perNode int
 	nBlk    []int32     // [pair] distinct node-block count
@@ -93,6 +229,7 @@ type dirCalc struct {
 // pairs of one edge through precomputed per-axis overlap tables. Shared
 // read-only state; per-goroutine evaluation goes through Eval.
 type EdgeCalc struct {
+	t   *OverlapTables
 	p   *EdgePlan
 	fwd dirCalc
 	bwd dirCalc
@@ -104,11 +241,16 @@ type EdgeCalc struct {
 
 // NewCalc builds the table evaluator for this plan over the given interface
 // representatives (srcReps: producer output interfaces of the row groups,
-// dstReps: consumer input interfaces of the column groups). Returns nil when
-// the pattern tables would exceed calcTableLimit; callers must then fall
-// back to Measure.
-func (p *EdgePlan) NewCalc(srcReps, dstReps []*Iface) *EdgeCalc {
-	c := &EdgeCalc{p: p}
+// dstReps: consumer input interfaces of the column groups), taking its
+// overlap vectors from t, which must describe the plan's cluster shape.
+// Returns nil when the pattern tables would exceed calcTableLimit; callers
+// must then fall back to Measure.
+func (p *EdgePlan) NewCalc(t *OverlapTables, srcReps, dstReps []*Iface) *EdgeCalc {
+	if t.devices != p.devices || t.perNode != p.perNode {
+		panic(fmt.Sprintf("cost: overlap tables for %d devices (%d per node) used on an edge of %d devices (%d per node)",
+			t.devices, t.perNode, p.devices, p.perNode))
+	}
+	c := &EdgeCalc{t: t, p: p}
 	var fp, bp []axisPair
 	for i, dax := range p.fwdDst {
 		if sa := p.fwdSrc[i]; sa >= 0 {
@@ -120,10 +262,10 @@ func (p *EdgePlan) NewCalc(srcReps, dstReps []*Iface) *EdgeCalc {
 			bp = append(bp, axisPair{sa, dax})
 		}
 	}
-	if !c.fwd.build(p, fp, srcReps, dstReps, true) {
+	if !c.fwd.build(t, p, fp, srcReps, dstReps, true) {
 		return nil
 	}
-	if !c.bwd.build(p, bp, srcReps, dstReps, false) {
+	if !c.bwd.build(t, p, bp, srcReps, dstReps, false) {
 		return nil
 	}
 	c.fwdVol = make([]float64, len(dstReps))
@@ -174,13 +316,14 @@ type axisPattern struct {
 }
 
 // patternIDs groups the interfaces by their (width, per-device starts) on
-// axis ax of the chosen pass array, returning per-interface pattern ids and
-// the distinct patterns. Grouping is by exact byte equality — no hashing —
-// so distinct distributions can never share an id.
-func patternIDs(ifaces []*Iface, ax int, fwd bool) ([]int32, []axisPattern) {
+// axis ax of the chosen pass array, returning per-interface local pattern
+// ids and the distinct patterns' keys (the little-endian bytes of the width
+// and then every start) in first-seen order. Grouping is by exact byte
+// equality — no hashing — so distinct distributions can never share an id.
+func patternIDs(ifaces []*Iface, ax int, fwd bool) ([]int32, []string) {
 	byKey := make(map[string]int32)
 	ids := make([]int32, len(ifaces))
-	var pats []axisPattern
+	var keys []string
 	var buf []byte
 	for i, ifc := range ifaces {
 		arr := ifc.Fwd
@@ -194,97 +337,82 @@ func patternIDs(ifaces []*Iface, ax int, fwd bool) ([]int32, []axisPattern) {
 		}
 		id, ok := byKey[string(buf)]
 		if !ok {
-			id = int32(len(pats))
-			byKey[string(buf)] = id
-			starts := make([]float64, devs)
-			for dev := 0; dev < devs; dev++ {
-				starts[dev] = arr[dev*ifc.NumAxes+ax]
-			}
-			pats = append(pats, axisPattern{width: ifc.Width[ax], starts: starts})
+			id = int32(len(keys))
+			key := string(buf)
+			byKey[key] = id
+			keys = append(keys, key)
 		}
 		ids[i] = id
 	}
-	return ids, pats
+	return ids, keys
 }
 
-// build fills one direction's pattern ids, overlap tables and node-factoring
-// indexes. Reports false when a table would exceed calcTableLimit.
-func (d *dirCalc) build(p *EdgePlan, pairs []axisPair, srcReps, dstReps []*Iface, fwdPass bool) bool {
+// build fills one direction's pattern ids and node-factoring indexes from
+// the registry t. Reports false when a pairing's dense table would exceed
+// calcTableLimit.
+func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps, dstReps []*Iface, fwdPass bool) bool {
 	d.pairs = pairs
 	d.perNode = p.perNode
 	d.nodes = p.devices / p.perNode
 	n := p.devices * p.perNode
 	blkLen := p.perNode * p.perNode
-	var keyBuf []byte
+	var srcPat, dstPat []int32
 	for _, pr := range pairs {
-		srcIDs, srcPats := patternIDs(srcReps, pr.sa, fwdPass)
-		dstIDs, dstPats := patternIDs(dstReps, pr.dax, fwdPass)
-		if len(srcPats)*len(dstPats)*n > calcTableLimit {
+		srcIDs, srcKeys := patternIDs(srcReps, pr.sa, fwdPass)
+		dstIDs, dstKeys := patternIDs(dstReps, pr.dax, fwdPass)
+		nr, nc := len(srcKeys), len(dstKeys)
+		if nr*nc*n > calcTableLimit {
 			return false
 		}
-		tab := dirTable{nColPat: len(dstPats), n: n,
-			flat: make([]float64, len(srcPats)*len(dstPats)*n)}
-		blkIDs := make(map[string]int32)
-		vecIDs := make(map[string]int32)
+		// Number the registry's node vectors and blocks locally, in the
+		// (rp, cp, node) first-seen order: an equal vector has equal
+		// blocks, so a block can only be new inside a new vector.
+		cellVec := make([]int32, nr*nc)
+		vecLoc := make(map[int32]int32)
+		blkLoc := make(map[int32]int32)
 		var blks []float64
 		var vecs []int32
-		cellVec := make([]int32, len(srcPats)*len(dstPats))
-		vecKey := make([]int32, d.nodes)
-		for rp := range srcPats {
-			for cp := range dstPats {
-				blk := tab.block(int32(rp), int32(cp))
+		t.mu.Lock()
+		srcPat, dstPat = srcPat[:0], dstPat[:0]
+		for _, k := range srcKeys {
+			srcPat = append(srcPat, t.pattern(k))
+		}
+		for _, k := range dstKeys {
+			dstPat = append(dstPat, t.pattern(k))
+		}
+		for rp, sp := range srcPat {
+			for cp, dp := range dstPat {
 				// Both directions are the same provider-covers-need fill:
 				// forward the producer (src) provides for the consumer
 				// (dst), backward the consumer provides for the producer.
-				// blk[dev*perNode+j] is the overlap of provider cell
-				// nodeOf(dev)+j with need cell dev.
-				prov, need := &srcPats[rp], &dstPats[cp]
+				prov, need := sp, dp
 				if !fwdPass {
 					prov, need = need, prov
 				}
-				for dev := 0; dev < p.devices; dev++ {
-					nodeStart := dev / p.perNode * p.perNode
-					for j := 0; j < p.perNode; j++ {
-						blk[dev*p.perNode+j] = overlapFrac(
-							prov.starts[nodeStart+j], prov.width,
-							need.starts[dev], need.width, need.width)
-					}
-				}
-				// Deduplicate this (rp, cp)'s per-node blocks and the node
-				// vector they form. Node g's block occupies the contiguous
-				// slice [g*blkLen, (g+1)*blkLen).
-				for g := 0; g < d.nodes; g++ {
-					nb := blk[g*blkLen : (g+1)*blkLen]
-					keyBuf = keyBuf[:0]
-					for _, v := range nb {
-						keyBuf = binary.LittleEndian.AppendUint64(keyBuf, math.Float64bits(v))
-					}
-					bid, ok := blkIDs[string(keyBuf)]
-					if !ok {
-						bid = int32(len(blkIDs))
-						blkIDs[string(keyBuf)] = bid
-						blks = append(blks, nb...)
-					}
-					vecKey[g] = bid
-				}
-				keyBuf = keyBuf[:0]
-				for _, bid := range vecKey {
-					keyBuf = binary.LittleEndian.AppendUint32(keyBuf, uint32(bid))
-				}
-				vid, ok := vecIDs[string(keyBuf)]
+				gv := t.vector(prov, need)
+				vid, ok := vecLoc[gv]
 				if !ok {
-					vid = int32(len(vecIDs))
-					vecIDs[string(keyBuf)] = vid
-					vecs = append(vecs, vecKey...)
+					vid = int32(len(vecLoc))
+					vecLoc[gv] = vid
+					for _, gb := range t.vecs[int(gv)*d.nodes:][:d.nodes] {
+						bid, ok := blkLoc[gb]
+						if !ok {
+							bid = int32(len(blkLoc))
+							blkLoc[gb] = bid
+							blks = append(blks, t.blks[int(gb)*blkLen:][:blkLen]...)
+						}
+						vecs = append(vecs, bid)
+					}
 				}
-				cellVec[rp*len(dstPats)+cp] = vid
+				cellVec[rp*nc+cp] = vid
 			}
 		}
+		t.mu.Unlock()
 		d.rowPat = append(d.rowPat, srcIDs)
 		d.colPat = append(d.colPat, dstIDs)
-		d.tabs = append(d.tabs, tab)
-		d.nBlk = append(d.nBlk, int32(len(blkIDs)))
-		d.nVec = append(d.nVec, int32(len(vecIDs)))
+		d.nColPat = append(d.nColPat, nc)
+		d.nBlk = append(d.nBlk, int32(len(blkLoc)))
+		d.nVec = append(d.nVec, int32(len(vecLoc)))
 		d.blks = append(d.blks, blks)
 		d.vecs = append(d.vecs, vecs)
 		d.cellVec = append(d.cellVec, cellVec)
@@ -351,7 +479,7 @@ func (de *dirEval) eval(ri, ci int) frac {
 	}
 	key := uint64(0)
 	for i := range d.pairs {
-		vid := d.cellVec[i][int(d.rowPat[i][ri])*d.tabs[i].nColPat+int(d.colPat[i][ci])]
+		vid := d.cellVec[i][int(d.rowPat[i][ri])*d.nColPat[i]+int(d.colPat[i][ci])]
 		de.vids[i] = vid
 		key = key*uint64(d.nVec[i]) + uint64(vid)
 	}
@@ -472,6 +600,7 @@ func (de *dirEval) comboFrac(g int) frac {
 // cost more in lookup overhead than it saved in memo misses.
 //
 // Create one per goroutine (via Block); the memo and row buffers are private.
+// Release it when done, so the search's later matrices reuse its memos.
 type BlockEval struct {
 	c        *EdgeCalc
 	fwd, bwd dirStream
@@ -503,14 +632,33 @@ type dirStream struct {
 func (c *EdgeCalc) Block() *BlockEval {
 	be := &BlockEval{c: c}
 	nRows, nCols := len(c.bwdVol), len(c.fwdVol)
-	be.fwd.init(&c.fwd, nRows, nCols)
-	be.bwd.init(&c.bwd, nRows, nCols)
+	be.fwd.init(c.t, &c.fwd, nRows, nCols)
+	be.bwd.init(c.t, &c.bwd, nRows, nCols)
 	return be
+}
+
+// Release hands the evaluator's memos back to the calc's registry for the
+// search's later matrices to reuse; be must not be used afterwards. A memo
+// that grew past every start size could never be reused, so the registry
+// does not keep it: holding such tables until the search ends would raise
+// its peak memory for nothing.
+func (be *BlockEval) Release() {
+	t := be.c.t
+	t.mu.Lock()
+	for _, tab := range []*cellTab{&be.fwd.de.cells, &be.fwd.de.combo, &be.bwd.de.cells, &be.bwd.de.combo} {
+		if len(tab.slots) <= max(cellMemoCap, comboMemoCap) {
+			t.free = append(t.free, tab.slots)
+		}
+		tab.slots = nil
+	}
+	t.mu.Unlock()
 }
 
 // Memo start sizes, in slots. A matrix realizes at most one cell key per
 // cell and one combo key per (cell, node), and a table of twice its key
-// count never grows (cellTab.put keeps the load at or below one half).
+// count never grows (cellTab.put keeps the load at or below one half). The
+// slot arrays come from the search's registry when a released one of the
+// same length is free (OverlapTables.memo).
 const (
 	// cellMemoCap caps the cell memo's start: 64k slots skip the early
 	// grow/rehash rounds of big matrices. Sizing it from the full cell count
@@ -531,19 +679,19 @@ func memoSlots(keys, limit int) int {
 	return 2 * keys
 }
 
-func (s *dirStream) init(d *dirCalc, nRows, nCols int) {
+func (s *dirStream) init(t *OverlapTables, d *dirCalc, nRows, nCols int) {
 	s.de = dirEval{d: d,
 		buf: make([]float64, d.perNode*d.perNode), vids: make([]int32, len(d.pairs))}
 	// Both memos serve every cell of the matrix, so the matrix bounds their
 	// key counts: a stage-sized matrix of a few dozen cells allocates a few
 	// dozen slots, and a big one starts at the cap.
 	cells := nRows * nCols
-	s.de.cells.initSize(memoSlots(cells, cellMemoCap))
-	s.de.combo.initSize(memoSlots(cells*d.nodes, comboMemoCap))
+	t.memo(&s.de.cells, memoSlots(cells, cellMemoCap))
+	t.memo(&s.de.combo, memoSlots(cells*d.nodes, comboMemoCap))
 	s.row = make([]frac, nCols) // stays all-zero for an unmapped direction
 	s.rowSl = make([][]int32, len(d.pairs))
 	if len(d.pairs) == 2 && d.cellMemo {
-		n0, n1 := d.tabs[0].nColPat, d.tabs[1].nColPat
+		n0, n1 := d.nColPat[0], d.nColPat[1]
 		s.loc0 = make([]int32, n0)
 		s.loc1 = make([]int32, n1)
 		s.vals0 = make([]int32, 0, n0)
@@ -584,7 +732,7 @@ func (s *dirStream) fillRow(ri int) {
 		return // unmapped direction: every cell is the zero frac
 	}
 	for i := 0; i < k; i++ {
-		nc := d.tabs[i].nColPat
+		nc := d.nColPat[i]
 		s.rowSl[i] = d.cellVec[i][int(d.rowPat[i][ri])*nc:][:nc]
 	}
 	de := &s.de
@@ -722,14 +870,22 @@ func (t *cellTab) init() { t.initSize(1 << 12) }
 // two), letting callers that expect many entries skip the early grow/rehash
 // rounds and callers that expect few skip zeroing slots they never use.
 // Capacity never affects lookup results, only allocation churn.
-func (t *cellTab) initSize(size int) {
-	logSize := uint8(1)
-	for 1<<logSize < size {
-		logSize++
+func (t *cellTab) initSize(size int) { t.use(make([]cellSlot, memoLen(size))) }
+
+// memoLen is the power-of-two slot count ≥ size, at least two.
+func memoLen(size int) int {
+	n := 2
+	for n < size {
+		n <<= 1
 	}
-	t.slots = make([]cellSlot, 1<<logSize)
-	t.mask = 1<<logSize - 1
-	t.shift = 64 - logSize
+	return n
+}
+
+// use starts the table on slots, an all-empty power-of-two slice.
+func (t *cellTab) use(slots []cellSlot) {
+	t.slots = slots
+	t.mask = uint64(len(slots) - 1)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(len(slots))))
 	t.n = 0
 }
 

@@ -66,7 +66,7 @@ func benchPlan() (*EdgePlan, []*Iface, []*Iface) {
 // hoisted slices and the lazy per-row vid grid reusing repeated cells.
 func BenchmarkEdgeCellBlock(b *testing.B) {
 	p, srcReps, dstReps := benchPlan()
-	calc := p.NewCalc(srcReps, dstReps)
+	calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
 	if calc == nil {
 		b.Fatal("NewCalc fell back")
 	}
@@ -86,7 +86,7 @@ func BenchmarkEdgeCellBlock(b *testing.B) {
 // win stays visible in `go test -bench`.
 func BenchmarkEdgeCellPerCell(b *testing.B) {
 	p, srcReps, dstReps := benchPlan()
-	calc := p.NewCalc(srcReps, dstReps)
+	calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
 	if calc == nil {
 		b.Fatal("NewCalc fell back")
 	}

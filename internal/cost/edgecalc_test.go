@@ -52,7 +52,7 @@ func TestEdgeCalcMatchesMeasure(t *testing.T) {
 		}
 		srcReps := randIfaces(rng, 25, devices, srcAxes)
 		dstReps := randIfaces(rng, 25, devices, dstAxes)
-		calc := p.NewCalc(srcReps, dstReps)
+		calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
 		if calc == nil {
 			t.Fatalf("trial %d: NewCalc fell back unexpectedly", trial)
 		}
@@ -80,7 +80,7 @@ func TestEdgeCalcNoMappedAxes(t *testing.T) {
 	}
 	srcReps := randIfaces(rng, 4, 8, 2)
 	dstReps := randIfaces(rng, 4, 8, 2)
-	calc := p.NewCalc(srcReps, dstReps)
+	calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
 	ev := calc.Eval()
 	for ri, s := range srcReps {
 		for ci, d := range dstReps {
@@ -137,7 +137,7 @@ func TestBlockEvalMatchesMeasure(t *testing.T) {
 				srcReps = randIfaces(rng, sh.rows, p.devices, 3)
 				dstReps = randIfaces(rng, sh.cols, p.devices, 4)
 			}
-			calc := p.NewCalc(srcReps, dstReps)
+			calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
 			if calc == nil {
 				t.Fatalf("%s trial %d: NewCalc fell back unexpectedly", sh.name, trial)
 			}
@@ -182,7 +182,7 @@ func TestBlockMemoSizedToMatrix(t *testing.T) {
 		{3, 5, 32},
 		{300, 300, cellMemoCap},
 	} {
-		calc := p.NewCalc(randIfaces(rng, tc.rows, 8, 2), randIfaces(rng, tc.cols, 8, 2))
+		calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), randIfaces(rng, tc.rows, 8, 2), randIfaces(rng, tc.cols, 8, 2))
 		be := calc.Block()
 		if got := len(be.fwd.de.cells.slots); got != tc.wantCells {
 			t.Errorf("%dx%d: cell memo starts at %d slots, want %d", tc.rows, tc.cols, got, tc.wantCells)

@@ -197,12 +197,26 @@ type Cluster struct {
 	links []LinkTier
 }
 
+// MaxDevices is the largest machine NewCluster builds: 1024 devices, the
+// largest machine the built-in profiles describe (A100SuperPodProfile). The
+// planner's work grows steeply with the device count: estimating one
+// OPT-6.7B block search alone takes seconds at 1024 devices and runs out
+// of memory at 2048, so larger requests are rejected before any planning.
+const MaxDevices = 1024
+
 // NewCluster returns a cluster of numDevices devices grouped into nodes of
-// devicesPerNode. Both must be powers of two and devicesPerNode must divide
-// numDevices (a machine smaller than one node is a single partial node).
+// devicesPerNode. Both must be powers of two, numDevices at most MaxDevices,
+// and devicesPerNode must divide numDevices (a machine smaller than one node
+// is a single partial node). The profile must describe a real machine:
+// finite positive compute throughput, memory bandwidth and element width, a
+// finite non-negative kernel overhead, and links (derived or explicit) with
+// finite positive bandwidth and finite non-negative latency.
 func NewCluster(numDevices, devicesPerNode int, p Profile) (*Cluster, error) {
 	if numDevices <= 0 || numDevices&(numDevices-1) != 0 {
 		return nil, fmt.Errorf("device: NumDevices %d is not a positive power of two", numDevices)
+	}
+	if numDevices > MaxDevices {
+		return nil, fmt.Errorf("device: NumDevices %d exceeds the maximum of %d", numDevices, MaxDevices)
 	}
 	if devicesPerNode <= 0 || devicesPerNode&(devicesPerNode-1) != 0 {
 		return nil, fmt.Errorf("device: DevicesPerNode %d is not a positive power of two", devicesPerNode)
@@ -216,15 +230,42 @@ func NewCluster(numDevices, devicesPerNode int, p Profile) (*Cluster, error) {
 		return nil, err
 	}
 	c.links = links
-	for _, cc := range p.Classes {
-		if cc.FLOPs <= 0 || cc.MemBW <= 0 {
-			return nil, fmt.Errorf("device: compute class %q needs positive FLOPs and MemBW", cc.Name)
+	if p.Topology == Torus2D {
+		if err := checkLink("torus", p.TorusBW, p.TorusLatency); err != nil {
+			return nil, err
 		}
-		if cc.KernelOverhead < 0 {
-			return nil, fmt.Errorf("device: compute class %q has negative kernel overhead", cc.Name)
+	}
+	if err := checkCompute("profile", p.Name, p.FLOPs, p.MemBW, p.KernelOverhead); err != nil {
+		return nil, err
+	}
+	if !positive(p.ElementBytes) {
+		return nil, fmt.Errorf("device: profile %q needs a finite positive ElementBytes, got %v", p.Name, p.ElementBytes)
+	}
+	for _, cc := range p.Classes {
+		if err := checkCompute("compute class", cc.Name, cc.FLOPs, cc.MemBW, cc.KernelOverhead); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil
+}
+
+// positive reports whether v is finite and positive; nonNegative whether it
+// is finite and non-negative. Every comparison with NaN is false, so the
+// conditions state what is accepted.
+func positive(v float64) bool    { return v > 0 && v <= math.MaxFloat64 }
+func nonNegative(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
+// checkCompute rejects a device description (kind "profile" or "compute
+// class") whose throughput or memory bandwidth is not finite and positive or
+// whose kernel overhead is not finite and non-negative.
+func checkCompute(kind, name string, flops, memBW, kernelOverhead float64) error {
+	if !positive(flops) || !positive(memBW) {
+		return fmt.Errorf("device: %s %q needs finite positive FLOPs and MemBW, got %v and %v", kind, name, flops, memBW)
+	}
+	if !nonNegative(kernelOverhead) {
+		return fmt.Errorf("device: %s %q needs a finite non-negative kernel overhead, got %v", kind, name, kernelOverhead)
+	}
+	return nil
 }
 
 // resolveLinks turns a Profile's link description into the concrete tier
@@ -240,6 +281,11 @@ func resolveLinks(n, nodeBits int, p Profile) ([]LinkTier, error) {
 		tiers := []LinkTier{{Name: "intra-node", Bits: n - nodeBits, Bandwidth: p.IntraBW, Latency: p.IntraLatency}}
 		if nodeBits > 0 {
 			tiers = append(tiers, LinkTier{Name: "inter-node", Bits: nodeBits, Bandwidth: p.InterBW, Latency: p.InterLatency})
+		}
+		for _, t := range tiers {
+			if err := checkLink(t.Name, t.Bandwidth, t.Latency); err != nil {
+				return nil, err
+			}
 		}
 		return tiers, nil
 	}
@@ -272,13 +318,12 @@ func resolveLinks(n, nodeBits int, p Profile) ([]LinkTier, error) {
 }
 
 // checkLink rejects a link tier whose bandwidth is not finite and positive or
-// whose latency is not finite and non-negative. Every comparison with NaN is
-// false, so the conditions state what is accepted.
+// whose latency is not finite and non-negative.
 func checkLink(name string, bandwidth, latency float64) error {
-	if !(bandwidth > 0 && bandwidth <= math.MaxFloat64) {
+	if !positive(bandwidth) {
 		return fmt.Errorf("device: link tier %q needs a finite positive bandwidth, got %v", name, bandwidth)
 	}
-	if !(latency >= 0 && latency <= math.MaxFloat64) {
+	if !nonNegative(latency) {
 		return fmt.Errorf("device: link tier %q needs a finite non-negative latency, got %v", name, latency)
 	}
 	return nil

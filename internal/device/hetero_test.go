@@ -329,10 +329,87 @@ func TestNewClusterValidatesLinksAndClasses(t *testing.T) {
 			p.Classes = []ComputeClass{{Name: "x", FLOPs: 1e12, MemBW: 1e9, KernelOverhead: -1}}
 			return p
 		}},
+		{"NaN-FLOPs class", func() Profile {
+			p := V100Profile()
+			p.Classes = []ComputeClass{{Name: "x", FLOPs: math.NaN(), MemBW: 1e9}}
+			return p
+		}},
+		{"zero profile", func() Profile { return Profile{} }},
+		{"negative intra bandwidth", func() Profile {
+			p := V100Profile()
+			p.IntraBW = -300e9
+			return p
+		}},
+		{"zero inter bandwidth", func() Profile {
+			p := V100Profile()
+			p.InterBW = 0
+			return p
+		}},
+		{"NaN intra latency", func() Profile {
+			p := V100Profile()
+			p.IntraLatency = math.NaN()
+			return p
+		}},
+		{"infinite inter latency", func() Profile {
+			p := V100Profile()
+			p.InterLatency = math.Inf(1)
+			return p
+		}},
+		{"zero element bytes", func() Profile {
+			p := V100Profile()
+			p.ElementBytes = 0
+			return p
+		}},
+		{"infinite element bytes", func() Profile {
+			p := V100Profile()
+			p.ElementBytes = math.Inf(1)
+			return p
+		}},
+		{"zero FLOPs", func() Profile {
+			p := V100Profile()
+			p.FLOPs = 0
+			return p
+		}},
+		{"NaN MemBW", func() Profile {
+			p := V100Profile()
+			p.MemBW = math.NaN()
+			return p
+		}},
+		{"negative kernel overhead", func() Profile {
+			p := V100Profile()
+			p.KernelOverhead = -8e-6
+			return p
+		}},
+		{"infinite kernel overhead", func() Profile {
+			p := V100Profile()
+			p.KernelOverhead = math.Inf(1)
+			return p
+		}},
+		{"zero torus bandwidth", func() Profile {
+			p := TPUv4Profile()
+			p.TorusBW = 0
+			return p
+		}},
 	}
 	for _, tc := range bad {
 		if _, err := NewCluster(8, 4, tc.prof()); err == nil {
 			t.Errorf("%s: NewCluster accepted an invalid profile", tc.name)
+		}
+	}
+}
+
+// TestNewClusterBuiltinProfiles pins that the validation accepts every
+// built-in profile at every size from one device to MaxDevices, and that
+// MaxDevices is where the sizes stop.
+func TestNewClusterBuiltinProfiles(t *testing.T) {
+	for _, p := range Profiles() {
+		for n := 1; n <= MaxDevices; n *= 2 {
+			if _, err := NewCluster(n, 4, p); err != nil {
+				t.Errorf("%s at %d devices: %v", p.Name, n, err)
+			}
+		}
+		if _, err := NewCluster(2*MaxDevices, 4, p); err == nil {
+			t.Errorf("%s: NewCluster accepted %d devices", p.Name, 2*MaxDevices)
 		}
 	}
 }

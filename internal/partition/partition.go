@@ -164,9 +164,6 @@ func (s Seq) NumSlices(dim int) int {
 // Validate checks structural validity of the sequence for an operator with
 // numDims axes on a machine with nbits device-ID bits.
 func (s Seq) Validate(numDims, nbits int) error {
-	if s.Bits() > nbits {
-		return fmt.Errorf("partition: sequence uses %d bits, machine has %d", s.Bits(), nbits)
-	}
 	for i, t := range s.Tokens {
 		switch t.Kind {
 		case SplitDim:
@@ -174,8 +171,10 @@ func (s Seq) Validate(numDims, nbits int) error {
 				return fmt.Errorf("partition: token %d splits axis %d of a %d-axis operator", i, t.Dim, numDims)
 			}
 		case Prime:
-			if t.K < 1 {
-				return fmt.Errorf("partition: token %d has Prime order %d < 1", i, t.K)
+			if t.K < 1 || t.K > nbits/2 {
+				// The upper bound also keeps the Bits sum below from
+				// overflowing on a hostile order.
+				return fmt.Errorf("partition: token %d has Prime order %d, want 1 to %d on %d bits", i, t.K, nbits/2, nbits)
 			}
 			dims := []int{t.MDim, t.NDim, t.KDim}
 			for _, d := range dims {
@@ -189,6 +188,9 @@ func (s Seq) Validate(numDims, nbits int) error {
 		default:
 			return fmt.Errorf("partition: token %d has unknown kind %d", i, t.Kind)
 		}
+	}
+	if s.Bits() > nbits {
+		return fmt.Errorf("partition: sequence uses %d bits, machine has %d", s.Bits(), nbits)
 	}
 	return nil
 }

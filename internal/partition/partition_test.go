@@ -81,6 +81,14 @@ func TestValidate(t *testing.T) {
 	if err := NewSeq(NewPrime(0, axM, axN, axK)).Validate(linDim, 4); err == nil {
 		t.Fatal("Prime k=0 accepted")
 	}
+	// 2·K overflows to a negative bit count: rejected by the order bound,
+	// not waved through by the total.
+	if err := NewSeq(NewPrime(1<<62, axM, axN, axK), Split(axM)).Validate(linDim, 4); err == nil {
+		t.Error("order 2^62 prime token accepted")
+	}
+	if err := NewSeq(NewPrime(3, axM, axN, axK)).Validate(linDim, 5); err == nil {
+		t.Error("P8x8 accepted on 5 bits")
+	}
 	if err := NewSeq(NewPrime(1, axM, axM, axK)).Validate(linDim, 4); err == nil {
 		t.Fatal("Prime with duplicate role axes accepted")
 	}

@@ -107,8 +107,8 @@ func ParseTopology(s string) (Topology, error) { return device.ParseTopology(s) 
 // width "rest" on the last tier absorbs the remaining devices).
 func ParseLinksSpec(spec string) ([]LinkTier, error) { return device.ParseLinksSpec(spec) }
 
-// NewCluster builds a cluster of `devices` GPUs with `perNode` per node
-// using the V100 profile.
+// NewCluster builds a cluster of `devices` GPUs (a power of two, at most
+// 1024) with `perNode` per node using the V100 profile.
 func NewCluster(devices, perNode int) (*Cluster, error) {
 	return device.NewCluster(devices, perNode, device.V100Profile())
 }

@@ -58,6 +58,14 @@ func LoadPlan(path string) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("primepar: reading plan: %w", err)
 	}
+	return decodePlan(data)
+}
+
+// decodePlan is LoadPlan after the read: it decodes a saved plan's bytes and
+// validates them. Any input yields an error or a plan whose cluster builds;
+// the cluster's device count is bounded by device.MaxDevices, so the
+// validation's cost is bounded too.
+func decodePlan(data []byte) (*Plan, error) {
 	var pf planFile
 	if err := json.Unmarshal(data, &pf); err != nil {
 		return nil, fmt.Errorf("primepar: decoding plan: %w", err)
