@@ -17,6 +17,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Wire mirrors of the daemon's sweep types (cmd/primepard/sweep.go); like
@@ -37,23 +39,11 @@ type sweepPointResult struct {
 	Error     *errorEnvelope `json:"error"`
 }
 
-type sweepTotals struct {
-	NodeEvals          int64 `json:"node_evals"`
-	EdgeMatsBuilt      int64 `json:"edge_mats_built"`
-	SegTablesBuilt     int64 `json:"seg_tables_built"`
-	CrossCallNodeHits  int64 `json:"cross_call_node_hits"`
-	CrossCallEdgeHits  int64 `json:"cross_call_edge_hits"`
-	CrossCallTableHits int64 `json:"cross_call_table_hits"`
-	CrossCallPlanHits  int64 `json:"cross_call_plan_hits"`
-	EntriesScanned     int64 `json:"entries_scanned"`
-	CandsTotal         int64 `json:"cands_total"`
-}
-
 type sweepResponse struct {
 	Results   []sweepPointResult `json:"results"`
 	Planned   int                `json:"planned"`
 	Failed    int                `json:"failed"`
-	Totals    sweepTotals        `json:"totals"`
+	Totals    core.SearchStats   `json:"totals"`
 	ElapsedMS float64            `json:"elapsed_ms"`
 }
 
@@ -167,7 +157,7 @@ func runSweep(addr, modelName, spec string) error {
 	// daemon's cache, must beat their total and prove it hit the cache.
 	// Individuals were already warm → the sweep has nothing left to compute.
 	coldWork := coldEvals + coldEdges + coldTables
-	sweepWork := sw.Totals.NodeEvals + sw.Totals.EdgeMatsBuilt + sw.Totals.SegTablesBuilt
+	sweepWork := int64(sw.Totals.NodeEvals + sw.Totals.EdgeMatsBuilt + sw.Totals.SegTablesBuilt)
 	fmt.Printf("  totals: individual work %d (evals+edges+tables), sweep work %d, sweep cache hits %d\n",
 		coldWork, sweepWork,
 		sw.Totals.CrossCallNodeHits+sw.Totals.CrossCallEdgeHits+sw.Totals.CrossCallTableHits+sw.Totals.CrossCallPlanHits)

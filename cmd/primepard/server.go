@@ -231,8 +231,9 @@ func badRequest(format string, args ...any) *apiError {
 
 // server is the planner daemon: one shared search cache, one singleflight
 // group, one admission gate, and monotonically growing counters for /stats.
-// Counters are atomics: they are bumped from concurrent request goroutines
-// and read lock-free by the stats handler.
+// Service counters are atomics: they are bumped from concurrent request
+// goroutines and read lock-free by the stats handler. The search totals are
+// one core.SearchStats under a mutex.
 type server struct {
 	cache          *core.SearchCache
 	cacheDir       string // "" = no persistence
@@ -247,20 +248,10 @@ type server struct {
 	planErrors    atomic.Int64
 	dedupHits     atomic.Int64
 	cancellations atomic.Int64
-	crossNodeHits atomic.Int64
-	crossEdgeHits atomic.Int64
-	// crossTableHits counts searches whose merged layer table was served
-	// whole from the cache, so only stacking ran.
-	crossTableHits atomic.Int64
-	// crossPlanHits counts searches answered whole from the plan tier.
-	crossPlanHits atomic.Int64
-	// candsTotal mirrors SearchStats.CandsTotal: the candidates the
-	// searches' DPs ran over, after beam pruning.
-	candsTotal atomic.Int64
-	// entriesScanned mirrors the min-plus scan counter: entries the Bellman
-	// folds actually visited.
-	entriesScanned atomic.Int64
-	warmServed     atomic.Int64
+	warmServed    atomic.Int64
+	// searchTotal sums the search stats of every served plan and sweep.
+	searchMu    sync.Mutex
+	searchTotal core.SearchStats
 	// Sweep counters are separate from plansServed: one sweep serves many
 	// points, and /v1/plan's counters must keep their one-request meaning.
 	sweeps             atomic.Int64
@@ -326,35 +317,35 @@ type admissionStats struct {
 // the live cache sizes and admission state, expvar-style (flat JSON,
 // monotone counters).
 type statsResponse struct {
-	UptimeSeconds      float64        `json:"uptime_seconds"`
-	Requests           int64          `json:"requests"`
-	PlansServed        int64          `json:"plans_served"`
-	PlanErrors         int64          `json:"plan_errors"`
-	DedupHits          int64          `json:"dedup_hits"`
-	Cancellations      int64          `json:"cancellations"`
-	WarmServed         int64          `json:"warm_served"`
-	SweepsServed       int64          `json:"sweeps_served"`
-	SweepPointsPlanned int64          `json:"sweep_points_planned"`
-	SweepPointsFailed  int64          `json:"sweep_points_failed"`
-	CrossCallNodeHits  int64          `json:"cross_call_node_hits"`
-	CrossCallEdgeHits  int64          `json:"cross_call_edge_hits"`
-	CrossCallTableHits int64          `json:"cross_call_table_hits"`
-	CrossCallPlanHits  int64          `json:"cross_call_plan_hits"`
-	CandsTotal         int64          `json:"cands_total"`
-	EntriesScanned     int64          `json:"entries_scanned"`
-	CacheNodes         int            `json:"cache_nodes"`
-	CacheEdges         int            `json:"cache_edges"`
-	CacheTables        int            `json:"cache_tables"`
-	CachePlans         int            `json:"cache_plans"`
-	CacheSaves         int64          `json:"cache_saves"`
-	CacheSaveErrors    int64          `json:"cache_save_errors"`
-	LastSaveUnix       int64          `json:"last_save_unix,omitempty"`
-	Admission          admissionStats `json:"admission"`
+	UptimeSeconds      float64 `json:"uptime_seconds"`
+	Requests           int64   `json:"requests"`
+	PlansServed        int64   `json:"plans_served"`
+	PlanErrors         int64   `json:"plan_errors"`
+	DedupHits          int64   `json:"dedup_hits"`
+	Cancellations      int64   `json:"cancellations"`
+	WarmServed         int64   `json:"warm_served"`
+	SweepsServed       int64   `json:"sweeps_served"`
+	SweepPointsPlanned int64   `json:"sweep_points_planned"`
+	SweepPointsFailed  int64   `json:"sweep_points_failed"`
+	// SearchStats totals the search stats of every served plan and sweep
+	// (SearchStats.Add); its keys sit flat beside the service counters.
+	core.SearchStats
+	CacheNodes      int            `json:"cache_nodes"`
+	CacheEdges      int            `json:"cache_edges"`
+	CacheTables     int            `json:"cache_tables"`
+	CachePlans      int            `json:"cache_plans"`
+	CacheSaves      int64          `json:"cache_saves"`
+	CacheSaveErrors int64          `json:"cache_save_errors"`
+	LastSaveUnix    int64          `json:"last_save_unix,omitempty"`
+	Admission       admissionStats `json:"admission"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	nodes, edges := s.cache.Sizes()
 	running, depth := s.adm.depth()
+	s.searchMu.Lock()
+	search := s.searchTotal
+	s.searchMu.Unlock()
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSeconds:      time.Since(s.start).Seconds(),
 		Requests:           s.requests.Load(),
@@ -366,12 +357,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SweepsServed:       s.sweeps.Load(),
 		SweepPointsPlanned: s.sweepPointsPlanned.Load(),
 		SweepPointsFailed:  s.sweepPointsFailed.Load(),
-		CrossCallNodeHits:  s.crossNodeHits.Load(),
-		CrossCallEdgeHits:  s.crossEdgeHits.Load(),
-		CrossCallTableHits: s.crossTableHits.Load(),
-		CrossCallPlanHits:  s.crossPlanHits.Load(),
-		CandsTotal:         s.candsTotal.Load(),
-		EntriesScanned:     s.entriesScanned.Load(),
+		SearchStats:        search,
 		CacheNodes:         nodes,
 		CacheEdges:         edges,
 		CacheTables:        s.cache.TableEntries(),
@@ -429,12 +415,9 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // countSearch adds a served plan's search stats (or a sweep's summed ones)
 // to the /v1/stats cache-tier and work counters.
 func (s *server) countSearch(st core.SearchStats) {
-	s.crossNodeHits.Add(int64(st.CrossCallNodeHits))
-	s.crossEdgeHits.Add(int64(st.CrossCallEdgeHits))
-	s.crossTableHits.Add(int64(st.CrossCallTableHits))
-	s.crossPlanHits.Add(int64(st.CrossCallPlanHits))
-	s.candsTotal.Add(int64(st.CandsTotal))
-	s.entriesScanned.Add(st.EntriesScanned)
+	s.searchMu.Lock()
+	s.searchTotal.Add(st)
+	s.searchMu.Unlock()
 }
 
 // deadline resolves a request's deadline_ms: the server default when unset,

@@ -439,3 +439,79 @@ func TestSaveCache(t *testing.T) {
 		t.Fatalf("restart was not warm: %+v", resp.Stats)
 	}
 }
+
+// TestStatsKeys pins /v1/stats after one cold plan, its warm repeat and one
+// sweep: every key the repository benchmark and the CI smoke read is
+// present, non-zero where the smoke expects it, and the search counters are
+// the sum of the served responses' stats.
+func TestStatsKeys(t *testing.T) {
+	s := newTestServer(t, "", admissionConfig{MaxConcurrent: 2, MaxQueue: 4, QueueTimeout: 30 * time.Second})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	base := PlanRequest{Model: "OPT-6.7B", Devices: 4, Layers: 2}
+	var want core.SearchStats
+	for _, name := range []string{"cold", "warm"} {
+		out := postPlan(t, ts, base)
+		if out.resp == nil {
+			t.Fatalf("%s plan failed: %d %s", name, out.status, out.env.Message)
+		}
+		want.Add(out.resp.Stats)
+	}
+	sw := postSweep(t, ts, SweepRequest{PlanRequest: base, Points: []SweepPoint{{}, {Layers: 4}}})
+	if sw.resp == nil || sw.resp.Failed != 0 {
+		t.Fatalf("sweep failed: %d %s", sw.status, sw.env.Message)
+	}
+	want.Add(sw.resp.Totals)
+
+	httpResp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	var st map[string]any
+	if err := json.NewDecoder(httpResp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	adm, ok := st["admission"].(map[string]any)
+	if !ok {
+		t.Fatalf("no admission section: %v", st)
+	}
+	for _, k := range []string{"dedup_hits", "sweep_points_failed"} {
+		if _, ok := st[k].(float64); !ok {
+			t.Errorf("key %q missing", k)
+		}
+	}
+	for _, k := range []string{"plans_served", "warm_served", "cache_nodes", "cache_edges", "cache_tables",
+		"cache_plans", "sweeps_served", "sweep_points_planned", "cross_call_node_hits",
+		"cross_call_table_hits", "cross_call_plan_hits", "cands_total", "entries_scanned"} {
+		if v, ok := st[k].(float64); !ok || v == 0 {
+			t.Errorf("key %q = %v, want a non-zero number", k, st[k])
+		}
+	}
+	if _, ok := st["cross_call_edge_hits"].(float64); !ok {
+		t.Error(`key "cross_call_edge_hits" missing`)
+	}
+	for _, k := range []string{"queued", "shed_queue_full", "shed_queue_timeout", "shed_deadline", "shed_memory",
+		"running", "queue_depth"} {
+		if _, ok := adm[k].(float64); !ok {
+			t.Errorf("admission key %q missing", k)
+		}
+	}
+	if v, ok := adm["admitted"].(float64); !ok || v == 0 {
+		t.Errorf("admission key \"admitted\" = %v, want a non-zero number", adm["admitted"])
+	}
+	for k, w := range map[string]int64{
+		"cross_call_node_hits":  int64(want.CrossCallNodeHits),
+		"cross_call_edge_hits":  int64(want.CrossCallEdgeHits),
+		"cross_call_table_hits": int64(want.CrossCallTableHits),
+		"cross_call_plan_hits":  int64(want.CrossCallPlanHits),
+		"cands_total":           int64(want.CandsTotal),
+		"entries_scanned":       want.EntriesScanned,
+		"node_evals":            int64(want.NodeEvals),
+	} {
+		if got, _ := st[k].(float64); int64(got) != w {
+			t.Errorf("%s = %v, want the served total %d", k, st[k], w)
+		}
+	}
+}

@@ -18,6 +18,10 @@
 // totals, so Beam>0 keys fold in the beam width, α and the full endpoint
 // signatures.
 //
+// Every tier is one tier value (tier.go): a map, a cell count and a cap
+// with an epoch flush. In-process inserts and disk-cache merges take the
+// same insert, so no tier grows past its cap however its entries arrive.
+//
 // Configurations the byte encoding cannot identify — a calibration Book
 // replaces the analytic formulas with arbitrary regressed models — bypass
 // the cache entirely, as does Options.DisableCache (the SerialUncached
@@ -27,18 +31,12 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
-
-// maxCachedEdgeCells bounds the float64 cells retained by one SearchCache
-// (~512 MB). Exceeding it flushes the edge map wholesale — an epoch flush is
-// simpler than LRU and the cache rebuilds in one sweep pass.
-const maxCachedEdgeCells = 64 << 20
 
 // nodeEntry is the α-independent part of a nodeCands evaluation.
 type nodeEntry struct {
@@ -60,41 +58,25 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 }
 
 // SearchCache carries node evaluations, edge matrices, layer DP tables and
-// finished plans across Plan calls. Safe for concurrent use; all cached
-// values are read-only.
+// finished plans across Plan calls, one bounded tier each (tier.go). Safe
+// for concurrent use; all cached values are read-only.
 type SearchCache struct {
-	mu        sync.Mutex
-	nodes     map[string]*nodeEntry
-	edges     map[string]*edgeMat
-	edgeCells int64
-	// edgeCellCap bounds edgeCells; inserts past it trigger the epoch
-	// flush. Defaults to maxCachedEdgeCells; tests shrink it to exercise
-	// the flush without half-gigabyte payloads.
-	edgeCellCap int64
-	// tables is the third tier (delta.go): one merged layer DP table per
-	// search identity, keyed by environment + α + beam + whole graph (no
-	// layer count). In-memory only — the disk cache (diskcache.go) persists
-	// nodes, edges and plans; a table rebuilds from them in one DP pass.
-	tables     map[string]*table
-	tableCells int64
-	// tableCellCap mirrors edgeCellCap for the table tier.
-	tableCellCap int64
-	// plans is the fourth tier (plancache.go): finished answers, keyed by
-	// environment + whole graph + layer count; planCells counts their
-	// candidate indices against maxCachedPlanCells.
-	plans     map[string]*cachedPlan
-	planCells int64
+	nodes *tier[*nodeEntry]
+	edges *tier[*edgeMat]
+	// tables (delta.go) is in memory only: the disk cache (diskcache.go)
+	// persists nodes, edges and plans, and a table rebuilds from them in one
+	// DP pass.
+	tables *tier[*table]
+	plans  *tier[*cachedPlan] // plancache.go
 }
 
 // NewSearchCache returns an empty cross-call cache.
 func NewSearchCache() *SearchCache {
 	return &SearchCache{
-		nodes:        make(map[string]*nodeEntry),
-		edges:        make(map[string]*edgeMat),
-		edgeCellCap:  maxCachedEdgeCells,
-		tables:       make(map[string]*table),
-		tableCellCap: maxCachedTableCells,
-		plans:        make(map[string]*cachedPlan),
+		nodes:  newTier(maxCachedNodeCells, nodeCells),
+		edges:  newTier(maxCachedEdgeCells, edgeCells),
+		tables: newTier(maxCachedTableCells, tableCells),
+		plans:  newTier(maxCachedPlanCells, planCells),
 	}
 }
 
@@ -117,59 +99,20 @@ var DefaultSearchCache = NewSearchCache()
 
 // Reset drops every cached entry.
 func (c *SearchCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nodes = make(map[string]*nodeEntry)
-	c.edges = make(map[string]*edgeMat)
-	c.edgeCells = 0
-	c.tables = make(map[string]*table)
-	c.tableCells = 0
-	c.plans = make(map[string]*cachedPlan)
-	c.planCells = 0
+	c.nodes.reset()
+	c.edges.reset()
+	c.tables.reset()
+	c.plans.reset()
 }
 
-func (c *SearchCache) getNode(key string) *nodeEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[key]
-}
+// Sizes reports the node and edge entry counts, mostly for logging and tests.
+func (c *SearchCache) Sizes() (nodes, edges int) { return c.nodes.len(), c.edges.len() }
 
-func (c *SearchCache) putNode(key string, e *nodeEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.nodes[key]; !ok {
-		c.nodes[key] = e
-	}
-}
+// TableEntries reports the cached layer-table count (for /v1/stats).
+func (c *SearchCache) TableEntries() int { return c.tables.len() }
 
-func (c *SearchCache) getEdge(key string) *edgeMat {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.edges[key]
-}
-
-func (c *SearchCache) putEdge(key string, m *edgeMat) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertEdgeLocked(key, m)
-}
-
-// insertEdgeLocked adds one edge matrix under the cell cap's epoch-flush
-// policy (flush wholesale rather than LRU; the cache rebuilds in one sweep
-// pass). Shared by in-process inserts and disk-cache merges so both respect
-// the same memory bound. Caller holds c.mu.
-func (c *SearchCache) insertEdgeLocked(key string, m *edgeMat) {
-	if _, ok := c.edges[key]; ok {
-		return
-	}
-	cells := int64(m.nr) * int64(m.nc)
-	if c.edgeCells+cells > c.edgeCellCap {
-		c.edges = make(map[string]*edgeMat)
-		c.edgeCells = 0
-	}
-	c.edges[key] = m
-	c.edgeCells += cells
-}
+// PlanEntries reports the cached plan count (for /v1/stats).
+func (c *SearchCache) PlanEntries() int { return c.plans.len() }
 
 // crossCache returns the cache to consult for this search, or nil when the
 // configuration must bypass it (reference mode, or a calibration Book whose

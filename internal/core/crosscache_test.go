@@ -10,33 +10,6 @@ import (
 	"repro/internal/model"
 )
 
-// dropPlans empties the plan tier, so an identical repeat is served by the
-// layer table beneath it.
-func (c *SearchCache) dropPlans() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.plans = make(map[string]*cachedPlan)
-	c.planCells = 0
-}
-
-// dropPlansAndTables empties the plan and table tiers, so an identical
-// repeat rebuilds its layer table from the node and edge tiers.
-func (c *SearchCache) dropPlansAndTables() {
-	c.dropPlans()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tables = make(map[string]*table)
-	c.tableCells = 0
-}
-
-// dropEdges empties the edge tier, as an epoch flush does.
-func (c *SearchCache) dropEdges() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.edges = make(map[string]*edgeMat)
-	c.edgeCells = 0
-}
-
 // TestCrossCallCacheHitsAcrossScales replays the sweep path: the same model
 // structures searched repeatedly across scales must (a) hit the cross-call
 // cache on every repeat and (b) return bit-identical strategies to the cold
@@ -59,7 +32,8 @@ func TestCrossCallCacheHitsAcrossScales(t *testing.T) {
 			m.Alpha = 1e-12
 			o := NewOptimizer(m)
 			o.Cache = shared
-			shared.dropPlansAndTables()
+			shared.plans.reset()
+			shared.tables.reset()
 			strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				t.Fatalf("pass %d scale %d: %v", pass, scale, err)

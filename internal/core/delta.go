@@ -34,62 +34,6 @@ import (
 	"repro/internal/graph"
 )
 
-// maxCachedTableCells bounds the cost/back-pointer cells retained by the
-// table tier (~256 MB of float64-equivalents). Like the edge tier, exceeding
-// it flushes the map wholesale — a layer table rebuilds from cached nodes
-// and edges in one DP pass, so an epoch flush costs one warm re-plan.
-const maxCachedTableCells = 32 << 20
-
-// tableCells counts the cost and back-pointer entries a cached table pins,
-// recursing through merge children. Rows shared between refined classes are
-// counted per class — an overcount, which only flushes earlier, never later.
-func tableCells(t *table) int64 {
-	if t == nil {
-		return 0
-	}
-	n := int64(len(t.rowCls)) + int64(len(t.headBase))
-	for _, r := range t.cost {
-		n += int64(len(r))
-	}
-	for _, step := range t.chainArgs {
-		for _, r := range step {
-			n += int64(len(r))
-		}
-	}
-	for _, r := range t.argmid {
-		n += int64(len(r))
-	}
-	return n + tableCells(t.left) + tableCells(t.right)
-}
-
-func (c *SearchCache) getTable(key string) *table {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tables[key]
-}
-
-func (c *SearchCache) putTable(key string, t *table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[key]; ok {
-		return
-	}
-	cells := tableCells(t)
-	if c.tableCells+cells > c.tableCellCap {
-		c.tables = make(map[string]*table)
-		c.tableCells = 0
-	}
-	c.tables[key] = t
-	c.tableCells += cells
-}
-
-// TableEntries reports the cached layer-table count (for /v1/stats).
-func (c *SearchCache) TableEntries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tables)
-}
-
 // appendTableCrossKey appends the cross-call identity of the layer table
 // onto the environment prefix: the tag and the whole-graph signature. The
 // layer count is deliberately left out — stacking runs after the table — so

@@ -87,7 +87,8 @@ func TestDeltaRePlanColdThenWarm(t *testing.T) {
 		t.Fatalf("cold run published %d layer tables, want 1", n)
 	}
 
-	shared.dropPlansAndTables()
+	shared.plans.reset()
+	shared.tables.reset()
 	rebuilt := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
 	sameStrategy(t, "table-rebuilt", rebuilt, cold)
 	if s := rebuilt.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallTableHits != 0 ||
@@ -98,7 +99,7 @@ func TestDeltaRePlanColdThenWarm(t *testing.T) {
 		t.Errorf("rebuild published %d layer tables, want 1", n)
 	}
 
-	shared.dropPlans()
+	shared.plans.reset()
 	warm := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
 	sameStrategy(t, "table-warm", warm, cold)
 	if s := warm.Stats; s.CrossCallTableHits != 1 || s.SegTablesBuilt != 0 || s.DPTreeMerges != 0 ||
@@ -180,7 +181,7 @@ func TestDeltaRePlanGraphEditFrontier(t *testing.T) {
 // α (a plan miss) rebuilds it — and still returns the cold strategy.
 func TestTableCacheCapFlush(t *testing.T) {
 	cache := NewSearchCache()
-	cache.tableCellCap = 1
+	cache.tables.cap = 1
 	g := deltaChain(t, 5, 2, -1)
 	planWith(t, g, 2, 8, 1e-12, cache)
 	planWith(t, g, 2, 8, 1e-10, cache)

@@ -93,23 +93,10 @@ const diskCacheVersion = 8
 const CacheFileName = "searchcache.ppsc"
 
 // Save writes the cache to dir/CacheFileName atomically (temp file +
-// rename). Concurrent optimizers may keep using the cache; Save holds the
-// lock only while snapshotting the maps.
+// rename). Concurrent optimizers may keep using the cache; Save holds each
+// tier's lock only while snapshotting its map.
 func (c *SearchCache) Save(dir string) error {
-	c.mu.Lock()
-	nodes := make(map[string]*nodeEntry, len(c.nodes))
-	for k, v := range c.nodes {
-		nodes[k] = v
-	}
-	edges := make(map[string]*edgeMat, len(c.edges))
-	for k, v := range c.edges {
-		edges[k] = v
-	}
-	plans := make(map[string]*cachedPlan, len(c.plans))
-	for k, v := range c.plans {
-		plans[k] = v
-	}
-	c.mu.Unlock()
+	nodes, edges, plans := c.nodes.snapshot(), c.edges.snapshot(), c.plans.snapshot()
 
 	payload := encodeCachePayload(nodes, edges, plans)
 	sum := sha256.Sum256(payload)
@@ -177,32 +164,13 @@ func (c *SearchCache) Load(dir string) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range nodes {
-		if _, ok := c.nodes[k]; !ok {
-			c.nodes[k] = v
-		}
-	}
-	// Merged edge matrices go through the same epoch-flush policy as
-	// in-process inserts: a disk cache written under a larger cap (or an
-	// accumulation of several runs) must not blow past this process's
-	// memory bound just because it arrived via Load. Sorted key order keeps
-	// which entries survive a flush deterministic.
-	for _, k := range sortedKeys(edges) {
-		c.insertEdgeLocked(k, edges[k])
-	}
-	for _, k := range sortedKeys(plans) {
-		c.insertPlanLocked(k, plans[k])
-	}
+	// Every tier merges through its own cap: a disk cache written under a
+	// larger cap (or an accumulation of several runs) must not blow past this
+	// process's memory bound just because it arrived via Load.
+	c.nodes.merge(nodes)
+	c.edges.merge(edges)
+	c.plans.merge(plans)
 	return nil
-}
-
-// Sizes reports the entry counts, mostly for logging and tests.
-func (c *SearchCache) Sizes() (nodes, edges int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.nodes), len(c.edges)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -64,5 +64,5 @@ func smallCachePayload(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	c := o.Cache
-	return encodeCachePayload(c.nodes, c.edges, c.plans)
+	return encodeCachePayload(c.nodes.m, c.edges.m, c.plans.m)
 }

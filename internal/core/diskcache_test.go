@@ -73,19 +73,19 @@ func intraBits(ic cost.Intra) []float64 {
 // matrices and plans, every float compared bit for bit.
 func sameCacheContents(t *testing.T, got, want *SearchCache) {
 	t.Helper()
-	if len(got.nodes) != len(want.nodes) || len(got.edges) != len(want.edges) || len(got.plans) != len(want.plans) {
-		t.Fatalf("got %d nodes, %d edges, %d plans; want %d, %d, %d", len(got.nodes), len(got.edges), len(got.plans),
-			len(want.nodes), len(want.edges), len(want.plans))
+	if len(got.nodes.m) != len(want.nodes.m) || len(got.edges.m) != len(want.edges.m) || len(got.plans.m) != len(want.plans.m) {
+		t.Fatalf("got %d nodes, %d edges, %d plans; want %d, %d, %d", len(got.nodes.m), len(got.edges.m), len(got.plans.m),
+			len(want.nodes.m), len(want.edges.m), len(want.plans.m))
 	}
-	for k, w := range want.plans {
-		g := got.plans[k]
+	for k, w := range want.plans.m {
+		g := got.plans.m[k]
 		if g == nil || !slices.Equal(g.idx, w.idx) ||
 			!sameFloatBits([]float64{g.layerCost, g.totalCost}, []float64{w.layerCost, w.totalCost}) {
 			t.Fatalf("plan %.16x: entry differs", k)
 		}
 	}
-	for k, w := range want.nodes {
-		g := got.nodes[k]
+	for k, w := range want.nodes.m {
+		g := got.nodes.m[k]
 		if g == nil || len(g.seqs) != len(w.seqs) || len(g.intra) != len(w.intra) ||
 			len(g.out) != len(w.out) || len(g.in) != len(w.in) {
 			t.Fatalf("node %.16x: missing or reshaped", k)
@@ -102,8 +102,8 @@ func sameCacheContents(t *testing.T, got, want *SearchCache) {
 			}
 		}
 	}
-	for k, w := range want.edges {
-		g := got.edges[k]
+	for k, w := range want.edges.m {
+		g := got.edges.m[k]
 		if g == nil || g.nr != w.nr || g.nc != w.nc || !slices.Equal(g.rows, w.rows) ||
 			!slices.Equal(g.cols, w.cols) || !sameFloatBits(g.vals, w.vals) {
 			t.Fatalf("edge %.16x: matrix differs", k)
@@ -150,7 +150,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 	sameStrategy(t, "disk-round-trip", got, want)
 
-	loaded.dropPlans()
+	loaded.plans.reset()
 	got, err = o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +177,10 @@ func TestDiskCachePlanIndexOutOfRange(t *testing.T) {
 		"too many indices": func(p *cachedPlan) { p.idx = append(p.idx, 0) },
 	} {
 		c, want := warmCache(t)
-		for k, p := range c.plans {
+		for k, p := range c.plans.m {
 			bad := &cachedPlan{idx: slices.Clone(p.idx), layerCost: -1, totalCost: -1}
 			damage(bad)
-			c.plans[k] = bad
+			c.plans.m[k] = bad
 		}
 		dir := t.TempDir()
 		if err := c.Save(dir); err != nil {
@@ -259,7 +259,7 @@ func TestDiskCacheLoadSharesInterfaces(t *testing.T) {
 	}
 	byContent := make(map[string]*cost.Iface)
 	refs := 0
-	for _, e := range loaded.nodes {
+	for _, e := range loaded.nodes.m {
 		for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
 			for _, ifc := range ifs {
 				refs++
@@ -372,40 +372,62 @@ func TestSaveCleansTempOnRenameFailure(t *testing.T) {
 	}
 }
 
-// TestLoadRespectsEdgeCellCap: merging a disk cache must run through the same
-// epoch-flush policy as in-process inserts. A payload larger than the target
-// cache's cell cap loads without error, ends under the cap, and — because
-// Load merges in sorted key order — lands on a deterministic surviving set.
-func TestLoadRespectsEdgeCellCap(t *testing.T) {
+// TestLoadRespectsTierCaps: merging a disk cache runs every persisted tier
+// through the same epoch-flush policy as in-process inserts. A payload
+// larger than a tier's cap loads without error, ends under the cap, and —
+// because Load merges in sorted key order — lands on a deterministic
+// surviving set.
+func TestLoadRespectsTierCaps(t *testing.T) {
 	c, _ := warmCache(t)
-	_, savedEdges := c.Sizes()
-	if savedEdges < 2 {
-		t.Fatalf("warm cache has %d edge matrices; need ≥2 to observe a flush", savedEdges)
+	// A second layer count adds a second plan, so every tier can flush.
+	g, err := model.BuildBlock(model.OPT175B())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cost.NewModel(device.MustCluster(4, 4, device.V100Profile()))
+	m.Alpha = 1e-12
+	o := NewOptimizer(m)
+	o.Cache = c
+	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 3}); err != nil {
+		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
+	t.Run("nodes", func(t *testing.T) {
+		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*nodeEntry] { return c.nodes })
+	})
+	t.Run("edges", func(t *testing.T) {
+		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*edgeMat] { return c.edges })
+	})
+	t.Run("plans", func(t *testing.T) {
+		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*cachedPlan] { return c.plans })
+	})
+}
 
+// checkLoadCap loads dir, which holds saved, into caches whose tier (picked
+// by pick) is capped at half the saved tier's cells.
+func checkLoadCap[V any](t *testing.T, saved *SearchCache, dir string, pick func(*SearchCache) *tier[V]) {
+	want := pick(saved).len()
+	if want < 2 {
+		t.Fatalf("warm cache has %d entries; need ≥2 to observe a flush", want)
+	}
 	load := func() *SearchCache {
 		small := NewSearchCache()
 		// Half the saved payload's cells: Load must flush at least once.
-		small.edgeCellCap = c.edgeCells / 2
+		pick(small).cap = pick(saved).cells / 2
 		if err := small.Load(dir); err != nil {
 			t.Fatal(err)
 		}
 		return small
 	}
 	small := load()
-	if small.edgeCells > small.edgeCellCap {
-		t.Fatalf("edgeCells = %d after Load, cap %d", small.edgeCells, small.edgeCellCap)
+	if tr := pick(small); tr.cells > tr.cap {
+		t.Fatalf("%d cells after Load, cap %d", tr.cells, tr.cap)
 	}
-	nodes, edges := small.Sizes()
-	if nodes == 0 || edges == 0 {
-		t.Fatalf("capped Load kept nothing: %d nodes, %d edges", nodes, edges)
-	}
-	if edges >= savedEdges {
-		t.Fatalf("capped Load kept all %d edge matrices; expected an epoch flush", edges)
+	if n := pick(small).len(); n == 0 || n >= want {
+		t.Fatalf("capped Load kept %d of %d entries; expected an epoch flush that keeps some", n, want)
 	}
 	// Determinism of the surviving set: a second capped load byte-matches.
 	dirA, dirB := t.TempDir(), t.TempDir()
@@ -427,13 +449,13 @@ func TestLoadRespectsEdgeCellCap(t *testing.T) {
 		t.Fatal("two capped loads of the same file kept different entries")
 	}
 
-	// The uncapped default still takes the whole payload.
+	// The default cap still takes the whole payload.
 	full := NewSearchCache()
 	if err := full.Load(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, e := full.Sizes(); e != savedEdges {
-		t.Fatalf("default-cap Load kept %d of %d edge matrices", e, savedEdges)
+	if n := pick(full).len(); n != want {
+		t.Fatalf("default-cap Load kept %d of %d entries", n, want)
 	}
 }
 

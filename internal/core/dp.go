@@ -545,26 +545,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	// pool.
 	tNodes := time.Now()
 	in := &sigInterner{}
-	slotOf := make([]int, len(g.Nodes)) // node index -> unique slot
-	var slotNode []int                  // slot -> representative node index
-	if o.Opts.DisableCache {
-		for i := range g.Nodes {
-			slotOf[i] = i
-			slotNode = append(slotNode, i)
-		}
-	} else {
-		bySig := make(map[int32]int)
-		for i, op := range g.Nodes {
-			id := in.fullID(op)
-			s, ok := bySig[id]
-			if !ok {
-				s = len(slotNode)
-				bySig[id] = s
-				slotNode = append(slotNode, i)
-			}
-			slotOf[i] = s
-		}
-	}
+	slotOf, slotNode := o.nodeSlots(g, in)
 	// Cross-call cache: slots whose (environment, op signature) key was seen
 	// by an earlier Plan call reuse the stored α-independent evaluation;
 	// only the misses are evaluated (and then published for later calls).
@@ -584,7 +565,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 		nodeKeys = make([]string, len(slotNode))
 		for s, ni := range slotNode {
 			nodeKeys[s] = string(appendNodeCrossKey(envSig, g.Nodes[ni]))
-			if e := ccache.getNode(nodeKeys[s]); e != nil {
+			if e := ccache.nodes.get(nodeKeys[s]); e != nil {
 				slotCands[s] = e.withAlpha(o.Cost.Alpha)
 				stats.CrossCallNodeHits++
 			} else {
@@ -602,7 +583,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	if ccache != nil {
 		for _, s := range evalSlots {
 			nc := slotCands[s]
-			ccache.putNode(nodeKeys[s], &nodeEntry{seqs: nc.seqs, intra: nc.intra, out: nc.out, in: nc.in})
+			ccache.nodes.put(nodeKeys[s], &nodeEntry{seqs: nc.seqs, intra: nc.intra, out: nc.out, in: nc.in})
 		}
 	}
 	cands := make([]*nodeCands, len(g.Nodes))
@@ -666,7 +647,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	var planKey string
 	if ccache != nil {
 		planKey = string(o.appendPlanCrossKey(envSig, g, layers))
-		if e := ccache.getPlan(planKey); e != nil && e.fits(spaceSizes) {
+		if e := ccache.plans.get(planKey); e != nil && e.fits(spaceSizes) {
 			stats.CrossCallPlanHits = 1
 			strat := strategyOf(cands, e.idx, e.layerCost, e.totalCost, layers, spaceSizes)
 			stats.TotalTime = time.Since(start)
@@ -683,7 +664,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	var layerTable *table
 	if ccache != nil {
 		tableKey = string(o.appendTableCrossKey(envSig, g))
-		layerTable = ccache.getTable(tableKey)
+		layerTable = ccache.tables.get(tableKey)
 	}
 	if layerTable != nil {
 		stats.CrossCallTableHits = 1
@@ -694,7 +675,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 			return nil, err
 		}
 		if ccache != nil {
-			ccache.putTable(tableKey, layerTable)
+			ccache.tables.put(tableKey, layerTable)
 		}
 	}
 	layerCost := layerTable.minTotal()
@@ -739,11 +720,65 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	}
 	strat := strategyOf(cands, assign, layerCost, totalCost, layers, spaceSizes)
 	if ccache != nil {
-		ccache.putPlan(planKey, &cachedPlan{idx: assign, layerCost: layerCost, totalCost: totalCost})
+		ccache.plans.put(planKey, &cachedPlan{idx: assign, layerCost: layerCost, totalCost: totalCost})
 	}
 	stats.TotalTime = time.Since(start)
 	strat.Stats = stats
 	return strat, nil
+}
+
+// nodeSlots is the within-call node dedup that searchOnce and EstimatePlan
+// share: nodes with equal full op signatures (repeated linears, mirrored
+// norms/residuals) share one slot. slotOf maps each node to its slot and
+// slotNode each slot to its first node. Reference mode (DisableCache) gives
+// every node a slot of its own.
+func (o *Optimizer) nodeSlots(g *graph.Graph, in *sigInterner) (slotOf, slotNode []int) {
+	slotOf = make([]int, len(g.Nodes))
+	if o.Opts.DisableCache {
+		for i := range g.Nodes {
+			slotOf[i] = i
+			slotNode = append(slotNode, i)
+		}
+		return slotOf, slotNode
+	}
+	bySig := make(map[int32]int)
+	for i, op := range g.Nodes {
+		id := in.fullID(op)
+		s, ok := bySig[id]
+		if !ok {
+			s = len(slotNode)
+			bySig[id] = s
+			slotNode = append(slotNode, i)
+		}
+		slotOf[i] = s
+	}
+	return slotOf, slotNode
+}
+
+// edgeSlots is the within-call edge dedup that buildLayerTable and
+// EstimatePlan share: edges with equal edgeKeyOf keys share one matrix.
+// uniq lists each slot's first edge and matIdx maps every edge to its slot.
+// Reference mode (DisableCache) gives every edge a slot of its own.
+func (o *Optimizer) edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Edge, matIdx []int) {
+	matIdx = make([]int, len(g.Edges))
+	if o.Opts.DisableCache {
+		for i := range g.Edges {
+			matIdx[i] = i
+		}
+		return g.Edges, matIdx
+	}
+	byKey := make(map[edgeMatKey]int)
+	for i, e := range g.Edges {
+		k := edgeKeyOf(in, g, e, o.Opts.Beam > 0)
+		s, ok := byKey[k]
+		if !ok {
+			s = len(uniq)
+			byKey[k] = s
+			uniq = append(uniq, e)
+		}
+		matIdx[i] = s
+	}
+	return uniq, matIdx
 }
 
 // buildLayerTable builds the merged DP table of one layer: the edge cost
@@ -752,26 +787,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 // edges (Eqs. 13–14).
 func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sigInterner, cands []*nodeCands, ccache *SearchCache, envSig []byte, stats *SearchStats) (*table, error) {
 	tEdges := time.Now()
-	var uniqEdges []*graph.Edge
-	matIdx := make([]int, len(g.Edges))
-	if o.Opts.DisableCache {
-		uniqEdges = g.Edges
-		for i := range g.Edges {
-			matIdx[i] = i
-		}
-	} else {
-		byKey := make(map[edgeMatKey]int)
-		for i, e := range g.Edges {
-			k := edgeKeyOf(in, g, e, o.Opts.Beam > 0)
-			s, ok := byKey[k]
-			if !ok {
-				s = len(uniqEdges)
-				byKey[k] = s
-				uniqEdges = append(uniqEdges, e)
-			}
-			matIdx[i] = s
-		}
-	}
+	uniqEdges, matIdx := o.edgeSlots(g, in)
 	mats := make([]*edgeMat, len(uniqEdges))
 	buildSlots := make([]int, 0, len(uniqEdges))
 	var edgeKeys []string
@@ -786,7 +802,7 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 		edgeKeys = make([]string, len(uniqEdges))
 		for s, e := range uniqEdges {
 			edgeKeys[s] = string(o.appendEdgeCrossKey(envSig, g, e))
-			if m := ccache.getEdge(edgeKeys[s]); m != nil {
+			if m := ccache.edges.get(edgeKeys[s]); m != nil {
 				mats[s] = m
 				stats.CrossCallEdgeHits++
 			} else {
@@ -804,7 +820,7 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 	}
 	if ccache != nil {
 		for _, s := range buildSlots {
-			ccache.putEdge(edgeKeys[s], mats[s])
+			ccache.edges.put(edgeKeys[s], mats[s])
 		}
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat, len(g.Edges))

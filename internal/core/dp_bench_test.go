@@ -123,7 +123,7 @@ func BenchmarkPlanLayerChange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		o.Cache.dropPlans()
+		o.Cache.plans.reset()
 		b.StartTimer()
 		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers[i%2]})
 		if err != nil {

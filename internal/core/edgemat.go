@@ -8,7 +8,6 @@ package core
 
 import (
 	"encoding/binary"
-	"hash/maphash"
 	"math"
 
 	"repro/internal/cost"
@@ -40,38 +39,40 @@ func (m *edgeMat) numRowGroups() int { return m.nr }
 // numColGroups returns the distinct-column count.
 func (m *edgeMat) numColGroups() int { return m.nc }
 
-// ifaceGroups partitions candidates by their interface signature restricted
-// to the relevant axes, returning per-candidate group ids, group count and
-// one representative candidate per group.
+// ifaceGroups partitions candidates by their interface restricted to the
+// relevant axes, returning per-candidate group ids and one representative
+// candidate per group, in first-seen order. Candidates group by the exact
+// bytes appendIfaceClass builds, as patternIDs and sig.go do, so two distinct
+// interfaces can never share a row.
 func ifaceGroups(ifaces []*cost.Iface, axes []int) (ids []int32, reps []int32) {
-	var h maphash.Hash
-	seed := maphash.MakeSeed()
-	byKey := make(map[uint64]int32)
+	byKey := make(map[string]int32)
 	ids = make([]int32, len(ifaces))
-	var buf [8]byte
+	var key []byte
 	for i, ifc := range ifaces {
-		h.SetSeed(seed)
-		devs := len(ifc.Fwd) / ifc.NumAxes
-		for _, ax := range axes {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(ifc.Width[ax]))
-			h.Write(buf[:])
-			for dev := 0; dev < devs; dev++ {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(ifc.Fwd[dev*ifc.NumAxes+ax]))
-				h.Write(buf[:])
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(ifc.Bwd[dev*ifc.NumAxes+ax]))
-				h.Write(buf[:])
-			}
-		}
-		key := h.Sum64()
-		id, ok := byKey[key]
+		key = appendIfaceClass(key[:0], ifc, axes)
+		id, ok := byKey[string(key)]
 		if !ok {
 			id = int32(len(reps))
-			byKey[key] = id
+			byKey[string(key)] = id
 			reps = append(reps, int32(i))
 		}
 		ids[i] = id
 	}
 	return ids, reps
+}
+
+// appendIfaceClass appends ifc's class bytes on axes: per axis the width,
+// then every device's forward and backward interval start.
+func appendIfaceClass(b []byte, ifc *cost.Iface, axes []int) []byte {
+	devs := len(ifc.Fwd) / ifc.NumAxes
+	for _, ax := range axes {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Width[ax]))
+		for dev := 0; dev < devs; dev++ {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Fwd[dev*ifc.NumAxes+ax]))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Bwd[dev*ifc.NumAxes+ax]))
+		}
+	}
+	return b
 }
 
 // newOverlapTables returns an empty overlap-vector registry for the

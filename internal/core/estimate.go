@@ -9,13 +9,13 @@
 // SAME byte keys the search computes — appendEnvSig + appendNodeCrossKey for
 // node slots, appendEnvSig + appendPlanCrossKey for the finished answer,
 // appendEnvSig + appendTableCrossKey for the layer table, and appendEnvSig +
-// appendEdgeCrossKey for edge matrices, after the same within-call signature
-// dedup (sigInterner / edgeKeyOf). A request the estimator calls Warm
-// therefore hits on every node evaluation and on every edge matrix it will
-// ask for when it actually runs, a PlanHit is a plan hit and a TableHit is a
-// table hit. The reverse is conservative by design: a cache flush between
-// estimate and search only makes the search slower than promised, never the
-// estimate stale-warm forever.
+// appendEdgeCrossKey for edge matrices, over the slots of the same
+// within-call dedup helpers (nodeSlots, edgeSlots). A request the estimator
+// calls Warm therefore hits on every node evaluation and on every edge
+// matrix it will ask for when it actually runs, a PlanHit is a plan hit and
+// a TableHit is a table hit. The reverse is conservative by design: a cache
+// flush between estimate and search only makes the search slower than
+// promised, never the estimate stale-warm forever.
 //
 // Space sizes come from the same probes: a node hit's stored candidate list
 // is exactly what SpaceSize would enumerate, so a warm estimate enumerates
@@ -104,39 +104,20 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	}
 	nbits := o.Cost.Cluster.Bits()
 
-	// Node pass: the same slot dedup as searchOnce, then a cache probe per
+	// Node pass: searchOnce's slots (nodeSlots), then a cache probe per
 	// unique slot. A cached slot's space size is the length of its stored
 	// list, which evalNode filled with the unfiltered Candidates under the
 	// same environment key (the prefix folds every enumeration option);
 	// only an uncached slot, which the search is about to evaluate anyway,
 	// is enumerated.
 	in := &sigInterner{}
-	slotOf := make([]int, len(g.Nodes))
-	var slotNode []int
-	if o.Opts.DisableCache {
-		for i := range g.Nodes {
-			slotOf[i] = i
-			slotNode = append(slotNode, i)
-		}
-	} else {
-		bySig := make(map[int32]int)
-		for i, op := range g.Nodes {
-			id := in.fullID(op)
-			s, ok := bySig[id]
-			if !ok {
-				s = len(slotNode)
-				bySig[id] = s
-				slotNode = append(slotNode, i)
-			}
-			slotOf[i] = s
-		}
-	}
+	slotOf, slotNode := o.nodeSlots(g, in)
 	est := SearchEstimate{Warm: ccache != nil, ProbeBeam: o.Opts.Beam}
 	slotSize := make([]int, len(slotNode))
 	for s, ni := range slotNode {
 		op := g.Nodes[ni]
 		if ccache != nil {
-			if e := ccache.getNode(string(appendNodeCrossKey(envSig, op))); e != nil {
+			if e := ccache.nodes.get(string(appendNodeCrossKey(envSig, op))); e != nil {
 				slotSize[s] = len(e.seqs)
 				continue
 			}
@@ -169,7 +150,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// promise holds against an unchanged cache. Work drops to one unit per
 	// node lookup on top of any node evaluations.
 	if ccache != nil {
-		if e := ccache.getPlan(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
+		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
 			sizes := make([]int, len(g.Nodes))
 			for i := range sizes {
 				sizes[i] = eff(i)
@@ -182,33 +163,21 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		}
 		// Layer table: the same key searchOnce probes next. A hit asks for
 		// no edge matrix and runs no segment DP or merge.
-		if ccache.getTable(string(o.appendTableCrossKey(envSig, g))) != nil {
+		if ccache.tables.get(string(o.appendTableCrossKey(envSig, g))) != nil {
 			est.TableHit = true
 			est.Work = nodeWork + float64(len(g.Nodes)) + stack
 			return est, nil
 		}
 	}
 
-	// Edge pass: the same edgeKeyOf dedup as searchOnce, then a cache probe
+	// Edge pass: buildLayerTable's slots (edgeSlots), then a cache probe
 	// per unique edge with the one cross key the search uses for that slot.
 	// Both the dedup and the keys are the search's own, so against an
 	// unchanged cache EdgeBuilds is exactly the search's EdgeMatsBuilt. An
 	// uncached matrix costs n_src × n_dst cells.
-	seen := make(map[edgeMatKey]bool)
-	for _, e := range g.Edges {
-		if !o.Opts.DisableCache {
-			k := edgeKeyOf(in, g, e, o.Opts.Beam > 0)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		cached := false
-		if ccache != nil {
-			key := string(o.appendEdgeCrossKey(envSig, g, e))
-			cached = ccache.getEdge(key) != nil
-		}
-		if !cached {
+	uniqEdges, _ := o.edgeSlots(g, in)
+	for _, e := range uniqEdges {
+		if ccache == nil || ccache.edges.get(string(o.appendEdgeCrossKey(envSig, g, e))) == nil {
 			est.Warm = false
 			est.EdgeBuilds++
 			est.EdgeCells += int64(eff(e.Src)) * int64(eff(e.Dst))

@@ -109,7 +109,7 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 	checkHit("warm")
 
 	// An edge-tier flush leaves the plan hit, and with it Warm, intact.
-	cache.dropEdges()
+	cache.edges.reset()
 	flushed, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 	// Without the plan tier the same request is a layer-table hit. It asks
 	// for no edge matrix either, so the edge flush leaves it Warm, and the
 	// search runs stacking only.
-	cache.dropPlans()
+	cache.plans.reset()
 	table, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,8 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 
 	// Without the table tier as well, the flushed edge matrices must be
 	// rebuilt: not Warm, and dearer than the table hit.
-	cache.dropPlansAndTables()
+	cache.plans.reset()
+	cache.tables.reset()
 	rebuild, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +293,7 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 		}
 	}
 	// Beneath the plan tier, every swept point is warm at every tier.
-	shared.dropPlans()
+	shared.plans.reset()
 	for i, p := range points {
 		o := optFor(p)
 		req := PlanRequest{Graph: g, Layers: p.layers}
@@ -375,7 +376,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	for s, ni := range slotNode {
 		op := g.Nodes[ni]
 		slotSize[s] = SpaceSize(op, o.Cost.Cluster.Bits(), o.Opts)
-		if ccache == nil || ccache.getNode(string(appendNodeCrossKey(envSig, op))) == nil {
+		if ccache == nil || ccache.nodes.get(string(appendNodeCrossKey(envSig, op))) == nil {
 			est.Warm = false
 			est.NodeEvals++
 			est.CandidatesEvaluated += slotSize[s]
@@ -394,7 +395,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	}
 	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
 	if ccache != nil {
-		if e := ccache.getPlan(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
+		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
 			sizes := make([]int, len(g.Nodes))
 			for i := range sizes {
 				sizes[i] = eff(i)
@@ -405,7 +406,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 				return est
 			}
 		}
-		if ccache.getTable(string(o.appendTableCrossKey(envSig, g))) != nil {
+		if ccache.tables.get(string(o.appendTableCrossKey(envSig, g))) != nil {
 			est.TableHit = true
 			est.Work = nodeWork + float64(len(g.Nodes)) + stack
 			return est
@@ -418,7 +419,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 			continue
 		}
 		seen[k] = true
-		if ccache == nil || ccache.getEdge(string(o.appendEdgeCrossKey(envSig, g, e))) == nil {
+		if ccache == nil || ccache.edges.get(string(o.appendEdgeCrossKey(envSig, g, e))) == nil {
 			est.Warm = false
 			est.EdgeBuilds++
 			est.EdgeCells += int64(eff(e.Src)) * int64(eff(e.Dst))
@@ -502,7 +503,7 @@ func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit f
 	for i, op := range g.Nodes {
 		key := string(appendNodeCrossKey(envSig, op))
 		keys[key] = true
-		e := cache.getNode(key)
+		e := cache.nodes.get(key)
 		if e == nil {
 			t.Fatalf("node %d (%s) not cached after Plan", i, op.Name)
 		}
@@ -510,13 +511,14 @@ func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit f
 			t.Errorf("node %d (%s): cached %d sequences, SpaceSize %d", i, op.Name, len(e.seqs), want)
 		}
 	}
-	if n := len(cache.nodes); n != len(keys) {
+	if n := len(cache.nodes.m); n != len(keys) {
 		t.Fatalf("cache holds %d node entries, the graph has %d unique nodes", n, len(keys))
 	}
 	compare("plan hit")
-	cache.dropPlans()
+	cache.plans.reset()
 	compare("table hit")
-	cache.dropPlansAndTables()
-	cache.dropEdges()
+	cache.plans.reset()
+	cache.tables.reset()
+	cache.edges.reset()
 	compare("nodes warm, edges flushed")
 }

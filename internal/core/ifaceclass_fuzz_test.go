@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"math"
 	"testing"
 
 	"repro/internal/cost"
@@ -10,25 +8,10 @@ import (
 	"repro/internal/graph"
 )
 
-// ifaceClassKey is the exact byte signature ifaceGroups hashes: width and
-// per-device forward/backward interval starts on the given axes. Built here
-// WITHOUT hashing, so the fuzz check is against ground truth.
-func ifaceClassKey(ifc *cost.Iface, axes []int) string {
-	var b []byte
-	devs := len(ifc.Fwd) / ifc.NumAxes
-	for _, ax := range axes {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Width[ax]))
-		for dev := 0; dev < devs; dev++ {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Fwd[dev*ifc.NumAxes+ax]))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Bwd[dev*ifc.NumAxes+ax]))
-		}
-	}
-	return string(b)
-}
-
 // FuzzIfaceClassEquivalence pins the theorem the whole interface-class
-// factoring rests on: two candidates whose interface patterns agree on an
-// edge's relevant axes produce IDENTICAL edge-cost rows (resp. columns) —
+// factoring rests on: two candidates that ifaceGroups puts in one class of
+// an edge (equal interface bytes on its relevant axes) produce IDENTICAL
+// edge-cost rows (resp. columns) —
 // bit-identical Traffic against every candidate on the other side. It also
 // cross-checks the table evaluator: EdgeCalc cells must equal direct Measure
 // calls on the same interfaces.
@@ -67,50 +50,37 @@ func FuzzIfaceClassEquivalence(f *testing.F) {
 		}
 		plan := m.PlanEdge(g, e)
 
-		// Ground-truth classes by exact byte equality on the relevant axes.
-		rowCls := make(map[string]int)
-		rowOf := make([]int, len(srcIfs))
-		for i, ifc := range srcIfs {
-			k := ifaceClassKey(ifc, plan.SrcRelevantAxes())
-			if _, ok := rowCls[k]; !ok {
-				rowCls[k] = len(rowCls)
-			}
-			rowOf[i] = rowCls[k]
-		}
-		colCls := make(map[string]int)
-		colOf := make([]int, len(dstIfs))
-		for j, ifc := range dstIfs {
-			k := ifaceClassKey(ifc, plan.DstRelevantAxes())
-			if _, ok := colCls[k]; !ok {
-				colCls[k] = len(colCls)
-			}
-			colOf[j] = colCls[k]
-		}
+		// The classes the search builds matrices over.
+		rowOf, _ := ifaceGroups(srcIfs, plan.SrcRelevantAxes())
+		colOf, _ := ifaceGroups(dstIfs, plan.DstRelevantAxes())
 
 		// Full Traffic matrix through the table evaluator (every candidate
 		// its own representative), cross-checked against direct Measure.
 		cells := make([][]cost.Traffic, len(srcIfs))
 		calc := plan.NewCalc(cost.NewOverlapTables(m.Cluster.NumDevices, m.Cluster.DevicesPerNode), srcIfs, dstIfs)
-		var ev *cost.CellEval
+		var be *cost.BlockEval
+		var row []cost.Traffic
 		if calc != nil {
-			ev = calc.Eval()
+			be = calc.Block()
+			row = make([]cost.Traffic, len(dstIfs))
 		}
 		for i := range srcIfs {
 			cells[i] = make([]cost.Traffic, len(dstIfs))
+			if be != nil {
+				be.MeasureRow(i, row)
+			}
 			for j := range dstIfs {
 				direct := plan.Measure(srcIfs[i], dstIfs[j])
 				cells[i][j] = direct
-				if ev != nil {
-					if got := ev.MeasureCell(i, j); got != direct {
-						t.Fatalf("EdgeCalc cell (%d,%d) = %+v, Measure = %+v\nsrc=%v dst=%v",
-							i, j, got, direct, srcSeqs[i], dstSeqs[j])
-					}
+				if be != nil && row[j] != direct {
+					t.Fatalf("EdgeCalc cell (%d,%d) = %+v, Measure = %+v\nsrc=%v dst=%v",
+						i, j, row[j], direct, srcSeqs[i], dstSeqs[j])
 				}
 			}
 		}
 
 		// Equal pattern tuples ⟹ equal rows / columns, bit for bit.
-		firstRow := make(map[int]int)
+		firstRow := make(map[int32]int)
 		for i, c := range rowOf {
 			p, seen := firstRow[c]
 			if !seen {
@@ -124,7 +94,7 @@ func FuzzIfaceClassEquivalence(f *testing.F) {
 				}
 			}
 		}
-		firstCol := make(map[int]int)
+		firstCol := make(map[int32]int)
 		for j, c := range colOf {
 			p, seen := firstCol[c]
 			if !seen {

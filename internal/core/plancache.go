@@ -25,11 +25,6 @@ import (
 	"repro/internal/graph"
 )
 
-// maxCachedPlanCells bounds the candidate indices retained by the plan tier
-// (~4 MB). Like the edge and table tiers, exceeding it flushes the map
-// wholesale.
-const maxCachedPlanCells = 1 << 20
-
 // cachedPlan is one finished search answer.
 type cachedPlan struct {
 	idx                  []int32 // post-beam candidate index per node
@@ -48,40 +43,6 @@ func (e *cachedPlan) fits(sizes []int) bool {
 		}
 	}
 	return true
-}
-
-func (c *SearchCache) getPlan(key string) *cachedPlan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plans[key]
-}
-
-func (c *SearchCache) putPlan(key string, e *cachedPlan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertPlanLocked(key, e)
-}
-
-// insertPlanLocked adds one plan under the cell cap's epoch-flush policy.
-// Shared by in-process inserts and disk-cache merges. Caller holds c.mu.
-func (c *SearchCache) insertPlanLocked(key string, e *cachedPlan) {
-	if _, ok := c.plans[key]; ok {
-		return
-	}
-	cells := int64(len(e.idx))
-	if c.planCells+cells > maxCachedPlanCells {
-		c.plans = make(map[string]*cachedPlan)
-		c.planCells = 0
-	}
-	c.plans[key] = e
-	c.planCells += cells
-}
-
-// PlanEntries reports the cached plan count (for /v1/stats).
-func (c *SearchCache) PlanEntries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.plans)
 }
 
 // appendPlanCrossKey appends the cross-call identity of a whole search onto

@@ -90,22 +90,6 @@ func TestPlanTierBypass(t *testing.T) {
 	}
 }
 
-// TestPlanTierEpochFlush: an insert that would take the tier past
-// maxCachedPlanCells flushes it wholesale first.
-func TestPlanTierEpochFlush(t *testing.T) {
-	c := NewSearchCache()
-	half := &cachedPlan{idx: make([]int32, maxCachedPlanCells/2)}
-	c.putPlan("a", half)
-	c.putPlan("b", half)
-	if n := c.PlanEntries(); n != 2 {
-		t.Fatalf("%d plans before the cap, want 2", n)
-	}
-	c.putPlan("c", &cachedPlan{idx: make([]int32, 1)})
-	if n := c.PlanEntries(); n != 1 || c.getPlan("c") == nil {
-		t.Fatalf("insert past the cap left %d plans, want only the new one", n)
-	}
-}
-
 // TestPlanKeyBytesStable pins the plan key's bytes on an OPT-6.7B block, with
 // and without a beam: PPSC v8 files store plans under these keys, so a
 // change to the whole-graph signature would silently turn every persisted

@@ -424,74 +424,13 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps
 // node's or, in the cell memo, the whole machine's.
 type frac struct{ fi, fe float64 }
 
-// CellEval evaluates cells of one EdgeCalc with private memo state; create
-// one per goroutine (via Eval) and reuse it across many cells — the memos
-// are what make the per-cell cost amortize to a couple of hash probes.
-type CellEval struct {
-	c        *EdgeCalc
-	fwd, bwd dirEval
-}
-
-// dirEval is one direction's per-goroutine memo state.
+// dirEval is one direction's per-goroutine memo state and cell compute.
 type dirEval struct {
 	d     *dirCalc
 	cells cellTab
 	combo cellTab
 	buf   []float64 // perNode² scratch for combined node blocks
 	vids  []int32   // per-pair node-vector ids of the current cell
-}
-
-// Eval returns a fresh per-goroutine cell evaluator.
-func (c *EdgeCalc) Eval() *CellEval {
-	blkLen := c.p.perNode * c.p.perNode
-	ce := &CellEval{c: c}
-	ce.fwd = dirEval{d: &c.fwd,
-		buf: make([]float64, blkLen), vids: make([]int32, len(c.fwd.pairs))}
-	ce.bwd = dirEval{d: &c.bwd,
-		buf: make([]float64, blkLen), vids: make([]int32, len(c.bwd.pairs))}
-	ce.fwd.cells.init()
-	ce.bwd.cells.init()
-	ce.fwd.combo.init()
-	ce.bwd.combo.init()
-	return ce
-}
-
-// MeasureCell returns the edge's Traffic for (row rep ri, column rep ci),
-// bit-identical to p.Measure(srcReps[ri], dstReps[ci]).
-func (ce *CellEval) MeasureCell(ri, ci int) Traffic {
-	eb := ce.c.p.eb
-	f := ce.fwd.eval(ri, ci)
-	b := ce.bwd.eval(ri, ci)
-	fv, bv := ce.c.fwdVol[ci], ce.c.bwdVol[ri]
-	return Traffic{
-		FwdIntra: fv * f.fi * eb, FwdInter: fv * f.fe * eb,
-		BwdIntra: bv * b.fi * eb, BwdInter: bv * b.fe * eb,
-	}
-}
-
-// eval returns one direction's machine-wide coverage-fraction pair for cell
-// (ri, ci).
-func (de *dirEval) eval(ri, ci int) frac {
-	d := de.d
-	if len(d.pairs) == 0 {
-		// Unmapped direction: every device fully covers itself.
-		return frac{}
-	}
-	key := uint64(0)
-	for i := range d.pairs {
-		vid := d.cellVec[i][int(d.rowPat[i][ri])*d.nColPat[i]+int(d.colPat[i][ci])]
-		de.vids[i] = vid
-		key = key*uint64(d.nVec[i]) + uint64(vid)
-	}
-	if !d.cellMemo {
-		return de.compute()
-	}
-	if f, ok := de.cells.get(key); ok {
-		return f
-	}
-	f := de.compute()
-	de.cells.put(key, f)
-	return f
 }
 
 // compute evaluates the current cell (node-vector ids in de.vids) from node
@@ -582,14 +521,14 @@ func (de *dirEval) comboFrac(g int) frac {
 	return f
 }
 
-// BlockEval fills whole matrix rows through one specialized streaming loop
-// instead of per-cell Eval calls. Per row it hoists each pair's cellVec row
-// slice once, packs cell keys with pure loads (no per-cell vids writes on the
-// hit path), and fuses the forward/backward fractions with the edge volumes
-// in registers; consecutive cells that repeat the same node-vector key reuse
-// the previous result without a probe. Values are bit-identical to
-// MeasureCell: the same mixed-radix keys probe the same memo, and misses run
-// the same compute().
+// BlockEval fills whole matrix rows through one specialized streaming loop.
+// Per row it hoists each pair's cellVec row slice once, packs cell keys with
+// pure loads (no per-cell vids writes on the hit path), and fuses the
+// forward/backward fractions with the edge volumes in registers; consecutive
+// cells that repeat the same node-vector key reuse the previous result
+// without a probe. Values are bit-identical to
+// EdgePlan.Measure on the same interfaces: misses run compute(), which
+// reproduces Measure's partial-sum tree exactly.
 //
 // Earlier drafts interned whole rows/columns (by vid-slice signature) or
 // per-pair column-pattern tuples into dense block tables, and fronted the
@@ -724,7 +663,8 @@ func internRow(sl []int32, loc []int32, vals []int32) []int32 {
 }
 
 // fillRow computes the direction's coverage fractions of row ri for every
-// column into s.row, bit-identical to dirEval.eval per cell.
+// column into s.row: each cell is compute() of its node-vector ids, taken
+// from the memo when its key was seen before.
 func (s *dirStream) fillRow(ri int) {
 	d := s.de.d
 	k := len(d.pairs)
@@ -739,8 +679,7 @@ func (s *dirStream) fillRow(ri int) {
 	out := s.row
 	if !d.cellMemo {
 		// Node-vector keys would overflow a packed uint64 (that is what turned
-		// the memo off), so no key-based reuse: evaluate each cell directly,
-		// exactly as eval does without the memo.
+		// the memo off), so no key-based reuse: evaluate each cell directly.
 		for ci := range out {
 			for i := 0; i < k; i++ {
 				de.vids[i] = s.rowSl[i][d.colPat[i][ci]]
@@ -808,8 +747,9 @@ func (s *dirStream) fillRow(ri int) {
 	}
 }
 
-// MeasureRow fills out[ci] = MeasureCell(ri, ci) for every column rep,
-// bit-identically: same operands, same multiplication order.
+// MeasureRow fills out[ci] with the edge's Traffic for (row rep ri, column
+// rep ci) for every column rep, bit-identical to
+// p.Measure(srcReps[ri], dstReps[ci]).
 func (be *BlockEval) MeasureRow(ri int, out []Traffic) {
 	be.fwd.fillRow(ri)
 	be.bwd.fillRow(ri)
@@ -827,9 +767,9 @@ func (be *BlockEval) MeasureRow(ri int, out []Traffic) {
 	}
 }
 
-// MeasureRowInto fills out[ci] = m.RedistributeDetail(MeasureCell(ri, ci))
-// for every column rep — the fused form, which keeps each cell's Traffic in
-// registers instead of materializing a row of structs. The Traffic operands
+// MeasureRowInto fills out[ci] with m.RedistributeDetail of cell (ri, ci)'s
+// Traffic for every column rep — the fused form, which keeps each cell's
+// Traffic in registers instead of materializing a row of structs. The Traffic operands
 // and RedistributeDetail arithmetic are exactly MeasureRow's.
 func (be *BlockEval) MeasureRowInto(m *Model, ri int, out []float64) {
 	be.fwd.fillRow(ri)
@@ -863,8 +803,6 @@ type cellSlot struct {
 	key    uint64
 	fi, fe float64
 }
-
-func (t *cellTab) init() { t.initSize(1 << 12) }
 
 // initSize starts the table with a power-of-two slot count ≥ size (at least
 // two), letting callers that expect many entries skip the early grow/rehash

@@ -80,24 +80,3 @@ func BenchmarkEdgeCellBlock(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(srcReps)*len(dstReps)), "cells/op")
 }
-
-// BenchmarkEdgeCellPerCell measures the same matrix through the per-cell
-// CellEval path (the pre-PR-3 shape of the evaluation loop) so the streaming
-// win stays visible in `go test -bench`.
-func BenchmarkEdgeCellPerCell(b *testing.B) {
-	p, srcReps, dstReps := benchPlan()
-	calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
-	if calc == nil {
-		b.Fatal("NewCalc fell back")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := calc.Eval()
-		for ri := range srcReps {
-			for ci := range dstReps {
-				_ = ev.MeasureCell(ri, ci)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(srcReps)*len(dstReps)), "cells/op")
-}

@@ -31,9 +31,10 @@ func randIfaces(rng *rand.Rand, n, devices, numAxes int) []*Iface {
 	return out
 }
 
-// TestEdgeCalcMatchesMeasure pins the table-driven evaluator to the
-// reference Measure bit-for-bit on randomized interface sets, including
-// unmapped (-1) axis pairings.
+// TestEdgeCalcMatchesMeasure pins the table-driven evaluator (one
+// BlockEval's MeasureRow) to the reference Measure, every Traffic field
+// compared, on randomized interface sets, including unmapped (-1) axis
+// pairings.
 func TestEdgeCalcMatchesMeasure(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -56,13 +57,13 @@ func TestEdgeCalcMatchesMeasure(t *testing.T) {
 		if calc == nil {
 			t.Fatalf("trial %d: NewCalc fell back unexpectedly", trial)
 		}
-		ev := calc.Eval()
+		be := calc.Block()
+		out := make([]Traffic, len(dstReps))
 		for ri, s := range srcReps {
+			be.MeasureRow(ri, out)
 			for ci, d := range dstReps {
-				want := p.Measure(s, d)
-				got := ev.MeasureCell(ri, ci)
-				if got != want {
-					t.Fatalf("trial %d cell (%d,%d): got %+v want %+v", trial, ri, ci, got, want)
+				if want := p.Measure(s, d); out[ci] != want {
+					t.Fatalf("trial %d cell (%d,%d): got %+v want %+v", trial, ri, ci, out[ci], want)
 				}
 			}
 		}
@@ -81,13 +82,13 @@ func TestEdgeCalcNoMappedAxes(t *testing.T) {
 	srcReps := randIfaces(rng, 4, 8, 2)
 	dstReps := randIfaces(rng, 4, 8, 2)
 	calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
-	ev := calc.Eval()
+	be := calc.Block()
+	out := make([]Traffic, len(dstReps))
 	for ri, s := range srcReps {
+		be.MeasureRow(ri, out)
 		for ci, d := range dstReps {
-			want := p.Measure(s, d)
-			got := ev.MeasureCell(ri, ci)
-			if got != want {
-				t.Fatalf("cell (%d,%d): got %+v want %+v", ri, ci, got, want)
+			if want := p.Measure(s, d); out[ci] != want {
+				t.Fatalf("cell (%d,%d): got %+v want %+v", ri, ci, out[ci], want)
 			}
 		}
 	}

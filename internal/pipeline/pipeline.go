@@ -22,9 +22,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/device"
-	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -142,15 +140,4 @@ func stageCluster(full *device.Cluster, m int) *device.Cluster {
 		per = m
 	}
 	return device.MustCluster(m, per, full.Profile)
-}
-
-// stashOf is one layer's activation stash bytes under seqs.
-func stashOf(g *graph.Graph, seqs []partition.Seq, eb float64) float64 {
-	total := 0.0
-	for i, op := range g.Nodes {
-		for _, ti := range op.Stash {
-			total += cost.BlockElems(op, seqs[i], ti) * eb
-		}
-	}
-	return total
 }

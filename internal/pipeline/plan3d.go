@@ -486,15 +486,13 @@ func (o *Optimizer) searchStages(ctx context.Context, req Plan3DRequest, g *grap
 }
 
 // stagePrep is the simulation set-up of the strategy last evaluated on one
-// stage width within a Plan3D call: the prepared simulator and the
-// strategy's per-layer weight and stash bytes. Stage sub-searches of
+// stage width within a Plan3D call: the prepared simulator, which also holds
+// the strategy's per-layer weight and stash bytes. Stage sub-searches of
 // neighbouring layer counts mostly return the same strategy, so one
 // preparation serves all their simulations.
 type stagePrep struct {
-	key    []byte // Seq.AppendBinaryKey of every node's strategy
-	sim    *sim.Prepared
-	wBytes float64
-	stash  float64
+	key []byte // Seq.AppendBinaryKey of every node's strategy
+	sim *sim.Prepared
 }
 
 // prepareStage returns the per-width set-up for seqs on the sub-cluster
@@ -513,16 +511,7 @@ func prepareStage(preps map[int]*stagePrep, g *graph.Graph, sub *device.Cluster,
 	if err != nil {
 		return nil, err
 	}
-	eb := sub.Profile.ElementBytes
-	wBytes := 0.0
-	for i, op := range g.Nodes {
-		for ti, t := range op.Tensors {
-			if t.Kind == graph.Weight {
-				wBytes += cost.BlockElems(op, seqs[i], ti) * eb
-			}
-		}
-	}
-	sp := &stagePrep{key: key, sim: prep, wBytes: wBytes, stash: stashOf(g, seqs, eb)}
+	sp := &stagePrep{key: key, sim: prep}
 	preps[m] = sp
 	return sp, nil
 }
@@ -546,7 +535,7 @@ func (o *Optimizer) evalStage(g *graph.Graph, m, layers int, memo map[stageKey]*
 		return err
 	}
 	ev.time, ev.mem = rep.IterationTime, rep.PeakMemoryBytes
-	ev.stash, ev.wBytes = sp.stash*float64(layers), sp.wBytes*float64(layers)
+	ev.stash, ev.wBytes = sp.sim.StashBytes()*float64(layers), sp.sim.WeightBytes()*float64(layers)
 	ev.simulated = true
 	return nil
 }

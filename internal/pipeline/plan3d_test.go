@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/device"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/sim"
@@ -593,10 +594,28 @@ func BenchmarkPlan3DCold(b *testing.B) {
 	}
 }
 
+// layerBytes is the reference per-layer weight and stash sum under seqs,
+// node by node and tensor by tensor: the order the data-parallel all-reduce
+// and the 1F1B stash (plan3d_digest.json) were pinned with.
+func layerBytes(g *graph.Graph, seqs []partition.Seq, eb float64) (weight, stash float64) {
+	for i, op := range g.Nodes {
+		for ti, t := range op.Tensors {
+			if t.Kind == graph.Weight {
+				weight += cost.BlockElems(op, seqs[i], ti) * eb
+			}
+		}
+		for _, ti := range op.Stash {
+			stash += cost.BlockElems(op, seqs[i], ti) * eb
+		}
+	}
+	return weight, stash
+}
+
 // TestPrepareStageNeverSharesAcrossStrategies pins the per-width simulation
 // reuse of one Plan3D call: a byte-identical strategy reuses the width's
 // Prepared, a different strategy at the same width gets its own, and every
-// Prepared answers exactly like a fresh sim.Run.
+// Prepared answers exactly like a fresh sim.Run, with bit-identical layer
+// weight and stash sums.
 func TestPrepareStageNeverSharesAcrossStrategies(t *testing.T) {
 	full := device.MustCluster(16, 4, device.V100Profile())
 	g, err := model.BuildBlock(model.OPT6B7().WithBatch(2))
@@ -643,8 +662,12 @@ func TestPrepareStageNeverSharesAcrossStrategies(t *testing.T) {
 		sp   *stagePrep
 		seqs []partition.Seq
 	}{{"primepar", a, prime}, {"megatron", b, mega}, {"primepar again", c, prime}} {
-		if got, want := tc.sp.stash, stashOf(g, tc.seqs, eb); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: stash %v, want %v", tc.name, got, want)
+		wantW, wantS := layerBytes(g, tc.seqs, eb)
+		if got := tc.sp.sim.WeightBytes(); math.Float64bits(got) != math.Float64bits(wantW) {
+			t.Errorf("%s: weight bytes %v, want %v", tc.name, got, wantW)
+		}
+		if got := tc.sp.sim.StashBytes(); math.Float64bits(got) != math.Float64bits(wantS) {
+			t.Errorf("%s: stash bytes %v, want %v", tc.name, got, wantS)
 		}
 		for _, layers := range []int{1, 5, 8} {
 			got, err := tc.sp.sim.Run(layers)

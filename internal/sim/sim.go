@@ -139,7 +139,19 @@ type Prepared struct {
 	sim           Simulator
 	nodes         []prepNode
 	boundaryBytes float64
+	// weightBytes and stashBytes are one layer's parameter and activation
+	// stash bytes, summed node by node, tensor by tensor.
+	weightBytes float64
+	stashBytes  float64
 }
+
+// WeightBytes is one layer's parameter bytes per device: the weight blocks
+// alone, without gradients, optimizer state or ZeRO-1 sharding.
+func (p *Prepared) WeightBytes() float64 { return p.weightBytes }
+
+// StashBytes is one layer's activation stash bytes per device for one
+// micro-batch.
+func (p *Prepared) StashBytes() float64 { return p.stashBytes }
 
 // prepNode is one operator's layer-independent simulation input.
 type prepNode struct {
@@ -210,7 +222,11 @@ func (s *Simulator) Prepare(g *graph.Graph, seqs []partition.Seq) (*Prepared, er
 			}
 		}
 		n.outBytes = cost.BlockElems(op, seq, op.OutputTensor) * eb
-		n.stashBytes = stashBytes(op, seq, eb)
+		for _, ti := range op.Stash {
+			b := cost.BlockElems(op, seq, ti) * eb
+			n.stashBytes += b
+			p.stashBytes += b
+		}
 		n.dbufBytes = doubleBufferBytes(op, seq, eb)
 
 		// Resident weights with gradient and optimizer state; under ZeRO-1
@@ -229,6 +245,7 @@ func (s *Simulator) Prepare(g *graph.Graph, seqs []partition.Seq) (*Prepared, er
 				}
 			}
 			w += cost.BlockElems(op, seq, ti) * mult
+			p.weightBytes += cost.BlockElems(op, seq, ti) * eb
 		}
 		n.weightBytes = w * eb
 	}
@@ -566,14 +583,6 @@ func ringExposed(r *Report) float64 {
 		return r.RingTotal
 	}
 	return exp
-}
-
-func stashBytes(op *graph.Op, seq partition.Seq, eb float64) float64 {
-	b := 0.0
-	for _, ti := range op.Stash {
-		b += cost.BlockElems(op, seq, ti) * eb
-	}
-	return b
 }
 
 func doubleBufferBytes(op *graph.Op, seq partition.Seq, eb float64) float64 {

@@ -989,3 +989,12 @@ func referenceRun(s *Simulator, g *graph.Graph, seqs []partition.Seq, layers int
 	rep.PeakMemoryBytes = st.peakMem
 	return rep, nil
 }
+
+// stashBytes is one operator's activation stash bytes, for referenceRun.
+func stashBytes(op *graph.Op, seq partition.Seq, eb float64) float64 {
+	b := 0.0
+	for _, ti := range op.Stash {
+		b += cost.BlockElems(op, seq, ti) * eb
+	}
+	return b
+}
