@@ -381,19 +381,3 @@ func BenchmarkSweeps(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBeamSearch64 measures the approximate search at a scale beyond
-// the exact DP's practical reach.
-func BenchmarkBeamSearch64(b *testing.B) {
-	g, err := model.BuildBlock(model.OPT175B())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		o := core.NewOptimizer(cost.NewModel(device.MustCluster(64, 4, device.V100Profile())))
-		o.Opts.Beam = 128
-		if _, err := o.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: 96}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -35,7 +35,6 @@ type planRequest struct {
 	Topology       string     `json:"topology,omitempty"`
 	Links          []linkSpec `json:"links,omitempty"`
 	Alpha          float64    `json:"alpha,omitempty"`
-	BudgetMS       int        `json:"budget_ms,omitempty"`
 	Batch          int        `json:"batch,omitempty"`
 	Priority       int        `json:"priority,omitempty"`
 	DeadlineMS     int        `json:"deadline_ms,omitempty"`
@@ -132,7 +131,6 @@ func remoteTable2(addr string, setup experiments.Setup) ([]experiments.Table2Row
 				Topology:       topology,
 				Links:          links,
 				Alpha:          setup.Alpha,
-				BudgetMS:       int(setup.SearchBudget / time.Millisecond),
 			})
 			if err != nil {
 				return nil, "", fmt.Errorf("%s@%d: %w", cfg.Name, scale, err)

@@ -36,7 +36,6 @@ func main() {
 		exp        = flag.String("exp", "all", "experiment id (fig2a, fig2b, fig4, table1, fig7, fig8, fig9, fig10, table2, ablations, sweeps, all)")
 		quick      = flag.Bool("quick", false, "reduced sweep (2 models, scales 4–8) for smoke runs")
 		benchOut   = flag.String("bench-out", "BENCH_table2.json", "where -exp table2 writes its JSON artifact")
-		budget     = flag.Duration("budget", 0, "per-search wall-clock budget: beam widths autotune until the strategy stabilizes (0 = exact search)")
 		goldenOut  = flag.String("write-golden", "", "with -exp table2 or -plan3d: write strategy digests to this file")
 		goldenIn   = flag.String("check-golden", "", "with -exp table2 or -plan3d: fail if strategy digests diverge from this file")
 		plan3dFlag = flag.Bool("plan3d", false, "joint spatial-temporal planning curve: the best uniform (p,d,m) grid point vs one joint Plan3D per model/scale — fails if joint is ever worse than grid; honors -write-golden/-check-golden with joint-plan digests")
@@ -111,7 +110,6 @@ func main() {
 	if *quick {
 		setup = experiments.QuickSetup()
 	}
-	setup.SearchBudget = *budget
 	if *profFlag != "" {
 		prof, err := device.ProfileByName(*profFlag)
 		check(err)

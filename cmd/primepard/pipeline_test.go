@@ -140,10 +140,6 @@ func TestPlanPipelineValidation(t *testing.T) {
 			PlanRequest{Model: "OPT-6.7B", Devices: 8,
 				Pipeline: &PipelineSpec{MicroBatch: 2, GlobalBatch: 32, System: "alpa"}},
 			"pipeline.system"},
-		{"budget with pipeline",
-			PlanRequest{Model: "OPT-6.7B", Devices: 8, BudgetMS: 50,
-				Pipeline: &PipelineSpec{MicroBatch: 2, GlobalBatch: 32}},
-			"budget_ms"},
 		{"depth exceeding devices",
 			PlanRequest{Model: "OPT-6.7B", Devices: 8,
 				Pipeline: &PipelineSpec{Stages: StagesSpec{N: 16}, MicroBatch: 2, GlobalBatch: 32}},

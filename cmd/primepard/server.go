@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -42,8 +41,10 @@ type PlanRequest struct {
 	// `primepar -list`).
 	Model string `json:"model"`
 	// Devices is the cluster size: a power of two, at most
-	// device.MaxDevices (1024). Larger sizes answer bad_request before any
-	// estimate runs.
+	// device.MaxDevices (1024). A plain plan takes at most maxPlanDevices
+	// (64); a pipeline plan may be larger as long as its widest searched
+	// stage is within that limit. Larger sizes answer bad_request before
+	// any estimate runs.
 	Devices int `json:"devices"`
 	// DevicesPerNode defaults to 4, the paper's testbed shape.
 	DevicesPerNode int `json:"devices_per_node,omitempty"`
@@ -65,28 +66,22 @@ type PlanRequest struct {
 	Alpha *float64 `json:"alpha,omitempty"`
 	// Layers overrides the model's stacked layer count (0 = model default).
 	Layers int `json:"layers,omitempty"`
-	// Batch overrides the model's micro-batch (0 = model default).
+	// Batch overrides the model's micro-batch (0 = model default; negative
+	// values are rejected).
 	Batch int `json:"batch,omitempty"`
-	// BudgetMS, when positive, runs the anytime beam-autotuned search under
-	// this wall-clock budget; zero is the exact search. Negative values are
-	// rejected.
-	BudgetMS int `json:"budget_ms,omitempty"`
-	// Beam, when positive, fixes an approximate beam width for the plain
-	// search (ignored when BudgetMS is set). Negative values are rejected.
-	Beam int `json:"beam,omitempty"`
 	// Priority orders the admission queue: higher drains first among
 	// waiting requests (default 0). It never preempts a running search.
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS is the client's total patience — queue wait plus search —
 	// in milliseconds. A request whose predicted search cost cannot fit in
-	// it is shed immediately with 503 deadline_unmeetable. Clamped to the
-	// server's -max-timeout.
+	// it is shed immediately with 503 deadline_unmeetable. Zero means the
+	// server's -timeout; larger values are clamped to its -max-timeout;
+	// negative values are rejected.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 	// Pipeline, when present, runs the joint spatial-temporal 3D planner
 	// instead of the plain tensor-parallel search: stage boundaries and
 	// per-stage strategies are chosen together and the response grows a
-	// `pipeline` section (pipeline.go). Mutually exclusive with
-	// budget_ms/beam (the joint search is exact).
+	// `pipeline` section (pipeline.go).
 	Pipeline *PipelineSpec `json:"pipeline,omitempty"`
 }
 
@@ -105,8 +100,14 @@ type LinkSpec struct {
 	Latency float64 `json:"latency"`
 }
 
-// maxBudgetMS is the largest budget_ms a time.Duration can hold.
-const maxBudgetMS = int64(math.MaxInt64 / time.Millisecond)
+// maxPlanDevices is the widest tensor-parallel search the daemon runs: the
+// whole machine for a plain plan, one stage for a pipeline plan. The search
+// is exact, and its work grows about 15× per doubling of the searched
+// width: a cold OPT-175B search takes ~37 s and ~3.1 GB at 64 devices
+// (DESIGN §5.22), so one at 128 could not finish inside any sane deadline
+// and memory, and at 1024 devices even the cost estimate enumerates
+// candidate spaces for seconds.
+const maxPlanDevices = 64
 
 // maxLinkTiers bounds a request's custom hierarchy; device-ID spaces are
 // log2(devices) ≤ ~20 bits deep, so more tiers than that is malformed.
@@ -389,11 +390,9 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if aerr := decodeStrict(w, r, &req); aerr != nil {
 		s.planErrors.Add(1)
-		writeError(w, badRequest("bad request: %v", err))
+		writeError(w, aerr)
 		return
 	}
 
@@ -412,6 +411,18 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// decodeStrict decodes a request body of at most 1 MiB into v. Malformed
+// JSON and unknown fields are bad requests: a misspelled or retired field
+// fails loudly instead of silently planning with a default.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) *apiError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequest("bad request: %v", err)
+	}
+	return nil
+}
+
 // countSearch adds a served plan's search stats (or a sweep's summed ones)
 // to the /v1/stats cache-tier and work counters.
 func (s *server) countSearch(st core.SearchStats) {
@@ -421,13 +432,17 @@ func (s *server) countSearch(st core.SearchStats) {
 }
 
 // deadline resolves a request's deadline_ms: the server default when unset,
-// clamped to -max-timeout.
+// clamped to -max-timeout. The clamp comes before the conversion, so a huge
+// deadline_ms cannot overflow time.Duration into a negative timeout.
+// preparePlan rejects negative values.
 func (s *server) deadline(ms int) time.Duration {
-	d := s.defaultTimeout
-	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
+	if ms <= 0 {
+		return min(s.defaultTimeout, s.maxTimeout)
 	}
-	return min(d, s.maxTimeout)
+	if int64(ms) >= int64(s.maxTimeout/time.Millisecond) {
+		return s.maxTimeout
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // asAPIError maps any failure from the plan pipeline onto the uniform
@@ -484,6 +499,12 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
+	if req.Batch < 0 {
+		return nil, badRequest("batch must be ≥ 0, got %d", req.Batch)
+	}
+	if req.DeadlineMS < 0 {
+		return nil, badRequest("deadline_ms must be ≥ 0, got %d", req.DeadlineMS)
+	}
 	if req.Batch > 0 {
 		cfg = cfg.WithBatch(req.Batch)
 	}
@@ -498,6 +519,15 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 	cl, err := device.NewCluster(req.Devices, perNode, prof)
 	if err != nil {
 		return nil, badRequest("%v", err)
+	}
+	if req.Pipeline == nil && req.Devices > maxPlanDevices {
+		return nil, badRequest("devices %d exceeds this daemon's limit of %d for the exact search", req.Devices, maxPlanDevices)
+	}
+	if req.Pipeline != nil {
+		if w := req.Pipeline.widestStage(req.Devices); w > maxPlanDevices {
+			return nil, badRequest("devices %d: pipeline stages up to %d devices wide exceed this daemon's limit of %d for the exact search; pin pipeline.stages or pipeline.data_parallel",
+				req.Devices, w, maxPlanDevices)
+		}
 	}
 	// Presence-based α: nil means "server default", an explicit 0 is the
 	// legitimate pure-latency objective (a seeded fuzz-corpus case) and
@@ -516,28 +546,19 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 	if layers < 1 {
 		return nil, badRequest("layers must be ≥ 1, got %d", layers)
 	}
-	if req.Beam < 0 {
-		return nil, badRequest("beam must be ≥ 0, got %d", req.Beam)
-	}
-	if req.BudgetMS < 0 || int64(req.BudgetMS) > maxBudgetMS {
-		return nil, badRequest("budget_ms must be in [0, %d], got %d", maxBudgetMS, req.BudgetMS)
-	}
 
-	// A fresh optimizer per request (budget search and estimation mutate
-	// options); the shared cache is what makes repeats and warm restarts
-	// ~free.
+	// A fresh optimizer per request; the shared cache is what makes repeats
+	// and warm restarts ~free.
 	m := cost.NewModel(cl)
 	m.Alpha = alpha
 	o := core.NewOptimizer(m)
 	o.Cache = s.cache
-	o.Opts.Beam = req.Beam
 
 	g, err := model.BuildBlock(cfg)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	planReq := core.PlanRequest{Graph: g, Layers: layers,
-		Budget: time.Duration(req.BudgetMS) * time.Millisecond}
+	planReq := core.PlanRequest{Graph: g, Layers: layers}
 
 	var (
 		est  core.SearchEstimate
@@ -546,11 +567,6 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 	)
 	tag := fmt.Sprintf("%s|layers=%d|batch=%d", cfg.Name, layers, cfg.Batch)
 	if req.Pipeline != nil {
-		// The joint planner is an exact layered search; the anytime budget
-		// and beam knobs have no meaning inside it.
-		if req.BudgetMS != 0 || req.Beam != 0 {
-			return nil, badRequest("budget_ms and beam do not apply to pipeline plans")
-		}
 		if aerr := req.Pipeline.validate(); aerr != nil {
 			return nil, aerr
 		}
@@ -593,7 +609,7 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 		opt:  o,
 		core: planReq,
 		est:  est,
-		key:  o.RequestKey(tag, planReq.Budget),
+		key:  o.RequestKey(tag),
 		popt: popt,
 		pipe: pipe,
 	}, nil

@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -36,7 +35,8 @@ const maxSweepPoints = 64
 
 // SweepPoint overrides a subset of the base request's dimensions for one
 // portfolio point. Zero-valued (for Alpha: absent) fields inherit the base
-// request.
+// request; any other value, a negative one included, replaces it and is
+// validated like a /v1/plan field, so a bad value fails its point.
 type SweepPoint struct {
 	Devices        int      `json:"devices,omitempty"`
 	DevicesPerNode int      `json:"devices_per_node,omitempty"`
@@ -131,22 +131,10 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			code: "method_not_allowed", message: "POST a SweepRequest JSON body"})
 		return
 	}
-	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, aerr := decodeSweep(w, r)
+	if aerr != nil {
 		s.planErrors.Add(1)
-		writeError(w, badRequest("bad request: %v", err))
-		return
-	}
-	if len(req.Points) == 0 {
-		s.planErrors.Add(1)
-		writeError(w, badRequest("sweep needs at least one point"))
-		return
-	}
-	if len(req.Points) > maxSweepPoints {
-		s.planErrors.Add(1)
-		writeError(w, badRequest("sweep has %d points, max %d", len(req.Points), maxSweepPoints))
+		writeError(w, aerr)
 		return
 	}
 
@@ -154,7 +142,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx = context.WithValue(ctx, priorityCtxKey{}, req.Priority)
 
-	resp, aerr := s.sweep(ctx, &req)
+	resp, aerr := s.sweep(ctx, req)
 	if aerr != nil {
 		s.planErrors.Add(1)
 		writeError(w, aerr)
@@ -165,6 +153,47 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweepPointsFailed.Add(int64(resp.Failed))
 	s.countSearch(resp.Totals)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodeSweep strictly decodes a sweep body and bounds its point count.
+func decodeSweep(w http.ResponseWriter, r *http.Request) (*SweepRequest, *apiError) {
+	var req SweepRequest
+	if aerr := decodeStrict(w, r, &req); aerr != nil {
+		return nil, aerr
+	}
+	if len(req.Points) == 0 {
+		return nil, badRequest("sweep needs at least one point")
+	}
+	if len(req.Points) > maxSweepPoints {
+		return nil, badRequest("sweep has %d points, max %d", len(req.Points), maxSweepPoints)
+	}
+	return &req, nil
+}
+
+// over returns base with p's overrides applied.
+func (p SweepPoint) over(base PlanRequest) PlanRequest {
+	if p.Devices != 0 {
+		base.Devices = p.Devices
+	}
+	if p.DevicesPerNode != 0 {
+		base.DevicesPerNode = p.DevicesPerNode
+	}
+	if p.Profile != "" {
+		base.Profile = p.Profile
+	}
+	if p.Alpha != nil {
+		base.Alpha = p.Alpha
+	}
+	if p.Layers != 0 {
+		base.Layers = p.Layers
+	}
+	if p.Batch != 0 {
+		base.Batch = p.Batch
+	}
+	if p.Pipeline != nil {
+		base.Pipeline = p.Pipeline
+	}
+	return base
 }
 
 // sweep resolves every point against the base request, admits the whole
@@ -186,28 +215,7 @@ func (s *server) sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, 
 	allWarm := true
 	for i, p := range req.Points {
 		resp.Results[i].Point = p
-		pr := req.PlanRequest
-		if p.Devices > 0 {
-			pr.Devices = p.Devices
-		}
-		if p.DevicesPerNode > 0 {
-			pr.DevicesPerNode = p.DevicesPerNode
-		}
-		if p.Profile != "" {
-			pr.Profile = p.Profile
-		}
-		if p.Alpha != nil {
-			pr.Alpha = p.Alpha
-		}
-		if p.Layers > 0 {
-			pr.Layers = p.Layers
-		}
-		if p.Batch > 0 {
-			pr.Batch = p.Batch
-		}
-		if p.Pipeline != nil {
-			pr.Pipeline = p.Pipeline
-		}
+		pr := p.over(req.PlanRequest)
 		job, aerr := s.preparePlan(&pr)
 		if aerr != nil {
 			// A bad point sheds the point, not the sweep.

@@ -47,7 +47,8 @@ func postSweep(t *testing.T, ts *httptest.Server, req SweepRequest) sweepOutcome
 }
 
 // TestSweepValidation covers the 4xx paths and envelope conformance of the
-// sweep endpoint, mirroring TestPlanValidation.
+// sweep endpoint, mirroring TestPlanValidation, and the per-point
+// bad_request envelopes of points whose overrides are invalid.
 func TestSweepValidation(t *testing.T) {
 	s := newTestServer(t, "", noAdmission)
 	ts := httptest.NewServer(s.handler())
@@ -70,7 +71,9 @@ func TestSweepValidation(t *testing.T) {
 		{"too many points", http.MethodPost, manyPoints, http.StatusBadRequest, "bad_request"},
 		{"unknown model", http.MethodPost, `{"model":"GPT-9","devices":4,"points":[{}]}`, http.StatusBadRequest, "bad_request"},
 		{"bad base devices", http.MethodPost, `{"model":"OPT-6.7B","devices":3,"points":[{}]}`, http.StatusBadRequest, "bad_request"},
-		{"negative base budget", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"budget_ms":-5,"points":[{}]}`, http.StatusBadRequest, "bad_request"},
+		{"base budget_ms is unknown", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"budget_ms":50,"points":[{}]}`, http.StatusBadRequest, "bad_request"},
+		{"negative base batch", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"batch":-1,"points":[{}]}`, http.StatusBadRequest, "bad_request"},
+		{"negative base deadline", http.MethodPost, `{"model":"OPT-6.7B","devices":4,"deadline_ms":-1,"points":[{}]}`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+"/v1/plan/sweep", strings.NewReader(c.body))
@@ -89,6 +92,22 @@ func TestSweepValidation(t *testing.T) {
 		}
 		if env.Code != c.code || env.Message == "" {
 			t.Errorf("%s: malformed envelope %+v", c.name, env)
+		}
+	}
+
+	// A negative override is a bad value, not "inherit the base": the point
+	// fails with its own envelope and the sweep answers 200.
+	for _, p := range []SweepPoint{{Devices: -4}, {DevicesPerNode: -4}, {Layers: -2}, {Batch: -1}} {
+		out := postSweep(t, ts, SweepRequest{
+			PlanRequest: PlanRequest{Model: "OPT-6.7B", Devices: 4, Layers: 1},
+			Points:      []SweepPoint{p},
+		})
+		if out.resp == nil {
+			t.Errorf("point %+v: sweep failed outright: %d %s", p, out.status, out.env.Message)
+			continue
+		}
+		if r := out.resp.Results[0]; r.Plan != nil || r.Error == nil || r.Error.Code != "bad_request" || r.Error.Message == "" {
+			t.Errorf("point %+v: want a bad_request envelope, got %+v", p, r)
 		}
 	}
 }

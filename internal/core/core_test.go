@@ -441,67 +441,6 @@ func TestOptimizeDeterministic(t *testing.T) {
 
 var _ = partition.NewSeq // keep import when tests shrink
 
-// Beam pruning: approximate but close, never crashes stacking, and much
-// smaller spaces.
-func TestBeamSearch(t *testing.T) {
-	g, err := model.BuildBlock(model.OPT175B())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := optimizerFor(t, 8, 4)
-	full, err := exact.Plan(context.Background(), PlanRequest{Graph: g, Layers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx := optimizerFor(t, 8, 4)
-	approx.Opts.Beam = 24
-	pruned, err := approx.Plan(context.Background(), PlanRequest{Graph: g, Layers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.TotalCost < full.TotalCost-1e-9 {
-		t.Fatalf("beam beat the exact optimum: %v < %v", pruned.TotalCost, full.TotalCost)
-	}
-	if pruned.TotalCost > full.TotalCost*2 {
-		t.Fatalf("beam cost %v too far from optimum %v", pruned.TotalCost, full.TotalCost)
-	}
-	for _, sz := range pruned.SpaceSizes {
-		if sz > 24 {
-			t.Fatalf("beam left a space of size %d", sz)
-		}
-	}
-}
-
-// Beam makes machines beyond the exact search's reach tractable.
-func TestBeamScalesTo64Devices(t *testing.T) {
-	if testing.Short() {
-		t.Skip("64-device beam search takes a few seconds")
-	}
-	g, err := model.BuildBlock(model.OPT175B())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := optimizerFor(t, 64, 4)
-	o.Opts.Beam = 128
-	s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TotalCost <= 0 {
-		t.Fatal("degenerate 64-device strategy")
-	}
-	// The stacked reconstruction's layer must replay to at least the
-	// unconstrained layer optimum and stay close to it (its boundary
-	// states are constrained to match its neighbours).
-	got := o.Cost.Overall(g, s.Seqs)
-	if got < s.LayerCost-1e-9 {
-		t.Fatalf("replayed layer cost %v beats the reported optimum %v", got, s.LayerCost)
-	}
-	if got > s.LayerCost*1.05 {
-		t.Fatalf("replayed layer cost %v far above optimum %v", got, s.LayerCost)
-	}
-}
-
 // The grouped edge matrix must agree with dense per-pair evaluation — the
 // grouping is a lossless compression, not an approximation.
 func TestGroupedEdgeMatrixMatchesDense(t *testing.T) {

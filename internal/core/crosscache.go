@@ -13,10 +13,7 @@
 // interfaces never read it — so an α-sweep (AblationAlphaSweep) hits; the
 // α-dependent totals are rebuilt per call from the cached Intra breakdowns,
 // with the same expression evalNode uses, hence bit-identically. Edge
-// matrices are α-independent too (RedistributeDetail never reads α) UNLESS
-// beam pruning is on: the kept candidate subsets are chosen by α-weighted
-// totals, so Beam>0 keys fold in the beam width, α and the full endpoint
-// signatures.
+// matrices are α-independent too (RedistributeDetail never reads α).
 //
 // Every tier is one tier value (tier.go): a map, a cell count and a cap
 // with an epoch flush. In-process inserts and disk-cache merges take the
@@ -31,7 +28,6 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -191,11 +187,9 @@ func appendNodeCrossKey(b []byte, op *graph.Op) []byte {
 // appendEdgeCrossKey appends edge e's cross-call identity onto the
 // environment prefix: the same selection material edgeKeyOf encodes (source
 // output axes, destination tensor axes, axis map) plus the endpoint
-// candidate-space signatures — and, under beam pruning, the beam width, α
-// and the full endpoint signatures, because the kept candidate subsets are
-// chosen by α-weighted totals over the full structure. Two edges therefore
-// share a cross key exactly when they share an edgeKeyOf key.
-func (o *Optimizer) appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) []byte {
+// candidate-space signatures. Two edges therefore share a cross key exactly
+// when they share an edgeKeyOf key.
+func appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) []byte {
 	src, dst := g.Nodes[e.Src], g.Nodes[e.Dst]
 	b = append(b, 'E')
 	appendAxes := func(axes []int) {
@@ -208,27 +202,18 @@ func (o *Optimizer) appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) 
 	appendAxes(dst.Tensors[e.DstTensor].Axes)
 	appendAxes(e.AxisMap)
 	b = appendSpaceSig(b, src)
-	b = appendSpaceSig(b, dst)
-	if o.Opts.Beam > 0 {
-		b = binary.AppendUvarint(b, uint64(o.Opts.Beam))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
-		b = appendOpSig(b, src)
-		b = appendOpSig(b, dst)
-	}
-	return b
+	return appendSpaceSig(b, dst)
 }
 
 // RequestKey identifies a whole plan request for in-flight deduplication:
 // the environment signature the cross-call cache keys share, plus the inputs
-// that signature deliberately leaves out (α, beam, the request's search
-// budget, reference mode), plus a caller tag naming the graph (model name,
-// layer count). Two requests with equal keys run bit-identical searches, so
-// a singleflight leader's answer serves every concurrent duplicate.
-func (o *Optimizer) RequestKey(tag string, budget time.Duration) string {
+// that signature deliberately leaves out (α, reference mode), plus a caller
+// tag naming the graph (model name, layer count). Two requests with equal
+// keys run bit-identical searches, so a singleflight leader's answer serves
+// every concurrent duplicate.
+func (o *Optimizer) RequestKey(tag string) string {
 	b := o.appendEnvSig(nil)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
-	b = binary.AppendVarint(b, int64(o.Opts.Beam))
-	b = binary.AppendVarint(b, int64(budget))
 	b = append(b, boolByte(o.Opts.DisableCache))
 	b = append(b, tag...)
 	return string(b)

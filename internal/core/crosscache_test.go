@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/device"
@@ -91,85 +90,5 @@ func TestCrossCallCacheAlphaIndependence(t *testing.T) {
 		}
 		cold := search(alpha, NewSearchCache())
 		sameStrategy(t, "alpha", warm, cold)
-	}
-}
-
-// TestCrossCallCacheBeamKeys pins the pruned-edge keying: beam-pruned edge
-// matrices depend on (beam, α), so a warm cache built exact must not leak
-// wrong matrices into a pruned search, and the pruned warm result must equal
-// a pruned cold result.
-func TestCrossCallCacheBeamKeys(t *testing.T) {
-	shared := NewSearchCache()
-	cfg := model.OPT6B7()
-	g, err := model.BuildBlock(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	search := func(beam int, cache *SearchCache) *Strategy {
-		m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
-		m.Alpha = 1e-12
-		o := NewOptimizer(m)
-		o.Cache = cache
-		o.Opts.Beam = beam
-		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strat
-	}
-	search(0, shared) // exact search warms node + unpruned edge entries
-	warm := search(8, shared)
-	cold := search(8, NewSearchCache())
-	sameStrategy(t, "beam", warm, cold)
-	if warm.Stats.CrossCallNodeHits == 0 {
-		t.Errorf("pruned search should reuse (unpruned) node evaluations: %+v", warm.Stats)
-	}
-}
-
-// TestOptimizeBudgetExactOnGenerousBudget pins the autotuner's exactness
-// exit: with a budget it cannot exhaust on a small model, the beam grows
-// until pruning removes nothing, and the result equals the exact search.
-func TestOptimizeBudgetExactOnGenerousBudget(t *testing.T) {
-	cfg := model.OPT6B7()
-	g, err := model.BuildBlock(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cost.NewModel(device.MustCluster(4, 4, device.V100Profile()))
-	m.Alpha = 1e-12
-	exact, err := NewOptimizer(m).Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := NewOptimizer(m)
-	got, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers, Budget: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStrategy(t, "budget", got, exact)
-	if o.Opts.Beam != 0 {
-		t.Errorf("budgeted Plan left Opts.Beam = %d, want restored 0", o.Opts.Beam)
-	}
-}
-
-// TestOptimizeBudgetTinyBudget: a budget too small for a second width still
-// returns a valid (approximate) strategy from the first beam.
-func TestOptimizeBudgetTinyBudget(t *testing.T) {
-	cfg := model.OPT6B7()
-	g, err := model.BuildBlock(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
-	o := NewOptimizer(m)
-	got, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers, Budget: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Seqs) != len(g.Nodes) {
-		t.Fatalf("budget search returned %d assignments for %d nodes", len(got.Seqs), len(g.Nodes))
-	}
-	if o.Opts.Beam != 0 {
-		t.Errorf("budgeted Plan left Opts.Beam = %d, want restored 0", o.Opts.Beam)
 	}
 }

@@ -18,13 +18,11 @@
 // Hits are bit-identical by the same argument as the node/edge tiers:
 // candidate enumeration, the cost model and the factored DP are all
 // deterministic and worker-independent, and the key folds every input the
-// layer table reads — the environment prefix, α, the beam width, the full
-// structural signature of every op and edge, and (under beam pruning) the
-// graph tail's signature, because pruneBeam mirrors the tail's kept set onto
-// zero-cost anchors. The table is published only after the merges complete,
-// so a cancelled search never leaves partial DP state behind; tables live in
-// memory only (the disk cache persists nodes, edges and plans; a layer table
-// rebuilds from nodes and edges in one DP pass).
+// layer table reads — the environment prefix, α and the full structural
+// signature of every op and edge. The table is published only after the
+// merges complete, so a cancelled search never leaves partial DP state
+// behind; tables live in memory only (the disk cache persists nodes, edges
+// and plans; a layer table rebuilds from nodes and edges in one DP pass).
 package core
 
 import (
@@ -44,21 +42,16 @@ func (o *Optimizer) appendTableCrossKey(b []byte, g *graph.Graph) []byte {
 }
 
 // appendGraphSig appends everything the layer table depends on beyond the
-// environment: α (candidate totals are α-weighted), the beam width and —
-// because pruneBeam mirrors the graph TAIL's kept set onto zero-cost anchors
-// — the tail op's full signature whenever pruning is on, then the full
-// signature of every op and every edge (endpoint positions, destination
-// tensor, axis map; the endpoint ops' signatures already cover the tensor
-// shapes). The plan tier (plancache.go) folds the same bytes. The leading
-// zero is the start offset of the per-segment keys this encoding replaced;
-// it stays so plan keys in existing PPSC v8 files still hit.
+// environment: α (candidate totals are α-weighted), then the full signature
+// of every op and every edge (endpoint positions, destination tensor, axis
+// map; the endpoint ops' signatures already cover the tensor shapes). The
+// plan tier (plancache.go) folds the same bytes. The two zero bytes after α
+// are reserved: older encodings kept a search-mode byte and the start
+// offset of the per-segment keys there. They stay so plan keys in existing
+// PPSC v8 files still hit.
 func (o *Optimizer) appendGraphSig(b []byte, g *graph.Graph) []byte {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
-	b = binary.AppendVarint(b, int64(o.Opts.Beam))
-	if o.Opts.Beam > 0 {
-		b = appendOpSig(b, g.Nodes[len(g.Nodes)-1])
-	}
-	b = binary.AppendUvarint(b, 0)
+	b = append(b, 0, 0)
 	b = binary.AppendUvarint(b, uint64(len(g.Nodes)-1))
 	for _, op := range g.Nodes {
 		b = appendOpSig(b, op)

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -51,19 +50,6 @@ type nodeCands struct {
 	total []float64 // Intra.Total(alpha), the DP node cost
 	out   []*cost.Iface
 	in    []*cost.Iface
-	// orig maps the beam-pruned candidate index back to the node's original
-	// enumeration index; nil means identity. Kept so pruned searches still
-	// report original candidate identities.
-	orig []int32
-}
-
-// origIdx resolves a (filtered) candidate index to its original enumeration
-// index.
-func (nc *nodeCands) origIdx(i int32) int32 {
-	if nc.orig == nil {
-		return i
-	}
-	return nc.orig[i]
 }
 
 // Strategy is an optimized partition assignment for one representative layer
@@ -513,17 +499,16 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 	return t, nil
 }
 
-// searchOnce runs one full search of the layer graph at the currently
-// configured options (the Plan entrypoint's non-budget mode): node pass,
-// beam pruning, the stacking check, the plan-tier probe (plancache.go), the
-// layer-table probe or build (delta.go), stacking, reconstruction, and
-// publishing the answer.
+// search runs one full search of the layer graph at the configured options
+// (the body of Plan): node pass, the stacking check, the plan-tier probe
+// (plancache.go), the layer-table probe or build (delta.go), stacking,
+// reconstruction, and publishing the answer.
 // Cancellation is checked at coarse, value-independent points — between pool
 // task pulls, per Bellman step, per merge, between stages — so an
 // uncancelled search executes bit-identically to an uncancellable one, while
 // a cancelled one returns ctx.Err() promptly and publishes nothing partial
 // to the shared cross-call cache (the cache stays fully usable).
-func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) (*Strategy, error) {
+func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*Strategy, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -600,15 +585,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	}
 	stats.NodeEvalTime = time.Since(tNodes)
 
-	if o.Opts.Beam > 0 {
-		// pruneBeam REPLACES per-node nodeCands (never mutates them), so
-		// signature-shared evaluations stay intact; equal signatures keep
-		// equal pruned sets (identical totals give identical cheapestK).
-		o.pruneBeam(g, cands)
-	}
-	// SpaceSizes reports the space the DP is exact over (post-beam); budget
-	// mode's uncut() reads these sizes to decide when the beam covers a
-	// node's whole space.
+	// SpaceSizes reports the space the DP is exact over.
 	spaceSizes := make([]int, len(g.Nodes))
 	for i := range cands {
 		spaceSizes[i] = len(cands[i].seqs)
@@ -727,7 +704,7 @@ func (o *Optimizer) searchOnce(ctx context.Context, g *graph.Graph, layers int) 
 	return strat, nil
 }
 
-// nodeSlots is the within-call node dedup that searchOnce and EstimatePlan
+// nodeSlots is the within-call node dedup that search and EstimatePlan
 // share: nodes with equal full op signatures (repeated linears, mirrored
 // norms/residuals) share one slot. slotOf maps each node to its slot and
 // slotNode each slot to its first node. Reference mode (DisableCache) gives
@@ -769,7 +746,7 @@ func (o *Optimizer) edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Ed
 	}
 	byKey := make(map[edgeMatKey]int)
 	for i, e := range g.Edges {
-		k := edgeKeyOf(in, g, e, o.Opts.Beam > 0)
+		k := edgeKeyOf(in, g, e)
 		s, ok := byKey[k]
 		if !ok {
 			s = len(uniq)
@@ -801,7 +778,7 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 		// the estimator (estimate.go) probes.
 		edgeKeys = make([]string, len(uniqEdges))
 		for s, e := range uniqEdges {
-			edgeKeys[s] = string(o.appendEdgeCrossKey(envSig, g, e))
+			edgeKeys[s] = string(appendEdgeCrossKey(envSig, g, e))
 			if m := ccache.edges.get(edgeKeys[s]); m != nil {
 				mats[s] = m
 				stats.CrossCallEdgeHits++
@@ -859,8 +836,8 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 	return acc, nil
 }
 
-// strategyOf assembles the answer from one post-beam candidate index per
-// node — the reconstruction of a search, or a plan-tier entry.
+// strategyOf assembles the answer from one candidate index per node — the
+// reconstruction of a search, or a plan-tier entry.
 func strategyOf(cands []*nodeCands, assign []int32, layerCost, totalCost float64, layers int, spaceSizes []int) *Strategy {
 	strat := &Strategy{
 		Seqs:       make([]partition.Seq, len(cands)),
@@ -875,87 +852,6 @@ func strategyOf(cands []*nodeCands, assign []int32, layerCost, totalCost float64
 		strat.Intra[i] = cands[i].intra[ix]
 	}
 	return strat
-}
-
-// pruneBeam keeps each node's Beam cheapest candidates by intra cost.
-// Zero-cost nodes (anchors) adopt the TAIL node's kept set so the layer
-// head/tail candidate spaces stay index-identical for stacking.
-func (o *Optimizer) pruneBeam(g *graph.Graph, cands []*nodeCands) {
-	beam := o.Opts.Beam
-	tail := len(g.Nodes) - 1
-	var tailKept []int32
-	// Prune the tail first so anchors can mirror it.
-	order := make([]int, 0, len(g.Nodes))
-	order = append(order, tail)
-	for i := 0; i < tail; i++ {
-		order = append(order, i)
-	}
-	for _, i := range order {
-		nc := cands[i]
-		if len(nc.seqs) <= beam {
-			if i == tail {
-				tailKept = identity(len(nc.seqs))
-			}
-			continue
-		}
-		var keep []int32
-		if i != tail && g.Nodes[i].FlopFactor == 0 && tailKept != nil &&
-			sameSpaceShape(g.Nodes[i], g.Nodes[tail]) {
-			keep = tailKept // anchors mirror the tail for stacking
-		}
-		if keep == nil {
-			keep = cheapestK(nc.total, beam)
-		}
-		cands[i] = selectCands(nc, keep)
-		if i == tail {
-			tailKept = keep
-		}
-	}
-}
-
-func identity(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
-}
-
-// cheapestK returns the indices of the k smallest totals, in ascending
-// index order (deterministic).
-func cheapestK(total []float64, k int) []int32 {
-	idx := identity(len(total))
-	sort.SliceStable(idx, func(a, b int) bool { return total[idx[a]] < total[idx[b]] })
-	idx = idx[:k]
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	return idx
-}
-
-func selectCands(nc *nodeCands, keep []int32) *nodeCands {
-	out := &nodeCands{}
-	for _, i := range keep {
-		out.seqs = append(out.seqs, nc.seqs[i])
-		out.intra = append(out.intra, nc.intra[i])
-		out.total = append(out.total, nc.total[i])
-		out.out = append(out.out, nc.out[i])
-		out.in = append(out.in, nc.in[i])
-		out.orig = append(out.orig, nc.origIdx(i))
-	}
-	return out
-}
-
-// sameSpaceShape reports whether two ops enumerate identical candidate
-// spaces (same axes and prime roles).
-func sameSpaceShape(a, b *graph.Op) bool {
-	if len(a.Axes) != len(b.Axes) || a.PrimeM != b.PrimeM || a.PrimeN != b.PrimeN || a.PrimeK != b.PrimeK {
-		return false
-	}
-	for i := range a.Axes {
-		if a.Axes[i].Size != b.Axes[i].Size || a.Axes[i].Splittable != b.Axes[i].Splittable {
-			return false
-		}
-	}
-	return true
 }
 
 // crossEdges sums edge matrices of extended edges connecting exactly (a, b).

@@ -76,7 +76,7 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 // BenchmarkPlanWarmRepeat repeats one OPT-175B block search at 16 devices
 // on a warm cache: every iteration is an identical repeat, answered by the
 // plan tier after the node pass, so ns/op pins the cost of a warm /v1/plan
-// search — node lookups, beam bookkeeping and the plan probe.
+// search — node lookups and the plan probe.
 func BenchmarkPlanWarmRepeat(b *testing.B) {
 	cfg := model.OPT175B()
 	g, err := model.BuildBlock(cfg)

@@ -94,41 +94,24 @@ func shapeOf(op *graph.Op) spaceShape {
 	return spaceShape{op.Axes, op.PrimeM, op.PrimeN, op.PrimeK}
 }
 
-// fullShape is everything appendOpSig reads beyond the space shape.
-type fullShape struct {
-	space      spaceShape
-	kind       graph.OpKind
-	flopFactor float64
-	tensors    []graph.Tensor
-	reductions map[partition.Phase][]graph.Reduction
-	stash      []int
-	outputT    int
-}
-
-func fullOf(op *graph.Op) fullShape {
-	return fullShape{shapeOf(op), op.Kind, op.FlopFactor, op.Tensors,
-		op.Reductions, op.Stash, op.OutputTensor}
-}
-
 // FuzzEdgeKeyInjectivity decodes two edge configurations from one input and
 // checks the edge-matrix cache key both ways:
 //
 //   - injectivity: equal keys ⇒ the structures the matrix is computed from
-//     are identical (space shapes, tensor-axis selections, axis map — plus
-//     the full endpoint signatures when beam pruning is active). A collision
-//     here would silently reuse a wrong cost matrix.
+//     are identical (space shapes, tensor-axis selections, axis map). A
+//     collision here would silently reuse a wrong cost matrix.
 //   - completeness: identical structures ⇒ equal keys, so legitimate sharing
 //     (the whole point of the cache) can never flake.
 func FuzzEdgeKeyInjectivity(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, false)
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	// Identical halves: forces the equal-key path through both checks.
 	half := []byte{3, 1, 0, 4, 2, 1, 1, 0, 0, 2, 1, 7, 0, 1, 1, 2, 0, 3, 1, 0}
-	f.Add(append(append([]byte{}, half...), half...), true)
+	f.Add(append(append([]byte{}, half...), half...))
 	// Axis-name swap: the retired string key ignored names and collided here.
-	f.Add([]byte{2, 0, 4, 0, 1, 4, 0, 9, 9, 2, 1, 4, 0, 0, 4, 0, 9, 9}, false)
+	f.Add([]byte{2, 0, 4, 0, 1, 4, 0, 9, 9, 2, 1, 4, 0, 0, 4, 0, 9, 9})
 
-	f.Fuzz(func(t *testing.T, data []byte, pruned bool) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &byteReader{data: data}
 		srcA, dstA, dtA, mapA := edgeConfigFromBytes(r)
 		srcB, dstB, dtB, mapB := edgeConfigFromBytes(r)
@@ -142,21 +125,19 @@ func FuzzEdgeKeyInjectivity(f *testing.F) {
 		eB := g.Connect(2, 3, dtB, mapB)
 
 		in := &sigInterner{}
-		kA := edgeKeyOf(in, g, eA, pruned)
-		kB := edgeKeyOf(in, g, eB, pruned)
+		kA := edgeKeyOf(in, g, eA)
+		kB := edgeKeyOf(in, g, eB)
 
 		sameSel := reflect.DeepEqual(srcA.Tensors[srcA.OutputTensor].Axes, srcB.Tensors[srcB.OutputTensor].Axes) &&
 			reflect.DeepEqual(dstA.Tensors[dtA].Axes, dstB.Tensors[dtB].Axes) &&
 			reflect.DeepEqual(mapA, mapB)
 		sameSpace := reflect.DeepEqual(shapeOf(srcA), shapeOf(srcB)) &&
 			reflect.DeepEqual(shapeOf(dstA), shapeOf(dstB))
-		sameFull := reflect.DeepEqual(fullOf(srcA), fullOf(srcB)) &&
-			reflect.DeepEqual(fullOf(dstA), fullOf(dstB))
 
-		wantEqual := sameSel && sameSpace && (!pruned || sameFull)
+		wantEqual := sameSel && sameSpace
 		if (kA == kB) != wantEqual {
-			t.Fatalf("key equality = %v, structural equality = %v (pruned=%v)\nsrcA=%+v\nsrcB=%+v\ndstA=%+v\ndstB=%+v\nmapA=%v dtA=%d mapB=%v dtB=%d",
-				kA == kB, wantEqual, pruned, srcA, srcB, dstA, dstB, mapA, dtA, mapB, dtB)
+			t.Fatalf("key equality = %v, structural equality = %v\nsrcA=%+v\nsrcB=%+v\ndstA=%+v\ndstB=%+v\nmapA=%v dtA=%d mapB=%v dtB=%d",
+				kA == kB, wantEqual, srcA, srcB, dstA, dstB, mapA, dtA, mapB, dtB)
 		}
 	})
 }
@@ -189,16 +170,15 @@ func TestEdgeKeyDistinguishesAxisNames(t *testing.T) {
 	e1 := g.Connect(0, 1, 0, []int{0, 1})
 	e2 := g.Connect(2, 3, 0, []int{0, 1})
 	in := &sigInterner{}
-	if k1, k2 := edgeKeyOf(in, g, e1, false), edgeKeyOf(in, g, e2, false); k1 == k2 {
+	if k1, k2 := edgeKeyOf(in, g, e1), edgeKeyOf(in, g, e2); k1 == k2 {
 		t.Fatalf("axis-name swap produced identical keys: %+v", k1)
 	}
 }
 
-// TestEdgeKeySharingAndPruning pins the two-sided cache contract: ops that
+// TestEdgeKeySharing pins the sharing side of the cache contract: ops that
 // differ only in cost-model structure (kind, reductions) legitimately SHARE
-// a matrix when the full spaces are used, but must get DISTINCT keys under
-// beam pruning, where kept subsets depend on intra-operator totals.
-func TestEdgeKeySharingAndPruning(t *testing.T) {
+// a matrix, while the node memo still tells them apart.
+func TestEdgeKeySharing(t *testing.T) {
 	mkDst := func(kind graph.OpKind, flops float64) *graph.Op {
 		op := &graph.Op{
 			Name: "dst",
@@ -228,10 +208,10 @@ func TestEdgeKeySharingAndPruning(t *testing.T) {
 	e1 := g.Connect(0, 1, 0, []int{0, 1})
 	e2 := g.Connect(0, 2, 0, []int{0, 1})
 	in := &sigInterner{}
-	if k1, k2 := edgeKeyOf(in, g, e1, false), edgeKeyOf(in, g, e2, false); k1 != k2 {
-		t.Fatalf("same-space edges must share unpruned keys: %+v vs %+v", k1, k2)
+	if k1, k2 := edgeKeyOf(in, g, e1), edgeKeyOf(in, g, e2); k1 != k2 {
+		t.Fatalf("same-space edges must share keys: %+v vs %+v", k1, k2)
 	}
-	if k1, k2 := edgeKeyOf(in, g, e1, true), edgeKeyOf(in, g, e2, true); k1 == k2 {
-		t.Fatal("differently-structured endpoints must get distinct keys under beam pruning")
+	if in.fullID(g.Nodes[1]) == in.fullID(g.Nodes[2]) {
+		t.Fatal("differently-structured endpoints must get distinct node signatures")
 	}
 }

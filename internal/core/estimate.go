@@ -62,20 +62,10 @@ type SearchEstimate struct {
 	// the matrix cells they imply.
 	EdgeBuilds int
 	EdgeCells  int64
-	// ProbeBeam is the beam width the cache was probed at: budgetStartBeam
-	// for budget-mode requests, Opts.Beam otherwise.
-	ProbeBeam int
 }
 
 // EstimatePlan predicts the work of Plan(ctx, req) against the current cache
-// state. Budget-mode requests (req.Budget > 0) are costed at the FIRST beam
-// width the budget search tries (budgetStartBeam) — later widths reuse every
-// node evaluation and, below the pruning threshold, every edge matrix, so the
-// first probe dominates a cold run and bounds a warm one.
-//
-// Like searchBudget, EstimatePlan temporarily adjusts o.Opts.Beam (restored
-// on return), so it must not race a concurrent search on the SAME Optimizer;
-// distinct Optimizer values sharing one SearchCache are fine.
+// state. It reads the optimizer and the cache and mutates neither.
 func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	if req.Graph == nil {
 		return SearchEstimate{}, fmt.Errorf("core: PlanRequest.Graph is nil")
@@ -91,12 +81,6 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		return SearchEstimate{}, fmt.Errorf("core: graph needs at least two nodes")
 	}
 
-	saved := o.Opts.Beam
-	defer func() { o.Opts.Beam = saved }()
-	if req.Budget > 0 {
-		o.Opts.Beam = budgetStartBeam
-	}
-
 	ccache := o.crossCache()
 	var envSig []byte
 	if ccache != nil {
@@ -104,7 +88,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	}
 	nbits := o.Cost.Cluster.Bits()
 
-	// Node pass: searchOnce's slots (nodeSlots), then a cache probe per
+	// Node pass: search's slots (nodeSlots), then a cache probe per
 	// unique slot. A cached slot's space size is the length of its stored
 	// list, which evalNode filled with the unfiltered Candidates under the
 	// same environment key (the prefix folds every enumeration option);
@@ -112,7 +96,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// is enumerated.
 	in := &sigInterner{}
 	slotOf, slotNode := o.nodeSlots(g, in)
-	est := SearchEstimate{Warm: ccache != nil, ProbeBeam: o.Opts.Beam}
+	est := SearchEstimate{Warm: ccache != nil}
 	slotSize := make([]int, len(slotNode))
 	for s, ni := range slotNode {
 		op := g.Nodes[ni]
@@ -128,32 +112,24 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		est.CandidatesEvaluated += slotSize[s]
 	}
 
-	// Effective (post-pruning) space per node: beam pruning caps every
-	// space at Beam before edges are built.
-	eff := func(i int) int {
-		n := slotSize[slotOf[i]]
-		if b := o.Opts.Beam; b > 0 && n > b {
-			return b
-		}
-		return n
-	}
+	size := func(i int) int { return slotSize[slotOf[i]] }
 	// Logarithmic stacking merges: they run on a table hit and a miss alike.
 	stack := 0.0
 	if req.Layers > 1 {
-		nb := float64(eff(len(g.Nodes) - 1))
+		nb := float64(size(len(g.Nodes) - 1))
 		merges := float64(2 * bits.Len(uint(req.Layers-1)))
 		stack = merges * estScan * nb
 	}
 	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
 
-	// Plan tier: the same key and bounds check as searchOnce, so a PlanHit
+	// Plan tier: the same key and bounds check as search, so a PlanHit
 	// promise holds against an unchanged cache. Work drops to one unit per
 	// node lookup on top of any node evaluations.
 	if ccache != nil {
 		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
 			sizes := make([]int, len(g.Nodes))
 			for i := range sizes {
-				sizes[i] = eff(i)
+				sizes[i] = size(i)
 			}
 			if e.fits(sizes) {
 				est.PlanHit = true
@@ -161,7 +137,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 				return est, nil
 			}
 		}
-		// Layer table: the same key searchOnce probes next. A hit asks for
+		// Layer table: the same key search probes next. A hit asks for
 		// no edge matrix and runs no segment DP or merge.
 		if ccache.tables.get(string(o.appendTableCrossKey(envSig, g))) != nil {
 			est.TableHit = true
@@ -177,23 +153,23 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// uncached matrix costs n_src × n_dst cells.
 	uniqEdges, _ := o.edgeSlots(g, in)
 	for _, e := range uniqEdges {
-		if ccache == nil || ccache.edges.get(string(o.appendEdgeCrossKey(envSig, g, e))) == nil {
+		if ccache == nil || ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
 			est.Warm = false
 			est.EdgeBuilds++
-			est.EdgeCells += int64(eff(e.Src)) * int64(eff(e.Dst))
+			est.EdgeCells += int64(size(e.Src)) * int64(size(e.Dst))
 		}
 	}
 
-	// DP term: Bellman scans over the effective spaces of every segment,
+	// DP term: Bellman scans over the spaces of every segment,
 	// plus the cross-segment merges, the final argmin scan and stacking.
 	cuts := g.SegmentCuts()
 	dp := 0.0
 	for s := 0; s+1 < len(cuts); s++ {
 		for i := cuts[s]; i <= cuts[s+1]; i++ {
-			dp += estScan * float64(eff(i))
+			dp += estScan * float64(size(i))
 		}
 	}
-	dp += float64(len(cuts)-1) * estScan * float64(eff(len(g.Nodes)-1))
+	dp += float64(len(cuts)-1) * estScan * float64(size(len(g.Nodes)-1))
 	dp += stack
 
 	est.Work = nodeWork + float64(est.EdgeCells) + dp

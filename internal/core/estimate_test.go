@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"testing"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/device"
@@ -23,20 +22,19 @@ func estimateOptimizer(t *testing.T, cache *SearchCache) *Optimizer {
 
 // TestEstimatePlanColdThenWarm pins the estimator's contract: a cold cache
 // predicts node and edge work — exactly the node evaluations and edge
-// builds the search then performs, with and without beam pruning; after one
-// real Plan call the SAME request must estimate a Warm plan hit — and the
-// promise must be sound (the search re-run does zero node evaluations, zero
-// edge builds and no DP). A plan hit and a layer-table hit stay Warm after
-// the edge tier is flushed, since neither asks for an edge matrix.
+// builds the search then performs; after one real Plan call the SAME
+// request must estimate a Warm plan hit — and the promise must be sound
+// (the search re-run does zero node evaluations, zero edge builds and no
+// DP). A plan hit and a layer-table hit stay Warm after the edge tier is
+// flushed, since neither asks for an edge matrix.
 func TestEstimatePlanColdThenWarm(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, beam := range []int{0, 8} {
+	{
 		o := estimateOptimizer(t, NewSearchCache())
-		o.Opts.Beam = beam
 		req := PlanRequest{Graph: g, Layers: cfg.Layers}
 		est, err := o.EstimatePlan(req)
 		if err != nil {
@@ -47,8 +45,8 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		if est.EdgeBuilds != strat.Stats.EdgeMatsBuilt || est.NodeEvals != strat.Stats.NodeEvals {
-			t.Errorf("beam %d: cold estimate %d edge builds / %d node evals, search did %d / %d",
-				beam, est.EdgeBuilds, est.NodeEvals, strat.Stats.EdgeMatsBuilt, strat.Stats.NodeEvals)
+			t.Errorf("cold estimate %d edge builds / %d node evals, search did %d / %d",
+				est.EdgeBuilds, est.NodeEvals, strat.Stats.EdgeMatsBuilt, strat.Stats.NodeEvals)
 		}
 	}
 
@@ -184,54 +182,6 @@ func TestEstimatePlanDisableCacheNeverWarm(t *testing.T) {
 	}
 }
 
-// TestEstimatePlanBudgetProbesFirstBeam: a budget-mode request is costed at
-// budgetStartBeam. A cache warmed by the SAME budget request estimates Warm;
-// a cache warmed only by an exact (unpruned) search does not, because pruned
-// edge matrices live under beam-dependent keys. Opts.Beam is restored.
-func TestEstimatePlanBudgetProbesFirstBeam(t *testing.T) {
-	cfg := model.OPT6B7()
-	g, err := model.BuildBlock(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := PlanRequest{Graph: g, Layers: cfg.Layers, Budget: time.Minute}
-
-	exactWarmed := NewSearchCache()
-	oe := estimateOptimizer(t, exactWarmed)
-	if _, err := oe.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers}); err != nil {
-		t.Fatal(err)
-	}
-	est, err := oe.EstimatePlan(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.ProbeBeam != budgetStartBeam {
-		t.Fatalf("budget estimate probed beam %d, want %d", est.ProbeBeam, budgetStartBeam)
-	}
-	if est.Warm {
-		t.Fatal("exact-warmed cache must not be Warm for a pruned probe")
-	}
-	if est.NodeEvals != 0 {
-		t.Fatalf("node entries are beam-independent, want 0 evals: %+v", est)
-	}
-	if oe.Opts.Beam != 0 {
-		t.Fatalf("EstimatePlan left Opts.Beam = %d", oe.Opts.Beam)
-	}
-
-	budgetWarmed := NewSearchCache()
-	ob := estimateOptimizer(t, budgetWarmed)
-	if _, err := ob.Plan(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	est2, err := ob.EstimatePlan(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !est2.Warm {
-		t.Fatalf("budget-warmed cache not Warm for the same budget request: %+v", est2)
-	}
-}
-
 // TestEstimateWarmAfterSweep pins the sweep→estimate contract the portfolio
 // endpoint relies on: after planning a scale curve (device counts, α values,
 // layer counts) against ONE shared cache, EVERY point must subsequently
@@ -347,11 +297,6 @@ func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 // EstimatePlan's betrays a cached list whose length is not SpaceSize.
 func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	g := req.Graph
-	saved := o.Opts.Beam
-	defer func() { o.Opts.Beam = saved }()
-	if req.Budget > 0 {
-		o.Opts.Beam = budgetStartBeam
-	}
 	ccache := o.crossCache()
 	var envSig []byte
 	if ccache != nil {
@@ -371,7 +316,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 		}
 		slotOf[i] = s
 	}
-	est := SearchEstimate{Warm: ccache != nil, ProbeBeam: o.Opts.Beam}
+	est := SearchEstimate{Warm: ccache != nil}
 	slotSize := make([]int, len(slotNode))
 	for s, ni := range slotNode {
 		op := g.Nodes[ni]
@@ -382,13 +327,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 			est.CandidatesEvaluated += slotSize[s]
 		}
 	}
-	eff := func(i int) int {
-		n := slotSize[slotOf[i]]
-		if b := o.Opts.Beam; b > 0 && n > b {
-			return b
-		}
-		return n
-	}
+	eff := func(i int) int { return slotSize[slotOf[i]] }
 	stack := 0.0
 	if req.Layers > 1 {
 		stack = float64(2*bits.Len(uint(req.Layers-1))) * estScan * float64(eff(len(g.Nodes)-1))
@@ -414,12 +353,12 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	}
 	seen := make(map[edgeMatKey]bool)
 	for _, e := range g.Edges {
-		k := edgeKeyOf(in, g, e, o.Opts.Beam > 0)
+		k := edgeKeyOf(in, g, e)
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		if ccache == nil || ccache.edges.get(string(o.appendEdgeCrossKey(envSig, g, e))) == nil {
+		if ccache == nil || ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
 			est.Warm = false
 			est.EdgeBuilds++
 			est.EdgeCells += int64(eff(e.Src)) * int64(eff(e.Dst))
@@ -443,8 +382,8 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 // devices under every option that shapes enumeration (the environment key
 // folds AllowPrime, AllowBatchSplit and MaxPrimeK). And in every cache state
 // a request can meet — cold, nodes warm with edges flushed, a table hit, a
-// plan hit — an exact and a budget-mode request estimate field for field
-// what referenceEstimate computes with SpaceSize.
+// plan hit — the request estimates field for field what referenceEstimate
+// computes with SpaceSize.
 func TestEstimateSpaceSizesFromNodeCache(t *testing.T) {
 	optionSets := []struct {
 		name string
@@ -480,17 +419,14 @@ func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit f
 	o.Cache = cache
 	edit(&o.Opts)
 	exact := PlanRequest{Graph: g, Layers: cfg.Layers}
-	budget := PlanRequest{Graph: g, Layers: cfg.Layers, Budget: time.Minute}
 	compare := func(state string) {
 		t.Helper()
-		for _, req := range []PlanRequest{exact, budget} {
-			got, err := o.EstimatePlan(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := referenceEstimate(o, req); got != want {
-				t.Errorf("%s, budget %v: estimate %+v, SpaceSize reference %+v", state, req.Budget, got, want)
-			}
+		got, err := o.EstimatePlan(exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceEstimate(o, exact); got != want {
+			t.Errorf("%s: estimate %+v, SpaceSize reference %+v", state, got, want)
 		}
 	}
 

@@ -1,15 +1,15 @@
 // The plan tier: the fourth tier of the cross-call cache stores each
-// finished searchOnce answer, so an identical repeat runs no min-plus work at
-// all. A search is a pure function of the environment prefix, α, the beam
-// width, the whole layer graph and the layer count; the plan key folds
-// exactly those — the bytes appendTableCrossKey folds (appendGraphSig), under
-// its own tag, plus the layer count.
+// finished search answer, so an identical repeat runs no min-plus work at
+// all. A search is a pure function of the environment prefix, α, the whole
+// layer graph and the layer count; the plan key folds exactly those — the
+// bytes appendTableCrossKey folds (appendGraphSig), under its own tag, plus
+// the layer count.
 //
-// An entry is the chosen post-beam candidate index per node plus the
-// LayerCost/TotalCost float bits. On a hit searchOnce still runs the node
-// pass and pruneBeam (both served by the node tier), which rebuilds the very
-// candidate lists the indices point into, then skips edge matrices, the
-// layer table and stacking. The answer is bit-identical because every
+// An entry is the chosen candidate index per node plus the
+// LayerCost/TotalCost float bits. On a hit search still runs the node pass
+// (served by the node tier), which rebuilds the very candidate lists the
+// indices point into, then skips edge matrices, the layer table and
+// stacking. The answer is bit-identical because every
 // reported value is either a stored bit pattern or read from the same
 // candidate lists the cold search reconstructed from.
 //
@@ -27,12 +27,12 @@ import (
 
 // cachedPlan is one finished search answer.
 type cachedPlan struct {
-	idx                  []int32 // post-beam candidate index per node
+	idx                  []int32 // candidate index per node
 	layerCost, totalCost float64
 }
 
 // fits reports whether e names one in-range candidate for every node, given
-// the post-beam space size of each.
+// the space size of each.
 func (e *cachedPlan) fits(sizes []int) bool {
 	if len(e.idx) != len(sizes) {
 		return false

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/device"
@@ -14,56 +13,41 @@ import (
 )
 
 // TestPlanTierRepeatBitIdentical pins the plan tier on the quick Table-2
-// cells (OPT-6.7B and Llama2-70B at 4 and 8 devices), exact, at beam 8 and
-// in budget mode: an identical repeat must return the same Strategy in
-// everything but Stats, and do so from the plan tier — no segment table
-// built and no min-plus entry scanned.
+// cells (OPT-6.7B and Llama2-70B at 4 and 8 devices): an identical repeat
+// must return the same Strategy in everything but Stats, and do so from the
+// plan tier — no segment table built and no min-plus entry scanned.
 func TestPlanTierRepeatBitIdentical(t *testing.T) {
-	modes := []struct {
-		name   string
-		beam   int
-		budget time.Duration
-	}{
-		{"exact", 0, 0},
-		{"beam8", 8, 0},
-		// Generous enough that the beam stops growing on stability or an
-		// uncut space, never on the clock, so both calls stop alike.
-		{"budget", 0, time.Minute},
-	}
 	for _, cfg := range []model.Config{model.OPT6B7(), model.Llama2_70B()} {
 		g, err := model.BuildBlock(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, scale := range []int{4, 8} {
-			for _, mode := range modes {
-				m := cost.NewModel(device.MustCluster(scale, 4, device.V100Profile()))
-				m.Alpha = 1e-12
-				o := NewOptimizer(m)
-				o.Cache = NewSearchCache()
-				o.Opts.Beam = mode.beam
-				req := PlanRequest{Graph: g, Layers: cfg.Layers, Budget: mode.budget}
-				first, err := o.Plan(context.Background(), req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				second, err := o.Plan(context.Background(), req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s@%d/%s", cfg.Name, scale, mode.name)
-				if s := second.Stats; s.SegTablesBuilt != 0 || s.EntriesScanned != 0 || s.CrossCallPlanHits != 1 ||
-					s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 {
-					t.Errorf("%s: repeat not served from the plan tier: %+v", label, s)
-				}
-				if first.Stats.CrossCallPlanHits != 0 {
-					t.Errorf("%s: cold search reported a plan hit", label)
-				}
-				a, b := *first, *second
-				a.Stats, b.Stats = SearchStats{}, SearchStats{}
-				if !reflect.DeepEqual(a, b) {
-					t.Errorf("%s: plan-tier repeat differs from the search that published it", label)
-				}
+			m := cost.NewModel(device.MustCluster(scale, 4, device.V100Profile()))
+			m.Alpha = 1e-12
+			o := NewOptimizer(m)
+			o.Cache = NewSearchCache()
+			req := PlanRequest{Graph: g, Layers: cfg.Layers}
+			first, err := o.Plan(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := o.Plan(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s@%d", cfg.Name, scale)
+			if s := second.Stats; s.SegTablesBuilt != 0 || s.EntriesScanned != 0 || s.CrossCallPlanHits != 1 ||
+				s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 {
+				t.Errorf("%s: repeat not served from the plan tier: %+v", label, s)
+			}
+			if first.Stats.CrossCallPlanHits != 0 {
+				t.Errorf("%s: cold search reported a plan hit", label)
+			}
+			a, b := *first, *second
+			a.Stats, b.Stats = SearchStats{}, SearchStats{}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: plan-tier repeat differs from the search that published it", label)
 			}
 		}
 	}
@@ -90,26 +74,21 @@ func TestPlanTierBypass(t *testing.T) {
 	}
 }
 
-// TestPlanKeyBytesStable pins the plan key's bytes on an OPT-6.7B block, with
-// and without a beam: PPSC v8 files store plans under these keys, so a
-// change to the whole-graph signature would silently turn every persisted
-// plan into a miss without a format bump.
+// TestPlanKeyBytesStable pins the plan key's bytes on an OPT-6.7B block:
+// PPSC v8 files store plans under these keys, so a change to the
+// whole-graph signature would silently turn every persisted plan into a
+// miss without a format bump.
 func TestPlanKeyBytesStable(t *testing.T) {
 	g, err := model.BuildBlock(model.OPT6B7())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for beam, want := range map[int]string{
-		0: "5180e8a06555d858505524b28fbe4bb1cf1ceaf4dc0bcd3837a5f964874bba4f",
-		8: "1165d4ed0f7927600d355717ed274703521d8e094dff849069101bca25f246e8",
-	} {
-		m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
-		m.Alpha = 1e-12
-		o := NewOptimizer(m)
-		o.Opts.Beam = beam
-		key := o.appendPlanCrossKey(o.appendEnvSig(nil), g, 32)
-		if got := fmt.Sprintf("%x", sha256.Sum256(key)); got != want {
-			t.Errorf("beam %d: plan key sha256 %s, want %s", beam, got, want)
-		}
+	m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
+	m.Alpha = 1e-12
+	o := NewOptimizer(m)
+	key := o.appendPlanCrossKey(o.appendEnvSig(nil), g, 32)
+	const want = "5180e8a06555d858505524b28fbe4bb1cf1ceaf4dc0bcd3837a5f964874bba4f"
+	if got := fmt.Sprintf("%x", sha256.Sum256(key)); got != want {
+		t.Errorf("plan key sha256 %s, want %s", got, want)
 	}
 }

@@ -10,11 +10,7 @@
 // interfaces), the tensor-axis selections on both ends (these determine the
 // edge plan's pairings and volumes), and the axis map. Endpoint tensors or
 // reductions may differ — a norm and a residual-add with the same axes
-// consume identical matrices — EXCEPT under beam pruning, where the kept
-// candidate subset depends on intra-operator totals and therefore on the
-// full structure; the key then also folds in the full signatures. (The
-// previous string key ignored this and could alias differently-pruned
-// spaces onto one matrix.)
+// consume identical matrices.
 //
 // Signatures are exact byte encodings — every field tag- or
 // length-delimited, nothing hashed — so distinct structures can never
@@ -130,18 +126,14 @@ func (in *sigInterner) spaceID(op *graph.Op) int32 {
 // hand-offs, ...). Comparison is componentwise-exact.
 type edgeMatKey struct {
 	srcSpace, dstSpace int32
-	// srcPrune/dstPrune are the full endpoint signatures when beam pruning
-	// is active (the kept subsets depend on them), -1 otherwise.
-	srcPrune, dstPrune int32
 	// sel encodes the source output-tensor axes, the destination tensor's
 	// axes, and the edge's axis map — everything PlanEdge reads beyond the
 	// space shapes.
 	sel string
 }
 
-// edgeKeyOf builds the cache key of edge e. pruned must be true whenever
-// candidate spaces were beam-pruned before edge building.
-func edgeKeyOf(in *sigInterner, g *graph.Graph, e *graph.Edge, pruned bool) edgeMatKey {
+// edgeKeyOf builds the cache key of edge e.
+func edgeKeyOf(in *sigInterner, g *graph.Graph, e *graph.Edge) edgeMatKey {
 	src, dst := g.Nodes[e.Src], g.Nodes[e.Dst]
 	var buf []byte
 	appendAxes := func(axes []int) {
@@ -153,16 +145,9 @@ func edgeKeyOf(in *sigInterner, g *graph.Graph, e *graph.Edge, pruned bool) edge
 	appendAxes(src.Tensors[src.OutputTensor].Axes)
 	appendAxes(dst.Tensors[e.DstTensor].Axes)
 	appendAxes(e.AxisMap)
-	k := edgeMatKey{
+	return edgeMatKey{
 		srcSpace: in.spaceID(src),
 		dstSpace: in.spaceID(dst),
-		srcPrune: -1,
-		dstPrune: -1,
 		sel:      string(buf),
 	}
-	if pruned {
-		k.srcPrune = in.fullID(src)
-		k.dstPrune = in.fullID(dst)
-	}
-	return k
 }

@@ -29,14 +29,6 @@ type Options struct {
 	// (0 = GOMAXPROCS).
 	Parallelism int
 
-	// Beam, when positive, prunes each node's candidate space to the Beam
-	// cheapest sequences by intra-operator cost before the DP runs. The
-	// search becomes approximate but scales to machines where the full
-	// O(P³) is impractical (128+ devices). Zero-cost placeholder nodes
-	// keep their full space, and the layer head/tail keep IDENTICAL
-	// candidate sets so layer stacking stays sound.
-	Beam int
-
 	// DisableCache switches the search to its reference mode: the
 	// op-signature memo, the edge-matrix cache and the table-driven edge
 	// evaluator are all bypassed, and every candidate and matrix cell is

@@ -29,8 +29,8 @@ type SearchStats struct {
 	// the number of Measure/RedistributeDetail evaluations.
 	EdgeCellsEvaluated int64 `json:"edge_cells_evaluated"`
 
-	// CandsTotal sums |P| over the graph's nodes after beam pruning: the
-	// candidates the DP runs over.
+	// CandsTotal sums |P| over the graph's nodes: the candidates the DP
+	// runs over.
 	CandsTotal int `json:"cands_total"`
 
 	// CandsPruned always reads zero. It counted the candidates removed by a

@@ -12,8 +12,8 @@ import (
 )
 
 // treeMatchesChain is the tree-vs-chain reference. It builds every node's
-// candidates and every edge matrix the way Exhaustive does (oracle.go),
-// beam-prunes them like searchOnce, and then compares segmentTable (the
+// candidates and every edge matrix the way Exhaustive does (oracle.go), and
+// then compares segmentTable (the
 // production tree) with segmentDP (the plain Bellman chain) over each
 // segment of g, cell by cell on the expanded (head × tail) matrix. The tree
 // evaluates the path sums under a different IEEE parenthesization (treedp.go
@@ -25,9 +25,6 @@ func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) 
 	cands := make([]*nodeCands, len(g.Nodes))
 	for i, op := range g.Nodes {
 		cands[i] = o.evalNode(op, w)
-	}
-	if o.Opts.Beam > 0 {
-		o.pruneBeam(g, cands)
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat)
 	ot := o.newOverlapTables()
@@ -63,23 +60,25 @@ func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) 
 
 // FuzzTreeChainEquivalence decodes a chain (deltaGraph's shape family: odd
 // and even lengths including 1 and 2, with and without an extended edge), a
-// layer count, α from deltaAlphas, a device count and a beam width. The
-// production search must BIT-IDENTICALLY match the SerialUncached reference,
-// which plans the same trees; that covers the α = 0 ties, the beamed spaces
-// and the class-0 probe reuse of the Bellman steps. Every segment's tree table
+// layer count, α from deltaAlphas and a device count. The production search
+// must BIT-IDENTICALLY match the SerialUncached reference, which plans the
+// same trees; that covers the α = 0 ties and the class-0 probe reuse of the
+// Bellman steps. Every segment's tree table
 // must match the Bellman chain to ulp precision (treeMatchesChain).
 func FuzzTreeChainEquivalence(f *testing.F) {
 	// Layout: b, m, k, length-1, layers-1, α, devices, then (length ≥ 2) an
-	// ext flag (even = ext edge) and its target, then the beam — each byte
-	// taken modulo its range, missing bytes read as zero.
+	// ext flag (even = ext edge) and its target, then one byte that chose a
+	// beam width for the deleted approximate search (read and ignored, so
+	// the seeds decode the same chains as before) — each byte taken modulo
+	// its range, missing bytes read as zero.
 	f.Add([]byte{})                                // minimal chain
 	f.Add([]byte{0, 1, 2, 0})                      // length 1
 	f.Add([]byte{1, 2, 0, 1, 3})                   // length 2, ext edge
 	f.Add([]byte{0, 0, 1, 4, 1, 2, 3, 0, 1})       // length 5, ext edge, α = 0, 2 layers
 	f.Add([]byte{2, 1, 2, 7, 3, 2, 1, 0, 255, 6})  // length 8, ext edge, α = 0, 8 devices
 	f.Add([]byte{1, 1, 0, 6, 0, 0, 0, 0, 0, 0, 1}) // length 7, ext edge at 2
-	f.Add([]byte{2, 1, 0, 5, 1, 1, 1, 1, 2, 2})    // length 6, 2 layers, 8 devices, beam 16
-	f.Add([]byte{0, 0, 0, 4, 1, 2, 0, 1, 1})       // α = 0 ties, beam 8
+	f.Add([]byte{2, 1, 0, 5, 1, 1, 1, 1, 2, 2})    // length 6, 2 layers, 8 devices
+	f.Add([]byte{0, 0, 0, 4, 1, 2, 0, 1, 1})       // α = 0 ties
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &byteReader{data: data}
 		p := deltaParams{
@@ -94,7 +93,7 @@ func FuzzTreeChainEquivalence(f *testing.F) {
 		if p.length >= 2 && r.next()&1 == 0 {
 			p.ext = 2 + r.intn(p.length-1)
 		}
-		beam := []int{0, 8, 16}[r.intn(3)]
+		r.next() // the ignored beam byte
 		g := deltaGraph(t, p)
 		per := 4
 		if p.devices < per {
@@ -105,7 +104,6 @@ func FuzzTreeChainEquivalence(f *testing.F) {
 
 		tree := NewOptimizer(mdl)
 		tree.Cache = NewSearchCache()
-		tree.Opts.Beam = beam
 		got, err := tree.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
 		if err != nil {
 			t.Fatalf("production: %v", err)
@@ -113,7 +111,6 @@ func FuzzTreeChainEquivalence(f *testing.F) {
 
 		ref := NewOptimizer(mdl)
 		ref.Opts = ref.Opts.SerialUncached()
-		ref.Opts.Beam = beam
 		slow, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
 		if err != nil {
 			t.Fatalf("reference: %v", err)

@@ -35,11 +35,6 @@ type Setup struct {
 	// evaluation uses the paper's six models on 4–32 GPUs).
 	Models []model.Config
 	Scales []int
-	// SearchBudget, when positive, runs Table2's searches with
-	// core.PlanRequest.Budget beam autotuning: the beam width grows
-	// until the strategy stabilizes or the budget is spent, instead of a
-	// hand-picked width. Zero keeps the exact search.
-	SearchBudget time.Duration
 }
 
 // DefaultSetup reproduces the paper's environment.

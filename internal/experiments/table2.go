@@ -41,8 +41,7 @@ func Table2(s Setup) ([]Table2Row, string, error) {
 		for _, scale := range s.Scales {
 			o := s.optimizer(s.cluster(scale))
 			start := time.Now()
-			strat, err := o.Plan(context.Background(), core.PlanRequest{
-				Graph: g, Layers: cfg.Layers, Budget: s.SearchBudget})
+			strat, err := o.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				return nil, "", err
 			}

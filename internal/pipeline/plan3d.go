@@ -801,9 +801,6 @@ func (o *Optimizer) EstimatePlan3D(req Plan3DRequest) (core.SearchEstimate, erro
 		total.CandidatesEvaluated += est.CandidatesEvaluated
 		total.EdgeBuilds += est.EdgeBuilds
 		total.EdgeCells += est.EdgeCells
-		if est.ProbeBeam > total.ProbeBeam {
-			total.ProbeBeam = est.ProbeBeam
-		}
 	}
 	return total, nil
 }
