@@ -12,7 +12,9 @@
 //	GET  /v1/stats       — cumulative counters, cache sizes, admission state
 //
 // Every non-200 answer carries one uniform envelope — {code, message,
-// retryable, retry_after_ms}.
+// retryable, retry_after_ms, request_id}. Every answer carries an
+// X-Request-Id header: the caller's own ID when it sent a valid one,
+// otherwise one the daemon generated.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
@@ -213,16 +216,41 @@ type errorEnvelope struct {
 	Message      string `json:"message"`
 	Retryable    bool   `json:"retryable"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
+	// RequestID echoes the answer's X-Request-Id header.
+	RequestID string `json:"request_id,omitempty"`
 }
 
 // writeError renders err as the uniform envelope (plus a Retry-After header
-// when the error carries a hint).
+// when the error carries a hint), stamped with the request's ID.
 func writeError(w http.ResponseWriter, err *apiError) {
 	if err.retryAfter > 0 {
 		secs := int64((err.retryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, err.status, envelopeOf(err))
+	env := envelopeOf(err)
+	env.RequestID = w.Header().Get(requestIDHeader)
+	writeJSON(w, err.status, env)
+}
+
+// requestIDHeader carries a request's ID in both directions.
+const requestIDHeader = "X-Request-Id"
+
+// maxRequestIDLen bounds a caller-supplied request ID, in bytes.
+const maxRequestIDLen = 128
+
+// requestID returns the caller's ID when it is 1–128 bytes of printable
+// ASCII, and otherwise a fresh one: 16 random bytes in hex. A hostile or
+// oversized header is replaced, never echoed into headers or JSON. The ID
+// only needs to be unique, not unguessable, so math/rand suffices.
+func requestID(sent string) string {
+	ok := sent != "" && len(sent) <= maxRequestIDLen
+	for i := 0; ok && i < len(sent); i++ {
+		ok = sent[i] >= 0x20 && sent[i] <= 0x7e
+	}
+	if ok {
+		return sent
+	}
+	return fmt.Sprintf("%016x%016x", rand.Uint64(), rand.Uint64())
 }
 
 func badRequest(format string, args ...any) *apiError {
@@ -274,9 +302,10 @@ func newServer(cache *core.SearchCache, cacheDir string, defaultTimeout, maxTime
 	}
 }
 
-// handler builds the daemon's mux with panic containment: a panic escaping a
-// request (e.g. a core.TaskPanic re-thrown from a worker pool) becomes a 500
-// for that request instead of killing the process.
+// handler builds the daemon's mux with request IDs and panic containment:
+// every answer carries the request's X-Request-Id (requestID), and a panic
+// escaping a request (e.g. a core.TaskPanic re-thrown from a worker pool)
+// becomes a 500 for that request instead of killing the process.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/plan", s.handlePlan)
@@ -284,6 +313,7 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(requestIDHeader, requestID(r.Header.Get(requestIDHeader)))
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.planErrors.Add(1)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -241,7 +242,8 @@ func TestPlanValidation(t *testing.T) {
 		}
 		code, _ := env["code"].(string)
 		msg, _ := env["message"].(string)
-		if _, ok := env["retryable"]; code == "" || msg == "" || !ok || len(env) != 3 {
+		id, _ := env["request_id"].(string)
+		if _, ok := env["retryable"]; code == "" || msg == "" || !ok || id == "" || len(env) != 4 {
 			t.Errorf("%s: malformed envelope %v", c.name, env)
 		}
 	}
@@ -555,5 +557,68 @@ func TestStatsKeys(t *testing.T) {
 		if got, _ := st[k].(float64); int64(got) != w {
 			t.Errorf("%s = %v, want the served total %d", k, st[k], w)
 		}
+	}
+}
+
+// TestRequestIDEchoed pins request IDs: a valid X-Request-Id comes back
+// unchanged, a missing or hostile one (control bytes, non-ASCII, over 128
+// bytes) is replaced by a generated 32-hex-digit ID, and the answer's ID
+// appears both as the response header and as request_id in an error
+// envelope — on success and error answers alike.
+func TestRequestIDEchoed(t *testing.T) {
+	s := newTestServer(t, "", noAdmission)
+	h := s.handler()
+	generated := func(id string) bool {
+		if len(id) != 32 {
+			return false
+		}
+		_, err := hex.DecodeString(id)
+		return err == nil
+	}
+	for _, tc := range []struct {
+		name, sent string
+		echoed     bool
+	}{
+		{"sent", "req-42/abc:7", true},
+		{"missing", "", false},
+		{"control bytes", "a\r\nX-Injected: 1", false},
+		{"non-ASCII", "r\xc3\xa9q", false},
+		{"oversized", strings.Repeat("x", maxRequestIDLen+1), false},
+	} {
+		for _, path := range []string{"/v1/healthz", "/v1/plan"} {
+			body := strings.NewReader(`{"model":"GPT-9"}`)
+			req := httptest.NewRequest(http.MethodPost, path, body)
+			if path == "/v1/healthz" {
+				req = httptest.NewRequest(http.MethodGet, path, nil)
+			}
+			if tc.sent != "" {
+				req.Header[requestIDHeader] = []string{tc.sent}
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			id := rec.Header().Get(requestIDHeader)
+			if tc.echoed && id != tc.sent {
+				t.Errorf("%s %s: header %q, want the sent %q", tc.name, path, id, tc.sent)
+			}
+			if !tc.echoed && !generated(id) {
+				t.Errorf("%s %s: header %q, want a generated 32-hex-digit ID", tc.name, path, id)
+			}
+			if path == "/v1/plan" {
+				var env errorEnvelope
+				if err := json.NewDecoder(rec.Body).Decode(&env); err != nil || rec.Code != http.StatusBadRequest {
+					t.Fatalf("%s: status %d, envelope error %v", tc.name, rec.Code, err)
+				}
+				if env.RequestID != id {
+					t.Errorf("%s: envelope request_id %q, header %q", tc.name, env.RequestID, id)
+				}
+			}
+		}
+	}
+	// Two requests without an ID get different ones.
+	a, b := httptest.NewRecorder(), httptest.NewRecorder()
+	h.ServeHTTP(a, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	h.ServeHTTP(b, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	if a.Header().Get(requestIDHeader) == b.Header().Get(requestIDHeader) {
+		t.Error("two requests without an ID were given the same generated ID")
 	}
 }

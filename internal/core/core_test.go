@@ -449,13 +449,23 @@ func TestGroupedEdgeMatrixMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One registry for all four edges, as a search shares it.
-	ot := o.newOverlapTables()
-	for _, e := range []int{0, 2, 6, 9} { // a mix of edge shapes
-		edge := g.Edges[e]
-		src := o.evalNode(g.Nodes[edge.Src], 1)
-		dst := o.evalNode(g.Nodes[edge.Dst], 1)
-		em := o.buildEdgeMat(g, edge, src, dst, ot, 1)
+	cands := make([]*nodeCands, len(g.Nodes))
+	for i, op := range g.Nodes {
+		cands[i] = o.evalNode(op, 1)
+	}
+	// One edge phase for all four edges, as a search builds them.
+	picked := []int{0, 2, 6, 9} // a mix of edge shapes
+	edges := make([]*graph.Edge, len(picked))
+	for k, e := range picked {
+		edges[k] = g.Edges[e]
+	}
+	mats, _, err := o.buildEdgeMats(context.Background(), g, edges, cands, o.newOverlapTables(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, e := range picked {
+		edge, em := edges[k], mats[k]
+		src, dst := cands[edge.Src], cands[edge.Dst]
 		plan := o.Cost.PlanEdge(g, edge)
 		// Spot-check a grid of pairs.
 		for i := 0; i < len(src.seqs); i += 37 {
@@ -486,11 +496,15 @@ func TestSumEdgeMatsRefinement(t *testing.T) {
 	if len(edges) != 2 {
 		t.Fatalf("want 2 qkv→qkt edges, got %d", len(edges))
 	}
+	cands := make([]*nodeCands, len(g.Nodes))
 	src := o.evalNode(g.Nodes[model.NodeQKV], 1)
 	dst := o.evalNode(g.Nodes[model.NodeQKT], 1)
-	ot := o.newOverlapTables()
-	m1 := o.buildEdgeMat(g, edges[0], src, dst, ot, 1)
-	m2 := o.buildEdgeMat(g, edges[1], src, dst, ot, 1)
+	cands[model.NodeQKV], cands[model.NodeQKT] = src, dst
+	mats, _, err := o.buildEdgeMats(context.Background(), g, edges, cands, o.newOverlapTables(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, m2 := mats[0], mats[1]
 	sum := sumEdgeMats([]*edgeMat{m1, m2})
 	for i := 0; i < len(src.seqs); i += 11 {
 		for j := 0; j < len(dst.seqs); j += 13 {

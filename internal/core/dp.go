@@ -787,14 +787,18 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 			}
 		}
 	}
-	edgeW := innerWorkers(stats.Workers, len(buildSlots))
-	ot := o.newOverlapTables()
-	if err := RunTasks(ctx, stats.Workers, len(buildSlots), func(i int) {
-		e := uniqEdges[buildSlots[i]]
-		mats[buildSlots[i]] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], ot, edgeW)
-	}); err != nil {
+	buildEdges := make([]*graph.Edge, len(buildSlots))
+	for i, s := range buildSlots {
+		buildEdges[i] = uniqEdges[s]
+	}
+	built, fracCells, err := o.buildEdgeMats(ctx, g, buildEdges, cands, o.newOverlapTables(), stats.Workers)
+	if err != nil {
 		return nil, err
 	}
+	for i, s := range buildSlots {
+		mats[s] = built[i]
+	}
+	stats.EdgeFracCells = fracCells
 	if ccache != nil {
 		for _, s := range buildSlots {
 			ccache.edges.put(edgeKeys[s], mats[s])

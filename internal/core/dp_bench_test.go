@@ -43,8 +43,9 @@ func BenchmarkSegmentDPCold(b *testing.B) {
 
 // BenchmarkEdgeMatStage builds every edge matrix of an OPT-6.7B block on a
 // 2-device stage sub-cluster, the shape of the dozens of short stage
-// searches one Plan3D call runs. Each build runs inline (w = 1), as it does
-// inside a search with two or more edges to build.
+// searches one Plan3D call runs: the layer's unique edges (edgeSlots) go
+// through the grouped edge phase (buildEdgeMats) on one worker, the way
+// buildLayerTable builds them with a single-worker pool.
 // The matrices hold a few dozen cells, so the per-matrix set-up dominates:
 // memo tables sized for big matrices show up here as ns/op and B/op long
 // before they move a 32-device search.
@@ -59,14 +60,18 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 	for i, op := range g.Nodes {
 		cands[i] = o.evalNode(op, 1)
 	}
+	edges, _ := o.edgeSlots(g, &sigInterner{})
 	cells := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cells = 0
-		ot := o.newOverlapTables() // one per search, as buildLayerTable makes
-		for _, e := range g.Edges {
-			m := o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], ot, 1)
+		// One registry per search, as buildLayerTable makes.
+		mats, _, err := o.buildEdgeMats(context.Background(), g, edges, cands, o.newOverlapTables(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range mats {
 			cells += m.nr * m.nc
 		}
 	}

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 
@@ -82,57 +83,143 @@ func (o *Optimizer) newOverlapTables() *cost.OverlapTables {
 	return cost.NewOverlapTables(o.Cost.Cluster.NumDevices, o.Cost.Cluster.DevicesPerNode)
 }
 
-// buildEdgeMat computes the grouped cost matrix for edge e. The cell loop
-// normally runs through a cost.EdgeCalc — per-axis overlap tables make each
-// cell a handful of table-row products instead of a full device sweep, with
-// bit-identical results — and falls back to direct EdgePlan.Measure calls in
-// reference mode (Options.DisableCache) or if the tables would be too large.
-// The calc takes its overlap vectors from ot, the search's registry, which
-// the edges of one search share. Rows are filled on up to w workers.
-func (o *Optimizer) buildEdgeMat(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, ot *cost.OverlapTables, w int) *edgeMat {
+// edgeBuild is one edge matrix under construction: the edge's plan, its
+// row and column groups with one representative candidate each, the matrix,
+// and the calc that fills it — nil on the direct Measure path, which
+// reference mode (Options.DisableCache) and over-large pattern tables take.
+// key is the calc's direct fraction key.
+type edgeBuild struct {
+	plan             *cost.EdgePlan
+	src, dst         *nodeCands
+	rowReps, colReps []int32
+	m                *edgeMat
+	calc             *cost.EdgeCalc
+	key              string
+}
+
+// prepareEdge groups edge e's candidates by interface class and allocates
+// its matrix. Outside reference mode it builds the edge's cost.EdgeCalc —
+// per-axis overlap tables that make each cell a handful of table-row
+// products instead of a full device sweep, with bit-identical results — on
+// ot, the search's registry, which the edges of one search share.
+func (o *Optimizer) prepareEdge(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, ot *cost.OverlapTables) *edgeBuild {
 	plan := o.Cost.PlanEdge(g, e)
 	rows, rowReps := ifaceGroups(src.out, plan.SrcRelevantAxes())
 	cols, colReps := ifaceGroups(dst.in, plan.DstRelevantAxes())
-	m := &edgeMat{rows: rows, cols: cols, nr: len(rowReps), nc: len(colReps),
-		vals: make([]float64, len(rowReps)*len(colReps))}
-
-	var calc *cost.EdgeCalc
-	if !o.Opts.DisableCache {
-		srcIfs := make([]*cost.Iface, len(rowReps))
-		for r, ri := range rowReps {
-			srcIfs[r] = src.out[ri]
-		}
-		dstIfs := make([]*cost.Iface, len(colReps))
-		for c, ci := range colReps {
-			dstIfs[c] = dst.in[ci]
-		}
-		calc = plan.NewCalc(ot, srcIfs, dstIfs)
+	b := &edgeBuild{plan: plan, src: src, dst: dst, rowReps: rowReps, colReps: colReps,
+		m: &edgeMat{rows: rows, cols: cols, nr: len(rowReps), nc: len(colReps),
+			vals: make([]float64, len(rowReps)*len(colReps))}}
+	if o.Opts.DisableCache {
+		return b
 	}
+	srcIfs := make([]*cost.Iface, len(rowReps))
+	for r, ri := range rowReps {
+		srcIfs[r] = src.out[ri]
+	}
+	dstIfs := make([]*cost.Iface, len(colReps))
+	for c, ci := range colReps {
+		dstIfs[c] = dst.in[ci]
+	}
+	if b.calc = plan.NewCalc(ot, srcIfs, dstIfs); b.calc != nil {
+		b.key = b.calc.FracKey(false)
+	}
+	return b
+}
 
-	if calc != nil {
-		// One BlockEval per worker band: rows stream through a specialized
-		// fill loop (hoisted slices, fused volume math) straight into the
-		// flat storage, and the band-private cell/combo memos amortize
-		// across all its rows — with one worker (every build of a
-		// multi-edge search), across the whole matrix. Released memos go
-		// back to the search's registry for its later matrices.
-		parallelChunks(w, len(rowReps), func(lo, hi int) {
-			be := calc.Block()
-			for r := lo; r < hi; r++ {
-				be.MeasureRowInto(o.Cost, r, m.row(r))
+// fracGroup is one fill task of the edge phase: the matrices that share the
+// leader's coverage-fraction structure, directly or transposed (members[0]
+// is the leader itself), or a lone matrix on the direct Measure path
+// (lead.calc == nil, no members).
+type fracGroup struct {
+	lead    *edgeBuild
+	members []cost.FracMember
+}
+
+// fracGroups forms the fill tasks in build order. A build whose direct key
+// matches a leader's joins that group as a direct member; one whose direct
+// key matches a leader's transposed key joins it as a transposed member;
+// any other build leads a new group. A build is never its own member, so a
+// self-transposed edge is filled on its own.
+func fracGroups(builds []*edgeBuild) []*fracGroup {
+	var groups []*fracGroup
+	direct := make(map[string]*fracGroup)
+	transposed := make(map[string]*fracGroup)
+	for _, b := range builds {
+		if b.calc == nil {
+			groups = append(groups, &fracGroup{lead: b})
+			continue
+		}
+		if gr := direct[b.key]; gr != nil {
+			gr.members = append(gr.members, cost.FracMember{Calc: b.calc, Vals: b.m.vals})
+			continue
+		}
+		if gr := transposed[b.key]; gr != nil {
+			gr.members = append(gr.members, cost.FracMember{Calc: b.calc, Vals: b.m.vals, Transposed: true})
+			continue
+		}
+		gr := &fracGroup{lead: b, members: []cost.FracMember{{Calc: b.calc, Vals: b.m.vals}}}
+		direct[b.key] = gr
+		transposed[b.calc.FracKey(true)] = gr
+		groups = append(groups, gr)
+	}
+	return groups
+}
+
+// fill computes the group's matrices, rows banded on up to w workers. A
+// calc group runs one BlockEval per band: each leader row's fractions are
+// computed once — memo probe or compute() per cell — and written into every
+// member, and the band-private memos amortize across all its rows (with one
+// worker, across the whole matrix). Released memos go back to the search's
+// registry for its later matrices.
+func (gr *fracGroup) fill(m *cost.Model, w int) {
+	b := gr.lead
+	if b.calc == nil {
+		parallelRows(w, b.m.nr, func(r int) {
+			row := b.m.row(r)
+			srcIface := b.src.out[b.rowReps[r]]
+			for c, cj := range b.colReps {
+				row[c] = m.RedistributeDetail(b.plan.Measure(srcIface, b.dst.in[cj]))
 			}
-			be.Release()
 		})
-		return m
+		return
 	}
-	parallelRows(w, len(rowReps), func(r int) {
-		row := m.row(r)
-		srcIface := src.out[rowReps[r]]
-		for c, cj := range colReps {
-			row[c] = o.Cost.RedistributeDetail(plan.Measure(srcIface, dst.in[cj]))
+	parallelChunks(w, b.m.nr, func(lo, hi int) {
+		be := b.calc.Block()
+		for r := lo; r < hi; r++ {
+			be.FillRow(m, r, gr.members)
 		}
+		be.Release()
 	})
-	return m
+}
+
+// buildEdgeMats computes the grouped cost matrix of each edge (mats[i] for
+// edges[i]) in two pool passes on up to w workers: prepare every edge on the
+// search's registry ot, then fill one fracGroup per task. Matrices that share a fraction structure —
+// a layer's repeated linear-input edges, or an edge and its transpose
+// (DESIGN.md §5.23) — get each fraction computed once. fracCells counts the
+// cells whose fractions were computed: the leaders' and the direct Measure
+// path's. The matrices are bit-identical to per-edge Measure fills.
+func (o *Optimizer) buildEdgeMats(ctx context.Context, g *graph.Graph, edges []*graph.Edge, cands []*nodeCands, ot *cost.OverlapTables, w int) (mats []*edgeMat, fracCells int64, err error) {
+	builds := make([]*edgeBuild, len(edges))
+	if err := RunTasks(ctx, w, len(edges), func(i int) {
+		e := edges[i]
+		builds[i] = o.prepareEdge(g, e, cands[e.Src], cands[e.Dst], ot)
+	}); err != nil {
+		return nil, 0, err
+	}
+	groups := fracGroups(builds)
+	inner := innerWorkers(w, len(groups))
+	if err := RunTasks(ctx, w, len(groups), func(i int) { groups[i].fill(o.Cost, inner) }); err != nil {
+		return nil, 0, err
+	}
+	mats = make([]*edgeMat, len(builds))
+	for i, b := range builds {
+		mats[i] = b.m
+	}
+	for _, gr := range groups {
+		fracCells += int64(gr.lead.m.nr) * int64(gr.lead.m.nc)
+	}
+	return mats, fracCells, nil
 }
 
 // sumEdgeMats combines several grouped matrices over the same candidate

@@ -4,6 +4,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -29,10 +30,13 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 			return nil, fmt.Errorf("core: exhaustive space too large (>5e7 assignments)")
 		}
 	}
+	mats, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, cands, o.newOverlapTables(), w)
+	if err != nil {
+		return nil, err
+	}
 	edgeMats := make(map[*graph.Edge]*edgeMat)
-	ot := o.newOverlapTables()
-	for _, e := range g.Edges {
-		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], ot, w)
+	for i, e := range g.Edges {
+		edgeMats[e] = mats[i]
 	}
 
 	assign := make([]int, len(g.Nodes))

@@ -29,6 +29,12 @@ type SearchStats struct {
 	// the number of Measure/RedistributeDetail evaluations.
 	EdgeCellsEvaluated int64 `json:"edge_cells_evaluated"`
 
+	// EdgeFracCells counts the built cells whose coverage fractions were
+	// computed (a memo probe or compute() each, or a direct Measure): the
+	// cells of each fraction group's leader. The other cells of
+	// EdgeCellsEvaluated copy a leader's fractions (DESIGN.md §5.23).
+	EdgeFracCells int64 `json:"edge_frac_cells"`
+
 	// CandsTotal sums |P| over the graph's nodes: the candidates the DP
 	// runs over.
 	CandsTotal int `json:"cands_total"`
@@ -107,6 +113,7 @@ func (st *SearchStats) Add(s SearchStats) {
 	st.EdgeMatsBuilt += s.EdgeMatsBuilt
 	st.EdgeCacheHits += s.EdgeCacheHits
 	st.EdgeCellsEvaluated += s.EdgeCellsEvaluated
+	st.EdgeFracCells += s.EdgeFracCells
 	st.CandsTotal += s.CandsTotal
 	st.CandsPruned += s.CandsPruned
 	st.DPRowClasses += s.DPRowClasses

@@ -26,12 +26,15 @@ func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) 
 	for i, op := range g.Nodes {
 		cands[i] = o.evalNode(op, w)
 	}
-	edgeMats := make(map[*graph.Edge]*edgeMat)
-	ot := o.newOverlapTables()
-	for _, e := range g.Edges {
-		edgeMats[e] = o.buildEdgeMat(g, e, cands[e.Src], cands[e.Dst], ot, w)
-	}
 	ctx := context.Background()
+	mats, _, err := o.buildEdgeMats(ctx, g, g.Edges, cands, o.newOverlapTables(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeMats := make(map[*graph.Edge]*edgeMat)
+	for i, e := range g.Edges {
+		edgeMats[e] = mats[i]
+	}
 	var st SearchStats
 	cuts := g.SegmentCuts()
 	for s := 0; s+1 < len(cuts); s++ {

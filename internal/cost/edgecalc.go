@@ -28,6 +28,12 @@
 //     themselves memoized per node-block combination, so even the miss path
 //     touches perNode² floats per node instead of re-walking every device.
 //
+// Across a layer's edges, whole fraction matrices repeat: the repeated
+// linear-input edges share one structure, and an edge can be another's
+// transpose with the directions exchanged. FracKey names the structure by
+// exact bytes, and BlockEval.FillRow fills every matrix of a group from one
+// leader row.
+//
 // The arithmetic — operand values, multiplication order, accumulation order —
 // is exactly MeasureFwd/MeasureBwd's volume-free partial-sum tree, so results
 // are bit-identical; the equivalence is pinned by tests and by core's
@@ -206,6 +212,11 @@ type dirCalc struct {
 	rowPat  [][]int32 // [pair][row rep] -> source-side pattern id
 	colPat  [][]int32 // [pair][col rep] -> destination-side pattern id
 	nColPat []int     // [pair] distinct destination-side pattern count
+	// rowReg/colReg are rowPat/colPat translated to the registry's pattern
+	// ids, which every calc of the search shares: the fraction key
+	// (FracKey) compares them across edges.
+	rowReg [][]int32 // [pair][row rep] -> registry pattern id
+	colReg [][]int32 // [pair][col rep] -> registry pattern id
 
 	// Node factoring (see package comment), numbered per edge in first-seen
 	// order. All ids trace back to exact byte equality, so equal ids imply
@@ -357,6 +368,8 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps
 	n := p.devices * p.perNode
 	blkLen := p.perNode * p.perNode
 	var srcPat, dstPat []int32
+	// One backing array for every pair's registry ids of both sides.
+	reg := make([]int32, len(pairs)*(len(srcReps)+len(dstReps)))
 	for _, pr := range pairs {
 		srcIDs, srcKeys := patternIDs(srcReps, pr.sa, fwdPass)
 		dstIDs, dstKeys := patternIDs(dstReps, pr.dax, fwdPass)
@@ -410,6 +423,11 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps
 		t.mu.Unlock()
 		d.rowPat = append(d.rowPat, srcIDs)
 		d.colPat = append(d.colPat, dstIDs)
+		var rowReg, colReg []int32
+		rowReg, reg = regIDs(reg, srcIDs, srcPat)
+		colReg, reg = regIDs(reg, dstIDs, dstPat)
+		d.rowReg = append(d.rowReg, rowReg)
+		d.colReg = append(d.colReg, colReg)
 		d.nColPat = append(d.nColPat, nc)
 		d.nBlk = append(d.nBlk, int32(len(blkLoc)))
 		d.nVec = append(d.nVec, int32(len(vecLoc)))
@@ -418,6 +436,58 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps
 		d.cellVec = append(d.cellVec, cellVec)
 	}
 	return true
+}
+
+// regIDs maps per-rep local pattern ids to registry pattern ids, writing
+// them to the front of buf; it returns them and the rest of buf.
+func regIDs(buf, local, reg []int32) (ids, rest []int32) {
+	ids, rest = buf[:len(local):len(local)], buf[len(local):]
+	for i, id := range local {
+		ids[i] = reg[id]
+	}
+	return ids, rest
+}
+
+// FracKey returns the exact bytes of the calc's coverage-fraction structure:
+// the rep counts, then per direction (forward, then backward) the pair count
+// and each pair's registry pattern id of every row rep and every column rep.
+// A cell's fraction pair in a direction is a pure function of its per-pair
+// (provider, need) registry patterns in pair order, so two calcs on one
+// registry with equal keys have bit-identical fraction matrices. With
+// swapped set, the key describes the transposed structure — rows and
+// columns swapped, the backward direction first — so a calc whose direct
+// key equals another's swapped key has the other's fractions transposed,
+// forward and backward exchanged. The key is compared byte for byte, never
+// hashed.
+func (c *EdgeCalc) FracKey(swapped bool) string {
+	rows, cols := uint32(len(c.bwdVol)), uint32(len(c.fwdVol))
+	first, second := &c.fwd, &c.bwd
+	if swapped {
+		rows, cols = cols, rows
+		first, second = second, first
+	}
+	n := 2
+	for _, d := range []*dirCalc{first, second} {
+		n += 1 + len(d.pairs)*int(rows+cols)
+	}
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4*n), rows)
+	b = binary.LittleEndian.AppendUint32(b, cols)
+	for _, d := range []*dirCalc{first, second} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(d.pairs)))
+		for i := range d.pairs {
+			r, cl := d.rowReg[i], d.colReg[i]
+			if swapped {
+				r, cl = cl, r
+			}
+			for _, id := range r {
+				b = binary.LittleEndian.AppendUint32(b, uint32(id))
+			}
+			for _, id := range cl {
+				b = binary.LittleEndian.AppendUint32(b, uint32(id))
+			}
+		}
+	}
+	return string(b)
 }
 
 // frac is one folded (intra, inter) coverage-fraction pair — either a single
@@ -438,25 +508,6 @@ type dirEval struct {
 // tree exactly.
 func (de *dirEval) compute() frac {
 	d := de.d
-	if d.comboMemo && len(d.pairs) == 2 {
-		// Dominant pair count: hoist the two node-vector slices out of the
-		// node loop. Same keys, same comboFrac calls, same accumulation order.
-		v0 := d.vecs[0][int(de.vids[0])*d.nodes:][:d.nodes]
-		v1 := d.vecs[1][int(de.vids[1])*d.nodes:][:d.nodes]
-		r1 := uint64(d.nBlk[1])
-		var tot frac
-		for g := 0; g < d.nodes; g++ {
-			ck := uint64(v0[g])*r1 + uint64(v1[g])
-			fr, ok := de.combo.get(ck)
-			if !ok {
-				fr = de.comboFrac(g)
-				de.combo.put(ck, fr)
-			}
-			tot.fi += fr.fi
-			tot.fe += fr.fe
-		}
-		return tot
-	}
 	var tot frac
 	for g := 0; g < d.nodes; g++ {
 		var fr frac
@@ -521,14 +572,13 @@ func (de *dirEval) comboFrac(g int) frac {
 	return f
 }
 
-// BlockEval fills whole matrix rows through one specialized streaming loop.
-// Per row it hoists each pair's cellVec row slice once, packs cell keys with
-// pure loads (no per-cell vids writes on the hit path), and fuses the
-// forward/backward fractions with the edge volumes in registers; consecutive
-// cells that repeat the same node-vector key reuse the previous result
-// without a probe. Values are bit-identical to
-// EdgePlan.Measure on the same interfaces: misses run compute(), which
-// reproduces Measure's partial-sum tree exactly.
+// BlockEval fills whole matrix rows through one streaming loop. Per row it
+// hoists each pair's cellVec row slice once, packs cell keys with pure loads,
+// and consecutive cells that repeat the same node-vector key reuse the
+// previous result without a probe; the fractions then fuse with the edge
+// volumes in registers. Values are bit-identical to EdgePlan.Measure on the
+// same interfaces: misses run compute(), which reproduces Measure's
+// partial-sum tree exactly.
 //
 // Earlier drafts interned whole rows/columns (by vid-slice signature) or
 // per-pair column-pattern tuples into dense block tables, and fronted the
@@ -536,7 +586,12 @@ func (de *dirEval) comboFrac(g int) frac {
 // three. The groupings are the identity here — the interface grouping
 // upstream (ifaceGroups) already leaves zero row/column duplication, and
 // distinct pattern tuples never repeat within a matrix — and the extra cache
-// cost more in lookup overhead than it saved in memo misses.
+// cost more in lookup overhead than it saved in memo misses. A per-row
+// (vid₀ × vid₁) grid for two-pair directions was deleted because no edge of
+// a paper model has two mapped pairs in a direction (each has three or
+// four), and a general-k row grid measured slower than the plain probe.
+// What does repeat is the fraction structure ACROSS a layer's edges
+// (FracKey): FillRow computes a leader row once for every member matrix.
 //
 // Create one per goroutine (via Block); the memo and row buffers are private.
 // Release it when done, so the search's later matrices reuse its memos.
@@ -545,26 +600,11 @@ type BlockEval struct {
 	fwd, bwd dirStream
 }
 
-// dirStream is one direction's streaming row-fill state. For the dominant
-// two-pair shape it carries a per-row vid grid: each pair's cellVec row slice
-// holds only a handful of DISTINCT node-vector ids (the measured source of
-// the ~2-4x per-row key repetition), so the row's cells live on a tiny
-// (distinct vid0 x distinct vid1) grid. The grid is filled lazily — one
-// global memo probe per realized vid pair — and every repeated cell is a
-// direct epoch-checked load from a buffer small enough to stay cache-hot.
+// dirStream is one direction's streaming row-fill state.
 type dirStream struct {
 	de    dirEval
 	row   []frac    // per-column fractions of the current row
 	rowSl [][]int32 // per pair: cellVec row slice of the current row
-
-	// Two-pair grid state (nil/unused otherwise). loc0/loc1 map a pair's
-	// column-pattern id to the local index of its vid within the current row;
-	// vals0/vals1 list the distinct vids in first-seen order.
-	loc0, loc1   []int32
-	vals0, vals1 []int32
-	grid         []frac   // [l0*len(vals1)+l1], lazily filled
-	gridEp       []uint32 // epoch tag per grid slot
-	epoch        uint32
 }
 
 // Block returns a fresh per-goroutine streaming row evaluator.
@@ -629,37 +669,6 @@ func (s *dirStream) init(t *OverlapTables, d *dirCalc, nRows, nCols int) {
 	t.memo(&s.de.combo, memoSlots(cells*d.nodes, comboMemoCap))
 	s.row = make([]frac, nCols) // stays all-zero for an unmapped direction
 	s.rowSl = make([][]int32, len(d.pairs))
-	if len(d.pairs) == 2 && d.cellMemo {
-		n0, n1 := d.nColPat[0], d.nColPat[1]
-		s.loc0 = make([]int32, n0)
-		s.loc1 = make([]int32, n1)
-		s.vals0 = make([]int32, 0, n0)
-		s.vals1 = make([]int32, 0, n1)
-		s.grid = make([]frac, n0*n1)
-		s.gridEp = make([]uint32, n0*n1)
-	}
-}
-
-// internRow fills loc with the local index of each entry of sl among the
-// distinct values of sl (first-seen order, appended to vals). The distinct
-// count is tiny, so the linear rescan beats any map.
-func internRow(sl []int32, loc []int32, vals []int32) []int32 {
-	vals = vals[:0]
-	for p, v := range sl {
-		id := int32(-1)
-		for j, w := range vals {
-			if w == v {
-				id = int32(j)
-				break
-			}
-		}
-		if id < 0 {
-			id = int32(len(vals))
-			vals = append(vals, v)
-		}
-		loc[p] = id
-	}
-	return vals
 }
 
 // fillRow computes the direction's coverage fractions of row ri for every
@@ -690,43 +699,6 @@ func (s *dirStream) fillRow(ri int) {
 	}
 	prevKey := ^uint64(0) // impossible: real keys stay below the radix product
 	var prevF frac
-	if k == 2 {
-		// The dominant pair count: map each cell to the row's local vid grid.
-		// Repeated vid pairs — most cells — cost one epoch-checked grid load;
-		// only the first occurrence of a pair touches the memo.
-		s0, s1 := s.rowSl[0], s.rowSl[1]
-		c0, c1 := d.colPat[0], d.colPat[1]
-		s.vals0 = internRow(s0, s.loc0, s.vals0)
-		s.vals1 = internRow(s1, s.loc1, s.vals1)
-		n1 := int32(len(s.vals1))
-		loc0, loc1 := s.loc0, s.loc1
-		grid, gridEp := s.grid, s.gridEp
-		s.epoch++
-		if s.epoch == 0 { // wrapped: stale tags could alias, clear them
-			clear(gridEp)
-			s.epoch = 1
-		}
-		epoch := s.epoch
-		r1 := uint64(d.nVec[1])
-		for ci := range out {
-			gi := loc0[c0[ci]]*n1 + loc1[c1[ci]]
-			if gridEp[gi] != epoch {
-				gridEp[gi] = epoch
-				v0, v1 := s0[c0[ci]], s1[c1[ci]]
-				key := uint64(v0)*r1 + uint64(v1)
-				f, ok := de.cells.get(key)
-				if !ok {
-					de.vids[0] = v0
-					de.vids[1] = v1
-					f = de.compute()
-					de.cells.put(key, f)
-				}
-				grid[gi] = f
-			}
-			out[ci] = grid[gi]
-		}
-		return
-	}
 	for ci := range out {
 		key := uint64(0)
 		for i := 0; i < k; i++ {
@@ -767,24 +739,57 @@ func (be *BlockEval) MeasureRow(ri int, out []Traffic) {
 	}
 }
 
-// MeasureRowInto fills out[ci] with m.RedistributeDetail of cell (ri, ci)'s
-// Traffic for every column rep — the fused form, which keeps each cell's
-// Traffic in registers instead of materializing a row of structs. The Traffic operands
-// and RedistributeDetail arithmetic are exactly MeasureRow's.
-func (be *BlockEval) MeasureRowInto(m *Model, ri int, out []float64) {
+// FracMember is one matrix a leader's fraction rows fill: its calc, its
+// row-major storage of RedistributeDetail values (len(rows)·len(cols) of
+// Calc), and whether its fraction structure is the leader's transposed
+// (Calc's FracKey(false) equals the leader's FracKey(true)) rather than the
+// leader's own (equal FracKey(false)).
+type FracMember struct {
+	Calc       *EdgeCalc
+	Vals       []float64
+	Transposed bool
+}
+
+// FillRow computes the fractions of the leader's row ri once — be's calc is
+// the leader — and writes m.RedistributeDetail of each member's cells that
+// they determine: row ri of a direct member, and column ri of a transposed
+// one, whose forward fractions are the leader's backward ones and vice
+// versa. Each member's cells take its own volumes and element bytes, so
+// every value is bit-identical to m.RedistributeDetail of that member's
+// EdgePlan.Measure on the same interfaces.
+func (be *BlockEval) FillRow(m *Model, ri int, members []FracMember) {
 	be.fwd.fillRow(ri)
 	be.bwd.fillRow(ri)
-	eb := be.c.p.eb
 	fRow, bRow := be.fwd.row, be.bwd.row
-	fVol := be.c.fwdVol
-	bv := be.c.bwdVol[ri]
-	for ci := range out {
-		f, b := fRow[ci], bRow[ci]
-		fv := fVol[ci]
-		out[ci] = m.RedistributeDetail(Traffic{
-			FwdIntra: fv * f.fi * eb, FwdInter: fv * f.fe * eb,
-			BwdIntra: bv * b.fi * eb, BwdInter: bv * b.fe * eb,
-		})
+	for _, mb := range members {
+		c := mb.Calc
+		eb := c.p.eb
+		if !mb.Transposed {
+			out := mb.Vals[ri*len(fRow):][:len(fRow)]
+			fVol := c.fwdVol
+			bv := c.bwdVol[ri]
+			for ci := range out {
+				f, b := fRow[ci], bRow[ci]
+				fv := fVol[ci]
+				out[ci] = m.RedistributeDetail(Traffic{
+					FwdIntra: fv * f.fi * eb, FwdInter: fv * f.fe * eb,
+					BwdIntra: bv * b.fi * eb, BwdInter: bv * b.fe * eb,
+				})
+			}
+			continue
+		}
+		// The member's cell (r, ri) for every leader column r.
+		nc := len(c.fwdVol)
+		fv := c.fwdVol[ri]
+		bVol := c.bwdVol
+		for r := range fRow {
+			f, b := bRow[r], fRow[r]
+			bv := bVol[r]
+			mb.Vals[r*nc+ri] = m.RedistributeDetail(Traffic{
+				FwdIntra: fv * f.fi * eb, FwdInter: fv * f.fe * eb,
+				BwdIntra: bv * b.fi * eb, BwdInter: bv * b.fe * eb,
+			})
+		}
 	}
 }
 

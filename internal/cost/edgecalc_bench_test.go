@@ -3,6 +3,8 @@ package cost
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/device"
 )
 
 // pooledIfaces builds interfaces the way real candidate spaces look: each
@@ -38,11 +40,12 @@ func pooledIfaces(rng *rand.Rand, n, devices, numAxes, poolPerAxis int) []*Iface
 	return out
 }
 
-// benchPlan builds a realistic edge shape: 16 devices, two mapped axis pairs
-// per direction plus unmapped axes, 256×1024 representative interfaces with
-// pooled per-axis layouts — the size of a large grouped matrix from the
-// 32-device table2 sweep (~10³ column groups), which is what the per-band
-// memo tables are amortized over in production.
+// benchPlan builds a realistic edge shape: 16 devices, three mapped axis
+// pairs per direction (as every edge of the paper models has three or four)
+// plus an unmapped one, 256×1024 representative interfaces with pooled
+// per-axis layouts — the size of a large grouped matrix from the 32-device
+// table2 sweep (~10³ column groups), which is what the per-band memo tables
+// are amortized over in production.
 func benchPlan() (*EdgePlan, []*Iface, []*Iface) {
 	rng := rand.New(rand.NewSource(11))
 	p := &EdgePlan{
@@ -54,29 +57,38 @@ func benchPlan() (*EdgePlan, []*Iface, []*Iface) {
 		fwdDst:  []int{0, 1, 2, 3},
 		fwdSrc:  []int{0, 2, -1, 1},
 		bwdSrc:  []int{0, 1, 2},
-		bwdDst:  []int{0, 3, -1},
+		bwdDst:  []int{0, 3, 1},
 	}
 	srcReps := pooledIfaces(rng, 256, p.devices, 3, 8)
 	dstReps := pooledIfaces(rng, 1024, p.devices, 4, 6)
 	return p, srcReps, dstReps
 }
 
-// BenchmarkEdgeCellBlock measures the streaming row evaluator — the
-// production path of buildEdgeMat: one BlockEval per band, rows filled with
-// hoisted slices and the lazy per-row vid grid reusing repeated cells.
+// BenchmarkEdgeCellBlock measures the production fill of core's edge phase
+// on a fraction group: one BlockEval of the leader fills every row once and
+// writes both the leader's matrix and its mirror's (a transposed member, as
+// softmax→av is of qkt→softmax) through FillRow.
 func BenchmarkEdgeCellBlock(b *testing.B) {
 	p, srcReps, dstReps := benchPlan()
-	calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
-	if calc == nil {
+	q, qSrc, qDst := mirrorEdge(p, srcReps, dstReps)
+	ot := NewOverlapTables(p.devices, p.perNode)
+	calc, mirror := p.NewCalc(ot, srcReps, dstReps), q.NewCalc(ot, qSrc, qDst)
+	if calc == nil || mirror == nil {
 		b.Fatal("NewCalc fell back")
 	}
-	out := make([]Traffic, len(dstReps))
+	m := NewModel(device.MustCluster(p.devices, p.perNode, device.V100Profile()))
+	cells := len(srcReps) * len(dstReps)
+	members := []FracMember{
+		{Calc: calc, Vals: make([]float64, cells)},
+		{Calc: mirror, Vals: make([]float64, cells), Transposed: true},
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		be := calc.Block()
 		for ri := range srcReps {
-			be.MeasureRow(ri, out)
+			be.FillRow(m, ri, members)
 		}
+		be.Release()
 	}
-	b.ReportMetric(float64(len(srcReps)*len(dstReps)), "cells/op")
+	b.ReportMetric(float64(cells), "cells/op")
 }

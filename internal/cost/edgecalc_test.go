@@ -95,9 +95,9 @@ func TestEdgeCalcNoMappedAxes(t *testing.T) {
 }
 
 // TestBlockEvalMatchesMeasure pins the production streaming evaluator
-// (BlockEval.MeasureRow, what core's edge builds call) to the reference
-// Measure bit-for-bit. It covers both direction shapes of the plan (three
-// mapped pairs forward, the two-pair grid path backward), 1×N and N×1
+// (BlockEval.MeasureRow, the Traffic form of what core's edge builds call)
+// to the reference Measure bit-for-bit. It covers both direction shapes of
+// the plan (three mapped pairs forward, two backward), 1×N and N×1
 // matrices whose memos are sized to a handful of slots, pooled interfaces
 // whose cells repeat within a row, and memos restarted at two slots so every
 // table grows several times mid-fill.

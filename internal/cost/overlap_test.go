@@ -119,23 +119,23 @@ func (j *edgeJob) check(t *testing.T, m *Model, label string, calc *EdgeCalc) {
 		return
 	}
 	be := calc.Block()
-	row := make([]float64, len(j.dst))
+	vals := make([]float64, len(j.src)*len(j.dst))
 	for ri := range j.src {
-		be.MeasureRowInto(m, ri, row)
-		for ci, got := range row {
-			if want := j.want[ri*len(j.dst)+ci]; got != want {
-				t.Errorf("%s cell (%d,%d): got %v want %v", label, ri, ci, got, want)
-				return
-			}
-		}
+		be.FillRow(m, ri, []FracMember{{Calc: calc, Vals: vals}})
 	}
 	be.Release()
+	for k, got := range vals {
+		if want := j.want[k]; got != want {
+			t.Errorf("%s cell (%d,%d): got %v want %v", label, k/len(j.dst), k%len(j.dst), got, want)
+			return
+		}
+	}
 }
 
 // TestOverlapTablesShared pins the registry's contract: one registry shared
 // by many random edges of one cluster shape gives every edge the same local
 // tables — pattern ids, node vectors, node blocks, key spaces — as a fresh
-// registry of its own, so MeasureRowInto stays bit-identical to Measure.
+// registry of its own, so FillRow stays bit-identical to Measure.
 // Released memos are recycled from edge to edge along the way.
 func TestOverlapTablesShared(t *testing.T) {
 	m := NewModel(device.MustCluster(16, 4, device.V100Profile()))
@@ -150,7 +150,8 @@ func TestOverlapTablesShared(t *testing.T) {
 		if calc == nil || fresh == nil {
 			t.Fatalf("edge %d: NewCalc fell back unexpectedly", i)
 		}
-		if !reflect.DeepEqual(calc.fwd, fresh.fwd) || !reflect.DeepEqual(calc.bwd, fresh.bwd) {
+		if !reflect.DeepEqual(localTables(calc.fwd), localTables(fresh.fwd)) ||
+			!reflect.DeepEqual(localTables(calc.bwd), localTables(fresh.bwd)) {
 			t.Fatalf("edge %d: shared-registry tables differ from a fresh registry's", i)
 		}
 		j.check(t, m, "shared", calc)
@@ -163,6 +164,13 @@ func TestOverlapTablesShared(t *testing.T) {
 	if got := len(shared.pairVec); got == 0 || got >= asked {
 		t.Errorf("registry holds %d pattern-pair vectors for %d asked: nothing was shared", got, asked)
 	}
+}
+
+// localTables drops d's registry pattern ids, which number the patterns of
+// whichever registry built d, and keeps the tables local to the edge.
+func localTables(d dirCalc) dirCalc {
+	d.rowReg, d.colReg = nil, nil
+	return d
 }
 
 // TestOverlapTablesConcurrent builds and evaluates calcs from several
@@ -197,9 +205,9 @@ func TestReleasedMemoReused(t *testing.T) {
 	calc := j.p.NewCalc(NewOverlapTables(8, 4), j.src, j.dst)
 	be := calc.Block()
 	first := &be.fwd.de.cells.slots[0]
-	row := make([]float64, len(j.dst))
+	vals := make([]float64, len(j.src)*len(j.dst))
 	for ri := range j.src {
-		be.MeasureRowInto(m, ri, row)
+		be.FillRow(m, ri, []FracMember{{Calc: calc, Vals: vals}})
 	}
 	be.Release()
 	again := calc.Block()
