@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cost"
@@ -16,12 +15,17 @@ import (
 	"repro/internal/partition"
 )
 
-// addScanned accumulates sorted-scan min-plus work into the stats, tolerating
-// the nil stats of direct test invocations. Called from worker bands, hence
-// atomic; counts are value-determined, so totals are worker-independent.
-func addScanned(st *SearchStats, n int64) {
-	if st != nil && n != 0 {
-		atomic.AddInt64(&st.EntriesScanned, n)
+// addProduct records one min-plus product's scan work and kernel choice,
+// tolerating the nil stats of direct test invocations. Products run one
+// after another on the search's own goroutine; their counts depend only on
+// values, so totals are worker-independent.
+func addProduct(st *SearchStats, scanned int64, twoSided bool) {
+	if st == nil {
+		return
+	}
+	st.EntriesScanned += scanned
+	if twoSided {
+		st.DPTwoSidedProducts++
 	}
 }
 
@@ -196,8 +200,8 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 
 	// Bellman steps j = a+2 .. b. The min over p_{j-1} runs over edge-row
 	// GROUPS: candidates with identical edge interfaces share matrix rows,
-	// so we first fold C over each group, then scan groups per column with
-	// bucketed early exit.
+	// so we first fold C over each group, then run one min-plus product of
+	// the folded rows against the edge's column groups (minplus.go).
 	for j := a + 2; j <= b; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -207,23 +211,89 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 		nprev := len(cands[j-1].seqs)
 		em := sumEdges(j, j-1)
 		eExt := eExts[j-a-2]
+		next := make([][]float64, t.nCls)
+		args := make([][]int32, t.nCls)
+		// colGroup maps each p_j to its column group; without an edge every
+		// p_j shares group 0.
+		var colGroup []int32
+		if em != nil {
+			colGroup = em.cols
+		} else {
+			colGroup = make([]int32, nj)
+		}
+		// fill writes class r's row: the per-column-group minima best (with
+		// p_{j-1} witnesses argm[bestU[cg]]) plus node j's cost and the
+		// extended edge a→j.
+		fill := func(r int, best []float64, bestU []int32, argm []int32) {
+			row := make([]float64, nj)
+			arow := make([]int32, nj)
+			var extRow []float64
+			if eExt != nil {
+				extRow = eExt.row(int(eExt.rows[reps[r]]))
+			}
+			for ij := 0; ij < nj; ij++ {
+				cg := colGroup[ij]
+				c := best[cg] + totals[ij]
+				if extRow != nil {
+					c += extRow[eExt.cols[ij]]
+				}
+				row[ij] = c
+				arow[ij] = argm[bestU[cg]]
+			}
+			next[r] = row
+			args[r] = arow
+		}
+
+		if em == nil {
+			// No edge: one global min serves every p_j.
+			parallelChunks(w, t.nCls, func(lo, hi int) {
+				for r := lo; r < hi; r++ {
+					best := math.Inf(1)
+					bestK := int32(-1)
+					for k, v := range cur[r] {
+						if v < best {
+							best = v
+							bestK = int32(k)
+						}
+					}
+					fill(r, []float64{best}, []int32{0}, []int32{bestK})
+				}
+			})
+			cur = next
+			t.chainArgs = append(t.chainArgs, args)
+			continue
+		}
 
 		// Transposed group-value matrix, flat column-major (column c at
-		// valsT[c*uR:(c+1)*uR]), each column sorted once and shared
-		// (read-only) across classes and worker bands. foldM reduces a
-		// class's DP row over the edge's row groups.
-		var scols *sortedCols
-		var valsT, colMin []float64
-		uR, uC := 0, 0
-		// Probe results reusable for class 0 of this step (nil when not).
-		var probeBestVal []float64
-		var probeBestU, probeArgm []int32
-		foldM := func(prevRow, m []float64, argm []int32) (mMin float64) {
+		// valsT[c*uR:(c+1)*uR]), with the per-column minima the row-scan
+		// kernel exits on, filled in one linear pass over the flat row-major
+		// core and shared (read-only) across classes and worker bands.
+		uR := em.numRowGroups()
+		uC := em.numColGroups()
+		valsT := make([]float64, uC*uR)
+		colMin := make([]float64, uC)
+		for c := range colMin {
+			colMin[c] = math.Inf(1)
+		}
+		for r := 0; r < uR; r++ {
+			erow := em.row(r)
+			for c := 0; c < uC; c++ {
+				v := erow[c]
+				valsT[c*uR+r] = v
+				if v < colMin[c] {
+					colMin[c] = v
+				}
+			}
+		}
+		// fold reduces class r's DP row over the edge's row groups.
+		fold := func(r int, s *classScratch) (mMin float64) {
+			m, argm := s.m, s.argm
 			for u := range m {
 				m[u] = math.Inf(1)
 				argm[u] = -1
 			}
 			mMin = math.Inf(1)
+			prevRow := cur[r]
 			for k := 0; k < nprev; k++ {
 				u := em.rows[k]
 				if prevRow[k] < m[u] {
@@ -236,153 +306,11 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			}
 			return mMin
 		}
-		scanRows := false
-		if em != nil {
-			uR = em.numRowGroups()
-			uC = em.numColGroups()
-			valsT = make([]float64, uC*uR)
-			colMin = make([]float64, uC)
-			for c := range colMin {
-				colMin[c] = math.Inf(1)
-			}
-			// One linear pass over the flat row-major core fills the
-			// column-major transpose and the per-column minima the row-scan
-			// kernel exits on.
-			for r := 0; r < uR; r++ {
-				erow := em.row(r)
-				for c := 0; c < uC; c++ {
-					v := erow[c]
-					valsT[c*uR+r] = v
-					if v < colMin[c] {
-						colMin[c] = v
-					}
-				}
-			}
-			// Probe class 0 with the row kernel; only when its scans are
-			// long (≥ uR/8 per column) is the per-column sort worth
-			// building to compare against. The counts depend only on
-			// values, so the choice (and with it the scan-order
-			// tie-breaking of witnesses) is deterministic.
-			m := make([]float64, uR)
-			argm := make([]int32, uR)
-			morder := make([]int32, uR)
-			mval := make([]float64, uR)
-			msuf := make([]float64, uR)
-			bestVal := make([]float64, uC)
-			bestU := make([]int32, uC)
-			var ss sortScratch
-			mMin := foldM(cur[0], m, argm)
-			sortAsc(m, morder, mval, msuf, &ss)
-			nRows := scanMinPlusRows(m, morder, mval, msuf, valsT, colMin, bestVal, bestU)
-			addScanned(st, int64(nRows))
-			scanRows = true
-			colProbe := 8*nRows >= uR*uC
-			if colProbe {
-				scols = sortCols(valsT, uR, uC)
-				nCols := scanMinPlus(m, mMin, valsT, scols, bestVal, bestU)
-				addScanned(st, int64(nCols))
-				scanRows = nRows <= nCols
-			}
-			// The probe already holds class 0's exact results — reuse them
-			// in the main loop instead of re-scanning, but only when
-			// bestVal/bestU were last written by the CHOSEN kernel (the two
-			// kernels agree on values but may pick different tie witnesses).
-			if !colProbe || !scanRows {
-				probeBestVal, probeBestU, probeArgm = bestVal, bestU, argm
-			}
-		}
-
-		next := make([][]float64, t.nCls)
-		args := make([][]int32, t.nCls)
-		parallelChunks(w, t.nCls, func(lo, hi int) {
-			var scanned int64
-			var m, mval, msuf []float64
-			var argm, morder, bestU []int32
-			var bestVal []float64
-			var ss *sortScratch
-			if em != nil {
-				m = make([]float64, uR)
-				argm = make([]int32, uR)
-				bestVal = make([]float64, uC)
-				bestU = make([]int32, uC)
-				if scanRows {
-					morder = make([]int32, uR)
-					mval = make([]float64, uR)
-					msuf = make([]float64, uR)
-					ss = &sortScratch{}
-				}
-			}
-			for r := lo; r < hi; r++ {
-				row := make([]float64, nj)
-				arow := make([]int32, nj)
-				prevRow := cur[r]
-				var extRow []float64
-				if eExt != nil {
-					extRow = eExt.row(int(eExt.rows[reps[r]]))
-				}
-
-				if r == 0 && probeBestVal != nil {
-					// Class 0 was already solved by the kernel probe with the
-					// chosen kernel; copying its results drops one full scan
-					// per Bellman step (class 0 used to be scanned twice).
-					for ij := 0; ij < nj; ij++ {
-						cg := em.cols[ij]
-						c := probeBestVal[cg] + totals[ij]
-						if extRow != nil {
-							c += extRow[eExt.cols[ij]]
-						}
-						row[ij] = c
-						arow[ij] = probeArgm[probeBestU[cg]]
-					}
-					next[r] = row
-					args[r] = arow
-					continue
-				}
-
-				if em == nil {
-					// No edge: one global min serves every p_j.
-					best := math.Inf(1)
-					bestK := int32(-1)
-					for k := 0; k < nprev; k++ {
-						if prevRow[k] < best {
-							best = prevRow[k]
-							bestK = int32(k)
-						}
-					}
-					for ij := 0; ij < nj; ij++ {
-						c := best + totals[ij]
-						if extRow != nil {
-							c += extRow[eExt.cols[ij]]
-						}
-						row[ij] = c
-						arow[ij] = bestK
-					}
-					next[r] = row
-					args[r] = arow
-					continue
-				}
-
-				mMin := foldM(prevRow, m, argm)
-				if scanRows {
-					sortAsc(m, morder, mval, msuf, ss)
-					scanned += int64(scanMinPlusRows(m, morder, mval, msuf, valsT, colMin, bestVal, bestU))
-				} else {
-					scanned += int64(scanMinPlus(m, mMin, valsT, scols, bestVal, bestU))
-				}
-				for ij := 0; ij < nj; ij++ {
-					cg := em.cols[ij]
-					c := bestVal[cg] + totals[ij]
-					if extRow != nil {
-						c += extRow[eExt.cols[ij]]
-					}
-					row[ij] = c
-					arow[ij] = argm[bestU[cg]]
-				}
-				next[r] = row
-				args[r] = arow
-			}
-			addScanned(st, scanned)
+		p := minPlusProduct{colsT: valsT, n: uR, nCols: uC, colMin: colMin}
+		scanned, twoSided := p.run(w, t.nCls, fold, func(r int, s *classScratch) {
+			fill(r, s.best, s.bestU, s.argm)
 		})
+		addProduct(st, scanned, twoSided)
 		cur = next
 		t.chainArgs = append(t.chainArgs, args)
 	}
@@ -430,44 +358,43 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 			rightT[pb*nR+rm] = rrow[pb]
 		}
 	}
-	scols := sortCols(rightT, nR, nb)
 
 	nL := left.nCls
 	base := make([][]float64, nL)
 	argPM := make([][]int32, nL)
-	parallelChunks(w, nL, func(lo, hi int) {
-		var scanned int64
-		W := make([]float64, nR)
-		argW := make([]int32, nR)
-		bestRM := make([]int32, nb)
-		for rL := lo; rL < hi; rL++ {
-			lrow := left.cost[rL]
-			for u := range W {
-				W[u] = math.Inf(1)
-				argW[u] = -1
-			}
-			wMin := math.Inf(1)
-			for pm := 0; pm < nm; pm++ {
-				rm := right.rowCls[pm]
-				if v := lrow[pm] + delta[pm]; v < W[rm] {
-					W[rm] = v
-					argW[rm] = int32(pm)
-					if v < wMin {
-						wMin = v
-					}
+	// fold reduces left class rL's row over the mid candidates of each right
+	// class: W[rm] = min over pm in rm of Lc + delta, witness argW[rm].
+	fold := func(rL int, s *classScratch) (wMin float64) {
+		W, argW := s.m, s.argm
+		for u := range W {
+			W[u] = math.Inf(1)
+			argW[u] = -1
+		}
+		wMin = math.Inf(1)
+		lrow := left.cost[rL]
+		for pm := 0; pm < nm; pm++ {
+			rm := right.rowCls[pm]
+			if v := lrow[pm] + delta[pm]; v < W[rm] {
+				W[rm] = v
+				argW[rm] = int32(pm)
+				if v < wMin {
+					wMin = v
 				}
 			}
-			row := make([]float64, nb)
-			scanned += int64(scanMinPlus(W, wMin, rightT, scols, row, bestRM))
-			arow := make([]int32, nb)
-			for pb := range arow {
-				arow[pb] = argW[bestRM[pb]]
-			}
-			base[rL] = row
-			argPM[rL] = arow
 		}
-		addScanned(st, scanned)
+		return wMin
+	}
+	p := minPlusProduct{colsT: rightT, n: nR, nCols: nb, cols: sortCols(rightT, nR, nb)}
+	scanned, twoSided := p.run(w, nL, fold, func(rL int, s *classScratch) {
+		base[rL] = s.best
+		s.best = make([]float64, nb)
+		arow := make([]int32, nb)
+		for pb := range arow {
+			arow[pb] = s.argm[s.bestU[pb]]
+		}
+		argPM[rL] = arow
 	})
+	addProduct(st, scanned, twoSided)
 
 	t := &table{a: left.a, b: right.b, left: left, right: right, headBase: left.headBase}
 	if cross == nil {

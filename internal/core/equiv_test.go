@@ -117,7 +117,9 @@ func twinLinears() *graph.Graph {
 // (all parallel writes land in disjoint slots). It covers both fan-out
 // branches of the pool: a block search, whose node and edge loops have many
 // tasks that each run inline, and a graph whose outer loops have one task
-// each, so the inner loops fan out instead.
+// each, so the inner loops fan out instead. Both run long min-plus products
+// on the two-sided kernel: its per-product choice and the sampled rows'
+// reused answers must not depend on the bands either.
 func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 	block, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
@@ -146,6 +148,9 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 		if single := a.Stats.NodeEvals == 1 && a.Stats.EdgeMatsBuilt == 1; single != tc.oneTask {
 			t.Fatalf("%s: %d node evals, %d edge builds; one-task branch = %v, want %v",
 				tc.name, a.Stats.NodeEvals, a.Stats.EdgeMatsBuilt, single, tc.oneTask)
+		}
+		if a.Stats.DPTwoSidedProducts == 0 {
+			t.Fatalf("%s: no product ran the two-sided kernel", tc.name)
 		}
 		for _, workers := range []int{2, 4, 7} {
 			b := plan(workers)

@@ -3,7 +3,7 @@
 //
 //	best[c] = min_u m[u] + colsT[c][u]
 //
-// with two exact kernels that differ only in scan order:
+// with three exact kernels that differ only in scan order:
 //
 //   - scanMinPlus walks each COLUMN in ascending value order and exits via
 //     the column's suffix minima plus the global min of m. The order is
@@ -11,24 +11,28 @@
 //     shared read-only by every row multiplied against it.
 //   - scanMinPlusRows walks the sorted M vector (one sort per row) and
 //     exits via m's suffix minima plus each column's minimum.
+//   - scanMinPlusTwoSided walks both orders together (Fagin's threshold
+//     algorithm) and exits via the sum of the two suffix minima.
 //
-// Which side exits earlier depends on the value distributions: heads with
-// many near-minimal column entries favour the row scan, spread-out columns
-// favour the column scan. Callers probe one row with both kernels and pick
-// the side that scanned less — the counts depend only on the values, so the
-// choice is deterministic.
+// minPlusProduct.run picks the kernel per product from a fixed sample of
+// the product's rows: the counts depend only on the values and the row
+// count, so the choice is deterministic.
 //
 // Exactness: suf[i] is an exact suffix minimum of the ordered values, and
 // IEEE addition is monotone (a ≥ b, c ≥ d ⟹ a+c ≥ b+d), so when
 // suf[i] + otherMin ≥ best every remaining pair is ≥ best and cannot
-// strictly improve. The ordering itself only needs to be APPROXIMATELY
-// sorted to make the exit early — correctness never depends on it, and
-// results are independent of worker count.
+// strictly improve. The two-sided exit is the same argument with a tighter
+// other side: an index not yet visited from either side sits at position
+// ≥ i in both orders, so its pair is ≥ sufM[i] + sufCol[i]. The ordering
+// itself only needs to be APPROXIMATELY sorted to make the exit early —
+// correctness never depends on it, and results are independent of worker
+// count.
 package core
 
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // sortBuckets is the counting-sort resolution used to order values.
@@ -284,6 +288,188 @@ func scanMinPlusRows(m []float64, order []int32, val, suf []float64, colsT []flo
 		pu = bu
 	}
 	return scanned
+}
+
+// scanMinPlusTwoSided fills best[c] = min_u m[u] + column c, walking the
+// SORTED m (order/val/suf from sortAsc) and column c's shared ascending
+// order (sc) in lockstep: at depth i it evaluates m's i-th index against
+// the raw column and the column's i-th index against the raw m, and exits
+// once sufM[i] + sufCol[i] ≥ best (see the file header). colsT is flat
+// column-major with stride sc.n = len(m); the column count is len(best).
+// Returns the depth reached summed over columns (no column counts more
+// than len(m)); each depth reads one entry of each order, so a product
+// counts two scanned entries per depth.
+func scanMinPlusTwoSided(m []float64, order []int32, val, suf []float64, colsT []float64, sc *sortedCols, best []float64, argU []int32) (scanned int) {
+	pu := int32(-1)
+	n := sc.n
+	order, val, suf = order[:n], val[:n], suf[:n]
+	for c := range best {
+		o := c * n
+		col := colsT[o : o+n]
+		corder := sc.order[o : o+n]
+		cval := sc.val[o : o+n]
+		csuf := sc.suf[o : o+n]
+		b := math.Inf(1)
+		bu := int32(-1)
+		if pu >= 0 {
+			// Warm start from the previous column's witness (see
+			// scanMinPlus).
+			b = m[pu] + col[pu]
+			bu = pu
+		}
+		// Blocked exit checks, see scanMinPlus; a block of 4 depths reads
+		// 8 entries.
+		i := 0
+		for i < n {
+			if suf[i]+csuf[i] >= b {
+				break
+			}
+			e := i + 4
+			if e > n {
+				e = n
+			}
+			for ; i < e; i++ {
+				u := order[i]
+				if v := val[i] + col[u]; v < b {
+					b = v
+					bu = u
+				}
+				u = corder[i]
+				if v := cval[i] + m[u]; v < b {
+					b = v
+					bu = u
+				}
+			}
+		}
+		scanned += i
+		best[c] = b
+		argU[c] = bu
+		pu = bu
+	}
+	return scanned
+}
+
+// productSample caps the rows a product samples to choose its kernel, and
+// twoSidedMinScan is the sampled one-sided scan length per column, in
+// entries, below which a product stays one-sided: the two-sided kernel
+// reads two entries per depth and adds a sort of every fold vector (merges)
+// or of every column (Bellman steps), which shorter scans never earn back
+// (DESIGN.md §5.24).
+const (
+	productSample   = 8
+	twoSidedMinScan = 32
+)
+
+// classScratch is one worker's state for the rows of a min-plus product:
+// the fold vector m with its witnesses argm, the per-column answers best and
+// bestU, and m's sorted order (order, val, suf), allocated on the first
+// sort: the column kernel never sorts m.
+type classScratch struct {
+	m, best     []float64
+	argm, bestU []int32
+	order       []int32
+	val, suf    []float64
+	ss          *sortScratch
+}
+
+func newClassScratch(n, nCols int) *classScratch {
+	f, i := make([]float64, n+nCols), make([]int32, n+nCols)
+	return &classScratch{m: f[:n:n], best: f[n:], argm: i[:n:n], bestU: i[n:]}
+}
+
+// sortM sorts the fold vector into order, val and suf.
+func (s *classScratch) sortM() {
+	if s.ss == nil {
+		n := len(s.m)
+		s.order, s.val, s.suf = make([]int32, n), make([]float64, n), make([]float64, n)
+		s.ss = &sortScratch{}
+	}
+	sortAsc(s.m, s.order, s.val, s.suf, s.ss)
+}
+
+// minPlusProduct is one min-plus product of a DP step or merge: each of the
+// nRows rows folds into an n-vector m that is multiplied against the nCols
+// columns of the flat column-major colsT (stride n).
+type minPlusProduct struct {
+	colsT    []float64
+	n, nCols int
+	// colMin holds each column's exact minimum when the product's one-sided
+	// kernel is the row scan; nil selects the column scan, whose sorted
+	// columns must then be in cols.
+	colMin []float64
+	cols   *sortedCols
+}
+
+// run solves every row r of the product: fold fills s.m and s.argm for row
+// r and returns min(s.m); emit reads the answers from s.best, s.bestU and
+// s.argm, and may keep s.best if it puts a fresh slice of the same length
+// in its place. It returns the entries scanned and whether the two-sided
+// kernel ran.
+//
+// The kernel is chosen per product. A fixed stride sample of at most
+// productSample rows runs the one-sided kernel first and keeps its answers.
+// When the sample's scans cover at least 1/8 of the entries it could have
+// visited and average at least twoSidedMinScan entries per column, the
+// product is long and every other row runs the two-sided kernel, which
+// needs the sorted columns and one sort per row; a short product stays
+// one-sided, so the sample costs it nothing. A product with n <
+// twoSidedMinScan cannot be long and skips the sample. The choice reads
+// only values and nRows, never the worker count.
+func (p *minPlusProduct) run(w, nRows int, fold func(r int, s *classScratch) float64, emit func(r int, s *classScratch)) (scanned int64, twoSided bool) {
+	// The sample runs on the calling goroutine: a second fan-out per
+	// product would cost small products more wall time than the sample's
+	// few rows. The first band reuses its scratch.
+	first := newClassScratch(p.n, p.nCols)
+	// solve runs row r on the two-sided kernel or the product's one-sided
+	// one and returns the entries scanned.
+	solve := func(r int, s *classScratch, two bool) (k int) {
+		mMin := fold(r, s)
+		switch {
+		case two:
+			s.sortM()
+			k = 2 * scanMinPlusTwoSided(s.m, s.order, s.val, s.suf, p.colsT, p.cols, s.best, s.bestU)
+		case p.colMin != nil:
+			s.sortM()
+			k = scanMinPlusRows(s.m, s.order, s.val, s.suf, p.colsT, p.colMin, s.best, s.bestU)
+		default:
+			k = scanMinPlus(s.m, mMin, p.colsT, p.cols, s.best, s.bestU)
+		}
+		emit(r, s)
+		return k
+	}
+	var sampled int64
+	var rest atomic.Int64
+	// A fold vector shorter than twoSidedMinScan can never average that
+	// many entries per column: such a product is short without a sample.
+	stride := 0
+	if p.n >= twoSidedMinScan {
+		stride = (nRows + productSample - 1) / productSample
+		nSample := (nRows + stride - 1) / stride
+		for r := 0; r < nRows; r += stride {
+			sampled += int64(solve(r, first, false))
+		}
+		twoSided = 8*sampled >= int64(nSample)*int64(p.n)*int64(p.nCols) &&
+			sampled >= int64(nSample)*int64(p.nCols)*twoSidedMinScan
+		if stride == 1 {
+			return sampled, false // every row was sampled
+		}
+	}
+	if twoSided && p.cols == nil {
+		p.cols = sortCols(p.colsT, p.n, p.nCols)
+	}
+	parallelChunks(w, nRows, func(lo, hi int) {
+		s, k := first, 0
+		if lo > 0 {
+			s = newClassScratch(p.n, p.nCols)
+		}
+		for r := lo; r < hi; r++ {
+			if stride == 0 || r%stride != 0 { // sampled rows are solved
+				k += solve(r, s, twoSided)
+			}
+		}
+		rest.Add(int64(k))
+	})
+	return sampled + rest.Load(), twoSided
 }
 
 // refineClasses folds per-candidate id vectors into joint equivalence

@@ -33,9 +33,9 @@ func benchMinPlusInput(n, nCols int) (m []float64, colsT []float64) {
 	return m, colsT
 }
 
-// BenchmarkScanMinPlus measures the column-sorted scan kernel: the per-step
-// inner loop of the Bellman fold when the column side's sort is shared across
-// rows (the dominant DP kernel at 32 devices, DESIGN.md §5.3).
+// BenchmarkScanMinPlus measures the column-sorted scan kernel, whose column
+// sort is shared across rows: the kernel of short merges, stacking among
+// them, and of every merge's sampled rows (DESIGN.md §5.24).
 func BenchmarkScanMinPlus(b *testing.B) {
 	const n, nCols = 512, 512
 	m, colsT := benchMinPlusInput(n, nCols)
@@ -52,8 +52,8 @@ func BenchmarkScanMinPlus(b *testing.B) {
 }
 
 // BenchmarkScanMinPlusRows measures the row-sorted variant: the fold vector m
-// is sorted once and scanned against raw columns, the cheaper side when the
-// fold vector is smaller than the column count.
+// is sorted once and scanned against raw columns, the kernel of short
+// Bellman steps and of every step's sampled rows.
 func BenchmarkScanMinPlusRows(b *testing.B) {
 	const n, nCols = 512, 512
 	m, colsT := benchMinPlusInput(n, nCols)
@@ -72,6 +72,29 @@ func BenchmarkScanMinPlusRows(b *testing.B) {
 	scanned := 0
 	for i := 0; i < b.N; i++ {
 		scanned += scanMinPlusRows(m, order, val, suf, colsT, colMin, best, argU)
+	}
+	b.ReportMetric(float64(scanned)/float64(b.N), "entries/op")
+}
+
+// BenchmarkScanMinPlusTwoSided measures the two-sided threshold kernel on
+// the production shape of a long product: OPT-175B@32's qkt→softmax step
+// folds to 1348 row groups against 352 column groups. The fold vector is
+// sorted once and walked together with the shared column sort.
+func BenchmarkScanMinPlusTwoSided(b *testing.B) {
+	const n, nCols = 1348, 352
+	m, colsT := benchMinPlusInput(n, nCols)
+	sc := sortCols(colsT, n, nCols)
+	order := make([]int32, n)
+	val := make([]float64, n)
+	suf := make([]float64, n)
+	var ss sortScratch
+	sortAsc(m, order, val, suf, &ss)
+	best := make([]float64, nCols)
+	argU := make([]int32, nCols)
+	b.ResetTimer()
+	scanned := 0
+	for i := 0; i < b.N; i++ {
+		scanned += 2 * scanMinPlusTwoSided(m, order, val, suf, colsT, sc, best, argU)
 	}
 	b.ReportMetric(float64(scanned)/float64(b.N), "entries/op")
 }

@@ -3,8 +3,10 @@
 // The sorted-scan kernels thread a *sortScratch through sortAsc; the Bellman
 // fold and the tree DP's segment merges run those kernels from parallelChunks
 // bands. The ownership rule is: every band allocates its OWN scratch inside
-// the band closure (dp.go), and the shared sortedCols built by sortCols is
-// written once, serially, before any band starts. A scratch captured outside
+// the band closure (minPlusProduct.run; only the first bands of its sample
+// and main phases share one, and the phases run one after the other), and
+// the shared sortedCols built by sortCols is written once, serially, before
+// any band that reads it starts. A scratch captured outside
 // the closure — or one reused across the sequential merges of a segment tree
 // while another search's bands are still draining — would alias the counting
 // sort's cnt/keys arrays across goroutines: the race detector sees the write

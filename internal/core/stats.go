@@ -61,12 +61,17 @@ type SearchStats struct {
 	SegTablesBuilt     int `json:"seg_tables_built"`
 	CrossCallTableHits int `json:"cross_call_table_hits"`
 
-	// EntriesScanned sums the entries visited by the sorted-scan min-plus
-	// kernels across segment chains, in-segment merges and layer stacking —
-	// the measured DP floor (DESIGN.md §5.2/§5.3) the binary-split tree
-	// attacks. Tracked by BenchmarkScanMinPlus*/primebench. (Formerly
-	// min_plus_scanned.)
+	// EntriesScanned sums the sorted entries visited by the min-plus
+	// kernels across segment chains, in-segment merges and layer stacking:
+	// the DP's work volume (DESIGN.md §5.2, §5.3, §5.24). A two-sided depth
+	// reads one entry of each order and counts two. Tracked by
+	// BenchmarkScanMinPlus*/primebench. (Formerly min_plus_scanned.)
 	EntriesScanned int64 `json:"entries_scanned"`
+
+	// DPTwoSidedProducts counts the min-plus products (Bellman steps and
+	// merges) whose sampled rows scanned long enough to run the two-sided
+	// threshold kernel (DESIGN.md §5.24); the others stayed one-sided.
+	DPTwoSidedProducts int `json:"dp_two_sided_products"`
 
 	// EntriesBoundSkipped always reads zero. It counted the entries skipped
 	// by a two-level scan exit that saved 0.17% of them and was deleted
@@ -121,6 +126,7 @@ func (st *SearchStats) Add(s SearchStats) {
 	st.SegTablesBuilt += s.SegTablesBuilt
 	st.CrossCallTableHits += s.CrossCallTableHits
 	st.EntriesScanned += s.EntriesScanned
+	st.DPTwoSidedProducts += s.DPTwoSidedProducts
 	st.EntriesBoundSkipped += s.EntriesBoundSkipped
 	st.EdgeCellsReused += s.EdgeCellsReused
 	st.CrossCallNodeHits += s.CrossCallNodeHits
