@@ -28,18 +28,77 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 
 	"repro/internal/cost"
+	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
-// nodeEntry is the α-independent part of a nodeCands evaluation.
+// nodeEntry is the α-independent part of a nodeCands evaluation, plus the
+// candidate space's interned axis patterns (cost.Patterns of its output and
+// of its input interfaces), which every edge touching the space groups and
+// keys its tables by. They are built on the first edge build over the
+// entry, never in evalNode or Load, so a warm plan-tier hit never pays for
+// them, and once per entry: every later search that reuses the entry,
+// in-process or loaded from disk, reuses them.
 type nodeEntry struct {
 	seqs  []partition.Seq
 	intra []cost.Intra
 	out   []*cost.Iface
 	in    []*cost.Iface
+
+	fitOnce sync.Once // guards fits
+	fits    bool
+
+	patOnce         sync.Once // guards outPats and inPats
+	outPats, inPats *cost.Patterns
+}
+
+// fitsOp reports whether the entry fits op on cl: every interface has op's
+// axis count and cl's device count, and every sequence passes Seq.Validate.
+// An entry evaluated in this process always fits; one loaded from a hostile
+// or corrupt disk cache may not, and the search then treats it as a miss.
+// The node key fixes op's shape and the cluster, so the first caller's
+// check holds for every caller, and it runs once per entry, not on every
+// hit.
+func (e *nodeEntry) fitsOp(op *graph.Op, cl *device.Cluster) bool {
+	e.fitOnce.Do(func() { e.fits = e.fitsSpace(len(op.Axes), cl.NumDevices, cl.Bits()) })
+	return e.fits
+}
+
+// patterns returns the interned axis patterns of the entry's output and
+// input interfaces, building them on first use. Several edge builds of one
+// search, or the concurrent stage searches of Plan3D on one SearchCache,
+// may ask at the same moment; the build runs once. The entry must fit its
+// op: evaluated in this process, or passed by fitsOp.
+func (e *nodeEntry) patterns() (out, in *cost.Patterns) {
+	e.patOnce.Do(func() {
+		e.outPats = cost.NewPatterns(e.out)
+		e.inPats = cost.NewPatterns(e.in)
+	})
+	return e.outPats, e.inPats
+}
+
+// fitsSpace reports whether every candidate's sequence is valid for a
+// numAxes-axis op on nbits device-ID bits and both its interfaces describe
+// numAxes axes on devices devices.
+func (e *nodeEntry) fitsSpace(numAxes, devices, nbits int) bool {
+	for _, s := range e.seqs {
+		if s.Validate(numAxes, nbits) != nil {
+			return false
+		}
+	}
+	for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
+		for _, ifc := range ifs {
+			if ifc == nil || ifc.NumAxes != numAxes || len(ifc.Width) != numAxes ||
+				len(ifc.Fwd) != devices*numAxes || len(ifc.Bwd) != devices*numAxes {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // withAlpha completes a cached entry into a per-call nodeCands: the totals
@@ -50,7 +109,7 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 	for i := range e.intra {
 		total[i] = e.intra[i].Total(alpha)
 	}
-	return &nodeCands{seqs: e.seqs, intra: e.intra, total: total, out: e.out, in: e.in}
+	return &nodeCands{nodeEntry: e, total: total}
 }
 
 // SearchCache carries node evaluations, edge matrices, layer DP tables and

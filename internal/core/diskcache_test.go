@@ -14,6 +14,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/model"
+	"repro/internal/partition"
 )
 
 // warmCache runs a small real search into a fresh SearchCache so the disk
@@ -213,6 +214,155 @@ func TestDiskCachePlanIndexOutOfRange(t *testing.T) {
 			t.Errorf("%s: out-of-range plan was served: %+v", name, got.Stats)
 		}
 		sameStrategy(t, name, got, want)
+	}
+}
+
+// reshapeIface returns a copy of ifc describing numAxes axes on devs
+// devices: every start and width both shapes have is kept, the rest are
+// zero.
+func reshapeIface(ifc *cost.Iface, devs, numAxes int) *cost.Iface {
+	out := &cost.Iface{NumAxes: numAxes, Fwd: make([]float64, devs*numAxes),
+		Bwd: make([]float64, devs*numAxes), Width: make([]float64, numAxes)}
+	copy(out.Width, ifc.Width)
+	for dev := 0; dev < devs && dev < len(ifc.Fwd)/ifc.NumAxes; dev++ {
+		for ax := 0; ax < numAxes && ax < ifc.NumAxes; ax++ {
+			out.Fwd[dev*numAxes+ax] = ifc.Fwd[dev*ifc.NumAxes+ax]
+			out.Bwd[dev*numAxes+ax] = ifc.Bwd[dev*ifc.NumAxes+ax]
+		}
+	}
+	return out
+}
+
+// TestLoadedNodeEntryWrongShape: Load checks each interface on its own but
+// cannot check it against the op and cluster its node key names, so a
+// digest-valid file whose node entries do not fit loads fine. The search
+// must treat such an entry as a miss and return the cold answer, never
+// panic. The file is OPT-175B's block planned on 8 devices with every
+// cached entry damaged, and its edge and plan tiers dropped so the search
+// builds edges over the loaded spaces.
+func TestLoadedNodeEntryWrongShape(t *testing.T) {
+	g, err := model.BuildBlock(model.OPT175B())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(c *SearchCache) *Strategy {
+		t.Helper()
+		m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
+		m.Alpha = 1e-12
+		o := NewOptimizer(m)
+		o.Cache = c
+		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := plan(NewSearchCache())
+	eachIface := func(e *nodeEntry, f func(*cost.Iface) *cost.Iface) {
+		for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
+			for i := range ifs {
+				ifs[i] = f(ifs[i])
+			}
+		}
+	}
+	for name, damage := range map[string]func(e *nodeEntry){
+		"interfaces truncated to 4 devices": func(e *nodeEntry) {
+			eachIface(e, func(ifc *cost.Iface) *cost.Iface { return reshapeIface(ifc, 4, ifc.NumAxes) })
+		},
+		"interfaces with one axis more": func(e *nodeEntry) {
+			eachIface(e, func(ifc *cost.Iface) *cost.Iface { return reshapeIface(ifc, 8, ifc.NumAxes+1) })
+		},
+		"missing interface": func(e *nodeEntry) { e.in[len(e.in)-1] = nil },
+		"sequence splits a missing axis": func(e *nodeEntry) {
+			e.seqs[0] = partition.NewSeq(partition.Split(99))
+		},
+	} {
+		c := NewSearchCache()
+		plan(c)
+		for _, e := range c.nodes.m {
+			damage(e)
+		}
+		c.edges.reset()
+		c.plans.reset()
+		dir := t.TempDir()
+		if err := c.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded := NewSearchCache()
+		if err := loaded.Load(dir); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := plan(loaded)
+		if got.Stats.CrossCallNodeHits != 0 || got.Stats.NodeEvals == 0 {
+			t.Errorf("%s: a damaged node entry was served: %+v", name, got.Stats)
+		}
+		sameStrategy(t, name, got, want)
+	}
+}
+
+// TestLoadedPatternsBuildConcurrently: a space loaded from disk interns its
+// axis patterns on first use, and a search's edge-prepare tasks — or the
+// concurrent stage searches of Plan3D on one SearchCache — may ask for one
+// entry's patterns at the same moment. Four workers build every edge of an
+// OPT-175B block on 8 devices, where every node has two or more edges and
+// the repeated linears share one entry, over spaces fresh from Load; the
+// matrices must be bit-identical to a serial cold build. Run under -race.
+func TestLoadedPatternsBuildConcurrently(t *testing.T) {
+	g, err := model.BuildBlock(model.OPT175B())
+	if err != nil {
+		t.Fatal(err)
+	}
+	degree := make([]int, len(g.Nodes))
+	for _, e := range g.Edges {
+		degree[e.Src]++
+		degree[e.Dst]++
+	}
+	for i, d := range degree {
+		if d < 2 {
+			t.Fatalf("node %d (%s) has %d edges; the test needs every node to have two or more", i, g.Nodes[i].Name, d)
+		}
+	}
+	m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
+	m.Alpha = 1e-12
+	o := NewOptimizer(m)
+	o.Cache = NewSearchCache()
+	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := o.Cache.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewSearchCache()
+	if err := loaded.Load(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	cold := make([]*nodeCands, len(g.Nodes))
+	warm := make([]*nodeCands, len(g.Nodes))
+	env := o.appendEnvSig(nil)
+	for i, op := range g.Nodes {
+		cold[i] = o.evalNode(op, 1)
+		e := loaded.nodes.get(string(appendNodeCrossKey(env, op)))
+		if e == nil || e.outPats != nil {
+			t.Fatalf("node %d: loaded entry missing or already indexed", i)
+		}
+		warm[i] = e.withAlpha(m.Alpha)
+	}
+	want, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, cold, o.newOverlapTables(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, warm, o.newOverlapTables(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, w := range want {
+		gm := got[k]
+		if gm.nr != w.nr || gm.nc != w.nc || !slices.Equal(gm.rows, w.rows) ||
+			!slices.Equal(gm.cols, w.cols) || !sameFloatBits(gm.vals, w.vals) {
+			t.Fatalf("edge %d: matrix over loaded spaces differs from the serial cold build", k)
+		}
 	}
 }
 

@@ -44,16 +44,14 @@ func NewOptimizer(m *cost.Model) *Optimizer {
 	return &Optimizer{Cost: m, Opts: DefaultOptions(), Cache: DefaultSearchCache}
 }
 
-// nodeCands caches per-candidate evaluations for one graph node. The DP node
-// cost lives in its own flat slice (total) so the DP folds walk contiguous
-// memory; the Intra breakdowns stay around only for Strategy reporting and
-// the cross-call cache.
+// nodeCands caches per-candidate evaluations for one graph node: the
+// α-independent entry the cross-call cache stores, plus the DP node cost in
+// its own flat slice (total) so the DP folds walk contiguous memory; the
+// Intra breakdowns stay around only for Strategy reporting and the
+// cross-call cache.
 type nodeCands struct {
-	seqs  []partition.Seq
-	intra []cost.Intra
+	*nodeEntry
 	total []float64 // Intra.Total(alpha), the DP node cost
-	out   []*cost.Iface
-	in    []*cost.Iface
 }
 
 // Strategy is an optimized partition assignment for one representative layer
@@ -80,18 +78,17 @@ type Strategy struct {
 // w workers.
 func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeCands {
 	seqs := Candidates(op, o.Cost.Cluster.Bits(), o.Opts)
-	nc := &nodeCands{
+	e := &nodeEntry{
 		seqs:  seqs,
 		intra: make([]cost.Intra, len(seqs)),
-		total: make([]float64, len(seqs)),
 		out:   make([]*cost.Iface, len(seqs)),
 		in:    make([]*cost.Iface, len(seqs)),
 	}
+	nc := &nodeCands{nodeEntry: e, total: make([]float64, len(seqs))}
 	parallelRows(w, len(seqs), func(i int) {
-		nc.intra[i] = o.Cost.IntraCost(op, seqs[i])
-		nc.total[i] = nc.intra[i].Total(o.Cost.Alpha)
-		nc.out[i] = o.Cost.OutputIface(op, seqs[i])
-		nc.in[i] = o.Cost.InputIface(op, seqs[i])
+		e.intra[i] = o.Cost.IntraCost(op, seqs[i])
+		nc.total[i] = e.intra[i].Total(o.Cost.Alpha)
+		e.out[i], e.in[i] = o.Cost.Ifaces(op, seqs[i])
 	})
 	return nc
 }
@@ -477,7 +474,9 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 		nodeKeys = make([]string, len(slotNode))
 		for s, ni := range slotNode {
 			nodeKeys[s] = string(appendNodeCrossKey(envSig, g.Nodes[ni]))
-			if e := ccache.nodes.get(nodeKeys[s]); e != nil {
+			// An entry that does not fit the op and cluster its key names
+			// (a hostile disk cache) is a miss.
+			if e := ccache.nodes.get(nodeKeys[s]); e != nil && e.fitsOp(g.Nodes[ni], o.Cost.Cluster) {
 				slotCands[s] = e.withAlpha(o.Cost.Alpha)
 				stats.CrossCallNodeHits++
 			} else {
@@ -494,8 +493,7 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	}
 	if ccache != nil {
 		for _, s := range evalSlots {
-			nc := slotCands[s]
-			ccache.nodes.put(nodeKeys[s], &nodeEntry{seqs: nc.seqs, intra: nc.intra, out: nc.out, in: nc.in})
+			ccache.nodes.put(nodeKeys[s], slotCands[s].nodeEntry)
 		}
 	}
 	cands := make([]*nodeCands, len(g.Nodes))

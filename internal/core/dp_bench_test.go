@@ -78,6 +78,27 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 	b.ReportMetric(float64(cells), "cells/op")
 }
 
+// BenchmarkNodeEval32 evaluates the candidate space of OPT-175B's qkv
+// linear on 32 devices on one worker, the largest node of a cold 32-device
+// search: enumeration, intra costs and both interfaces of every candidate.
+// Per-device allocation in the interface build shows up here as ns/op and
+// allocs/op.
+func BenchmarkNodeEval32(b *testing.B) {
+	g, err := model.BuildBlock(model.OPT175B())
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := NewOptimizer(cost.NewModel(device.MustCluster(32, 4, device.V100Profile())))
+	op := g.Nodes[model.NodeQKV]
+	cands := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cands = len(o.evalNode(op, 1).seqs)
+	}
+	b.ReportMetric(float64(cands), "cands/op")
+}
+
 // BenchmarkPlanWarmRepeat repeats one OPT-175B block search at 16 devices
 // on a warm cache: every iteration is an identical repeat, answered by the
 // plan tier after the node pass, so ns/op pins the cost of a warm /v1/plan

@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"math"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -42,15 +41,20 @@ func (m *edgeMat) numColGroups() int { return m.nc }
 
 // ifaceGroups partitions candidates by their interface restricted to the
 // relevant axes, returning per-candidate group ids and one representative
-// candidate per group, in first-seen order. Candidates group by the exact
-// bytes appendIfaceClass builds, as patternIDs and sig.go do, so two distinct
-// interfaces can never share a row.
-func ifaceGroups(ifaces []*cost.Iface, axes []int) (ids []int32, reps []int32) {
+// candidate per group, in first-seen order. Candidates group by their
+// forward and backward pattern ids on those axes (cost.Patterns), which are
+// assigned by exact byte equality, so two distinct interfaces can never
+// share a row.
+func ifaceGroups(ps *cost.Patterns, axes []int) (ids []int32, reps []int32) {
 	byKey := make(map[string]int32)
-	ids = make([]int32, len(ifaces))
+	ids = make([]int32, ps.Len())
 	var key []byte
-	for i, ifc := range ifaces {
-		key = appendIfaceClass(key[:0], ifc, axes)
+	for i := range ids {
+		key = key[:0]
+		for _, ax := range axes {
+			key = binary.LittleEndian.AppendUint32(key, uint32(ps.ID(i, ax, true)))
+			key = binary.LittleEndian.AppendUint32(key, uint32(ps.ID(i, ax, false)))
+		}
 		id, ok := byKey[string(key)]
 		if !ok {
 			id = int32(len(reps))
@@ -60,20 +64,6 @@ func ifaceGroups(ifaces []*cost.Iface, axes []int) (ids []int32, reps []int32) {
 		ids[i] = id
 	}
 	return ids, reps
-}
-
-// appendIfaceClass appends ifc's class bytes on axes: per axis the width,
-// then every device's forward and backward interval start.
-func appendIfaceClass(b []byte, ifc *cost.Iface, axes []int) []byte {
-	devs := len(ifc.Fwd) / ifc.NumAxes
-	for _, ax := range axes {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Width[ax]))
-		for dev := 0; dev < devs; dev++ {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Fwd[dev*ifc.NumAxes+ax]))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ifc.Bwd[dev*ifc.NumAxes+ax]))
-		}
-	}
-	return b
 }
 
 // newOverlapTables returns an empty overlap-vector registry for the
@@ -101,26 +91,21 @@ type edgeBuild struct {
 // its matrix. Outside reference mode it builds the edge's cost.EdgeCalc —
 // per-axis overlap tables that make each cell a handful of table-row
 // products instead of a full device sweep, with bit-identical results — on
-// ot, the search's registry, which the edges of one search share.
+// ot, the search's registry, which the edges of one search share. Both the
+// grouping and the calc read the endpoint spaces' interned patterns.
 func (o *Optimizer) prepareEdge(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, ot *cost.OverlapTables) *edgeBuild {
+	srcPats, _ := src.patterns()
+	_, dstPats := dst.patterns()
 	plan := o.Cost.PlanEdge(g, e)
-	rows, rowReps := ifaceGroups(src.out, plan.SrcRelevantAxes())
-	cols, colReps := ifaceGroups(dst.in, plan.DstRelevantAxes())
+	rows, rowReps := ifaceGroups(srcPats, plan.SrcRelevantAxes())
+	cols, colReps := ifaceGroups(dstPats, plan.DstRelevantAxes())
 	b := &edgeBuild{plan: plan, src: src, dst: dst, rowReps: rowReps, colReps: colReps,
 		m: &edgeMat{rows: rows, cols: cols, nr: len(rowReps), nc: len(colReps),
 			vals: make([]float64, len(rowReps)*len(colReps))}}
 	if o.Opts.DisableCache {
 		return b
 	}
-	srcIfs := make([]*cost.Iface, len(rowReps))
-	for r, ri := range rowReps {
-		srcIfs[r] = src.out[ri]
-	}
-	dstIfs := make([]*cost.Iface, len(colReps))
-	for c, ci := range colReps {
-		dstIfs[c] = dst.in[ci]
-	}
-	if b.calc = plan.NewCalc(ot, srcIfs, dstIfs); b.calc != nil {
+	if b.calc = plan.NewCalc(ot, srcPats, rowReps, dstPats, colReps); b.calc != nil {
 		b.key = b.calc.FracKey(false)
 	}
 	return b

@@ -51,13 +51,15 @@ func FuzzIfaceClassEquivalence(f *testing.F) {
 		plan := m.PlanEdge(g, e)
 
 		// The classes the search builds matrices over.
-		rowOf, _ := ifaceGroups(srcIfs, plan.SrcRelevantAxes())
-		colOf, _ := ifaceGroups(dstIfs, plan.DstRelevantAxes())
+		srcPats, dstPats := cost.NewPatterns(srcIfs), cost.NewPatterns(dstIfs)
+		rowOf, _ := ifaceGroups(srcPats, plan.SrcRelevantAxes())
+		colOf, _ := ifaceGroups(dstPats, plan.DstRelevantAxes())
 
 		// Full Traffic matrix through the table evaluator (every candidate
 		// its own representative), cross-checked against direct Measure.
 		cells := make([][]cost.Traffic, len(srcIfs))
-		calc := plan.NewCalc(cost.NewOverlapTables(m.Cluster.NumDevices, m.Cluster.DevicesPerNode), srcIfs, dstIfs)
+		calc := plan.NewCalc(cost.NewOverlapTables(m.Cluster.NumDevices, m.Cluster.DevicesPerNode),
+			srcPats, identityIDs(len(srcIfs)), dstPats, identityIDs(len(dstIfs)))
 		var be *cost.BlockEval
 		var row []cost.Traffic
 		if calc != nil {

@@ -325,37 +325,68 @@ type Iface struct {
 // distribution at the last Forward step, and the dOutput distribution
 // expected at the first Backward step.
 func (m *Model) OutputIface(op *graph.Op, seq partition.Seq) *Iface {
-	return m.iface(op, seq, s(-1), s(0))
+	return m.iface(op, seq, s(-1), s(0), widths(op, seq))
 }
 
 // InputIface evaluates the consumer-side interface: input distribution
 // needed at the first Forward step, and dInput distribution produced at the
 // last Backward step.
 func (m *Model) InputIface(op *graph.Op, seq partition.Seq) *Iface {
-	return m.iface(op, seq, s(0), s(-1))
+	return m.iface(op, seq, s(0), s(-1), widths(op, seq))
+}
+
+// Ifaces returns OutputIface and InputIface of op under seq, sharing one
+// Width array: a candidate space keeps both interfaces of every candidate,
+// and their widths are equal.
+func (m *Model) Ifaces(op *graph.Op, seq partition.Seq) (out, in *Iface) {
+	w := widths(op, seq)
+	return m.iface(op, seq, s(-1), s(0), w), m.iface(op, seq, s(0), s(-1), w)
 }
 
 type s int // step selector, -1 = last
 
-func (m *Model) iface(op *graph.Op, seq partition.Seq, fwdStep, bwdStep s) *Iface {
+// widths returns every axis's interval width under seq, 1/slices(axis).
+func widths(op *graph.Op, seq partition.Seq) []float64 {
+	w := make([]float64, len(op.Axes))
+	for ax := range w {
+		w[ax] = 1 / float64(seq.NumSlices(ax))
+	}
+	return w
+}
+
+func (m *Model) iface(op *graph.Op, seq partition.Seq, fwdStep, bwdStep s, width []float64) *Iface {
 	n := m.Cluster.NumDevices
 	nbits := m.Cluster.Bits()
 	numDims := len(op.Axes)
+	// Fwd and Bwd stay two arrays: one backing array for both would round
+	// up to a larger allocation size class at most shapes, and the node
+	// tier holds every interface.
 	ifc := &Iface{
 		NumAxes: numDims,
 		Fwd:     make([]float64, n*numDims),
 		Bwd:     make([]float64, n*numDims),
-		Width:   make([]float64, numDims),
+		Width:   width,
 	}
-	for ax := range op.Axes {
-		ifc.Width[ax] = 1 / float64(seq.NumSlices(ax))
-	}
-	for dev := 0; dev < n; dev++ {
-		f := seq.SliceIndices(partition.Forward, numDims, nbits, dev, int(fwdStep))
-		b := seq.SliceIndices(partition.Backward, numDims, nbits, dev, int(bwdStep))
-		for ax := range op.Axes {
-			ifc.Fwd[dev*numDims+ax] = float64(f[ax]) * ifc.Width[ax]
-			ifc.Bwd[dev*numDims+ax] = float64(b[ax]) * ifc.Width[ax]
+	// Each pass computes its temporal tuple once; every device's DSIs land
+	// in one reused buffer.
+	dsi := make([]int, numDims)
+	ts := make([]int, len(seq.Tokens))
+	for _, pass := range [...]struct {
+		ph    partition.Phase
+		step  s
+		start []float64
+	}{{partition.Forward, fwdStep, ifc.Fwd}, {partition.Backward, bwdStep, ifc.Bwd}} {
+		step := int(pass.step)
+		if step < 0 {
+			step += seq.Steps()
+		}
+		seq.TemporalTupleInto(ts, step)
+		for dev := 0; dev < n; dev++ {
+			seq.SliceIndicesInto(dsi, ts, pass.ph, nbits, dev)
+			row := pass.start[dev*numDims:][:numDims]
+			for ax, v := range dsi {
+				row[ax] = float64(v) * ifc.Width[ax]
+			}
 		}
 	}
 	return ifc

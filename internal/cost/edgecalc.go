@@ -8,16 +8,20 @@
 // space an axis takes only a few dozen distinct distributions (patterns).
 // EdgeCalc exploits that structure at three levels:
 //
-//  1. The per-device-pair overlap vector of a (provider pattern, need
-//     pattern) combination depends on nothing but the two patterns and the
-//     cluster shape, so one OverlapTables registry per search computes each
-//     combination once for every edge and axis pairing that meets it, and
-//     deduplicates it per NODE: the perNode×perNode block a node sees takes
-//     only ~10²–10³ distinct values ("node blocks"), and the per-(pattern
-//     pair) sequence of node blocks across the machine collapses to a small
-//     set of "node vectors". Each (source axis, destination axis) pairing of
-//     an edge maps its local patterns to the registry's and numbers the node
-//     vectors and blocks it meets locally, in first-seen order.
+//  1. Pattern ids come from the candidate space, not from each edge: a
+//     space interns its interfaces' axis patterns once (Patterns), and every
+//     edge touching the space reads its representatives' ids from there. The
+//     per-device-pair overlap vector of a (provider pattern, need pattern)
+//     combination depends on nothing but the two patterns and the cluster
+//     shape, so one OverlapTables registry per search maps each space
+//     pattern to a registry pattern once, computes each combination once for
+//     every edge and axis pairing that meets it, and deduplicates it per
+//     NODE: the perNode×perNode block a node sees takes only ~10²–10³
+//     distinct values ("node blocks"), and the per-(pattern pair) sequence
+//     of node blocks across the machine collapses to a small set of "node
+//     vectors". Each (source axis, destination axis) pairing of an edge
+//     numbers the patterns, node vectors and blocks it meets locally, in
+//     first-seen order.
 //  2. A direction's coverage-fraction pair is a pure function of the cell's
 //     node-vector tuple — Measure keeps the moved volume out of its
 //     accumulation tree precisely so this holds — so each distinct tuple is
@@ -47,6 +51,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -68,28 +73,39 @@ type axisPair struct{ sa, dax int }
 
 // OverlapTables is the registry of per-axis overlap vectors for one cluster
 // shape (device count and devices per node), shared by every edge calc of a
-// search. It interns axis patterns by exact byte equality and maps each
-// (provider pattern, need pattern) pair to a node vector: the pair's
-// per-device-pair overlap vector, split into deduplicated node blocks. Each
-// pair's vector is computed once, however many edges and axis pairings meet
-// it. It also recycles the memo tables of released BlockEvals, so a search's
-// matrices reuse each other's memos instead of allocating fresh ones. Safe
-// for concurrent use: edge matrices build concurrently.
+// search. It interns axis patterns by exact byte equality — each candidate
+// space's pattern (Patterns) once per search — and maps each (provider
+// pattern, need pattern) pair to a node vector: the pair's per-device-pair
+// overlap vector, split into deduplicated node blocks. Each pair's vector is
+// computed once, however many edges and axis pairings meet it. It also
+// recycles the memo tables of released BlockEvals, so a search's matrices
+// reuse each other's memos instead of allocating fresh ones. Safe for
+// concurrent use: edge matrices build concurrently.
 type OverlapTables struct {
 	devices, perNode int
 
-	mu      sync.Mutex
-	patIDs  map[string]int32 // pattern key (see patternIDs) -> pattern id
-	pats    []axisPattern
-	pairVec map[[2]int32]int32 // (provider, need) pattern ids -> node-vector id
-	blkIDs  map[string]int32
-	blks    []float64 // [bid*perNode² ...] deduped node blocks
-	vecIDs  map[string]int32
-	vecs    []int32   // vid*nodes+g -> node-block id
-	ov      []float64 // scratch: one pair's device-pair overlap vector
-	vecKey  []int32   // scratch: one pair's node-block ids
-	keyBuf  []byte
-	free    [][]cellSlot // slot arrays of released memos
+	mu       sync.Mutex
+	patIDs   map[string]int32 // pattern bytes (width, then every start) -> pattern id
+	pats     []axisPattern
+	spaceReg map[*Patterns][]int32 // space pattern (index into Patterns.first) -> pattern id, -1 until met
+	pairVec  map[uint64]int32      // provider<<32 | need pattern ids -> node-vector id
+	blkIDs   map[string]int32
+	blks     []float64 // [bid*perNode² ...] deduped node blocks
+	vecIDs   map[string]int32
+	vecs     []int32   // vid*nodes+g -> node-block id
+	ov       []float64 // scratch: one pair's device-pair overlap vector
+	vecKey   []int32   // scratch: one pair's node-block ids
+	keyBuf   []byte
+	free     [][]cellSlot // slot arrays of released memos
+
+	// Scratch of one axis pairing's build: vecLoc[vid] / blkLoc[bid] are
+	// its local ids of the registry's node vectors and blocks, -1 when the
+	// pairing has not met them (they grow with vecs and blks); vecSeen /
+	// blkSeen list the ones it met, in local order, so build resets them
+	// after the pairing; locVecs is its vecs in local block ids.
+	vecLoc, blkLoc   []int32
+	vecSeen, blkSeen []int32
+	locVecs          []int32
 }
 
 // NewOverlapTables returns an empty registry for a cluster of the given
@@ -97,45 +113,52 @@ type OverlapTables struct {
 func NewOverlapTables(devices, perNode int) *OverlapTables {
 	return &OverlapTables{
 		devices: devices, perNode: perNode,
-		patIDs:  make(map[string]int32),
-		pairVec: make(map[[2]int32]int32),
-		blkIDs:  make(map[string]int32),
-		vecIDs:  make(map[string]int32),
-		ov:      make([]float64, devices*perNode),
-		vecKey:  make([]int32, devices/perNode),
+		patIDs:   make(map[string]int32),
+		spaceReg: make(map[*Patterns][]int32),
+		pairVec:  make(map[uint64]int32),
+		blkIDs:   make(map[string]int32),
+		vecIDs:   make(map[string]int32),
+		ov:       make([]float64, devices*perNode),
+		vecKey:   make([]int32, devices/perNode),
 	}
 }
 
-// pattern returns the id of the pattern with the given key, interning it on
-// first sight. The caller holds t.mu.
-func (t *OverlapTables) pattern(key string) int32 {
-	id, ok := t.patIDs[key]
-	if !ok {
-		id = int32(len(t.pats))
-		t.patIDs[key] = id
-		pat := axisPattern{width: keyFloat(key, 0), starts: make([]float64, len(key)/8-1)}
-		for dev := range pat.starts {
-			pat.starts[dev] = keyFloat(key, 1+dev)
+// spacePatterns appends to dst the registry id of each pattern of ps that
+// ids number on axis ax in the given pass, interning a pattern by its bytes
+// the first time this registry meets it. The caller holds t.mu.
+func (t *OverlapTables) spacePatterns(dst []int32, ps *Patterns, ax int, fwd bool, ids []int32) []int32 {
+	reg := t.spaceReg[ps]
+	if reg == nil {
+		reg = make([]int32, len(ps.first))
+		for i := range reg {
+			reg[i] = -1
 		}
-		t.pats = append(t.pats, pat)
+		t.spaceReg[ps] = reg
 	}
-	return id
-}
-
-// keyFloat decodes the i-th little-endian float64 of a pattern key.
-func keyFloat(key string, i int) float64 {
-	var u uint64
-	for b := 7; b >= 0; b-- {
-		u = u<<8 | uint64(key[8*i+b])
+	base := ps.base[ps.slot(ax, fwd)]
+	for _, id := range ids {
+		r := &reg[base+int(id)]
+		if *r < 0 {
+			pat := ps.pattern(ax, fwd, id)
+			t.keyBuf = pat.appendKey(t.keyBuf[:0])
+			pid, ok := t.patIDs[string(t.keyBuf)]
+			if !ok {
+				pid = int32(len(t.pats))
+				t.patIDs[string(t.keyBuf)] = pid
+				t.pats = append(t.pats, pat)
+			}
+			*r = pid
+		}
+		dst = append(dst, *r)
 	}
-	return math.Float64frombits(u)
+	return dst
 }
 
 // vector returns the node-vector id of provider pattern prov covering need
 // pattern need, computing and deduplicating it on first sight. The caller
 // holds t.mu.
 func (t *OverlapTables) vector(prov, need int32) int32 {
-	k := [2]int32{prov, need}
+	k := uint64(prov)<<32 | uint64(need)
 	if vid, ok := t.pairVec[k]; ok {
 		return vid
 	}
@@ -148,8 +171,8 @@ func (t *OverlapTables) vector(prov, need int32) int32 {
 		nodeStart := dev / pn * pn
 		for j := 0; j < pn; j++ {
 			t.ov[dev*pn+j] = overlapFrac(
-				pv.starts[nodeStart+j], pv.width,
-				nd.starts[dev], nd.width, nd.width)
+				pv.start(nodeStart+j), pv.width,
+				nd.start(dev), nd.width, nd.width)
 		}
 	}
 	blkLen := pn * pn
@@ -164,6 +187,7 @@ func (t *OverlapTables) vector(prov, need int32) int32 {
 			bid = int32(len(t.blkIDs))
 			t.blkIDs[string(t.keyBuf)] = bid
 			t.blks = append(t.blks, nb...)
+			t.blkLoc = append(t.blkLoc, -1)
 		}
 		t.vecKey[g] = bid
 	}
@@ -176,6 +200,7 @@ func (t *OverlapTables) vector(prov, need int32) int32 {
 		vid = int32(len(t.vecIDs))
 		t.vecIDs[string(t.keyBuf)] = vid
 		t.vecs = append(t.vecs, t.vecKey...)
+		t.vecLoc = append(t.vecLoc, -1)
 	}
 	t.pairVec[k] = vid
 	return vid
@@ -251,12 +276,13 @@ type EdgeCalc struct {
 }
 
 // NewCalc builds the table evaluator for this plan over the given interface
-// representatives (srcReps: producer output interfaces of the row groups,
-// dstReps: consumer input interfaces of the column groups), taking its
-// overlap vectors from t, which must describe the plan's cluster shape.
-// Returns nil when the pattern tables would exceed calcTableLimit; callers
-// must then fall back to Measure.
-func (p *EdgePlan) NewCalc(t *OverlapTables, srcReps, dstReps []*Iface) *EdgeCalc {
+// representatives — srcReps index the producer output interfaces that src
+// interns (the row groups), dstReps the consumer input interfaces that dst
+// interns (the column groups) — taking its overlap vectors from t, which
+// must describe the plan's cluster shape. Returns nil when the pattern
+// tables would exceed calcTableLimit; callers must then fall back to
+// Measure.
+func (p *EdgePlan) NewCalc(t *OverlapTables, src *Patterns, srcReps []int32, dst *Patterns, dstReps []int32) *EdgeCalc {
 	if t.devices != p.devices || t.perNode != p.perNode {
 		panic(fmt.Sprintf("cost: overlap tables for %d devices (%d per node) used on an edge of %d devices (%d per node)",
 			t.devices, t.perNode, p.devices, p.perNode))
@@ -273,25 +299,25 @@ func (p *EdgePlan) NewCalc(t *OverlapTables, srcReps, dstReps []*Iface) *EdgeCal
 			bp = append(bp, axisPair{sa, dax})
 		}
 	}
-	if !c.fwd.build(t, p, fp, srcReps, dstReps, true) {
+	if !c.fwd.build(t, p, fp, src, srcReps, dst, dstReps, true) {
 		return nil
 	}
-	if !c.bwd.build(t, p, bp, srcReps, dstReps, false) {
+	if !c.bwd.build(t, p, bp, src, srcReps, dst, dstReps, false) {
 		return nil
 	}
 	c.fwdVol = make([]float64, len(dstReps))
 	for ci, d := range dstReps {
 		v := p.dstFull
 		for _, dax := range p.fwdDst {
-			v *= d.Width[dax]
+			v *= dst.ifaces[d].Width[dax]
 		}
 		c.fwdVol[ci] = v
 	}
 	c.bwdVol = make([]float64, len(srcReps))
-	for ri, s := range srcReps {
+	for ri, r := range srcReps {
 		v := p.srcFull
 		for _, sa := range p.bwdSrc {
-			v *= s.Width[sa]
+			v *= src.ifaces[r].Width[sa]
 		}
 		c.bwdVol[ri] = v
 	}
@@ -320,48 +346,159 @@ func (d *dirCalc) checkKeySpaces() {
 }
 
 // axisPattern describes one distinct distribution of a single axis: its
-// uniform interval width and every device's interval start.
+// uniform interval width and every device's interval start, read in place
+// from the interface pass array it was first seen in (device dev's start at
+// starts[dev*stride]).
 type axisPattern struct {
-	width  float64
-	starts []float64
+	width        float64
+	starts       []float64
+	devs, stride int
 }
 
-// patternIDs groups the interfaces by their (width, per-device starts) on
-// axis ax of the chosen pass array, returning per-interface local pattern
-// ids and the distinct patterns' keys (the little-endian bytes of the width
-// and then every start) in first-seen order. Grouping is by exact byte
-// equality — no hashing — so distinct distributions can never share an id.
-func patternIDs(ifaces []*Iface, ax int, fwd bool) ([]int32, []string) {
-	byKey := make(map[string]int32)
-	ids := make([]int32, len(ifaces))
-	var keys []string
-	var buf []byte
-	for i, ifc := range ifaces {
-		arr := ifc.Fwd
-		if !fwd {
-			arr = ifc.Bwd
-		}
-		devs := len(arr) / ifc.NumAxes
-		buf = binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(ifc.Width[ax]))
-		for dev := 0; dev < devs; dev++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(arr[dev*ifc.NumAxes+ax]))
-		}
-		id, ok := byKey[string(buf)]
-		if !ok {
-			id = int32(len(keys))
-			key := string(buf)
-			byKey[key] = id
-			keys = append(keys, key)
-		}
-		ids[i] = id
+// start returns device dev's interval start.
+func (a *axisPattern) start(dev int) float64 { return a.starts[dev*a.stride] }
+
+// appendKey appends the pattern's exact bytes: the little-endian width, then
+// every start.
+func (a *axisPattern) appendKey(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.width))
+	for dev := 0; dev < a.devs; dev++ {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.start(dev)))
 	}
-	return ids, keys
+	return b
+}
+
+// Patterns interns the axis patterns of one list of interfaces, typically a
+// candidate space's output or input interfaces: for every axis and pass
+// (forward, backward), each interface's pattern id, numbering that axis and
+// pass's distinct patterns in first-seen order. Patterns are grouped by
+// exact byte equality — never by hash — so two interfaces share an id
+// exactly when their width and every device's start on that axis are
+// bit-equal in that pass. A pattern is stored as the index of the first
+// interface that has it, so the index costs a few bytes per interface on
+// top of the interfaces it reads. Read-only once built, so one Patterns
+// serves every edge of every search that uses the space.
+type Patterns struct {
+	ifaces  []*Iface
+	numAxes int
+	// ids[i*numAxes*2+slot] is interface i's pattern id in that slot. A
+	// space's slots hold at most a few dozen patterns each, so the ids are
+	// kept as bytes (ids8) whenever every slot fits 256, which quarters
+	// what the node tier holds for them; exactly one of the two is set.
+	ids   []int32
+	ids8  []uint8
+	first []int32 // base[slot]+id -> the first interface with that pattern
+	base  []int   // [slot] offset of the slot's patterns in first, then len(first)
+}
+
+// NewPatterns interns the patterns of ifaces, which must share one axis
+// count and one device count and stay unmodified while the result is used.
+func NewPatterns(ifaces []*Iface) *Patterns {
+	p := &Patterns{ifaces: ifaces}
+	if len(ifaces) == 0 {
+		return p
+	}
+	na := ifaces[0].NumAxes
+	devs := len(ifaces[0].Fwd) / na
+	p.numAxes = na
+	ids := make([]int32, len(ifaces)*na*2)
+	narrow := true
+	p.base = make([]int, na*2+1)
+	byKey := make(map[string]int32)
+	key := make([]byte, 8*(1+devs))
+	for sl := 0; sl < na*2; sl++ {
+		ax := sl / 2
+		p.base[sl] = len(p.first)
+		clear(byKey)
+		for i, ifc := range ifaces {
+			arr := ifc.Fwd
+			if sl%2 == 1 {
+				arr = ifc.Bwd
+			}
+			binary.LittleEndian.PutUint64(key, math.Float64bits(ifc.Width[ax]))
+			for dev := 0; dev < devs; dev++ {
+				binary.LittleEndian.PutUint64(key[8*(1+dev):], math.Float64bits(arr[dev*na+ax]))
+			}
+			id, ok := byKey[string(key)]
+			if !ok {
+				id = int32(len(p.first) - p.base[sl])
+				byKey[string(key)] = id
+				p.first = append(p.first, int32(i))
+			}
+			ids[i*na*2+sl] = id
+		}
+		narrow = narrow && len(p.first)-p.base[sl] <= 1<<8
+	}
+	p.base[na*2] = len(p.first)
+	if !narrow {
+		p.ids = ids
+		return p
+	}
+	p.ids8 = make([]uint8, len(ids))
+	for k, id := range ids {
+		p.ids8[k] = uint8(id)
+	}
+	return p
+}
+
+// pattern returns the pattern numbered id on axis ax in the given pass.
+func (p *Patterns) pattern(ax int, fwd bool, id int32) axisPattern {
+	ifc := p.ifaces[p.first[p.base[p.slot(ax, fwd)]+int(id)]]
+	arr := ifc.Fwd
+	if !fwd {
+		arr = ifc.Bwd
+	}
+	return axisPattern{width: ifc.Width[ax], starts: arr[ax:], devs: len(arr) / p.numAxes, stride: p.numAxes}
+}
+
+// slot numbers the (axis, pass) combinations.
+func (p *Patterns) slot(ax int, fwd bool) int {
+	if fwd {
+		return ax * 2
+	}
+	return ax*2 + 1
+}
+
+// Len returns the number of interfaces interned.
+func (p *Patterns) Len() int { return len(p.ifaces) }
+
+// ID returns interface i's pattern id on axis ax in the forward (fwd) or
+// backward pass.
+func (p *Patterns) ID(i, ax int, fwd bool) int32 { return p.id(i*p.numAxes*2 + p.slot(ax, fwd)) }
+
+// id returns the pattern id at position k of ids.
+func (p *Patterns) id(k int) int32 {
+	if p.ids8 != nil {
+		return int32(p.ids8[k])
+	}
+	return p.ids[k]
+}
+
+// LocalIDs numbers the patterns the interfaces reps take on axis ax in the
+// given pass, in first-seen order: ids[k] is reps[k]'s local id, and
+// space[l] is local id l's pattern id in p.
+func (p *Patterns) LocalIDs(reps []int32, ax int, fwd bool) (ids, space []int32) {
+	sl := p.slot(ax, fwd)
+	loc := make([]int32, p.base[sl+1]-p.base[sl])
+	for i := range loc {
+		loc[i] = -1
+	}
+	ids = make([]int32, len(reps))
+	for k, r := range reps {
+		id := p.id(int(r)*p.numAxes*2 + sl)
+		if loc[id] < 0 {
+			loc[id] = int32(len(space))
+			space = append(space, id)
+		}
+		ids[k] = loc[id]
+	}
+	return ids, space
 }
 
 // build fills one direction's pattern ids and node-factoring indexes from
 // the registry t. Reports false when a pairing's dense table would exceed
 // calcTableLimit.
-func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps, dstReps []*Iface, fwdPass bool) bool {
+func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, src *Patterns, srcReps []int32, dst *Patterns, dstReps []int32, fwdPass bool) bool {
 	d.pairs = pairs
 	d.perNode = p.perNode
 	d.nodes = p.devices / p.perNode
@@ -371,9 +508,9 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps
 	// One backing array for every pair's registry ids of both sides.
 	reg := make([]int32, len(pairs)*(len(srcReps)+len(dstReps)))
 	for _, pr := range pairs {
-		srcIDs, srcKeys := patternIDs(srcReps, pr.sa, fwdPass)
-		dstIDs, dstKeys := patternIDs(dstReps, pr.dax, fwdPass)
-		nr, nc := len(srcKeys), len(dstKeys)
+		srcIDs, srcSpace := src.LocalIDs(srcReps, pr.sa, fwdPass)
+		dstIDs, dstSpace := dst.LocalIDs(dstReps, pr.dax, fwdPass)
+		nr, nc := len(srcSpace), len(dstSpace)
 		if nr*nc*n > calcTableLimit {
 			return false
 		}
@@ -381,18 +518,9 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps
 		// (rp, cp, node) first-seen order: an equal vector has equal
 		// blocks, so a block can only be new inside a new vector.
 		cellVec := make([]int32, nr*nc)
-		vecLoc := make(map[int32]int32)
-		blkLoc := make(map[int32]int32)
-		var blks []float64
-		var vecs []int32
 		t.mu.Lock()
-		srcPat, dstPat = srcPat[:0], dstPat[:0]
-		for _, k := range srcKeys {
-			srcPat = append(srcPat, t.pattern(k))
-		}
-		for _, k := range dstKeys {
-			dstPat = append(dstPat, t.pattern(k))
-		}
+		srcPat = t.spacePatterns(srcPat[:0], src, pr.sa, fwdPass, srcSpace)
+		dstPat = t.spacePatterns(dstPat[:0], dst, pr.dax, fwdPass, dstSpace)
 		for rp, sp := range srcPat {
 			for cp, dp := range dstPat {
 				// Both directions are the same provider-covers-need fill:
@@ -403,23 +531,38 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps
 					prov, need = need, prov
 				}
 				gv := t.vector(prov, need)
-				vid, ok := vecLoc[gv]
-				if !ok {
-					vid = int32(len(vecLoc))
-					vecLoc[gv] = vid
+				vid := t.vecLoc[gv]
+				if vid < 0 {
+					vid = int32(len(t.vecSeen))
+					t.vecLoc[gv] = vid
+					t.vecSeen = append(t.vecSeen, gv)
 					for _, gb := range t.vecs[int(gv)*d.nodes:][:d.nodes] {
-						bid, ok := blkLoc[gb]
-						if !ok {
-							bid = int32(len(blkLoc))
-							blkLoc[gb] = bid
-							blks = append(blks, t.blks[int(gb)*blkLen:][:blkLen]...)
+						bid := t.blkLoc[gb]
+						if bid < 0 {
+							bid = int32(len(t.blkSeen))
+							t.blkLoc[gb] = bid
+							t.blkSeen = append(t.blkSeen, gb)
 						}
-						vecs = append(vecs, bid)
+						t.locVecs = append(t.locVecs, bid)
 					}
 				}
 				cellVec[rp*nc+cp] = vid
 			}
 		}
+		vecs := slices.Clone(t.locVecs)
+		blks := make([]float64, len(t.blkSeen)*blkLen)
+		for bid, gb := range t.blkSeen {
+			copy(blks[bid*blkLen:], t.blks[int(gb)*blkLen:][:blkLen])
+		}
+		d.nBlk = append(d.nBlk, int32(len(t.blkSeen)))
+		d.nVec = append(d.nVec, int32(len(t.vecSeen)))
+		for _, gv := range t.vecSeen {
+			t.vecLoc[gv] = -1
+		}
+		for _, gb := range t.blkSeen {
+			t.blkLoc[gb] = -1
+		}
+		t.vecSeen, t.blkSeen, t.locVecs = t.vecSeen[:0], t.blkSeen[:0], t.locVecs[:0]
 		t.mu.Unlock()
 		d.rowPat = append(d.rowPat, srcIDs)
 		d.colPat = append(d.colPat, dstIDs)
@@ -429,8 +572,6 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, srcReps
 		d.rowReg = append(d.rowReg, rowReg)
 		d.colReg = append(d.colReg, colReg)
 		d.nColPat = append(d.nColPat, nc)
-		d.nBlk = append(d.nBlk, int32(len(blkLoc)))
-		d.nVec = append(d.nVec, int32(len(vecLoc)))
 		d.blks = append(d.blks, blks)
 		d.vecs = append(d.vecs, vecs)
 		d.cellVec = append(d.cellVec, cellVec)

@@ -72,7 +72,7 @@ func BenchmarkEdgeCellBlock(b *testing.B) {
 	p, srcReps, dstReps := benchPlan()
 	q, qSrc, qDst := mirrorEdge(p, srcReps, dstReps)
 	ot := NewOverlapTables(p.devices, p.perNode)
-	calc, mirror := p.NewCalc(ot, srcReps, dstReps), q.NewCalc(ot, qSrc, qDst)
+	calc, mirror := newCalcOver(p, ot, srcReps, dstReps), newCalcOver(q, ot, qSrc, qDst)
 	if calc == nil || mirror == nil {
 		b.Fatal("NewCalc fell back")
 	}

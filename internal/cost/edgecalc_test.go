@@ -31,6 +31,61 @@ func randIfaces(rng *rand.Rand, n, devices, numAxes int) []*Iface {
 	return out
 }
 
+// newCalcOver builds p's calc over src and dst, every interface its own
+// representative.
+func newCalcOver(p *EdgePlan, t *OverlapTables, src, dst []*Iface) *EdgeCalc {
+	return p.NewCalc(t, NewPatterns(src), allReps(len(src)), NewPatterns(dst), allReps(len(dst)))
+}
+
+// allReps returns the representative list 0, 1, …, n-1.
+func allReps(n int) []int32 {
+	reps := make([]int32, n)
+	for i := range reps {
+		reps[i] = int32(i)
+	}
+	return reps
+}
+
+// TestPatternsIDs pins Patterns' numbering on both id widths: two
+// interfaces share a pattern id on an axis and pass exactly when their width
+// and every device's start there are bit-equal, ids count up from zero in
+// first-seen order, and a slot of more than 256 patterns switches the whole
+// index from byte ids to int32 ids.
+func TestPatternsIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		n    int
+		wide bool
+	}{{40, false}, {700, true}} {
+		ifs := randIfaces(rng, tc.n, 16, 3)
+		p := NewPatterns(ifs)
+		if wide := p.ids8 == nil; wide != tc.wide {
+			t.Fatalf("%d interfaces: wide ids = %v, want %v", tc.n, wide, tc.wide)
+		}
+		for ax := 0; ax < 3; ax++ {
+			for _, fwd := range []bool{true, false} {
+				byKey := map[string]int32{}
+				for i, ifc := range ifs {
+					arr := ifc.Fwd
+					if !fwd {
+						arr = ifc.Bwd
+					}
+					pat := axisPattern{width: ifc.Width[ax], starts: arr[ax:], devs: 16, stride: 3}
+					key := string(pat.appendKey(nil))
+					want, seen := byKey[key]
+					if !seen {
+						want = int32(len(byKey))
+						byKey[key] = want
+					}
+					if got := p.ID(i, ax, fwd); got != want {
+						t.Fatalf("%d interfaces, axis %d fwd %v: interface %d has id %d, want %d", tc.n, ax, fwd, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEdgeCalcMatchesMeasure pins the table-driven evaluator (one
 // BlockEval's MeasureRow) to the reference Measure, every Traffic field
 // compared, on randomized interface sets, including unmapped (-1) axis
@@ -53,7 +108,7 @@ func TestEdgeCalcMatchesMeasure(t *testing.T) {
 		}
 		srcReps := randIfaces(rng, 25, devices, srcAxes)
 		dstReps := randIfaces(rng, 25, devices, dstAxes)
-		calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
+		calc := newCalcOver(p, NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
 		if calc == nil {
 			t.Fatalf("trial %d: NewCalc fell back unexpectedly", trial)
 		}
@@ -81,7 +136,7 @@ func TestEdgeCalcNoMappedAxes(t *testing.T) {
 	}
 	srcReps := randIfaces(rng, 4, 8, 2)
 	dstReps := randIfaces(rng, 4, 8, 2)
-	calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
+	calc := newCalcOver(p, NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
 	be := calc.Block()
 	out := make([]Traffic, len(dstReps))
 	for ri, s := range srcReps {
@@ -138,7 +193,7 @@ func TestBlockEvalMatchesMeasure(t *testing.T) {
 				srcReps = randIfaces(rng, sh.rows, p.devices, 3)
 				dstReps = randIfaces(rng, sh.cols, p.devices, 4)
 			}
-			calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
+			calc := newCalcOver(p, NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
 			if calc == nil {
 				t.Fatalf("%s trial %d: NewCalc fell back unexpectedly", sh.name, trial)
 			}
@@ -183,7 +238,7 @@ func TestBlockMemoSizedToMatrix(t *testing.T) {
 		{3, 5, 32},
 		{300, 300, cellMemoCap},
 	} {
-		calc := p.NewCalc(NewOverlapTables(p.devices, p.perNode), randIfaces(rng, tc.rows, 8, 2), randIfaces(rng, tc.cols, 8, 2))
+		calc := newCalcOver(p, NewOverlapTables(p.devices, p.perNode), randIfaces(rng, tc.rows, 8, 2), randIfaces(rng, tc.cols, 8, 2))
 		be := calc.Block()
 		if got := len(be.fwd.de.cells.slots); got != tc.wantCells {
 			t.Errorf("%dx%d: cell memo starts at %d slots, want %d", tc.rows, tc.cols, got, tc.wantCells)

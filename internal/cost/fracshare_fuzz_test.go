@@ -54,7 +54,7 @@ func FuzzEdgeFracSharing(f *testing.F) {
 		twin.eb, twin.dstFull, twin.srcFull = 4, 3<<10, 5<<12
 
 		ot := NewOverlapTables(devices, perNode)
-		cp, cq, ct := p.NewCalc(ot, src, dst), q.NewCalc(ot, qSrc, qDst), twin.NewCalc(ot, src, dst)
+		cp, cq, ct := newCalcOver(p, ot, src, dst), newCalcOver(q, ot, qSrc, qDst), newCalcOver(&twin, ot, src, dst)
 		if cp == nil || cq == nil || ct == nil {
 			t.Fatal("NewCalc fell back unexpectedly")
 		}

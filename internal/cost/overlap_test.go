@@ -145,8 +145,8 @@ func TestOverlapTablesShared(t *testing.T) {
 	asked := 0
 	for i := range jobs {
 		j := &jobs[i]
-		calc := j.p.NewCalc(shared, j.src, j.dst)
-		fresh := j.p.NewCalc(NewOverlapTables(16, 4), j.src, j.dst)
+		calc := newCalcOver(j.p, shared, j.src, j.dst)
+		fresh := newCalcOver(j.p, NewOverlapTables(16, 4), j.src, j.dst)
 		if calc == nil || fresh == nil {
 			t.Fatalf("edge %d: NewCalc fell back unexpectedly", i)
 		}
@@ -188,7 +188,7 @@ func TestOverlapTablesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range jobs {
 				j := &jobs[(k+6*g)%len(jobs)]
-				j.check(t, m, "concurrent", j.p.NewCalc(shared, j.src, j.dst))
+				j.check(t, m, "concurrent", newCalcOver(j.p, shared, j.src, j.dst))
 			}
 		}(g)
 	}
@@ -202,7 +202,7 @@ func TestReleasedMemoReused(t *testing.T) {
 	m := NewModel(device.MustCluster(8, 4, device.V100Profile()))
 	rng := rand.New(rand.NewSource(31))
 	j := randEdgeJobs(rng, m, 1, layoutPool(rng, 4, 8))[0]
-	calc := j.p.NewCalc(NewOverlapTables(8, 4), j.src, j.dst)
+	calc := newCalcOver(j.p, NewOverlapTables(8, 4), j.src, j.dst)
 	be := calc.Block()
 	first := &be.fwd.de.cells.slots[0]
 	vals := make([]float64, len(j.src)*len(j.dst))
@@ -246,5 +246,5 @@ func TestNewCalcShapeMismatchPanics(t *testing.T) {
 			t.Error("NewCalc accepted a registry of another cluster shape")
 		}
 	}()
-	p.NewCalc(NewOverlapTables(16, 8), randIfaces(rng, 2, 16, srcAxes), randIfaces(rng, 2, 16, dstAxes))
+	newCalcOver(p, NewOverlapTables(16, 8), randIfaces(rng, 2, 16, srcAxes), randIfaces(rng, 2, 16, dstAxes))
 }

@@ -238,12 +238,17 @@ func (s Seq) Key() string {
 // has one entry per token of the sequence (0 for SplitDim tokens).
 func (s Seq) TemporalTuple(step int) []int {
 	ts := make([]int, len(s.Tokens))
+	s.TemporalTupleInto(ts, step)
+	return ts
+}
+
+// TemporalTupleInto is TemporalTuple writing into ts, one entry per token.
+func (s Seq) TemporalTupleInto(ts []int, step int) {
 	for i := len(s.Tokens) - 1; i >= 0; i-- {
 		n := s.Tokens[i].Steps()
 		ts[i] = step % n
 		step /= n
 	}
-	return ts
 }
 
 // mod returns x mod m in [0, m).
@@ -280,10 +285,20 @@ func (s Seq) SliceIndices(ph Phase, numDims, nbits, dev, step int) []int {
 	if step < 0 {
 		step += s.Steps()
 	}
-	ts := s.TemporalTuple(step)
 	dsi := make([]int, numDims)
+	s.SliceIndicesInto(dsi, s.TemporalTuple(step), ph, nbits, dev)
+	return dsi
+}
+
+// SliceIndicesInto is SliceIndices writing into dsi, one entry per operator
+// axis, with the step given as its temporal tuple ts (TemporalTuple). A
+// caller sweeping every device at one step computes the tuple once and
+// reuses dsi, so the sweep allocates nothing.
+func (s Seq) SliceIndicesInto(dsi, ts []int, ph Phase, nbits, dev int) {
+	clear(dsi)
 	pos := 1
-	for i, tok := range s.Tokens {
+	for i := range s.Tokens {
+		tok := &s.Tokens[i]
 		switch tok.Kind {
 		case SplitDim:
 			dsi[tok.Dim] = dsi[tok.Dim]<<1 | bit(dev, pos, nbits)
@@ -317,7 +332,6 @@ func (s Seq) SliceIndices(ph Phase, numDims, nbits, dev, step int) []int {
 			pos += 2 * tok.K
 		}
 	}
-	return dsi
 }
 
 // TensorSlice returns the DSI tuple restricted to the axes of a tensor.
