@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/device"
@@ -112,12 +113,49 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 	return &nodeCands{nodeEntry: e, total: total}
 }
 
+// edgeEntry is one edge-tier value. A matrix built in this process is
+// stored whole. One loaded from disk keeps its cells as Load checked them:
+// a dictionary-coded run, sliced from the file's payload, that the first
+// search hitting the entry decodes, once, as nodeEntry builds its patterns,
+// and then drops. A warm restart reads plans and node entries, not edge
+// matrices, so most loaded runs are never decoded (DESIGN.md §5.26); Save
+// writes an undecoded run back verbatim.
+type edgeEntry struct {
+	m *edgeMat // rows, cols, nr and nc always; vals once decoded
+
+	once  sync.Once              // guards the decode into m.vals
+	coded atomic.Pointer[[]byte] // a loaded entry's checked run, until decoded
+}
+
+// fits reports whether the entry's group maps cover a src × dst candidate
+// grid. A matrix built in this process always fits its spaces; one loaded
+// from a hostile or corrupt disk cache may not, and the search then treats
+// it as a miss. The check is two length compares, so it runs on every hit:
+// a node-tier flush can replace the spaces the entry was first checked
+// against.
+func (e *edgeEntry) fits(src, dst int) bool {
+	return len(e.m.rows) == src && len(e.m.cols) == dst
+}
+
+// matrix returns the entry's matrix, decoding a loaded entry's cells on
+// first use. Concurrent first hits (the edge slots of several searches on
+// one SearchCache) decode once; decoding a run Load checked cannot fail.
+func (e *edgeEntry) matrix() *edgeMat {
+	e.once.Do(func() {
+		if run := e.coded.Load(); run != nil {
+			e.m.vals = decodeCells(*run, e.m.nr*e.m.nc)
+			e.coded.Store(nil)
+		}
+	})
+	return e.m
+}
+
 // SearchCache carries node evaluations, edge matrices, layer DP tables and
 // finished plans across Plan calls, one bounded tier each (tier.go). Safe
 // for concurrent use; all cached values are read-only.
 type SearchCache struct {
 	nodes *tier[*nodeEntry]
-	edges *tier[*edgeMat]
+	edges *tier[*edgeEntry]
 	// tables (delta.go) is in memory only: the disk cache (diskcache.go)
 	// persists nodes, edges and plans, and a table rebuilds from them in one
 	// DP pass.

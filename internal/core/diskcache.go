@@ -43,12 +43,27 @@
 // costs across up to millions of cells (DESIGN §5.12). Floats are
 // little-endian IEEE-754 bit patterns, so decoding is bit-exact.
 //
-// Every declared length is checked against the unread payload before
-// anything is allocated for it, and every reference and index against the
-// table it points into, so a file that passes the digest but was not written
-// by Save still yields an error rather than a panic. Plan candidate indices
-// point into candidate spaces the file does not hold; the search
-// bounds-checks them on every use (plancache.go).
+// Load checks the whole file before it merges anything: the digest, every
+// declared length against the unread payload before anything is allocated
+// for it, nr·nc, every group id, interface reference and dictionary length,
+// and every cell index against its dictionary. So a file that passes the
+// digest but was not written by Save still yields an error rather than a
+// panic, now or on a later hit. Plan candidate indices point into candidate
+// spaces the file does not hold; the search bounds-checks them on every use
+// (plancache.go). Likewise a node entry (nodeEntry.fitsOp) or an edge
+// entry's group maps (edgeEntry.fits) that do not fit the search's spaces
+// are a miss.
+//
+// Interfaces, node entries and plans decode at Load. Edge matrices do not:
+// a warm restart reads plans and node entries, never edge cells, which are
+// most of the file (DESIGN.md §5.26). Load checks each matrix's cells in
+// place and keeps the checked run, a sub-slice of the payload, in its
+// edgeEntry; the first search that hits the entry decodes it. With a
+// dictionary of at most 0x80 values every valid index is one byte below
+// the dictionary length, so the check is a byte compare and the decode a
+// table lookup. Save writes an undecoded run back verbatim (for a file Save
+// wrote, exactly the bytes re-encoding would write), so a periodic save of
+// a restarted daemon decodes nothing.
 package core
 
 import (
@@ -184,7 +199,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // encodeCachePayload serializes the maps in sorted key order, so equal
 // caches produce byte-equal files.
-func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat, plans map[string]*cachedPlan) []byte {
+func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeEntry, plans map[string]*cachedPlan) []byte {
 	nodeKeys := sortedKeys(nodes)
 
 	// The interface table: one row per distinct content, in first-use
@@ -227,7 +242,7 @@ func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat, 
 	b = binary.AppendUvarint(b, uint64(len(edgeKeys)))
 	for _, k := range edgeKeys {
 		b = appendBytes(b, []byte(k))
-		b = appendEdgeMat(b, edges[k], &cc)
+		b = appendEdgeEntry(b, edges[k], &cc)
 	}
 	planKeys := sortedKeys(plans)
 	b = binary.AppendUvarint(b, uint64(len(planKeys)))
@@ -238,7 +253,7 @@ func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeMat, 
 	return b
 }
 
-func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeMat, map[string]*cachedPlan, error) {
+func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeEntry, map[string]*cachedPlan, error) {
 	r := &cacheReader{b: b}
 	table := r.ifaceTable()
 	// Each count is bounded by the smallest record it can declare: a node
@@ -251,10 +266,10 @@ func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeMat, m
 		nodes[key] = r.nodeEntry(table)
 	}
 	nEdges := r.count(6)
-	edges := make(map[string]*edgeMat)
+	edges := make(map[string]*edgeEntry)
 	for i := 0; i < nEdges && r.err == nil; i++ {
 		key := string(r.bytes())
-		edges[key] = r.edgeMat()
+		edges[key] = r.edgeEntry()
 	}
 	// A plan is at least a key length, an index count and two floats.
 	nPlans := r.count(2 + 2*8)
@@ -320,7 +335,10 @@ func appendNodeEntry(b []byte, e *nodeEntry, ref map[*cost.Iface]uint64) []byte 
 	return b
 }
 
-func appendEdgeMat(b []byte, m *edgeMat, cc *cellCoder) []byte {
+// appendEdgeEntry writes one entry; a loaded entry no search has decoded
+// writes its cells run verbatim.
+func appendEdgeEntry(b []byte, e *edgeEntry, cc *cellCoder) []byte {
+	m := e.m
 	b = binary.AppendUvarint(b, uint64(m.nr))
 	b = binary.AppendUvarint(b, uint64(m.nc))
 	for _, ids := range [2][]int32{m.rows, m.cols} {
@@ -329,7 +347,10 @@ func appendEdgeMat(b []byte, m *edgeMat, cc *cellCoder) []byte {
 			b = binary.AppendUvarint(b, uint64(v))
 		}
 	}
-	return cc.append(b, m.vals)
+	if run := e.coded.Load(); run != nil {
+		return append(b, *run...)
+	}
+	return cc.append(b, e.matrix().vals)
 }
 
 func appendPlan(b []byte, p *cachedPlan) []byte {
@@ -381,9 +402,8 @@ func (cc *cellCoder) append(b []byte, vals []float64) []byte {
 // first malformed field every accessor returns zero values and the caller
 // checks err once.
 type cacheReader struct {
-	b    []byte
-	err  error
-	dict []float64 // cells scratch
+	b   []byte
+	err error
 }
 
 func (r *cacheReader) fail(what string) {
@@ -478,36 +498,98 @@ func (r *cacheReader) floats() []float64 {
 	return fs
 }
 
-// cells fills vals from a dictionary-coded run.
-func (r *cacheReader) cells(vals []float64) {
+// byteDict is the largest dictionary whose every index is one uvarint
+// byte: an index below 0x80 is a single byte, and a byte ≥ 0x80 starts an
+// index ≥ 0x80 ≥ d, which is out of range anyway.
+const byteDict = 0x80
+
+// cells checks the dictionary-coded run of m cells at the reader's position
+// and returns it, dictionary included, as a sub-slice of the payload:
+// every index must name one of the d dictionary values. Nothing is decoded
+// or allocated; decodeCells turns a checked run into values.
+func (r *cacheReader) cells(m int) []byte {
+	run := r.b
 	d := r.count(8)
 	if r.err != nil {
-		return
+		return nil
 	}
-	r.dict = r.dict[:0]
-	for i := 0; i < d; i++ {
-		r.dict = append(r.dict, r.float())
-	}
-	p := r.b
-	for i := range vals {
-		var idx uint64
-		if len(p) > 0 && p[0] < 0x80 {
-			idx, p = uint64(p[0]), p[1:]
-		} else {
-			v, n := binary.Uvarint(p)
+	p := r.b[8*d:]
+	if d <= byteDict {
+		if len(p) < m {
+			r.fail("truncated payload")
+			return nil
+		}
+		if !bytesBelow(p[:m], byte(d)) {
+			r.fail("cell index out of range")
+			return nil
+		}
+		p = p[m:]
+	} else {
+		for i := 0; i < m; i++ {
+			idx, n := binary.Uvarint(p)
 			if n <= 0 {
 				r.fail("truncated payload")
-				return
+				return nil
 			}
-			idx, p = v, p[n:]
+			if idx >= uint64(d) {
+				r.fail("cell index out of range")
+				return nil
+			}
+			p = p[n:]
 		}
-		if idx >= uint64(len(r.dict)) {
-			r.fail("cell index out of range")
-			return
-		}
-		vals[i] = r.dict[idx]
 	}
 	r.b = p
+	return run[:len(run)-len(p)]
+}
+
+// bytesBelow reports whether every byte of p is below d (d ≤ 0x80). It
+// tests eight bytes at a time: adding 0x80−d to a byte below 0x80 cannot
+// carry into the next byte and sets the byte's top bit exactly when the
+// byte is ≥ d, and a byte with its own top bit set fails either way.
+func bytesBelow(p []byte, d byte) bool {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	k := uint64(0x80-d) * ones
+	var acc uint64
+	for ; len(p) >= 8; p = p[8:] {
+		x := binary.LittleEndian.Uint64(p)
+		acc |= x | (x + k)
+	}
+	if acc&tops != 0 {
+		return false
+	}
+	for _, c := range p {
+		if c >= d {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeCells decodes the m cells of a run cells checked.
+func decodeCells(run []byte, m int) []float64 {
+	d, n := binary.Uvarint(run)
+	// A byte indexes the 256-entry table without a bounds check.
+	var small [256]float64
+	dict := small[:]
+	if d > byteDict {
+		dict = make([]float64, d)
+	}
+	for i := range int(d) {
+		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(run[n+8*i:]))
+	}
+	p := run[n+8*int(d):]
+	vals := make([]float64, m)
+	if d <= byteDict {
+		for i, c := range p[:m] {
+			vals[i] = small[c]
+		}
+		return vals
+	}
+	for i := range vals {
+		idx, k := binary.Uvarint(p)
+		vals[i], p = dict[idx], p[k:]
+	}
+	return vals
 }
 
 // ifaceTable decodes the interface table; rows must be well-formed
@@ -589,22 +671,21 @@ func (r *cacheReader) nodeEntry(table []*cost.Iface) *nodeEntry {
 	return e
 }
 
-func (r *cacheReader) edgeMat() *edgeMat {
+// edgeEntry reads one edge record, keeping its checked cells coded.
+func (r *cacheReader) edgeEntry() *edgeEntry {
 	// Every one of the nr·nc cells takes at least one index byte.
 	nr, nc := r.count(1), r.count(1)
 	if r.err == nil && nc > 0 && nr > len(r.b)/nc {
 		r.fail("declared length exceeds payload")
 	}
 	m := &edgeMat{nr: nr, nc: nc, rows: r.groupIDs(nr), cols: r.groupIDs(nc)}
+	run := r.cells(nr * nc)
 	if r.err != nil {
 		return nil
 	}
-	m.vals = make([]float64, nr*nc)
-	r.cells(m.vals)
-	if r.err != nil {
-		return nil
-	}
-	return m
+	e := &edgeEntry{m: m}
+	e.coded.Store(&run)
+	return e
 }
 
 // plan reads one plan entry. Its indices must fit an int32; whether they fit

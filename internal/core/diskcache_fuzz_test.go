@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -12,16 +13,20 @@ import (
 	"repro/internal/model"
 )
 
-// maxLoadAllocPerByte bounds what Load may allocate per file byte. The
-// densest records expand about 8× (a one-byte cell index becomes a float64,
-// a one-byte interface reference a pointer); the worst are near-empty node
-// records, a few bytes each that cost a nodeEntry and two map slots.
+// maxLoadAllocPerByte bounds what Load may allocate per file byte. Edge
+// cells stay coded, so the densest records are interface references, which
+// expand about 8× (a one-byte reference becomes a pointer); the worst are
+// near-empty node records, a few bytes each that cost a nodeEntry and two
+// map slots.
 const maxLoadAllocPerByte = 128
 
 // FuzzDiskCacheLoad hands Load arbitrary payloads behind a valid magic,
 // version and SHA-256, the bytes a file can carry past every header check.
 // Load must return without panicking, allocate at most a fixed multiple of
 // the file's size, and leave the cache empty whenever it reports an error.
+// Whenever it succeeds, save → load → save must reproduce the payload byte
+// for byte, and every edge entry must decode: Load checks every cell index,
+// so a decode on a search's first hit cannot fail.
 // The checked-in corpus holds payloads that declare lengths of 2^61–2^62
 // (plans and plan indices included), out-of-range cell indices, interface
 // references and plan indices, and a real payload.
@@ -42,11 +47,24 @@ func FuzzDiskCacheLoad(f *testing.F) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(maxLoadAllocPerByte*len(file)+1<<20) {
 			t.Fatalf("Load of a %d-byte file allocated %d bytes", len(file), grew)
 		}
-		if err == nil {
+		if err != nil {
+			if n, e := c.Sizes(); n != 0 || e != 0 || c.PlanEntries() != 0 {
+				t.Fatalf("failed Load (%v) left %d nodes, %d edges, %d plans", err, n, e, c.PlanEntries())
+			}
 			return
 		}
-		if n, e := c.Sizes(); n != 0 || e != 0 || c.PlanEntries() != 0 {
-			t.Fatalf("failed Load (%v) left %d nodes, %d edges, %d plans", err, n, e, c.PlanEntries())
+		saved := encodeCachePayload(c.nodes.m, c.edges.m, c.plans.m)
+		nodes, edges, plans, err := decodeCachePayload(saved)
+		if err != nil {
+			t.Fatalf("a saved payload does not load: %v", err)
+		}
+		if !bytes.Equal(encodeCachePayload(nodes, edges, plans), saved) {
+			t.Fatal("save → load → save changed the payload")
+		}
+		for k, e := range c.edges.m {
+			if m := e.matrix(); len(m.vals) != m.nr*m.nc {
+				t.Fatalf("edge %q decoded %d cells, want %d×%d", k, len(m.vals), m.nr, m.nc)
+			}
 		}
 	})
 }

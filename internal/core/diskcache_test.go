@@ -5,10 +5,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"maps"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -36,6 +40,20 @@ func warmCache(t testing.TB) (*SearchCache, *Strategy) {
 		t.Fatal(err)
 	}
 	return o.Cache, s
+}
+
+// planOPT175B plans OPT-175B's block on a V100 cluster of devices (4 per
+// node, α = 1e-12) against cache c.
+func planOPT175B(c *SearchCache, devices, layers int) (*Strategy, error) {
+	g, err := model.BuildBlock(model.OPT175B())
+	if err != nil {
+		return nil, err
+	}
+	m := cost.NewModel(device.MustCluster(devices, 4, device.V100Profile()))
+	m.Alpha = 1e-12
+	o := NewOptimizer(m)
+	o.Cache = c
+	return o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
 }
 
 // ppscFile frames payload the way Save does, under the given version.
@@ -71,7 +89,8 @@ func intraBits(ic cost.Intra) []float64 {
 }
 
 // sameCacheContents fails unless got holds exactly want's node entries, edge
-// matrices and plans, every float compared bit for bit.
+// matrices and plans, every float compared bit for bit. Edge entries are
+// decoded first: a loaded entry holds no values until a search hits it.
 func sameCacheContents(t *testing.T, got, want *SearchCache) {
 	t.Helper()
 	if len(got.nodes.m) != len(want.nodes.m) || len(got.edges.m) != len(want.edges.m) || len(got.plans.m) != len(want.plans.m) {
@@ -103,9 +122,13 @@ func sameCacheContents(t *testing.T, got, want *SearchCache) {
 			}
 		}
 	}
-	for k, w := range want.edges.m {
-		g := got.edges.m[k]
-		if g == nil || g.nr != w.nr || g.nc != w.nc || !slices.Equal(g.rows, w.rows) ||
+	for k, we := range want.edges.m {
+		ge := got.edges.m[k]
+		if ge == nil {
+			t.Fatalf("edge %.16x: missing", k)
+		}
+		g, w := ge.matrix(), we.matrix()
+		if g.nr != w.nr || g.nc != w.nc || !slices.Equal(g.rows, w.rows) ||
 			!slices.Equal(g.cols, w.cols) || !sameFloatBits(g.vals, w.vals) {
 			t.Fatalf("edge %.16x: matrix differs", k)
 		}
@@ -241,17 +264,9 @@ func reshapeIface(ifc *cost.Iface, devs, numAxes int) *cost.Iface {
 // cached entry damaged, and its edge and plan tiers dropped so the search
 // builds edges over the loaded spaces.
 func TestLoadedNodeEntryWrongShape(t *testing.T) {
-	g, err := model.BuildBlock(model.OPT175B())
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := func(c *SearchCache) *Strategy {
 		t.Helper()
-		m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
-		m.Alpha = 1e-12
-		o := NewOptimizer(m)
-		o.Cache = c
-		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
+		s, err := planOPT175B(c, 8, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,6 +312,110 @@ func TestLoadedNodeEntryWrongShape(t *testing.T) {
 			t.Errorf("%s: a damaged node entry was served: %+v", name, got.Stats)
 		}
 		sameStrategy(t, name, got, want)
+	}
+}
+
+// TestLoadedEdgeEntryWrongShape: Load checks each group id against its
+// matrix but cannot check a group map's length against the candidate space
+// the edge key names, so a digest-valid file whose edge entries do not fit
+// loads fine. The search must treat such an entry as a miss and return the
+// cold answer, never panic. The file is OPT-175B's block planned on 8
+// devices with every cached edge damaged and its plan tier dropped, so the
+// search reaches the edge tier.
+func TestLoadedEdgeEntryWrongShape(t *testing.T) {
+	plan := func(c *SearchCache) *Strategy {
+		t.Helper()
+		s, err := planOPT175B(c, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := plan(NewSearchCache())
+	for name, damage := range map[string]func(m *edgeMat){
+		"rows truncated": func(m *edgeMat) { m.rows = m.rows[:len(m.rows)/2] },
+		"cols extended":  func(m *edgeMat) { m.cols = append(slices.Clip(m.cols), 0) },
+	} {
+		c := NewSearchCache()
+		plan(c)
+		for k, e := range c.edges.m {
+			bad := *e.matrix()
+			damage(&bad)
+			c.edges.m[k] = &edgeEntry{m: &bad}
+		}
+		c.plans.reset()
+		dir := t.TempDir()
+		if err := c.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded := NewSearchCache()
+		if err := loaded.Load(dir); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := plan(loaded)
+		if got.Stats.CrossCallEdgeHits != 0 || got.Stats.EdgeMatsBuilt == 0 {
+			t.Errorf("%s: a damaged edge entry was served: %+v", name, got.Stats)
+		}
+		sameStrategy(t, name, got, want)
+	}
+}
+
+// TestLoadedEdgesDecodeConcurrently: a loaded edge entry decodes its cells
+// on its first hit, and several searches on one SearchCache may hit it at
+// the same moment. Four concurrent searches at a layer count the file has
+// no plan for miss the plan tier and, the table tier being in memory only,
+// reach the edge tier; every answer must be bit-identical to a cold search,
+// and afterwards every loaded entry is decoded. Run under -race.
+func TestLoadedEdgesDecodeConcurrently(t *testing.T) {
+	c, _ := warmCache(t)
+	dir := t.TempDir()
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewSearchCache()
+	if err := loaded.Load(dir); err != nil {
+		t.Fatal(err)
+	}
+	// A layer count the file has no plan for.
+	want, err := planOPT175B(NewSearchCache(), 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Strategy, 4)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			s, err := planOPT175B(loaded, 4, 3)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = s
+		}()
+	}
+	close(start)
+	wg.Wait()
+	edgeHits := 0
+	for i, s := range got {
+		if s == nil {
+			t.Fatalf("search %d failed", i)
+		}
+		if s.Stats.NodeEvals != 0 || s.Stats.EdgeMatsBuilt != 0 || s.Stats.CrossCallPlanHits != 0 {
+			t.Errorf("search %d was not served from the loaded node and edge tiers: %+v", i, s.Stats)
+		}
+		edgeHits += s.Stats.CrossCallEdgeHits
+		sameStrategy(t, fmt.Sprintf("concurrent search %d", i), s, want)
+	}
+	if edgeHits == 0 {
+		t.Fatal("no search hit the loaded edge tier")
+	}
+	for k, e := range loaded.edges.m {
+		if e.coded.Load() != nil || e.m.vals == nil {
+			t.Errorf("edge %.16x: not decoded after searches hit every edge", k)
+		}
 	}
 }
 
@@ -393,6 +512,34 @@ func TestDiskCacheReproducibleBytes(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("save→load→save changed the file: %d vs %d bytes", len(a), len(b))
 	}
+
+	// A search that hits the loaded edges decodes them, and Save then
+	// re-encodes what it decoded: the bytes must not change. The plan tier
+	// is emptied first so the search reaches the edge tier; it puts back
+	// the same plan.
+	hit := NewSearchCache()
+	if err := hit.Load(dirA); err != nil {
+		t.Fatal(err)
+	}
+	hit.plans.reset()
+	s, err := planOPT175B(hit, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats.CrossCallEdgeHits == 0 || s.Stats.EdgeMatsBuilt != 0 {
+		t.Fatalf("search did not hit the loaded edges: %+v", s.Stats)
+	}
+	dirC := t.TempDir()
+	if err := hit.Save(dirC); err != nil {
+		t.Fatal(err)
+	}
+	cb, err := os.ReadFile(filepath.Join(dirC, CacheFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, cb) {
+		t.Fatalf("save→load→hit→save changed the file: %d vs %d bytes", len(a), len(cb))
+	}
 }
 
 // TestDiskCacheLoadSharesInterfaces: the file stores each distinct interface
@@ -427,6 +574,59 @@ func TestDiskCacheLoadSharesInterfaces(t *testing.T) {
 	}
 }
 
+// TestDiskCacheCells: a coded run is checked in place and decoded on
+// demand, by the one-byte path for dictionaries of up to 0x80 values and by
+// uvarints past that. Both must return the run whole and decode it bit for
+// bit, and the eight-bytes-at-a-time index check must agree with a plain
+// byte compare at every dictionary size.
+func TestDiskCacheCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, d := range []int{1, 2, 127, 128, 129, 300} {
+		for _, m := range []int{0, 1, 7, 8, 9, 1000} {
+			if m < d && m > 0 {
+				continue
+			}
+			vals := make([]float64, m)
+			for i := range vals {
+				// Every dictionary value is used; the rest are random.
+				vals[i] = float64(i % d)
+				if i >= d {
+					vals[i] = float64(rng.Intn(d))
+				}
+			}
+			var cc cellCoder
+			run := cc.append(nil, vals)
+			r := &cacheReader{b: append(slices.Clip(run), 0xAB)}
+			got := r.cells(m)
+			if r.err != nil || !bytes.Equal(got, run) || !bytes.Equal(r.b, []byte{0xAB}) {
+				t.Fatalf("d=%d m=%d: cells returned %d of %d run bytes (err %v)", d, m, len(got), len(run), r.err)
+			}
+			if dec := decodeCells(got, m); !sameFloatBits(dec, vals) {
+				t.Fatalf("d=%d m=%d: decoded cells differ", d, m)
+			}
+		}
+	}
+	for n := 0; n < 40; n++ {
+		p := make([]byte, n)
+		for trial := 0; trial < 20; trial++ {
+			// Bytes of any value, up to 0x80, or below 16.
+			span := [3]int{256, 0x81, 16}[trial%3]
+			for i := range p {
+				p[i] = byte(rng.Intn(span))
+			}
+			for d := 0; d <= byteDict; d++ {
+				want := true
+				for _, c := range p {
+					want = want && int(c) < d
+				}
+				if got := bytesBelow(p, byte(d)); got != want {
+					t.Fatalf("bytesBelow(%x, %d) = %v, want %v", p, d, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDiskCacheRejectsDamage covers the cold-fallback contract: corrupt,
 // truncated, wrong-magic and wrong-version files must all surface an error
 // from Load and leave the target cache untouched.
@@ -442,7 +642,54 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// withEdge is the file Save would write for c plus one edge entry
+	// under a key no search builds, its cells run replaced by the result
+	// of patch on it.
+	withEdge := func(m *edgeMat, patch func(run []byte) []byte) func([]byte) []byte {
+		return func([]byte) []byte {
+			var cc cellCoder
+			run := cc.append(nil, m.vals)
+			edges := maps.Clone(c.edges.m)
+			edges["edge no search looks up"] = &edgeEntry{m: m}
+			payload := encodeCachePayload(c.nodes.m, edges, c.plans.m)
+			if _, _, _, err := decodeCachePayload(payload); err != nil {
+				t.Fatalf("the undamaged file with the extra entry does not load: %v", err)
+			}
+			at := bytes.Index(payload, run)
+			if at < 0 || bytes.Index(payload[at+1:], run) >= 0 {
+				t.Fatal("the extra entry's cells run is not unique in the payload")
+			}
+			out := slices.Concat(payload[:at], patch(bytes.Clone(run)), payload[at+len(run):])
+			return ppscFile(diskCacheVersion, out)
+		}
+	}
+	// A 2×2 matrix of one value (a one-byte dictionary) and a 1×200
+	// matrix of distinct values (200 > 0x80 entries, so indices from 128
+	// on take two bytes).
+	const sentinel = 1234.5678901234567
+	small := &edgeMat{nr: 2, nc: 2, rows: []int32{0, 1}, cols: []int32{0, 1},
+		vals: []float64{sentinel, sentinel, sentinel, sentinel}}
+	large := &edgeMat{nr: 1, nc: 200, rows: []int32{0}, cols: make([]int32, 200), vals: make([]float64, 200)}
+	for i := range large.vals {
+		large.cols[i] = int32(i)
+		large.vals[i] = sentinel + float64(i)
+	}
+
 	damage := map[string]func([]byte) []byte{
+		// d = 1: the last index names a second dictionary value.
+		"cell index past its dictionary": withEdge(small, func(run []byte) []byte {
+			run[len(run)-1] = 1
+			return run
+		}),
+		// 0x80 0x01 is index 128, past a one-entry dictionary.
+		"multi-byte cell index in a one-byte dictionary": withEdge(small, func(run []byte) []byte {
+			return append(run[:len(run)-1], 0x80, 0x01)
+		}),
+		// The last index, 199 (0xC7 0x01), becomes 200.
+		"multi-byte cell index past its dictionary": withEdge(large, func(run []byte) []byte {
+			run[len(run)-2]++
+			return run
+		}),
 		"flipped payload byte": func(b []byte) []byte {
 			out := bytes.Clone(b)
 			out[len(out)-1] ^= 0xFF
@@ -549,7 +796,7 @@ func TestLoadRespectsTierCaps(t *testing.T) {
 		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*nodeEntry] { return c.nodes })
 	})
 	t.Run("edges", func(t *testing.T) {
-		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*edgeMat] { return c.edges })
+		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*edgeEntry] { return c.edges })
 	})
 	t.Run("plans", func(t *testing.T) {
 		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*cachedPlan] { return c.plans })
@@ -609,8 +856,9 @@ func checkLoadCap[V any](t *testing.T, saved *SearchCache, dir string, pick func
 	}
 }
 
-// BenchmarkSearchCacheLoad times Load of the file a 16-device OPT-175B block
-// search saves: read, digest check, decode and merge into an empty cache.
+// BenchmarkSearchCacheLoad times Load of the file a 4-device OPT-175B block
+// search saves (warmCache): read, digest check, decode and merge into an
+// empty cache. Edge cells are checked in place, not decoded.
 func BenchmarkSearchCacheLoad(b *testing.B) {
 	c, _ := warmCache(b)
 	dir := b.TempDir()
@@ -627,6 +875,44 @@ func BenchmarkSearchCacheLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := NewSearchCache().Load(dir); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRestartLayerChange times a restart that needs the edge tier:
+// Load the file an 8-device OPT-175B block search saves, then plan the
+// block at a layer count the file has no plan for. The search misses the
+// plan tier (and the table tier, which is never saved) and hits every
+// edge, so ns/op covers both Load's in-place cell check and the decode
+// each edge pays on its first hit.
+func BenchmarkRestartLayerChange(b *testing.B) {
+	cfg := model.OPT175B()
+	g, err := model.BuildBlock(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := NewOptimizer(cost.NewModel(device.MustCluster(8, 4, device.V100Profile())))
+	o.Cache = NewSearchCache()
+	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers}); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := o.Cache.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Cache = NewSearchCache()
+		if err := o.Cache.Load(dir); err != nil {
+			b.Fatal(err)
+		}
+		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers / 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s := strat.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits == 0 {
+			b.Fatalf("re-plan was not served from the loaded node and edge tiers: %+v", s)
 		}
 	}
 }

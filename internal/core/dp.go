@@ -700,12 +700,13 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 	} else {
 		// The cross-call key folds exactly what the within-call key does
 		// (plus the environment), so each slot has one cross key — the one
-		// the estimator (estimate.go) probes.
+		// the estimator (estimate.go) probes. A loaded entry whose group
+		// maps do not fit the slot's spaces is a miss.
 		edgeKeys = make([]string, len(uniqEdges))
 		for s, e := range uniqEdges {
 			edgeKeys[s] = string(appendEdgeCrossKey(envSig, g, e))
-			if m := ccache.edges.get(edgeKeys[s]); m != nil {
-				mats[s] = m
+			if en := ccache.edges.get(edgeKeys[s]); en != nil && en.fits(len(cands[e.Src].seqs), len(cands[e.Dst].seqs)) {
+				mats[s] = en.matrix()
 				stats.CrossCallEdgeHits++
 			} else {
 				buildSlots = append(buildSlots, s)
@@ -726,7 +727,7 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 	stats.EdgeFracCells = fracCells
 	if ccache != nil {
 		for _, s := range buildSlots {
-			ccache.edges.put(edgeKeys[s], mats[s])
+			ccache.edges.put(edgeKeys[s], &edgeEntry{m: mats[s]})
 		}
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat, len(g.Edges))

@@ -124,7 +124,10 @@ func nodeCells(e *nodeEntry) int64 {
 	return n
 }
 
-func edgeCells(m *edgeMat) int64 { return int64(m.nr) * int64(m.nc) }
+// edgeCells counts a matrix's grouped cells whether or not a loaded entry
+// has decoded them yet, so a first-hit decode never pushes the tier past
+// its cap.
+func edgeCells(e *edgeEntry) int64 { return int64(e.m.nr) * int64(e.m.nc) }
 
 // tableCells counts the cost and back-pointer entries a cached table pins,
 // recursing through merge children. Rows shared between refined classes are

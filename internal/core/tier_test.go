@@ -52,7 +52,7 @@ func TestSearchCacheTiers(t *testing.T) {
 		})
 	})
 	t.Run("edges", func(t *testing.T) {
-		checkTier(t, NewSearchCache().edges, func(n int) *edgeMat { return &edgeMat{nr: n, nc: 1} })
+		checkTier(t, NewSearchCache().edges, func(n int) *edgeEntry { return &edgeEntry{m: &edgeMat{nr: n, nc: 1}} })
 	})
 	t.Run("tables", func(t *testing.T) {
 		checkTier(t, NewSearchCache().tables, func(n int) *table { return &table{rowCls: make([]int32, n)} })
