@@ -306,23 +306,6 @@ func BenchmarkSearch8(b *testing.B)  { benchmarkSearch(b, 8) }
 func BenchmarkSearch16(b *testing.B) { benchmarkSearch(b, 16) }
 func BenchmarkSearch32(b *testing.B) { benchmarkSearch(b, 32) }
 
-// BenchmarkSearch16Uncached measures the SerialUncached reference mode the
-// equivalence tests compare against — the ratio to BenchmarkSearch16 is the
-// speedup of the memo caches + table evaluator + worker pool.
-func BenchmarkSearch16Uncached(b *testing.B) {
-	g, err := model.BuildBlock(model.OPT175B())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		o := core.NewOptimizer(cost.NewModel(device.MustCluster(16, 4, device.V100Profile())))
-		o.Opts = o.Opts.SerialUncached()
-		if _, err := o.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: 96}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimIteration measures one simulated 96-layer training iteration.
 func BenchmarkSimIteration(b *testing.B) {
 	cl := device.MustCluster(16, 4, device.V100Profile())

@@ -107,14 +107,6 @@ func (ps *PipelineSpec) validate() *apiError {
 	return nil
 }
 
-// widestStage bounds the tensor-parallel width devices/(p·d) of any stage
-// the joint search could run: p is the pinned depth or at least 2, d the
-// pinned data-parallel degree or at least 1. It divides in two steps so
-// that huge pinned values cannot overflow p·d.
-func (ps *PipelineSpec) widestStage(devices int) int {
-	return devices / max(ps.Stages.N, 2) / max(ps.DataParallel, 1)
-}
-
 func (ps *PipelineSpec) system() pipeline.System {
 	if ps.System == "megatron" {
 		return pipeline.Megatron

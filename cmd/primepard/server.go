@@ -44,10 +44,10 @@ type PlanRequest struct {
 	// `primepar -list`).
 	Model string `json:"model"`
 	// Devices is the cluster size: a power of two, at most
-	// device.MaxDevices (1024). A plain plan takes at most maxPlanDevices
-	// (64); a pipeline plan may be larger as long as its widest searched
-	// stage is within that limit. Larger sizes answer bad_request before
-	// any estimate runs.
+	// device.MaxDevices (1024). A plain plan takes at most
+	// core.MaxPlanDevices (64); a pipeline plan may be larger as long as
+	// its widest kept stage is within that limit. The estimate rejects
+	// larger sizes, as bad_request, before it enumerates any candidate.
 	Devices int `json:"devices"`
 	// DevicesPerNode defaults to 4, the paper's testbed shape.
 	DevicesPerNode int `json:"devices_per_node,omitempty"`
@@ -102,15 +102,6 @@ type LinkSpec struct {
 	// Latency per message in seconds.
 	Latency float64 `json:"latency"`
 }
-
-// maxPlanDevices is the widest tensor-parallel search the daemon runs: the
-// whole machine for a plain plan, one stage for a pipeline plan. The search
-// is exact, and its work grows about 15× per doubling of the searched
-// width: a cold OPT-175B search takes ~37 s and ~3.1 GB at 64 devices
-// (DESIGN §5.22), so one at 128 could not finish inside any sane deadline
-// and memory, and at 1024 devices even the cost estimate enumerates
-// candidate spaces for seconds.
-const maxPlanDevices = 64
 
 // maxLinkTiers bounds a request's custom hierarchy; device-ID spaces are
 // log2(devices) ≤ ~20 bits deep, so more tiers than that is malformed.
@@ -549,15 +540,6 @@ func (s *server) preparePlan(req *PlanRequest) (*planJob, *apiError) {
 	cl, err := device.NewCluster(req.Devices, perNode, prof)
 	if err != nil {
 		return nil, badRequest("%v", err)
-	}
-	if req.Pipeline == nil && req.Devices > maxPlanDevices {
-		return nil, badRequest("devices %d exceeds this daemon's limit of %d for the exact search", req.Devices, maxPlanDevices)
-	}
-	if req.Pipeline != nil {
-		if w := req.Pipeline.widestStage(req.Devices); w > maxPlanDevices {
-			return nil, badRequest("devices %d: pipeline stages up to %d devices wide exceed this daemon's limit of %d for the exact search; pin pipeline.stages or pipeline.data_parallel",
-				req.Devices, w, maxPlanDevices)
-		}
 	}
 	// Presence-based α: nil means "server default", an explicit 0 is the
 	// legitimate pure-latency objective (a seeded fuzz-corpus case) and

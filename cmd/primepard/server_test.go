@@ -261,14 +261,14 @@ func TestPlanValidation(t *testing.T) {
 }
 
 // TestPlanTooManyDevicesRejected: a device count above device.MaxDevices,
-// or a searched width above the daemon's exact-search limit
-// maxPlanDevices, answers bad_request before any estimate runs, on plain,
+// or a searched width above the exact-search limit core.MaxPlanDevices,
+// answers bad_request before any candidate is enumerated, on plain,
 // pipeline and sweep requests (base and point). A pipeline's stages are at
 // most half the machine, so its cases double the device count. At 2048
 // devices the estimate alone used to exhaust memory, and at 1024 it takes
 // seconds, so each answer must come back quickly.
 func TestPlanTooManyDevicesRejected(t *testing.T) {
-	for _, tooMany := range []int{2 * maxPlanDevices, device.MaxDevices, 2 * device.MaxDevices} {
+	for _, tooMany := range []int{2 * core.MaxPlanDevices, device.MaxDevices, 2 * device.MaxDevices} {
 		checkTooManyDevicesRejected(t, tooMany)
 	}
 }
@@ -313,9 +313,9 @@ func checkTooManyDevicesRejected(t *testing.T, tooMany int) {
 	}
 }
 
-// TestPlanPipelineStageWidthLimit: the daemon's device limit bounds the
-// widest stage a pipeline plan searches, not the machine. A pipeline on
-// twice maxPlanDevices (auto depth, stages of at most maxPlanDevices) or on
+// TestPlanPipelineStageWidthLimit: the exact search's device limit bounds
+// the widest stage a pipeline plan searches, not the machine. A pipeline on
+// twice core.MaxPlanDevices (auto depth, stages of at most that) or on
 // four times it with the depth pinned to 4 is accepted; the same machine
 // with auto depth, or depth 2 and data_parallel 1, is not. preparePlan
 // only validates and estimates, so no search runs.
@@ -329,11 +329,11 @@ func TestPlanPipelineStageWidthLimit(t *testing.T) {
 		spec    *PipelineSpec
 		ok      bool
 	}{
-		{2 * maxPlanDevices, pipe(0, 0), true},
-		{4 * maxPlanDevices, pipe(4, 0), true},
-		{4 * maxPlanDevices, pipe(2, 2), true},
-		{4 * maxPlanDevices, pipe(0, 0), false},
-		{4 * maxPlanDevices, pipe(2, 1), false},
+		{2 * core.MaxPlanDevices, pipe(0, 0), true},
+		{4 * core.MaxPlanDevices, pipe(4, 0), true},
+		{4 * core.MaxPlanDevices, pipe(2, 2), true},
+		{4 * core.MaxPlanDevices, pipe(0, 0), false},
+		{4 * core.MaxPlanDevices, pipe(2, 1), false},
 	} {
 		_, aerr := s.preparePlan(&PlanRequest{Model: "OPT-6.7B", Devices: tc.devices, Pipeline: tc.spec})
 		if ok := aerr == nil; ok != tc.ok {

@@ -21,8 +21,7 @@
 //
 // Configurations the byte encoding cannot identify — a calibration Book
 // replaces the analytic formulas with arbitrary regressed models — bypass
-// the cache entirely, as does Options.DisableCache (the SerialUncached
-// reference mode).
+// the cache entirely.
 package core
 
 import (
@@ -208,10 +207,10 @@ func (c *SearchCache) TableEntries() int { return c.tables.len() }
 func (c *SearchCache) PlanEntries() int { return c.plans.len() }
 
 // crossCache returns the cache to consult for this search, or nil when the
-// configuration must bypass it (reference mode, or a calibration Book whose
-// regressed models the byte keys cannot identify).
+// configuration must bypass it (a calibration Book, whose regressed models
+// the byte keys cannot identify).
 func (o *Optimizer) crossCache() *SearchCache {
-	if o.Opts.DisableCache || o.Cost == nil || o.Cost.Book != nil {
+	if o.Cost == nil || o.Cost.Book != nil {
 		return nil
 	}
 	return o.Cache
@@ -303,15 +302,14 @@ func appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) []byte {
 }
 
 // RequestKey identifies a whole plan request for in-flight deduplication:
-// the environment signature the cross-call cache keys share, plus the inputs
-// that signature deliberately leaves out (α, reference mode), plus a caller
-// tag naming the graph (model name, layer count). Two requests with equal
-// keys run bit-identical searches, so a singleflight leader's answer serves
-// every concurrent duplicate.
+// the environment signature the cross-call cache keys share, plus α, which
+// that signature deliberately leaves out, plus a caller tag naming the graph
+// (model name, layer count). Two requests with equal keys run bit-identical
+// searches, so a singleflight leader's answer serves every concurrent
+// duplicate.
 func (o *Optimizer) RequestKey(tag string) string {
 	b := o.appendEnvSig(nil)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
-	b = append(b, boolByte(o.Opts.DisableCache))
 	b = append(b, tag...)
 	return string(b)
 }

@@ -3,12 +3,13 @@
 // only in the stats. The fuzzer decodes a base request plus a single-
 // dimension perturbation (α shift, device-count change, one graph edit,
 // layer-count change), warms a shared cache with the base request, delta-
-// plans the perturbed one against it, and demands bit-identity with a
-// SerialUncached cold plan of the perturbed request. Per-dimension reuse
-// assertions pin the frontier matrix: an α shift must not re-evaluate nodes,
-// a layer change must be served from the layer table by stacking alone, an
-// appended op must hit the signature memo. The perturbed request is then replayed once more: the
-// identical repeat must be a plan hit, still bit-identical to the reference.
+// plans the perturbed one against it, and demands bit-identity with the
+// uncached reference plan (referencePlan) of the perturbed request.
+// Per-dimension reuse assertions pin the frontier matrix: an α shift must
+// not re-evaluate nodes, a layer change must be served from the layer table
+// by stacking alone, an appended op must hit the signature memo. The
+// perturbed request is then replayed once more: the identical repeat must be
+// a plan hit, still bit-identical to the reference.
 package core
 
 import (
@@ -127,8 +128,8 @@ func deltaGraph(t *testing.T, p deltaParams) *graph.Graph {
 	return g
 }
 
-// deltaPlan runs one request. cache == nil selects the SerialUncached
-// reference; otherwise the shared cross-call cache is attached.
+// deltaPlan runs one request. cache == nil selects the uncached reference
+// (referencePlan); otherwise the shared cross-call cache is attached.
 func deltaPlan(t *testing.T, p deltaParams, cache *SearchCache) *Strategy {
 	t.Helper()
 	per := 4
@@ -138,12 +139,15 @@ func deltaPlan(t *testing.T, p deltaParams, cache *SearchCache) *Strategy {
 	mdl := cost.NewModel(device.MustCluster(p.devices, per, device.V100Profile()))
 	mdl.Alpha = deltaAlphas[p.alphaIdx]
 	o := NewOptimizer(mdl)
+	o.Cache = cache
+	g := deltaGraph(t, p)
+	var strat *Strategy
+	var err error
 	if cache == nil {
-		o.Opts = o.Opts.SerialUncached()
+		strat, err = referencePlan(o, g, p.layers)
 	} else {
-		o.Cache = cache
+		strat, err = o.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
 	}
-	strat, err := o.Plan(context.Background(), PlanRequest{Graph: deltaGraph(t, p), Layers: p.layers})
 	if err != nil {
 		t.Fatalf("plan %+v: %v", p, err)
 	}

@@ -48,18 +48,21 @@ func deltaChain(t *testing.T, length, extSrc, editFlop int) *graph.Graph {
 }
 
 // planWith plans g at the given scale and α. A nil cache selects the
-// SerialUncached reference; otherwise the cross-call cache is attached.
+// uncached reference (referencePlan); otherwise the cross-call cache is
+// attached.
 func planWith(t *testing.T, g *graph.Graph, layers, devices int, alpha float64, cache *SearchCache) *Strategy {
 	t.Helper()
 	m := cost.NewModel(device.MustCluster(devices, 4, device.V100Profile()))
 	m.Alpha = alpha
 	o := NewOptimizer(m)
+	o.Cache = cache
+	var strat *Strategy
+	var err error
 	if cache == nil {
-		o.Opts = o.Opts.SerialUncached()
+		strat, err = referencePlan(o, g, layers)
 	} else {
-		o.Cache = cache
+		strat, err = o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
 	}
-	strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
 	if err != nil {
 		t.Fatal(err)
 	}

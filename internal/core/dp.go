@@ -454,7 +454,7 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	// pool.
 	tNodes := time.Now()
 	in := &sigInterner{}
-	slotOf, slotNode := o.nodeSlots(g, in)
+	slotOf, slotNode := nodeSlots(g, in)
 	// Cross-call cache: slots whose (environment, op signature) key was seen
 	// by an earlier Plan call reuse the stored α-independent evaluation;
 	// only the misses are evaluated (and then published for later calls).
@@ -581,44 +581,9 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 		}
 	}
 	layerCost := layerTable.minTotal()
-
-	// Stack layers: binary decomposition with Eq. 14 merging (the head/tail
-	// spaces were checked index-identical above).
-	tStack := time.Now()
-	zeroMid := make([]float64, len(cands[0].seqs)) // anchor costs nothing
-	full := layerTable
-	remaining := layers - 1
-	doubled := layerTable
-	for remaining > 0 {
-		var err error
-		if remaining&1 == 1 {
-			full, err = o.merge(ctx, full, doubled, zeroMid, nil, &stats, stats.Workers)
-			if err != nil {
-				return nil, err
-			}
-		}
-		remaining >>= 1
-		if remaining > 0 {
-			doubled, err = o.merge(ctx, doubled, doubled, zeroMid, nil, &stats, stats.Workers)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	totalCost := full.minTotal()
-	stats.StackTime = time.Since(tStack)
-
-	// Reconstruct the representative (leftmost) layer's assignment.
-	ia, ib := full.argMin()
-	assign := make([]int32, len(g.Nodes))
-	for i := range assign {
-		assign[i] = -1
-	}
-	reconstruct(full, ia, ib, assign)
-	for i, ix := range assign {
-		if ix < 0 {
-			return nil, fmt.Errorf("core: reconstruction left node %d unassigned", i)
-		}
+	assign, totalCost, err := o.stackLayers(ctx, layerTable, len(g.Nodes), layers, &stats)
+	if err != nil {
+		return nil, err
 	}
 	strat := strategyOf(cands, assign, layerCost, totalCost, layers, spaceSizes)
 	if ccache != nil {
@@ -632,17 +597,9 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 // nodeSlots is the within-call node dedup that search and EstimatePlan
 // share: nodes with equal full op signatures (repeated linears, mirrored
 // norms/residuals) share one slot. slotOf maps each node to its slot and
-// slotNode each slot to its first node. Reference mode (DisableCache) gives
-// every node a slot of its own.
-func (o *Optimizer) nodeSlots(g *graph.Graph, in *sigInterner) (slotOf, slotNode []int) {
+// slotNode each slot to its first node.
+func nodeSlots(g *graph.Graph, in *sigInterner) (slotOf, slotNode []int) {
 	slotOf = make([]int, len(g.Nodes))
-	if o.Opts.DisableCache {
-		for i := range g.Nodes {
-			slotOf[i] = i
-			slotNode = append(slotNode, i)
-		}
-		return slotOf, slotNode
-	}
 	bySig := make(map[int32]int)
 	for i, op := range g.Nodes {
 		id := in.fullID(op)
@@ -660,15 +617,8 @@ func (o *Optimizer) nodeSlots(g *graph.Graph, in *sigInterner) (slotOf, slotNode
 // edgeSlots is the within-call edge dedup that buildLayerTable and
 // EstimatePlan share: edges with equal edgeKeyOf keys share one matrix.
 // uniq lists each slot's first edge and matIdx maps every edge to its slot.
-// Reference mode (DisableCache) gives every edge a slot of its own.
-func (o *Optimizer) edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Edge, matIdx []int) {
+func edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Edge, matIdx []int) {
 	matIdx = make([]int, len(g.Edges))
-	if o.Opts.DisableCache {
-		for i := range g.Edges {
-			matIdx[i] = i
-		}
-		return g.Edges, matIdx
-	}
 	byKey := make(map[edgeMatKey]int)
 	for i, e := range g.Edges {
 		k := edgeKeyOf(in, g, e)
@@ -689,7 +639,7 @@ func (o *Optimizer) edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Ed
 // edges (Eqs. 13–14).
 func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sigInterner, cands []*nodeCands, ccache *SearchCache, envSig []byte, stats *SearchStats) (*table, error) {
 	tEdges := time.Now()
-	uniqEdges, matIdx := o.edgeSlots(g, in)
+	uniqEdges, matIdx := edgeSlots(g, in)
 	mats := make([]*edgeMat, len(uniqEdges))
 	buildSlots := make([]int, 0, len(uniqEdges))
 	var edgeKeys []string
@@ -742,6 +692,13 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 	}
 	stats.EdgeMatTime = time.Since(tEdges)
 
+	return o.layerDP(ctx, g, cands, edgeMats, stats)
+}
+
+// layerDP runs the DP of one layer over its edge matrices: the per-segment
+// tables, then left-to-right merging with cross edges (Eqs. 13–14), on
+// stats.Workers workers.
+func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, stats *SearchStats) (*table, error) {
 	tDP := time.Now()
 	cuts := g.SegmentCuts()
 	var acc *table
@@ -764,6 +721,42 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 	}
 	stats.DPTime = time.Since(tDP)
 	return acc, nil
+}
+
+// stackLayers stacks layers copies of the layer table by binary
+// decomposition with Eq. 14 merging (the boundary is the next layer's
+// zero-cost anchor) and reconstructs the leftmost layer's n assignments.
+func (o *Optimizer) stackLayers(ctx context.Context, layerTable *table, n, layers int, stats *SearchStats) (assign []int32, totalCost float64, err error) {
+	tStack := time.Now()
+	zeroMid := make([]float64, len(layerTable.headBase)) // anchor costs nothing
+	full, doubled := layerTable, layerTable
+	for rem := layers - 1; rem > 0; rem >>= 1 {
+		if rem&1 == 1 {
+			if full, err = o.merge(ctx, full, doubled, zeroMid, nil, stats, stats.Workers); err != nil {
+				return nil, 0, err
+			}
+		}
+		if rem > 1 {
+			if doubled, err = o.merge(ctx, doubled, doubled, zeroMid, nil, stats, stats.Workers); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	totalCost = full.minTotal()
+	stats.StackTime = time.Since(tStack)
+
+	ia, ib := full.argMin()
+	assign = make([]int32, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	reconstruct(full, ia, ib, assign)
+	for i, ix := range assign {
+		if ix < 0 {
+			return nil, 0, fmt.Errorf("core: reconstruction left node %d unassigned", i)
+		}
+	}
+	return assign, totalCost, nil
 }
 
 // strategyOf assembles the answer from one candidate index per node — the

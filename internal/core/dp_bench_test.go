@@ -60,7 +60,7 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 	for i, op := range g.Nodes {
 		cands[i] = o.evalNode(op, 1)
 	}
-	edges, _ := o.edgeSlots(g, &sigInterner{})
+	edges, _ := edgeSlots(g, &sigInterner{})
 	cells := 0
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -75,9 +75,9 @@ func (o *Optimizer) newOverlapTables() *cost.OverlapTables {
 
 // edgeBuild is one edge matrix under construction: the edge's plan, its
 // row and column groups with one representative candidate each, the matrix,
-// and the calc that fills it — nil on the direct Measure path, which
-// reference mode (Options.DisableCache) and over-large pattern tables take.
-// key is the calc's direct fraction key.
+// and the calc that fills it — nil on the direct Measure path, which an
+// edge whose pattern tables would exceed cost's table limit takes. key is
+// the calc's direct fraction key.
 type edgeBuild struct {
 	plan             *cost.EdgePlan
 	src, dst         *nodeCands
@@ -87,12 +87,14 @@ type edgeBuild struct {
 	key              string
 }
 
-// prepareEdge groups edge e's candidates by interface class and allocates
-// its matrix. Outside reference mode it builds the edge's cost.EdgeCalc —
-// per-axis overlap tables that make each cell a handful of table-row
-// products instead of a full device sweep, with bit-identical results — on
-// ot, the search's registry, which the edges of one search share. Both the
-// grouping and the calc read the endpoint spaces' interned patterns.
+// prepareEdge groups edge e's candidates by interface class, allocates its
+// matrix and builds the edge's cost.EdgeCalc — per-axis overlap tables that
+// make each cell a handful of table-row products instead of a full device
+// sweep, with bit-identical results — on ot, the search's registry, which
+// the edges of one search share. Both the grouping and the calc read the
+// endpoint spaces' interned patterns. The calc is nil when its tables would
+// exceed cost's table limit, which some edges reach at 64 devices with 32
+// or more devices per node; those edges take the Measure fill.
 func (o *Optimizer) prepareEdge(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, ot *cost.OverlapTables) *edgeBuild {
 	srcPats, _ := src.patterns()
 	_, dstPats := dst.patterns()
@@ -102,9 +104,6 @@ func (o *Optimizer) prepareEdge(g *graph.Graph, e *graph.Edge, src, dst *nodeCan
 	b := &edgeBuild{plan: plan, src: src, dst: dst, rowReps: rowReps, colReps: colReps,
 		m: &edgeMat{rows: rows, cols: cols, nr: len(rowReps), nc: len(colReps),
 			vals: make([]float64, len(rowReps)*len(colReps))}}
-	if o.Opts.DisableCache {
-		return b
-	}
 	if b.calc = plan.NewCalc(ot, srcPats, rowReps, dstPats, colReps); b.calc != nil {
 		b.key = b.calc.FracKey(false)
 	}

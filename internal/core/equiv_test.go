@@ -51,8 +51,9 @@ func sameStrategy(t *testing.T, label string, a, b *Strategy) {
 
 // TestSearchEquivalenceSerialUncached runs the production search (signature
 // memo + edge cache + table-driven edge evaluator + worker pool) against the
-// SerialUncached reference on all six paper models and asserts BIT-IDENTICAL
-// strategies and costs — the caches and the fast evaluator must be invisible.
+// uncached reference (referencePlan) on all six paper models and asserts
+// BIT-IDENTICAL strategies and costs — the caches and the fast evaluator
+// must be invisible.
 func TestSearchEquivalenceSerialUncached(t *testing.T) {
 	for _, cfg := range model.All() {
 		g, err := model.BuildBlock(cfg)
@@ -69,9 +70,7 @@ func TestSearchEquivalenceSerialUncached(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s@%d fast: %v", cfg.Name, scale, err)
 			}
-			ref := NewOptimizer(m)
-			ref.Opts = ref.Opts.SerialUncached()
-			want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
+			want, err := referencePlan(NewOptimizer(m), g, cfg.Layers)
 			if err != nil {
 				t.Fatalf("%s@%d reference: %v", cfg.Name, scale, err)
 			}
@@ -87,7 +86,7 @@ func TestSearchEquivalenceSerialUncached(t *testing.T) {
 				t.Errorf("%s@%d: no edge-cache hits on a block with duplicate edges", cfg.Name, scale)
 			}
 			if want.Stats.NodeCacheHits != 0 || want.Stats.EdgeCacheHits != 0 {
-				t.Errorf("%s@%d: reference mode reported cache hits", cfg.Name, scale)
+				t.Errorf("%s@%d: reference reported cache hits", cfg.Name, scale)
 			}
 		}
 	}
@@ -252,7 +251,7 @@ func repeatedLinearChain() *graph.Graph {
 // TestDPMatchesExhaustiveRepeatedNodes extends the oracle coverage to the
 // memoized path: repeated identical nodes sharing one nodeCands, duplicate
 // edges sharing one matrix, and an extended edge — against both the
-// exhaustive oracle and the SerialUncached reference.
+// exhaustive oracle and the uncached reference.
 func TestDPMatchesExhaustiveRepeatedNodes(t *testing.T) {
 	g := repeatedLinearChain()
 	if err := g.Validate(); err != nil {
@@ -279,9 +278,7 @@ func TestDPMatchesExhaustiveRepeatedNodes(t *testing.T) {
 	if got := o.Cost.Overall(g, dp.Seqs); math.Abs(got-dp.TotalCost) > 1e-9*dp.TotalCost {
 		t.Fatalf("strategy replays to %v, DP reported %v", got, dp.TotalCost)
 	}
-	ref := optimizerFor(t, 4, 4)
-	ref.Opts = ref.Opts.SerialUncached()
-	want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
+	want, err := referencePlan(optimizerFor(t, 4, 4), g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +304,7 @@ func TestDPMatchesExhaustiveRepeatedNodesStacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := optimizerFor(t, 4, 4)
-	ref.Opts = ref.Opts.SerialUncached()
-	want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: 5})
+	want, err := referencePlan(optimizerFor(t, 4, 4), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

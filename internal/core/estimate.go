@@ -43,8 +43,8 @@ type SearchEstimate struct {
 	// search will ask for is already in the cross-call cache, so the
 	// quadratic stages cost nothing. A plan or table hit asks for no edge
 	// matrix, so it is Warm whenever its nodes are cached. Always false
-	// when the configuration bypasses the cache (DisableCache, calibration
-	// Book, nil Cache).
+	// when the configuration bypasses the cache (calibration Book, nil
+	// Cache).
 	Warm bool
 	// PlanHit reports that the finished answer is in the plan tier
 	// (plancache.go): the search will run the node pass only, and the edge
@@ -73,6 +73,9 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	if req.Layers < 1 {
 		return SearchEstimate{}, fmt.Errorf("core: layers must be ≥ 1, got %d", req.Layers)
 	}
+	if err := o.checkDevices(); err != nil {
+		return SearchEstimate{}, err
+	}
 	g := req.Graph
 	if err := g.Validate(); err != nil {
 		return SearchEstimate{}, err
@@ -95,7 +98,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// only an uncached slot, which the search is about to evaluate anyway,
 	// is enumerated.
 	in := &sigInterner{}
-	slotOf, slotNode := o.nodeSlots(g, in)
+	slotOf, slotNode := nodeSlots(g, in)
 	est := SearchEstimate{Warm: ccache != nil}
 	slotSize := make([]int, len(slotNode))
 	for s, ni := range slotNode {
@@ -151,7 +154,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// Both the dedup and the keys are the search's own, so against an
 	// unchanged cache EdgeBuilds is exactly the search's EdgeMatsBuilt. An
 	// uncached matrix costs n_src × n_dst cells.
-	uniqEdges, _ := o.edgeSlots(g, in)
+	uniqEdges, _ := edgeSlots(g, in)
 	for _, e := range uniqEdges {
 		if ccache == nil || ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
 			est.Warm = false

@@ -157,15 +157,15 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 }
 
 // TestEstimatePlanDisableCacheNeverWarm: configurations that bypass the
-// cross-call cache can never be Warm, no matter how often they repeat.
+// cross-call cache — a calibration Book — can never be Warm, no matter how
+// often they repeat.
 func TestEstimatePlanDisableCacheNeverWarm(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := estimateOptimizer(t, NewSearchCache())
-	o.Opts.DisableCache = true
+	o := withBook(t, estimateOptimizer(t, NewSearchCache()))
 	req := PlanRequest{Graph: g, Layers: 1}
 	if _, err := o.Plan(context.Background(), req); err != nil {
 		t.Fatal(err)
@@ -175,10 +175,13 @@ func TestEstimatePlanDisableCacheNeverWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if est.Warm {
-		t.Fatal("DisableCache estimated Warm")
+		t.Fatal("calibrated optimizer estimated Warm")
 	}
-	if est.NodeEvals == 0 || est.EdgeBuilds == 0 {
-		t.Fatalf("DisableCache estimate must predict full work: %+v", est)
+	if est.NodeEvals == 0 || est.EdgeBuilds == 0 || est.PlanHit || est.TableHit {
+		t.Fatalf("calibrated estimate must predict full work: %+v", est)
+	}
+	if n := o.Cache.PlanEntries(); n != 0 {
+		t.Fatalf("calibrated optimizer published %d plans", n)
 	}
 }
 

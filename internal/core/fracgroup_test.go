@@ -28,7 +28,7 @@ func TestEdgeFracGroups(t *testing.T) {
 			for i, op := range g.Nodes {
 				cands[i] = o.evalNode(op, 1)
 			}
-			edges, _ := o.edgeSlots(g, &sigInterner{})
+			edges, _ := edgeSlots(g, &sigInterner{})
 			ot := o.newOverlapTables()
 			builds := make([]*edgeBuild, len(edges))
 			for i, e := range edges {

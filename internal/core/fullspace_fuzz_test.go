@@ -3,8 +3,8 @@
 // and seed corpora of the fuzzers that pinned the deleted dominance
 // pre-filter (DESIGN.md §5.7) and two-level scan exit (§5.8) against their
 // Disable* references; with both mechanisms gone they pin the same chains
-// against the SerialUncached reference, and pin that the counters the
-// mechanisms fed stay at zero.
+// against the uncached reference (referencePlan), and pin that the counters
+// the mechanisms fed stay at zero.
 package core
 
 import (
@@ -36,7 +36,7 @@ func decodeFullSpace(r *byteReader) deltaParams {
 }
 
 // fullSpacePlans plans p with the production configuration (cache + workers,
-// on a private cache) and with the SerialUncached reference, and fails unless
+// on a private cache) and with the uncached reference, and fails unless
 // the two are bit-identical.
 func fullSpacePlans(t *testing.T, p deltaParams) (prod, ref *Strategy) {
 	t.Helper()
@@ -54,9 +54,7 @@ func fullSpacePlans(t *testing.T, p deltaParams) (prod, ref *Strategy) {
 	if err != nil {
 		t.Fatalf("plan %+v: %v", p, err)
 	}
-	r := NewOptimizer(mdl)
-	r.Opts = r.Opts.SerialUncached()
-	ref, err = r.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
+	ref, err = referencePlan(NewOptimizer(mdl), g, p.layers)
 	if err != nil {
 		t.Fatalf("reference %+v: %v", p, err)
 	}
@@ -66,7 +64,7 @@ func fullSpacePlans(t *testing.T, p deltaParams) (prod, ref *Strategy) {
 
 // FuzzDominanceEquivalence pins that no candidate is filtered out of the
 // space: for any decoded chain the production plan is bit-identical to the
-// SerialUncached one, CandsTotal is exactly the sum of the reported space
+// reference one, CandsTotal is exactly the sum of the reported space
 // sizes on both sides, and CandsPruned reads zero.
 func FuzzDominanceEquivalence(f *testing.F) {
 	f.Add([]byte{})                          // minimal chain
@@ -94,7 +92,7 @@ func FuzzDominanceEquivalence(f *testing.F) {
 
 // FuzzBoundPruneEquivalence pins that the Bellman folds scan every entry:
 // for any decoded chain the production plan is bit-identical to the
-// SerialUncached one, EntriesBoundSkipped reads zero on both sides, and the
+// reference one, EntriesBoundSkipped reads zero on both sides, and the
 // cached production run never scans more entries than the reference.
 func FuzzBoundPruneEquivalence(f *testing.F) {
 	// Layout: decodeFullSpace's, then one byte that chose a beam width for

@@ -92,8 +92,8 @@ func identityIDs(n int) []int32 {
 // patterns must return the reference's groups and representatives, ids in
 // the same first-seen order, and LocalIDs must number every axis and pass of
 // the representatives (and of an arbitrary candidate subset) exactly as the
-// reference does. Reference mode (DisableCache) groups through ifaceGroups
-// too, so the search equivalence tests cannot catch a grouping bug; this
+// reference does. The search tests' uncached reference groups through
+// ifaceGroups too, so the search equivalence tests cannot catch a grouping bug; this
 // does.
 func FuzzIfacePatternGroups(f *testing.F) {
 	f.Add([]byte{})

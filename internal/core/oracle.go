@@ -17,6 +17,9 @@ import (
 // single layer of g and returns the minimal-cost strategy. Exponential in
 // the node count — intended for validation only.
 func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
+	if err := o.checkDevices(); err != nil {
+		return nil, err
+	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

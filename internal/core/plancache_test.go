@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/calibrate"
 	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/model"
@@ -53,24 +54,35 @@ func TestPlanTierRepeatBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanTierBypass: the reference mode publishes nothing and never hits,
-// like every other tier.
+// withBook attaches a calibration Book profiled on o's cluster: the one
+// configuration that bypasses the cross-call cache.
+func withBook(t *testing.T, o *Optimizer) *Optimizer {
+	t.Helper()
+	book, err := calibrate.Profile(o.Cost.Cluster, calibrate.Noise{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Cost.Book = book
+	return o
+}
+
+// TestPlanTierBypass: a calibrated optimizer publishes nothing and never
+// hits, like every other tier.
 func TestPlanTierBypass(t *testing.T) {
 	g := repeatedLinearChain()
-	o := optimizerFor(t, 4, 4)
+	o := withBook(t, optimizerFor(t, 4, 4))
 	o.Cache = NewSearchCache()
-	o.Opts.DisableCache = true
 	for i := 0; i < 2; i++ {
 		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s.Stats.CrossCallPlanHits != 0 {
-			t.Fatalf("DisableCache repeat hit the plan tier: %+v", s.Stats)
+			t.Fatalf("calibrated repeat hit the plan tier: %+v", s.Stats)
 		}
 	}
 	if n := o.Cache.PlanEntries(); n != 0 {
-		t.Fatalf("DisableCache published %d plans", n)
+		t.Fatalf("calibrated optimizer published %d plans", n)
 	}
 }
 

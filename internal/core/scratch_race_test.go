@@ -42,9 +42,7 @@ func TestTreeDPSharedCacheRace(t *testing.T) {
 
 	ref := NewOptimizer(cost.NewModel(cluster))
 	ref.Cost.Alpha = 1e-12
-	ref.Opts.Parallelism = 1
-	ref.Opts.DisableCache = true
-	want, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
+	want, err := referencePlan(ref, g, cfg.Layers)
 	if err != nil {
 		t.Fatal(err)
 	}

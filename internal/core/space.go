@@ -28,23 +28,6 @@ type Options struct {
 	// Parallelism is the worker count for DP and edge-matrix loops
 	// (0 = GOMAXPROCS).
 	Parallelism int
-
-	// DisableCache switches the search to its reference mode: the
-	// op-signature memo, the edge-matrix cache and the table-driven edge
-	// evaluator are all bypassed, and every candidate and matrix cell is
-	// evaluated from scratch. The result must be bit-identical to the
-	// cached search (the equivalence tests assert exactly that); the mode
-	// exists as the oracle those tests compare against.
-	DisableCache bool
-}
-
-// SerialUncached returns the options with caching disabled and parallelism
-// pinned to one worker — the slow deterministic reference configuration the
-// equivalence tests compare the production search against.
-func (o Options) SerialUncached() Options {
-	o.DisableCache = true
-	o.Parallelism = 1
-	return o
 }
 
 // DefaultOptions returns the options used throughout the evaluation.

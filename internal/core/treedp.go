@@ -14,7 +14,7 @@
 // plans are chosen by a deterministic work estimate over the edge matrices'
 // group dimensions — never wall time or worker count — so the executed shape,
 // and with it every value and witness, is reproducible and identical between
-// the production and SerialUncached modes.
+// the production search and the tests' uncached reference.
 //
 // The tree evaluates the recurrence under a different parenthesization of
 // the IEEE path sums than the chain, so the two can differ in the last ulps;
@@ -74,7 +74,7 @@ func (o *Optimizer) execSegPlan(ctx context.Context, p *segPlan, g *graph.Graph,
 // candidate counts, adjacent-edge group dims, and the segment head's
 // extended-edge targets with their row-group counts. Everything derives
 // from the edge matrices, which are bit-identical between the production
-// and SerialUncached modes, so plans are reproducible.
+// search and the tests' uncached reference, so plans are reproducible.
 type segDims struct {
 	a, b int
 	n    []int // n[j-a] = |P_j|

@@ -64,10 +64,10 @@ func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) 
 // FuzzTreeChainEquivalence decodes a chain (deltaGraph's shape family: odd
 // and even lengths including 1 and 2, with and without an extended edge), a
 // layer count, α from deltaAlphas and a device count. The production search
-// must BIT-IDENTICALLY match the SerialUncached reference, which plans the
-// same trees; that covers the α = 0 ties and the class-0 probe reuse of the
-// Bellman steps. Every segment's tree table
-// must match the Bellman chain to ulp precision (treeMatchesChain).
+// must BIT-IDENTICALLY match the uncached reference (referencePlan), which
+// plans the same trees; that covers the α = 0 ties and the class-0 probe
+// reuse of the Bellman steps. Every segment's tree table must match the
+// Bellman chain to ulp precision (treeMatchesChain).
 func FuzzTreeChainEquivalence(f *testing.F) {
 	// Layout: b, m, k, length-1, layers-1, α, devices, then (length ≥ 2) an
 	// ext flag (even = ext edge) and its target, then one byte that chose a
@@ -112,9 +112,7 @@ func FuzzTreeChainEquivalence(f *testing.F) {
 			t.Fatalf("production: %v", err)
 		}
 
-		ref := NewOptimizer(mdl)
-		ref.Opts = ref.Opts.SerialUncached()
-		slow, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: p.layers})
+		slow, err := referencePlan(NewOptimizer(mdl), g, p.layers)
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
@@ -131,7 +129,7 @@ func FuzzTreeChainEquivalence(f *testing.F) {
 // TestTreeDPActivatesOnModelBlock pins that the planner actually chooses
 // merges on a real transformer block — the work estimate must favor splits
 // on every paper model even at small scales — that production and the
-// SerialUncached reference agree bit for bit, and that every segment's tree
+// uncached reference agree bit for bit, and that every segment's tree
 // table still matches the Bellman chain (the fuzz above covers random
 // synthetic shapes where the planner may legitimately keep the chain).
 func TestTreeDPActivatesOnModelBlock(t *testing.T) {
@@ -152,9 +150,7 @@ func TestTreeDPActivatesOnModelBlock(t *testing.T) {
 		t.Fatal("planner kept the chain on a full OPT-175B block; expected at least one merge")
 	}
 
-	ref := NewOptimizer(mdl)
-	ref.Opts = ref.Opts.SerialUncached()
-	slow, err := ref.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
+	slow, err := referencePlan(NewOptimizer(mdl), g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

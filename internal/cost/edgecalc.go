@@ -40,10 +40,11 @@
 //
 // The arithmetic — operand values, multiplication order, accumulation order —
 // is exactly MeasureFwd/MeasureBwd's volume-free partial-sum tree, so results
-// are bit-identical; the equivalence is pinned by tests and by core's
-// SerialUncached search mode. Identical keys imply identical operands at
-// every step (pattern ids and node-block ids are assigned by exact byte
-// equality, never by hash), which is why memoization is exact.
+// are bit-identical; the equivalence is pinned by tests, among them core's
+// search tests, whose reference fills every edge matrix by Measure.
+// Identical keys imply identical operands at every step (pattern ids and
+// node-block ids are assigned by exact byte equality, never by hash), which
+// is why memoization is exact.
 package cost
 
 import (

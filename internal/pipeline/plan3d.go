@@ -321,7 +321,8 @@ func (o *Optimizer) Plan3D(ctx context.Context, req Plan3DRequest) (*Plan3D, err
 // in order, and the micro-batch their stage graphs are built at: the one
 // validated req.Config, or the Fig. 10 grid filtered by Stages and
 // DataParallel. Plan3D and EstimatePlan3D share it, so both reject a
-// request with the same error.
+// request with the same error, a stage wider than core.MaxPlanDevices
+// among them.
 func (o *Optimizer) resolve(req Plan3DRequest) ([]Config3D, int, error) {
 	full := o.Cluster
 	L := req.Model.Layers
@@ -329,7 +330,7 @@ func (o *Optimizer) resolve(req Plan3DRequest) ([]Config3D, int, error) {
 		if err := c.Validate(full.NumDevices, L); err != nil {
 			return nil, 0, err
 		}
-		return []Config3D{*c}, c.Microbatch, nil
+		return checkStageWidth([]Config3D{*c}, c.Microbatch, full.NumDevices)
 	}
 	if req.GlobalBatch < 1 || req.Microbatch < 1 {
 		return nil, 0, fmt.Errorf("pipeline: Plan3D needs GlobalBatch ≥ 1 and Microbatch ≥ 1, got %d/%d", req.GlobalBatch, req.Microbatch)
@@ -354,7 +355,22 @@ func (o *Optimizer) resolve(req Plan3DRequest) ([]Config3D, int, error) {
 		return nil, 0, fmt.Errorf("pipeline: no feasible (p,d,m) configuration for %d devices, %d layers, global batch %d, microbatch %d (stages=%d, data_parallel=%d)",
 			full.NumDevices, L, req.GlobalBatch, req.Microbatch, req.Stages, req.DataParallel)
 	}
-	return kept, req.Microbatch, nil
+	return checkStageWidth(kept, req.Microbatch, full.NumDevices)
+}
+
+// checkStageWidth passes resolve's result through unless its widest stage
+// is wider than core.MaxPlanDevices, which it rejects under either system,
+// before any stage search runs.
+func checkStageWidth(kept []Config3D, mb, devices int) ([]Config3D, int, error) {
+	widest := 0
+	for _, c := range kept {
+		widest = max(widest, c.M)
+	}
+	if widest > core.MaxPlanDevices {
+		return nil, 0, fmt.Errorf("pipeline: %w: stages up to %d of %d devices wide, limit %d; pin Stages or DataParallel",
+			core.ErrTooManyDevices, widest, devices, core.MaxPlanDevices)
+	}
+	return kept, mb, nil
 }
 
 // coreOptimizer builds the per-stage tensor-parallel searcher on a stage

@@ -325,6 +325,43 @@ func TestPlan3DValidation(t *testing.T) {
 	}
 }
 
+// TestPlan3DStageWidthLimit: the exact search's device limit bounds the
+// widest kept stage, not the machine. On 256 devices automatic depth keeps
+// two-stage configurations 128 devices wide, so Plan3D and EstimatePlan3D
+// reject it with core.ErrTooManyDevices, under either system, before any
+// stage search; four pinned stages are at most 64 devices wide and are
+// accepted. Plan3D runs the accepted request under Megatron, whose stages
+// run no search.
+func TestPlan3DStageWidthLimit(t *testing.T) {
+	o := NewOptimizer(device.MustCluster(4*core.MaxPlanDevices, 4, device.V100Profile()))
+	o.Cache = core.NewSearchCache()
+	ctx := context.Background()
+	for _, sys := range []System{PrimePar, Megatron} {
+		req := Plan3DRequest{Model: model.OPT6B7(), System: sys, GlobalBatch: 64, Microbatch: 2}
+		start := time.Now()
+		if _, err := o.Plan3D(ctx, req); !errors.Is(err, core.ErrTooManyDevices) {
+			t.Errorf("%v, auto depth: Plan3D error %v, want ErrTooManyDevices", sys, err)
+		}
+		if _, err := o.EstimatePlan3D(req); !errors.Is(err, core.ErrTooManyDevices) {
+			t.Errorf("%v, auto depth: EstimatePlan3D error %v, want ErrTooManyDevices", sys, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%v: rejecting auto depth took %v", sys, d)
+		}
+		req.Stages = 4
+		if _, err := o.EstimatePlan3D(req); err != nil {
+			t.Errorf("%v, 4 stages: EstimatePlan3D: %v", sys, err)
+		}
+	}
+	p3, err := o.Plan3D(ctx, Plan3DRequest{Model: model.OPT6B7(), System: Megatron, GlobalBatch: 64, Microbatch: 2, Stages: 4})
+	if err != nil {
+		t.Fatalf("Megatron, 4 stages: Plan3D: %v", err)
+	}
+	if p3.Config.P != 4 || p3.Config.M > core.MaxPlanDevices {
+		t.Fatalf("Megatron, 4 stages: got %v", p3.Config)
+	}
+}
+
 func TestPlan3DCancellation(t *testing.T) {
 	full := device.MustCluster(16, 4, device.V100Profile())
 	o := NewOptimizer(full)

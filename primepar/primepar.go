@@ -18,6 +18,10 @@
 // (Eq. 7–10 cost model), sim (discrete-event cluster simulator), runtime
 // (numerically-verified SPMD executor), baseline (Megatron-LM / Alpa-style
 // comparators) and pipeline (3D parallelism).
+//
+// The search is exact and its work grows about 15× per doubling of the
+// devices, so Search plans at most 64 devices and Plan3D stages at most 64
+// devices wide; wider requests return an error before any search runs.
 package primepar
 
 import (
