@@ -118,35 +118,26 @@ func main() {
 		}
 		fmt.Printf("plan saved to %s\n", *savePath)
 	}
-	if warns, err := plan.Check(); err != nil {
-		fatal(err)
-	} else {
-		for _, w := range warns {
-			fmt.Printf("  warning: %s\n", w)
-		}
-		if len(warns) > 0 {
-			fmt.Println()
-		}
-	}
-
-	rep, err := plan.SimulateDetailed()
+	rep, err := plan.Report()
 	if err != nil {
 		fatal(err)
 	}
+	for _, w := range rep.Warnings {
+		fmt.Printf("  warning: %s\n", w)
+	}
+	if len(rep.Warnings) > 0 {
+		fmt.Println()
+	}
 	tokens := plan.TokensPerIteration()
-	printReport("PrimePar", rep, tokens)
+	printReport("PrimePar", rep.Sim, tokens)
 	if *timeline {
-		fmt.Println(trace.ASCII(rep.Segments, 100))
+		fmt.Println(trace.ASCII(rep.Sim.Segments, 100))
 	}
 	if *explain {
-		out, err := plan.Explain()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
+		fmt.Println(rep.Attribution())
 	}
 	if *tracePath != "" {
-		data, err := trace.ChromeJSON(rep.Segments)
+		data, err := trace.ChromeJSON(rep.Sim.Segments)
 		if err != nil {
 			fatal(err)
 		}
@@ -161,26 +152,28 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		mrep, err := mega.Simulate()
-		if err != nil {
-			fatal(err)
-		}
+		mrep := simulated(mega)
 		printReport("Megatron-LM (best d)", mrep, tokens)
 
 		alpa, err := primepar.Search(cfg, cluster, primepar.Options{Alpha: *alpha, SpatialOnly: true})
 		if err != nil {
 			fatal(err)
 		}
-		arep, err := alpa.Simulate()
-		if err != nil {
-			fatal(err)
-		}
-		printReport("Spatial-only optimum (Alpa-like)", arep, tokens)
+		printReport("Spatial-only optimum (Alpa-like)", simulated(alpa), tokens)
 
 		fmt.Printf("PrimePar speedup vs Megatron-LM: %.2fx, peak memory ratio: %.2f\n",
-			rep.Throughput(tokens)/mrep.Throughput(tokens),
+			rep.Sim.Throughput(tokens)/mrep.Throughput(tokens),
 			rep.PeakMemoryBytes/mrep.PeakMemoryBytes)
 	}
+}
+
+// simulated returns the simulated iteration of a comparison plan.
+func simulated(p *primepar.Plan) *primepar.Report {
+	rep, err := p.Report()
+	if err != nil {
+		fatal(err)
+	}
+	return rep.Sim
 }
 
 func printReport(name string, r *primepar.Report, tokens float64) {

@@ -124,15 +124,11 @@ func (ps *PipelineSpec) key() string {
 		ps.Stages, ps.DataParallel, ps.MicroBatch, ps.GlobalBatch, ps.system())
 }
 
-// PipelineStage is one stage of the joint plan on the wire.
+// PipelineStage is one stage of the joint plan on the wire: the stage's
+// layer slice, micro-batch time and simulated peak memory (1F1B activation
+// stash included) as pipeline.StagePlan encodes them, then the strategy.
 type PipelineStage struct {
-	// StartLayer and Layers delimit the stage's contiguous layer slice.
-	StartLayer int `json:"start_layer"`
-	Layers     int `json:"layers"`
-	// StageTimeS is one micro-batch through the stage (fwd+bwd+grad).
-	StageTimeS float64 `json:"stage_time_s"`
-	// PeakMemoryBytes includes the stage's 1F1B activation stash.
-	PeakMemoryBytes float64 `json:"peak_memory_bytes"`
+	pipeline.StagePlan
 	// Seqs is the stage's per-op partition sequence in the paper's 𝒫
 	// notation, one entry per block op.
 	Seqs []string `json:"seqs,omitempty"`
@@ -168,12 +164,7 @@ type PipelinePlan struct {
 func pipelinePlanOf(spec PipelineSpec, p3 *pipeline.Plan3D, g *graph.Graph) *PipelinePlan {
 	stages := make([]PipelineStage, len(p3.Stages))
 	for i, st := range p3.Stages {
-		ws := PipelineStage{
-			StartLayer:      st.StartLayer,
-			Layers:          st.Layers,
-			StageTimeS:      st.StageTime,
-			PeakMemoryBytes: st.PeakMemoryBytes,
-		}
+		ws := PipelineStage{StagePlan: st}
 		if len(st.Seqs) == len(g.Nodes) {
 			ws.Seqs = make([]string, len(st.Seqs))
 			for j, seq := range st.Seqs {

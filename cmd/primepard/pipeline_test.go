@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/partition"
+	"repro/internal/pipeline"
 )
 
 // TestPlanPipelineAuto is the joint-planning contract on the wire: a request
@@ -213,5 +216,29 @@ func TestSweepPipelineOverride(t *testing.T) {
 	}
 	if pt.Plan.Pipeline.Stages*pt.Plan.Pipeline.DataParallel*pt.Plan.Pipeline.ModelParallel != 8 {
 		t.Fatalf("override plan configuration: %+v", pt.Plan.Pipeline)
+	}
+}
+
+// TestPipelineStageWireBytes pins a stage row's /v1 encoding: the keys and
+// their order come from the embedded pipeline.StagePlan, its partition
+// sequences stay off the wire, and seqs is omitted when empty.
+func TestPipelineStageWireBytes(t *testing.T) {
+	for _, c := range []struct {
+		st   PipelineStage
+		want string
+	}{
+		{PipelineStage{StagePlan: pipeline.StagePlan{StartLayer: 17, Layers: 18, StageTime: 0.125, PeakMemoryBytes: 3.5e10,
+			Seqs: []partition.Seq{partition.NewSeq()}}, Seqs: []string{"B,S,D", "B,P2x2"}},
+			`{"start_layer":17,"layers":18,"stage_time_s":0.125,"peak_memory_bytes":35000000000,"seqs":["B,S,D","B,P2x2"]}`},
+		{PipelineStage{StagePlan: pipeline.StagePlan{Layers: 4, StageTime: 1e-3, PeakMemoryBytes: 1 << 30}},
+			`{"start_layer":0,"layers":4,"stage_time_s":0.001,"peak_memory_bytes":1073741824}`},
+	} {
+		got, err := json.Marshal(c.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("stage encodes as\n%s\nwant\n%s", got, c.want)
+		}
 	}
 }

@@ -150,14 +150,20 @@ func resolveProfile(name, topology string, links []LinkSpec) (device.Profile, *a
 	return prof, nil
 }
 
-// PlanNode is one node of the strategy with its cost breakdown.
+// PlanNode is one node of the strategy with the cost model's per-layer
+// Eq. 7 terms (cost.Intra): the same values as OpReport.Model in primepar's
+// PlanReport.
 type PlanNode struct {
 	Name string `json:"name"`
 	// Seq is the partition sequence in the paper's 𝒫 notation.
-	Seq         string  `json:"seq"`
-	Compute     float64 `json:"compute_s"`
-	RingTotal   float64 `json:"ring_total_s"`
-	AllReduce   float64 `json:"all_reduce_s"`
+	Seq       string  `json:"seq"`
+	Compute   float64 `json:"compute_s"`
+	RingTotal float64 `json:"ring_total_s"`
+	AllReduce float64 `json:"all_reduce_s"`
+	// MemoryBytes is the node's per-layer Eq. 7 memory term
+	// (cost.Intra.MemoryBytes), not a peak. The simulated per-device peak
+	// is peak_memory_bytes: in the pipeline section here, and
+	// PlanReport.PeakMemoryBytes in primepar.
 	MemoryBytes float64 `json:"memory_bytes"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +17,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/report"
+	"repro/primepar"
 )
 
 // noAdmission disables the gate: the pre-admission request lifecycle
@@ -638,6 +641,67 @@ func TestDebugHandlerSeparate(t *testing.T) {
 		c.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
 		if rec.Code != c.want {
 			t.Errorf("%s: GET /debug/pprof/cmdline answered %d, want %d", c.name, rec.Code, c.want)
+		}
+	}
+}
+
+// TestPlanNodesMatchPlanReport: /v1/plan's nodes and primepar's PlanReport
+// rows carry the same per-layer cost-model terms, bit for bit, and the
+// attribution table prints the same memory term.
+func TestPlanNodesMatchPlanReport(t *testing.T) {
+	s := newTestServer(t, "", noAdmission)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	out := postPlan(t, ts, PlanRequest{Model: "OPT-6.7B", Devices: 8, Alpha: fptr(1e-12)})
+	if out.resp == nil {
+		t.Fatalf("plan failed: %d %s", out.status, out.env.Message)
+	}
+
+	cluster, err := primepar.NewCluster(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := primepar.Search(primepar.OPT6B7(), cluster, primepar.Options{Alpha: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Digest() != out.resp.Digest {
+		t.Fatalf("library and daemon chose different plans: %s vs %s", plan.Digest(), out.resp.Digest)
+	}
+	rep, err := plan.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Ops) != len(out.resp.Nodes) {
+		t.Fatalf("%d report rows, %d /v1 nodes", len(rep.Ops), len(out.resp.Nodes))
+	}
+	table := map[string][]string{}
+	for _, line := range strings.Split(rep.Attribution(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			table[f[0]] = f
+		}
+	}
+	for i, n := range out.resp.Nodes {
+		row := rep.Ops[i]
+		if n.Name != row.Name || n.Seq != row.Seq {
+			t.Fatalf("node %d: /v1 %s %s, report %s %s", i, n.Name, n.Seq, row.Name, row.Seq)
+		}
+		for _, c := range []struct {
+			field     string
+			wire, lib float64
+		}{
+			{"compute_s", n.Compute, row.Model.Compute},
+			{"ring_total_s", n.RingTotal, row.Model.RingTotal},
+			{"all_reduce_s", n.AllReduce, row.Model.AllReduce},
+			{"memory_bytes", n.MemoryBytes, row.Model.MemoryBytes},
+		} {
+			if math.Float64bits(c.wire) != math.Float64bits(c.lib) {
+				t.Errorf("%s %s: /v1 %v, report %v", n.Name, c.field, c.wire, c.lib)
+			}
+		}
+		f := table[n.Name]
+		if len(f) == 0 || f[len(f)-1] != report.Bytes(n.MemoryBytes) {
+			t.Errorf("%s: attribution row %q does not end in memory_bytes %s", n.Name, f, report.Bytes(n.MemoryBytes))
 		}
 	}
 }

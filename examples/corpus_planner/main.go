@@ -23,11 +23,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := plan.Simulate()
+	rep, err := plan.Report()
 	if err != nil {
 		log.Fatal(err)
 	}
-	padded := rep.Throughput(plan.TokensPerIteration())
+	padded := rep.Sim.Throughput(plan.TokensPerIteration())
 
 	dist := workload.LongTail{Min: 128, Max: cfg.SeqLen, Alpha: 1.3}
 	lengths := dist.Sample(8192, 42)

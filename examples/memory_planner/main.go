@@ -28,12 +28,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := plan.Simulate()
+		rep, err := plan.Report()
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10.0e %12.0f %11.1f GiB %10v\n",
-			alpha, rep.Throughput(tokens), rep.PeakMemoryBytes/(1<<30), plan.UsesPrime())
+			alpha, rep.Sim.Throughput(tokens), rep.PeakMemoryBytes/(1<<30), plan.UsesPrime())
 	}
 	fmt.Println("\nLarger α steers the search toward replication-free strategies;")
 	fmt.Println("the spatial-temporal primitive keeps memory low at little or no")

@@ -26,26 +26,26 @@ func main() {
 	fmt.Print(plan.Describe())
 	fmt.Printf("uses P_{2^k×2^k} primitive: %v\n\n", plan.UsesPrime())
 
-	rep, err := plan.Simulate()
+	rep, err := plan.Report()
 	if err != nil {
 		log.Fatal(err)
 	}
 	tokens := plan.TokensPerIteration()
 	fmt.Printf("PrimePar:    %7.0f tokens/s, %5.1f GiB peak, all-reduce %.1f%% of iteration\n",
-		rep.Throughput(tokens), rep.PeakMemoryBytes/(1<<30), 100*rep.CollectiveShare())
+		rep.Sim.Throughput(tokens), rep.PeakMemoryBytes/(1<<30), 100*rep.Sim.CollectiveShare())
 
 	mega, err := primepar.MegatronPlan(cfg, cluster, -1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mrep, err := mega.Simulate()
+	mrep, err := mega.Report()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Megatron-LM: %7.0f tokens/s, %5.1f GiB peak, all-reduce %.1f%% of iteration\n",
-		mrep.Throughput(tokens), mrep.PeakMemoryBytes/(1<<30), 100*mrep.CollectiveShare())
+		mrep.Sim.Throughput(tokens), mrep.PeakMemoryBytes/(1<<30), 100*mrep.Sim.CollectiveShare())
 
 	fmt.Printf("\nspeedup %.2fx with %.0f%% of the memory\n",
-		rep.Throughput(tokens)/mrep.Throughput(tokens),
+		rep.Sim.Throughput(tokens)/mrep.Sim.Throughput(tokens),
 		100*rep.PeakMemoryBytes/mrep.PeakMemoryBytes)
 }

@@ -189,14 +189,6 @@ func (c *SearchCache) Overlaps() noOverlaps { return noOverlaps{} }
 // isolate it.
 var DefaultSearchCache = NewSearchCache()
 
-// Reset drops every cached entry.
-func (c *SearchCache) Reset() {
-	c.nodes.reset()
-	c.edges.reset()
-	c.tables.reset()
-	c.plans.reset()
-}
-
 // Sizes reports the node and edge entry counts, mostly for logging and tests.
 func (c *SearchCache) Sizes() (nodes, edges int) { return c.nodes.len(), c.edges.len() }
 

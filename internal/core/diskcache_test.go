@@ -363,10 +363,13 @@ func TestLoadedEdgeEntryWrongShape(t *testing.T) {
 
 // TestLoadedEdgesDecodeConcurrently: a loaded edge entry decodes its cells
 // on its first hit, and several searches on one SearchCache may hit it at
-// the same moment. Four concurrent searches at a layer count the file has
-// no plan for miss the plan tier and, the table tier being in memory only,
+// the same moment. Four concurrent searches at layer counts the file has no
+// plan for miss the plan tier and, the table tier being in memory only,
 // reach the edge tier; every answer must be bit-identical to a cold search,
-// and afterwards every loaded entry is decoded. Run under -race.
+// and afterwards every loaded entry is decoded. Run under -race. Each search
+// asks for its own layer count: a search that finishes first publishes its
+// plan, and an identical request started after that would be served from
+// the plan tier.
 func TestLoadedEdgesDecodeConcurrently(t *testing.T) {
 	c, _ := warmCache(t)
 	dir := t.TempDir()
@@ -377,12 +380,17 @@ func TestLoadedEdgesDecodeConcurrently(t *testing.T) {
 	if err := loaded.Load(dir); err != nil {
 		t.Fatal(err)
 	}
-	// A layer count the file has no plan for.
-	want, err := planOPT175B(NewSearchCache(), 4, 3)
-	if err != nil {
-		t.Fatal(err)
+	// Layer counts the file has no plan for.
+	layers := []int{3, 4, 5, 6}
+	want := make([]*Strategy, len(layers))
+	for i, l := range layers {
+		w, err := planOPT175B(NewSearchCache(), 4, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = w
 	}
-	got := make([]*Strategy, 4)
+	got := make([]*Strategy, len(layers))
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := range got {
@@ -390,7 +398,7 @@ func TestLoadedEdgesDecodeConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			s, err := planOPT175B(loaded, 4, 3)
+			s, err := planOPT175B(loaded, 4, layers[i])
 			if err != nil {
 				t.Error(err)
 			}
@@ -408,7 +416,7 @@ func TestLoadedEdgesDecodeConcurrently(t *testing.T) {
 			t.Errorf("search %d was not served from the loaded node and edge tiers: %+v", i, s.Stats)
 		}
 		edgeHits += s.Stats.CrossCallEdgeHits
-		sameStrategy(t, fmt.Sprintf("concurrent search %d", i), s, want)
+		sameStrategy(t, fmt.Sprintf("concurrent search %d", i), s, want[i])
 	}
 	if edgeHits == 0 {
 		t.Fatal("no search hit the loaded edge tier")

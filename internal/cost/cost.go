@@ -457,66 +457,14 @@ func dedupAxes(lists ...[]int) []int {
 	return out
 }
 
-// FwdSrcAxes returns the producer-op axes that influence the FORWARD
-// direction of this edge's traffic: candidates whose output interface agrees
-// on these axes (forward distribution and width) produce identical
-// forward-traffic rows.
-func (p *EdgePlan) FwdSrcAxes() []int { return dedupAxes(p.fwdSrc) }
-
-// FwdDstAxes returns the consumer-op axes that influence the forward
-// direction (all destination-tensor axes: mapped axes drive coverage, and
-// every axis' width scales the fetched volume).
-func (p *EdgePlan) FwdDstAxes() []int { return dedupAxes(p.fwdDst) }
-
-// BwdSrcAxes returns the producer-op axes that influence the BACKWARD
-// direction (all output-tensor axes: mapped axes drive coverage, and every
-// axis' width scales the fetched volume).
-func (p *EdgePlan) BwdSrcAxes() []int { return dedupAxes(p.bwdSrc) }
-
-// BwdDstAxes returns the consumer-op axes that influence the backward
-// direction.
-func (p *EdgePlan) BwdDstAxes() []int { return dedupAxes(p.bwdDst) }
-
 // SrcRelevantAxes returns the producer-op axes that influence this edge's
 // traffic (mapped forward axes plus the output tensor's axes). Candidates
 // identical on these axes produce identical matrix rows.
-func (p *EdgePlan) SrcRelevantAxes() []int {
-	seen := map[int]bool{}
-	var out []int
-	add := func(ax int) {
-		if ax >= 0 && !seen[ax] {
-			seen[ax] = true
-			out = append(out, ax)
-		}
-	}
-	for _, sa := range p.fwdSrc {
-		add(sa)
-	}
-	for _, sa := range p.bwdSrc {
-		add(sa)
-	}
-	return out
-}
+func (p *EdgePlan) SrcRelevantAxes() []int { return dedupAxes(p.fwdSrc, p.bwdSrc) }
 
 // DstRelevantAxes returns the consumer-op axes that influence this edge's
 // traffic.
-func (p *EdgePlan) DstRelevantAxes() []int {
-	seen := map[int]bool{}
-	var out []int
-	add := func(ax int) {
-		if ax >= 0 && !seen[ax] {
-			seen[ax] = true
-			out = append(out, ax)
-		}
-	}
-	for _, dax := range p.fwdDst {
-		add(dax)
-	}
-	for _, dax := range p.bwdDst {
-		add(dax)
-	}
-	return out
-}
+func (p *EdgePlan) DstRelevantAxes() []int { return dedupAxes(p.fwdDst, p.bwdDst) }
 
 // PlanEdge builds the traffic-evaluation plan for edge e of g.
 func (m *Model) PlanEdge(g *graph.Graph, e *graph.Edge) *EdgePlan {
@@ -611,8 +559,8 @@ func (p *EdgePlan) Measure(src, dst *Iface) Traffic {
 
 // MeasureFwd computes only the forward-direction redistribution traffic
 // (intra-node bytes, inter-node bytes). The result depends on src only
-// through Fwd/Width on FwdSrcAxes and on dst only through Fwd/Width on
-// FwdDstAxes.
+// through Fwd/Width on the fwdSrc axes and on dst only through Fwd/Width on
+// the fwdDst axes.
 //
 // Accumulation runs as a volume-free partial-sum tree: each node first folds
 // its devices' intra/inter coverage FRACTIONS, the per-node totals fold in
@@ -661,8 +609,8 @@ func (p *EdgePlan) MeasureFwd(src, dst *Iface) (intraBytes, interBytes float64) 
 
 // MeasureBwd computes only the backward-direction redistribution traffic
 // (intra-node bytes, inter-node bytes). The result depends on src only
-// through Bwd/Width on BwdSrcAxes and on dst only through Bwd/Width on
-// BwdDstAxes.
+// through Bwd/Width on the bwdSrc axes and on dst only through Bwd/Width on
+// the bwdDst axes.
 func (p *EdgePlan) MeasureBwd(src, dst *Iface) (intraBytes, interBytes float64) {
 	vSrc := p.srcFull
 	for _, sa := range p.bwdSrc {
@@ -704,14 +652,6 @@ func (p *EdgePlan) MeasureBwd(src, dst *Iface) (intraBytes, interBytes float64) 
 // the forward term of Eq. 9 plus the symmetric backward term.
 func (p *EdgePlan) Traffic(src, dst *Iface) float64 {
 	return p.Measure(src, dst).Total()
-}
-
-// TrafficSplit returns the forward-pass and backward-pass redistribution
-// traffic (bytes) separately, for simulators that place them on different
-// parts of the timeline.
-func (p *EdgePlan) TrafficSplit(src, dst *Iface) (fwd, bwd float64) {
-	t := p.Measure(src, dst)
-	return t.FwdIntra + t.FwdInter, t.BwdIntra + t.BwdInter
 }
 
 // InterTraffic computes edge traffic without a prebuilt plan (convenience

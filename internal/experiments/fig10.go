@@ -37,12 +37,8 @@ func Fig10(s Setup, devices, globalBatch, microbatch int) ([]Fig10Result, string
 		"model", "(p,d,m)", "Megatron", "PrimePar", "PrimePar/Megatron")
 	opt := pipeline.NewOptimizer(full)
 	ctx := context.Background()
-	fixed := func(cfg model.Config, c3 pipeline.Config3D, sys pipeline.System) (*pipeline.Result, error) {
-		p3, err := opt.Plan3D(ctx, pipeline.Plan3DRequest{Model: cfg, System: sys, Config: &c3})
-		if err != nil {
-			return nil, err
-		}
-		return p3.Result(), nil
+	fixed := func(cfg model.Config, c3 pipeline.Config3D, sys pipeline.System) (*pipeline.Plan3D, error) {
+		return opt.Plan3D(ctx, pipeline.Plan3DRequest{Model: cfg, System: sys, Config: &c3})
 	}
 	for _, cfg := range s.Models {
 		res := Fig10Result{Model: cfg.Name}

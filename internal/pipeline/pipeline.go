@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/device"
-	"repro/internal/partition"
 )
 
 // System selects the tensor-parallel strategy generator.
@@ -111,24 +110,6 @@ func AllConfigs(devices, layers, globalBatch, microbatch int) []Config3D {
 		}
 	}
 	return out
-}
-
-// Result summarises one simulated 3D configuration.
-type Result struct {
-	System        System
-	Config        Config3D
-	IterationTime float64
-	// Throughput in tokens/second for the global batch.
-	Throughput float64
-	// StageTime is one micro-batch through one stage (fwd+bwd+grad).
-	StageTime float64
-	// BubbleFraction is the pipeline idle share (p−1)/(nMB+p−1).
-	BubbleFraction float64
-	// PeakMemoryBytes is the worst per-device memory (stage weights plus
-	// in-flight micro-batch activations).
-	PeakMemoryBytes float64
-	// Seqs is the tensor-parallel strategy of one stage layer.
-	Seqs []partition.Seq
 }
 
 // stageCluster models the m tensor-parallel devices of one stage: they are

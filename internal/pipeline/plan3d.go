@@ -206,21 +206,6 @@ func (p *Plan3D) StageLayers() []int {
 	return out
 }
 
-// Result renders the plan as one grid-point summary: stage 0's strategy and
-// per-micro-batch time stand in for the (historically uniform) stage.
-func (p *Plan3D) Result() *Result {
-	return &Result{
-		System:          p.System,
-		Config:          p.Config,
-		IterationTime:   p.IterationTime,
-		Throughput:      p.Throughput,
-		StageTime:       p.Stages[0].StageTime,
-		BubbleFraction:  p.Breakdown.BubbleFraction,
-		PeakMemoryBytes: p.PeakMemoryBytes,
-		Seqs:            p.Stages[0].Seqs,
-	}
-}
-
 // Digest fingerprints the plan — configuration, stage boundaries, per-stage
 // strategies and the exact iteration-time bits — in the style of
 // experiments.StrategyDigest. CI pins these for the plan3d curve and the

@@ -102,17 +102,16 @@ func TestPlan3DFixedMatchesLegacyGoldens(t *testing.T) {
 			t.Errorf("%s: fixed call is not a one-candidate run: configs %d, stage plans %d, schedules %d, cuts %d",
 				name, st.ConfigsConsidered, st.StagePlans, st.SchedulesSimulated, st.CutsEnumerated)
 		}
-		r := p3.Result()
 		checks := []struct {
 			field string
 			got   float64
 			want  uint64
 		}{
-			{"IterationTime", r.IterationTime, row.IterBits},
-			{"Throughput", r.Throughput, row.TpBits},
-			{"StageTime", r.StageTime, row.StBits},
-			{"BubbleFraction", r.BubbleFraction, row.BubBits},
-			{"PeakMemoryBytes", r.PeakMemoryBytes, row.MemBits},
+			{"IterationTime", p3.IterationTime, row.IterBits},
+			{"Throughput", p3.Throughput, row.TpBits},
+			{"StageTime", p3.Stages[0].StageTime, row.StBits},
+			{"BubbleFraction", p3.Breakdown.BubbleFraction, row.BubBits},
+			{"PeakMemoryBytes", p3.PeakMemoryBytes, row.MemBits},
 		}
 		for _, c := range checks {
 			if math.Float64bits(c.got) != c.want {
@@ -123,10 +122,11 @@ func TestPlan3DFixedMatchesLegacyGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Seqs) != len(row.Seqs) {
-			t.Fatalf("%s: %d seqs, legacy %d", name, len(r.Seqs), len(row.Seqs))
+		seqs := p3.Stages[0].Seqs
+		if len(seqs) != len(row.Seqs) {
+			t.Fatalf("%s: %d seqs, legacy %d", name, len(seqs), len(row.Seqs))
 		}
-		for i, s := range r.Seqs {
+		for i, s := range seqs {
 			if got := s.Format(g.Nodes[i].AxisNames()); got != row.Seqs[i] {
 				t.Errorf("%s: node %d strategy %q, legacy %q", name, i, got, row.Seqs[i])
 			}

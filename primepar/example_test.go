@@ -50,15 +50,15 @@ func ExampleMegatronPlan() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mr, err := mega.Simulate()
+	mr, err := mega.Report()
 	if err != nil {
 		log.Fatal(err)
 	}
-	pr, err := prime.Simulate()
+	pr, err := prime.Report()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("PrimePar faster:", pr.IterationTime < mr.IterationTime)
+	fmt.Println("PrimePar faster:", pr.Sim.IterationTime < mr.Sim.IterationTime)
 	fmt.Println("PrimePar leaner:", pr.PeakMemoryBytes < mr.PeakMemoryBytes)
 	// Output:
 	// PrimePar faster: true

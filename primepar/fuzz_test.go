@@ -95,6 +95,6 @@ func FuzzLoadPlan(f *testing.F) {
 		}
 		_ = p.Digest()
 		_ = p.Describe()
-		_, _ = p.Check() // validates and simulates every strategy
+		_, _ = p.Report() // validates and simulates every strategy
 	})
 }

@@ -2,16 +2,20 @@
 // transformer model and a cluster description, it searches the
 // spatial-temporal tensor partition space (paper: "PrimePar: Efficient
 // Spatial-temporal Tensor Partitioning for Large Transformer Model
-// Training", ASPLOS 2024) for the optimal training strategy and simulates
-// its execution.
+// Training", ASPLOS 2024) for the optimal training strategy. Plan.Report
+// describes a plan from one simulator run: the simulated iteration and its
+// timeline, a per-operator attribution with the cost model's per-layer
+// terms, the simulated peak memory against the device capacity, and
+// deployment warnings.
 //
 // Quick start:
 //
 //	cluster, _ := primepar.NewCluster(8, 4)
 //	plan, _ := primepar.Search(primepar.OPT6B7(), cluster)
 //	fmt.Println(plan.Describe())
-//	rep, _ := plan.Simulate()
-//	fmt.Printf("tokens/s: %.0f\n", rep.Throughput(plan.TokensPerIteration()))
+//	rep, _ := plan.Report() // one simulated iteration, validated
+//	fmt.Printf("tokens/s: %.0f\n", rep.Sim.Throughput(plan.TokensPerIteration()))
+//	fmt.Println(rep.Attribution())
 //
 // The heavy lifting lives in the internal packages: partition (DSI algebra,
 // the P_{2^k×2^k} primitive), core (segmented dynamic programming), cost
@@ -240,28 +244,6 @@ func MegatronPlan(cfg Config, cluster *Cluster, dBits int) (*Plan, error) {
 	}, nil
 }
 
-// Simulate executes one training iteration of the plan on the discrete-
-// event cluster simulator and reports latency breakdown and peak memory.
-func (p *Plan) Simulate() (*Report, error) {
-	return p.simulate(false)
-}
-
-// SimulateDetailed additionally records the per-kernel timeline in
-// Report.Segments (exportable via internal/trace).
-func (p *Plan) SimulateDetailed() (*Report, error) {
-	return p.simulate(true)
-}
-
-func (p *Plan) simulate(segments bool) (*Report, error) {
-	g, err := model.BuildBlock(p.Model)
-	if err != nil {
-		return nil, err
-	}
-	s := sim.New(p.Cluster)
-	s.RecordSegments = segments
-	return s.Run(g, p.Seqs, p.Model.Layers)
-}
-
 // TokensPerIteration returns the training tokens each iteration processes.
 func (p *Plan) TokensPerIteration() float64 {
 	return float64(p.Model.Batch) * float64(p.Model.SeqLen)
@@ -285,11 +267,55 @@ func (p *Plan) Describe() string {
 	return b.String()
 }
 
-// Check statically validates the plan for deployment and returns
-// human-readable warnings (empty = clean): strategy/graph arity, bit
-// budget, axis divisibility (a slice count that does not divide the axis
-// forces ragged kernels), and projected peak memory vs device capacity.
-func (p *Plan) Check() ([]string, error) {
+// PlanReport describes a plan from one simulator run: the simulated
+// iteration with its kernel timeline, one attribution row per operator, the
+// simulated peak memory against the device capacity, and the deployment
+// warnings.
+type PlanReport struct {
+	// Sim is the simulated training iteration; Sim.Segments holds the
+	// kernel timeline (exportable via internal/trace).
+	Sim *Report
+	// Ops has one row per node of the transformer-block graph, in graph
+	// order.
+	Ops []OpReport
+	// PeakMemoryBytes is the simulated per-device peak (Sim.PeakMemoryBytes),
+	// not a sum of the per-operator model terms.
+	PeakMemoryBytes float64
+	// MemoryCapacity is the device's Profile.MemoryCapacity (zero when the
+	// profile does not state one).
+	MemoryCapacity float64
+	// Fits reports whether PeakMemoryBytes is within MemoryCapacity (always
+	// true when the capacity is unknown).
+	Fits bool
+	// Warnings lists the over-sliced axes and the axes whose slice count
+	// does not divide them (ragged kernels) in graph order, then the
+	// capacity overflow when the plan does not fit; empty means clean.
+	Warnings []string
+
+	title string
+}
+
+// OpReport is one operator's row of a PlanReport.
+type OpReport struct {
+	Name string
+	// Seq is the operator's partition sequence in the paper's 𝒫 notation.
+	Seq string
+	// Simulated is the compute, all-reduce (Collective) and ring seconds
+	// the simulator attributes to the operator, summed over all layers.
+	Simulated sim.OpBreakdown
+	// Model is the cost model's per-layer Eq. 7 terms for the operator
+	// (cost.Intra): Compute, RingTotal, AllReduce and MemoryBytes, the
+	// values /v1/plan sends as nodes[i]. Model.MemoryBytes is the
+	// operator's memory term, not a peak.
+	Model cost.Intra
+}
+
+// Report validates the plan for deployment and simulates one training
+// iteration with its kernel timeline recorded. A strategy/graph arity
+// mismatch or a sequence that does not fit the operator or the device bit
+// budget is an error; over-sliced or ragged axes and a simulated peak above
+// the device capacity are warnings.
+func (p *Plan) Report() (*PlanReport, error) {
 	g, err := model.BuildBlock(p.Model)
 	if err != nil {
 		return nil, err
@@ -297,7 +323,12 @@ func (p *Plan) Check() ([]string, error) {
 	if len(p.Seqs) != len(g.Nodes) {
 		return nil, fmt.Errorf("primepar: plan has %d strategies for a %d-node graph", len(p.Seqs), len(g.Nodes))
 	}
-	var warnings []string
+	r := &PlanReport{
+		Ops:            make([]OpReport, len(g.Nodes)),
+		MemoryCapacity: p.Cluster.Profile.MemoryCapacity,
+		title:          fmt.Sprintf("Per-operator attribution — %s on %d GPUs", p.Model.Name, p.Cluster.NumDevices),
+	}
+	m := cost.NewModel(p.Cluster)
 	nbits := p.Cluster.Bits()
 	for i, op := range g.Nodes {
 		seq := p.Seqs[i]
@@ -307,55 +338,49 @@ func (p *Plan) Check() ([]string, error) {
 		for ax := range op.Axes {
 			slices := seq.NumSlices(ax)
 			if slices > op.Axes[ax].Size {
-				warnings = append(warnings, fmt.Sprintf(
+				r.Warnings = append(r.Warnings, fmt.Sprintf(
 					"%s: axis %s sliced %d ways but has only %d elements",
 					op.Name, op.Axes[ax].Name, slices, op.Axes[ax].Size))
 			} else if op.Axes[ax].Size%slices != 0 {
-				warnings = append(warnings, fmt.Sprintf(
+				r.Warnings = append(r.Warnings, fmt.Sprintf(
 					"%s: axis %s (%d) not divisible by %d slices (ragged kernels)",
 					op.Name, op.Axes[ax].Name, op.Axes[ax].Size, slices))
 			}
 		}
+		r.Ops[i] = OpReport{Name: op.Name, Seq: seq.Format(op.AxisNames()), Model: m.IntraCost(op, seq)}
 	}
-	rep, err := p.Simulate()
-	if err != nil {
+	s := sim.New(p.Cluster)
+	s.RecordSegments = true
+	if r.Sim, err = s.Run(g, p.Seqs, p.Model.Layers); err != nil {
 		return nil, err
 	}
-	if capacity := p.Cluster.Profile.MemoryCapacity; capacity > 0 && rep.PeakMemoryBytes > capacity {
-		warnings = append(warnings, fmt.Sprintf(
-			"projected peak memory %.1f GiB exceeds device capacity %.1f GiB — add pipeline stages, recomputation or ZeRO",
-			rep.PeakMemoryBytes/(1<<30), capacity/(1<<30)))
+	for i := range r.Ops {
+		if ob := r.Sim.PerOp[r.Ops[i].Name]; ob != nil {
+			r.Ops[i].Simulated = *ob
+		}
 	}
-	return warnings, nil
+	r.PeakMemoryBytes = r.Sim.PeakMemoryBytes
+	r.Fits = r.MemoryCapacity <= 0 || r.PeakMemoryBytes <= r.MemoryCapacity
+	if !r.Fits {
+		r.Warnings = append(r.Warnings, fmt.Sprintf(
+			"projected peak memory %.1f GiB exceeds device capacity %.1f GiB — add pipeline stages, recomputation or ZeRO",
+			r.PeakMemoryBytes/(1<<30), r.MemoryCapacity/(1<<30)))
+	}
+	return r, nil
 }
 
-// Explain renders a per-operator cost attribution table for the plan: each
-// node's strategy alongside its simulated compute, collective and ring
-// seconds and its modeled memory footprint — the paper's Fig. 9-style
-// analysis for any model.
-func (p *Plan) Explain() (string, error) {
-	g, err := model.BuildBlock(p.Model)
-	if err != nil {
-		return "", err
+// Attribution renders Ops as a per-operator cost attribution table — the
+// paper's Fig. 9-style analysis for any model. The simulated columns are
+// seconds summed over all layers; the memory column is the cost model's
+// per-layer term.
+func (r *PlanReport) Attribution() string {
+	t := report.NewTable(r.title, "op", "𝒫", "sim compute Σ layers", "sim all-reduce Σ layers",
+		"sim ring Σ layers", "model memory per layer")
+	for _, op := range r.Ops {
+		t.AddRow(op.Name, op.Seq, report.Seconds(op.Simulated.Compute), report.Seconds(op.Simulated.Collective),
+			report.Seconds(op.Simulated.Ring), report.Bytes(op.Model.MemoryBytes))
 	}
-	rep, err := p.Simulate()
-	if err != nil {
-		return "", err
-	}
-	m := cost.NewModel(p.Cluster)
-	t := report.NewTable(fmt.Sprintf("Per-operator attribution — %s on %d GPUs", p.Model.Name, p.Cluster.NumDevices),
-		"op", "𝒫", "compute", "all-reduce", "ring", "memory")
-	for i, op := range g.Nodes {
-		ob := rep.PerOp[op.Name]
-		if ob == nil {
-			ob = &sim.OpBreakdown{}
-		}
-		ic := m.IntraCost(op, p.Seqs[i])
-		t.AddRow(op.Name, p.Seqs[i].Format(op.AxisNames()),
-			report.Seconds(ob.Compute), report.Seconds(ob.Collective),
-			report.Seconds(ob.Ring), report.Bytes(ic.MemoryBytes))
-	}
-	return t.String(), nil
+	return t.String()
 }
 
 // Digest returns a stable hex digest of the strategy content — the exact

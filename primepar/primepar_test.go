@@ -47,11 +47,11 @@ func TestSearchSimulateDescribe(t *testing.T) {
 	if plan.PredictedCost <= 0 {
 		t.Fatal("non-positive predicted cost")
 	}
-	rep, err := plan.Simulate()
+	rep, err := plan.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.IterationTime <= 0 {
+	if rep.Sim.IterationTime <= 0 || len(rep.Sim.Segments) == 0 {
 		t.Fatal("degenerate simulation")
 	}
 	desc := plan.Describe()
@@ -175,37 +175,34 @@ func TestPlanCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A small model on few devices fits comfortably: no memory warning,
-	// but OPT's batch of 8 may legitimately slice unevenly — assert only
-	// that Check runs and the memory warning logic fires for a huge model.
+	// OPT's batch of 8 may legitimately slice unevenly — assert only that
+	// Report runs and the memory warning logic fires for a huge model.
 	small, err := Search(OPT6B7(), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := small.Check(); err != nil {
+	if _, err := small.Report(); err != nil {
 		t.Fatal(err)
 	}
 	big, err := Search(OPT175B(), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warns, err := big.Check()
+	rep, err := big.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	foundMem := false
-	for _, w := range warns {
-		if strings.Contains(w, "capacity") {
-			foundMem = true
-		}
+	if rep.Fits || rep.PeakMemoryBytes != rep.Sim.PeakMemoryBytes || rep.MemoryCapacity != cluster.Profile.MemoryCapacity {
+		t.Fatalf("175B without pipeline must overflow 32 GiB: fits=%v peak=%v capacity=%v",
+			rep.Fits, rep.PeakMemoryBytes, rep.MemoryCapacity)
 	}
-	if !foundMem {
-		t.Fatalf("175B without pipeline must overflow 32 GiB; warnings: %v", warns)
+	if n := len(rep.Warnings); n == 0 || !strings.Contains(rep.Warnings[n-1], "capacity") {
+		t.Fatalf("capacity overflow is not the last warning: %v", rep.Warnings)
 	}
 	// Arity errors are hard failures, not warnings.
 	broken := *big
 	broken.Seqs = big.Seqs[:3]
-	if _, err := broken.Check(); err == nil {
+	if _, err := broken.Report(); err == nil {
 		t.Fatal("truncated plan accepted")
 	}
 }
@@ -219,13 +216,23 @@ func TestPlanExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Explain()
+	rep, err := plan.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fc1", "qkv", "𝒫", "memory"} {
+	out := rep.Attribution()
+	for _, want := range []string{"fc1", "qkv", "𝒫", "sim compute Σ layers", "model memory per layer"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("Explain missing %q:\n%s", want, out)
+			t.Fatalf("Attribution missing %q:\n%s", want, out)
+		}
+	}
+	if len(rep.Ops) != len(plan.Seqs) {
+		t.Fatalf("%d rows for %d operators", len(rep.Ops), len(plan.Seqs))
+	}
+	// The rows' simulated seconds are the simulator's PerOp attribution.
+	for _, op := range rep.Ops {
+		if ob := rep.Sim.PerOp[op.Name]; ob == nil || *ob != op.Simulated {
+			t.Fatalf("%s: row %+v, simulator %+v", op.Name, op.Simulated, ob)
 		}
 	}
 }

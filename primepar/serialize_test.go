@@ -46,16 +46,16 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip changed digest: %s vs %s", loaded.Digest(), plan.Digest())
 	}
 	// The loaded plan must simulate identically.
-	a, err := plan.Simulate()
+	a, err := plan.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Simulate()
+	b, err := loaded.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.IterationTime != b.IterationTime {
-		t.Fatalf("loaded plan simulates differently: %v vs %v", a.IterationTime, b.IterationTime)
+	if a.Sim.IterationTime != b.Sim.IterationTime {
+		t.Fatalf("loaded plan simulates differently: %v vs %v", a.Sim.IterationTime, b.Sim.IterationTime)
 	}
 }
 
