@@ -171,8 +171,8 @@ func postPlanRaw(client *http.Client, addr string, req planRequest) (int, http.H
 	return httpResp.StatusCode, httpResp.Header, data, nil
 }
 
-// postPlan is the simple success-or-error client the sweep uses: any non-200
-// becomes an error carrying the envelope's code and message.
+// postPlan is the simple success-or-error client: any non-200 becomes an
+// error carrying the envelope's code and message.
 func postPlan(client *http.Client, addr string, req planRequest) (*planResponse, error) {
 	status, _, data, err := postPlanRaw(client, addr, req)
 	if err != nil {

@@ -7,9 +7,8 @@
 //	primebench                 # run everything (several minutes at 32 GPUs)
 //	primebench -exp fig7       # one experiment
 //	primebench -exp fig7 -quick
-//	primebench -serve-addr localhost:7133 -exp table2   # sweep via a daemon
+//	primebench -serve-addr localhost:7133 -exp table2   # Table 2 via a daemon
 //	primebench -serve-addr localhost:7133 -burst 16     # admission burst demo
-//	primebench -serve-addr localhost:7133 -sweep 4,8    # portfolio-vs-individual check
 //	primebench -plan3d                                  # joint-vs-grid 3D planning curve
 //	primebench -plan3d -check-golden golden/plan3d_digest.json
 //
@@ -46,8 +45,6 @@ func main() {
 		serveAddr  = flag.String("serve-addr", "", "with -exp table2 or -burst: talk to a primepard daemon at this address instead of searching in-process")
 		burst      = flag.Int("burst", 0, "with -serve-addr: closed-loop burst mode — this many concurrent clients fire cold /v1/plan requests and the run verifies the daemon's admission contract (sheds carry 503 + Retry-After, warm traffic stays zero-work)")
 		burstIters = flag.Int("burst-iters", 1, "cold requests per burst client")
-		sweepSpec  = flag.String("sweep", "", "with -serve-addr: comma-separated device counts (e.g. \"4,8,16,32\") — plan each individually, then as one /v1/plan/sweep portfolio, and fail unless every digest matches with less total search work")
-		sweepModel = flag.String("sweep-model", "Llama2-7B", "model the -sweep check plans (pick one the daemon has not already cached so the individual plans are honestly cold)")
 		profFlag   = flag.String("profile", "", "machine preset the experiments run on (v100-cluster, a100-cluster, tpuv4-torus, mixed-a100-v100, a100-superpod; empty = the paper's V100 testbed). With -serve-addr the profile is sent on every /v1/plan.")
 		topoFlag   = flag.String("topology", "", "override the profile's interconnect shape (switch, torus-2d)")
 		linksFlag  = flag.String("links", "", "custom link hierarchy, innermost first: name:width:bandwidth:latency,... (width in devices, \"rest\" on the last tier), e.g. nvlink:4:300e9:5e-6,fabric:rest:25e9:15e-6")
@@ -66,16 +63,8 @@ func main() {
 		check(runBurst(*serveAddr, *burst, *burstIters))
 		return
 	}
-	if *sweepSpec != "" {
-		if *serveAddr == "" {
-			fmt.Fprintln(os.Stderr, "primebench: -sweep requires -serve-addr")
-			os.Exit(2)
-		}
-		check(runSweep(*serveAddr, *sweepModel, *sweepSpec))
-		return
-	}
 	if *serveAddr != "" && *exp != "table2" {
-		fmt.Fprintln(os.Stderr, "primebench: -serve-addr requires -exp table2 (or -burst/-sweep)")
+		fmt.Fprintln(os.Stderr, "primebench: -serve-addr requires -exp table2 (or -burst)")
 		os.Exit(2)
 	}
 

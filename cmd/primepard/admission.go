@@ -21,14 +21,6 @@
 // straight on. Warm requests bypass the gate entirely: they are ~free, so
 // making them wait behind cold searches would only add latency and would
 // starve the one class of traffic shedding is meant to protect.
-//
-// A /v1/plan/sweep portfolio is admitted as ONE unit: the whole scale curve
-// holds one slot, costed at the sum of its per-point estimates, because the
-// points deliberately share cache intermediates — interleaving other cold
-// traffic between them would only evict what they share. Between points the
-// sweep re-checks the deadline policy via unmeetable(), so a portfolio that
-// outlives its client's patience sheds its remaining points instead of
-// searching them into the void.
 package main
 
 import (
@@ -286,17 +278,6 @@ func (a *admission) deadlineShed(expectedCost, wait time.Duration, deadline time
 		message: fmt.Sprintf("expected search cost %v cannot meet the request deadline (%v remaining)",
 			expectedCost.Round(time.Millisecond), time.Until(deadline).Round(time.Millisecond)),
 	}
-}
-
-// unmeetable applies the same deadline policy admit enforces on arrival, for
-// callers that hold a slot across several searches and re-check between them
-// (a /v1/plan/sweep between points). Nil when the gate is disabled, there is
-// no deadline, or the predicted cost still fits.
-func (a *admission) unmeetable(expectedCost time.Duration, deadline time.Time) *apiError {
-	if a.cfg.MaxConcurrent <= 0 || deadline.IsZero() || time.Until(deadline) >= expectedCost {
-		return nil
-	}
-	return a.deadlineShed(expectedCost, 0, deadline)
 }
 
 // release frees one slot: the best waiter (highest priority, then FIFO)

@@ -209,32 +209,23 @@ func TestPlanTopologyOverride(t *testing.T) {
 	}
 }
 
-// TestSweepProfileDimension exercises the sweep surface's per-point profile
-// override: the point is planned on its own machine, reports "profile" as
-// its changed frontier, and lands a digest distinct from the base point's.
-func TestSweepProfileDimension(t *testing.T) {
+// TestPlanProfileDimension: one server plans the same request on the V100
+// testbed and on a100-cluster; each plan echoes its own machine and the two
+// digests differ, so the shared cache keeps the machines' entries apart.
+func TestPlanProfileDimension(t *testing.T) {
 	s := newTestServer(t, "", noAdmission)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	out := postSweep(t, ts, SweepRequest{
-		PlanRequest: PlanRequest{Model: "OPT-6.7B", Devices: 4},
-		Points:      []SweepPoint{{}, {Profile: "a100-cluster"}},
-	})
-	if out.resp == nil {
-		t.Fatalf("sweep failed: %d %s", out.status, out.env.Message)
+	v100 := postPlan(t, ts, PlanRequest{Model: "OPT-6.7B", Devices: 4})
+	a100 := postPlan(t, ts, PlanRequest{Model: "OPT-6.7B", Devices: 4, Profile: "a100-cluster"})
+	if v100.resp == nil || a100.resp == nil {
+		t.Fatalf("plans failed: %d %s / %d %s", v100.status, v100.env.Message, a100.status, a100.env.Message)
 	}
-	r := out.resp.Results
-	if len(r) != 2 || r[0].Plan == nil || r[1].Plan == nil {
-		t.Fatalf("sweep results incomplete: %+v", r)
+	if v100.resp.Profile != "v100-cluster" || a100.resp.Profile != "a100-cluster" {
+		t.Errorf("profile echoes %q and %q, want v100-cluster and a100-cluster", v100.resp.Profile, a100.resp.Profile)
 	}
-	if len(r[1].DeltaDims) != 1 || r[1].DeltaDims[0] != "profile" {
-		t.Errorf("profile point delta_dims = %v, want [profile]", r[1].DeltaDims)
-	}
-	if r[1].Plan.Profile != "a100-cluster" {
-		t.Errorf("profile point echoed %q, want a100-cluster", r[1].Plan.Profile)
-	}
-	if r[0].Plan.Digest == r[1].Plan.Digest {
-		t.Errorf("a100 sweep point shares the base digest %s", r[0].Plan.Digest)
+	if v100.resp.Digest == a100.resp.Digest {
+		t.Errorf("a100 plan shares the V100 digest %s", v100.resp.Digest)
 	}
 }

@@ -15,7 +15,6 @@
 // Endpoints (see server.go):
 //
 //	POST /v1/plan        — search (or serve from cache); see PlanRequest/PlanResponse
-//	POST /v1/plan/sweep  — portfolio planning over a scale curve (sweep.go)
 //	GET  /v1/healthz     — liveness
 //	GET  /v1/stats       — cumulative counters + cache sizes + admission state
 //

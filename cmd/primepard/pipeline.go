@@ -1,11 +1,11 @@
-// The optional `pipeline` object of /v1/plan (and the per-point override of
-// /v1/plan/sweep): joint spatial-temporal 3D planning on the wire. A request
-// carrying `pipeline` runs (*pipeline.Optimizer).Plan3D over the server's
-// shared SearchCache instead of the plain tensor-parallel search; the
-// response grows a `pipeline` section with the chosen (p,d,m), the stage
-// boundaries, per-stage strategies, and the 1F1B schedule breakdown. Digest
-// and the top-level search stats come from the joint plan, so the smoke's
-// digest diff and the /v1/stats counters keep working unchanged.
+// The optional `pipeline` object of /v1/plan: joint spatial-temporal 3D
+// planning on the wire. A request carrying `pipeline` runs
+// (*pipeline.Optimizer).Plan3D over the server's shared SearchCache instead
+// of the plain tensor-parallel search; the response grows a `pipeline`
+// section with the chosen (p,d,m), the stage boundaries, per-stage
+// strategies, and the 1F1B schedule breakdown. Digest and the top-level
+// search stats come from the joint plan, so the smoke's digest diff and the
+// /v1/stats counters keep working unchanged.
 package main
 
 import (
@@ -114,12 +114,8 @@ func (ps *PipelineSpec) system() pipeline.System {
 	return pipeline.PrimePar
 }
 
-// key fingerprints a spec for singleflight and delta_dims (nil-safe: no
-// pipeline object keys as the empty string).
+// key fingerprints a spec for the singleflight key.
 func (ps *PipelineSpec) key() string {
-	if ps == nil {
-		return ""
-	}
 	return fmt.Sprintf("stages=%s,d=%d,mb=%d,gb=%d,sys=%s",
 		ps.Stages, ps.DataParallel, ps.MicroBatch, ps.GlobalBatch, ps.system())
 }

@@ -172,53 +172,6 @@ func TestPlanPipelineValidation(t *testing.T) {
 	}
 }
 
-// TestSweepPipelineOverride: a sweep point may switch to (or re-shape) the
-// joint planner; the point's delta_dims names the pipeline dimension and its
-// result carries the pipeline section.
-func TestSweepPipelineOverride(t *testing.T) {
-	s := newTestServer(t, "", noAdmission)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	sweep := SweepRequest{
-		PlanRequest: PlanRequest{Model: "OPT-6.7B", Devices: 8},
-		Points: []SweepPoint{
-			{},
-			{Pipeline: &PipelineSpec{Stages: StagesSpec{Auto: true}, MicroBatch: 2, GlobalBatch: 32}},
-		},
-	}
-	out := postSweep(t, ts, sweep)
-	if out.status != 200 {
-		t.Fatalf("sweep failed: %d %s", out.status, out.env.Message)
-	}
-	resp := out.resp
-	if resp.Planned != 2 || resp.Failed != 0 {
-		t.Fatalf("planned=%d failed=%d", resp.Planned, resp.Failed)
-	}
-	if resp.Results[0].Plan.Pipeline != nil {
-		t.Fatal("base point must stay a plain plan")
-	}
-	if len(resp.Results[0].DeltaDims) != 0 {
-		t.Fatalf("base point delta_dims = %v", resp.Results[0].DeltaDims)
-	}
-	pt := resp.Results[1]
-	if pt.Plan == nil || pt.Plan.Pipeline == nil {
-		t.Fatal("override point has no pipeline plan")
-	}
-	found := false
-	for _, d := range pt.DeltaDims {
-		if d == "pipeline" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("delta_dims %v missing \"pipeline\"", pt.DeltaDims)
-	}
-	if pt.Plan.Pipeline.Stages*pt.Plan.Pipeline.DataParallel*pt.Plan.Pipeline.ModelParallel != 8 {
-		t.Fatalf("override plan configuration: %+v", pt.Plan.Pipeline)
-	}
-}
-
 // TestPipelineStageWireBytes pins a stage row's /v1 encoding: the keys and
 // their order come from the embedded pipeline.StagePlan, its partition
 // sequences stay off the wire, and seqs is omitted when empty.

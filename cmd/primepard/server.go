@@ -7,12 +7,12 @@
 // The HTTP surface is versioned under /v1:
 //
 //	POST /v1/plan        — search (or serve from cache)
-//	POST /v1/plan/sweep  — portfolio planning over a scale curve (sweep.go)
 //	GET  /v1/healthz     — liveness
 //	GET  /v1/stats       — cumulative counters, cache sizes, admission state
 //
 // Every non-200 answer carries one uniform envelope — {code, message,
-// retryable, retry_after_ms, request_id}. Every answer carries an
+// retryable, retry_after_ms, request_id}, an unknown path included (404
+// not_found). Every answer carries an
 // X-Request-Id header: the caller's own ID when it sent a valid one,
 // otherwise one the daemon generated.
 package main
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -108,7 +109,7 @@ type LinkSpec struct {
 const maxLinkTiers = 16
 
 // resolveProfile turns the request's profile/topology/links triple into a
-// concrete device.Profile. Shared by /v1/plan and /v1/plan/sweep points.
+// concrete device.Profile.
 func resolveProfile(name, topology string, links []LinkSpec) (device.Profile, *apiError) {
 	if name == "" {
 		name = "v100-cluster"
@@ -224,9 +225,13 @@ func writeError(w http.ResponseWriter, err *apiError) {
 		secs := int64((err.retryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	env := envelopeOf(err)
-	env.RequestID = w.Header().Get(requestIDHeader)
-	writeJSON(w, err.status, env)
+	writeJSON(w, err.status, errorEnvelope{
+		Code:         err.code,
+		Message:      err.message,
+		Retryable:    err.retryable,
+		RetryAfterMS: err.retryAfter.Milliseconds(),
+		RequestID:    w.Header().Get(requestIDHeader),
+	})
 }
 
 // requestIDHeader carries a request's ID in both directions.
@@ -275,17 +280,12 @@ type server struct {
 	dedupHits     atomic.Int64
 	cancellations atomic.Int64
 	warmServed    atomic.Int64
-	// searchTotal sums the search stats of every served plan and sweep.
+	saves         atomic.Int64
+	saveErrors    atomic.Int64
+	lastSaveUnix  atomic.Int64
+	// searchTotal sums the search stats of every served plan.
 	searchMu    sync.Mutex
 	searchTotal core.SearchStats
-	// Sweep counters are separate from plansServed: one sweep serves many
-	// points, and /v1/plan's counters must keep their one-request meaning.
-	sweeps             atomic.Int64
-	sweepPointsPlanned atomic.Int64
-	sweepPointsFailed  atomic.Int64
-	saves              atomic.Int64
-	saveErrors         atomic.Int64
-	lastSaveUnix       atomic.Int64
 }
 
 func newServer(cache *core.SearchCache, cacheDir string, defaultTimeout, maxTimeout time.Duration, adm admissionConfig) *server {
@@ -302,13 +302,17 @@ func newServer(cache *core.SearchCache, cacheDir string, defaultTimeout, maxTime
 // handler builds the daemon's mux with request IDs and panic containment:
 // every answer carries the request's X-Request-Id (requestID), and a panic
 // escaping a request (e.g. a core.TaskPanic re-thrown from a worker pool)
-// becomes a 500 for that request instead of killing the process.
+// becomes a 500 for that request instead of killing the process. Any path
+// the mux does not route gets a 404 not_found envelope.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/plan", s.handlePlan)
-	mux.HandleFunc("/v1/plan/sweep", s.handleSweep)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/stats", s.handleStats)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, &apiError{status: http.StatusNotFound, code: "not_found",
+			message: fmt.Sprintf("no endpoint at %s", r.URL.Path)})
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(requestIDHeader, requestID(r.Header.Get(requestIDHeader)))
 		defer func() {
@@ -345,17 +349,14 @@ type admissionStats struct {
 // the live cache sizes and admission state, expvar-style (flat JSON,
 // monotone counters).
 type statsResponse struct {
-	UptimeSeconds      float64 `json:"uptime_seconds"`
-	Requests           int64   `json:"requests"`
-	PlansServed        int64   `json:"plans_served"`
-	PlanErrors         int64   `json:"plan_errors"`
-	DedupHits          int64   `json:"dedup_hits"`
-	Cancellations      int64   `json:"cancellations"`
-	WarmServed         int64   `json:"warm_served"`
-	SweepsServed       int64   `json:"sweeps_served"`
-	SweepPointsPlanned int64   `json:"sweep_points_planned"`
-	SweepPointsFailed  int64   `json:"sweep_points_failed"`
-	// SearchStats totals the search stats of every served plan and sweep
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Requests      int64   `json:"requests"`
+	PlansServed   int64   `json:"plans_served"`
+	PlanErrors    int64   `json:"plan_errors"`
+	DedupHits     int64   `json:"dedup_hits"`
+	Cancellations int64   `json:"cancellations"`
+	WarmServed    int64   `json:"warm_served"`
+	// SearchStats totals the search stats of every served plan
 	// (SearchStats.Add); its keys sit flat beside the service counters.
 	core.SearchStats
 	CacheNodes      int            `json:"cache_nodes"`
@@ -375,24 +376,21 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	search := s.searchTotal
 	s.searchMu.Unlock()
 	writeJSON(w, http.StatusOK, statsResponse{
-		UptimeSeconds:      time.Since(s.start).Seconds(),
-		Requests:           s.requests.Load(),
-		PlansServed:        s.plansServed.Load(),
-		PlanErrors:         s.planErrors.Load(),
-		DedupHits:          s.dedupHits.Load(),
-		Cancellations:      s.cancellations.Load(),
-		WarmServed:         s.warmServed.Load(),
-		SweepsServed:       s.sweeps.Load(),
-		SweepPointsPlanned: s.sweepPointsPlanned.Load(),
-		SweepPointsFailed:  s.sweepPointsFailed.Load(),
-		SearchStats:        search,
-		CacheNodes:         nodes,
-		CacheEdges:         edges,
-		CacheTables:        s.cache.TableEntries(),
-		CachePlans:         s.cache.PlanEntries(),
-		CacheSaves:         s.saves.Load(),
-		CacheSaveErrors:    s.saveErrors.Load(),
-		LastSaveUnix:       s.lastSaveUnix.Load(),
+		UptimeSeconds:   time.Since(s.start).Seconds(),
+		Requests:        s.requests.Load(),
+		PlansServed:     s.plansServed.Load(),
+		PlanErrors:      s.planErrors.Load(),
+		DedupHits:       s.dedupHits.Load(),
+		Cancellations:   s.cancellations.Load(),
+		WarmServed:      s.warmServed.Load(),
+		SearchStats:     search,
+		CacheNodes:      nodes,
+		CacheEdges:      edges,
+		CacheTables:     s.cache.TableEntries(),
+		CachePlans:      s.cache.PlanEntries(),
+		CacheSaves:      s.saves.Load(),
+		CacheSaveErrors: s.saveErrors.Load(),
+		LastSaveUnix:    s.lastSaveUnix.Load(),
 		Admission: admissionStats{
 			MaxConcurrent:    s.adm.cfg.MaxConcurrent,
 			MaxQueue:         s.adm.cfg.MaxQueue,
@@ -439,19 +437,23 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeStrict decodes a request body of at most 1 MiB into v. Malformed
-// JSON and unknown fields are bad requests: a misspelled or retired field
-// fails loudly instead of silently planning with a default.
+// JSON, unknown fields and anything but whitespace after the one JSON value
+// are bad requests: a misspelled or retired field, or a second object, fails
+// loudly instead of silently planning with a default.
 func decodeStrict(w http.ResponseWriter, r *http.Request, v any) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest("bad request: %v", err)
 	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return badRequest("bad request: data after the request object")
+	}
 	return nil
 }
 
-// countSearch adds a served plan's search stats (or a sweep's summed ones)
-// to the /v1/stats cache-tier and work counters.
+// countSearch adds a served plan's search stats to the /v1/stats cache-tier
+// and work counters.
 func (s *server) countSearch(st core.SearchStats) {
 	s.searchMu.Lock()
 	s.searchTotal.Add(st)
@@ -496,9 +498,9 @@ func (s *server) asAPIError(err error) *apiError {
 // planJob is one fully resolved plan unit: the normalized request (defaults
 // applied), its model config, a fresh optimizer wired to the shared cache,
 // the core request, the cache-state estimate and the singleflight key. Built
-// by preparePlan; consumed by plan (one job) and sweep (a portfolio). A
-// request with a `pipeline` object additionally carries the joint planner
-// and its resolved Plan3DRequest; search dispatches on pipe != nil.
+// by preparePlan; consumed by plan. A request with a `pipeline` object
+// additionally carries the joint planner and its resolved Plan3DRequest;
+// search dispatches on pipe != nil.
 type planJob struct {
 	req  PlanRequest
 	cfg  model.Config
@@ -508,15 +510,6 @@ type planJob struct {
 	key  string
 	popt *pipeline.Optimizer
 	pipe *pipeline.Plan3DRequest
-}
-
-// estimate re-predicts the job's remaining work against the current cache
-// state (sweeps re-estimate between points as earlier points warm the cache).
-func (j *planJob) estimate() (core.SearchEstimate, error) {
-	if j.pipe != nil {
-		return j.popt.EstimatePlan3D(*j.pipe)
-	}
-	return j.opt.EstimatePlan(j.core)
 }
 
 // preparePlan validates req, applies the server defaults and predicts the
@@ -651,7 +644,7 @@ func (s *server) plan(ctx context.Context, req *PlanRequest) (*PlanResponse, *ap
 			return nil, ctx.Err() // admission wait ended by the request context
 		}
 		defer release()
-		return s.search(ctx, job, job.est)
+		return s.search(ctx, job)
 	})
 	if shared {
 		s.dedupHits.Add(1)
@@ -681,8 +674,8 @@ func ctxDeadline(ctx context.Context) time.Time {
 // search runs one search end to end, teaches the cost predictor, and shapes
 // the response. Pipeline jobs run the joint 3D planner; plain jobs run the
 // tensor-parallel search.
-func (s *server) search(ctx context.Context, job *planJob, est core.SearchEstimate) (*PlanResponse, error) {
-	req, cfg, o, planReq := &job.req, job.cfg, job.opt, job.core
+func (s *server) search(ctx context.Context, job *planJob) (*PlanResponse, error) {
+	req, cfg, o, planReq, est := &job.req, job.cfg, job.opt, job.core, job.est
 	start := time.Now()
 	if job.pipe != nil {
 		p3, err := job.popt.Plan3D(ctx, *job.pipe)

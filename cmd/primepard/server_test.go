@@ -33,6 +33,9 @@ func newTestServer(t *testing.T, cacheDir string, adm admissionConfig) *server {
 	return newServer(core.NewSearchCache(), cacheDir, time.Minute, 5*time.Minute, adm)
 }
 
+// fptr builds the presence-carrying α pointer requests use on the wire.
+func fptr(v float64) *float64 { return &v }
+
 // planOutcome is one /v1/plan exchange: either a decoded PlanResponse or the
 // error envelope, plus the raw status and headers.
 type planOutcome struct {
@@ -123,6 +126,145 @@ func TestPlanColdThenWarm(t *testing.T) {
 	h.Body.Close()
 	if h.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", h.StatusCode)
+	}
+}
+
+// TestPlanDeltaFrontier: three /v1/plan calls on one server — a base, an α
+// shift and a layer change — share search work through the server's cache.
+// The α plan evaluates no node and builds no edge matrix but runs its DP;
+// the layer plan is one layer-table hit that builds or looks up no edge
+// matrix. Each answer matches a cold plan of the same request on a fresh
+// server, and replaying the three is three plan hits that scan nothing.
+func TestPlanDeltaFrontier(t *testing.T) {
+	s := newTestServer(t, "", noAdmission)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	reqs := []PlanRequest{
+		{Model: "OPT-6.7B", Devices: 4, Layers: 2},
+		{Model: "OPT-6.7B", Devices: 4, Layers: 2, Alpha: fptr(1e-10)},
+		{Model: "OPT-6.7B", Devices: 4, Layers: 4},
+	}
+	got := make([]*PlanResponse, len(reqs))
+	for i, req := range reqs {
+		out := postPlan(t, ts, req)
+		if out.resp == nil {
+			t.Fatalf("plan %d failed: %d %s", i, out.status, out.env.Message)
+		}
+		got[i] = out.resp
+	}
+	if got[0].Stats.NodeEvals == 0 {
+		t.Fatalf("base plan did no node work: %+v", got[0].Stats)
+	}
+	// The α plan reuses every node and edge entry; only the DP re-runs.
+	if st := got[1].Stats; st.NodeEvals != 0 || st.CrossCallNodeHits == 0 || st.EdgeMatsBuilt != 0 ||
+		st.CrossCallTableHits != 0 || st.SegTablesBuilt == 0 {
+		t.Errorf("α plan frontier wrong: %+v", st)
+	}
+	// The layer plan is served from the layer table: stacking only.
+	if st := got[2].Stats; st.NodeEvals != 0 || st.SegTablesBuilt != 0 ||
+		st.CrossCallTableHits != 1 || st.EdgeMatsBuilt != 0 || st.CrossCallEdgeHits != 0 {
+		t.Errorf("layer plan frontier wrong: %+v", st)
+	}
+
+	cold := newTestServer(t, "", noAdmission)
+	tsCold := httptest.NewServer(cold.handler())
+	defer tsCold.Close()
+	for i, req := range reqs {
+		c := postPlan(t, tsCold, req)
+		if c.resp == nil {
+			t.Fatalf("cold plan %d failed: %d %s", i, c.status, c.env.Message)
+		}
+		if c.resp.Digest != got[i].Digest || c.resp.TotalCost != got[i].TotalCost {
+			t.Errorf("plan %d: digest %s total %v, cold plan digest %s total %v",
+				i, got[i].Digest, got[i].TotalCost, c.resp.Digest, c.resp.TotalCost)
+		}
+	}
+
+	for i, req := range reqs {
+		again := postPlan(t, ts, req)
+		if again.resp == nil {
+			t.Fatalf("replay %d failed: %d %s", i, again.status, again.env.Message)
+		}
+		if st := again.resp.Stats; st.CrossCallPlanHits != 1 || st.EntriesScanned != 0 ||
+			st.NodeEvals != 0 || st.EdgeMatsBuilt != 0 || st.SegTablesBuilt != 0 {
+			t.Errorf("replay %d missed the plan tier: %+v", i, st)
+		}
+		if again.resp.Digest != got[i].Digest {
+			t.Errorf("replay %d digest %s, first answer %s", i, again.resp.Digest, got[i].Digest)
+		}
+	}
+}
+
+// TestUnknownPathNotFound: a path the daemon does not serve — the
+// unversioned pre-v1 paths and the deleted /v1/plan/sweep included —
+// answers 404 with the uniform not_found envelope stamped with the request
+// ID.
+func TestUnknownPathNotFound(t *testing.T) {
+	s := newTestServer(t, "", noAdmission)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	for _, c := range []struct{ method, path string }{
+		{http.MethodGet, "/plan"},
+		{http.MethodGet, "/healthz"},
+		{http.MethodGet, "/stats"},
+		{http.MethodGet, "/v1/nope"},
+		{http.MethodPost, "/v1/plan/sweep"},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(`{"model":"OPT-6.7B","devices":4}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env errorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: body is not an envelope: %v", c.method, c.path, err)
+		}
+		id := resp.Header.Get(requestIDHeader)
+		if resp.StatusCode != http.StatusNotFound || env.Code != "not_found" || env.Retryable ||
+			env.Message == "" || id == "" || env.RequestID != id {
+			t.Errorf("%s %s: %d %+v (X-Request-Id %q), want a 404 not_found envelope",
+				c.method, c.path, resp.StatusCode, env, id)
+		}
+	}
+}
+
+// TestDecodeStrictTrailingData: the request body is exactly one JSON value.
+// Trailing whitespace is accepted; a second value or any other trailing
+// bytes are a bad_request, never a silently ignored suffix.
+func TestDecodeStrictTrailingData(t *testing.T) {
+	for _, c := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"one object", `{"model":"OPT-6.7B","devices":8}`, true},
+		{"trailing whitespace", "{\"model\":\"OPT-6.7B\",\"devices\":8} \n\t\r\n", true},
+		{"second object and garbage", `{"model":"OPT-6.7B","devices":8}{"devices":64} garbage`, false},
+		{"second object", `{"model":"OPT-6.7B","devices":8} {"devices":64}`, false},
+		{"trailing garbage", `{"model":"OPT-6.7B","devices":8}x`, false},
+		{"trailing brace", `{"model":"OPT-6.7B","devices":8}}`, false},
+		{"trailing number", `{"model":"OPT-6.7B","devices":8} 64`, false},
+	} {
+		var req PlanRequest
+		w, r := postBody("/v1/plan", []byte(c.body))
+		aerr := decodeStrict(w, r, &req)
+		if c.ok {
+			if aerr != nil || req.Devices != 8 {
+				t.Errorf("%s: got %+v, %v; want 8 devices decoded", c.name, req, aerr)
+			}
+			continue
+		}
+		if aerr == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		checkBadRequest(t, aerr)
 	}
 }
 
@@ -250,24 +392,12 @@ func TestPlanValidation(t *testing.T) {
 			t.Errorf("%s: malformed envelope %v", c.name, env)
 		}
 	}
-	// The unversioned pre-v1 paths are gone.
-	for _, path := range []string{"/plan", "/healthz", "/stats"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: status = %d, want 404", path, resp.StatusCode)
-		}
-	}
 }
 
 // TestPlanTooManyDevicesRejected: a device count above device.MaxDevices,
 // or a searched width above the exact-search limit core.MaxPlanDevices,
-// answers bad_request before any candidate is enumerated, on plain,
-// pipeline and sweep requests (base and point). A pipeline's stages are at
-// most half the machine, so its cases double the device count. At 2048
+// answers bad_request before any candidate is enumerated, on plain and
+// pipeline requests. A pipeline's stages are at most half the machine, so its cases double the device count. At 2048
 // devices the estimate alone used to exhaust memory, and at 1024 it takes
 // seconds, so each answer must come back quickly.
 func TestPlanTooManyDevicesRejected(t *testing.T) {
@@ -290,25 +420,6 @@ func checkTooManyDevicesRejected(t *testing.T, tooMany int) {
 		out := postPlan(t, ts, req)
 		if out.status != http.StatusBadRequest || out.env.Code != "bad_request" {
 			t.Errorf("%d devices, pipeline=%v: got %d %q, want 400 bad_request", tooMany, req.Pipeline != nil, out.status, out.env.Code)
-		}
-	}
-	base := postSweep(t, ts, SweepRequest{
-		PlanRequest: PlanRequest{Model: "OPT-6.7B", Devices: tooMany},
-		Points:      []SweepPoint{{}},
-	})
-	if base.status != http.StatusBadRequest || base.env.Code != "bad_request" {
-		t.Errorf("%d devices, sweep base: got %d %q, want 400 bad_request", tooMany, base.status, base.env.Code)
-	}
-	point := postSweep(t, ts, SweepRequest{
-		PlanRequest: PlanRequest{Model: "OPT-6.7B", Devices: 4, Layers: 1},
-		Points:      []SweepPoint{{Devices: tooMany}, {Devices: 2 * tooMany, Pipeline: pipe}},
-	})
-	if point.resp == nil || point.resp.Failed != 2 {
-		t.Fatalf("%d devices, sweep points: got %d %+v, want both points failed", tooMany, point.status, point.resp)
-	}
-	for i, r := range point.resp.Results {
-		if r.Error == nil || r.Error.Code != "bad_request" {
-			t.Errorf("%d devices, sweep point %d: %+v, want bad_request", tooMany, i, r)
 		}
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -487,10 +598,11 @@ func TestSaveCache(t *testing.T) {
 	}
 }
 
-// TestStatsKeys pins /v1/stats after one cold plan, its warm repeat and one
-// sweep: every key the repository benchmark and the CI smoke read is
-// present, non-zero where the smoke expects it, and the search counters are
-// the sum of the served responses' stats.
+// TestStatsKeys pins /v1/stats after one cold plan, its warm repeat and a
+// layer change served from the layer table: every key the repository
+// benchmark and the CI smoke read is present, non-zero where the smoke
+// expects it, and the search counters are the sum of the served responses'
+// stats.
 func TestStatsKeys(t *testing.T) {
 	s := newTestServer(t, "", admissionConfig{MaxConcurrent: 2, MaxQueue: 4, QueueTimeout: 30 * time.Second})
 	ts := httptest.NewServer(s.handler())
@@ -498,18 +610,15 @@ func TestStatsKeys(t *testing.T) {
 
 	base := PlanRequest{Model: "OPT-6.7B", Devices: 4, Layers: 2}
 	var want core.SearchStats
-	for _, name := range []string{"cold", "warm"} {
-		out := postPlan(t, ts, base)
+	deeper := base
+	deeper.Layers = 4
+	for i, req := range []PlanRequest{base, base, deeper} {
+		out := postPlan(t, ts, req)
 		if out.resp == nil {
-			t.Fatalf("%s plan failed: %d %s", name, out.status, out.env.Message)
+			t.Fatalf("plan %d failed: %d %s", i, out.status, out.env.Message)
 		}
 		want.Add(out.resp.Stats)
 	}
-	sw := postSweep(t, ts, SweepRequest{PlanRequest: base, Points: []SweepPoint{{}, {Layers: 4}}})
-	if sw.resp == nil || sw.resp.Failed != 0 {
-		t.Fatalf("sweep failed: %d %s", sw.status, sw.env.Message)
-	}
-	want.Add(sw.resp.Totals)
 
 	httpResp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -524,14 +633,12 @@ func TestStatsKeys(t *testing.T) {
 	if !ok {
 		t.Fatalf("no admission section: %v", st)
 	}
-	for _, k := range []string{"dedup_hits", "sweep_points_failed"} {
-		if _, ok := st[k].(float64); !ok {
-			t.Errorf("key %q missing", k)
-		}
+	if _, ok := st["dedup_hits"].(float64); !ok {
+		t.Error(`key "dedup_hits" missing`)
 	}
 	for _, k := range []string{"plans_served", "warm_served", "cache_nodes", "cache_edges", "cache_tables",
-		"cache_plans", "sweeps_served", "sweep_points_planned", "cross_call_node_hits",
-		"cross_call_table_hits", "cross_call_plan_hits", "cands_total", "entries_scanned"} {
+		"cache_plans", "cross_call_node_hits", "cross_call_table_hits", "cross_call_plan_hits",
+		"cands_total", "entries_scanned"} {
 		if v, ok := st[k].(float64); !ok || v == 0 {
 			t.Errorf("key %q = %v, want a non-zero number", k, st[k])
 		}

@@ -185,8 +185,8 @@ func TestEstimatePlanDisableCacheNeverWarm(t *testing.T) {
 	}
 }
 
-// TestEstimateWarmAfterSweep pins the sweep→estimate contract the portfolio
-// endpoint relies on: after planning a scale curve (device counts, α values,
+// TestEstimateWarmAfterSweep pins the sweep→estimate contract the daemon's
+// admission gate relies on: after planning a scale curve (device counts, α values,
 // layer counts) against ONE shared cache, EVERY point must subsequently
 // estimate a Warm plan hit, and with the plan tier dropped, a Warm
 // layer-table hit — proving the estimator probes with

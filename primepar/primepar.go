@@ -385,9 +385,9 @@ func (r *PlanReport) Attribution() string {
 
 // Digest returns a stable hex digest of the strategy content — the exact
 // partition sequences and the bit patterns of the predicted costs. Two plans
-// with equal digests chose identical strategies; the daemon's /v1/plan and
-// /v1/plan/sweep responses report the same digest, so clients can verify
-// that a portfolio point matches an individually planned request.
+// with equal digests chose identical strategies; the daemon's /v1/plan
+// responses report the same digest, so clients can verify that a daemon
+// answer matches an in-process plan.
 func (p *Plan) Digest() string {
 	return experiments.StrategyDigest(&core.Strategy{
 		Seqs:      p.Seqs,
