@@ -67,8 +67,9 @@ func ifaceGroups(ps *cost.Patterns, axes []int) (ids []int32, reps []int32) {
 }
 
 // newOverlapTables returns an empty overlap-vector registry for the
-// optimizer's cluster. A search makes one and shares it across its edge
-// builds; it never outlives the search, so cold calls stay cold.
+// optimizer's cluster. A search makes one and shares it, with the fraction
+// memos it holds, across its edge builds and fills; it never outlives the
+// search, so cold calls stay cold.
 func (o *Optimizer) newOverlapTables() *cost.OverlapTables {
 	return cost.NewOverlapTables(o.Cost.Cluster.NumDevices, o.Cost.Cluster.DevicesPerNode)
 }
@@ -152,9 +153,9 @@ func fracGroups(builds []*edgeBuild) []*fracGroup {
 // fill computes the group's matrices, rows banded on up to w workers. A
 // calc group runs one BlockEval per band: each leader row's fractions are
 // computed once — memo probe or compute() per cell — and written into every
-// member, and the band-private memos amortize across all its rows (with one
-// worker, across the whole matrix). Released memos go back to the search's
-// registry for its later matrices.
+// member. Each band holds one of the search's fraction memos, keyed by the
+// registry's ids, and hands it back when done, so a fraction any earlier
+// band computed, for any edge or direction, is a probe here.
 func (gr *fracGroup) fill(m *cost.Model, w int) {
 	b := gr.lead
 	if b.calc == nil {

@@ -19,18 +19,20 @@
 //     NODE: the perNode×perNode block a node sees takes only ~10²–10³
 //     distinct values ("node blocks"), and the per-(pattern pair) sequence
 //     of node blocks across the machine collapses to a small set of "node
-//     vectors". Each (source axis, destination axis) pairing of an edge
-//     numbers the patterns, node vectors and blocks it meets locally, in
-//     first-seen order.
+//     vectors". Edges keep the registry's ids; nothing is renumbered per
+//     edge.
 //  2. A direction's coverage-fraction pair is a pure function of the cell's
-//     node-vector tuple — Measure keeps the moved volume out of its
-//     accumulation tree precisely so this holds — so each distinct tuple is
-//     evaluated once and memoized; the millions of remaining cells are two
-//     hash probes each. At 32 devices the realized tuple count is an order
-//     of magnitude smaller than the cell count.
+//     tuple of registry node-vector ids in pair order — Measure keeps the
+//     moved volume out of its accumulation tree precisely so this holds — so
+//     each distinct tuple is evaluated once per fill band and memoized under
+//     its exact packed ids. The memos belong to the search's registry, not
+//     to an edge: a fraction computed for one edge or direction serves every
+//     other edge and direction of the search that meets its tuple, and the
+//     millions of remaining cells are a hash probe each.
 //  3. Evaluating a distinct tuple folds per-node coverage fractions that are
-//     themselves memoized per node-block combination, so even the miss path
-//     touches perNode² floats per node instead of re-walking every device.
+//     themselves memoized per tuple of registry node-block ids, so even the
+//     miss path touches perNode² floats per node instead of re-walking every
+//     device.
 //
 // Across a layer's edges, whole fraction matrices repeat: the repeated
 // linear-input edges share one structure, and an edge can be another's
@@ -52,7 +54,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 )
 
@@ -62,11 +63,6 @@ import (
 // pattern × device pair) extent of one axis pairing, whether or not the
 // registry already holds some of its vectors.
 const calcTableLimit = 16 << 20
-
-// calcKeyLimit caps the packed key spaces (cell keys and node-combo keys) so
-// index arithmetic can never overflow a uint64; beyond it the evaluator
-// computes cells directly (still exactly) without memoization.
-const calcKeyLimit = 1 << 62
 
 // axisPair is one (source op axis, destination op axis) correspondence in a
 // direction's coverage product.
@@ -79,9 +75,10 @@ type axisPair struct{ sa, dax int }
 // pattern, need pattern) pair to a node vector: the pair's per-device-pair
 // overlap vector, split into deduplicated node blocks. Each pair's vector is
 // computed once, however many edges and axis pairings meet it. It also
-// recycles the memo tables of released BlockEvals, so a search's matrices
-// reuse each other's memos instead of allocating fresh ones. Safe for
-// concurrent use: edge matrices build concurrently.
+// holds the search's fraction memos (fracMemo), keyed by its own ids, which
+// the fill bands take in Block and hand back in Release; they die with the
+// registry, so cold searches stay cold. Safe for concurrent use: edge
+// matrices build and fill concurrently.
 type OverlapTables struct {
 	devices, perNode int
 
@@ -97,16 +94,7 @@ type OverlapTables struct {
 	ov       []float64 // scratch: one pair's device-pair overlap vector
 	vecKey   []int32   // scratch: one pair's node-block ids
 	keyBuf   []byte
-	free     [][]cellSlot // slot arrays of released memos
-
-	// Scratch of one axis pairing's build: vecLoc[vid] / blkLoc[bid] are
-	// its local ids of the registry's node vectors and blocks, -1 when the
-	// pairing has not met them (they grow with vecs and blks); vecSeen /
-	// blkSeen list the ones it met, in local order, so build resets them
-	// after the pairing; locVecs is its vecs in local block ids.
-	vecLoc, blkLoc   []int32
-	vecSeen, blkSeen []int32
-	locVecs          []int32
+	memos    []*fracMemo // memos no fill band holds
 }
 
 // NewOverlapTables returns an empty registry for a cluster of the given
@@ -188,7 +176,6 @@ func (t *OverlapTables) vector(prov, need int32) int32 {
 			bid = int32(len(t.blkIDs))
 			t.blkIDs[string(t.keyBuf)] = bid
 			t.blks = append(t.blks, nb...)
-			t.blkLoc = append(t.blkLoc, -1)
 		}
 		t.vecKey[g] = bid
 	}
@@ -201,35 +188,9 @@ func (t *OverlapTables) vector(prov, need int32) int32 {
 		vid = int32(len(t.vecIDs))
 		t.vecIDs[string(t.keyBuf)] = vid
 		t.vecs = append(t.vecs, t.vecKey...)
-		t.vecLoc = append(t.vecLoc, -1)
 	}
 	t.pairVec[k] = vid
 	return vid
-}
-
-// memo starts tab empty with memoLen(size) slots, reusing a released slot
-// array of exactly that length when there is one. Capacity never changes a
-// lookup result.
-func (t *OverlapTables) memo(tab *cellTab, size int) {
-	want := memoLen(size)
-	var slots []cellSlot
-	t.mu.Lock()
-	for i, f := range t.free {
-		if len(f) == want {
-			slots = f
-			last := len(t.free) - 1
-			t.free[i] = t.free[last]
-			t.free = t.free[:last]
-			break
-		}
-	}
-	t.mu.Unlock()
-	if slots == nil {
-		slots = make([]cellSlot, want)
-	} else {
-		clear(slots)
-	}
-	tab.use(slots)
 }
 
 // dirCalc is the table set of one traffic direction (forward or backward).
@@ -243,23 +204,10 @@ type dirCalc struct {
 	// (FracKey) compares them across edges.
 	rowReg [][]int32 // [pair][row rep] -> registry pattern id
 	colReg [][]int32 // [pair][col rep] -> registry pattern id
-
-	// Node factoring (see package comment), numbered per edge in first-seen
-	// order. All ids trace back to exact byte equality, so equal ids imply
-	// bit-equal operands.
-	nodes   int
-	perNode int
-	nBlk    []int32     // [pair] distinct node-block count
-	nVec    []int32     // [pair] distinct node-vector count
-	blks    [][]float64 // [pair] deduped node blocks, perNode² floats each
-	vecs    [][]int32   // [pair] vid*nodes+g -> node-block id
-	cellVec [][]int32   // [pair] rp*nColPat+cp -> node-vector id
-
-	// cellMemo/comboMemo report whether the packed key spaces fit
-	// calcKeyLimit; when false the corresponding memo level is skipped and
-	// values are computed directly (identical results, just slower).
-	cellMemo  bool
-	comboMemo bool
+	// cellVec[pair][rp*nColPat+cp] is the registry node-vector id of the
+	// pairing's (row pattern, column pattern) cell. Ids trace back to exact
+	// byte equality, so equal ids imply bit-equal operands.
+	cellVec [][]int32
 }
 
 // EdgeCalc evaluates Measure for (row representative, column representative)
@@ -322,28 +270,7 @@ func (p *EdgePlan) NewCalc(t *OverlapTables, src *Patterns, srcReps []int32, dst
 		}
 		c.bwdVol[ri] = v
 	}
-	c.fwd.checkKeySpaces()
-	c.bwd.checkKeySpaces()
 	return c
-}
-
-// checkKeySpaces decides which memo levels fit calcKeyLimit.
-func (d *dirCalc) checkKeySpaces() {
-	cell := uint64(1)
-	combo := uint64(1)
-	d.cellMemo, d.comboMemo = true, true
-	for i := range d.pairs {
-		if cell > calcKeyLimit/uint64(d.nVec[i]+1) {
-			d.cellMemo = false
-		} else {
-			cell *= uint64(d.nVec[i])
-		}
-		if combo > calcKeyLimit/uint64(d.nBlk[i]+1) {
-			d.comboMemo = false
-		} else {
-			combo *= uint64(d.nBlk[i])
-		}
-	}
 }
 
 // axisPattern describes one distinct distribution of a single axis: its
@@ -496,15 +423,12 @@ func (p *Patterns) LocalIDs(reps []int32, ax int, fwd bool) (ids, space []int32)
 	return ids, space
 }
 
-// build fills one direction's pattern ids and node-factoring indexes from
+// build fills one direction's pattern ids and registry node-vector ids from
 // the registry t. Reports false when a pairing's dense table would exceed
 // calcTableLimit.
 func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, src *Patterns, srcReps []int32, dst *Patterns, dstReps []int32, fwdPass bool) bool {
 	d.pairs = pairs
-	d.perNode = p.perNode
-	d.nodes = p.devices / p.perNode
 	n := p.devices * p.perNode
-	blkLen := p.perNode * p.perNode
 	var srcPat, dstPat []int32
 	// One backing array for every pair's registry ids of both sides.
 	reg := make([]int32, len(pairs)*(len(srcReps)+len(dstReps)))
@@ -515,9 +439,6 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, src *Pa
 		if nr*nc*n > calcTableLimit {
 			return false
 		}
-		// Number the registry's node vectors and blocks locally, in the
-		// (rp, cp, node) first-seen order: an equal vector has equal
-		// blocks, so a block can only be new inside a new vector.
 		cellVec := make([]int32, nr*nc)
 		t.mu.Lock()
 		srcPat = t.spacePatterns(srcPat[:0], src, pr.sa, fwdPass, srcSpace)
@@ -527,43 +448,13 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, src *Pa
 				// Both directions are the same provider-covers-need fill:
 				// forward the producer (src) provides for the consumer
 				// (dst), backward the consumer provides for the producer.
-				prov, need := sp, dp
-				if !fwdPass {
-					prov, need = need, prov
+				if fwdPass {
+					cellVec[rp*nc+cp] = t.vector(sp, dp)
+				} else {
+					cellVec[rp*nc+cp] = t.vector(dp, sp)
 				}
-				gv := t.vector(prov, need)
-				vid := t.vecLoc[gv]
-				if vid < 0 {
-					vid = int32(len(t.vecSeen))
-					t.vecLoc[gv] = vid
-					t.vecSeen = append(t.vecSeen, gv)
-					for _, gb := range t.vecs[int(gv)*d.nodes:][:d.nodes] {
-						bid := t.blkLoc[gb]
-						if bid < 0 {
-							bid = int32(len(t.blkSeen))
-							t.blkLoc[gb] = bid
-							t.blkSeen = append(t.blkSeen, gb)
-						}
-						t.locVecs = append(t.locVecs, bid)
-					}
-				}
-				cellVec[rp*nc+cp] = vid
 			}
 		}
-		vecs := slices.Clone(t.locVecs)
-		blks := make([]float64, len(t.blkSeen)*blkLen)
-		for bid, gb := range t.blkSeen {
-			copy(blks[bid*blkLen:], t.blks[int(gb)*blkLen:][:blkLen])
-		}
-		d.nBlk = append(d.nBlk, int32(len(t.blkSeen)))
-		d.nVec = append(d.nVec, int32(len(t.vecSeen)))
-		for _, gv := range t.vecSeen {
-			t.vecLoc[gv] = -1
-		}
-		for _, gb := range t.blkSeen {
-			t.blkLoc[gb] = -1
-		}
-		t.vecSeen, t.blkSeen, t.locVecs = t.vecSeen[:0], t.blkSeen[:0], t.locVecs[:0]
 		t.mu.Unlock()
 		d.rowPat = append(d.rowPat, srcIDs)
 		d.colPat = append(d.colPat, dstIDs)
@@ -573,8 +464,6 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, src *Pa
 		d.rowReg = append(d.rowReg, rowReg)
 		d.colReg = append(d.colReg, colReg)
 		d.nColPat = append(d.nColPat, nc)
-		d.blks = append(d.blks, blks)
-		d.vecs = append(d.vecs, vecs)
 		d.cellVec = append(d.cellVec, cellVec)
 	}
 	return true
@@ -636,32 +525,56 @@ func (c *EdgeCalc) FracKey(swapped bool) string {
 // node's or, in the cell memo, the whole machine's.
 type frac struct{ fi, fe float64 }
 
-// dirEval is one direction's per-goroutine memo state and cell compute.
+// fracMemo is a fill band's coverage-fraction memo: cells maps a
+// direction's tuple of registry node-vector ids, combo one node's tuple of
+// registry node-block ids, to the folded fraction pair it yields. A tuple's
+// fraction is the same for every edge and either direction, so one memo
+// serves every matrix and direction its bands fill, and the registry keeps
+// it from band to band for the rest of the search.
+//
+// A key is the tuple's pair count followed by its ids in pair order, each
+// id in the table's width bits. The count leads, so tuples of different
+// lengths never share a key. A table's width is set when it starts empty
+// and only changes by restarting it empty (cellTab.widen), so within one
+// table every key names exactly one tuple, however much the registry grows
+// meanwhile.
+type fracMemo struct{ cells, combo cellTab }
+
+// keyFits reports whether a key of k ids of width bits each, behind the
+// count k, stays below 2^63 and so packs exactly into a cellTab key.
+func keyFits(k int, width uint) bool { return bits.Len(uint(k))+k*int(width) <= 63 }
+
+// dirEval is one direction's cell compute over its band's registry view and
+// memo.
 type dirEval struct {
-	d     *dirCalc
-	cells cellTab
-	combo cellTab
-	buf   []float64 // perNode² scratch for combined node blocks
-	vids  []int32   // per-pair node-vector ids of the current cell
+	d  *dirCalc
+	be *BlockEval
+	// cellKeys/comboKeys report whether the direction's tuples pack into
+	// the memo's keys; when false that memo level is skipped and values are
+	// computed directly (identical results, just slower).
+	cellKeys, comboKeys bool
+	buf                 []float64 // perNode² scratch for combined node blocks
+	vids                []int32   // per-pair node-vector ids of the current cell
 }
 
 // compute evaluates the current cell (node-vector ids in de.vids) from node
 // contributions, reproducing MeasureFwd/MeasureBwd's volume-free partial-sum
 // tree exactly.
 func (de *dirEval) compute() frac {
-	d := de.d
+	be := de.be
+	combo := &be.memo.combo
 	var tot frac
-	for g := 0; g < d.nodes; g++ {
+	for g := 0; g < be.nodes; g++ {
 		var fr frac
-		if d.comboMemo {
-			var ck uint64
-			for i := range d.pairs {
-				ck = ck*uint64(d.nBlk[i]) + uint64(d.vecs[i][int(de.vids[i])*d.nodes+g])
+		if de.comboKeys {
+			ck := uint64(len(de.vids))
+			for _, vid := range de.vids {
+				ck = ck<<combo.width | uint64(be.vecs[int(vid)*be.nodes+g])
 			}
 			var ok bool
-			if fr, ok = de.combo.get(ck); !ok {
+			if fr, ok = combo.get(ck); !ok {
 				fr = de.comboFrac(g)
-				de.combo.put(ck, fr)
+				combo.put(ck, fr)
 			}
 		} else {
 			fr = de.comboFrac(g)
@@ -676,15 +589,15 @@ func (de *dirEval) compute() frac {
 // the elementwise product of the per-pair node blocks (in pair order, exactly
 // fwdCov/bwdCov's multiplication order), then Measure's per-device loop.
 func (de *dirEval) comboFrac(g int) frac {
-	d := de.d
-	pn := d.perNode
+	be := de.be
+	pn := be.perNode
 	blkLen := pn * pn
 	buf := de.buf
-	b0 := int(d.vecs[0][int(de.vids[0])*d.nodes+g]) * blkLen
-	copy(buf, d.blks[0][b0:b0+blkLen])
-	for i := 1; i < len(d.pairs); i++ {
-		bo := int(d.vecs[i][int(de.vids[i])*d.nodes+g]) * blkLen
-		blk := d.blks[i][bo : bo+blkLen]
+	b0 := int(be.vecs[int(de.vids[0])*be.nodes+g]) * blkLen
+	copy(buf, be.blks[b0:b0+blkLen])
+	for _, vid := range de.vids[1:] {
+		bo := int(be.vecs[int(vid)*be.nodes+g]) * blkLen
+		blk := be.blks[bo : bo+blkLen]
 		for k := 0; k < blkLen; k++ {
 			buf[k] *= blk[k]
 		}
@@ -722,6 +635,15 @@ func (de *dirEval) comboFrac(g int) frac {
 // same interfaces: misses run compute(), which reproduces Measure's
 // partial-sum tree exactly.
 //
+// The memo a BlockEval probes is the search's, not the matrix's: Block takes
+// one of the registry's fracMemos (or starts one at two slots) and Release
+// hands it back, entries and all, so a fraction computed for one edge or
+// direction is a hit for every later band that meets its tuple, in any
+// matrix and either direction — the repeated tuples of different fraction
+// structures, and the backward half of a self-transposed edge, whose tuples
+// its forward half already met. The memos grow on demand and die with the
+// registry.
+//
 // Earlier drafts interned whole rows/columns (by vid-slice signature) or
 // per-pair column-pattern tuples into dense block tables, and fronted the
 // memo with a small epoch-tagged per-row cache; measurement rejected all
@@ -735,11 +657,18 @@ func (de *dirEval) comboFrac(g int) frac {
 // What does repeat is the fraction structure ACROSS a layer's edges
 // (FracKey): FillRow computes a leader row once for every member matrix.
 //
-// Create one per goroutine (via Block); the memo and row buffers are private.
-// Release it when done, so the search's later matrices reuse its memos.
+// Create one per goroutine (via Block); the memo and row buffers are private
+// until Release.
 type BlockEval struct {
 	c        *EdgeCalc
 	fwd, bwd dirStream
+	memo     *fracMemo
+	// vecs and blks are the registry's node vectors and blocks as of Block.
+	// They hold every id of c, and the registry only appends to them, so
+	// the band reads them without the registry's lock.
+	vecs           []int32
+	blks           []float64
+	nodes, perNode int
 }
 
 // dirStream is one direction's streaming row-fill state.
@@ -749,68 +678,46 @@ type dirStream struct {
 	rowSl [][]int32 // per pair: cellVec row slice of the current row
 }
 
-// Block returns a fresh per-goroutine streaming row evaluator.
+// Block returns a per-goroutine streaming row evaluator holding one of the
+// registry's fraction memos.
 func (c *EdgeCalc) Block() *BlockEval {
-	be := &BlockEval{c: c}
-	nRows, nCols := len(c.bwdVol), len(c.fwdVol)
-	be.fwd.init(c.t, &c.fwd, nRows, nCols)
-	be.bwd.init(c.t, &c.bwd, nRows, nCols)
+	t := c.t
+	be := &BlockEval{c: c, nodes: t.devices / t.perNode, perNode: t.perNode}
+	t.mu.Lock()
+	if n := len(t.memos); n > 0 {
+		be.memo, t.memos = t.memos[n-1], t.memos[:n-1]
+	} else {
+		be.memo = new(fracMemo)
+	}
+	be.vecs, be.blks = t.vecs, t.blks
+	vecBits, blkBits := uint(bits.Len(uint(len(t.vecIDs)))), uint(bits.Len(uint(len(t.blkIDs))))
+	t.mu.Unlock()
+	be.memo.cells.widen(vecBits)
+	be.memo.combo.widen(blkBits)
+	nCols := len(c.fwdVol)
+	be.fwd.init(be, &c.fwd, nCols)
+	be.bwd.init(be, &c.bwd, nCols)
 	return be
 }
 
-// Release hands the evaluator's memos back to the calc's registry for the
-// search's later matrices to reuse; be must not be used afterwards. A memo
-// that grew past every start size could never be reused, so the registry
-// does not keep it: holding such tables until the search ends would raise
-// its peak memory for nothing.
+// Release hands the evaluator's memo back to the registry for the search's
+// later bands; be must not be used afterwards.
 func (be *BlockEval) Release() {
 	t := be.c.t
 	t.mu.Lock()
-	for _, tab := range []*cellTab{&be.fwd.de.cells, &be.fwd.de.combo, &be.bwd.de.cells, &be.bwd.de.combo} {
-		if len(tab.slots) <= max(cellMemoCap, comboMemoCap) {
-			t.free = append(t.free, tab.slots)
-		}
-		tab.slots = nil
-	}
+	t.memos = append(t.memos, be.memo)
 	t.mu.Unlock()
+	be.memo = nil
 }
 
-// Memo start sizes, in slots. A matrix realizes at most one cell key per
-// cell and one combo key per (cell, node), and a table of twice its key
-// count never grows (cellTab.put keeps the load at or below one half). The
-// slot arrays come from the search's registry when a released one of the
-// same length is free (OverlapTables.memo).
-const (
-	// cellMemoCap caps the cell memo's start: 64k slots skip the early
-	// grow/rehash rounds of big matrices. Sizing it from the full cell count
-	// of a big matrix was measured SLOWER: realized keys run ~10% of cells,
-	// and a near-empty giant table costs a cache miss per probe where the
-	// compact grown table stays hot.
-	cellMemoCap = 1 << 16
-	// comboMemoCap caps the combo memo's start; it grows on demand.
-	comboMemoCap = 1 << 12
-)
-
-// memoSlots is the start size of a table that may receive up to keys keys:
-// room for all of them without a grow, but never more than limit slots.
-func memoSlots(keys, limit int) int {
-	if keys > limit/2 {
-		return limit
-	}
-	return 2 * keys
-}
-
-func (s *dirStream) init(t *OverlapTables, d *dirCalc, nRows, nCols int) {
-	s.de = dirEval{d: d,
-		buf: make([]float64, d.perNode*d.perNode), vids: make([]int32, len(d.pairs))}
-	// Both memos serve every cell of the matrix, so the matrix bounds their
-	// key counts: a stage-sized matrix of a few dozen cells allocates a few
-	// dozen slots, and a big one starts at the cap.
-	cells := nRows * nCols
-	t.memo(&s.de.cells, memoSlots(cells, cellMemoCap))
-	t.memo(&s.de.combo, memoSlots(cells*d.nodes, comboMemoCap))
+func (s *dirStream) init(be *BlockEval, d *dirCalc, nCols int) {
+	k := len(d.pairs)
+	s.de = dirEval{d: d, be: be,
+		cellKeys:  keyFits(k, be.memo.cells.width),
+		comboKeys: keyFits(k, be.memo.combo.width),
+		buf:       make([]float64, be.perNode*be.perNode), vids: make([]int32, k)}
 	s.row = make([]frac, nCols) // stays all-zero for an unmapped direction
-	s.rowSl = make([][]int32, len(d.pairs))
+	s.rowSl = make([][]int32, k)
 }
 
 // fillRow computes the direction's coverage fractions of row ri for every
@@ -828,8 +735,8 @@ func (s *dirStream) fillRow(ri int) {
 	}
 	de := &s.de
 	out := s.row
-	if !d.cellMemo {
-		// Node-vector keys would overflow a packed uint64 (that is what turned
+	if !de.cellKeys {
+		// Node-vector tuples would not pack into a key (that is what turned
 		// the memo off), so no key-based reuse: evaluate each cell directly.
 		for ci := range out {
 			for i := 0; i < k; i++ {
@@ -839,21 +746,22 @@ func (s *dirStream) fillRow(ri int) {
 		}
 		return
 	}
-	prevKey := ^uint64(0) // impossible: real keys stay below the radix product
+	cells := &de.be.memo.cells
+	prevKey := ^uint64(0) // impossible: real keys stay below 2^63
 	var prevF frac
 	for ci := range out {
-		key := uint64(0)
+		key := uint64(k)
 		for i := 0; i < k; i++ {
 			vid := s.rowSl[i][d.colPat[i][ci]]
 			de.vids[i] = vid
-			key = key*uint64(d.nVec[i]) + uint64(vid)
+			key = key<<cells.width | uint64(vid)
 		}
 		if key != prevKey {
 			prevKey = key
-			f, ok := de.cells.get(key)
+			f, ok := cells.get(key)
 			if !ok {
 				f = de.compute()
-				de.cells.put(key, f)
+				cells.put(key, f)
 			}
 			prevF = f
 		}
@@ -944,6 +852,7 @@ type cellTab struct {
 	n     int
 	mask  uint64
 	shift uint8
+	width uint // bits per id in the tuple keys (fracMemo)
 }
 
 type cellSlot struct {
@@ -951,19 +860,15 @@ type cellSlot struct {
 	fi, fe float64
 }
 
-// initSize starts the table with a power-of-two slot count ≥ size (at least
-// two), letting callers that expect many entries skip the early grow/rehash
-// rounds and callers that expect few skip zeroing slots they never use.
-// Capacity never affects lookup results, only allocation churn.
-func (t *cellTab) initSize(size int) { t.use(make([]cellSlot, memoLen(size))) }
-
-// memoLen is the power-of-two slot count ≥ size, at least two.
-func memoLen(size int) int {
-	n := 2
-	for n < size {
-		n <<= 1
+// widen readies the table for tuple keys of need-bit ids: a table with
+// narrower ids, or no slots yet, restarts empty at two slots with need-bit
+// ids. A table with ids at least that wide keeps its entries, since every
+// id below 2^need packs the same at its width.
+func (t *cellTab) widen(need uint) {
+	if t.slots == nil || t.width < need {
+		t.use(make([]cellSlot, 2))
+		t.width = need
 	}
-	return n
 }
 
 // use starts the table on slots, an all-empty power-of-two slice.

@@ -67,23 +67,28 @@ func benchPlan() (*EdgePlan, []*Iface, []*Iface) {
 // BenchmarkEdgeCellBlock measures the production fill of core's edge phase
 // on a fraction group: one BlockEval of the leader fills every row once and
 // writes both the leader's matrix and its mirror's (a transposed member, as
-// softmax→av is of qkt→softmax) through FillRow.
+// softmax→av is of qkt→softmax) through FillRow. Each iteration builds the
+// calcs on a fresh registry, untimed, so every fill starts with the empty
+// memo of a cold search rather than the previous iteration's entries.
 func BenchmarkEdgeCellBlock(b *testing.B) {
 	p, srcReps, dstReps := benchPlan()
 	q, qSrc, qDst := mirrorEdge(p, srcReps, dstReps)
-	ot := NewOverlapTables(p.devices, p.perNode)
-	calc, mirror := newCalcOver(p, ot, srcReps, dstReps), newCalcOver(q, ot, qSrc, qDst)
-	if calc == nil || mirror == nil {
-		b.Fatal("NewCalc fell back")
-	}
 	m := NewModel(device.MustCluster(p.devices, p.perNode, device.V100Profile()))
 	cells := len(srcReps) * len(dstReps)
-	members := []FracMember{
-		{Calc: calc, Vals: make([]float64, cells)},
-		{Calc: mirror, Vals: make([]float64, cells), Transposed: true},
-	}
+	fwdVals, bwdVals := make([]float64, cells), make([]float64, cells)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ot := NewOverlapTables(p.devices, p.perNode)
+		calc, mirror := newCalcOver(p, ot, srcReps, dstReps), newCalcOver(q, ot, qSrc, qDst)
+		if calc == nil || mirror == nil {
+			b.Fatal("NewCalc fell back")
+		}
+		members := []FracMember{
+			{Calc: calc, Vals: fwdVals},
+			{Calc: mirror, Vals: bwdVals, Transposed: true},
+		}
+		b.StartTimer()
 		be := calc.Block()
 		for ri := range srcReps {
 			be.FillRow(m, ri, members)

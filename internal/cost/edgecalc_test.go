@@ -153,9 +153,7 @@ func TestEdgeCalcNoMappedAxes(t *testing.T) {
 // (BlockEval.MeasureRow, the Traffic form of what core's edge builds call)
 // to the reference Measure bit-for-bit. It covers both direction shapes of
 // the plan (three mapped pairs forward, two backward), 1×N and N×1
-// matrices whose memos are sized to a handful of slots, pooled interfaces
-// whose cells repeat within a row, and memos restarted at two slots so every
-// table grows several times mid-fill.
+// matrices, and pooled interfaces whose cells repeat within a row.
 func TestBlockEvalMatchesMeasure(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := &EdgePlan{
@@ -173,15 +171,12 @@ func TestBlockEvalMatchesMeasure(t *testing.T) {
 		name       string
 		rows, cols int
 		pooled     bool
-		tiny       bool
 	}{
-		{"1xN", 1, 40, false, false},
-		{"Nx1", 40, 1, false, false},
-		{"1x1", 1, 1, false, false},
-		{"random", 20, 30, false, false},
-		{"pooled", 30, 60, true, false},
-		{"pooled-tiny-memo", 30, 60, true, true},
-		{"random-tiny-memo", 20, 30, false, true},
+		{"1xN", 1, 40, false},
+		{"Nx1", 40, 1, false},
+		{"1x1", 1, 1, false},
+		{"random", 20, 30, false},
+		{"pooled", 30, 60, true},
 	}
 	for _, sh := range shapes {
 		for trial := 0; trial < 5; trial++ {
@@ -198,11 +193,6 @@ func TestBlockEvalMatchesMeasure(t *testing.T) {
 				t.Fatalf("%s trial %d: NewCalc fell back unexpectedly", sh.name, trial)
 			}
 			be := calc.Block()
-			if sh.tiny {
-				for _, tab := range []*cellTab{&be.fwd.de.cells, &be.fwd.de.combo, &be.bwd.de.cells, &be.bwd.de.combo} {
-					tab.initSize(0)
-				}
-			}
 			out := make([]Traffic, len(dstReps))
 			for ri, s := range srcReps {
 				be.MeasureRow(ri, out)
@@ -212,39 +202,74 @@ func TestBlockEvalMatchesMeasure(t *testing.T) {
 					}
 				}
 			}
-			if sh.tiny {
-				for _, tab := range []*cellTab{&be.fwd.de.cells, &be.bwd.de.cells} {
-					if len(tab.slots) <= 2 {
-						t.Fatalf("%s trial %d: tiny cell memo never grew (%d entries)", sh.name, trial, tab.n)
-					}
-				}
-			}
 		}
 	}
 }
 
-// TestBlockMemoSizedToMatrix pins the memo start sizes: a matrix that can
-// hold k cell keys starts with room for all of them and no more, and a big
-// matrix keeps the capped start.
-func TestBlockMemoSizedToMatrix(t *testing.T) {
+// TestMemoGrowsFromMinimum: a registry's first memo starts at the smallest
+// table, two slots per level, and a fill that grows both levels several
+// times over stays bit-identical to Measure.
+func TestMemoGrowsFromMinimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := &EdgePlan{
-		devices: 8, perNode: 4, eb: 2, dstFull: 1024, srcFull: 1024,
-		fwdDst: []int{0, 1}, fwdSrc: []int{0, 1},
-		bwdSrc: []int{0, 1}, bwdDst: []int{0, 1},
+		devices: 16, perNode: 4, eb: 2, dstFull: 1 << 20, srcFull: 1 << 18,
+		fwdDst: []int{0, 1, 2}, fwdSrc: []int{0, 2, 1},
+		bwdSrc: []int{0, 1, 2}, bwdDst: []int{1, 0, 2},
 	}
-	for _, tc := range []struct{ rows, cols, wantCells int }{
-		{1, 1, 2},
-		{3, 5, 32},
-		{300, 300, cellMemoCap},
-	} {
-		calc := newCalcOver(p, NewOverlapTables(p.devices, p.perNode), randIfaces(rng, tc.rows, 8, 2), randIfaces(rng, tc.cols, 8, 2))
-		be := calc.Block()
-		if got := len(be.fwd.de.cells.slots); got != tc.wantCells {
-			t.Errorf("%dx%d: cell memo starts at %d slots, want %d", tc.rows, tc.cols, got, tc.wantCells)
+	src, dst := randIfaces(rng, 40, p.devices, 3), randIfaces(rng, 50, p.devices, 3)
+	calc := newCalcOver(p, NewOverlapTables(p.devices, p.perNode), src, dst)
+	be := calc.Block()
+	if got := [2]int{len(be.memo.cells.slots), len(be.memo.combo.slots)}; got != [2]int{2, 2} {
+		t.Fatalf("a new memo starts at %v slots (cells, combo), want [2 2]", got)
+	}
+	out := make([]Traffic, len(dst))
+	for ri, s := range src {
+		be.MeasureRow(ri, out)
+		for ci, d := range dst {
+			if want := p.Measure(s, d); out[ci] != want {
+				t.Fatalf("cell (%d,%d): got %+v want %+v", ri, ci, out[ci], want)
+			}
 		}
-		if got := len(be.fwd.de.combo.slots); got > comboMemoCap {
-			t.Errorf("%dx%d: combo memo starts at %d slots, above the %d cap", tc.rows, tc.cols, got, comboMemoCap)
+	}
+	for _, tab := range []*cellTab{&be.memo.cells, &be.memo.combo} {
+		if len(tab.slots) < 128 {
+			t.Errorf("a memo level holds %d entries in %d slots: it never grew past its first rounds", tab.n, len(tab.slots))
 		}
+	}
+}
+
+// TestWideKeysComputeDirectly: a direction whose tuples would not pack into
+// the memo's keys skips that memo level and computes every cell directly,
+// still bit-identical to Measure, leaving the memo untouched. The registry's
+// memo is handed ids 30 bits wide, so three pairs need 92 key bits.
+func TestWideKeysComputeDirectly(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := &EdgePlan{
+		devices: 16, perNode: 4, eb: 2, dstFull: 1 << 20, srcFull: 1 << 18,
+		fwdDst: []int{0, 1, 2}, fwdSrc: []int{0, 2, 1},
+		bwdSrc: []int{0, 1, 2}, bwdDst: []int{1, 0, 2},
+	}
+	src, dst := randIfaces(rng, 6, p.devices, 3), randIfaces(rng, 7, p.devices, 3)
+	ot := NewOverlapTables(p.devices, p.perNode)
+	calc := newCalcOver(p, ot, src, dst)
+	wide := &fracMemo{}
+	wide.cells.widen(30)
+	wide.combo.widen(30)
+	ot.memos = append(ot.memos, wide)
+	be := calc.Block()
+	if be.memo != wide || be.fwd.de.cellKeys || be.fwd.de.comboKeys {
+		t.Fatal("the 30-bit memo was not taken, or its keys were judged to fit")
+	}
+	out := make([]Traffic, len(dst))
+	for ri, s := range src {
+		be.MeasureRow(ri, out)
+		for ci, d := range dst {
+			if want := p.Measure(s, d); out[ci] != want {
+				t.Fatalf("cell (%d,%d): got %+v want %+v", ri, ci, out[ci], want)
+			}
+		}
+	}
+	if wide.cells.n != 0 || wide.combo.n != 0 {
+		t.Errorf("keys that do not fit were stored: %d cell and %d combo entries", wide.cells.n, wide.combo.n)
 	}
 }

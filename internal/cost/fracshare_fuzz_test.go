@@ -28,21 +28,75 @@ func mirrorEdge(p *EdgePlan, src, dst []*Iface) (*EdgePlan, []*Iface, []*Iface) 
 	return q, swap(dst), swap(src)
 }
 
+// selfMirrorEdge draws an edge that is its own mirror (mirrorEdge returns
+// it unchanged): both sides have the same axes and volume, the backward
+// pairing is the forward one reversed, and each consumer interface is a
+// producer interface with its forward and backward starts swapped. Its
+// fraction structure is its own transpose — the shape of anchor→norm1 and
+// the K-side qkv→qkt in a Table-2 block.
+func selfMirrorEdge(rng *rand.Rand, devices, perNode int, pool []axisLayout) (*EdgePlan, []*Iface, []*Iface) {
+	axes := 2 + rng.Intn(3)
+	p := &EdgePlan{devices: devices, perNode: perNode, eb: 2, dstFull: 1 << 19, srcFull: 1 << 19}
+	perm := rng.Perm(axes)
+	for i, dax := range rng.Perm(axes)[:1+rng.Intn(axes)] {
+		sa := -1
+		if rng.Intn(4) > 0 {
+			sa = perm[i]
+		}
+		p.fwdDst = append(p.fwdDst, dax)
+		p.fwdSrc = append(p.fwdSrc, sa)
+	}
+	p.bwdSrc, p.bwdDst = p.fwdDst, p.fwdSrc
+	src := ifacesFromPool(rng, 1+rng.Intn(10), axes, pool)
+	_, _, dst := mirrorEdge(p, src, src)
+	return p, src, dst
+}
+
+// fillGroup fills the matrices of one fraction group led by members[0] and
+// reports the first cell of each that differs from RedistributeDetail of
+// direct Measure.
+func fillGroup(t *testing.T, m *Model, label string, members []FracMember, jobs []edgeJob) {
+	t.Helper()
+	be := members[0].Calc.Block()
+	for ri := range jobs[0].src {
+		be.FillRow(m, ri, members)
+	}
+	be.Release()
+	for k, j := range jobs {
+		for c, got := range members[k].Vals {
+			if want := j.want[c]; got != want {
+				t.Fatalf("%s, matrix %d cell (%d,%d): got %v want %v", label, k, c/len(j.dst), c%len(j.dst), got, want)
+			}
+		}
+	}
+}
+
 // FuzzEdgeFracSharing pins the fraction-sharing contract core's edge phase
-// rests on. For a random pooled edge, its mirror and a twin with other
-// volumes, all on one registry: the twin's direct key equals the edge's,
-// the mirror's direct key equals the edge's transposed key (and the other
-// way round), and one group fill led by the edge — twin direct, mirror
-// transposed — gives all three matrices bit-identical to
-// RedistributeDetail of direct Measure.
+// rests on: fraction keys name fraction structures, and the search-wide
+// memo's entries serve every edge and direction that meets their tuples.
+// All on one registry:
+//   - for a random pooled edge, its mirror and a twin with other volumes,
+//     the twin's direct key equals the edge's, the mirror's direct key
+//     equals the edge's transposed key (and the other way round), and one
+//     group fill led by the edge — twin direct, mirror transposed — gives
+//     all three matrices bit-identical to RedistributeDetail of direct
+//     Measure;
+//   - a second, unrelated random edge built after that first fill grows
+//     the registry, often past the width of the memo's keys; it and the
+//     first group then fill in the fuzzed order, both still bit-identical;
+//   - an edge that is its own mirror, filled on its own, so its backward
+//     probes meet the tuples its forward pass inserted: bit-identical too.
 func FuzzEdgeFracSharing(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(7), uint8(1))
 	f.Add(int64(42), uint8(2))
 	f.Add(int64(-3), uint8(5))
+	f.Add(int64(9), uint8(9))
+	f.Add(int64(13), uint8(14))
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		devices := 4 << (shape % 3)     // 4, 8 or 16
 		perNode := 2 << (shape / 3 % 2) // 2 or 4
+		secondFirst := shape/6%2 == 1
 		rng := rand.New(rand.NewSource(seed))
 		m := NewModel(device.MustCluster(devices, perNode, device.V100Profile()))
 		pool := layoutPool(rng, 2+rng.Intn(5), devices)
@@ -64,32 +118,39 @@ func FuzzEdgeFracSharing(f *testing.F) {
 		if ct.FracKey(false) != cp.FracKey(false) {
 			t.Fatal("a twin with other volumes has another fraction key")
 		}
+		cells := len(src) * len(dst)
+		group := []FracMember{{Calc: cp, Vals: make([]float64, cells)},
+			{Calc: cq, Vals: make([]float64, cells), Transposed: true}, {Calc: ct, Vals: make([]float64, cells)}}
+		groupJobs := []edgeJob{newEdgeJob(m, p, src, dst), newEdgeJob(m, q, qSrc, qDst), newEdgeJob(m, &twin, src, dst)}
+		fillGroup(t, m, "first group", group, groupJobs)
 
-		vp := make([]float64, len(src)*len(dst))
-		vq := make([]float64, len(vp))
-		vt := make([]float64, len(vp))
-		members := []FracMember{{Calc: cp, Vals: vp}, {Calc: cq, Vals: vq, Transposed: true}, {Calc: ct, Vals: vt}}
-		be := cp.Block()
-		for ri := range src {
-			be.FillRow(m, ri, members)
+		// A second edge over fresh layouts, built after the first fill.
+		r, rSrcAxes, rDstAxes := randEdgePlan(rng, devices, perNode)
+		rPool := layoutPool(rng, 2+rng.Intn(8), devices)
+		rJob := newEdgeJob(m, r, ifacesFromPool(rng, 1+rng.Intn(12), rSrcAxes, rPool), ifacesFromPool(rng, 1+rng.Intn(12), rDstAxes, rPool))
+		cr := newCalcOver(r, ot, rJob.src, rJob.dst)
+		if cr == nil {
+			t.Fatal("NewCalc fell back unexpectedly")
 		}
-		be.Release()
-		for ri, s := range src {
-			for ci, d := range dst {
-				if got, want := vp[ri*len(dst)+ci], m.RedistributeDetail(p.Measure(s, d)); got != want {
-					t.Fatalf("edge cell (%d,%d): got %v want %v", ri, ci, got, want)
-				}
-				if got, want := vt[ri*len(dst)+ci], m.RedistributeDetail(twin.Measure(s, d)); got != want {
-					t.Fatalf("twin cell (%d,%d): got %v want %v", ri, ci, got, want)
-				}
-			}
+		second := []FracMember{{Calc: cr, Vals: make([]float64, len(rJob.want))}}
+		if secondFirst {
+			fillGroup(t, m, "second edge", second, []edgeJob{rJob})
 		}
-		for ri, s := range qSrc {
-			for ci, d := range qDst {
-				if got, want := vq[ri*len(qDst)+ci], m.RedistributeDetail(q.Measure(s, d)); got != want {
-					t.Fatalf("mirror cell (%d,%d): got %v want %v", ri, ci, got, want)
-				}
-			}
+		fillGroup(t, m, "first group again", group, groupJobs)
+		if !secondFirst {
+			fillGroup(t, m, "second edge", second, []edgeJob{rJob})
 		}
+
+		// An edge that is its own mirror.
+		s, sSrc, sDst := selfMirrorEdge(rng, devices, perNode, pool)
+		cs := newCalcOver(s, ot, sSrc, sDst)
+		if cs == nil {
+			t.Fatal("NewCalc fell back unexpectedly")
+		}
+		if cs.FracKey(false) != cs.FracKey(true) {
+			t.Fatal("a self-mirrored edge's fraction key is not its own transposed key")
+		}
+		fillGroup(t, m, "self-mirrored edge", []FracMember{{Calc: cs, Vals: make([]float64, len(sSrc)*len(sDst))}},
+			[]edgeJob{newEdgeJob(m, s, sSrc, sDst)})
 	})
 }

@@ -1,8 +1,9 @@
 package cost
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -97,17 +98,22 @@ func randEdgeJobs(rng *rand.Rand, m *Model, n int, pool []axisLayout) []edgeJob 
 	jobs := make([]edgeJob, n)
 	for i := range jobs {
 		p, srcAxes, dstAxes := randEdgePlan(rng, m.Cluster.NumDevices, m.Cluster.DevicesPerNode)
-		j := edgeJob{p: p,
-			src: ifacesFromPool(rng, 1+rng.Intn(12), srcAxes, pool),
-			dst: ifacesFromPool(rng, 1+rng.Intn(12), dstAxes, pool)}
-		for _, s := range j.src {
-			for _, d := range j.dst {
-				j.want = append(j.want, m.RedistributeDetail(p.Measure(s, d)))
-			}
-		}
-		jobs[i] = j
+		jobs[i] = newEdgeJob(m, p,
+			ifacesFromPool(rng, 1+rng.Intn(12), srcAxes, pool),
+			ifacesFromPool(rng, 1+rng.Intn(12), dstAxes, pool))
 	}
 	return jobs
+}
+
+// newEdgeJob is the job of edge p over src and dst.
+func newEdgeJob(m *Model, p *EdgePlan, src, dst []*Iface) edgeJob {
+	j := edgeJob{p: p, src: src, dst: dst}
+	for _, s := range src {
+		for _, d := range dst {
+			j.want = append(j.want, m.RedistributeDetail(p.Measure(s, d)))
+		}
+	}
+	return j
 }
 
 // check fills the job's matrix through a BlockEval of calc and reports the
@@ -132,50 +138,74 @@ func (j *edgeJob) check(t *testing.T, m *Model, label string, calc *EdgeCalc) {
 	}
 }
 
-// TestOverlapTablesShared pins the registry's contract: one registry shared
-// by many random edges of one cluster shape gives every edge the same local
-// tables — pattern ids, node vectors, node blocks, key spaces — as a fresh
-// registry of its own, so FillRow stays bit-identical to Measure.
-// Released memos are recycled from edge to edge along the way.
+// TestOverlapTablesShared pins the registry's contract: random edges of one
+// cluster shape, with twins of other volumes and mirrors among them, fill
+// bit-identically to Measure on one shared registry, and their fraction keys
+// relate the same way on a registry that met them in the reverse order. Key
+// equality, which groups matrices in core, is a property of the edges, not
+// of the order the registry numbered their patterns in.
 func TestOverlapTablesShared(t *testing.T) {
 	m := NewModel(device.MustCluster(16, 4, device.V100Profile()))
 	rng := rand.New(rand.NewSource(23))
-	jobs := randEdgeJobs(rng, m, 60, layoutPool(rng, 6, 16))
-	shared := NewOverlapTables(16, 4)
+	var jobs []edgeJob
+	for _, j := range randEdgeJobs(rng, m, 40, layoutPool(rng, 6, 16)) {
+		jobs = append(jobs, j)
+		if len(jobs)%4 == 1 {
+			twin := *j.p
+			twin.eb, twin.dstFull = 4, 3<<10
+			q, qSrc, qDst := mirrorEdge(j.p, j.src, j.dst)
+			jobs = append(jobs, newEdgeJob(m, &twin, j.src, j.dst), newEdgeJob(m, q, qSrc, qDst))
+		}
+	}
+	inOrder, reversed := NewOverlapTables(16, 4), NewOverlapTables(16, 4)
+	calcs := make([][2]*EdgeCalc, len(jobs))
+	for i := range jobs {
+		calcs[i][0] = newCalcOver(jobs[i].p, inOrder, jobs[i].src, jobs[i].dst)
+	}
+	for i := len(jobs) - 1; i >= 0; i-- {
+		calcs[i][1] = newCalcOver(jobs[i].p, reversed, jobs[i].src, jobs[i].dst)
+	}
 	asked := 0
 	for i := range jobs {
-		j := &jobs[i]
-		calc := newCalcOver(j.p, shared, j.src, j.dst)
-		fresh := newCalcOver(j.p, NewOverlapTables(16, 4), j.src, j.dst)
-		if calc == nil || fresh == nil {
-			t.Fatalf("edge %d: NewCalc fell back unexpectedly", i)
-		}
-		if !reflect.DeepEqual(localTables(calc.fwd), localTables(fresh.fwd)) ||
-			!reflect.DeepEqual(localTables(calc.bwd), localTables(fresh.bwd)) {
-			t.Fatalf("edge %d: shared-registry tables differ from a fresh registry's", i)
-		}
-		j.check(t, m, "shared", calc)
-		for _, d := range []*dirCalc{&calc.fwd, &calc.bwd} {
+		jobs[i].check(t, m, "in-order registry", calcs[i][0])
+		jobs[i].check(t, m, "reversed registry", calcs[i][1])
+		for _, d := range []*dirCalc{&calcs[i][0].fwd, &calcs[i][0].bwd} {
 			for _, c := range d.cellVec {
 				asked += len(c)
 			}
 		}
 	}
-	if got := len(shared.pairVec); got == 0 || got >= asked {
+	if t.Failed() {
+		return
+	}
+	shared := 0
+	for i := range calcs {
+		for j := range calcs {
+			for _, swapped := range []bool{false, true} {
+				a := calcs[i][0].FracKey(false) == calcs[j][0].FracKey(swapped)
+				b := calcs[i][1].FracKey(false) == calcs[j][1].FracKey(swapped)
+				if a != b {
+					t.Fatalf("edges %d and %d (swapped %v): keys equal %v on one registry, %v on the other", i, j, swapped, a, b)
+				}
+				if a && i != j {
+					shared++
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no two edges share a fraction key: the twins and mirrors were not recognized")
+	}
+	if got := len(inOrder.pairVec); got == 0 || got >= asked {
 		t.Errorf("registry holds %d pattern-pair vectors for %d asked: nothing was shared", got, asked)
 	}
 }
 
-// localTables drops d's registry pattern ids, which number the patterns of
-// whichever registry built d, and keeps the tables local to the edge.
-func localTables(d dirCalc) dirCalc {
-	d.rowReg, d.colReg = nil, nil
-	return d
-}
-
-// TestOverlapTablesConcurrent builds and evaluates calcs from several
-// goroutines on one registry, as a search's concurrent edge builds do. Run
-// under -race it also checks the registry's and memo pool's locking.
+// TestOverlapTablesConcurrent builds and fills calcs from several goroutines
+// on one registry, each build interleaved with the other goroutines' fills,
+// so the registry grows while bands hold its memos and later bands get
+// memos keyed at an older width. Run under -race (CI runs it with -short)
+// it also checks the locking of the registry and its memo list.
 func TestOverlapTablesConcurrent(t *testing.T) {
 	m := NewModel(device.MustCluster(16, 4, device.V100Profile()))
 	rng := rand.New(rand.NewSource(29))
@@ -195,45 +225,66 @@ func TestOverlapTablesConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReleasedMemoReused: a released memo's slot array serves the next
-// evaluator that asks for the same size, emptied, and lookups through it
-// stay exact; a memo too big for any start size is not kept.
-func TestReleasedMemoReused(t *testing.T) {
-	m := NewModel(device.MustCluster(8, 4, device.V100Profile()))
+// TestRegistryGrowthBetweenFills: a memo filled for one edge stays exact
+// after the registry grows. Edge A fills first; edges B, with many new
+// patterns, are built on the same registry afterwards, which widens the
+// registry's ids past the memo's key width; then B and A fill again through
+// the returned memo. Every cell equals RedistributeDetail of Measure.
+func TestRegistryGrowthBetweenFills(t *testing.T) {
+	m := NewModel(device.MustCluster(16, 4, device.V100Profile()))
 	rng := rand.New(rand.NewSource(31))
-	j := randEdgeJobs(rng, m, 1, layoutPool(rng, 4, 8))[0]
-	calc := newCalcOver(j.p, NewOverlapTables(8, 4), j.src, j.dst)
-	be := calc.Block()
-	first := &be.fwd.de.cells.slots[0]
-	vals := make([]float64, len(j.src)*len(j.dst))
-	for ri := range j.src {
-		be.FillRow(m, ri, []FracMember{{Calc: calc, Vals: vals}})
+	a := randEdgeJobs(rng, m, 1, layoutPool(rng, 2, 16))[0]
+	ot := NewOverlapTables(16, 4)
+	ca := newCalcOver(a.p, ot, a.src, a.dst)
+	a.check(t, m, "A", ca)
+	narrow := ot.memos[0].cells.width
+	for k, b := range randEdgeJobs(rng, m, 6, layoutPool(rng, 12, 16)) {
+		cb := newCalcOver(b.p, ot, b.src, b.dst)
+		b.check(t, m, fmt.Sprintf("B%d", k), cb)
+		a.check(t, m, fmt.Sprintf("A after B%d", k), ca)
 	}
-	be.Release()
-	again := calc.Block()
-	reused := false
-	for _, tab := range []*cellTab{&again.fwd.de.cells, &again.fwd.de.combo, &again.bwd.de.cells, &again.bwd.de.combo} {
-		reused = reused || &tab.slots[0] == first
-		for _, s := range tab.slots {
-			if s != (cellSlot{}) {
-				t.Fatal("a reused memo was not emptied")
-			}
-		}
+	if len(ot.memos) != 1 {
+		t.Fatalf("one band at a time left %d memos, want 1", len(ot.memos))
 	}
-	if !reused {
-		t.Error("a same-sized memo was allocated afresh instead of reused")
+	if wide := ot.memos[0].cells.width; wide <= narrow {
+		t.Fatalf("cell keys stayed %d bits wide (A's were %d): the registry never outgrew the memo", wide, narrow)
 	}
-	again.Release()
-	j.check(t, m, "reused", calc)
+}
 
-	// A memo grown past every start size is dropped, not kept for reuse.
-	grown := calc.Block()
-	grown.fwd.de.cells.initSize(4 * cellMemoCap)
-	grown.Release()
-	for _, f := range calc.t.free {
-		if len(f) > max(cellMemoCap, comboMemoCap) {
-			t.Fatalf("registry kept a %d-slot memo no start size can reuse", len(f))
-		}
+// TestOverlappingEdgeReusesFractions: an edge whose direction tuples all
+// occur in an earlier edge's matrix computes no fraction of its own. B is
+// A's mirror over a reversed subset of A's interfaces, so B's forward
+// tuples are A's backward ones and the other way round, and B's fraction
+// key matches no key of A's: in core the two would fill as separate groups.
+// Both are built before either fills, as core's edge phase does.
+func TestOverlappingEdgeReusesFractions(t *testing.T) {
+	m := NewModel(device.MustCluster(16, 4, device.V100Profile()))
+	rng := rand.New(rand.NewSource(41))
+	p := &EdgePlan{
+		devices: 16, perNode: 4, eb: 2, dstFull: 1 << 20, srcFull: 1 << 18,
+		fwdDst: []int{0, 1, 2, 3}, fwdSrc: []int{0, 2, -1, 1},
+		bwdSrc: []int{0, 1, 2}, bwdDst: []int{0, 3, 1},
+	}
+	pool := layoutPool(rng, 5, 16)
+	a := newEdgeJob(m, p, ifacesFromPool(rng, 12, 3, pool), ifacesFromPool(rng, 14, 4, pool))
+	q, qSrc, qDst := mirrorEdge(p, a.src, a.dst)
+	slices.Reverse(qSrc)
+	slices.Reverse(qDst)
+	b := newEdgeJob(m, q, qSrc[:9], qDst[:5])
+	ot := NewOverlapTables(16, 4)
+	ca, cb := newCalcOver(a.p, ot, a.src, a.dst), newCalcOver(b.p, ot, b.src, b.dst)
+	if k := cb.FracKey(false); k == ca.FracKey(false) || k == ca.FracKey(true) {
+		t.Fatal("B shares A's fraction structure; the test needs B to fill on its own")
+	}
+	a.check(t, m, "A", ca)
+	memo := ot.memos[0]
+	cells, combos := memo.cells.n, memo.combo.n
+	if cells == 0 || combos == 0 {
+		t.Fatalf("A's fill left %d cell and %d combo entries", cells, combos)
+	}
+	b.check(t, m, "B", cb)
+	if memo.cells.n != cells || memo.combo.n != combos {
+		t.Errorf("B computed %d cell and %d combo fractions that A's fill already held", memo.cells.n-cells, memo.combo.n-combos)
 	}
 }
 
