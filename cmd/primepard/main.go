@@ -41,6 +41,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -64,6 +65,28 @@ func defaultMaxConcurrent() int {
 	return n
 }
 
+// loadCache loads the search cache persisted in dir at startup. A missing
+// file is a silent cold start. Any other failure, a damaged file or one
+// written in another PPSC version among them, is reported on stderr and
+// leaves cache empty, so the daemon starts cold rather than exiting.
+func loadCache(cache *core.SearchCache, dir string, stdout, stderr io.Writer) {
+	start := time.Now()
+	if err := cache.Load(dir); err != nil {
+		if !os.IsNotExist(err) {
+			fmt.Fprintf(stderr, "primepard: cache load failed (%v), starting cold\n", err)
+		}
+		return
+	}
+	took := time.Since(start)
+	n, e := cache.Sizes()
+	var mb float64
+	if fi, err := os.Stat(filepath.Join(dir, core.CacheFileName)); err == nil {
+		mb = float64(fi.Size()) / 1e6
+	}
+	fmt.Fprintf(stdout, "primepard: loaded search cache from %s (%d node entries, %d edge matrices, %d plans, %.1f MB in %v)\n",
+		dir, n, e, cache.PlanEntries(), mb, took.Round(time.Millisecond))
+}
+
 func main() {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:7133", "listen address")
@@ -81,21 +104,7 @@ func main() {
 
 	cache := core.DefaultSearchCache
 	if *cacheDir != "" {
-		start := time.Now()
-		if err := cache.Load(*cacheDir); err != nil {
-			if !os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "primepard: cache load failed (%v), starting cold\n", err)
-			}
-		} else {
-			took := time.Since(start)
-			n, e := cache.Sizes()
-			var mb float64
-			if fi, err := os.Stat(filepath.Join(*cacheDir, core.CacheFileName)); err == nil {
-				mb = float64(fi.Size()) / 1e6
-			}
-			fmt.Printf("primepard: loaded search cache from %s (%d node entries, %d edge matrices, %d plans, %.1f MB in %v)\n",
-				*cacheDir, n, e, cache.PlanEntries(), mb, took.Round(time.Millisecond))
-		}
+		loadCache(cache, *cacheDir, os.Stdout, os.Stderr)
 	}
 
 	adm := admissionConfig{

@@ -177,9 +177,11 @@ type PlanResponse struct {
 	// Profile and Topology echo the machine the plan was computed for
 	// (profile name plus "+custom-links" when the request supplied its
 	// own hierarchy).
-	Profile   string     `json:"profile"`
-	Topology  string     `json:"topology"`
-	Alpha     float64    `json:"alpha"`
+	Profile  string  `json:"profile"`
+	Topology string  `json:"topology"`
+	Alpha    float64 `json:"alpha"`
+	// LayerCost is the cost of the one layer Nodes describes, which every
+	// layer runs; TotalCost is exactly Layers × LayerCost.
 	LayerCost float64    `json:"layer_cost"`
 	TotalCost float64    `json:"total_cost"`
 	Digest    string     `json:"digest"`

@@ -132,8 +132,8 @@ func TestPlanColdThenWarm(t *testing.T) {
 // TestPlanDeltaFrontier: three /v1/plan calls on one server — a base, an α
 // shift and a layer change — share search work through the server's cache.
 // The α plan evaluates no node and builds no edge matrix but runs its DP;
-// the layer plan is one layer-table hit that builds or looks up no edge
-// matrix. Each answer matches a cold plan of the same request on a fresh
+// the layer plan is a plan hit, since one periodic layer answers every layer
+// count, and scans nothing. Each answer matches a cold plan of the same request on a fresh
 // server, and replaying the three is three plan hits that scan nothing.
 func TestPlanDeltaFrontier(t *testing.T) {
 	s := newTestServer(t, "", noAdmission)
@@ -161,9 +161,9 @@ func TestPlanDeltaFrontier(t *testing.T) {
 		st.CrossCallTableHits != 0 || st.SegTablesBuilt == 0 {
 		t.Errorf("α plan frontier wrong: %+v", st)
 	}
-	// The layer plan is served from the layer table: stacking only.
-	if st := got[2].Stats; st.NodeEvals != 0 || st.SegTablesBuilt != 0 ||
-		st.CrossCallTableHits != 1 || st.EdgeMatsBuilt != 0 || st.CrossCallEdgeHits != 0 {
+	// The layer plan is served from the plan tier: the node pass only.
+	if st := got[2].Stats; st.NodeEvals != 0 || st.SegTablesBuilt != 0 || st.CrossCallPlanHits != 1 ||
+		st.CrossCallTableHits != 0 || st.EdgeMatsBuilt != 0 || st.CrossCallEdgeHits != 0 || st.EntriesScanned != 0 {
 		t.Errorf("layer plan frontier wrong: %+v", st)
 	}
 
@@ -598,8 +598,55 @@ func TestSaveCache(t *testing.T) {
 	}
 }
 
+// TestStartupRefusesOldCacheFile: a cache file written in PPSC v8, the
+// format before plans became one periodic layer, is refused by Load, and
+// the daemon's startup load reports it and starts on an empty cache instead
+// of exiting; its first plan is a cold search that answers normally.
+func TestStartupRefusesOldCacheFile(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir, noAdmission)
+	if _, aerr := s.plan(context.Background(), &PlanRequest{Model: "OPT-6.7B", Devices: 4}); aerr != nil {
+		t.Fatal(aerr)
+	}
+	if err := s.saveCache(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the header's version to 8; the digest covers only the
+	// payload, so nothing but the version check can refuse the file.
+	path := filepath.Join(dir, core.CacheFileName)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(file[:4]) != "PPSC" || file[4] != 9 {
+		t.Fatalf("unexpected header % x", file[:5])
+	}
+	file[4] = 8
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cache := core.NewSearchCache()
+	var stdout, stderr bytes.Buffer
+	loadCache(cache, dir, &stdout, &stderr)
+	if !strings.Contains(stderr.String(), "unsupported version 8") || !strings.Contains(stderr.String(), "starting cold") {
+		t.Fatalf("startup did not report the v8 file: stderr %q", stderr.String())
+	}
+	if n, e := cache.Sizes(); n != 0 || e != 0 || cache.PlanEntries() != 0 || stdout.Len() != 0 {
+		t.Fatalf("refused file left %d nodes, %d edges, %d plans; stdout %q", n, e, cache.PlanEntries(), stdout.String())
+	}
+	s2 := newServer(cache, dir, time.Minute, 5*time.Minute, noAdmission)
+	resp, aerr := s2.plan(context.Background(), &PlanRequest{Model: "OPT-6.7B", Devices: 4})
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	if resp.Stats.NodeEvals == 0 || resp.Stats.CrossCallNodeHits != 0 {
+		t.Fatalf("first plan after the refused file was not cold: %+v", resp.Stats)
+	}
+}
+
 // TestStatsKeys pins /v1/stats after one cold plan, its warm repeat and a
-// layer change served from the layer table: every key the repository
+// layer change, now a plan hit too: every key the repository
 // benchmark and the CI smoke read is present, non-zero where the smoke
 // expects it, and the search counters are the sum of the served responses'
 // stats.
@@ -637,14 +684,19 @@ func TestStatsKeys(t *testing.T) {
 		t.Error(`key "dedup_hits" missing`)
 	}
 	for _, k := range []string{"plans_served", "warm_served", "cache_nodes", "cache_edges", "cache_tables",
-		"cache_plans", "cross_call_node_hits", "cross_call_table_hits", "cross_call_plan_hits",
+		"cache_plans", "cross_call_node_hits", "cross_call_plan_hits",
 		"cands_total", "entries_scanned"} {
 		if v, ok := st[k].(float64); !ok || v == 0 {
 			t.Errorf("key %q = %v, want a non-zero number", k, st[k])
 		}
 	}
-	if _, ok := st["cross_call_edge_hits"].(float64); !ok {
-		t.Error(`key "cross_call_edge_hits" missing`)
+	for _, k := range []string{"cross_call_edge_hits", "cross_call_table_hits"} {
+		if _, ok := st[k].(float64); !ok {
+			t.Errorf("key %q missing", k)
+		}
+	}
+	if v, _ := st["cross_call_plan_hits"].(float64); v != 2 {
+		t.Errorf("cross_call_plan_hits = %v, want 2 (the warm repeat and the layer change)", v)
 	}
 	for _, k := range []string{"queued", "shed_queue_full", "shed_queue_timeout", "shed_deadline", "shed_memory",
 		"running", "queue_depth"} {

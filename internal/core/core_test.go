@@ -192,33 +192,77 @@ func TestDPMatchesExhaustiveOnFullBlock(t *testing.T) {
 	}
 }
 
+// TestLayerStacking pins the periodic rule: a stackable block's answer is
+// one layer that every layer runs, so Seqs and LayerCost are bit-identical
+// at every layer count and TotalCost is exactly float64(L)·LayerCost.
 func TestLayerStacking(t *testing.T) {
 	o := optimizerFor(t, 4, 4)
+	o.Cache = nil // every layer count runs a full search
 	g, err := model.BuildBlock(model.OPT6B7())
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(one.TotalCost-one.LayerCost) > 1e-12 {
-		t.Fatalf("1-layer total %v != layer cost %v", one.TotalCost, one.LayerCost)
-	}
-	for _, layers := range []int{2, 3, 8, 31} {
+	var one *Strategy
+	for _, layers := range []int{1, 2, 3, 8, 31} {
 		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
 		if err != nil {
 			t.Fatalf("layers=%d: %v", layers, err)
 		}
-		// Stacking constrains shared boundaries: per-layer cost cannot
-		// beat the unconstrained single-layer optimum.
-		if s.TotalCost < float64(layers)*one.LayerCost-1e-6 {
-			t.Fatalf("layers=%d: total %v below %d × layer optimum %v",
-				layers, s.TotalCost, layers, one.LayerCost)
+		if s.TotalCost != float64(layers)*s.LayerCost {
+			t.Fatalf("layers=%d: total %v != %d × layer cost %v", layers, s.TotalCost, layers, s.LayerCost)
 		}
-		// And it cannot exceed layers × the best boundary-periodic layer.
-		if s.TotalCost > float64(layers)*one.TotalCost*3 {
-			t.Fatalf("layers=%d: total %v implausibly high", layers, s.TotalCost)
+		if one == nil {
+			one = s
+			continue
+		}
+		if math.Float64bits(s.LayerCost) != math.Float64bits(one.LayerCost) {
+			t.Fatalf("layers=%d: layer cost %v, at 1 layer %v", layers, s.LayerCost, one.LayerCost)
+		}
+		for i := range s.Seqs {
+			if s.Seqs[i].Key() != one.Seqs[i].Key() {
+				t.Fatalf("layers=%d: node %d runs %v, at 1 layer %v", layers, i, s.Seqs[i], one.Seqs[i])
+			}
+		}
+	}
+}
+
+// TestReturnedPlanRealizesTotalCost pins that the returned plan is the plan
+// that was priced, on the Table 2 cells (V100, 4 per node, α = 1e-12): the
+// head and tail carry the same candidate, so every layer can run Seqs, and
+// L × the model cost of Seqs (node totals plus in-layer edges) is TotalCost.
+// Under -short only the 4- and 8-device cells run. Before the periodic rule,
+// four cells returned a head layer that differed from the layer the other
+// L−1 layers ran: Llama2-70B@8 and, without -short, Llama2-70B@16,
+// OPT-175B@32 and BLOOM-176B@32.
+func TestReturnedPlanRealizesTotalCost(t *testing.T) {
+	scales := []int{4, 8}
+	if !testing.Short() {
+		scales = append(scales, 16, 32)
+	}
+	for _, cfg := range []model.Config{model.OPT175B(), model.Llama2_70B(), model.BLOOM176B()} {
+		g, err := model.BuildBlock(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range scales {
+			m := cost.NewModel(device.MustCluster(scale, 4, device.V100Profile()))
+			m.Alpha = 1e-12
+			o := NewOptimizer(m)
+			o.Cache = NewSearchCache()
+			s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
+			if err != nil {
+				t.Fatalf("%s@%d: %v", cfg.Name, scale, err)
+			}
+			n := len(g.Nodes)
+			if head, tail := s.Seqs[0], s.Seqs[n-1]; head.Key() != tail.Key() {
+				t.Errorf("%s@%d: head runs %v but tail %v; the next layer cannot start where this one ends",
+					cfg.Name, scale, head, tail)
+			}
+			got := float64(cfg.Layers) * o.Cost.Overall(g, s.Seqs)
+			if math.Abs(got-s.TotalCost) > 1e-12*s.TotalCost {
+				t.Errorf("%s@%d: %d × the returned layer costs %v, TotalCost %v (rel %.3g)",
+					cfg.Name, scale, cfg.Layers, got, s.TotalCost, (got-s.TotalCost)/s.TotalCost)
+			}
 		}
 	}
 }

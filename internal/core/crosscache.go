@@ -2,8 +2,7 @@
 // tables (delta.go) and finished answers (plancache.go) persist ACROSS Plan
 // calls, so a sweep that revisits the same model structure — other
 // experiments, other α values, repeated scales — pays the quadratic stages
-// once, a layer-count change runs stacking only, and an identical repeat
-// runs no DP at all. The within-call signature memo (dp.go) dedups
+// once, and an identical repeat or a layer-count change runs no DP at all. The within-call signature memo (dp.go) dedups
 // work inside one search; this cache dedups work between searches.
 //
 // Keys are exact byte encodings, like sig.go's: an environment prefix (every

@@ -6,8 +6,9 @@
 // plans the perturbed one against it, and demands bit-identity with the
 // uncached reference plan (referencePlan) of the perturbed request.
 // Per-dimension reuse assertions pin the frontier matrix: an α shift must
-// not re-evaluate nodes, a layer change must be served from the layer table
-// by stacking alone, an appended op must hit the signature memo. The
+// not re-evaluate nodes, a layer change must be a plan hit (the answer is
+// one periodic layer whatever the count), an appended op must hit the
+// signature memo. The
 // perturbed request is then replayed once more: the identical repeat must be
 // a plan hit, still bit-identical to the reference.
 package core
@@ -194,13 +195,13 @@ func FuzzDeltaPlanEquivalence(f *testing.F) {
 				t.Errorf("α shift must rebuild the layer table: %+v", s)
 			}
 		case deltaDimLayers:
-			// A layer change misses only the plan tier: the layer table
-			// hits, and stacking is all that re-runs.
+			// A layer change is a plan hit: the base request's entry
+			// serves every layer count, so nothing past the node pass runs.
 			if s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits != 0 {
 				t.Errorf("layer change consulted the edge stage: %+v", s)
 			}
-			if s.SegTablesBuilt != 0 || s.CrossCallTableHits != 1 {
-				t.Errorf("layer change missed the layer table: %+v", s)
+			if s.CrossCallPlanHits != 1 || s.SegTablesBuilt != 0 || s.CrossCallTableHits != 0 || s.EntriesScanned != 0 {
+				t.Errorf("layer change missed the plan tier: %+v", s)
 			}
 		case deltaDimGraphEdit:
 			// The appended linear shares its signature with the existing

@@ -140,19 +140,25 @@ func TestDeltaRePlanAlphaFrontier(t *testing.T) {
 	sameStrategy(t, "alpha-frontier", delta, cold)
 }
 
-// TestDeltaRePlanLayersFrontier: a layer-count change is served from the
-// layer table — only the stacking merges re-run, and no edge matrix is even
-// looked up.
+// TestDeltaRePlanLayersFrontier: a layer-count change is a plan-tier hit.
+// The answer is one periodic layer whatever the count, so the entry the
+// first search stored serves the second: no layer table, edge matrix or
+// node evaluation is even looked up, the layer is bit-identical, and only
+// TotalCost scales.
 func TestDeltaRePlanLayersFrontier(t *testing.T) {
 	shared := NewSearchCache()
 	g := deltaChain(t, 5, 2, -1)
-	planWith(t, g, 2, 8, 1e-12, shared)
+	first := planWith(t, g, 2, 8, 1e-12, shared)
 	delta := planWith(t, g, 4, 8, 1e-12, shared)
-	if s := delta.Stats; s.CrossCallTableHits != 1 || s.SegTablesBuilt != 0 {
-		t.Errorf("layer change missed the layer table: %+v", s)
+	if s := delta.Stats; s.CrossCallPlanHits != 1 || s.CrossCallTableHits != 0 || s.SegTablesBuilt != 0 {
+		t.Errorf("layer change missed the plan tier: %+v", s)
 	}
-	if s := delta.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits != 0 {
-		t.Errorf("layer change ran more than stacking: %+v", s)
+	if s := delta.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits != 0 || s.EntriesScanned != 0 {
+		t.Errorf("layer change ran more than the node pass: %+v", s)
+	}
+	if delta.LayerCost != first.LayerCost || delta.TotalCost != 4*first.LayerCost {
+		t.Errorf("layer change: layer %v total %v, want layer %v total %v",
+			delta.LayerCost, delta.TotalCost, first.LayerCost, 4*first.LayerCost)
 	}
 	sameStrategy(t, "layers-frontier", delta, planWith(t, g, 4, 8, 1e-12, nil))
 }
@@ -180,8 +186,9 @@ func TestDeltaRePlanGraphEditFrontier(t *testing.T) {
 
 // TestTableCacheCapFlush exercises the table tier's epoch flush: with a
 // one-cell cap every insert flushes its predecessors, so an α-shifted second
-// search evicts the first one's layer table, and a layer change at the first
-// α (a plan miss) rebuilds it — and still returns the cold strategy.
+// search evicts the first one's layer table, and a repeat at the first α
+// with the plan tier emptied rebuilds it — and still returns the cold
+// strategy.
 func TestTableCacheCapFlush(t *testing.T) {
 	cache := NewSearchCache()
 	cache.tables.cap = 1
@@ -191,6 +198,7 @@ func TestTableCacheCapFlush(t *testing.T) {
 	if n := cache.TableEntries(); n != 1 {
 		t.Errorf("cap 1 retained %d tables, want 1", n)
 	}
+	cache.plans.reset()
 	again := planWith(t, g, 3, 8, 1e-12, cache)
 	if s := again.Stats; s.CrossCallTableHits != 0 || s.SegTablesBuilt == 0 {
 		t.Errorf("flushed layer table was served: %+v", s)

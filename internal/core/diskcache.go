@@ -15,7 +15,7 @@
 // to recomputing: the same seqs, Intra breakdowns, interfaces, matrix cells
 // and plan choices flow into the same downstream arithmetic.
 //
-// File layout (v8):
+// File layout (v9):
 //
 //	"PPSC" · uvarint version · sha256(payload) · payload
 //
@@ -27,7 +27,7 @@
 //	             uvarint len · len × uvarint row group · uvarint len · len × uvarint col group ·
 //	             cells(nr·nc))
 //	plans      = uvarint n · n × (bytes key · uvarint k · k × uvarint candidate index ·
-//	             float64 LayerCost · float64 TotalCost)
+//	             float64 LayerCost)
 //	cells(m)   = uvarint d · d × float64 · m × uvarint index into those d values
 //	seq        = uvarint t · t × (kind byte · varint Dim · uvarint K · varint MDim ·
 //	             varint NDim · varint KDim)
@@ -113,8 +113,10 @@ const diskCacheMagic = "PPSC"
 // cross-scale overlap tier; a v6 file's overlaps would read as trailing
 // bytes. v8: a plans section persists the plan tier, so a restarted daemon
 // answers each cell's first identical repeat without rebuilding its segment
-// tables.
-const diskCacheVersion = 8
+// tables. v9: a plan is one periodic layer, so plan keys lost the layer
+// count and two reserved bytes, and plan entries their TotalCost; a v8
+// plans section would misparse under the v9 layout.
+const diskCacheVersion = 9
 
 // errDigestMismatch is Load's error for a payload whose SHA-256 is not the
 // one in the header. It takes precedence over any error the decode found.
@@ -292,8 +294,8 @@ func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeEntry,
 		key := string(r.bytes())
 		edges[key] = r.edgeEntry()
 	}
-	// A plan is at least a key length, an index count and two floats.
-	nPlans := r.count(2 + 2*8)
+	// A plan is at least a key length, an index count and one float.
+	nPlans := r.count(2 + 8)
 	plans := make(map[string]*cachedPlan)
 	for i := 0; i < nPlans && r.err == nil; i++ {
 		key := string(r.bytes())
@@ -379,8 +381,7 @@ func appendPlan(b []byte, p *cachedPlan) []byte {
 	for _, ix := range p.idx {
 		b = binary.AppendUvarint(b, uint64(ix))
 	}
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.layerCost))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.totalCost))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.layerCost))
 }
 
 // cellCoder dictionary-codes float64 cells, keeping its scratch across
@@ -721,7 +722,7 @@ func (r *cacheReader) plan() *cachedPlan {
 		}
 		p.idx[i] = int32(ix)
 	}
-	p.layerCost, p.totalCost = r.float(), r.float()
+	p.layerCost = r.float()
 	if r.err != nil {
 		return nil
 	}

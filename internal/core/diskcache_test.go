@@ -101,7 +101,7 @@ func sameCacheContents(t *testing.T, got, want *SearchCache) {
 	for k, w := range want.plans.m {
 		g := got.plans.m[k]
 		if g == nil || !slices.Equal(g.idx, w.idx) ||
-			!sameFloatBits([]float64{g.layerCost, g.totalCost}, []float64{w.layerCost, w.totalCost}) {
+			!sameFloatBits([]float64{g.layerCost}, []float64{w.layerCost}) {
 			t.Fatalf("plan %.16x: entry differs", k)
 		}
 	}
@@ -203,7 +203,7 @@ func TestDiskCachePlanIndexOutOfRange(t *testing.T) {
 	} {
 		c, want := warmCache(t)
 		for k, p := range c.plans.m {
-			bad := &cachedPlan{idx: slices.Clone(p.idx), layerCost: -1, totalCost: -1}
+			bad := &cachedPlan{idx: slices.Clone(p.idx), layerCost: -1}
 			damage(bad)
 			c.plans.m[k] = bad
 		}
@@ -363,13 +363,14 @@ func TestLoadedEdgeEntryWrongShape(t *testing.T) {
 
 // TestLoadedEdgesDecodeConcurrently: a loaded edge entry decodes its cells
 // on its first hit, and several searches on one SearchCache may hit it at
-// the same moment. Four concurrent searches at layer counts the file has no
+// the same moment. Four concurrent searches at α values the file has no
 // plan for miss the plan tier and, the table tier being in memory only,
-// reach the edge tier; every answer must be bit-identical to a cold search,
-// and afterwards every loaded entry is decoded. Run under -race. Each search
-// asks for its own layer count: a search that finishes first publishes its
-// plan, and an identical request started after that would be served from
-// the plan tier.
+// reach the edge tier (node entries are α-factored and edge matrices
+// α-free, so both tiers serve every α); every answer must be bit-identical
+// to a cold search, and afterwards every loaded entry is decoded. Run under
+// -race. Each search asks for its own α: a search that finishes first
+// publishes its plan, and an identical request started after that would be
+// served from the plan tier.
 func TestLoadedEdgesDecodeConcurrently(t *testing.T) {
 	c, _ := warmCache(t)
 	dir := t.TempDir()
@@ -380,17 +381,28 @@ func TestLoadedEdgesDecodeConcurrently(t *testing.T) {
 	if err := loaded.Load(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Layer counts the file has no plan for.
-	layers := []int{3, 4, 5, 6}
-	want := make([]*Strategy, len(layers))
-	for i, l := range layers {
-		w, err := planOPT175B(NewSearchCache(), 4, l)
+	// α values the file has no plan for.
+	alphas := []float64{0, 1e-13, 1e-11, 1e-10}
+	plan := func(c *SearchCache, alpha float64) (*Strategy, error) {
+		g, err := model.BuildBlock(model.OPT175B())
+		if err != nil {
+			return nil, err
+		}
+		m := cost.NewModel(device.MustCluster(4, 4, device.V100Profile()))
+		m.Alpha = alpha
+		o := NewOptimizer(m)
+		o.Cache = c
+		return o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
+	}
+	want := make([]*Strategy, len(alphas))
+	for i, a := range alphas {
+		w, err := plan(NewSearchCache(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = w
 	}
-	got := make([]*Strategy, len(layers))
+	got := make([]*Strategy, len(alphas))
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := range got {
@@ -398,7 +410,7 @@ func TestLoadedEdgesDecodeConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			s, err := planOPT175B(loaded, 4, layers[i])
+			s, err := plan(loaded, alphas[i])
 			if err != nil {
 				t.Error(err)
 			}
@@ -739,6 +751,20 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 		"wrong version": {file: func(b []byte) []byte {
 			return ppscFile(7, b[len(diskCacheMagic)+1+sha256.Size:])
 		}},
+		// A v8 file: its plan entries carry TotalCost after LayerCost.
+		// Its digest matches too; the version check refuses it.
+		"v8 file": {file: func(b []byte) []byte {
+			payload := encodeCachePayload(c.nodes.m, c.edges.m, nil)
+			payload = payload[:len(payload)-1] // the empty plans section
+			payload = binary.AppendUvarint(payload, uint64(len(c.plans.m)))
+			for k, p := range c.plans.m {
+				payload = binary.AppendUvarint(payload, uint64(len(k)))
+				payload = append(payload, k...)
+				payload = appendPlan(payload, p)
+				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(2*p.layerCost))
+			}
+			return ppscFile(8, payload)
+		}},
 	}
 	for name, d := range damage {
 		if err := os.WriteFile(path, d.file(good), 0o644); err != nil {
@@ -805,16 +831,16 @@ func TestSaveCleansTempOnRenameFailure(t *testing.T) {
 // surviving set.
 func TestLoadRespectsTierCaps(t *testing.T) {
 	c, _ := warmCache(t)
-	// A second layer count adds a second plan, so every tier can flush.
+	// A second α adds a second plan, so every tier can flush.
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := cost.NewModel(device.MustCluster(4, 4, device.V100Profile()))
-	m.Alpha = 1e-12
+	m.Alpha = 1e-10
 	o := NewOptimizer(m)
 	o.Cache = c
-	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 3}); err != nil {
+	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -915,11 +941,12 @@ func BenchmarkSearchCacheLoad(b *testing.B) {
 }
 
 // BenchmarkRestartLayerChange times a restart that needs the edge tier:
-// Load the file an 8-device OPT-175B block search saves, then plan the
-// block at a layer count the file has no plan for. The search misses the
-// plan tier (and the table tier, which is never saved) and hits every
-// edge, so ns/op covers both Load's in-place cell check and the decode
-// each edge pays on its first hit.
+// Load the file an 8-device OPT-175B block search saves, empty the plan
+// tier (the file's one plan serves every layer count), then plan the block
+// at another layer count. The search misses the plan tier (and the table
+// tier, which is never saved) and hits every edge, so ns/op covers both
+// Load's in-place cell check and the decode each edge pays on its first
+// hit.
 func BenchmarkRestartLayerChange(b *testing.B) {
 	cfg := model.OPT175B()
 	g, err := model.BuildBlock(cfg)
@@ -942,6 +969,7 @@ func BenchmarkRestartLayerChange(b *testing.B) {
 		if err := o.Cache.Load(dir); err != nil {
 			b.Fatal(err)
 		}
+		o.Cache.plans.reset()
 		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers / 2})
 		if err != nil {
 			b.Fatal(err)

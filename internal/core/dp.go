@@ -1,6 +1,7 @@
 // Segmented dynamic programming (paper §5): Bellman iterations within
-// segments (Eqs. 11–12), segment merging (Eqs. 13–14) and logarithmic layer
-// stacking. Strategy reconstruction walks stored back-pointers.
+// segments (Eqs. 11–12), segment merging (Eqs. 13–14) and the periodic
+// layer every stacked layer runs. Strategy reconstruction walks stored
+// back-pointers.
 package core
 
 import (
@@ -54,17 +55,21 @@ type nodeCands struct {
 	total []float64 // Intra.Total(alpha), the DP node cost
 }
 
-// Strategy is an optimized partition assignment for one representative layer
-// plus the stacked total cost.
+// Strategy is an optimized partition assignment for the layer every stacked
+// layer runs, plus the cost of running it Layers times.
 type Strategy struct {
-	// Seqs has one partition sequence per node of the layer graph.
+	// Seqs has one partition sequence per node of the layer graph. For a
+	// stackable graph (head and tail spaces index-identical) the head and
+	// tail carry the same candidate, so every layer runs Seqs.
 	Seqs []partition.Seq
 	// Intra is the cost breakdown per node under Seqs.
 	Intra []cost.Intra
-	// LayerCost is the optimal DP cost of a single layer (min over
-	// boundary states).
+	// LayerCost is the DP cost of one layer under Seqs: the periodic
+	// minimum C(a*, a*) over shared boundary states for a stackable graph,
+	// the free minimum over (head, tail) states otherwise.
 	LayerCost float64
-	// TotalCost is the optimal DP cost of all stacked layers.
+	// TotalCost is float64(Layers)·LayerCost, the cost of the plan Seqs
+	// describes.
 	TotalCost float64
 	// Layers is the stacked layer count.
 	Layers int
@@ -323,29 +328,24 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 //
 // Both operands are class-factored. Expanding the factored forms,
 //
-//	out = hbL[pa] + min_pm { Lc[rL][pm] + (hbR[pm] − mid[pm]) + Rc[rm(pm)][pb] }
+//	out = hbL[pa] + min_pm { Lc[rL][pm] + Rc[rm(pm)][pb] }
 //
-// so the min folds in two exact stages: first over the mid candidates of
-// each right class (W[rm] = min over pm in rm of Lc + delta), then over
-// right classes per column with bucketed early exit. For in-layer merges
-// midTotal IS the right table's headBase, so delta is exactly zero; for
-// stacking merges midTotal is the zero vector and delta re-adds the
-// boundary anchor's own cost. A cross edge refines the OUTPUT classes but
-// never moves the argmin, so refined classes share argmid rows.
+// because the right table's headBase hbR[pm] IS the mid node's own cost
+// n_m(pm), which L already counts. So the min folds in two exact stages:
+// first over the mid candidates of each right class (W[rm] = min over pm in
+// rm of Lc), then over right classes per column with bucketed early exit. A
+// cross edge refines the OUTPUT classes but never moves the argmin, so
+// refined classes share argmid rows.
 // Cancellation is checked once at entry — one merge is a single bounded
-// scan pass, so per-merge granularity keeps cancelled stacking loops prompt
+// scan pass, so per-merge granularity keeps a cancelled layer DP prompt
 // without touching the scan kernels. Class loops run on up to w workers.
-func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []float64, cross *edgeMat, st *SearchStats, w int) (*table, error) {
+func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMat, st *SearchStats, w int) (*table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	nm := len(midTotal)
+	nm := len(right.headBase)
 	nR := right.nCls
 	nb := len(right.cost[0])
-	delta := make([]float64, nm)
-	for pm, hb := range right.headBase {
-		delta[pm] = hb - midTotal[pm]
-	}
 	// Transposed right classes, flat column-major (candidate column pb at
 	// rightT[pb*nR:(pb+1)*nR]), each column sorted once for the early exit.
 	rightT := make([]float64, nb*nR)
@@ -360,7 +360,7 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 	base := make([][]float64, nL)
 	argPM := make([][]int32, nL)
 	// fold reduces left class rL's row over the mid candidates of each right
-	// class: W[rm] = min over pm in rm of Lc + delta, witness argW[rm].
+	// class: W[rm] = min over pm in rm of Lc, witness argW[rm].
 	fold := func(rL int, s *classScratch) (wMin float64) {
 		W, argW := s.m, s.argm
 		for u := range W {
@@ -371,7 +371,7 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 		lrow := left.cost[rL]
 		for pm := 0; pm < nm; pm++ {
 			rm := right.rowCls[pm]
-			if v := lrow[pm] + delta[pm]; v < W[rm] {
+			if v := lrow[pm]; v < W[rm] {
 				W[rm] = v
 				argW[rm] = int32(pm)
 				if v < wMin {
@@ -425,8 +425,8 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, midTotal []fl
 
 // search runs one full search of the layer graph at the configured options
 // (the body of Plan): node pass, the stacking check, the plan-tier probe
-// (plancache.go), the layer-table probe or build (delta.go), stacking,
-// reconstruction, and publishing the answer.
+// (plancache.go), the layer-table probe or build (delta.go), the pick of the
+// layer every layer runs (layerPlan), and publishing the answer.
 // Cancellation is checked at coarse, value-independent points — between pool
 // task pulls, per Bellman step, per merge, between stages — so an
 // uncancelled search executes bit-identically to an uncancellable one, while
@@ -522,36 +522,24 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	// Stacking: the layer boundary appears as the zero-cost anchor in the
 	// next layer, so no subtraction is needed — but the boundary STATE must
 	// be shared, which requires the anchor's candidate space to be
-	// INDEX-IDENTICAL to the tail node's. Comparing exact binary sequence
-	// keys pairwise makes the check exact rather than length-only (a
-	// same-size space with different or reordered sequences would silently
-	// stack wrong costs).
-	if layers > 1 {
-		head, tail := cands[0], cands[len(g.Nodes)-1]
-		if len(head.seqs) != len(tail.seqs) {
-			return nil, fmt.Errorf("core: layer head and tail spaces differ (%d vs %d); cannot stack",
-				len(head.seqs), len(tail.seqs))
-		}
-		var hk, tk []byte
-		for i := range head.seqs {
-			hk = head.seqs[i].AppendBinaryKey(hk[:0])
-			tk = tail.seqs[i].AppendBinaryKey(tk[:0])
-			if !bytes.Equal(hk, tk) {
-				return nil, fmt.Errorf("core: layer head and tail spaces disagree at candidate %d (%v vs %v); cannot stack",
-					i, head.seqs[i], tail.seqs[i])
-			}
-		}
+	// INDEX-IDENTICAL to the tail node's. A graph that passes is answered
+	// with one periodic layer at every layer count, 1 included (layerPlan);
+	// any other graph plans a single layer only.
+	unstackable := checkStackable(cands[0], cands[len(g.Nodes)-1])
+	if layers > 1 && unstackable != nil {
+		return nil, unstackable
 	}
+	periodic := unstackable == nil
 
-	// Plan tier (plancache.go): an identical repeat is served from the
-	// stored answer over the candidate lists just rebuilt; no edge matrix,
-	// layer table or stacking step runs.
+	// Plan tier (plancache.go): a repeat at any layer count is served from
+	// the stored answer over the candidate lists just rebuilt; no edge
+	// matrix, layer table or layer pick runs.
 	var planKey string
 	if ccache != nil {
-		planKey = string(o.appendPlanCrossKey(envSig, g, layers))
+		planKey = string(o.appendPlanCrossKey(envSig, g))
 		if e := ccache.plans.get(planKey); e != nil && e.fits(spaceSizes) {
 			stats.CrossCallPlanHits = 1
-			strat := strategyOf(cands, e.idx, e.layerCost, e.totalCost, layers, spaceSizes)
+			strat := strategyOf(cands, e.idx, e.layerCost, layers, spaceSizes)
 			stats.TotalTime = time.Since(start)
 			strat.Stats = stats
 			return strat, nil
@@ -560,7 +548,7 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 
 	// Layer table (delta.go): one cross-call probe per search. A hit skips
 	// the edge matrices, the segment DPs and the cross-segment merges; only
-	// stacking re-runs. A miss builds the table and publishes it once it is
+	// the layer pick re-runs. A miss builds the table and publishes it once it is
 	// complete, so a cancelled search publishes nothing.
 	var tableKey string
 	var layerTable *table
@@ -580,18 +568,39 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 			ccache.tables.put(tableKey, layerTable)
 		}
 	}
-	layerCost := layerTable.minTotal()
-	assign, totalCost, err := o.stackLayers(ctx, layerTable, len(g.Nodes), layers, &stats)
-	if err != nil {
-		return nil, err
-	}
-	strat := strategyOf(cands, assign, layerCost, totalCost, layers, spaceSizes)
+	tPick := time.Now()
+	assign, layerCost := layerTable.layerPlan(len(g.Nodes), periodic)
+	stats.StackTime = time.Since(tPick)
+	strat := strategyOf(cands, assign, layerCost, layers, spaceSizes)
 	if ccache != nil {
-		ccache.plans.put(planKey, &cachedPlan{idx: assign, layerCost: layerCost, totalCost: totalCost})
+		ccache.plans.put(planKey, &cachedPlan{idx: assign, layerCost: layerCost})
 	}
 	stats.TotalTime = time.Since(start)
 	strat.Stats = stats
 	return strat, nil
+}
+
+// checkStackable returns nil when the layer head's candidate space is
+// index-identical to the tail's, and otherwise an error naming the
+// lengths or the first differing index. Comparing exact binary sequence
+// keys pairwise makes the check exact rather than length-only (a same-size
+// space with different or reordered sequences would silently stack wrong
+// costs).
+func checkStackable(head, tail *nodeCands) error {
+	if len(head.seqs) != len(tail.seqs) {
+		return fmt.Errorf("core: layer head and tail spaces differ (%d vs %d); cannot stack",
+			len(head.seqs), len(tail.seqs))
+	}
+	var hk, tk []byte
+	for i := range head.seqs {
+		hk = head.seqs[i].AppendBinaryKey(hk[:0])
+		tk = tail.seqs[i].AppendBinaryKey(tk[:0])
+		if !bytes.Equal(hk, tk) {
+			return fmt.Errorf("core: layer head and tail spaces disagree at candidate %d (%v vs %v); cannot stack",
+				i, head.seqs[i], tail.seqs[i])
+		}
+	}
+	return nil
 }
 
 // nodeSlots is the within-call node dedup that search and EstimatePlan
@@ -714,7 +723,7 @@ func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCa
 			continue
 		}
 		cross := o.crossEdges(g, edgeMats, acc.a, seg.b)
-		acc, err = o.merge(ctx, acc, seg, cands[seg.a].total, cross, stats, stats.Workers)
+		acc, err = o.merge(ctx, acc, seg, cross, stats, stats.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -723,50 +732,15 @@ func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCa
 	return acc, nil
 }
 
-// stackLayers stacks layers copies of the layer table by binary
-// decomposition with Eq. 14 merging (the boundary is the next layer's
-// zero-cost anchor) and reconstructs the leftmost layer's n assignments.
-func (o *Optimizer) stackLayers(ctx context.Context, layerTable *table, n, layers int, stats *SearchStats) (assign []int32, totalCost float64, err error) {
-	tStack := time.Now()
-	zeroMid := make([]float64, len(layerTable.headBase)) // anchor costs nothing
-	full, doubled := layerTable, layerTable
-	for rem := layers - 1; rem > 0; rem >>= 1 {
-		if rem&1 == 1 {
-			if full, err = o.merge(ctx, full, doubled, zeroMid, nil, stats, stats.Workers); err != nil {
-				return nil, 0, err
-			}
-		}
-		if rem > 1 {
-			if doubled, err = o.merge(ctx, doubled, doubled, zeroMid, nil, stats, stats.Workers); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	totalCost = full.minTotal()
-	stats.StackTime = time.Since(tStack)
-
-	ia, ib := full.argMin()
-	assign = make([]int32, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	reconstruct(full, ia, ib, assign)
-	for i, ix := range assign {
-		if ix < 0 {
-			return nil, 0, fmt.Errorf("core: reconstruction left node %d unassigned", i)
-		}
-	}
-	return assign, totalCost, nil
-}
-
 // strategyOf assembles the answer from one candidate index per node — the
-// reconstruction of a search, or a plan-tier entry.
-func strategyOf(cands []*nodeCands, assign []int32, layerCost, totalCost float64, layers int, spaceSizes []int) *Strategy {
+// reconstruction of a search, or a plan-tier entry — and the cost of the
+// layer they describe; every one of the layers runs it.
+func strategyOf(cands []*nodeCands, assign []int32, layerCost float64, layers int, spaceSizes []int) *Strategy {
 	strat := &Strategy{
 		Seqs:       make([]partition.Seq, len(cands)),
 		Intra:      make([]cost.Intra, len(cands)),
 		LayerCost:  layerCost,
-		TotalCost:  totalCost,
+		TotalCost:  float64(layers) * layerCost,
 		Layers:     layers,
 		SpaceSizes: spaceSizes,
 	}
@@ -791,47 +765,53 @@ func (o *Optimizer) crossEdges(g *graph.Graph, edgeMats map[*graph.Edge]*edgeMat
 	return sumEdgeMats(ms)
 }
 
-// reconstruct walks back-pointers, recording candidate indices for the nodes
-// of the LEFTMOST layer instance into assign (indexed by node id; later
-// layer instances only contribute their boundary choices). All back-pointer
-// rows are indexed by the head candidate's CLASS — valid for every member.
+// reconstruct walks back-pointers from head candidate ia and tail candidate
+// ib, recording the candidate index of every node in t's range into assign
+// (indexed by node id). Adjacent subtables share their boundary node and
+// agree on its candidate. All back-pointer rows are indexed by the head
+// candidate's CLASS — valid for every member.
 func reconstruct(t *table, ia, ib int32, assign []int32) {
 	if t.argmid != nil {
 		im := t.argmid[t.rowCls[ia]][ib]
 		reconstruct(t.left, ia, im, assign)
-		// Right subtree: only needed while it still covers leftmost-layer
-		// nodes (merge of segments within the layer). Stacked-layer merges
-		// reuse the same underlying node range; recursing would overwrite
-		// the leftmost layer's choices, so only descend when unassigned.
-		if assign[t.right.a] == -1 || !rangeAssigned(assign, t.right.a, t.right.b) {
-			reconstruct(t.right, im, ib, assign)
-		}
+		reconstruct(t.right, im, ib, assign)
 		return
 	}
 	// Chain segment: walk j = b .. a+2, then the implicit first step.
 	cls := t.rowCls[ia]
 	cur := ib
 	for j := t.b; j > t.a+1; j-- {
-		if assign[j] == -1 {
-			assign[j] = cur
-		}
+		assign[j] = cur
 		cur = t.chainArgs[j-t.a-2][cls][cur]
 	}
-	if assign[t.a+1] == -1 {
-		assign[t.a+1] = cur
-	}
-	if assign[t.a] == -1 {
-		assign[t.a] = ia
-	}
+	assign[t.a+1] = cur
+	assign[t.a] = ia
 }
 
-func rangeAssigned(assign []int32, a, b int) bool {
-	for i := a; i <= b; i++ {
-		if assign[i] == -1 {
-			return false
+// layerPlan picks the layer every stacked layer runs from the whole-layer
+// table and reconstructs its n assignments, returning them with the
+// layer's cost C(ia, ib). A periodic (stackable) graph takes the diagonal
+// minimum a* = argmin_a C(a, a), first minimum winning, as the layer
+// a*→a*: its tail hands the next layer's head the state that head starts
+// from, so running it L times costs exactly L·C(a*, a*), and no L-layer
+// chain of one repeated layer costs less (DESIGN.md §5.32). Any other
+// graph takes the free minimum over (head, tail).
+func (t *table) layerPlan(n int, periodic bool) (assign []int32, layerCost float64) {
+	var ia, ib int32
+	if periodic {
+		best := math.Inf(1)
+		for a, r := range t.rowCls {
+			if c := t.headBase[a] + t.cost[r][a]; c < best {
+				best, ia = c, int32(a)
+			}
 		}
+		ib = ia
+	} else {
+		ia, ib = t.argMin()
 	}
-	return true
+	assign = make([]int32, n)
+	reconstruct(t, ia, ib, assign)
+	return assign, t.headBase[ia] + t.cost[t.rowCls[ia]][ib]
 }
 
 // minHeadBase folds headBase over each row class: the cheapest head
@@ -852,23 +832,8 @@ func (t *table) minHeadBase() ([]float64, []int32) {
 	return minHB, argHB
 }
 
-// minTotal is min over (p_a, p_b) of the full table value
-// headBase[p_a] + cost[rowCls[p_a]][p_b].
-func (t *table) minTotal() float64 {
-	minHB, _ := t.minHeadBase()
-	best := math.Inf(1)
-	for r := 0; r < t.nCls; r++ {
-		hb := minHB[r]
-		for _, v := range t.cost[r] {
-			if c := hb + v; c < best {
-				best = c
-			}
-		}
-	}
-	return best
-}
-
-// argMin returns a witness (ia, ib) attaining minTotal.
+// argMin returns a witness (ia, ib) attaining the table's minimum over
+// (p_a, p_b) of headBase[p_a] + cost[rowCls[p_a]][p_b].
 func (t *table) argMin() (int32, int32) {
 	minHB, argHB := t.minHeadBase()
 	best := math.Inf(1)

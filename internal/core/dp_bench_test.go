@@ -130,9 +130,10 @@ func BenchmarkPlanWarmRepeat(b *testing.B) {
 
 // BenchmarkPlanLayerChange alternates one OPT-175B block search at 16
 // devices between two layer counts on a warm cache, with the plan tier
-// emptied before each iteration: every iteration misses the plan tier and is
-// served from the layer table, so ns/op pins the cost of a layer-count
-// change — node lookups, the table probe, stacking and reconstruction.
+// emptied before each iteration (a layer-count change alone would be a plan
+// hit): every iteration misses the plan tier and is served from the layer
+// table, so ns/op pins the cost of a layer-table hit — node lookups, the
+// table probe, the diagonal pick of the periodic layer and reconstruction.
 func BenchmarkPlanLayerChange(b *testing.B) {
 	cfg := model.OPT175B()
 	g, err := model.BuildBlock(cfg)

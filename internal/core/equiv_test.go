@@ -100,14 +100,19 @@ func searchCounters(s SearchStats) SearchStats {
 	return s
 }
 
-// twinLinears is two structurally identical linears joined by one edge: one
-// node-evaluation slot and one edge build, so both outer pool loops have a
-// single task and pass every worker on to the inner row and band loops.
-func twinLinears() *graph.Graph {
-	g := &graph.Graph{Name: "twin-linears"}
-	g.AddNode(model.NewLinear("lin", 8, 64, 64, 64))
-	g.AddNode(model.NewLinear("lin", 8, 64, 64, 64))
-	g.Connect(0, 1, 0, []int{model.LinB, model.LinM, model.LinK})
+// linearChain is six structurally identical linears joined by identical
+// edges: one node-evaluation slot and one edge build, so both outer pool
+// loops have a single task and pass every worker on to the inner row and
+// band loops, while the chain's Bellman steps run min-plus products (on 16
+// devices, some of them two-sided).
+func linearChain() *graph.Graph {
+	g := &graph.Graph{Name: "linear-chain"}
+	for i := 0; i < 6; i++ {
+		g.AddNode(model.NewLinear("lin", 64, 1024, 1024, 1024))
+		if i > 0 {
+			g.Connect(i-1, i, 0, []int{model.LinB, model.LinM, model.LinK})
+		}
+	}
 	return g
 }
 
@@ -124,15 +129,16 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
 	for _, tc := range []struct {
 		name    string
 		g       *graph.Graph
+		devices int
 		oneTask bool
 	}{
-		{"many-outer-tasks", block, false},
-		{"one-outer-task", twinLinears(), true},
+		{"many-outer-tasks", block, 8, false},
+		{"one-outer-task", linearChain(), 16, true},
 	} {
+		m := cost.NewModel(device.MustCluster(tc.devices, 4, device.V100Profile()))
 		plan := func(workers int) *Strategy {
 			o := NewOptimizer(m)
 			o.Cache = NewSearchCache() // isolate: warm cross-call entries would zero the work counts

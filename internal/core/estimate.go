@@ -22,10 +22,7 @@
 // no candidate space, and only uncached slots run SpaceSize.
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // estCandidateUnit weighs one candidate evaluation (intra cost + both
 // interfaces) against one edge-matrix cell (a handful of float adds). Like
@@ -51,8 +48,8 @@ type SearchEstimate struct {
 	// and DP counts below stay zero.
 	PlanHit bool
 	// TableHit reports that the layer table is in the table tier
-	// (delta.go): the search will run the node pass and stacking only, and
-	// the edge counts below stay zero.
+	// (delta.go): the search will run the node pass and the layer pick
+	// only, and the edge counts below stay zero.
 	TableHit bool
 	// NodeEvals / CandidatesEvaluated count the uncached unique node slots
 	// and the candidate evaluations they imply.
@@ -116,20 +113,13 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	}
 
 	size := func(i int) int { return slotSize[slotOf[i]] }
-	// Logarithmic stacking merges: they run on a table hit and a miss alike.
-	stack := 0.0
-	if req.Layers > 1 {
-		nb := float64(size(len(g.Nodes) - 1))
-		merges := float64(2 * bits.Len(uint(req.Layers-1)))
-		stack = merges * estScan * nb
-	}
 	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
 
 	// Plan tier: the same key and bounds check as search, so a PlanHit
 	// promise holds against an unchanged cache. Work drops to one unit per
 	// node lookup on top of any node evaluations.
 	if ccache != nil {
-		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
+		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil {
 			sizes := make([]int, len(g.Nodes))
 			for i := range sizes {
 				sizes[i] = size(i)
@@ -141,10 +131,11 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 			}
 		}
 		// Layer table: the same key search probes next. A hit asks for
-		// no edge matrix and runs no segment DP or merge.
+		// no edge matrix and runs no segment DP or merge, only the layer
+		// pick: one scan of the tail space.
 		if ccache.tables.get(string(o.appendTableCrossKey(envSig, g))) != nil {
 			est.TableHit = true
-			est.Work = nodeWork + float64(len(g.Nodes)) + stack
+			est.Work = nodeWork + float64(len(g.Nodes)) + estScan*float64(size(len(g.Nodes)-1))
 			return est, nil
 		}
 	}
@@ -164,7 +155,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	}
 
 	// DP term: Bellman scans over the spaces of every segment,
-	// plus the cross-segment merges, the final argmin scan and stacking.
+	// plus the cross-segment merges and the final layer pick.
 	cuts := g.SegmentCuts()
 	dp := 0.0
 	for s := 0; s+1 < len(cuts); s++ {
@@ -173,7 +164,6 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		}
 	}
 	dp += float64(len(cuts)-1) * estScan * float64(size(len(g.Nodes)-1))
-	dp += stack
 
 	est.Work = nodeWork + float64(est.EdgeCells) + dp
 	return est, nil

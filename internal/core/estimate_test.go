@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"testing"
 
 	"repro/internal/cost"
@@ -119,7 +118,7 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 
 	// Without the plan tier the same request is a layer-table hit. It asks
 	// for no edge matrix either, so the edge flush leaves it Warm, and the
-	// search runs stacking only.
+	// search runs the layer pick only.
 	cache.plans.reset()
 	table, err := o.EstimatePlan(req)
 	if err != nil {
@@ -191,7 +190,9 @@ func TestEstimatePlanDisableCacheNeverWarm(t *testing.T) {
 // estimate a Warm plan hit, and with the plan tier dropped, a Warm
 // layer-table hit — proving the estimator probes with
 // byte-identical keys to the ones the sweep's searches inserted — and a
-// re-plan of any point must do zero node, edge or table work.
+// re-plan of any point must do zero node, edge or table work. The plan tier
+// is dropped before each point: a re-plan republishes the one entry every
+// layer count of its graph shares.
 func TestEstimateWarmAfterSweep(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
@@ -246,8 +247,8 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 		}
 	}
 	// Beneath the plan tier, every swept point is warm at every tier.
-	shared.plans.reset()
 	for i, p := range points {
+		shared.plans.reset()
 		o := optFor(p)
 		req := PlanRequest{Graph: g, Layers: p.layers}
 		est, err := o.EstimatePlan(req)
@@ -331,13 +332,9 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 		}
 	}
 	eff := func(i int) int { return slotSize[slotOf[i]] }
-	stack := 0.0
-	if req.Layers > 1 {
-		stack = float64(2*bits.Len(uint(req.Layers-1))) * estScan * float64(eff(len(g.Nodes)-1))
-	}
 	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
 	if ccache != nil {
-		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g, req.Layers))); e != nil {
+		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil {
 			sizes := make([]int, len(g.Nodes))
 			for i := range sizes {
 				sizes[i] = eff(i)
@@ -350,7 +347,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 		}
 		if ccache.tables.get(string(o.appendTableCrossKey(envSig, g))) != nil {
 			est.TableHit = true
-			est.Work = nodeWork + float64(len(g.Nodes)) + stack
+			est.Work = nodeWork + float64(len(g.Nodes)) + estScan*float64(eff(len(g.Nodes)-1))
 			return est
 		}
 	}
@@ -374,7 +371,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 			dp += estScan * float64(eff(i))
 		}
 	}
-	dp += float64(len(cuts)-1)*estScan*float64(eff(len(g.Nodes)-1)) + stack
+	dp += float64(len(cuts)-1) * estScan * float64(eff(len(g.Nodes)-1))
 	est.Work = nodeWork + float64(est.EdgeCells) + dp
 	return est
 }

@@ -14,8 +14,11 @@ import (
 )
 
 // Exhaustive enumerates every joint assignment of candidate sequences for a
-// single layer of g and returns the minimal-cost strategy. Exponential in
-// the node count — intended for validation only.
+// single layer of g and returns the minimal-cost strategy. When g stacks
+// (its head and tail spaces are index-identical) the tail is pinned to the
+// head's candidate, so the optimum is the best periodic layer that Plan
+// returns at every layer count. Exponential in the node count — intended
+// for validation only.
 func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 	if err := o.checkDevices(); err != nil {
 		return nil, err
@@ -24,11 +27,17 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 		return nil, err
 	}
 	w := o.Workers()
-	cands := make([]*nodeCands, len(g.Nodes))
-	total := 1.0
+	n := len(g.Nodes)
+	cands := make([]*nodeCands, n)
 	for i, op := range g.Nodes {
 		cands[i] = o.evalNode(op, w)
-		total *= float64(len(cands[i].seqs))
+	}
+	periodic := n > 1 && checkStackable(cands[0], cands[n-1]) == nil
+	total := 1.0
+	for i := range cands {
+		if !(periodic && i == n-1) {
+			total *= float64(len(cands[i].seqs))
+		}
 		if total > 5e7 {
 			return nil, fmt.Errorf("core: exhaustive space too large (>5e7 assignments)")
 		}
@@ -42,21 +51,24 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 		edgeMats[e] = mats[i]
 	}
 
-	assign := make([]int, len(g.Nodes))
+	assign := make([]int, n)
 	best := math.Inf(1)
-	bestAssign := make([]int, len(g.Nodes))
+	bestAssign := make([]int, n)
 
 	var rec func(i int, acc float64)
 	rec = func(i int, acc float64) {
 		if acc >= best {
 			return // partial costs only grow (all terms non-negative)
 		}
-		if i == len(g.Nodes) {
+		if i == n {
 			best = acc
 			copy(bestAssign, assign)
 			return
 		}
 		for ci := range cands[i].seqs {
+			if periodic && i == n-1 && ci != assign[0] {
+				continue
+			}
 			assign[i] = ci
 			c := acc + cands[i].total[ci]
 			for _, e := range g.InEdges(i) {
@@ -71,12 +83,12 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 		return nil, fmt.Errorf("core: exhaustive search found no assignment")
 	}
 	strat := &Strategy{
-		Seqs:       make([]partition.Seq, len(g.Nodes)),
-		Intra:      make([]cost.Intra, len(g.Nodes)),
+		Seqs:       make([]partition.Seq, n),
+		Intra:      make([]cost.Intra, n),
 		LayerCost:  best,
 		TotalCost:  best,
 		Layers:     1,
-		SpaceSizes: make([]int, len(g.Nodes)),
+		SpaceSizes: make([]int, n),
 	}
 	for i := range g.Nodes {
 		strat.Seqs[i] = cands[i].seqs[bestAssign[i]]

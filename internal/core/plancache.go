@@ -1,17 +1,19 @@
 // The plan tier: the fourth tier of the cross-call cache stores each
-// finished search answer, so an identical repeat runs no min-plus work at
-// all. A search is a pure function of the environment prefix, α, the whole
-// layer graph and the layer count; the plan key folds exactly those — the
-// bytes appendTableCrossKey folds (appendGraphSig), under its own tag, plus
-// the layer count.
+// finished search answer, so a repeat runs no min-plus work at all. The
+// answer is one periodic layer whose choice depends on the environment
+// prefix, α and the whole layer graph, never on the layer count (layerPlan,
+// dp.go); the plan key folds exactly those — the bytes appendTableCrossKey
+// folds (appendGraphSig), under its own tag. One entry therefore serves
+// every layer count: TotalCost is rebuilt as float64(layers)·LayerCost, the
+// same product a cold search reports.
 //
-// An entry is the chosen candidate index per node plus the
-// LayerCost/TotalCost float bits. On a hit search still runs the node pass
-// (served by the node tier), which rebuilds the very candidate lists the
-// indices point into, then skips edge matrices, the layer table and
-// stacking. The answer is bit-identical because every
-// reported value is either a stored bit pattern or read from the same
-// candidate lists the cold search reconstructed from.
+// An entry is the chosen candidate index per node plus the LayerCost float
+// bits. On a hit search still runs the node pass (served by the node tier),
+// which rebuilds the very candidate lists the indices point into, then
+// skips edge matrices, the layer table and the layer pick. The answer is
+// bit-identical because every reported value is either a stored bit
+// pattern, a product of one, or read from the same candidate lists the cold
+// search reconstructed from.
 //
 // Entries are published only after a search completes, so a cancelled
 // search publishes nothing. Load cannot check indices against candidate
@@ -19,16 +21,12 @@
 // graph it is looked up for counts as a miss.
 package core
 
-import (
-	"encoding/binary"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // cachedPlan is one finished search answer.
 type cachedPlan struct {
-	idx                  []int32 // candidate index per node
-	layerCost, totalCost float64
+	idx       []int32 // candidate index per node
+	layerCost float64
 }
 
 // fits reports whether e names one in-range candidate for every node, given
@@ -46,10 +44,7 @@ func (e *cachedPlan) fits(sizes []int) bool {
 }
 
 // appendPlanCrossKey appends the cross-call identity of a whole search onto
-// the environment prefix: the stacked layer count and the whole-graph
-// signature (appendGraphSig).
-func (o *Optimizer) appendPlanCrossKey(b []byte, g *graph.Graph, layers int) []byte {
-	b = append(b, 'P')
-	b = binary.AppendUvarint(b, uint64(layers))
-	return o.appendGraphSig(b, g)
+// the environment prefix: the whole-graph signature (appendGraphSig).
+func (o *Optimizer) appendPlanCrossKey(b []byte, g *graph.Graph) []byte {
+	return o.appendGraphSig(append(b, 'P'), g)
 }

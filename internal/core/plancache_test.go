@@ -87,7 +87,7 @@ func TestPlanTierBypass(t *testing.T) {
 }
 
 // TestPlanKeyBytesStable pins the plan key's bytes on an OPT-6.7B block:
-// PPSC v8 files store plans under these keys, so a change to the
+// PPSC v9 files store plans under these keys, so a change to the
 // whole-graph signature would silently turn every persisted plan into a
 // miss without a format bump.
 func TestPlanKeyBytesStable(t *testing.T) {
@@ -98,8 +98,8 @@ func TestPlanKeyBytesStable(t *testing.T) {
 	m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
 	m.Alpha = 1e-12
 	o := NewOptimizer(m)
-	key := o.appendPlanCrossKey(o.appendEnvSig(nil), g, 32)
-	const want = "5180e8a06555d858505524b28fbe4bb1cf1ceaf4dc0bcd3837a5f964874bba4f"
+	key := o.appendPlanCrossKey(o.appendEnvSig(nil), g)
+	const want = "dba3a3e5aaebed76718f999f466e89310aabcaab0429ea01627899730640d3ec"
 	if got := fmt.Sprintf("%x", sha256.Sum256(key)); got != want {
 		t.Errorf("plan key sha256 %s, want %s", got, want)
 	}

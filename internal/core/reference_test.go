@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -14,7 +15,11 @@ import (
 //   - every edge gets its own calc-less edgeBuild, with no edge dedup, and
 //     is filled cell by cell through EdgePlan.Measure (fracGroup.fill's
 //     Measure path), so neither the edge calc nor fraction sharing runs;
-//   - the layer DP and stacking are production's layerDP and stackLayers.
+//   - the layer DP is production's layerDP, but the layer every layer runs
+//     is picked here: for a graph whose head and tail spaces are
+//     index-identical, the first a minimizing C(a, a) by a plain scan of
+//     every head candidate, run as the layer a→a; for any other graph, the
+//     table's free minimum, and only at one layer.
 //
 // No cross-call cache tier is read or written.
 func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) {
@@ -44,16 +49,28 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	}
 	stats.EdgeMatsBuilt = len(g.Edges)
 
-	ctx := context.Background()
-	layerTable, err := o.layerDP(ctx, g, cands, edgeMats, &stats)
+	t, err := o.layerDP(context.Background(), g, cands, edgeMats, &stats)
 	if err != nil {
 		return nil, err
 	}
-	assign, totalCost, err := o.stackLayers(ctx, layerTable, len(g.Nodes), layers, &stats)
-	if err != nil {
+	var ia, ib int32
+	switch err := checkStackable(cands[0], cands[len(g.Nodes)-1]); {
+	case err == nil:
+		best := math.Inf(1)
+		for a := range cands[0].seqs {
+			if c := t.headBase[a] + t.cost[t.rowCls[a]][a]; c < best {
+				best, ia = c, int32(a)
+			}
+		}
+		ib = ia
+	case layers > 1:
 		return nil, err
+	default:
+		ia, ib = t.argMin()
 	}
-	strat := strategyOf(cands, assign, layerTable.minTotal(), totalCost, layers, spaceSizes)
+	assign := make([]int32, len(g.Nodes))
+	reconstruct(t, ia, ib, assign)
+	strat := strategyOf(cands, assign, t.headBase[ia]+t.cost[t.rowCls[ia]][ib], layers, spaceSizes)
 	strat.Stats = stats
 	return strat, nil
 }

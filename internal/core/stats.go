@@ -57,12 +57,13 @@ type SearchStats struct {
 	// SegTablesBuilt counts the segments whose DP ran this call: every
 	// segment of the graph, or 0 when the layer table was served whole.
 	// CrossCallTableHits is 0 or 1: whether the merged layer table came from
-	// the cross-call table tier (delta.go), leaving only stacking to run.
+	// the cross-call table tier (delta.go), leaving only the layer pick to
+	// run.
 	SegTablesBuilt     int `json:"seg_tables_built"`
 	CrossCallTableHits int `json:"cross_call_table_hits"`
 
 	// EntriesScanned sums the sorted entries visited by the min-plus
-	// kernels across segment chains, in-segment merges and layer stacking:
+	// kernels across segment chains and merges:
 	// the DP's work volume (DESIGN.md §5.2, §5.3, §5.24). A two-sided depth
 	// reads one entry of each order and counts two. Tracked by
 	// BenchmarkScanMinPlus*/primebench. (Formerly min_plus_scanned.)
@@ -94,12 +95,15 @@ type SearchStats struct {
 	CrossCallEdgeHits int `json:"cross_call_edge_hits"`
 
 	// CrossCallPlanHits is 1 when the whole answer was served from the
-	// cross-call plan tier (plancache.go): an identical repeat that built no
-	// edge matrix and ran no segment table, merge or stacking step.
+	// cross-call plan tier (plancache.go): a repeat, at any layer count,
+	// that built no edge matrix and ran no segment table, merge or layer
+	// pick.
 	CrossCallPlanHits int `json:"cross_call_plan_hits"`
 
 	// Wall time per stage: candidate evaluation, edge-matrix building,
-	// per-segment DP + merging, layer stacking, and the whole call.
+	// per-segment DP + merging, the pick of the periodic layer (StackTime:
+	// one scan of the layer table's diagonal plus reconstruction), and the
+	// whole call.
 	NodeEvalTime time.Duration `json:"node_eval_ns"`
 	EdgeMatTime  time.Duration `json:"edge_mat_ns"`
 	DPTime       time.Duration `json:"dp_ns"`

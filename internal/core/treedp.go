@@ -3,14 +3,13 @@
 // class — split the segment, solve each half over its own (usually far
 // smaller) head-class dimension, and combine the halves with the same
 // class-factored min-plus merge the optimizer already uses between segments
-// and for layer stacking (Eqs. 13–14). The segment's extended edges keep
+// (Eqs. 13–14). The segment's extended edges keep
 // their usual roles: targets inside the left half stay chain-interior edges,
 // a target at the segment end becomes the merge's cross matrix, and split
 // points that would strand a target in the right half are simply invalid.
 //
-// In-segment merges pass the split node's own total as midTotal, so merge's
-// delta is exactly 0.0 and left-table values flow through unchanged (x + 0.0
-// is bit-exact for the non-negative finite costs the DP produces). Split
+// The right half's head is the split node, whose own cost the left half
+// already counts, so merge folds left-table values through unchanged. Split
 // plans are chosen by a deterministic work estimate over the edge matrices'
 // group dimensions — never wall time or worker count — so the executed shape,
 // and with it every value and witness, is reproducible and identical between
@@ -67,7 +66,7 @@ func (o *Optimizer) execSegPlan(ctx context.Context, p *segPlan, g *graph.Graph,
 	if st != nil {
 		st.DPTreeMerges++
 	}
-	return o.merge(ctx, left, right, cands[p.m].total, o.crossEdges(g, edgeMats, p.a, p.b), st, w)
+	return o.merge(ctx, left, right, o.crossEdges(g, edgeMats, p.a, p.b), st, w)
 }
 
 // segDims caches the dimensions the split planner's work estimate reads:

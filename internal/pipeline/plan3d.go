@@ -9,18 +9,16 @@
 //     every layer must run its FLOPs on an m-device SPMD group, so
 //     max(L, nMB·⌈L/p⌉)·lb(m) ≥ iteration time; configurations whose bound
 //     already loses to the incumbent are skipped without any search.
-//  2. A stage pass first runs every distinct (m, ℓ) stage that any
-//     configuration's window (cutWindow layers around the balanced cut)
-//     asks for as ONE tensor-parallel sub-search, served warm across calls
-//     by the α-keyed cross-call table tier. Stage widths share no cache
-//     keys, so each width is one chain of searches in first-ask layer order
-//     (its cold search first, the rest layer-table hits: only stacking
-//     re-runs), and the chains run concurrently on the core worker pool.
-//     The scoring pass then walks the configurations: per configuration,
-//     core.EnumerateStageCuts runs a dominated-cut Pareto DP over stage
-//     compositions within the window, and each stage's simulation replays a
-//     sim.Prepared kept per stage width for the call, so a strategy shared
-//     by several layer counts is prepared once.
+//  2. A stage pass first runs ONE tensor-parallel sub-search per distinct
+//     stage width m, served warm across calls by the α-keyed cross-call
+//     plan tier. A core.Plan answer is one periodic layer whatever the
+//     layer count, so every ℓ-layer stage of width m runs the same
+//     strategy; the widths share no cache keys, and their searches run
+//     concurrently on the core worker pool. The scoring pass then walks
+//     the configurations: per configuration, core.EnumerateStageCuts runs a
+//     dominated-cut Pareto DP over stage compositions within the window
+//     (cutWindow layers around the balanced cut), and each ℓ-layer stage's
+//     simulation replays the one sim.Prepared its width keeps for the call.
 //  3. Surviving cuts are scored exactly by the event-driven 1F1B simulator
 //     (Simulate1F1BStages) in both orientations; a second lower bound
 //     (max(Σ t_s, nMB·max t_s) + allreduce) skips cuts the incumbent
@@ -38,12 +36,12 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,7 +74,7 @@ type Optimizer struct {
 
 // cutWindow widens the joint planner's per-stage layer range to
 // ⌊L/p⌋−cutWindow .. ⌈L/p⌉+cutWindow (clamped to ≥ 1 layer). Each extra
-// distinct count is one more memoized sub-search; 1 already covers every
+// distinct count is one more stage simulation; 1 already covers every
 // near-balanced composition.
 const cutWindow = 1
 
@@ -159,16 +157,17 @@ type Plan3DStats struct {
 	CutsBoundSkipped int `json:"cuts_bound_skipped"`
 	// SchedulesSimulated counts 1F1B event simulations run.
 	SchedulesSimulated int `json:"schedules_simulated"`
-	// StagePlans counts distinct (m, layers) tensor-parallel sub-searches
-	// the stage pass performed (cross-call cache hits inside each are
-	// reported in Search). The pass runs before the compute bound prunes,
-	// so it also counts the windows of configurations the bound later
-	// skips.
+	// StagePlans counts the tensor-parallel sub-searches the stage pass
+	// performed: one per distinct stage width m, since one periodic layer
+	// serves every layer count of a width (cross-call cache hits inside
+	// each are reported in Search). The pass runs before the compute bound
+	// prunes, so it also counts the widths of configurations the bound
+	// later skips.
 	StagePlans int `json:"stage_plans"`
 	// Search aggregates the core search stats over all sub-searches.
 	Search core.SearchStats `json:"search"`
 	// Elapsed is the whole Plan3D wall time. The four phase times below
-	// are disjoint parts of it: the stage pass's wall time (its chains of
+	// are disjoint parts of it: the stage pass's wall time (its per-width
 	// tensor-parallel searches run concurrently), the per-stage
 	// simulations, the stage-cut enumeration, and scoring the candidate
 	// cuts (lower bound, 1F1B simulation, assembly). The configuration grid
@@ -257,11 +256,10 @@ func (o *Optimizer) Plan3D(ctx context.Context, req Plan3DRequest) (*Plan3D, err
 	}
 
 	stats := &Plan3DStats{}
-	memo, err := o.searchStages(ctx, req, g, configs, stats)
+	widths, err := o.searchStages(ctx, req, g, configs, stats)
 	if err != nil {
 		return nil, err
 	}
-	preps := make(map[int]*stagePrep)
 	lbPerM := make(map[int]float64)
 	var best *Plan3D
 	incumbent := math.Inf(1)
@@ -281,7 +279,7 @@ func (o *Optimizer) Plan3D(ctx context.Context, req Plan3DRequest) (*Plan3D, err
 			stats.ConfigsPruned++
 			continue
 		}
-		cand, err := o.planConfig(req, g, c3, memo, preps, stats, incumbent)
+		cand, err := o.planConfig(req, g, c3, widths[c3.M], stats, incumbent)
 		if err != nil {
 			lastErr = err // an infeasible configuration sheds itself, like the legacy grid
 			continue
@@ -372,14 +370,16 @@ func (o *Optimizer) coreOptimizer(sub *device.Cluster) *core.Optimizer {
 	return co
 }
 
-// stageSeqs picks the stage's tensor-parallel strategy under the system.
-func (o *Optimizer) stageSeqs(ctx context.Context, g *graph.Graph, sub *device.Cluster, layers int, system System) ([]partition.Seq, core.SearchStats, error) {
+// stageSeqs picks the stage's tensor-parallel strategy under the system:
+// the one layer every layer of a stage on sub runs, whatever its layer
+// count.
+func (o *Optimizer) stageSeqs(ctx context.Context, g *graph.Graph, sub *device.Cluster, system System) ([]partition.Seq, core.SearchStats, error) {
 	switch system {
 	case Megatron:
 		seqs, err := baseline.Megatron(g, sub.Bits(), 0)
 		return seqs, core.SearchStats{}, err
 	case PrimePar:
-		strat, err := o.coreOptimizer(sub).Plan(ctx, core.PlanRequest{Graph: g, Layers: layers})
+		strat, err := o.coreOptimizer(sub).Plan(ctx, core.PlanRequest{Graph: g, Layers: 1})
 		if err != nil {
 			return nil, core.SearchStats{}, err
 		}
@@ -389,23 +389,24 @@ func (o *Optimizer) stageSeqs(ctx context.Context, g *graph.Graph, sub *device.C
 	}
 }
 
-// stageEval is one (m, layers) stage sub-plan of a Plan3D call. The stage
-// pass records its search: the strategy and stats, or the error. The scoring
-// pass simulates it the first time a configuration asks, recording the
-// per-micro-batch time, memory and the stage's weight bytes (for the
-// data-parallel all-reduce).
+// stageEval is one stage width's tensor-parallel sub-plan within a Plan3D
+// call. The stage pass records its search: the strategy and stats, or the
+// error. The scoring pass prepares the simulator for the strategy once and
+// simulates each layer count the first time a configuration asks for it.
 type stageEval struct {
-	seqs      []partition.Seq
-	search    core.SearchStats
-	err       error
-	simulated bool
-	time      float64
-	mem       float64
-	stash     float64
-	wBytes    float64
+	seqs   []partition.Seq
+	search core.SearchStats
+	err    error
+	prep   *sim.Prepared
+	sims   map[int]*stageSim
 }
 
-type stageKey struct{ m, layers int }
+// stageSim is one ℓ-layer stage of a width: the per-micro-batch time and
+// memory, and the stage's stash and weight bytes (the latter for the
+// data-parallel all-reduce).
+type stageSim struct {
+	time, mem, stash, wBytes float64
+}
 
 // stageWindow is the per-stage layer range [lo, hi] configuration c3 asks
 // for on an L-layer model: the legacy uniform ⌈L/p⌉ alone for a fixed
@@ -425,48 +426,28 @@ func stageWindow(L int, c3 Config3D, joint bool) (lo, hi int) {
 	return lo, max(hi, ceilL) // the legacy uniform stage is always evaluable
 }
 
-// searchStages is the stage pass: it runs every (m, ℓ) tensor-parallel
-// sub-search that any configuration's window asks for, before the compute
-// bound prunes a single configuration. Stage widths share no cache keys, so
-// each width is one chain of searches in first-ask layer order — its cold
-// search first, the rest layer-table hits — and the chains run concurrently
-// on the core worker pool, widest (slowest) first, each core.Plan keeping
-// its own fan-out. One worker or one width (a fixed Config) runs the pass
-// inline. A failed search is recorded for the configurations that ask for
-// it; only cancellation ends the pass early.
-func (o *Optimizer) searchStages(ctx context.Context, req Plan3DRequest, g *graph.Graph, configs []Config3D, stats *Plan3DStats) (map[stageKey]*stageEval, error) {
-	type chain struct {
-		m      int
-		layers []int
-	}
-	memo := make(map[stageKey]*stageEval)
-	byM := make(map[int]*chain)
-	var chains []*chain
+// searchStages is the stage pass: it runs one tensor-parallel sub-search
+// per distinct stage width m of configs, before the compute bound prunes a
+// single configuration. Widths share no cache keys, so their searches run
+// concurrently on the core worker pool, widest (slowest) first, each
+// core.Plan keeping its own fan-out. One worker or one width (a fixed
+// Config) runs the pass inline. A failed search is recorded for the
+// configurations of its width; only cancellation ends the pass early.
+func (o *Optimizer) searchStages(ctx context.Context, req Plan3DRequest, g *graph.Graph, configs []Config3D, stats *Plan3DStats) (map[int]*stageEval, error) {
+	widths := make(map[int]*stageEval)
+	var ms []int
 	for _, c3 := range configs {
-		ch := byM[c3.M]
-		if ch == nil {
-			ch = &chain{m: c3.M}
-			byM[c3.M] = ch
-			chains = append(chains, ch)
-		}
-		lo, hi := stageWindow(req.Model.Layers, c3, req.Config == nil)
-		for l := lo; l <= hi; l++ {
-			if key := (stageKey{m: c3.M, layers: l}); memo[key] == nil {
-				memo[key] = &stageEval{}
-				ch.layers = append(ch.layers, l)
-			}
+		if widths[c3.M] == nil {
+			widths[c3.M] = &stageEval{sims: make(map[int]*stageSim)}
+			ms = append(ms, c3.M)
 		}
 	}
-	sort.Slice(chains, func(i, j int) bool { return chains[i].m > chains[j].m })
+	sort.Sort(sort.Reverse(sort.IntSlice(ms)))
 
 	t0 := time.Now()
-	err := core.RunTasks(ctx, o.coreOptimizer(o.Cluster).Workers(), len(chains), func(i int) {
-		ch := chains[i]
-		sub := stageCluster(o.Cluster, ch.m)
-		for _, l := range ch.layers {
-			ev := memo[stageKey{m: ch.m, layers: l}]
-			ev.seqs, ev.search, ev.err = o.stageSeqs(ctx, g, sub, l, req.System)
-		}
+	err := core.RunTasks(ctx, o.coreOptimizer(o.Cluster).Workers(), len(ms), func(i int) {
+		ev := widths[ms[i]]
+		ev.seqs, ev.search, ev.err = o.stageSeqs(ctx, g, stageCluster(o.Cluster, ms[i]), req.System)
 	})
 	stats.StageSearchTime = time.Since(t0)
 	if err == nil {
@@ -475,69 +456,41 @@ func (o *Optimizer) searchStages(ctx context.Context, req Plan3DRequest, g *grap
 	if err != nil {
 		return nil, err
 	}
-	for _, ch := range chains {
-		for _, l := range ch.layers {
-			if ev := memo[stageKey{m: ch.m, layers: l}]; ev.err == nil {
-				stats.StagePlans++
-				stats.Search.Add(ev.search)
-			}
+	for _, m := range ms {
+		if ev := widths[m]; ev.err == nil {
+			stats.StagePlans++
+			stats.Search.Add(ev.search)
 		}
 	}
-	return memo, nil
+	return widths, nil
 }
 
-// stagePrep is the simulation set-up of the strategy last evaluated on one
-// stage width within a Plan3D call: the prepared simulator, which also holds
-// the strategy's per-layer weight and stash bytes. Stage sub-searches of
-// neighbouring layer counts mostly return the same strategy, so one
-// preparation serves all their simulations.
-type stagePrep struct {
-	key []byte // Seq.AppendBinaryKey of every node's strategy
-	sim *sim.Prepared
-}
-
-// prepareStage returns the per-width set-up for seqs on the sub-cluster
-// sub, reusing preps[m] only when its strategy is byte-identical to seqs
-// and preparing (and keeping) a new one otherwise.
-func prepareStage(preps map[int]*stagePrep, g *graph.Graph, sub *device.Cluster, seqs []partition.Seq) (*stagePrep, error) {
-	var key []byte
-	for _, seq := range seqs {
-		key = seq.AppendBinaryKey(key)
-	}
-	m := sub.NumDevices
-	if sp := preps[m]; sp != nil && bytes.Equal(sp.key, key) {
-		return sp, nil
-	}
-	prep, err := sim.New(sub).Prepare(g, seqs)
-	if err != nil {
-		return nil, err
-	}
-	sp := &stagePrep{key: key, sim: prep}
-	preps[m] = sp
-	return sp, nil
-}
-
-// evalStage simulates the searched ℓ-layer stage on an m-device group the
-// first time a configuration asks for it; a stage whose search failed
-// returns that error instead.
-func (o *Optimizer) evalStage(g *graph.Graph, m, layers int, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats) error {
-	ev := memo[stageKey{m: m, layers: layers}]
-	if ev.err != nil || ev.simulated {
+// evalStage simulates the ℓ-layer stage of width m the first time a
+// configuration asks for it, preparing the width's strategy on its first
+// simulation; a width whose search failed returns that error instead.
+func (o *Optimizer) evalStage(g *graph.Graph, m, layers int, ev *stageEval, stats *Plan3DStats) error {
+	if ev.err != nil || ev.sims[layers] != nil {
 		return ev.err
 	}
 	t0 := time.Now()
 	defer func() { stats.StageSimTime += time.Since(t0) }()
-	sp, err := prepareStage(preps, g, stageCluster(o.Cluster, m), ev.seqs)
+	if ev.prep == nil {
+		prep, err := sim.New(stageCluster(o.Cluster, m)).Prepare(g, ev.seqs)
+		if err != nil {
+			return err
+		}
+		ev.prep = prep
+	}
+	rep, err := ev.prep.Run(layers)
 	if err != nil {
 		return err
 	}
-	rep, err := sp.sim.Run(layers)
-	if err != nil {
-		return err
+	ev.sims[layers] = &stageSim{
+		time:   rep.IterationTime,
+		mem:    rep.PeakMemoryBytes,
+		stash:  ev.prep.StashBytes() * float64(layers),
+		wBytes: ev.prep.WeightBytes() * float64(layers),
 	}
-	ev.time, ev.mem = rep.IterationTime, rep.PeakMemoryBytes
-	ev.stash, ev.wBytes = sp.sim.StashBytes()*float64(layers), sp.sim.WeightBytes()*float64(layers)
-	ev.simulated = true
 	return nil
 }
 
@@ -576,7 +529,7 @@ func dpARTime(full *device.Cluster, d, m int, wBytes float64) float64 {
 }
 
 // assemble builds the Plan3D result for a chosen cut and simulated schedule.
-func (o *Optimizer) assemble(cfg model.Config, c3 Config3D, system System, cut []int, memo map[stageKey]*stageEval, sched *Schedule, p2p, dpAR float64) *Plan3D {
+func (o *Optimizer) assemble(cfg model.Config, c3 Config3D, system System, cut []int, ev *stageEval, sched *Schedule, p2p, dpAR float64) *Plan3D {
 	nMB := c3.Microbatches()
 	total := sched.Makespan + dpAR
 	tokens := float64(c3.GlobalBatch) * float64(cfg.SeqLen)
@@ -585,7 +538,7 @@ func (o *Optimizer) assemble(cfg model.Config, c3 Config3D, system System, cut [
 	startLayer := 0
 	peak := 0.0
 	for s, l := range cut {
-		ev := memo[stageKey{m: c3.M, layers: l}]
+		st := ev.sims[l]
 		// Peak memory: weights resident once; activation stashes for the
 		// 1F1B in-flight depth at this stage (p−s at stage s, capped by the
 		// micro-batch count).
@@ -593,7 +546,7 @@ func (o *Optimizer) assemble(cfg model.Config, c3 Config3D, system System, cut [
 		if nMB < inflight {
 			inflight = nMB
 		}
-		mem := ev.mem + float64(inflight-1)*ev.stash
+		mem := st.mem + float64(inflight-1)*st.stash
 		if mem > peak {
 			peak = mem
 		}
@@ -601,7 +554,7 @@ func (o *Optimizer) assemble(cfg model.Config, c3 Config3D, system System, cut [
 			StartLayer:      startLayer,
 			Layers:          l,
 			Seqs:            ev.seqs,
-			StageTime:       ev.time,
+			StageTime:       st.time,
 			PeakMemoryBytes: mem,
 		}
 		startLayer += l
@@ -652,7 +605,7 @@ func compLowerBound(g *graph.Graph, full *device.Cluster, m int) float64 {
 
 // planConfig searches the stage cuts of one (p,d,m) configuration and
 // returns its best plan (nil if every cut lost to the incumbent bound).
-func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, memo map[stageKey]*stageEval, preps map[int]*stagePrep, stats *Plan3DStats, incumbent float64) (*Plan3D, error) {
+func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, ev *stageEval, stats *Plan3DStats, incumbent float64) (*Plan3D, error) {
 	cfg := req.Model
 	full := o.Cluster
 	L := cfg.Layers
@@ -665,12 +618,11 @@ func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, m
 	joint := req.Config == nil
 	minPer, maxPer := stageWindow(L, c3, joint)
 	for l := minPer; l <= maxPer; l++ {
-		if err := o.evalStage(g, c3.M, l, memo, preps, stats); err != nil {
+		if err := o.evalStage(g, c3.M, l, ev, stats); err != nil {
 			return nil, err
 		}
 	}
 	p2p := p2pTime(cfg, full, c3)
-	evalOf := func(l int) *stageEval { return memo[stageKey{m: c3.M, layers: l}] }
 
 	// Candidate cuts: the uniform ⌈L/p⌉ grid protocol first (the whole of a
 	// fixed-configuration run, and the joint search's never-worse-than-grid
@@ -684,7 +636,7 @@ func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, m
 	candidates := [][]int{legacy}
 	if joint && p <= L {
 		cuts, cstats, err := core.EnumerateStageCuts(L, p, minPer, maxPer, func(l int) float64 {
-			return evalOf(l).time + p2p
+			return ev.sims[l].time + p2p
 		})
 		if err == nil {
 			stats.CutsEnumerated += cstats.CutsKept
@@ -726,16 +678,16 @@ func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, m
 		bwds := make([]float64, p)
 		dpAR := 0.0
 		for s, l := range cut {
-			ev := evalOf(l)
-			t := ev.time + p2p
+			st := ev.sims[l]
+			t := st.time + p2p
 			sum += t
 			if t > maxT {
 				maxT = t
 			}
-			f := ev.time / 3
+			f := st.time / 3
 			fwds[s] = f + p2p/2
-			bwds[s] = (ev.time - f) + p2p/2
-			if ar := dpARTime(full, c3.D, c3.M, ev.wBytes); ar > dpAR {
+			bwds[s] = (st.time - f) + p2p/2
+			if ar := dpARTime(full, c3.D, c3.M, st.wBytes); ar > dpAR {
 				dpAR = ar
 			}
 		}
@@ -750,7 +702,7 @@ func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, m
 		stats.SchedulesSimulated++
 		if total := sched.Makespan + dpAR; total < bestTotal {
 			bestTotal = total
-			best = o.assemble(cfg, c3, req.System, cut, memo, sched, p2p, dpAR)
+			best = o.assemble(cfg, c3, req.System, cut, ev, sched, p2p, dpAR)
 		}
 	}
 	return best, nil
@@ -758,41 +710,33 @@ func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, m
 
 // EstimatePlan3D predicts the search work of Plan3D(req) against the
 // current cache state, for admission control: one core.EstimatePlan per
-// distinct tensor-parallel sub-cluster the grid will touch (at its largest
-// stacked layer count), summed. Warm means every sub-search is warm.
-// Megatron needs no search, so its estimate is the per-configuration
-// simulation work only.
+// distinct tensor-parallel stage width the grid will touch, summed. Warm
+// means every sub-search is warm. Megatron needs no search, so its estimate
+// is the per-configuration simulation work only.
 func (o *Optimizer) EstimatePlan3D(req Plan3DRequest) (core.SearchEstimate, error) {
-	cfg := req.Model
 	full := o.Cluster
 	configs, mb, err := o.resolve(req)
 	if err != nil {
 		return core.SearchEstimate{}, err
 	}
-	g, err := model.BuildBlock(cfg.WithBatch(mb))
+	g, err := model.BuildBlock(req.Model.WithBatch(mb))
 	if err != nil {
 		return core.SearchEstimate{}, err
-	}
-	// Deepest stacking per m across the grid (the estimate's Layers input).
-	maxLayers := map[int]int{}
-	for _, c := range configs {
-		l := (cfg.Layers + c.P - 1) / c.P
-		if l > maxLayers[c.M] {
-			maxLayers[c.M] = l
-		}
 	}
 	total := core.SearchEstimate{Warm: true}
 	if req.System != PrimePar {
 		total.Work = float64(len(configs))
 		return total, nil
 	}
-	ms := make([]int, 0, len(maxLayers))
-	for m := range maxLayers {
-		ms = append(ms, m)
+	var ms []int
+	for _, c := range configs {
+		if !slices.Contains(ms, c.M) {
+			ms = append(ms, c.M)
+		}
 	}
 	sort.Ints(ms)
 	for _, m := range ms {
-		est, err := o.coreOptimizer(stageCluster(full, m)).EstimatePlan(core.PlanRequest{Graph: g, Layers: maxLayers[m]})
+		est, err := o.coreOptimizer(stageCluster(full, m)).EstimatePlan(core.PlanRequest{Graph: g, Layers: 1})
 		if err != nil {
 			return core.SearchEstimate{}, err
 		}

@@ -649,9 +649,10 @@ func layerBytes(g *graph.Graph, seqs []partition.Seq, eb float64) (weight, stash
 }
 
 // TestPrepareStageNeverSharesAcrossStrategies pins the per-width simulation
-// reuse of one Plan3D call: a byte-identical strategy reuses the width's
-// Prepared, a different strategy at the same width gets its own, and every
-// Prepared answers exactly like a fresh sim.Run, with bit-identical layer
+// reuse of one Plan3D call: a width's stage eval prepares its one strategy
+// on its first simulation and reuses that Prepared for every layer count,
+// two strategies at the same width never share one, and every ℓ-layer
+// simulation answers exactly like a fresh sim.Run, with bit-identical layer
 // weight and stash sums.
 func TestPrepareStageNeverSharesAcrossStrategies(t *testing.T) {
 	full := device.MustCluster(16, 4, device.V100Profile())
@@ -659,66 +660,66 @@ func TestPrepareStageNeverSharesAcrossStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := stageCluster(full, 4)
+	const m = 4
+	sub := stageCluster(full, m)
 	o := NewOptimizer(full)
 	o.Cache = core.NewSearchCache()
-	prime, _, err := o.stageSeqs(context.Background(), g, sub, 8, PrimePar)
+	prime, _, err := o.stageSeqs(context.Background(), g, sub, PrimePar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mega, _, err := o.stageSeqs(context.Background(), g, sub, 8, Megatron)
+	mega, _, err := o.stageSeqs(context.Background(), g, sub, Megatron)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	preps := map[int]*stagePrep{}
-	prep := func(seqs []partition.Seq) *stagePrep {
+	layers := []int{1, 5, 8}
+	eval := func(seqs []partition.Seq) *stageEval {
 		t.Helper()
-		sp, err := prepareStage(preps, g, sub, seqs)
-		if err != nil {
-			t.Fatal(err)
+		ev := &stageEval{seqs: seqs, sims: make(map[int]*stageSim)}
+		var prep *sim.Prepared
+		for _, l := range layers {
+			if err := o.evalStage(g, m, l, ev, &Plan3DStats{}); err != nil {
+				t.Fatal(err)
+			}
+			if prep != nil && ev.prep != prep {
+				t.Fatalf("%d layers prepared the width's strategy again", l)
+			}
+			prep = ev.prep
 		}
-		return sp
+		return ev
 	}
-	a := prep(prime)
-	if again := prep(append([]partition.Seq(nil), prime...)); again != a {
-		t.Fatal("an identical strategy at the same width was prepared again")
-	}
-	b := prep(mega)
-	if b == a || b.sim == a.sim {
+	a, b := eval(prime), eval(mega)
+	if a.prep == b.prep {
 		t.Fatal("PrimePar and Megatron strategies at one width share a Prepared")
-	}
-	c := prep(prime)
-	if c == b || c.sim == b.sim {
-		t.Fatal("switching back to PrimePar reused the Megatron Prepared")
 	}
 
 	eb := full.Profile.ElementBytes
 	for _, tc := range []struct {
 		name string
-		sp   *stagePrep
-		seqs []partition.Seq
-	}{{"primepar", a, prime}, {"megatron", b, mega}, {"primepar again", c, prime}} {
-		wantW, wantS := layerBytes(g, tc.seqs, eb)
-		if got := tc.sp.sim.WeightBytes(); math.Float64bits(got) != math.Float64bits(wantW) {
+		ev   *stageEval
+	}{{"primepar", a}, {"megatron", b}} {
+		wantW, wantS := layerBytes(g, tc.ev.seqs, eb)
+		if got := tc.ev.prep.WeightBytes(); math.Float64bits(got) != math.Float64bits(wantW) {
 			t.Errorf("%s: weight bytes %v, want %v", tc.name, got, wantW)
 		}
-		if got := tc.sp.sim.StashBytes(); math.Float64bits(got) != math.Float64bits(wantS) {
+		if got := tc.ev.prep.StashBytes(); math.Float64bits(got) != math.Float64bits(wantS) {
 			t.Errorf("%s: stash bytes %v, want %v", tc.name, got, wantS)
 		}
-		for _, layers := range []int{1, 5, 8} {
-			got, err := tc.sp.sim.Run(layers)
+		for _, l := range layers {
+			got := tc.ev.sims[l]
+			want, err := sim.New(sub).Run(g, tc.ev.seqs, l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sim.New(sub).Run(g, tc.seqs, layers)
-			if err != nil {
-				t.Fatal(err)
+			if math.Float64bits(got.time) != math.Float64bits(want.IterationTime) ||
+				math.Float64bits(got.mem) != math.Float64bits(want.PeakMemoryBytes) {
+				t.Errorf("%s, %d layers: prepared (%v, %v), fresh Run (%v, %v)", tc.name, l,
+					got.time, got.mem, want.IterationTime, want.PeakMemoryBytes)
 			}
-			if math.Float64bits(got.IterationTime) != math.Float64bits(want.IterationTime) ||
-				math.Float64bits(got.PeakMemoryBytes) != math.Float64bits(want.PeakMemoryBytes) {
-				t.Errorf("%s, %d layers: prepared (%v, %v), fresh Run (%v, %v)", tc.name, layers,
-					got.IterationTime, got.PeakMemoryBytes, want.IterationTime, want.PeakMemoryBytes)
+			if got.stash != wantS*float64(l) || got.wBytes != wantW*float64(l) {
+				t.Errorf("%s, %d layers: stash %v weight %v, want %v and %v", tc.name, l,
+					got.stash, got.wBytes, wantS*float64(l), wantW*float64(l))
 			}
 		}
 	}

@@ -149,10 +149,12 @@ type Plan struct {
 	// Seqs assigns one partition sequence to each node of the
 	// transformer-block graph (see internal/model for the node layout).
 	Seqs []Seq
-	// PredictedCost is the optimizer's Eq. 10 objective for all layers.
+	// PredictedCost is the optimizer's Eq. 10 objective for all layers:
+	// for a searched plan, exactly Model.Layers × LayerCost, since every
+	// layer runs Seqs.
 	PredictedCost float64
-	// LayerCost is the optimal single-layer DP cost (zero for baseline
-	// plans, which report only the overall objective).
+	// LayerCost is the DP cost of the one layer Seqs describes (zero for
+	// baseline plans, which report only the overall objective).
 	LayerCost float64
 	// SpaceSizes records the per-node candidate-space sizes |P|.
 	SpaceSizes []int
