@@ -284,7 +284,7 @@ func BenchmarkEdgeTraffic(b *testing.B) {
 	dst := m.InputIface(g.Nodes[e.Dst], s2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = plan.Traffic(src, dst)
+		_ = plan.Measure(src, dst).Total()
 	}
 }
 

@@ -74,18 +74,12 @@ func (o *Optimizer) newOverlapTables() *cost.OverlapTables {
 	return cost.NewOverlapTables(o.Cost.Cluster.NumDevices, o.Cost.Cluster.DevicesPerNode)
 }
 
-// edgeBuild is one edge matrix under construction: the edge's plan, its
-// row and column groups with one representative candidate each, the matrix,
-// and the calc that fills it — nil on the direct Measure path, which an
-// edge whose pattern tables would exceed cost's table limit takes. key is
-// the calc's direct fraction key.
+// edgeBuild is one edge matrix under construction and the calc that fills
+// it. key is the calc's direct fraction key.
 type edgeBuild struct {
-	plan             *cost.EdgePlan
-	src, dst         *nodeCands
-	rowReps, colReps []int32
-	m                *edgeMat
-	calc             *cost.EdgeCalc
-	key              string
+	m    *edgeMat
+	calc *cost.EdgeCalc
+	key  string
 }
 
 // prepareEdge groups edge e's candidates by interface class, allocates its
@@ -93,28 +87,22 @@ type edgeBuild struct {
 // make each cell a handful of table-row products instead of a full device
 // sweep, with bit-identical results — on ot, the search's registry, which
 // the edges of one search share. Both the grouping and the calc read the
-// endpoint spaces' interned patterns. The calc is nil when its tables would
-// exceed cost's table limit, which some edges reach at 64 devices with 32
-// or more devices per node; those edges take the Measure fill.
+// endpoint spaces' interned patterns.
 func (o *Optimizer) prepareEdge(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, ot *cost.OverlapTables) *edgeBuild {
 	srcPats, _ := src.patterns()
 	_, dstPats := dst.patterns()
 	plan := o.Cost.PlanEdge(g, e)
 	rows, rowReps := ifaceGroups(srcPats, plan.SrcRelevantAxes())
 	cols, colReps := ifaceGroups(dstPats, plan.DstRelevantAxes())
-	b := &edgeBuild{plan: plan, src: src, dst: dst, rowReps: rowReps, colReps: colReps,
+	calc := plan.NewCalc(ot, srcPats, rowReps, dstPats, colReps)
+	return &edgeBuild{calc: calc, key: calc.FracKey(false),
 		m: &edgeMat{rows: rows, cols: cols, nr: len(rowReps), nc: len(colReps),
 			vals: make([]float64, len(rowReps)*len(colReps))}}
-	if b.calc = plan.NewCalc(ot, srcPats, rowReps, dstPats, colReps); b.calc != nil {
-		b.key = b.calc.FracKey(false)
-	}
-	return b
 }
 
 // fracGroup is one fill task of the edge phase: the matrices that share the
 // leader's coverage-fraction structure, directly or transposed (members[0]
-// is the leader itself), or a lone matrix on the direct Measure path
-// (lead.calc == nil, no members).
+// is the leader itself).
 type fracGroup struct {
 	lead    *edgeBuild
 	members []cost.FracMember
@@ -130,10 +118,6 @@ func fracGroups(builds []*edgeBuild) []*fracGroup {
 	direct := make(map[string]*fracGroup)
 	transposed := make(map[string]*fracGroup)
 	for _, b := range builds {
-		if b.calc == nil {
-			groups = append(groups, &fracGroup{lead: b})
-			continue
-		}
 		if gr := direct[b.key]; gr != nil {
 			gr.members = append(gr.members, cost.FracMember{Calc: b.calc, Vals: b.m.vals})
 			continue
@@ -150,24 +134,13 @@ func fracGroups(builds []*edgeBuild) []*fracGroup {
 	return groups
 }
 
-// fill computes the group's matrices, rows banded on up to w workers. A
-// calc group runs one BlockEval per band: each leader row's fractions are
-// computed once — memo probe or compute() per cell — and written into every
-// member. Each band holds one of the search's fraction memos, keyed by the
+// fill computes the group's matrices, rows banded on up to w workers, with
+// one BlockEval per band: each leader row's fractions are computed once —
+// memo probe or compute() per cell — and written into every member. Each band holds one of the search's fraction memos, keyed by the
 // registry's ids, and hands it back when done, so a fraction any earlier
 // band computed, for any edge or direction, is a probe here.
 func (gr *fracGroup) fill(m *cost.Model, w int) {
 	b := gr.lead
-	if b.calc == nil {
-		parallelRows(w, b.m.nr, func(r int) {
-			row := b.m.row(r)
-			srcIface := b.src.out[b.rowReps[r]]
-			for c, cj := range b.colReps {
-				row[c] = m.RedistributeDetail(b.plan.Measure(srcIface, b.dst.in[cj]))
-			}
-		})
-		return
-	}
 	parallelChunks(w, b.m.nr, func(lo, hi int) {
 		be := b.calc.Block()
 		for r := lo; r < hi; r++ {
@@ -182,8 +155,8 @@ func (gr *fracGroup) fill(m *cost.Model, w int) {
 // search's registry ot, then fill one fracGroup per task. Matrices that share a fraction structure —
 // a layer's repeated linear-input edges, or an edge and its transpose
 // (DESIGN.md §5.23) — get each fraction computed once. fracCells counts the
-// cells whose fractions were computed: the leaders' and the direct Measure
-// path's. The matrices are bit-identical to per-edge Measure fills.
+// leaders' cells, whose fractions were computed. The matrices are
+// bit-identical to per-edge Measure fills.
 func (o *Optimizer) buildEdgeMats(ctx context.Context, g *graph.Graph, edges []*graph.Edge, cands []*nodeCands, ot *cost.OverlapTables, w int) (mats []*edgeMat, fracCells int64, err error) {
 	builds := make([]*edgeBuild, len(edges))
 	if err := RunTasks(ctx, w, len(edges), func(i int) {

@@ -33,9 +33,6 @@ func TestEdgeFracGroups(t *testing.T) {
 			builds := make([]*edgeBuild, len(edges))
 			for i, e := range edges {
 				builds[i] = o.prepareEdge(g, e, cands[e.Src], cands[e.Dst], ot)
-				if builds[i].calc == nil {
-					t.Fatalf("edge %d→%d fell back to the Measure path", e.Src, e.Dst)
-				}
 			}
 			edgeOf := make(map[*cost.EdgeCalc]string, len(builds))
 			for i, b := range builds {
@@ -79,13 +76,12 @@ func TestEdgeFracGroups(t *testing.T) {
 				}
 			}
 			for i, b := range builds {
-				for r, ri := range b.rowReps {
-					for c, cj := range b.colReps {
-						want := o.Cost.RedistributeDetail(b.plan.Measure(b.src.out[ri], b.dst.in[cj]))
-						if got := b.m.row(r)[c]; got != want {
-							t.Fatalf("edge %d→%d cell (%d,%d): grouped fill %v, Measure %v",
-								edges[i].Src, edges[i].Dst, r, c, got, want)
-						}
+				e := edges[i]
+				want := measureMat(o.Cost, g, e, cands[e.Src], cands[e.Dst])
+				for k, got := range b.m.vals {
+					if got != want.vals[k] {
+						t.Fatalf("edge %d→%d cell (%d,%d): grouped fill %v, Measure %v",
+							e.Src, e.Dst, k/b.m.nc, k%b.m.nc, got, want.vals[k])
 					}
 				}
 			}

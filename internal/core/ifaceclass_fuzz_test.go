@@ -60,21 +60,15 @@ func FuzzIfaceClassEquivalence(f *testing.F) {
 		cells := make([][]cost.Traffic, len(srcIfs))
 		calc := plan.NewCalc(cost.NewOverlapTables(m.Cluster.NumDevices, m.Cluster.DevicesPerNode),
 			srcPats, identityIDs(len(srcIfs)), dstPats, identityIDs(len(dstIfs)))
-		var be *cost.BlockEval
-		var row []cost.Traffic
-		if calc != nil {
-			be = calc.Block()
-			row = make([]cost.Traffic, len(dstIfs))
-		}
+		be := calc.Block()
+		row := make([]cost.Traffic, len(dstIfs))
 		for i := range srcIfs {
 			cells[i] = make([]cost.Traffic, len(dstIfs))
-			if be != nil {
-				be.MeasureRow(i, row)
-			}
+			be.MeasureRow(i, row)
 			for j := range dstIfs {
 				direct := plan.Measure(srcIfs[i], dstIfs[j])
 				cells[i][j] = direct
-				if be != nil && row[j] != direct {
+				if row[j] != direct {
 					t.Fatalf("EdgeCalc cell (%d,%d) = %+v, Measure = %+v\nsrc=%v dst=%v",
 						i, j, row[j], direct, srcSeqs[i], dstSeqs[j])
 				}

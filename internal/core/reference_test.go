@@ -12,9 +12,9 @@ import (
 // bit for bit. It plans g for o's cost model and options on one worker,
 // ignoring o.Cache and o.Opts.Parallelism:
 //   - every node is evaluated by evalNode on its own, with no signature memo;
-//   - every edge gets its own calc-less edgeBuild, with no edge dedup, and
-//     is filled cell by cell through EdgePlan.Measure (fracGroup.fill's
-//     Measure path), so neither the edge calc nor fraction sharing runs;
+//   - every edge gets its own matrix, with no edge dedup, filled cell by
+//     cell through EdgePlan.Measure, so neither the edge calc nor fraction
+//     sharing runs;
 //   - the layer DP is production's layerDP, but the layer every layer runs
 //     is picked here: for a graph whose head and tail spaces are
 //     index-identical, the first a minimizing C(a, a) by a plain scan of
@@ -42,10 +42,9 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 
 	edgeMats := make(map[*graph.Edge]*edgeMat, len(g.Edges))
 	for _, e := range g.Edges {
-		b := measureBuild(o.Cost, g, e, cands[e.Src], cands[e.Dst])
-		(&fracGroup{lead: b}).fill(o.Cost, 1)
-		edgeMats[e] = b.m
-		stats.EdgeCellsEvaluated += int64(b.m.nr) * int64(b.m.nc)
+		m := measureMat(o.Cost, g, e, cands[e.Src], cands[e.Dst])
+		edgeMats[e] = m
+		stats.EdgeCellsEvaluated += int64(m.nr) * int64(m.nc)
 	}
 	stats.EdgeMatsBuilt = len(g.Edges)
 
@@ -75,15 +74,41 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	return strat, nil
 }
 
-// measureBuild is edge e's calc-less edgeBuild: its candidates grouped by
-// interface class on the axes the edge moves, and a zeroed matrix.
-func measureBuild(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeCands) *edgeBuild {
+// measureMat is edge e's matrix over its candidates grouped by interface
+// class on the axes the edge moves, each cell RedistributeDetail of
+// EdgePlan.Measure on the groups' representatives.
+func measureMat(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeCands) *edgeMat {
+	re := newRefEdge(m, g, e, src, dst)
+	mat := &edgeMat{rows: re.rows, cols: re.cols, nr: len(re.rowReps), nc: len(re.colReps),
+		vals: make([]float64, len(re.rowReps)*len(re.colReps))}
+	for r := range re.rowReps {
+		re.fillRow(m, r, mat.row(r))
+	}
+	return mat
+}
+
+// refEdge is edge e's plan and its endpoint candidates grouped by interface
+// class on the axes the edge moves, one representative per group.
+type refEdge struct {
+	plan                         *cost.EdgePlan
+	src, dst                     *nodeCands
+	rows, cols, rowReps, colReps []int32
+}
+
+func newRefEdge(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeCands) *refEdge {
 	srcPats, _ := src.patterns()
 	_, dstPats := dst.patterns()
-	plan := m.PlanEdge(g, e)
-	rows, rowReps := ifaceGroups(srcPats, plan.SrcRelevantAxes())
-	cols, colReps := ifaceGroups(dstPats, plan.DstRelevantAxes())
-	return &edgeBuild{plan: plan, src: src, dst: dst, rowReps: rowReps, colReps: colReps,
-		m: &edgeMat{rows: rows, cols: cols, nr: len(rowReps), nc: len(colReps),
-			vals: make([]float64, len(rowReps)*len(colReps))}}
+	re := &refEdge{plan: m.PlanEdge(g, e), src: src, dst: dst}
+	re.rows, re.rowReps = ifaceGroups(srcPats, re.plan.SrcRelevantAxes())
+	re.cols, re.colReps = ifaceGroups(dstPats, re.plan.DstRelevantAxes())
+	return re
+}
+
+// fillRow sets out[c] to RedistributeDetail of EdgePlan.Measure on row
+// group r's and column group c's representatives.
+func (re *refEdge) fillRow(m *cost.Model, r int, out []float64) {
+	src := re.src.out[re.rowReps[r]]
+	for c, cj := range re.colReps {
+		out[c] = m.RedistributeDetail(re.plan.Measure(src, re.dst.in[cj]))
+	}
 }

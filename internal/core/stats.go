@@ -26,11 +26,11 @@ type SearchStats struct {
 	EdgeCacheHits int `json:"edge_cache_hits"`
 
 	// EdgeCellsEvaluated sums uniqueRows×uniqueCols over built matrices —
-	// the number of Measure/RedistributeDetail evaluations.
+	// the number of interC cells filled.
 	EdgeCellsEvaluated int64 `json:"edge_cells_evaluated"`
 
 	// EdgeFracCells counts the built cells whose coverage fractions were
-	// computed (a memo probe or compute() each, or a direct Measure): the
+	// computed (a memo probe or compute() each): the
 	// cells of each fraction group's leader. The other cells of
 	// EdgeCellsEvaluated copy a leader's fractions (DESIGN.md §5.23).
 	EdgeFracCells int64 `json:"edge_frac_cells"`

@@ -647,35 +647,6 @@ func (p *EdgePlan) MeasureBwd(src, dst *Iface) (intraBytes, interBytes float64) 
 	return vSrc * totI * p.eb, vSrc * totE * p.eb
 }
 
-// Traffic computes the total redistribution traffic in BYTES across all
-// devices when the producer exposes interface src and the consumer dst —
-// the forward term of Eq. 9 plus the symmetric backward term.
-func (p *EdgePlan) Traffic(src, dst *Iface) float64 {
-	return p.Measure(src, dst).Total()
-}
-
-// InterTraffic computes edge traffic without a prebuilt plan (convenience
-// wrapper; hot paths should reuse PlanEdge).
-func (m *Model) InterTraffic(g *graph.Graph, e *graph.Edge, src, dst *Iface) float64 {
-	return m.PlanEdge(g, e).Traffic(src, dst)
-}
-
-// RedistributeTime converts total redistribution traffic into latency with a
-// conservative locality assumption (all traffic crosses the slowest fabric).
-// Prefer RedistributeDetail when a locality-aware Traffic is available.
-func (m *Model) RedistributeTime(totalBytes float64) float64 {
-	if totalBytes == 0 {
-		return 0
-	}
-	cl := m.Cluster
-	perDevice := totalBytes / float64(cl.NumDevices)
-	bw, lat := cl.IntraLink()
-	if cl.NumNodes() > 1 {
-		bw, lat = cl.InterLink()
-	}
-	return perDevice/bw + lat
-}
-
 // RedistributeDetail converts a locality-split Traffic into latency: the
 // intra-node and inter-node shares flow concurrently over their respective
 // fabrics, so the wall time is the slower of the two streams.

@@ -210,7 +210,7 @@ func TestQuickInterTrafficBounds(t *testing.T) {
 		s2 := randomSeqFor(rng, dstOp, 2)
 		src := m.OutputIface(srcOp, s1)
 		dst := m.InputIface(dstOp, s2)
-		traffic := m.InterTraffic(g, e, src, dst)
+		traffic := m.PlanEdge(g, e).Measure(src, dst).Total()
 		return traffic >= 0 && traffic <= bound+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -238,20 +238,20 @@ func randomSeqFor(rng *rand.Rand, op *graph.Op, nbits int) partition.Seq {
 	return partition.NewSeq(toks...)
 }
 
-func TestRedistributeTimeMonotone(t *testing.T) {
-	m := newModel4(t)
-	if m.RedistributeTime(0) != 0 {
+// RedistributeDetail is free for no traffic, grows with the bytes moved,
+// and prices inter-node bytes above the same bytes kept on the node.
+func TestRedistributeDetailMonotone(t *testing.T) {
+	m := NewModel(device.MustCluster(8, 4, device.V100Profile()))
+	if m.RedistributeDetail(Traffic{}) != 0 {
 		t.Fatal("zero traffic should be free")
 	}
-	a := m.RedistributeTime(1e6)
-	b := m.RedistributeTime(2e6)
+	a := m.RedistributeDetail(Traffic{FwdIntra: 1e6})
+	b := m.RedistributeDetail(Traffic{FwdIntra: 2e6})
 	if !(0 < a && a < b) {
 		t.Fatalf("redistribution time not monotone: %v, %v", a, b)
 	}
-	// Multi-node clusters pay inter-node bandwidth.
-	multi := NewModel(device.MustCluster(8, 4, device.V100Profile()))
-	if multi.RedistributeTime(8e6)/2 <= m.RedistributeTime(4e6) {
-		t.Fatal("multi-node redistribution should be slower per byte")
+	if m.RedistributeDetail(Traffic{FwdInter: 1e6}) <= a {
+		t.Fatal("inter-node redistribution should be slower per byte")
 	}
 }
 

@@ -57,13 +57,6 @@ import (
 	"sync"
 )
 
-// calcTableLimit caps the per-direction table size (in float64s) so a
-// pathological pattern explosion falls back to direct Measure calls instead
-// of exhausting memory. The size is the dense (source pattern × destination
-// pattern × device pair) extent of one axis pairing, whether or not the
-// registry already holds some of its vectors.
-const calcTableLimit = 16 << 20
-
 // axisPair is one (source op axis, destination op axis) correspondence in a
 // direction's coverage product.
 type axisPair struct{ sa, dax int }
@@ -228,9 +221,7 @@ type EdgeCalc struct {
 // representatives — srcReps index the producer output interfaces that src
 // interns (the row groups), dstReps the consumer input interfaces that dst
 // interns (the column groups) — taking its overlap vectors from t, which
-// must describe the plan's cluster shape. Returns nil when the pattern
-// tables would exceed calcTableLimit; callers must then fall back to
-// Measure.
+// must describe the plan's cluster shape.
 func (p *EdgePlan) NewCalc(t *OverlapTables, src *Patterns, srcReps []int32, dst *Patterns, dstReps []int32) *EdgeCalc {
 	if t.devices != p.devices || t.perNode != p.perNode {
 		panic(fmt.Sprintf("cost: overlap tables for %d devices (%d per node) used on an edge of %d devices (%d per node)",
@@ -248,12 +239,8 @@ func (p *EdgePlan) NewCalc(t *OverlapTables, src *Patterns, srcReps []int32, dst
 			bp = append(bp, axisPair{sa, dax})
 		}
 	}
-	if !c.fwd.build(t, p, fp, src, srcReps, dst, dstReps, true) {
-		return nil
-	}
-	if !c.bwd.build(t, p, bp, src, srcReps, dst, dstReps, false) {
-		return nil
-	}
+	c.fwd.build(t, fp, src, srcReps, dst, dstReps, true)
+	c.bwd.build(t, bp, src, srcReps, dst, dstReps, false)
 	c.fwdVol = make([]float64, len(dstReps))
 	for ci, d := range dstReps {
 		v := p.dstFull
@@ -424,11 +411,9 @@ func (p *Patterns) LocalIDs(reps []int32, ax int, fwd bool) (ids, space []int32)
 }
 
 // build fills one direction's pattern ids and registry node-vector ids from
-// the registry t. Reports false when a pairing's dense table would exceed
-// calcTableLimit.
-func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, src *Patterns, srcReps []int32, dst *Patterns, dstReps []int32, fwdPass bool) bool {
+// the registry t.
+func (d *dirCalc) build(t *OverlapTables, pairs []axisPair, src *Patterns, srcReps []int32, dst *Patterns, dstReps []int32, fwdPass bool) {
 	d.pairs = pairs
-	n := p.devices * p.perNode
 	var srcPat, dstPat []int32
 	// One backing array for every pair's registry ids of both sides.
 	reg := make([]int32, len(pairs)*(len(srcReps)+len(dstReps)))
@@ -436,9 +421,6 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, src *Pa
 		srcIDs, srcSpace := src.LocalIDs(srcReps, pr.sa, fwdPass)
 		dstIDs, dstSpace := dst.LocalIDs(dstReps, pr.dax, fwdPass)
 		nr, nc := len(srcSpace), len(dstSpace)
-		if nr*nc*n > calcTableLimit {
-			return false
-		}
 		cellVec := make([]int32, nr*nc)
 		t.mu.Lock()
 		srcPat = t.spacePatterns(srcPat[:0], src, pr.sa, fwdPass, srcSpace)
@@ -466,7 +448,6 @@ func (d *dirCalc) build(t *OverlapTables, p *EdgePlan, pairs []axisPair, src *Pa
 		d.nColPat = append(d.nColPat, nc)
 		d.cellVec = append(d.cellVec, cellVec)
 	}
-	return true
 }
 
 // regIDs maps per-rep local pattern ids to registry pattern ids, writing

@@ -81,9 +81,6 @@ func BenchmarkEdgeCellBlock(b *testing.B) {
 		b.StopTimer()
 		ot := NewOverlapTables(p.devices, p.perNode)
 		calc, mirror := newCalcOver(p, ot, srcReps, dstReps), newCalcOver(q, ot, qSrc, qDst)
-		if calc == nil || mirror == nil {
-			b.Fatal("NewCalc fell back")
-		}
 		members := []FracMember{
 			{Calc: calc, Vals: fwdVals},
 			{Calc: mirror, Vals: bwdVals, Transposed: true},

@@ -109,9 +109,6 @@ func TestEdgeCalcMatchesMeasure(t *testing.T) {
 		srcReps := randIfaces(rng, 25, devices, srcAxes)
 		dstReps := randIfaces(rng, 25, devices, dstAxes)
 		calc := newCalcOver(p, NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
-		if calc == nil {
-			t.Fatalf("trial %d: NewCalc fell back unexpectedly", trial)
-		}
 		be := calc.Block()
 		out := make([]Traffic, len(dstReps))
 		for ri, s := range srcReps {
@@ -189,9 +186,6 @@ func TestBlockEvalMatchesMeasure(t *testing.T) {
 				dstReps = randIfaces(rng, sh.cols, p.devices, 4)
 			}
 			calc := newCalcOver(p, NewOverlapTables(p.devices, p.perNode), srcReps, dstReps)
-			if calc == nil {
-				t.Fatalf("%s trial %d: NewCalc fell back unexpectedly", sh.name, trial)
-			}
 			be := calc.Block()
 			out := make([]Traffic, len(dstReps))
 			for ri, s := range srcReps {

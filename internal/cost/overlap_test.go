@@ -120,10 +120,6 @@ func newEdgeJob(m *Model, p *EdgePlan, src, dst []*Iface) edgeJob {
 // first cell that differs from Measure.
 func (j *edgeJob) check(t *testing.T, m *Model, label string, calc *EdgeCalc) {
 	t.Helper()
-	if calc == nil {
-		t.Errorf("%s: NewCalc fell back unexpectedly", label)
-		return
-	}
 	be := calc.Block()
 	vals := make([]float64, len(j.src)*len(j.dst))
 	for ri := range j.src {
