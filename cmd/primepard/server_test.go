@@ -158,12 +158,12 @@ func TestPlanDeltaFrontier(t *testing.T) {
 	}
 	// The α plan reuses every node and edge entry; only the DP re-runs.
 	if st := got[1].Stats; st.NodeEvals != 0 || st.CrossCallNodeHits == 0 || st.EdgeMatsBuilt != 0 ||
-		st.CrossCallTableHits != 0 || st.SegTablesBuilt == 0 {
+		st.SegTablesBuilt == 0 {
 		t.Errorf("α plan frontier wrong: %+v", st)
 	}
 	// The layer plan is served from the plan tier: the node pass only.
 	if st := got[2].Stats; st.NodeEvals != 0 || st.SegTablesBuilt != 0 || st.CrossCallPlanHits != 1 ||
-		st.CrossCallTableHits != 0 || st.EdgeMatsBuilt != 0 || st.CrossCallEdgeHits != 0 || st.EntriesScanned != 0 {
+		st.EdgeMatsBuilt != 0 || st.CrossCallEdgeHits != 0 || st.EntriesScanned != 0 {
 		t.Errorf("layer plan frontier wrong: %+v", st)
 	}
 
@@ -333,9 +333,8 @@ func TestPlanCancelledContext(t *testing.T) {
 	if aerr == nil || aerr.status != 499 || aerr.code != "client_closed" {
 		t.Fatalf("aerr = %+v, want 499 client_closed", aerr)
 	}
-	if n, e := s.cache.Sizes(); n != 0 || e != 0 || s.cache.TableEntries() != 0 || s.cache.PlanEntries() != 0 {
-		t.Fatalf("cancelled plan published %d nodes, %d edges, %d layer tables, %d plans",
-			n, e, s.cache.TableEntries(), s.cache.PlanEntries())
+	if n, e := s.cache.Sizes(); n != 0 || e != 0 || s.cache.PlanEntries() != 0 {
+		t.Fatalf("cancelled plan published %d nodes, %d edges, %d plans", n, e, s.cache.PlanEntries())
 	}
 	// And the cache is usable afterwards.
 	resp, aerr := s.plan(context.Background(), &PlanRequest{Model: "OPT-6.7B", Devices: 4})
@@ -683,14 +682,16 @@ func TestStatsKeys(t *testing.T) {
 	if _, ok := st["dedup_hits"].(float64); !ok {
 		t.Error(`key "dedup_hits" missing`)
 	}
-	for _, k := range []string{"plans_served", "warm_served", "cache_nodes", "cache_edges", "cache_tables",
+	for _, k := range []string{"plans_served", "warm_served", "cache_nodes", "cache_edges",
 		"cache_plans", "cross_call_node_hits", "cross_call_plan_hits",
 		"cands_total", "entries_scanned"} {
 		if v, ok := st[k].(float64); !ok || v == 0 {
 			t.Errorf("key %q = %v, want a non-zero number", k, st[k])
 		}
 	}
-	for _, k := range []string{"cross_call_edge_hits", "cross_call_table_hits"} {
+	// cache_tables and cross_call_table_hits always read zero (DESIGN.md
+	// §5.34); the keys stay because the repository benchmark reads them.
+	for _, k := range []string{"cross_call_edge_hits", "cache_tables", "cross_call_table_hits"} {
 		if _, ok := st[k].(float64); !ok {
 			t.Errorf("key %q missing", k)
 		}

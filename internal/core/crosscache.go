@@ -1,9 +1,26 @@
-// Cross-call search cache: node evaluations, edge matrices, merged layer DP
-// tables (delta.go) and finished answers (plancache.go) persist ACROSS Plan
-// calls, so a sweep that revisits the same model structure — other
-// experiments, other α values, repeated scales — pays the quadratic stages
-// once, and an identical repeat or a layer-count change runs no DP at all. The within-call signature memo (dp.go) dedups
-// work inside one search; this cache dedups work between searches.
+// Cross-call search cache: node evaluations, edge matrices and finished
+// answers (plancache.go) persist ACROSS Plan calls, so a sweep that
+// revisits the same model structure — other experiments, other α values,
+// repeated scales — pays the quadratic stages once, and an identical repeat
+// or a layer-count change runs no DP at all. The within-call signature memo
+// (dp.go) dedups work inside one search; this cache dedups work between
+// searches.
+//
+// Delta re-planning: a request differing from a cached one by a single
+// dimension re-runs only its changed frontier:
+//
+//   - identical repeat or layer-count change → a plan hit: the answer is
+//     one periodic layer whatever the count, served after the node pass;
+//   - α shift → node and edge entries hit (both are α-independent), but the
+//     plan key folds α, so the layer table's DP re-runs from cached inputs;
+//   - one graph edit → only the edited op re-evaluates, and every segment's
+//     DP re-runs from cached matrices;
+//   - device count / profile → the environment prefix changes, so every
+//     tier misses (candidate spaces are genuinely different).
+//
+// The layer table itself is never cached: it lives for one search, and a
+// plan miss rebuilds it from the node and edge tiers in one DP pass
+// (DESIGN.md §5.34).
 //
 // Keys are exact byte encodings, like sig.go's: an environment prefix (every
 // cluster, cost-model and search-option field the cached value depends on)
@@ -148,26 +165,21 @@ func (e *edgeEntry) matrix() *edgeMat {
 	return e.m
 }
 
-// SearchCache carries node evaluations, edge matrices, layer DP tables and
-// finished plans across Plan calls, one bounded tier each (tier.go). Safe
-// for concurrent use; all cached values are read-only.
+// SearchCache carries node evaluations, edge matrices and finished plans
+// across Plan calls, one bounded tier each (tier.go). Safe for concurrent
+// use; all cached values are read-only.
 type SearchCache struct {
 	nodes *tier[*nodeEntry]
 	edges *tier[*edgeEntry]
-	// tables (delta.go) is in memory only: the disk cache (diskcache.go)
-	// persists nodes, edges and plans, and a table rebuilds from them in one
-	// DP pass.
-	tables *tier[*table]
-	plans  *tier[*cachedPlan] // plancache.go
+	plans *tier[*cachedPlan] // plancache.go
 }
 
 // NewSearchCache returns an empty cross-call cache.
 func NewSearchCache() *SearchCache {
 	return &SearchCache{
-		nodes:  newTier(maxCachedNodeCells, nodeCells),
-		edges:  newTier(maxCachedEdgeCells, edgeCells),
-		tables: newTier(maxCachedTableCells, tableCells),
-		plans:  newTier(maxCachedPlanCells, planCells),
+		nodes: newTier(maxCachedNodeCells, nodeCells),
+		edges: newTier(maxCachedEdgeCells, edgeCells),
+		plans: newTier(maxCachedPlanCells, planCells),
 	}
 }
 
@@ -191,8 +203,11 @@ var DefaultSearchCache = NewSearchCache()
 // Sizes reports the node and edge entry counts, mostly for logging and tests.
 func (c *SearchCache) Sizes() (nodes, edges int) { return c.nodes.len(), c.edges.len() }
 
-// TableEntries reports the cached layer-table count (for /v1/stats).
-func (c *SearchCache) TableEntries() int { return c.tables.len() }
+// TableEntries always returns zero. It counted a layer-table tier that no
+// request reached once a layer-count change became a plan hit, and was
+// deleted (DESIGN.md §5.34); the method stays because the repository
+// benchmark calls it by name.
+func (c *SearchCache) TableEntries() int { return 0 }
 
 // PlanEntries reports the cached plan count (for /v1/stats).
 func (c *SearchCache) PlanEntries() int { return c.plans.len() }

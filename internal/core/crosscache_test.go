@@ -13,9 +13,8 @@ import (
 // structures searched repeatedly across scales must (a) hit the cross-call
 // cache on every repeat and (b) return bit-identical strategies to the cold
 // run — the cache must be invisible in everything but the stats. The plan
-// and table tiers are dropped before each repeat so the node and edge tiers
-// serve it (TestPlanTierRepeatBitIdentical covers the plan tier,
-// TestDeltaRePlanColdThenWarm the table tier).
+// tier is dropped before each repeat so the node and edge tiers serve it
+// (TestPlanTierRepeatBitIdentical covers the plan tier).
 func TestCrossCallCacheHitsAcrossScales(t *testing.T) {
 	shared := NewSearchCache()
 	cfg := model.OPT6B7()
@@ -32,7 +31,6 @@ func TestCrossCallCacheHitsAcrossScales(t *testing.T) {
 			o := NewOptimizer(m)
 			o.Cache = shared
 			shared.plans.reset()
-			shared.tables.reset()
 			strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
 			if err != nil {
 				t.Fatalf("pass %d scale %d: %v", pass, scale, err)

@@ -69,12 +69,10 @@ func planWith(t *testing.T, g *graph.Graph, layers, devices int, alpha float64, 
 	return strat
 }
 
-// TestDeltaRePlanColdThenWarm pins the table tier end to end on a real
-// transformer block. A cold search publishes one layer table. With the plan
-// and table tiers dropped, a repeat rebuilds every segment from the cached
-// node and edge tiers and republishes the table; with only the plan tier
-// dropped, a repeat is served from that table: no edge matrix, segment DP or
-// merge, strictly less min-plus work, and a bit-identical strategy.
+// TestDeltaRePlanColdThenWarm pins re-planning beneath the plan tier on a
+// real transformer block: with the plan tier dropped, a repeat rebuilds
+// every segment from the cached node and edge tiers — no node evaluation or
+// edge build — and returns a bit-identical strategy.
 func TestDeltaRePlanColdThenWarm(t *testing.T) {
 	shared := NewSearchCache()
 	cfg := model.OPT6B7()
@@ -83,41 +81,22 @@ func TestDeltaRePlanColdThenWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
-	if cold.Stats.SegTablesBuilt == 0 || cold.Stats.CrossCallTableHits != 0 {
+	if cold.Stats.SegTablesBuilt == 0 {
 		t.Fatalf("cold run did not build its segments: %+v", cold.Stats)
 	}
-	if n := shared.TableEntries(); n != 1 {
-		t.Fatalf("cold run published %d layer tables, want 1", n)
-	}
 
 	shared.plans.reset()
-	shared.tables.reset()
 	rebuilt := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
 	sameStrategy(t, "table-rebuilt", rebuilt, cold)
-	if s := rebuilt.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallTableHits != 0 ||
+	if s := rebuilt.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits == 0 ||
 		s.SegTablesBuilt != cold.Stats.SegTablesBuilt {
 		t.Errorf("rebuild did not run every segment from cached nodes and edges: %+v", s)
-	}
-	if n := shared.TableEntries(); n != 1 {
-		t.Errorf("rebuild published %d layer tables, want 1", n)
-	}
-
-	shared.plans.reset()
-	warm := planWith(t, g, cfg.Layers, 8, 1e-12, shared)
-	sameStrategy(t, "table-warm", warm, cold)
-	if s := warm.Stats; s.CrossCallTableHits != 1 || s.SegTablesBuilt != 0 || s.DPTreeMerges != 0 ||
-		s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits != 0 {
-		t.Errorf("warm run was not served from the layer table: %+v", s)
-	}
-	if warm.Stats.EntriesScanned >= cold.Stats.EntriesScanned {
-		t.Errorf("warm run scanned %d min-plus entries, cold %d — the table saved nothing",
-			warm.Stats.EntriesScanned, cold.Stats.EntriesScanned)
 	}
 }
 
 // TestDeltaRePlanAlphaFrontier: an α shift keeps every node and edge entry
-// (α-factored tiers) but must rebuild the layer table (α-keyed tier) — and
-// the rebuilt result must equal a cold search at the new α.
+// (α-independent tiers) but misses the α-keyed plan tier, so only the layer
+// table's DP re-runs — and the result must equal a cold search at the new α.
 func TestDeltaRePlanAlphaFrontier(t *testing.T) {
 	shared := NewSearchCache()
 	cfg := model.OPT6B7()
@@ -127,14 +106,14 @@ func TestDeltaRePlanAlphaFrontier(t *testing.T) {
 	}
 	planWith(t, g, 2, 8, 1e-12, shared)
 	delta := planWith(t, g, 2, 8, 1e-10, shared)
-	if delta.Stats.NodeEvals != 0 || delta.Stats.CrossCallNodeHits == 0 {
-		t.Errorf("α shift re-evaluated nodes: %+v", delta.Stats)
+	if s := delta.Stats; s.NodeEvals != 0 || s.CrossCallNodeHits == 0 {
+		t.Errorf("α shift re-evaluated nodes: %+v", s)
 	}
-	if delta.Stats.CrossCallTableHits != 0 {
-		t.Errorf("α shift reused the α-keyed layer table: %+v", delta.Stats)
+	if s := delta.Stats; s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits == 0 {
+		t.Errorf("α shift rebuilt edge matrices: %+v", s)
 	}
-	if delta.Stats.SegTablesBuilt == 0 {
-		t.Errorf("α shift built no segments: %+v", delta.Stats)
+	if s := delta.Stats; s.CrossCallPlanHits != 0 || s.SegTablesBuilt == 0 {
+		t.Errorf("α shift did not re-run the DP: %+v", s)
 	}
 	cold := planWith(t, g, 2, 8, 1e-10, NewSearchCache())
 	sameStrategy(t, "alpha-frontier", delta, cold)
@@ -150,7 +129,7 @@ func TestDeltaRePlanLayersFrontier(t *testing.T) {
 	g := deltaChain(t, 5, 2, -1)
 	first := planWith(t, g, 2, 8, 1e-12, shared)
 	delta := planWith(t, g, 4, 8, 1e-12, shared)
-	if s := delta.Stats; s.CrossCallPlanHits != 1 || s.CrossCallTableHits != 0 || s.SegTablesBuilt != 0 {
+	if s := delta.Stats; s.CrossCallPlanHits != 1 || s.SegTablesBuilt != 0 {
 		t.Errorf("layer change missed the plan tier: %+v", s)
 	}
 	if s := delta.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallEdgeHits != 0 || s.EntriesScanned != 0 {
@@ -164,9 +143,9 @@ func TestDeltaRePlanLayersFrontier(t *testing.T) {
 }
 
 // TestDeltaRePlanGraphEditFrontier: editing ONE op (doubling a FlopFactor)
-// re-evaluates only that op, but the layer table folds the whole graph, so
-// it misses and every segment's DP re-runs from cached edge matrices — and
-// the result equals a cold search of the edited graph.
+// re-evaluates only that op, but the plan key folds the whole graph, so it
+// misses and every segment's DP re-runs from cached edge matrices — and the
+// result equals a cold search of the edited graph.
 func TestDeltaRePlanGraphEditFrontier(t *testing.T) {
 	shared := NewSearchCache()
 	base := deltaChain(t, 5, 2, -1)
@@ -177,31 +156,8 @@ func TestDeltaRePlanGraphEditFrontier(t *testing.T) {
 	if delta.Stats.NodeEvals != 1 {
 		t.Errorf("graph edit re-evaluated %d nodes, want exactly the edited one", delta.Stats.NodeEvals)
 	}
-	if s := delta.Stats; s.CrossCallTableHits != 0 || s.SegTablesBuilt != first.Stats.SegTablesBuilt {
-		t.Errorf("graph edit built %d of %d segments, %d table hits",
-			s.SegTablesBuilt, first.Stats.SegTablesBuilt, s.CrossCallTableHits)
+	if s := delta.Stats; s.SegTablesBuilt != first.Stats.SegTablesBuilt {
+		t.Errorf("graph edit built %d of %d segments", s.SegTablesBuilt, first.Stats.SegTablesBuilt)
 	}
 	sameStrategy(t, "graph-edit-frontier", delta, planWith(t, edited, 2, 8, 1e-12, nil))
-}
-
-// TestTableCacheCapFlush exercises the table tier's epoch flush: with a
-// one-cell cap every insert flushes its predecessors, so an α-shifted second
-// search evicts the first one's layer table, and a repeat at the first α
-// with the plan tier emptied rebuilds it — and still returns the cold
-// strategy.
-func TestTableCacheCapFlush(t *testing.T) {
-	cache := NewSearchCache()
-	cache.tables.cap = 1
-	g := deltaChain(t, 5, 2, -1)
-	planWith(t, g, 2, 8, 1e-12, cache)
-	planWith(t, g, 2, 8, 1e-10, cache)
-	if n := cache.TableEntries(); n != 1 {
-		t.Errorf("cap 1 retained %d tables, want 1", n)
-	}
-	cache.plans.reset()
-	again := planWith(t, g, 3, 8, 1e-12, cache)
-	if s := again.Stats; s.CrossCallTableHits != 0 || s.SegTablesBuilt == 0 {
-		t.Errorf("flushed layer table was served: %+v", s)
-	}
-	sameStrategy(t, "cap-flush", again, planWith(t, g, 3, 8, 1e-12, nil))
 }

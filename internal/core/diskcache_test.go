@@ -234,7 +234,7 @@ func TestDiskCachePlanIndexOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Stats.CrossCallPlanHits != 0 || got.Stats.CrossCallTableHits != 0 || got.Stats.SegTablesBuilt == 0 {
+		if got.Stats.CrossCallPlanHits != 0 || got.Stats.SegTablesBuilt == 0 {
 			t.Errorf("%s: out-of-range plan was served: %+v", name, got.Stats)
 		}
 		sameStrategy(t, name, got, want)
@@ -364,8 +364,7 @@ func TestLoadedEdgeEntryWrongShape(t *testing.T) {
 // TestLoadedEdgesDecodeConcurrently: a loaded edge entry decodes its cells
 // on its first hit, and several searches on one SearchCache may hit it at
 // the same moment. Four concurrent searches at α values the file has no
-// plan for miss the plan tier and, the table tier being in memory only,
-// reach the edge tier (node entries are α-factored and edge matrices
+// plan for miss the plan tier and reach the edge tier (node entries are α-factored and edge matrices
 // α-free, so both tiers serve every α); every answer must be bit-identical
 // to a cold search, and afterwards every loaded entry is decoded. Run under
 // -race. Each search asks for its own α: a search that finishes first

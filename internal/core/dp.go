@@ -34,9 +34,10 @@ func addProduct(st *SearchStats, scanned int64, twoSided bool) {
 type Optimizer struct {
 	Cost *cost.Model
 	Opts Options
-	// Cache persists node evaluations and edge matrices ACROSS Plan
-	// calls (see crosscache.go). NewOptimizer attaches the process-wide
-	// DefaultSearchCache; set a private NewSearchCache (or nil) to isolate.
+	// Cache persists node evaluations, edge matrices and finished plans
+	// ACROSS Plan calls (see crosscache.go). NewOptimizer attaches the
+	// process-wide DefaultSearchCache; set a private NewSearchCache (or nil)
+	// to isolate.
 	Cache *SearchCache
 }
 
@@ -425,8 +426,8 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMa
 
 // search runs one full search of the layer graph at the configured options
 // (the body of Plan): node pass, the stacking check, the plan-tier probe
-// (plancache.go), the layer-table probe or build (delta.go), the pick of the
-// layer every layer runs (layerPlan), and publishing the answer.
+// (plancache.go), the layer-table build, the pick of the layer every layer
+// runs (layerPlan), and publishing the answer.
 // Cancellation is checked at coarse, value-independent points — between pool
 // task pulls, per Bellman step, per merge, between stages — so an
 // uncancelled search executes bit-identically to an uncancellable one, while
@@ -546,27 +547,12 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 		}
 	}
 
-	// Layer table (delta.go): one cross-call probe per search. A hit skips
-	// the edge matrices, the segment DPs and the cross-segment merges; only
-	// the layer pick re-runs. A miss builds the table and publishes it once it is
-	// complete, so a cancelled search publishes nothing.
-	var tableKey string
-	var layerTable *table
-	if ccache != nil {
-		tableKey = string(o.appendTableCrossKey(envSig, g))
-		layerTable = ccache.tables.get(tableKey)
-	}
-	if layerTable != nil {
-		stats.CrossCallTableHits = 1
-	} else {
-		var err error
-		layerTable, err = o.buildLayerTable(ctx, g, in, cands, ccache, envSig, &stats)
-		if err != nil {
-			return nil, err
-		}
-		if ccache != nil {
-			ccache.tables.put(tableKey, layerTable)
-		}
+	// Layer table: built from the node and edge tiers on every plan miss,
+	// and dropped once the layer pick has reconstructed the answer; only the
+	// plan entry is published.
+	layerTable, err := o.buildLayerTable(ctx, g, in, cands, ccache, envSig, &stats)
+	if err != nil {
+		return nil, err
 	}
 	tPick := time.Now()
 	assign, layerCost := layerTable.layerPlan(len(g.Nodes), periodic)

@@ -35,7 +35,7 @@ func BenchmarkSegmentDPCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if strat.Stats.CrossCallNodeHits != 0 || strat.Stats.CrossCallTableHits != 0 {
+		if strat.Stats.CrossCallNodeHits != 0 || strat.Stats.CrossCallPlanHits != 0 {
 			b.Fatalf("iteration was not cold: %+v", strat.Stats)
 		}
 	}
@@ -129,11 +129,11 @@ func BenchmarkPlanWarmRepeat(b *testing.B) {
 }
 
 // BenchmarkPlanLayerChange alternates one OPT-175B block search at 16
-// devices between two layer counts on a warm cache, with the plan tier
-// emptied before each iteration (a layer-count change alone would be a plan
-// hit): every iteration misses the plan tier and is served from the layer
-// table, so ns/op pins the cost of a layer-table hit — node lookups, the
-// table probe, the diagonal pick of the periodic layer and reconstruction.
+// devices between two layer counts on a warm cache. The answer is one
+// periodic layer whatever the count, so every iteration is a plan hit on
+// the entry the warm-up stored, and ns/op pins the cost of a production
+// layer-count change: node lookups, the stacking check, the plan probe and
+// rebuilding the strategy at the new count.
 func BenchmarkPlanLayerChange(b *testing.B) {
 	cfg := model.OPT175B()
 	g, err := model.BuildBlock(cfg)
@@ -149,15 +149,12 @@ func BenchmarkPlanLayerChange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		o.Cache.plans.reset()
-		b.StartTimer()
 		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers[i%2]})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if s := strat.Stats; s.CrossCallPlanHits != 0 || s.CrossCallTableHits != 1 {
-			b.Fatalf("iteration was not a layer-table hit: %+v", s)
+		if s := strat.Stats; s.CrossCallPlanHits != 1 {
+			b.Fatalf("iteration was not a plan hit: %+v", s)
 		}
 	}
 }

@@ -7,15 +7,15 @@
 //
 // Soundness rests on key fidelity: the estimator probes the cache with the
 // SAME byte keys the search computes — appendEnvSig + appendNodeCrossKey for
-// node slots, appendEnvSig + appendPlanCrossKey for the finished answer,
-// appendEnvSig + appendTableCrossKey for the layer table, and appendEnvSig +
-// appendEdgeCrossKey for edge matrices, over the slots of the same
-// within-call dedup helpers (nodeSlots, edgeSlots). A request the estimator
-// calls Warm therefore hits on every node evaluation and on every edge
-// matrix it will ask for when it actually runs, a PlanHit is a plan hit and
-// a TableHit is a table hit. The reverse is conservative by design: a cache
-// flush between estimate and search only makes the search slower than
-// promised, never the estimate stale-warm forever.
+// node slots, appendEnvSig + appendPlanCrossKey for the finished answer, and
+// appendEnvSig + appendEdgeCrossKey for edge matrices, over the slots of the
+// same within-call dedup helpers (nodeSlots, edgeSlots). A request the
+// estimator calls Warm therefore hits on every node evaluation and on every
+// edge matrix it will ask for when it actually runs, and a PlanHit is a plan
+// hit. Beneath the plan tier every request builds its layer table, so a
+// Warm miss still pays the DP term. The reverse is conservative by design:
+// a cache flush between estimate and search only makes the search slower
+// than promised, never the estimate stale-warm forever.
 //
 // Space sizes come from the same probes: a node hit's stored candidate list
 // is exactly what SpaceSize would enumerate, so a warm estimate enumerates
@@ -34,23 +34,19 @@ const estCandidateUnit = 64.0
 type SearchEstimate struct {
 	// Work is the predicted search work in abstract units (candidate
 	// evaluations, edge cells and DP scans on a common scale). It is never
-	// zero: a plan or table hit still looks up every node.
+	// zero: a plan hit still looks up every node.
 	Work float64
 	// Warm reports that every unique node evaluation and edge matrix the
 	// search will ask for is already in the cross-call cache, so the
-	// quadratic stages cost nothing. A plan or table hit asks for no edge
-	// matrix, so it is Warm whenever its nodes are cached. Always false
-	// when the configuration bypasses the cache (calibration Book, nil
-	// Cache).
+	// quadratic stages cost nothing and, short of a plan hit, only the
+	// layer table's DP runs. A plan hit asks for no edge matrix, so it is
+	// Warm whenever its nodes are cached. Always false when the
+	// configuration bypasses the cache (calibration Book, nil Cache).
 	Warm bool
 	// PlanHit reports that the finished answer is in the plan tier
 	// (plancache.go): the search will run the node pass only, and the edge
 	// and DP counts below stay zero.
 	PlanHit bool
-	// TableHit reports that the layer table is in the table tier
-	// (delta.go): the search will run the node pass and the layer pick
-	// only, and the edge counts below stay zero.
-	TableHit bool
 	// NodeEvals / CandidatesEvaluated count the uncached unique node slots
 	// and the candidate evaluations they imply.
 	NodeEvals           int
@@ -129,14 +125,6 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 				est.Work = nodeWork + float64(len(g.Nodes))
 				return est, nil
 			}
-		}
-		// Layer table: the same key search probes next. A hit asks for
-		// no edge matrix and runs no segment DP or merge, only the layer
-		// pick: one scan of the tail space.
-		if ccache.tables.get(string(o.appendTableCrossKey(envSig, g))) != nil {
-			est.TableHit = true
-			est.Work = nodeWork + float64(len(g.Nodes)) + estScan*float64(size(len(g.Nodes)-1))
-			return est, nil
 		}
 	}
 

@@ -24,8 +24,9 @@ func estimateOptimizer(t *testing.T, cache *SearchCache) *Optimizer {
 // builds the search then performs; after one real Plan call the SAME
 // request must estimate a Warm plan hit — and the promise must be sound
 // (the search re-run does zero node evaluations, zero edge builds and no
-// DP). A plan hit and a layer-table hit stay Warm after the edge tier is
-// flushed, since neither asks for an edge matrix.
+// DP). Beneath the plan tier the request is still Warm: it builds its layer
+// table from cached nodes and edges. A plan hit stays Warm after the edge
+// tier is flushed, since it asks for no edge matrix.
 func TestEstimatePlanColdThenWarm(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
@@ -105,7 +106,31 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 	}
 	checkHit("warm")
 
-	// An edge-tier flush leaves the plan hit, and with it Warm, intact.
+	// Beneath the plan tier the request builds its layer table from cached
+	// nodes and edges: Warm, no node evaluation or edge build, and a DP
+	// term that costs more than the plan hit's lookup floor.
+	cache.plans.reset()
+	miss, err := o.EstimatePlan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !miss.Warm || miss.PlanHit || miss.NodeEvals != 0 || miss.EdgeBuilds != 0 {
+		t.Fatalf("plan miss over cached nodes and edges not estimated Warm: %+v", miss)
+	}
+	if miss.Work <= warm.Work || miss.Work >= cold.Work {
+		t.Fatalf("plan-miss Work %v not between plan-hit %v and cold %v", miss.Work, warm.Work, cold.Work)
+	}
+	strat, err := o.Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := strat.Stats; s.CrossCallPlanHits != 0 || s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 ||
+		s.SegTablesBuilt == 0 {
+		t.Fatalf("warm plan-miss estimate was unsound: search did %+v", s)
+	}
+
+	// An edge-tier flush leaves the republished plan hit, and with it Warm,
+	// intact.
 	cache.edges.reset()
 	flushed, err := o.EstimatePlan(req)
 	if err != nil {
@@ -116,42 +141,18 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 	}
 	checkHit("edge-flushed")
 
-	// Without the plan tier the same request is a layer-table hit. It asks
-	// for no edge matrix either, so the edge flush leaves it Warm, and the
-	// search runs the layer pick only.
+	// Without the plan tier as well, the flushed edge matrices must be
+	// rebuilt: not Warm, and dearer than the warm plan miss.
 	cache.plans.reset()
-	table, err := o.EstimatePlan(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !table.Warm || table.PlanHit || !table.TableHit || table.EdgeBuilds != 0 {
-		t.Fatalf("edge-flushed table hit not estimated Warm: %+v", table)
-	}
-	if table.Work <= warm.Work || table.Work >= cold.Work {
-		t.Fatalf("table-hit Work %v not between plan-hit %v and cold %v", table.Work, warm.Work, cold.Work)
-	}
-	strat, err := o.Plan(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := strat.Stats; s.CrossCallTableHits != 1 || s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 ||
-		s.CrossCallEdgeHits != 0 || s.SegTablesBuilt != 0 {
-		t.Fatalf("table-hit estimate was unsound: search did %+v", s)
-	}
-
-	// Without the table tier as well, the flushed edge matrices must be
-	// rebuilt: not Warm, and dearer than the table hit.
-	cache.plans.reset()
-	cache.tables.reset()
 	rebuild, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuild.Warm || rebuild.PlanHit || rebuild.TableHit || rebuild.EdgeBuilds == 0 {
-		t.Fatalf("edge-flushed request without its plan and table estimated warm: %+v", rebuild)
+	if rebuild.Warm || rebuild.PlanHit || rebuild.EdgeBuilds == 0 {
+		t.Fatalf("edge-flushed request without its plan estimated warm: %+v", rebuild)
 	}
-	if rebuild.Work <= table.Work || rebuild.Work >= cold.Work {
-		t.Fatalf("rebuild Work %v not between table-hit %v and cold %v", rebuild.Work, table.Work, cold.Work)
+	if rebuild.Work <= miss.Work || rebuild.Work >= cold.Work {
+		t.Fatalf("rebuild Work %v not between plan-miss %v and cold %v", rebuild.Work, miss.Work, cold.Work)
 	}
 }
 
@@ -176,7 +177,7 @@ func TestEstimatePlanDisableCacheNeverWarm(t *testing.T) {
 	if est.Warm {
 		t.Fatal("calibrated optimizer estimated Warm")
 	}
-	if est.NodeEvals == 0 || est.EdgeBuilds == 0 || est.PlanHit || est.TableHit {
+	if est.NodeEvals == 0 || est.EdgeBuilds == 0 || est.PlanHit {
 		t.Fatalf("calibrated estimate must predict full work: %+v", est)
 	}
 	if n := o.Cache.PlanEntries(); n != 0 {
@@ -187,12 +188,12 @@ func TestEstimatePlanDisableCacheNeverWarm(t *testing.T) {
 // TestEstimateWarmAfterSweep pins the sweep→estimate contract the daemon's
 // admission gate relies on: after planning a scale curve (device counts, α values,
 // layer counts) against ONE shared cache, EVERY point must subsequently
-// estimate a Warm plan hit, and with the plan tier dropped, a Warm
-// layer-table hit — proving the estimator probes with
-// byte-identical keys to the ones the sweep's searches inserted — and a
-// re-plan of any point must do zero node, edge or table work. The plan tier
-// is dropped before each point: a re-plan republishes the one entry every
-// layer count of its graph shares.
+// estimate a Warm plan hit, and with the plan tier dropped, a Warm plan
+// miss — proving the estimator probes with byte-identical keys to the ones
+// the sweep's searches inserted — whose re-plan evaluates no node, builds no
+// edge matrix and runs the layer table's DP only. The plan tier is dropped
+// before each point: a re-plan republishes the one entry every layer count
+// of its graph shares.
 func TestEstimateWarmAfterSweep(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
@@ -261,19 +262,13 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 		if est.NodeEvals != 0 || est.EdgeBuilds != 0 {
 			t.Errorf("point %d predicts quadratic work after sweep: %+v", i, est)
 		}
-		if !est.TableHit {
-			t.Errorf("point %d missed the layer table: %+v", i, est)
-		}
 		strat, err := o.Plan(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := strat.Stats
-		if s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.SegTablesBuilt != 0 {
-			t.Errorf("point %d re-plan did work after sweep: %+v", i, s)
-		}
-		if s.CrossCallTableHits != 1 {
-			t.Errorf("point %d re-plan missed the table tier: %+v", i, s)
+		if s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.CrossCallPlanHits != 0 || s.SegTablesBuilt == 0 {
+			t.Errorf("point %d re-plan did more or less than the DP after sweep: %+v", i, s)
 		}
 	}
 }
@@ -296,7 +291,7 @@ func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 // referenceEstimate is EstimatePlan with every slot's space size enumerated
 // by SpaceSize, whether or not the node tier holds it: the estimator before
 // it took cached slots' sizes from their stored candidate lists. Everything
-// else — slot dedup, probes, the plan and table tiers, edge and DP terms — is
+// else — slot dedup, probes, the plan tier, edge and DP terms — is
 // the production estimator's arithmetic, so any field that differs from
 // EstimatePlan's betrays a cached list whose length is not SpaceSize.
 func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
@@ -345,11 +340,6 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 				return est
 			}
 		}
-		if ccache.tables.get(string(o.appendTableCrossKey(envSig, g))) != nil {
-			est.TableHit = true
-			est.Work = nodeWork + float64(len(g.Nodes)) + estScan*float64(eff(len(g.Nodes)-1))
-			return est
-		}
 	}
 	seen := make(map[edgeMatKey]bool)
 	for _, e := range g.Edges {
@@ -381,9 +371,9 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 // SpaceSize(op, bits, opts) sequences, for the six paper models at 4–32
 // devices under every option that shapes enumeration (the environment key
 // folds AllowPrime, AllowBatchSplit and MaxPrimeK). And in every cache state
-// a request can meet — cold, nodes warm with edges flushed, a table hit, a
-// plan hit — the request estimates field for field what referenceEstimate
-// computes with SpaceSize.
+// a request can meet — cold, nodes warm with edges flushed, a plan miss over
+// warm nodes and edges, a plan hit — the request estimates field for field
+// what referenceEstimate computes with SpaceSize.
 func TestEstimateSpaceSizesFromNodeCache(t *testing.T) {
 	optionSets := []struct {
 		name string
@@ -452,9 +442,7 @@ func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit f
 	}
 	compare("plan hit")
 	cache.plans.reset()
-	compare("table hit")
-	cache.plans.reset()
-	cache.tables.reset()
+	compare("plan miss, nodes and edges warm")
 	cache.edges.reset()
 	compare("nodes warm, edges flushed")
 }

@@ -1,11 +1,10 @@
-// The plan tier: the fourth tier of the cross-call cache stores each
+// The plan tier: the third tier of the cross-call cache stores each
 // finished search answer, so a repeat runs no min-plus work at all. The
 // answer is one periodic layer whose choice depends on the environment
 // prefix, α and the whole layer graph, never on the layer count (layerPlan,
-// dp.go); the plan key folds exactly those — the bytes appendTableCrossKey
-// folds (appendGraphSig), under its own tag. One entry therefore serves
-// every layer count: TotalCost is rebuilt as float64(layers)·LayerCost, the
-// same product a cold search reports.
+// dp.go); the plan key folds exactly those (appendGraphSig). One entry
+// therefore serves every layer count: TotalCost is rebuilt as
+// float64(layers)·LayerCost, the same product a cold search reports.
 //
 // An entry is the chosen candidate index per node plus the LayerCost float
 // bits. On a hit search still runs the node pass (served by the node tier),
@@ -21,7 +20,12 @@
 // graph it is looked up for counts as a miss.
 package core
 
-import "repro/internal/graph"
+import (
+	"encoding/binary"
+	"math"
+
+	"repro/internal/graph"
+)
 
 // cachedPlan is one finished search answer.
 type cachedPlan struct {
@@ -47,4 +51,27 @@ func (e *cachedPlan) fits(sizes []int) bool {
 // the environment prefix: the whole-graph signature (appendGraphSig).
 func (o *Optimizer) appendPlanCrossKey(b []byte, g *graph.Graph) []byte {
 	return o.appendGraphSig(append(b, 'P'), g)
+}
+
+// appendGraphSig appends everything the answer depends on beyond the
+// environment: α (candidate totals are α-weighted), then the full signature
+// of every op and every edge (endpoint positions, destination tensor, axis
+// map; the endpoint ops' signatures already cover the tensor shapes).
+func (o *Optimizer) appendGraphSig(b []byte, g *graph.Graph) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
+	b = binary.AppendUvarint(b, uint64(len(g.Nodes)-1))
+	for _, op := range g.Nodes {
+		b = appendOpSig(b, op)
+	}
+	for _, e := range g.Edges {
+		b = append(b, 'e')
+		b = binary.AppendUvarint(b, uint64(e.Src))
+		b = binary.AppendUvarint(b, uint64(e.Dst))
+		b = binary.AppendUvarint(b, uint64(e.DstTensor))
+		b = binary.AppendUvarint(b, uint64(len(e.AxisMap)))
+		for _, ax := range e.AxisMap {
+			b = binary.AppendVarint(b, int64(ax))
+		}
+	}
+	return b
 }

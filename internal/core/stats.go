@@ -55,11 +55,13 @@ type SearchStats struct {
 	DPTreeMerges int `json:"dp_tree_merges"`
 
 	// SegTablesBuilt counts the segments whose DP ran this call: every
-	// segment of the graph, or 0 when the layer table was served whole.
-	// CrossCallTableHits is 0 or 1: whether the merged layer table came from
-	// the cross-call table tier (delta.go), leaving only the layer pick to
-	// run.
-	SegTablesBuilt     int `json:"seg_tables_built"`
+	// segment of the graph, or 0 on a plan hit.
+	SegTablesBuilt int `json:"seg_tables_built"`
+
+	// CrossCallTableHits always reads zero. It counted hits in a cross-call
+	// layer-table tier that no request reached once a layer-count change
+	// became a plan hit, and was deleted (DESIGN.md §5.34); the field stays
+	// because the repository benchmark reads it by name.
 	CrossCallTableHits int `json:"cross_call_table_hits"`
 
 	// EntriesScanned sums the sorted entries visited by the min-plus

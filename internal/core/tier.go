@@ -96,10 +96,6 @@ const (
 	maxCachedNodeCells = 64 << 20
 	// maxCachedEdgeCells bounds the edge tier (~512 MB).
 	maxCachedEdgeCells = 64 << 20
-	// maxCachedTableCells bounds the table tier (~256 MB). A layer table
-	// rebuilds from cached nodes and edges in one DP pass, so a flush costs
-	// one warm re-plan.
-	maxCachedTableCells = 32 << 20
 	// maxCachedPlanCells bounds the plan tier's candidate indices (~4 MB).
 	maxCachedPlanCells = 1 << 20
 )
@@ -128,27 +124,5 @@ func nodeCells(e *nodeEntry) int64 {
 // has decoded them yet, so a first-hit decode never pushes the tier past
 // its cap.
 func edgeCells(e *edgeEntry) int64 { return int64(e.m.nr) * int64(e.m.nc) }
-
-// tableCells counts the cost and back-pointer entries a cached table pins,
-// recursing through merge children. Rows shared between refined classes are
-// counted per class — an overcount, which only flushes earlier, never later.
-func tableCells(t *table) int64 {
-	if t == nil {
-		return 0
-	}
-	n := int64(len(t.rowCls)) + int64(len(t.headBase))
-	for _, r := range t.cost {
-		n += int64(len(r))
-	}
-	for _, step := range t.chainArgs {
-		for _, r := range step {
-			n += int64(len(r))
-		}
-	}
-	for _, r := range t.argmid {
-		n += int64(len(r))
-	}
-	return n + tableCells(t.left) + tableCells(t.right)
-}
 
 func planCells(e *cachedPlan) int64 { return int64(len(e.idx)) }

@@ -43,7 +43,7 @@ func checkTier[V comparable](t *testing.T, tr *tier[V], mk func(cells int) V) {
 	}
 }
 
-// TestSearchCacheTiers runs checkTier over all four tiers of a SearchCache,
+// TestSearchCacheTiers runs checkTier over all three tiers of a SearchCache,
 // each with values its own size function counts as the given cells.
 func TestSearchCacheTiers(t *testing.T) {
 	t.Run("nodes", func(t *testing.T) {
@@ -53,9 +53,6 @@ func TestSearchCacheTiers(t *testing.T) {
 	})
 	t.Run("edges", func(t *testing.T) {
 		checkTier(t, NewSearchCache().edges, func(n int) *edgeEntry { return &edgeEntry{m: &edgeMat{nr: n, nc: 1}} })
-	})
-	t.Run("tables", func(t *testing.T) {
-		checkTier(t, NewSearchCache().tables, func(n int) *table { return &table{rowCls: make([]int32, n)} })
 	})
 	t.Run("plans", func(t *testing.T) {
 		checkTier(t, NewSearchCache().plans, func(n int) *cachedPlan { return &cachedPlan{idx: make([]int32, n)} })
