@@ -74,8 +74,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "primebench: cache load failed (%v), starting cold\n", err)
 			}
 		} else {
-			n, e := core.DefaultSearchCache.Sizes()
-			fmt.Printf("loaded search cache from %s (%d node entries, %d edge matrices)\n\n", *cacheDir, n, e)
+			n, _ := core.DefaultSearchCache.Sizes()
+			fmt.Printf("loaded search cache from %s (%d node entries, %d plans)\n\n", *cacheDir, n, core.DefaultSearchCache.PlanEntries())
 		}
 	}
 
@@ -295,8 +295,8 @@ func main() {
 	}
 	if *cacheDir != "" {
 		check(core.DefaultSearchCache.Save(*cacheDir))
-		n, e := core.DefaultSearchCache.Sizes()
-		fmt.Printf("saved search cache to %s (%d node entries, %d edge matrices)\n", *cacheDir, n, e)
+		n, _ := core.DefaultSearchCache.Sizes()
+		fmt.Printf("saved search cache to %s (%d node entries, %d plans)\n", *cacheDir, n, core.DefaultSearchCache.PlanEntries())
 	}
 	fmt.Printf("primebench finished in %s\n", time.Since(start).Round(time.Millisecond))
 }

@@ -597,8 +597,8 @@ func TestSaveCache(t *testing.T) {
 	}
 }
 
-// TestStartupRefusesOldCacheFile: a cache file written in PPSC v8, the
-// format before plans became one periodic layer, is refused by Load, and
+// TestStartupRefusesOldCacheFile: a cache file written in PPSC v9, the
+// format that still held an edges section, is refused by Load, and
 // the daemon's startup load reports it and starts on an empty cache instead
 // of exiting; its first plan is a cold search that answers normally.
 func TestStartupRefusesOldCacheFile(t *testing.T) {
@@ -610,17 +610,17 @@ func TestStartupRefusesOldCacheFile(t *testing.T) {
 	if err := s.saveCache(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the header's version to 8; the digest covers only the
+	// Rewrite the header's version to 9; the digest covers only the
 	// payload, so nothing but the version check can refuse the file.
 	path := filepath.Join(dir, core.CacheFileName)
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(file[:4]) != "PPSC" || file[4] != 9 {
+	if string(file[:4]) != "PPSC" || file[4] != 10 {
 		t.Fatalf("unexpected header % x", file[:5])
 	}
-	file[4] = 8
+	file[4] = 9
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -628,8 +628,8 @@ func TestStartupRefusesOldCacheFile(t *testing.T) {
 	cache := core.NewSearchCache()
 	var stdout, stderr bytes.Buffer
 	loadCache(cache, dir, &stdout, &stderr)
-	if !strings.Contains(stderr.String(), "unsupported version 8") || !strings.Contains(stderr.String(), "starting cold") {
-		t.Fatalf("startup did not report the v8 file: stderr %q", stderr.String())
+	if !strings.Contains(stderr.String(), "unsupported version 9") || !strings.Contains(stderr.String(), "starting cold") {
+		t.Fatalf("startup did not report the v9 file: stderr %q", stderr.String())
 	}
 	if n, e := cache.Sizes(); n != 0 || e != 0 || cache.PlanEntries() != 0 || stdout.Len() != 0 {
 		t.Fatalf("refused file left %d nodes, %d edges, %d plans; stdout %q", n, e, cache.PlanEntries(), stdout.String())

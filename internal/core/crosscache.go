@@ -15,6 +15,9 @@
 //     plan key folds α, so the layer table's DP re-runs from cached inputs;
 //   - one graph edit → only the edited op re-evaluates, and every segment's
 //     DP re-runs from cached matrices;
+//   - α shift or graph edit right after a restart → the node entries hit,
+//     but edge matrices are not persisted (diskcache.go), so the search
+//     rebuilds the layer's edges once before its DP (DESIGN.md §5.35);
 //   - device count / profile → the environment prefix changes, so every
 //     tier misses (candidate spaces are genuinely different).
 //
@@ -37,14 +40,13 @@
 //
 // Configurations the byte encoding cannot identify — a calibration Book
 // replaces the analytic formulas with arbitrary regressed models — bypass
-// the cache entirely.
+// the shared cache: each call gets a private empty one (crossCache).
 package core
 
 import (
 	"encoding/binary"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/device"
@@ -128,49 +130,12 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 	return &nodeCands{nodeEntry: e, total: total}
 }
 
-// edgeEntry is one edge-tier value. A matrix built in this process is
-// stored whole. One loaded from disk keeps its cells as Load checked them:
-// a dictionary-coded run, sliced from the file's payload, that the first
-// search hitting the entry decodes, once, as nodeEntry builds its patterns,
-// and then drops. A warm restart reads plans and node entries, not edge
-// matrices, so most loaded runs are never decoded (DESIGN.md §5.26); Save
-// writes an undecoded run back verbatim.
-type edgeEntry struct {
-	m *edgeMat // rows, cols, nr and nc always; vals once decoded
-
-	once  sync.Once              // guards the decode into m.vals
-	coded atomic.Pointer[[]byte] // a loaded entry's checked run, until decoded
-}
-
-// fits reports whether the entry's group maps cover a src × dst candidate
-// grid. A matrix built in this process always fits its spaces; one loaded
-// from a hostile or corrupt disk cache may not, and the search then treats
-// it as a miss. The check is two length compares, so it runs on every hit:
-// a node-tier flush can replace the spaces the entry was first checked
-// against.
-func (e *edgeEntry) fits(src, dst int) bool {
-	return len(e.m.rows) == src && len(e.m.cols) == dst
-}
-
-// matrix returns the entry's matrix, decoding a loaded entry's cells on
-// first use. Concurrent first hits (the edge slots of several searches on
-// one SearchCache) decode once; decoding a run Load checked cannot fail.
-func (e *edgeEntry) matrix() *edgeMat {
-	e.once.Do(func() {
-		if run := e.coded.Load(); run != nil {
-			e.m.vals = decodeCells(*run, e.m.nr*e.m.nc)
-			e.coded.Store(nil)
-		}
-	})
-	return e.m
-}
-
 // SearchCache carries node evaluations, edge matrices and finished plans
 // across Plan calls, one bounded tier each (tier.go). Safe for concurrent
 // use; all cached values are read-only.
 type SearchCache struct {
 	nodes *tier[*nodeEntry]
-	edges *tier[*edgeEntry]
+	edges *tier[*edgeMat]
 	plans *tier[*cachedPlan] // plancache.go
 }
 
@@ -196,8 +161,8 @@ func (c *SearchCache) Overlaps() noOverlaps { return noOverlaps{} }
 
 // DefaultSearchCache backs every NewOptimizer-built optimizer, so the
 // experiment drivers (sweep, fig9, fig10, ablations, table2) share work with
-// zero plumbing. Give an optimizer a private NewSearchCache (or nil) to
-// isolate it.
+// zero plumbing. Give an optimizer a private NewSearchCache, or a nil
+// Cache, to isolate it.
 var DefaultSearchCache = NewSearchCache()
 
 // Sizes reports the node and edge entry counts, mostly for logging and tests.
@@ -212,12 +177,15 @@ func (c *SearchCache) TableEntries() int { return 0 }
 // PlanEntries reports the cached plan count (for /v1/stats).
 func (c *SearchCache) PlanEntries() int { return c.plans.len() }
 
-// crossCache returns the cache to consult for this search, or nil when the
-// configuration must bypass it (a calibration Book, whose regressed models
-// the byte keys cannot identify).
+// crossCache returns the cache to consult for this search: o.Cache, or a
+// private empty cache when there is none or the configuration must bypass
+// the shared one (a calibration Book, whose regressed models the byte keys
+// cannot identify). Every probe of an empty cache misses, and the
+// within-call dedup gives each slot its own cross key, so a private cache
+// serves nothing within the call and the answer is the uncached one.
 func (o *Optimizer) crossCache() *SearchCache {
-	if o.Cost == nil || o.Cost.Book != nil {
-		return nil
+	if o.Cache == nil || o.Cost.Book != nil {
+		return NewSearchCache()
 	}
 	return o.Cache
 }

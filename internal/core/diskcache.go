@@ -1,58 +1,52 @@
-// Disk persistence for SearchCache: a sweep's node evaluations, edge
-// matrices and finished plans survive process restarts, so a warm rerun of
-// table2 (or any other experiment) skips both quadratic stages entirely, and
-// its identical repeats skip the DP too. The format is a single
-// versioned binary file ("PPSC") whose payload is covered by a SHA-256
-// digest; any mismatch — truncation, corruption, a format bump — makes Load
-// return an error and the caller falls back to a cold cache. Writes go
-// through a temp file plus rename, so a crashed run can never leave a
-// half-written cache behind.
+// Disk persistence for SearchCache: a sweep's node evaluations and finished
+// plans survive process restarts, so a warm rerun of table2 (or any other
+// experiment) evaluates no candidate space, and its identical repeats and
+// layer-count changes run no edge build and no DP. Edge matrices are not
+// persisted: after a restart the plan tier answers the repeats, which read
+// no edge, and the matrices were most of the file (DESIGN.md §5.35). The
+// format is a single versioned binary file ("PPSC") whose payload is
+// covered by a SHA-256 digest; any mismatch — truncation, corruption, a
+// format bump — makes Load return an error and the caller falls back to a
+// cold cache. Writes go through a temp file plus rename, so a crashed run
+// can never leave a half-written cache behind.
 //
 // Entries are serialized by their exact byte keys (crosscache.go), which
 // already encode every input a cached value depends on — cluster, cost
 // model, options, structural signatures. A persisted entry therefore hits
 // only under the configuration that produced it, and a hit is bit-identical
-// to recomputing: the same seqs, Intra breakdowns, interfaces, matrix cells
-// and plan choices flow into the same downstream arithmetic.
+// to recomputing: the same seqs, Intra breakdowns, interfaces and plan
+// choices flow into the same downstream arithmetic.
 //
-// File layout (v9):
+// File layout (v10):
 //
 //	"PPSC" · uvarint version · sha256(payload) · payload
 //
-//	payload    = ifaces · nodes · edges · plans
+//	payload    = ifaces · nodes · plans
 //	ifaces     = uvarint n · n × (uvarint NumAxes · floats Fwd · floats Bwd · floats Width)
 //	nodes      = uvarint n · n × (bytes key · uvarint k · k × seq · k × Intra ·
 //	             k × uvarint out ref · k × uvarint in ref)
-//	edges      = uvarint n · n × (bytes key · uvarint nr · uvarint nc ·
-//	             uvarint len · len × uvarint row group · uvarint len · len × uvarint col group ·
-//	             cells(nr·nc))
 //	plans      = uvarint n · n × (bytes key · uvarint k · k × uvarint candidate index ·
 //	             float64 LayerCost)
-//	cells(m)   = uvarint d · d × float64 · m × uvarint index into those d values
 //	seq        = uvarint t · t × (kind byte · varint Dim · uvarint K · varint MDim ·
 //	             varint NDim · varint KDim)
 //	Intra      = 5 × float64 (Compute, RingTotal, StepSum, AllReduce, MemoryBytes)
 //	bytes      = uvarint len · len bytes;  floats = uvarint len · len × float64
 //
-// The payload stores each distinct value once. The interface table holds the
-// distinct cost.Iface contents in first-use order over the sorted node keys;
-// an interface reference is 0 for nil and i+1 for table row i, and every
-// entry that names a row shares one *cost.Iface after Load (interfaces are
-// never written after cost.(*Model).iface builds them). Matrix cells are
-// dictionary-coded: a matrix holds at most a few hundred distinct
-// costs across up to millions of cells (DESIGN §5.12). Floats are
-// little-endian IEEE-754 bit patterns, so decoding is bit-exact.
+// The payload stores each distinct interface once. The interface table
+// holds the distinct cost.Iface contents in first-use order over the sorted
+// node keys; an interface reference is 0 for nil and i+1 for table row i,
+// and every entry that names a row shares one *cost.Iface after Load
+// (interfaces are never written after cost.(*Model).iface builds them).
+// Floats are little-endian IEEE-754 bit patterns, so decoding is bit-exact.
 //
 // Load checks the whole file before it merges anything: the digest, every
 // declared length against the unread payload before anything is allocated
-// for it, nr·nc, every group id, interface reference and dictionary length,
-// and every cell index against its dictionary. So a file that passes the
-// digest but was not written by Save still yields an error rather than a
-// panic, now or on a later hit. Plan candidate indices point into candidate
-// spaces the file does not hold; the search bounds-checks them on every use
-// (plancache.go). Likewise a node entry (nodeEntry.fitsOp) or an edge
-// entry's group maps (edgeEntry.fits) that do not fit the search's spaces
-// are a miss.
+// for it, and every interface's shape and reference. So a file that passes
+// the digest but was not written by Save still yields an error rather than
+// a panic, now or on a later hit. Plan candidate indices point into
+// candidate spaces the file does not hold; the search bounds-checks them on
+// every use (plancache.go). Likewise a node entry that does not fit the
+// search's op and cluster (nodeEntry.fitsOp) is a miss.
 //
 // The digest is computed on a second goroutine while the calling goroutine
 // decodes the payload, and Load merges only after both have passed, so on
@@ -61,21 +55,9 @@
 // guarantee above: the decoder already treats every payload as hostile and
 // checks each declared length against the unread bytes before it allocates
 // (FuzzDiskCacheLoad bounds its allocation on arbitrary payloads), and what
-// it builds, edge runs that are sub-slices of the payload included, reaches
-// the cache only after the digest matched. A digest mismatch
-// (errDigestMismatch) is reported even when the decode failed as well; a
-// decode error only behind a matching digest.
-//
-// Interfaces, node entries and plans decode at Load. Edge matrices do not:
-// a warm restart reads plans and node entries, never edge cells, which are
-// most of the file (DESIGN.md §5.26). Load checks each matrix's cells in
-// place and keeps the checked run, a sub-slice of the payload, in its
-// edgeEntry; the first search that hits the entry decodes it. With a
-// dictionary of at most 0x80 values every valid index is one byte below
-// the dictionary length, so the check is a byte compare and the decode a
-// table lookup. Save writes an undecoded run back verbatim (for a file Save
-// wrote, exactly the bytes re-encoding would write), so a periodic save of
-// a restarted daemon decodes nothing.
+// it builds reaches the cache only after the digest matched. A digest
+// mismatch (errDigestMismatch) is reported even when the decode failed as
+// well; a decode error only behind a matching digest.
 package core
 
 import (
@@ -115,8 +97,10 @@ const diskCacheMagic = "PPSC"
 // answers each cell's first identical repeat without rebuilding its segment
 // tables. v9: a plan is one periodic layer, so plan keys lost the layer
 // count and two reserved bytes, and plan entries their TotalCost; a v8
-// plans section would misparse under the v9 layout.
-const diskCacheVersion = 9
+// plans section would misparse under the v9 layout. v10: the edges section
+// is gone; after a restart no request the plan tier misses read it
+// (DESIGN.md §5.35), and a v9 file's edges would misparse as plans.
+const diskCacheVersion = 10
 
 // errDigestMismatch is Load's error for a payload whose SHA-256 is not the
 // one in the header. It takes precedence over any error the decode found.
@@ -129,9 +113,7 @@ const CacheFileName = "searchcache.ppsc"
 // rename). Concurrent optimizers may keep using the cache; Save holds each
 // tier's lock only while snapshotting its map.
 func (c *SearchCache) Save(dir string) error {
-	nodes, edges, plans := c.nodes.snapshot(), c.edges.snapshot(), c.plans.snapshot()
-
-	payload := encodeCachePayload(nodes, edges, plans)
+	payload := encodeCachePayload(c.nodes.snapshot(), c.plans.snapshot())
 	sum := sha256.Sum256(payload)
 	header := append([]byte(diskCacheMagic), binary.AppendUvarint(nil, diskCacheVersion)...)
 	header = append(header, sum[:]...)
@@ -166,7 +148,7 @@ func (c *SearchCache) Save(dir string) error {
 	return nil
 }
 
-// Load reads dir/CacheFileName into the cache, merging with (and never
+// Load reads dir/CacheFileName into the node and plan tiers, merging with (and never
 // overwriting) entries already present. Any structural problem — missing
 // file, wrong magic or version, digest mismatch, truncated or inconsistent
 // payload — returns an error and leaves the cache unchanged, so callers can
@@ -195,7 +177,7 @@ func (c *SearchCache) Load(dir string) error {
 	// until it matches, and a mismatch wins over any decode error.
 	sumc := make(chan [sha256.Size]byte, 1)
 	go func() { sumc <- sha256.Sum256(payload) }()
-	nodes, edges, plans, err := decodeCachePayload(payload)
+	nodes, plans, err := decodeCachePayload(payload)
 	if sum := <-sumc; string(sum[:]) != string(want) {
 		return errDigestMismatch
 	}
@@ -206,7 +188,6 @@ func (c *SearchCache) Load(dir string) error {
 	// larger cap (or an accumulation of several runs) must not blow past this
 	// process's memory bound just because it arrived via Load.
 	c.nodes.merge(nodes)
-	c.edges.merge(edges)
 	c.plans.merge(plans)
 	return nil
 }
@@ -222,7 +203,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // encodeCachePayload serializes the maps in sorted key order, so equal
 // caches produce byte-equal files.
-func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeEntry, plans map[string]*cachedPlan) []byte {
+func encodeCachePayload(nodes map[string]*nodeEntry, plans map[string]*cachedPlan) []byte {
 	nodeKeys := sortedKeys(nodes)
 
 	// The interface table: one row per distinct content, in first-use
@@ -260,13 +241,6 @@ func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeEntry
 		b = appendBytes(b, []byte(k))
 		b = appendNodeEntry(b, nodes[k], ref)
 	}
-	var cc cellCoder
-	edgeKeys := sortedKeys(edges)
-	b = binary.AppendUvarint(b, uint64(len(edgeKeys)))
-	for _, k := range edgeKeys {
-		b = appendBytes(b, []byte(k))
-		b = appendEdgeEntry(b, edges[k], &cc)
-	}
 	planKeys := sortedKeys(plans)
 	b = binary.AppendUvarint(b, uint64(len(planKeys)))
 	for _, k := range planKeys {
@@ -276,23 +250,16 @@ func encodeCachePayload(nodes map[string]*nodeEntry, edges map[string]*edgeEntry
 	return b
 }
 
-func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeEntry, map[string]*cachedPlan, error) {
+func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*cachedPlan, error) {
 	r := &cacheReader{b: b}
 	table := r.ifaceTable()
 	// Each count is bounded by the smallest record it can declare: a node
-	// is at least a key length and a candidate count, an edge at least two
-	// group-map lengths, nr, nc and a dictionary length after its key.
+	// is at least a key length and a candidate count.
 	nNodes := r.count(2)
 	nodes := make(map[string]*nodeEntry)
 	for i := 0; i < nNodes && r.err == nil; i++ {
 		key := string(r.bytes())
 		nodes[key] = r.nodeEntry(table)
-	}
-	nEdges := r.count(6)
-	edges := make(map[string]*edgeEntry)
-	for i := 0; i < nEdges && r.err == nil; i++ {
-		key := string(r.bytes())
-		edges[key] = r.edgeEntry()
 	}
 	// A plan is at least a key length, an index count and one float.
 	nPlans := r.count(2 + 8)
@@ -302,12 +269,12 @@ func decodeCachePayload(b []byte) (map[string]*nodeEntry, map[string]*edgeEntry,
 		plans[key] = r.plan()
 	}
 	if r.err != nil {
-		return nil, nil, nil, r.err
+		return nil, nil, r.err
 	}
 	if len(r.b) != 0 {
-		return nil, nil, nil, errors.New("diskcache: trailing bytes")
+		return nil, nil, errors.New("diskcache: trailing bytes")
 	}
-	return nodes, edges, plans, nil
+	return nodes, plans, nil
 }
 
 func appendBytes(b, s []byte) []byte {
@@ -358,66 +325,12 @@ func appendNodeEntry(b []byte, e *nodeEntry, ref map[*cost.Iface]uint64) []byte 
 	return b
 }
 
-// appendEdgeEntry writes one entry; a loaded entry no search has decoded
-// writes its cells run verbatim.
-func appendEdgeEntry(b []byte, e *edgeEntry, cc *cellCoder) []byte {
-	m := e.m
-	b = binary.AppendUvarint(b, uint64(m.nr))
-	b = binary.AppendUvarint(b, uint64(m.nc))
-	for _, ids := range [2][]int32{m.rows, m.cols} {
-		b = binary.AppendUvarint(b, uint64(len(ids)))
-		for _, v := range ids {
-			b = binary.AppendUvarint(b, uint64(v))
-		}
-	}
-	if run := e.coded.Load(); run != nil {
-		return append(b, *run...)
-	}
-	return cc.append(b, e.matrix().vals)
-}
-
 func appendPlan(b []byte, p *cachedPlan) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p.idx)))
 	for _, ix := range p.idx {
 		b = binary.AppendUvarint(b, uint64(ix))
 	}
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.layerCost))
-}
-
-// cellCoder dictionary-codes float64 cells, keeping its scratch across
-// matrices.
-type cellCoder struct {
-	index map[uint64]uint64 // bit pattern → dictionary position
-	dict  []uint64
-	idx   []uint64
-}
-
-// append writes cells(len(vals)): the distinct bit patterns in first-use
-// order, then each cell's position among them.
-func (cc *cellCoder) append(b []byte, vals []float64) []byte {
-	if cc.index == nil {
-		cc.index = make(map[uint64]uint64)
-	}
-	clear(cc.index)
-	cc.dict, cc.idx = cc.dict[:0], cc.idx[:0]
-	for _, v := range vals {
-		bits := math.Float64bits(v)
-		i, ok := cc.index[bits]
-		if !ok {
-			i = uint64(len(cc.dict))
-			cc.index[bits] = i
-			cc.dict = append(cc.dict, bits)
-		}
-		cc.idx = append(cc.idx, i)
-	}
-	b = binary.AppendUvarint(b, uint64(len(cc.dict)))
-	for _, bits := range cc.dict {
-		b = binary.LittleEndian.AppendUint64(b, bits)
-	}
-	for _, i := range cc.idx {
-		b = binary.AppendUvarint(b, i)
-	}
-	return b
 }
 
 // cacheReader decodes the payload with sticky error handling: after the
@@ -520,100 +433,6 @@ func (r *cacheReader) floats() []float64 {
 	return fs
 }
 
-// byteDict is the largest dictionary whose every index is one uvarint
-// byte: an index below 0x80 is a single byte, and a byte ≥ 0x80 starts an
-// index ≥ 0x80 ≥ d, which is out of range anyway.
-const byteDict = 0x80
-
-// cells checks the dictionary-coded run of m cells at the reader's position
-// and returns it, dictionary included, as a sub-slice of the payload:
-// every index must name one of the d dictionary values. Nothing is decoded
-// or allocated; decodeCells turns a checked run into values.
-func (r *cacheReader) cells(m int) []byte {
-	run := r.b
-	d := r.count(8)
-	if r.err != nil {
-		return nil
-	}
-	p := r.b[8*d:]
-	if d <= byteDict {
-		if len(p) < m {
-			r.fail("truncated payload")
-			return nil
-		}
-		if !bytesBelow(p[:m], byte(d)) {
-			r.fail("cell index out of range")
-			return nil
-		}
-		p = p[m:]
-	} else {
-		for i := 0; i < m; i++ {
-			idx, n := binary.Uvarint(p)
-			if n <= 0 {
-				r.fail("truncated payload")
-				return nil
-			}
-			if idx >= uint64(d) {
-				r.fail("cell index out of range")
-				return nil
-			}
-			p = p[n:]
-		}
-	}
-	r.b = p
-	return run[:len(run)-len(p)]
-}
-
-// bytesBelow reports whether every byte of p is below d (d ≤ 0x80). It
-// tests eight bytes at a time: adding 0x80−d to a byte below 0x80 cannot
-// carry into the next byte and sets the byte's top bit exactly when the
-// byte is ≥ d, and a byte with its own top bit set fails either way.
-func bytesBelow(p []byte, d byte) bool {
-	const ones, tops = 0x0101010101010101, 0x8080808080808080
-	k := uint64(0x80-d) * ones
-	var acc uint64
-	for ; len(p) >= 8; p = p[8:] {
-		x := binary.LittleEndian.Uint64(p)
-		acc |= x | (x + k)
-	}
-	if acc&tops != 0 {
-		return false
-	}
-	for _, c := range p {
-		if c >= d {
-			return false
-		}
-	}
-	return true
-}
-
-// decodeCells decodes the m cells of a run cells checked.
-func decodeCells(run []byte, m int) []float64 {
-	d, n := binary.Uvarint(run)
-	// A byte indexes the 256-entry table without a bounds check.
-	var small [256]float64
-	dict := small[:]
-	if d > byteDict {
-		dict = make([]float64, d)
-	}
-	for i := range int(d) {
-		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(run[n+8*i:]))
-	}
-	p := run[n+8*int(d):]
-	vals := make([]float64, m)
-	if d <= byteDict {
-		for i, c := range p[:m] {
-			vals[i] = small[c]
-		}
-		return vals
-	}
-	for i := range vals {
-		idx, k := binary.Uvarint(p)
-		vals[i], p = dict[idx], p[k:]
-	}
-	return vals
-}
-
 // ifaceTable decodes the interface table; rows must be well-formed
 // interfaces, since edge grouping divides by NumAxes and indexes Fwd/Bwd by
 // it.
@@ -693,23 +512,6 @@ func (r *cacheReader) nodeEntry(table []*cost.Iface) *nodeEntry {
 	return e
 }
 
-// edgeEntry reads one edge record, keeping its checked cells coded.
-func (r *cacheReader) edgeEntry() *edgeEntry {
-	// Every one of the nr·nc cells takes at least one index byte.
-	nr, nc := r.count(1), r.count(1)
-	if r.err == nil && nc > 0 && nr > len(r.b)/nc {
-		r.fail("declared length exceeds payload")
-	}
-	m := &edgeMat{nr: nr, nc: nc, rows: r.groupIDs(nr), cols: r.groupIDs(nc)}
-	run := r.cells(nr * nc)
-	if r.err != nil {
-		return nil
-	}
-	e := &edgeEntry{m: m}
-	e.coded.Store(&run)
-	return e
-}
-
 // plan reads one plan entry. Its indices must fit an int32; whether they fit
 // a candidate space is checked where the plan is used.
 func (r *cacheReader) plan() *cachedPlan {
@@ -727,19 +529,4 @@ func (r *cacheReader) plan() *cachedPlan {
 		return nil
 	}
 	return p
-}
-
-// groupIDs reads a candidate → group map whose ids must index one of the
-// matrix's groups.
-func (r *cacheReader) groupIDs(groups int) []int32 {
-	ids := make([]int32, r.count(1))
-	for i := range ids {
-		id := r.uvarint()
-		if id >= uint64(groups) {
-			r.fail("edge group id out of range")
-			return nil
-		}
-		ids[i] = int32(id)
-	}
-	return ids
 }

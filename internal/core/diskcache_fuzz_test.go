@@ -14,11 +14,10 @@ import (
 	"repro/internal/model"
 )
 
-// maxLoadAllocPerByte bounds what Load may allocate per file byte. Edge
-// cells stay coded, so the densest records are interface references, which
-// expand about 8× (a one-byte reference becomes a pointer); the worst are
-// near-empty node records, a few bytes each that cost a nodeEntry and two
-// map slots.
+// maxLoadAllocPerByte bounds what Load may allocate per file byte. The
+// densest records are interface references, which expand about 8× (a
+// one-byte reference becomes a pointer); the worst are near-empty node
+// records, a few bytes each that cost a nodeEntry and two map slots.
 const maxLoadAllocPerByte = 128
 
 // FuzzDiskCacheLoad hands Load arbitrary payloads behind a valid magic,
@@ -26,14 +25,13 @@ const maxLoadAllocPerByte = 128
 // Load must return without panicking, allocate at most a fixed multiple of
 // the file's size, and leave the cache empty whenever it reports an error.
 // Whenever it succeeds, save → load → save must reproduce the payload byte
-// for byte, and every edge entry must decode: Load checks every cell index,
-// so a decode on a search's first hit cannot fail.
+// for byte.
 // Load decodes while it verifies the digest, so each payload is also
 // loaded behind a digest with one byte flipped: that Load must report
 // errDigestMismatch, whatever the decode found, under the same bounds.
 // The checked-in corpus holds payloads that declare lengths of 2^61–2^62
-// (plans and plan indices included), out-of-range cell indices, interface
-// references and plan indices, and a real payload.
+// (plans and plan indices included), out-of-range interface references and
+// plan indices, payloads written with an edges section, and a real payload.
 func FuzzDiskCacheLoad(f *testing.F) {
 	f.Add(smallCachePayload(f))
 	dir := f.TempDir()
@@ -71,18 +69,13 @@ func FuzzDiskCacheLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		saved := encodeCachePayload(c.nodes.m, c.edges.m, c.plans.m)
-		nodes, edges, plans, err := decodeCachePayload(saved)
+		saved := encodeCachePayload(c.nodes.m, c.plans.m)
+		nodes, plans, err := decodeCachePayload(saved)
 		if err != nil {
 			t.Fatalf("a saved payload does not load: %v", err)
 		}
-		if !bytes.Equal(encodeCachePayload(nodes, edges, plans), saved) {
+		if !bytes.Equal(encodeCachePayload(nodes, plans), saved) {
 			t.Fatal("save → load → save changed the payload")
-		}
-		for k, e := range c.edges.m {
-			if m := e.matrix(); len(m.vals) != m.nr*m.nc {
-				t.Fatalf("edge %q decoded %d cells, want %d×%d", k, len(m.vals), m.nr, m.nc)
-			}
 		}
 	})
 }
@@ -100,5 +93,5 @@ func smallCachePayload(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	c := o.Cache
-	return encodeCachePayload(c.nodes.m, c.edges.m, c.plans.m)
+	return encodeCachePayload(c.nodes.m, c.plans.m)
 }

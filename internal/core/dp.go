@@ -36,8 +36,9 @@ type Optimizer struct {
 	Opts Options
 	// Cache persists node evaluations, edge matrices and finished plans
 	// ACROSS Plan calls (see crosscache.go). NewOptimizer attaches the
-	// process-wide DefaultSearchCache; set a private NewSearchCache (or nil)
-	// to isolate.
+	// process-wide DefaultSearchCache; set a private NewSearchCache to
+	// isolate. nil isolates each call: every search gets an empty cache of
+	// its own.
 	Cache *SearchCache
 }
 
@@ -460,29 +461,19 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	// by an earlier Plan call reuse the stored α-independent evaluation;
 	// only the misses are evaluated (and then published for later calls).
 	ccache := o.crossCache()
-	var envSig []byte
-	if ccache != nil {
-		envSig = o.appendEnvSig(nil)
-	}
+	envSig := o.appendEnvSig(nil)
 	slotCands := make([]*nodeCands, len(slotNode))
 	evalSlots := make([]int, 0, len(slotNode))
-	var nodeKeys []string
-	if ccache == nil {
-		for s := range slotNode {
+	nodeKeys := make([]string, len(slotNode))
+	for s, ni := range slotNode {
+		nodeKeys[s] = string(appendNodeCrossKey(envSig, g.Nodes[ni]))
+		// An entry that does not fit the op and cluster its key names
+		// (a hostile disk cache) is a miss.
+		if e := ccache.nodes.get(nodeKeys[s]); e != nil && e.fitsOp(g.Nodes[ni], o.Cost.Cluster) {
+			slotCands[s] = e.withAlpha(o.Cost.Alpha)
+			stats.CrossCallNodeHits++
+		} else {
 			evalSlots = append(evalSlots, s)
-		}
-	} else {
-		nodeKeys = make([]string, len(slotNode))
-		for s, ni := range slotNode {
-			nodeKeys[s] = string(appendNodeCrossKey(envSig, g.Nodes[ni]))
-			// An entry that does not fit the op and cluster its key names
-			// (a hostile disk cache) is a miss.
-			if e := ccache.nodes.get(nodeKeys[s]); e != nil && e.fitsOp(g.Nodes[ni], o.Cost.Cluster) {
-				slotCands[s] = e.withAlpha(o.Cost.Alpha)
-				stats.CrossCallNodeHits++
-			} else {
-				evalSlots = append(evalSlots, s)
-			}
 		}
 	}
 	nodeW := innerWorkers(stats.Workers, len(evalSlots))
@@ -492,10 +483,8 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	}); err != nil {
 		return nil, err
 	}
-	if ccache != nil {
-		for _, s := range evalSlots {
-			ccache.nodes.put(nodeKeys[s], slotCands[s].nodeEntry)
-		}
+	for _, s := range evalSlots {
+		ccache.nodes.put(nodeKeys[s], slotCands[s].nodeEntry)
 	}
 	cands := make([]*nodeCands, len(g.Nodes))
 	for i, op := range g.Nodes {
@@ -535,16 +524,13 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	// Plan tier (plancache.go): a repeat at any layer count is served from
 	// the stored answer over the candidate lists just rebuilt; no edge
 	// matrix, layer table or layer pick runs.
-	var planKey string
-	if ccache != nil {
-		planKey = string(o.appendPlanCrossKey(envSig, g))
-		if e := ccache.plans.get(planKey); e != nil && e.fits(spaceSizes) {
-			stats.CrossCallPlanHits = 1
-			strat := strategyOf(cands, e.idx, e.layerCost, layers, spaceSizes)
-			stats.TotalTime = time.Since(start)
-			strat.Stats = stats
-			return strat, nil
-		}
+	planKey := string(o.appendPlanCrossKey(envSig, g))
+	if e := ccache.plans.get(planKey); e != nil && e.fits(spaceSizes) {
+		stats.CrossCallPlanHits = 1
+		strat := strategyOf(cands, e.idx, e.layerCost, layers, spaceSizes)
+		stats.TotalTime = time.Since(start)
+		strat.Stats = stats
+		return strat, nil
 	}
 
 	// Layer table: built from the node and edge tiers on every plan miss,
@@ -558,9 +544,7 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	assign, layerCost := layerTable.layerPlan(len(g.Nodes), periodic)
 	stats.StackTime = time.Since(tPick)
 	strat := strategyOf(cands, assign, layerCost, layers, spaceSizes)
-	if ccache != nil {
-		ccache.plans.put(planKey, &cachedPlan{idx: assign, layerCost: layerCost})
-	}
+	ccache.plans.put(planKey, &cachedPlan{idx: assign, layerCost: layerCost})
 	stats.TotalTime = time.Since(start)
 	strat.Stats = stats
 	return strat, nil
@@ -637,25 +621,22 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 	uniqEdges, matIdx := edgeSlots(g, in)
 	mats := make([]*edgeMat, len(uniqEdges))
 	buildSlots := make([]int, 0, len(uniqEdges))
-	var edgeKeys []string
-	if ccache == nil {
-		for s := range uniqEdges {
+	// The cross-call key folds exactly what the within-call key does (plus
+	// the environment), so each slot has one cross key — the one the
+	// estimator (estimate.go) probes. A cached matrix whose group maps do
+	// not cover the slot's spaces is a miss: a node-tier flush can replace
+	// a hostile loaded node entry the matrix was built over with an
+	// evaluation of another size. The check is two length compares, cheap
+	// enough for every hit.
+	edgeKeys := make([]string, len(uniqEdges))
+	for s, e := range uniqEdges {
+		edgeKeys[s] = string(appendEdgeCrossKey(envSig, g, e))
+		m := ccache.edges.get(edgeKeys[s])
+		if m != nil && len(m.rows) == len(cands[e.Src].seqs) && len(m.cols) == len(cands[e.Dst].seqs) {
+			mats[s] = m
+			stats.CrossCallEdgeHits++
+		} else {
 			buildSlots = append(buildSlots, s)
-		}
-	} else {
-		// The cross-call key folds exactly what the within-call key does
-		// (plus the environment), so each slot has one cross key — the one
-		// the estimator (estimate.go) probes. A loaded entry whose group
-		// maps do not fit the slot's spaces is a miss.
-		edgeKeys = make([]string, len(uniqEdges))
-		for s, e := range uniqEdges {
-			edgeKeys[s] = string(appendEdgeCrossKey(envSig, g, e))
-			if en := ccache.edges.get(edgeKeys[s]); en != nil && en.fits(len(cands[e.Src].seqs), len(cands[e.Dst].seqs)) {
-				mats[s] = en.matrix()
-				stats.CrossCallEdgeHits++
-			} else {
-				buildSlots = append(buildSlots, s)
-			}
 		}
 	}
 	buildEdges := make([]*graph.Edge, len(buildSlots))
@@ -670,10 +651,8 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 		mats[s] = built[i]
 	}
 	stats.EdgeFracCells = fracCells
-	if ccache != nil {
-		for _, s := range buildSlots {
-			ccache.edges.put(edgeKeys[s], &edgeEntry{m: mats[s]})
-		}
+	for _, s := range buildSlots {
+		ccache.edges.put(edgeKeys[s], mats[s])
 	}
 	edgeMats := make(map[*graph.Edge]*edgeMat, len(g.Edges))
 	for i, e := range g.Edges {

@@ -41,7 +41,8 @@ type SearchEstimate struct {
 	// quadratic stages cost nothing and, short of a plan hit, only the
 	// layer table's DP runs. A plan hit asks for no edge matrix, so it is
 	// Warm whenever its nodes are cached. Always false when the
-	// configuration bypasses the cache (calibration Book, nil Cache).
+	// configuration bypasses the cache (calibration Book, nil Cache):
+	// the call's private cache is empty.
 	Warm bool
 	// PlanHit reports that the finished answer is in the plan tier
 	// (plancache.go): the search will run the node pass only, and the edge
@@ -78,10 +79,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	}
 
 	ccache := o.crossCache()
-	var envSig []byte
-	if ccache != nil {
-		envSig = o.appendEnvSig(nil)
-	}
+	envSig := o.appendEnvSig(nil)
 	nbits := o.Cost.Cluster.Bits()
 
 	// Node pass: search's slots (nodeSlots), then a cache probe per
@@ -92,15 +90,13 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// is enumerated.
 	in := &sigInterner{}
 	slotOf, slotNode := nodeSlots(g, in)
-	est := SearchEstimate{Warm: ccache != nil}
+	est := SearchEstimate{Warm: true}
 	slotSize := make([]int, len(slotNode))
 	for s, ni := range slotNode {
 		op := g.Nodes[ni]
-		if ccache != nil {
-			if e := ccache.nodes.get(string(appendNodeCrossKey(envSig, op))); e != nil {
-				slotSize[s] = len(e.seqs)
-				continue
-			}
+		if e := ccache.nodes.get(string(appendNodeCrossKey(envSig, op))); e != nil {
+			slotSize[s] = len(e.seqs)
+			continue
 		}
 		slotSize[s] = SpaceSize(op, nbits, o.Opts)
 		est.Warm = false
@@ -114,17 +110,15 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// Plan tier: the same key and bounds check as search, so a PlanHit
 	// promise holds against an unchanged cache. Work drops to one unit per
 	// node lookup on top of any node evaluations.
-	if ccache != nil {
-		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil {
-			sizes := make([]int, len(g.Nodes))
-			for i := range sizes {
-				sizes[i] = size(i)
-			}
-			if e.fits(sizes) {
-				est.PlanHit = true
-				est.Work = nodeWork + float64(len(g.Nodes))
-				return est, nil
-			}
+	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil {
+		sizes := make([]int, len(g.Nodes))
+		for i := range sizes {
+			sizes[i] = size(i)
+		}
+		if e.fits(sizes) {
+			est.PlanHit = true
+			est.Work = nodeWork + float64(len(g.Nodes))
+			return est, nil
 		}
 	}
 
@@ -135,7 +129,7 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	// uncached matrix costs n_src × n_dst cells.
 	uniqEdges, _ := edgeSlots(g, in)
 	for _, e := range uniqEdges {
-		if ccache == nil || ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
+		if ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
 			est.Warm = false
 			est.EdgeBuilds++
 			est.EdgeCells += int64(size(e.Src)) * int64(size(e.Dst))

@@ -297,10 +297,7 @@ func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	g := req.Graph
 	ccache := o.crossCache()
-	var envSig []byte
-	if ccache != nil {
-		envSig = o.appendEnvSig(nil)
-	}
+	envSig := o.appendEnvSig(nil)
 	in := &sigInterner{}
 	slotOf := make([]int, len(g.Nodes))
 	var slotNode []int
@@ -315,12 +312,12 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 		}
 		slotOf[i] = s
 	}
-	est := SearchEstimate{Warm: ccache != nil}
+	est := SearchEstimate{Warm: true}
 	slotSize := make([]int, len(slotNode))
 	for s, ni := range slotNode {
 		op := g.Nodes[ni]
 		slotSize[s] = SpaceSize(op, o.Cost.Cluster.Bits(), o.Opts)
-		if ccache == nil || ccache.nodes.get(string(appendNodeCrossKey(envSig, op))) == nil {
+		if ccache.nodes.get(string(appendNodeCrossKey(envSig, op))) == nil {
 			est.Warm = false
 			est.NodeEvals++
 			est.CandidatesEvaluated += slotSize[s]
@@ -328,17 +325,15 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	}
 	eff := func(i int) int { return slotSize[slotOf[i]] }
 	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
-	if ccache != nil {
-		if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil {
-			sizes := make([]int, len(g.Nodes))
-			for i := range sizes {
-				sizes[i] = eff(i)
-			}
-			if e.fits(sizes) {
-				est.PlanHit = true
-				est.Work = nodeWork + float64(len(g.Nodes))
-				return est
-			}
+	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil {
+		sizes := make([]int, len(g.Nodes))
+		for i := range sizes {
+			sizes[i] = eff(i)
+		}
+		if e.fits(sizes) {
+			est.PlanHit = true
+			est.Work = nodeWork + float64(len(g.Nodes))
+			return est
 		}
 	}
 	seen := make(map[edgeMatKey]bool)
@@ -348,7 +343,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 			continue
 		}
 		seen[k] = true
-		if ccache == nil || ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
+		if ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
 			est.Warm = false
 			est.EdgeBuilds++
 			est.EdgeCells += int64(eff(e.Src)) * int64(eff(e.Dst))

@@ -120,9 +120,7 @@ func nodeCells(e *nodeEntry) int64 {
 	return n
 }
 
-// edgeCells counts a matrix's grouped cells whether or not a loaded entry
-// has decoded them yet, so a first-hit decode never pushes the tier past
-// its cap.
-func edgeCells(e *edgeEntry) int64 { return int64(e.m.nr) * int64(e.m.nc) }
+// edgeCells counts a matrix's grouped cells.
+func edgeCells(m *edgeMat) int64 { return int64(m.nr) * int64(m.nc) }
 
 func planCells(e *cachedPlan) int64 { return int64(len(e.idx)) }

@@ -52,7 +52,7 @@ func TestSearchCacheTiers(t *testing.T) {
 		})
 	})
 	t.Run("edges", func(t *testing.T) {
-		checkTier(t, NewSearchCache().edges, func(n int) *edgeEntry { return &edgeEntry{m: &edgeMat{nr: n, nc: 1}} })
+		checkTier(t, NewSearchCache().edges, func(n int) *edgeMat { return &edgeMat{nr: n, nc: 1} })
 	})
 	t.Run("plans", func(t *testing.T) {
 		checkTier(t, NewSearchCache().plans, func(n int) *cachedPlan { return &cachedPlan{idx: make([]int32, n)} })

@@ -63,7 +63,8 @@ type Optimizer struct {
 	// ACROSS Plan3D calls and with plain core.Plan calls on any sub-cluster
 	// (stage sub-clusters get disjoint keys via the env signature).
 	// NewOptimizer attaches core.DefaultSearchCache; set a private
-	// core.NewSearchCache (or nil) to isolate.
+	// core.NewSearchCache to isolate. nil isolates each stage search: every
+	// one gets an empty cache of its own.
 	Cache *core.SearchCache
 	// Alpha overrides the Eq. 7 latency↔memory weight of every per-stage
 	// tensor-parallel sub-search; nil keeps the cost model's default. The
