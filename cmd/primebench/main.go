@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -74,8 +75,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "primebench: cache load failed (%v), starting cold\n", err)
 			}
 		} else {
-			n, _ := core.DefaultSearchCache.Sizes()
-			fmt.Printf("loaded search cache from %s (%d node entries, %d plans)\n\n", *cacheDir, n, core.DefaultSearchCache.PlanEntries())
+			fmt.Printf("loaded search cache from %s (%d plans, %.3f MB)\n\n", *cacheDir, core.DefaultSearchCache.PlanEntries(), cacheFileMB(*cacheDir))
 		}
 	}
 
@@ -295,26 +295,36 @@ func main() {
 	}
 	if *cacheDir != "" {
 		check(core.DefaultSearchCache.Save(*cacheDir))
-		n, _ := core.DefaultSearchCache.Sizes()
-		fmt.Printf("saved search cache to %s (%d node entries, %d plans)\n", *cacheDir, n, core.DefaultSearchCache.PlanEntries())
+		fmt.Printf("saved search cache to %s (%d plans, %.3f MB)\n", *cacheDir, core.DefaultSearchCache.PlanEntries(), cacheFileMB(*cacheDir))
 	}
 	fmt.Printf("primebench finished in %s\n", time.Since(start).Round(time.Millisecond))
 }
 
 // requireWarm verifies a fully warm run: no node evaluations or edge-matrix
 // builds anywhere, and at least one cross-call hit to prove the cache was
-// actually consulted.
+// actually consulted. A plan hit runs no node pass, so it is proof on its
+// own.
 func requireWarm(rows []experiments.Table2Row) error {
 	for _, r := range rows {
 		if r.Stats.NodeEvals != 0 || r.Stats.EdgeMatsBuilt != 0 {
 			return fmt.Errorf("require-warm: %s@%d recomputed %d node evals, %d edge matrices",
 				r.Model, r.Scale, r.Stats.NodeEvals, r.Stats.EdgeMatsBuilt)
 		}
-		if r.Stats.CrossCallNodeHits+r.Stats.CrossCallEdgeHits == 0 {
+		if r.Stats.CrossCallNodeHits+r.Stats.CrossCallEdgeHits+r.Stats.CrossCallPlanHits == 0 {
 			return fmt.Errorf("require-warm: %s@%d reports no cross-call hits", r.Model, r.Scale)
 		}
 	}
 	return nil
+}
+
+// cacheFileMB returns the size of the cache file in dir in MB, or 0 when it
+// cannot be read.
+func cacheFileMB(dir string) float64 {
+	fi, err := os.Stat(filepath.Join(dir, core.CacheFileName))
+	if err != nil {
+		return 0
+	}
+	return float64(fi.Size()) / 1e6
 }
 
 func anyRan(exp string) bool {

@@ -3,8 +3,8 @@
 // and get back the optimal spatial-temporal partition strategy, its cost
 // breakdown and the search instrumentation. All requests share one
 // cross-call search cache, so repeated and near-identical plans are served
-// with zero node or edge work, and the cache's node entries and plans
-// persist across restarts via -cache-dir.
+// with zero node or edge work, and the cache's plans persist across
+// restarts via -cache-dir.
 //
 // Usage:
 //
@@ -78,13 +78,18 @@ func loadCache(cache *core.SearchCache, dir string, stdout, stderr io.Writer) {
 		return
 	}
 	took := time.Since(start)
-	n, _ := cache.Sizes()
-	var mb float64
-	if fi, err := os.Stat(filepath.Join(dir, core.CacheFileName)); err == nil {
-		mb = float64(fi.Size()) / 1e6
+	fmt.Fprintf(stdout, "primepard: loaded search cache from %s (%d plans, %.3f MB in %v)\n",
+		dir, cache.PlanEntries(), cacheFileMB(dir), took.Round(time.Microsecond))
+}
+
+// cacheFileMB returns the size of the cache file in dir in MB, or 0 when it
+// cannot be read.
+func cacheFileMB(dir string) float64 {
+	fi, err := os.Stat(filepath.Join(dir, core.CacheFileName))
+	if err != nil {
+		return 0
 	}
-	fmt.Fprintf(stdout, "primepard: loaded search cache from %s (%d node entries, %d plans, %.1f MB in %v)\n",
-		dir, n, cache.PlanEntries(), mb, took.Round(time.Millisecond))
+	return float64(fi.Size()) / 1e6
 }
 
 func main() {
@@ -166,9 +171,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "primepard: final cache save failed: %v\n", err)
 			os.Exit(1)
 		}
-		n, _ := cache.Sizes()
-		fmt.Printf("primepard: saved search cache to %s (%d node entries, %d plans)\n",
-			*cacheDir, n, cache.PlanEntries())
+		fmt.Printf("primepard: saved search cache to %s (%d plans, %.3f MB)\n",
+			*cacheDir, cache.PlanEntries(), cacheFileMB(*cacheDir))
 	}
 }
 

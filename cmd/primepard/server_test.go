@@ -72,7 +72,8 @@ func postPlan(t *testing.T, ts *httptest.Server, req PlanRequest) planOutcome {
 
 // TestPlanColdThenWarm is the service's core contract: the first request
 // searches, an identical repeat is served entirely from the shared cache
-// (zero node/edge/DP work, node and plan hits) with an identical digest.
+// (zero node/edge/DP work, one plan hit and no node pass) with an identical
+// digest.
 func TestPlanColdThenWarm(t *testing.T) {
 	s := newTestServer(t, "", noAdmission)
 	ts := httptest.NewServer(s.handler())
@@ -99,9 +100,9 @@ func TestPlanColdThenWarm(t *testing.T) {
 		t.Fatalf("warm plan recomputed: %d node evals, %d edge builds",
 			warm.resp.Stats.NodeEvals, warm.resp.Stats.EdgeMatsBuilt)
 	}
-	if warm.resp.Stats.CrossCallNodeHits == 0 || warm.resp.Stats.CrossCallPlanHits != 1 ||
+	if warm.resp.Stats.CrossCallNodeHits != 0 || warm.resp.Stats.CrossCallPlanHits != 1 ||
 		warm.resp.Stats.EntriesScanned != 0 {
-		t.Fatalf("warm plan not served from the node and plan tiers: %+v", warm.resp.Stats)
+		t.Fatalf("warm plan not served from the plan tier alone: %+v", warm.resp.Stats)
 	}
 	if warm.resp.Digest != cold.resp.Digest || warm.resp.TotalCost != cold.resp.TotalCost {
 		t.Fatalf("warm plan diverged: digest %s vs %s, total %v vs %v",
@@ -110,7 +111,7 @@ func TestPlanColdThenWarm(t *testing.T) {
 
 	// /v1/stats reflects both requests and the warm hits.
 	st := getStats(t, ts)
-	if st.PlansServed != 2 || st.CrossCallNodeHits == 0 || st.CacheNodes == 0 || st.CacheEdges == 0 ||
+	if st.PlansServed != 2 || st.CrossCallNodeHits != 0 || st.CacheNodes == 0 || st.CacheEdges == 0 ||
 		st.CachePlans != 1 || st.CrossCallPlanHits != 1 {
 		t.Fatalf("stats inconsistent after cold+warm: %+v", st)
 	}
@@ -592,13 +593,13 @@ func TestSaveCache(t *testing.T) {
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
-	if resp.Stats.NodeEvals != 0 || resp.Stats.CrossCallNodeHits == 0 {
+	if resp.Stats.NodeEvals != 0 || resp.Stats.CrossCallPlanHits != 1 {
 		t.Fatalf("restart was not warm: %+v", resp.Stats)
 	}
 }
 
-// TestStartupRefusesOldCacheFile: a cache file written in PPSC v9, the
-// format that still held an edges section, is refused by Load, and
+// TestStartupRefusesOldCacheFile: a cache file written in PPSC v10, the
+// format that still held node entries and interfaces, is refused by Load, and
 // the daemon's startup load reports it and starts on an empty cache instead
 // of exiting; its first plan is a cold search that answers normally.
 func TestStartupRefusesOldCacheFile(t *testing.T) {
@@ -610,17 +611,17 @@ func TestStartupRefusesOldCacheFile(t *testing.T) {
 	if err := s.saveCache(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the header's version to 9; the digest covers only the
+	// Rewrite the header's version to 10; the digest covers only the
 	// payload, so nothing but the version check can refuse the file.
 	path := filepath.Join(dir, core.CacheFileName)
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(file[:4]) != "PPSC" || file[4] != 10 {
+	if string(file[:4]) != "PPSC" || file[4] != 11 {
 		t.Fatalf("unexpected header % x", file[:5])
 	}
-	file[4] = 9
+	file[4] = 10
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -628,8 +629,8 @@ func TestStartupRefusesOldCacheFile(t *testing.T) {
 	cache := core.NewSearchCache()
 	var stdout, stderr bytes.Buffer
 	loadCache(cache, dir, &stdout, &stderr)
-	if !strings.Contains(stderr.String(), "unsupported version 9") || !strings.Contains(stderr.String(), "starting cold") {
-		t.Fatalf("startup did not report the v9 file: stderr %q", stderr.String())
+	if !strings.Contains(stderr.String(), "unsupported version 10") || !strings.Contains(stderr.String(), "starting cold") {
+		t.Fatalf("startup did not report the v10 file: stderr %q", stderr.String())
 	}
 	if n, e := cache.Sizes(); n != 0 || e != 0 || cache.PlanEntries() != 0 || stdout.Len() != 0 {
 		t.Fatalf("refused file left %d nodes, %d edges, %d plans; stdout %q", n, e, cache.PlanEntries(), stdout.String())
@@ -683,7 +684,7 @@ func TestStatsKeys(t *testing.T) {
 		t.Error(`key "dedup_hits" missing`)
 	}
 	for _, k := range []string{"plans_served", "warm_served", "cache_nodes", "cache_edges",
-		"cache_plans", "cross_call_node_hits", "cross_call_plan_hits",
+		"cache_plans", "cross_call_plan_hits",
 		"cands_total", "entries_scanned"} {
 		if v, ok := st[k].(float64); !ok || v == 0 {
 			t.Errorf("key %q = %v, want a non-zero number", k, st[k])
@@ -691,7 +692,9 @@ func TestStatsKeys(t *testing.T) {
 	}
 	// cache_tables and cross_call_table_hits always read zero (DESIGN.md
 	// §5.34); the keys stay because the repository benchmark reads them.
-	for _, k := range []string{"cross_call_edge_hits", "cache_tables", "cross_call_table_hits"} {
+	// Node and edge hits read zero here: a cold search and two plan hits,
+	// which run no node pass, consult neither tier.
+	for _, k := range []string{"cross_call_node_hits", "cross_call_edge_hits", "cache_tables", "cross_call_table_hits"} {
 		if _, ok := st[k].(float64); !ok {
 			t.Errorf("key %q missing", k)
 		}

@@ -10,14 +10,16 @@
 // dimension re-runs only its changed frontier:
 //
 //   - identical repeat or layer-count change → a plan hit: the answer is
-//     one periodic layer whatever the count, served after the node pass;
+//     one periodic layer whatever the count, served from the stored answer
+//     with no node pass;
 //   - α shift → node and edge entries hit (both are α-independent), but the
 //     plan key folds α, so the layer table's DP re-runs from cached inputs;
 //   - one graph edit → only the edited op re-evaluates, and every segment's
 //     DP re-runs from cached matrices;
-//   - α shift or graph edit right after a restart → the node entries hit,
-//     but edge matrices are not persisted (diskcache.go), so the search
-//     rebuilds the layer's edges once before its DP (DESIGN.md §5.35);
+//   - α shift or graph edit right after a restart → a cold search: the
+//     restart file holds plans only (diskcache.go), so the search evaluates
+//     the layer's nodes and builds its edges once before its DP (DESIGN.md
+//     §5.36);
 //   - device count / profile → the environment prefix changes, so every
 //     tier misses (candidate spaces are genuinely different).
 //
@@ -49,7 +51,6 @@ import (
 	"sync"
 
 	"repro/internal/cost"
-	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
@@ -58,65 +59,29 @@ import (
 // candidate space's interned axis patterns (cost.Patterns of its output and
 // of its input interfaces), which every edge touching the space groups and
 // keys its tables by. They are built on the first edge build over the
-// entry, never in evalNode or Load, so a warm plan-tier hit never pays for
-// them, and once per entry: every later search that reuses the entry,
-// in-process or loaded from disk, reuses them.
+// entry, never in evalNode, and once per entry: every later search that
+// reuses the entry reuses them. Every entry is evaluated in this process
+// (the restart file holds plans only), so it fits the op its key names.
 type nodeEntry struct {
 	seqs  []partition.Seq
 	intra []cost.Intra
 	out   []*cost.Iface
 	in    []*cost.Iface
 
-	fitOnce sync.Once // guards fits
-	fits    bool
-
 	patOnce         sync.Once // guards outPats and inPats
 	outPats, inPats *cost.Patterns
-}
-
-// fitsOp reports whether the entry fits op on cl: every interface has op's
-// axis count and cl's device count, and every sequence passes Seq.Validate.
-// An entry evaluated in this process always fits; one loaded from a hostile
-// or corrupt disk cache may not, and the search then treats it as a miss.
-// The node key fixes op's shape and the cluster, so the first caller's
-// check holds for every caller, and it runs once per entry, not on every
-// hit.
-func (e *nodeEntry) fitsOp(op *graph.Op, cl *device.Cluster) bool {
-	e.fitOnce.Do(func() { e.fits = e.fitsSpace(len(op.Axes), cl.NumDevices, cl.Bits()) })
-	return e.fits
 }
 
 // patterns returns the interned axis patterns of the entry's output and
 // input interfaces, building them on first use. Several edge builds of one
 // search, or the concurrent stage searches of Plan3D on one SearchCache,
-// may ask at the same moment; the build runs once. The entry must fit its
-// op: evaluated in this process, or passed by fitsOp.
+// may ask at the same moment; the build runs once.
 func (e *nodeEntry) patterns() (out, in *cost.Patterns) {
 	e.patOnce.Do(func() {
 		e.outPats = cost.NewPatterns(e.out)
 		e.inPats = cost.NewPatterns(e.in)
 	})
 	return e.outPats, e.inPats
-}
-
-// fitsSpace reports whether every candidate's sequence is valid for a
-// numAxes-axis op on nbits device-ID bits and both its interfaces describe
-// numAxes axes on devices devices.
-func (e *nodeEntry) fitsSpace(numAxes, devices, nbits int) bool {
-	for _, s := range e.seqs {
-		if s.Validate(numAxes, nbits) != nil {
-			return false
-		}
-	}
-	for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
-		for _, ifc := range ifs {
-			if ifc == nil || ifc.NumAxes != numAxes || len(ifc.Width) != numAxes ||
-				len(ifc.Fwd) != devices*numAxes || len(ifc.Bwd) != devices*numAxes {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // withAlpha completes a cached entry into a per-call nodeCands: the totals

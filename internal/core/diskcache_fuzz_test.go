@@ -15,9 +15,10 @@ import (
 )
 
 // maxLoadAllocPerByte bounds what Load may allocate per file byte. The
-// densest records are interface references, which expand about 8× (a
-// one-byte reference becomes a pointer); the worst are near-empty node
-// records, a few bytes each that cost a nodeEntry and two map slots.
+// densest records are tokens, which expand about 8× (a six-byte token
+// becomes a six-word partition.Token); the worst are near-empty plan
+// records, eleven bytes each that cost a cachedPlan, its key and two map
+// slots.
 const maxLoadAllocPerByte = 128
 
 // FuzzDiskCacheLoad hands Load arbitrary payloads behind a valid magic,
@@ -26,12 +27,13 @@ const maxLoadAllocPerByte = 128
 // the file's size, and leave the cache empty whenever it reports an error.
 // Whenever it succeeds, save → load → save must reproduce the payload byte
 // for byte.
-// Load decodes while it verifies the digest, so each payload is also
-// loaded behind a digest with one byte flipped: that Load must report
-// errDigestMismatch, whatever the decode found, under the same bounds.
-// The checked-in corpus holds payloads that declare lengths of 2^61–2^62
-// (plans and plan indices included), out-of-range interface references and
-// plan indices, payloads written with an edges section, and a real payload.
+// Each payload is also loaded behind a digest with one byte flipped: that
+// Load must report errDigestMismatch, under the same bounds.
+// The checked-in corpus holds v11 payloads that declare lengths of
+// 2^61–2^62 (plans, nodes and tokens), a space size past int32 and a
+// stackable byte of 2, plus payloads of earlier layouts (interface tables,
+// node and edge sections, candidate indices), which must fail cleanly, and a
+// real payload.
 func FuzzDiskCacheLoad(f *testing.F) {
 	f.Add(smallCachePayload(f))
 	dir := f.TempDir()
@@ -69,19 +71,19 @@ func FuzzDiskCacheLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		saved := encodeCachePayload(c.nodes.m, c.plans.m)
-		nodes, plans, err := decodeCachePayload(saved)
+		saved := encodeCachePayload(c.plans.m)
+		plans, err := decodeCachePayload(saved)
 		if err != nil {
 			t.Fatalf("a saved payload does not load: %v", err)
 		}
-		if !bytes.Equal(encodeCachePayload(nodes, plans), saved) {
+		if !bytes.Equal(encodeCachePayload(plans), saved) {
 			t.Fatal("save → load → save changed the payload")
 		}
 	})
 }
 
 // smallCachePayload is the payload Save writes after a two-device OPT-6.7B
-// block search: every record kind, small enough for the fuzzer to mutate.
+// block search: one plan record, small enough for the fuzzer to mutate.
 func smallCachePayload(t testing.TB) []byte {
 	g, err := model.BuildBlock(model.OPT6B7())
 	if err != nil {
@@ -92,6 +94,5 @@ func smallCachePayload(t testing.TB) []byte {
 	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	c := o.Cache
-	return encodeCachePayload(c.nodes.m, c.plans.m)
+	return encodeCachePayload(o.Cache.plans.m)
 }

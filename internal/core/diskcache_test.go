@@ -73,49 +73,31 @@ func sameFloatBits(a, b []float64) bool {
 	return true
 }
 
-func sameIface(a, b *cost.Iface) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.NumAxes == b.NumAxes && sameFloatBits(a.Fwd, b.Fwd) &&
-		sameFloatBits(a.Bwd, b.Bwd) && sameFloatBits(a.Width, b.Width)
-}
-
 func intraBits(ic cost.Intra) []float64 {
 	return []float64{ic.Compute, ic.RingTotal, ic.StepSum, ic.AllReduce, ic.MemoryBytes}
 }
 
-// sameCacheContents fails unless got holds exactly want's node entries and
-// plans, every float compared bit for bit, and no edge matrix: got was
-// loaded from a file, which holds none.
+// sameCacheContents fails unless got holds exactly want's plans, every float
+// compared bit for bit, and no node entry or edge matrix: got was loaded
+// from a file, which holds neither.
 func sameCacheContents(t *testing.T, got, want *SearchCache) {
 	t.Helper()
-	if len(got.nodes.m) != len(want.nodes.m) || len(got.edges.m) != 0 || len(got.plans.m) != len(want.plans.m) {
-		t.Fatalf("got %d nodes, %d edges, %d plans; want %d, 0, %d", len(got.nodes.m), len(got.edges.m), len(got.plans.m),
-			len(want.nodes.m), len(want.plans.m))
+	if len(got.nodes.m) != 0 || len(got.edges.m) != 0 || len(got.plans.m) != len(want.plans.m) {
+		t.Fatalf("got %d nodes, %d edges, %d plans; want 0, 0, %d", len(got.nodes.m), len(got.edges.m), len(got.plans.m),
+			len(want.plans.m))
 	}
 	for k, w := range want.plans.m {
 		g := got.plans.m[k]
-		if g == nil || !slices.Equal(g.idx, w.idx) ||
-			!sameFloatBits([]float64{g.layerCost}, []float64{w.layerCost}) {
+		if g == nil || len(g.seqs) != len(w.seqs) || len(g.intra) != len(w.intra) || !slices.Equal(g.sizes, w.sizes) ||
+			!sameFloatBits([]float64{g.layerCost}, []float64{w.layerCost}) || g.stackable != w.stackable {
 			t.Fatalf("plan %.16x: entry differs", k)
-		}
-	}
-	for k, w := range want.nodes.m {
-		g := got.nodes.m[k]
-		if g == nil || len(g.seqs) != len(w.seqs) || len(g.intra) != len(w.intra) ||
-			len(g.out) != len(w.out) || len(g.in) != len(w.in) {
-			t.Fatalf("node %.16x: missing or reshaped", k)
 		}
 		for i := range w.seqs {
 			if !slices.Equal(g.seqs[i].Tokens, w.seqs[i].Tokens) {
-				t.Fatalf("node %.16x: seq %d = %v, want %v", k, i, g.seqs[i], w.seqs[i])
+				t.Fatalf("plan %.16x: seq %d = %v, want %v", k, i, g.seqs[i], w.seqs[i])
 			}
 			if !sameFloatBits(intraBits(g.intra[i]), intraBits(w.intra[i])) {
-				t.Fatalf("node %.16x: intra %d = %+v, want %+v", k, i, g.intra[i], w.intra[i])
-			}
-			if !sameIface(g.out[i], w.out[i]) || !sameIface(g.in[i], w.in[i]) {
-				t.Fatalf("node %.16x: candidate %d interfaces differ", k, i)
+				t.Fatalf("plan %.16x: intra %d = %+v, want %+v", k, i, g.intra[i], w.intra[i])
 			}
 		}
 	}
@@ -138,11 +120,8 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 	sameCacheContents(t, loaded, c)
 
-	// A search against the loaded cache must be a plan hit — zero node
-	// evaluations, edge builds and DP work — and reproduce the strategy
-	// bit-for-bit. With the plan tier dropped, the loaded node tier must
-	// serve the same search, which rebuilds the edges the file does not
-	// hold.
+	// A search against the loaded cache must be a plan hit — no node pass,
+	// edge build or DP work — and reproduce the strategy bit-for-bit.
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
 		t.Fatal(err)
@@ -156,31 +135,22 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := got.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 || s.SegTablesBuilt != 0 ||
-		s.CrossCallNodeHits == 0 || s.CrossCallPlanHits != 1 {
+		s.CrossCallNodeHits != 0 || s.CrossCallPlanHits != 1 {
 		t.Fatalf("loaded cache did not serve a plan hit: %+v", s)
 	}
 	sameStrategy(t, "disk-round-trip", got, want)
-
-	loaded.plans.reset()
-	got, err = o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := got.Stats; s.NodeEvals != 0 || s.CrossCallNodeHits == 0 || s.EdgeMatsBuilt == 0 || s.CrossCallEdgeHits != 0 {
-		t.Fatalf("loaded node tier did not serve the re-plan, or an edge was loaded: %+v", s)
-	}
-	sameStrategy(t, "disk-round-trip-no-plans", got, want)
 }
 
-// TestRestartFileHoldsNoEdges: the restart file persists the node and plan
-// tiers only. After Save and Load the cache holds no edge matrix; a
-// same-α repeat is still a plan hit that evaluates no node, and an α shift,
-// which misses the plan tier, rebuilds every edge of the layer from the
-// loaded node entries and matches a cold search bit for bit.
-func TestRestartFileHoldsNoEdges(t *testing.T) {
+// TestRestartFileHoldsPlansOnly: the restart file persists the plan tier
+// only, and a plan entry carries its answer. After Save and Load the cache
+// holds no node entry and no edge matrix; a same-α repeat is a plan hit
+// that runs no node pass at all; and an α shift, which misses the plan
+// tier, evaluates every node and builds every edge of the layer, matching a
+// cold search bit for bit.
+func TestRestartFileHoldsPlansOnly(t *testing.T) {
 	c, want := warmCache(t)
-	if _, edges := c.Sizes(); edges == 0 {
-		t.Fatal("the planning cache holds no edge matrix, so this test checks nothing")
+	if nodes, edges := c.Sizes(); nodes == 0 || edges == 0 {
+		t.Fatal("the planning cache holds no node entry or edge matrix, so this test checks nothing")
 	}
 	dir := t.TempDir()
 	if err := c.Save(dir); err != nil {
@@ -190,8 +160,8 @@ func TestRestartFileHoldsNoEdges(t *testing.T) {
 	if err := loaded.Load(dir); err != nil {
 		t.Fatal(err)
 	}
-	if nodes, edges := loaded.Sizes(); nodes == 0 || edges != 0 || loaded.PlanEntries() == 0 {
-		t.Fatalf("loaded %d nodes, %d edges, %d plans; want nodes and plans, no edges", nodes, edges, loaded.PlanEntries())
+	if nodes, edges := loaded.Sizes(); nodes != 0 || edges != 0 || loaded.PlanEntries() == 0 {
+		t.Fatalf("loaded %d nodes, %d edges, %d plans; want plans only", nodes, edges, loaded.PlanEntries())
 	}
 
 	plan := func(c *SearchCache, alpha float64) *Strategy {
@@ -211,38 +181,57 @@ func TestRestartFileHoldsNoEdges(t *testing.T) {
 		return s
 	}
 	repeat := plan(loaded, 1e-12)
-	if s := repeat.Stats; s.CrossCallPlanHits != 1 || s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 {
-		t.Fatalf("same-α repeat after Load was not a plan hit: %+v", s)
+	if s := repeat.Stats; s.CrossCallPlanHits != 1 || s.NodeEvals != 0 || s.CrossCallNodeHits != 0 ||
+		s.NodeEvalTime != 0 || s.EdgeMatsBuilt != 0 {
+		t.Fatalf("same-α repeat after Load was not a plan hit without a node pass: %+v", s)
 	}
 	sameStrategy(t, "same-α repeat", repeat, want)
+	if repeat.Stats.CandsTotal != want.Stats.CandsTotal {
+		t.Fatalf("plan hit counts %d candidates, the search that published it %d", repeat.Stats.CandsTotal, want.Stats.CandsTotal)
+	}
 
 	const shifted = 1e-11
 	cold := plan(NewSearchCache(), shifted)
 	got := plan(loaded, shifted)
-	if s := got.Stats; s.CrossCallPlanHits != 0 || s.NodeEvals != 0 || s.CrossCallNodeHits == 0 ||
-		s.CrossCallEdgeHits != 0 || s.EdgeMatsBuilt == 0 || s.EdgeMatsBuilt != cold.Stats.EdgeMatsBuilt {
-		t.Fatalf("α shift after Load: %+v; want node hits and every one of the cold search's %d edges rebuilt",
-			s, cold.Stats.EdgeMatsBuilt)
+	if s := got.Stats; s.CrossCallPlanHits != 0 || s.CrossCallNodeHits != 0 || s.NodeEvals != cold.Stats.NodeEvals ||
+		s.CrossCallEdgeHits != 0 || s.EdgeMatsBuilt != cold.Stats.EdgeMatsBuilt {
+		t.Fatalf("α shift after Load: %+v; want the cold search's %d node evaluations and %d edge builds",
+			s, cold.Stats.NodeEvals, cold.Stats.EdgeMatsBuilt)
 	}
 	sameStrategy(t, "α shift after Load", got, cold)
 }
 
-// TestDiskCachePlanIndexOutOfRange: Load cannot check plan indices against
-// candidate spaces, so a digest-valid file whose plan names a candidate past
-// its node's space, or the wrong number of nodes, loads fine — and the
-// search must treat the entry as a miss and return the cold answer, never
-// panic.
-func TestDiskCachePlanIndexOutOfRange(t *testing.T) {
+// TestLoadedPlanWrongShape: Load cannot check a plan against the graph its
+// key names, so a digest-valid file whose plan has the wrong node count or
+// a sequence its op and cluster cannot run loads fine. The estimator must
+// promise no plan hit, and the search must treat the entry as a miss and
+// return the cold answer, never panic. The file is OPT-175B's block planned
+// on 4 devices (2 device-ID bits) with every plan damaged.
+func TestLoadedPlanWrongShape(t *testing.T) {
 	for name, damage := range map[string]func(p *cachedPlan){
-		"index past space": func(p *cachedPlan) { p.idx[len(p.idx)-1] = math.MaxInt32 },
-		"too few indices":  func(p *cachedPlan) { p.idx = p.idx[:len(p.idx)-1] },
-		"too many indices": func(p *cachedPlan) { p.idx = append(p.idx, 0) },
+		"too few nodes": func(p *cachedPlan) {
+			p.seqs, p.intra, p.sizes = p.seqs[1:], p.intra[1:], p.sizes[1:]
+		},
+		"too many nodes": func(p *cachedPlan) {
+			p.seqs = append(p.seqs, partition.NewSeq())
+			p.intra = append(p.intra, cost.Intra{})
+			p.sizes = append(p.sizes, 1)
+		},
+		"split axis out of range": func(p *cachedPlan) { p.seqs[0] = partition.NewSeq(partition.Split(99)) },
+		"Prime order above nbits/2": func(p *cachedPlan) {
+			p.seqs[0] = partition.NewSeq(partition.NewPrime(2, model.LinB, model.LinM, model.LinK))
+		},
+		"too many bits": func(p *cachedPlan) {
+			p.seqs[0] = partition.NewSeq(partition.Split(0), partition.Split(0), partition.Split(0))
+		},
 	} {
 		c, want := warmCache(t)
 		for k, p := range c.plans.m {
-			bad := &cachedPlan{idx: slices.Clone(p.idx), layerCost: -1}
-			damage(bad)
-			c.plans.m[k] = bad
+			bad := *p
+			bad.seqs, bad.intra, bad.sizes = slices.Clone(p.seqs), slices.Clone(p.intra), slices.Clone(p.sizes)
+			bad.layerCost = -1
+			damage(&bad)
+			c.plans.m[k] = &bad
 		}
 		dir := t.TempDir()
 		if err := c.Save(dir); err != nil {
@@ -272,131 +261,20 @@ func TestDiskCachePlanIndexOutOfRange(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got.Stats.CrossCallPlanHits != 0 || got.Stats.SegTablesBuilt == 0 {
-			t.Errorf("%s: out-of-range plan was served: %+v", name, got.Stats)
+			t.Errorf("%s: a damaged plan was served: %+v", name, got.Stats)
 		}
 		sameStrategy(t, name, got, want)
 	}
 }
 
-// reshapeIface returns a copy of ifc describing numAxes axes on devs
-// devices: every start and width both shapes have is kept, the rest are
-// zero.
-func reshapeIface(ifc *cost.Iface, devs, numAxes int) *cost.Iface {
-	out := &cost.Iface{NumAxes: numAxes, Fwd: make([]float64, devs*numAxes),
-		Bwd: make([]float64, devs*numAxes), Width: make([]float64, numAxes)}
-	copy(out.Width, ifc.Width)
-	for dev := 0; dev < devs && dev < len(ifc.Fwd)/ifc.NumAxes; dev++ {
-		for ax := 0; ax < numAxes && ax < ifc.NumAxes; ax++ {
-			out.Fwd[dev*numAxes+ax] = ifc.Fwd[dev*ifc.NumAxes+ax]
-			out.Bwd[dev*numAxes+ax] = ifc.Bwd[dev*ifc.NumAxes+ax]
-		}
-	}
-	return out
-}
-
-// TestLoadedNodeEntryWrongShape: Load checks each interface on its own but
-// cannot check it against the op and cluster its node key names, so a
-// digest-valid file whose node entries do not fit loads fine. The search
-// must treat such an entry as a miss and return the cold answer, never
-// panic. The file is OPT-175B's block planned on 8 devices with every
-// cached entry damaged, and its plan tier dropped so the search builds
-// edges over the loaded spaces.
-func TestLoadedNodeEntryWrongShape(t *testing.T) {
-	plan := func(c *SearchCache) *Strategy {
-		t.Helper()
-		s, err := planOPT175B(c, 8, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	want := plan(NewSearchCache())
-	eachIface := func(e *nodeEntry, f func(*cost.Iface) *cost.Iface) {
-		for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
-			for i := range ifs {
-				ifs[i] = f(ifs[i])
-			}
-		}
-	}
-	for name, damage := range map[string]func(e *nodeEntry){
-		"interfaces truncated to 4 devices": func(e *nodeEntry) {
-			eachIface(e, func(ifc *cost.Iface) *cost.Iface { return reshapeIface(ifc, 4, ifc.NumAxes) })
-		},
-		"interfaces with one axis more": func(e *nodeEntry) {
-			eachIface(e, func(ifc *cost.Iface) *cost.Iface { return reshapeIface(ifc, 8, ifc.NumAxes+1) })
-		},
-		"missing interface": func(e *nodeEntry) { e.in[len(e.in)-1] = nil },
-		"sequence splits a missing axis": func(e *nodeEntry) {
-			e.seqs[0] = partition.NewSeq(partition.Split(99))
-		},
-	} {
-		c := NewSearchCache()
-		plan(c)
-		for _, e := range c.nodes.m {
-			damage(e)
-		}
-		c.plans.reset()
-		dir := t.TempDir()
-		if err := c.Save(dir); err != nil {
-			t.Fatal(err)
-		}
-		loaded := NewSearchCache()
-		if err := loaded.Load(dir); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := plan(loaded)
-		if got.Stats.CrossCallNodeHits != 0 || got.Stats.NodeEvals == 0 {
-			t.Errorf("%s: a damaged node entry was served: %+v", name, got.Stats)
-		}
-		sameStrategy(t, name, got, want)
-	}
-}
-
-// TestLoadedEdgeEntryWrongShape: the edge tier is not persisted, but a
-// cached matrix can still meet spaces of another size: a hostile loaded
-// node entry that fits its op, an edge built over it, then a node-tier flush
-// and a fresh evaluation. The search must treat a matrix whose group maps do
-// not cover its spaces as a miss and return the cold answer, never panic.
-// The cache is OPT-175B's block planned on 8 devices with every cached
-// matrix damaged in place and its plan tier dropped, so the search reaches
-// the edge tier.
-func TestLoadedEdgeEntryWrongShape(t *testing.T) {
-	plan := func(c *SearchCache) *Strategy {
-		t.Helper()
-		s, err := planOPT175B(c, 8, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	want := plan(NewSearchCache())
-	for name, damage := range map[string]func(m *edgeMat){
-		"rows truncated": func(m *edgeMat) { m.rows = m.rows[:len(m.rows)/2] },
-		"cols extended":  func(m *edgeMat) { m.cols = append(slices.Clip(m.cols), 0) },
-	} {
-		c := NewSearchCache()
-		plan(c)
-		for k, m := range c.edges.m {
-			bad := *m
-			damage(&bad)
-			c.edges.m[k] = &bad
-		}
-		c.plans.reset()
-		got := plan(c)
-		if got.Stats.CrossCallEdgeHits != 0 || got.Stats.EdgeMatsBuilt == 0 {
-			t.Errorf("%s: a damaged edge entry was served: %+v", name, got.Stats)
-		}
-		sameStrategy(t, name, got, want)
-	}
-}
-
-// TestLoadedPatternsBuildConcurrently: a space loaded from disk interns its
-// axis patterns on first use, and a search's edge-prepare tasks — or the
+// TestLoadedPatternsBuildConcurrently: a node entry interns its axis
+// patterns on first use, and a search's edge-prepare tasks — or the
 // concurrent stage searches of Plan3D on one SearchCache — may ask for one
 // entry's patterns at the same moment. Four workers build every edge of an
 // OPT-175B block on 8 devices, where every node has two or more edges and
-// the repeated linears share one entry, over spaces fresh from Load; the
-// matrices must be bit-identical to a serial cold build. Run under -race.
+// the repeated linears share one entry, over fresh evalNode entries whose
+// patterns are not built yet; the matrices must be bit-identical to a
+// serial build over entries of their own. Run under -race.
 func TestLoadedPatternsBuildConcurrently(t *testing.T) {
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
@@ -415,35 +293,32 @@ func TestLoadedPatternsBuildConcurrently(t *testing.T) {
 	m := cost.NewModel(device.MustCluster(8, 4, device.V100Profile()))
 	m.Alpha = 1e-12
 	o := NewOptimizer(m)
-	o.Cache = NewSearchCache()
-	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := o.Cache.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded := NewSearchCache()
-	if err := loaded.Load(dir); err != nil {
-		t.Fatal(err)
-	}
 
-	cold := make([]*nodeCands, len(g.Nodes))
-	warm := make([]*nodeCands, len(g.Nodes))
-	env := o.appendEnvSig(nil)
-	for i, op := range g.Nodes {
-		cold[i] = o.evalNode(op, 1)
-		e := loaded.nodes.get(string(appendNodeCrossKey(env, op)))
-		if e == nil || e.outPats != nil {
-			t.Fatalf("node %d: loaded entry missing or already indexed", i)
-		}
-		warm[i] = e.withAlpha(m.Alpha)
+	// shared gives nodes with equal signatures one entry, as the search's
+	// slots do, so several edges reach the same entry's patterns at once.
+	in := &sigInterner{}
+	slotOf, slotNode := nodeSlots(g, in)
+	slots := make([]*nodeCands, len(slotNode))
+	for s, ni := range slotNode {
+		slots[s] = o.evalNode(g.Nodes[ni], 1)
 	}
-	want, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, cold, o.newOverlapTables(), 1)
+	serial := make([]*nodeCands, len(g.Nodes))
+	shared := make([]*nodeCands, len(g.Nodes))
+	for i, op := range g.Nodes {
+		serial[i] = o.evalNode(op, 1)
+		shared[i] = slots[slotOf[i]]
+		if shared[i].outPats != nil {
+			t.Fatalf("node %d: fresh entry already indexed", i)
+		}
+	}
+	if len(slotNode) == len(g.Nodes) {
+		t.Fatal("no two nodes share an entry, so this test checks less than it claims")
+	}
+	want, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, serial, o.newOverlapTables(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, warm, o.newOverlapTables(), 4)
+	got, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, shared, o.newOverlapTables(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +326,7 @@ func TestLoadedPatternsBuildConcurrently(t *testing.T) {
 		gm := got[k]
 		if gm.nr != w.nr || gm.nc != w.nc || !slices.Equal(gm.rows, w.rows) ||
 			!slices.Equal(gm.cols, w.cols) || !sameFloatBits(gm.vals, w.vals) {
-			t.Fatalf("edge %d: matrix over loaded spaces differs from the serial cold build", k)
+			t.Fatalf("edge %d: matrix over shared entries differs from the serial build", k)
 		}
 	}
 }
@@ -485,43 +360,11 @@ func TestDiskCacheReproducibleBytes(t *testing.T) {
 	}
 }
 
-// TestDiskCacheLoadSharesInterfaces: the file stores each distinct interface
-// once, and Load hands every entry that names it the same pointer.
-func TestDiskCacheLoadSharesInterfaces(t *testing.T) {
-	c, _ := warmCache(t)
-	dir := t.TempDir()
-	if err := c.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded := NewSearchCache()
-	if err := loaded.Load(dir); err != nil {
-		t.Fatal(err)
-	}
-	byContent := make(map[string]*cost.Iface)
-	refs := 0
-	for _, e := range loaded.nodes.m {
-		for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
-			for _, ifc := range ifs {
-				refs++
-				k := string(appendIface(nil, ifc))
-				if p, ok := byContent[k]; !ok {
-					byContent[k] = ifc
-				} else if p != ifc {
-					t.Fatalf("two loaded interfaces with equal contents are distinct pointers")
-				}
-			}
-		}
-	}
-	if len(byContent) >= refs {
-		t.Fatalf("%d interface references, %d distinct: the search shares none, so this test checks nothing", refs, len(byContent))
-	}
-}
-
 // TestDiskCacheRejectsDamage covers the cold-fallback contract: corrupt,
 // truncated, wrong-magic and wrong-version files must all surface an error
 // from Load and leave the target cache untouched. Load verifies the digest
-// while it decodes, so each case also pins which error wins: a digest
-// mismatch is reported even when the payload fails to decode too, and a
+// before it decodes, so each case also pins which error it reports: a
+// digest mismatch for any payload the header's digest does not cover, and a
 // decode error only behind a matching digest.
 func TestDiskCacheRejectsDamage(t *testing.T) {
 	c, _ := warmCache(t)
@@ -568,12 +411,19 @@ func TestDiskCacheRejectsDamage(t *testing.T) {
 		"wrong version": {file: func(b []byte) []byte {
 			return ppscFile(7, b[len(diskCacheMagic)+1+sha256.Size:])
 		}},
-		// A v9 file: an empty edges section between nodes and plans. Its
-		// digest matches too; the version check refuses it.
-		"v9 file": {file: func(b []byte) []byte {
-			nodes := encodeCachePayload(c.nodes.m, nil)
-			plans := encodeCachePayload(nil, c.plans.m)[2:] // past the empty ifaces and nodes
-			return ppscFile(9, slices.Concat(nodes[:len(nodes)-1], []byte{0}, plans))
+		// A v10 file: an empty interface table and nodes section, then
+		// plans holding candidate indices. Its digest matches too; the
+		// version check refuses it.
+		"v10 file": {file: func([]byte) []byte {
+			payload := []byte{0, 0}
+			payload = binary.AppendUvarint(payload, uint64(len(c.plans.m)))
+			for k, p := range c.plans.m {
+				payload = appendBytes(payload, []byte(k))
+				payload = binary.AppendUvarint(payload, uint64(len(p.seqs)))
+				payload = append(payload, make([]byte, len(p.seqs))...)
+				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(p.layerCost))
+			}
+			return ppscFile(10, payload)
 		}},
 	}
 	for name, d := range damage {
@@ -634,14 +484,14 @@ func TestSaveCleansTempOnRenameFailure(t *testing.T) {
 	}
 }
 
-// TestLoadRespectsTierCaps: merging a disk cache runs both persisted tiers
-// through the same epoch-flush policy as in-process inserts. A payload
-// larger than a tier's cap loads without error, ends under the cap, and —
+// TestLoadRespectsTierCaps: merging a disk cache runs the persisted plan
+// tier through the same epoch-flush policy as in-process inserts. A payload
+// larger than the tier's cap loads without error, ends under the cap, and —
 // because Load merges in sorted key order — lands on a deterministic
 // surviving set.
 func TestLoadRespectsTierCaps(t *testing.T) {
 	c, _ := warmCache(t)
-	// A second α adds a second plan, so both tiers can flush.
+	// A second α adds a second plan, so the tier can flush.
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
 		t.Fatal(err)
@@ -657,73 +507,64 @@ func TestLoadRespectsTierCaps(t *testing.T) {
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	t.Run("nodes", func(t *testing.T) {
-		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*nodeEntry] { return c.nodes })
-	})
 	t.Run("plans", func(t *testing.T) {
-		checkLoadCap(t, c, dir, func(c *SearchCache) *tier[*cachedPlan] { return c.plans })
-	})
-}
-
-// checkLoadCap loads dir, which holds saved, into caches whose tier (picked
-// by pick) is capped at half the saved tier's cells.
-func checkLoadCap[V any](t *testing.T, saved *SearchCache, dir string, pick func(*SearchCache) *tier[V]) {
-	want := pick(saved).len()
-	if want < 2 {
-		t.Fatalf("warm cache has %d entries; need ≥2 to observe a flush", want)
-	}
-	load := func() *SearchCache {
-		small := NewSearchCache()
-		// Half the saved payload's cells: Load must flush at least once.
-		pick(small).cap = pick(saved).cells / 2
-		if err := small.Load(dir); err != nil {
+		want := c.plans.len()
+		if want < 2 {
+			t.Fatalf("warm cache has %d plans; need ≥2 to observe a flush", want)
+		}
+		load := func() *SearchCache {
+			small := NewSearchCache()
+			// One cell short of the saved payload: Load must flush at least
+			// once, and every entry (plans differ in size) still fits on its
+			// own.
+			small.plans.cap = c.plans.cells - 1
+			if err := small.Load(dir); err != nil {
+				t.Fatal(err)
+			}
+			return small
+		}
+		small := load()
+		if tr := small.plans; tr.cells > tr.cap {
+			t.Fatalf("%d cells after Load, cap %d", tr.cells, tr.cap)
+		}
+		if n := small.plans.len(); n == 0 || n >= want {
+			t.Fatalf("capped Load kept %d of %d plans; expected an epoch flush that keeps some", n, want)
+		}
+		// Determinism of the surviving set: a second capped load byte-matches.
+		dirA, dirB := t.TempDir(), t.TempDir()
+		if err := small.Save(dirA); err != nil {
 			t.Fatal(err)
 		}
-		return small
-	}
-	small := load()
-	if tr := pick(small); tr.cells > tr.cap {
-		t.Fatalf("%d cells after Load, cap %d", tr.cells, tr.cap)
-	}
-	if n := pick(small).len(); n == 0 || n >= want {
-		t.Fatalf("capped Load kept %d of %d entries; expected an epoch flush that keeps some", n, want)
-	}
-	// Determinism of the surviving set: a second capped load byte-matches.
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if err := small.Save(dirA); err != nil {
-		t.Fatal(err)
-	}
-	if err := load().Save(dirB); err != nil {
-		t.Fatal(err)
-	}
-	fa, err := os.ReadFile(filepath.Join(dirA, CacheFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := os.ReadFile(filepath.Join(dirB, CacheFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fa, fb) {
-		t.Fatal("two capped loads of the same file kept different entries")
-	}
+		if err := load().Save(dirB); err != nil {
+			t.Fatal(err)
+		}
+		fa, err := os.ReadFile(filepath.Join(dirA, CacheFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := os.ReadFile(filepath.Join(dirB, CacheFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fa, fb) {
+			t.Fatal("two capped loads of the same file kept different plans")
+		}
 
-	// The default cap still takes the whole payload.
-	full := NewSearchCache()
-	if err := full.Load(dir); err != nil {
-		t.Fatal(err)
-	}
-	if n := pick(full).len(); n != want {
-		t.Fatalf("default-cap Load kept %d of %d entries", n, want)
-	}
+		// The default cap still takes the whole payload.
+		full := NewSearchCache()
+		if err := full.Load(dir); err != nil {
+			t.Fatal(err)
+		}
+		if n := full.plans.len(); n != want {
+			t.Fatalf("default-cap Load kept %d of %d plans", n, want)
+		}
+	})
 }
 
 // BenchmarkSearchCacheLoad times Load of the file a 32-device OPT-175B block
-// search saves (planOPT175B, about 12 MB of node entries, interfaces and
-// plans): read, digest check, decode and merge into an empty cache. The
-// digest runs beside the decode and takes less time than it, so Load
-// verifying serially again adds the digest's time, about a quarter of
-// ns/op: near the perf guard's tolerance, not past it (DESIGN.md §5.35).
+// search saves (planOPT175B, one plan of about 2 KB): read, digest check,
+// decode and merge into an empty cache. With so small a file the time is
+// mostly the fixed cost of opening and reading it.
 func BenchmarkSearchCacheLoad(b *testing.B) {
 	c := NewSearchCache()
 	if _, err := planOPT175B(c, 32, 2); err != nil {

@@ -426,9 +426,9 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMa
 }
 
 // search runs one full search of the layer graph at the configured options
-// (the body of Plan): node pass, the stacking check, the plan-tier probe
-// (plancache.go), the layer-table build, the pick of the layer every layer
-// runs (layerPlan), and publishing the answer.
+// (the body of Plan): the plan-tier probe (plancache.go), then on a miss the
+// node pass, the stacking check, the layer-table build, the pick of the
+// layer every layer runs (layerPlan), and publishing the answer.
 // Cancellation is checked at coarse, value-independent points — between pool
 // task pulls, per Bellman step, per merge, between stages — so an
 // uncancelled search executes bit-identically to an uncancellable one, while
@@ -447,8 +447,27 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	if err := g.CheckSegmentAssumptions(); err != nil {
 		return nil, err
 	}
+	if len(g.Nodes) < 2 {
+		return nil, fmt.Errorf("core: graph needs at least two nodes")
+	}
 	start := time.Now()
 	stats := SearchStats{Workers: o.Workers()}
+
+	// Plan tier: a repeat at any layer count is served from the stored
+	// answer; no node pass, edge matrix, layer table or layer pick runs.
+	ccache := o.crossCache()
+	envSig := o.appendEnvSig(nil)
+	planKey := string(o.appendPlanCrossKey(envSig, g))
+	if e := ccache.plans.get(planKey); e != nil && e.fits(g, o.Cost.Cluster.Bits(), layers) {
+		stats.CrossCallPlanHits = 1
+		for _, n := range e.sizes {
+			stats.CandsTotal += int(n)
+		}
+		strat := strategyOf(e, layers)
+		stats.TotalTime = time.Since(start)
+		strat.Stats = stats
+		return strat, nil
+	}
 
 	// Evaluate candidate spaces, memoized by full op signature: nodes with
 	// identical structure (repeated linears, mirrored norms/residuals)
@@ -460,16 +479,12 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	// Cross-call cache: slots whose (environment, op signature) key was seen
 	// by an earlier Plan call reuse the stored α-independent evaluation;
 	// only the misses are evaluated (and then published for later calls).
-	ccache := o.crossCache()
-	envSig := o.appendEnvSig(nil)
 	slotCands := make([]*nodeCands, len(slotNode))
 	evalSlots := make([]int, 0, len(slotNode))
 	nodeKeys := make([]string, len(slotNode))
 	for s, ni := range slotNode {
 		nodeKeys[s] = string(appendNodeCrossKey(envSig, g.Nodes[ni]))
-		// An entry that does not fit the op and cluster its key names
-		// (a hostile disk cache) is a miss.
-		if e := ccache.nodes.get(nodeKeys[s]); e != nil && e.fitsOp(g.Nodes[ni], o.Cost.Cluster) {
+		if e := ccache.nodes.get(nodeKeys[s]); e != nil {
 			slotCands[s] = e.withAlpha(o.Cost.Alpha)
 			stats.CrossCallNodeHits++
 		} else {
@@ -500,14 +515,9 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	}
 	stats.NodeEvalTime = time.Since(tNodes)
 
-	// SpaceSizes reports the space the DP is exact over.
-	spaceSizes := make([]int, len(g.Nodes))
+	// CandsTotal counts the space the DP is exact over.
 	for i := range cands {
-		spaceSizes[i] = len(cands[i].seqs)
-		stats.CandsTotal += spaceSizes[i]
-	}
-	if len(g.Nodes) < 2 {
-		return nil, fmt.Errorf("core: graph needs at least two nodes")
+		stats.CandsTotal += len(cands[i].seqs)
 	}
 	// Stacking: the layer boundary appears as the zero-cost anchor in the
 	// next layer, so no subtraction is needed — but the boundary STATE must
@@ -521,18 +531,6 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	}
 	periodic := unstackable == nil
 
-	// Plan tier (plancache.go): a repeat at any layer count is served from
-	// the stored answer over the candidate lists just rebuilt; no edge
-	// matrix, layer table or layer pick runs.
-	planKey := string(o.appendPlanCrossKey(envSig, g))
-	if e := ccache.plans.get(planKey); e != nil && e.fits(spaceSizes) {
-		stats.CrossCallPlanHits = 1
-		strat := strategyOf(cands, e.idx, e.layerCost, layers, spaceSizes)
-		stats.TotalTime = time.Since(start)
-		strat.Stats = stats
-		return strat, nil
-	}
-
 	// Layer table: built from the node and edge tiers on every plan miss,
 	// and dropped once the layer pick has reconstructed the answer; only the
 	// plan entry is published.
@@ -543,8 +541,9 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	tPick := time.Now()
 	assign, layerCost := layerTable.layerPlan(len(g.Nodes), periodic)
 	stats.StackTime = time.Since(tPick)
-	strat := strategyOf(cands, assign, layerCost, layers, spaceSizes)
-	ccache.plans.put(planKey, &cachedPlan{idx: assign, layerCost: layerCost})
+	e := planOf(cands, assign, layerCost, periodic)
+	ccache.plans.put(planKey, e)
+	strat := strategyOf(e, layers)
 	stats.TotalTime = time.Since(start)
 	strat.Stats = stats
 	return strat, nil
@@ -623,16 +622,11 @@ func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sig
 	buildSlots := make([]int, 0, len(uniqEdges))
 	// The cross-call key folds exactly what the within-call key does (plus
 	// the environment), so each slot has one cross key — the one the
-	// estimator (estimate.go) probes. A cached matrix whose group maps do
-	// not cover the slot's spaces is a miss: a node-tier flush can replace
-	// a hostile loaded node entry the matrix was built over with an
-	// evaluation of another size. The check is two length compares, cheap
-	// enough for every hit.
+	// estimator (estimate.go) probes.
 	edgeKeys := make([]string, len(uniqEdges))
 	for s, e := range uniqEdges {
 		edgeKeys[s] = string(appendEdgeCrossKey(envSig, g, e))
-		m := ccache.edges.get(edgeKeys[s])
-		if m != nil && len(m.rows) == len(cands[e.Src].seqs) && len(m.cols) == len(cands[e.Dst].seqs) {
+		if m := ccache.edges.get(edgeKeys[s]); m != nil {
 			mats[s] = m
 			stats.CrossCallEdgeHits++
 		} else {
@@ -697,21 +691,21 @@ func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCa
 	return acc, nil
 }
 
-// strategyOf assembles the answer from one candidate index per node — the
-// reconstruction of a search, or a plan-tier entry — and the cost of the
-// layer they describe; every one of the layers runs it.
-func strategyOf(cands []*nodeCands, assign []int32, layerCost float64, layers int, spaceSizes []int) *Strategy {
+// strategyOf assembles the answer from a plan entry — the one a search just
+// published, or a plan-tier hit — copying its per-node values into fresh
+// slices (the sequences' tokens stay shared with the read-only entry);
+// every one of the layers runs the entry's layer.
+func strategyOf(e *cachedPlan, layers int) *Strategy {
 	strat := &Strategy{
-		Seqs:       make([]partition.Seq, len(cands)),
-		Intra:      make([]cost.Intra, len(cands)),
-		LayerCost:  layerCost,
-		TotalCost:  float64(layers) * layerCost,
+		Seqs:       append([]partition.Seq(nil), e.seqs...),
+		Intra:      append([]cost.Intra(nil), e.intra...),
+		LayerCost:  e.layerCost,
+		TotalCost:  float64(layers) * e.layerCost,
 		Layers:     layers,
-		SpaceSizes: spaceSizes,
+		SpaceSizes: make([]int, len(e.sizes)),
 	}
-	for i, ix := range assign {
-		strat.Seqs[i] = cands[i].seqs[ix]
-		strat.Intra[i] = cands[i].intra[ix]
+	for i, n := range e.sizes {
+		strat.SpaceSizes[i] = int(n)
 	}
 	return strat
 }

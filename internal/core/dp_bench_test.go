@@ -101,8 +101,9 @@ func BenchmarkNodeEval32(b *testing.B) {
 
 // BenchmarkPlanWarmRepeat repeats one OPT-175B block search at 16 devices
 // on a warm cache: every iteration is an identical repeat, answered by the
-// plan tier after the node pass, so ns/op pins the cost of a warm /v1/plan
-// search — node lookups and the plan probe.
+// plan tier with no node pass, so ns/op pins the cost of a warm /v1/plan
+// search — graph validation, the plan key, the probe and copying the
+// answer.
 func BenchmarkPlanWarmRepeat(b *testing.B) {
 	cfg := model.OPT175B()
 	g, err := model.BuildBlock(cfg)
@@ -132,7 +133,7 @@ func BenchmarkPlanWarmRepeat(b *testing.B) {
 // devices between two layer counts on a warm cache. The answer is one
 // periodic layer whatever the count, so every iteration is a plan hit on
 // the entry the warm-up stored, and ns/op pins the cost of a production
-// layer-count change: node lookups, the stacking check, the plan probe and
+// layer-count change: graph validation, the plan key, the probe and
 // rebuilding the strategy at the new count.
 func BenchmarkPlanLayerChange(b *testing.B) {
 	cfg := model.OPT175B()
@@ -162,8 +163,8 @@ func BenchmarkPlanLayerChange(b *testing.B) {
 // BenchmarkEstimatePlanWarm estimates one OPT-175B block request at 32
 // devices against a warm cache: every iteration is the admission estimate
 // of an identical repeat, answered as a plan hit, so ns/op pins the cost the
-// daemon pays before a warm search — slot dedup, node probes that also
-// supply the space sizes, and the plan probe.
+// daemon pays before a warm search — graph validation, the plan key and the
+// probe with its fits check.
 func BenchmarkEstimatePlanWarm(b *testing.B) {
 	cfg := model.OPT175B()
 	g, err := model.BuildBlock(cfg)

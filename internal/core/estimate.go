@@ -6,16 +6,18 @@
 // shed cold ones).
 //
 // Soundness rests on key fidelity: the estimator probes the cache with the
-// SAME byte keys the search computes — appendEnvSig + appendNodeCrossKey for
-// node slots, appendEnvSig + appendPlanCrossKey for the finished answer, and
+// SAME byte keys the search computes — appendEnvSig + appendPlanCrossKey for
+// the finished answer, appendEnvSig + appendNodeCrossKey for node slots, and
 // appendEnvSig + appendEdgeCrossKey for edge matrices, over the slots of the
-// same within-call dedup helpers (nodeSlots, edgeSlots). A request the
-// estimator calls Warm therefore hits on every node evaluation and on every
-// edge matrix it will ask for when it actually runs, and a PlanHit is a plan
-// hit. Beneath the plan tier every request builds its layer table, so a
-// Warm miss still pays the DP term. The reverse is conservative by design:
-// a cache flush between estimate and search only makes the search slower
-// than promised, never the estimate stale-warm forever.
+// same within-call dedup helpers (nodeSlots, edgeSlots) — and in the
+// search's order: the plan tier first, with the same fits check. A PlanHit
+// is therefore a plan hit, which runs no node pass, and a request the
+// estimator calls Warm otherwise hits on every node evaluation and on every
+// edge matrix it will ask for when it actually runs. Beneath the plan tier
+// every request builds its layer table, so a Warm miss still pays the DP
+// term. The reverse is conservative by design: a cache flush between
+// estimate and search only makes the search slower than promised, never the
+// estimate stale-warm forever.
 //
 // Space sizes come from the same probes: a node hit's stored candidate list
 // is exactly what SpaceSize would enumerate, so a warm estimate enumerates
@@ -34,18 +36,17 @@ const estCandidateUnit = 64.0
 type SearchEstimate struct {
 	// Work is the predicted search work in abstract units (candidate
 	// evaluations, edge cells and DP scans on a common scale). It is never
-	// zero: a plan hit still looks up every node.
+	// zero: a plan hit still copies one answer per node.
 	Work float64
 	// Warm reports that every unique node evaluation and edge matrix the
 	// search will ask for is already in the cross-call cache, so the
 	// quadratic stages cost nothing and, short of a plan hit, only the
-	// layer table's DP runs. A plan hit asks for no edge matrix, so it is
-	// Warm whenever its nodes are cached. Always false when the
-	// configuration bypasses the cache (calibration Book, nil Cache):
-	// the call's private cache is empty.
+	// layer table's DP runs. A plan hit asks for neither, so it is always
+	// Warm. Always false when the configuration bypasses the cache
+	// (calibration Book, nil Cache): the call's private cache is empty.
 	Warm bool
 	// PlanHit reports that the finished answer is in the plan tier
-	// (plancache.go): the search will run the node pass only, and the edge
+	// (plancache.go): the search will run no node pass, and the node, edge
 	// and DP counts below stay zero.
 	PlanHit bool
 	// NodeEvals / CandidatesEvaluated count the uncached unique node slots
@@ -82,6 +83,12 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	envSig := o.appendEnvSig(nil)
 	nbits := o.Cost.Cluster.Bits()
 
+	// Plan tier: the same key and fits check as search, so a PlanHit promise
+	// holds against an unchanged cache. Work is one unit per node copied.
+	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil && e.fits(g, nbits, req.Layers) {
+		return SearchEstimate{Warm: true, PlanHit: true, Work: float64(len(g.Nodes))}, nil
+	}
+
 	// Node pass: search's slots (nodeSlots), then a cache probe per
 	// unique slot. A cached slot's space size is the length of its stored
 	// list, which evalNode filled with the unfiltered Candidates under the
@@ -106,21 +113,6 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 
 	size := func(i int) int { return slotSize[slotOf[i]] }
 	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
-
-	// Plan tier: the same key and bounds check as search, so a PlanHit
-	// promise holds against an unchanged cache. Work drops to one unit per
-	// node lookup on top of any node evaluations.
-	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil {
-		sizes := make([]int, len(g.Nodes))
-		for i := range sizes {
-			sizes[i] = size(i)
-		}
-		if e.fits(sizes) {
-			est.PlanHit = true
-			est.Work = nodeWork + float64(len(g.Nodes))
-			return est, nil
-		}
-	}
 
 	// Edge pass: buildLayerTable's slots (edgeSlots), then a cache probe
 	// per unique edge with the one cross key the search uses for that slot.

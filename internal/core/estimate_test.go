@@ -298,6 +298,9 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	g := req.Graph
 	ccache := o.crossCache()
 	envSig := o.appendEnvSig(nil)
+	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil && e.fits(g, o.Cost.Cluster.Bits(), req.Layers) {
+		return SearchEstimate{Warm: true, PlanHit: true, Work: float64(len(g.Nodes))}
+	}
 	in := &sigInterner{}
 	slotOf := make([]int, len(g.Nodes))
 	var slotNode []int
@@ -325,17 +328,6 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	}
 	eff := func(i int) int { return slotSize[slotOf[i]] }
 	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
-	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil {
-		sizes := make([]int, len(g.Nodes))
-		for i := range sizes {
-			sizes[i] = eff(i)
-		}
-		if e.fits(sizes) {
-			est.PlanHit = true
-			est.Work = nodeWork + float64(len(g.Nodes))
-			return est
-		}
-	}
 	seen := make(map[edgeMatKey]bool)
 	for _, e := range g.Edges {
 		k := edgeKeyOf(in, g, e)

@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cost"
 	"repro/internal/graph"
-	"repro/internal/partition"
 )
 
 // Exhaustive enumerates every joint assignment of candidate sequences for a
@@ -51,9 +49,9 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 		edgeMats[e] = mats[i]
 	}
 
-	assign := make([]int, n)
+	assign := make([]int32, n)
 	best := math.Inf(1)
-	bestAssign := make([]int, n)
+	bestAssign := make([]int32, n)
 
 	var rec func(i int, acc float64)
 	rec = func(i int, acc float64) {
@@ -66,13 +64,13 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 			return
 		}
 		for ci := range cands[i].seqs {
-			if periodic && i == n-1 && ci != assign[0] {
+			if periodic && i == n-1 && int32(ci) != assign[0] {
 				continue
 			}
-			assign[i] = ci
+			assign[i] = int32(ci)
 			c := acc + cands[i].total[ci]
 			for _, e := range g.InEdges(i) {
-				c += edgeMats[e].at(int32(assign[e.Src]), int32(ci))
+				c += edgeMats[e].at(assign[e.Src], int32(ci))
 			}
 			rec(i+1, c)
 		}
@@ -82,18 +80,5 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 	if math.IsInf(best, 1) {
 		return nil, fmt.Errorf("core: exhaustive search found no assignment")
 	}
-	strat := &Strategy{
-		Seqs:       make([]partition.Seq, n),
-		Intra:      make([]cost.Intra, n),
-		LayerCost:  best,
-		TotalCost:  best,
-		Layers:     1,
-		SpaceSizes: make([]int, n),
-	}
-	for i := range g.Nodes {
-		strat.Seqs[i] = cands[i].seqs[bestAssign[i]]
-		strat.Intra[i] = cands[i].intra[bestAssign[i]]
-		strat.SpaceSizes[i] = len(cands[i].seqs)
-	}
-	return strat, nil
+	return strategyOf(planOf(cands, bestAssign, best, periodic), 1), nil
 }

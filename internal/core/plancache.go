@@ -1,46 +1,73 @@
 // The plan tier: the third tier of the cross-call cache stores each
-// finished search answer, so a repeat runs no min-plus work at all. The
-// answer is one periodic layer whose choice depends on the environment
-// prefix, α and the whole layer graph, never on the layer count (layerPlan,
-// dp.go); the plan key folds exactly those (appendGraphSig). One entry
-// therefore serves every layer count: TotalCost is rebuilt as
+// finished search answer, so a repeat runs no node pass and no min-plus
+// work at all. The answer is one periodic layer whose choice depends on the
+// environment prefix, α and the whole layer graph, never on the layer count
+// (layerPlan, dp.go); the plan key folds exactly those (appendGraphSig). One
+// entry therefore serves every layer count: TotalCost is rebuilt as
 // float64(layers)·LayerCost, the same product a cold search reports.
 //
-// An entry is the chosen candidate index per node plus the LayerCost float
-// bits. On a hit search still runs the node pass (served by the node tier),
-// which rebuilds the very candidate lists the indices point into, then
-// skips edge matrices, the layer table and the layer pick. The answer is
-// bit-identical because every reported value is either a stored bit
-// pattern, a product of one, or read from the same candidate lists the cold
-// search reconstructed from.
+// An entry is the answer itself: per node its partition sequence, its Intra
+// breakdown and its space size, plus the LayerCost float bits and whether
+// the graph stacks. search probes the tier right after graph validation and
+// builds the Strategy from the entry (strategyOf), the same assembly a cold
+// search runs on the entry it publishes, so a hit is bit-identical to the
+// search that published it. It is the only tier the restart file persists
+// (diskcache.go).
 //
 // Entries are published only after a search completes, so a cancelled
-// search publishes nothing. Load cannot check indices against candidate
-// spaces, so every use bounds-checks them; an entry that does not fit the
-// graph it is looked up for counts as a miss.
+// search publishes nothing. Load cannot check an entry against the graph it
+// will be looked up for, so every use checks it first (fits); an entry that
+// does not fit counts as a miss.
 package core
 
 import (
 	"encoding/binary"
 	"math"
 
+	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // cachedPlan is one finished search answer.
 type cachedPlan struct {
-	idx       []int32 // candidate index per node
+	seqs      []partition.Seq // chosen candidate per node
+	intra     []cost.Intra    // its cost breakdown
+	sizes     []int32         // |P| per node
 	layerCost float64
+	stackable bool // the layer head's space is index-identical to the tail's
 }
 
-// fits reports whether e names one in-range candidate for every node, given
-// the space size of each.
-func (e *cachedPlan) fits(sizes []int) bool {
-	if len(e.idx) != len(sizes) {
+// planOf records the answer a search reconstructed: candidate assign[i] of
+// node i's space, the layer's cost, and whether the graph stacks.
+func planOf(cands []*nodeCands, assign []int32, layerCost float64, stackable bool) *cachedPlan {
+	p := &cachedPlan{
+		seqs:      make([]partition.Seq, len(cands)),
+		intra:     make([]cost.Intra, len(cands)),
+		sizes:     make([]int32, len(cands)),
+		layerCost: layerCost,
+		stackable: stackable,
+	}
+	for i, ix := range assign {
+		p.seqs[i] = cands[i].seqs[ix]
+		p.intra[i] = cands[i].intra[ix]
+		p.sizes[i] = int32(len(cands[i].seqs))
+	}
+	return p
+}
+
+// fits reports whether the entry answers a search of g on nbits device-ID
+// bits at the given layer count: one sequence per node, each valid for its
+// op, and a stackable layer when more than one is asked for. An entry
+// published in this process always fits its key's graph at layer count 1;
+// one loaded from a hostile or corrupt file may not. A non-stackable entry
+// at layers > 1 misses so the full path returns its "cannot stack" error.
+func (e *cachedPlan) fits(g *graph.Graph, nbits, layers int) bool {
+	if len(e.seqs) != len(g.Nodes) || (layers > 1 && !e.stackable) {
 		return false
 	}
-	for i, ix := range e.idx {
-		if ix < 0 || int(ix) >= sizes[i] {
+	for i, s := range e.seqs {
+		if s.Validate(len(g.Nodes[i].Axes), nbits) != nil {
 			return false
 		}
 	}

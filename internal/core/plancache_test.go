@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/calibrate"
 	"repro/internal/cost"
 	"repro/internal/device"
+	"repro/internal/graph"
 	"repro/internal/model"
 )
 
@@ -103,4 +105,47 @@ func TestPlanKeyBytesStable(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(key)); got != want {
 		t.Errorf("plan key sha256 %s, want %s", got, want)
 	}
+}
+
+// TestPlanTierUnstackableLayers: a graph whose head and tail spaces differ
+// plans one layer, and its answer is published like any other. Asking the
+// same cache for two layers must not be served from that entry: it falls
+// through to the full path and returns the "cannot stack" error, and the
+// estimator promises no plan hit. The one-layer repeat stays a plan hit.
+func TestPlanTierUnstackableLayers(t *testing.T) {
+	g := &graph.Graph{Name: "unstackable"}
+	head := model.NewLinear("head", 2, 8, 8, 8)
+	tail := model.NewLinear("tail", 2, 8, 8, 8)
+	tail.Axes[model.LinB].Splittable = false
+	g.AddNode(head)
+	g.AddNode(tail)
+	g.Connect(0, 1, 0, []int{model.LinB, model.LinM, model.LinK})
+	o := optimizerFor(t, 4, 4)
+	o.Cache = NewSearchCache()
+	one, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Cache.PlanEntries() != 1 {
+		t.Fatalf("one-layer plan published %d plans, want 1", o.Cache.PlanEntries())
+	}
+	est, err := o.EstimatePlan(PlanRequest{Graph: g, Layers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.PlanHit {
+		t.Error("estimator promised a plan hit for two layers of an unstackable graph")
+	}
+	if _, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 2}); err == nil ||
+		!strings.Contains(err.Error(), "cannot stack") {
+		t.Fatalf("two layers of an unstackable graph: error %v, want \"cannot stack\"", err)
+	}
+	again, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.CrossCallPlanHits != 1 {
+		t.Fatalf("one-layer repeat missed the plan tier: %+v", again.Stats)
+	}
+	sameStrategy(t, "one-layer repeat", again, one)
 }

@@ -31,12 +31,10 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	}
 	stats := SearchStats{Workers: 1}
 	cands := make([]*nodeCands, len(g.Nodes))
-	spaceSizes := make([]int, len(g.Nodes))
 	for i, op := range g.Nodes {
 		cands[i] = o.evalNode(op, 1)
-		spaceSizes[i] = len(cands[i].seqs)
-		stats.CandidatesEvaluated += spaceSizes[i]
-		stats.CandsTotal += spaceSizes[i]
+		stats.CandidatesEvaluated += len(cands[i].seqs)
+		stats.CandsTotal += len(cands[i].seqs)
 	}
 	stats.NodeEvals = len(g.Nodes)
 
@@ -69,7 +67,7 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	}
 	assign := make([]int32, len(g.Nodes))
 	reconstruct(t, ia, ib, assign)
-	strat := strategyOf(cands, assign, t.headBase[ia]+t.cost[t.rowCls[ia]][ib], layers, spaceSizes)
+	strat := strategyOf(planOf(cands, assign, t.headBase[ia]+t.cost[t.rowCls[ia]][ib], false), layers)
 	strat.Stats = stats
 	return strat, nil
 }

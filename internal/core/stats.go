@@ -98,8 +98,8 @@ type SearchStats struct {
 
 	// CrossCallPlanHits is 1 when the whole answer was served from the
 	// cross-call plan tier (plancache.go): a repeat, at any layer count,
-	// that built no edge matrix and ran no segment table, merge or layer
-	// pick.
+	// that ran no node pass (so every node count above reads 0), built no
+	// edge matrix and ran no segment table, merge or layer pick.
 	CrossCallPlanHits int `json:"cross_call_plan_hits"`
 
 	// Wall time per stage: candidate evaluation, edge-matrix building,

@@ -96,15 +96,14 @@ const (
 	maxCachedNodeCells = 64 << 20
 	// maxCachedEdgeCells bounds the edge tier (~512 MB).
 	maxCachedEdgeCells = 64 << 20
-	// maxCachedPlanCells bounds the plan tier's candidate indices (~4 MB).
+	// maxCachedPlanCells bounds the plan tier's answers (~8 MB).
 	maxCachedPlanCells = 1 << 20
 )
 
 // nodeCells counts the words a node entry pins: per candidate its tokens
 // (six words each), its Intra breakdown and both interfaces. Interfaces
-// shared between candidates (a loaded cache stores each distinct one once)
-// are counted per candidate — an overcount, which only flushes earlier,
-// never later.
+// shared between candidates are counted per candidate — an overcount, which
+// only flushes earlier, never later.
 func nodeCells(e *nodeEntry) int64 {
 	n := int64(len(e.intra)) * 5
 	for _, s := range e.seqs {
@@ -123,4 +122,12 @@ func nodeCells(e *nodeEntry) int64 {
 // edgeCells counts a matrix's grouped cells.
 func edgeCells(m *edgeMat) int64 { return int64(m.nr) * int64(m.nc) }
 
-func planCells(e *cachedPlan) int64 { return int64(len(e.idx)) }
+// planCells counts the words a plan entry pins: per node its tokens (six
+// words each), its Intra breakdown (five) and its space size (one).
+func planCells(e *cachedPlan) int64 {
+	n := int64(len(e.intra))*5 + int64(len(e.sizes))
+	for _, s := range e.seqs {
+		n += 6 * int64(len(s.Tokens))
+	}
+	return n
+}

@@ -55,7 +55,7 @@ func TestSearchCacheTiers(t *testing.T) {
 		checkTier(t, NewSearchCache().edges, func(n int) *edgeMat { return &edgeMat{nr: n, nc: 1} })
 	})
 	t.Run("plans", func(t *testing.T) {
-		checkTier(t, NewSearchCache().plans, func(n int) *cachedPlan { return &cachedPlan{idx: make([]int32, n)} })
+		checkTier(t, NewSearchCache().plans, func(n int) *cachedPlan { return &cachedPlan{sizes: make([]int32, n)} })
 	})
 }
 
@@ -73,5 +73,18 @@ func TestNodeCells(t *testing.T) {
 	}
 	if got, want := nodeCells(e), int64(5+2*6+2*5); got != want {
 		t.Fatalf("nodeCells = %d, want %d", got, want)
+	}
+}
+
+// TestPlanCells pins the plan tier's size function: per node six words per
+// token, five Intra words and one for its space size.
+func TestPlanCells(t *testing.T) {
+	e := &cachedPlan{
+		seqs:  []partition.Seq{{Tokens: make([]partition.Token, 2)}, {}},
+		intra: make([]cost.Intra, 2),
+		sizes: make([]int32, 2),
+	}
+	if got, want := planCells(e), int64(2*6+2*5+2); got != want {
+		t.Fatalf("planCells = %d, want %d", got, want)
 	}
 }
