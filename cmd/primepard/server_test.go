@@ -157,7 +157,8 @@ func TestPlanDeltaFrontier(t *testing.T) {
 	if got[0].Stats.NodeEvals == 0 {
 		t.Fatalf("base plan did no node work: %+v", got[0].Stats)
 	}
-	// The α plan reuses every node and edge entry; only the DP re-runs.
+	// The α plan is a layer hit: it reuses every node entry and edge
+	// matrix, and only the DP re-runs.
 	if st := got[1].Stats; st.NodeEvals != 0 || st.CrossCallNodeHits == 0 || st.EdgeMatsBuilt != 0 ||
 		st.SegTablesBuilt == 0 {
 		t.Errorf("α plan frontier wrong: %+v", st)

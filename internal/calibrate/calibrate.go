@@ -25,7 +25,7 @@ type Fit struct {
 }
 
 // Predict evaluates the fitted model.
-func (f Fit) Predict(x float64) float64 { return f.Slope*x + f.Intercept }
+func (f Fit) Predict(x float64) float64 { return float64(f.Slope*x) + f.Intercept }
 
 // LinearFit computes the ordinary-least-squares line through (xs, ys).
 func LinearFit(xs, ys []float64) (Fit, error) {
@@ -37,22 +37,22 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
+		sxx += float64(xs[i] * xs[i])
+		sxy += float64(xs[i] * ys[i])
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return Fit{}, fmt.Errorf("calibrate: degenerate x samples")
 	}
-	slope := (n*sxy - sx*sy) / den
-	intercept := (sy - slope*sx) / n
+	slope := (float64(n*sxy) - float64(sx*sy)) / den
+	intercept := (sy - float64(slope*sx)) / n
 
 	mean := sy / n
 	var ssTot, ssRes float64
 	for i := range xs {
-		ssTot += (ys[i] - mean) * (ys[i] - mean)
-		pred := slope*xs[i] + intercept
-		ssRes += (ys[i] - pred) * (ys[i] - pred)
+		ssTot += float64((ys[i] - mean) * (ys[i] - mean))
+		pred := float64(slope*xs[i]) + intercept
+		ssRes += float64((ys[i] - pred) * (ys[i] - pred))
 	}
 	r2 := 1.0
 	if ssTot > 0 {
@@ -75,7 +75,8 @@ func (n Noise) apply(ys []float64) []float64 {
 	rng := rand.New(rand.NewSource(n.Seed))
 	out := make([]float64, len(ys))
 	for i, y := range ys {
-		out[i] = y * (1 + n.Amp*(rng.Float64()*2-1))
+		u := float64(rng.Float64())
+		out[i] = y * (1 + float64(n.Amp*(float64(u*2)-1)))
 	}
 	return out
 }
@@ -169,7 +170,16 @@ type PlaneFit struct {
 }
 
 // Predict evaluates the fitted plane.
-func (p PlaneFit) Predict(x1, x2 float64) float64 { return p.A*x1 + p.B*x2 + p.C }
+func (p PlaneFit) Predict(x1, x2 float64) float64 { return float64(p.A*x1) + float64(p.B*x2) + p.C }
+
+// minor is the 2×2 determinant a·b − c·d, and expand the cofactor
+// expansion a·m1 − b·m2 + c·m3. Every product is rounded on its own (an
+// explicit conversion), so no target fuses them into a multiply-add.
+func minor(a, b, c, d float64) float64 { return float64(a*b) - float64(c*d) }
+
+func expand(a, m1, b, m2, c, m3 float64) float64 {
+	return float64(a*m1) - float64(b*m2) + float64(c*m3)
+}
 
 // FitPlane solves the 3×3 normal equations for (A, B, C).
 func FitPlane(x1, x2, ys []float64) (PlaneFit, error) {
@@ -181,32 +191,32 @@ func FitPlane(x1, x2, ys []float64) (PlaneFit, error) {
 	var s11, s12, s1, s22, s2, sn float64
 	var t1, t2, t0 float64
 	for i := 0; i < n; i++ {
-		s11 += x1[i] * x1[i]
-		s12 += x1[i] * x2[i]
-		s22 += x2[i] * x2[i]
+		s11 += float64(x1[i] * x1[i])
+		s12 += float64(x1[i] * x2[i])
+		s22 += float64(x2[i] * x2[i])
 		s1 += x1[i]
 		s2 += x2[i]
-		t1 += x1[i] * ys[i]
-		t2 += x2[i] * ys[i]
+		t1 += float64(x1[i] * ys[i])
+		t2 += float64(x2[i] * ys[i])
 		t0 += ys[i]
 	}
 	sn = float64(n)
 	// Solve the symmetric 3×3 system by Cramer's rule.
-	det := s11*(s22*sn-s2*s2) - s12*(s12*sn-s2*s1) + s1*(s12*s2-s22*s1)
+	det := expand(s11, minor(s22, sn, s2, s2), s12, minor(s12, sn, s2, s1), s1, minor(s12, s2, s22, s1))
 	if math.Abs(det) < 1e-30 {
 		return PlaneFit{}, fmt.Errorf("calibrate: degenerate design matrix")
 	}
-	detA := t1*(s22*sn-s2*s2) - s12*(t2*sn-s2*t0) + s1*(t2*s2-s22*t0)
-	detB := s11*(t2*sn-s2*t0) - t1*(s12*sn-s2*s1) + s1*(s12*t0-t2*s1)
-	detC := s11*(s22*t0-t2*s2) - s12*(s12*t0-t2*s1) + t1*(s12*s2-s22*s1)
+	detA := expand(t1, minor(s22, sn, s2, s2), s12, minor(t2, sn, s2, t0), s1, minor(t2, s2, s22, t0))
+	detB := expand(s11, minor(t2, sn, s2, t0), t1, minor(s12, sn, s2, s1), s1, minor(s12, t0, t2, s1))
+	detC := expand(s11, minor(s22, t0, t2, s2), s12, minor(s12, t0, t2, s1), t1, minor(s12, s2, s22, s1))
 	f := PlaneFit{A: detA / det, B: detB / det, C: detC / det}
 
 	mean := t0 / sn
 	var ssTot, ssRes float64
 	for i := 0; i < n; i++ {
-		ssTot += (ys[i] - mean) * (ys[i] - mean)
+		ssTot += float64((ys[i] - mean) * (ys[i] - mean))
 		d := ys[i] - f.Predict(x1[i], x2[i])
-		ssRes += d * d
+		ssRes += float64(d * d)
 	}
 	f.R2 = 1
 	if ssTot > 0 {

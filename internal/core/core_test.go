@@ -493,7 +493,7 @@ func TestGroupedEdgeMatrixMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := make([]*nodeCands, len(g.Nodes))
+	cands := make([]*nodeEntry, len(g.Nodes))
 	for i, op := range g.Nodes {
 		cands[i] = o.evalNode(op, 1)
 	}
@@ -540,7 +540,7 @@ func TestSumEdgeMatsRefinement(t *testing.T) {
 	if len(edges) != 2 {
 		t.Fatalf("want 2 qkv→qkt edges, got %d", len(edges))
 	}
-	cands := make([]*nodeCands, len(g.Nodes))
+	cands := make([]*nodeEntry, len(g.Nodes))
 	src := o.evalNode(g.Nodes[model.NodeQKV], 1)
 	dst := o.evalNode(g.Nodes[model.NodeQKT], 1)
 	cands[model.NodeQKV], cands[model.NodeQKT] = src, dst

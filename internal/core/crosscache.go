@@ -1,44 +1,39 @@
-// Cross-call search cache: node evaluations, edge matrices and finished
-// answers (plancache.go) persist ACROSS Plan calls, so a sweep that
-// revisits the same model structure — other experiments, other α values,
-// repeated scales — pays the quadratic stages once, and an identical repeat
-// or a layer-count change runs no DP at all. The within-call signature memo
-// (dp.go) dedups work inside one search; this cache dedups work between
-// searches.
+// Cross-call search cache: the α-free inputs of each layer graph's DP and
+// finished answers (plancache.go) persist ACROSS Plan calls, so a sweep that
+// revisits a layer graph at another α pays the node pass and the edge
+// matrices once, and an identical repeat or a layer-count change runs no DP
+// at all. The within-call signature memo (dp.go) dedups work inside one
+// search; this cache dedups work between searches.
 //
-// Delta re-planning: a request differing from a cached one by a single
-// dimension re-runs only its changed frontier:
+// A search is a plan probe, then a layer probe, then prepare on a layer miss
+// and solve (dp.go). What a request differing from a cached one reuses:
 //
 //   - identical repeat or layer-count change → a plan hit: the answer is
 //     one periodic layer whatever the count, served from the stored answer
 //     with no node pass;
-//   - α shift → node and edge entries hit (both are α-independent), but the
-//     plan key folds α, so the layer table's DP re-runs from cached inputs;
-//   - one graph edit → only the edited op re-evaluates, and every segment's
-//     DP re-runs from cached matrices;
-//   - α shift or graph edit right after a restart → a cold search: the
-//     restart file holds plans only (diskcache.go), so the search evaluates
-//     the layer's nodes and builds its edges once before its DP (DESIGN.md
-//     §5.36);
+//   - α shift → a layer hit: the node entries and edge matrices are
+//     α-independent, but the plan key folds α, so only solve runs;
+//   - any graph edit → both keys fold the whole graph, so it is a cold
+//     search (DESIGN.md §5.37);
+//   - α shift right after a restart → a cold search: the restart file holds
+//     plans only (diskcache.go, DESIGN.md §5.36);
 //   - device count / profile → the environment prefix changes, so every
 //     tier misses (candidate spaces are genuinely different).
 //
-// The layer table itself is never cached: it lives for one search, and a
-// plan miss rebuilds it from the node and edge tiers in one DP pass
-// (DESIGN.md §5.34).
+// The layer table itself is never cached: it lives for one solve (DESIGN.md
+// §5.34).
 //
 // Keys are exact byte encodings, like sig.go's: an environment prefix (every
 // cluster, cost-model and search-option field the cached value depends on)
-// followed by the per-op or per-edge structural signature. α is deliberately
-// EXCLUDED from node entries — candidate enumeration, intra costs and
-// interfaces never read it — so an α-sweep (AblationAlphaSweep) hits; the
-// α-dependent totals are rebuilt per call from the cached Intra breakdowns,
-// with the same expression evalNode uses, hence bit-identically. Edge
-// matrices are α-independent too (RedistributeDetail never reads α).
+// followed by the whole-graph signature. α is deliberately EXCLUDED from the
+// layer key — candidate enumeration, intra costs, interfaces and
+// RedistributeDetail never read it — so an α-sweep (AblationAlphaSweep)
+// hits; the α-dependent totals are rebuilt per call from the cached Intra
+// breakdowns (withAlpha).
 //
-// Every tier is one tier value (tier.go): a map, a cell count and a cap
-// with an epoch flush. In-process inserts and disk-cache merges take the
-// same insert, so no tier grows past its cap however its entries arrive.
+// Both tiers are tier values (tier.go): a map, a cell count and a cap with
+// an epoch flush. In-process inserts and disk-cache merges take the same
+// insert, so no tier grows past its cap however its entries arrive.
 //
 // Configurations the byte encoding cannot identify — a calibration Book
 // replaces the analytic formulas with arbitrary regressed models — bypass
@@ -48,45 +43,29 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 
 	"repro/internal/cost"
-	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
-// nodeEntry is the α-independent part of a nodeCands evaluation, plus the
-// candidate space's interned axis patterns (cost.Patterns of its output and
-// of its input interfaces), which every edge touching the space groups and
-// keys its tables by. They are built on the first edge build over the
-// entry, never in evalNode, and once per entry: every later search that
-// reuses the entry reuses them. Every entry is evaluated in this process
-// (the restart file holds plans only), so it fits the op its key names.
+// nodeEntry is the α-independent part of one node's evaluation: per
+// candidate its sequence, Intra breakdown and interfaces, plus the candidate
+// space's interned axis patterns (cost.Patterns of its output and of its
+// input interfaces), which every edge touching the space groups and keys its
+// tables by. evalNode fills every field before the entry is shared, so
+// concurrent edge builds only read it.
 type nodeEntry struct {
 	seqs  []partition.Seq
 	intra []cost.Intra
 	out   []*cost.Iface
 	in    []*cost.Iface
 
-	patOnce         sync.Once // guards outPats and inPats
 	outPats, inPats *cost.Patterns
 }
 
-// patterns returns the interned axis patterns of the entry's output and
-// input interfaces, building them on first use. Several edge builds of one
-// search, or the concurrent stage searches of Plan3D on one SearchCache,
-// may ask at the same moment; the build runs once.
-func (e *nodeEntry) patterns() (out, in *cost.Patterns) {
-	e.patOnce.Do(func() {
-		e.outPats = cost.NewPatterns(e.out)
-		e.inPats = cost.NewPatterns(e.in)
-	})
-	return e.outPats, e.inPats
-}
-
-// withAlpha completes a cached entry into a per-call nodeCands: the totals
-// are recomputed with the SAME expression evalNode uses, so a cache hit is
-// bit-identical to a fresh evaluation.
+// withAlpha completes an entry into a per-call nodeCands: the DP node cost
+// of every candidate at α. A layer hit and a cold search run this same
+// expression, so they are bit-identical.
 func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 	total := make([]float64, len(e.intra))
 	for i := range e.intra {
@@ -95,21 +74,19 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 	return &nodeCands{nodeEntry: e, total: total}
 }
 
-// SearchCache carries node evaluations, edge matrices and finished plans
-// across Plan calls, one bounded tier each (tier.go). Safe for concurrent
-// use; all cached values are read-only.
+// SearchCache carries layer inputs and finished plans across Plan calls,
+// one bounded tier each (tier.go). Safe for concurrent use; all cached
+// values are read-only.
 type SearchCache struct {
-	nodes *tier[*nodeEntry]
-	edges *tier[*edgeMat]
-	plans *tier[*cachedPlan] // plancache.go
+	layers *tier[*layerInputs] // α-free, in memory only
+	plans  *tier[*cachedPlan]  // plancache.go
 }
 
 // NewSearchCache returns an empty cross-call cache.
 func NewSearchCache() *SearchCache {
 	return &SearchCache{
-		nodes: newTier(maxCachedNodeCells, nodeCells),
-		edges: newTier(maxCachedEdgeCells, edgeCells),
-		plans: newTier(maxCachedPlanCells, planCells),
+		layers: newTier(maxCachedLayerCells, layerCells),
+		plans:  newTier(maxCachedPlanCells, planCells),
 	}
 }
 
@@ -130,8 +107,15 @@ func (c *SearchCache) Overlaps() noOverlaps { return noOverlaps{} }
 // Cache, to isolate it.
 var DefaultSearchCache = NewSearchCache()
 
-// Sizes reports the node and edge entry counts, mostly for logging and tests.
-func (c *SearchCache) Sizes() (nodes, edges int) { return c.nodes.len(), c.edges.len() }
+// Sizes reports the unique node entries and edge matrices the layer tier
+// holds, summed over its layer graphs, mostly for logging and tests.
+func (c *SearchCache) Sizes() (nodes, edges int) {
+	for _, in := range c.layers.snapshot() {
+		nodes += len(in.slots)
+		edges += len(in.mats)
+	}
+	return nodes, edges
+}
 
 // TableEntries always returns zero. It counted a layer-table tier that no
 // request reached once a layer-count change became a plan hit, and was
@@ -145,9 +129,8 @@ func (c *SearchCache) PlanEntries() int { return c.plans.len() }
 // crossCache returns the cache to consult for this search: o.Cache, or a
 // private empty cache when there is none or the configuration must bypass
 // the shared one (a calibration Book, whose regressed models the byte keys
-// cannot identify). Every probe of an empty cache misses, and the
-// within-call dedup gives each slot its own cross key, so a private cache
-// serves nothing within the call and the answer is the uncached one.
+// cannot identify). Every probe of an empty cache misses, so a private
+// cache serves nothing and the answer is the uncached one.
 func (o *Optimizer) crossCache() *SearchCache {
 	if o.Cache == nil || o.Cost.Book != nil {
 		return NewSearchCache()
@@ -210,34 +193,6 @@ func (o *Optimizer) appendEnvSig(b []byte) []byte {
 	b = binary.AppendVarint(b, int64(o.Opts.MaxPrimeK))
 	b = append(b, boolByte(o.Opts.AllowPrime), boolByte(o.Opts.AllowBatchSplit))
 	return b
-}
-
-// appendNodeCrossKey appends op's cross-call identity onto the environment
-// prefix: the tag plus the exact full structural signature.
-func appendNodeCrossKey(b []byte, op *graph.Op) []byte {
-	b = append(b, 'N')
-	return appendOpSig(b, op)
-}
-
-// appendEdgeCrossKey appends edge e's cross-call identity onto the
-// environment prefix: the same selection material edgeKeyOf encodes (source
-// output axes, destination tensor axes, axis map) plus the endpoint
-// candidate-space signatures. Two edges therefore share a cross key exactly
-// when they share an edgeKeyOf key.
-func appendEdgeCrossKey(b []byte, g *graph.Graph, e *graph.Edge) []byte {
-	src, dst := g.Nodes[e.Src], g.Nodes[e.Dst]
-	b = append(b, 'E')
-	appendAxes := func(axes []int) {
-		b = binary.AppendUvarint(b, uint64(len(axes)))
-		for _, ax := range axes {
-			b = binary.AppendVarint(b, int64(ax))
-		}
-	}
-	appendAxes(src.Tensors[src.OutputTensor].Axes)
-	appendAxes(dst.Tensors[e.DstTensor].Axes)
-	appendAxes(e.AxisMap)
-	b = appendSpaceSig(b, src)
-	return appendSpaceSig(b, dst)
 }
 
 // RequestKey identifies a whole plan request for in-flight deduplication:

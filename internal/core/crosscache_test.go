@@ -13,7 +13,7 @@ import (
 // structures searched repeatedly across scales must (a) hit the cross-call
 // cache on every repeat and (b) return bit-identical strategies to the cold
 // run — the cache must be invisible in everything but the stats. The plan
-// tier is dropped before each repeat so the node and edge tiers serve it
+// tier is dropped before each repeat so the layer tier serves it
 // (TestPlanTierRepeatBitIdentical covers the plan tier).
 func TestCrossCallCacheHitsAcrossScales(t *testing.T) {
 	shared := NewSearchCache()
@@ -56,9 +56,9 @@ func TestCrossCallCacheHitsAcrossScales(t *testing.T) {
 	}
 }
 
-// TestCrossCallCacheAlphaIndependence pins the α factoring: node entries are
-// stored without totals, so a different α must still hit the cache AND give
-// the same result as a cold search at that α.
+// TestCrossCallCacheAlphaIndependence pins the α factoring: a layer entry's
+// node entries are stored without totals, so a different α must still hit
+// the cache AND give the same result as a cold search at that α.
 func TestCrossCallCacheAlphaIndependence(t *testing.T) {
 	shared := NewSearchCache()
 	cfg := model.OPT6B7()

@@ -78,13 +78,12 @@ func intraBits(ic cost.Intra) []float64 {
 }
 
 // sameCacheContents fails unless got holds exactly want's plans, every float
-// compared bit for bit, and no node entry or edge matrix: got was loaded
-// from a file, which holds neither.
+// compared bit for bit, and no layer entry: got was loaded from a file,
+// which holds none.
 func sameCacheContents(t *testing.T, got, want *SearchCache) {
 	t.Helper()
-	if len(got.nodes.m) != 0 || len(got.edges.m) != 0 || len(got.plans.m) != len(want.plans.m) {
-		t.Fatalf("got %d nodes, %d edges, %d plans; want 0, 0, %d", len(got.nodes.m), len(got.edges.m), len(got.plans.m),
-			len(want.plans.m))
+	if len(got.layers.m) != 0 || len(got.plans.m) != len(want.plans.m) {
+		t.Fatalf("got %d layers, %d plans; want 0, %d", len(got.layers.m), len(got.plans.m), len(want.plans.m))
 	}
 	for k, w := range want.plans.m {
 		g := got.plans.m[k]
@@ -267,14 +266,13 @@ func TestLoadedPlanWrongShape(t *testing.T) {
 	}
 }
 
-// TestLoadedPatternsBuildConcurrently: a node entry interns its axis
-// patterns on first use, and a search's edge-prepare tasks — or the
-// concurrent stage searches of Plan3D on one SearchCache — may ask for one
-// entry's patterns at the same moment. Four workers build every edge of an
-// OPT-175B block on 8 devices, where every node has two or more edges and
-// the repeated linears share one entry, over fresh evalNode entries whose
-// patterns are not built yet; the matrices must be bit-identical to a
-// serial build over entries of their own. Run under -race.
+// TestLoadedPatternsBuildConcurrently: evalNode interns a node entry's axis
+// patterns before the entry is shared, and a search's edge-prepare tasks
+// then read one entry's patterns at the same moment. Four workers build
+// every edge of an OPT-175B block on 8 devices, where every node has two or
+// more edges and the repeated linears share one entry; the matrices must be
+// bit-identical to a serial build over entries of their own. Run under
+// -race.
 func TestLoadedPatternsBuildConcurrently(t *testing.T) {
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
@@ -298,17 +296,17 @@ func TestLoadedPatternsBuildConcurrently(t *testing.T) {
 	// slots do, so several edges reach the same entry's patterns at once.
 	in := &sigInterner{}
 	slotOf, slotNode := nodeSlots(g, in)
-	slots := make([]*nodeCands, len(slotNode))
+	slots := make([]*nodeEntry, len(slotNode))
 	for s, ni := range slotNode {
 		slots[s] = o.evalNode(g.Nodes[ni], 1)
 	}
-	serial := make([]*nodeCands, len(g.Nodes))
-	shared := make([]*nodeCands, len(g.Nodes))
+	serial := make([]*nodeEntry, len(g.Nodes))
+	shared := make([]*nodeEntry, len(g.Nodes))
 	for i, op := range g.Nodes {
 		serial[i] = o.evalNode(op, 1)
 		shared[i] = slots[slotOf[i]]
-		if shared[i].outPats != nil {
-			t.Fatalf("node %d: fresh entry already indexed", i)
+		if shared[i].outPats == nil || shared[i].inPats == nil {
+			t.Fatalf("node %d: evalNode returned an entry without its patterns", i)
 		}
 	}
 	if len(slotNode) == len(g.Nodes) {

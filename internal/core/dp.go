@@ -34,7 +34,7 @@ func addProduct(st *SearchStats, scanned int64, twoSided bool) {
 type Optimizer struct {
 	Cost *cost.Model
 	Opts Options
-	// Cache persists node evaluations, edge matrices and finished plans
+	// Cache persists each layer graph's α-free inputs and finished plans
 	// ACROSS Plan calls (see crosscache.go). NewOptimizer attaches the
 	// process-wide DefaultSearchCache; set a private NewSearchCache to
 	// isolate. nil isolates each call: every search gets an empty cache of
@@ -47,11 +47,10 @@ func NewOptimizer(m *cost.Model) *Optimizer {
 	return &Optimizer{Cost: m, Opts: DefaultOptions(), Cache: DefaultSearchCache}
 }
 
-// nodeCands caches per-candidate evaluations for one graph node: the
-// α-independent entry the cross-call cache stores, plus the DP node cost in
-// its own flat slice (total) so the DP folds walk contiguous memory; the
-// Intra breakdowns stay around only for Strategy reporting and the
-// cross-call cache.
+// nodeCands is one graph node's candidates at one α: the α-independent
+// entry a layerInputs holds, plus the DP node cost in its own flat slice
+// (total) so the DP folds walk contiguous memory; the Intra breakdowns stay
+// around only for Strategy reporting.
 type nodeCands struct {
 	*nodeEntry
 	total []float64 // Intra.Total(alpha), the DP node cost
@@ -81,9 +80,9 @@ type Strategy struct {
 	Stats SearchStats
 }
 
-// evalNode enumerates and evaluates the candidate space of node i on up to
-// w workers.
-func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeCands {
+// evalNode enumerates and evaluates the candidate space of op on up to w
+// workers, then interns its interfaces' axis patterns for the edge builds.
+func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeEntry {
 	seqs := Candidates(op, o.Cost.Cluster.Bits(), o.Opts)
 	e := &nodeEntry{
 		seqs:  seqs,
@@ -91,13 +90,12 @@ func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeCands {
 		out:   make([]*cost.Iface, len(seqs)),
 		in:    make([]*cost.Iface, len(seqs)),
 	}
-	nc := &nodeCands{nodeEntry: e, total: make([]float64, len(seqs))}
 	parallelRows(w, len(seqs), func(i int) {
 		e.intra[i] = o.Cost.IntraCost(op, seqs[i])
-		nc.total[i] = e.intra[i].Total(o.Cost.Alpha)
 		e.out[i], e.in[i] = o.Cost.Ifaces(op, seqs[i])
 	})
-	return nc
+	e.outPats, e.inPats = cost.NewPatterns(e.out), cost.NewPatterns(e.in)
+	return e
 }
 
 // table is an optimal-substructure matrix C_{a,b}(p_a, p_b), stored in
@@ -425,15 +423,50 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMa
 	return t, nil
 }
 
+// layerInputs is the α-free input of one layer graph's DP, which prepare
+// builds and solve reads: one node entry per slot of the within-call node
+// dedup (nodeSlots) and one grouped matrix per slot of the edge dedup
+// (edgeSlots), with the maps from each node and edge to its slot. It is
+// read-only once built, and the layer tier shares it across searches.
+type layerInputs struct {
+	slots  []*nodeEntry
+	slotOf []int // node → slot
+	mats   []*edgeMat
+	matOf  []int // edge index in g.Edges → mat
+}
+
+// cands returns every node's candidates at α; nodes that share a slot share
+// one nodeCands.
+func (in *layerInputs) cands(alpha float64) []*nodeCands {
+	slot := make([]*nodeCands, len(in.slots))
+	for s, e := range in.slots {
+		slot[s] = e.withAlpha(alpha)
+	}
+	cands := make([]*nodeCands, len(in.slotOf))
+	for i, s := range in.slotOf {
+		cands[i] = slot[s]
+	}
+	return cands
+}
+
+// edgeMats maps every edge of g, the graph in was prepared for or one with
+// an equal signature, to its matrix.
+func (in *layerInputs) edgeMats(g *graph.Graph) map[*graph.Edge]*edgeMat {
+	m := make(map[*graph.Edge]*edgeMat, len(g.Edges))
+	for i, e := range g.Edges {
+		m[e] = in.mats[in.matOf[i]]
+	}
+	return m
+}
+
 // search runs one full search of the layer graph at the configured options
 // (the body of Plan): the plan-tier probe (plancache.go), then on a miss the
-// node pass, the stacking check, the layer-table build, the pick of the
-// layer every layer runs (layerPlan), and publishing the answer.
-// Cancellation is checked at coarse, value-independent points — between pool
-// task pulls, per Bellman step, per merge, between stages — so an
-// uncancelled search executes bit-identically to an uncancellable one, while
-// a cancelled one returns ctx.Err() promptly and publishes nothing partial
-// to the shared cross-call cache (the cache stays fully usable).
+// layer-tier probe, prepare on a layer miss, solve, and publishing the
+// answer. Cancellation is checked at coarse, value-independent points —
+// between pool task pulls, per Bellman step, per merge, between stages — so
+// an uncancelled search executes bit-identically to an uncancellable one,
+// while a cancelled one returns ctx.Err() promptly and publishes nothing to
+// the shared cross-call cache (the cache stays fully usable).
 func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*Strategy, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -469,55 +502,89 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 		return strat, nil
 	}
 
-	// Evaluate candidate spaces, memoized by full op signature: nodes with
-	// identical structure (repeated linears, mirrored norms/residuals)
-	// share one evaluation; unique signatures evaluate across the worker
-	// pool.
-	tNodes := time.Now()
-	in := &sigInterner{}
-	slotOf, slotNode := nodeSlots(g, in)
-	// Cross-call cache: slots whose (environment, op signature) key was seen
-	// by an earlier Plan call reuse the stored α-independent evaluation;
-	// only the misses are evaluated (and then published for later calls).
-	slotCands := make([]*nodeCands, len(slotNode))
-	evalSlots := make([]int, 0, len(slotNode))
-	nodeKeys := make([]string, len(slotNode))
-	for s, ni := range slotNode {
-		nodeKeys[s] = string(appendNodeCrossKey(envSig, g.Nodes[ni]))
-		if e := ccache.nodes.get(nodeKeys[s]); e != nil {
-			slotCands[s] = e.withAlpha(o.Cost.Alpha)
-			stats.CrossCallNodeHits++
-		} else {
-			evalSlots = append(evalSlots, s)
+	// Layer tier: the same graph at another α reuses every node entry and
+	// edge matrix, so only solve runs.
+	layerKey := string(appendLayerCrossKey(envSig, g))
+	in := ccache.layers.get(layerKey)
+	if in != nil {
+		stats.CrossCallNodeHits = len(in.slots)
+		stats.CrossCallEdgeHits = len(in.mats)
+	} else {
+		var err error
+		if in, err = o.prepare(ctx, g, &stats); err != nil {
+			return nil, err
 		}
 	}
-	nodeW := innerWorkers(stats.Workers, len(evalSlots))
-	if err := RunTasks(ctx, stats.Workers, len(evalSlots), func(i int) {
-		s := evalSlots[i]
-		slotCands[s] = o.evalNode(g.Nodes[slotNode[s]], nodeW)
+	stats.NodeCacheHits = len(g.Nodes) - len(in.slots)
+	stats.EdgeCacheHits = len(g.Edges) - len(in.mats)
+	e, err := o.solve(ctx, g, in, o.Cost.Alpha, layers, &stats)
+	if err != nil {
+		return nil, err
+	}
+	ccache.layers.put(layerKey, in)
+	ccache.plans.put(planKey, e)
+	strat := strategyOf(e, layers)
+	stats.TotalTime = time.Since(start)
+	strat.Stats = stats
+	return strat, nil
+}
+
+// prepare builds the α-free inputs of g's DP: the node pass, memoized by
+// full op signature (nodes with identical structure — repeated linears,
+// mirrored norms/residuals — share one evaluation, and unique signatures
+// evaluate across the worker pool), then one grouped edge matrix per unique
+// edge key, built across the pool.
+func (o *Optimizer) prepare(ctx context.Context, g *graph.Graph, stats *SearchStats) (*layerInputs, error) {
+	tNodes := time.Now()
+	sigs := &sigInterner{}
+	in := &layerInputs{}
+	var slotNode []int
+	in.slotOf, slotNode = nodeSlots(g, sigs)
+	in.slots = make([]*nodeEntry, len(slotNode))
+	nodeW := innerWorkers(stats.Workers, len(slotNode))
+	if err := RunTasks(ctx, stats.Workers, len(slotNode), func(s int) {
+		in.slots[s] = o.evalNode(g.Nodes[slotNode[s]], nodeW)
 	}); err != nil {
 		return nil, err
 	}
-	for _, s := range evalSlots {
-		ccache.nodes.put(nodeKeys[s], slotCands[s].nodeEntry)
-	}
-	cands := make([]*nodeCands, len(g.Nodes))
-	for i, op := range g.Nodes {
-		cands[i] = slotCands[slotOf[i]]
-		if len(cands[i].seqs) == 0 {
-			return nil, fmt.Errorf("core: node %d (%s) has an empty partition space", i, op.Name)
+	for s, e := range in.slots {
+		if len(e.seqs) == 0 {
+			i := slotNode[s]
+			return nil, fmt.Errorf("core: node %d (%s) has an empty partition space", i, g.Nodes[i].Name)
 		}
+		stats.CandidatesEvaluated += len(e.seqs)
 	}
-	stats.NodeEvals = len(evalSlots)
-	stats.NodeCacheHits = len(g.Nodes) - len(slotNode)
-	for _, s := range evalSlots {
-		stats.CandidatesEvaluated += len(slotCands[s].seqs)
-	}
+	stats.NodeEvals = len(in.slots)
 	stats.NodeEvalTime = time.Since(tNodes)
 
+	tEdges := time.Now()
+	uniqEdges, matOf := edgeSlots(g, sigs)
+	ents := make([]*nodeEntry, len(g.Nodes))
+	for i, s := range in.slotOf {
+		ents[i] = in.slots[s]
+	}
+	mats, fracCells, err := o.buildEdgeMats(ctx, g, uniqEdges, ents, o.newOverlapTables(), stats.Workers)
+	if err != nil {
+		return nil, err
+	}
+	in.mats, in.matOf = mats, matOf
+	stats.EdgeFracCells = fracCells
+	stats.EdgeMatsBuilt = len(mats)
+	for _, m := range mats {
+		stats.EdgeCellsEvaluated += int64(m.nr) * int64(m.nc)
+	}
+	stats.EdgeMatTime = time.Since(tEdges)
+	return in, nil
+}
+
+// solve runs the α-dependent half of a search on prepared inputs: node
+// totals at alpha, the stacking check, the layer DP and the pick of the
+// layer every layer runs (layerPlan). It returns the answer as a plan entry.
+func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, alpha float64, layers int, stats *SearchStats) (*cachedPlan, error) {
+	cands := in.cands(alpha)
 	// CandsTotal counts the space the DP is exact over.
-	for i := range cands {
-		stats.CandsTotal += len(cands[i].seqs)
+	for _, c := range cands {
+		stats.CandsTotal += len(c.seqs)
 	}
 	// Stacking: the layer boundary appears as the zero-cost anchor in the
 	// next layer, so no subtraction is needed — but the boundary STATE must
@@ -525,28 +592,22 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	// INDEX-IDENTICAL to the tail node's. A graph that passes is answered
 	// with one periodic layer at every layer count, 1 included (layerPlan);
 	// any other graph plans a single layer only.
-	unstackable := checkStackable(cands[0], cands[len(g.Nodes)-1])
+	unstackable := checkStackable(cands[0], cands[len(cands)-1])
 	if layers > 1 && unstackable != nil {
 		return nil, unstackable
 	}
 	periodic := unstackable == nil
 
-	// Layer table: built from the node and edge tiers on every plan miss,
-	// and dropped once the layer pick has reconstructed the answer; only the
-	// plan entry is published.
-	layerTable, err := o.buildLayerTable(ctx, g, in, cands, ccache, envSig, &stats)
+	// Layer table: built on every plan miss and dropped once the layer pick
+	// has reconstructed the answer; only the plan entry is published.
+	t, err := o.layerDP(ctx, g, cands, in.edgeMats(g), stats)
 	if err != nil {
 		return nil, err
 	}
 	tPick := time.Now()
-	assign, layerCost := layerTable.layerPlan(len(g.Nodes), periodic)
+	assign, layerCost := t.layerPlan(len(g.Nodes), periodic)
 	stats.StackTime = time.Since(tPick)
-	e := planOf(cands, assign, layerCost, periodic)
-	ccache.plans.put(planKey, e)
-	strat := strategyOf(e, layers)
-	stats.TotalTime = time.Since(start)
-	strat.Stats = stats
-	return strat, nil
+	return planOf(cands, assign, layerCost, periodic), nil
 }
 
 // checkStackable returns nil when the layer head's candidate space is
@@ -572,7 +633,7 @@ func checkStackable(head, tail *nodeCands) error {
 	return nil
 }
 
-// nodeSlots is the within-call node dedup that search and EstimatePlan
+// nodeSlots is the within-call node dedup that prepare and EstimatePlan
 // share: nodes with equal full op signatures (repeated linears, mirrored
 // norms/residuals) share one slot. slotOf maps each node to its slot and
 // slotNode each slot to its first node.
@@ -592,8 +653,8 @@ func nodeSlots(g *graph.Graph, in *sigInterner) (slotOf, slotNode []int) {
 	return slotOf, slotNode
 }
 
-// edgeSlots is the within-call edge dedup that buildLayerTable and
-// EstimatePlan share: edges with equal edgeKeyOf keys share one matrix.
+// edgeSlots is the within-call edge dedup that prepare and EstimatePlan
+// share: edges with equal edgeKeyOf keys share one matrix.
 // uniq lists each slot's first edge and matIdx maps every edge to its slot.
 func edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Edge, matIdx []int) {
 	matIdx = make([]int, len(g.Edges))
@@ -609,58 +670,6 @@ func edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Edge, matIdx []in
 		matIdx[i] = s
 	}
 	return uniq, matIdx
-}
-
-// buildLayerTable builds the merged DP table of one layer: the edge cost
-// matrices (grouped; cached by exact structural key and built across the
-// worker pool), the per-segment DPs, then left-to-right merging with cross
-// edges (Eqs. 13–14).
-func (o *Optimizer) buildLayerTable(ctx context.Context, g *graph.Graph, in *sigInterner, cands []*nodeCands, ccache *SearchCache, envSig []byte, stats *SearchStats) (*table, error) {
-	tEdges := time.Now()
-	uniqEdges, matIdx := edgeSlots(g, in)
-	mats := make([]*edgeMat, len(uniqEdges))
-	buildSlots := make([]int, 0, len(uniqEdges))
-	// The cross-call key folds exactly what the within-call key does (plus
-	// the environment), so each slot has one cross key — the one the
-	// estimator (estimate.go) probes.
-	edgeKeys := make([]string, len(uniqEdges))
-	for s, e := range uniqEdges {
-		edgeKeys[s] = string(appendEdgeCrossKey(envSig, g, e))
-		if m := ccache.edges.get(edgeKeys[s]); m != nil {
-			mats[s] = m
-			stats.CrossCallEdgeHits++
-		} else {
-			buildSlots = append(buildSlots, s)
-		}
-	}
-	buildEdges := make([]*graph.Edge, len(buildSlots))
-	for i, s := range buildSlots {
-		buildEdges[i] = uniqEdges[s]
-	}
-	built, fracCells, err := o.buildEdgeMats(ctx, g, buildEdges, cands, o.newOverlapTables(), stats.Workers)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range buildSlots {
-		mats[s] = built[i]
-	}
-	stats.EdgeFracCells = fracCells
-	for _, s := range buildSlots {
-		ccache.edges.put(edgeKeys[s], mats[s])
-	}
-	edgeMats := make(map[*graph.Edge]*edgeMat, len(g.Edges))
-	for i, e := range g.Edges {
-		edgeMats[e] = mats[matIdx[i]]
-	}
-	stats.EdgeMatsBuilt = len(buildSlots)
-	stats.EdgeCacheHits = len(g.Edges) - len(uniqEdges)
-	for _, s := range buildSlots {
-		m := mats[s]
-		stats.EdgeCellsEvaluated += int64(m.nr) * int64(m.nc)
-	}
-	stats.EdgeMatTime = time.Since(tEdges)
-
-	return o.layerDP(ctx, g, cands, edgeMats, stats)
 }
 
 // layerDP runs the DP of one layer over its edge matrices: the per-segment

@@ -45,7 +45,7 @@ func BenchmarkSegmentDPCold(b *testing.B) {
 // 2-device stage sub-cluster, the shape of the dozens of short stage
 // searches one Plan3D call runs: the layer's unique edges (edgeSlots) go
 // through the grouped edge phase (buildEdgeMats) on one worker, the way
-// buildLayerTable builds them with a single-worker pool.
+// prepare builds them with a single-worker pool.
 // The matrices hold a few dozen cells, so the per-matrix set-up dominates:
 // memo tables sized for big matrices show up here as ns/op and B/op long
 // before they move a 32-device search.
@@ -56,9 +56,9 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 	}
 	o := NewOptimizer(cost.NewModel(device.MustCluster(2, 2, device.V100Profile())))
 	o.Opts.AllowBatchSplit = false
-	cands := make([]*nodeCands, len(g.Nodes))
+	ents := make([]*nodeEntry, len(g.Nodes))
 	for i, op := range g.Nodes {
-		cands[i] = o.evalNode(op, 1)
+		ents[i] = o.evalNode(op, 1)
 	}
 	edges, _ := edgeSlots(g, &sigInterner{})
 	cells := 0
@@ -66,8 +66,8 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cells = 0
-		// One registry per search, as buildLayerTable makes.
-		mats, _, err := o.buildEdgeMats(context.Background(), g, edges, cands, o.newOverlapTables(), 1)
+		// One registry per search, as prepare makes.
+		mats, _, err := o.buildEdgeMats(context.Background(), g, edges, ents, o.newOverlapTables(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,6 +186,45 @@ func BenchmarkEstimatePlanWarm(b *testing.B) {
 		}
 		if !est.PlanHit {
 			b.Fatalf("iteration was not a plan hit: %+v", est)
+		}
+	}
+}
+
+// BenchmarkPlanAlphaShift alternates one OPT-175B block search at 16
+// devices between two α values on a warm cache, with the plan tier reset
+// before every iteration. Each iteration is then a layer hit: the layer
+// tier serves every node entry and edge matrix (both α-free), and ns/op pins
+// the cost of an α shift — the probes, the totals at the new α, the layer
+// DP and the layer pick.
+func BenchmarkPlanAlphaShift(b *testing.B) {
+	cfg := model.OPT175B()
+	g, err := model.BuildBlock(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := NewSearchCache()
+	alphas := [2]float64{1e-12, 1e-10}
+	opts := [2]*Optimizer{}
+	for i, alpha := range alphas {
+		m := cost.NewModel(device.MustCluster(16, 4, device.V100Profile()))
+		m.Alpha = alpha
+		opts[i] = NewOptimizer(m)
+		opts[i].Cache = cache
+	}
+	req := PlanRequest{Graph: g, Layers: cfg.Layers}
+	if _, err := opts[1].Plan(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache.plans.reset()
+		strat, err := opts[i%2].Plan(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s := strat.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 {
+			b.Fatalf("iteration was not a layer hit: %+v", s)
 		}
 	}
 }

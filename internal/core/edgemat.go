@@ -88,13 +88,11 @@ type edgeBuild struct {
 // sweep, with bit-identical results — on ot, the search's registry, which
 // the edges of one search share. Both the grouping and the calc read the
 // endpoint spaces' interned patterns.
-func (o *Optimizer) prepareEdge(g *graph.Graph, e *graph.Edge, src, dst *nodeCands, ot *cost.OverlapTables) *edgeBuild {
-	srcPats, _ := src.patterns()
-	_, dstPats := dst.patterns()
+func (o *Optimizer) prepareEdge(g *graph.Graph, e *graph.Edge, src, dst *nodeEntry, ot *cost.OverlapTables) *edgeBuild {
 	plan := o.Cost.PlanEdge(g, e)
-	rows, rowReps := ifaceGroups(srcPats, plan.SrcRelevantAxes())
-	cols, colReps := ifaceGroups(dstPats, plan.DstRelevantAxes())
-	calc := plan.NewCalc(ot, srcPats, rowReps, dstPats, colReps)
+	rows, rowReps := ifaceGroups(src.outPats, plan.SrcRelevantAxes())
+	cols, colReps := ifaceGroups(dst.inPats, plan.DstRelevantAxes())
+	calc := plan.NewCalc(ot, src.outPats, rowReps, dst.inPats, colReps)
 	return &edgeBuild{calc: calc, key: calc.FracKey(false),
 		m: &edgeMat{rows: rows, cols: cols, nr: len(rowReps), nc: len(colReps),
 			vals: make([]float64, len(rowReps)*len(colReps))}}
@@ -151,17 +149,18 @@ func (gr *fracGroup) fill(m *cost.Model, w int) {
 }
 
 // buildEdgeMats computes the grouped cost matrix of each edge (mats[i] for
-// edges[i]) in two pool passes on up to w workers: prepare every edge on the
-// search's registry ot, then fill one fracGroup per task. Matrices that share a fraction structure —
-// a layer's repeated linear-input edges, or an edge and its transpose
+// edges[i]) over the node entries ents (one per graph node) in two pool
+// passes on up to w workers: prepare every edge on the search's registry ot,
+// then fill one fracGroup per task. Matrices that share a fraction
+// structure — a layer's repeated linear-input edges, or an edge and its transpose
 // (DESIGN.md §5.23) — get each fraction computed once. fracCells counts the
 // leaders' cells, whose fractions were computed. The matrices are
 // bit-identical to per-edge Measure fills.
-func (o *Optimizer) buildEdgeMats(ctx context.Context, g *graph.Graph, edges []*graph.Edge, cands []*nodeCands, ot *cost.OverlapTables, w int) (mats []*edgeMat, fracCells int64, err error) {
+func (o *Optimizer) buildEdgeMats(ctx context.Context, g *graph.Graph, edges []*graph.Edge, ents []*nodeEntry, ot *cost.OverlapTables, w int) (mats []*edgeMat, fracCells int64, err error) {
 	builds := make([]*edgeBuild, len(edges))
 	if err := RunTasks(ctx, w, len(edges), func(i int) {
 		e := edges[i]
-		builds[i] = o.prepareEdge(g, e, cands[e.Src], cands[e.Dst], ot)
+		builds[i] = o.prepareEdge(g, e, ents[e.Src], ents[e.Dst], ot)
 	}); err != nil {
 		return nil, 0, err
 	}

@@ -7,21 +7,19 @@
 //
 // Soundness rests on key fidelity: the estimator probes the cache with the
 // SAME byte keys the search computes — appendEnvSig + appendPlanCrossKey for
-// the finished answer, appendEnvSig + appendNodeCrossKey for node slots, and
-// appendEnvSig + appendEdgeCrossKey for edge matrices, over the slots of the
-// same within-call dedup helpers (nodeSlots, edgeSlots) — and in the
-// search's order: the plan tier first, with the same fits check. A PlanHit
-// is therefore a plan hit, which runs no node pass, and a request the
-// estimator calls Warm otherwise hits on every node evaluation and on every
-// edge matrix it will ask for when it actually runs. Beneath the plan tier
-// every request builds its layer table, so a Warm miss still pays the DP
-// term. The reverse is conservative by design: a cache flush between
-// estimate and search only makes the search slower than promised, never the
-// estimate stale-warm forever.
+// the finished answer and appendEnvSig + appendLayerCrossKey for the layer's
+// α-free inputs — and in the search's order: the plan tier first, with the
+// same fits check. A PlanHit is therefore a plan hit, which runs no node
+// pass, and a request the estimator calls Warm otherwise is a layer hit,
+// which runs no node pass and builds no edge matrix but still pays the DP
+// term. A cold count prices every unique node slot and edge matrix of the
+// search's own dedup (nodeSlots, edgeSlots). The reverse is conservative by
+// design: a cache flush between estimate and search only makes the search
+// slower than promised, never the estimate stale-warm forever.
 //
-// Space sizes come from the same probes: a node hit's stored candidate list
-// is exactly what SpaceSize would enumerate, so a warm estimate enumerates
-// no candidate space, and only uncached slots run SpaceSize.
+// Space sizes come from the same probes: a layer hit's node entries hold
+// exactly the candidate lists SpaceSize would enumerate, so a warm estimate
+// enumerates no candidate space, and only a cold count runs SpaceSize.
 package core
 
 import "fmt"
@@ -38,23 +36,23 @@ type SearchEstimate struct {
 	// evaluations, edge cells and DP scans on a common scale). It is never
 	// zero: a plan hit still copies one answer per node.
 	Work float64
-	// Warm reports that every unique node evaluation and edge matrix the
-	// search will ask for is already in the cross-call cache, so the
-	// quadratic stages cost nothing and, short of a plan hit, only the
-	// layer table's DP runs. A plan hit asks for neither, so it is always
-	// Warm. Always false when the configuration bypasses the cache
-	// (calibration Book, nil Cache): the call's private cache is empty.
+	// Warm reports that the layer's node entries and edge matrices are
+	// already in the cross-call cache (a layer hit), so the quadratic
+	// stages cost nothing and, short of a plan hit, only the layer table's
+	// DP runs. A plan hit asks for neither, so it is always Warm. Always
+	// false when the configuration bypasses the cache (calibration Book,
+	// nil Cache): the call's private cache is empty.
 	Warm bool
 	// PlanHit reports that the finished answer is in the plan tier
 	// (plancache.go): the search will run no node pass, and the node, edge
 	// and DP counts below stay zero.
 	PlanHit bool
-	// NodeEvals / CandidatesEvaluated count the uncached unique node slots
-	// and the candidate evaluations they imply.
+	// NodeEvals / CandidatesEvaluated count the unique node slots a cold
+	// search evaluates and the candidate evaluations they imply.
 	NodeEvals           int
 	CandidatesEvaluated int
-	// EdgeBuilds / EdgeCells count the uncached unique edge matrices and
-	// the matrix cells they imply.
+	// EdgeBuilds / EdgeCells count the unique edge matrices a cold search
+	// builds and the matrix cells they imply.
 	EdgeBuilds int
 	EdgeCells  int64
 }
@@ -89,43 +87,32 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 		return SearchEstimate{Warm: true, PlanHit: true, Work: float64(len(g.Nodes))}, nil
 	}
 
-	// Node pass: search's slots (nodeSlots), then a cache probe per
-	// unique slot. A cached slot's space size is the length of its stored
-	// list, which evalNode filled with the unfiltered Candidates under the
-	// same environment key (the prefix folds every enumeration option);
-	// only an uncached slot, which the search is about to evaluate anyway,
-	// is enumerated.
-	in := &sigInterner{}
-	slotOf, slotNode := nodeSlots(g, in)
+	// Layer tier: the same key as search. A hit's space sizes are its node
+	// entries' list lengths, which evalNode filled with the unfiltered
+	// Candidates under the same environment key (the prefix folds every
+	// enumeration option).
 	est := SearchEstimate{Warm: true}
-	slotSize := make([]int, len(slotNode))
-	for s, ni := range slotNode {
-		op := g.Nodes[ni]
-		if e := ccache.nodes.get(string(appendNodeCrossKey(envSig, op))); e != nil {
-			slotSize[s] = len(e.seqs)
-			continue
-		}
-		slotSize[s] = SpaceSize(op, nbits, o.Opts)
+	var size func(i int) int
+	if in := ccache.layers.get(string(appendLayerCrossKey(envSig, g))); in != nil {
+		size = func(i int) int { return len(in.slots[in.slotOf[i]].seqs) }
+	} else {
+		// Cold: prepare's slots (nodeSlots, edgeSlots), each evaluated or
+		// built once. An edge matrix costs n_src × n_dst cells.
 		est.Warm = false
-		est.NodeEvals++
-		est.CandidatesEvaluated += slotSize[s]
-	}
-
-	size := func(i int) int { return slotSize[slotOf[i]] }
-	nodeWork := estCandidateUnit * float64(est.CandidatesEvaluated)
-
-	// Edge pass: buildLayerTable's slots (edgeSlots), then a cache probe
-	// per unique edge with the one cross key the search uses for that slot.
-	// Both the dedup and the keys are the search's own, so against an
-	// unchanged cache EdgeBuilds is exactly the search's EdgeMatsBuilt. An
-	// uncached matrix costs n_src × n_dst cells.
-	uniqEdges, _ := edgeSlots(g, in)
-	for _, e := range uniqEdges {
-		if ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
-			est.Warm = false
-			est.EdgeBuilds++
+		sigs := &sigInterner{}
+		slotOf, slotNode := nodeSlots(g, sigs)
+		slotSize := make([]int, len(slotNode))
+		for s, ni := range slotNode {
+			slotSize[s] = SpaceSize(g.Nodes[ni], nbits, o.Opts)
+			est.CandidatesEvaluated += slotSize[s]
+		}
+		est.NodeEvals = len(slotNode)
+		size = func(i int) int { return slotSize[slotOf[i]] }
+		uniqEdges, _ := edgeSlots(g, sigs)
+		for _, e := range uniqEdges {
 			est.EdgeCells += int64(size(e.Src)) * int64(size(e.Dst))
 		}
+		est.EdgeBuilds = len(uniqEdges)
 	}
 
 	// DP term: Bellman scans over the spaces of every segment,
@@ -134,11 +121,11 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	dp := 0.0
 	for s := 0; s+1 < len(cuts); s++ {
 		for i := cuts[s]; i <= cuts[s+1]; i++ {
-			dp += estScan * float64(size(i))
+			dp += float64(estScan * float64(size(i)))
 		}
 	}
-	dp += float64(len(cuts)-1) * estScan * float64(size(len(g.Nodes)-1))
+	dp += float64(float64(len(cuts)-1) * estScan * float64(size(len(g.Nodes)-1)))
 
-	est.Work = nodeWork + float64(est.EdgeCells) + dp
+	est.Work = float64(estCandidateUnit*float64(est.CandidatesEvaluated)) + float64(est.EdgeCells) + dp
 	return est, nil
 }

@@ -24,9 +24,10 @@ func estimateOptimizer(t *testing.T, cache *SearchCache) *Optimizer {
 // builds the search then performs; after one real Plan call the SAME
 // request must estimate a Warm plan hit — and the promise must be sound
 // (the search re-run does zero node evaluations, zero edge builds and no
-// DP). Beneath the plan tier the request is still Warm: it builds its layer
-// table from cached nodes and edges. A plan hit stays Warm after the edge
-// tier is flushed, since it asks for no edge matrix.
+// DP). Beneath the plan tier the request is still Warm: a layer hit builds
+// its layer table from the cached node entries and edge matrices. A plan hit
+// stays Warm after the layer tier is flushed, since it asks for no layer
+// input.
 func TestEstimatePlanColdThenWarm(t *testing.T) {
 	cfg := model.OPT6B7()
 	g, err := model.BuildBlock(cfg)
@@ -106,9 +107,10 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 	}
 	checkHit("warm")
 
-	// Beneath the plan tier the request builds its layer table from cached
-	// nodes and edges: Warm, no node evaluation or edge build, and a DP
-	// term that costs more than the plan hit's lookup floor.
+	// Beneath the plan tier the request builds its layer table from the
+	// layer tier's node entries and edge matrices: Warm, no node evaluation
+	// or edge build, and a DP term that costs more than the plan hit's
+	// lookup floor.
 	cache.plans.reset()
 	miss, err := o.EstimatePlan(req)
 	if err != nil {
@@ -129,30 +131,27 @@ func TestEstimatePlanColdThenWarm(t *testing.T) {
 		t.Fatalf("warm plan-miss estimate was unsound: search did %+v", s)
 	}
 
-	// An edge-tier flush leaves the republished plan hit, and with it Warm,
+	// A layer-tier flush leaves the republished plan hit, and with it Warm,
 	// intact.
-	cache.edges.reset()
+	cache.layers.reset()
 	flushed, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !flushed.Warm || !flushed.PlanHit || flushed.Work != warm.Work {
-		t.Fatalf("plan hit after an edge flush not estimated Warm at the floor: %+v", flushed)
+		t.Fatalf("plan hit after a layer flush not estimated Warm at the floor: %+v", flushed)
 	}
-	checkHit("edge-flushed")
+	checkHit("layer-flushed")
 
-	// Without the plan tier as well, the flushed edge matrices must be
-	// rebuilt: not Warm, and dearer than the warm plan miss.
+	// Without the plan tier as well, the request is cold again: the same
+	// count as the empty cache's.
 	cache.plans.reset()
 	rebuild, err := o.EstimatePlan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuild.Warm || rebuild.PlanHit || rebuild.EdgeBuilds == 0 {
-		t.Fatalf("edge-flushed request without its plan estimated warm: %+v", rebuild)
-	}
-	if rebuild.Work <= miss.Work || rebuild.Work >= cold.Work {
-		t.Fatalf("rebuild Work %v not between plan-miss %v and cold %v", rebuild.Work, miss.Work, cold.Work)
+	if rebuild != cold {
+		t.Fatalf("layer-flushed request without its plan estimated %+v, want the cold %+v", rebuild, cold)
 	}
 }
 
@@ -289,10 +288,10 @@ func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 }
 
 // referenceEstimate is EstimatePlan with every slot's space size enumerated
-// by SpaceSize, whether or not the node tier holds it: the estimator before
-// it took cached slots' sizes from their stored candidate lists. Everything
-// else — slot dedup, probes, the plan tier, edge and DP terms — is
-// the production estimator's arithmetic, so any field that differs from
+// by SpaceSize, whether or not the layer tier holds it: the estimator takes
+// a layer hit's sizes from its stored candidate lists instead. Everything
+// else — slot dedup, probes, the plan tier, edge and DP terms — is the
+// production estimator's arithmetic, so any field that differs from
 // EstimatePlan's betrays a cached list whose length is not SpaceSize.
 func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	g := req.Graph
@@ -301,6 +300,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil && e.fits(g, o.Cost.Cluster.Bits(), req.Layers) {
 		return SearchEstimate{Warm: true, PlanHit: true, Work: float64(len(g.Nodes))}
 	}
+	warm := ccache.layers.get(string(appendLayerCrossKey(envSig, g))) != nil
 	in := &sigInterner{}
 	slotOf := make([]int, len(g.Nodes))
 	var slotNode []int
@@ -315,13 +315,11 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 		}
 		slotOf[i] = s
 	}
-	est := SearchEstimate{Warm: true}
+	est := SearchEstimate{Warm: warm}
 	slotSize := make([]int, len(slotNode))
 	for s, ni := range slotNode {
-		op := g.Nodes[ni]
-		slotSize[s] = SpaceSize(op, o.Cost.Cluster.Bits(), o.Opts)
-		if ccache.nodes.get(string(appendNodeCrossKey(envSig, op))) == nil {
-			est.Warm = false
+		slotSize[s] = SpaceSize(g.Nodes[ni], o.Cost.Cluster.Bits(), o.Opts)
+		if !warm {
 			est.NodeEvals++
 			est.CandidatesEvaluated += slotSize[s]
 		}
@@ -335,8 +333,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 			continue
 		}
 		seen[k] = true
-		if ccache.edges.get(string(appendEdgeCrossKey(envSig, g, e))) == nil {
-			est.Warm = false
+		if !warm {
 			est.EdgeBuilds++
 			est.EdgeCells += int64(eff(e.Src)) * int64(eff(e.Dst))
 		}
@@ -354,13 +351,13 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 }
 
 // TestEstimateSpaceSizesFromNodeCache pins the invariant the estimator's
-// node pass relies on: after a Plan, every cached node entry holds exactly
-// SpaceSize(op, bits, opts) sequences, for the six paper models at 4–32
-// devices under every option that shapes enumeration (the environment key
-// folds AllowPrime, AllowBatchSplit and MaxPrimeK). And in every cache state
-// a request can meet — cold, nodes warm with edges flushed, a plan miss over
-// warm nodes and edges, a plan hit — the request estimates field for field
-// what referenceEstimate computes with SpaceSize.
+// layer hit relies on: after a Plan, every node entry of the cached layer
+// holds exactly SpaceSize(op, bits, opts) sequences, for the six paper models
+// at 4–32 devices under every option that shapes enumeration (the
+// environment key folds AllowPrime, AllowBatchSplit and MaxPrimeK). And in
+// every cache state a request can meet — cold, a plan miss over a warm
+// layer, a plan hit — the request estimates field for field what
+// referenceEstimate computes with SpaceSize.
 func TestEstimateSpaceSizesFromNodeCache(t *testing.T) {
 	optionSets := []struct {
 		name string
@@ -411,25 +408,24 @@ func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit f
 	if _, err := o.Plan(context.Background(), exact); err != nil {
 		t.Fatal(err)
 	}
-	envSig := o.appendEnvSig(nil)
-	keys := make(map[string]bool)
+	in := cache.layers.get(string(appendLayerCrossKey(o.appendEnvSig(nil), g)))
+	if in == nil {
+		t.Fatal("layer not cached after Plan")
+	}
+	unique := make(map[string]bool)
 	for i, op := range g.Nodes {
-		key := string(appendNodeCrossKey(envSig, op))
-		keys[key] = true
-		e := cache.nodes.get(key)
-		if e == nil {
-			t.Fatalf("node %d (%s) not cached after Plan", i, op.Name)
-		}
+		unique[opSig(op)] = true
+		e := in.slots[in.slotOf[i]]
 		if want := SpaceSize(op, o.Cost.Cluster.Bits(), o.Opts); len(e.seqs) != want {
 			t.Errorf("node %d (%s): cached %d sequences, SpaceSize %d", i, op.Name, len(e.seqs), want)
 		}
 	}
-	if n := len(cache.nodes.m); n != len(keys) {
-		t.Fatalf("cache holds %d node entries, the graph has %d unique nodes", n, len(keys))
+	if len(in.slots) != len(unique) {
+		t.Fatalf("layer holds %d node entries, the graph has %d unique nodes", len(in.slots), len(unique))
 	}
 	compare("plan hit")
 	cache.plans.reset()
-	compare("plan miss, nodes and edges warm")
-	cache.edges.reset()
-	compare("nodes warm, edges flushed")
+	compare("plan miss, layer warm")
+	cache.layers.reset()
+	compare("layer flushed")
 }

@@ -24,7 +24,7 @@ func TestEdgeFracGroups(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := optimizerFor(t, 8, 4)
-			cands := make([]*nodeCands, len(g.Nodes))
+			cands := make([]*nodeEntry, len(g.Nodes))
 			for i, op := range g.Nodes {
 				cands[i] = o.evalNode(op, 1)
 			}

@@ -67,7 +67,7 @@ func TestEdgeCalcAt64Devices(t *testing.T) {
 			o := optimizerFor(t, MaxPlanDevices, perNode)
 			in := &sigInterner{}
 			slotOf, slotNode := nodeSlots(g, in)
-			slotCands := make([]*nodeCands, len(slotNode))
+			slotCands := make([]*nodeEntry, len(slotNode))
 			for s, ni := range slotNode {
 				slotCands[s] = o.evalNode(g.Nodes[ni], o.Workers())
 			}

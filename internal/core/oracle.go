@@ -26,9 +26,11 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 	}
 	w := o.Workers()
 	n := len(g.Nodes)
+	ents := make([]*nodeEntry, n)
 	cands := make([]*nodeCands, n)
 	for i, op := range g.Nodes {
-		cands[i] = o.evalNode(op, w)
+		ents[i] = o.evalNode(op, w)
+		cands[i] = ents[i].withAlpha(o.Cost.Alpha)
 	}
 	periodic := n > 1 && checkStackable(cands[0], cands[n-1]) == nil
 	total := 1.0
@@ -40,7 +42,7 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 			return nil, fmt.Errorf("core: exhaustive space too large (>5e7 assignments)")
 		}
 	}
-	mats, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, cands, o.newOverlapTables(), w)
+	mats, _, err := o.buildEdgeMats(context.Background(), g, g.Edges, ents, o.newOverlapTables(), w)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,8 @@
-// The plan tier: the third tier of the cross-call cache stores each
+// The plan tier: the second tier of the cross-call cache stores each
 // finished search answer, so a repeat runs no node pass and no min-plus
 // work at all. The answer is one periodic layer whose choice depends on the
 // environment prefix, α and the whole layer graph, never on the layer count
-// (layerPlan, dp.go); the plan key folds exactly those (appendGraphSig). One
+// (layerPlan, dp.go); the plan key folds exactly those (appendPlanCrossKey). One
 // entry therefore serves every layer count: TotalCost is rebuilt as
 // float64(layers)·LayerCost, the same product a cold search reports.
 //
@@ -75,17 +75,25 @@ func (e *cachedPlan) fits(g *graph.Graph, nbits, layers int) bool {
 }
 
 // appendPlanCrossKey appends the cross-call identity of a whole search onto
-// the environment prefix: the whole-graph signature (appendGraphSig).
+// the environment prefix: α (candidate totals are α-weighted), then the
+// layer graph's signature (appendGraphSig).
 func (o *Optimizer) appendPlanCrossKey(b []byte, g *graph.Graph) []byte {
-	return o.appendGraphSig(append(b, 'P'), g)
+	b = binary.LittleEndian.AppendUint64(append(b, 'P'), math.Float64bits(o.Cost.Alpha))
+	return appendGraphSig(b, g)
 }
 
-// appendGraphSig appends everything the answer depends on beyond the
-// environment: α (candidate totals are α-weighted), then the full signature
-// of every op and every edge (endpoint positions, destination tensor, axis
-// map; the endpoint ops' signatures already cover the tensor shapes).
-func (o *Optimizer) appendGraphSig(b []byte, g *graph.Graph) []byte {
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Cost.Alpha))
+// appendLayerCrossKey appends the cross-call identity of a layer's α-free
+// inputs (layerInputs, dp.go) onto the environment prefix: the plan key's
+// graph signature without α.
+func appendLayerCrossKey(b []byte, g *graph.Graph) []byte {
+	return appendGraphSig(append(b, 'L'), g)
+}
+
+// appendGraphSig appends everything a search reads of the layer graph: the
+// full signature of every op and every edge (endpoint positions,
+// destination tensor, axis map; the endpoint ops' signatures already cover
+// the tensor shapes).
+func appendGraphSig(b []byte, g *graph.Graph) []byte {
 	b = binary.AppendUvarint(b, uint64(len(g.Nodes)-1))
 	for _, op := range g.Nodes {
 		b = appendOpSig(b, op)

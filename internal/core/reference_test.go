@@ -32,7 +32,7 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	stats := SearchStats{Workers: 1}
 	cands := make([]*nodeCands, len(g.Nodes))
 	for i, op := range g.Nodes {
-		cands[i] = o.evalNode(op, 1)
+		cands[i] = o.evalNode(op, 1).withAlpha(o.Cost.Alpha)
 		stats.CandidatesEvaluated += len(cands[i].seqs)
 		stats.CandsTotal += len(cands[i].seqs)
 	}
@@ -40,7 +40,7 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 
 	edgeMats := make(map[*graph.Edge]*edgeMat, len(g.Edges))
 	for _, e := range g.Edges {
-		m := measureMat(o.Cost, g, e, cands[e.Src], cands[e.Dst])
+		m := measureMat(o.Cost, g, e, cands[e.Src].nodeEntry, cands[e.Dst].nodeEntry)
 		edgeMats[e] = m
 		stats.EdgeCellsEvaluated += int64(m.nr) * int64(m.nc)
 	}
@@ -75,7 +75,7 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 // measureMat is edge e's matrix over its candidates grouped by interface
 // class on the axes the edge moves, each cell RedistributeDetail of
 // EdgePlan.Measure on the groups' representatives.
-func measureMat(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeCands) *edgeMat {
+func measureMat(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeEntry) *edgeMat {
 	re := newRefEdge(m, g, e, src, dst)
 	mat := &edgeMat{rows: re.rows, cols: re.cols, nr: len(re.rowReps), nc: len(re.colReps),
 		vals: make([]float64, len(re.rowReps)*len(re.colReps))}
@@ -89,16 +89,14 @@ func measureMat(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeCand
 // class on the axes the edge moves, one representative per group.
 type refEdge struct {
 	plan                         *cost.EdgePlan
-	src, dst                     *nodeCands
+	src, dst                     *nodeEntry
 	rows, cols, rowReps, colReps []int32
 }
 
-func newRefEdge(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeCands) *refEdge {
-	srcPats, _ := src.patterns()
-	_, dstPats := dst.patterns()
+func newRefEdge(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeEntry) *refEdge {
 	re := &refEdge{plan: m.PlanEdge(g, e), src: src, dst: dst}
-	re.rows, re.rowReps = ifaceGroups(srcPats, re.plan.SrcRelevantAxes())
-	re.cols, re.colReps = ifaceGroups(dstPats, re.plan.DstRelevantAxes())
+	re.rows, re.rowReps = ifaceGroups(src.outPats, re.plan.SrcRelevantAxes())
+	re.cols, re.colReps = ifaceGroups(dst.inPats, re.plan.DstRelevantAxes())
 	return re
 }
 

@@ -88,11 +88,11 @@ type SearchStats struct {
 	// repository benchmark reads it by name.
 	EdgeCellsReused int64 `json:"edge_cells_reused"`
 
-	// CrossCallNodeHits / CrossCallEdgeHits count node evaluations and edge
-	// matrices served by the Optimizer-level cache that persists ACROSS
-	// Plan calls (sweeps over scales/α reuse earlier work). The
-	// per-call NodeCacheHits/EdgeCacheHits count within-call signature
-	// sharing only.
+	// CrossCallNodeHits / CrossCallEdgeHits count the unique node entries
+	// and edge matrices served by the cross-call layer tier, which persists
+	// ACROSS Plan calls: a layer hit (an α shift) serves all of them, any
+	// other search none. The per-call NodeCacheHits/EdgeCacheHits count
+	// within-call signature sharing only.
 	CrossCallNodeHits int `json:"cross_call_node_hits"`
 	CrossCallEdgeHits int `json:"cross_call_edge_hits"`
 

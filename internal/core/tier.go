@@ -9,8 +9,9 @@ import (
 // tier is one bounded level of the SearchCache: a map from exact byte key to
 // a read-only value, the cells those values pin, and a cap on the cells. An
 // insert that would pass the cap flushes the tier wholesale first — an epoch
-// flush is simpler than LRU, and the cache rebuilds in one sweep pass — and
-// an insert never overwrites a present key. In-process inserts and
+// flush is simpler than LRU, and the cache rebuilds in one sweep pass — an
+// insert never overwrites a present key, and a value larger than the cap on
+// its own is not cached at all. In-process inserts and
 // disk-cache merges take the same path, so both respect one memory bound.
 type tier[V any] struct {
 	mu    sync.Mutex
@@ -45,6 +46,9 @@ func (t *tier[V]) insertLocked(key string, v V) {
 		return
 	}
 	n := t.size(v)
+	if n > t.cap {
+		return
+	}
 	if t.cells+n > t.cap {
 		t.m = make(map[string]V)
 		t.cells = 0
@@ -90,37 +94,38 @@ func (t *tier[V]) reset() {
 
 // Tier caps, in float64-equivalent cells (8 bytes each).
 const (
-	// maxCachedNodeCells bounds the node tier (~512 MB). The largest node
-	// tier of any benchmark workload, a restarted daemon's, peaks at 33.5M
-	// cells (DESIGN.md §5.21).
-	maxCachedNodeCells = 64 << 20
-	// maxCachedEdgeCells bounds the edge tier (~512 MB).
-	maxCachedEdgeCells = 64 << 20
+	// maxCachedLayerCells bounds the layer tier (~1 GB), the sum of the
+	// node and edge tiers it replaced (DESIGN.md §5.37).
+	maxCachedLayerCells = 128 << 20
 	// maxCachedPlanCells bounds the plan tier's answers (~8 MB).
 	maxCachedPlanCells = 1 << 20
 )
 
-// nodeCells counts the words a node entry pins: per candidate its tokens
-// (six words each), its Intra breakdown and both interfaces. Interfaces
+// layerCells counts the words a layer entry pins: per unique node entry and
+// candidate its tokens (six words each), its Intra breakdown and both
+// interfaces, plus every unique edge matrix's grouped cells. Interfaces
 // shared between candidates are counted per candidate — an overcount, which
 // only flushes earlier, never later.
-func nodeCells(e *nodeEntry) int64 {
-	n := int64(len(e.intra)) * 5
-	for _, s := range e.seqs {
-		n += 6 * int64(len(s.Tokens))
-	}
-	for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
-		for _, ifc := range ifs {
-			if ifc != nil {
-				n += int64(len(ifc.Fwd) + len(ifc.Bwd) + len(ifc.Width))
+func layerCells(in *layerInputs) int64 {
+	var n int64
+	for _, e := range in.slots {
+		n += int64(len(e.intra)) * 5
+		for _, s := range e.seqs {
+			n += 6 * int64(len(s.Tokens))
+		}
+		for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
+			for _, ifc := range ifs {
+				if ifc != nil {
+					n += int64(len(ifc.Fwd) + len(ifc.Bwd) + len(ifc.Width))
+				}
 			}
 		}
 	}
+	for _, m := range in.mats {
+		n += int64(m.nr) * int64(m.nc)
+	}
 	return n
 }
-
-// edgeCells counts a matrix's grouped cells.
-func edgeCells(m *edgeMat) int64 { return int64(m.nr) * int64(m.nc) }
 
 // planCells counts the words a plan entry pins: per node its tokens (six
 // words each), its Intra breakdown (five) and its space size (one).

@@ -9,7 +9,8 @@ import (
 
 // checkTier drives one tier through its contract: entries up to the cap
 // coexist, a present key is never overwritten, an insert past the cap
-// flushes the tier and keeps the new entry, reset empties it, and merge
+// flushes the tier and keeps the new entry, a value larger than the cap on
+// its own is neither cached nor flushes anything, reset empties it, and merge
 // inserts in sorted key order, so the entries that survive a flush do not
 // depend on map order. mk returns a fresh value pinning the given cells.
 func checkTier[V comparable](t *testing.T, tr *tier[V], mk func(cells int) V) {
@@ -30,6 +31,11 @@ func checkTier[V comparable](t *testing.T, tr *tier[V], mk func(cells int) V) {
 	if tr.len() != 1 || tr.get("c") != c || tr.cells != 3 {
 		t.Fatalf("insert past the cap left %d entries (%d cells); want only the new one", tr.len(), tr.cells)
 	}
+	var zero V
+	tr.put("big", mk(11))
+	if tr.get("big") != zero || tr.len() != 1 || tr.get("c") != c || tr.cells != 3 {
+		t.Fatalf("a value over the cap: %d entries, %d cells; want it uncached and c kept", tr.len(), tr.cells)
+	}
 	tr.reset()
 	if tr.len() != 0 || tr.cells != 0 {
 		t.Fatalf("reset left %d entries, %d cells", tr.len(), tr.cells)
@@ -43,25 +49,23 @@ func checkTier[V comparable](t *testing.T, tr *tier[V], mk func(cells int) V) {
 	}
 }
 
-// TestSearchCacheTiers runs checkTier over all three tiers of a SearchCache,
+// TestSearchCacheTiers runs checkTier over both tiers of a SearchCache,
 // each with values its own size function counts as the given cells.
 func TestSearchCacheTiers(t *testing.T) {
-	t.Run("nodes", func(t *testing.T) {
-		checkTier(t, NewSearchCache().nodes, func(n int) *nodeEntry {
-			return &nodeEntry{out: []*cost.Iface{{Width: make([]float64, n)}}}
+	t.Run("layers", func(t *testing.T) {
+		checkTier(t, NewSearchCache().layers, func(n int) *layerInputs {
+			return &layerInputs{mats: []*edgeMat{{nr: n, nc: 1}}}
 		})
-	})
-	t.Run("edges", func(t *testing.T) {
-		checkTier(t, NewSearchCache().edges, func(n int) *edgeMat { return &edgeMat{nr: n, nc: 1} })
 	})
 	t.Run("plans", func(t *testing.T) {
 		checkTier(t, NewSearchCache().plans, func(n int) *cachedPlan { return &cachedPlan{sizes: make([]int32, n)} })
 	})
 }
 
-// TestNodeCells pins the node tier's size function on a real entry: per
-// candidate five Intra words, six per token and every interface float.
-func TestNodeCells(t *testing.T) {
+// TestLayerCells pins the layer tier's size function: per node entry and
+// candidate five Intra words, six per token and every interface float, plus
+// every edge matrix's grouped cells, each unique entry and matrix once.
+func TestLayerCells(t *testing.T) {
 	ifc := func() *cost.Iface {
 		return &cost.Iface{NumAxes: 1, Fwd: make([]float64, 2), Bwd: make([]float64, 2), Width: make([]float64, 1)}
 	}
@@ -71,8 +75,14 @@ func TestNodeCells(t *testing.T) {
 		out:   []*cost.Iface{ifc()},
 		in:    []*cost.Iface{ifc()},
 	}
-	if got, want := nodeCells(e), int64(5+2*6+2*5); got != want {
-		t.Fatalf("nodeCells = %d, want %d", got, want)
+	in := &layerInputs{
+		slots:  []*nodeEntry{e},
+		slotOf: []int{0, 0},
+		mats:   []*edgeMat{{nr: 3, nc: 2}},
+		matOf:  []int{0},
+	}
+	if got, want := layerCells(in), int64(5+2*6+2*5+3*2); got != want {
+		t.Fatalf("layerCells = %d, want %d", got, want)
 	}
 }
 

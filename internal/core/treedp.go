@@ -172,7 +172,7 @@ func (d *segDims) chainCost(x, y int) float64 {
 			}
 			solve += scan
 		}
-		w += h * solve
+		w += float64(h * solve)
 	}
 	return w
 }
@@ -190,7 +190,7 @@ func (d *segDims) mergeCost(x, m, y int) float64 {
 	if nR < scan {
 		scan = nR
 	}
-	return 2*nR*nb + hL*(nm+(scan+2)*nb)
+	return float64(2*nR*nb) + float64(hL*(nm+float64((scan+2)*nb)))
 }
 
 type planEntry struct {

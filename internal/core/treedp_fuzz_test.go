@@ -22,12 +22,14 @@ import (
 func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) int {
 	t.Helper()
 	w := o.Workers()
+	ents := make([]*nodeEntry, len(g.Nodes))
 	cands := make([]*nodeCands, len(g.Nodes))
 	for i, op := range g.Nodes {
-		cands[i] = o.evalNode(op, w)
+		ents[i] = o.evalNode(op, w)
+		cands[i] = ents[i].withAlpha(o.Cost.Alpha)
 	}
 	ctx := context.Background()
-	mats, _, err := o.buildEdgeMats(ctx, g, g.Edges, cands, o.newOverlapTables(), w)
+	mats, _, err := o.buildEdgeMats(ctx, g, g.Edges, ents, o.newOverlapTables(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,8 +84,11 @@ func (ic Intra) Exposed() float64 { return ic.StepSum - ic.Compute }
 // Latency returns the operator's latency contribution (no memory term).
 func (ic Intra) Latency() float64 { return ic.StepSum + ic.AllReduce }
 
-// Total folds the memory term in with weight alpha (Eq. 7).
-func (ic Intra) Total(alpha float64) float64 { return ic.Latency() + alpha*ic.MemoryBytes }
+// Total folds the memory term in with weight alpha (Eq. 7). The explicit
+// float64 conversion rounds the product on its own, so no target fuses it
+// into a multiply-add; every digest-fed product in the cost model, DP,
+// simulator and planner is written this way (CI checks arm64).
+func (ic Intra) Total(alpha float64) float64 { return ic.Latency() + float64(alpha*ic.MemoryBytes) }
 
 // phaseApplicable reports whether op executes the given phase at all.
 func phaseApplicable(op *graph.Op, ph partition.Phase) bool {
@@ -181,7 +184,7 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 	perStepFlops := op.Flops() / slices
 	var perStepBytes float64
 	for ti := range op.Tensors {
-		perStepBytes += blockElems(op, seq, ti) * eb
+		perStepBytes += float64(blockElems(op, seq, ti) * eb)
 	}
 
 	primeBits := seq.PrimeBitPositions()
@@ -210,7 +213,7 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 			for ti, t := range op.Tensors {
 				for _, ax := range t.Axes {
 					if ax == vAxis {
-						bytes += blockElems(op, seq, ti) * eb
+						bytes += float64(blockElems(op, seq, ti) * eb)
 						break
 					}
 				}
@@ -222,16 +225,16 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 			}
 		}
 
-		out.Compute += float64(steps) * computeStep
-		out.RingTotal += float64(steps) * ringStep
+		out.Compute += float64(float64(steps) * computeStep)
+		out.RingTotal += float64(float64(steps) * ringStep)
 		if m.Overlap {
 			step := computeStep
 			if ringStep > step {
 				step = ringStep
 			}
-			out.StepSum += float64(steps) * step
+			out.StepSum += float64(float64(steps) * step)
 		} else {
-			out.StepSum += float64(steps) * (computeStep + ringStep)
+			out.StepSum += float64(float64(steps) * (computeStep + ringStep))
 		}
 
 		// All-reduce for every reduction whose summed axes are split
@@ -262,13 +265,13 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 				repl := weightReplication(op, seq, ti, cl.Bits())
 				mult = (m.ParamBytesPerElement - OptimizerStateShare) + OptimizerStateShare/repl
 			}
-			out.MemoryBytes += blockElems(op, seq, ti) * eb * mult
+			out.MemoryBytes += float64(blockElems(op, seq, ti) * eb * mult)
 		case graph.Output:
-			out.MemoryBytes += blockElems(op, seq, ti) * eb
+			out.MemoryBytes += float64(blockElems(op, seq, ti) * eb)
 		}
 	}
 	for _, ti := range op.Stash {
-		out.MemoryBytes += blockElems(op, seq, ti) * eb
+		out.MemoryBytes += float64(blockElems(op, seq, ti) * eb)
 	}
 	if len(primeToks) > 0 {
 		// Double buffers hold the next step's incoming blocks; the peak is
@@ -281,7 +284,7 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 				for ti, t := range op.Tensors {
 					for _, ax := range t.Axes {
 						if ax == vAxis {
-							phaseBytes += blockElems(op, seq, ti) * eb
+							phaseBytes += float64(blockElems(op, seq, ti) * eb)
 							break
 						}
 					}

@@ -299,7 +299,7 @@ type Patterns struct {
 	// ids[i*numAxes*2+slot] is interface i's pattern id in that slot. A
 	// space's slots hold at most a few dozen patterns each, so the ids are
 	// kept as bytes (ids8) whenever every slot fits 256, which quarters
-	// what the node tier holds for them; exactly one of the two is set.
+	// what a cached node entry holds for them; exactly one of the two is set.
 	ids   []int32
 	ids8  []uint8
 	first []int32 // base[slot]+id -> the first interface with that pattern

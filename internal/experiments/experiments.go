@@ -284,10 +284,11 @@ func (d *ThroughputData) Fig8Table() string {
 	return t.String()
 }
 
-// selectOptimizer builds the PrimePar optimizer for a cluster. Optimizers
-// share the process-wide cross-call search cache (core.DefaultSearchCache),
-// so sweeps over scales, α values and repeated experiment passes reuse node
-// evaluations and edge matrices instead of recomputing them.
+// optimizer builds the PrimePar optimizer for a cluster. Optimizers share
+// the process-wide cross-call search cache (core.DefaultSearchCache), so a
+// repeated experiment pass or a layer-count change is a plan hit, and an α
+// sweep of one layer graph reuses its node evaluations and edge matrices
+// (the layer tier) instead of recomputing them.
 func (s Setup) optimizer(cl *device.Cluster) *core.Optimizer {
 	m := cost.NewModel(cl)
 	m.Alpha = s.Alpha

@@ -133,7 +133,7 @@ func (o *Op) Volume() float64 {
 
 // Flops returns the total floating point operations of one phase of the
 // unpartitioned operator.
-func (o *Op) Flops() float64 { return o.FlopFactor * o.Volume() }
+func (o *Op) Flops() float64 { return float64(o.FlopFactor * o.Volume()) }
 
 // TensorElems returns the element count of tensor i.
 func (o *Op) TensorElems(i int) float64 {

@@ -59,9 +59,10 @@ import (
 // core.Optimizer: construct once per cluster, share across requests.
 type Optimizer struct {
 	Cluster *device.Cluster
-	// Cache persists the per-stage tensor-parallel search intermediates
-	// ACROSS Plan3D calls and with plain core.Plan calls on any sub-cluster
-	// (stage sub-clusters get disjoint keys via the env signature).
+	// Cache persists each stage search's answer, and the α-free inputs of
+	// its layer graph, ACROSS Plan3D calls and with plain core.Plan calls on
+	// any sub-cluster (stage sub-clusters get disjoint keys via the env
+	// signature).
 	// NewOptimizer attaches core.DefaultSearchCache; set a private
 	// core.NewSearchCache to isolate. nil isolates each stage search: every
 	// one gets an empty cache of its own.
@@ -547,7 +548,7 @@ func (o *Optimizer) assemble(cfg model.Config, c3 Config3D, system System, cut [
 		if nMB < inflight {
 			inflight = nMB
 		}
-		mem := st.mem + float64(inflight-1)*st.stash
+		mem := st.mem + float64(float64(inflight-1)*st.stash)
 		if mem > peak {
 			peak = mem
 		}
@@ -686,8 +687,8 @@ func (o *Optimizer) planConfig(req Plan3DRequest, g *graph.Graph, c3 Config3D, e
 				maxT = t
 			}
 			f := st.time / 3
-			fwds[s] = f + p2p/2
-			bwds[s] = (st.time - f) + p2p/2
+			fwds[s] = f + float64(p2p/2)
+			bwds[s] = (st.time - f) + float64(p2p/2)
 			if ar := dpARTime(full, c3.D, c3.M, st.wBytes); ar > dpAR {
 				dpAR = ar
 			}

@@ -213,7 +213,7 @@ func (s *Simulator) Prepare(g *graph.Graph, seqs []partition.Seq) (*Prepared, er
 		n.steps = seq.Steps()
 		perStepBytes := 0.0
 		for ti := range op.Tensors {
-			perStepBytes += cost.BlockElems(op, seq, ti) * eb
+			perStepBytes += float64(cost.BlockElems(op, seq, ti) * eb)
 		}
 		n.computeStep = cl.ComputeTime(op.Flops()/cost.SliceProduct(op, seq), perStepBytes)
 		for _, ph := range partition.Phases {
@@ -223,7 +223,7 @@ func (s *Simulator) Prepare(g *graph.Graph, seqs []partition.Seq) (*Prepared, er
 		}
 		n.outBytes = cost.BlockElems(op, seq, op.OutputTensor) * eb
 		for _, ti := range op.Stash {
-			b := cost.BlockElems(op, seq, ti) * eb
+			b := float64(cost.BlockElems(op, seq, ti) * eb)
 			n.stashBytes += b
 			p.stashBytes += b
 		}
@@ -244,8 +244,8 @@ func (s *Simulator) Prepare(g *graph.Graph, seqs []partition.Seq) (*Prepared, er
 					n.gathers = append(n.gathers, prepGather{ind: device.Indicator(bits), bytes: cost.BlockElems(op, seq, ti) * eb})
 				}
 			}
-			w += cost.BlockElems(op, seq, ti) * mult
-			p.weightBytes += cost.BlockElems(op, seq, ti) * eb
+			w += float64(cost.BlockElems(op, seq, ti) * mult)
+			p.weightBytes += float64(cost.BlockElems(op, seq, ti) * eb)
 		}
 		n.weightBytes = w * eb
 	}
@@ -294,7 +294,7 @@ func preparePhase(cl *device.Cluster, op *graph.Op, seq partition.Seq, ph partit
 		for ti, t := range op.Tensors {
 			for _, ax := range t.Axes {
 				if ax == vAxis {
-					bytes += cost.BlockElems(op, seq, ti) * eb
+					bytes += float64(cost.BlockElems(op, seq, ti) * eb)
 					break
 				}
 			}
@@ -501,7 +501,7 @@ func (p *Prepared) Run(layers int) (*Report, error) {
 
 	// Resident weights (with gradient and optimizer state) for all layers.
 	for i := range p.nodes {
-		st.alloc(p.nodes[i].weightBytes * float64(layers))
+		st.alloc(float64(p.nodes[i].weightBytes * float64(layers)))
 	}
 	// Double buffers for Prime-partitioned operators (held for the whole
 	// iteration).
@@ -606,7 +606,7 @@ func doubleBufferBytes(op *graph.Op, seq partition.Seq, eb float64) float64 {
 			for ti, t := range op.Tensors {
 				for _, ax := range t.Axes {
 					if ax == vAxis {
-						phaseBytes += cost.BlockElems(op, seq, ti) * eb
+						phaseBytes += float64(cost.BlockElems(op, seq, ti) * eb)
 						break
 					}
 				}
