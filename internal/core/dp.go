@@ -598,14 +598,31 @@ func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, 
 	}
 	periodic := unstackable == nil
 
-	// Layer table: built on every plan miss and dropped once the layer pick
-	// has reconstructed the answer; only the plan entry is published.
-	t, err := o.layerDP(ctx, g, cands, in.edgeMats(g), stats)
+	// Layer table: built on every plan miss over the candidates the bound
+	// keeps (bound.go), in the shape planned from the full space, and
+	// dropped once the layer pick has reconstructed the answer; only the
+	// plan entry is published.
+	tDP := time.Now()
+	edgeMats := in.edgeMats(g)
+	shape := layerShape(g, cands, edgeMats)
+	keep, err := o.survivors(ctx, g, shape, cands, edgeMats, periodic, stats.Workers)
 	if err != nil {
 		return nil, err
 	}
+	for v, c := range cands {
+		stats.CandsPruned += len(c.seqs) - len(keep[v])
+	}
+	subCands, subMats := restrictLayer(g, cands, edgeMats, keep)
+	t, err := o.layerDP(ctx, g, shape, subCands, subMats, stats)
+	if err != nil {
+		return nil, err
+	}
+	stats.DPTime = time.Since(tDP)
 	tPick := time.Now()
 	assign, layerCost := t.layerPlan(len(g.Nodes), periodic)
+	for v, ix := range assign {
+		assign[v] = keep[v][ix] // back to full-space indices
+	}
 	stats.StackTime = time.Since(tPick)
 	return planOf(cands, assign, layerCost, periodic), nil
 }
@@ -673,14 +690,13 @@ func edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Edge, matIdx []in
 }
 
 // layerDP runs the DP of one layer over its edge matrices: the per-segment
-// tables, then left-to-right merging with cross edges (Eqs. 13–14), on
-// stats.Workers workers.
-func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, stats *SearchStats) (*table, error) {
-	tDP := time.Now()
-	cuts := g.SegmentCuts()
+// tables in the planned shape (one segPlan per segment, layerShape), then
+// left-to-right merging with cross edges (Eqs. 13–14), on stats.Workers
+// workers.
+func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, stats *SearchStats) (*table, error) {
 	var acc *table
-	for s := 0; s+1 < len(cuts); s++ {
-		seg, err := o.segmentTable(ctx, g, cands, edgeMats, cuts[s], cuts[s+1], stats, stats.Workers)
+	for _, p := range shape {
+		seg, err := o.execSegPlan(ctx, p, g, cands, edgeMats, stats, stats.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -696,7 +712,6 @@ func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCa
 			return nil, err
 		}
 	}
-	stats.DPTime = time.Since(tDP)
 	return acc, nil
 }
 
@@ -800,18 +815,19 @@ func (t *table) minHeadBase() ([]float64, []int32) {
 	return minHB, argHB
 }
 
-// argMin returns a witness (ia, ib) attaining the table's minimum over
-// (p_a, p_b) of headBase[p_a] + cost[rowCls[p_a]][p_b].
+// argMin returns the witness (ia, ib) attaining the table's minimum over
+// (p_a, p_b) of headBase[p_a] + cost[rowCls[p_a]][p_b], the
+// lexicographically lowest one on a tie.
 func (t *table) argMin() (int32, int32) {
 	minHB, argHB := t.minHeadBase()
 	best := math.Inf(1)
 	var bi, bj int32
 	for r := 0; r < t.nCls; r++ {
-		hb := minHB[r]
+		hb, ia := minHB[r], argHB[r]
 		for ib, v := range t.cost[r] {
-			if c := hb + v; c < best {
+			if c := hb + v; c < best || c == best && (ia < bi || ia == bi && int32(ib) < bj) {
 				best = c
-				bi, bj = argHB[r], int32(ib)
+				bi, bj = ia, int32(ib)
 			}
 		}
 	}

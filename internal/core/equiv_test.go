@@ -121,9 +121,10 @@ func linearChain() *graph.Graph {
 // (all parallel writes land in disjoint slots). It covers both fan-out
 // branches of the pool: a block search, whose node and edge loops have many
 // tasks that each run inline, and a graph whose outer loops have one task
-// each, so the inner loops fan out instead. Both run long min-plus products
-// on the two-sided kernel: its per-product choice and the sampled rows'
-// reused answers must not depend on the bands either.
+// each, so the inner loops fan out instead. The unpruned layer DP of both
+// runs long min-plus products on the two-sided kernel: its per-product
+// choice and the sampled rows' reused answers must not depend on the bands
+// either.
 func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 	block, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
@@ -154,14 +155,28 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatalf("%s: %d node evals, %d edge builds; one-task branch = %v, want %v",
 				tc.name, a.Stats.NodeEvals, a.Stats.EdgeMatsBuilt, single, tc.oneTask)
 		}
-		if a.Stats.DPTwoSidedProducts == 0 {
-			t.Fatalf("%s: no product ran the two-sided kernel", tc.name)
+		// The bound leaves Plan's DP too few candidates for a long product,
+		// so the two-sided kernel is pinned on the unpruned layer DP of the
+		// same inputs.
+		fullDP := func(workers int) *Strategy {
+			o := NewOptimizer(m)
+			o.Opts.Parallelism = workers
+			return unprunedPlan(t, o, tc.g, 3)
+		}
+		fa := fullDP(1)
+		if fa.Stats.DPTwoSidedProducts == 0 {
+			t.Fatalf("%s: no product of the unpruned layer DP ran the two-sided kernel", tc.name)
 		}
 		for _, workers := range []int{2, 4, 7} {
 			b := plan(workers)
 			sameStrategy(t, tc.name, a, b)
 			if searchCounters(a.Stats) != searchCounters(b.Stats) {
 				t.Fatalf("%s workers=%d: work counts differ:\n%+v\n%+v", tc.name, workers, a.Stats, b.Stats)
+			}
+			fb := fullDP(workers)
+			sameStrategy(t, tc.name+" unpruned", fa, fb)
+			if searchCounters(fa.Stats) != searchCounters(fb.Stats) {
+				t.Fatalf("%s workers=%d: unpruned work counts differ:\n%+v\n%+v", tc.name, workers, fa.Stats, fb.Stats)
 			}
 			if b.Stats.Workers != workers {
 				t.Fatalf("%s: Stats.Workers = %d, want %d", tc.name, b.Stats.Workers, workers)

@@ -1,10 +1,11 @@
-// Full-space fuzzing: the DP is exact over the whole candidate space with no
-// pre-filter and no scan bound. The two fuzzers keep the names
-// and seed corpora of the fuzzers that pinned the deleted dominance
-// pre-filter (DESIGN.md §5.7) and two-level scan exit (§5.8) against their
-// Disable* references; with both mechanisms gone they pin the same chains
-// against the uncached reference (referencePlan), and pin that the counters
-// the mechanisms fed stay at zero.
+// Full-space fuzzing: the DP is exact over the whole candidate space, and
+// the bound pruning (bound.go) drops only candidates that cannot change the
+// answer. The two fuzzers keep the names and seed corpora of the fuzzers
+// that pinned the deleted dominance pre-filter (DESIGN.md §5.7) and
+// two-level scan exit (§5.8) against their Disable* references; they pin the
+// same chains against the uncached reference (referencePlan), whose layer DP
+// runs unpruned, so bit-identity pins pruned ≡ unpruned. CandsPruned now
+// counts the bound's drops; EntriesBoundSkipped stays at zero.
 package core
 
 import (
@@ -35,17 +36,23 @@ func decodeFullSpace(r *byteReader) deltaParams {
 	return p
 }
 
-// fullSpacePlans plans p with the production configuration (cache + workers,
-// on a private cache) and with the uncached reference, and fails unless
-// the two are bit-identical.
-func fullSpacePlans(t *testing.T, p deltaParams) (prod, ref *Strategy) {
-	t.Helper()
+// fullSpaceModel is the cost model p decodes to.
+func fullSpaceModel(p deltaParams) *cost.Model {
 	per := 4
 	if p.devices < per {
 		per = p.devices
 	}
 	mdl := cost.NewModel(device.MustCluster(p.devices, per, device.V100Profile()))
 	mdl.Alpha = deltaAlphas[p.alphaIdx]
+	return mdl
+}
+
+// fullSpacePlans plans p with the production configuration (cache + workers,
+// on a private cache) and with the uncached reference, and fails unless
+// the two are bit-identical.
+func fullSpacePlans(t *testing.T, p deltaParams) (prod, ref *Strategy) {
+	t.Helper()
+	mdl := fullSpaceModel(p)
 	g := deltaGraph(t, p)
 
 	o := NewOptimizer(mdl)
@@ -62,10 +69,36 @@ func fullSpacePlans(t *testing.T, p deltaParams) (prod, ref *Strategy) {
 	return prod, ref
 }
 
-// FuzzDominanceEquivalence pins that no candidate is filtered out of the
-// space: for any decoded chain the production plan is bit-identical to the
-// reference one, CandsTotal is exactly the sum of the reported space
-// sizes on both sides, and CandsPruned reads zero.
+// prunedCount is Σ(|P| − survivors) over p's layer graph: the candidates
+// the bound pass (survivors) drops, recomputed from p's prepared inputs.
+func prunedCount(t *testing.T, p deltaParams) int {
+	t.Helper()
+	g := deltaGraph(t, p)
+	o := NewOptimizer(fullSpaceModel(p))
+	o.Cache = NewSearchCache()
+	in, err := o.prepare(context.Background(), g, &SearchStats{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, mats := in.cands(o.Cost.Alpha), in.edgeMats(g)
+	periodic := checkStackable(cands[0], cands[len(cands)-1]) == nil
+	keep, err := o.survivors(context.Background(), g, layerShape(g, cands, mats), cands, mats, periodic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for v, c := range cands {
+		n += len(c.seqs) - len(keep[v])
+	}
+	return n
+}
+
+// FuzzDominanceEquivalence pins that the bound pruning drops no candidate
+// the answer needs: for any decoded chain the production plan, whose DP
+// runs on the survivors, is bit-identical to the reference one, whose DP
+// runs on the full space; CandsTotal is exactly the sum of the reported
+// space sizes on both sides; production's CandsPruned is Σ(|P| −
+// survivors) and the reference's reads zero.
 func FuzzDominanceEquivalence(f *testing.F) {
 	f.Add([]byte{})                          // minimal chain
 	f.Add([]byte{1, 1, 1, 3, 0, 0, 0, 1})    // length 4
@@ -83,9 +116,12 @@ func FuzzDominanceEquivalence(f *testing.F) {
 			if total == 0 || s.Stats.CandsTotal != total {
 				t.Errorf("CandsTotal %d, space sizes sum to %d", s.Stats.CandsTotal, total)
 			}
-			if s.Stats.CandsPruned != 0 {
-				t.Errorf("CandsPruned = %d, want 0", s.Stats.CandsPruned)
-			}
+		}
+		if want := prunedCount(t, p); prod.Stats.CandsPruned != want {
+			t.Errorf("production CandsPruned = %d, want Σ(|P| − survivors) = %d", prod.Stats.CandsPruned, want)
+		}
+		if ref.Stats.CandsPruned != 0 {
+			t.Errorf("reference CandsPruned = %d, want 0", ref.Stats.CandsPruned)
 		}
 	})
 }

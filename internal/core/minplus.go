@@ -18,10 +18,18 @@
 // the product's rows: the counts depend only on the values and the row
 // count, so the choice is deterministic.
 //
+// Ties: every kernel takes a key per row index u (the fold's witness, a
+// candidate index) and returns, among the indices attaining the minimum, the
+// one with the lowest key: an entry replaces the incumbent when it is
+// smaller, or equal with a lower key. The answer is then a function of the
+// values and keys alone, never of the scan order, so the three kernels
+// return identical witnesses, and a DP over a subset of the candidates that
+// keeps the winning ones picks the same winners (DESIGN.md §5.38).
+//
 // Exactness: suf[i] is an exact suffix minimum of the ordered values, and
 // IEEE addition is monotone (a ≥ b, c ≥ d ⟹ a+c ≥ b+d), so when
-// suf[i] + otherMin ≥ best every remaining pair is ≥ best and cannot
-// strictly improve. The two-sided exit is the same argument with a tighter
+// suf[i] + otherMin > best every remaining pair is > best and can neither
+// improve nor tie. The two-sided exit is the same argument with a tighter
 // other side: an index not yet visited from either side sits at position
 // ≥ i in both orders, so its pair is ≥ sufM[i] + sufCol[i]. The ordering
 // itself only needs to be APPROXIMATELY sorted to make the exit early —
@@ -190,12 +198,12 @@ func sortCols(colsT []float64, n, nCols int) *sortedCols {
 	return sc
 }
 
-// scanMinPlus fills best[c] = min_u m[u] + column c and argU[c] with a
-// witness row index, scanning each column in its shared ascending order.
-// colsT is flat column-major with stride sc.n; the column count is
+// scanMinPlus fills best[c] = min_u m[u] + column c and argU[c] with the
+// lowest-key witness row index, scanning each column in its shared ascending
+// order. colsT is flat column-major with stride sc.n; the column count is
 // len(best). mMin must be the exact minimum of m. Returns the entries
 // scanned (value-determined, used to pick the scan side).
-func scanMinPlus(m []float64, mMin float64, colsT []float64, sc *sortedCols, best []float64, argU []int32) (scanned int) {
+func scanMinPlus(m []float64, key []int32, mMin float64, colsT []float64, sc *sortedCols, best []float64, argU []int32) (scanned int) {
 	pu := int32(-1)
 	n := sc.n
 	for c := range best {
@@ -204,13 +212,13 @@ func scanMinPlus(m []float64, mMin float64, colsT []float64, sc *sortedCols, bes
 		val := sc.val[o : o+n]
 		suf := sc.suf[o : o+n]
 		b := math.Inf(1)
-		bu := int32(-1)
+		bu, bk := int32(-1), int32(math.MaxInt32)
 		if pu >= 0 {
 			// Warm start from the previous column's witness: adjacent
 			// columns are correlated, and a tight initial bound makes the
 			// suffix-minima exit fire from the first entry.
 			b = m[pu] + colsT[o+int(pu)]
-			bu = pu
+			bu, bk = pu, key[pu]
 		}
 		// Exit checks run once per block of 8: the bound only decides how
 		// early the scan stops, so overshooting at most 7 entries keeps the
@@ -221,7 +229,7 @@ func scanMinPlus(m []float64, mMin float64, colsT []float64, sc *sortedCols, bes
 		// blocks are rare; see DESIGN.md §5.7. The serial loop stays.)
 		i := 0
 		for i < n {
-			if suf[i]+mMin >= b {
+			if suf[i]+mMin > b {
 				break
 			}
 			e := i + 8
@@ -230,9 +238,8 @@ func scanMinPlus(m []float64, mMin float64, colsT []float64, sc *sortedCols, bes
 			}
 			for ; i < e; i++ {
 				u := order[i]
-				if v := val[i] + m[u]; v < b {
-					b = v
-					bu = u
+				if v := val[i] + m[u]; v < b || v == b && key[u] < bk {
+					b, bu, bk = v, u, key[u]
 				}
 			}
 		}
@@ -244,30 +251,31 @@ func scanMinPlus(m []float64, mMin float64, colsT []float64, sc *sortedCols, bes
 	return scanned
 }
 
-// scanMinPlusRows fills best[c] = min_u m[u] + column c, scanning the
-// SORTED m (order/val/suf from sortAsc) against each raw column of the flat
-// column-major colsT (stride n = len(m), column count len(best)); colMin[c]
-// must be the exact minimum of column c. Returns the entries scanned.
-func scanMinPlusRows(m []float64, order []int32, val, suf []float64, colsT []float64, colMin []float64, best []float64, argU []int32) (scanned int) {
+// scanMinPlusRows fills best[c] = min_u m[u] + column c (lowest-key
+// witness), scanning the SORTED m (order/val/suf from sortAsc) against each
+// raw column of the flat column-major colsT (stride n = len(m), column count
+// len(best)); colMin[c] must be the exact minimum of column c. Returns the
+// entries scanned.
+func scanMinPlusRows(m []float64, key []int32, order []int32, val, suf []float64, colsT []float64, colMin []float64, best []float64, argU []int32) (scanned int) {
 	pu := int32(-1)
 	n := len(m)
 	for c := range best {
 		col := colsT[c*n : c*n+n]
 		cm := colMin[c]
 		b := math.Inf(1)
-		bu := int32(-1)
+		bu, bk := int32(-1), int32(math.MaxInt32)
 		if pu >= 0 {
 			// Warm start from the previous column's witness (see
 			// scanMinPlus).
 			b = m[pu] + col[pu]
-			bu = pu
+			bu, bk = pu, key[pu]
 		}
 		// Blocked exit checks, see scanMinPlus.
 		i := 0
 		val := val[:n]
 		suf := suf[:n]
 		for i < n {
-			if suf[i]+cm >= b {
+			if suf[i]+cm > b {
 				break
 			}
 			e := i + 8
@@ -276,9 +284,8 @@ func scanMinPlusRows(m []float64, order []int32, val, suf []float64, colsT []flo
 			}
 			for ; i < e; i++ {
 				u := order[i]
-				if v := val[i] + col[u]; v < b {
-					b = v
-					bu = u
+				if v := val[i] + col[u]; v < b || v == b && key[u] < bk {
+					b, bu, bk = v, u, key[u]
 				}
 			}
 		}
@@ -290,16 +297,16 @@ func scanMinPlusRows(m []float64, order []int32, val, suf []float64, colsT []flo
 	return scanned
 }
 
-// scanMinPlusTwoSided fills best[c] = min_u m[u] + column c, walking the
-// SORTED m (order/val/suf from sortAsc) and column c's shared ascending
-// order (sc) in lockstep: at depth i it evaluates m's i-th index against
-// the raw column and the column's i-th index against the raw m, and exits
-// once sufM[i] + sufCol[i] ≥ best (see the file header). colsT is flat
+// scanMinPlusTwoSided fills best[c] = min_u m[u] + column c (lowest-key
+// witness), walking the SORTED m (order/val/suf from sortAsc) and column c's
+// shared ascending order (sc) in lockstep: at depth i it evaluates m's i-th
+// index against the raw column and the column's i-th index against the raw
+// m, and exits once sufM[i] + sufCol[i] > best (see the file header). colsT is flat
 // column-major with stride sc.n = len(m); the column count is len(best).
 // Returns the depth reached summed over columns (no column counts more
 // than len(m)); each depth reads one entry of each order, so a product
 // counts two scanned entries per depth.
-func scanMinPlusTwoSided(m []float64, order []int32, val, suf []float64, colsT []float64, sc *sortedCols, best []float64, argU []int32) (scanned int) {
+func scanMinPlusTwoSided(m []float64, key []int32, order []int32, val, suf []float64, colsT []float64, sc *sortedCols, best []float64, argU []int32) (scanned int) {
 	pu := int32(-1)
 	n := sc.n
 	order, val, suf = order[:n], val[:n], suf[:n]
@@ -310,18 +317,18 @@ func scanMinPlusTwoSided(m []float64, order []int32, val, suf []float64, colsT [
 		cval := sc.val[o : o+n]
 		csuf := sc.suf[o : o+n]
 		b := math.Inf(1)
-		bu := int32(-1)
+		bu, bk := int32(-1), int32(math.MaxInt32)
 		if pu >= 0 {
 			// Warm start from the previous column's witness (see
 			// scanMinPlus).
 			b = m[pu] + col[pu]
-			bu = pu
+			bu, bk = pu, key[pu]
 		}
 		// Blocked exit checks, see scanMinPlus; a block of 4 depths reads
 		// 8 entries.
 		i := 0
 		for i < n {
-			if suf[i]+csuf[i] >= b {
+			if suf[i]+csuf[i] > b {
 				break
 			}
 			e := i + 4
@@ -330,14 +337,12 @@ func scanMinPlusTwoSided(m []float64, order []int32, val, suf []float64, colsT [
 			}
 			for ; i < e; i++ {
 				u := order[i]
-				if v := val[i] + col[u]; v < b {
-					b = v
-					bu = u
+				if v := val[i] + col[u]; v < b || v == b && key[u] < bk {
+					b, bu, bk = v, u, key[u]
 				}
 				u = corder[i]
-				if v := cval[i] + m[u]; v < b {
-					b = v
-					bu = u
+				if v := cval[i] + m[u]; v < b || v == b && key[u] < bk {
+					b, bu, bk = v, u, key[u]
 				}
 			}
 		}
@@ -401,10 +406,10 @@ type minPlusProduct struct {
 }
 
 // run solves every row r of the product: fold fills s.m and s.argm for row
-// r and returns min(s.m); emit reads the answers from s.best, s.bestU and
-// s.argm, and may keep s.best if it puts a fresh slice of the same length
-// in its place. It returns the entries scanned and whether the two-sided
-// kernel ran.
+// r and returns min(s.m), and s.argm doubles as the kernels' tie key; emit
+// reads the answers from s.best, s.bestU and s.argm, and may keep s.best if
+// it puts a fresh slice of the same length in its place. It returns the
+// entries scanned and whether the two-sided kernel ran.
 //
 // The kernel is chosen per product. A fixed stride sample of at most
 // productSample rows runs the one-sided kernel first and keeps its answers.
@@ -427,12 +432,12 @@ func (p *minPlusProduct) run(w, nRows int, fold func(r int, s *classScratch) flo
 		switch {
 		case two:
 			s.sortM()
-			k = 2 * scanMinPlusTwoSided(s.m, s.order, s.val, s.suf, p.colsT, p.cols, s.best, s.bestU)
+			k = 2 * scanMinPlusTwoSided(s.m, s.argm, s.order, s.val, s.suf, p.colsT, p.cols, s.best, s.bestU)
 		case p.colMin != nil:
 			s.sortM()
-			k = scanMinPlusRows(s.m, s.order, s.val, s.suf, p.colsT, p.colMin, s.best, s.bestU)
+			k = scanMinPlusRows(s.m, s.argm, s.order, s.val, s.suf, p.colsT, p.colMin, s.best, s.bestU)
 		default:
-			k = scanMinPlus(s.m, mMin, p.colsT, p.cols, s.best, s.bestU)
+			k = scanMinPlus(s.m, s.argm, mMin, p.colsT, p.cols, s.best, s.bestU)
 		}
 		emit(r, s)
 		return k

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -39,6 +38,7 @@ func benchMinPlusInput(n, nCols int) (m []float64, colsT []float64) {
 func BenchmarkScanMinPlus(b *testing.B) {
 	const n, nCols = 512, 512
 	m, colsT := benchMinPlusInput(n, nCols)
+	key := identityKeys(n)
 	sc := sortCols(colsT, n, nCols)
 	mMin := minOf(m)
 	best := make([]float64, nCols)
@@ -46,7 +46,7 @@ func BenchmarkScanMinPlus(b *testing.B) {
 	b.ResetTimer()
 	scanned := 0
 	for i := 0; i < b.N; i++ {
-		scanned += scanMinPlus(m, mMin, colsT, sc, best, argU)
+		scanned += scanMinPlus(m, key, mMin, colsT, sc, best, argU)
 	}
 	b.ReportMetric(float64(scanned)/float64(b.N), "entries/op")
 }
@@ -57,6 +57,7 @@ func BenchmarkScanMinPlus(b *testing.B) {
 func BenchmarkScanMinPlusRows(b *testing.B) {
 	const n, nCols = 512, 512
 	m, colsT := benchMinPlusInput(n, nCols)
+	key := identityKeys(n)
 	order := make([]int32, n)
 	val := make([]float64, n)
 	suf := make([]float64, n)
@@ -71,7 +72,7 @@ func BenchmarkScanMinPlusRows(b *testing.B) {
 	b.ResetTimer()
 	scanned := 0
 	for i := 0; i < b.N; i++ {
-		scanned += scanMinPlusRows(m, order, val, suf, colsT, colMin, best, argU)
+		scanned += scanMinPlusRows(m, key, order, val, suf, colsT, colMin, best, argU)
 	}
 	b.ReportMetric(float64(scanned)/float64(b.N), "entries/op")
 }
@@ -83,6 +84,7 @@ func BenchmarkScanMinPlusRows(b *testing.B) {
 func BenchmarkScanMinPlusTwoSided(b *testing.B) {
 	const n, nCols = 1348, 352
 	m, colsT := benchMinPlusInput(n, nCols)
+	key := identityKeys(n)
 	sc := sortCols(colsT, n, nCols)
 	order := make([]int32, n)
 	val := make([]float64, n)
@@ -94,18 +96,17 @@ func BenchmarkScanMinPlusTwoSided(b *testing.B) {
 	b.ResetTimer()
 	scanned := 0
 	for i := 0; i < b.N; i++ {
-		scanned += 2 * scanMinPlusTwoSided(m, order, val, suf, colsT, sc, best, argU)
+		scanned += 2 * scanMinPlusTwoSided(m, key, order, val, suf, colsT, sc, best, argU)
 	}
 	b.ReportMetric(float64(scanned)/float64(b.N), "entries/op")
 }
 
-// minOf returns the minimum of v (+Inf when empty).
-func minOf(v []float64) float64 {
-	lo := math.Inf(1)
-	for _, x := range v {
-		if x < lo {
-			lo = x
-		}
+// identityKeys returns the tie keys 0..n−1: each row index is its own key,
+// as when every fold group holds one candidate.
+func identityKeys(n int) []int32 {
+	key := make([]int32, n)
+	for u := range key {
+		key[u] = int32(u)
 	}
-	return lo
+	return key
 }

@@ -2,13 +2,15 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
 // minPlusCase is one decoded kernel instance: a fold vector m of length n
-// and nCols columns in flat column-major colsT (stride n).
+// with its tie keys and nCols columns in flat column-major colsT (stride n).
 type minPlusCase struct {
 	m     []float64
+	key   []int32
 	colsT []float64
 	n     int
 	nCols int
@@ -17,9 +19,10 @@ type minPlusCase struct {
 // decodeMinPlusCase maps fuzz bytes onto an instance built to force ties:
 // values come from an alphabet of a few multiples of 0.5, fold bytes ≥ 0xE0
 // become +Inf, one flag makes column 0 all-equal, one shifts every finite
-// value negative (the sort's linear-bucket path) and one anti-correlates
+// value negative (the sort's linear-bucket path), one anti-correlates
 // the columns with m, which makes the scans long enough for
-// minPlusProduct.run to choose the two-sided kernel. Bytes past the end of
+// minPlusProduct.run to choose the two-sided kernel, and one reverses the
+// tie keys (otherwise each row index is its own key). Bytes past the end of
 // data come from a generator seeded by the header, so short inputs still
 // reach the larger sizes.
 func decodeMinPlusCase(data []byte) minPlusCase {
@@ -47,7 +50,10 @@ func decodeMinPlusCase(data []byte) minPlusCase {
 		shift = -2
 	}
 	val := func(b byte) float64 { return float64(int(b)%alpha)*0.5 + shift }
-	c := minPlusCase{m: make([]float64, n), colsT: make([]float64, n*nCols), n: n, nCols: nCols}
+	c := minPlusCase{m: make([]float64, n), key: identityKeys(n), colsT: make([]float64, n*nCols), n: n, nCols: nCols}
+	if flags&8 != 0 {
+		slices.Reverse(c.key)
+	}
 	for u := range c.m {
 		if b := next(); b >= 0xE0 {
 			c.m[u] = math.Inf(1)
@@ -84,48 +90,43 @@ func minPlusKernels(c minPlusCase) map[string]func(best []float64, argU []int32)
 	}
 	return map[string]func([]float64, []int32) int{
 		"columns": func(best []float64, argU []int32) int {
-			return scanMinPlus(c.m, minOf(c.m), c.colsT, sc, best, argU)
+			return scanMinPlus(c.m, c.key, minOf(c.m), c.colsT, sc, best, argU)
 		},
 		"rows": func(best []float64, argU []int32) int {
-			return scanMinPlusRows(c.m, order, val, suf, c.colsT, colMin, best, argU)
+			return scanMinPlusRows(c.m, c.key, order, val, suf, c.colsT, colMin, best, argU)
 		},
 		"two-sided": func(best []float64, argU []int32) int {
-			return scanMinPlusTwoSided(c.m, order, val, suf, c.colsT, sc, best, argU)
+			return scanMinPlusTwoSided(c.m, c.key, order, val, suf, c.colsT, sc, best, argU)
 		},
 	}
 }
 
 // checkMinPlusAnswer compares one column's answer to a brute-force scan:
-// the minimum bit-equal, and a witness attaining it (any witness, or none,
-// when every pair is +Inf).
-func checkMinPlusAnswer(t *testing.T, label string, m, col []float64, best float64, u int32) {
+// the minimum bit-equal, and the witness attaining it with the lowest key
+// (+Inf pairs included: an all-+Inf column has a witness too).
+func checkMinPlusAnswer(t *testing.T, label string, m, col []float64, key []int32, best float64, u int32) {
 	t.Helper()
-	want := math.Inf(1)
+	want, wantU := math.Inf(1), int32(-1)
 	for i := range m {
-		if v := m[i] + col[i]; v < want {
-			want = v
+		if v := m[i] + col[i]; v < want || v == want && (wantU < 0 || key[i] < key[wantU]) {
+			want, wantU = v, int32(i)
 		}
 	}
 	if math.Float64bits(best) != math.Float64bits(want) {
 		t.Fatalf("%s: min %v, brute force %v", label, best, want)
 	}
-	if math.IsInf(want, 1) && u == -1 {
-		return
-	}
-	if u < 0 || int(u) >= len(m) {
-		t.Fatalf("%s: witness %d out of range [0,%d)", label, u, len(m))
-	}
-	if v := m[u] + col[u]; math.Float64bits(v) != math.Float64bits(want) {
-		t.Fatalf("%s: witness %d gives %v, min is %v", label, u, v, want)
+	if u != wantU {
+		t.Fatalf("%s: witness %d, the lowest-key witness is %d (key %d)", label, u, wantU, key[wantU])
 	}
 }
 
 // FuzzMinPlusKernels checks every min-plus kernel against a brute-force
-// scan on tie-heavy instances: bit-equal minima, a witness attaining each
-// minimum and at most n scanned entries per column (each column's count is
-// the growth of the total when the kernel runs on one more column).
-// minPlusProduct.run is checked the same way on several rotated rows, with
-// both one-sided kernels as its short side.
+// scan on tie-heavy instances: bit-equal minima, the lowest-key witness
+// attaining each minimum, so witnesses identical across the three kernels,
+// and at most n scanned entries per column
+// (each column's count is the growth of the total when the kernel runs on
+// one more column). minPlusProduct.run is checked the same way on several
+// rotated rows, with both one-sided kernels as its short side.
 func FuzzMinPlusKernels(f *testing.F) {
 	f.Add([]byte{5, 3, 0x01, 1, 2, 0, 3, 0xF0, 4, 4, 4, 1, 0, 2, 2, 1, 3, 0, 0, 1})
 	f.Add([]byte{11, 8, 0x62, 0xE5, 0xE6, 0xE7, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -133,6 +134,8 @@ func FuzzMinPlusKernels(f *testing.F) {
 	f.Add([]byte{7, 4, 0x33, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6})
 	f.Add([]byte{47, 8, 0x64})
 	f.Add([]byte{40, 5, 0x66})
+	f.Add([]byte{5, 3, 0x09, 1, 2, 0, 3, 0xF0, 4, 4, 4, 1, 0, 2, 2, 1, 3, 0, 0, 1}) // reversed keys
+	f.Add([]byte{40, 5, 0x6E})                                                      // reversed keys, two-sided
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeMinPlusCase(data)
 		for name, kernel := range minPlusKernels(c) {
@@ -147,7 +150,7 @@ func FuzzMinPlusKernels(f *testing.F) {
 				prev = total
 			}
 			for col := 0; col < c.nCols; col++ {
-				checkMinPlusAnswer(t, name, c.m, c.colsT[col*c.n:(col+1)*c.n], best[col], argU[col])
+				checkMinPlusAnswer(t, name, c.m, c.colsT[col*c.n:(col+1)*c.n], c.key, best[col], argU[col])
 			}
 		}
 
@@ -174,9 +177,7 @@ func FuzzMinPlusKernels(f *testing.F) {
 			witness := make([][]int32, nRows)
 			p.run(2, nRows, func(r int, s *classScratch) float64 {
 				copy(s.m, rowOf(r))
-				for u := range s.argm {
-					s.argm[u] = int32(u)
-				}
+				copy(s.argm, c.key)
 				return minOf(s.m)
 			}, func(r int, s *classScratch) {
 				best[r] = append([]float64(nil), s.best...)
@@ -184,7 +185,7 @@ func FuzzMinPlusKernels(f *testing.F) {
 				for col, u := range s.bestU {
 					witness[r][col] = -1
 					if u >= 0 {
-						witness[r][col] = s.argm[u]
+						witness[r][col] = int32(slices.Index(c.key, s.argm[u]))
 					}
 				}
 			})
@@ -193,7 +194,7 @@ func FuzzMinPlusKernels(f *testing.F) {
 					t.Fatalf("product row %d never emitted", r)
 				}
 				for col := 0; col < c.nCols; col++ {
-					checkMinPlusAnswer(t, "product", rowOf(r), c.colsT[col*c.n:(col+1)*c.n], best[r][col], witness[r][col])
+					checkMinPlusAnswer(t, "product", rowOf(r), c.colsT[col*c.n:(col+1)*c.n], c.key, best[r][col], witness[r][col])
 				}
 			}
 		}

@@ -15,7 +15,8 @@ import (
 //   - every edge gets its own matrix, with no edge dedup, filled cell by
 //     cell through EdgePlan.Measure, so neither the edge calc nor fraction
 //     sharing runs;
-//   - the layer DP is production's layerDP, but the layer every layer runs
+//   - the layer DP is production's layerDP over the full space, with no
+//     bound pruning, but the layer every layer runs
 //     is picked here: for a graph whose head and tail spaces are
 //     index-identical, the first a minimizing C(a, a) by a plain scan of
 //     every head candidate, run as the layer a→a; for any other graph, the
@@ -46,7 +47,7 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	}
 	stats.EdgeMatsBuilt = len(g.Edges)
 
-	t, err := o.layerDP(context.Background(), g, cands, edgeMats, &stats)
+	t, err := o.layerDP(context.Background(), g, layerShape(g, cands, edgeMats), cands, edgeMats, &stats)
 	if err != nil {
 		return nil, err
 	}

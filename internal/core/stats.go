@@ -35,14 +35,14 @@ type SearchStats struct {
 	// EdgeCellsEvaluated copy a leader's fractions (DESIGN.md §5.23).
 	EdgeFracCells int64 `json:"edge_frac_cells"`
 
-	// CandsTotal sums |P| over the graph's nodes: the candidates the DP
-	// runs over.
+	// CandsTotal sums |P| over the graph's nodes: the space the DP is exact
+	// over.
 	CandsTotal int `json:"cands_total"`
 
-	// CandsPruned always reads zero. It counted the candidates removed by a
-	// dominance pre-filter that pruned none on any paper model and was
-	// deleted (DESIGN.md §5.7); the field stays because the repository
-	// benchmark reads it by name.
+	// CandsPruned sums |P| − survivors over the graph's nodes: the
+	// candidates whose relaxed lower bound exceeds the incumbent plan's
+	// cost, which the layer DP therefore never runs over (bound.go,
+	// DESIGN.md §5.38). A plan hit reads zero.
 	CandsPruned int `json:"cands_pruned"`
 
 	// DPRowClasses sums the head-interface row classes over the segments
@@ -65,9 +65,11 @@ type SearchStats struct {
 	CrossCallTableHits int `json:"cross_call_table_hits"`
 
 	// EntriesScanned sums the sorted entries visited by the min-plus
-	// kernels across segment chains and merges:
-	// the DP's work volume (DESIGN.md §5.2, §5.3, §5.24). A two-sided depth
-	// reads one entry of each order and counts two. Tracked by
+	// kernels across segment chains and merges of the layer DP over the
+	// survivors: the DP's work volume (DESIGN.md §5.2, §5.3, §5.24). The
+	// bound pass's small incumbent DP is timed in DPTime but not counted
+	// here, nor in the other DP counters. A two-sided depth reads one entry
+	// of each order and counts two. Tracked by
 	// BenchmarkScanMinPlus*/primebench. (Formerly min_plus_scanned.)
 	EntriesScanned int64 `json:"entries_scanned"`
 
@@ -102,10 +104,11 @@ type SearchStats struct {
 	// edge matrix and ran no segment table, merge or layer pick.
 	CrossCallPlanHits int `json:"cross_call_plan_hits"`
 
-	// Wall time per stage: candidate evaluation, edge-matrix building,
-	// per-segment DP + merging, the pick of the periodic layer (StackTime:
-	// one scan of the layer table's diagonal plus reconstruction), and the
-	// whole call.
+	// Wall time per stage: candidate evaluation, edge-matrix building, the
+	// DP (DPTime: the bound pass with its incumbent DP, then the per-segment
+	// DP + merging over the survivors), the pick of the periodic layer
+	// (StackTime: one scan of the layer table's diagonal plus
+	// reconstruction), and the whole call.
 	NodeEvalTime time.Duration `json:"node_eval_ns"`
 	EdgeMatTime  time.Duration `json:"edge_mat_ns"`
 	DPTime       time.Duration `json:"dp_ns"`

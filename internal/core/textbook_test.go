@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cost"
+	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/model"
 )
@@ -33,7 +35,28 @@ type textbookLayer struct {
 // (Eqs. 13–14). It fails unless every edge of g is priced exactly once.
 func textbookDP(t *testing.T, g *graph.Graph, in *layerInputs, alpha float64) *textbookLayer {
 	t.Helper()
-	tl := &textbookLayer{cands: in.cands(alpha), mats: in.edgeMats(g)}
+	return textbookRun(t, g, &textbookLayer{cands: in.cands(alpha), mats: in.edgeMats(g)})
+}
+
+// textbookPinned is textbookDP with node v pinned to candidate c: every
+// other candidate of v costs +Inf, so the table's minimum is v's
+// min-marginal at c, the cost of the best plan that runs c at v.
+func textbookPinned(t *testing.T, g *graph.Graph, in *layerInputs, alpha float64, v, c int) *textbookLayer {
+	t.Helper()
+	cands := in.cands(alpha)
+	pinned := *cands[v]
+	pinned.total = make([]float64, len(pinned.total))
+	for i := range pinned.total {
+		pinned.total[i] = math.Inf(1)
+	}
+	pinned.total[c] = cands[v].total[c]
+	cands[v] = &pinned
+	return textbookRun(t, g, &textbookLayer{cands: cands, mats: in.edgeMats(g)})
+}
+
+// textbookRun fills tl.cost from tl's candidates and matrices.
+func textbookRun(t *testing.T, g *graph.Graph, tl *textbookLayer) *textbookLayer {
+	t.Helper()
 	priced := make(map[*graph.Edge]int, len(g.Edges))
 	cuts := g.SegmentCuts()
 	var acc [][]float64
@@ -213,8 +236,26 @@ func relClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestLayerDPMatchesTextbook checks production's layer DP against the
-// textbook recursion on the three V100 Table 2 structures at 4–32 devices:
+// textbookCells are the golden cells the textbook checks: the three Table 2
+// structures on V100 at 4–32 devices, and on the superpod and mixed-fleet
+// profiles at their golden 4 and 8 devices.
+func textbookCells() []struct {
+	prof    device.Profile
+	devices []int
+} {
+	return []struct {
+		prof    device.Profile
+		devices []int
+	}{
+		{device.V100Profile(), []int{4, 8, 16, 32}},
+		{device.A100SuperPodProfile(), []int{4, 8}},
+		{device.MixedA100V100Profile(), []int{4, 8}},
+	}
+}
+
+// TestLayerDPMatchesTextbook checks production's layer DP, the bound-pruned
+// solve Plan runs, against the textbook recursion on the three Table 2
+// structures at every golden cell of textbookCells:
 // Plan's LayerCost must equal the textbook minimum within 1e-12 relative,
 // and the returned Seqs, priced by the textbook table at their head and tail
 // and summed edge by edge, must equal that minimum too (ties may pick
@@ -222,48 +263,61 @@ func relClose(a, b float64) bool {
 // heads of 1,683 candidates, each chain up to 1,683 × 1,348 pairs per step)
 // and takes about 15 s on two CPUs, so those cells run only without -short.
 func TestLayerDPMatchesTextbook(t *testing.T) {
-	for _, cfg := range []model.Config{model.OPT175B(), model.Llama2_70B(), model.BLOOM176B()} {
-		for _, devices := range []int{4, 8, 16, 32} {
-			t.Run(fmt.Sprintf("%s@%d", cfg.Name, devices), func(t *testing.T) {
-				if devices == 32 && testing.Short() {
-					t.Skip("32-device cells skipped under -short")
+	for _, cell := range textbookCells() {
+		for _, cfg := range []model.Config{model.OPT175B(), model.Llama2_70B(), model.BLOOM176B()} {
+			for _, devices := range cell.devices {
+				name := fmt.Sprintf("%s@%d", cfg.Name, devices)
+				if cell.prof.Name != device.V100Profile().Name {
+					name = cell.prof.Name + "/" + name
 				}
-				g, err := model.BuildBlock(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := optimizerFor(t, devices, 4)
-				o.Cost.Alpha = 1e-12
-				o.Cache = NewSearchCache()
-				strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				in, err := o.prepare(context.Background(), g, &SearchStats{Workers: o.Workers()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				tl := textbookDP(t, g, in, o.Cost.Alpha)
-				periodic := checkStackable(tl.cands[0], tl.cands[len(g.Nodes)-1]) == nil
-				if !periodic {
-					t.Fatal("a Table 2 block does not stack")
-				}
-				_, _, best := tl.pick(periodic)
-				if !relClose(strat.LayerCost, best) {
-					t.Fatalf("LayerCost %v, textbook minimum %v", strat.LayerCost, best)
-				}
-				idx := tl.indexOf(t, strat)
-				p0, pn := idx[0], idx[len(idx)-1]
-				if p0 != pn {
-					t.Fatalf("returned layer runs head %d to tail %d, not a periodic layer", p0, pn)
-				}
-				if c := tl.cost[p0][pn]; !relClose(c, best) {
-					t.Fatalf("returned head/tail (%d, %d) cost %v in the textbook table, minimum %v", p0, pn, c, best)
-				}
-				if c := tl.price(g, idx); !relClose(c, best) {
-					t.Fatalf("returned Seqs price to %v edge by edge, textbook minimum %v", c, best)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					if devices == 32 && testing.Short() {
+						t.Skip("32-device cells skipped under -short")
+					}
+					checkTextbookCell(t, cfg, cost.NewModel(device.MustCluster(devices, 4, cell.prof)))
+				})
+			}
 		}
+	}
+}
+
+// checkTextbookCell plans cfg's block on mdl at α 1e-12 and checks the plan
+// against the textbook table (TestLayerDPMatchesTextbook).
+func checkTextbookCell(t *testing.T, cfg model.Config, mdl *cost.Model) {
+	t.Helper()
+	g, err := model.BuildBlock(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdl.Alpha = 1e-12
+	o := NewOptimizer(mdl)
+	o.Cache = NewSearchCache()
+	strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := o.prepare(context.Background(), g, &SearchStats{Workers: o.Workers()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := textbookDP(t, g, in, o.Cost.Alpha)
+	periodic := checkStackable(tl.cands[0], tl.cands[len(g.Nodes)-1]) == nil
+	if !periodic {
+		t.Fatal("a Table 2 block does not stack")
+	}
+	_, _, best := tl.pick(periodic)
+	if !relClose(strat.LayerCost, best) {
+		t.Fatalf("LayerCost %v, textbook minimum %v", strat.LayerCost, best)
+	}
+	idx := tl.indexOf(t, strat)
+	p0, pn := idx[0], idx[len(idx)-1]
+	if p0 != pn {
+		t.Fatalf("returned layer runs head %d to tail %d, not a periodic layer", p0, pn)
+	}
+	if c := tl.cost[p0][pn]; !relClose(c, best) {
+		t.Fatalf("returned head/tail (%d, %d) cost %v in the textbook table, minimum %v", p0, pn, c, best)
+	}
+	if c := tl.price(g, idx); !relClose(c, best) {
+		t.Fatalf("returned Seqs price to %v edge by edge, textbook minimum %v", c, best)
 	}
 }

@@ -36,16 +36,29 @@ type segPlan struct {
 	left, right *segPlan
 }
 
-// segmentTable computes the DP table of segment [a, b]: the left-to-right
-// Bellman chain for short segments, a planned tree of binary merges
-// otherwise.
-func (o *Optimizer) segmentTable(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats, w int) (*table, error) {
+// planSegment plans the execution shape of segment [a, b] over cands and
+// edgeMats: the left-to-right Bellman chain for short segments, a planned
+// tree of binary merges otherwise.
+func planSegment(g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int) *segPlan {
 	if b-a <= 2 {
-		return o.segmentDP(ctx, g, cands, edgeMats, a, b, st, w)
+		return &segPlan{a: a, b: b, m: -1}
 	}
 	d := newSegDims(g, cands, edgeMats, a, b)
-	e := d.plan(a, b, make(map[[2]int]planEntry))
-	return o.execSegPlan(ctx, e.plan, g, cands, edgeMats, st, w)
+	return d.plan(a, b, make(map[[2]int]planEntry)).plan
+}
+
+// layerShape plans every segment of g, in segment order. The shape fixes the
+// association of every path sum, so a DP run on a subset of the candidates
+// takes the shape planned from the full space (DESIGN.md §5.38): its values
+// are then bit-identical to the full DP's wherever both keep the minimizing
+// candidates.
+func layerShape(g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat) []*segPlan {
+	cuts := g.SegmentCuts()
+	shape := make([]*segPlan, len(cuts)-1)
+	for s := range shape {
+		shape[s] = planSegment(g, cands, edgeMats, cuts[s], cuts[s+1])
+	}
+	return shape
 }
 
 // execSegPlan materializes a planned shape: chain leaves via segmentDP,

@@ -13,7 +13,7 @@ import (
 
 // treeMatchesChain is the tree-vs-chain reference. It builds every node's
 // candidates and every edge matrix the way Exhaustive does (oracle.go), and
-// then compares segmentTable (the
+// then compares the planned segment shape (planSegment, the
 // production tree) with segmentDP (the plain Bellman chain) over each
 // segment of g, cell by cell on the expanded (head × tail) matrix. The tree
 // evaluates the path sums under a different IEEE parenthesization (treedp.go
@@ -41,7 +41,7 @@ func treeMatchesChain(t *testing.T, label string, o *Optimizer, g *graph.Graph) 
 	cuts := g.SegmentCuts()
 	for s := 0; s+1 < len(cuts); s++ {
 		a, b := cuts[s], cuts[s+1]
-		tree, err := o.segmentTable(ctx, g, cands, edgeMats, a, b, &st, w)
+		tree, err := o.execSegPlan(ctx, planSegment(g, cands, edgeMats, a, b), g, cands, edgeMats, &st, w)
 		if err != nil {
 			t.Fatalf("%s: tree [%d,%d]: %v", label, a, b, err)
 		}
