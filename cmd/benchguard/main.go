@@ -2,12 +2,12 @@
 // baseline and fails on regressions beyond a tolerance. It exists so the CI
 // perf guard is a versioned, reviewable program instead of a shell-and-awk
 // incantation: the baseline file records what the kernels cost when it was
-// last regenerated, and any change that makes the scan or edge-cell hot
+// last regenerated, and any change that makes the DP or edge-cell hot
 // paths >25% slower per op turns the build red before it merges.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'ScanMinPlus|EdgeCellBlock' -count=5 ./... | benchguard -baseline golden/bench_baseline.json
+//	go test -run '^$' -bench 'EdgeCellBlock|SegmentDPCold' -count=5 ./... | benchguard -baseline golden/bench_baseline.json
 //	benchguard -baseline golden/bench_baseline.json -update bench_output.txt
 //	benchguard -baseline golden/bench_baseline.json -list
 //
@@ -46,7 +46,7 @@ type baselineDoc struct {
 
 // benchLine matches one result line of `go test -bench` output, e.g.
 //
-//	BenchmarkScanMinPlus-8   32846   36075 ns/op   14744 entries/op
+//	BenchmarkEdgeMatStage-8   7096   168966 ns/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // parseBench collects every ns/op sample per benchmark name from r.

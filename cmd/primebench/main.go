@@ -209,7 +209,7 @@ func main() {
 		for _, r := range rows {
 			scanned += r.Stats.EntriesScanned
 		}
-		fmt.Printf("min-plus folds: scanned %d entries\n\n", scanned)
+		fmt.Printf("min-plus products: relaxed %d cells\n\n", scanned)
 		if *reqWarm {
 			check(requireWarm(rows))
 			fmt.Println("warm-restart check passed: every search served from the cross-call cache")

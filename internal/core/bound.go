@@ -219,9 +219,8 @@ func (c *nodeCands) restrict(keep []int32) *nodeCands {
 }
 
 // restrict returns m over the source candidates rowKeep and destination
-// candidates colKeep, its core compacted to the groups that keep a member: a
-// group with none would put +Inf into the DP's fold vectors, and the
-// kernels' bucket sort collapses to one bucket on an infinite maximum.
+// candidates colKeep, its core compacted to the groups that keep a member,
+// which spares the DP's min-plus products the dead groups.
 func (m *edgeMat) restrict(rowKeep, colKeep []int32) *edgeMat {
 	if len(rowKeep) == len(m.rows) && len(colKeep) == len(m.cols) {
 		return m

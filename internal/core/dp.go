@@ -16,17 +16,13 @@ import (
 	"repro/internal/partition"
 )
 
-// addProduct records one min-plus product's scan work and kernel choice,
-// tolerating the nil stats of direct test invocations. Products run one
-// after another on the search's own goroutine; their counts depend only on
-// values, so totals are worker-independent.
-func addProduct(st *SearchStats, scanned int64, twoSided bool) {
-	if st == nil {
-		return
-	}
-	st.EntriesScanned += scanned
-	if twoSided {
-		st.DPTwoSidedProducts++
+// addProduct records one min-plus product's relaxed cells, tolerating the
+// nil stats of direct test invocations. Products run one after another on
+// the search's own goroutine; their counts depend only on shapes, so totals
+// are worker-independent.
+func addProduct(st *SearchStats, scanned int64) {
+	if st != nil {
+		st.EntriesScanned += scanned
 	}
 }
 
@@ -266,53 +262,32 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			continue
 		}
 
-		// Transposed group-value matrix, flat column-major (column c at
-		// valsT[c*uR:(c+1)*uR]), with the per-column minima the row-scan
-		// kernel exits on, filled in one linear pass over the flat row-major
-		// core and shared (read-only) across classes and worker bands.
-		uR := em.numRowGroups()
-		uC := em.numColGroups()
-		valsT := make([]float64, uC*uR)
-		colMin := make([]float64, uC)
-		for c := range colMin {
-			colMin[c] = math.Inf(1)
-		}
-		for r := 0; r < uR; r++ {
-			erow := em.row(r)
-			for c := 0; c < uC; c++ {
-				v := erow[c]
-				valsT[c*uR+r] = v
-				if v < colMin[c] {
-					colMin[c] = v
-				}
-			}
+		// The edge's row groups, shared (read-only) across classes and
+		// worker bands.
+		erows := make([][]float64, em.numRowGroups())
+		for u := range erows {
+			erows[u] = em.row(u)
 		}
 		// fold reduces class r's DP row over the edge's row groups.
-		fold := func(r int, s *classScratch) (mMin float64) {
+		fold := func(r int, s *classScratch) {
 			m, argm := s.m, s.argm
 			for u := range m {
 				m[u] = math.Inf(1)
 				argm[u] = -1
 			}
-			mMin = math.Inf(1)
 			prevRow := cur[r]
 			for k := 0; k < nprev; k++ {
 				u := em.rows[k]
 				if prevRow[k] < m[u] {
 					m[u] = prevRow[k]
 					argm[u] = int32(k)
-					if prevRow[k] < mMin {
-						mMin = prevRow[k]
-					}
 				}
 			}
-			return mMin
 		}
-		p := minPlusProduct{colsT: valsT, n: uR, nCols: uC, colMin: colMin}
-		scanned, twoSided := p.run(w, t.nCls, fold, func(r int, s *classScratch) {
+		p := minPlusProduct{rows: erows, nCols: em.numColGroups()}
+		addProduct(st, p.run(w, t.nCls, fold, func(r int, s *classScratch) {
 			fill(r, s.best, s.bestU, s.argm)
-		})
-		addProduct(st, scanned, twoSided)
+		}))
 		cur = next
 		t.chainArgs = append(t.chainArgs, args)
 	}
@@ -333,56 +308,40 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 // because the right table's headBase hbR[pm] IS the mid node's own cost
 // n_m(pm), which L already counts. So the min folds in two exact stages:
 // first over the mid candidates of each right class (W[rm] = min over pm in
-// rm of Lc), then over right classes per column with bucketed early exit. A
+// rm of Lc), then over right classes per column (one min-plus product). A
 // cross edge refines the OUTPUT classes but never moves the argmin, so
 // refined classes share argmid rows.
 // Cancellation is checked once at entry — one merge is a single bounded
 // scan pass, so per-merge granularity keeps a cancelled layer DP prompt
-// without touching the scan kernels. Class loops run on up to w workers.
+// without touching the kernel. Class loops run on up to w workers.
 func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMat, st *SearchStats, w int) (*table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	nm := len(right.headBase)
-	nR := right.nCls
 	nb := len(right.cost[0])
-	// Transposed right classes, flat column-major (candidate column pb at
-	// rightT[pb*nR:(pb+1)*nR]), each column sorted once for the early exit.
-	rightT := make([]float64, nb*nR)
-	for rm := 0; rm < nR; rm++ {
-		rrow := right.cost[rm]
-		for pb := 0; pb < nb; pb++ {
-			rightT[pb*nR+rm] = rrow[pb]
-		}
-	}
-
 	nL := left.nCls
 	base := make([][]float64, nL)
 	argPM := make([][]int32, nL)
 	// fold reduces left class rL's row over the mid candidates of each right
 	// class: W[rm] = min over pm in rm of Lc, witness argW[rm].
-	fold := func(rL int, s *classScratch) (wMin float64) {
+	fold := func(rL int, s *classScratch) {
 		W, argW := s.m, s.argm
 		for u := range W {
 			W[u] = math.Inf(1)
 			argW[u] = -1
 		}
-		wMin = math.Inf(1)
 		lrow := left.cost[rL]
 		for pm := 0; pm < nm; pm++ {
 			rm := right.rowCls[pm]
 			if v := lrow[pm]; v < W[rm] {
 				W[rm] = v
 				argW[rm] = int32(pm)
-				if v < wMin {
-					wMin = v
-				}
 			}
 		}
-		return wMin
 	}
-	p := minPlusProduct{colsT: rightT, n: nR, nCols: nb, cols: sortCols(rightT, nR, nb)}
-	scanned, twoSided := p.run(w, nL, fold, func(rL int, s *classScratch) {
+	p := minPlusProduct{rows: right.cost, nCols: nb}
+	addProduct(st, p.run(w, nL, fold, func(rL int, s *classScratch) {
 		base[rL] = s.best
 		s.best = make([]float64, nb)
 		arow := make([]int32, nb)
@@ -390,8 +349,7 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMa
 			arow[pb] = s.argm[s.bestU[pb]]
 		}
 		argPM[rL] = arow
-	})
-	addProduct(st, scanned, twoSided)
+	}))
 
 	t := &table{a: left.a, b: right.b, left: left, right: right, headBase: left.headBase}
 	if cross == nil {

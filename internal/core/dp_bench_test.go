@@ -1,9 +1,8 @@
-// End-to-end cold-search benchmark for the perf guard: where the kernel
-// benchmarks (minplus_bench_test.go) pin the inner scan loops in isolation,
-// this one pins the whole segment DP pipeline — candidate enumeration, edge
-// matrix fill, Bellman folds and the final merge — on a
-// fixed small model, so a regression that lives between the kernels (probe
-// logic, transpose passes, cache plumbing) still turns the guard red.
+// End-to-end cold-search benchmark for the perf guard: it pins the whole
+// segment DP pipeline — candidate enumeration, edge matrix fill, Bellman
+// folds, the min-plus products and the final merge — on a fixed small
+// model, so a regression in the DP kernel or anywhere around it (probe
+// logic, cache plumbing) turns the guard red.
 package core
 
 import (

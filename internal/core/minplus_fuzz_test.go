@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -19,10 +20,9 @@ type minPlusCase struct {
 // decodeMinPlusCase maps fuzz bytes onto an instance built to force ties:
 // values come from an alphabet of a few multiples of 0.5, fold bytes ≥ 0xE0
 // become +Inf, one flag makes column 0 all-equal, one shifts every finite
-// value negative (the sort's linear-bucket path), one anti-correlates
-// the columns with m, which makes the scans long enough for
-// minPlusProduct.run to choose the two-sided kernel, and one reverses the
-// tie keys (otherwise each row index is its own key). Bytes past the end of
+// value negative, one anti-correlates the columns with m, so a column's
+// minimum sits away from m's, and one reverses the tie keys (otherwise each
+// row index is its own key). Bytes past the end of
 // data come from a generator seeded by the header, so short inputs still
 // reach the larger sizes.
 func decodeMinPlusCase(data []byte) minPlusCase {
@@ -75,32 +75,6 @@ func decodeMinPlusCase(data []byte) minPlusCase {
 	return c
 }
 
-// minPlusKernels runs each remaining kernel on m against the first len(best)
-// columns, the way minPlusProduct.run prepares them.
-func minPlusKernels(c minPlusCase) map[string]func(best []float64, argU []int32) int {
-	order := make([]int32, c.n)
-	val := make([]float64, c.n)
-	suf := make([]float64, c.n)
-	var ss sortScratch
-	sortAsc(c.m, order, val, suf, &ss)
-	sc := sortCols(c.colsT, c.n, c.nCols)
-	colMin := make([]float64, c.nCols)
-	for col := range colMin {
-		colMin[col] = minOf(c.colsT[col*c.n : (col+1)*c.n])
-	}
-	return map[string]func([]float64, []int32) int{
-		"columns": func(best []float64, argU []int32) int {
-			return scanMinPlus(c.m, c.key, minOf(c.m), c.colsT, sc, best, argU)
-		},
-		"rows": func(best []float64, argU []int32) int {
-			return scanMinPlusRows(c.m, c.key, order, val, suf, c.colsT, colMin, best, argU)
-		},
-		"two-sided": func(best []float64, argU []int32) int {
-			return scanMinPlusTwoSided(c.m, c.key, order, val, suf, c.colsT, sc, best, argU)
-		},
-	}
-}
-
 // checkMinPlusAnswer compares one column's answer to a brute-force scan:
 // the minimum bit-equal, and the witness attaining it with the lowest key
 // (+Inf pairs included: an all-+Inf column has a witness too).
@@ -120,13 +94,11 @@ func checkMinPlusAnswer(t *testing.T, label string, m, col []float64, key []int3
 	}
 }
 
-// FuzzMinPlusKernels checks every min-plus kernel against a brute-force
-// scan on tie-heavy instances: bit-equal minima, the lowest-key witness
-// attaining each minimum, so witnesses identical across the three kernels,
-// and at most n scanned entries per column
-// (each column's count is the growth of the total when the kernel runs on
-// one more column). minPlusProduct.run is checked the same way on several
-// rotated rows, with both one-sided kernels as its short side.
+// FuzzMinPlusKernels checks minPlusProduct.run on tie-heavy instances at
+// 1, 2 and 7 workers against a serial brute-force scan of the raw values:
+// every row's minima bit-equal, the lowest-key witness attaining each one,
+// and a count of rows × groups × columns relaxed cells. Row r of the
+// product is m rotated by r, against the case's columns as row-major groups.
 func FuzzMinPlusKernels(f *testing.F) {
 	f.Add([]byte{5, 3, 0x01, 1, 2, 0, 3, 0xF0, 4, 4, 4, 1, 0, 2, 2, 1, 3, 0, 0, 1})
 	f.Add([]byte{11, 8, 0x62, 0xE5, 0xE6, 0xE7, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -135,26 +107,16 @@ func FuzzMinPlusKernels(f *testing.F) {
 	f.Add([]byte{47, 8, 0x64})
 	f.Add([]byte{40, 5, 0x66})
 	f.Add([]byte{5, 3, 0x09, 1, 2, 0, 3, 0xF0, 4, 4, 4, 1, 0, 2, 2, 1, 3, 0, 0, 1}) // reversed keys
-	f.Add([]byte{40, 5, 0x6E})                                                      // reversed keys, two-sided
+	f.Add([]byte{40, 5, 0x6E})                                                      // reversed keys, anti-correlated
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeMinPlusCase(data)
-		for name, kernel := range minPlusKernels(c) {
-			best := make([]float64, c.nCols)
-			argU := make([]int32, c.nCols)
-			prev := 0
-			for k := 1; k <= c.nCols; k++ {
-				total := kernel(best[:k], argU[:k])
-				if total-prev > c.n {
-					t.Fatalf("%s: column %d scanned %d entries, more than n = %d", name, k-1, total-prev, c.n)
-				}
-				prev = total
-			}
-			for col := 0; col < c.nCols; col++ {
-				checkMinPlusAnswer(t, name, c.m, c.colsT[col*c.n:(col+1)*c.n], c.key, best[col], argU[col])
+		rows := make([][]float64, c.n)
+		for u := range rows {
+			rows[u] = make([]float64, c.nCols)
+			for col := range rows[u] {
+				rows[u][col] = c.colsT[col*c.n+u]
 			}
 		}
-
-		// Product rows: row r is m rotated by r.
 		nRows := 1 + c.n + c.nCols
 		rowOf := func(r int) []float64 {
 			row := make([]float64, c.n)
@@ -163,40 +125,39 @@ func FuzzMinPlusKernels(f *testing.F) {
 			}
 			return row
 		}
-		for _, rowsShort := range []bool{true, false} {
-			p := minPlusProduct{colsT: c.colsT, n: c.n, nCols: c.nCols}
-			if rowsShort {
-				p.colMin = make([]float64, c.nCols)
-				for col := range p.colMin {
-					p.colMin[col] = minOf(c.colsT[col*c.n : (col+1)*c.n])
-				}
-			} else {
-				p.cols = sortCols(c.colsT, c.n, c.nCols)
-			}
+		for _, workers := range []int{1, 2, 7} {
+			p := minPlusProduct{rows: rows, nCols: c.nCols}
 			best := make([][]float64, nRows)
 			witness := make([][]int32, nRows)
-			p.run(2, nRows, func(r int, s *classScratch) float64 {
+			scanned := p.run(workers, nRows, func(r int, s *classScratch) {
 				copy(s.m, rowOf(r))
 				copy(s.argm, c.key)
-				return minOf(s.m)
 			}, func(r int, s *classScratch) {
 				best[r] = append([]float64(nil), s.best...)
-				witness[r] = make([]int32, c.nCols)
-				for col, u := range s.bestU {
-					witness[r][col] = -1
-					if u >= 0 {
-						witness[r][col] = int32(slices.Index(c.key, s.argm[u]))
-					}
-				}
+				witness[r] = append([]int32(nil), s.bestU...)
 			})
+			if want := int64(nRows) * int64(c.n) * int64(c.nCols); scanned != want {
+				t.Fatalf("workers=%d: %d cells relaxed, want %d", workers, scanned, want)
+			}
 			for r := 0; r < nRows; r++ {
 				if best[r] == nil {
-					t.Fatalf("product row %d never emitted", r)
+					t.Fatalf("workers=%d: product row %d never emitted", workers, r)
 				}
 				for col := 0; col < c.nCols; col++ {
-					checkMinPlusAnswer(t, "product", rowOf(r), c.colsT[col*c.n:(col+1)*c.n], c.key, best[r][col], witness[r][col])
+					label := fmt.Sprintf("workers=%d row %d column %d", workers, r, col)
+					checkMinPlusAnswer(t, label, rowOf(r), c.colsT[col*c.n:(col+1)*c.n], c.key, best[r][col], witness[r][col])
 				}
 			}
 		}
 	})
+}
+
+// identityKeys returns the tie keys 0..n−1: each row index is its own key,
+// as when every fold group holds one candidate.
+func identityKeys(n int) []int32 {
+	key := make([]int32, n)
+	for u := range key {
+		key[u] = int32(u)
+	}
+	return key
 }

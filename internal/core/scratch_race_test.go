@@ -1,17 +1,15 @@
 // Regression coverage for scratch-buffer ownership in the DP worker pool.
 //
-// The sorted-scan kernels thread a *sortScratch through sortAsc; the Bellman
-// fold and the tree DP's segment merges run those kernels from parallelChunks
-// bands. The ownership rule is: every band allocates its OWN scratch inside
-// the band closure (minPlusProduct.run; only the first bands of its sample
-// and main phases share one, and the phases run one after the other), and
-// the shared sortedCols built by sortCols is written once, serially, before
-// any band that reads it starts. A scratch captured outside
-// the closure — or one reused across the sequential merges of a segment tree
-// while another search's bands are still draining — would alias the counting
-// sort's cnt/keys arrays across goroutines: the race detector sees the write
-// overlap and, worse, the bucket permutation (and with it witness selection)
-// would silently depend on the schedule.
+// The Bellman steps and the tree DP's segment merges run their min-plus
+// products from parallelChunks bands. The ownership rule is: every band
+// allocates its OWN classScratch inside the band closure
+// (minPlusProduct.run), and the rows a product multiplies against are
+// built once, serially, before any band that reads them starts. A scratch
+// captured outside the closure — or one reused across the sequential merges
+// of a segment tree while another search's bands are still draining — would
+// alias the fold vector and the per-column answers across goroutines: the
+// race detector sees the write overlap and, worse, the witnesses would
+// silently depend on the schedule.
 //
 // TestTreeDPSharedCacheRace is the -race regression for that rule: several
 // searches race over ONE SearchCache with the worker pool forced wide via

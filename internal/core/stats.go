@@ -64,19 +64,13 @@ type SearchStats struct {
 	// because the repository benchmark reads it by name.
 	CrossCallTableHits int `json:"cross_call_table_hits"`
 
-	// EntriesScanned sums the sorted entries visited by the min-plus
-	// kernels across segment chains and merges of the layer DP over the
-	// survivors: the DP's work volume (DESIGN.md §5.2, §5.3, §5.24). The
-	// bound pass's small incumbent DP is timed in DPTime but not counted
-	// here, nor in the other DP counters. A two-sided depth reads one entry
-	// of each order and counts two. Tracked by
-	// BenchmarkScanMinPlus*/primebench. (Formerly min_plus_scanned.)
+	// EntriesScanned is the exact count of cells the min-plus products of
+	// the layer DP over the survivors relax, summed over its segment chains
+	// and merges: Σ rows × groups × columns, the DP's work volume
+	// (DESIGN.md §5.39). The bound pass's small incumbent DP is timed in
+	// DPTime but not counted here, nor in the other DP counters. (Formerly
+	// min_plus_scanned.)
 	EntriesScanned int64 `json:"entries_scanned"`
-
-	// DPTwoSidedProducts counts the min-plus products (Bellman steps and
-	// merges) whose sampled rows scanned long enough to run the two-sided
-	// threshold kernel (DESIGN.md §5.24); the others stayed one-sided.
-	DPTwoSidedProducts int `json:"dp_two_sided_products"`
 
 	// EntriesBoundSkipped always reads zero. It counted the entries skipped
 	// by a two-level scan exit that saved 0.17% of them and was deleted
@@ -135,7 +129,6 @@ func (st *SearchStats) Add(s SearchStats) {
 	st.SegTablesBuilt += s.SegTablesBuilt
 	st.CrossCallTableHits += s.CrossCallTableHits
 	st.EntriesScanned += s.EntriesScanned
-	st.DPTwoSidedProducts += s.DPTwoSidedProducts
 	st.EntriesBoundSkipped += s.EntriesBoundSkipped
 	st.EdgeCellsReused += s.EdgeCellsReused
 	st.CrossCallNodeHits += s.CrossCallNodeHits

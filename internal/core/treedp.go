@@ -164,14 +164,17 @@ func (d *segDims) headCls(x, y int) float64 {
 	return float64(h)
 }
 
-// estScan approximates the average sorted-scan length per output column —
-// warm starts and the suffix-minima exits keep real scans far below the full
-// group count. The estimate only has to RANK execution shapes; the constant
-// was calibrated on the table2 sweep (DESIGN.md §5.3).
+// estScan is the row groups each output column is charged per min-plus
+// product. It was calibrated on the table2 sweep when the kernels exited
+// sorted scans early (DESIGN.md §5.3); the kernel now relaxes every group,
+// but the constant stays frozen: it fixes the planned shape, the shape fixes
+// the association of every path sum, and another value would move the last
+// ulp of some LayerCosts (DESIGN.md §5.39).
 const estScan = 10.0
 
 // chainCost estimates the Bellman-chain work of [x, y]: per head class, the
-// first-step fill plus each step's fold, sorted scan and expansion.
+// first-step fill plus each step's fold, min-plus product and expansion, in
+// the frozen units of estScan.
 func (d *segDims) chainCost(x, y int) float64 {
 	h := d.headCls(x, y)
 	w := h * float64(d.n[x+1-d.a])
@@ -191,9 +194,10 @@ func (d *segDims) chainCost(x, y int) float64 {
 }
 
 // mergeCost estimates combining [x, m] and [m, y]: per left head class, a
-// fold over |P_m| plus a sorted scan and fill over the |P_y| output columns,
-// on top of the shared transpose + column-sort preprocessing of the right
-// table's head classes.
+// fold over |P_m| plus a min-plus product and fill over the |P_y| output
+// columns, on top of a term for the right table's head classes once per
+// merge, in the frozen units of estScan (its preprocessing when the kernels
+// sorted).
 func (d *segDims) mergeCost(x, m, y int) float64 {
 	hL := d.headCls(x, y)
 	nR := d.headCls(m, y)
