@@ -34,7 +34,9 @@ import (
 // edge's matrix row, F the forward and B the backward min-plus pass of the
 // chain over n′ and the summed j−1→j matrices, LB = F + B − n′. For a
 // periodic graph the head and tail run the same candidate, so both take
-// max(LB_head, LB_tail).
+// max(LB_head, LB_tail). An edge without a matrix in edgeMats reads as zero;
+// with edgeMats nil every edge does, which gives the node-only bound LB₀
+// (every RedistributeDetail cell is ≥ 0, so LB₀ ≤ LB).
 func relaxedBound(g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool) [][]float64 {
 	n := len(cands)
 	own := make([][]float64, n) // n′
@@ -44,6 +46,9 @@ func relaxedBound(g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*
 	adj := make([][]*edgeMat, n) // adj[j]: the edges j−1→j
 	for _, e := range g.Edges {
 		m := edgeMats[e]
+		if m == nil {
+			continue
+		}
 		if !e.IsExtended() {
 			adj[e.Dst] = append(adj[e.Dst], m)
 			continue
@@ -156,37 +161,102 @@ func boundMargin(g *graph.Graph) float64 {
 	return float64(float64(4*(len(g.Nodes)+len(g.Edges)+2)) * 0x1p-53)
 }
 
-// survivors returns, per node, the ascending indices of the candidates the
-// exact DP must keep: those whose relaxed bound is at most the incumbent
-// UB·(1+δ). The relaxed optimum R = max_v min_c LB_v(c) bounds the optimum
-// from below (every node's least bound does); the incumbent UB is the layer
-// cost of the DP, in shape, over the candidates attaining it (LB ≤ R), a
-// real plan's cost, so UB ≥ the optimum. For a periodic graph the head and
-// tail share a bound and so one survivor set.
-func (o *Optimizer) survivors(ctx context.Context, g *graph.Graph, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) ([][]int32, error) {
-	lb := relaxedBound(g, cands, edgeMats, periodic)
-	pick := func(limit float64) [][]int32 {
-		keep := make([][]int32, len(lb))
-		for v, l := range lb {
-			for c, b := range l {
-				if b <= limit {
-					keep[v] = append(keep[v], int32(c))
-				}
+// keepBelow returns, per node, the ascending indices of the candidates
+// whose bound is at most limit.
+func keepBelow(lb [][]float64, limit float64) [][]int32 {
+	keep := make([][]int32, len(lb))
+	for v, l := range lb {
+		for c, b := range l {
+			if b <= limit {
+				keep[v] = append(keep[v], int32(c))
 			}
 		}
-		return keep
 	}
-	relaxed := math.Inf(-1)
+	return keep
+}
+
+// relaxedOpt returns R = max_v min_c LB_v(c), the relaxed optimum: every
+// node's least bound is at most the optimum, so R is too.
+func relaxedOpt(lb [][]float64) float64 {
+	r := math.Inf(-1)
 	for _, l := range lb {
-		relaxed = max(relaxed, minOf(l))
+		r = max(r, minOf(l))
 	}
-	incCands, incMats := restrictLayer(g, cands, edgeMats, pick(relaxed))
-	t, err := o.layerDP(ctx, g, shape, incCands, incMats, &SearchStats{Workers: w})
+	return r
+}
+
+// incumbent returns the layer cost of the DP, in shape, over cands and
+// edgeMats (a restriction of the full inputs): a real plan's cost, so at
+// least the full-space optimum.
+func (o *Optimizer) incumbent(ctx context.Context, g *graph.Graph, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) (float64, error) {
+	t, err := o.layerDP(ctx, g, shape, cands, edgeMats, &SearchStats{Workers: w})
+	if err != nil {
+		return 0, err
+	}
+	_, ub := t.layerPlan(len(cands), periodic)
+	return ub, nil
+}
+
+// survivors returns, per node, the ascending indices of the candidates the
+// exact DP must keep: those whose relaxed bound is at most the incumbent
+// UB·(1+δ). The incumbent UB is the layer cost of the DP, in shape, over the
+// candidates attaining the relaxed optimum (LB ≤ R), so UB ≥ the optimum.
+// For a periodic graph the head and tail share a bound and so one survivor
+// set. Every cell of edgeMats is read, so each must be filled.
+func (o *Optimizer) survivors(ctx context.Context, g *graph.Graph, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) ([][]int32, error) {
+	lb := relaxedBound(g, cands, edgeMats, periodic)
+	incCands, incMats := restrictLayer(g, cands, edgeMats, keepBelow(lb, relaxedOpt(lb)))
+	ub, err := o.incumbent(ctx, g, shape, incCands, incMats, periodic, w)
 	if err != nil {
 		return nil, err
 	}
-	_, ub := t.layerPlan(len(cands), periodic)
-	return pick(ub * (1 + boundMargin(g))), nil
+	return keepBelow(lb, ub*(1+boundMargin(g))), nil
+}
+
+// prune returns, per node, the ascending full-space indices of the
+// candidates the exact DP runs over, and cands and the prepared matrices
+// edgeMats restricted to them, filling on the way only the edge cells the
+// restricted inputs read (DESIGN.md §5.40):
+//
+//  1. LB₀, the bound with every edge read as zero, needs no edge cell;
+//  2. the incumbent U₀ is the layer cost of the DP over the candidates
+//     attaining LB₀'s relaxed optimum, whose few cells are filled first;
+//  3. K = {LB₀ ≤ U₀·(1+δ)} keeps every candidate on a plan whose DP value is
+//     the optimum, by survivors' proof with LB₀ for LB;
+//  4. the cells the inputs restricted to K read are filled;
+//  5. survivors and its DP run on that restriction, and their survivors are
+//     mapped back through K.
+//
+// Within K the restricted DP keeps the full DP's values on the optimal
+// paths and the lowest-index tie rule its witnesses, so the answer is the
+// full-space DP's, bit for bit.
+func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, stats *SearchStats) ([][]int32, []*nodeCands, map[*graph.Edge]*edgeMat, error) {
+	w := stats.Workers
+	lb0 := relaxedBound(g, cands, nil, periodic)
+	incCands, incMats, err := in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, keepBelow(lb0, relaxedOpt(lb0)), stats)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	u0, err := o.incumbent(ctx, g, shape, incCands, incMats, periodic, w)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	k := keepBelow(lb0, u0*(1+boundMargin(g)))
+	kCands, kMats, err := in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, k, stats)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	keep, err := o.survivors(ctx, g, shape, kCands, kMats, periodic, w)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sub, subMats := restrictLayer(g, kCands, kMats, keep)
+	for v, kv := range keep {
+		for i, ix := range kv {
+			kv[i] = k[v][ix]
+		}
+	}
+	return keep, sub, subMats, nil
 }
 
 // restrictLayer returns cands and edgeMats restricted to the candidates

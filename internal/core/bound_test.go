@@ -18,8 +18,24 @@ var boundAlphas = []float64{0, 1e-12, 1e-10}
 // boundProfiles are the machine profiles the bound is checked on.
 var boundProfiles = []device.Profile{device.V100Profile(), device.A100SuperPodProfile(), device.MixedA100V100Profile()}
 
-// unprunedPlan runs o's search of g with the layer DP over the full space
-// and no bound pass, and returns its answer with the prepare and DP stats.
+// fillAll fills every cell of in's matrices, which prepare leaves unfilled,
+// through the production fill (fillRestrict with every candidate kept), and
+// adds the filled cells to st.
+func fillAll(t *testing.T, o *Optimizer, g *graph.Graph, in *layerInputs, st *SearchStats) {
+	t.Helper()
+	cands := in.cands(o.Cost.Alpha)
+	keep := make([][]int32, len(cands))
+	for v, c := range cands {
+		keep[v] = identityKeys(len(c.seqs))
+	}
+	if _, _, err := in.fillRestrict(context.Background(), o.Cost, g, cands, in.edgeMats(g), keep, st); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// unprunedPlan runs o's search of g with every edge cell filled, the layer
+// DP over the full space and no bound pass, and returns its answer with the
+// prepare, fill and DP stats.
 func unprunedPlan(t *testing.T, o *Optimizer, g *graph.Graph, layers int) *Strategy {
 	t.Helper()
 	ctx := context.Background()
@@ -28,6 +44,7 @@ func unprunedPlan(t *testing.T, o *Optimizer, g *graph.Graph, layers int) *Strat
 	if err != nil {
 		t.Fatal(err)
 	}
+	fillAll(t, o, g, in, &st)
 	cands, mats := in.cands(o.Cost.Alpha), in.edgeMats(g)
 	tab, err := o.layerDP(ctx, g, layerShape(g, cands, mats), cands, mats, &st)
 	if err != nil {
@@ -82,8 +99,10 @@ func TestBoundPrunedMatchesUnpruned(t *testing.T) {
 // v, LB_v(c) (relaxedBound) must be at most M(v, c)·(1+δ), where M is the
 // textbook DP's minimum with v pinned to c (textbookPinned) and δ the
 // survivor test's rounding margin (boundMargin): the inequality the
-// survivor proof rests on. Layout: model, devices, profile, α, node, each
-// byte taken modulo its range, missing bytes read as zero.
+// survivor proof rests on. The node-only bound LB₀ (relaxedBound with every
+// edge read as zero), which the edge fill is planned from, must be at most
+// LB at every candidate of every node. Layout: model, devices, profile, α,
+// node, each byte taken modulo its range, missing bytes read as zero.
 func FuzzRelaxedBoundBelowMinMarginal(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 3})  // OPT-175B@4, V100, α 1e-12, qkt
 	f.Add([]byte{3, 1, 1, 0, 0})  // Llama2-70B@8, superpod, α 0, the anchor
@@ -105,13 +124,24 @@ func FuzzRelaxedBoundBelowMinMarginal(f *testing.F) {
 		mdl.Alpha = alpha
 		o := NewOptimizer(mdl)
 		o.Cache = NewSearchCache()
-		in, err := o.prepare(context.Background(), g, &SearchStats{Workers: o.Workers()})
+		st := SearchStats{Workers: o.Workers()}
+		in, err := o.prepare(context.Background(), g, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fillAll(t, o, g, in, &st)
 		cands := in.cands(alpha)
 		periodic := checkStackable(cands[0], cands[len(cands)-1]) == nil
 		lb := relaxedBound(g, cands, in.edgeMats(g), periodic)
+		lb0 := relaxedBound(g, cands, nil, periodic)
+		for u := range lb {
+			for c := range lb[u] {
+				if lb0[u][c] > lb[u][c] {
+					t.Fatalf("%s@%d %s α=%g node %d candidate %d: node-only bound %v above the bound %v",
+						cfg.Name, devices, prof.Name, alpha, u, c, lb0[u][c], lb[u][c])
+				}
+			}
+		}
 		slack := 1 + boundMargin(g)
 		for c := range cands[v].seqs {
 			_, _, m := textbookPinned(t, g, in, alpha, v, c).pick(periodic)

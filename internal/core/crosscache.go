@@ -12,7 +12,10 @@
 //     one periodic layer whatever the count, served from the stored answer
 //     with no node pass;
 //   - α shift → a layer hit: the node entries and edge matrices are
-//     α-independent, but the plan key folds α, so only solve runs;
+//     α-independent, but the plan key folds α, so solve runs. It fills the
+//     edge cells its bounds need that no earlier search of the entry filled
+//     (often none), growing each fraction group's filled rectangle, and
+//     never rebuilds a matrix (DESIGN.md §5.40);
 //   - any graph edit → both keys fold the whole graph, so it is a cold
 //     search (DESIGN.md §5.37);
 //   - α shift right after a restart → a cold search: the restart file holds
@@ -75,8 +78,9 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 }
 
 // SearchCache carries layer inputs and finished plans across Plan calls,
-// one bounded tier each (tier.go). Safe for concurrent use; all cached
-// values are read-only.
+// one bounded tier each (tier.go). Safe for concurrent use; cached values
+// are read-only, except a layer entry's matrix cells and filled rectangles,
+// which only grow, under the entry's mutex (layerInputs).
 type SearchCache struct {
 	layers *tier[*layerInputs] // α-free, in memory only
 	plans  *tier[*cachedPlan]  // plancache.go

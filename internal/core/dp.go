@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/cost"
@@ -384,13 +385,21 @@ func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMa
 // layerInputs is the α-free input of one layer graph's DP, which prepare
 // builds and solve reads: one node entry per slot of the within-call node
 // dedup (nodeSlots) and one grouped matrix per slot of the edge dedup
-// (edgeSlots), with the maps from each node and edge to its slot. It is
-// read-only once built, and the layer tier shares it across searches.
+// (edgeSlots), with the maps from each node and edge to its slot, plus what
+// fills the matrices later: their fraction groups (groups, formed over the
+// matrix slots) and the registry their calcs read (ot). The node entries,
+// the slot maps and the matrices' shapes are read-only once built; the
+// matrices' cells and the groups' filled rectangles only grow, under mu
+// (fillRestrict), and the layer tier shares the entry across searches.
 type layerInputs struct {
 	slots  []*nodeEntry
 	slotOf []int // node → slot
 	mats   []*edgeMat
 	matOf  []int // edge index in g.Edges → mat
+
+	mu     sync.Mutex
+	groups []*fracGroup
+	ot     *cost.OverlapTables
 }
 
 // cands returns every node's candidates at α; nodes that share a slot share
@@ -461,7 +470,8 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	}
 
 	// Layer tier: the same graph at another α reuses every node entry and
-	// edge matrix, so only solve runs.
+	// edge matrix, with every cell earlier searches filled, so only solve
+	// runs; it fills just the cells its bounds need that none filled.
 	layerKey := string(appendLayerCrossKey(envSig, g))
 	in := ccache.layers.get(layerKey)
 	if in != nil {
@@ -491,7 +501,9 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 // full op signature (nodes with identical structure — repeated linears,
 // mirrored norms/residuals — share one evaluation, and unique signatures
 // evaluate across the worker pool), then one grouped edge matrix per unique
-// edge key, built across the pool.
+// edge key, prepared across the pool and grouped by fraction structure on
+// one registry. It fills no matrix cell: solve fills the cells its pruned DP
+// reads (fillRestrict).
 func (o *Optimizer) prepare(ctx context.Context, g *graph.Graph, stats *SearchStats) (*layerInputs, error) {
 	tNodes := time.Now()
 	sigs := &sigInterner{}
@@ -521,16 +533,18 @@ func (o *Optimizer) prepare(ctx context.Context, g *graph.Graph, stats *SearchSt
 	for i, s := range in.slotOf {
 		ents[i] = in.slots[s]
 	}
-	mats, fracCells, err := o.buildEdgeMats(ctx, g, uniqEdges, ents, o.newOverlapTables(), stats.Workers)
+	in.ot = o.newOverlapTables()
+	builds, err := o.prepareEdges(ctx, g, uniqEdges, ents, in.ot, stats.Workers)
 	if err != nil {
 		return nil, err
 	}
-	in.mats, in.matOf = mats, matOf
-	stats.EdgeFracCells = fracCells
-	stats.EdgeMatsBuilt = len(mats)
-	for _, m := range mats {
-		stats.EdgeCellsEvaluated += int64(m.nr) * int64(m.nc)
+	in.matOf = matOf
+	in.mats = make([]*edgeMat, len(builds))
+	for i, b := range builds {
+		in.mats[i] = b.m
 	}
+	in.groups = fracGroups(builds)
+	stats.EdgeMatsBuilt = len(builds)
 	stats.EdgeMatTime = time.Since(tEdges)
 	return in, nil
 }
@@ -556,26 +570,27 @@ func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, 
 	}
 	periodic := unstackable == nil
 
-	// Layer table: built on every plan miss over the candidates the bound
-	// keeps (bound.go), in the shape planned from the full space, and
+	// Layer table: built on every plan miss over the candidates the bounds
+	// keep (bound.go), in the shape planned from the full space, and
 	// dropped once the layer pick has reconstructed the answer; only the
-	// plan entry is published.
+	// plan entry is published. The edge cells the bounds need are filled on
+	// the way and timed as the edge phase.
 	tDP := time.Now()
+	edgeTime := stats.EdgeMatTime
 	edgeMats := in.edgeMats(g)
 	shape := layerShape(g, cands, edgeMats)
-	keep, err := o.survivors(ctx, g, shape, cands, edgeMats, periodic, stats.Workers)
+	keep, subCands, subMats, err := o.prune(ctx, g, in, shape, cands, edgeMats, periodic, stats)
 	if err != nil {
 		return nil, err
 	}
 	for v, c := range cands {
 		stats.CandsPruned += len(c.seqs) - len(keep[v])
 	}
-	subCands, subMats := restrictLayer(g, cands, edgeMats, keep)
 	t, err := o.layerDP(ctx, g, shape, subCands, subMats, stats)
 	if err != nil {
 		return nil, err
 	}
-	stats.DPTime = time.Since(tDP)
+	stats.DPTime = time.Since(tDP) - (stats.EdgeMatTime - edgeTime)
 	tPick := time.Now()
 	assign, layerCost := t.layerPlan(len(g.Nodes), periodic)
 	for v, ix := range assign {

@@ -192,9 +192,12 @@ func BenchmarkEstimatePlanWarm(b *testing.B) {
 // BenchmarkPlanAlphaShift alternates one OPT-175B block search at 16
 // devices between two α values on a warm cache, with the plan tier reset
 // before every iteration. Each iteration is then a layer hit: the layer
-// tier serves every node entry and edge matrix (both α-free), and ns/op pins
-// the cost of an α shift — the probes, the totals at the new α, the layer
-// DP and the layer pick.
+// tier serves every node entry and edge matrix (both α-free) and builds
+// none. Only the first shift to 1e-12 may fill cells: the matrices' filled
+// rectangles keep every cell a search filled, so each later iteration finds
+// its cells filled, and ns/op pins the cost of an α shift — the probes, the
+// totals at the new α, the bound passes and restrictions, the layer DP and
+// the layer pick.
 func BenchmarkPlanAlphaShift(b *testing.B) {
 	cfg := model.OPT175B()
 	g, err := model.BuildBlock(cfg)
@@ -224,6 +227,45 @@ func BenchmarkPlanAlphaShift(b *testing.B) {
 		}
 		if s := strat.Stats; s.NodeEvals != 0 || s.EdgeMatsBuilt != 0 {
 			b.Fatalf("iteration was not a layer hit: %+v", s)
+		}
+	}
+}
+
+// BenchmarkPlanCold16 runs one cold OPT-175B block search at 16 devices per
+// iteration, on one worker and a fresh private SearchCache each round: the
+// node pass, the edge preparation, the bound-first fill and the DP, end to
+// end. It fails unless the search computes fewer leader fractions
+// (EdgeFracCells) than filling every leader cell would, so a change that
+// drifts back to the full fill cannot pass as a slowdown within tolerance.
+func BenchmarkPlanCold16(b *testing.B) {
+	cfg := model.OPT175B()
+	g, err := model.BuildBlock(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mdl := cost.NewModel(device.MustCluster(16, 4, device.V100Profile()))
+	o := NewOptimizer(mdl)
+	o.Opts.Parallelism = 1
+	o.Cache = NewSearchCache()
+	in, err := o.prepare(context.Background(), g, &SearchStats{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var full int64
+	for _, gr := range in.groups {
+		full += int64(gr.lead.m.nr) * int64(gr.lead.m.nc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Cache = NewSearchCache()
+		strat, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: cfg.Layers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s := strat.Stats; s.NodeEvals == 0 || s.EdgeFracCells >= full {
+			b.Fatalf("not a bound-first cold search: %d node evals, %d of %d leader cells filled",
+				s.NodeEvals, s.EdgeFracCells, full)
 		}
 	}
 }

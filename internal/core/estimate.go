@@ -52,7 +52,11 @@ type SearchEstimate struct {
 	NodeEvals           int
 	CandidatesEvaluated int
 	// EdgeBuilds / EdgeCells count the unique edge matrices a cold search
-	// builds and the matrix cells they imply.
+	// prepares and the candidate pairs they span. EdgeCells bounds the cells
+	// the search fills from above, and loosely: a cold search fills only the
+	// cells its bounds keep (DESIGN.md §5.40), a fraction of even the
+	// grouped cells, and how many depends on the costs, which the estimate
+	// does not compute.
 	EdgeBuilds int
 	EdgeCells  int64
 }

@@ -46,7 +46,7 @@ func TestEdgeFracGroups(t *testing.T) {
 						transposed = append(transposed, edgeOf[mb.Calc]+" of "+edgeOf[gr.lead.calc])
 					}
 				}
-				gr.fill(o.Cost, 1)
+				gr.fill(o.Cost, gr.growth(allTrue(gr.lead.m.nr), allTrue(gr.lead.m.nc)), 1)
 			}
 			if len(builds) != 13 || len(groups) != 7 {
 				t.Fatalf("%d built matrices in %d groups, want 13 in 7", len(builds), len(groups))

@@ -70,7 +70,7 @@ func fullSpacePlans(t *testing.T, p deltaParams) (prod, ref *Strategy) {
 }
 
 // prunedCount is Σ(|P| − survivors) over p's layer graph: the candidates
-// the bound pass (survivors) drops, recomputed from p's prepared inputs.
+// the bound passes (prune) drop, recomputed from p's prepared inputs.
 func prunedCount(t *testing.T, p deltaParams) int {
 	t.Helper()
 	g := deltaGraph(t, p)
@@ -82,7 +82,7 @@ func prunedCount(t *testing.T, p deltaParams) int {
 	}
 	cands, mats := in.cands(o.Cost.Alpha), in.edgeMats(g)
 	periodic := checkStackable(cands[0], cands[len(cands)-1]) == nil
-	keep, err := o.survivors(context.Background(), g, layerShape(g, cands, mats), cands, mats, periodic, 1)
+	keep, _, _, err := o.prune(context.Background(), g, in, layerShape(g, cands, mats), cands, mats, periodic, &SearchStats{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

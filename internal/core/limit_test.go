@@ -84,7 +84,7 @@ func TestEdgeCalcAt64Devices(t *testing.T) {
 				}
 				r := (i * 7919) % b.m.nr
 				be := b.calc.Block()
-				be.FillRow(o.Cost, r, []cost.FracMember{{Calc: b.calc, Vals: b.m.vals}})
+				be.FillRow(o.Cost, r, identityKeys(b.m.nc), []cost.FracMember{{Calc: b.calc, Vals: b.m.vals}})
 				be.Release()
 				want := make([]float64, b.m.nc)
 				newRefEdge(o.Cost, g, e, src, dst).fillRow(o.Cost, r, want)

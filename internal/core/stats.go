@@ -20,19 +20,22 @@ type SearchStats struct {
 	// CandidatesEvaluated sums |P| over evaluated (unique) nodes.
 	CandidatesEvaluated int `json:"candidates_evaluated"`
 
-	// EdgeMatsBuilt counts grouped matrices actually computed (edge-key
+	// EdgeMatsBuilt counts grouped matrices actually prepared (edge-key
 	// cache misses); EdgeCacheHits counts edges served from the cache.
 	EdgeMatsBuilt int `json:"edge_mats_built"`
 	EdgeCacheHits int `json:"edge_cache_hits"`
 
-	// EdgeCellsEvaluated sums uniqueRows×uniqueCols over built matrices —
-	// the number of interC cells filled.
+	// EdgeCellsEvaluated counts the matrix cells this call filled, in every
+	// matrix of every fraction group: the interC cells its bounds and DP
+	// read that no earlier search of the layer entry filled (DESIGN.md
+	// §5.40). A cold search fills a fraction of the uniqueRows×uniqueCols
+	// cells it prepares, and an α shift may fill some too.
 	EdgeCellsEvaluated int64 `json:"edge_cells_evaluated"`
 
-	// EdgeFracCells counts the built cells whose coverage fractions were
-	// computed (a memo probe or compute() each): the
-	// cells of each fraction group's leader. The other cells of
-	// EdgeCellsEvaluated copy a leader's fractions (DESIGN.md §5.23).
+	// EdgeFracCells counts the cells of EdgeCellsEvaluated whose coverage
+	// fractions were computed (a memo probe or compute() each): the cells
+	// each fraction group's leader filled. The other cells copy a leader's
+	// fractions (DESIGN.md §5.23).
 	EdgeFracCells int64 `json:"edge_frac_cells"`
 
 	// CandsTotal sums |P| over the graph's nodes: the space the DP is exact
@@ -98,9 +101,11 @@ type SearchStats struct {
 	// edge matrix and ran no segment table, merge or layer pick.
 	CrossCallPlanHits int `json:"cross_call_plan_hits"`
 
-	// Wall time per stage: candidate evaluation, edge-matrix building, the
-	// DP (DPTime: the bound pass with its incumbent DP, then the per-segment
-	// DP + merging over the survivors), the pick of the periodic layer
+	// Wall time per stage: candidate evaluation, the edge phase (EdgeMatTime:
+	// preparing the matrices and filling the cells the bounds need), the DP
+	// (DPTime: the bound passes with their incumbent DPs and restrictions,
+	// then the per-segment DP + merging over the survivors, the fills
+	// excluded), the pick of the periodic layer
 	// (StackTime: one scan of the layer table's diagonal plus
 	// reconstruction), and the whole call.
 	NodeEvalTime time.Duration `json:"node_eval_ns"`

@@ -1,5 +1,5 @@
 // Textbook oracle for the layer DP: paper Eqs. 11–14 in their plain form,
-// run on the inputs prepare builds, so the production DP kernels — head-class
+// run on the inputs prepare builds with every matrix filled (fillAll), so the production DP kernels — head-class
 // factoring, grouped Bellman steps, the min-plus kernel's lowest-key scan,
 // the tree-planned merges — are checked at the scales the paper reports
 // against code that shares none of them. Only the node entries and the edge
@@ -296,10 +296,12 @@ func checkTextbookCell(t *testing.T, cfg model.Config, mdl *cost.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := o.prepare(context.Background(), g, &SearchStats{Workers: o.Workers()})
+	st := SearchStats{Workers: o.Workers()}
+	in, err := o.prepare(context.Background(), g, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fillAll(t, o, g, in, &st)
 	tl := textbookDP(t, g, in, o.Cost.Alpha)
 	periodic := checkStackable(tl.cands[0], tl.cands[len(g.Nodes)-1]) == nil
 	if !periodic {

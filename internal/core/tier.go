@@ -103,9 +103,11 @@ const (
 
 // layerCells counts the words a layer entry pins: per unique node entry and
 // candidate its tokens (six words each), its Intra breakdown and both
-// interfaces, plus every unique edge matrix's grouped cells. Interfaces
-// shared between candidates are counted per candidate — an overcount, which
-// only flushes earlier, never later.
+// interfaces, every unique edge matrix's grouped cells (allocated whole,
+// however few are filled), and what fills them later: every matrix's calc
+// and the registry they share. Interfaces shared between candidates are
+// counted per candidate — an overcount, which only flushes earlier, never
+// later.
 func layerCells(in *layerInputs) int64 {
 	var n int64
 	for _, e := range in.slots {
@@ -123,6 +125,14 @@ func layerCells(in *layerInputs) int64 {
 	}
 	for _, m := range in.mats {
 		n += int64(m.nr) * int64(m.nc)
+	}
+	for _, gr := range in.groups {
+		for _, mb := range gr.members {
+			n += mb.Calc.Words()
+		}
+	}
+	if in.ot != nil {
+		n += in.ot.Words()
 	}
 	return n
 }

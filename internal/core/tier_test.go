@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cost"
@@ -64,7 +65,8 @@ func TestSearchCacheTiers(t *testing.T) {
 
 // TestLayerCells pins the layer tier's size function: per node entry and
 // candidate five Intra words, six per token and every interface float, plus
-// every edge matrix's grouped cells, each unique entry and matrix once.
+// every edge matrix's grouped cells, each unique entry and matrix once, plus
+// the words of every matrix's calc and of the registry they share.
 func TestLayerCells(t *testing.T) {
 	ifc := func() *cost.Iface {
 		return &cost.Iface{NumAxes: 1, Fwd: make([]float64, 2), Bwd: make([]float64, 2), Width: make([]float64, 1)}
@@ -83,6 +85,28 @@ func TestLayerCells(t *testing.T) {
 	}
 	if got, want := layerCells(in), int64(5+2*6+2*5+3*2); got != want {
 		t.Fatalf("layerCells = %d, want %d", got, want)
+	}
+
+	// A prepared entry also pins every matrix's calc and the registry they
+	// share, which its later fills read.
+	g := linearChain()
+	o := optimizerFor(t, 8, 4)
+	prep, err := o.prepare(context.Background(), g, &SearchStats{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := layerCells(&layerInputs{slots: prep.slots, mats: prep.mats})
+	fill := prep.ot.Words()
+	for _, gr := range prep.groups {
+		for _, mb := range gr.members {
+			fill += mb.Calc.Words()
+		}
+	}
+	if fill <= 0 {
+		t.Fatalf("the calcs and registry count %d words", fill)
+	}
+	if got := layerCells(prep); got != base+fill {
+		t.Fatalf("layerCells = %d, want %d for the nodes and matrices plus %d for the calcs and registry", got, base+fill, fill)
 	}
 }
 

@@ -70,8 +70,8 @@ type axisPair struct{ sa, dax int }
 // computed once, however many edges and axis pairings meet it. It also
 // holds the search's fraction memos (fracMemo), keyed by its own ids, which
 // the fill bands take in Block and hand back in Release; they die with the
-// registry, so cold searches stay cold. Safe for concurrent use: edge
-// matrices build and fill concurrently.
+// registry or at DropMemos, so no search starts from another's fractions.
+// Safe for concurrent use: edge matrices build and fill concurrently.
 type OverlapTables struct {
 	devices, perNode int
 
@@ -623,7 +623,7 @@ func (de *dirEval) comboFrac(g int) frac {
 // matrix and either direction — the repeated tuples of different fraction
 // structures, and the backward half of a self-transposed edge, whose tuples
 // its forward half already met. The memos grow on demand and die with the
-// registry.
+// registry or at DropMemos.
 //
 // Earlier drafts interned whole rows/columns (by vid-slice signature) or
 // per-pair column-pattern tuples into dense block tables, and fronted the
@@ -691,6 +691,48 @@ func (be *BlockEval) Release() {
 	be.memo = nil
 }
 
+// DropMemos releases the fraction memos no fill band holds, so a registry
+// kept for later fills pins none between them; later bands start fresh
+// memos, which only costs recomputing fractions. Call it when no band holds
+// a memo.
+func (t *OverlapTables) DropMemos() {
+	t.mu.Lock()
+	t.memos = nil
+	t.mu.Unlock()
+}
+
+// Words counts the 8-byte words the registry pins for later fills: its
+// patterns, node blocks and vectors and the interning maps behind them,
+// each map entry as its key bytes plus two words. The fraction memos are
+// not counted (DropMemos).
+func (t *OverlapTables) Words() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := int64(4*len(t.pats)) + int64(len(t.blks)) + int64(len(t.vecs)+len(t.vecKey)+1)/2 + int64(len(t.ov))
+	for _, m := range [...]map[string]int32{t.patIDs, t.blkIDs, t.vecIDs} {
+		for k := range m {
+			n += int64(len(k)+7)/8 + 2
+		}
+	}
+	n += 2 * int64(len(t.pairVec))
+	for _, reg := range t.spaceReg {
+		n += int64(len(reg)+1)/2 + 2
+	}
+	return n
+}
+
+// Words counts the 8-byte words the calc pins: both directions' pattern,
+// registry and cell-vector ids and the edge volumes.
+func (c *EdgeCalc) Words() int64 {
+	var ids int64
+	for _, d := range [...]*dirCalc{&c.fwd, &c.bwd} {
+		for i := range d.pairs {
+			ids += int64(len(d.rowPat[i]) + len(d.colPat[i]) + len(d.rowReg[i]) + len(d.colReg[i]) + len(d.cellVec[i]))
+		}
+	}
+	return (ids+1)/2 + int64(len(c.fwdVol)+len(c.bwdVol))
+}
+
 func (s *dirStream) init(be *BlockEval, d *dirCalc, nCols int) {
 	k := len(d.pairs)
 	s.de = dirEval{d: d, be: be,
@@ -701,10 +743,11 @@ func (s *dirStream) init(be *BlockEval, d *dirCalc, nCols int) {
 	s.rowSl = make([][]int32, k)
 }
 
-// fillRow computes the direction's coverage fractions of row ri for every
-// column into s.row: each cell is compute() of its node-vector ids, taken
-// from the memo when its key was seen before.
-func (s *dirStream) fillRow(ri int) {
+// fillRow computes the direction's coverage fractions of row ri at the
+// columns cols into s.row (the other columns keep stale values): each cell
+// is compute() of its node-vector ids, taken from the memo when its key was
+// seen before.
+func (s *dirStream) fillRow(ri int, cols []int32) {
 	d := s.de.d
 	k := len(d.pairs)
 	if k == 0 {
@@ -719,7 +762,7 @@ func (s *dirStream) fillRow(ri int) {
 	if !de.cellKeys {
 		// Node-vector tuples would not pack into a key (that is what turned
 		// the memo off), so no key-based reuse: evaluate each cell directly.
-		for ci := range out {
+		for _, ci := range cols {
 			for i := 0; i < k; i++ {
 				de.vids[i] = s.rowSl[i][d.colPat[i][ci]]
 			}
@@ -730,7 +773,7 @@ func (s *dirStream) fillRow(ri int) {
 	cells := &de.be.memo.cells
 	prevKey := ^uint64(0) // impossible: real keys stay below 2^63
 	var prevF frac
-	for ci := range out {
+	for _, ci := range cols {
 		key := uint64(k)
 		for i := 0; i < k; i++ {
 			vid := s.rowSl[i][d.colPat[i][ci]]
@@ -754,8 +797,12 @@ func (s *dirStream) fillRow(ri int) {
 // rep ci) for every column rep, bit-identical to
 // p.Measure(srcReps[ri], dstReps[ci]).
 func (be *BlockEval) MeasureRow(ri int, out []Traffic) {
-	be.fwd.fillRow(ri)
-	be.bwd.fillRow(ri)
+	cols := make([]int32, len(out))
+	for ci := range cols {
+		cols[ci] = int32(ci)
+	}
+	be.fwd.fillRow(ri, cols)
+	be.bwd.fillRow(ri, cols)
 	eb := be.c.p.eb
 	fRow, bRow := be.fwd.row, be.bwd.row
 	fVol := be.c.fwdVol
@@ -781,16 +828,18 @@ type FracMember struct {
 	Transposed bool
 }
 
-// FillRow computes the fractions of the leader's row ri once — be's calc is
-// the leader — and writes m.RedistributeDetail of each member's cells that
-// they determine: row ri of a direct member, and column ri of a transposed
-// one, whose forward fractions are the leader's backward ones and vice
-// versa. Each member's cells take its own volumes and element bytes, so
-// every value is bit-identical to m.RedistributeDetail of that member's
-// EdgePlan.Measure on the same interfaces.
-func (be *BlockEval) FillRow(m *Model, ri int, members []FracMember) {
-	be.fwd.fillRow(ri)
-	be.bwd.fillRow(ri)
+// FillRow computes the fractions of the leader's row ri at the leader
+// columns cols once — be's calc is the leader — and writes
+// m.RedistributeDetail of each member's cells that they determine: cells
+// (ri, c) of a direct member, and cells (c, ri) of a transposed one, whose
+// forward fractions are the leader's backward ones and vice versa, for every
+// c in cols. No other cell is written. Each member's cells take its own
+// volumes and element bytes, so every value is bit-identical to
+// m.RedistributeDetail of that member's EdgePlan.Measure on the same
+// interfaces, whichever cells are filled and in whatever order.
+func (be *BlockEval) FillRow(m *Model, ri int, cols []int32, members []FracMember) {
+	be.fwd.fillRow(ri, cols)
+	be.bwd.fillRow(ri, cols)
 	fRow, bRow := be.fwd.row, be.bwd.row
 	for _, mb := range members {
 		c := mb.Calc
@@ -799,7 +848,7 @@ func (be *BlockEval) FillRow(m *Model, ri int, members []FracMember) {
 			out := mb.Vals[ri*len(fRow):][:len(fRow)]
 			fVol := c.fwdVol
 			bv := c.bwdVol[ri]
-			for ci := range out {
+			for _, ci := range cols {
 				f, b := fRow[ci], bRow[ci]
 				fv := fVol[ci]
 				out[ci] = m.RedistributeDetail(Traffic{
@@ -813,10 +862,10 @@ func (be *BlockEval) FillRow(m *Model, ri int, members []FracMember) {
 		nc := len(c.fwdVol)
 		fv := c.fwdVol[ri]
 		bVol := c.bwdVol
-		for r := range fRow {
+		for _, r := range cols {
 			f, b := bRow[r], fRow[r]
 			bv := bVol[r]
-			mb.Vals[r*nc+ri] = m.RedistributeDetail(Traffic{
+			mb.Vals[int(r)*nc+ri] = m.RedistributeDetail(Traffic{
 				FwdIntra: fv * f.fi * eb, FwdInter: fv * f.fe * eb,
 				BwdIntra: bv * b.fi * eb, BwdInter: bv * b.fe * eb,
 			})

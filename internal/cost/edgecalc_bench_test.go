@@ -76,6 +76,10 @@ func BenchmarkEdgeCellBlock(b *testing.B) {
 	m := NewModel(device.MustCluster(p.devices, p.perNode, device.V100Profile()))
 	cells := len(srcReps) * len(dstReps)
 	fwdVals, bwdVals := make([]float64, cells), make([]float64, cells)
+	cols := make([]int32, len(dstReps))
+	for ci := range cols {
+		cols[ci] = int32(ci)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -88,7 +92,7 @@ func BenchmarkEdgeCellBlock(b *testing.B) {
 		b.StartTimer()
 		be := calc.Block()
 		for ri := range srcReps {
-			be.FillRow(m, ri, members)
+			be.FillRow(m, ri, cols, members)
 		}
 		be.Release()
 	}

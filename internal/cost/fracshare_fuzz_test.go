@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,20 +53,46 @@ func selfMirrorEdge(rng *rand.Rand, devices, perNode int, pool []axisLayout) (*E
 	return p, src, dst
 }
 
-// fillGroup fills the matrices of one fraction group led by members[0] and
-// reports the first cell of each that differs from RedistributeDetail of
-// direct Measure.
+// fillGroup fills the matrices of one fraction group led by members[0] in
+// two passes, the even leader columns and then the odd ones, and reports the
+// first cell of each that differs from RedistributeDetail of direct
+// Measure. Between the passes every cell in an odd leader column — a
+// transposed member's odd rows — must still hold its NaN sentinel: FillRow
+// writes the columns it is given and no other cell.
 func fillGroup(t *testing.T, m *Model, label string, members []FracMember, jobs []edgeJob) {
 	t.Helper()
-	be := members[0].Calc.Block()
-	for ri := range jobs[0].src {
-		be.FillRow(m, ri, members)
+	nc := len(jobs[0].dst)
+	var passes [2][]int32
+	for c := 0; c < nc; c++ {
+		passes[c%2] = append(passes[c%2], int32(c))
 	}
-	be.Release()
-	for k, j := range jobs {
-		for c, got := range members[k].Vals {
-			if want := j.want[c]; got != want {
-				t.Fatalf("%s, matrix %d cell (%d,%d): got %v want %v", label, k, c/len(j.dst), c%len(j.dst), got, want)
+	leadCol := func(k, cell int) int {
+		if members[k].Transposed {
+			return cell / len(jobs[k].dst)
+		}
+		return cell % len(jobs[k].dst)
+	}
+	for _, mb := range members {
+		for c := range mb.Vals {
+			mb.Vals[c] = math.NaN()
+		}
+	}
+	for pass, cols := range passes {
+		be := members[0].Calc.Block()
+		for ri := range jobs[0].src {
+			be.FillRow(m, ri, cols, members)
+		}
+		be.Release()
+		for k, j := range jobs {
+			for c, got := range members[k].Vals {
+				switch {
+				case leadCol(k, c)%2 > pass:
+					if !math.IsNaN(got) {
+						t.Fatalf("%s, matrix %d cell (%d,%d): written by the even-column pass", label, k, c/len(j.dst), c%len(j.dst))
+					}
+				case got != j.want[c]:
+					t.Fatalf("%s, matrix %d cell (%d,%d) after pass %d: got %v want %v", label, k, c/len(j.dst), c%len(j.dst), pass, got, j.want[c])
+				}
 			}
 		}
 	}

@@ -122,8 +122,12 @@ func (j *edgeJob) check(t *testing.T, m *Model, label string, calc *EdgeCalc) {
 	t.Helper()
 	be := calc.Block()
 	vals := make([]float64, len(j.src)*len(j.dst))
+	cols := make([]int32, len(j.dst))
+	for ci := range cols {
+		cols[ci] = int32(ci)
+	}
 	for ri := range j.src {
-		be.FillRow(m, ri, []FracMember{{Calc: calc, Vals: vals}})
+		be.FillRow(m, ri, cols, []FracMember{{Calc: calc, Vals: vals}})
 	}
 	be.Release()
 	for k, got := range vals {
