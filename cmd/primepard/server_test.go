@@ -287,10 +287,10 @@ func getStats(t *testing.T, ts *httptest.Server) statsResponse {
 // TestPlanTimeoutThenRecover pins the acceptance criterion: a cold exact
 // request with a short deadline is cancelled mid-search (504 once the
 // search overruns it), and the shared cache stays fully usable for the next
-// request. Uncancelled, the cold OPT-175B@32 search runs ~2–3 s on a 2-CPU
-// host, so answering within 1 s shows the deadline cut it short. Admission
-// is disabled so the short deadline reaches the search instead of being
-// shed up front.
+// request. Uncancelled, the cold OPT-175B@32 search runs ~0.25–0.3 s on a
+// 2-CPU host, so a 50 ms deadline lands mid-search, and answering within
+// 1 s shows the deadline cut it short. Admission is disabled so the short
+// deadline reaches the search instead of being shed up front.
 func TestPlanTimeoutThenRecover(t *testing.T) {
 	s := newTestServer(t, "", noAdmission)
 	ts := httptest.NewServer(s.handler())
@@ -298,7 +298,7 @@ func TestPlanTimeoutThenRecover(t *testing.T) {
 
 	start := time.Now()
 	out := postPlan(t, ts, PlanRequest{
-		Model: "OPT-175B", Devices: 32, DeadlineMS: 300,
+		Model: "OPT-175B", Devices: 32, DeadlineMS: 50,
 	})
 	elapsed := time.Since(start)
 	if out.resp != nil {
@@ -599,10 +599,11 @@ func TestSaveCache(t *testing.T) {
 	}
 }
 
-// TestStartupRefusesOldCacheFile: a cache file written in PPSC v10, the
-// format that still held node entries and interfaces, is refused by Load, and
-// the daemon's startup load reports it and starts on an empty cache instead
-// of exiting; its first plan is a cold search that answers normally.
+// TestStartupRefusesOldCacheFile: a cache file written in PPSC v11, whose
+// keys' environment prefix still held the deleted AllowPrime byte, is
+// refused by Load, and the daemon's startup load reports it and starts on an
+// empty cache instead of exiting; its first plan is a cold search that
+// answers normally.
 func TestStartupRefusesOldCacheFile(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir, noAdmission)
@@ -612,17 +613,17 @@ func TestStartupRefusesOldCacheFile(t *testing.T) {
 	if err := s.saveCache(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the header's version to 10; the digest covers only the
+	// Rewrite the header's version to 11; the digest covers only the
 	// payload, so nothing but the version check can refuse the file.
 	path := filepath.Join(dir, core.CacheFileName)
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(file[:4]) != "PPSC" || file[4] != 11 {
+	if string(file[:4]) != "PPSC" || file[4] != 12 {
 		t.Fatalf("unexpected header % x", file[:5])
 	}
-	file[4] = 10
+	file[4] = 11
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -630,8 +631,8 @@ func TestStartupRefusesOldCacheFile(t *testing.T) {
 	cache := core.NewSearchCache()
 	var stdout, stderr bytes.Buffer
 	loadCache(cache, dir, &stdout, &stderr)
-	if !strings.Contains(stderr.String(), "unsupported version 10") || !strings.Contains(stderr.String(), "starting cold") {
-		t.Fatalf("startup did not report the v10 file: stderr %q", stderr.String())
+	if !strings.Contains(stderr.String(), "unsupported version 11") || !strings.Contains(stderr.String(), "starting cold") {
+		t.Fatalf("startup did not report the v11 file: stderr %q", stderr.String())
 	}
 	if n, e := cache.Sizes(); n != 0 || e != 0 || cache.PlanEntries() != 0 || stdout.Len() != 0 {
 		t.Fatalf("refused file left %d nodes, %d edges, %d plans; stdout %q", n, e, cache.PlanEntries(), stdout.String())

@@ -7,8 +7,10 @@
 //     degree d and picks the best-performing configuration.
 //
 //   - An Alpa-style automatic searcher: PrimePar's own optimal DP restricted
-//     to the conventional spatial-only partition space (AllowPrime=false),
-//     the strongest baseline expressible without the temporal dimension.
+//     to the conventional spatial-only partition space, the strongest
+//     baseline expressible without the temporal dimension. The restriction
+//     is a candidate mask on PrimePar's space (SpatialOnly), so both
+//     searches share one prepared layer.
 package baseline
 
 import (
@@ -132,13 +134,16 @@ func BestMegatron(m *cost.Model, g *graph.Graph) (*Result, error) {
 	return best, nil
 }
 
+// SpatialOnly is the candidate mask of the spatial-only space: every
+// sequence without a Prime token (core.PlanRequest.Keep).
+func SpatialOnly(_ int, s partition.Seq) bool { return !s.HasPrime() }
+
 // Alpa searches the spatial-only partition space with PrimePar's optimal DP
 // — the automatic-parallelization baseline. It returns the per-node
 // strategy of a representative layer.
 func Alpa(m *cost.Model, g *graph.Graph, layers int) (*core.Strategy, error) {
 	o := core.NewOptimizer(m)
-	o.Opts.AllowPrime = false
-	return o.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: layers})
+	return o.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: layers, Keep: SpatialOnly})
 }
 
 // PrimePar runs the full spatial-temporal search (for symmetry with the

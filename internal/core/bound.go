@@ -216,9 +216,13 @@ func (o *Optimizer) survivors(ctx context.Context, g *graph.Graph, shape []*segP
 // prune returns, per node, the ascending full-space indices of the
 // candidates the exact DP runs over, and cands and the prepared matrices
 // edgeMats restricted to them, filling on the way only the edge cells the
-// restricted inputs read (DESIGN.md §5.40):
+// restricted inputs read (DESIGN.md §5.40). mask, when not nil, lists per
+// node the full-space indices of the candidates the search may use
+// (DESIGN.md §5.41), and every step runs over those only:
 //
-//  1. LB₀, the bound with every edge read as zero, needs no edge cell;
+//  1. LB₀, the bound with every edge read as zero, needs no edge cell; it
+//     is computed over the masked candidates, so a masked-out candidate's
+//     low node cost weakens no other node's bound;
 //  2. the incumbent U₀ is the layer cost of the DP over the candidates
 //     attaining LB₀'s relaxed optimum, whose few cells are filled first;
 //  3. K = {LB₀ ≤ U₀·(1+δ)} keeps every candidate on a plan whose DP value is
@@ -229,11 +233,19 @@ func (o *Optimizer) survivors(ctx context.Context, g *graph.Graph, shape []*segP
 //
 // Within K the restricted DP keeps the full DP's values on the optimal
 // paths and the lowest-index tie rule its witnesses, so the answer is the
-// full-space DP's, bit for bit.
-func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, stats *SearchStats) ([][]int32, []*nodeCands, map[*graph.Edge]*edgeMat, error) {
+// DP's over the (masked) space, bit for bit.
+func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, mask [][]int32, periodic bool, stats *SearchStats) ([][]int32, []*nodeCands, map[*graph.Edge]*edgeMat, error) {
 	w := stats.Workers
-	lb0 := relaxedBound(g, cands, nil, periodic)
-	incCands, incMats, err := in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, keepBelow(lb0, relaxedOpt(lb0)), stats)
+	space := cands
+	if mask != nil {
+		space = make([]*nodeCands, len(cands))
+		for v, c := range cands {
+			space[v] = c.restrict(mask[v])
+		}
+	}
+	lb0 := relaxedBound(g, space, nil, periodic)
+	inc := through(mask, keepBelow(lb0, relaxedOpt(lb0)))
+	incCands, incMats, err := in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, inc, stats)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -241,7 +253,7 @@ func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	k := keepBelow(lb0, u0*(1+boundMargin(g)))
+	k := through(mask, keepBelow(lb0, u0*(1+boundMargin(g))))
 	kCands, kMats, err := in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, k, stats)
 	if err != nil {
 		return nil, nil, nil, err
@@ -251,12 +263,21 @@ func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, 
 		return nil, nil, nil, err
 	}
 	sub, subMats := restrictLayer(g, kCands, kMats, keep)
-	for v, kv := range keep {
-		for i, ix := range kv {
-			kv[i] = k[v][ix]
+	return through(k, keep), sub, subMats, nil
+}
+
+// through maps per-node indices into per-node index lists: inner[v][i]
+// becomes outer[v][inner[v][i]], in place. A nil outer is the identity.
+func through(outer, inner [][]int32) [][]int32 {
+	if outer == nil {
+		return inner
+	}
+	for v, iv := range inner {
+		for i, ix := range iv {
+			iv[i] = outer[v][ix]
 		}
 	}
-	return keep, sub, subMats, nil
+	return inner
 }
 
 // restrictLayer returns cands and edgeMats restricted to the candidates

@@ -25,7 +25,7 @@ func fullFillPlan(t *testing.T, o *Optimizer, g *graph.Graph, layers int) *Strat
 	}
 	fillAll(t, o, g, in, &st)
 	full := st.EdgeFracCells
-	e, err := o.solve(ctx, g, in, o.Cost.Alpha, layers, &st)
+	e, err := o.solve(ctx, g, in, o.Cost.Alpha, layers, nil, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,9 @@ func optimizerFor(t *testing.T, devices, perNode int) *Optimizer {
 	return NewOptimizer(m)
 }
 
+// noPrime is the spatial-only candidate mask (baseline.SpatialOnly).
+func noPrime(_ int, s partition.Seq) bool { return !s.HasPrime() }
+
 func TestCandidatesCountsLinear(t *testing.T) {
 	op := model.NewLinear("lin", 1024, 1024, 4096, 4096)
 	opts := DefaultOptions()
@@ -55,15 +58,14 @@ func TestCandidatesRespectAxisSizes(t *testing.T) {
 
 func TestCandidatesOptionGates(t *testing.T) {
 	op := model.NewLinear("lin", 1024, 1024, 4096, 4096)
-	noPrime := DefaultOptions()
-	noPrime.AllowPrime = false
-	for _, s := range Candidates(op, 4, noPrime) {
-		if s.HasPrime() {
-			t.Fatalf("AllowPrime=false produced %v", s)
+	spatial := 0
+	for _, s := range Candidates(op, 2, DefaultOptions()) {
+		if !s.HasPrime() {
+			spatial++
 		}
 	}
-	if got := len(Candidates(op, 2, noPrime)); got != 1+4+16 {
-		t.Fatalf("spatial-only |P| at 2 bits = %d, want 21", got)
+	if spatial != 1+4+16 {
+		t.Fatalf("spatial-only |P| at 2 bits = %d, want 21", spatial)
 	}
 	noBatch := DefaultOptions()
 	noBatch.AllowBatchSplit = false
@@ -133,7 +135,7 @@ func TestDPMatchesExhaustiveOnMLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := o.Exhaustive(g)
+	ex, err := o.Exhaustive(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestDPMatchesExhaustiveWithMemoryWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := o.Exhaustive(g)
+	ex, err := o.Exhaustive(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestDPMatchesExhaustiveOnFullBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := o.Exhaustive(g)
+	ex, err := o.Exhaustive(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,6 +340,8 @@ func TestLayerStackingCheck(t *testing.T) {
 
 // Enlarging the space with the Prime primitive can only improve the optimum,
 // and on a multi-node machine it strictly improves it (the paper's headline).
+// The spatial-only search masks the Prime candidates out of the same space,
+// so on one optimizer it reuses the layer the first search prepared.
 func TestPrimeSpaceDominatesSpatialOnly(t *testing.T) {
 	g, err := model.BuildMLP(model.OPT175B())
 	if err != nil {
@@ -345,15 +349,22 @@ func TestPrimeSpaceDominatesSpatialOnly(t *testing.T) {
 	}
 	for _, devs := range []struct{ n, per int }{{4, 4}, {8, 4}} {
 		o := optimizerFor(t, devs.n, devs.per)
+		o.Cache = NewSearchCache()
 		withPrime, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o2 := optimizerFor(t, devs.n, devs.per)
-		o2.Opts.AllowPrime = false
-		spatial, err := o2.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1})
+		spatial, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: 1, Keep: noPrime})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st := spatial.Stats; st.NodeEvals != 0 || st.EdgeMatsBuilt != 0 || st.CrossCallPlanHits != 0 {
+			t.Fatalf("%d devices: the masked search did not reuse the prepared layer: %+v", devs.n, st)
+		}
+		for _, s := range spatial.Seqs {
+			if s.HasPrime() {
+				t.Fatalf("%d devices: the spatial-only plan uses %v", devs.n, s)
+			}
 		}
 		if withPrime.TotalCost > spatial.TotalCost+1e-12 {
 			t.Fatalf("%d devices: prime space cost %v exceeds spatial-only %v",
@@ -424,7 +435,7 @@ func TestExhaustiveRefusesHugeSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Exhaustive(g); err == nil {
+	if _, err := o.Exhaustive(g, nil); err == nil {
 		t.Fatal("exhaustive accepted a 32-device full block")
 	}
 }

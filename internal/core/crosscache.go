@@ -195,7 +195,7 @@ func (o *Optimizer) appendEnvSig(b []byte) []byte {
 	b = append(b, boolByte(m.Overlap), boolByte(m.ZeRO1))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.ParamBytesPerElement))
 	b = binary.AppendVarint(b, int64(o.Opts.MaxPrimeK))
-	b = append(b, boolByte(o.Opts.AllowPrime), boolByte(o.Opts.AllowBatchSplit))
+	b = append(b, boolByte(o.Opts.AllowBatchSplit))
 	return b
 }
 

@@ -17,7 +17,7 @@
 // is bit-identical to recomputing: the same seqs, Intra breakdowns and
 // LayerCost bits flow into the same Strategy assembly (strategyOf).
 //
-// File layout (v11):
+// File layout (v12):
 //
 //	"PPSC" · uvarint version · sha256(payload) · payload
 //
@@ -84,8 +84,9 @@ const diskCacheMagic = "PPSC"
 // interface table and nodes section are gone and a plan entry carries its
 // answer (seqs, Intra breakdowns, space sizes, a stackable byte) instead of
 // candidate indices (DESIGN.md §5.36); a v10 file's interface table would
-// misparse as plans.
-const diskCacheVersion = 11
+// misparse as plans. v12: the environment prefix lost its AllowPrime byte
+// (DESIGN.md §5.41), so a v11 key could alias a v12 one.
+const diskCacheVersion = 12
 
 // errDigestMismatch is Load's error for a payload whose SHA-256 is not the
 // one in the header. Load checks it before decoding.

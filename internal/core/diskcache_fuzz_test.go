@@ -29,7 +29,8 @@ const maxLoadAllocPerByte = 128
 // for byte.
 // Each payload is also loaded behind a digest with one byte flipped: that
 // Load must report errDigestMismatch, under the same bounds.
-// The checked-in corpus holds v11 payloads that declare lengths of
+// The checked-in corpus holds payloads of the current layout (unchanged
+// since v11) that declare lengths of
 // 2^61–2^62 (plans, nodes and tokens), a space size past int32 and a
 // stackable byte of 2, plus payloads of earlier layouts (interface tables,
 // node and edge sections, candidate indices), which must fail cleanly, and a

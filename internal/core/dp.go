@@ -71,7 +71,8 @@ type Strategy struct {
 	TotalCost float64
 	// Layers is the stacked layer count.
 	Layers int
-	// SpaceSizes records |P| per node for reporting.
+	// SpaceSizes records |P| per node for reporting: the masked space's
+	// under PlanRequest.Keep.
 	SpaceSizes []int
 	// Stats instruments the search that produced this strategy.
 	Stats SearchStats
@@ -426,18 +427,21 @@ func (in *layerInputs) edgeMats(g *graph.Graph) map[*graph.Edge]*edgeMat {
 	return m
 }
 
-// search runs one full search of the layer graph at the configured options
-// (the body of Plan): the plan-tier probe (plancache.go), then on a miss the
-// layer-tier probe, prepare on a layer miss, solve, and publishing the
-// answer. Cancellation is checked at coarse, value-independent points —
-// between pool task pulls, per Bellman step, per merge, between stages — so
-// an uncancelled search executes bit-identically to an uncancellable one,
+// search runs one full search of the request's layer graph at the
+// configured options (the body of Plan): the plan-tier probe (plancache.go),
+// then on a miss the layer-tier probe, prepare on a layer miss, solve, and
+// publishing the answer. A masked request (req.Keep) skips the plan tier
+// both ways, so a masked answer never serves an unmasked request.
+// Cancellation is checked at coarse, value-independent points — between
+// pool task pulls, per Bellman step, per merge, between stages — so an
+// uncancelled search executes bit-identically to an uncancellable one,
 // while a cancelled one returns ctx.Err() promptly and publishes nothing to
 // the shared cross-call cache (the cache stays fully usable).
-func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*Strategy, error) {
+func (o *Optimizer) search(ctx context.Context, req PlanRequest) (*Strategy, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	g, layers := req.Graph, req.Layers
 	if layers < 1 {
 		return nil, fmt.Errorf("core: layers must be ≥ 1, got %d", layers)
 	}
@@ -457,8 +461,9 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	// answer; no node pass, edge matrix, layer table or layer pick runs.
 	ccache := o.crossCache()
 	envSig := o.appendEnvSig(nil)
+	unmasked := req.Keep == nil
 	planKey := string(o.appendPlanCrossKey(envSig, g))
-	if e := ccache.plans.get(planKey); e != nil && e.fits(g, o.Cost.Cluster.Bits(), layers) {
+	if e := ccache.plans.get(planKey); unmasked && e != nil && e.fits(g, o.Cost.Cluster.Bits(), layers) {
 		stats.CrossCallPlanHits = 1
 		for _, n := range e.sizes {
 			stats.CandsTotal += int(n)
@@ -485,12 +490,14 @@ func (o *Optimizer) search(ctx context.Context, g *graph.Graph, layers int) (*St
 	}
 	stats.NodeCacheHits = len(g.Nodes) - len(in.slots)
 	stats.EdgeCacheHits = len(g.Edges) - len(in.mats)
-	e, err := o.solve(ctx, g, in, o.Cost.Alpha, layers, &stats)
+	e, err := o.solve(ctx, g, in, o.Cost.Alpha, layers, req.Keep, &stats)
 	if err != nil {
 		return nil, err
 	}
 	ccache.layers.put(layerKey, in)
-	ccache.plans.put(planKey, e)
+	if unmasked {
+		ccache.plans.put(planKey, e)
+	}
 	strat := strategyOf(e, layers)
 	stats.TotalTime = time.Since(start)
 	strat.Stats = stats
@@ -550,14 +557,11 @@ func (o *Optimizer) prepare(ctx context.Context, g *graph.Graph, stats *SearchSt
 }
 
 // solve runs the α-dependent half of a search on prepared inputs: node
-// totals at alpha, the stacking check, the layer DP and the pick of the
-// layer every layer runs (layerPlan). It returns the answer as a plan entry.
-func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, alpha float64, layers int, stats *SearchStats) (*cachedPlan, error) {
+// totals at alpha, the stacking check, the candidate mask keep (nil keeps
+// every candidate), the layer DP and the pick of the layer every layer runs
+// (layerPlan). It returns the answer as a plan entry.
+func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, alpha float64, layers int, keep func(int, partition.Seq) bool, stats *SearchStats) (*cachedPlan, error) {
 	cands := in.cands(alpha)
-	// CandsTotal counts the space the DP is exact over.
-	for _, c := range cands {
-		stats.CandsTotal += len(c.seqs)
-	}
 	// Stacking: the layer boundary appears as the zero-cost anchor in the
 	// next layer, so no subtraction is needed — but the boundary STATE must
 	// be shared, which requires the anchor's candidate space to be
@@ -569,6 +573,19 @@ func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, 
 		return nil, unstackable
 	}
 	periodic := unstackable == nil
+	mask, err := maskOf(g, cands, keep, periodic)
+	if err != nil {
+		return nil, err
+	}
+	// CandsTotal counts the space the DP is exact over: the masked one.
+	sizes := make([]int32, len(cands))
+	for v, c := range cands {
+		sizes[v] = int32(len(c.seqs))
+		if mask != nil {
+			sizes[v] = int32(len(mask[v]))
+		}
+		stats.CandsTotal += int(sizes[v])
+	}
 
 	// Layer table: built on every plan miss over the candidates the bounds
 	// keep (bound.go), in the shape planned from the full space, and
@@ -579,12 +596,12 @@ func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, 
 	edgeTime := stats.EdgeMatTime
 	edgeMats := in.edgeMats(g)
 	shape := layerShape(g, cands, edgeMats)
-	keep, subCands, subMats, err := o.prune(ctx, g, in, shape, cands, edgeMats, periodic, stats)
+	kept, subCands, subMats, err := o.prune(ctx, g, in, shape, cands, edgeMats, mask, periodic, stats)
 	if err != nil {
 		return nil, err
 	}
-	for v, c := range cands {
-		stats.CandsPruned += len(c.seqs) - len(keep[v])
+	for v, k := range kept {
+		stats.CandsPruned += int(sizes[v]) - len(k)
 	}
 	t, err := o.layerDP(ctx, g, shape, subCands, subMats, stats)
 	if err != nil {
@@ -594,10 +611,45 @@ func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, 
 	tPick := time.Now()
 	assign, layerCost := t.layerPlan(len(g.Nodes), periodic)
 	for v, ix := range assign {
-		assign[v] = keep[v][ix] // back to full-space indices
+		assign[v] = kept[v][ix] // back to full-space indices
 	}
 	stats.StackTime = time.Since(tPick)
-	return planOf(cands, assign, layerCost, periodic), nil
+	e := planOf(cands, assign, layerCost, periodic)
+	copy(e.sizes, sizes)
+	return e, nil
+}
+
+// maskOf returns, per node, the ascending indices of the candidates keep
+// accepts, or nil when keep is nil. On a periodic graph the head and tail
+// share one space and run one candidate, so both keep the candidates keep
+// accepts at the head and at the tail. A node left with no candidate is an
+// error naming it.
+func maskOf(g *graph.Graph, cands []*nodeCands, keep func(int, partition.Seq) bool, periodic bool) ([][]int32, error) {
+	if keep == nil {
+		return nil, nil
+	}
+	n := len(cands)
+	mask := make([][]int32, n)
+	for v, c := range cands {
+		if periodic && v == n-1 {
+			mask[v] = mask[0]
+			break
+		}
+		for i, s := range c.seqs {
+			if keep(v, s) && (!periodic || v != 0 || keep(n-1, s)) {
+				mask[v] = append(mask[v], int32(i))
+			}
+		}
+		if len(mask[v]) > 0 {
+			continue
+		}
+		if periodic && v == 0 {
+			return nil, fmt.Errorf("core: the candidate mask keeps no candidate of the layer head, node 0 (%s), that it also keeps at the tail, node %d (%s)",
+				g.Nodes[0].Name, n-1, g.Nodes[n-1].Name)
+		}
+		return nil, fmt.Errorf("core: the candidate mask keeps no candidate of node %d (%s)", v, g.Nodes[v].Name)
+	}
+	return mask, nil
 }
 
 // checkStackable returns nil when the layer head's candidate space is

@@ -120,9 +120,10 @@ func linearChain() *graph.Graph {
 // (all parallel writes land in disjoint slots). It covers both fan-out
 // branches of the pool: a block search, whose node and edge loops have many
 // tasks that each run inline, and a graph whose outer loops have one task
-// each, so the inner loops fan out instead. The unpruned layer DP of both,
-// whose min-plus products are far longer than the pruned ones, must not
-// depend on the bands either.
+// each, so the inner loops fan out instead, plus the block search masked to
+// its spatial-only candidates. The unpruned layer DP of the unmasked
+// inputs, whose min-plus products are far longer than the pruned ones, must
+// not depend on the bands either.
 func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 	block, err := model.BuildBlock(model.OPT175B())
 	if err != nil {
@@ -133,16 +134,18 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 		g       *graph.Graph
 		devices int
 		oneTask bool
+		keep    func(int, partition.Seq) bool
 	}{
-		{"many-outer-tasks", block, 8, false},
-		{"one-outer-task", linearChain(), 16, true},
+		{"many-outer-tasks", block, 8, false, nil},
+		{"one-outer-task", linearChain(), 16, true, nil},
+		{"masked", block, 8, false, noPrime},
 	} {
 		m := cost.NewModel(device.MustCluster(tc.devices, 4, device.V100Profile()))
 		plan := func(workers int) *Strategy {
 			o := NewOptimizer(m)
 			o.Cache = NewSearchCache() // isolate: warm cross-call entries would zero the work counts
 			o.Opts.Parallelism = workers
-			s, err := o.Plan(context.Background(), PlanRequest{Graph: tc.g, Layers: 3})
+			s, err := o.Plan(context.Background(), PlanRequest{Graph: tc.g, Layers: 3, Keep: tc.keep})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
@@ -160,17 +163,22 @@ func TestSearchDeterminismAcrossWorkers(t *testing.T) {
 			o.Opts.Parallelism = workers
 			return unprunedPlan(t, o, tc.g, 3)
 		}
-		fa := fullDP(1)
+		var fa *Strategy
+		if tc.keep == nil {
+			fa = fullDP(1)
+		}
 		for _, workers := range []int{2, 4, 7} {
 			b := plan(workers)
 			sameStrategy(t, tc.name, a, b)
 			if searchCounters(a.Stats) != searchCounters(b.Stats) {
 				t.Fatalf("%s workers=%d: work counts differ:\n%+v\n%+v", tc.name, workers, a.Stats, b.Stats)
 			}
-			fb := fullDP(workers)
-			sameStrategy(t, tc.name+" unpruned", fa, fb)
-			if searchCounters(fa.Stats) != searchCounters(fb.Stats) {
-				t.Fatalf("%s workers=%d: unpruned work counts differ:\n%+v\n%+v", tc.name, workers, fa.Stats, fb.Stats)
+			if tc.keep == nil {
+				fb := fullDP(workers)
+				sameStrategy(t, tc.name+" unpruned", fa, fb)
+				if searchCounters(fa.Stats) != searchCounters(fb.Stats) {
+					t.Fatalf("%s workers=%d: unpruned work counts differ:\n%+v\n%+v", tc.name, workers, fa.Stats, fb.Stats)
+				}
 			}
 			if b.Stats.Workers != workers {
 				t.Fatalf("%s: Stats.Workers = %d, want %d", tc.name, b.Stats.Workers, workers)
@@ -283,7 +291,7 @@ func TestDPMatchesExhaustiveRepeatedNodes(t *testing.T) {
 	if dp.Stats.EdgeCacheHits < 1 {
 		t.Errorf("edge cache hits = %d, want ≥ 1 (lin→lin repeats)", dp.Stats.EdgeCacheHits)
 	}
-	ex, err := o.Exhaustive(g)
+	ex, err := o.Exhaustive(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,11 @@ func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
 	nbits := o.Cost.Cluster.Bits()
 
 	// Plan tier: the same key and fits check as search, so a PlanHit promise
-	// holds against an unchanged cache. Work is one unit per node copied.
-	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil && e.fits(g, nbits, req.Layers) {
+	// holds against an unchanged cache. Work is one unit per node copied. A
+	// masked request skips the tier, as search does; its node pass and edge
+	// preparation cover the whole space, and the DP term below prices that
+	// space too, an upper bound on the masked DP.
+	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); req.Keep == nil && e != nil && e.fits(g, nbits, req.Layers) {
 		return SearchEstimate{Warm: true, PlanHit: true, Work: float64(len(g.Nodes))}, nil
 	}
 

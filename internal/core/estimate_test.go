@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/model"
+	"repro/internal/partition"
 )
 
 func estimateOptimizer(t *testing.T, cache *SearchCache) *Optimizer {
@@ -297,7 +298,7 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 	g := req.Graph
 	ccache := o.crossCache()
 	envSig := o.appendEnvSig(nil)
-	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); e != nil && e.fits(g, o.Cost.Cluster.Bits(), req.Layers) {
+	if e := ccache.plans.get(string(o.appendPlanCrossKey(envSig, g))); req.Keep == nil && e != nil && e.fits(g, o.Cost.Cluster.Bits(), req.Layers) {
 		return SearchEstimate{Warm: true, PlanHit: true, Work: float64(len(g.Nodes))}
 	}
 	warm := ccache.layers.get(string(appendLayerCrossKey(envSig, g))) != nil
@@ -354,19 +355,21 @@ func referenceEstimate(o *Optimizer, req PlanRequest) SearchEstimate {
 // layer hit relies on: after a Plan, every node entry of the cached layer
 // holds exactly SpaceSize(op, bits, opts) sequences, for the six paper models
 // at 4–32 devices under every option that shapes enumeration (the
-// environment key folds AllowPrime, AllowBatchSplit and MaxPrimeK). And in
-// every cache state a request can meet — cold, a plan miss over a warm
-// layer, a plan hit — the request estimates field for field what
-// referenceEstimate computes with SpaceSize.
+// environment key folds AllowBatchSplit and MaxPrimeK), and under the
+// spatial-only mask, whose requests share the unmasked layer. And in every
+// cache state a request can meet — cold, a plan miss over a warm layer, a
+// plan hit (which a masked request never takes) — the request estimates
+// field for field what referenceEstimate computes with SpaceSize.
 func TestEstimateSpaceSizesFromNodeCache(t *testing.T) {
 	optionSets := []struct {
 		name string
 		edit func(*Options)
+		keep func(int, partition.Seq) bool
 	}{
-		{"default", func(*Options) {}},
-		{"no-prime", func(o *Options) { o.AllowPrime = false }},
-		{"no-batch-split", func(o *Options) { o.AllowBatchSplit = false }},
-		{"max-prime-k-1", func(o *Options) { o.MaxPrimeK = 1 }},
+		{"default", func(*Options) {}, nil},
+		{"no-prime", func(*Options) {}, noPrime},
+		{"no-batch-split", func(o *Options) { o.AllowBatchSplit = false }, nil},
+		{"max-prime-k-1", func(o *Options) { o.MaxPrimeK = 1 }, nil},
 	}
 	for _, devices := range []int{4, 8, 16, 32} {
 		for _, cfg := range model.All() {
@@ -376,14 +379,14 @@ func TestEstimateSpaceSizesFromNodeCache(t *testing.T) {
 					if devices == 32 && testing.Short() {
 						t.Skip("32-device cells skipped under -short")
 					}
-					checkEstimateSpaceSizes(t, cfg, devices, set.edit)
+					checkEstimateSpaceSizes(t, cfg, devices, set.edit, set.keep)
 				})
 			}
 		}
 	}
 }
 
-func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit func(*Options)) {
+func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit func(*Options), keep func(int, partition.Seq) bool) {
 	g, err := model.BuildBlock(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +395,7 @@ func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit f
 	o := NewOptimizer(cost.NewModel(device.MustCluster(devices, 4, device.V100Profile())))
 	o.Cache = cache
 	edit(&o.Opts)
-	exact := PlanRequest{Graph: g, Layers: cfg.Layers}
+	exact := PlanRequest{Graph: g, Layers: cfg.Layers, Keep: keep}
 	compare := func(state string) {
 		t.Helper()
 		got, err := o.EstimatePlan(exact)
@@ -405,8 +408,11 @@ func checkEstimateSpaceSizes(t *testing.T, cfg model.Config, devices int, edit f
 	}
 
 	compare("cold")
-	if _, err := o.Plan(context.Background(), exact); err != nil {
-		t.Fatal(err)
+	// The unmasked search publishes the plan a masked request must not take.
+	for _, req := range []PlanRequest{{Graph: g, Layers: cfg.Layers}, exact} {
+		if _, err := o.Plan(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	in := cache.layers.get(string(appendLayerCrossKey(o.appendEnvSig(nil), g)))
 	if in == nil {

@@ -32,7 +32,7 @@ func TestPlanDeviceLimit(t *testing.T) {
 			return err
 		},
 		"Exhaustive": func() error {
-			_, err := o.Exhaustive(g)
+			_, err := o.Exhaustive(g, nil)
 			return err
 		},
 	} {

@@ -9,15 +9,17 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // Exhaustive enumerates every joint assignment of candidate sequences for a
 // single layer of g and returns the minimal-cost strategy. When g stacks
 // (its head and tail spaces are index-identical) the tail is pinned to the
 // head's candidate, so the optimum is the best periodic layer that Plan
-// returns at every layer count. Exponential in the node count — intended
-// for validation only.
-func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
+// returns at every layer count. keep, when not nil, is PlanRequest.Keep:
+// node i may only take a candidate s with keep(i, s). Exponential in the
+// node count — intended for validation only.
+func (o *Optimizer) Exhaustive(g *graph.Graph, keep func(node int, s partition.Seq) bool) (*Strategy, error) {
 	if err := o.checkDevices(); err != nil {
 		return nil, err
 	}
@@ -65,8 +67,8 @@ func (o *Optimizer) Exhaustive(g *graph.Graph) (*Strategy, error) {
 			copy(bestAssign, assign)
 			return
 		}
-		for ci := range cands[i].seqs {
-			if periodic && i == n-1 && int32(ci) != assign[0] {
+		for ci, s := range cands[i].seqs {
+			if periodic && i == n-1 && int32(ci) != assign[0] || keep != nil && !keep(i, s) {
 				continue
 			}
 			assign[i] = int32(ci)

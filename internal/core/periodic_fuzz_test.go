@@ -36,32 +36,14 @@ func FuzzPeriodicPlanMatchesExhaustive(f *testing.F) {
 	// periodic here, so a free pick fails this seed.
 	f.Add([]byte{0, 0, 2, 2, 3, 3, 0, 11, 0x9a, 0x19, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &byteReader{data: data}
-		b, m, k := 2<<r.intn(2), 4<<r.intn(2), 4<<(2*r.intn(3))
-		widths := make([]int, 1+r.intn(3))
-		for i := range widths {
-			widths[i] = 4 << (2 * r.intn(4))
-		}
-		layers := 1 + r.intn(64)
-		alpha := 1e-9 * float64(uint16(r.next())|uint16(r.next())<<8) / math.MaxUint16
-		devices := []int{2, 4}[r.intn(2)]
-		ext := 0
-		if len(widths) >= 2 && r.next()&1 == 0 {
-			ext = 2 + r.intn(len(widths)-1)
-		}
-		g := periodicChain(t, b, m, k, widths, ext)
-		mdl := cost.NewModel(device.MustCluster(devices, devices, device.V100Profile()))
-		mdl.Alpha = alpha
-		label := fmt.Sprintf("b=%d m=%d k=%d widths=%v ext=%d layers=%d α=%g devices=%d",
-			b, m, k, widths, ext, layers, alpha, devices)
-
+		g, mdl, layers, label := periodicCase(t, &byteReader{data: data})
 		o := NewOptimizer(mdl)
 		o.Cache = NewSearchCache()
 		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
 		if err != nil {
 			t.Fatalf("%s: plan: %v", label, err)
 		}
-		ex, err := NewOptimizer(mdl).Exhaustive(g)
+		ex, err := NewOptimizer(mdl).Exhaustive(g, nil)
 		if err != nil {
 			t.Fatalf("%s: exhaustive: %v", label, err)
 		}
@@ -80,6 +62,30 @@ func FuzzPeriodicPlanMatchesExhaustive(f *testing.F) {
 			t.Errorf("%s: the returned layer replays to %v, TotalCost %v", label, got, s.TotalCost)
 		}
 	})
+}
+
+// periodicCase decodes FuzzPeriodicPlanMatchesExhaustive's case from r: a
+// periodicChain, its cost model and a layer count, with a label naming them.
+func periodicCase(t *testing.T, r *byteReader) (*graph.Graph, *cost.Model, int, string) {
+	t.Helper()
+	b, m, k := 2<<r.intn(2), 4<<r.intn(2), 4<<(2*r.intn(3))
+	widths := make([]int, 1+r.intn(3))
+	for i := range widths {
+		widths[i] = 4 << (2 * r.intn(4))
+	}
+	layers := 1 + r.intn(64)
+	alpha := 1e-9 * float64(uint16(r.next())|uint16(r.next())<<8) / math.MaxUint16
+	devices := []int{2, 4}[r.intn(2)]
+	ext := 0
+	if len(widths) >= 2 && r.next()&1 == 0 {
+		ext = 2 + r.intn(len(widths)-1)
+	}
+	g := periodicChain(t, b, m, k, widths, ext)
+	mdl := cost.NewModel(device.MustCluster(devices, devices, device.V100Profile()))
+	mdl.Alpha = alpha
+	label := fmt.Sprintf("b=%d m=%d k=%d widths=%v ext=%d layers=%d α=%g devices=%d",
+		b, m, k, widths, ext, layers, alpha, devices)
+	return g, mdl, layers, label
 }
 
 // periodicChain is deltaGraph's chain with its own width per linear: an

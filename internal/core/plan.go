@@ -1,6 +1,7 @@
 // Plan is the single search entrypoint: one ctx-first call taking one
 // request value runs the exact segmented DP (paper §5), which returns the
-// optimum of the cost model over the whole candidate space.
+// optimum of the cost model over the whole candidate space, or over the
+// subset a candidate mask keeps.
 package core
 
 import (
@@ -9,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // MaxPlanDevices is the widest machine the exact search plans: its work
@@ -29,17 +31,26 @@ func (o *Optimizer) checkDevices() error {
 	return nil
 }
 
-// PlanRequest describes one strategy search: the layer graph and the stacked
-// layer count.
+// PlanRequest describes one strategy search: the layer graph, the stacked
+// layer count and an optional candidate mask.
 type PlanRequest struct {
 	// Graph is the representative layer graph (model.BuildBlock).
 	Graph *graph.Graph
 	// Layers is the stacked layer count (≥ 1).
 	Layers int
+	// Keep, when set, masks the search space: node i keeps the candidates
+	// s of its space for which Keep(i, s) is true, and the answer is the
+	// DP optimum over those (DESIGN.md §5.41). On a stackable graph the
+	// head and tail run one candidate, so it is kept only when Keep accepts
+	// it at both. A node left with no candidate is an error. A masked
+	// search shares the layer tier's α-free entry with unmasked ones but
+	// neither reads nor writes the plan tier.
+	Keep func(node int, s partition.Seq) bool
 }
 
-// Plan searches req.Graph and stacks req.Layers identical layers, returning
-// the optimal strategy for a representative layer and the stacked total cost.
+// Plan searches req.Graph, masked by req.Keep, and stacks req.Layers
+// identical layers, returning the optimal strategy for a representative
+// layer and the stacked total cost.
 // Cancellation is checked at coarse, value-independent points — between pool
 // task pulls, per Bellman step, per merge, between stages — so an
 // uncancelled search is bit-identical to an uncancellable one, while a
@@ -55,5 +66,5 @@ func (o *Optimizer) Plan(ctx context.Context, req PlanRequest) (*Strategy, error
 	if err := o.checkDevices(); err != nil {
 		return nil, err
 	}
-	return o.search(ctx, req.Graph, req.Layers)
+	return o.search(ctx, req)
 }

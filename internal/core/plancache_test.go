@@ -89,9 +89,10 @@ func TestPlanTierBypass(t *testing.T) {
 }
 
 // TestPlanKeyBytesStable pins the plan key's bytes on an OPT-6.7B block:
-// PPSC v9 files store plans under these keys, so a change to the
-// whole-graph signature would silently turn every persisted plan into a
-// miss without a format bump.
+// PPSC files store plans under these keys, so a change to the environment
+// prefix or the whole-graph signature would silently turn every persisted
+// plan into a miss without a format bump. The v12 key is the v11 key without
+// the environment prefix's AllowPrime byte.
 func TestPlanKeyBytesStable(t *testing.T) {
 	g, err := model.BuildBlock(model.OPT6B7())
 	if err != nil {
@@ -101,7 +102,7 @@ func TestPlanKeyBytesStable(t *testing.T) {
 	m.Alpha = 1e-12
 	o := NewOptimizer(m)
 	key := o.appendPlanCrossKey(o.appendEnvSig(nil), g)
-	const want = "dba3a3e5aaebed76718f999f466e89310aabcaab0429ea01627899730640d3ec"
+	const want = "80384a25f6bfada7735e5fb66bff6342cb4c455233cff47f92723fa7401352b3"
 	if got := fmt.Sprintf("%x", sha256.Sum256(key)); got != want {
 		t.Errorf("plan key sha256 %s, want %s", got, want)
 	}

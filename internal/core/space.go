@@ -2,7 +2,9 @@
 // of partition sequences that consume exactly the machine's device-ID bits,
 // composed of SplitDim tokens on splittable axes and Prime tokens on
 // matmul-role axes (paper §3). This is the per-operator space P whose size
-// drives the optimizer's O(P³) complexity (paper §5.3).
+// drives the optimizer's O(P³) complexity (paper §5.3). A restricted search,
+// such as the spatial-only (Alpa-like) baseline, is not a second space: it
+// masks this one (PlanRequest.Keep, DESIGN.md §5.41).
 package core
 
 import (
@@ -14,11 +16,6 @@ import (
 type Options struct {
 	// MaxPrimeK caps the Prime order (P_{2×2} has k=1, P_{4×4} k=2, ...).
 	MaxPrimeK int
-
-	// AllowPrime enables the spatial-temporal primitive. Disabling it
-	// restricts the space to conventional partition-by-dimension — the
-	// strongest spatial-only baseline (≈ Alpa's intra-op space).
-	AllowPrime bool
 
 	// AllowBatchSplit permits splitting batch axes. The paper disables it
 	// when composing with explicit data parallelism in 3D configurations
@@ -32,7 +29,7 @@ type Options struct {
 
 // DefaultOptions returns the options used throughout the evaluation.
 func DefaultOptions() Options {
-	return Options{MaxPrimeK: 2, AllowPrime: true, AllowBatchSplit: true}
+	return Options{MaxPrimeK: 2, AllowBatchSplit: true}
 }
 
 // isBatchAxis reports whether the axis represents the data-parallel batch.
@@ -41,8 +38,8 @@ func isBatchAxis(op *graph.Op, ax int) bool { return op.Axes[ax].Name == "B" }
 // Candidates enumerates every valid partition sequence for op using AT MOST
 // nbits device bits — unused trailing bits replicate the operator, which is
 // how Megatron-style replicated norms/residuals are expressed — respecting
-// axis splittability, axis sizes (never more slices than elements) and the
-// option gates.
+// axis splittability, axis sizes (never more slices than elements), the
+// batch-split gate and the Prime order cap.
 func Candidates(op *graph.Op, nbits int, opts Options) []partition.Seq {
 	var out []partition.Seq
 	slices := make([]int, len(op.Axes))
@@ -70,7 +67,7 @@ func Candidates(op *graph.Op, nbits int, opts Options) []partition.Seq {
 			rec(append(toks, partition.Split(ax)), remaining-1)
 			slices[ax] /= 2
 		}
-		if opts.AllowPrime && op.PrimeApplicable() {
+		if op.PrimeApplicable() {
 			for k := 1; k <= opts.MaxPrimeK && 2*k <= remaining; k++ {
 				grow := 1 << k
 				if slices[op.PrimeM]*grow > op.Axes[op.PrimeM].Size ||

@@ -39,7 +39,7 @@ type SearchStats struct {
 	EdgeFracCells int64 `json:"edge_frac_cells"`
 
 	// CandsTotal sums |P| over the graph's nodes: the space the DP is exact
-	// over.
+	// over, the masked one under PlanRequest.Keep.
 	CandsTotal int `json:"cands_total"`
 
 	// CandsPruned sums |P| − survivors over the graph's nodes: the

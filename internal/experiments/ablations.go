@@ -130,7 +130,7 @@ func AblationSegmentedVsExhaustive(s Setup, cfg model.Config) (string, error) {
 		}
 		dpTime := time.Since(start)
 		start = time.Now()
-		ex, err := o.Exhaustive(g)
+		ex, err := o.Exhaustive(g, nil)
 		if err != nil {
 			return "", err
 		}

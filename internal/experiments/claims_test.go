@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -38,6 +39,7 @@ type cellPlans struct {
 	primePar *core.Strategy
 	alpa     *core.Strategy
 	megatron map[int][]partition.Seq // by dBits
+	opt      *core.Optimizer         // the optimizer both searches ran on
 }
 
 func planCell(t *testing.T, prof device.Profile, cfg model.Config, scale int) *cellPlans {
@@ -50,11 +52,13 @@ func planCell(t *testing.T, prof device.Profile, cfg model.Config, scale int) *c
 	m := cost.NewModel(cl)
 	m.Alpha = DefaultSetup().Alpha
 	c := &cellPlans{label: fmt.Sprintf("%s %s@%d", prof.Name, cfg.Name, scale), cl: cl, g: g,
-		layers: cfg.Layers, megatron: map[int][]partition.Seq{}}
-	if c.primePar, err = baseline.PrimePar(m, g, cfg.Layers); err != nil {
+		layers: cfg.Layers, megatron: map[int][]partition.Seq{}, opt: core.NewOptimizer(m)}
+	if c.primePar, err = c.opt.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: cfg.Layers}); err != nil {
 		t.Fatal(err)
 	}
-	if c.alpa, err = baseline.Alpa(m, g, cfg.Layers); err != nil {
+	// Alpa is the same optimizer over PrimePar's space masked to its
+	// spatial-only candidates.
+	if c.alpa, err = c.opt.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: cfg.Layers, Keep: baseline.SpatialOnly}); err != nil {
 		t.Fatal(err)
 	}
 	for d := 0; d <= cl.Bits(); d++ {
@@ -69,15 +73,15 @@ func planCell(t *testing.T, prof device.Profile, cfg model.Config, scale int) *c
 }
 
 // TestSearchSpacesNest pins a theorem of the method on every quick cell of
-// the three golden profiles: the spaces nest (Alpa is PrimePar with
-// AllowPrime off, and the prefix-closed spatial space contains Megatron's
-// sequences), so under the cost model the search minimizes — the stacked
-// α-weighted total — PrimePar ≤ Alpa ≤ every Megatron degree d. The test
-// also checks the premises: each Megatron sequence is an Alpa candidate,
-// and its layer head and tail agree so the layer stacks.
+// the three golden profiles: the spaces nest (Alpa is PrimePar's space
+// masked to its candidates without a Prime token, and that prefix-closed
+// spatial space contains Megatron's sequences), so under the cost model the
+// search minimizes — the stacked α-weighted total — PrimePar ≤ Alpa ≤ every
+// Megatron degree d. The test also checks the premises: each Megatron
+// sequence is a spatial-only candidate, and its layer head and tail agree so
+// the layer stacks. Each Megatron degree is also solved as a one-candidate
+// mask, whose LayerCost must be the cost model's price of its sequences.
 func TestSearchSpacesNest(t *testing.T) {
-	spatial := core.DefaultOptions()
-	spatial.AllowPrime = false
 	for _, name := range []string{"v100-cluster", "a100-superpod", "mixed-a100-v100"} {
 		prof, err := device.ProfileByName(name)
 		if err != nil {
@@ -94,15 +98,29 @@ func TestSearchSpacesNest(t *testing.T) {
 				m.Alpha = DefaultSetup().Alpha
 				for d, seqs := range c.megatron {
 					for i, op := range c.g.Nodes {
-						if !hasCandidate(core.Candidates(op, c.cl.Bits(), spatial), seqs[i]) {
+						if seqs[i].HasPrime() || !hasCandidate(core.Candidates(op, c.cl.Bits(), core.DefaultOptions()), seqs[i]) {
 							t.Fatalf("%s: Megatron d=%d sequence %v of %s is not in the spatial space", c.label, d, seqs[i], op.Name)
 						}
 					}
 					if seqs[0].Key() != seqs[len(seqs)-1].Key() {
 						t.Fatalf("%s: Megatron d=%d head %v and tail %v differ", c.label, d, seqs[0], seqs[len(seqs)-1])
 					}
-					if md := float64(c.layers) * m.Overall(c.g, seqs); a > md*(1+nestTol) {
+					overall := m.Overall(c.g, seqs)
+					if md := float64(c.layers) * overall; a > md*(1+nestTol) {
 						t.Errorf("%s: Alpa %v above Megatron d=%d %v", c.label, a, d, md)
+					}
+					only := func(v int, s partition.Seq) bool { return s.Key() == seqs[v].Key() }
+					s, err := c.opt.Plan(context.Background(), core.PlanRequest{Graph: c.g, Layers: c.layers, Keep: only})
+					if err != nil {
+						t.Fatalf("%s: Megatron d=%d as a mask: %v", c.label, d, err)
+					}
+					for v := range seqs {
+						if s.Seqs[v].Key() != seqs[v].Key() {
+							t.Fatalf("%s: Megatron d=%d as a mask returned %v at node %d, want %v", c.label, d, s.Seqs[v], v, seqs[v])
+						}
+					}
+					if math.Abs(s.LayerCost-overall) > 1e-12*overall {
+						t.Errorf("%s: Megatron d=%d as a mask costs %v, the model prices it %v", c.label, d, s.LayerCost, overall)
 					}
 				}
 			}

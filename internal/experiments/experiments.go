@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -85,8 +84,6 @@ type Run struct {
 	Report *sim.Report
 	// Seqs is the per-node strategy of one layer.
 	Seqs []partition.Seq
-	// SearchTime is the strategy search wall time (zero for Megatron).
-	SearchTime time.Duration
 }
 
 // evaluate measures one (model, scale, system) cell.
@@ -100,7 +97,6 @@ func (s Setup) evaluate(cfg model.Config, scale int, system System) (*Run, error
 	m.Alpha = s.Alpha
 
 	var seqs []partition.Seq
-	var searchTime time.Duration
 	switch system {
 	case SysMegatron:
 		// The paper's protocol: enumerate d, keep the best-performing.
@@ -110,20 +106,16 @@ func (s Setup) evaluate(cfg model.Config, scale int, system System) (*Run, error
 		}
 		seqs = best
 	case SysAlpa:
-		start := time.Now()
 		strat, err := baseline.Alpa(m, g, cfg.Layers)
 		if err != nil {
 			return nil, err
 		}
-		searchTime = time.Since(start)
 		seqs = strat.Seqs
 	case SysPrimePar:
-		start := time.Now()
 		strat, err := baseline.PrimePar(m, g, cfg.Layers)
 		if err != nil {
 			return nil, err
 		}
-		searchTime = time.Since(start)
 		seqs = strat.Seqs
 	default:
 		return nil, fmt.Errorf("experiments: unknown system %q", system)
@@ -142,7 +134,6 @@ func (s Setup) evaluate(cfg model.Config, scale int, system System) (*Run, error
 		PeakMemoryBytes: rep.PeakMemoryBytes,
 		Report:          rep,
 		Seqs:            seqs,
-		SearchTime:      searchTime,
 	}, nil
 }
 

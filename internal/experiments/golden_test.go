@@ -2,10 +2,16 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/device"
 	"repro/internal/model"
 )
 
@@ -31,5 +37,51 @@ func TestGoldenOPT175B64(t *testing.T) {
 	row := Table2Row{Model: cfg.Name, Scale: 64, Stats: strat.Stats, Digest: StrategyDigest(strat)}
 	if err := CheckGoldenDigests(filepath.Join("..", "..", "golden", "table2_digest.json"), []Table2Row{row}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGoldenAlpaDigests pins the spatial-only baseline: on the three golden
+// profiles, the six paper models and 4 and 8 devices (4 per node, α =
+// 1e-12), baseline.Alpa's strategy digest must equal its entry in
+// golden/alpa_digest.json, keyed "profile/model@devices". The file was
+// written by the search that enumerated its own spatial-only space, before
+// that search became a mask on PrimePar's space, so it pins the two as one.
+func TestGoldenAlpaDigests(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "golden", "alpa_digest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, name := range []string{"v100-cluster", "a100-superpod", "mixed-a100-v100"} {
+		prof, err := device.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range model.All() {
+			g, err := model.BuildBlock(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scale := range claimScales {
+				m := cost.NewModel(device.MustCluster(scale, 4, prof))
+				m.Alpha = DefaultSetup().Alpha
+				strat, err := baseline.Alpa(m, g, cfg.Layers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s/%s@%d", name, cfg.Name, scale)
+				cells++
+				if got := StrategyDigest(strat); got != want[key] {
+					t.Errorf("%s: digest %s, golden %q", key, got, want[key])
+				}
+			}
+		}
+	}
+	if cells != len(want) {
+		t.Errorf("checked %d cells, golden file has %d", cells, len(want))
 	}
 }

@@ -132,7 +132,8 @@ type Options struct {
 	// (seconds per byte of per-device peak memory).
 	Alpha float64
 	// SpatialOnly restricts the space to conventional partition-by-
-	// dimension (the Alpa-like baseline).
+	// dimension (the Alpa-like baseline): a mask on the PrimePar space, so
+	// both searches of one model and cluster share one prepared layer.
 	SpatialOnly bool
 	// NoBatchSplit forbids partitioning the batch axis (used when data
 	// parallelism is controlled externally, e.g. 3D configurations).
@@ -180,18 +181,18 @@ func Search(cfg Config, cluster *Cluster, opts ...Options) (*Plan, error) {
 	m := cost.NewModel(cluster)
 	m.Alpha = o.Alpha
 	opt := core.NewOptimizer(m)
-	opt.Opts.AllowPrime = !o.SpatialOnly
 	opt.Opts.AllowBatchSplit = !o.NoBatchSplit
 	if o.MaxPrimeK > 0 {
 		opt.Opts.MaxPrimeK = o.MaxPrimeK
 	}
-	strat, err := opt.Plan(context.Background(), core.PlanRequest{Graph: g, Layers: cfg.Layers})
-	if err != nil {
-		return nil, err
-	}
+	req := core.PlanRequest{Graph: g, Layers: cfg.Layers}
 	name := "PrimePar"
 	if o.SpatialOnly {
-		name = "spatial-only"
+		req.Keep, name = baseline.SpatialOnly, "spatial-only"
+	}
+	strat, err := opt.Plan(context.Background(), req)
+	if err != nil {
+		return nil, err
 	}
 	return &Plan{
 		Model:         cfg,
