@@ -521,11 +521,13 @@ func TestGroupedEdgeMatrixMatchesDense(t *testing.T) {
 	for k, e := range picked {
 		edge, em := edges[k], mats[k]
 		src, dst := cands[edge.Src], cands[edge.Dst]
+		srcOp, dstOp := g.Nodes[edge.Src], g.Nodes[edge.Dst]
 		plan := o.Cost.PlanEdge(g, edge)
 		// Spot-check a grid of pairs.
 		for i := 0; i < len(src.seqs); i += 37 {
+			out := o.Cost.OutputIface(srcOp, src.seqs[i])
 			for j := 0; j < len(dst.seqs); j += 41 {
-				want := o.Cost.RedistributeDetail(plan.Measure(src.out[i], dst.in[j]))
+				want := o.Cost.RedistributeDetail(plan.Measure(out, o.Cost.InputIface(dstOp, dst.seqs[j])))
 				if got := em.at(int32(i), int32(j)); math.Abs(got-want) > 1e-15 {
 					t.Fatalf("edge %d pair (%d,%d): grouped %v, dense %v", e, i, j, got, want)
 				}

@@ -52,16 +52,14 @@ import (
 )
 
 // nodeEntry is the α-independent part of one node's evaluation: per
-// candidate its sequence, Intra breakdown and interfaces, plus the candidate
-// space's interned axis patterns (cost.Patterns of its output and of its
-// input interfaces), which every edge touching the space groups and keys its
+// candidate its sequence and Intra breakdown, plus the candidate space's
+// interned axis patterns (cost.Patterns of its output and of its input
+// interfaces), which every edge touching the space groups and keys its
 // tables by. evalNode fills every field before the entry is shared, so
 // concurrent edge builds only read it.
 type nodeEntry struct {
 	seqs  []partition.Seq
 	intra []cost.Intra
-	out   []*cost.Iface
-	in    []*cost.Iface
 
 	outPats, inPats *cost.Patterns
 }

@@ -79,20 +79,15 @@ type Strategy struct {
 }
 
 // evalNode enumerates and evaluates the candidate space of op on up to w
-// workers, then interns its interfaces' axis patterns for the edge builds.
+// workers, then interns its output and input axis patterns for the edge
+// builds straight from the sequences (cost.Model.SpacePatterns).
 func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeEntry {
 	seqs := Candidates(op, o.Cost.Cluster.Bits(), o.Opts)
-	e := &nodeEntry{
-		seqs:  seqs,
-		intra: make([]cost.Intra, len(seqs)),
-		out:   make([]*cost.Iface, len(seqs)),
-		in:    make([]*cost.Iface, len(seqs)),
-	}
+	e := &nodeEntry{seqs: seqs, intra: make([]cost.Intra, len(seqs))}
 	parallelRows(w, len(seqs), func(i int) {
 		e.intra[i] = o.Cost.IntraCost(op, seqs[i])
-		e.out[i], e.in[i] = o.Cost.Ifaces(op, seqs[i])
 	})
-	e.outPats, e.inPats = cost.NewPatterns(e.out), cost.NewPatterns(e.in)
+	e.outPats, e.inPats = o.Cost.SpacePatterns(op, seqs, true), o.Cost.SpacePatterns(op, seqs, false)
 	return e
 }
 

@@ -79,9 +79,10 @@ func BenchmarkEdgeMatStage(b *testing.B) {
 
 // BenchmarkNodeEval32 evaluates the candidate space of OPT-175B's qkv
 // linear on 32 devices on one worker, the largest node of a cold 32-device
-// search: enumeration, intra costs and both interfaces of every candidate.
-// Per-device allocation in the interface build shows up here as ns/op and
-// allocs/op.
+// search: enumeration, intra costs and the space's output and input axis
+// patterns (cost.Model.SpacePatterns). The patterns sweep the devices once
+// per distinct axis projection, not per candidate, so enumeration and
+// IntraCost are most of ns/op and B/op.
 func BenchmarkNodeEval32(b *testing.B) {
 	g, err := model.BuildBlock(model.OPT175B())
 	if err != nil {

@@ -24,10 +24,12 @@ package core
 
 import "fmt"
 
-// estCandidateUnit weighs one candidate evaluation (intra cost + both
-// interfaces) against one edge-matrix cell (a handful of float adds). Like
-// treedp's estScan, the constant only has to RANK request costs; callers that
-// need seconds learn a ns-per-unit scale from observed searches.
+// estCandidateUnit weighs one candidate evaluation (its enumeration, intra
+// cost and axis projections; the device sweeps run once per distinct
+// projection, not per candidate) against one edge-matrix cell (a handful of
+// float adds). Like treedp's estScan, the constant only has to RANK request
+// costs; callers that need seconds learn a ns-per-unit scale from observed
+// searches.
 const estCandidateUnit = 64.0
 
 // SearchEstimate is EstimatePlan's prediction for one request.

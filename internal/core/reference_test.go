@@ -87,25 +87,34 @@ func measureMat(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeEntr
 }
 
 // refEdge is edge e's plan and its endpoint candidates grouped by interface
-// class on the axes the edge moves, one representative per group.
+// class on the axes the edge moves, one representative per group. The
+// column representatives' input interfaces are built on the first fillRow.
 type refEdge struct {
 	plan                         *cost.EdgePlan
+	srcOp, dstOp                 *graph.Op
 	src, dst                     *nodeEntry
 	rows, cols, rowReps, colReps []int32
+	dstIfs                       []*cost.Iface
 }
 
 func newRefEdge(m *cost.Model, g *graph.Graph, e *graph.Edge, src, dst *nodeEntry) *refEdge {
-	re := &refEdge{plan: m.PlanEdge(g, e), src: src, dst: dst}
+	re := &refEdge{plan: m.PlanEdge(g, e), srcOp: g.Nodes[e.Src], dstOp: g.Nodes[e.Dst], src: src, dst: dst}
 	re.rows, re.rowReps = ifaceGroups(src.outPats, re.plan.SrcRelevantAxes())
 	re.cols, re.colReps = ifaceGroups(dst.inPats, re.plan.DstRelevantAxes())
 	return re
 }
 
 // fillRow sets out[c] to RedistributeDetail of EdgePlan.Measure on row
-// group r's and column group c's representatives.
+// group r's and column group c's representatives' interfaces.
 func (re *refEdge) fillRow(m *cost.Model, r int, out []float64) {
-	src := re.src.out[re.rowReps[r]]
-	for c, cj := range re.colReps {
-		out[c] = m.RedistributeDetail(re.plan.Measure(src, re.dst.in[cj]))
+	if re.dstIfs == nil {
+		re.dstIfs = make([]*cost.Iface, len(re.colReps))
+		for c, cj := range re.colReps {
+			re.dstIfs[c] = m.InputIface(re.dstOp, re.dst.seqs[cj])
+		}
+	}
+	src := m.OutputIface(re.srcOp, re.src.seqs[re.rowReps[r]])
+	for c, dst := range re.dstIfs {
+		out[c] = m.RedistributeDetail(re.plan.Measure(src, dst))
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/cost"
-)
+import "sync"
 
 // tier is one bounded level of the SearchCache: a map from exact byte key to
 // a read-only value, the cells those values pin, and a cap on the cells. An
@@ -102,12 +98,10 @@ const (
 )
 
 // layerCells counts the words a layer entry pins: per unique node entry and
-// candidate its tokens (six words each), its Intra breakdown and both
-// interfaces, every unique edge matrix's grouped cells (allocated whole,
-// however few are filled), and what fills them later: every matrix's calc
-// and the registry they share. Interfaces shared between candidates are
-// counted per candidate — an overcount, which only flushes earlier, never
-// later.
+// candidate its tokens (six words each) and its Intra breakdown, the words
+// of the entry's two pattern sets (cost.Patterns.Words), every unique edge
+// matrix's grouped cells (allocated whole, however few are filled), and
+// what fills them later: every matrix's calc and the registry they share.
 func layerCells(in *layerInputs) int64 {
 	var n int64
 	for _, e := range in.slots {
@@ -115,13 +109,7 @@ func layerCells(in *layerInputs) int64 {
 		for _, s := range e.seqs {
 			n += 6 * int64(len(s.Tokens))
 		}
-		for _, ifs := range [2][]*cost.Iface{e.out, e.in} {
-			for _, ifc := range ifs {
-				if ifc != nil {
-					n += int64(len(ifc.Fwd) + len(ifc.Bwd) + len(ifc.Width))
-				}
-			}
-		}
+		n += e.outPats.Words() + e.inPats.Words()
 	}
 	for _, m := range in.mats {
 		n += int64(m.nr) * int64(m.nc)

@@ -64,18 +64,21 @@ func TestSearchCacheTiers(t *testing.T) {
 }
 
 // TestLayerCells pins the layer tier's size function: per node entry and
-// candidate five Intra words, six per token and every interface float, plus
-// every edge matrix's grouped cells, each unique entry and matrix once, plus
-// the words of every matrix's calc and of the registry they share.
+// candidate five Intra words and six per token, the words of both pattern
+// sets, plus every edge matrix's grouped cells, each unique entry and matrix
+// once, plus the words of every matrix's calc and of the registry they share.
 func TestLayerCells(t *testing.T) {
-	ifc := func() *cost.Iface {
-		return &cost.Iface{NumAxes: 1, Fwd: make([]float64, 2), Bwd: make([]float64, 2), Width: make([]float64, 1)}
+	// One candidate of a one-axis op on two devices: each set holds two
+	// byte ids (one word), one pattern per slot (two widths, four starts)
+	// and three slot offsets.
+	pats := func() *cost.Patterns {
+		return cost.NewPatterns([]*cost.Iface{{NumAxes: 1, Fwd: make([]float64, 2), Bwd: make([]float64, 2), Width: make([]float64, 1)}})
 	}
 	e := &nodeEntry{
-		seqs:  []partition.Seq{{Tokens: make([]partition.Token, 2)}},
-		intra: make([]cost.Intra, 1),
-		out:   []*cost.Iface{ifc()},
-		in:    []*cost.Iface{ifc()},
+		seqs:    []partition.Seq{{Tokens: make([]partition.Token, 2)}},
+		intra:   make([]cost.Intra, 1),
+		outPats: pats(),
+		inPats:  pats(),
 	}
 	in := &layerInputs{
 		slots:  []*nodeEntry{e},
@@ -83,7 +86,7 @@ func TestLayerCells(t *testing.T) {
 		mats:   []*edgeMat{{nr: 3, nc: 2}},
 		matOf:  []int{0},
 	}
-	if got, want := layerCells(in), int64(5+2*6+2*5+3*2); got != want {
+	if got, want := layerCells(in), int64(5+2*6+2*(1+2+4+3)+3*2); got != want {
 		t.Fatalf("layerCells = %d, want %d", got, want)
 	}
 

@@ -10,6 +10,9 @@
 package cost
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/calibrate"
 	"repro/internal/device"
 	"repro/internal/graph"
@@ -328,47 +331,125 @@ type Iface struct {
 // distribution at the last Forward step, and the dOutput distribution
 // expected at the first Backward step.
 func (m *Model) OutputIface(op *graph.Op, seq partition.Seq) *Iface {
-	return m.iface(op, seq, s(-1), s(0), widths(op, seq))
+	return m.iface(op, seq, s(-1), s(0))
 }
 
 // InputIface evaluates the consumer-side interface: input distribution
 // needed at the first Forward step, and dInput distribution produced at the
 // last Backward step.
 func (m *Model) InputIface(op *graph.Op, seq partition.Seq) *Iface {
-	return m.iface(op, seq, s(0), s(-1), widths(op, seq))
+	return m.iface(op, seq, s(0), s(-1))
 }
 
-// Ifaces returns OutputIface and InputIface of op under seq, sharing one
-// Width array: a candidate space keeps both interfaces of every candidate,
-// and their widths are equal.
-func (m *Model) Ifaces(op *graph.Op, seq partition.Seq) (out, in *Iface) {
-	w := widths(op, seq)
-	return m.iface(op, seq, s(-1), s(0), w), m.iface(op, seq, s(0), s(-1), w)
+// SpacePatterns returns NewPatterns of op's output (out) or input
+// interfaces under every sequence of seqs, bit for bit — the same ids in
+// the same first-seen order, the same widths and starts — without building
+// the interfaces.
+//
+// A sequence's pattern in one slot (axis, pass) is a pure function of its
+// projection onto the axis: the tokens that touch the axis, in order, each
+// with its kind or Prime role, its first bit position and its order K
+// (Seq.SliceIndicesInto reads nothing else of them, and NumSlices gives the
+// width). A slot reads one fixed step, the first or the last, at which
+// every Prime token's temporal index is 0 or 2^K − 1, so the slot fixes it.
+// So each distinct projection computes its per-device starts once, and
+// they are interned by exact bytes as NewPatterns does; a sequence whose
+// projection was met before takes that projection's ids.
+//
+// The projection key is exact: per bit position, a code naming the token
+// that starts there (0 none, 1 split, then 3K−1+role for a Prime token of
+// order K ≤ nbits/2, as Seq.Validate requires). The codes of every position
+// pack into 64 bits up to 12 ID bits; NewCluster builds at most 10
+// (device.MaxDevices), which take 50.
+func (m *Model) SpacePatterns(op *graph.Op, seqs []partition.Seq, out bool) *Patterns {
+	nbits := m.Cluster.Bits()
+	codeBits := bits.Len(uint(3*(nbits/2) + 1))
+	if nbits*codeBits > 64 {
+		panic(fmt.Sprintf("cost: %d device-ID bits overflow a projection key", nbits))
+	}
+	devs, na := m.Cluster.NumDevices, len(op.Axes)
+	b := newPatternBuilder(len(seqs), na, devs)
+	// proj[ax] maps a projection key to its forward and backward ids.
+	proj := make([]map[uint64][2]int32, na)
+	for ax := range proj {
+		proj[ax] = make(map[uint64][2]int32)
+	}
+	keys := make([]uint64, na)
+	// dsi[(pass*devs+dev)*na+ax] is the current sequence's DSI in each pass.
+	dsi := make([]int, 2*devs*na)
+	st := make([]float64, devs)
+	for i, seq := range seqs {
+		clear(keys)
+		pos := 0
+		for _, tok := range seq.Tokens {
+			sh := uint(pos * codeBits)
+			switch tok.Kind {
+			case partition.SplitDim:
+				keys[tok.Dim] |= 1 << sh
+			case partition.Prime:
+				c := uint64(3*tok.K - 1)
+				keys[tok.MDim] |= c << sh
+				keys[tok.NDim] |= (c + 1) << sh
+				keys[tok.KDim] |= (c + 2) << sh
+			}
+			pos += tok.Bits()
+		}
+		swept := false
+		for ax, k := range keys {
+			ids, ok := proj[ax][k]
+			if !ok {
+				if !swept {
+					m.sweepDSI(dsi, seq, out)
+					swept = true
+				}
+				w := 1 / float64(seq.NumSlices(ax))
+				for pass := range ids {
+					for dev := range st {
+						st[dev] = float64(dsi[(pass*devs+dev)*na+ax]) * w
+					}
+					ids[pass] = b.intern(2*ax+pass, w, st)
+				}
+				proj[ax][k] = ids
+			}
+			b.ids[(i*na+ax)*2], b.ids[(i*na+ax)*2+1] = ids[0], ids[1]
+		}
+	}
+	return b.finish()
+}
+
+// sweepDSI writes every device's DSIs under seq into dsi, the forward pass
+// then the backward pass, at the steps OutputIface (out) or InputIface
+// reads.
+func (m *Model) sweepDSI(dsi []int, seq partition.Seq, out bool) {
+	devs, nbits := m.Cluster.NumDevices, m.Cluster.Bits()
+	na := len(dsi) / (2 * devs)
+	ts := make([]int, len(seq.Tokens))
+	for pass, ph := range [2]partition.Phase{partition.Forward, partition.Backward} {
+		step := 0
+		if (pass == 0) == out {
+			step = seq.Steps() - 1
+		}
+		seq.TemporalTupleInto(ts, step)
+		for dev := 0; dev < devs; dev++ {
+			seq.SliceIndicesInto(dsi[(pass*devs+dev)*na:][:na], ts, ph, nbits, dev)
+		}
+	}
 }
 
 type s int // step selector, -1 = last
 
-// widths returns every axis's interval width under seq, 1/slices(axis).
-func widths(op *graph.Op, seq partition.Seq) []float64 {
-	w := make([]float64, len(op.Axes))
-	for ax := range w {
-		w[ax] = 1 / float64(seq.NumSlices(ax))
-	}
-	return w
-}
-
-func (m *Model) iface(op *graph.Op, seq partition.Seq, fwdStep, bwdStep s, width []float64) *Iface {
+func (m *Model) iface(op *graph.Op, seq partition.Seq, fwdStep, bwdStep s) *Iface {
 	n := m.Cluster.NumDevices
 	nbits := m.Cluster.Bits()
 	numDims := len(op.Axes)
-	// Fwd and Bwd stay two arrays: one backing array for both would round
-	// up to a larger allocation size class at most shapes, and the node
-	// tier holds every interface.
 	ifc := &Iface{
 		NumAxes: numDims,
 		Fwd:     make([]float64, n*numDims),
 		Bwd:     make([]float64, n*numDims),
-		Width:   width,
+		Width:   make([]float64, numDims),
+	}
+	for ax := range ifc.Width {
+		ifc.Width[ax] = 1 / float64(seq.NumSlices(ax))
 	}
 	// Each pass computes its temporal tuple once; every device's DSIs land
 	// in one reused buffer.

@@ -78,7 +78,7 @@ type OverlapTables struct {
 	mu       sync.Mutex
 	patIDs   map[string]int32 // pattern bytes (width, then every start) -> pattern id
 	pats     []axisPattern
-	spaceReg map[*Patterns][]int32 // space pattern (index into Patterns.first) -> pattern id, -1 until met
+	spaceReg map[*Patterns][]int32 // space pattern (index into Patterns.widths) -> pattern id, -1 until met
 	pairVec  map[uint64]int32      // provider<<32 | need pattern ids -> node-vector id
 	blkIDs   map[string]int32
 	blks     []float64 // [bid*perNode² ...] deduped node blocks
@@ -111,7 +111,7 @@ func NewOverlapTables(devices, perNode int) *OverlapTables {
 func (t *OverlapTables) spacePatterns(dst []int32, ps *Patterns, ax int, fwd bool, ids []int32) []int32 {
 	reg := t.spaceReg[ps]
 	if reg == nil {
-		reg = make([]int32, len(ps.first))
+		reg = make([]int32, len(ps.widths))
 		for i := range reg {
 			reg[i] = -1
 		}
@@ -121,7 +121,8 @@ func (t *OverlapTables) spacePatterns(dst []int32, ps *Patterns, ax int, fwd boo
 	for _, id := range ids {
 		r := &reg[base+int(id)]
 		if *r < 0 {
-			pat := ps.pattern(ax, fwd, id)
+			var pat axisPattern
+			pat.width, pat.starts = ps.Pattern(ax, fwd, id)
 			t.keyBuf = pat.appendKey(t.keyBuf[:0])
 			pid, ok := t.patIDs[string(t.keyBuf)]
 			if !ok {
@@ -245,7 +246,7 @@ func (p *EdgePlan) NewCalc(t *OverlapTables, src *Patterns, srcReps []int32, dst
 	for ci, d := range dstReps {
 		v := p.dstFull
 		for _, dax := range p.fwdDst {
-			v *= dst.ifaces[d].Width[dax]
+			v *= dst.width(int(d), dax)
 		}
 		c.fwdVol[ci] = v
 	}
@@ -253,7 +254,7 @@ func (p *EdgePlan) NewCalc(t *OverlapTables, src *Patterns, srcReps []int32, dst
 	for ri, r := range srcReps {
 		v := p.srcFull
 		for _, sa := range p.bwdSrc {
-			v *= src.ifaces[r].Width[sa]
+			v *= src.width(int(r), sa)
 		}
 		c.bwdVol[ri] = v
 	}
@@ -261,24 +262,21 @@ func (p *EdgePlan) NewCalc(t *OverlapTables, src *Patterns, srcReps []int32, dst
 }
 
 // axisPattern describes one distinct distribution of a single axis: its
-// uniform interval width and every device's interval start, read in place
-// from the interface pass array it was first seen in (device dev's start at
-// starts[dev*stride]).
+// uniform interval width and every device's interval start.
 type axisPattern struct {
-	width        float64
-	starts       []float64
-	devs, stride int
+	width  float64
+	starts []float64
 }
 
 // start returns device dev's interval start.
-func (a *axisPattern) start(dev int) float64 { return a.starts[dev*a.stride] }
+func (a *axisPattern) start(dev int) float64 { return a.starts[dev] }
 
 // appendKey appends the pattern's exact bytes: the little-endian width, then
 // every start.
 func (a *axisPattern) appendKey(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.width))
-	for dev := 0; dev < a.devs; dev++ {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.start(dev)))
+	for _, v := range a.starts {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
 }
@@ -289,81 +287,142 @@ func (a *axisPattern) appendKey(b []byte) []byte {
 // pass's distinct patterns in first-seen order. Patterns are grouped by
 // exact byte equality — never by hash — so two interfaces share an id
 // exactly when their width and every device's start on that axis are
-// bit-equal in that pass. A pattern is stored as the index of the first
-// interface that has it, so the index costs a few bytes per interface on
-// top of the interfaces it reads. Read-only once built, so one Patterns
-// serves every edge of every search that uses the space.
+// bit-equal in that pass. Each distinct pattern's width and starts are
+// stored once, so the interfaces themselves need not outlive the build (the
+// node pass never builds them: Model.SpacePatterns). Read-only once built,
+// so one Patterns serves every edge of every search that uses the space.
 type Patterns struct {
-	ifaces  []*Iface
-	numAxes int
+	n, numAxes, devs int
 	// ids[i*numAxes*2+slot] is interface i's pattern id in that slot. A
 	// space's slots hold at most a few dozen patterns each, so the ids are
 	// kept as bytes (ids8) whenever every slot fits 256, which quarters
 	// what a cached node entry holds for them; exactly one of the two is set.
-	ids   []int32
-	ids8  []uint8
-	first []int32 // base[slot]+id -> the first interface with that pattern
-	base  []int   // [slot] offset of the slot's patterns in first, then len(first)
+	ids  []int32
+	ids8 []uint8
+	// widths[base[slot]+id] is the width of the slot's pattern id, and
+	// starts[(base[slot]+id)*devs+dev] device dev's start in it.
+	widths []float64
+	starts []float64
+	base   []int // [slot] offset of the slot's patterns in widths, then len(widths)
 }
 
-// NewPatterns interns the patterns of ifaces, which must share one axis
-// count and one device count and stay unmodified while the result is used.
-func NewPatterns(ifaces []*Iface) *Patterns {
-	p := &Patterns{ifaces: ifaces}
-	if len(ifaces) == 0 {
-		return p
+// patternBuilder numbers each slot's distinct patterns by exact bytes, in
+// the order intern meets them.
+type patternBuilder struct {
+	p     *Patterns
+	ids   []int32
+	slots []slotPatterns
+	key   []byte
+}
+
+// slotPatterns is one slot's distinct patterns so far.
+type slotPatterns struct {
+	byKey  map[string]int32
+	widths []float64
+	starts []float64
+}
+
+func newPatternBuilder(n, numAxes, devs int) *patternBuilder {
+	b := &patternBuilder{
+		p:     &Patterns{n: n, numAxes: numAxes, devs: devs},
+		ids:   make([]int32, n*numAxes*2),
+		slots: make([]slotPatterns, numAxes*2),
 	}
-	na := ifaces[0].NumAxes
-	devs := len(ifaces[0].Fwd) / na
-	p.numAxes = na
-	ids := make([]int32, len(ifaces)*na*2)
+	for sl := range b.slots {
+		b.slots[sl].byKey = make(map[string]int32)
+	}
+	return b
+}
+
+// intern returns slot sl's id of the pattern with width w and starts st,
+// numbering it next if the slot has not met its bytes before.
+func (b *patternBuilder) intern(sl int, w float64, st []float64) int32 {
+	b.key = (&axisPattern{width: w, starts: st}).appendKey(b.key[:0])
+	s := &b.slots[sl]
+	id, ok := s.byKey[string(b.key)]
+	if !ok {
+		id = int32(len(s.widths))
+		s.byKey[string(b.key)] = id
+		s.widths = append(s.widths, w)
+		s.starts = append(s.starts, st...)
+	}
+	return id
+}
+
+// finish lays the slots' patterns out in slot order and returns the
+// Patterns, with byte ids when every slot fits them.
+func (b *patternBuilder) finish() *Patterns {
+	p := b.p
+	p.base = make([]int, len(b.slots)+1)
+	n := 0
+	for _, s := range b.slots {
+		n += len(s.widths)
+	}
+	p.widths, p.starts = make([]float64, 0, n), make([]float64, 0, n*p.devs)
 	narrow := true
-	p.base = make([]int, na*2+1)
-	byKey := make(map[string]int32)
-	key := make([]byte, 8*(1+devs))
-	for sl := 0; sl < na*2; sl++ {
-		ax := sl / 2
-		p.base[sl] = len(p.first)
-		clear(byKey)
-		for i, ifc := range ifaces {
-			arr := ifc.Fwd
-			if sl%2 == 1 {
-				arr = ifc.Bwd
-			}
-			binary.LittleEndian.PutUint64(key, math.Float64bits(ifc.Width[ax]))
-			for dev := 0; dev < devs; dev++ {
-				binary.LittleEndian.PutUint64(key[8*(1+dev):], math.Float64bits(arr[dev*na+ax]))
-			}
-			id, ok := byKey[string(key)]
-			if !ok {
-				id = int32(len(p.first) - p.base[sl])
-				byKey[string(key)] = id
-				p.first = append(p.first, int32(i))
-			}
-			ids[i*na*2+sl] = id
-		}
-		narrow = narrow && len(p.first)-p.base[sl] <= 1<<8
+	for sl, s := range b.slots {
+		p.base[sl] = len(p.widths)
+		p.widths = append(p.widths, s.widths...)
+		p.starts = append(p.starts, s.starts...)
+		narrow = narrow && len(s.widths) <= 1<<8
 	}
-	p.base[na*2] = len(p.first)
+	p.base[len(b.slots)] = len(p.widths)
 	if !narrow {
-		p.ids = ids
+		p.ids = b.ids
 		return p
 	}
-	p.ids8 = make([]uint8, len(ids))
-	for k, id := range ids {
+	p.ids8 = make([]uint8, len(b.ids))
+	for k, id := range b.ids {
 		p.ids8[k] = uint8(id)
 	}
 	return p
 }
 
-// pattern returns the pattern numbered id on axis ax in the given pass.
-func (p *Patterns) pattern(ax int, fwd bool, id int32) axisPattern {
-	ifc := p.ifaces[p.first[p.base[p.slot(ax, fwd)]+int(id)]]
-	arr := ifc.Fwd
-	if !fwd {
-		arr = ifc.Bwd
+// NewPatterns interns the patterns of ifaces, which must share one axis
+// count and one device count. It is the reference SpacePatterns is pinned
+// to; the node pass does not use it.
+func NewPatterns(ifaces []*Iface) *Patterns {
+	if len(ifaces) == 0 {
+		return &Patterns{}
 	}
-	return axisPattern{width: ifc.Width[ax], starts: arr[ax:], devs: len(arr) / p.numAxes, stride: p.numAxes}
+	na := ifaces[0].NumAxes
+	devs := len(ifaces[0].Fwd) / na
+	b := newPatternBuilder(len(ifaces), na, devs)
+	st := make([]float64, devs)
+	for i, ifc := range ifaces {
+		for sl := 0; sl < na*2; sl++ {
+			ax := sl / 2
+			arr := ifc.Fwd
+			if sl%2 == 1 {
+				arr = ifc.Bwd
+			}
+			for dev := range st {
+				st[dev] = arr[dev*na+ax]
+			}
+			b.ids[i*na*2+sl] = b.intern(sl, ifc.Width[ax], st)
+		}
+	}
+	return b.finish()
+}
+
+// Count returns the number of distinct patterns on axis ax in the given
+// pass.
+func (p *Patterns) Count(ax int, fwd bool) int {
+	sl := p.slot(ax, fwd)
+	return p.base[sl+1] - p.base[sl]
+}
+
+// Pattern returns the width and every device's start of the pattern
+// numbered id on axis ax in the given pass. The starts are p's own storage
+// and must not be modified.
+func (p *Patterns) Pattern(ax int, fwd bool, id int32) (width float64, starts []float64) {
+	k := p.base[p.slot(ax, fwd)] + int(id)
+	return p.widths[k], p.starts[k*p.devs : (k+1)*p.devs]
+}
+
+// width returns interface i's interval width on axis ax.
+func (p *Patterns) width(i, ax int) float64 {
+	return p.widths[p.base[p.slot(ax, true)]+int(p.ID(i, ax, true))]
 }
 
 // slot numbers the (axis, pass) combinations.
@@ -375,7 +434,13 @@ func (p *Patterns) slot(ax int, fwd bool) int {
 }
 
 // Len returns the number of interfaces interned.
-func (p *Patterns) Len() int { return len(p.ifaces) }
+func (p *Patterns) Len() int { return p.n }
+
+// Words counts the 8-byte words p pins: the ids, and every distinct
+// pattern's width and starts.
+func (p *Patterns) Words() int64 {
+	return int64(len(p.ids)+1)/2 + int64(len(p.ids8)+7)/8 + int64(len(p.widths)+len(p.starts)+len(p.base))
+}
 
 // ID returns interface i's pattern id on axis ax in the forward (fwd) or
 // backward pass.

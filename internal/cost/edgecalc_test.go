@@ -70,7 +70,10 @@ func TestPatternsIDs(t *testing.T) {
 					if !fwd {
 						arr = ifc.Bwd
 					}
-					pat := axisPattern{width: ifc.Width[ax], starts: arr[ax:], devs: 16, stride: 3}
+					pat := axisPattern{width: ifc.Width[ax], starts: make([]float64, 16)}
+					for dev := range pat.starts {
+						pat.starts[dev] = arr[dev*3+ax]
+					}
 					key := string(pat.appendKey(nil))
 					want, seen := byKey[key]
 					if !seen {
