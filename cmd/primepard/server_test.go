@@ -599,9 +599,9 @@ func TestSaveCache(t *testing.T) {
 	}
 }
 
-// TestStartupRefusesOldCacheFile: a cache file written in PPSC v11, whose
-// keys' environment prefix still held the deleted AllowPrime byte, is
-// refused by Load, and the daemon's startup load reports it and starts on an
+// TestStartupRefusesOldCacheFile: a cache file written in PPSC v12, whose
+// plan entries hold LayerCosts summed in the deleted tree DP's association,
+// is refused by Load, and the daemon's startup load reports it and starts on an
 // empty cache instead of exiting; its first plan is a cold search that
 // answers normally.
 func TestStartupRefusesOldCacheFile(t *testing.T) {
@@ -613,17 +613,17 @@ func TestStartupRefusesOldCacheFile(t *testing.T) {
 	if err := s.saveCache(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the header's version to 11; the digest covers only the
+	// Rewrite the header's version to 12; the digest covers only the
 	// payload, so nothing but the version check can refuse the file.
 	path := filepath.Join(dir, core.CacheFileName)
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(file[:4]) != "PPSC" || file[4] != 12 {
+	if string(file[:4]) != "PPSC" || file[4] != 13 {
 		t.Fatalf("unexpected header % x", file[:5])
 	}
-	file[4] = 11
+	file[4] = 12
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -631,8 +631,8 @@ func TestStartupRefusesOldCacheFile(t *testing.T) {
 	cache := core.NewSearchCache()
 	var stdout, stderr bytes.Buffer
 	loadCache(cache, dir, &stdout, &stderr)
-	if !strings.Contains(stderr.String(), "unsupported version 11") || !strings.Contains(stderr.String(), "starting cold") {
-		t.Fatalf("startup did not report the v11 file: stderr %q", stderr.String())
+	if !strings.Contains(stderr.String(), "unsupported version 12") || !strings.Contains(stderr.String(), "starting cold") {
+		t.Fatalf("startup did not report the v12 file: stderr %q", stderr.String())
 	}
 	if n, e := cache.Sizes(); n != 0 || e != 0 || cache.PlanEntries() != 0 || stdout.Len() != 0 {
 		t.Fatalf("refused file left %d nodes, %d edges, %d plans; stdout %q", n, e, cache.PlanEntries(), stdout.String())

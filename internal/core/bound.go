@@ -2,13 +2,14 @@
 // relaxation bounds every candidate of every node from below, a small DP
 // gives a real plan's cost as the incumbent, and every candidate whose bound
 // exceeds the incumbent is dropped. The exact DP then runs on the survivors
-// only, in the shape planned from the full space, and returns the plan the
-// DP over the full space returns, bit for bit:
+// only and returns the plan the DP over the full space returns, bit for bit:
 //
 //   - every candidate on a plan whose DP value is the optimum has a bound at
 //     most the incumbent (up to the rounding margin), so it survives;
-//   - a survivor's prefix values are path minima over a subset of the same
-//     paths summed in the same association, so they never drop, and on the
+//   - the DP sums every path in an association fixed by the graph alone
+//     (each segment a left-to-right chain, the segments merged in order), so
+//     a survivor's prefix values are path minima over a subset of the same
+//     paths summed in the same association: they never drop, and on the
 //     optimal paths they are unchanged;
 //   - every minimum takes the lowest candidate index on a tie (minplus.go),
 //     so removing candidates that attain no minimum on those paths cannot
@@ -185,11 +186,11 @@ func relaxedOpt(lb [][]float64) float64 {
 	return r
 }
 
-// incumbent returns the layer cost of the DP, in shape, over cands and
+// incumbent returns the layer cost of the DP over cands and
 // edgeMats (a restriction of the full inputs): a real plan's cost, so at
 // least the full-space optimum.
-func (o *Optimizer) incumbent(ctx context.Context, g *graph.Graph, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) (float64, error) {
-	t, err := o.layerDP(ctx, g, shape, cands, edgeMats, &SearchStats{Workers: w})
+func (o *Optimizer) incumbent(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) (float64, error) {
+	t, err := o.layerDP(ctx, g, cands, edgeMats, &SearchStats{Workers: w})
 	if err != nil {
 		return 0, err
 	}
@@ -199,14 +200,14 @@ func (o *Optimizer) incumbent(ctx context.Context, g *graph.Graph, shape []*segP
 
 // survivors returns, per node, the ascending indices of the candidates the
 // exact DP must keep: those whose relaxed bound is at most the incumbent
-// UB·(1+δ). The incumbent UB is the layer cost of the DP, in shape, over the
+// UB·(1+δ). The incumbent UB is the layer cost of the DP over the
 // candidates attaining the relaxed optimum (LB ≤ R), so UB ≥ the optimum.
 // For a periodic graph the head and tail share a bound and so one survivor
 // set. Every cell of edgeMats is read, so each must be filled.
-func (o *Optimizer) survivors(ctx context.Context, g *graph.Graph, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) ([][]int32, error) {
+func (o *Optimizer) survivors(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) ([][]int32, error) {
 	lb := relaxedBound(g, cands, edgeMats, periodic)
 	incCands, incMats := restrictLayer(g, cands, edgeMats, keepBelow(lb, relaxedOpt(lb)))
-	ub, err := o.incumbent(ctx, g, shape, incCands, incMats, periodic, w)
+	ub, err := o.incumbent(ctx, g, incCands, incMats, periodic, w)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +235,7 @@ func (o *Optimizer) survivors(ctx context.Context, g *graph.Graph, shape []*segP
 // Within K the restricted DP keeps the full DP's values on the optimal
 // paths and the lowest-index tie rule its witnesses, so the answer is the
 // DP's over the (masked) space, bit for bit.
-func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, mask [][]int32, periodic bool, stats *SearchStats) ([][]int32, []*nodeCands, map[*graph.Edge]*edgeMat, error) {
+func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, mask [][]int32, periodic bool, stats *SearchStats) ([][]int32, []*nodeCands, map[*graph.Edge]*edgeMat, error) {
 	w := stats.Workers
 	space := cands
 	if mask != nil {
@@ -249,7 +250,7 @@ func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	u0, err := o.incumbent(ctx, g, shape, incCands, incMats, periodic, w)
+	u0, err := o.incumbent(ctx, g, incCands, incMats, periodic, w)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -258,7 +259,7 @@ func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	keep, err := o.survivors(ctx, g, shape, kCands, kMats, periodic, w)
+	keep, err := o.survivors(ctx, g, kCands, kMats, periodic, w)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -46,7 +46,7 @@ func unprunedPlan(t *testing.T, o *Optimizer, g *graph.Graph, layers int) *Strat
 	}
 	fillAll(t, o, g, in, &st)
 	cands, mats := in.cands(o.Cost.Alpha), in.edgeMats(g)
-	tab, err := o.layerDP(ctx, g, layerShape(g, cands, mats), cands, mats, &st)
+	tab, err := o.layerDP(ctx, g, cands, mats, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

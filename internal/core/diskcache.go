@@ -17,7 +17,7 @@
 // is bit-identical to recomputing: the same seqs, Intra breakdowns and
 // LayerCost bits flow into the same Strategy assembly (strategyOf).
 //
-// File layout (v12):
+// File layout (v13):
 //
 //	"PPSC" · uvarint version · sha256(payload) · payload
 //
@@ -85,8 +85,11 @@ const diskCacheMagic = "PPSC"
 // answer (seqs, Intra breakdowns, space sizes, a stackable byte) instead of
 // candidate indices (DESIGN.md §5.36); a v10 file's interface table would
 // misparse as plans. v12: the environment prefix lost its AllowPrime byte
-// (DESIGN.md §5.41), so a v11 key could alias a v12 one.
-const diskCacheVersion = 12
+// (DESIGN.md §5.41), so a v11 key could alias a v12 one. v13: every segment
+// is a left-to-right chain merged in segment order (DESIGN.md §5.43), which
+// moves the last ulp of some LayerCosts; a v12 plan entry would serve the
+// old association's value.
+const diskCacheVersion = 13
 
 // errDigestMismatch is Load's error for a payload whose SHA-256 is not the
 // one in the header. Load checks it before decoding.

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,54 +92,38 @@ func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeEntry {
 	return e
 }
 
-// table is an optimal-substructure matrix C_{a,b}(p_a, p_b), stored in
-// head-class-factored form: every dependence on p_a flows through the head
-// node's own cost plus its row in the edge matrices reaching back to a
-// (the adjacent edge a→a+1, the extended edges a→j, and any merge cross
-// edge). Candidates of p_a that share all those rows are provably
-// interchangeable, so the DP keeps ONE row per equivalence class:
+// table is an optimal-substructure matrix C_{a,b}(p_a, p_b) with one row
+// per head candidate. The head node's own cost stays out of the rows:
 //
-//	C(ia, ib) = headBase[ia] + cost[rowCls[ia]][ib]
+//	C(ia, ib) = headBase[ia] + cost[ia][ib]
 //
-// Back-pointers are per class too — a witness for the class representative
-// is a witness for every member.
+// A table is either one segment's left-to-right Bellman chain (segmentDP)
+// or the merge of the tables before it with the next segment's (merge).
 type table struct {
 	a, b int
 
-	// rowCls maps each p_a candidate to its interface class; nCls counts
-	// classes; headBase is the head node's own cost (shared with
-	// cands[a].total).
-	rowCls   []int32
-	nCls     int
+	// headBase is the head node's own cost (shared with cands[a].total).
 	headBase []float64
 
-	// cost[cls][ib] excludes headBase.
+	// cost[ia][ib] excludes headBase.
 	cost [][]float64
 
-	// Chain segments: chainArgs[j-a-2][cls][ij] is the best index of
-	// p_{j-1} in the Bellman step that introduced node j (a+2 ≤ j ≤ b).
-	// The first step a→a+1 needs no pointer: its predecessor is p_a.
+	// Chain segments: chainArgs[j-a-2][ia][ij] is the best index of p_{j-1}
+	// in the Bellman step that introduced node j (a+2 ≤ j ≤ b). The first
+	// step a→a+1 needs no pointer: its predecessor is p_a.
 	chainArgs [][][]int32
 
-	// Merge nodes: argmid[cls][ib] is the best middle candidate index.
-	// Rows may be shared between classes (a cross edge refines classes
-	// without moving the argmin).
+	// Merge nodes: argmid[ia][ib] is the best middle candidate index.
 	left, right *table
 	argmid      [][]int32
 }
 
-// segmentDP runs the Bellman iteration (Eqs. 11–12) over nodes a..b.
-// Extended edges inside the segment must originate at a (checked by
-// graph.CheckSegmentAssumptions).
-//
-// The p_a axis is collapsed to interface classes up front: the recursion
-// depends on p_a only through the row groups of the adjacent edge a→a+1 and
-// of every extended edge a→j, so the joint refinement of those row-group
-// vectors is computed once and each Bellman step runs per class instead of
-// per candidate.
+// segmentDP runs the Bellman iteration (Eqs. 11–12) over nodes a..b, one
+// row per head candidate. Extended edges inside the segment must originate
+// at a (checked by graph.CheckSegmentAssumptions).
 // Cancellation is checked once per Bellman step — coarse enough that the
 // uncancelled fast path is untouched, fine enough that a cancelled search
-// stops within one step. Class loops run on up to w workers.
+// stops within one step. Row loops run on up to w workers.
 func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats, w int) (*table, error) {
 	sumEdges := func(j int, from int) *edgeMat {
 		var ms []*edgeMat
@@ -153,42 +138,29 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 		return sumEdgeMats(ms)
 	}
 
-	adj := sumEdges(a+1, a)
-	eExts := make([]*edgeMat, 0, b-a-1) // eExts[j-a-2] for j = a+2 .. b
-	idVecs := make([][]int32, 0, b-a)
-	if adj != nil {
-		idVecs = append(idVecs, adj.rows)
-	}
-	for j := a + 2; j <= b; j++ {
-		e := sumEdges(j, a)
-		eExts = append(eExts, e)
-		if e != nil {
-			idVecs = append(idVecs, e.rows)
-		}
-	}
 	na := len(cands[a].seqs)
-	rowCls, reps := refineClasses(na, idVecs...)
-	t := &table{a: a, b: b, rowCls: rowCls, nCls: len(reps), headBase: cands[a].total}
+	t := &table{a: a, b: b, headBase: cands[a].total}
 
 	// C_{a,a+1}: no min needed — the only predecessor state is p_a itself.
+	adj := sumEdges(a+1, a)
 	nb := len(cands[a+1].seqs)
-	cur := make([][]float64, t.nCls)
+	cur := make([][]float64, na)
 	if adj == nil {
-		// No edge: every class shares one (read-only) row.
+		// No edge: every head candidate shares one (read-only) row.
 		row := make([]float64, nb)
 		copy(row, cands[a+1].total)
-		for r := range cur {
-			cur[r] = row
+		for ia := range cur {
+			cur[ia] = row
 		}
 	} else {
-		parallelChunks(w, t.nCls, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				arow := adj.row(int(adj.rows[reps[r]]))
+		parallelChunks(w, na, func(lo, hi int) {
+			for ia := lo; ia < hi; ia++ {
+				arow := adj.row(int(adj.rows[ia]))
 				row := make([]float64, nb)
 				for ib := 0; ib < nb; ib++ {
 					row[ib] = cands[a+1].total[ib] + arow[adj.cols[ib]]
 				}
-				cur[r] = row
+				cur[ia] = row
 			}
 		})
 	}
@@ -205,9 +177,9 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 		nj := len(totals)
 		nprev := len(cands[j-1].seqs)
 		em := sumEdges(j, j-1)
-		eExt := eExts[j-a-2]
-		next := make([][]float64, t.nCls)
-		args := make([][]int32, t.nCls)
+		eExt := sumEdges(j, a)
+		next := make([][]float64, na)
+		args := make([][]int32, na)
 		// colGroup maps each p_j to its column group; without an edge every
 		// p_j shares group 0.
 		var colGroup []int32
@@ -216,15 +188,15 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 		} else {
 			colGroup = make([]int32, nj)
 		}
-		// fill writes class r's row: the per-column-group minima best (with
-		// p_{j-1} witnesses argm[bestU[cg]]) plus node j's cost and the
-		// extended edge a→j.
-		fill := func(r int, best []float64, bestU []int32, argm []int32) {
+		// fill writes head candidate ia's row: the per-column-group minima
+		// best (with p_{j-1} witnesses argm[bestU[cg]]) plus node j's cost
+		// and the extended edge a→j.
+		fill := func(ia int, best []float64, bestU []int32, argm []int32) {
 			row := make([]float64, nj)
 			arow := make([]int32, nj)
 			var extRow []float64
 			if eExt != nil {
-				extRow = eExt.row(int(eExt.rows[reps[r]]))
+				extRow = eExt.row(int(eExt.rows[ia]))
 			}
 			for ij := 0; ij < nj; ij++ {
 				cg := colGroup[ij]
@@ -235,23 +207,23 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 				row[ij] = c
 				arow[ij] = argm[bestU[cg]]
 			}
-			next[r] = row
-			args[r] = arow
+			next[ia] = row
+			args[ia] = arow
 		}
 
 		if em == nil {
 			// No edge: one global min serves every p_j.
-			parallelChunks(w, t.nCls, func(lo, hi int) {
-				for r := lo; r < hi; r++ {
+			parallelChunks(w, na, func(lo, hi int) {
+				for ia := lo; ia < hi; ia++ {
 					best := math.Inf(1)
 					bestK := int32(-1)
-					for k, v := range cur[r] {
+					for k, v := range cur[ia] {
 						if v < best {
 							best = v
 							bestK = int32(k)
 						}
 					}
-					fill(r, []float64{best}, []int32{0}, []int32{bestK})
+					fill(ia, []float64{best}, []int32{0}, []int32{bestK})
 				}
 			})
 			cur = next
@@ -259,20 +231,20 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			continue
 		}
 
-		// The edge's row groups, shared (read-only) across classes and
-		// worker bands.
+		// The edge's row groups, shared (read-only) across rows and worker
+		// bands.
 		erows := make([][]float64, em.numRowGroups())
 		for u := range erows {
 			erows[u] = em.row(u)
 		}
-		// fold reduces class r's DP row over the edge's row groups.
-		fold := func(r int, s *classScratch) {
+		// fold reduces head candidate ia's DP row over the edge's row groups.
+		fold := func(ia int, s *rowScratch) {
 			m, argm := s.m, s.argm
 			for u := range m {
 				m[u] = math.Inf(1)
 				argm[u] = -1
 			}
-			prevRow := cur[r]
+			prevRow := cur[ia]
 			for k := 0; k < nprev; k++ {
 				u := em.rows[k]
 				if prevRow[k] < m[u] {
@@ -282,8 +254,8 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 			}
 		}
 		p := minPlusProduct{rows: erows, nCols: em.numColGroups()}
-		addProduct(st, p.run(w, t.nCls, fold, func(r int, s *classScratch) {
-			fill(r, s.best, s.bestU, s.argm)
+		addProduct(st, p.run(w, na, fold, func(ia int, s *rowScratch) {
+			fill(ia, s.best, s.bestU, s.argm)
 		}))
 		cur = next
 		t.chainArgs = append(t.chainArgs, args)
@@ -297,84 +269,44 @@ func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*node
 //	out(pa, pb) = min_pm { L(pa,pm) + R(pm,pb) − n_m(pm) } + cross(pa,pb)
 //
 // where cross sums the edge matrices of extended edges a→b (e.g. e(0,7)).
+// The right table's headBase IS the mid node's own cost n_m(pm), which L
+// already counts, so in stored form
 //
-// Both operands are class-factored. Expanding the factored forms,
+//	out.cost[pa][pb] = min_pm { L.cost[pa][pm] + R.cost[pm][pb] } + cross(pa,pb)
 //
-//	out = hbL[pa] + min_pm { Lc[rL][pm] + Rc[rm(pm)][pb] }
-//
-// because the right table's headBase hbR[pm] IS the mid node's own cost
-// n_m(pm), which L already counts. So the min folds in two exact stages:
-// first over the mid candidates of each right class (W[rm] = min over pm in
-// rm of Lc), then over right classes per column (one min-plus product). A
-// cross edge refines the OUTPUT classes but never moves the argmin, so
-// refined classes share argmid rows.
+// one min-plus product per head candidate pa against R's rows.
 // Cancellation is checked once at entry — one merge is a single bounded
 // scan pass, so per-merge granularity keeps a cancelled layer DP prompt
-// without touching the kernel. Class loops run on up to w workers.
+// without touching the kernel. Row loops run on up to w workers.
 func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMat, st *SearchStats, w int) (*table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	nm := len(right.headBase)
+	na := len(left.headBase)
 	nb := len(right.cost[0])
-	nL := left.nCls
-	base := make([][]float64, nL)
-	argPM := make([][]int32, nL)
-	// fold reduces left class rL's row over the mid candidates of each right
-	// class: W[rm] = min over pm in rm of Lc, witness argW[rm].
-	fold := func(rL int, s *classScratch) {
-		W, argW := s.m, s.argm
-		for u := range W {
-			W[u] = math.Inf(1)
-			argW[u] = -1
-		}
-		lrow := left.cost[rL]
-		for pm := 0; pm < nm; pm++ {
-			rm := right.rowCls[pm]
-			if v := lrow[pm]; v < W[rm] {
-				W[rm] = v
-				argW[rm] = int32(pm)
-			}
+	t := &table{a: left.a, b: right.b, left: left, right: right, headBase: left.headBase,
+		cost: make([][]float64, na), argmid: make([][]int32, na)}
+	// fold takes head candidate pa's left row as is: one group per mid
+	// candidate, keyed by its index.
+	fold := func(pa int, s *rowScratch) {
+		copy(s.m, left.cost[pa])
+		for pm := range s.argm {
+			s.argm[pm] = int32(pm)
 		}
 	}
 	p := minPlusProduct{rows: right.cost, nCols: nb}
-	addProduct(st, p.run(w, nL, fold, func(rL int, s *classScratch) {
-		base[rL] = s.best
+	addProduct(st, p.run(w, na, fold, func(pa int, s *rowScratch) {
+		row := s.best
 		s.best = make([]float64, nb)
-		arow := make([]int32, nb)
-		for pb := range arow {
-			arow[pb] = s.argm[s.bestU[pb]]
-		}
-		argPM[rL] = arow
-	}))
-
-	t := &table{a: left.a, b: right.b, left: left, right: right, headBase: left.headBase}
-	if cross == nil {
-		t.rowCls = left.rowCls
-		t.nCls = nL
-		t.cost = base
-		t.argmid = argPM
-		return t, nil
-	}
-	outCls, reps := refineClasses(len(left.rowCls), left.rowCls, cross.rows)
-	t.rowCls = outCls
-	t.nCls = len(reps)
-	t.cost = make([][]float64, t.nCls)
-	t.argmid = make([][]int32, t.nCls)
-	parallelChunks(w, t.nCls, func(lo, hi int) {
-		for ro := lo; ro < hi; ro++ {
-			rep := reps[ro]
-			rL := left.rowCls[rep]
-			crow := cross.row(int(cross.rows[rep]))
-			b := base[rL]
-			row := make([]float64, nb)
-			for pb := 0; pb < nb; pb++ {
-				row[pb] = b[pb] + crow[cross.cols[pb]]
+		if cross != nil {
+			crow := cross.row(int(cross.rows[pa]))
+			for pb := range row {
+				row[pb] += crow[cross.cols[pb]]
 			}
-			t.cost[ro] = row
-			t.argmid[ro] = argPM[rL] // shared: cross shifts values, not argmins
 		}
-	})
+		t.cost[pa] = row
+		t.argmid[pa] = slices.Clone(s.bestU)
+	}))
 	return t, nil
 }
 
@@ -583,22 +515,20 @@ func (o *Optimizer) solve(ctx context.Context, g *graph.Graph, in *layerInputs, 
 	}
 
 	// Layer table: built on every plan miss over the candidates the bounds
-	// keep (bound.go), in the shape planned from the full space, and
-	// dropped once the layer pick has reconstructed the answer; only the
-	// plan entry is published. The edge cells the bounds need are filled on
-	// the way and timed as the edge phase.
+	// keep (bound.go), and dropped once the layer pick has reconstructed
+	// the answer; only the plan entry is published. The edge cells the
+	// bounds need are filled on the way and timed as the edge phase.
 	tDP := time.Now()
 	edgeTime := stats.EdgeMatTime
 	edgeMats := in.edgeMats(g)
-	shape := layerShape(g, cands, edgeMats)
-	kept, subCands, subMats, err := o.prune(ctx, g, in, shape, cands, edgeMats, mask, periodic, stats)
+	kept, subCands, subMats, err := o.prune(ctx, g, in, cands, edgeMats, mask, periodic, stats)
 	if err != nil {
 		return nil, err
 	}
 	for v, k := range kept {
 		stats.CandsPruned += int(sizes[v]) - len(k)
 	}
-	t, err := o.layerDP(ctx, g, shape, subCands, subMats, stats)
+	t, err := o.layerDP(ctx, g, subCands, subMats, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -709,19 +639,19 @@ func edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Edge, matIdx []in
 	return uniq, matIdx
 }
 
-// layerDP runs the DP of one layer over its edge matrices: the per-segment
-// tables in the planned shape (one segPlan per segment, layerShape), then
-// left-to-right merging with cross edges (Eqs. 13–14), on stats.Workers
+// layerDP runs the DP of one layer over its edge matrices: one Bellman
+// chain per segment (segmentDP), each merged into the tables before it in
+// segment order with its cross edges (Eqs. 13–14), on stats.Workers
 // workers.
-func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, shape []*segPlan, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, stats *SearchStats) (*table, error) {
+func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, stats *SearchStats) (*table, error) {
+	cuts := g.SegmentCuts()
 	var acc *table
-	for _, p := range shape {
-		seg, err := o.execSegPlan(ctx, p, g, cands, edgeMats, stats, stats.Workers)
+	for s := 1; s < len(cuts); s++ {
+		seg, err := o.segmentDP(ctx, g, cands, edgeMats, cuts[s-1], cuts[s], stats, stats.Workers)
 		if err != nil {
 			return nil, err
 		}
 		stats.SegTablesBuilt++
-		stats.DPRowClasses += int64(seg.nCls)
 		if acc == nil {
 			acc = seg
 			continue
@@ -771,21 +701,19 @@ func (o *Optimizer) crossEdges(g *graph.Graph, edgeMats map[*graph.Edge]*edgeMat
 // reconstruct walks back-pointers from head candidate ia and tail candidate
 // ib, recording the candidate index of every node in t's range into assign
 // (indexed by node id). Adjacent subtables share their boundary node and
-// agree on its candidate. All back-pointer rows are indexed by the head
-// candidate's CLASS — valid for every member.
+// agree on its candidate.
 func reconstruct(t *table, ia, ib int32, assign []int32) {
 	if t.argmid != nil {
-		im := t.argmid[t.rowCls[ia]][ib]
+		im := t.argmid[ia][ib]
 		reconstruct(t.left, ia, im, assign)
 		reconstruct(t.right, im, ib, assign)
 		return
 	}
 	// Chain segment: walk j = b .. a+2, then the implicit first step.
-	cls := t.rowCls[ia]
 	cur := ib
 	for j := t.b; j > t.a+1; j-- {
 		assign[j] = cur
-		cur = t.chainArgs[j-t.a-2][cls][cur]
+		cur = t.chainArgs[j-t.a-2][ia][cur]
 	}
 	assign[t.a+1] = cur
 	assign[t.a] = ia
@@ -803,8 +731,8 @@ func (t *table) layerPlan(n int, periodic bool) (assign []int32, layerCost float
 	var ia, ib int32
 	if periodic {
 		best := math.Inf(1)
-		for a, r := range t.rowCls {
-			if c := t.headBase[a] + t.cost[r][a]; c < best {
+		for a, row := range t.cost {
+			if c := t.headBase[a] + row[a]; c < best {
 				best, ia = c, int32(a)
 			}
 		}
@@ -814,40 +742,20 @@ func (t *table) layerPlan(n int, periodic bool) (assign []int32, layerCost float
 	}
 	assign = make([]int32, n)
 	reconstruct(t, ia, ib, assign)
-	return assign, t.headBase[ia] + t.cost[t.rowCls[ia]][ib]
-}
-
-// minHeadBase folds headBase over each row class: the cheapest head
-// candidate per class, with its index (first-minimum wins, deterministic).
-func (t *table) minHeadBase() ([]float64, []int32) {
-	minHB := make([]float64, t.nCls)
-	argHB := make([]int32, t.nCls)
-	for r := range minHB {
-		minHB[r] = math.Inf(1)
-		argHB[r] = -1
-	}
-	for ia, r := range t.rowCls {
-		if hb := t.headBase[ia]; hb < minHB[r] {
-			minHB[r] = hb
-			argHB[r] = int32(ia)
-		}
-	}
-	return minHB, argHB
+	return assign, t.headBase[ia] + t.cost[ia][ib]
 }
 
 // argMin returns the witness (ia, ib) attaining the table's minimum over
-// (p_a, p_b) of headBase[p_a] + cost[rowCls[p_a]][p_b], the
-// lexicographically lowest one on a tie.
+// (p_a, p_b) of headBase[p_a] + cost[p_a][p_b], the lexicographically
+// lowest one on a tie.
 func (t *table) argMin() (int32, int32) {
-	minHB, argHB := t.minHeadBase()
 	best := math.Inf(1)
 	var bi, bj int32
-	for r := 0; r < t.nCls; r++ {
-		hb, ia := minHB[r], argHB[r]
-		for ib, v := range t.cost[r] {
-			if c := hb + v; c < best || c == best && (ia < bi || ia == bi && int32(ib) < bj) {
-				best = c
-				bi, bj = ia, int32(ib)
+	for ia, row := range t.cost {
+		hb := t.headBase[ia]
+		for ib, v := range row {
+			if c := hb + v; c < best {
+				best, bi, bj = c, int32(ia), int32(ib)
 			}
 		}
 	}

@@ -27,10 +27,15 @@ import "fmt"
 // estCandidateUnit weighs one candidate evaluation (its enumeration, intra
 // cost and axis projections; the device sweeps run once per distinct
 // projection, not per candidate) against one edge-matrix cell (a handful of
-// float adds). Like treedp's estScan, the constant only has to RANK request
-// costs; callers that need seconds learn a ns-per-unit scale from observed
+// float adds). Like estScan, the constant only has to RANK request costs;
+// callers that need seconds learn a ns-per-unit scale from observed
 // searches.
 const estCandidateUnit = 64.0
+
+// estScan weighs one candidate of a DP step or merge, in edge-cell units:
+// the row groups a min-plus product charges each of its columns. Like
+// estCandidateUnit, it only ranks requests; the search never reads it.
+const estScan = 10.0
 
 // SearchEstimate is EstimatePlan's prediction for one request.
 type SearchEstimate struct {

@@ -82,7 +82,7 @@ func prunedCount(t *testing.T, p deltaParams) int {
 	}
 	cands, mats := in.cands(o.Cost.Alpha), in.edgeMats(g)
 	periodic := checkStackable(cands[0], cands[len(cands)-1]) == nil
-	keep, _, _, err := o.prune(context.Background(), g, in, layerShape(g, cands, mats), cands, mats, nil, periodic, &SearchStats{Workers: 1})
+	keep, _, _, err := o.prune(context.Background(), g, in, cands, mats, nil, periodic, &SearchStats{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

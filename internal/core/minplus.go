@@ -1,4 +1,4 @@
-// Min-plus products: the inner kernel of the factored DP. Each row r of a
+// Min-plus products: the inner kernel of the layer DP. Each row r of a
 // product folds into a vector m over the product's row groups u, with a key
 // argm[u] per group (the fold's witness, a candidate index), and is then
 // multiplied against the product's row-major groups:
@@ -15,22 +15,22 @@ package core
 
 import "math"
 
-// classScratch is one worker's state for the rows of a min-plus product:
+// rowScratch is one worker's state for the rows of a min-plus product:
 // the fold vector m with its witnesses argm, and the per-column answers
 // best, bestU and the key of each witness, bestK.
-type classScratch struct {
+type rowScratch struct {
 	m, best            []float64
 	argm, bestU, bestK []int32
 }
 
-func newClassScratch(n, nCols int) *classScratch {
+func newRowScratch(n, nCols int) *rowScratch {
 	f, i := make([]float64, n+nCols), make([]int32, n+2*nCols)
-	return &classScratch{m: f[:n:n], best: f[n:], argm: i[:n:n], bestU: i[n : n+nCols : n+nCols], bestK: i[n+nCols:]}
+	return &rowScratch{m: f[:n:n], best: f[n:], argm: i[:n:n], bestU: i[n : n+nCols : n+nCols], bestK: i[n+nCols:]}
 }
 
 // scan fills best[c] = min_u m[u] + rows[u][c] and bestU[c] with the
 // lowest-key witness u; an all-+Inf column gets one too.
-func (s *classScratch) scan(rows [][]float64) {
+func (s *rowScratch) scan(rows [][]float64) {
 	best, bestU, bestK := s.best, s.bestU, s.bestK[:len(s.best)]
 	for c := range best {
 		best[c], bestU[c], bestK[c] = math.Inf(1), -1, math.MaxInt32
@@ -59,9 +59,9 @@ type minPlusProduct struct {
 // answers from s.best, s.bestU and s.argm, and may keep s.best if it puts a
 // fresh slice of the same length in its place. It returns the cells
 // relaxed, rows × groups × columns.
-func (p *minPlusProduct) run(w, nRows int, fold, emit func(r int, s *classScratch)) (scanned int64) {
+func (p *minPlusProduct) run(w, nRows int, fold, emit func(r int, s *rowScratch)) (scanned int64) {
 	parallelChunks(w, nRows, func(lo, hi int) {
-		s := newClassScratch(len(p.rows), p.nCols)
+		s := newRowScratch(len(p.rows), p.nCols)
 		for r := lo; r < hi; r++ {
 			fold(r, s)
 			s.scan(p.rows)
@@ -69,36 +69,4 @@ func (p *minPlusProduct) run(w, nRows int, fold, emit func(r int, s *classScratc
 		}
 	})
 	return int64(nRows) * int64(len(p.rows)) * int64(p.nCols)
-}
-
-// refineClasses folds per-candidate id vectors into joint equivalence
-// classes: two candidates share a class iff every id vector agrees on them.
-// Class ids are assigned in first-seen (candidate-ascending) order, so the
-// result is deterministic; reps[r] is the lowest candidate index of class r.
-// Nil vectors are skipped; with no vectors everything lands in class 0.
-func refineClasses(n int, ids ...[]int32) (cls []int32, reps []int32) {
-	cls = make([]int32, n)
-	reps = append(reps, 0)
-	for _, id := range ids {
-		if id == nil {
-			continue
-		}
-		byKey := make(map[uint64]int32, len(reps))
-		newCls := make([]int32, n)
-		reps = reps[:0]
-		next := int32(0)
-		for i := 0; i < n; i++ {
-			key := uint64(uint32(cls[i]))<<32 | uint64(uint32(id[i]))
-			c, ok := byKey[key]
-			if !ok {
-				c = next
-				next++
-				byKey[key] = c
-				reps = append(reps, int32(i))
-			}
-			newCls[i] = c
-		}
-		cls = newCls
-	}
-	return cls, reps
 }

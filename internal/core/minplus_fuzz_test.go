@@ -129,10 +129,10 @@ func FuzzMinPlusKernels(f *testing.F) {
 			p := minPlusProduct{rows: rows, nCols: c.nCols}
 			best := make([][]float64, nRows)
 			witness := make([][]int32, nRows)
-			scanned := p.run(workers, nRows, func(r int, s *classScratch) {
+			scanned := p.run(workers, nRows, func(r int, s *rowScratch) {
 				copy(s.m, rowOf(r))
 				copy(s.argm, c.key)
-			}, func(r int, s *classScratch) {
+			}, func(r int, s *rowScratch) {
 				best[r] = append([]float64(nil), s.best...)
 				witness[r] = append([]int32(nil), s.bestU...)
 			})

@@ -47,7 +47,7 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	}
 	stats.EdgeMatsBuilt = len(g.Edges)
 
-	t, err := o.layerDP(context.Background(), g, layerShape(g, cands, edgeMats), cands, edgeMats, &stats)
+	t, err := o.layerDP(context.Background(), g, cands, edgeMats, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	case err == nil:
 		best := math.Inf(1)
 		for a := range cands[0].seqs {
-			if c := t.headBase[a] + t.cost[t.rowCls[a]][a]; c < best {
+			if c := t.headBase[a] + t.cost[a][a]; c < best {
 				best, ia = c, int32(a)
 			}
 		}
@@ -68,7 +68,7 @@ func referencePlan(o *Optimizer, g *graph.Graph, layers int) (*Strategy, error) 
 	}
 	assign := make([]int32, len(g.Nodes))
 	reconstruct(t, ia, ib, assign)
-	strat := strategyOf(planOf(cands, assign, t.headBase[ia]+t.cost[t.rowCls[ia]][ib], false), layers)
+	strat := strategyOf(planOf(cands, assign, t.headBase[ia]+t.cost[ia][ib], false), layers)
 	strat.Stats = stats
 	return strat, nil
 }

@@ -1,20 +1,19 @@
 // Regression coverage for scratch-buffer ownership in the DP worker pool.
 //
-// The Bellman steps and the tree DP's segment merges run their min-plus
-// products from parallelChunks bands. The ownership rule is: every band
-// allocates its OWN classScratch inside the band closure
-// (minPlusProduct.run), and the rows a product multiplies against are
-// built once, serially, before any band that reads them starts. A scratch
-// captured outside the closure — or one reused across the sequential merges
-// of a segment tree while another search's bands are still draining — would
-// alias the fold vector and the per-column answers across goroutines: the
-// race detector sees the write overlap and, worse, the witnesses would
-// silently depend on the schedule.
+// The Bellman steps and the segment merges run their min-plus products from
+// parallelChunks bands. The ownership rule is: every band allocates its OWN
+// rowScratch inside the band closure (minPlusProduct.run), and the rows a
+// product multiplies against are built once, serially, before any band
+// that reads them starts. A scratch captured outside the closure — or one
+// reused across the sequential merges of a layer while another search's
+// bands are still draining — would alias the fold vector and the
+// per-column answers across goroutines: the race detector sees the write
+// overlap and, worse, the witnesses would silently depend on the schedule.
 //
-// TestTreeDPSharedCacheRace is the -race regression for that rule: several
+// TestDPSharedCacheRace is the -race regression for that rule: several
 // searches race over ONE SearchCache with the worker pool forced wide via
 // PRIMEPAR_WORKERS, so per-search pool bands, cross-call cache publication
-// and the tree DP's merge scratch all overlap. Results must stay
+// and the Bellman and merge scratch all overlap. Results must stay
 // bit-identical to a serial uncached reference regardless of schedule.
 package core
 
@@ -28,7 +27,7 @@ import (
 	"repro/internal/model"
 )
 
-func TestTreeDPSharedCacheRace(t *testing.T) {
+func TestDPSharedCacheRace(t *testing.T) {
 	t.Setenv(WorkersEnv, "4")
 
 	cfg := model.OPT6B7()

@@ -48,15 +48,6 @@ type SearchStats struct {
 	// DESIGN.md §5.38). A plan hit reads zero.
 	CandsPruned int `json:"cands_pruned"`
 
-	// DPRowClasses sums the head-interface row classes over the segments
-	// whose DP ran: the row dimension the factored DP actually iterates,
-	// versus the full |P| of each segment head in CandidatesEvaluated.
-	DPRowClasses int64 `json:"dp_row_classes"`
-
-	// DPTreeMerges counts the in-segment binary merges performed by the
-	// tree DP (zero when every segment's planned shape is a single chain).
-	DPTreeMerges int `json:"dp_tree_merges"`
-
 	// SegTablesBuilt counts the segments whose DP ran this call: every
 	// segment of the graph, or 0 on a plan hit.
 	SegTablesBuilt int `json:"seg_tables_built"`
@@ -68,8 +59,9 @@ type SearchStats struct {
 	CrossCallTableHits int `json:"cross_call_table_hits"`
 
 	// EntriesScanned is the exact count of cells the min-plus products of
-	// the layer DP over the survivors relax, summed over its segment chains
-	// and merges: Σ rows × groups × columns, the DP's work volume
+	// the layer DP over the survivors relax, summed over every Bellman step
+	// of every segment and every merge of a segment into the tables before
+	// it: Σ rows × groups × columns, the DP's work volume
 	// (DESIGN.md §5.39). The bound pass's small incumbent DP is timed in
 	// DPTime but not counted here, nor in the other DP counters. (Formerly
 	// min_plus_scanned.)
@@ -129,8 +121,6 @@ func (st *SearchStats) Add(s SearchStats) {
 	st.EdgeFracCells += s.EdgeFracCells
 	st.CandsTotal += s.CandsTotal
 	st.CandsPruned += s.CandsPruned
-	st.DPRowClasses += s.DPRowClasses
-	st.DPTreeMerges += s.DPTreeMerges
 	st.SegTablesBuilt += s.SegTablesBuilt
 	st.CrossCallTableHits += s.CrossCallTableHits
 	st.EntriesScanned += s.EntriesScanned

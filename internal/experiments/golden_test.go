@@ -85,3 +85,32 @@ func TestGoldenAlpaDigests(t *testing.T) {
 		t.Errorf("checked %d cells, golden file has %d", cells, len(want))
 	}
 }
+
+// TestMixedGoldensEqualV100 pins what the CI comment on the mixed-fleet
+// goldens promises: SPMD steps run at the slowest class's speed on identical
+// links, so every cell of golden/table2_mixed_digest.json carries the same
+// digest as its cell in golden/table2_digest.json.
+func TestMixedGoldensEqualV100(t *testing.T) {
+	read := func(name string) map[string]string {
+		data, err := os.ReadFile(filepath.Join("..", "..", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]string
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	v100, mixed := read("table2_digest.json"), read("table2_mixed_digest.json")
+	if len(mixed) == 0 {
+		t.Fatal("table2_mixed_digest.json has no cell")
+	}
+	for key, d := range mixed {
+		if want, ok := v100[key]; !ok {
+			t.Errorf("%s: in the mixed goldens but not in the V100 goldens", key)
+		} else if d != want {
+			t.Errorf("%s: mixed digest %s, V100 digest %s", key, d, want)
+		}
+	}
+}
