@@ -35,7 +35,7 @@ func main() {
 	var (
 		exp        = flag.String("exp", "all", "experiment id (fig2a, fig2b, fig4, table1, fig7, fig8, fig9, fig10, table2, ablations, sweeps, all)")
 		quick      = flag.Bool("quick", false, "reduced sweep (2 models, scales 4–8) for smoke runs")
-		benchOut   = flag.String("bench-out", "BENCH_table2.json", "where -exp table2 writes its JSON artifact")
+		benchOut   = flag.String("bench-out", "", "where -exp table2 writes its JSON artifact (empty: no artifact)")
 		goldenOut  = flag.String("write-golden", "", "with -exp table2 or -plan3d: write strategy digests to this file")
 		goldenIn   = flag.String("check-golden", "", "with -exp table2 or -plan3d: fail if strategy digests diverge from this file")
 		plan3dFlag = flag.Bool("plan3d", false, "joint spatial-temporal planning curve: the best uniform (p,d,m) grid point vs one joint Plan3D per model/scale — fails if joint is ever worse than grid; honors -write-golden/-check-golden with joint-plan digests")
@@ -214,7 +214,7 @@ func main() {
 			check(requireWarm(rows))
 			fmt.Println("warm-restart check passed: every search served from the cross-call cache")
 		}
-		if *serveAddr == "" {
+		if *serveAddr == "" && *benchOut != "" {
 			// Remote timings measure the daemon, not this process; keep them
 			// out of the local benchmark artifact.
 			check(experiments.WriteTable2JSON(*benchOut, rows))

@@ -1,13 +1,16 @@
-// Bound-pruned layer DP (DESIGN.md §5.38): before the exact DP, a cheap
-// relaxation bounds every candidate of every node from below, a small DP
-// gives a real plan's cost as the incumbent, and every candidate whose bound
-// exceeds the incumbent is dropped. The exact DP then runs on the survivors
-// only and returns the plan the DP over the full space returns, bit for bit:
+// Bound-pruned layer DP (DESIGN.md §5.38): before the exact DP, prune runs
+// one stage twice, with the node-only bound LB₀ and then with the relaxed
+// bound LB. A stage bounds every kept candidate of every node from below,
+// runs a small DP whose layer cost, a real plan's, is the incumbent, and
+// drops every candidate whose bound exceeds the incumbent. The exact DP then
+// runs on the survivors only and returns the plan the DP over the full space
+// returns, bit for bit:
 //
 //   - every candidate on a plan whose DP value is the optimum has a bound at
 //     most the incumbent (up to the rounding margin), so it survives;
 //   - the DP sums every path in an association fixed by the graph alone
-//     (each segment a left-to-right chain, the segments merged in order), so
+//     (each segment a left-to-right chain of compositions, the segments
+//     composed in order), so
 //     a survivor's prefix values are path minima over a subset of the same
 //     paths summed in the same association: they never drop, and on the
 //     optimal paths they are unchanged;
@@ -186,85 +189,59 @@ func relaxedOpt(lb [][]float64) float64 {
 	return r
 }
 
-// incumbent returns the layer cost of the DP over cands and
-// edgeMats (a restriction of the full inputs): a real plan's cost, so at
-// least the full-space optimum.
-func (o *Optimizer) incumbent(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) (float64, error) {
-	t, err := o.layerDP(ctx, g, cands, edgeMats, &SearchStats{Workers: w})
-	if err != nil {
-		return 0, err
-	}
-	_, ub := t.layerPlan(len(cands), periodic)
-	return ub, nil
-}
-
-// survivors returns, per node, the ascending indices of the candidates the
-// exact DP must keep: those whose relaxed bound is at most the incumbent
-// UB·(1+δ). The incumbent UB is the layer cost of the DP over the
-// candidates attaining the relaxed optimum (LB ≤ R), so UB ≥ the optimum.
-// For a periodic graph the head and tail share a bound and so one survivor
-// set. Every cell of edgeMats is read, so each must be filled.
-func (o *Optimizer) survivors(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, periodic bool, w int) ([][]int32, error) {
-	lb := relaxedBound(g, cands, edgeMats, periodic)
-	incCands, incMats := restrictLayer(g, cands, edgeMats, keepBelow(lb, relaxedOpt(lb)))
-	ub, err := o.incumbent(ctx, g, incCands, incMats, periodic, w)
-	if err != nil {
-		return nil, err
-	}
-	return keepBelow(lb, ub*(1+boundMargin(g))), nil
-}
-
 // prune returns, per node, the ascending full-space indices of the
 // candidates the exact DP runs over, and cands and the prepared matrices
 // edgeMats restricted to them, filling on the way only the edge cells the
 // restricted inputs read (DESIGN.md §5.40). mask, when not nil, lists per
 // node the full-space indices of the candidates the search may use
-// (DESIGN.md §5.41), and every step runs over those only:
+// (DESIGN.md §5.41), and the kept set K starts as those (else as every
+// candidate).
 //
-//  1. LB₀, the bound with every edge read as zero, needs no edge cell; it
-//     is computed over the masked candidates, so a masked-out candidate's
-//     low node cost weakens no other node's bound;
-//  2. the incumbent U₀ is the layer cost of the DP over the candidates
-//     attaining LB₀'s relaxed optimum, whose few cells are filled first;
-//  3. K = {LB₀ ≤ U₀·(1+δ)} keeps every candidate on a plan whose DP value is
-//     the optimum, by survivors' proof with LB₀ for LB;
-//  4. the cells the inputs restricted to K read are filled;
-//  5. survivors and its DP run on that restriction, and their survivors are
-//     mapped back through K.
+// It runs one stage twice: stage 0 with LB₀, the bound with every edge read
+// as zero, which needs no edge cell, and stage 1 with LB over K's filled
+// matrices. A stage
 //
-// Within K the restricted DP keeps the full DP's values on the optimal
-// paths and the lowest-index tie rule its witnesses, so the answer is the
-// DP's over the (masked) space, bit for bit.
+//  1. computes the bound over K, so a candidate outside K weakens no other
+//     node's bound;
+//  2. fills the cells of the candidates attaining the bound's relaxed
+//     optimum and runs the DP over them: its layer cost U is a real plan's,
+//     so at least the optimum;
+//  3. keeps {bound ≤ U·(1+δ)} of K, which holds every candidate on a plan
+//     whose DP value is the optimum, and fills the cells the inputs
+//     restricted to it read.
+//
+// Stage 1's fills find every cell filled: its candidates lie in stage 0's K.
+// Restricting the full matrices gives the matrices restricting K's copies
+// would (liveGroups renumbers in ascending order). Within K the restricted
+// DP keeps the full DP's values on the optimal paths and the lowest-index tie
+// rule its witnesses, so the answer is the DP's over the (masked) space, bit
+// for bit.
 func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, mask [][]int32, periodic bool, stats *SearchStats) ([][]int32, []*nodeCands, map[*graph.Edge]*edgeMat, error) {
-	w := stats.Workers
-	space := cands
+	keep, kCands := mask, cands
 	if mask != nil {
-		space = make([]*nodeCands, len(cands))
+		kCands = make([]*nodeCands, len(cands))
 		for v, c := range cands {
-			space[v] = c.restrict(mask[v])
+			kCands[v] = c.restrict(mask[v])
 		}
 	}
-	lb0 := relaxedBound(g, space, nil, periodic)
-	inc := through(mask, keepBelow(lb0, relaxedOpt(lb0)))
-	incCands, incMats, err := in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, inc, stats)
-	if err != nil {
-		return nil, nil, nil, err
+	var kMats map[*graph.Edge]*edgeMat // nil in stage 0: every edge reads as zero
+	for stage := 0; stage < 2; stage++ {
+		lb := relaxedBound(g, kCands, kMats, periodic)
+		incCands, incMats, err := in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, through(keep, keepBelow(lb, relaxedOpt(lb))), stats)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		t, err := o.layerDP(ctx, g, incCands, incMats, &SearchStats{Workers: stats.Workers})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		_, ub := t.layerPlan(len(cands), periodic)
+		keep = through(keep, keepBelow(lb, ub*(1+boundMargin(g))))
+		if kCands, kMats, err = in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, keep, stats); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	u0, err := o.incumbent(ctx, g, incCands, incMats, periodic, w)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	k := through(mask, keepBelow(lb0, u0*(1+boundMargin(g))))
-	kCands, kMats, err := in.fillRestrict(ctx, o.Cost, g, cands, edgeMats, k, stats)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	keep, err := o.survivors(ctx, g, kCands, kMats, periodic, w)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sub, subMats := restrictLayer(g, kCands, kMats, keep)
-	return through(k, keep), sub, subMats, nil
+	return keep, kCands, kMats, nil
 }
 
 // through maps per-node indices into per-node index lists: inner[v][i]

@@ -26,7 +26,7 @@ func fillAll(t *testing.T, o *Optimizer, g *graph.Graph, in *layerInputs, st *Se
 	cands := in.cands(o.Cost.Alpha)
 	keep := make([][]int32, len(cands))
 	for v, c := range cands {
-		keep[v] = identityKeys(len(c.seqs))
+		keep[v] = identityIDs(len(c.seqs))
 	}
 	if _, _, err := in.fillRestrict(context.Background(), o.Cost, g, cands, in.edgeMats(g), keep, st); err != nil {
 		t.Fatal(err)

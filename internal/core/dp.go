@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -97,217 +96,142 @@ func (o *Optimizer) evalNode(op *graph.Op, w int) *nodeEntry {
 //
 //	C(ia, ib) = headBase[ia] + cost[ia][ib]
 //
-// A table is either one segment's left-to-right Bellman chain (segmentDP)
-// or the merge of the tables before it with the next segment's (merge).
+// A leaf is one adjacent step a→a+1: a segment's first step, or the right
+// operand of a Bellman step, which holds no cost. Any other table is the
+// composition (compose) of left over a..m and right over m..b, and
+// argmid[ia][ib] is its best middle candidate index. A composition drops the
+// cost rows it consumes, so only tables not yet composed hold costs.
 type table struct {
-	a, b int
-
-	// headBase is the head node's own cost (shared with cands[a].total).
-	headBase []float64
-
-	// cost[ia][ib] excludes headBase.
-	cost [][]float64
-
-	// Chain segments: chainArgs[j-a-2][ia][ij] is the best index of p_{j-1}
-	// in the Bellman step that introduced node j (a+2 ≤ j ≤ b). The first
-	// step a→a+1 needs no pointer: its predecessor is p_a.
-	chainArgs [][][]int32
-
-	// Merge nodes: argmid[ia][ib] is the best middle candidate index.
+	a, b        int
+	headBase    []float64 // the head node's own cost (shared with cands[a].total)
+	cost        [][]float64
 	left, right *table
 	argmid      [][]int32
 }
 
-// segmentDP runs the Bellman iteration (Eqs. 11–12) over nodes a..b, one
-// row per head candidate. Extended edges inside the segment must originate
-// at a (checked by graph.CheckSegmentAssumptions).
-// Cancellation is checked once per Bellman step — coarse enough that the
-// uncancelled fast path is untouched, fine enough that a cancelled search
-// stops within one step. Row loops run on up to w workers.
-func (o *Optimizer) segmentDP(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats, w int) (*table, error) {
-	sumEdges := func(j int, from int) *edgeMat {
-		var ms []*edgeMat
-		for _, e := range g.InEdges(j) {
-			if e.Src == from {
-				ms = append(ms, edgeMats[e])
-			}
-		}
-		if len(ms) == 0 {
-			return nil
-		}
-		return sumEdgeMats(ms)
-	}
-
-	na := len(cands[a].seqs)
-	t := &table{a: a, b: b, headBase: cands[a].total}
-
-	// C_{a,a+1}: no min needed — the only predecessor state is p_a itself.
-	adj := sumEdges(a+1, a)
-	nb := len(cands[a+1].seqs)
-	cur := make([][]float64, na)
-	if adj == nil {
-		// No edge: every head candidate shares one (read-only) row.
-		row := make([]float64, nb)
-		copy(row, cands[a+1].total)
-		for ia := range cur {
-			cur[ia] = row
-		}
-	} else {
-		parallelChunks(w, na, func(lo, hi int) {
-			for ia := lo; ia < hi; ia++ {
-				arow := adj.row(int(adj.rows[ia]))
-				row := make([]float64, nb)
-				for ib := 0; ib < nb; ib++ {
-					row[ib] = cands[a+1].total[ib] + arow[adj.cols[ib]]
-				}
-				cur[ia] = row
-			}
-		})
-	}
-
-	// Bellman steps j = a+2 .. b. The min over p_{j-1} runs over edge-row
-	// GROUPS: candidates with identical edge interfaces share matrix rows,
-	// so we first fold C over each group, then run one min-plus product of
-	// the folded rows against the edge's column groups (minplus.go).
-	for j := a + 2; j <= b; j++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		totals := cands[j].total
-		nj := len(totals)
-		nprev := len(cands[j-1].seqs)
-		em := sumEdges(j, j-1)
-		eExt := sumEdges(j, a)
-		next := make([][]float64, na)
-		args := make([][]int32, na)
-		// colGroup maps each p_j to its column group; without an edge every
-		// p_j shares group 0.
-		var colGroup []int32
-		if em != nil {
-			colGroup = em.cols
-		} else {
-			colGroup = make([]int32, nj)
-		}
-		// fill writes head candidate ia's row: the per-column-group minima
-		// best (with p_{j-1} witnesses argm[bestU[cg]]) plus node j's cost
-		// and the extended edge a→j.
-		fill := func(ia int, best []float64, bestU []int32, argm []int32) {
-			row := make([]float64, nj)
-			arow := make([]int32, nj)
-			var extRow []float64
-			if eExt != nil {
-				extRow = eExt.row(int(eExt.rows[ia]))
-			}
-			for ij := 0; ij < nj; ij++ {
-				cg := colGroup[ij]
-				c := best[cg] + totals[ij]
-				if extRow != nil {
-					c += extRow[eExt.cols[ij]]
-				}
-				row[ij] = c
-				arow[ij] = argm[bestU[cg]]
-			}
-			next[ia] = row
-			args[ia] = arow
-		}
-
-		if em == nil {
-			// No edge: one global min serves every p_j.
-			parallelChunks(w, na, func(lo, hi int) {
-				for ia := lo; ia < hi; ia++ {
-					best := math.Inf(1)
-					bestK := int32(-1)
-					for k, v := range cur[ia] {
-						if v < best {
-							best = v
-							bestK = int32(k)
-						}
-					}
-					fill(ia, []float64{best}, []int32{0}, []int32{bestK})
-				}
-			})
-			cur = next
-			t.chainArgs = append(t.chainArgs, args)
-			continue
-		}
-
-		// The edge's row groups, shared (read-only) across rows and worker
-		// bands.
-		erows := make([][]float64, em.numRowGroups())
-		for u := range erows {
-			erows[u] = em.row(u)
-		}
-		// fold reduces head candidate ia's DP row over the edge's row groups.
-		fold := func(ia int, s *rowScratch) {
-			m, argm := s.m, s.argm
-			for u := range m {
-				m[u] = math.Inf(1)
-				argm[u] = -1
-			}
-			prevRow := cur[ia]
-			for k := 0; k < nprev; k++ {
-				u := em.rows[k]
-				if prevRow[k] < m[u] {
-					m[u] = prevRow[k]
-					argm[u] = int32(k)
-				}
-			}
-		}
-		p := minPlusProduct{rows: erows, nCols: em.numColGroups()}
-		addProduct(st, p.run(w, na, fold, func(ia int, s *rowScratch) {
-			fill(ia, s.best, s.bestU, s.argm)
-		}))
-		cur = next
-		t.chainArgs = append(t.chainArgs, args)
-	}
-	t.cost = cur
-	return t, nil
+// operand is compose's right operand in grouped form:
+// R(pm, pb) = rows[rowOf[pm]][colOf[pb]].
+type operand struct {
+	rows         [][]float64
+	rowOf, colOf []int32
 }
 
-// merge combines adjacent tables per Eqs. 13–14:
+// operand returns m's row groups as compose's right operand.
+func (m *edgeMat) operand() operand {
+	rows := make([][]float64, m.nr)
+	for u := range rows {
+		rows[u] = m.row(u)
+	}
+	return operand{rows: rows, rowOf: m.rows, colOf: m.cols}
+}
+
+// operand returns t's cost rows as compose's right operand, one group per
+// candidate.
+func (t *table) operand() operand {
+	return operand{rows: t.cost, rowOf: identityIDs(len(t.cost)), colOf: identityIDs(len(t.cost[0]))}
+}
+
+// identityIDs returns 0, 1, …, n−1.
+func identityIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// compose is the layer DP's one min-plus composition (Eqs. 12–14):
 //
-//	out(pa, pb) = min_pm { L(pa,pm) + R(pm,pb) − n_m(pm) } + cross(pa,pb)
+//	out[pa][pb] = min_pm { left[pa][pm] + R(pm, pb) } + own[pb] + cross(pa, pb)
 //
-// where cross sums the edge matrices of extended edges a→b (e.g. e(0,7)).
-// The right table's headBase IS the mid node's own cost n_m(pm), which L
-// already counts, so in stored form
-//
-//	out.cost[pa][pb] = min_pm { L.cost[pa][pm] + R.cost[pm][pb] } + cross(pa,pb)
-//
-// one min-plus product per head candidate pa against R's rows.
-// Cancellation is checked once at entry — one merge is a single bounded
-// scan pass, so per-merge granularity keeps a cancelled layer DP prompt
-// without touching the kernel. Row loops run on up to w workers.
-func (o *Optimizer) merge(ctx context.Context, left, right *table, cross *edgeMat, st *SearchStats, w int) (*table, error) {
+// A Bellman step (Eq. 12) passes the edges m→b as R, right a leaf, node b's
+// totals as own and the extended edges a→b as cross. A merge (Eqs. 13–14)
+// passes the right table's rows as R and no own: right's headBase is the mid
+// node's own cost n_m(pm), which left already counts. Each row of left folds
+// over R's row groups, each group keeping its lowest-index minimum, for one
+// min-plus product (minplus.go). compose consumes left's and right's cost
+// rows. Cancellation is checked once at entry, so once per Bellman step and
+// per merge; row loops run on up to w workers.
+func compose(ctx context.Context, left, right *table, r operand, own []float64, cross *edgeMat, st *SearchStats, w int) (*table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	na := len(left.headBase)
-	nb := len(right.cost[0])
-	t := &table{a: left.a, b: right.b, left: left, right: right, headBase: left.headBase,
+	na, nb := len(left.cost), len(r.colOf)
+	t := &table{a: left.a, b: right.b, headBase: left.headBase, left: left, right: right,
 		cost: make([][]float64, na), argmid: make([][]int32, na)}
-	// fold takes head candidate pa's left row as is: one group per mid
-	// candidate, keyed by its index.
 	fold := func(pa int, s *rowScratch) {
-		copy(s.m, left.cost[pa])
-		for pm := range s.argm {
-			s.argm[pm] = int32(pm)
+		for u := range s.m {
+			s.m[u], s.argm[u] = math.Inf(1), -1
 		}
-	}
-	p := minPlusProduct{rows: right.cost, nCols: nb}
-	addProduct(st, p.run(w, na, fold, func(pa int, s *rowScratch) {
-		row := s.best
-		s.best = make([]float64, nb)
-		if cross != nil {
-			crow := cross.row(int(cross.rows[pa]))
-			for pb := range row {
-				row[pb] += crow[cross.cols[pb]]
+		for pm, x := range left.cost[pa] {
+			if u := r.rowOf[pm]; x < s.m[u] {
+				s.m[u], s.argm[u] = x, int32(pm)
 			}
 		}
-		t.cost[pa] = row
-		t.argmid[pa] = slices.Clone(s.bestU)
+	}
+	p := minPlusProduct{rows: r.rows, nCols: len(r.rows[0])}
+	addProduct(st, p.run(w, na, fold, func(pa int, s *rowScratch) {
+		row, arg := make([]float64, nb), make([]int32, nb)
+		crow := cross.row(int(cross.rows[pa]))
+		for pb, u := range r.colOf {
+			c := s.best[u]
+			if own != nil {
+				c += own[pb]
+			}
+			row[pb] = c + crow[cross.cols[pb]]
+			arg[pb] = s.argm[s.bestU[u]]
+		}
+		t.cost[pa], t.argmid[pa] = row, arg
 	}))
+	left.cost, right.cost = nil, nil
 	return t, nil
+}
+
+// segment runs the Bellman iteration (Eqs. 11–12) over nodes a..b, one row
+// per head candidate: the first step a→a+1 as a leaf, which needs no
+// minimum (its only predecessor state is p_a itself), then one composition
+// per node j = a+2..b. Extended edges inside the segment must originate at a
+// (checked by graph.CheckSegmentAssumptions). Row loops run on up to w
+// workers.
+func segment(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, a, b int, st *SearchStats, w int) (*table, error) {
+	adj, own := edgesBetween(g, edgeMats, cands, a, a+1), cands[a+1].total
+	t := &table{a: a, b: a + 1, headBase: cands[a].total, cost: make([][]float64, len(cands[a].seqs))}
+	parallelChunks(w, len(t.cost), func(lo, hi int) {
+		for ia := lo; ia < hi; ia++ {
+			arow := adj.row(int(adj.rows[ia]))
+			row := make([]float64, len(own))
+			for ib, x := range own {
+				row[ib] = x + arow[adj.cols[ib]]
+			}
+			t.cost[ia] = row
+		}
+	})
+	for j := a + 2; j <= b; j++ {
+		var err error
+		t, err = compose(ctx, t, &table{a: j - 1, b: j}, edgesBetween(g, edgeMats, cands, j-1, j).operand(),
+			cands[j].total, edgesBetween(g, edgeMats, cands, a, j), st, w)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// edgesBetween returns the sum of the matrices of g's edges from→to or,
+// without one, a one-cell zero matrix over the two nodes' candidates: adding
+// its +0 is exact for the non-negative costs it meets.
+func edgesBetween(g *graph.Graph, edgeMats map[*graph.Edge]*edgeMat, cands []*nodeCands, from, to int) *edgeMat {
+	var ms []*edgeMat
+	for _, e := range g.Edges {
+		if e.Src == from && e.Dst == to {
+			ms = append(ms, edgeMats[e])
+		}
+	}
+	if len(ms) == 0 {
+		return &edgeMat{rows: make([]int32, len(cands[from].seqs)), cols: make([]int32, len(cands[to].seqs)),
+			nr: 1, nc: 1, vals: []float64{0}}
+	}
+	return sumEdgeMats(ms)
 }
 
 // layerInputs is the α-free input of one layer graph's DP, which prepare
@@ -369,18 +293,6 @@ func (o *Optimizer) search(ctx context.Context, req PlanRequest) (*Strategy, err
 		return nil, err
 	}
 	g, layers := req.Graph, req.Layers
-	if layers < 1 {
-		return nil, fmt.Errorf("core: layers must be ≥ 1, got %d", layers)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := g.CheckSegmentAssumptions(); err != nil {
-		return nil, err
-	}
-	if len(g.Nodes) < 2 {
-		return nil, fmt.Errorf("core: graph needs at least two nodes")
-	}
 	start := time.Now()
 	stats := SearchStats{Workers: o.Workers()}
 
@@ -640,14 +552,14 @@ func edgeSlots(g *graph.Graph, in *sigInterner) (uniq []*graph.Edge, matIdx []in
 }
 
 // layerDP runs the DP of one layer over its edge matrices: one Bellman
-// chain per segment (segmentDP), each merged into the tables before it in
+// chain per segment (segment), each merged into the tables before it in
 // segment order with its cross edges (Eqs. 13–14), on stats.Workers
 // workers.
 func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, stats *SearchStats) (*table, error) {
 	cuts := g.SegmentCuts()
 	var acc *table
 	for s := 1; s < len(cuts); s++ {
-		seg, err := o.segmentDP(ctx, g, cands, edgeMats, cuts[s-1], cuts[s], stats, stats.Workers)
+		seg, err := segment(ctx, g, cands, edgeMats, cuts[s-1], cuts[s], stats, stats.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -656,8 +568,7 @@ func (o *Optimizer) layerDP(ctx context.Context, g *graph.Graph, cands []*nodeCa
 			acc = seg
 			continue
 		}
-		cross := o.crossEdges(g, edgeMats, acc.a, seg.b)
-		acc, err = o.merge(ctx, acc, seg, cross, stats, stats.Workers)
+		acc, err = compose(ctx, acc, seg, seg.operand(), nil, edgesBetween(g, edgeMats, cands, acc.a, seg.b), stats, stats.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -684,39 +595,18 @@ func strategyOf(e *cachedPlan, layers int) *Strategy {
 	return strat
 }
 
-// crossEdges sums edge matrices of extended edges connecting exactly (a, b).
-func (o *Optimizer) crossEdges(g *graph.Graph, edgeMats map[*graph.Edge]*edgeMat, a, b int) *edgeMat {
-	var ms []*edgeMat
-	for _, e := range g.Edges {
-		if e.Src == a && e.Dst == b && e.IsExtended() {
-			ms = append(ms, edgeMats[e])
-		}
-	}
-	if len(ms) == 0 {
-		return nil
-	}
-	return sumEdgeMats(ms)
-}
-
 // reconstruct walks back-pointers from head candidate ia and tail candidate
 // ib, recording the candidate index of every node in t's range into assign
 // (indexed by node id). Adjacent subtables share their boundary node and
 // agree on its candidate.
 func reconstruct(t *table, ia, ib int32, assign []int32) {
-	if t.argmid != nil {
-		im := t.argmid[ia][ib]
-		reconstruct(t.left, ia, im, assign)
-		reconstruct(t.right, im, ib, assign)
+	if t.argmid == nil {
+		assign[t.a], assign[t.b] = ia, ib
 		return
 	}
-	// Chain segment: walk j = b .. a+2, then the implicit first step.
-	cur := ib
-	for j := t.b; j > t.a+1; j-- {
-		assign[j] = cur
-		cur = t.chainArgs[j-t.a-2][ia][cur]
-	}
-	assign[t.a+1] = cur
-	assign[t.a] = ia
+	im := t.argmid[ia][ib]
+	reconstruct(t.left, ia, im, assign)
+	reconstruct(t.right, im, ib, assign)
 }
 
 // layerPlan picks the layer every stacked layer runs from the whole-layer

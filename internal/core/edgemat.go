@@ -36,12 +36,6 @@ func (m *edgeMat) at(i, j int32) float64 { return m.vals[int(m.rows[i])*m.nc+int
 // row returns group row r as a slice view into the flat storage.
 func (m *edgeMat) row(r int) []float64 { return m.vals[r*m.nc : (r+1)*m.nc] }
 
-// numRowGroups returns the distinct-row count.
-func (m *edgeMat) numRowGroups() int { return m.nr }
-
-// numColGroups returns the distinct-column count.
-func (m *edgeMat) numColGroups() int { return m.nc }
-
 // ifaceGroups partitions candidates by their interface restricted to the
 // relevant axes, returning per-candidate group ids and one representative
 // candidate per group, in first-seen order. Candidates group by their

@@ -22,8 +22,6 @@
 // enumerates no candidate space, and only a cold count runs SpaceSize.
 package core
 
-import "fmt"
-
 // estCandidateUnit weighs one candidate evaluation (its enumeration, intra
 // cost and axis projections; the device sweeps run once per distinct
 // projection, not per candidate) against one edge-matrix cell (a handful of
@@ -71,22 +69,10 @@ type SearchEstimate struct {
 // EstimatePlan predicts the work of Plan(ctx, req) against the current cache
 // state. It reads the optimizer and the cache and mutates neither.
 func (o *Optimizer) EstimatePlan(req PlanRequest) (SearchEstimate, error) {
-	if req.Graph == nil {
-		return SearchEstimate{}, fmt.Errorf("core: PlanRequest.Graph is nil")
-	}
-	if req.Layers < 1 {
-		return SearchEstimate{}, fmt.Errorf("core: layers must be ≥ 1, got %d", req.Layers)
-	}
-	if err := o.checkDevices(); err != nil {
+	if err := o.checkRequest(req); err != nil {
 		return SearchEstimate{}, err
 	}
 	g := req.Graph
-	if err := g.Validate(); err != nil {
-		return SearchEstimate{}, err
-	}
-	if len(g.Nodes) < 2 {
-		return SearchEstimate{}, fmt.Errorf("core: graph needs at least two nodes")
-	}
 
 	ccache := o.crossCache()
 	envSig := o.appendEnvSig(nil)

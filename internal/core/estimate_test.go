@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/device"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/partition"
 )
@@ -273,18 +274,37 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 	}
 }
 
-// TestEstimatePlanRejectsBadRequests mirrors Plan's input validation.
+// TestEstimatePlanRejectsBadRequests pins the one request check: every
+// request Plan rejects before searching, EstimatePlan rejects with the same
+// error. A graph whose extended edges 0→2 and 1→3 break the segmentation
+// assumptions is one: the estimate must not price a graph the search
+// refuses. A graph with no node is refused for its size, before its segment
+// cuts are read.
 func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 	o := estimateOptimizer(t, NewSearchCache())
-	if _, err := o.EstimatePlan(PlanRequest{}); err == nil {
-		t.Fatal("nil graph accepted")
+	crossed := periodicChain(t, 2, 4, 4, []int{4, 4, 4}, 0)
+	crossed.Connect(0, 2, 0, []int{0, 1, 2})
+	crossed.Connect(1, 3, 0, []int{model.LinB, model.LinM, model.LinK})
+	if crossed.CheckSegmentAssumptions() == nil {
+		t.Fatal("the crossed graph meets the segmentation assumptions")
 	}
-	g, err := model.BuildBlock(model.OPT6B7())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.EstimatePlan(PlanRequest{Graph: g, Layers: 0}); err == nil {
-		t.Fatal("zero layers accepted")
+	single := periodicChain(t, 2, 4, 4, []int{4}, 0)
+	single.Nodes, single.Edges = single.Nodes[:1], nil
+	for _, tc := range []struct {
+		name string
+		req  PlanRequest
+	}{
+		{"nil graph", PlanRequest{Layers: 1}},
+		{"zero layers", PlanRequest{Graph: crossed}},
+		{"crossed extended edges", PlanRequest{Graph: crossed, Layers: 1}},
+		{"one node", PlanRequest{Graph: single, Layers: 1}},
+		{"no node", PlanRequest{Graph: &graph.Graph{}, Layers: 1}},
+	} {
+		_, planErr := o.Plan(context.Background(), tc.req)
+		_, estErr := o.EstimatePlan(tc.req)
+		if planErr == nil || estErr == nil || planErr.Error() != estErr.Error() {
+			t.Errorf("%s: Plan error %v, EstimatePlan error %v; want one error from both", tc.name, planErr, estErr)
+		}
 	}
 }
 

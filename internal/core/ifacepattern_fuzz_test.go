@@ -77,15 +77,6 @@ func refPatternIDs(ifaces []*cost.Iface, ax int, fwd bool) ([]int32, []string) {
 	return ids, keys
 }
 
-// identityIDs returns 0, 1, …, n-1: every interface its own representative.
-func identityIDs(n int) []int32 {
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	return ids
-}
-
 // FuzzIfacePatternGroups pins the pattern-id grouping to the byte-keyed
 // reference it replaced. For a random edge on 4 to 32 devices and random
 // subsets of both candidate spaces, ifaceGroups over the spaces' interned

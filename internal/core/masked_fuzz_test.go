@@ -17,14 +17,15 @@ import (
 // FuzzMaskedPlanMatchesExhaustive pins the candidate mask (PlanRequest.Keep)
 // against brute force over the same masked space. It decodes
 // FuzzPeriodicPlanMatchesExhaustive's case (periodicCase), then one mask
-// byte per node (fuzzMask). Plan with the mask must fail exactly when
-// Exhaustive with the same predicate finds no assignment, and then name the
-// node left empty. Otherwise its LayerCost must equal the masked
-// Exhaustive optimum to 1e-9 relative, every returned sequence must be kept
-// at its node, the head and tail must carry one candidate, SpaceSizes must
-// count the masked spaces (a head or tail candidate is kept only when kept
-// at both), TotalCost must be exactly float64(L)·LayerCost, and L × the model
-// cost of the returned Seqs must replay to TotalCost.
+// byte per node (fuzzMask), then a gap byte (withGap). Plan with the mask
+// must fail exactly when Exhaustive with the same predicate finds no
+// assignment, and then name the node left empty. Otherwise its LayerCost
+// must equal the masked Exhaustive optimum to 1e-9 relative, every returned
+// sequence must be kept at its node, the head and tail must carry one
+// candidate, SpaceSizes must count the masked spaces (a head or tail
+// candidate is kept only when kept at both), TotalCost must be exactly
+// float64(L)·LayerCost, and L × the model cost of the returned Seqs must
+// replay to TotalCost.
 func FuzzMaskedPlanMatchesExhaustive(f *testing.F) {
 	f.Add([]byte{})                                                 // minimal chain, every candidate kept
 	f.Add([]byte{1, 1, 1, 2, 2, 3, 0, 31, 0, 0, 1, 0, 5, 2, 9, 0})  // length 3, 4 devices, ~3/4 and ~1/2 of two spaces
@@ -39,6 +40,7 @@ func FuzzMaskedPlanMatchesExhaustive(f *testing.F) {
 		r := &byteReader{data: data}
 		g, mdl, layers, label := periodicCase(t, r)
 		keep := fuzzMask(r, len(g.Nodes))
+		label = withGap(r, g, label)
 		o := NewOptimizer(mdl)
 		o.Cache = NewSearchCache()
 		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers, Keep: keep})

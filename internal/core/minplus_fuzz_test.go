@@ -50,7 +50,7 @@ func decodeMinPlusCase(data []byte) minPlusCase {
 		shift = -2
 	}
 	val := func(b byte) float64 { return float64(int(b)%alpha)*0.5 + shift }
-	c := minPlusCase{m: make([]float64, n), key: identityKeys(n), colsT: make([]float64, n*nCols), n: n, nCols: nCols}
+	c := minPlusCase{m: make([]float64, n), key: identityIDs(n), colsT: make([]float64, n*nCols), n: n, nCols: nCols}
 	if flags&8 != 0 {
 		slices.Reverse(c.key)
 	}
@@ -150,14 +150,4 @@ func FuzzMinPlusKernels(f *testing.F) {
 			}
 		}
 	})
-}
-
-// identityKeys returns the tie keys 0..n−1: each row index is its own key,
-// as when every fold group holds one candidate.
-func identityKeys(n int) []int32 {
-	key := make([]int32, n)
-	for u := range key {
-		key[u] = int32(u)
-	}
-	return key
 }

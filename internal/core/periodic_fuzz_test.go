@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -23,8 +24,8 @@ import (
 //
 // Byte layout: b, m, k, length-1, one width byte per linear, layers-1, two
 // α bytes (little-endian, scaled to [0, 1e-9]), devices, then (length ≥ 2)
-// an ext flag (even = ext edge) and its target — each taken modulo its
-// range, missing bytes read as zero.
+// an ext flag (even = ext edge) and its target, then a gap byte (withGap) —
+// each taken modulo its range, missing bytes read as zero.
 func FuzzPeriodicPlanMatchesExhaustive(f *testing.F) {
 	f.Add([]byte{})                                       // minimal chain, 1 layer, α = 0
 	f.Add([]byte{1, 1, 1, 2, 2, 3, 0, 31, 0, 0, 1})       // length 3, 32 layers, 4 devices
@@ -35,8 +36,14 @@ func FuzzPeriodicPlanMatchesExhaustive(f *testing.F) {
 	// Wide linears at α ≈ 1e-10: the free optimum of one layer is not
 	// periodic here, so a free pick fails this seed.
 	f.Add([]byte{0, 0, 2, 2, 3, 3, 0, 11, 0x9a, 0x19, 1, 1})
+	// The ext-edge seed with a gap: no edge 0→1 (the segment's first step),
+	// then no edge 2→3 (a Bellman step that still takes the ext edge 0→3).
+	f.Add([]byte{1, 0, 1, 2, 1, 0, 2, 7, 16, 0, 0, 0, 1, 1})
+	f.Add([]byte{1, 0, 1, 2, 1, 0, 2, 7, 16, 0, 0, 0, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, mdl, layers, label := periodicCase(t, &byteReader{data: data})
+		r := &byteReader{data: data}
+		g, mdl, layers, label := periodicCase(t, r)
+		label = withGap(r, g, label)
 		o := NewOptimizer(mdl)
 		o.Cache = NewSearchCache()
 		s, err := o.Plan(context.Background(), PlanRequest{Graph: g, Layers: layers})
@@ -86,6 +93,20 @@ func periodicCase(t *testing.T, r *byteReader) (*graph.Graph, *cost.Model, int, 
 	label := fmt.Sprintf("b=%d m=%d k=%d widths=%v ext=%d layers=%d α=%g devices=%d",
 		b, m, k, widths, ext, layers, alpha, devices)
 	return g, mdl, layers, label
+}
+
+// withGap reads a gap byte from r and, unless it is zero, drops one adjacent
+// edge of the chain g: byte k drops i→i+1 for i = (k−1) mod (|V|−1), so the
+// segment's first step or a Bellman step runs without an edge. It returns
+// label naming the gap.
+func withGap(r *byteReader, g *graph.Graph, label string) string {
+	k := int(r.next())
+	if k == 0 {
+		return label
+	}
+	i := (k - 1) % (len(g.Nodes) - 1)
+	g.Edges = slices.DeleteFunc(g.Edges, func(e *graph.Edge) bool { return e.Src == i && e.Dst == i+1 })
+	return fmt.Sprintf("%s gap=%d→%d", label, i, i+1)
 }
 
 // periodicChain is deltaGraph's chain with its own width per linear: an

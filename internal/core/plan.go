@@ -31,6 +31,29 @@ func (o *Optimizer) checkDevices() error {
 	return nil
 }
 
+// checkRequest is the one request check of Plan and EstimatePlan: a graph,
+// a layer count ≥ 1, the device limit, a valid graph of at least two nodes,
+// and the segmentation assumptions the layer DP rests on.
+func (o *Optimizer) checkRequest(req PlanRequest) error {
+	g := req.Graph
+	if g == nil {
+		return fmt.Errorf("core: PlanRequest.Graph is nil")
+	}
+	if req.Layers < 1 {
+		return fmt.Errorf("core: layers must be ≥ 1, got %d", req.Layers)
+	}
+	if err := o.checkDevices(); err != nil {
+		return err
+	}
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if len(g.Nodes) < 2 {
+		return fmt.Errorf("core: graph needs at least two nodes")
+	}
+	return g.CheckSegmentAssumptions()
+}
+
 // PlanRequest describes one strategy search: the layer graph, the stacked
 // layer count and an optional candidate mask.
 type PlanRequest struct {
@@ -60,10 +83,7 @@ func (o *Optimizer) Plan(ctx context.Context, req PlanRequest) (*Strategy, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if req.Graph == nil {
-		return nil, fmt.Errorf("core: PlanRequest.Graph is nil")
-	}
-	if err := o.checkDevices(); err != nil {
+	if err := o.checkRequest(req); err != nil {
 		return nil, err
 	}
 	return o.search(ctx, req)

@@ -59,12 +59,14 @@ type SearchStats struct {
 	CrossCallTableHits int `json:"cross_call_table_hits"`
 
 	// EntriesScanned is the exact count of cells the min-plus products of
-	// the layer DP over the survivors relax, summed over every Bellman step
-	// of every segment and every merge of a segment into the tables before
-	// it: Σ rows × groups × columns, the DP's work volume
-	// (DESIGN.md §5.39). The bound pass's small incumbent DP is timed in
-	// DPTime but not counted here, nor in the other DP counters. (Formerly
-	// min_plus_scanned.)
+	// the layer DP over the survivors relax, one product per composition
+	// (every Bellman step of every segment and every merge of a segment into
+	// the tables before it): Σ rows × groups × columns, the DP's work volume
+	// (DESIGN.md §5.39). A Bellman step between two nodes with no edge
+	// composes with a one-cell zero matrix and counts rows × 1 × 1; no model
+	// graph has such a step. The bound stages' small incumbent DPs are timed
+	// in DPTime but not counted here, nor in the other DP counters.
+	// (Formerly min_plus_scanned.)
 	EntriesScanned int64 `json:"entries_scanned"`
 
 	// EntriesBoundSkipped always reads zero. It counted the entries skipped
@@ -94,10 +96,11 @@ type SearchStats struct {
 	CrossCallPlanHits int `json:"cross_call_plan_hits"`
 
 	// Wall time per stage: candidate evaluation, the edge phase (EdgeMatTime:
-	// preparing the matrices and filling the cells the bounds need), the DP
-	// (DPTime: the bound passes with their incumbent DPs and restrictions,
-	// then the per-segment DP + merging over the survivors, the fills
-	// excluded), the pick of the periodic layer
+	// preparing the matrices, then each fill of the cells the bounds need
+	// with its restriction of the inputs to the kept candidates), the DP
+	// (DPTime: the bound stages with their incumbent DPs, then the
+	// per-segment DP + merging over the survivors, the fills and
+	// restrictions excluded), the pick of the periodic layer
 	// (StackTime: one scan of the layer table's diagonal plus
 	// reconstruction), and the whole call.
 	NodeEvalTime time.Duration `json:"node_eval_ns"`

@@ -1,8 +1,9 @@
 // Textbook oracle for the layer DP: paper Eqs. 11–14 in their plain form,
 // run on the inputs prepare builds with every matrix filled (fillAll), so the
-// production DP kernels — grouped Bellman steps, the min-plus kernel's
-// lowest-key scan, the segment merges — are checked at the scales the paper
-// reports against code that shares none of them. Only the node entries and
+// production DP — one grouped min-plus composition (compose) for every
+// Bellman step and segment merge, on the min-plus kernel's lowest-key scan —
+// is checked at the scales the paper reports against code that shares none
+// of it. Only the node entries and
 // the edge matrices are production's (the matrices are checked against Measure
 // elsewhere); every matrix is read per candidate pair.
 package core

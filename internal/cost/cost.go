@@ -93,8 +93,8 @@ func (ic Intra) Latency() float64 { return ic.StepSum + ic.AllReduce }
 // simulator and planner is written this way (CI checks arm64).
 func (ic Intra) Total(alpha float64) float64 { return ic.Latency() + float64(alpha*ic.MemoryBytes) }
 
-// phaseApplicable reports whether op executes the given phase at all.
-func phaseApplicable(op *graph.Op, ph partition.Phase) bool {
+// PhaseApplicable reports whether op executes the given phase at all.
+func PhaseApplicable(op *graph.Op, ph partition.Phase) bool {
 	switch ph {
 	case partition.Forward:
 		return op.FlopFactor > 0 || len(op.Tensors) > 0
@@ -123,11 +123,6 @@ func BlockElems(op *graph.Op, seq partition.Seq, ti int) float64 {
 	return elems
 }
 
-// blockElems is the internal alias of BlockElems.
-func blockElems(op *graph.Op, seq partition.Seq, ti int) float64 {
-	return BlockElems(op, seq, ti)
-}
-
 // SliceProduct returns the total number of sub-blocks the operator's full
 // iteration space is divided into (across space AND time).
 func SliceProduct(op *graph.Op, seq partition.Seq) float64 {
@@ -136,11 +131,6 @@ func SliceProduct(op *graph.Op, seq partition.Seq) float64 {
 		p *= float64(seq.NumSlices(ax))
 	}
 	return p
-}
-
-// sliceProduct is the internal alias of SliceProduct.
-func sliceProduct(op *graph.Op, seq partition.Seq) float64 {
-	return SliceProduct(op, seq)
 }
 
 // VaryingAxis returns the operator axis whose DSI varies with the temporal
@@ -157,16 +147,6 @@ func VaryingAxis(tok partition.Token, ph partition.Phase) int {
 	}
 }
 
-// varyingAxis is the internal alias of VaryingAxis.
-func varyingAxis(tok partition.Token, ph partition.Phase) int {
-	return VaryingAxis(tok, ph)
-}
-
-// PhaseApplicable reports whether op executes the given phase at all.
-func PhaseApplicable(op *graph.Op, ph partition.Phase) bool {
-	return phaseApplicable(op, ph)
-}
-
 // IntraCost evaluates Eq. 7's components for operator op under sequence seq.
 func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 	cl := m.Cluster
@@ -181,13 +161,13 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 	}
 
 	// Per-step, per-device compute work: the operator's volume divided by
-	// the total spatial-temporal slicing (sliceProduct counts the temporal
+	// the total spatial-temporal slicing (SliceProduct counts the temporal
 	// slicing too, so total/slices is per device per step directly).
-	slices := sliceProduct(op, seq)
+	slices := SliceProduct(op, seq)
 	perStepFlops := op.Flops() / slices
 	var perStepBytes float64
 	for ti := range op.Tensors {
-		perStepBytes += float64(blockElems(op, seq, ti) * eb)
+		perStepBytes += float64(BlockElems(op, seq, ti) * eb)
 	}
 
 	primeBits := seq.PrimeBitPositions()
@@ -199,7 +179,7 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 	}
 
 	for _, ph := range partition.Phases {
-		if !phaseApplicable(op, ph) {
+		if !PhaseApplicable(op, ph) {
 			continue
 		}
 		computeStep := cl.ComputeTime(perStepFlops, perStepBytes)
@@ -211,12 +191,12 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 		// tensors containing its phase-varying axis (Table 1).
 		ringStep := 0.0
 		for pi, tok := range primeToks {
-			vAxis := varyingAxis(tok, ph)
+			vAxis := VaryingAxis(tok, ph)
 			bytes := 0.0
 			for ti, t := range op.Tensors {
 				for _, ax := range t.Axes {
 					if ax == vAxis {
-						bytes += float64(blockElems(op, seq, ti) * eb)
+						bytes += float64(BlockElems(op, seq, ti) * eb)
 						break
 					}
 				}
@@ -248,7 +228,7 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 			if len(bits) == 0 {
 				continue
 			}
-			bytes := blockElems(op, seq, red.Result) * eb
+			bytes := BlockElems(op, seq, red.Result) * eb
 			if m.Book != nil {
 				out.AllReduce += m.Book.AllReduceTime(cl, device.Indicator(bits), bytes)
 			} else {
@@ -265,16 +245,16 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 		case graph.Weight:
 			mult := m.ParamBytesPerElement
 			if m.ZeRO1 {
-				repl := weightReplication(op, seq, ti, cl.Bits())
+				repl := WeightReplication(op, seq, ti, cl.Bits())
 				mult = (m.ParamBytesPerElement - OptimizerStateShare) + OptimizerStateShare/repl
 			}
-			out.MemoryBytes += float64(blockElems(op, seq, ti) * eb * mult)
+			out.MemoryBytes += float64(BlockElems(op, seq, ti) * eb * mult)
 		case graph.Output:
-			out.MemoryBytes += float64(blockElems(op, seq, ti) * eb)
+			out.MemoryBytes += float64(BlockElems(op, seq, ti) * eb)
 		}
 	}
 	for _, ti := range op.Stash {
-		out.MemoryBytes += float64(blockElems(op, seq, ti) * eb)
+		out.MemoryBytes += float64(BlockElems(op, seq, ti) * eb)
 	}
 	if len(primeToks) > 0 {
 		// Double buffers hold the next step's incoming blocks; the peak is
@@ -283,11 +263,11 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 		for _, ph := range partition.Phases {
 			phaseBytes := 0.0
 			for _, tok := range primeToks {
-				vAxis := varyingAxis(tok, ph)
+				vAxis := VaryingAxis(tok, ph)
 				for ti, t := range op.Tensors {
 					for _, ax := range t.Axes {
 						if ax == vAxis {
-							phaseBytes += float64(blockElems(op, seq, ti) * eb)
+							phaseBytes += float64(BlockElems(op, seq, ti) * eb)
 							break
 						}
 					}
@@ -305,10 +285,6 @@ func (m *Model) IntraCost(op *graph.Op, seq partition.Seq) Intra {
 // WeightReplication returns how many devices hold identical copies of
 // tensor ti — the size of its data-parallel (replica) group.
 func WeightReplication(op *graph.Op, seq partition.Seq, ti, nbits int) float64 {
-	return weightReplication(op, seq, ti, nbits)
-}
-
-func weightReplication(op *graph.Op, seq partition.Seq, ti, nbits int) float64 {
 	return float64(int(1) << len(seq.ReplicaBits(op.Tensors[ti].Axes, nbits)))
 }
 
