@@ -5,9 +5,19 @@
 // last regenerated, and any change that makes the DP or edge-cell hot
 // paths >25% slower per op turns the build red before it merges.
 //
+// The baseline may also guard bytes: its optional bytes_per_op map holds a
+// median B/op per benchmark, compared with its own bytes_tolerance_pct. A
+// change that brings back an allocation the search had shed, such as a
+// whole edge matrix where only the filled cells were kept, then fails here
+// instead of passing as a small slowdown. B/op needs -benchmem (or
+// b.ReportAllocs) in the input. -update keeps the old baseline's
+// bytes_tolerance_pct and guards the bytes of the benchmarks its
+// bytes_per_op names; to guard another, add its name to that map and
+// regenerate.
+//
 // Usage:
 //
-//	go test -run '^$' -bench 'EdgeCellBlock|SegmentDPCold' -count=5 ./... | benchguard -baseline golden/bench_baseline.json
+//	go test -run '^$' -bench 'EdgeCellBlock|SegmentDPCold' -benchmem -count=5 ./... | benchguard -baseline golden/bench_baseline.json
 //	benchguard -baseline golden/bench_baseline.json -update bench_output.txt
 //	benchguard -baseline golden/bench_baseline.json -list
 //
@@ -42,29 +52,81 @@ type baselineDoc struct {
 	// NsPerOp maps the benchmark name (GOMAXPROCS suffix stripped) to its
 	// baseline median ns/op.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// BytesTolerancePct is the allowed median B/op growth in percent.
+	BytesTolerancePct float64 `json:"bytes_tolerance_pct,omitempty"`
+	// BytesPerOp maps the benchmarks whose bytes are guarded to their
+	// baseline median B/op.
+	BytesPerOp map[string]float64 `json:"bytes_per_op,omitempty"`
 }
 
-// benchLine matches one result line of `go test -bench` output, e.g.
+// benchLine matches one result line of `go test -bench` output, with its
+// B/op when the line has one, e.g.
 //
-//	BenchmarkEdgeMatStage-8   7096   168966 ns/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+//	BenchmarkEdgeMatStage-8   7096   168966 ns/op   123.0 cells/op   73112 B/op   1956 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*\s([0-9.]+) B/op)?`)
 
-// parseBench collects every ns/op sample per benchmark name from r.
-func parseBench(r io.Reader) (map[string][]float64, error) {
-	samples := make(map[string][]float64)
+// samples holds every ns/op and B/op sample per benchmark name.
+type samples struct {
+	ns, bytes map[string][]float64
+}
+
+// parseBench collects the samples of every result line in r.
+func parseBench(r io.Reader) (samples, error) {
+	out := samples{ns: make(map[string][]float64), bytes: make(map[string][]float64)}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchguard: bad ns/op in %q: %w", sc.Text(), err)
+		for i, into := range []map[string][]float64{out.ns, out.bytes} {
+			if m[2+i] == "" {
+				continue
+			}
+			v, err := strconv.ParseFloat(m[2+i], 64)
+			if err != nil {
+				return out, fmt.Errorf("benchguard: bad number in %q: %w", sc.Text(), err)
+			}
+			into[m[1]] = append(into[m[1]], v)
 		}
-		samples[m[1]] = append(samples[m[1]], v)
 	}
-	return samples, sc.Err()
+	return out, sc.Err()
+}
+
+// guard compares the medians of got against base for every name in base,
+// each allowed tol percent above its baseline, prints a verdict line per
+// name and returns the number that failed. A name without samples fails;
+// hint says what to check.
+func guard(unit string, base map[string]float64, got map[string][]float64, tol float64, hint string) int {
+	failed := 0
+	for _, name := range sortedKeys(base) {
+		xs, ok := got[name]
+		if !ok {
+			fmt.Printf("FAIL %s: %s in baseline but absent from input (%s)\n", name, unit, hint)
+			failed++
+			continue
+		}
+		med := median(xs)
+		pct := (med/base[name] - 1) * 100
+		verdict := "ok  "
+		if pct > tol {
+			verdict = "FAIL"
+			failed++
+		}
+		fmt.Printf("%s %s: median %.1f %s vs baseline %.1f (%+.1f%%, limit +%.0f%%, %d reps)\n",
+			verdict, name, med, unit, base[name], pct, tol, len(xs))
+	}
+	return failed
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // median of a non-empty sample set; for even sizes the lower-middle value,
@@ -81,31 +143,30 @@ func run() error {
 	update := flag.Bool("update", false,
 		"regenerate the baseline from the input instead of comparing")
 	tolerance := flag.Float64("tolerance", 25,
-		"allowed regression percent when writing a new baseline")
+		"allowed ns/op regression percent when writing a new baseline")
 	list := flag.Bool("list", false,
 		"print the baseline's benchmarks and thresholds instead of comparing")
 	flag.Parse()
 
 	if *list {
-		raw, err := os.ReadFile(*baselinePath)
+		doc, err := readBaseline(*baselinePath)
 		if err != nil {
 			return err
 		}
-		var doc baselineDoc
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("benchguard: %s: %w", *baselinePath, err)
-		}
-		names := make([]string, 0, len(doc.NsPerOp))
-		for name := range doc.NsPerOp {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		fmt.Printf("baseline %s: %d benchmarks, tolerance +%.0f%%\n",
-			*baselinePath, len(names), doc.TolerancePct)
-		for _, name := range names {
+			*baselinePath, len(doc.NsPerOp), doc.TolerancePct)
+		for _, name := range sortedKeys(doc.NsPerOp) {
 			base := doc.NsPerOp[name]
 			fmt.Printf("  %s: %.1f ns/op (fails above %.1f)\n",
 				name, base, base*(1+doc.TolerancePct/100))
+		}
+		if len(doc.BytesPerOp) > 0 {
+			fmt.Printf("bytes: %d benchmarks, tolerance +%.0f%%\n", len(doc.BytesPerOp), doc.BytesTolerancePct)
+		}
+		for _, name := range sortedKeys(doc.BytesPerOp) {
+			base := doc.BytesPerOp[name]
+			fmt.Printf("  %s: %.0f B/op (fails above %.0f)\n",
+				name, base, base*(1+doc.BytesTolerancePct/100))
 		}
 		return nil
 	}
@@ -121,18 +182,37 @@ func run() error {
 	} else if flag.NArg() > 1 {
 		return fmt.Errorf("benchguard: at most one input file, got %d", flag.NArg())
 	}
-	samples, err := parseBench(in)
+	got, err := parseBench(in)
 	if err != nil {
 		return err
 	}
-	if len(samples) == 0 {
+	if len(got.ns) == 0 {
 		return fmt.Errorf("benchguard: no benchmark results in input")
 	}
 
 	if *update {
+		var old baselineDoc
+		if _, err := os.Stat(*baselinePath); err == nil {
+			if old, err = readBaseline(*baselinePath); err != nil {
+				return err
+			}
+		}
+		if len(old.BytesPerOp) > 0 && old.BytesTolerancePct <= 0 {
+			return fmt.Errorf("benchguard: %s guards bytes with no bytes tolerance", *baselinePath)
+		}
 		doc := baselineDoc{TolerancePct: *tolerance, NsPerOp: make(map[string]float64)}
-		for name, xs := range samples {
+		for name, xs := range got.ns {
 			doc.NsPerOp[name] = median(xs)
+		}
+		if len(old.BytesPerOp) > 0 {
+			doc.BytesTolerancePct, doc.BytesPerOp = old.BytesTolerancePct, make(map[string]float64)
+		}
+		for _, name := range sortedKeys(old.BytesPerOp) {
+			xs, ok := got.bytes[name]
+			if !ok {
+				return fmt.Errorf("benchguard: no B/op for %s in input (run with -benchmem)", name)
+			}
+			doc.BytesPerOp[name] = median(xs)
 		}
 		out, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
@@ -141,56 +221,46 @@ func run() error {
 		if err := os.WriteFile(*baselinePath, append(out, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("benchguard: wrote %s (%d benchmarks, tolerance %.0f%%)\n",
-			*baselinePath, len(doc.NsPerOp), doc.TolerancePct)
+		fmt.Printf("benchguard: wrote %s (%d benchmarks, tolerance %.0f%%; %d guarded for bytes, tolerance %.0f%%)\n",
+			*baselinePath, len(doc.NsPerOp), doc.TolerancePct, len(doc.BytesPerOp), doc.BytesTolerancePct)
 		return nil
 	}
 
-	raw, err := os.ReadFile(*baselinePath)
+	doc, err := readBaseline(*baselinePath)
 	if err != nil {
 		return err
-	}
-	var doc baselineDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("benchguard: %s: %w", *baselinePath, err)
 	}
 	if doc.TolerancePct <= 0 || len(doc.NsPerOp) == 0 {
 		return fmt.Errorf("benchguard: %s has no tolerance or no benchmarks", *baselinePath)
 	}
-
-	names := make([]string, 0, len(doc.NsPerOp))
-	for name := range doc.NsPerOp {
-		names = append(names, name)
+	if len(doc.BytesPerOp) > 0 && doc.BytesTolerancePct <= 0 {
+		return fmt.Errorf("benchguard: %s guards bytes with no bytes tolerance", *baselinePath)
 	}
-	sort.Strings(names)
-	failed := 0
-	for _, name := range names {
-		base := doc.NsPerOp[name]
-		xs, ok := samples[name]
-		if !ok {
-			fmt.Printf("FAIL %s: in baseline but absent from input (did the benchmark get renamed or skipped?)\n", name)
-			failed++
-			continue
-		}
-		med := median(xs)
-		pct := (med/base - 1) * 100
-		verdict := "ok  "
-		if pct > doc.TolerancePct {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("%s %s: median %.1f ns/op vs baseline %.1f (%+.1f%%, limit +%.0f%%, %d reps)\n",
-			verdict, name, med, base, pct, doc.TolerancePct, len(xs))
-	}
-	for name := range samples {
+	failed := guard("ns/op", doc.NsPerOp, got.ns, doc.TolerancePct, "did the benchmark get renamed or skipped?")
+	failed += guard("B/op", doc.BytesPerOp, got.bytes, doc.BytesTolerancePct, "run with -benchmem")
+	for _, name := range sortedKeys(got.ns) {
 		if _, ok := doc.NsPerOp[name]; !ok {
 			fmt.Printf("note %s: not in baseline, ignored (regenerate with -update to track it)\n", name)
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("benchguard: %d benchmark(s) regressed beyond %.0f%%", failed, doc.TolerancePct)
+		return fmt.Errorf("benchguard: %d check(s) regressed beyond tolerance (ns/op +%.0f%%, B/op +%.0f%%)",
+			failed, doc.TolerancePct, doc.BytesTolerancePct)
 	}
 	return nil
+}
+
+// readBaseline reads and decodes the baseline at path.
+func readBaseline(path string) (baselineDoc, error) {
+	var doc baselineDoc
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return doc, err
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return doc, fmt.Errorf("benchguard: %s: %w", path, err)
+	}
+	return doc, nil
 }
 
 func main() {

@@ -216,7 +216,7 @@ func relaxedOpt(lb [][]float64) float64 {
 // DP keeps the full DP's values on the optimal paths and the lowest-index tie
 // rule its witnesses, so the answer is the DP's over the (masked) space, bit
 // for bit.
-func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, mask [][]int32, periodic bool, stats *SearchStats) ([][]int32, []*nodeCands, map[*graph.Edge]*edgeMat, error) {
+func (o *Optimizer) prune(ctx context.Context, g *graph.Graph, in *layerInputs, cands []*nodeCands, edgeMats map[*graph.Edge]*prepMat, mask [][]int32, periodic bool, stats *SearchStats) ([][]int32, []*nodeCands, map[*graph.Edge]*edgeMat, error) {
 	keep, kCands := mask, cands
 	if mask != nil {
 		kCands = make([]*nodeCands, len(cands))
@@ -260,16 +260,27 @@ func through(outer, inner [][]int32) [][]int32 {
 
 // restrictLayer returns cands and edgeMats restricted to the candidates
 // keep[v] (ascending indices) of every node v: per node its sequences and
-// totals only, per edge its matrix over the kept rows and columns. A node or
-// matrix that keeps everything is shared, not copied.
-func restrictLayer(g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*edgeMat, keep [][]int32) ([]*nodeCands, map[*graph.Edge]*edgeMat) {
+// totals only, per edge its matrix over the kept rows and columns, copied
+// out of its group's store. A node that keeps everything is shared, not
+// copied, and so is one flat copy of a matrix among the edges that keep
+// every candidate of both its endpoints.
+func restrictLayer(g *graph.Graph, cands []*nodeCands, edgeMats map[*graph.Edge]*prepMat, keep [][]int32) ([]*nodeCands, map[*graph.Edge]*edgeMat) {
 	sub := make([]*nodeCands, len(cands))
 	for v, c := range cands {
 		sub[v] = c.restrict(keep[v])
 	}
 	mats := make(map[*graph.Edge]*edgeMat, len(edgeMats))
+	whole := make(map[*prepMat]*edgeMat)
 	for _, e := range g.Edges {
-		mats[e] = edgeMats[e].restrict(keep[e.Src], keep[e.Dst])
+		m, rowKeep, colKeep := edgeMats[e], keep[e.Src], keep[e.Dst]
+		if len(rowKeep) < len(m.rows) || len(colKeep) < len(m.cols) {
+			mats[e] = m.restrict(rowKeep, colKeep)
+			continue
+		}
+		if whole[m] == nil {
+			whole[m] = m.flat()
+		}
+		mats[e] = whole[m]
 	}
 	return sub, mats
 }
@@ -285,26 +296,6 @@ func (c *nodeCands) restrict(keep []int32) *nodeCands {
 		seqs[i], total[i] = c.seqs[k], c.total[k]
 	}
 	return &nodeCands{nodeEntry: &nodeEntry{seqs: seqs}, total: total}
-}
-
-// restrict returns m over the source candidates rowKeep and destination
-// candidates colKeep, its core compacted to the groups that keep a member,
-// which spares the DP's min-plus products the dead groups.
-func (m *edgeMat) restrict(rowKeep, colKeep []int32) *edgeMat {
-	if len(rowKeep) == len(m.rows) && len(colKeep) == len(m.cols) {
-		return m
-	}
-	rows, rowOld := liveGroups(m.rows, m.nr, rowKeep)
-	cols, colOld := liveGroups(m.cols, m.nc, colKeep)
-	out := &edgeMat{rows: rows, cols: cols, nr: len(rowOld), nc: len(colOld),
-		vals: make([]float64, len(rowOld)*len(colOld))}
-	for r, or := range rowOld {
-		src, dst := m.row(int(or)), out.row(r)
-		for c, oc := range colOld {
-			dst[c] = src[oc]
-		}
-	}
-	return out
 }
 
 // liveGroups renumbers the groups of ids (n of them) that some kept

@@ -19,18 +19,21 @@ var boundAlphas = []float64{0, 1e-12, 1e-10}
 var boundProfiles = []device.Profile{device.V100Profile(), device.A100SuperPodProfile(), device.MixedA100V100Profile()}
 
 // fillAll fills every cell of in's matrices, which prepare leaves unfilled,
-// through the production fill (fillRestrict with every candidate kept), and
-// adds the filled cells to st.
-func fillAll(t *testing.T, o *Optimizer, g *graph.Graph, in *layerInputs, st *SearchStats) {
+// through the production fill (fillRestrict with every candidate kept), adds
+// the filled cells to st and returns every edge's matrix, copied out of the
+// stores.
+func fillAll(t *testing.T, o *Optimizer, g *graph.Graph, in *layerInputs, st *SearchStats) map[*graph.Edge]*edgeMat {
 	t.Helper()
 	cands := in.cands(o.Cost.Alpha)
 	keep := make([][]int32, len(cands))
 	for v, c := range cands {
 		keep[v] = identityIDs(len(c.seqs))
 	}
-	if _, _, err := in.fillRestrict(context.Background(), o.Cost, g, cands, in.edgeMats(g), keep, st); err != nil {
+	_, mats, err := in.fillRestrict(context.Background(), o.Cost, g, cands, in.edgeMats(g), keep, st)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return mats
 }
 
 // unprunedPlan runs o's search of g with every edge cell filled, the layer
@@ -44,8 +47,8 @@ func unprunedPlan(t *testing.T, o *Optimizer, g *graph.Graph, layers int) *Strat
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillAll(t, o, g, in, &st)
-	cands, mats := in.cands(o.Cost.Alpha), in.edgeMats(g)
+	mats := fillAll(t, o, g, in, &st)
+	cands := in.cands(o.Cost.Alpha)
 	tab, err := o.layerDP(ctx, g, cands, mats, &st)
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +132,10 @@ func FuzzRelaxedBoundBelowMinMarginal(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fillAll(t, o, g, in, &st)
+		mats := fillAll(t, o, g, in, &st)
 		cands := in.cands(alpha)
 		periodic := checkStackable(cands[0], cands[len(cands)-1]) == nil
-		lb := relaxedBound(g, cands, in.edgeMats(g), periodic)
+		lb := relaxedBound(g, cands, mats, periodic)
 		lb0 := relaxedBound(g, cands, nil, periodic)
 		for u := range lb {
 			for c := range lb[u] {
@@ -144,7 +147,7 @@ func FuzzRelaxedBoundBelowMinMarginal(f *testing.F) {
 		}
 		slack := 1 + boundMargin(g)
 		for c := range cands[v].seqs {
-			_, _, m := textbookPinned(t, g, in, alpha, v, c).pick(periodic)
+			_, _, m := textbookPinned(t, g, in, mats, alpha, v, c).pick(periodic)
 			if lb[v][c] > m*slack {
 				t.Fatalf("%s@%d %s α=%g node %d candidate %d: bound %v above the min-marginal %v",
 					cfg.Name, devices, prof.Name, alpha, v, c, lb[v][c], m)

@@ -189,10 +189,12 @@ func TestAlphaShiftGrowsFill(t *testing.T) {
 	}
 }
 
-// checkFilledCells compares every cell inside the filled rectangles of the
-// layer entry o's cache holds for g with the same cell of freshly prepared,
-// fully filled matrices: a leader or direct member's cell (r, c) and a
-// transposed member's cell (c, r), for every done row r and done column c.
+// checkFilledCells compares every cell the stores of the layer entry o's
+// cache holds for g hold with the same cell of freshly prepared, fully
+// filled matrices: a leader or direct member's cell (r, c) and a transposed
+// member's cell (c, r), read through the slots of every done row r and done
+// column c. Every stored row must hold every member's cells at the store's
+// width.
 func checkFilledCells(t *testing.T, label string, o *Optimizer, g *graph.Graph) {
 	t.Helper()
 	in := o.Cache.layers.get(string(appendLayerCrossKey(o.appendEnvSig(nil), g)))
@@ -207,20 +209,25 @@ func checkFilledCells(t *testing.T, label string, o *Optimizer, g *graph.Graph) 
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for _, gr := range in.groups {
-		for k, b := range gr.builds {
-			got, want := in.mats[b], ref.mats[b]
-			for r, rd := range gr.rowDone {
-				for c, cd := range gr.colDone {
-					if !rd || !cd {
-						continue
-					}
-					i, j := r, c
-					if gr.members[k].Transposed {
-						i, j = c, r
-					}
-					if x, y := got.vals[i*got.nc+j], want.vals[i*want.nc+j]; x != y {
-						t.Fatalf("%s: matrix %d cell (%d,%d) is %v, the full fill's %v", label, b, i, j, x, y)
-					}
+		for s, row := range gr.stored {
+			if len(row) != len(gr.members)*gr.width {
+				t.Fatalf("%s: stored row %d holds %d cells, want %d members × width %d", label, s, len(row), len(gr.members), gr.width)
+			}
+		}
+	}
+	for b, m := range in.mats {
+		gr, want := m.gr, ref.mats[b].flat()
+		for r, rs := range gr.rowSlot {
+			for c, cs := range gr.colSlot {
+				if rs < 0 || cs < 0 {
+					continue
+				}
+				i, j := r, c
+				if gr.members[m.k].Transposed {
+					i, j = c, r
+				}
+				if x, y := gr.stored[rs][m.k*gr.width+int(cs)], want.vals[i*want.nc+j]; x != y {
+					t.Fatalf("%s: matrix %d cell (%d,%d) is %v, the full fill's %v", label, b, i, j, x, y)
 				}
 			}
 		}

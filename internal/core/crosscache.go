@@ -14,8 +14,8 @@
 //   - α shift → a layer hit: the node entries and edge matrices are
 //     α-independent, but the plan key folds α, so solve runs. It fills the
 //     edge cells its bounds need that no earlier search of the entry filled
-//     (often none), growing each fraction group's filled rectangle, and
-//     never rebuilds a matrix (DESIGN.md §5.40);
+//     (often none), growing each fraction group's filled rectangle and its
+//     store, and never rebuilds a matrix (DESIGN.md §5.40, §5.45);
 //   - any graph edit → both keys fold the whole graph, so it is a cold
 //     search (DESIGN.md §5.37);
 //   - α shift right after a restart → a cold search: the restart file holds
@@ -77,8 +77,9 @@ func (e *nodeEntry) withAlpha(alpha float64) *nodeCands {
 
 // SearchCache carries layer inputs and finished plans across Plan calls,
 // one bounded tier each (tier.go). Safe for concurrent use; cached values
-// are read-only, except a layer entry's matrix cells and filled rectangles,
-// which only grow, under the entry's mutex (layerInputs).
+// are read-only, except a layer entry's filled rectangles and the stores
+// that hold their cells, which only grow, under the entry's mutex
+// (layerInputs).
 type SearchCache struct {
 	layers *tier[*layerInputs] // α-free, in memory only
 	plans  *tier[*cachedPlan]  // plancache.go

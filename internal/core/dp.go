@@ -236,17 +236,18 @@ func edgesBetween(g *graph.Graph, edgeMats map[*graph.Edge]*edgeMat, cands []*no
 
 // layerInputs is the α-free input of one layer graph's DP, which prepare
 // builds and solve reads: one node entry per slot of the within-call node
-// dedup (nodeSlots) and one grouped matrix per slot of the edge dedup
+// dedup (nodeSlots) and one prepared matrix per slot of the edge dedup
 // (edgeSlots), with the maps from each node and edge to its slot, plus what
 // fills the matrices later: their fraction groups (groups, formed over the
-// matrix slots) and the registry their calcs read (ot). The node entries,
-// the slot maps and the matrices' shapes are read-only once built; the
-// matrices' cells and the groups' filled rectangles only grow, under mu
-// (fillRestrict), and the layer tier shares the entry across searches.
+// matrix slots), whose stores hold every filled cell, and the registry
+// their calcs read (ot). The node entries, the slot maps and the matrices'
+// shapes are read-only once built; the groups' filled rectangles only grow,
+// under mu (fillRestrict), and the layer tier shares the entry across
+// searches.
 type layerInputs struct {
 	slots  []*nodeEntry
 	slotOf []int // node → slot
-	mats   []*edgeMat
+	mats   []*prepMat
 	matOf  []int // edge index in g.Edges → mat
 
 	mu     sync.Mutex
@@ -269,9 +270,9 @@ func (in *layerInputs) cands(alpha float64) []*nodeCands {
 }
 
 // edgeMats maps every edge of g, the graph in was prepared for or one with
-// an equal signature, to its matrix.
-func (in *layerInputs) edgeMats(g *graph.Graph) map[*graph.Edge]*edgeMat {
-	m := make(map[*graph.Edge]*edgeMat, len(g.Edges))
+// an equal signature, to its prepared matrix.
+func (in *layerInputs) edgeMats(g *graph.Graph) map[*graph.Edge]*prepMat {
+	m := make(map[*graph.Edge]*prepMat, len(g.Edges))
 	for i, e := range g.Edges {
 		m[e] = in.mats[in.matOf[i]]
 	}
@@ -348,8 +349,8 @@ func (o *Optimizer) search(ctx context.Context, req PlanRequest) (*Strategy, err
 // mirrored norms/residuals — share one evaluation, and unique signatures
 // evaluate across the worker pool), then one grouped edge matrix per unique
 // edge key, prepared across the pool and grouped by fraction structure on
-// one registry. It fills no matrix cell: solve fills the cells its pruned DP
-// reads (fillRestrict).
+// one registry. It allocates no matrix cell: solve fills the cells its
+// pruned DP reads (fillRestrict) into the groups' stores.
 func (o *Optimizer) prepare(ctx context.Context, g *graph.Graph, stats *SearchStats) (*layerInputs, error) {
 	tNodes := time.Now()
 	sigs := &sigInterner{}
@@ -385,7 +386,7 @@ func (o *Optimizer) prepare(ctx context.Context, g *graph.Graph, stats *SearchSt
 		return nil, err
 	}
 	in.matOf = matOf
-	in.mats = make([]*edgeMat, len(builds))
+	in.mats = make([]*prepMat, len(builds))
 	for i, b := range builds {
 		in.mats[i] = b.m
 	}

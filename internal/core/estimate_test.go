@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -278,8 +279,9 @@ func TestEstimateWarmAfterSweep(t *testing.T) {
 // request Plan rejects before searching, EstimatePlan rejects with the same
 // error. A graph whose extended edges 0→2 and 1→3 break the segmentation
 // assumptions is one: the estimate must not price a graph the search
-// refuses. A graph with no node is refused for its size, before its segment
-// cuts are read.
+// refuses. So is a graph cut at {0, 2, 4, 6} whose extended edge 2→6 joins
+// two cuts but is priced by no segment step or merge. A graph with no node
+// is refused for its size, before its segment cuts are read.
 func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 	o := estimateOptimizer(t, NewSearchCache())
 	crossed := periodicChain(t, 2, 4, 4, []int{4, 4, 4}, 0)
@@ -287,6 +289,14 @@ func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 	crossed.Connect(1, 3, 0, []int{model.LinB, model.LinM, model.LinK})
 	if crossed.CheckSegmentAssumptions() == nil {
 		t.Fatal("the crossed graph meets the segmentation assumptions")
+	}
+	lin := []int{model.LinB, model.LinM, model.LinK}
+	unpriced := periodicChain(t, 2, 4, 4, []int{4, 4, 4, 4, 4}, 0)
+	unpriced.Connect(2, 4, 0, lin)
+	unpriced.Connect(4, 6, 0, lin)
+	unpriced.Connect(2, 6, 0, lin)
+	if cuts := unpriced.SegmentCuts(); !slices.Equal(cuts, []int{0, 2, 4, 6}) {
+		t.Fatalf("cuts %v, want [0 2 4 6]", cuts)
 	}
 	single := periodicChain(t, 2, 4, 4, []int{4}, 0)
 	single.Nodes, single.Edges = single.Nodes[:1], nil
@@ -297,6 +307,7 @@ func TestEstimatePlanRejectsBadRequests(t *testing.T) {
 		{"nil graph", PlanRequest{Layers: 1}},
 		{"zero layers", PlanRequest{Graph: crossed}},
 		{"crossed extended edges", PlanRequest{Graph: crossed, Layers: 1}},
+		{"unpriced edge between cuts", PlanRequest{Graph: unpriced, Layers: 1}},
 		{"one node", PlanRequest{Graph: single, Layers: 1}},
 		{"no node", PlanRequest{Graph: &graph.Graph{}, Layers: 1}},
 	} {

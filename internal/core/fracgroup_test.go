@@ -40,13 +40,17 @@ func TestEdgeFracGroups(t *testing.T) {
 			}
 			groups := fracGroups(builds)
 			var transposed []string
-			for _, gr := range groups {
+			needRows, needCols := make([][]bool, len(groups)), make([][]bool, len(groups))
+			for i, gr := range groups {
 				for _, mb := range gr.members {
 					if mb.Transposed {
 						transposed = append(transposed, edgeOf[mb.Calc]+" of "+edgeOf[gr.lead.calc])
 					}
 				}
-				gr.fill(o.Cost, gr.growth(allTrue(gr.lead.m.nr), allTrue(gr.lead.m.nc)), 1)
+				needRows[i], needCols[i] = allTrue(gr.lead.m.nr), allTrue(gr.lead.m.nc)
+			}
+			if _, _, err := growGroups(context.Background(), o.Cost, groups, needRows, needCols, 1); err != nil {
+				t.Fatal(err)
 			}
 			if len(builds) != 13 || len(groups) != 7 {
 				t.Fatalf("%d built matrices in %d groups, want 13 in 7", len(builds), len(groups))
@@ -71,14 +75,14 @@ func TestEdgeFracGroups(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k, m := range banded {
-				if !slices.Equal(m.vals, serial[k].m.vals) {
+				if !slices.Equal(m.vals, serial[k].m.flat().vals) {
 					t.Fatalf("edge %d→%d: a 4-worker fill differs from the serial one", pair[k].Src, pair[k].Dst)
 				}
 			}
 			for i, b := range builds {
 				e := edges[i]
 				want := measureMat(o.Cost, g, e, cands[e.Src], cands[e.Dst])
-				for k, got := range b.m.vals {
+				for k, got := range b.m.flat().vals {
 					if got != want.vals[k] {
 						t.Fatalf("edge %d→%d cell (%d,%d): grouped fill %v, Measure %v",
 							e.Src, e.Dst, k/b.m.nc, k%b.m.nc, got, want.vals[k])

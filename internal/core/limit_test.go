@@ -51,8 +51,8 @@ func TestPlanDeviceLimit(t *testing.T) {
 // machines the search accepts: on OPT-6.7B at 64 devices with 16, 32 and
 // 64 devices per node, every one of the block's 13 unique edges builds a
 // calc, and one sampled row per edge, filled through a BlockEval, equals a
-// per-cell RedistributeDetail of EdgePlan.Measure bit for bit. Each edge's
-// matrix is dropped once checked, so the test holds one at a time. The
+// per-cell RedistributeDetail of EdgePlan.Measure bit for bit. A prepared
+// matrix holds no cells, so the test holds one sampled row at a time. The
 // 64-per-node shape is skipped under -short.
 func TestEdgeCalcAt64Devices(t *testing.T) {
 	g, err := model.BuildBlock(model.OPT6B7())
@@ -84,11 +84,12 @@ func TestEdgeCalcAt64Devices(t *testing.T) {
 				}
 				r := (i * 7919) % b.m.nr
 				be := b.calc.Block()
-				be.FillRow(o.Cost, r, identityIDs(b.m.nc), []cost.FracMember{{Calc: b.calc, Vals: b.m.vals}})
+				row, cols := make([]float64, b.m.nc), identityIDs(b.m.nc)
+				be.FillRow(o.Cost, r, cols, cols, []cost.FracMember{{Calc: b.calc}}, row, b.m.nc)
 				be.Release()
 				want := make([]float64, b.m.nc)
 				newRefEdge(o.Cost, g, e, src, dst).fillRow(o.Cost, r, want)
-				for c, got := range b.m.row(r) {
+				for c, got := range row {
 					if got != want[c] {
 						t.Fatalf("edge %d→%d cell (%d,%d): calc %v, Measure %v", e.Src, e.Dst, r, c, got, want[c])
 					}

@@ -30,19 +30,20 @@ type textbookLayer struct {
 	cost  [][]float64 // cost[p0][pn]
 }
 
-// textbookDP runs Eqs. 11–14 over g's prepared inputs at α: per segment one
+// textbookDP runs Eqs. 11–14 over g's prepared inputs at α, with mats
+// their filled matrices (fillAll): per segment one
 // Bellman chain per head candidate (Eqs. 11–12), every (p_{j−1}, p_j) pair
 // visited, then left-to-right merges as a triple loop over (p_a, p_m, p_b)
 // (Eqs. 13–14). It fails unless every edge of g is priced exactly once.
-func textbookDP(t *testing.T, g *graph.Graph, in *layerInputs, alpha float64) *textbookLayer {
+func textbookDP(t *testing.T, g *graph.Graph, in *layerInputs, mats map[*graph.Edge]*edgeMat, alpha float64) *textbookLayer {
 	t.Helper()
-	return textbookRun(t, g, &textbookLayer{cands: in.cands(alpha), mats: in.edgeMats(g)})
+	return textbookRun(t, g, &textbookLayer{cands: in.cands(alpha), mats: mats})
 }
 
 // textbookPinned is textbookDP with node v pinned to candidate c: every
 // other candidate of v costs +Inf, so the table's minimum is v's
 // min-marginal at c, the cost of the best plan that runs c at v.
-func textbookPinned(t *testing.T, g *graph.Graph, in *layerInputs, alpha float64, v, c int) *textbookLayer {
+func textbookPinned(t *testing.T, g *graph.Graph, in *layerInputs, mats map[*graph.Edge]*edgeMat, alpha float64, v, c int) *textbookLayer {
 	t.Helper()
 	cands := in.cands(alpha)
 	pinned := *cands[v]
@@ -52,7 +53,7 @@ func textbookPinned(t *testing.T, g *graph.Graph, in *layerInputs, alpha float64
 	}
 	pinned.total[c] = cands[v].total[c]
 	cands[v] = &pinned
-	return textbookRun(t, g, &textbookLayer{cands: cands, mats: in.edgeMats(g)})
+	return textbookRun(t, g, &textbookLayer{cands: cands, mats: mats})
 }
 
 // textbookRun fills tl.cost from tl's candidates and matrices.
@@ -302,8 +303,7 @@ func checkTextbookCell(t *testing.T, cfg model.Config, mdl *cost.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillAll(t, o, g, in, &st)
-	tl := textbookDP(t, g, in, o.Cost.Alpha)
+	tl := textbookDP(t, g, in, fillAll(t, o, g, in, &st), o.Cost.Alpha)
 	periodic := checkStackable(tl.cands[0], tl.cands[len(g.Nodes)-1]) == nil
 	if !periodic {
 		t.Fatal("a Table 2 block does not stack")

@@ -100,8 +100,11 @@ const (
 // layerCells counts the words a layer entry pins: per unique node entry and
 // candidate its tokens (six words each) and its Intra breakdown, the words
 // of the entry's two pattern sets (cost.Patterns.Words), every unique edge
-// matrix's grouped cells (allocated whole, however few are filled), and
-// what fills them later: every matrix's calc and the registry they share.
+// matrix's grouped cells nr·nc, and what fills them later: every matrix's
+// calc and the registry they share. The stores hold only the filled cells,
+// but they grow after insertion, on every α shift that fills more, and
+// insertLocked never re-counts an entry, so the count is the most the
+// stores can ever hold, not what they hold now.
 func layerCells(in *layerInputs) int64 {
 	var n int64
 	for _, e := range in.slots {

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/device"
+	"repro/internal/model"
 	"repro/internal/partition"
 )
 
@@ -55,7 +59,7 @@ func checkTier[V comparable](t *testing.T, tr *tier[V], mk func(cells int) V) {
 func TestSearchCacheTiers(t *testing.T) {
 	t.Run("layers", func(t *testing.T) {
 		checkTier(t, NewSearchCache().layers, func(n int) *layerInputs {
-			return &layerInputs{mats: []*edgeMat{{nr: n, nc: 1}}}
+			return &layerInputs{mats: []*prepMat{{nr: n, nc: 1}}}
 		})
 	})
 	t.Run("plans", func(t *testing.T) {
@@ -83,7 +87,7 @@ func TestLayerCells(t *testing.T) {
 	in := &layerInputs{
 		slots:  []*nodeEntry{e},
 		slotOf: []int{0, 0},
-		mats:   []*edgeMat{{nr: 3, nc: 2}},
+		mats:   []*prepMat{{nr: 3, nc: 2}},
 		matOf:  []int{0},
 	}
 	if got, want := layerCells(in), int64(5+2*6+2*(1+2+4+3)+3*2); got != want {
@@ -110,6 +114,118 @@ func TestLayerCells(t *testing.T) {
 	}
 	if got := layerCells(prep); got != base+fill {
 		t.Fatalf("layerCells = %d, want %d for the nodes and matrices plus %d for the calcs and registry", got, base+fill, fill)
+	}
+}
+
+// storedCells counts the cells the stores of in's fraction groups hold.
+func storedCells(in *layerInputs) int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	var n int64
+	for _, gr := range in.groups {
+		for _, row := range gr.stored {
+			n += int64(len(row))
+		}
+	}
+	return n
+}
+
+// TestLayerCellsBoundsStore pins that layerCells stays a true bound on a
+// layer entry whose stores grow after insertion, which insertLocked never
+// re-counts. On OPT-6.7B and OPT-175B at 16 devices, a cold search stores
+// exactly the member cells it filled (EdgeCellsEvaluated), at most the nr·nc
+// cells per matrix that layerCells counts. Each α shift of alphaShiftSeq on
+// the same entry then grows the stores by exactly the cells it filled, and
+// they never pass that count. The same holds when the shifts run
+// concurrently on one entry (run under -race in CI). layerCells itself
+// never moves, and some shift must grow a store (OPT-6.7B@16's first does).
+func TestLayerCellsBoundsStore(t *testing.T) {
+	var grown int64
+	for _, cfg := range []model.Config{model.OPT6B7(), model.OPT175B()} {
+		g, err := model.BuildBlock(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := PlanRequest{Graph: g, Layers: cfg.Layers}
+		optAt := func(alpha float64, cache *SearchCache) *Optimizer {
+			mdl := cost.NewModel(device.MustCluster(16, 4, device.V100Profile()))
+			mdl.Alpha = alpha
+			o := NewOptimizer(mdl)
+			o.Cache = cache
+			return o
+		}
+		// cold runs the cold search at alphaShiftSeq[0] on cache and checks
+		// its entry, whose cell count and matrix cells it returns.
+		cold := func(label string, cache *SearchCache) (in *layerInputs, limit, matCells int64) {
+			o := optAt(alphaShiftSeq[0], cache)
+			s, err := o.Plan(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in = cache.layers.get(string(appendLayerCrossKey(o.appendEnvSig(nil), g)))
+			if in == nil {
+				t.Fatalf("%s: no layer entry", label)
+			}
+			for _, m := range in.mats {
+				matCells += int64(m.nr) * int64(m.nc)
+			}
+			limit = layerCells(in)
+			if got := storedCells(in); got != s.Stats.EdgeCellsEvaluated || got > matCells || matCells > limit {
+				t.Fatalf("%s: cold search stores %d cells, filled %d; matrices hold %d cells, layerCells counts %d",
+					label, got, s.Stats.EdgeCellsEvaluated, matCells, limit)
+			}
+			return in, limit, matCells
+		}
+		check := func(label string, in *layerInputs, filled, limit, matCells int64) {
+			if got := storedCells(in); got != filled || got > matCells {
+				t.Fatalf("%s: stores hold %d cells, filled %d, matrices hold %d", label, got, filled, matCells)
+			}
+			if got := layerCells(in); got != limit {
+				t.Fatalf("%s: layerCells moved %d → %d", label, limit, got)
+			}
+		}
+
+		name := fmt.Sprintf("%s@16", cfg.Name)
+		cache := NewSearchCache()
+		in, limit, matCells := cold(name, cache)
+		filled := storedCells(in)
+		grown -= filled
+		for i, alpha := range alphaShiftSeq[1:] {
+			cache.plans.reset()
+			s, err := optAt(alpha, cache).Plan(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			filled += s.Stats.EdgeCellsEvaluated
+			check(fmt.Sprintf("%s shift %d α=%g", name, i+1, alpha), in, filled, limit, matCells)
+		}
+		grown += filled
+
+		shared := NewSearchCache()
+		in, limit, matCells = cold(name+" concurrent", shared)
+		filled = storedCells(in)
+		shifts := alphaShiftSeq[1:4]
+		got := make([]*Strategy, len(shifts))
+		errs := make([]error, len(shifts))
+		var wg sync.WaitGroup
+		for i, alpha := range shifts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = optAt(alpha, shared).Plan(context.Background(), req)
+			}()
+		}
+		wg.Wait()
+		for i := range shifts {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			filled += got[i].Stats.EdgeCellsEvaluated
+		}
+		check(name+" concurrent shifts", in, filled, limit, matCells)
+	}
+	if grown == 0 {
+		t.Fatal("no shift grew a store: the growth after insertion went unchecked")
 	}
 }
 

@@ -882,14 +882,12 @@ func (be *BlockEval) MeasureRow(ri int, out []Traffic) {
 	}
 }
 
-// FracMember is one matrix a leader's fraction rows fill: its calc, its
-// row-major storage of RedistributeDetail values (len(rows)·len(cols) of
-// Calc), and whether its fraction structure is the leader's transposed
-// (Calc's FracKey(false) equals the leader's FracKey(true)) rather than the
-// leader's own (equal FracKey(false)).
+// FracMember is one matrix a leader's fraction rows fill: its calc and
+// whether its fraction structure is the leader's transposed (Calc's
+// FracKey(false) equals the leader's FracKey(true)) rather than the leader's
+// own (equal FracKey(false)).
 type FracMember struct {
 	Calc       *EdgeCalc
-	Vals       []float64
 	Transposed bool
 }
 
@@ -898,25 +896,27 @@ type FracMember struct {
 // m.RedistributeDetail of each member's cells that they determine: cells
 // (ri, c) of a direct member, and cells (c, ri) of a transposed one, whose
 // forward fractions are the leader's backward ones and vice versa, for every
-// c in cols. No other cell is written. Each member's cells take its own
-// volumes and element bytes, so every value is bit-identical to
-// m.RedistributeDetail of that member's EdgePlan.Measure on the same
-// interfaces, whichever cells are filled and in whatever order.
-func (be *BlockEval) FillRow(m *Model, ri int, cols []int32, members []FracMember) {
+// c in cols. Every member is written in the leader's orientation: member k's
+// value at leader column cols[j] goes to dst[k*stride+at[j]], and no other
+// element of dst is written. Each member's cells take its own volumes and
+// element bytes, so every value is bit-identical to m.RedistributeDetail of
+// that member's EdgePlan.Measure on the same interfaces, whichever cells are
+// filled and in whatever order.
+func (be *BlockEval) FillRow(m *Model, ri int, cols, at []int32, members []FracMember, dst []float64, stride int) {
 	be.fwd.fillRow(ri, cols)
 	be.bwd.fillRow(ri, cols)
 	fRow, bRow := be.fwd.row, be.bwd.row
-	for _, mb := range members {
+	for k, mb := range members {
 		c := mb.Calc
 		eb := c.p.eb
+		out := dst[k*stride:][:stride]
 		if !mb.Transposed {
-			out := mb.Vals[ri*len(fRow):][:len(fRow)]
 			fVol := c.fwdVol
 			bv := c.bwdVol[ri]
-			for _, ci := range cols {
+			for j, ci := range cols {
 				f, b := fRow[ci], bRow[ci]
 				fv := fVol[ci]
-				out[ci] = m.RedistributeDetail(Traffic{
+				out[at[j]] = m.RedistributeDetail(Traffic{
 					FwdIntra: fv * f.fi * eb, FwdInter: fv * f.fe * eb,
 					BwdIntra: bv * b.fi * eb, BwdInter: bv * b.fe * eb,
 				})
@@ -924,13 +924,12 @@ func (be *BlockEval) FillRow(m *Model, ri int, cols []int32, members []FracMembe
 			continue
 		}
 		// The member's cell (r, ri) for every leader column r.
-		nc := len(c.fwdVol)
 		fv := c.fwdVol[ri]
 		bVol := c.bwdVol
-		for _, r := range cols {
+		for j, r := range cols {
 			f, b := bRow[r], fRow[r]
 			bv := bVol[r]
-			mb.Vals[int(r)*nc+ri] = m.RedistributeDetail(Traffic{
+			out[at[j]] = m.RedistributeDetail(Traffic{
 				FwdIntra: fv * f.fi * eb, FwdInter: fv * f.fe * eb,
 				BwdIntra: bv * b.fi * eb, BwdInter: bv * b.fe * eb,
 			})

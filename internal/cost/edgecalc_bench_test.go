@@ -66,8 +66,9 @@ func benchPlan() (*EdgePlan, []*Iface, []*Iface) {
 
 // BenchmarkEdgeCellBlock measures the production fill of core's edge phase
 // on a fraction group: one BlockEval of the leader fills every row once and
-// writes both the leader's matrix and its mirror's (a transposed member, as
-// softmax→av is of qkt→softmax) through FillRow. Each iteration builds the
+// writes both the leader's cells and its mirror's (a transposed member, as
+// softmax→av is of qkt→softmax) through FillRow, into one row of both per
+// leader row, the layout of core's edge store. Each iteration builds the
 // calcs on a fresh registry, untimed, so every fill starts with the empty
 // memo of a cold search rather than the previous iteration's entries.
 func BenchmarkEdgeCellBlock(b *testing.B) {
@@ -75,7 +76,7 @@ func BenchmarkEdgeCellBlock(b *testing.B) {
 	q, qSrc, qDst := mirrorEdge(p, srcReps, dstReps)
 	m := NewModel(device.MustCluster(p.devices, p.perNode, device.V100Profile()))
 	cells := len(srcReps) * len(dstReps)
-	fwdVals, bwdVals := make([]float64, cells), make([]float64, cells)
+	vals := make([]float64, 2*cells)
 	cols := make([]int32, len(dstReps))
 	for ci := range cols {
 		cols[ci] = int32(ci)
@@ -85,14 +86,11 @@ func BenchmarkEdgeCellBlock(b *testing.B) {
 		b.StopTimer()
 		ot := NewOverlapTables(p.devices, p.perNode)
 		calc, mirror := newCalcOver(p, ot, srcReps, dstReps), newCalcOver(q, ot, qSrc, qDst)
-		members := []FracMember{
-			{Calc: calc, Vals: fwdVals},
-			{Calc: mirror, Vals: bwdVals, Transposed: true},
-		}
+		members := []FracMember{{Calc: calc}, {Calc: mirror, Transposed: true}}
 		b.StartTimer()
 		be := calc.Block()
 		for ri := range srcReps {
-			be.FillRow(m, ri, cols, members)
+			be.FillRow(m, ri, cols, cols, members, vals[2*ri*len(cols):], len(cols))
 		}
 		be.Release()
 	}

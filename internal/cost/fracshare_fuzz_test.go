@@ -56,42 +56,48 @@ func selfMirrorEdge(rng *rand.Rand, devices, perNode int, pool []axisLayout) (*E
 // fillGroup fills the matrices of one fraction group led by members[0] in
 // two passes, the even leader columns and then the odd ones, and reports the
 // first cell of each that differs from RedistributeDetail of direct
-// Measure. Between the passes every cell in an odd leader column — a
-// transposed member's odd rows — must still hold its NaN sentinel: FillRow
-// writes the columns it is given and no other cell.
+// Measure. FillRow writes every member in the leader's orientation, one
+// buffer per leader row; the buffers put leader column c at slot nc−1−c, so
+// the slots FillRow is given are not the columns. Between the passes every
+// slot of an odd leader column — a transposed member's odd rows — must still
+// hold its NaN sentinel: FillRow writes the slots of the columns it is given
+// and no other element.
 func fillGroup(t *testing.T, m *Model, label string, members []FracMember, jobs []edgeJob) {
 	t.Helper()
 	nc := len(jobs[0].dst)
-	var passes [2][]int32
+	var passes, slots [2][]int32
 	for c := 0; c < nc; c++ {
 		passes[c%2] = append(passes[c%2], int32(c))
+		slots[c%2] = append(slots[c%2], int32(nc-1-c))
 	}
-	leadCol := func(k, cell int) int {
-		if members[k].Transposed {
-			return cell / len(jobs[k].dst)
-		}
-		return cell % len(jobs[k].dst)
-	}
-	for _, mb := range members {
-		for c := range mb.Vals {
-			mb.Vals[c] = math.NaN()
+	rows := make([][]float64, len(jobs[0].src))
+	for ri := range rows {
+		rows[ri] = make([]float64, len(members)*nc)
+		for c := range rows[ri] {
+			rows[ri][c] = math.NaN()
 		}
 	}
 	for pass, cols := range passes {
 		be := members[0].Calc.Block()
-		for ri := range jobs[0].src {
-			be.FillRow(m, ri, cols, members)
+		for ri, row := range rows {
+			be.FillRow(m, ri, cols, slots[pass], members, row, nc)
 		}
 		be.Release()
 		for k, j := range jobs {
-			for c, got := range members[k].Vals {
+			for c, want := range j.want {
+				i, jj := c/len(j.dst), c%len(j.dst)
+				lr, lc := i, jj // the cell's leader row and column
+				if members[k].Transposed {
+					lr, lc = jj, i
+				}
+				got := rows[lr][k*nc+nc-1-lc]
 				switch {
-				case leadCol(k, c)%2 > pass:
+				case lc%2 > pass:
 					if !math.IsNaN(got) {
-						t.Fatalf("%s, matrix %d cell (%d,%d): written by the even-column pass", label, k, c/len(j.dst), c%len(j.dst))
+						t.Fatalf("%s, matrix %d cell (%d,%d): written by the even-column pass", label, k, i, jj)
 					}
-				case got != j.want[c]:
-					t.Fatalf("%s, matrix %d cell (%d,%d) after pass %d: got %v want %v", label, k, c/len(j.dst), c%len(j.dst), pass, got, j.want[c])
+				case got != want:
+					t.Fatalf("%s, matrix %d cell (%d,%d) after pass %d: got %v want %v", label, k, i, jj, pass, got, want)
 				}
 			}
 		}
@@ -147,9 +153,7 @@ func FuzzEdgeFracSharing(f *testing.F) {
 		if ct.FracKey(false) != cp.FracKey(false) {
 			t.Fatal("a twin with other volumes has another fraction key")
 		}
-		cells := len(src) * len(dst)
-		group := []FracMember{{Calc: cp, Vals: make([]float64, cells)},
-			{Calc: cq, Vals: make([]float64, cells), Transposed: true}, {Calc: ct, Vals: make([]float64, cells)}}
+		group := []FracMember{{Calc: cp}, {Calc: cq, Transposed: true}, {Calc: ct}}
 		groupJobs := []edgeJob{newEdgeJob(m, p, src, dst), newEdgeJob(m, q, qSrc, qDst), newEdgeJob(m, &twin, src, dst)}
 		fillGroup(t, m, "first group", group, groupJobs)
 
@@ -158,7 +162,7 @@ func FuzzEdgeFracSharing(f *testing.F) {
 		rPool := layoutPool(rng, 2+rng.Intn(8), devices)
 		rJob := newEdgeJob(m, r, ifacesFromPool(rng, 1+rng.Intn(12), rSrcAxes, rPool), ifacesFromPool(rng, 1+rng.Intn(12), rDstAxes, rPool))
 		cr := newCalcOver(r, ot, rJob.src, rJob.dst)
-		second := []FracMember{{Calc: cr, Vals: make([]float64, len(rJob.want))}}
+		second := []FracMember{{Calc: cr}}
 		if secondFirst {
 			fillGroup(t, m, "second edge", second, []edgeJob{rJob})
 		}
@@ -173,7 +177,7 @@ func FuzzEdgeFracSharing(f *testing.F) {
 		if cs.FracKey(false) != cs.FracKey(true) {
 			t.Fatal("a self-mirrored edge's fraction key is not its own transposed key")
 		}
-		fillGroup(t, m, "self-mirrored edge", []FracMember{{Calc: cs, Vals: make([]float64, len(sSrc)*len(sDst))}},
+		fillGroup(t, m, "self-mirrored edge", []FracMember{{Calc: cs}},
 			[]edgeJob{newEdgeJob(m, s, sSrc, sDst)})
 	})
 }

@@ -127,7 +127,7 @@ func (j *edgeJob) check(t *testing.T, m *Model, label string, calc *EdgeCalc) {
 		cols[ci] = int32(ci)
 	}
 	for ri := range j.src {
-		be.FillRow(m, ri, cols, []FracMember{{Calc: calc, Vals: vals}})
+		be.FillRow(m, ri, cols, cols, []FracMember{{Calc: calc}}, vals[ri*len(j.dst):], len(j.dst))
 	}
 	be.Release()
 	for k, got := range vals {

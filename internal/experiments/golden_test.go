@@ -18,11 +18,12 @@ import (
 // TestGoldenOPT175B64 plans the widest cell the daemon accepts, OPT-175B on
 // 64 V100s (4 per node, α = 1e-12), cold, and checks its strategy digest
 // against the OPT-175B@64 entry of golden/table2_digest.json, so a change to
-// the search's edge or DP code cannot move the 64-device answer unseen. It
-// takes tens of seconds and about 3 GB of heap, so -short skips it.
+// the search's edge or DP code cannot move the 64-device answer unseen. On
+// two workers it takes 1.6–2.0 s and peaks at ~0.45 GB RSS, so -short skips
+// it.
 func TestGoldenOPT175B64(t *testing.T) {
 	if testing.Short() {
-		t.Skip("a cold 64-device search takes tens of seconds and ~3 GB")
+		t.Skip("a cold 64-device search takes ~2 s and ~0.45 GB")
 	}
 	s := DefaultSetup()
 	cfg := model.OPT175B()

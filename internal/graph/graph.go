@@ -327,37 +327,33 @@ func (g *Graph) SegmentCuts() []int {
 	return cuts
 }
 
-// CheckSegmentAssumptions verifies that within each segment, every extended
-// edge originates at the segment's first node (so Eq. 12 applies), and that
-// extended edges crossing segment boundaries connect cut points only (so
-// merging per Eq. 13 handles them). Returns an error naming the offender.
+// CheckSegmentAssumptions verifies that the segmented DP prices every
+// extended edge: the edge must start at the last cut before its
+// destination, so that segment's Bellman steps price it (Eq. 12), or start
+// at node 0 and end at a cut, so the merge that closes the segment ending
+// there prices it as a cross edge (Eqs. 13–14). Any other extended edge,
+// such as 2→6 on the cuts {0, 2, 4, 6}, no composition prices. Returns an
+// error naming the first offender.
 func (g *Graph) CheckSegmentAssumptions() error {
 	cuts := g.SegmentCuts()
-	isCut := make(map[int]bool, len(cuts))
+	isCut := make([]bool, len(g.Nodes))
 	for _, c := range cuts {
 		isCut[c] = true
 	}
-	segStart := make([]int, len(g.Nodes))
-	cur := 0
-	for i := range g.Nodes {
-		if isCut[i] && i != len(g.Nodes)-1 {
-			cur = i
+	// head[i]: the last cut before node i.
+	head := make([]int, len(g.Nodes))
+	for i := 1; i < len(g.Nodes); i++ {
+		head[i] = head[i-1]
+		if isCut[i-1] {
+			head[i] = i - 1
 		}
-		segStart[i] = cur
 	}
 	for _, e := range g.Edges {
-		if !e.IsExtended() {
+		if !e.IsExtended() || e.Src == head[e.Dst] || (e.Src == 0 && isCut[e.Dst]) {
 			continue
 		}
-		// Either the edge stays inside one segment and starts at its head...
-		if segStart[e.Dst] == e.Src {
-			continue
-		}
-		// ...or it connects two cut points (handled at merge time).
-		if isCut[e.Src] && isCut[e.Dst] {
-			continue
-		}
-		return fmt.Errorf("graph: extended edge %d→%d violates segmentation assumptions", e.Src, e.Dst)
+		return fmt.Errorf("graph: extended edge %d→%d is priced by no segment step or merge: it starts neither at node 0 nor at the last cut before node %d (%d)",
+			e.Src, e.Dst, e.Dst, head[e.Dst])
 	}
 	return nil
 }

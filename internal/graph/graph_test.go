@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/partition"
@@ -169,6 +170,100 @@ func TestSegmentAssumptionViolation(t *testing.T) {
 	if err := g.CheckSegmentAssumptions(); err != nil {
 		t.Fatalf("unexpected violation: %v", err)
 	}
+}
+
+// cutChain returns an n-node chain with the extended edges ext, each a
+// source and destination pair.
+func cutChain(n int, ext [][2]int) *Graph {
+	g := &Graph{}
+	for i := 0; i < n; i++ {
+		g.AddNode(testOp("n", 4))
+	}
+	for i := 0; i+1 < n; i++ {
+		g.Connect(i, i+1, 0, []int{0})
+	}
+	for _, e := range ext {
+		g.Connect(e[0], e[1], 0, []int{0})
+	}
+	return g
+}
+
+// TestSegmentAssumptionsPriceEveryEdge pins the check on the cuts {0, 2, 4,
+// 6} of a 7-node chain: 2→4 and 4→6 start at the last cut before their
+// destinations and 0→6 at node 0, so each is priced and the graph passes;
+// 2→6 joins two cuts but no step or merge prices it, so adding it fails,
+// naming it.
+func TestSegmentAssumptionsPriceEveryEdge(t *testing.T) {
+	ok := [][2]int{{2, 4}, {4, 6}, {0, 6}}
+	g := cutChain(7, ok)
+	if cuts := g.SegmentCuts(); len(cuts) != 4 || cuts[0] != 0 || cuts[1] != 2 || cuts[2] != 4 || cuts[3] != 6 {
+		t.Fatalf("cuts = %v, want [0 2 4 6]", cuts)
+	}
+	if err := g.CheckSegmentAssumptions(); err != nil {
+		t.Fatalf("priced edges rejected: %v", err)
+	}
+	err := cutChain(7, append(ok, [2]int{2, 6})).CheckSegmentAssumptions()
+	if err == nil || !strings.Contains(err.Error(), "2→6") {
+		t.Fatalf("an unpriced 2→6 gave %v, want an error naming it", err)
+	}
+}
+
+// FuzzSegmentAssumptions checks CheckSegmentAssumptions against the DP's
+// compositions, enumerated the way the layer DP runs them: per segment
+// [a, b] its first step prices the edges a→a+1 and each later step j the
+// edges j−1→j and a→j, and the merge closing each segment after the first
+// prices the edges 0→b. The check must pass exactly when every edge is
+// priced. Layout: node count 3–10, then source and destination bytes of
+// the added edges, each taken modulo the node count; a pair that is not an
+// extended edge is dropped.
+func FuzzSegmentAssumptions(f *testing.F) {
+	f.Add([]byte{4, 2, 4, 4, 6, 0, 6})       // cuts {0, 2, 4, 6}: 2→4, 4→6, 0→6, all priced
+	f.Add([]byte{4, 2, 4, 4, 6, 0, 6, 2, 6}) // ... plus 2→6, which nothing prices
+	f.Add([]byte{1, 0, 2, 1, 3})             // crossed 0→2 and 1→3
+	f.Add([]byte{6, 0, 5, 5, 8, 1, 3})       // a residual-like 0→5 and a later segment
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 3 + int(data[0])%8
+		var ext [][2]int
+		for i := 1; i+1 < len(data); i += 2 {
+			if s, d := int(data[i])%n, int(data[i+1])%n; d > s+1 {
+				ext = append(ext, [2]int{s, d})
+			}
+		}
+		g := cutChain(n, ext)
+		priced := make(map[*Edge]int)
+		price := func(from, to int) {
+			for _, e := range g.Edges {
+				if e.Src == from && e.Dst == to {
+					priced[e]++
+				}
+			}
+		}
+		cuts := g.SegmentCuts()
+		for s := 1; s < len(cuts); s++ {
+			a, b := cuts[s-1], cuts[s]
+			price(a, a+1)
+			for j := a + 2; j <= b; j++ {
+				price(j-1, j)
+				price(a, j)
+			}
+			if s > 1 {
+				price(0, b)
+			}
+		}
+		all := true
+		for _, e := range g.Edges {
+			if priced[e] > 1 {
+				t.Fatalf("edge %d→%d priced %d times", e.Src, e.Dst, priced[e])
+			}
+			all = all && priced[e] == 1
+		}
+		if err := g.CheckSegmentAssumptions(); (err == nil) != all {
+			t.Fatalf("cuts %v, extended edges %v: check gave %v, every edge priced: %v", cuts, ext, err, all)
+		}
+	})
 }
 
 func TestIsExtended(t *testing.T) {
